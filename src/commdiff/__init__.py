@@ -24,7 +24,6 @@ from .numcore import (
     chebyshev_nodes,
     get_precision,
     poly_div_exact,
-    poly_eval,
     poly_interpolate,
     poly_mul,
     scalar,
@@ -33,11 +32,8 @@ from .numcore import (
 from .opalg import (
     CoeffSeq,
     DiffOp,
-    op_apply,
     op_commutator,
     op_from_json,
-    op_mul,
-    op_residual_norm,
     op_to_json,
 )
 from .dressing import (
@@ -63,10 +59,10 @@ from .dressing import (
 )
 from .families import (
     FamilySpec,
+    build_case,
     elliptic_family,
     geom_family,
     poly_family,
-    resolve_geom_w_sign,
     trig_family,
 )
 from .spectral import (

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import random
 import sys
 from pathlib import Path
 
@@ -22,16 +21,15 @@ from mpmath import mpf
 from . import __version__
 from .errors import CommdiffError
 from .numcore import (
-    HyperellipticCurve,
     default_precision_bits,
     get_precision,
     mpf_to_str,
     scalar,
     set_precision,
 )
-from .opalg import CoeffSeq, commutator_scale, op_commutator, op_to_json
+from .opalg import commutator_scale, op_commutator, op_to_json
 from . import dressing
-from .families import FamilySpec, basis_for, elliptic_family, family_from_spec, resolve_geom_w_sign
+from .families import FamilySpec, build_case
 from .spectral import extract_curve
 from .lame import (
     WeierstrassContext,
@@ -129,52 +127,11 @@ def _emit(args, command, config, payload, passed) -> int:
     return 0 if passed else 1
 
 
-def _elliptic_gamma(args, window) -> CoeffSeq:
-    rng = random.Random(args.seed)
-    lo, hi = window
-    return CoeffSeq.tabulate(lambda n: mpf(2) + mpf(rng.random()), (lo, hi))
-
-
-def _build_family_state(args, spec: FamilySpec):
-    """Family -> (L2, partner, state, extras) on a window wide enough that the
-    commutator of the pair is valid on the configured window."""
-    g = spec.g
-    lo, hi = args.window
-    slo, shi = lo - 2, hi + 2 * g + 3
-    uw_window = (slo - 2, shi + 2)
-    extras = {}
-    if spec.kind == "elliptic":
-        gamma = _elliptic_gamma(args, (uw_window[0], uw_window[1] + 1))
-        U, W, L3 = elliptic_family(
-            spec.params["c2"], spec.params["c1"], spec.params["c0"], gamma
-        )
-        curve = HyperellipticCurve(
-            1, (spec.params["c0"], spec.params["c1"], spec.params["c2"])
-        )
-        state = dressing.elliptic_dressing_state(curve, gamma, window=(slo, shi))
-        L2 = state.l2()
-        partner = L3
-        extras["gamma_window"] = list(gamma.window)
-    else:
-        U, W = family_from_spec(spec, uw_window)
-        if spec.kind == "geom":
-            extras["w_sign"] = resolve_geom_w_sign(g, spec.params["beta"], spec.params["a"])
-        basis = basis_for(spec)
-        # the solver's no-solution threshold stays fixed; the configured
-        # tolerance governs the reported checks only
-        result = dressing.ansatz_solve(basis, U, W)
-        state = result.state(U, W, (slo, shi))
-        L2 = state.l2()
-        partner = dressing.build_partner_op(state, L2)
-        extras["ansatz_residual_rel"] = mpf_to_str(result.info["resid_rel"])
-    return L2, partner, state, extras
-
-
 def cmd_verify(args) -> int:
     tol = scalar(args.tolerance)
     spec = _family_from_args(args)
     config = _config_doc(args, "verify")
-    L2, partner, state, extras = _build_family_state(args, spec)
+    L2, partner, state, extras = build_case(spec, args.window, args.seed)
     lo, hi = args.window
 
     master_rel = mpf(0)
@@ -230,7 +187,7 @@ def cmd_curve(args) -> int:
     curve_tol = mpf("1e-8")
     spec = _family_from_args(args)
     config = _config_doc(args, "curve")
-    L2, partner, state, extras = _build_family_state(args, spec)
+    L2, partner, state, extras = build_case(spec, args.window, args.seed)
     report = extract_curve(
         L2,
         partner,
@@ -263,7 +220,7 @@ def cmd_partner(args) -> int:
     tol = scalar(args.tolerance)
     spec = _family_from_args(args)
     config = _config_doc(args, "partner")
-    L2, partner, state, extras = _build_family_state(args, spec)
+    L2, partner, state, extras = build_case(spec, args.window, args.seed)
     comm_rel = op_commutator(L2, partner).sup_norm() / commutator_scale(L2, partner)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -346,7 +303,8 @@ def _add_family(p):
     p.add_argument("--c2", type=str, default=None)
     p.add_argument("--c1", type=str, default=None)
     p.add_argument("--c0", type=str, default=None)
-    p.add_argument("--seed", type=int, default=1234)
+    p.add_argument("--seed", type=int, default=1234,
+                   help="seeds the elliptic family's random gamma_n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -175,7 +175,8 @@ class DressingState:
             dev = max(abs(a - b) for a, b in zip(_padded(f0, 2 * g + 2), _padded(f1, 2 * g + 2)))
             if dev > mpf("1e-6") * max(f0.sup_norm(), mpf(1)):
                 raise InconsistentDataError(
-                    f"recovered curve differs between n={n0} and n={n0 + 1} by {dev}"
+                    f"curve recovery: master identity differs between n={n0} and "
+                    f"n={n0 + 1} by {dev}; the S table is not a valid dressing"
                 )
             state.curve = HyperellipticCurve.from_fpoly(f0, g, tol_rel=mpf("1e-6"))
             state.meta["curve_recovery_dev"] = dev
@@ -529,29 +530,56 @@ def ansatz_solve(
         {"resid_rel": info["resid_inf"] / scale, "rank": info["rank"]},
     )
     if recover_curve:
-        # placeholder curve: the probe state only feeds _master_fpoly, which
-        # never reads it
-        probe = result.state(
-            U, W, (-2, 3), curve=HyperellipticCurve(g, [0] * (2 * g + 1))
-        )
-        f0 = _master_fpoly(probe, 0)
-        f1 = _master_fpoly(probe, 1)
-        dev = max(
-            abs(a - b) for a, b in zip(_padded(f0, 2 * g + 2), _padded(f1, 2 * g + 2))
-        )
-        if dev > mpf("1e-6") * max(f0.sup_norm(), mpf(1)):
-            raise InconsistentDataError(
-                f"master identity is n-dependent (deviation {dev}); "
-                "solved S table is not a valid dressing"
-            )
-        result.curve = HyperellipticCurve.from_fpoly(f0, g, tol_rel=mpf("1e-6"))
-        result.info["curve_dev"] = dev
+        # the state on [-2, 3] recovers the curve at its centre n = 0 and
+        # cross-checks it at n = 1
+        probe = result.state(U, W, (-2, 3))
+        result.curve = probe.curve
+        result.info["curve_dev"] = probe.meta["curve_recovery_dev"]
     return result
 
 
 # ---------------------------------------------------------------------------
 # elliptic (g = 1) closed-form state
 # ---------------------------------------------------------------------------
+
+
+def elliptic_uw(curve: HyperellipticCurve, gamma: CoeffSeq, sigma=None):
+    """(U, W, s) of the genus-1 family on w^2 = F1(z) with parameter gamma_n.
+
+    s_n = sigma_n sqrt(F1(gamma_n)) (branch signs default +1),
+    U_n = -(s_n + s_{n+1}) / (gamma_n - gamma_{n+1}) and
+    W_n = -c2 - gamma_n - gamma_{n+1}, tabulated on [glo, ghi - 1]; s is
+    returned as a function of n.
+    """
+    glo, ghi = gamma.window
+
+    def sgn(n):
+        if sigma is None:
+            return mpf(1)
+        v = sigma.at(n) if isinstance(sigma, CoeffSeq) else sigma(n)
+        return scalar(v)
+
+    def s_val(n):
+        f = curve.eval(gamma.at(n))
+        if f < 0:
+            raise InconsistentDataError(
+                f"F1(gamma_{n}) = {f} < 0: divisor point has no real branch"
+            )
+        return sgn(n) * sqrt(f)
+
+    def u_val(n):
+        dg = gamma.at(n) - gamma.at(n + 1)
+        if abs(dg) <= DEGENERACY_REL * max(mpf(1), abs(gamma.at(n))):
+            raise DegenerateDenominatorError(
+                f"gamma_{n} - gamma_{n + 1} = {dg}: functional parameter is degenerate"
+            )
+        return -(s_val(n) + s_val(n + 1)) / dg
+
+    U = CoeffSeq.tabulate(u_val, (glo, ghi - 1))
+    W = CoeffSeq.tabulate(
+        lambda n: -curve.c[2] - gamma.at(n) - gamma.at(n + 1), (glo, ghi - 1)
+    )
+    return U, W, s_val
 
 
 def elliptic_dressing_state(
@@ -568,33 +596,7 @@ def elliptic_dressing_state(
     lo, hi = (glo, ghi - 1) if window is None else (int(window[0]), int(window[1]))
     if lo < glo or hi > ghi - 1:
         raise WindowError("window needs gamma on [lo, hi+1]")
-
-    def sgn(n):
-        if sigma is None:
-            return mpf(1)
-        v = sigma.at(n) if isinstance(sigma, CoeffSeq) else sigma(n)
-        return scalar(v)
-
-    def s_val(n):
-        f = curve.eval(gamma.at(n))
-        if f < 0:
-            raise InconsistentDataError(
-                f"F(gamma_{n}) = {f} < 0: no real branch for the divisor point"
-            )
-        return sgn(n) * sqrt(f)
-
-    def u_val(n):
-        dg = gamma.at(n) - gamma.at(n + 1)
-        if abs(dg) <= DEGENERACY_REL * max(mpf(1), abs(gamma.at(n))):
-            raise DegenerateDenominatorError(
-                f"gamma_{n} - gamma_{n + 1} = {dg} is degenerate"
-            )
-        return -(s_val(n) + s_val(n + 1)) / dg
-
-    U = CoeffSeq.tabulate(u_val, (glo, ghi - 1))
-    W = CoeffSeq.tabulate(
-        lambda n: -curve.c[2] - gamma.at(n) - gamma.at(n + 1), (glo, ghi - 1)
-    )
+    U, W, s_val = elliptic_uw(curve, gamma, sigma)
     S = {}
     for n in range(lo, hi + 1):
         delta0 = s_val(n) + U.at(n) * gamma.at(n)

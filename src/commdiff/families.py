@@ -9,15 +9,12 @@ the elliptic constructor also assembles its order-3 partner in closed form.
 from __future__ import annotations
 
 import json
+import random
 
-from mpmath import mpf, cos, sin, sqrt
+from mpmath import mpf, cos, sin
 
 from . import dressing
-from .errors import (
-    DegenerateDenominatorError,
-    InconsistentDataError,
-    RankDeficiencyError,
-)
+from .errors import DegenerateDenominatorError
 from .numcore import HyperellipticCurve, mpf_to_str, scalar, str_to_mpf
 from .opalg import CoeffSeq, DiffOp
 
@@ -88,44 +85,12 @@ def poly_family(g: int, a2, a0, a1=0, window=None) -> tuple:
     return U, W
 
 
-_GEOM_SIGN_CACHE: dict = {}
-
-
-def resolve_geom_w_sign(g: int, beta, a) -> int:
-    """Pick the W sign for which the dressing relation is solvable.
-
-    The two sign conventions are both representable; only one admits an S
-    family, so a small sampled solve decides and the result is cached.
-    """
-    beta, a = scalar(beta), scalar(a)
-    key = (int(g), mpf_to_str(beta), mpf_to_str(a))
-    if key in _GEOM_SIGN_CACHE:
-        return _GEOM_SIGN_CACHE[key]
-    last_err = None
-    for sign in (1, -1):
-        reach = int(g) + 4
-        try:
-            U, W = geom_family(g, beta, a, w_sign=sign, window=(-reach - 2, reach + 2))
-            basis = dressing.GeomBasis(g, a)
-            dressing.ansatz_solve(
-                basis, U, W, n_grid=list(range(-reach + 2, reach - 1)),
-                recover_curve=False,
-            )
-        except (InconsistentDataError, RankDeficiencyError) as err:
-            last_err = err
-            continue
-        _GEOM_SIGN_CACHE[key] = sign
-        return sign
-    raise InconsistentDataError(
-        f"neither W sign admits an S family for g={g}, beta={beta}, a={a}: {last_err}"
-    )
-
-
-def geom_family(g: int, beta, a, w_sign="auto", window=None) -> tuple:
+def geom_family(g: int, beta, a, w_sign=1, window=None) -> tuple:
     """U_n = beta a^n with W_n proportional to a^(2n).
 
-    W_n = s * (a^(2g) + a^(2g+2) - a^(4g+2) - 1) / (a^(2g+1) + 1)^2 * beta^2 a^(2n),
-    where the sign s is resolved by solvability when w_sign='auto'.
+    W_n = -s (a^(2g+2) - 1)(a^(2g) - 1) / (a^(2g+1) + 1)^2 * beta^2 a^(2n).
+    Only s = +1 admits an S family (the dressing solve rejects w_sign = -1);
+    the commutation checks guard it.
     """
     beta, a = scalar(beta), scalar(a)
     g = int(g)
@@ -136,10 +101,7 @@ def geom_family(g: int, beta, a, w_sign="auto", window=None) -> tuple:
     den = a ** (2 * g + 1) + 1
     if abs(den) <= mpf("1e-12"):
         raise DegenerateDenominatorError(f"a^(2g+1) + 1 = {den} is degenerate")
-    if w_sign == "auto":
-        w_sign = resolve_geom_w_sign(g, beta, a)
-    s = scalar(w_sign)
-    amp = s * (a ** (2 * g) + a ** (2 * g + 2) - a ** (4 * g + 2) - 1) / den**2 * beta**2
+    amp = -scalar(w_sign) * (a ** (2 * g + 2) - 1) * (a ** (2 * g) - 1) / den**2 * beta**2
     U = CoeffSeq.tabulate(lambda n: beta * a**n, window)
     W = CoeffSeq.tabulate(lambda n: amp * a ** (2 * n), window)
     return U, W
@@ -160,36 +122,11 @@ def elliptic_family(c2, c1, c0, gamma: CoeffSeq, sigma=None) -> tuple:
     The sign of the s_n term in the zero-degree coefficient is forced by the
     branch convention in U_n; commutation verifies the pairing.
     """
-    c2, c1, c0 = scalar(c2), scalar(c1), scalar(c0)
     curve = HyperellipticCurve(1, (c0, c1, c2))
     glo, ghi = gamma.window
     if ghi - glo < 3:
         raise ValueError("gamma window too small for the order-3 partner")
-
-    def sgn(n):
-        if sigma is None:
-            return mpf(1)
-        v = sigma.at(n) if isinstance(sigma, CoeffSeq) else sigma(n)
-        return scalar(v)
-
-    def s_val(n):
-        f = curve.eval(gamma.at(n))
-        if f < 0:
-            raise InconsistentDataError(
-                f"F1(gamma_{n}) = {f} < 0: divisor point has no real branch"
-            )
-        return sgn(n) * sqrt(f)
-
-    def u_val(n):
-        dg = gamma.at(n) - gamma.at(n + 1)
-        if abs(dg) <= mpf("1e-8") * max(mpf(1), abs(gamma.at(n))):
-            raise DegenerateDenominatorError(
-                f"gamma_{n} - gamma_{n + 1} = {dg}: functional parameter is degenerate"
-            )
-        return -(s_val(n) + s_val(n + 1)) / dg
-
-    U = CoeffSeq.tabulate(u_val, (glo, ghi - 1))
-    W = CoeffSeq.tabulate(lambda n: -c2 - gamma.at(n) - gamma.at(n + 1), (glo, ghi - 1))
+    U, W, s_val = dressing.elliptic_uw(curve, gamma, sigma)
     l3_window = (glo, ghi - 3)
     L3 = DiffOp.build(
         {
@@ -218,7 +155,7 @@ def family_from_spec(spec: FamilySpec, window):
             window,
         )
     if spec.kind == "geom":
-        return geom_family(spec.g, spec.params["beta"], spec.params["a"], "auto", window)
+        return geom_family(spec.g, spec.params["beta"], spec.params["a"], window=window)
     raise ValueError(f"family {spec.kind!r} needs an explicit gamma sequence")
 
 
@@ -232,3 +169,38 @@ def basis_for(spec: FamilySpec) -> dressing.AnsatzBasis:
     if spec.kind == "geom":
         return dressing.GeomBasis(spec.g, spec.params["a"])
     raise ValueError(f"no sampled basis for family {spec.kind!r}")
+
+
+def build_case(spec: FamilySpec, window, seed: int = 1234):
+    """Family -> (L2, partner, state, extras) on tables wide enough that the
+    commutator of the pair is valid on `window`.
+
+    The state covers [lo - 2, hi + 2g + 3], U and W two more on each side,
+    and the elliptic gamma_n = 2 + u_n (u_n drawn from random.Random(seed))
+    one more on the right.  extras holds the report entries the pipeline
+    adds: w_sign (geom), ansatz_residual_rel (sampled solve) and
+    gamma_window (elliptic).
+    """
+    lo, hi = int(window[0]), int(window[1])
+    slo, shi = lo - 2, hi + 2 * spec.g + 3
+    uw_window = (slo - 2, shi + 2)
+    if spec.kind == "elliptic":
+        rng = random.Random(seed)
+        gamma = CoeffSeq.tabulate(
+            lambda n: mpf(2) + mpf(rng.random()), (uw_window[0], uw_window[1] + 1)
+        )
+        c2, c1, c0 = spec.params["c2"], spec.params["c1"], spec.params["c0"]
+        _U, _W, partner = elliptic_family(c2, c1, c0, gamma)
+        curve = HyperellipticCurve(1, (c0, c1, c2))
+        state = dressing.elliptic_dressing_state(curve, gamma, window=(slo, shi))
+        return state.l2(), partner, state, {"gamma_window": list(gamma.window)}
+    U, W = family_from_spec(spec, uw_window)
+    # the solver's no-solution threshold stays fixed; callers' tolerances
+    # govern their own checks only
+    result = dressing.ansatz_solve(basis_for(spec), U, W)
+    state = result.state(U, W, (slo, shi))
+    L2 = state.l2()
+    extras = {"ansatz_residual_rel": mpf_to_str(result.info["resid_rel"])}
+    if spec.kind == "geom":
+        extras["w_sign"] = 1
+    return L2, dressing.build_partner_op(state, L2), state, extras

@@ -125,14 +125,6 @@ class WeierstrassContext:
         return self.triple(x)[2]
 
 
-def wp_eval(ctx: WeierstrassContext, x) -> mpf:
-    return ctx.wp(x)
-
-
-def zeta_eval(ctx: WeierstrassContext, x) -> mpf:
-    return ctx.zeta(x)
-
-
 class LameDiscretization:
     """Lattice data: genus, step eps, base point x0, and the bracket reading
     for the even-genus seed term (see ag_build)."""

@@ -174,11 +174,6 @@ class ZPoly:
         return f"ZPoly(deg={self.degree})"
 
 
-def poly_eval(p: ZPoly, z) -> mpf:
-    """Horner evaluation of p at z."""
-    return p.eval(z)
-
-
 def poly_mul(p: ZPoly, q: ZPoly) -> ZPoly:
     """Convolution product; degrees add when leading coefficients survive."""
     if p.is_zero or q.is_zero:

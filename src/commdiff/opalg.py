@@ -14,6 +14,7 @@ so values are safe to share across workers.
 from __future__ import annotations
 
 import json
+import operator
 
 from mpmath import mpf
 
@@ -63,12 +64,14 @@ class CoeffSeq:
 
     def restrict(self, window) -> "CoeffSeq":
         lo, hi = int(window[0]), int(window[1])
+        return CoeffSeq(lo, self.values_on(lo, hi))
+
+    def values_on(self, lo: int, hi: int) -> tuple:
+        """The values on [lo, hi], which must lie inside the window."""
         slo, shi = self.window
         if lo < slo or hi > shi:
-            raise WindowError(
-                f"cannot restrict window [{slo}, {shi}] to larger [{lo}, {hi}]"
-            )
-        return CoeffSeq(lo, self.values[lo - slo : hi - slo + 1])
+            raise WindowError(f"[{lo}, {hi}] is outside sequence window [{slo}, {shi}]")
+        return self.values[lo - slo : hi - slo + 1]
 
     def sup_norm(self) -> mpf:
         return max(abs(v) for v in self.values)
@@ -82,17 +85,17 @@ class CoeffSeq:
 
     def binop(self, other, op) -> "CoeffSeq":
         lo, hi = self.window_intersect(other)
-        return CoeffSeq(lo, [op(self.at(n), other.at(n)) for n in range(lo, hi + 1)])
+        return CoeffSeq(lo, map(op, self.values_on(lo, hi), other.values_on(lo, hi)))
 
     def __add__(self, other):
-        return self.binop(other, lambda a, b: a + b)
+        return self.binop(other, operator.add)
 
     def __sub__(self, other):
-        return self.binop(other, lambda a, b: a - b)
+        return self.binop(other, operator.sub)
 
     def __mul__(self, other):
         if isinstance(other, CoeffSeq):
-            return self.binop(other, lambda a, b: a * b)
+            return self.binop(other, operator.mul)
         c = scalar(other)
         return CoeffSeq(self.n_min, [c * v for v in self.values])
 
@@ -178,6 +181,7 @@ class DiffOp:
         return all(abs(v - 1) <= tol for v in top.values)
 
     def sup_norm(self) -> mpf:
+        """max |u_j(n)| over the window; the yardstick for 'numerically zero'."""
         return max(t.sup_norm() for t in self.terms.values())
 
     def apply(self, f: CoeffSeq) -> CoeffSeq:
@@ -208,21 +212,21 @@ class DiffOp:
             raise WindowError("composition window empty")
         out: dict = {}
         for i, a in self.terms.items():
+            av = a.values_on(lo, hi)
             for j, b in other.terms.items():
+                contrib = map(operator.mul, av, b.values_on(lo + i, hi + i))
                 k = i + j
-                contrib = CoeffSeq.tabulate(
-                    lambda n, a=a, b=b, i=i: a.at(n) * b.at(n + i), (lo, hi)
-                )
-                out[k] = out[k] + contrib if k in out else contrib
-        return DiffOp(out, (lo, hi))
+                out[k] = list(map(operator.add, out[k], contrib)) if k in out else list(contrib)
+        return DiffOp({k: CoeffSeq(lo, v) for k, v in out.items()}, (lo, hi))
 
     __rmul__ = __mul__
 
     def scale_left(self, c: CoeffSeq) -> "DiffOp":
         """Multiply by the zero-degree coefficient c(n) from the left."""
         lo, hi = _common_window([c], self.window)
+        cv = c.values_on(lo, hi)
         return DiffOp(
-            {j: CoeffSeq.tabulate(lambda n, t=t: c.at(n) * t.at(n), (lo, hi))
+            {j: CoeffSeq(lo, map(operator.mul, cv, t.values_on(lo, hi)))
              for j, t in self.terms.items()},
             (lo, hi),
         )
@@ -246,21 +250,8 @@ class DiffOp:
         return f"DiffOp(order={self.order}, window={self.window})"
 
 
-def op_apply(L: DiffOp, f: CoeffSeq) -> CoeffSeq:
-    return L.apply(f)
-
-
-def op_mul(A: DiffOp, B: DiffOp) -> DiffOp:
-    return A * B
-
-
 def op_commutator(A: DiffOp, B: DiffOp) -> DiffOp:
     return A * B - B * A
-
-
-def op_residual_norm(L: DiffOp) -> mpf:
-    """max |u_j(n)| over the window; the yardstick for 'numerically zero'."""
-    return L.sup_norm()
 
 
 def commutator_scale(A: DiffOp, B: DiffOp) -> mpf:

@@ -126,11 +126,27 @@ def action_matrix(
     return _action_matrix_raw(L_base, L_act, scalar(z), int(n0), pad)
 
 
+def _char_poly_samples(L_base: DiffOp, L_act: DiffOp, z_nodes, n0: int):
+    """Per coefficient k, the samples (z, c_k(z)) of the characteristic
+    polynomial of M(z) over z_nodes, and the worst closure defect."""
+    samples = [[] for _ in range(L_base.order + 1)]
+    worst_defect = mpf(0)
+    for z in z_nodes:
+        M = _action_matrix_raw(L_base, L_act, z, n0)
+        worst_defect = max(worst_defect, M.closure_defect)
+        for k, c in enumerate(char_poly_coeffs(M.entries)):
+            samples[k].append((z, c))
+    return samples, worst_defect
+
+
 def char_poly_coeffs(entries) -> list:
-    """Characteristic polynomial coefficients (monic, low to high) via
-    Faddeev-LeVerrier."""
+    """Characteristic polynomial coefficients (monic, low to high): the
+    determinant and trace in closed form for 2 x 2, Faddeev-LeVerrier above."""
     m = len(entries)
     A = [[scalar(v) for v in row] for row in entries]
+    if m == 2:
+        (a, b), (c, d) = A
+        return [a * d - b * c, -(a + d), mpf(1)]
     # c[m] = 1, recursion on traces of powers
     coeffs = [mpf(0)] * (m + 1)
     coeffs[m] = mpf(1)
@@ -218,14 +234,11 @@ def extract_curve(
     per_base = []
     worst_defect = mpf(0)
     for n0 in n0_list:
-        tr_samples, det_samples = [], []
-        for z in z_nodes:
-            M = _action_matrix_raw(L_base, L_act, z, int(n0))
-            worst_defect = max(worst_defect, M.closure_defect)
-            a, b = M.entries[0]
-            c, d = M.entries[1]
-            tr_samples.append((z, a + d))
-            det_samples.append((z, a * d - b * c))
+        (det_samples, neg_tr_samples, _), defect = _char_poly_samples(
+            L_base, L_act, z_nodes, int(n0)
+        )
+        worst_defect = max(worst_defect, defect)
+        tr_samples = [(z, -c) for z, c in neg_tr_samples]
         tr_poly, tr_res = poly_interpolate(tr_samples, g)
         det_poly, det_res = poly_interpolate(det_samples, 2 * g + 1)
         det_scale = max(det_poly.sup_norm(), mpf(1))
@@ -308,15 +321,7 @@ def rank2_curve_check(
         z_nodes = chebyshev_nodes(2 * deg_r + 4, z_interval)
     z_nodes = [scalar(z) for z in z_nodes]
 
-    samples = {k: [] for k in range(4)}
-    worst_defect = mpf(0)
-    for z in z_nodes:
-        M = _action_matrix_raw(L4, L6, z, n0)
-        worst_defect = max(worst_defect, M.closure_defect)
-        cs = char_poly_coeffs(M.entries)
-        for k in range(4):
-            samples[k].append((z, cs[k]))
-
+    samples, worst_defect = _char_poly_samples(L4, L6, z_nodes, n0)
     bounds = {0: 2 * deg_r, 1: deg_r, 2: deg_r, 3: 2}
     char_polys = {}
     fit_resid = mpf(0)

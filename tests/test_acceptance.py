@@ -9,29 +9,19 @@ import time
 
 from mpmath import mpf, cos, sin
 
-from commdiff.numcore import HyperellipticCurve, ZPoly
-from commdiff.opalg import (
-    CoeffSeq,
-    DiffOp,
-    commutator_scale,
-    op_commutator,
-    op_residual_norm,
-)
+from commdiff.numcore import ZPoly
+from commdiff.opalg import DiffOp, commutator_scale, op_commutator
 from commdiff.dressing import (
     EvenPowerBasis,
     GeomBasis,
-    PowerBasis,
     TrigBasis,
     ansatz_solve,
-    build_partner_op,
-    elliptic_dressing_state,
-    l2_operator,
     linear_scale,
     master_scale,
     residual_linear,
     verify_master,
 )
-from commdiff.families import elliptic_family, geom_family, poly_family, trig_family
+from commdiff.families import FamilySpec, build_case, geom_family, poly_family, trig_family
 from commdiff.lame import continuum_slope, lame_curve_independence, lemniscatic_context
 from commdiff.rank2 import Rank2Params, build_l4, build_l6_special, expected_curve_poly
 from commdiff.spectral import extract_curve, rank2_curve_check
@@ -46,34 +36,21 @@ def _emit(num, name, passed, detail) -> None:
     assert passed, f"criterion {num} [{name}] failed: {detail}"
 
 
+CRITERION_1_PARAMS = {
+    "trig": {"r1": 1},
+    "poly": {"a2": 1, "a0": 0, "a1": 0},
+    "geom": {"beta": 1, "a": 2},
+    "elliptic": {"c2": 0, "c1": -1, "c0": 0},
+}
+
+
 def _build_case(kind, g):
     lo, hi = -N_WINDOW, N_WINDOW
-    slo, shi = lo - 2, hi + 2 * g + 3
-    uw = (slo - 2, shi + 2)
     t0 = time.perf_counter()
-    if kind == "elliptic":
-        rng = random.Random(ELLIPTIC_SEED)
-        gamma = CoeffSeq.tabulate(lambda n: mpf(2) + mpf(rng.random()), (uw[0], uw[1] + 1))
-        U, W, partner = elliptic_family(0, -1, 0, gamma)
-        curve = HyperellipticCurve(1, (0, -1, 0))
-        state = elliptic_dressing_state(curve, gamma, window=(slo, shi))
-        L2 = state.l2()
-    else:
-        if kind == "trig":
-            U, W = trig_family(g, 1, uw)
-            basis = TrigBasis(g)
-        elif kind == "poly":
-            U, W = poly_family(g, 1, 0, 0, uw)
-            basis = EvenPowerBasis(g)
-        else:
-            U, W = geom_family(g, 1, 2, window=uw)
-            basis = GeomBasis(g, 2)
-        result = ansatz_solve(basis, U, W)
-        state = result.state(U, W, (slo, shi))
-        L2 = l2_operator(U, W)
-        partner = build_partner_op(state, L2)
+    spec = FamilySpec(kind, g, CRITERION_1_PARAMS[kind])
+    L2, partner, state, _extras = build_case(spec, (lo, hi), seed=ELLIPTIC_SEED)
     comm = op_commutator(L2, partner)
-    rel = op_residual_norm(comm) / commutator_scale(L2, partner)
+    rel = comm.sup_norm() / commutator_scale(L2, partner)
     elapsed = time.perf_counter() - t0
     covers = comm.window[0] <= lo and comm.window[1] >= hi
     return {
@@ -238,15 +215,9 @@ def test_criterion_6_odd_extension_conjecture():
     findings = []
     worst = mpf(0)
     for g in (1, 2, 3, 4, 5):
-        lo, hi = -N_WINDOW, N_WINDOW
-        slo, shi = lo - 2, hi + 2 * g + 3
-        uw = (slo - 2, shi + 2)
-        U, W = poly_family(g, 1, 0, mpf(1) / 2, uw)
-        result = ansatz_solve(PowerBasis(g), U, W)
-        state = result.state(U, W, (slo, shi))
-        L2 = l2_operator(U, W)
-        partner = build_partner_op(state, L2)
-        rel = op_residual_norm(op_commutator(L2, partner)) / commutator_scale(L2, partner)
+        spec = FamilySpec("poly", g, {"a2": 1, "a0": 0, "a1": mpf(1) / 2})
+        L2, partner, _state, _extras = build_case(spec, (-N_WINDOW, N_WINDOW))
+        rel = op_commutator(L2, partner).sup_norm() / commutator_scale(L2, partner)
         worst = max(worst, rel)
         if rel > mpf("1e-9"):
             findings.append(f"g={g}: {float(rel):.2e}")
@@ -262,7 +233,7 @@ def test_criterion_7_rank2():
     pad = 8
     L4 = build_l4(Rank2Params(2, 0, 0), (-20 - pad, 20 + pad))
     L6 = build_l6_special((-20 - pad, 20 + pad))
-    rel = op_residual_norm(op_commutator(L4, L6)) / commutator_scale(L4, L6)
+    rel = op_commutator(L4, L6).sup_norm() / commutator_scale(L4, L6)
     r = expected_curve_poly(Rank2Params(2, 0, 0))
     rep = rank2_curve_check(L4, L6, r, n0=0)
     ok = rel <= mpf("1e-10") and rep.mismatch_rel <= mpf("1e-7")
@@ -320,7 +291,7 @@ def test_criterion_10_property_suites():
             {1: (lambda n, c=rng.uniform(-2, 2): mpf(c)), 0: lambda n: mpf(n) / 5}, win
         )
         B = DiffOp.build({2: 1, 0: (lambda n, c=rng.uniform(-2, 2): mpf(c) * n)}, win)
-        if op_residual_norm(op_commutator(A, B) + op_commutator(B, A)) != 0:
+        if (op_commutator(A, B) + op_commutator(B, A)).sup_norm() != 0:
             ok = False
             detail.append("antisymmetry")
 
@@ -343,7 +314,7 @@ def test_criterion_10_property_suites():
             + op_commutator(C, op_commutator(A, B))
         )
         scale = A.sup_norm() * B.sup_norm() * C.sup_norm()
-        if op_residual_norm(J) > mpf("1e-12") * scale:
+        if J.sup_norm() > mpf("1e-12") * scale:
             ok = False
             detail.append("jacobi")
 

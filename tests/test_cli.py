@@ -3,7 +3,8 @@ import json
 import pytest
 
 from commdiff.cli import main
-from commdiff.numcore import set_precision
+from commdiff.families import FamilySpec, build_case
+from commdiff.numcore import mpf_to_str, set_precision
 
 
 @pytest.fixture(autouse=True)
@@ -31,6 +32,21 @@ def test_verify_geom_passes(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["pass"] is True
     assert doc["report"]["w_sign"] == 1
+
+
+def test_verify_report_matches_build_case(tmp_path):
+    out = tmp_path / "reports"
+    code = run([
+        "verify", "--family", "poly", "--g", "2", "--a2", "1", "--a0", "0", "--a1", "0.5",
+        "--window", "-12", "12", "--out", str(out),
+    ])
+    assert code == 0
+    (path,) = report_files(out)
+    report = json.loads(path.read_text())["report"]
+    spec = FamilySpec("poly", 2, {"a2": "1", "a0": "0", "a1": "0.5"})
+    _L2, _partner, state, extras = build_case(spec, (-12, 12))
+    assert report["curve"] == [mpf_to_str(c) for c in state.curve.c]
+    assert report["ansatz_residual_rel"] == extras["ansatz_residual_rel"]
 
 
 def test_verify_usage_errors(tmp_path):

@@ -8,7 +8,7 @@ from commdiff.errors import (
     InconsistentDataError,
 )
 from commdiff.numcore import HyperellipticCurve, ZPoly
-from commdiff.opalg import CoeffSeq, commutator_scale, op_apply, op_commutator
+from commdiff.opalg import CoeffSeq, commutator_scale, op_commutator
 from commdiff.dressing import (
     DressingState,
     EvenPowerBasis,
@@ -309,8 +309,8 @@ def test_baker_akhiezer_eigen_relations():
     L3 = build_partner_op(state, L2)
     P = curve_point(state.curve, mpf(2), 1)
     psi = ba_sequence(state, P, (-13, 13))
-    l2psi = op_apply(L2, psi)
-    l3psi = op_apply(L3, psi)
+    l2psi = L2.apply(psi)
+    l3psi = L3.apply(psi)
     scale = max(abs(psi.at(n)) for n in range(-10, 11)) * max(1, abs(P.z), abs(P.w))
     for n in range(-10, 11):
         assert abs(l2psi.at(n) - P.z * psi.at(n)) <= mpf("1e-10") * scale
@@ -389,8 +389,8 @@ def test_genus2_recursion_and_eigen_relations():
     assert L5.order == 5 and L5.is_monic() and L5.is_positive
     P = curve_point(state.curve, mpf(30), 1)  # above the largest branch point
     psi = ba_sequence(state, P, (-9, 12))
-    l2psi = op_apply(L2, psi)
-    l5psi = op_apply(L5, psi)
+    l2psi = L2.apply(psi)
+    l5psi = L5.apply(psi)
     scale = max(abs(psi.at(n)) for n in range(-6, 7)) * max(abs(P.z), abs(P.w))
     for n in range(-6, 7):
         assert abs(l2psi.at(n) - P.z * psi.at(n)) <= mpf("1e-10") * scale

@@ -3,7 +3,7 @@ import random
 import pytest
 from mpmath import mpf, cos, sin, sqrt
 
-from commdiff.errors import DegenerateDenominatorError
+from commdiff.errors import DegenerateDenominatorError, InconsistentDataError
 from commdiff.opalg import CoeffSeq, DiffOp, commutator_scale, op_commutator
 from commdiff.dressing import (
     EvenPowerBasis,
@@ -20,7 +20,6 @@ from commdiff.families import (
     elliptic_family,
     geom_family,
     poly_family,
-    resolve_geom_w_sign,
     trig_family,
 )
 from commdiff.spectral import extract_curve
@@ -89,9 +88,16 @@ def test_poly_odd_extension_commutes():
         assert commutation_rel(U, W, PowerBasis(g), (-24, 24)) <= mpf("1e-9")
 
 
-def test_geom_sign_resolution():
+def test_geom_w_closed_form_sign():
+    # the default W is the +1 closed form; the dressing solve rejects -1
     for g in (1, 2, 3, 4):
-        assert resolve_geom_w_sign(g, 1, 2) == 1
+        for a in (mpf(2), mpf(1) / 2, mpf(-2)):
+            U, W = geom_family(g, 1, a, window=(-g - 6, g + 6))
+            amp = -(a ** (2 * g + 2) - 1) * (a ** (2 * g) - 1) / (a ** (2 * g + 1) + 1) ** 2
+            assert all(W.at(n) == amp * a ** (2 * n) for n in range(-g - 6, g + 7))
+            U, W = geom_family(g, 1, a, w_sign=-1, window=(-g - 6, g + 6))
+            with pytest.raises(InconsistentDataError):
+                ansatz_solve(GeomBasis(g, a), U, W)
 
 
 def test_geom_validation():

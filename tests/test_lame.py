@@ -47,14 +47,6 @@ def test_zeta_derivative_is_minus_wp():
         assert abs(zd + CTX.wp(x)) <= mpf("1e-8")
 
 
-def test_eval_wrappers():
-    from commdiff.lame import wp_eval, zeta_eval
-
-    x = mpf("0.6")
-    assert wp_eval(CTX, x) == CTX.wp(x)
-    assert zeta_eval(CTX, x) == CTX.zeta(x)
-
-
 def test_wp_differential_equation():
     for xs in ("0.3", "0.8"):
         x = mpf(xs)

@@ -14,7 +14,6 @@ from commdiff.numcore import (
     chebyshev_nodes,
     get_precision,
     poly_div_exact,
-    poly_eval,
     poly_interpolate,
     poly_mul,
     scalar,
@@ -40,10 +39,10 @@ def test_scalar_rejects_non_finite():
 
 def test_poly_eval_basics():
     p = ZPoly([1, 0, 1])  # z^2 + 1
-    assert poly_eval(p, 2) == 5
-    assert poly_eval(ZPoly.zero(), 17) == 0
+    assert p.eval(2) == 5
+    assert ZPoly.zero().eval(17) == 0
     f1 = HyperellipticCurve(1, (0, 0, 0)).fpoly()  # monic cubic
-    assert poly_eval(f1, 3) == 27
+    assert f1.eval(3) == 27
 
 
 def test_poly_mul_basics():

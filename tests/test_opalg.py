@@ -8,11 +8,8 @@ from commdiff.opalg import (
     CoeffSeq,
     DiffOp,
     commutator_scale,
-    op_apply,
     op_commutator,
     op_from_json,
-    op_mul,
-    op_residual_norm,
     op_to_json,
 )
 
@@ -71,7 +68,7 @@ def geometric_l3(beta, a, window):
 def test_apply_shift():
     L = DiffOp.shift(WIN)
     f = CoeffSeq.tabulate(lambda n: mpf(n), (-30, 30))
-    out = op_apply(L, f)
+    out = L.apply(f)
     for n in range(-20, 21):
         assert out.at(n) == n + 1
 
@@ -80,7 +77,7 @@ def test_apply_constant_l2():
     # (T + U)^2 + W with U = W = 0 is T^2; on 2^n it multiplies by 4
     L = DiffOp.build({2: 1, 1: 0, 0: 0}, WIN)
     f = CoeffSeq.tabulate(lambda n: mpf(2) ** n, (-30, 30))
-    out = op_apply(L, f)
+    out = L.apply(f)
     for n in range(-20, 21):
         assert out.at(n) == 4 * mpf(2) ** n
 
@@ -88,7 +85,7 @@ def test_apply_constant_l2():
 def test_apply_quartic_partner_to_ones():
     L3 = quartic_l3(1, 0, WIN)
     f = CoeffSeq.constant(1, (-30, 30))
-    out = op_apply(L3, f)
+    out = L3.apply(f)
     expected = sum(L3.coeff(j).at(0) for j in range(4))
     assert abs(out.at(0) - expected) <= mpf("1e-30")
 
@@ -103,7 +100,7 @@ def test_mul_variable_coefficients():
     # (T + n)(T - n) = T^2 - T - n^2
     A = DiffOp.build({1: 1, 0: lambda n: mpf(n)}, WIN)
     B = DiffOp.build({1: 1, 0: lambda n: -mpf(n)}, WIN)
-    prod = op_mul(A, B)
+    prod = A * B
     for n in range(-20, 20):
         assert prod.coeff(2).at(n) == 1
         assert prod.coeff(1).at(n) == -1
@@ -111,11 +108,35 @@ def test_mul_variable_coefficients():
     # oracle: apply both sides to delta sequences
     for k in range(-4, 5):
         delta = CoeffSeq.tabulate(lambda n, k=k: mpf(1) if n == k else mpf(0), (-30, 30))
-        lhs = op_apply(prod, delta)
-        rhs = op_apply(A, op_apply(B, delta))
+        lhs = prod.apply(delta)
+        rhs = A.apply(B.apply(delta))
         lo = max(lhs.window[0], rhs.window[0])
         hi = min(lhs.window[1], rhs.window[1])
         assert max(abs(lhs.at(n) - rhs.at(n)) for n in range(lo, hi + 1)) == 0
+
+
+def test_mul_and_scale_left_match_elementwise_reference():
+    # the sliced products must equal the per-index sums, in the same order
+    rng = random.Random(21)
+    A = DiffOp.build({-1: lambda n: mpf(rng.uniform(-2, 2)), 0: lambda n: mpf(n) / 3,
+                      2: lambda n: mpf(rng.uniform(-2, 2))}, (-20, 22))
+    B = DiffOp.build({0: lambda n: mpf(rng.uniform(-2, 2)), 1: 1,
+                      3: lambda n: mpf(n) / 7}, (-24, 18))
+    prod = A * B
+    lo, hi = prod.window
+    ref = {}
+    for i, a in A.terms.items():
+        for j, b in B.terms.items():
+            contrib = [a.at(n) * b.at(n + i) for n in range(lo, hi + 1)]
+            old = ref.get(i + j)
+            ref[i + j] = contrib if old is None else [x + y for x, y in zip(old, contrib)]
+    assert sorted(prod.terms) == sorted(ref)
+    assert all(list(prod.terms[k].values) == v for k, v in ref.items())
+    c = CoeffSeq.tabulate(lambda n: mpf(rng.uniform(-2, 2)), (-15, 30))
+    scaled = A.scale_left(c)
+    assert scaled.window == (-15, 22)
+    for j, t in A.terms.items():
+        assert list(scaled.terms[j].values) == [c.at(n) * t.at(n) for n in range(-15, 23)]
 
 
 def test_square_plus_w_expansion():
@@ -125,20 +146,20 @@ def test_square_plus_w_expansion():
     wvals = {n: mpf(rng.uniform(-2, 2)) for n in range(-28, 29)}
     U = CoeffSeq.tabulate(lambda n: uvals[n], (-28, 28))
     A = DiffOp.build({1: 1, 0: lambda n: uvals[n]}, (-28, 28))
-    sq = op_mul(A, A) + DiffOp.build({0: lambda n: wvals[n]}, (-28, 28))
+    sq = A * A + DiffOp.build({0: lambda n: wvals[n]}, (-28, 28))
     expect = DiffOp.build(
         {2: 1, 1: lambda n: uvals[n] + uvals[n + 1], 0: lambda n: uvals[n] ** 2 + wvals[n]},
         sq.window,
     )
-    assert op_residual_norm(sq - expect) <= mpf("1e-30")
+    assert (sq - expect).sup_norm() <= mpf("1e-30")
 
 
 def test_commutator_trivial():
     A = DiffOp.build({1: 1, 0: lambda n: mpf(n) / 3}, WIN)
-    assert op_residual_norm(op_commutator(A, A)) == 0
+    assert op_commutator(A, A).sup_norm() == 0
     T = DiffOp.shift(WIN)
     T3 = DiffOp.shift(WIN, 3)
-    assert op_residual_norm(op_commutator(T, T3)) == 0
+    assert op_commutator(T, T3).sup_norm() == 0
 
 
 def test_commutator_quartic_pair():
@@ -146,22 +167,22 @@ def test_commutator_quartic_pair():
     L3 = quartic_l3(1, 0, (-30, 30))
     comm = op_commutator(L2, L3)
     assert comm.window[0] <= -20 and comm.window[1] >= 20
-    rel = op_residual_norm(comm) / commutator_scale(L2, L3)
+    rel = comm.sup_norm() / commutator_scale(L2, L3)
     assert rel <= mpf("1e-15")
 
 
 def test_commutator_geometric_pair():
     L2 = geometric_l2(1, 2, (-26, 26))
     L3 = geometric_l3(1, 2, (-26, 26))
-    rel = op_residual_norm(op_commutator(L2, L3)) / commutator_scale(L2, L3)
+    rel = op_commutator(L2, L3).sup_norm() / commutator_scale(L2, L3)
     assert rel <= mpf("1e-15")
 
 
 def test_residual_norm_zero_cases():
     T = DiffOp.shift(WIN)
-    assert op_residual_norm(T - T) == 0
+    assert (T - T).sup_norm() == 0
     Z = DiffOp.build({0: 0}, WIN)
-    assert op_residual_norm(Z) == 0
+    assert Z.sup_norm() == 0
 
 
 def test_antisymmetry_exact():
@@ -175,7 +196,7 @@ def test_antisymmetry_exact():
             {2: 1, 0: lambda n: mpf(rng.uniform(-2, 2))},
             (-20, 20),
         )
-        assert op_residual_norm(op_commutator(A, B) + op_commutator(B, A)) == 0
+        assert (op_commutator(A, B) + op_commutator(B, A)).sup_norm() == 0
 
 
 def test_jacobi_identity_property():
@@ -200,7 +221,7 @@ def test_jacobi_identity_property():
             + op_commutator(C, op_commutator(A, B))
         )
         scale = A.sup_norm() * B.sup_norm() * C.sup_norm()
-        assert op_residual_norm(J) <= mpf("1e-12") * scale
+        assert J.sup_norm() <= mpf("1e-12") * scale
 
 
 def test_apply_mul_coherence_property():
@@ -208,8 +229,8 @@ def test_apply_mul_coherence_property():
     A = quartic_l2(1, mpf(1) / 3, (-24, 24))
     B = quartic_l3(1, mpf(1) / 3, (-24, 24))
     f = CoeffSeq.tabulate(lambda n: mpf(rng.uniform(-1, 1)), (-30, 30))
-    lhs = op_apply(op_mul(A, B), f)
-    rhs = op_apply(A, op_apply(B, f))
+    lhs = (A * B).apply(f)
+    rhs = A.apply(B.apply(f))
     lo = max(lhs.window[0], rhs.window[0])
     hi = min(lhs.window[1], rhs.window[1])
     scale = A.sup_norm() * B.sup_norm() * f.sup_norm()
@@ -219,7 +240,7 @@ def test_apply_mul_coherence_property():
 def test_positivity_closure():
     A = DiffOp.build({3: 1, 1: lambda n: mpf(n)}, WIN)
     B = DiffOp.build({2: 1, 1: lambda n: mpf(1) / (n + 40)}, WIN)
-    prod = op_mul(A, B)
+    prod = A * B
     assert prod.is_positive
     assert prod.min_degree == A.min_degree + B.min_degree
     assert prod.order == A.order + B.order
@@ -232,14 +253,14 @@ def test_window_errors_name_indices():
     assert "9" in str(err.value) and "[0, 5]" in str(err.value)
     L = DiffOp.shift((0, 5), 3)
     with pytest.raises(WindowError):
-        op_apply(L, CoeffSeq.tabulate(lambda n: mpf(n), (10, 12)))
+        L.apply(CoeffSeq.tabulate(lambda n: mpf(n), (10, 12)))
 
 
 def test_negative_degrees_representable():
     L = DiffOp.build({-1: 1, 1: 1}, WIN)
     assert not L.is_positive
     f = CoeffSeq.tabulate(lambda n: mpf(n) ** 2, (-30, 30))
-    out = op_apply(L, f)
+    out = L.apply(f)
     assert out.at(0) == (mpf(1) + mpf(1))  # (n-1)^2 + (n+1)^2 at n=0
 
 
@@ -247,4 +268,4 @@ def test_serialization_roundtrip():
     L = quartic_l2(1, mpf("0.25"), (-6, 6))
     back = op_from_json(op_to_json(L))
     assert back.window == L.window
-    assert op_residual_norm(back - L) == 0
+    assert (back - L).sup_norm() == 0

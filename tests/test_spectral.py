@@ -3,7 +3,7 @@ from mpmath import mpf, cos, sin
 
 from commdiff.errors import CommutationError, WindowError
 from commdiff.numcore import ZPoly
-from commdiff.opalg import DiffOp, op_apply
+from commdiff.opalg import DiffOp
 from commdiff.dressing import (
     GeomBasis,
     TrigBasis,
@@ -55,7 +55,7 @@ def test_kernel_extend_satisfies_recurrence():
     L2 = l2_operator(U, W)
     z = mpf(1)
     psi = kernel_extend(L2, z, -3, (mpf("0.7"), mpf("-0.2")), 16)
-    out = op_apply(L2, psi)
+    out = L2.apply(psi)
     scale = L2.sup_norm() * psi.sup_norm()
     for n in range(out.window[0], out.window[1] + 1):
         assert abs(out.at(n) - z * psi.at(n)) <= mpf("1e-14") * scale
@@ -114,6 +114,9 @@ def test_char_poly_coeffs_small_matrix():
     cs = char_poly_coeffs(M)
     expected = [-6, 11, -6, 1]
     assert max(abs(a - b) for a, b in zip(cs, expected)) <= mpf("1e-25")
+    # 2 x 2: determinant and minus the trace, exactly
+    a, b, c, d = mpf(1) / 3, mpf(2) / 7, mpf(-5) / 11, mpf(3) / 13
+    assert char_poly_coeffs([[a, b], [c, d]]) == [a * d - b * c, -(a + d), 1]
 
 
 def test_extract_curve_quartic_family():
