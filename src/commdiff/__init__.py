@@ -51,6 +51,7 @@ from .dressing import (
     curve_point,
     elliptic_dressing_state,
     factorization_check,
+    identity_residuals,
     l2_operator,
     q_from_s,
     residual_linear,
@@ -74,7 +75,6 @@ from .spectral import (
     rank2_curve_check,
 )
 from .lame import (
-    LameDiscretization,
     WeierstrassContext,
     ag_build,
     continuum_check,
@@ -82,7 +82,6 @@ from .lame import (
     lame_curve_independence,
     lame_l2,
     lemniscatic_context,
-    select_a2_interpretation,
 )
 from .rank2 import Rank2Params, build_l4, build_l6_special, verify_rank2
 

@@ -16,8 +16,6 @@ import json
 import sys
 from pathlib import Path
 
-from mpmath import mpf
-
 from . import __version__
 from .errors import CommdiffError
 from .numcore import (
@@ -32,10 +30,10 @@ from . import dressing
 from .families import FamilySpec, build_case
 from .spectral import extract_curve
 from .lame import (
+    MIN_SLOPE,
     WeierstrassContext,
     continuum_slope,
     lame_curve_independence,
-    select_a2_interpretation,
 )
 from .rank2 import verify_rank2
 
@@ -101,7 +99,6 @@ def _config_doc(args, command) -> dict:
             "eps": args.eps,
             "x0": args.x0,
             "g_list": args.g_list,
-            "a2_interpretation": args.a2_interpretation,
         }
     return doc
 
@@ -134,31 +131,14 @@ def cmd_verify(args) -> int:
     L2, partner, state, extras = build_case(spec, args.window, args.seed)
     lo, hi = args.window
 
-    master_rel = mpf(0)
-    linear_rel = mpf(0)
-    s_lo, s_hi = state.window
-    for n in range(max(lo, s_lo + 1), min(hi, s_hi - 1) + 1):
-        master_rel = max(
-            master_rel, dressing.verify_master(state, n) / dressing.master_scale(state, n)
-        )
-    for n in range(max(lo, s_lo + 1), min(hi, s_hi - 2) + 1):
-        linear_rel = max(
-            linear_rel,
-            dressing.residual_linear(state, n).sup_norm() / dressing.linear_scale(state, n),
-        )
+    master_rel, linear_rel, skew_rel = dressing.identity_residuals(
+        state, (lo, hi), skew=spec.even
+    )
     comm = op_commutator(L2, partner)
     comm_rel = comm.sup_norm() / commutator_scale(L2, partner)
     clo, chi_ = comm.window
     window_ok = clo <= lo and chi_ >= hi
-
-    skew_rel = None
-    even = spec.kind == "trig" or (spec.kind == "poly" and spec.params.get("a1", mpf(0)) == 0)
-    if even:
-        skew_rel = mpf(0)
-        reach = min(hi, s_hi - 2, -(s_lo + 2))
-        for n in range(0, reach + 1):
-            r = dressing.residual_linear(state, n) + dressing.residual_linear(state, -n - 1)
-            skew_rel = max(skew_rel, r.sup_norm() / dressing.linear_scale(state, n))
+    monic = partner.is_monic()
 
     checks = {
         "master_residual_rel": mpf_to_str(master_rel),
@@ -166,7 +146,7 @@ def cmd_verify(args) -> int:
         "commutator_residual_rel": mpf_to_str(comm_rel),
         "commutator_window_covers": window_ok,
         "partner_order": partner.order,
-        "partner_monic": partner.is_monic(),
+        "partner_monic": monic,
         "curve": [mpf_to_str(c) for c in state.curve.c],
     }
     if skew_rel is not None:
@@ -177,43 +157,27 @@ def cmd_verify(args) -> int:
         and linear_rel <= tol
         and comm_rel <= tol
         and window_ok
+        and monic
         and (skew_rel is None or skew_rel <= tol)
     )
     return _emit(args, "verify", config, checks, passed)
 
 
 def cmd_curve(args) -> int:
-    tol = scalar(args.tolerance)
-    curve_tol = mpf("1e-8")
     spec = _family_from_args(args)
     config = _config_doc(args, "curve")
     L2, partner, state, extras = build_case(spec, args.window, args.seed)
     report = extract_curve(
-        L2,
-        partner,
-        n0_list=(-1, 0, 1),
-        z_interval=tuple(args.z_interval),
-        commutation_tol=curve_tol,
+        L2, partner, n0_list=(-1, 0, 1), z_interval=tuple(args.z_interval)
     )
-    matched = report.matched_curve
-    dev = None
-    if matched is not None:
-        dev = max(abs(a - b) for a, b in zip(matched.c, state.curve.c))
+    dev = report.agreement(state.curve.c)
     payload = {
         "spectral": json.loads(report.to_json()),
         "dressing_curve": [mpf_to_str(c) for c in state.curve.c],
         "curve_agreement_abs": mpf_to_str(dev) if dev is not None else None,
     }
     payload.update(extras)
-    scale = max(report.det_poly.sup_norm(), mpf(1))
-    passed = (
-        matched is not None
-        and report.trace_poly.sup_norm() <= curve_tol * scale
-        and report.base_independence_residual <= curve_tol * scale
-        and dev is not None
-        and dev <= curve_tol * max(mpf(1), max(abs(c) for c in state.curve.c))
-    )
-    return _emit(args, "curve", config, payload, passed)
+    return _emit(args, "curve", config, payload, report.passes(state.curve.c))
 
 
 def cmd_partner(args) -> int:
@@ -244,29 +208,24 @@ def cmd_lame(args) -> int:
     config = _config_doc(args, "lame")
     ctx = WeierstrassContext(scalar(args.g2), scalar(args.g3))
     x0 = scalar(args.x0)
-    interp = args.a2_interpretation
-    if interp == "auto":
-        interp = select_a2_interpretation(ctx)
     slopes = {}
     ok = True
     for g in args.g_list:
-        slope, errs = continuum_slope(ctx, g, a2_interpretation=interp, x=x0)
+        slope, errs = continuum_slope(ctx, g, x=x0)
         slopes[str(g)] = {
             "slope": mpf_to_str(slope),
             "defects": [mpf_to_str(e) for e in errs],
         }
-        ok = ok and slope >= mpf("0.8")
+        ok = ok and slope >= MIN_SLOPE
     payload = {
         "omega1": mpf_to_str(ctx.omega1),
-        "a2_interpretation": interp,
         "continuum": slopes,
     }
     eps_list = [scalar(e) for e in args.eps]
     if len(eps_list) >= 2:
         rep = lame_curve_independence(ctx, eps_list, x0)
         payload["independence"] = json.loads(rep.to_json())
-        ok = ok and rep.curve_deviation <= mpf("1e-4")
-        ok = ok and all(e["newton_residual"] <= mpf("1e-8") for e in rep.entries)
+        ok = ok and rep.passes()
     return _emit(args, "lame", config, payload, ok)
 
 
@@ -338,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, default=None,
                    help="single genus (shorthand for --g-list G)")
     p.add_argument("--g-list", dest="g_list", type=int, nargs="*", default=[1, 2, 3])
-    p.add_argument("--a2-interpretation", dest="a2_interpretation",
-                   choices=("auto", "full", "split"), default="auto")
     _add_common(p)
     p.set_defaults(fn=cmd_lame)
 

@@ -234,26 +234,21 @@ def _padded(p: ZPoly, n: int):
     return [p.coeff(k) for k in range(n)]
 
 
+def _master_terms(state: DressingState, n: int):
+    """S_n^2 and (z - U_n^2 - W_n) Q_n Q_{n+1}, the two master-identity terms."""
+    lin = ZPoly([-(state.U.at(n) ** 2) - state.W.at(n), 1], trim=False)
+    return state.s(n) * state.s(n), lin * state.q(n) * state.q(n + 1)
+
+
 def _master_fpoly(state: DressingState, n: int) -> ZPoly:
     """S_n^2 + (z - U_n^2 - W_n) Q_n Q_{n+1}, the curve polynomial."""
-    lin = ZPoly([-(state.U.at(n) ** 2) - state.W.at(n), 1], trim=False)
-    return state.s(n) * state.s(n) + lin * state.q(n) * state.q(n + 1)
+    s2, prod = _master_terms(state, n)
+    return s2 + prod
 
 
 def verify_master(state: DressingState, n: int) -> mpf:
     """Max |coefficient| of F_g - S_n^2 - (z - U_n^2 - W_n) Q_n Q_{n+1}."""
     return (state.curve.fpoly() - _master_fpoly(state, n)).sup_norm()
-
-
-def master_scale(state: DressingState, n: int) -> mpf:
-    lin = ZPoly([-(state.U.at(n) ** 2) - state.W.at(n), 1], trim=False)
-    prod = lin * state.q(n) * state.q(n + 1)
-    return max(
-        state.curve.fpoly().sup_norm(),
-        (state.s(n) * state.s(n)).sup_norm(),
-        prod.sup_norm(),
-        mpf(1),
-    )
 
 
 def _linear_terms(state: DressingState, n: int):
@@ -274,14 +269,54 @@ def residual_linear(state: DressingState, n: int) -> ZPoly:
     """Four-term linear relation in S_{n-1..n+2}; zero for valid states.
 
     For coefficient families even in n the result is skew under
-    n -> -n - 1, which the property tests exercise directly.
+    n -> -n - 1, which identity_residuals measures when asked.
     """
     t1, t2, t3, t4 = _linear_terms(state, n)
     return t1 + t2 - t3 - t4
 
 
-def linear_scale(state: DressingState, n: int) -> mpf:
-    return max(max(t.sup_norm() for t in _linear_terms(state, n)), mpf(1))
+def identity_residuals(state: DressingState, window, skew: bool = False):
+    """(master_rel, linear_rel, skew_rel or None): the worst relative
+    residual of each identity over `window`, clipped to the state's reach.
+
+    The master identity is checked on [max(lo, s_lo+1), min(hi, s_hi-1)]
+    against the largest of |F_g|, |S_n^2|, |(z - U_n^2 - W_n) Q_n Q_{n+1}|
+    and 1; the linear relation on [max(lo, s_lo+1), min(hi, s_hi-2)] against
+    its largest term and 1.  With skew, |R_n + R_{-n-1}| over the linear
+    scale at n is checked for n = 0..min(hi, s_hi-2, -(s_lo+2)).  Each
+    product is formed once per n, and the skew pass reuses the linear one.
+    """
+    lo, hi = int(window[0]), int(window[1])
+    s_lo, s_hi = state.window
+    fpoly = state.curve.fpoly()
+    fnorm = fpoly.sup_norm()
+    master_rel = mpf(0)
+    for n in range(max(lo, s_lo + 1), min(hi, s_hi - 1) + 1):
+        s2, prod = _master_terms(state, n)
+        scale = max(fnorm, s2.sup_norm(), prod.sup_norm(), mpf(1))
+        master_rel = max(master_rel, (fpoly - (s2 + prod)).sup_norm() / scale)
+
+    linear = {}
+
+    def linear_at(n):
+        if n not in linear:
+            terms = _linear_terms(state, n)
+            t1, t2, t3, t4 = terms
+            scale = max(max(t.sup_norm() for t in terms), mpf(1))
+            linear[n] = (t1 + t2 - t3 - t4, scale)
+        return linear[n]
+
+    linear_rel = mpf(0)
+    for n in range(max(lo, s_lo + 1), min(hi, s_hi - 2) + 1):
+        r, scale = linear_at(n)
+        linear_rel = max(linear_rel, r.sup_norm() / scale)
+    if not skew:
+        return master_rel, linear_rel, None
+    skew_rel = mpf(0)
+    for n in range(0, min(hi, s_hi - 2, -(s_lo + 2)) + 1):
+        r, scale = linear_at(n)
+        skew_rel = max(skew_rel, (r + linear_at(-n - 1)[0]).sup_norm() / scale)
+    return master_rel, linear_rel, skew_rel
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,13 @@ class FamilySpec:
             raise ValueError("genus must be >= 1")
         self.params = {k: scalar(v) for k, v in params.items()}
 
+    @property
+    def even(self) -> bool:
+        """U and W even in n: trig, or poly without a linear term."""
+        return self.kind == "trig" or (
+            self.kind == "poly" and self.params.get("a1", mpf(0)) == 0
+        )
+
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -163,9 +170,9 @@ def basis_for(spec: FamilySpec) -> dressing.AnsatzBasis:
     if spec.kind == "trig":
         return dressing.TrigBasis(spec.g)
     if spec.kind == "poly":
-        if spec.params.get("a1", mpf(0)) != 0:
-            return dressing.PowerBasis(spec.g)
-        return dressing.EvenPowerBasis(spec.g)
+        if spec.even:
+            return dressing.EvenPowerBasis(spec.g)
+        return dressing.PowerBasis(spec.g)
     if spec.kind == "geom":
         return dressing.GeomBasis(spec.g, spec.params["a"])
     raise ValueError(f"no sampled basis for family {spec.kind!r}")

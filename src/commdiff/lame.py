@@ -19,13 +19,17 @@ from mpmath import mpf, sqrt, pi, agm, polyroots, floor, log, cos
 from . import linalg
 from .errors import InconsistentDataError, LatticeProximityError
 from .numcore import mpf_to_str, scalar
-from .opalg import CoeffSeq, DiffOp, commutator_scale, op_commutator
+from .opalg import CoeffSeq, DiffOp
 from .families import elliptic_family
 from .spectral import extract_curve
 
 LATTICE_PROXIMITY = mpf("1e-6")
 
-A2_INTERPRETATIONS = ("full", "split")
+# verdict thresholds: the fitted continuum order, the cross-step curve
+# deviation and the Newton recovery residual
+MIN_SLOPE = mpf("0.8")
+CURVE_DEVIATION_TOL = mpf("1e-4")
+NEWTON_TOL = mpf("1e-8")
 
 # The continuum defect changes sign around eps ~ 0.03..0.1 for genus >= 2,
 # so order fitting needs steps past the crossing.
@@ -125,29 +129,17 @@ class WeierstrassContext:
         return self.triple(x)[2]
 
 
-class LameDiscretization:
-    """Lattice data: genus, step eps, base point x0, and the bracket reading
-    for the even-genus seed term (see ag_build)."""
-
-    __slots__ = ("g", "eps", "x0", "a2_interpretation")
-
-    def __init__(self, g: int, eps, x0, a2_interpretation: str = "full"):
-        self.g = int(g)
-        self.eps = scalar(eps)
-        self.x0 = scalar(x0)
-        if a2_interpretation not in A2_INTERPRETATIONS:
-            raise ValueError(f"a2_interpretation must be one of {A2_INTERPRETATIONS}")
-        self.a2_interpretation = a2_interpretation
-
-
-def ag_build(ctx: WeierstrassContext, g: int, eps, a2_interpretation: str = "full"):
+def ag_build(ctx: WeierstrassContext, g: int, eps):
     """The T-coefficient profile A_g(x, eps) as a callable of x.
 
     A_1 = -2 zeta(eps) - zeta(x - eps) + zeta(x + eps); for genus >= 3 the odd
-    and even product formulas extend A_1 / A_2.  The even-genus seed is
-    published with an unbalanced bracket, so both readings ship:
-    'full' applies -3/2 to the whole sum (the reading the continuum limit
-    selects), 'split' applies it to the constant pair only.
+    and even product formulas extend A_1 / A_2.  The even-genus seed
+    A_2 = -3/2 (zeta(eps) + zeta(3 eps) + zeta(x - 2 eps) - zeta(x + 2 eps))
+    is published with an unbalanced bracket; -3/2 applies to the whole sum.
+    That is the reading with a continuum limit: over the default slope steps
+    the g=2 defect falls with order 0.943-0.947 for (g2, g3) in {(4, 0),
+    (10, 2), (3, -0.5), (7, 1)}, while applying -3/2 to the constant pair
+    alone gives order -0.002.
     """
     g = int(g)
     eps = scalar(eps)
@@ -157,10 +149,7 @@ def ag_build(ctx: WeierstrassContext, g: int, eps, a2_interpretation: str = "ful
         return -2 * z(eps) - z(x - eps) + z(x + eps)
 
     def a2(x):
-        core = z(eps) + z(3 * eps) + z(x - 2 * eps) - z(x + 2 * eps)
-        if a2_interpretation == "full":
-            return -mpf(3) / 2 * core
-        return -mpf(3) / 2 * (z(eps) + z(3 * eps)) + z(x - 2 * eps) - z(x + 2 * eps)
+        return -mpf(3) / 2 * (z(eps) + z(3 * eps) + z(x - 2 * eps) - z(x + 2 * eps))
 
     if g == 1:
         return a1
@@ -191,28 +180,28 @@ def ag_build(ctx: WeierstrassContext, g: int, eps, a2_interpretation: str = "ful
     return a_even
 
 
-def lame_l2(disc: LameDiscretization, ctx: WeierstrassContext, window) -> DiffOp:
+def lame_l2(ctx: WeierstrassContext, g: int, eps, x0, window) -> DiffOp:
     """T^2/eps^2 + A_g(x_n, eps) T/eps + wp(eps) on the lattice x_n = x0 + n eps."""
-    eps = disc.eps
-    A = ag_build(ctx, disc.g, eps, disc.a2_interpretation)
+    eps, x0 = scalar(eps), scalar(x0)
+    A = ag_build(ctx, g, eps)
     wp_eps = ctx.wp(eps)
     return DiffOp.build(
         {
             2: 1 / eps**2,
-            1: lambda n: A(disc.x0 + n * eps) / eps,
+            1: lambda n: A(x0 + n * eps) / eps,
             0: wp_eps,
         },
         window,
     )
 
 
-def continuum_check(disc: LameDiscretization, ctx: WeierstrassContext, f, d2f, x) -> mpf:
+def continuum_check(ctx: WeierstrassContext, g: int, eps, f, d2f, x) -> mpf:
     """|(L2 f)(x) - f''(x) + g(g+1) wp(x) f(x)| for a smooth test function."""
-    eps = disc.eps
-    x = scalar(x)
-    A = ag_build(ctx, disc.g, eps, disc.a2_interpretation)
+    g = int(g)
+    eps, x = scalar(eps), scalar(x)
+    A = ag_build(ctx, g, eps)
     lf = f(x + 2 * eps) / eps**2 + A(x) * f(x + eps) / eps + ctx.wp(eps) * f(x)
-    target = d2f(x) - disc.g * (disc.g + 1) * ctx.wp(x) * f(x)
+    target = d2f(x) - g * (g + 1) * ctx.wp(x) * f(x)
     return abs(lf - target)
 
 
@@ -232,31 +221,13 @@ def continuum_slope(
     x=mpf("0.7"),
     f=cos,
     d2f=lambda t: -cos(t),
-    a2_interpretation: str = "full",
 ):
     """Fitted convergence order of the continuum defect across an eps sweep."""
     if eps_list is None:
         eps_list = [mpf(e) for e in DEFAULT_SLOPE_EPS]
-    errs = []
-    for eps in eps_list:
-        disc = LameDiscretization(g, eps, x, a2_interpretation)
-        errs.append(continuum_check(disc, ctx, f, d2f, scalar(x)))
+    errs = [continuum_check(ctx, g, eps, f, d2f, x) for eps in eps_list]
     slope = _fit_slope([log(scalar(e)) for e in eps_list], [log(e) for e in errs])
     return slope, errs
-
-
-def select_a2_interpretation(ctx: WeierstrassContext, eps_list=None, x=mpf("0.7")) -> str:
-    """Pick the even-genus bracket reading by the g=2 convergence order."""
-    best, best_slope = None, mpf("-inf")
-    for interp in A2_INTERPRETATIONS:
-        slope, _ = continuum_slope(ctx, 2, eps_list, x, a2_interpretation=interp)
-        if slope > best_slope:
-            best, best_slope = interp, slope
-    if best_slope < mpf("0.8"):
-        raise InconsistentDataError(
-            f"no bracket reading reaches convergence order 0.8 (best {best_slope})"
-        )
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +287,13 @@ class LameIndependenceReport:
         self.g2, self.g3, self.x0 = g2, g3, x0
         self.entries = entries
         self.curve_deviation = curve_deviation
+
+    def passes(self) -> bool:
+        """The curves agree across steps within CURVE_DEVIATION_TOL and every
+        Newton recovery within NEWTON_TOL."""
+        return self.curve_deviation <= CURVE_DEVIATION_TOL and all(
+            e["newton_residual"] <= NEWTON_TOL for e in self.entries
+        )
 
     def to_json(self) -> str:
         doc = {
@@ -389,8 +367,6 @@ def lame_curve_independence(
         Ue, We, L3 = elliptic_family(c2, c1, c0, gamma_seq, sigma_seq)
 
         l2m = DiffOp.build({2: 1, 1: u1, 0: u0}, (wlo - 1, whi + 3))
-        comm_rel = op_commutator(l2m, L3).sup_norm() / commutator_scale(l2m, L3)
-
         zscale = 4 * max(abs(params[3]), eps**2)
         report = extract_curve(
             l2m,
@@ -411,7 +387,7 @@ def lame_curve_independence(
                 "newton_residual": ninfo["resid_inf"],
                 "newton_iterations": ninfo["iterations"],
                 "params": params,
-                "commutator_residual_rel": comm_rel,
+                "commutator_residual_rel": report.commutator_residual_rel,
                 "curve_monic": cm,
                 "curve_unnormalized": unnorm,
             }

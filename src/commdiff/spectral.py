@@ -29,6 +29,9 @@ from .numcore import (
 from .opalg import CoeffSeq, DiffOp, commutator_scale, op_commutator
 
 DEFAULT_GUARD_NODES = 4
+# relative bound on the trace, the base-point spread and the distance from
+# the reference curve in CurveReport.passes
+CURVE_TOL = mpf("1e-8")
 
 
 def kernel_extend(L: DiffOp, z, n0: int, init, length: int) -> CoeffSeq:
@@ -179,6 +182,27 @@ class CurveReport:
         self.closure_defect = closure_defect
         self.matched_curve = matched_curve
         self.commutator_residual_rel = commutator_residual_rel
+
+    def agreement(self, curve_c):
+        """Largest |coefficient difference| between the matched curve and
+        the reference coefficients c_0..c_{2g}; None when no curve matched."""
+        if self.matched_curve is None:
+            return None
+        return max(abs(a - b) for a, b in zip(self.matched_curve.c, curve_c))
+
+    def passes(self, curve_c) -> bool:
+        """A curve matched, and the trace and the base-point spread are
+        within CURVE_TOL of the determinant's scale, and the agreement with
+        curve_c within CURVE_TOL of that curve's scale."""
+        dev = self.agreement(curve_c)
+        if dev is None:
+            return False
+        scale = max(self.det_poly.sup_norm(), mpf(1))
+        return (
+            self.trace_poly.sup_norm() <= CURVE_TOL * scale
+            and self.base_independence_residual <= CURVE_TOL * scale
+            and dev <= CURVE_TOL * max(mpf(1), max(abs(c) for c in curve_c))
+        )
 
     def to_json(self) -> str:
         doc = {

@@ -70,6 +70,22 @@ def test_verify_check_failure_exits_one(tmp_path):
     assert json.loads(path.read_text())["pass"] is False
 
 
+def test_verify_fails_non_monic_partner(tmp_path):
+    # the partner's lead is within the pair rule's 1e-6 of 1 but not within
+    # is_monic's 1e-12: every residual passes, the verdict must not
+    out = tmp_path / "reports"
+    code = run([
+        "verify", "--family", "geom", "--g", "2", "--a", "1.764235", "--beta", "0.895178",
+        "--out", str(out),
+    ])
+    assert code == 1
+    (path,) = report_files(out)
+    doc = json.loads(path.read_text())
+    assert doc["pass"] is False
+    assert doc["report"]["partner_monic"] is False
+    assert float(doc["report"]["commutator_residual_rel"]) <= 1e-9
+
+
 def test_curve_quartic(tmp_path):
     out = tmp_path / "reports"
     code = run([
@@ -112,8 +128,13 @@ def test_lame_command(tmp_path):
     assert code == 0
     (path,) = report_files(out)
     doc = json.loads(path.read_text())
-    assert doc["report"]["a2_interpretation"] == "full"
     assert float(doc["report"]["independence"]["cross_eps_curve_deviation"]) <= 1e-4
+
+
+def test_lame_has_one_bracket_reading(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["lame", "--a2-interpretation", "full", "--out", str(tmp_path / "r")])
+    assert exc.value.code == 2
 
 
 def test_reports_deterministic_and_rerun(tmp_path):

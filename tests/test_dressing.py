@@ -22,15 +22,14 @@ from commdiff.dressing import (
     curve_point,
     elliptic_dressing_state,
     factorization_check,
+    identity_residuals,
     l2_operator,
-    linear_scale,
-    master_scale,
     q_from_s,
     residual_linear,
     solve_partner_recursive,
     verify_master,
 )
-from commdiff.families import geom_family, poly_family, trig_family
+from commdiff.families import FamilySpec, build_case, geom_family, poly_family, trig_family
 
 WIN = (-30, 30)
 
@@ -104,11 +103,9 @@ def test_q_from_s_degenerate():
 
 def test_verify_master_fixtures():
     state, _ = geometric_fixture()
-    for n in range(-20, 21):
-        assert verify_master(state, n) <= mpf("1e-20") * master_scale(state, n)
+    assert identity_residuals(state, (-20, 20))[0] <= mpf("1e-20")
     state = quartic_fixture()
-    for n in range(-20, 21):
-        assert verify_master(state, n) <= mpf("1e-20") * master_scale(state, n)
+    assert identity_residuals(state, (-20, 20))[0] <= mpf("1e-20")
 
 
 def test_verify_master_detects_corruption():
@@ -121,8 +118,7 @@ def test_verify_master_detects_corruption():
 
 def test_residual_linear_valid_families():
     state, _ = geometric_fixture()
-    for n in range(-15, 16):
-        assert residual_linear(state, n).sup_norm() <= mpf("1e-12") * linear_scale(state, n)
+    assert identity_residuals(state, (-15, 15))[1] <= mpf("1e-12")
 
 
 def test_residual_linear_zero_state():
@@ -148,9 +144,67 @@ def test_skew_symmetry_for_arbitrary_even_data():
     S = {n: ZPoly(sv[abs(n)]) for n in range(-15, 16)}
     curve = HyperellipticCurve(1, (0, 0, 0))
     state = DressingState.from_s_table(U, W, S, curve=curve)
-    for n in range(0, 10):
-        r = residual_linear(state, n) + residual_linear(state, -n - 1)
-        assert r.sup_norm() <= mpf("1e-25") * linear_scale(state, n)
+    # skew over n = 0..9
+    assert identity_residuals(state, (0, 9), skew=True)[2] <= mpf("1e-25")
+
+
+def _old_scale_maxima(state, window, skew):
+    """The per-n maxima written out with verify_master, residual_linear and
+    the scale formulas identity_residuals replaced."""
+    lo, hi = window
+    s_lo, s_hi = state.window
+
+    def master_scale(n):
+        lin = ZPoly([-(state.U.at(n) ** 2) - state.W.at(n), 1], trim=False)
+        prod = lin * state.q(n) * state.q(n + 1)
+        return max(state.curve.fpoly().sup_norm(), (state.s(n) * state.s(n)).sup_norm(),
+                   prod.sup_norm(), mpf(1))
+
+    def linear_scale(n):
+        U, W = state.U.at, state.W.at
+        terms = (
+            state.s(n - 1) * ZPoly([-(U(n) ** 2) - W(n), 1]) * (U(n + 1) + U(n + 2)),
+            state.s(n) * ZPoly([U(n) * U(n + 1) + U(n - 1) * (U(n) + U(n + 1)) - W(n), 1])
+            * (U(n + 1) + U(n + 2)),
+            state.s(n + 1) * ZPoly([U(n) * U(n + 1) + (U(n) + U(n + 1)) * U(n + 2) - W(n + 1), 1])
+            * (U(n - 1) + U(n)),
+            state.s(n + 2) * ZPoly([-(U(n + 1) ** 2) - W(n + 1), 1]) * (U(n - 1) + U(n)),
+        )
+        return max(max(t.sup_norm() for t in terms), mpf(1))
+
+    master = max(
+        (verify_master(state, n) / master_scale(n)
+         for n in range(max(lo, s_lo + 1), min(hi, s_hi - 1) + 1)),
+        default=mpf(0),
+    )
+    linear = max(
+        (residual_linear(state, n).sup_norm() / linear_scale(n)
+         for n in range(max(lo, s_lo + 1), min(hi, s_hi - 2) + 1)),
+        default=mpf(0),
+    )
+    if not skew:
+        return master, linear, None
+    skew_rel = max(
+        ((residual_linear(state, n) + residual_linear(state, -n - 1)).sup_norm() / linear_scale(n)
+         for n in range(0, min(hi, s_hi - 2, -(s_lo + 2)) + 1)),
+        default=mpf(0),
+    )
+    return master, linear, skew_rel
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [("trig", {"r1": 1}), ("poly", {"a2": 1, "a0": 0, "a1": mpf(1) / 2})],
+)
+def test_identity_residuals_match_per_n_maxima(kind, params):
+    # one pass over the window gives the very values of the per-n loops
+    spec = FamilySpec(kind, 2, params)
+    _L2, _partner, state, _extras = build_case(spec, (-12, 12))
+    for window in ((-12, 12), (-40, 40)):
+        for skew in (False, True):
+            got = identity_residuals(state, window, skew=skew)
+            assert got == _old_scale_maxima(state, window, skew)
+            assert got[1] <= mpf("1e-9")
 
 
 def test_solve_partner_recursive_geometric():
@@ -406,8 +460,7 @@ def test_fixture_checks_hold_at_minimum_precision():
     set_precision(53)
     try:
         state = quartic_fixture((-10, 10))
-        for n in range(-8, 9):
-            assert verify_master(state, n) <= mpf("1e-9") * master_scale(state, n)
+        assert identity_residuals(state, (-8, 8))[0] <= mpf("1e-9")
     finally:
         set_precision(113)
 
@@ -418,4 +471,4 @@ def test_state_json_roundtrip():
     assert back.window == state.window
     for n in range(-5, 6):
         assert (back.s(n) - state.s(n)).sup_norm() == 0
-    assert verify_master(back, 0) <= mpf("1e-20") * master_scale(back, 0)
+    assert identity_residuals(back, (0, 0))[0] <= mpf("1e-20")

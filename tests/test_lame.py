@@ -3,7 +3,6 @@ from mpmath import mpf
 
 from commdiff.errors import LatticeProximityError
 from commdiff.lame import (
-    LameDiscretization,
     WeierstrassContext,
     ag_build,
     continuum_check,
@@ -11,7 +10,6 @@ from commdiff.lame import (
     lame_curve_independence,
     lame_l2,
     lemniscatic_context,
-    select_a2_interpretation,
 )
 
 CTX = lemniscatic_context()
@@ -107,8 +105,7 @@ def test_a1_small_eps_limit():
 
 def test_lame_l2_structure():
     eps = mpf("0.05")
-    disc = LameDiscretization(1, eps, mpf("0.73"))
-    L2 = lame_l2(disc, CTX, (-24, 24))
+    L2 = lame_l2(CTX, 1, eps, mpf("0.73"), (-24, 24))
     wp_eps = CTX.wp(eps)
     for n in (-24, 0, 24):
         assert L2.coeff(0).at(n) == wp_eps
@@ -120,15 +117,13 @@ def test_lame_l2_structure():
 def test_lame_l2_lattice_hit_detected():
     # x0 = 0.7 with eps = 0.05 puts a zeta argument exactly on the lattice
     # at n = -13 (x_n - eps = 0); the guard must fire
-    disc = LameDiscretization(1, mpf("0.05"), mpf("0.7"))
     with pytest.raises(LatticeProximityError):
-        lame_l2(disc, CTX, (-24, 24))
+        lame_l2(CTX, 1, mpf("0.05"), mpf("0.7"), (-24, 24))
 
 
 def test_continuum_zero_function():
-    disc = LameDiscretization(1, mpf("0.1"), mpf("0.7"))
     z = lambda t: mpf(0)
-    assert continuum_check(disc, CTX, z, z, mpf("0.7")) == 0
+    assert continuum_check(CTX, 1, mpf("0.1"), z, z, mpf("0.7")) == 0
 
 
 def test_continuum_slopes():
@@ -143,16 +138,9 @@ def test_continuum_slope_coarse_g1():
     assert mpf("0.8") <= slope <= mpf("2.2")
 
 
-def test_a2_interpretation_selection():
-    assert select_a2_interpretation(CTX) == "full"
-    bad_slope, _ = continuum_slope(CTX, 2, a2_interpretation="split")
-    good_slope, _ = continuum_slope(CTX, 2, a2_interpretation="full")
-    assert good_slope >= mpf("0.8")
-    assert bad_slope < mpf("0.8")
-
-
 def test_curve_independence_g1():
     rep = lame_curve_independence(CTX, [mpf("0.1"), mpf("0.05")], mpf("0.73"))
+    assert rep.passes()
     assert rep.curve_deviation <= mpf("1e-4")
     for e in rep.entries:
         assert e["newton_residual"] <= mpf("1e-8")

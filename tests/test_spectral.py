@@ -16,6 +16,7 @@ from commdiff.dressing import (
 )
 from commdiff.families import geom_family, poly_family, trig_family
 from commdiff.spectral import (
+    CurveReport,
     action_matrix,
     char_poly_coeffs,
     extract_curve,
@@ -130,6 +131,25 @@ def test_extract_curve_quartic_family():
     scale = max(report.det_poly.sup_norm(), mpf(1))
     assert report.trace_poly.sup_norm() <= mpf("1e-8") * scale
     assert report.base_independence_residual <= mpf("1e-8") * scale
+
+
+def test_curve_report_passes_needs_the_reference_curve():
+    L2, L3, state = make_pair("poly")
+    report = extract_curve(L2, L3, n0_list=(-1, 0, 1))
+    exact = [mpf(1) / 16, mpf(9) / 16, mpf(3) / 2]
+    assert report.passes(exact)
+    assert report.passes(state.curve.c)
+    for k in range(3):
+        off = list(exact)
+        off[k] += mpf("1e-6")
+        assert report.agreement(off) >= mpf("0.9e-6")
+        assert not report.passes(off)
+    unmatched = CurveReport(
+        report.g, report.trace_poly, report.det_poly, report.base_independence_residual,
+        report.closure_defect, None, report.commutator_residual_rel,
+    )
+    assert unmatched.agreement(exact) is None
+    assert not unmatched.passes(exact)
 
 
 def test_extract_curve_geometric_family():

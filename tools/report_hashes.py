@@ -34,6 +34,11 @@ ODD_EXTENSION = [
     for g in (1, 2, 3)
 ]
 
+# a geometric pair whose partner lead misses 1 by more than is_monic allows
+NON_MONIC = [
+    ["verify", "--family", "geom", "--g", "2", "--a", "1.764235", "--beta", "0.895178"],
+]
+
 CURVES = (
     [["curve", "--family", "trig", "--g", str(g), "--r1", "1"] for g in (1, 2)]
     + [["curve", "--family", "poly", "--g", str(g), "--a2", "1", "--a0", "0"] for g in (1, 2)]
@@ -48,7 +53,7 @@ PARTNERS = [
 
 OTHERS = [["rank2"], ["lame"]]
 
-CONFIGS = CRITERION_1 + ODD_EXTENSION + CURVES + PARTNERS + OTHERS
+CONFIGS = CRITERION_1 + ODD_EXTENSION + NON_MONIC + CURVES + PARTNERS + OTHERS
 
 
 def main(argv=None) -> int:
