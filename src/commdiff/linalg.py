@@ -2,14 +2,31 @@
 
 The least-squares path is a column-pivoted Householder QR with column
 equilibration; pivots expose rank loss, which callers treat as an error
-beyond the normalization freedom they expect.  The Newton path is a
-Levenberg-style damped Gauss-Newton with finite-difference Jacobians, used
-for the small nonlinear recoveries (elliptic parameter fits).
+beyond the normalization freedom they expect.  It holds the matrix as
+columns of raw mpf tuples and runs every operation through `mpmath.libmp`
+at the working precision with round-to-nearest, in a fixed order: each sum
+accumulates left to right from zero.  Pivots come from a float screen that
+names the column of largest remaining norm when a float lead exceeds a
+proven rounding bound, and from the rounded mpf norms otherwise.  So the
+result is a function of the input and the precision alone, bit for bit:
+the same x, R diagonal, residual and pivot order as the plain row-major
+loop of mpf objects that `tests/test_linalg.py` keeps as its oracle.
+
+The Newton path is a Levenberg-style damped Gauss-Newton with
+finite-difference Jacobians, used for the small nonlinear recoveries
+(elliptic parameter fits).
 """
 
 from __future__ import annotations
 
+from math import fsum, ldexp
+from operator import mul
+
 from mpmath import mp, mpf, sqrt, lu_solve, matrix
+from mpmath.libmp import (
+    fnone, fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg,
+    mpf_shift, mpf_sqrt, mpf_sub, round_nearest,
+)
 
 from .errors import ConvergenceError, RankDeficiencyError
 
@@ -21,6 +38,12 @@ def lstsq(rows, rhs, rank_tol=None):
     Returns (x, info) with info = {rank, n, rdiag, resid_inf, pivot}.
     Rank is decided against rank_tol (default 2^(-3p/4)) relative to the
     largest pivot.
+
+    Each step pivots on the column with the largest remaining 2-norm, as
+    rounded at working precision (the first such column on a tie).  A float
+    screen (`_float_pivot`) names that column without rounding any norm when
+    one float norm leads all others by more than both rounding errors can
+    close; otherwise the rounded norms of all remaining columns decide.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -28,76 +51,143 @@ def lstsq(rows, rhs, rank_tol=None):
         raise ValueError(f"underdetermined system: {m} equations, {n} unknowns")
     if rank_tol is None:
         rank_tol = mpf(2) ** (-(3 * mp.prec) // 4)
+    prec, rnd = mp.prec, round_nearest
 
-    A = [[mpf(v) for v in row] for row in rows]
-    b = [mpf(v) for v in rhs]
+    def sumsq(col, k):
+        acc = fzero
+        for t in col[k:]:
+            acc = mpf_add(acc, mpf_mul(t, t, prec, rnd), prec, rnd)
+        return acc
+
+    cols = [[mpf(row[j])._mpf_ for row in rows] for j in range(n)]
+    b = [mpf(v)._mpf_ for v in rhs]
+    # the float screen reads finite entries only; with a nan or an inf
+    # present, the rounded norms choose every pivot
+    screen = all(t[1] or not t[2] for col in cols for t in col)
 
     # column equilibration
     colscale = []
-    for j in range(n):
-        s = max(abs(A[i][j]) for i in range(m))
-        s = s if s > 0 else mpf(1)
+    for col in cols:
+        s = mpf_abs(col[0])
+        for t in col[1:]:
+            a = mpf_abs(t)
+            if mpf_gt(a, s):
+                s = a
+        s = s if mpf_gt(s, fzero) else fone
         colscale.append(s)
-        for i in range(m):
-            A[i][j] /= s
+        col[:] = [mpf_div(t, s, prec, rnd) for t in col]
 
     perm = list(range(n))
     rdiag = []
     for k in range(n):
         # pivot on the column with the largest remaining norm
-        best, best_j = mpf(-1), k
-        for j in range(k, n):
-            cn = sqrt(sum(A[i][j] ** 2 for i in range(k, m)))
-            if cn > best:
-                best, best_j = cn, j
-        if best_j != k:
-            for i in range(m):
-                A[i][k], A[i][best_j] = A[i][best_j], A[i][k]
-            perm[k], perm[best_j] = perm[best_j], perm[k]
+        j = _float_pivot(cols, k, prec) if screen else None
+        alpha = None
+        if j is None:
+            norms = [mpf_sqrt(sumsq(col, k), prec, rnd) for col in cols[k:]]
+            j = _first_largest(norms)
+            alpha = norms[j]
+            j += k
+        if j != k:
+            cols[k], cols[j] = cols[j], cols[k]
+            perm[k], perm[j] = perm[j], perm[k]
         # Householder on column k
-        alpha = sqrt(sum(A[i][k] ** 2 for i in range(k, m)))
-        if alpha == 0:
+        ck = cols[k]
+        if alpha is None:
+            alpha = mpf_sqrt(sumsq(ck, k), prec, rnd)
+        if alpha == fzero:
             rdiag.append(mpf(0))
             continue
-        if A[k][k] > 0:
-            alpha = -alpha
-        v = [A[i][k] for i in range(k, m)]
-        v[0] -= alpha
-        vnorm2 = sum(t * t for t in v)
-        A[k][k] = alpha
-        for i in range(k + 1, m):
-            A[i][k] = mpf(0)
-        if vnorm2 > 0:
-            for j in range(k + 1, n):
-                dot = sum(v[i - k] * A[i][j] for i in range(k, m))
-                f = 2 * dot / vnorm2
-                for i in range(k, m):
-                    A[i][j] -= f * v[i - k]
-            dot = sum(v[i - k] * b[i] for i in range(k, m))
-            f = 2 * dot / vnorm2
-            for i in range(k, m):
-                b[i] -= f * v[i - k]
-        rdiag.append(alpha)
+        if mpf_gt(ck[k], fzero):
+            alpha = mpf_neg(alpha)
+        v = ck[k:]
+        v[0] = mpf_sub(v[0], alpha, prec, rnd)
+        vnorm2 = sumsq(v, 0)
+        ck[k:] = [alpha] + [fzero] * (m - k - 1)
+        if mpf_gt(vnorm2, fzero):
+            for col in cols[k + 1:] + [b]:
+                dot = fzero
+                for vi, t in zip(v, col[k:]):
+                    dot = mpf_add(dot, mpf_mul(vi, t, prec, rnd), prec, rnd)
+                f = mpf_div(mpf_shift(dot, 1), vnorm2, prec, rnd)
+                col[k:] = [
+                    mpf_sub(t, mpf_mul(f, vi, prec, rnd), prec, rnd)
+                    for vi, t in zip(v, col[k:])
+                ]
+        rdiag.append(mp.make_mpf(alpha))
 
     r0 = max((abs(d) for d in rdiag), default=mpf(0))
     rank = sum(1 for d in rdiag if abs(d) > rank_tol * r0) if r0 > 0 else 0
 
-    x = [mpf(0)] * n
+    x = [fzero] * n
     for k in range(min(rank, n) - 1, -1, -1):
-        s = b[k] - sum(A[k][j] * x[j] for j in range(k + 1, n))
-        x[k] = s / A[k][k]
+        acc = fzero
+        for j in range(k + 1, n):
+            acc = mpf_add(acc, mpf_mul(cols[j][k], x[j], prec, rnd), prec, rnd)
+        x[k] = mpf_div(mpf_sub(b[k], acc, prec, rnd), cols[k][k], prec, rnd)
 
-    out = [mpf(0)] * n
+    out = [fzero] * n
     for k in range(n):
-        out[perm[k]] = x[k] / colscale[perm[k]]
+        out[perm[k]] = mpf_div(x[k], colscale[perm[k]], prec, rnd)
 
-    resid = mpf(0)
-    for i in range(m):
-        r = sum(rows[i][j] * out[j] for j in range(n)) - rhs[i]
-        resid = max(resid, abs(r))
+    resid = fzero
+    for row, y in zip(rows, rhs):
+        acc = fzero
+        for a, t in zip(row, out):
+            acc = mpf_add(acc, mpf_mul(_exact(a), t, prec, rnd), prec, rnd)
+        r = mpf_abs(mpf_sub(acc, _exact(y), prec, rnd))
+        if mpf_gt(r, resid):
+            resid = r
 
+    resid = mp.make_mpf(resid)
     info = {"rank": rank, "n": n, "rdiag": rdiag, "resid_inf": resid, "pivot": perm}
-    return out, info
+    return [mp.make_mpf(t) for t in out], info
+
+
+def _first_largest(values):
+    """Index of the first largest raw value (nan never wins)."""
+    best, best_i = fnone, 0
+    for i, t in enumerate(values):
+        if mpf_gt(t, best):
+            best, best_i = t, i
+    return best_i
+
+
+def _exact(v):
+    """The raw value of v itself, unrounded, as mpf arithmetic reads it."""
+    return v._mpf_ if isinstance(v, mpf) else mp.convert(v)._mpf_
+
+
+def _float_pivot(cols, k, prec):
+    """Index of the column whose rounded norm over rows k.. is the largest,
+    when float norms alone can tell; None when they cannot.
+
+    With r = m - k terms and u = 2^-prec, the rounded norm is within
+    (r/2 + 2) u of the true norm, relatively.  Each float squared norm here
+    is within 2^-50: entries become floats within 2^-53, squares round once
+    and fsum rounds the sum once.  Entries below 2^-1022 lose relative
+    accuracy, but their absolute error is negligible once the leader's
+    squared norm is at least 2^-900.  So when the leader's float squared norm
+    exceeds every other by the factor 1 + tau, tau = (2m + 16) u + 2^-47,
+    both errors together cannot close the gap (the margin also covers the
+    rounding of this test) and the leader's rounded norm is strictly the
+    largest.
+    """
+    try:
+        sq = [
+            fsum(map(mul, fl, fl))
+            for fl in ([ldexp(t[1], t[2]) for t in col[k:]] for col in cols[k:])
+        ]
+    except OverflowError:
+        # mantissas too long for a float (prec > 1000 bits)
+        return None
+    tau = (2 * len(cols[k]) + 16) * 2.0**-prec + 2.0**-47
+    best = max(range(len(sq)), key=sq.__getitem__)
+    lead = sq[best]
+    rest = max(sq[:best] + sq[best + 1:], default=0.0)
+    if lead >= 2.0**-900 and lead > rest * (1 + tau):
+        return k + best
+    return None
 
 
 def require_full_rank(info, context: str = "linear system"):

@@ -320,6 +320,20 @@ class Rank2CurveReport:
         return json.dumps(doc, sort_keys=True)
 
 
+def _coefficient_commutator_rel(AB: DiffOp, BA: DiffOp) -> mpf:
+    """max over (j, n) of |(AB - BA)_j(n)| / max(|AB_j(n)|, |BA_j(n)|)."""
+    comm = AB - BA
+    lo, hi = comm.window
+    worst = mpf(0)
+    for j, c in comm.terms.items():
+        ab, ba = AB.coeff(j), BA.coeff(j)
+        for n, v in zip(range(lo, hi + 1), c.values):
+            # v != 0 needs a non-zero product coefficient
+            if v:
+                worst = max(worst, abs(v) / max(abs(ab.at(n)), abs(ba.at(n))))
+    return worst
+
+
 def rank2_curve_check(
     L4: DiffOp,
     L6: DiffOp,
@@ -333,10 +347,12 @@ def rank2_curve_check(
 
     The squared factor is the rank-two expectation; it is verified
     coefficient-by-coefficient against the supplied R, never assumed.
+    Commutation is judged coefficient by coefficient too: each coefficient
+    of [L4, L6] against the same coefficient of L4 L6 and L6 L4.  A scale
+    taken from the whole operators would be set by the largest coefficient
+    of L6 at the window edge and would hide a broken partner.
     """
-    comm = op_commutator(L4, L6)
-    scale = commutator_scale(L4, L6)
-    comm_rel = comm.sup_norm() / scale
+    comm_rel = _coefficient_commutator_rel(L4 * L6, L6 * L4)
     if comm_rel > commutation_tol:
         raise CommutationError(f"rank-2 pair does not commute: {comm_rel}")
 

@@ -1,6 +1,9 @@
+import pytest
 from mpmath import mpf
 
-from commdiff.opalg import commutator_scale, op_commutator
+from commdiff import rank2
+from commdiff.errors import CommutationError
+from commdiff.opalg import CoeffSeq, DiffOp, commutator_scale, op_commutator
 from commdiff.rank2 import (
     Rank2Params,
     build_l4,
@@ -68,3 +71,21 @@ def test_verify_rank2_report():
     report = verify_rank2()
     assert report["commutation_pass"]
     assert report["curve_pass"]
+
+
+def test_verify_rank2_rejects_perturbed_partner(monkeypatch):
+    # L6 + 1e-3 n T: the whole-operator scale puts this commutator at 1e-18
+    def perturbed(window):
+        L6 = build_l6_special(window)
+        return L6 + DiffOp({1: CoeffSeq.tabulate(lambda n: mpf("1e-3") * n, window)}, window)
+
+    monkeypatch.setattr(rank2, "build_l6_special", perturbed)
+    with pytest.raises(CommutationError):
+        verify_rank2()
+
+
+def test_true_pair_commutes_coefficient_by_coefficient():
+    L4 = build_l4(Rank2Params(2, 0, 0), WIN)
+    L6 = build_l6_special(WIN)
+    report = rank2_curve_check(L4, L6, expected_curve_poly(Rank2Params(2, 0, 0)), n0=0)
+    assert report.commutator_residual_rel == 0
