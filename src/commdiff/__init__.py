@@ -32,6 +32,7 @@ from .numcore import (
 from .opalg import (
     CoeffSeq,
     DiffOp,
+    commutator_residual,
     op_commutator,
     op_from_json,
     op_to_json,

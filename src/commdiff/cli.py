@@ -19,13 +19,13 @@ from pathlib import Path
 from . import __version__
 from .errors import CommdiffError
 from .numcore import (
-    default_precision_bits,
+    DEFAULT_PRECISION_BITS,
     get_precision,
     mpf_to_str,
     scalar,
     set_precision,
 )
-from .opalg import commutator_scale, op_commutator, op_to_json
+from .opalg import commutator_residual, op_to_json
 from . import dressing
 from .families import FamilySpec, build_case
 from .spectral import extract_curve
@@ -72,7 +72,7 @@ def _family_from_args(args) -> FamilySpec:
     return FamilySpec(kind, args.g, params)
 
 
-def _config_doc(args, command) -> dict:
+def _config_doc(args, command, spec=None) -> dict:
     doc = {
         "command": command,
         "version": __version__,
@@ -82,15 +82,9 @@ def _config_doc(args, command) -> dict:
         "window": list(args.window),
         "z_interval": list(args.z_interval),
     }
-    if getattr(args, "family", None):
-        doc["family"] = {
-            "kind": args.family,
-            "g": args.g,
-            "params": {
-                k: mpf_to_str(v) for k, v in sorted(_family_from_args(args).params.items())
-            },
-        }
-        if args.family == "elliptic":
+    if spec is not None:
+        doc["family"] = spec.doc()
+        if spec.kind == "elliptic":
             doc["seed"] = args.seed
     if command == "lame":
         doc["lame"] = {
@@ -127,15 +121,14 @@ def _emit(args, command, config, payload, passed) -> int:
 def cmd_verify(args) -> int:
     tol = scalar(args.tolerance)
     spec = _family_from_args(args)
-    config = _config_doc(args, "verify")
+    config = _config_doc(args, "verify", spec)
     L2, partner, state, extras = build_case(spec, args.window, args.seed)
     lo, hi = args.window
 
     master_rel, linear_rel, skew_rel = dressing.identity_residuals(
         state, (lo, hi), skew=spec.even
     )
-    comm = op_commutator(L2, partner)
-    comm_rel = comm.sup_norm() / commutator_scale(L2, partner)
+    comm, comm_rel = commutator_residual(L2, partner)
     clo, chi_ = comm.window
     window_ok = clo <= lo and chi_ >= hi
     monic = partner.is_monic()
@@ -165,7 +158,7 @@ def cmd_verify(args) -> int:
 
 def cmd_curve(args) -> int:
     spec = _family_from_args(args)
-    config = _config_doc(args, "curve")
+    config = _config_doc(args, "curve", spec)
     L2, partner, state, extras = build_case(spec, args.window, args.seed)
     report = extract_curve(
         L2, partner, n0_list=(-1, 0, 1), z_interval=tuple(args.z_interval)
@@ -183,9 +176,9 @@ def cmd_curve(args) -> int:
 def cmd_partner(args) -> int:
     tol = scalar(args.tolerance)
     spec = _family_from_args(args)
-    config = _config_doc(args, "partner")
+    config = _config_doc(args, "partner", spec)
     L2, partner, state, extras = build_case(spec, args.window, args.seed)
-    comm_rel = op_commutator(L2, partner).sup_norm() / commutator_scale(L2, partner)
+    _, comm_rel = commutator_residual(L2, partner)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     op_path = _report_path(outdir, "partner-op", config)
@@ -202,9 +195,7 @@ def cmd_partner(args) -> int:
 
 
 def cmd_lame(args) -> int:
-    if getattr(args, "g", None):
-        args.g_list = [args.g]
-    args.eps = [tok for item in args.eps for tok in str(item).split(",") if tok]
+    eps_list = [scalar(e) for e in args.eps]
     config = _config_doc(args, "lame")
     ctx = WeierstrassContext(scalar(args.g2), scalar(args.g3))
     x0 = scalar(args.x0)
@@ -221,7 +212,6 @@ def cmd_lame(args) -> int:
         "omega1": mpf_to_str(ctx.omega1),
         "continuum": slopes,
     }
-    eps_list = [scalar(e) for e in args.eps]
     if len(eps_list) >= 2:
         rep = lame_curve_independence(ctx, eps_list, x0)
         payload["independence"] = json.loads(rep.to_json())
@@ -292,10 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g2", type=str, default="4")
     p.add_argument("--g3", type=str, default="0")
     p.add_argument("--eps", type=str, nargs="*", default=["0.1", "0.05"],
-                   help="step sizes; space- or comma-separated")
+                   help="step sizes, space-separated")
     p.add_argument("--x0", type=str, default="0.73")
-    p.add_argument("--g", type=int, default=None,
-                   help="single genus (shorthand for --g-list G)")
     p.add_argument("--g-list", dest="g_list", type=int, nargs="*", default=[1, 2, 3])
     _add_common(p)
     p.set_defaults(fn=cmd_lame)
@@ -328,16 +316,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         _apply_config_file(args)
-        set_precision(args.precision if args.precision else default_precision_bits())
+        set_precision(args.precision if args.precision else DEFAULT_PRECISION_BITS)
         if scalar(args.tolerance) <= 0:
             raise CommdiffError("tolerance must be positive")
         if args.window[1] < args.window[0]:
             raise CommdiffError("empty window")
         return args.fn(args)
-    except CommdiffError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (CommdiffError, ValueError, OSError) as err:
+        # OSError: an unreadable --config file or an unwritable --out
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -79,12 +79,11 @@ def curve_point(curve: HyperellipticCurve, z, branch: int = 1) -> CurvePoint:
 # ---------------------------------------------------------------------------
 
 
-def l2_operator(U: CoeffSeq, W: CoeffSeq, window=None) -> DiffOp:
-    """(T + U_n)^2 + W_n = T^2 + (U_n + U_{n+1}) T + (U_n^2 + W_n)."""
+def l2_operator(U: CoeffSeq, W: CoeffSeq) -> DiffOp:
+    """(T + U_n)^2 + W_n = T^2 + (U_n + U_{n+1}) T + (U_n^2 + W_n), on every
+    n where U_{n+1} and W_n are tabulated."""
     lo = max(U.window[0], W.window[0])
     hi = min(U.window[1] - 1, W.window[1])
-    if window is not None:
-        lo, hi = max(lo, int(window[0])), min(hi, int(window[1]))
     if hi < lo:
         raise WindowError("window too small to assemble L2")
     return DiffOp.build(
@@ -125,6 +124,9 @@ def q_from_s(S_prev: ZPoly, S_cur: ZPoly, U_prev, U_cur) -> ZPoly:
 # ---------------------------------------------------------------------------
 
 
+S_LEAD_TOL = mpf("1e-6")
+
+
 class DressingState:
     """U, W, the curve, and the polynomial tables S_n, Q_n.
 
@@ -146,10 +148,11 @@ class DressingState:
         self.meta = dict(meta or {})
 
     @classmethod
-    def from_s_table(cls, U, W, S: dict, curve=None, tol_rel=mpf("1e-6"), meta=None):
+    def from_s_table(cls, U, W, S: dict, curve=None, meta=None):
         """Assemble a state from an S table; Q follows from the pair rule.
 
-        Validates the z^g-coefficient normalization of S against -U_n and,
+        Validates the z^g-coefficient normalization of S against -U_n, within
+        S_LEAD_TOL of the larger of 1, |U_n| and |S_n|, and,
         when no curve is given, recovers it from the master identity at the
         window center (cross-checked one step to the right).
         """
@@ -158,7 +161,7 @@ class DressingState:
         for n in range(lo, hi + 1):
             lead = S[n].coeff(g)
             u = U.at(n)
-            if abs(lead + u) > tol_rel * max(mpf(1), abs(u), S[n].sup_norm()):
+            if abs(lead + u) > S_LEAD_TOL * max(mpf(1), abs(u), S[n].sup_norm()):
                 raise InconsistentDataError(
                     f"S_{n} has z^{g} coefficient {lead}, expected {-u}"
                 )
@@ -198,8 +201,8 @@ class DressingState:
     def g(self) -> int:
         return self.curve.g
 
-    def l2(self, window=None) -> DiffOp:
-        return l2_operator(self.U, self.W, window)
+    def l2(self) -> DiffOp:
+        return l2_operator(self.U, self.W)
 
     def to_json(self) -> str:
         lo, hi = self.window
@@ -324,6 +327,9 @@ def identity_residuals(state: DressingState, window, skew: bool = False):
 # ---------------------------------------------------------------------------
 
 
+DIVISION_TOL = mpf("1e-20")
+
+
 def solve_partner_recursive(
     U: CoeffSeq,
     W: CoeffSeq,
@@ -331,12 +337,11 @@ def solve_partner_recursive(
     s_init,
     n0: int,
     n_range,
-    tol_rel=mpf("1e-20"),
 ) -> DressingState:
     """March the master identity from seed polynomials (S_{n0-1}, S_{n0}).
 
     Each forward step divides F - S_n^2 by (z - U_n^2 - W_n) Q_n; a division
-    residual above tol_rel times the local scale means the seed data is
+    residual above DIVISION_TOL times the local scale means the seed data is
     inconsistent, reported with the offending n.  The backward march mirrors
     the same identity.
     """
@@ -357,7 +362,7 @@ def solve_partner_recursive(
         den = ZPoly([-(U.at(n) ** 2) - W.at(n), 1]) * Qn
         Qnext, resid = poly_div_exact(num, den)
         div_resids.append(resid / step_scale(num))
-        if resid > tol_rel * step_scale(num):
+        if resid > DIVISION_TOL * step_scale(num):
             raise InconsistentDataError(
                 f"inconsistent data: division residual {resid} at n={n}"
             )
@@ -368,7 +373,7 @@ def solve_partner_recursive(
         den = ZPoly([-(U.at(n) ** 2) - W.at(n), 1]) * Qnext
         Qn, resid = poly_div_exact(num, den)
         div_resids.append(resid / step_scale(num))
-        if resid > tol_rel * step_scale(num):
+        if resid > DIVISION_TOL * step_scale(num):
             raise InconsistentDataError(
                 f"inconsistent data: division residual {resid} at n={n}"
             )
@@ -476,11 +481,12 @@ class AnsatzResult:
             acc = acc + aj.scale(phi)
         return acc
 
-    def state(self, U, W, window, curve=None) -> DressingState:
+    def state(self, U, W, window) -> DressingState:
+        """S_n on the window; the curve is recovered when none is known yet."""
         lo, hi = int(window[0]), int(window[1])
         S = {n: self.s_poly(n) for n in range(lo, hi + 1)}
         return DressingState.from_s_table(
-            U, W, S, curve=curve or self.curve, meta={"ansatz": self.info}
+            U, W, S, curve=self.curve, meta={"ansatz": self.info}
         )
 
 
@@ -498,30 +504,24 @@ def _pin_top_coefficients(basis, U, n_grid):
     return x
 
 
-def ansatz_solve(
-    basis: AnsatzBasis,
-    U: CoeffSeq,
-    W: CoeffSeq,
-    n_grid=None,
-    z_nodes=None,
-    recover_curve: bool = True,
-    rel_tol=mpf("1e-9"),
-) -> AnsatzResult:
+ANSATZ_TOL = mpf("1e-9")
+
+
+def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq) -> AnsatzResult:
     """Determine S_n = sum_j A_j(z) phi_j(n) from the sampled linear relation.
 
-    Assembles the four-term relation on an (n, z) grid, pins the z^g
-    coefficient of every A_j so that the top coefficient of S_n is -U_n, and
-    solves the rest in least squares.  Rank loss beyond that normalization or
-    an unexplained residual is an error; the recovered curve comes from the
-    master identity evaluated as a polynomial product.
+    Assembles the four-term relation on the grid |n| <= size + 2 times
+    g + 3 Chebyshev nodes in z, pins the z^g coefficient of every A_j so
+    that the top coefficient of S_n is -U_n, and solves the rest in least
+    squares.  Rank loss beyond that normalization or a residual above
+    ANSATZ_TOL is an error; the recovered curve comes from the master
+    identity evaluated as a polynomial product.
     """
     g = basis.g
     nb = basis.size
-    if n_grid is None:
-        reach = nb + 2
-        n_grid = list(range(-reach, reach + 1))
-    if z_nodes is None:
-        z_nodes = chebyshev_nodes(g + 3)
+    reach = nb + 2
+    n_grid = list(range(-reach, reach + 1))
+    z_nodes = chebyshev_nodes(g + 3)
     pinned = _pin_top_coefficients(basis, U, n_grid)
 
     unknowns = [(j, m) for j in range(nb) for m in range(g)]
@@ -548,10 +548,10 @@ def ansatz_solve(
     x, info = linalg.lstsq(rows, rhs)
     linalg.require_full_rank(info, "ansatz system")
     scale = max(max(abs(v) for v in rhs), mpf(1))
-    if info["resid_inf"] > rel_tol * scale:
+    if info["resid_inf"] > ANSATZ_TOL * scale:
         raise InconsistentDataError(
             f"no solution in basis '{basis.name}': sampled residual "
-            f"{info['resid_inf']} exceeds {rel_tol} * {scale}"
+            f"{info['resid_inf']} exceeds {ANSATZ_TOL} * {scale}"
         )
 
     coeff_polys = []
@@ -564,12 +564,11 @@ def ansatz_solve(
         None,
         {"resid_rel": info["resid_inf"] / scale, "rank": info["rank"]},
     )
-    if recover_curve:
-        # the state on [-2, 3] recovers the curve at its centre n = 0 and
-        # cross-checks it at n = 1
-        probe = result.state(U, W, (-2, 3))
-        result.curve = probe.curve
-        result.info["curve_dev"] = probe.meta["curve_recovery_dev"]
+    # the state on [-2, 3] recovers the curve at its centre n = 0 and
+    # cross-checks it at n = 1
+    probe = result.state(U, W, (-2, 3))
+    result.curve = probe.curve
+    result.info["curve_dev"] = probe.meta["curve_recovery_dev"]
     return result
 
 

@@ -8,14 +8,13 @@ the elliptic constructor also assembles its order-3 partner in closed form.
 
 from __future__ import annotations
 
-import json
 import random
 
 from mpmath import mpf, cos, sin
 
 from . import dressing
 from .errors import DegenerateDenominatorError
-from .numcore import HyperellipticCurve, mpf_to_str, scalar, str_to_mpf
+from .numcore import HyperellipticCurve, mpf_to_str, scalar
 from .opalg import CoeffSeq, DiffOp
 
 FAMILY_KINDS = ("trig", "poly", "geom", "elliptic")
@@ -42,20 +41,13 @@ class FamilySpec:
             self.kind == "poly" and self.params.get("a1", mpf(0)) == 0
         )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "g": self.g,
-                "params": {k: mpf_to_str(v) for k, v in sorted(self.params.items())},
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FamilySpec":
-        doc = json.loads(text)
-        return cls(doc["kind"], doc["g"], {k: str_to_mpf(v) for k, v in doc["params"].items()})
+    def doc(self) -> dict:
+        """The spec as JSON-ready data: kind, genus and decimal parameters."""
+        return {
+            "kind": self.kind,
+            "g": self.g,
+            "params": {k: mpf_to_str(v) for k, v in sorted(self.params.items())},
+        }
 
     def __repr__(self):
         return f"FamilySpec({self.kind}, g={self.g})"
@@ -77,7 +69,7 @@ def trig_family(g: int, r1, window) -> tuple:
     return U, W
 
 
-def poly_family(g: int, a2, a0, a1=0, window=None) -> tuple:
+def poly_family(g: int, a2, a0, a1, window) -> tuple:
     """U_n = a2 n^2 + a1 n + a0, W_n = -g(g+1) a2 n (a2 n + a1).
 
     a1 = 0 is the proven even case; a1 != 0 is the conjectural extension,
@@ -92,11 +84,11 @@ def poly_family(g: int, a2, a0, a1=0, window=None) -> tuple:
     return U, W
 
 
-def geom_family(g: int, beta, a, w_sign=1, window=None) -> tuple:
+def geom_family(g: int, beta, a, window) -> tuple:
     """U_n = beta a^n with W_n proportional to a^(2n).
 
-    W_n = -s (a^(2g+2) - 1)(a^(2g) - 1) / (a^(2g+1) + 1)^2 * beta^2 a^(2n).
-    Only s = +1 admits an S family (the dressing solve rejects w_sign = -1);
+    W_n = -(a^(2g+2) - 1)(a^(2g) - 1) / (a^(2g+1) + 1)^2 * beta^2 a^(2n).
+    Only this sign admits an S family (the dressing solve rejects -W_n);
     the commutation checks guard it.
     """
     beta, a = scalar(beta), scalar(a)
@@ -108,7 +100,7 @@ def geom_family(g: int, beta, a, w_sign=1, window=None) -> tuple:
     den = a ** (2 * g + 1) + 1
     if abs(den) <= mpf("1e-12"):
         raise DegenerateDenominatorError(f"a^(2g+1) + 1 = {den} is degenerate")
-    amp = -scalar(w_sign) * (a ** (2 * g + 2) - 1) * (a ** (2 * g) - 1) / den**2 * beta**2
+    amp = -(a ** (2 * g + 2) - 1) * (a ** (2 * g) - 1) / den**2 * beta**2
     U = CoeffSeq.tabulate(lambda n: beta * a**n, window)
     W = CoeffSeq.tabulate(lambda n: amp * a ** (2 * n), window)
     return U, W
@@ -162,7 +154,7 @@ def family_from_spec(spec: FamilySpec, window):
             window,
         )
     if spec.kind == "geom":
-        return geom_family(spec.g, spec.params["beta"], spec.params["a"], window=window)
+        return geom_family(spec.g, spec.params["beta"], spec.params["a"], window)
     raise ValueError(f"family {spec.kind!r} needs an explicit gamma sequence")
 
 

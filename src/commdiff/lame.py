@@ -36,6 +36,10 @@ NEWTON_TOL = mpf("1e-8")
 DEFAULT_SLOPE_EPS = ("0.0125", "0.00625", "0.003125")
 
 
+# terms of the Laurent series of wp around 0
+LAURENT_TERMS = 48
+
+
 class WeierstrassContext:
     """Evaluators for wp, wp', zeta on the real line for invariants (g2, g3).
 
@@ -43,7 +47,7 @@ class WeierstrassContext:
     period lattice is rectangular; complex lattices are out of scope.
     """
 
-    def __init__(self, g2, g3, nterms: int = 48):
+    def __init__(self, g2, g3):
         self.g2, self.g3 = scalar(g2), scalar(g3)
         disc = self.g2**3 - 27 * self.g3**2
         if disc <= 0:
@@ -54,14 +58,13 @@ class WeierstrassContext:
         self.omega1 = pi / (2 * agm(sqrt(self.e1 - self.e3), sqrt(self.e1 - self.e2)))
         self.omega2_mag = pi / (2 * agm(sqrt(self.e1 - self.e3), sqrt(self.e2 - self.e3)))
         c = {2: self.g2 / 20, 3: self.g3 / 28}
-        for k in range(4, nterms + 1):
+        for k in range(4, LAURENT_TERMS + 1):
             c[k] = (
                 mpf(3)
                 / ((2 * k + 1) * (k - 3))
                 * sum(c[m] * c[k - m] for m in range(2, k - 1))
             )
         self._c = c
-        self._nterms = nterms
         self._r0 = mpf("0.35") * 2 * min(self.omega1, self.omega2_mag)
         self._eta1 = None
         self._eta1 = self._eval_reduced(self.omega1)[2]
@@ -76,7 +79,7 @@ class WeierstrassContext:
         dp = -2 / (t2 * t)
         zt = 1 / t
         tpow = t2
-        for k in range(2, self._nterms + 1):
+        for k in range(2, LAURENT_TERMS + 1):
             ck = self._c[k]
             p += ck * tpow
             dp += (2 * k - 2) * ck * tpow / t
@@ -122,15 +125,12 @@ class WeierstrassContext:
     def wp(self, x) -> mpf:
         return self.triple(x)[0]
 
-    def wp_prime(self, x) -> mpf:
-        return self.triple(x)[1]
-
     def zeta(self, x) -> mpf:
         return self.triple(x)[2]
 
 
 def ag_build(ctx: WeierstrassContext, g: int, eps):
-    """The T-coefficient profile A_g(x, eps) as a callable of x.
+    """The T-coefficient profile A_g(x, eps) as a callable of x; g >= 1.
 
     A_1 = -2 zeta(eps) - zeta(x - eps) + zeta(x + eps); for genus >= 3 the odd
     and even product formulas extend A_1 / A_2.  The even-genus seed
@@ -142,6 +142,8 @@ def ag_build(ctx: WeierstrassContext, g: int, eps):
     alone gives order -0.002.
     """
     g = int(g)
+    if g < 1:
+        raise ValueError(f"Lame operator needs genus >= 1, got {g}")
     eps = scalar(eps)
     z = ctx.zeta
 
@@ -214,18 +216,12 @@ def _fit_slope(xs, ys):
     return num / den
 
 
-def continuum_slope(
-    ctx: WeierstrassContext,
-    g: int,
-    eps_list=None,
-    x=mpf("0.7"),
-    f=cos,
-    d2f=lambda t: -cos(t),
-):
-    """Fitted convergence order of the continuum defect across an eps sweep."""
+def continuum_slope(ctx: WeierstrassContext, g: int, eps_list=None, x=mpf("0.7")):
+    """Fitted convergence order of the continuum defect across an eps sweep,
+    on the test function cos."""
     if eps_list is None:
         eps_list = [mpf(e) for e in DEFAULT_SLOPE_EPS]
-    errs = [continuum_check(ctx, g, eps, f, d2f, x) for eps in eps_list]
+    errs = [continuum_check(ctx, g, eps, cos, lambda t: -cos(t), x) for eps in eps_list]
     slope = _fit_slope([log(scalar(e)) for e in eps_list], [log(e) for e in errs])
     return slope, errs
 
@@ -235,20 +231,28 @@ def continuum_slope(
 # ---------------------------------------------------------------------------
 
 
-def _recover_dressing_parameters(u1, u0, newton_n, init, target=mpf("1e-10")):
+# the Newton recovery's lattice sites and residual target, and the window
+# of the order-3 partner whose curve is extracted
+NEWTON_SITES = 10
+NEWTON_TARGET = mpf("1e-22")
+L3_WINDOW = (-5, 5)
+
+
+def _recover_dressing_parameters(u1, u0, init):
     """Solve for (c2, c1, c0, gamma0, U0) matching the monic operator data.
 
     The master identity for a genus-1 state with Q_n = z - gamma_n reduces,
     coefficient by coefficient in z, to a three-term chain: gamma advances by
     gamma_{n+1} = U_n^2 - u0 - c2 - gamma_n, the linear coefficient determines
     the S constant term delta_n, and the z^0 coefficient leaves one residual
-    per lattice site.  Damped Newton with finite differences closes it.
+    per lattice site, on NEWTON_SITES sites.  Damped Newton with finite
+    differences closes it to NEWTON_TARGET.
     """
 
     def residuals(v):
         c2, c1, c0, g_cur, U_cur = v
         res = []
-        for n in range(newton_n):
+        for n in range(NEWTON_SITES):
             if abs(U_cur) < mpf("1e-8"):
                 return None
             g_next = U_cur**2 - u0 - c2 - g_cur
@@ -258,8 +262,7 @@ def _recover_dressing_parameters(u1, u0, newton_n, init, target=mpf("1e-10")):
             g_cur = g_next
         return res
 
-    x, info = linalg.damped_newton(residuals, init, max_iter=80, target_inf=target)
-    return x, info
+    return linalg.damped_newton(residuals, init, max_iter=80, target_inf=NEWTON_TARGET)
 
 
 def _gamma_u_s_chains(params, u1, u0, window):
@@ -315,14 +318,7 @@ class LameIndependenceReport:
         return json.dumps(doc, sort_keys=True)
 
 
-def lame_curve_independence(
-    ctx: WeierstrassContext,
-    eps_list,
-    x0,
-    newton_n: int = 10,
-    l3_window=(-5, 5),
-    newton_target=mpf("1e-22"),
-) -> LameIndependenceReport:
+def lame_curve_independence(ctx: WeierstrassContext, eps_list, x0) -> LameIndependenceReport:
     """Check that the extracted curve does not depend on the lattice step.
 
     For each eps the monic operator eps^2 L2 = T^2 + eps A_1(x_n) T +
@@ -334,7 +330,7 @@ def lame_curve_independence(
     eps^2, eps^4, eps^6).
     """
     x0 = scalar(x0)
-    wlo, whi = int(l3_window[0]), int(l3_window[1])
+    wlo, whi = L3_WINDOW
     entries = []
     for eps in eps_list:
         eps = scalar(eps)
@@ -343,7 +339,7 @@ def lame_curve_independence(
         # zeta evaluations are the expensive part: tabulate the T-coefficient
         # once, covering both the Newton sites and the partner window
         tab_lo = min(wlo - 2, -1)
-        tab_hi = max(whi + 4, newton_n + 1)
+        tab_hi = max(whi + 4, NEWTON_SITES + 1)
         u1_tab = {n: eps * A1(x0 + n * eps) for n in range(tab_lo, tab_hi + 1)}
         u1 = u1_tab.__getitem__
 
@@ -354,9 +350,7 @@ def lame_curve_independence(
             eps**2 * ctx.wp(x0),
             eps * (ctx.zeta(x0) - ctx.zeta(x0 - eps) - ctx.zeta(eps)),
         ]
-        params, ninfo = _recover_dressing_parameters(
-            u1, u0, newton_n, init, target=newton_target
-        )
+        params, ninfo = _recover_dressing_parameters(u1, u0, init)
         c2, c1, c0 = params[0], params[1], params[2]
 
         gam, _U, s = _gamma_u_s_chains(params, u1, u0, (wlo - 1, whi + 4))

@@ -31,13 +31,12 @@ from mpmath.libmp import (
 from .errors import ConvergenceError, RankDeficiencyError
 
 
-def lstsq(rows, rhs, rank_tol=None):
+def lstsq(rows, rhs):
     """Minimize ||A x - b||_2 by column-pivoted Householder QR.
 
     rows: list of rows of A (m x n, m >= n); rhs: length-m vector.
     Returns (x, info) with info = {rank, n, rdiag, resid_inf, pivot}.
-    Rank is decided against rank_tol (default 2^(-3p/4)) relative to the
-    largest pivot.
+    Rank counts the pivots above 2^(-3p/4) times the largest one.
 
     Each step pivots on the column with the largest remaining 2-norm, as
     rounded at working precision (the first such column on a tie).  A float
@@ -49,8 +48,6 @@ def lstsq(rows, rhs, rank_tol=None):
     n = len(rows[0]) if m else 0
     if m < n:
         raise ValueError(f"underdetermined system: {m} equations, {n} unknowns")
-    if rank_tol is None:
-        rank_tol = mpf(2) ** (-(3 * mp.prec) // 4)
     prec, rnd = mp.prec, round_nearest
 
     def sumsq(col, k):
@@ -117,6 +114,7 @@ def lstsq(rows, rhs, rank_tol=None):
         rdiag.append(mp.make_mpf(alpha))
 
     r0 = max((abs(d) for d in rdiag), default=mpf(0))
+    rank_tol = mpf(2) ** (-(3 * mp.prec) // 4)
     rank = sum(1 for d in rdiag if abs(d) > rank_tol * r0) if r0 > 0 else 0
 
     x = [fzero] * n
@@ -197,8 +195,14 @@ def require_full_rank(info, context: str = "linear system"):
         )
 
 
-def fd_jacobian(fun, x, scale_floor=mpf("1e-6")):
-    """Central finite-difference Jacobian columns of fun at x."""
+# evaluated at import, which runs before numcore raises mpmath's 53-bit
+# default precision: a 53-bit value
+FD_SCALE_FLOOR = mpf("1e-6")
+
+
+def fd_jacobian(fun, x):
+    """Central finite-difference Jacobian columns of fun at x; the step in
+    x_i is 2^(-p/3) max(FD_SCALE_FLOOR, |x_i|)."""
     r0 = fun(x)
     if r0 is None:
         raise ValueError("residual function undefined at the base point")
@@ -206,7 +210,7 @@ def fd_jacobian(fun, x, scale_floor=mpf("1e-6")):
     h0 = mpf(2) ** (-mp.prec // 3)
     cols = []
     for i in range(len(x)):
-        h = h0 * max(scale_floor, abs(x[i]))
+        h = h0 * max(FD_SCALE_FLOOR, abs(x[i]))
         xp = list(x)
         xm = list(x)
         xp[i] += h
@@ -218,7 +222,11 @@ def fd_jacobian(fun, x, scale_floor=mpf("1e-6")):
     return r0, cols
 
 
-def damped_newton(fun, x0, max_iter=60, target_inf=None, lam0=mpf("1e-6")):
+# the initial damping, a 53-bit value like FD_SCALE_FLOOR
+NEWTON_LAM0 = mpf("1e-6")
+
+
+def damped_newton(fun, x0, max_iter=60, target_inf=None):
     """Levenberg-damped Gauss-Newton for small nonlinear least squares.
 
     fun(x) returns the residual list, or None when x leaves the domain (the
@@ -233,7 +241,7 @@ def damped_newton(fun, x0, max_iter=60, target_inf=None, lam0=mpf("1e-6")):
     if r is None:
         raise ValueError("initial point outside the residual domain")
     rnorm = sqrt(sum(t * t for t in r))
-    lam = mpf(lam0)
+    lam = NEWTON_LAM0
     trace = []
     it = 0
     for it in range(1, max_iter + 1):

@@ -10,8 +10,6 @@ every function here is pure.
 
 from __future__ import annotations
 
-import os
-
 from mpmath import mp, mpf, cos, pi, isfinite
 
 from .errors import (
@@ -23,8 +21,6 @@ from . import linalg
 
 DEFAULT_PRECISION_BITS = 113
 MIN_PRECISION_BITS = 53
-
-_PRECISION_ENV = "COMMDIFF_PRECISION_BITS"
 
 
 def set_precision(bits: int) -> int:
@@ -40,17 +36,9 @@ def get_precision() -> int:
     return mp.prec
 
 
-def default_precision_bits() -> int:
-    """Default precision, honouring the environment override."""
-    env = os.environ.get(_PRECISION_ENV)
-    if env:
-        return max(MIN_PRECISION_BITS, int(env))
-    return DEFAULT_PRECISION_BITS
-
-
 # module import must not leave mpmath at its 53-bit default
 if mp.prec < DEFAULT_PRECISION_BITS:
-    set_precision(default_precision_bits())
+    set_precision(DEFAULT_PRECISION_BITS)
 
 
 def scalar(x) -> mpf:

@@ -58,10 +58,6 @@ class CoeffSeq:
 
     __call__ = at
 
-    def shift(self, k: int) -> "CoeffSeq":
-        """Sequence n -> self(n + k); window moves accordingly."""
-        return CoeffSeq(self.n_min - int(k), self.values)
-
     def restrict(self, window) -> "CoeffSeq":
         lo, hi = int(window[0]), int(window[1])
         return CoeffSeq(lo, self.values_on(lo, hi))
@@ -117,6 +113,9 @@ def _common_window(seqs, requested=None):
     if hi < lo:
         raise WindowError("term windows have empty intersection")
     return lo, hi
+
+
+MONIC_TOL = mpf("1e-12")
 
 
 class DiffOp:
@@ -176,9 +175,10 @@ class DiffOp:
             return self.terms[j]
         return CoeffSeq.constant(0, self.window)
 
-    def is_monic(self, tol=mpf("1e-12")) -> bool:
+    def is_monic(self) -> bool:
+        """Every top coefficient within MONIC_TOL of 1."""
         top = self.terms[self.order]
-        return all(abs(v - 1) <= tol for v in top.values)
+        return all(abs(v - 1) <= MONIC_TOL for v in top.values)
 
     def sup_norm(self) -> mpf:
         """max |u_j(n)| over the window; the yardstick for 'numerically zero'."""
@@ -254,9 +254,11 @@ def op_commutator(A: DiffOp, B: DiffOp) -> DiffOp:
     return A * B - B * A
 
 
-def commutator_scale(A: DiffOp, B: DiffOp) -> mpf:
-    """Dimensionless normalization for commutator residuals."""
-    return A.sup_norm() * B.sup_norm()
+def commutator_residual(A: DiffOp, B: DiffOp):
+    """([A, B], its sup norm over |A| |B|): the commutator and its
+    dimensionless residual."""
+    comm = op_commutator(A, B)
+    return comm, comm.sup_norm() / (A.sup_norm() * B.sup_norm())
 
 
 def op_to_json(L: DiffOp) -> str:

@@ -12,7 +12,7 @@ from mpmath import mpf
 
 from .numcore import ZPoly, mpf_to_str, scalar
 from .opalg import DiffOp
-from .spectral import rank2_curve_check
+from .spectral import RANK2_COMMUTATION_TOL, rank2_curve_check
 
 
 class Rank2Params:
@@ -102,7 +102,7 @@ def expected_curve_poly(p: Rank2Params) -> ZPoly:
     return (lin1 * lin1 * lin2).scale(mpf(1) / 262144)
 
 
-def verify_rank2(window=(-20, 20), commutation_tol=mpf("1e-10")) -> dict:
+def verify_rank2(window=(-20, 20)) -> dict:
     """Commutation and curve check for the specialized pair; returns a report."""
     lo, hi = int(window[0]), int(window[1])
     pad = 8
@@ -110,15 +110,13 @@ def verify_rank2(window=(-20, 20), commutation_tol=mpf("1e-10")) -> dict:
     L4 = build_l4(p, (lo - pad, hi + pad))
     L6 = build_l6_special((lo - pad, hi + pad))
     r = expected_curve_poly(p)
-    curve_report = rank2_curve_check(
-        L4, L6, r, n0=0, commutation_tol=commutation_tol
-    )
+    curve_report = rank2_curve_check(L4, L6, r)
     comm_rel = curve_report.commutator_residual_rel
     report = {
         "params": {"a2": "2", "a1": "0", "a0": "0"},
         "window": [lo, hi],
         "commutator_residual_rel": mpf_to_str(comm_rel),
-        "commutation_pass": bool(comm_rel <= commutation_tol),
+        "commutation_pass": bool(comm_rel <= RANK2_COMMUTATION_TOL),
         "curve_mismatch_rel": mpf_to_str(curve_report.mismatch_rel),
         "curve_pass": bool(curve_report.mismatch_rel <= mpf("1e-7")),
         "closure_defect": mpf_to_str(curve_report.closure_defect),

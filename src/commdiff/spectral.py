@@ -26,12 +26,23 @@ from .numcore import (
     poly_interpolate,
     scalar,
 )
-from .opalg import CoeffSeq, DiffOp, commutator_scale, op_commutator
+from .opalg import CoeffSeq, DiffOp, commutator_residual
 
-DEFAULT_GUARD_NODES = 4
+# z nodes beyond the 2g + 2 that the determinant's degree needs; they expose
+# non-polynomial action data
+GUARD_NODES = 4
 # relative bound on the trace, the base-point spread and the distance from
 # the reference curve in CurveReport.passes
 CURVE_TOL = mpf("1e-8")
+# kernel values past the m initial ones that the closure defect reads
+ACTION_PAD = 3
+# relative commutator residual above which action_matrix refuses
+ACTION_COMMUTATION_TOL = mpf("1e-8")
+# relative polynomial-fit residual bound in extract_curve, and its bound on
+# the trace and on the determinant's lead for a curve to match
+FIT_TOL = mpf("1e-8")
+# coefficient-wise commutator bound of the rank-two pair
+RANK2_COMMUTATION_TOL = mpf("1e-10")
 
 
 def kernel_extend(L: DiffOp, z, n0: int, init, length: int) -> CoeffSeq:
@@ -85,8 +96,9 @@ class ActionMatrix:
         return len(self.entries)
 
 
-def _action_matrix_raw(L_base: DiffOp, L_act: DiffOp, z, n0: int, pad: int = 3) -> ActionMatrix:
+def _action_matrix_raw(L_base: DiffOp, L_act: DiffOp, z, n0: int) -> ActionMatrix:
     m = L_base.order
+    pad = ACTION_PAD
     length = m + L_act.order + pad
     cols = []
     defect = mpf(0)
@@ -110,23 +122,14 @@ def _action_matrix_raw(L_base: DiffOp, L_act: DiffOp, z, n0: int, pad: int = 3) 
     return ActionMatrix(z, n0, entries, rel)
 
 
-def action_matrix(
-    L_base: DiffOp,
-    L_act: DiffOp,
-    z,
-    n0: int,
-    commutation_tol=mpf("1e-8"),
-    pad: int = 3,
-) -> ActionMatrix:
+def action_matrix(L_base: DiffOp, L_act: DiffOp, z, n0: int) -> ActionMatrix:
     """Build M(z) at base point n0, checking commutation first."""
-    comm = op_commutator(L_base, L_act)
-    scale = commutator_scale(L_base, L_act)
-    resid = comm.sup_norm()
-    if resid > commutation_tol * scale:
+    _, rel = commutator_residual(L_base, L_act)
+    if rel > ACTION_COMMUTATION_TOL:
         raise CommutationError(
-            f"operators do not commute: residual {resid} > {commutation_tol} * {scale}"
+            f"operators do not commute: relative residual {rel} > {ACTION_COMMUTATION_TOL}"
         )
-    return _action_matrix_raw(L_base, L_act, scalar(z), int(n0), pad)
+    return _action_matrix_raw(L_base, L_act, scalar(z), int(n0))
 
 
 def _char_poly_samples(L_base: DiffOp, L_act: DiffOp, z_nodes, n0: int):
@@ -222,16 +225,15 @@ class CurveReport:
 def extract_curve(
     L_base: DiffOp,
     L_act: DiffOp,
-    z_nodes=None,
     n0_list=(-1, 0, 1),
     commutation_tol=mpf("1e-8"),
-    fit_tol=mpf("1e-8"),
     z_interval=(-4, 4),
 ) -> CurveReport:
     """Interpolate trace and determinant of M(z) and match the curve.
 
-    Needs enough nodes for the degree-(2g+1) determinant plus guard nodes
-    that expose non-polynomial behaviour; at least two base points feed the
+    Samples 2g + 2 + GUARD_NODES Chebyshev nodes on z_interval: enough for
+    the degree-(2g+1) determinant plus guard nodes that expose
+    non-polynomial behaviour; at least two base points feed the
     independence residual.
     """
     if L_base.order != 2:
@@ -239,17 +241,11 @@ def extract_curve(
     if L_act.order % 2 == 0:
         raise ValueError("partner operator must have odd order")
     g = (L_act.order - 1) // 2
-    if z_nodes is None:
-        z_nodes = chebyshev_nodes(2 * g + 2 + DEFAULT_GUARD_NODES, z_interval)
-    z_nodes = [scalar(z) for z in z_nodes]
-    if len(z_nodes) < 2 * g + 2:
-        raise InterpolationError(f"need at least {2 * g + 2} z nodes, got {len(z_nodes)}")
+    z_nodes = chebyshev_nodes(2 * g + 2 + GUARD_NODES, z_interval)
     if len(n0_list) < 2:
         raise ValueError("need at least two base points")
 
-    comm = op_commutator(L_base, L_act)
-    scale = commutator_scale(L_base, L_act)
-    comm_rel = comm.sup_norm() / scale
+    _, comm_rel = commutator_residual(L_base, L_act)
     if comm_rel > commutation_tol:
         raise CommutationError(
             f"operators do not commute: relative residual {comm_rel}"
@@ -266,7 +262,7 @@ def extract_curve(
         tr_poly, tr_res = poly_interpolate(tr_samples, g)
         det_poly, det_res = poly_interpolate(det_samples, 2 * g + 1)
         det_scale = max(det_poly.sup_norm(), mpf(1))
-        if det_res > fit_tol * det_scale or tr_res > fit_tol * det_scale:
+        if det_res > FIT_TOL * det_scale or tr_res > FIT_TOL * det_scale:
             raise InterpolationError(
                 f"non-polynomial action data at base {n0}: residuals "
                 f"trace {tr_res}, det {det_res} vs scale {det_scale}"
@@ -285,11 +281,11 @@ def extract_curve(
     matched = None
     neg_det = -det_poly
     if (
-        tr_poly.sup_norm() <= fit_tol * det_scale
+        tr_poly.sup_norm() <= FIT_TOL * det_scale
         and neg_det.degree == 2 * g + 1
-        and abs(neg_det.lead - 1) <= fit_tol
+        and abs(neg_det.lead - 1) <= FIT_TOL
     ):
-        matched = HyperellipticCurve.from_fpoly(neg_det, g, tol_rel=fit_tol)
+        matched = HyperellipticCurve.from_fpoly(neg_det, g, tol_rel=FIT_TOL)
     return CurveReport(
         g, tr_poly, det_poly, base_dev, worst_defect, matched, comm_rel
     )
@@ -334,34 +330,26 @@ def _coefficient_commutator_rel(AB: DiffOp, BA: DiffOp) -> mpf:
     return worst
 
 
-def rank2_curve_check(
-    L4: DiffOp,
-    L6: DiffOp,
-    expected_r: ZPoly,
-    z_nodes=None,
-    n0: int = 0,
-    commutation_tol=mpf("1e-9"),
-    z_interval=(-4, 4),
-) -> Rank2CurveReport:
+def rank2_curve_check(L4: DiffOp, L6: DiffOp, expected_r: ZPoly) -> Rank2CurveReport:
     """Verify the 4x4 action characteristic polynomial equals (w^2 - R(z))^2.
 
-    The squared factor is the rank-two expectation; it is verified
+    The action is read at base point 0 on 2 deg R + 4 Chebyshev nodes in
+    [-4, 4].  The squared factor is the rank-two expectation; it is verified
     coefficient-by-coefficient against the supplied R, never assumed.
     Commutation is judged coefficient by coefficient too: each coefficient
-    of [L4, L6] against the same coefficient of L4 L6 and L6 L4.  A scale
-    taken from the whole operators would be set by the largest coefficient
-    of L6 at the window edge and would hide a broken partner.
+    of [L4, L6] against the same coefficient of L4 L6 and L6 L4, within
+    RANK2_COMMUTATION_TOL.  A scale taken from the whole operators would be
+    set by the largest coefficient of L6 at the window edge and would hide a
+    broken partner.
     """
     comm_rel = _coefficient_commutator_rel(L4 * L6, L6 * L4)
-    if comm_rel > commutation_tol:
+    if comm_rel > RANK2_COMMUTATION_TOL:
         raise CommutationError(f"rank-2 pair does not commute: {comm_rel}")
 
     deg_r = expected_r.degree
-    if z_nodes is None:
-        z_nodes = chebyshev_nodes(2 * deg_r + 4, z_interval)
-    z_nodes = [scalar(z) for z in z_nodes]
+    z_nodes = chebyshev_nodes(2 * deg_r + 4)
 
-    samples, worst_defect = _char_poly_samples(L4, L6, z_nodes, n0)
+    samples, worst_defect = _char_poly_samples(L4, L6, z_nodes, 0)
     bounds = {0: 2 * deg_r, 1: deg_r, 2: deg_r, 3: 2}
     char_polys = {}
     fit_resid = mpf(0)

@@ -166,14 +166,20 @@ def test_config_file_defaults(tmp_path):
     assert code == 0
 
 
-def test_precision_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("COMMDIFF_PRECISION_BITS", "160")
-    out = tmp_path / "reports"
-    code = run([
-        "verify", "--family", "poly", "--g", "1", "--a2", "1", "--a0", "0",
-        "--window", "-6", "6", "--out", str(out),
-    ])
-    assert code == 0
-    from commdiff.numcore import get_precision
+def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    assert run(["rank2", "--config", str(missing), "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
-    assert get_precision() == 160
+
+def test_lame_rejects_removed_inputs(tmp_path):
+    out = str(tmp_path / "r")
+    # --g-list is the one genus input, and --eps takes space-separated steps
+    with pytest.raises(SystemExit) as exc:
+        run(["lame", "--g", "1", "--out", out])
+    assert exc.value.code == 2
+    assert run(["lame", "--eps", "0.1,0.05", "--out", out]) == 2
+
+
+def test_lame_genus_zero_is_a_domain_error(tmp_path):
+    assert run(["lame", "--g-list", "0", "--out", str(tmp_path / "r")]) == 2

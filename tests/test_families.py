@@ -4,7 +4,7 @@ import pytest
 from mpmath import mpf, cos, sin, sqrt
 
 from commdiff.errors import DegenerateDenominatorError, InconsistentDataError
-from commdiff.opalg import CoeffSeq, DiffOp, commutator_scale, op_commutator
+from commdiff.opalg import CoeffSeq, DiffOp, commutator_residual, op_commutator
 from commdiff.dressing import (
     EvenPowerBasis,
     GeomBasis,
@@ -17,6 +17,7 @@ from commdiff.dressing import (
 from commdiff.families import (
     FamilySpec,
     basis_for,
+    build_case,
     elliptic_family,
     geom_family,
     poly_family,
@@ -40,7 +41,7 @@ def commutation_rel(U, W, basis, state_window):
     state = result.state(U, W, state_window)
     L2 = l2_operator(U, W)
     partner = build_partner_op(state, L2)
-    return op_commutator(L2, partner).sup_norm() / commutator_scale(L2, partner)
+    return commutator_residual(L2, partner)[1]
 
 
 def test_trig_values():
@@ -89,27 +90,27 @@ def test_poly_odd_extension_commutes():
 
 
 def test_geom_w_closed_form_sign():
-    # the default W is the +1 closed form; the dressing solve rejects -1
+    # W is the closed form with the leading minus; the dressing solve
+    # rejects the opposite sign, built exactly by negating W
     for g in (1, 2, 3, 4):
         for a in (mpf(2), mpf(1) / 2, mpf(-2)):
             U, W = geom_family(g, 1, a, window=(-g - 6, g + 6))
             amp = -(a ** (2 * g + 2) - 1) * (a ** (2 * g) - 1) / (a ** (2 * g + 1) + 1) ** 2
             assert all(W.at(n) == amp * a ** (2 * n) for n in range(-g - 6, g + 7))
-            U, W = geom_family(g, 1, a, w_sign=-1, window=(-g - 6, g + 6))
             with pytest.raises(InconsistentDataError):
-                ansatz_solve(GeomBasis(g, a), U, W)
+                ansatz_solve(GeomBasis(g, a), U, -W)
 
 
 def test_geom_validation():
     with pytest.raises(ValueError):
-        geom_family(1, 0, 2, w_sign=1, window=(-4, 4))
+        geom_family(1, 0, 2, window=(-4, 4))
     with pytest.raises(ValueError):
-        geom_family(1, 1, 1, w_sign=1, window=(-4, 4))
+        geom_family(1, 1, 1, window=(-4, 4))
 
 
 def test_geom_beta_homogeneity():
-    U1, W1 = geom_family(1, 1, 2, w_sign=1, window=(-6, 6))
-    U2, W2 = geom_family(1, 3, 2, w_sign=1, window=(-6, 6))
+    U1, W1 = geom_family(1, 1, 2, window=(-6, 6))
+    U2, W2 = geom_family(1, 3, 2, window=(-6, 6))
     for n in range(-5, 6):
         assert abs(U2.at(n) - 3 * U1.at(n)) <= mpf("1e-28") * abs(U2.at(n))
         assert abs(W2.at(n) - 9 * W1.at(n)) <= mpf("1e-28") * abs(W2.at(n))
@@ -125,7 +126,7 @@ def test_elliptic_commutes_random_gamma():
     gamma = CoeffSeq.tabulate(lambda n: mpf(2) + mpf(rng.random()), (-26, 27))
     U, W, L3 = elliptic_family(0, -1, 0, gamma)
     L2 = l2_operator(U, W)
-    rel = op_commutator(L2, L3).sup_norm() / commutator_scale(L2, L3)
+    _, rel = commutator_residual(L2, L3)
     assert rel <= mpf("1e-10")
 
 
@@ -159,7 +160,7 @@ def test_elliptic_alternating_branch_signs():
     sigma = CoeffSeq.tabulate(lambda n: mpf(1) if n % 2 == 0 else mpf(-1), (-14, 15))
     U, W, L3 = elliptic_family(0, -1, 0, gamma, sigma)
     L2 = l2_operator(U, W)
-    rel = op_commutator(L2, L3).sup_norm() / commutator_scale(L2, L3)
+    _, rel = commutator_residual(L2, L3)
     assert rel <= mpf("1e-10")
     curve = HyperellipticCurve(1, (0, -1, 0))
     state = elliptic_dressing_state(curve, gamma, sigma, window=(-12, 12))
@@ -178,7 +179,7 @@ def test_elliptic_flipped_constant_term_fails():
     gamma = golden_gamma((-14, 15))
     U, W, L3 = elliptic_family(0, -1, 0, gamma)
     L2 = l2_operator(U, W)
-    good = op_commutator(L2, L3).sup_norm() / commutator_scale(L2, L3)
+    _, good = commutator_residual(L2, L3)
     F = lambda z: z**3 - z
     wrong = DiffOp.build(
         {
@@ -191,16 +192,18 @@ def test_elliptic_flipped_constant_term_fails():
         },
         L3.window,
     )
-    bad = op_commutator(L2, wrong).sup_norm() / commutator_scale(L2, wrong)
+    _, bad = commutator_residual(L2, wrong)
     assert good <= mpf("1e-12")
     assert bad >= mpf(1e6) * good
 
 
-def test_family_spec_json_roundtrip():
-    spec = FamilySpec("geom", 2, {"beta": mpf(1), "a": mpf(2)})
-    back = FamilySpec.from_json(spec.to_json())
-    assert back.kind == "geom" and back.g == 2
-    assert back.params["a"] == 2
+def test_commutator_residual_is_the_normalized_sup_norm():
+    for kind, params in (("trig", {"r1": 1}), ("geom", {"beta": 1, "a": 2})):
+        L2, partner, _state, _extras = build_case(FamilySpec(kind, 2, params), (-10, 10))
+        comm, rel = commutator_residual(L2, partner)
+        old = op_commutator(L2, partner)
+        assert rel == old.sup_norm() / (L2.sup_norm() * partner.sup_norm())
+        assert (comm - old).sup_norm() == 0
 
 
 def test_basis_for_selects_odd_extension():

@@ -34,7 +34,7 @@ def make_pair(kind, g=1):
         U, W = poly_family(g, 1, 0, 0, WIN)
         basis = EvenPowerBasis(g)
     else:
-        U, W = geom_family(g, 1, 2, w_sign=1, window=WIN)
+        U, W = geom_family(g, 1, 2, window=WIN)
         basis = GeomBasis(g, 2)
     result = ansatz_solve(basis, U, W)
     state = result.state(U, W, (-22, 22))

@@ -52,9 +52,20 @@ PARTNERS = [
     ["partner", "--family", "elliptic", "--g", "1"],
 ]
 
-OTHERS = [["rank2"], ["lame"]]
+# genus 3 curve extraction and a trig partner
+MORE = [
+    ["curve", "--family", "trig", "--g", "3", "--r1", "1"],
+    ["partner", "--family", "trig", "--g", "2", "--r1", "1"],
+]
 
-CONFIGS = CRITERION_1 + ODD_EXTENSION + NON_MONIC + CURVES + PARTNERS + OTHERS
+# the second lame config runs the Newton recovery from a different x0
+OTHERS = [
+    ["rank2"],
+    ["lame"],
+    ["lame", "--g-list", "1", "2", "--eps", "0.1", "0.05", "--x0", "0.91"],
+]
+
+CONFIGS = CRITERION_1 + ODD_EXTENSION + NON_MONIC + CURVES + PARTNERS + MORE + OTHERS
 
 
 def main(argv=None) -> int:
