@@ -9,10 +9,8 @@ through action matrices on operator kernels.
 from .errors import (
     CommdiffError,
     CommutationError,
-    ConvergenceError,
     DegenerateDenominatorError,
     InconsistentDataError,
-    InterpolationError,
     LatticeProximityError,
     NonFiniteError,
     RankDeficiencyError,
@@ -24,7 +22,6 @@ from .numcore import (
     chebyshev_nodes,
     get_precision,
     poly_div_exact,
-    poly_interpolate,
     poly_mul,
     scalar,
     set_precision,

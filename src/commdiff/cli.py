@@ -37,8 +37,23 @@ from .lame import (
 )
 from .rank2 import verify_rank2
 
-DEFAULT_TOLERANCE = "1e-9"
-DEFAULT_WINDOW = (-24, 24)
+# the value of every option that neither the command line nor a --config
+# file sets; the family parameters are absent, not defaulted, there
+DEFAULTS = {
+    "precision": DEFAULT_PRECISION_BITS,
+    "tolerance": "1e-9",
+    "window": (-24, 24),
+    "out": "reports",
+    "rerun": False,
+    "seed": 1234,
+    "g2": "4",
+    "g3": "0",
+    "eps": ("0.1", "0.05"),
+    "x0": "0.73",
+    "g_list": (1, 2, 3),
+}
+# namespace entries that are not options
+NOT_OPTIONS = ("command", "fn", "config")
 
 
 def _family_from_args(args) -> FamilySpec:
@@ -80,7 +95,6 @@ def _config_doc(args, command, spec=None) -> dict:
         "precision_bits": get_precision(),
         "tolerance": args.tolerance,
         "window": list(args.window),
-        "z_interval": list(args.z_interval),
     }
     if spec is not None:
         doc["family"] = spec.doc()
@@ -160,9 +174,7 @@ def cmd_curve(args) -> int:
     spec = _family_from_args(args)
     config = _config_doc(args, "curve", spec)
     L2, partner, state, extras = build_case(spec, args.window, args.seed)
-    report = extract_curve(
-        L2, partner, n0_list=(-1, 0, 1), z_interval=tuple(args.z_interval)
-    )
+    report = extract_curve(L2, partner, n0_list=(-1, 0, 1))
     dev = report.agreement(state.curve.c)
     payload = {
         "spectral": json.loads(report.to_json()),
@@ -226,16 +238,16 @@ def cmd_rank2(args) -> int:
     return _emit(args, "rank2", config, report, passed)
 
 
+# Every option defaults to None, so that _resolve_options can tell an unset
+# option from a set one: flags > config file > DEFAULTS.
 def _add_common(p):
-    # defaults resolve after the config file merge: flags > config > built-ins
     p.add_argument("--precision", type=int, default=None, help="significand bits (>= 53)")
     p.add_argument("--tolerance", type=str, default=None)
     p.add_argument("--window", type=int, nargs=2, default=None,
                    metavar=("N_MIN", "N_MAX"))
-    p.add_argument("--z-interval", dest="z_interval", type=float, nargs=2,
-                   default=None, metavar=("Z_LO", "Z_HI"))
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--rerun", action="store_true", help="overwrite an existing report")
+    p.add_argument("--rerun", action="store_true", default=None,
+                   help="overwrite an existing report")
     p.add_argument("--config", type=str, default=None,
                    help="JSON file with defaults for any of the above")
 
@@ -252,7 +264,7 @@ def _add_family(p):
     p.add_argument("--c2", type=str, default=None)
     p.add_argument("--c1", type=str, default=None)
     p.add_argument("--c0", type=str, default=None)
-    p.add_argument("--seed", type=int, default=1234,
+    p.add_argument("--seed", type=int, default=None,
                    help="seeds the elliptic family's random gamma_n")
 
 
@@ -279,12 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_partner)
 
     p = sub.add_parser("lame", help="lattice operator continuum and curve-stability checks")
-    p.add_argument("--g2", type=str, default="4")
-    p.add_argument("--g3", type=str, default="0")
-    p.add_argument("--eps", type=str, nargs="*", default=["0.1", "0.05"],
+    p.add_argument("--g2", type=str, default=None)
+    p.add_argument("--g3", type=str, default=None)
+    p.add_argument("--eps", type=str, nargs="*", default=None,
                    help="step sizes, space-separated")
-    p.add_argument("--x0", type=str, default="0.73")
-    p.add_argument("--g-list", dest="g_list", type=int, nargs="*", default=[1, 2, 3])
+    p.add_argument("--x0", type=str, default=None)
+    p.add_argument("--g-list", dest="g_list", type=int, nargs="*", default=None)
     _add_common(p)
     p.set_defaults(fn=cmd_lame)
 
@@ -294,29 +306,32 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config_file(args):
-    if getattr(args, "config", None):
+def _resolve_options(args):
+    """Fill every option the command line left unset, from the --config file
+    and then from DEFAULTS.  A config key that names no option of the
+    command is a usage error."""
+    options = [k for k in vars(args) if k not in NOT_OPTIONS]
+    if args.config is not None:
         doc = json.loads(Path(args.config).read_text())
+        if not isinstance(doc, dict):
+            raise CommdiffError("a --config file holds one JSON object")
         for key, val in doc.items():
             attr = key.replace("-", "_")
-            if hasattr(args, attr) and getattr(args, attr) is None:
+            if attr not in options:
+                raise CommdiffError(f"unknown config key {key!r} for {args.command}")
+            if getattr(args, attr) is None:
                 setattr(args, attr, val)
-    if args.tolerance is None:
-        args.tolerance = DEFAULT_TOLERANCE
-    if args.window is None:
-        args.window = list(DEFAULT_WINDOW)
-    if args.z_interval is None:
-        args.z_interval = [-4.0, 4.0]
-    if args.out is None:
-        args.out = "reports"
+    for attr in options:
+        if getattr(args, attr) is None and attr in DEFAULTS:
+            setattr(args, attr, DEFAULTS[attr])
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        _apply_config_file(args)
-        set_precision(args.precision if args.precision else DEFAULT_PRECISION_BITS)
+        _resolve_options(args)
+        set_precision(args.precision)
         if scalar(args.tolerance) <= 0:
             raise CommdiffError("tolerance must be positive")
         if args.window[1] < args.window[0]:

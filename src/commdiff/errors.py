@@ -17,10 +17,6 @@ class DegenerateDenominatorError(CommdiffError, ZeroDivisionError):
     """A denominator fell below the general-position threshold."""
 
 
-class InterpolationError(CommdiffError, ValueError):
-    """Interpolation nodes were invalid or the fit was inconsistent."""
-
-
 class InconsistentDataError(CommdiffError, ValueError):
     """Initial or intermediate data violated a required identity."""
 
@@ -35,7 +31,3 @@ class CommutationError(CommdiffError, ValueError):
 
 class LatticeProximityError(CommdiffError, ValueError):
     """An elliptic-function argument fell too close to a lattice point."""
-
-
-class ConvergenceError(CommdiffError, RuntimeError):
-    """An iterative solve exhausted its budget without converging."""

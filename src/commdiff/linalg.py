@@ -1,4 +1,4 @@
-"""Dense least squares and damped Newton on mpmath floats.
+"""Dense least squares on mpmath floats.
 
 The least-squares path is a column-pivoted Householder QR with column
 equilibration; pivots expose rank loss, which callers treat as an error
@@ -11,10 +11,6 @@ proven rounding bound, and from the rounded mpf norms otherwise.  So the
 result is a function of the input and the precision alone, bit for bit:
 the same x, R diagonal, residual and pivot order as the plain row-major
 loop of mpf objects that `tests/test_linalg.py` keeps as its oracle.
-
-The Newton path is a Levenberg-style damped Gauss-Newton with
-finite-difference Jacobians, used for the small nonlinear recoveries
-(elliptic parameter fits).
 """
 
 from __future__ import annotations
@@ -22,13 +18,13 @@ from __future__ import annotations
 from math import fsum, ldexp
 from operator import mul
 
-from mpmath import mp, mpf, sqrt, lu_solve, matrix
+from mpmath import mp, mpf
 from mpmath.libmp import (
     fnone, fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg,
     mpf_shift, mpf_sqrt, mpf_sub, round_nearest,
 )
 
-from .errors import ConvergenceError, RankDeficiencyError
+from .errors import RankDeficiencyError
 
 
 def lstsq(rows, rhs):
@@ -193,100 +189,3 @@ def require_full_rank(info, context: str = "linear system"):
         raise RankDeficiencyError(
             f"{context}: rank {info['rank']} < {info['n']} unknowns"
         )
-
-
-# evaluated at import, which runs before numcore raises mpmath's 53-bit
-# default precision: a 53-bit value
-FD_SCALE_FLOOR = mpf("1e-6")
-
-
-def fd_jacobian(fun, x):
-    """Central finite-difference Jacobian columns of fun at x; the step in
-    x_i is 2^(-p/3) max(FD_SCALE_FLOOR, |x_i|)."""
-    r0 = fun(x)
-    if r0 is None:
-        raise ValueError("residual function undefined at the base point")
-    m = len(r0)
-    h0 = mpf(2) ** (-mp.prec // 3)
-    cols = []
-    for i in range(len(x)):
-        h = h0 * max(FD_SCALE_FLOOR, abs(x[i]))
-        xp = list(x)
-        xm = list(x)
-        xp[i] += h
-        xm[i] -= h
-        rp, rm = fun(xp), fun(xm)
-        if rp is None or rm is None:
-            raise ValueError("residual function undefined at a difference point")
-        cols.append([(rp[j] - rm[j]) / (2 * h) for j in range(m)])
-    return r0, cols
-
-
-# the initial damping, a 53-bit value like FD_SCALE_FLOOR
-NEWTON_LAM0 = mpf("1e-6")
-
-
-def damped_newton(fun, x0, max_iter=60, target_inf=None):
-    """Levenberg-damped Gauss-Newton for small nonlinear least squares.
-
-    fun(x) returns the residual list, or None when x leaves the domain (the
-    step is then rejected).  Stops when max |r| <= target_inf or the damping
-    saturates.  Returns (x, info); raises ConvergenceError if the target was
-    given and missed.
-    """
-    if target_inf is None:
-        target_inf = mpf(2) ** (-(3 * mp.prec) // 4)
-    x = [mpf(v) for v in x0]
-    r = fun(x)
-    if r is None:
-        raise ValueError("initial point outside the residual domain")
-    rnorm = sqrt(sum(t * t for t in r))
-    lam = NEWTON_LAM0
-    trace = []
-    it = 0
-    for it in range(1, max_iter + 1):
-        rmax = max(abs(t) for t in r)
-        trace.append(rmax)
-        if rmax <= target_inf:
-            break
-        _, cols = fd_jacobian(fun, x)
-        nv, m = len(x), len(r)
-        colscale = [max(max(abs(c) for c in col), mpf(2) ** (-mp.prec)) for col in cols]
-        ata = [
-            [
-                sum(cols[i][k] * cols[j][k] for k in range(m)) / (colscale[i] * colscale[j])
-                for j in range(nv)
-            ]
-            for i in range(nv)
-        ]
-        atb = [-sum(cols[i][k] * r[k] for k in range(m)) / colscale[i] for i in range(nv)]
-        accepted = False
-        for _ in range(40):
-            lhs = matrix(ata)
-            for i in range(nv):
-                lhs[i, i] *= 1 + lam
-            try:
-                dx = lu_solve(lhs, matrix(atb))
-            except Exception:
-                lam *= 10
-                continue
-            xn = [x[i] + dx[i] / colscale[i] for i in range(nv)]
-            rn = fun(xn)
-            if rn is not None:
-                rn_norm = sqrt(sum(t * t for t in rn))
-                if rn_norm < rnorm:
-                    x, r, rnorm = xn, rn, rn_norm
-                    lam = max(lam / 3, mpf("1e-14"))
-                    accepted = True
-                    break
-            lam *= 10
-        if not accepted:
-            break
-    final = max(abs(t) for t in r)
-    info = {"iterations": it, "resid_inf": final, "trace": trace}
-    if final > target_inf:
-        raise ConvergenceError(
-            f"damped Newton stalled at residual {final} > target {target_inf} "
-            f"after {it} iterations"
-        )
-    return x, info

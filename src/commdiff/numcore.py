@@ -1,5 +1,5 @@
 """Numeric substrate: configurable-precision scalars, dense polynomials in the
-spectral parameter z, Chebyshev interpolation, and division with residual.
+spectral parameter z, Chebyshev nodes, and division with residual.
 
 All arithmetic runs on mpmath floats.  The working precision defaults to a
 113-bit significand (quad-like); the dressing recursion sheds digits at every
@@ -12,12 +12,7 @@ from __future__ import annotations
 
 from mpmath import mp, mpf, cos, pi, isfinite
 
-from .errors import (
-    DegenerateDenominatorError,
-    InterpolationError,
-    NonFiniteError,
-)
-from . import linalg
+from .errors import DegenerateDenominatorError, NonFiniteError
 
 DEFAULT_PRECISION_BITS = 113
 MIN_PRECISION_BITS = 53
@@ -53,12 +48,6 @@ def ensure_finite(v: mpf, what: str = "value") -> mpf:
     if not isfinite(v):
         raise NonFiniteError(f"{what} is not finite")
     return v
-
-
-def trim_rel_threshold() -> mpf:
-    """Relative threshold for near-coincidence tests (interpolation nodes,
-    rank decisions), scaled to the working precision."""
-    return mpf(2) ** (-(7 * mp.prec) // 8)
 
 
 def mpf_to_str(x: mpf) -> str:
@@ -158,6 +147,11 @@ class ZPoly:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, c) -> "ZPoly":
+        """Divide every coefficient by the scalar c, each rounded once."""
+        c = scalar(c)
+        return ZPoly(tuple(x / c for x in self.coeffs))
+
     def __repr__(self):
         return f"ZPoly(deg={self.degree})"
 
@@ -205,46 +199,6 @@ def chebyshev_nodes(count: int, interval=(-4, 4)) -> list:
     lo, hi = scalar(interval[0]), scalar(interval[1])
     mid, half = (lo + hi) / 2, (hi - lo) / 2
     return [mid + half * cos(pi * (2 * i + 1) / (2 * count)) for i in range(count)]
-
-
-def poly_interpolate(samples, degree_bound: int):
-    """Least-squares polynomial of degree <= degree_bound through the samples.
-
-    samples: iterable of (z, value).  Needs at least degree_bound + 1 distinct
-    nodes; extra samples feed the consistency residual.  Returns
-    (ZPoly, residual) with residual = max |p(z_i) - v_i|.
-    """
-    pts = [(scalar(z), scalar(v)) for z, v in samples]
-    n = degree_bound + 1
-    if len(pts) < n:
-        raise InterpolationError(
-            f"need at least {n} samples for degree bound {degree_bound}, got {len(pts)}"
-        )
-    zs = [z for z, _ in pts]
-    dup_tol = trim_rel_threshold() * (1 + max(abs(z) for z in zs))
-    for i in range(len(zs)):
-        for j in range(i + 1, len(zs)):
-            if abs(zs[i] - zs[j]) <= dup_tol:
-                raise InterpolationError(f"duplicate interpolation nodes at z={zs[i]}")
-    # rescale nodes to O(1) for Vandermonde conditioning
-    s = max(max(abs(z) for z in zs), mpf(1))
-    rows, rhs = [], []
-    for z, v in pts:
-        zh = z / s
-        row, zp = [], mpf(1)
-        for _ in range(n):
-            row.append(zp)
-            zp *= zh
-        rows.append(row)
-        rhs.append(v)
-    x, _info = linalg.lstsq(rows, rhs)
-    coeffs, f = [], mpf(1)
-    for k in range(n):
-        coeffs.append(x[k] / f)
-        f *= s
-    p = ZPoly(coeffs)
-    resid = max(abs(p.eval(z) - v) for z, v in pts)
-    return p, resid
 
 
 # ---------------------------------------------------------------------------

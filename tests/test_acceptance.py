@@ -246,13 +246,13 @@ def test_criterion_8_continuum_limit():
 def test_criterion_9_step_independence():
     ctx = lemniscatic_context()
     rep = lame_curve_independence(ctx, [mpf("0.1"), mpf("0.05")], mpf("0.73"))
-    worst_newton = max(e["newton_residual"] for e in rep.entries)
+    worst_chain = max(e["newton_residual"] for e in rep.entries)
     _emit(
         9,
         "step independence",
         rep.passes(),
-        f"cross-step curve deviation {float(rep.curve_deviation):.2e}, "
-        f"worst recovery residual {float(worst_newton):.2e}",
+        f"curve deviation from the cubic {float(rep.curve_deviation):.2e}, "
+        f"worst chain residual {float(worst_chain):.2e}",
     )
 
 
@@ -296,17 +296,12 @@ def test_criterion_10_property_suites():
             ok = False
             detail.append("jacobi")
 
-    # polynomial round trips
-    from commdiff.numcore import chebyshev_nodes, poly_div_exact, poly_interpolate, poly_mul
+    # polynomial division round trips
+    from commdiff.numcore import poly_div_exact, poly_mul
 
     for _ in range(4):
         deg = rng.randint(1, 5)
         p = ZPoly([rng.uniform(-3, 3) for _ in range(deg)] + [1])
-        nodes = chebyshev_nodes(deg + 3)
-        q, _resid = poly_interpolate([(z, p.eval(z)) for z in nodes], deg)
-        if max(abs(q.coeff(k) - p.coeff(k)) for k in range(deg + 1)) > mpf("1e-10") * p.sup_norm():
-            ok = False
-            detail.append("interp")
         den = ZPoly([rng.uniform(-2, 2), 1])
         num = poly_mul(p, den)
         qq, r = poly_div_exact(num, den)

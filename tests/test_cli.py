@@ -183,3 +183,55 @@ def test_lame_rejects_removed_inputs(tmp_path):
 
 def test_lame_genus_zero_is_a_domain_error(tmp_path):
     assert run(["lame", "--g-list", "0", "--out", str(tmp_path / "r")]) == 2
+
+
+@pytest.mark.parametrize("invariants", [
+    ["--g2", "10", "--g3", "2", "--x0", "0.91"],
+    ["--g2", "4", "--g3", "0", "--x0", "1.27"],
+])
+def test_lame_closed_form_steps(tmp_path, invariants):
+    # two configs on which a fitted recovery of the genus-1 parameters stalls
+    out = tmp_path / "reports"
+    code = run(["lame", "--g-list", "1", "--eps", "0.1", "0.0125", *invariants,
+                "--out", str(out)])
+    assert code == 0
+    (path,) = report_files(out)
+    indep = json.loads(path.read_text())["report"]["independence"]
+    assert float(indep["cross_eps_curve_deviation"]) <= 1e-15
+    assert all(float(e["newton_residual"]) <= 1e-30 for e in indep["per_eps"])
+
+
+def test_precision_zero_is_a_usage_error(tmp_path):
+    assert run(["lame", "--g-list", "1", "--precision", "0",
+                "--out", str(tmp_path / "r")]) == 2
+
+
+def test_config_file_sets_options_with_builtin_defaults(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 7}))
+    out = tmp_path / "verify"
+    assert run(["verify", "--family", "elliptic", "--g", "1", "--window", "-8", "8",
+                "--config", str(cfg), "--out", str(out)]) == 0
+    (path,) = report_files(out)
+    assert json.loads(path.read_text())["config"]["seed"] == 7
+
+    cfg.write_text(json.dumps({"g-list": [1], "eps": ["0.1"]}))
+    out = tmp_path / "lame"
+    assert run(["lame", "--config", str(cfg), "--out", str(out)]) == 0
+    (path,) = report_files(out)
+    doc = json.loads(path.read_text())
+    assert doc["config"]["lame"]["g_list"] == [1]
+    assert doc["config"]["lame"]["eps"] == ["0.1"]
+    assert list(doc["report"]["continuum"]) == ["1"]
+    # a flag beats the config file
+    out = tmp_path / "flag"
+    assert run(["lame", "--config", str(cfg), "--eps", "0.05", "--out", str(out)]) == 0
+    (path,) = report_files(out)
+    assert json.loads(path.read_text())["config"]["lame"]["eps"] == ["0.05"]
+
+
+def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"z-interval": [-4, 4]}))
+    assert run(["rank2", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert "z-interval" in capsys.readouterr().err

@@ -3,7 +3,10 @@ from mpmath import mpf
 
 from commdiff.errors import LatticeProximityError
 from commdiff.lame import (
+    NEWTON_TOL,
+    LameIndependenceReport,
     WeierstrassContext,
+    _chain_residual,
     ag_build,
     continuum_check,
     continuum_slope,
@@ -159,22 +162,28 @@ def test_curve_independence_g1():
 
 
 def test_curve_independence_detects_broken_operator():
-    # perturbing the T-coefficient breaks the Newton match / commutation
+    # a T-coefficient bumped by 0.01 leaves the closed-form parameters off the
+    # genus-1 chain, which fails the report, and breaks commutation with
+    # their partner
     from commdiff.opalg import DiffOp, commutator_residual
     from commdiff.families import elliptic_family
 
     eps = mpf("0.1")
     x0 = mpf("0.73")
     rep = lame_curve_independence(CTX, [eps], x0)
+    assert rep.passes()
     entry = rep.entries[0]
-    gam0 = entry["params"][3]
-    # rebuild the monic operator with a bumped T-coefficient and check the
-    # partner from the unperturbed parameters no longer commutes
     A1 = ag_build(CTX, 1, eps)
     u0 = eps**2 * CTX.wp(eps)
-    l2_bad = DiffOp.build(
-        {2: 1, 1: lambda n: eps * A1(x0 + n * eps) + mpf("0.01"), 0: u0}, (-8, 8)
-    )
+    bumped = lambda n: eps * A1(x0 + n * eps) + mpf("0.01")
+    broken = dict(entry, newton_residual=_chain_residual(entry["params"], bumped, u0))
+    assert broken["newton_residual"] > NEWTON_TOL
+    assert not LameIndependenceReport(
+        rep.g2, rep.g3, rep.x0, [broken], rep.curve_deviation
+    ).passes()
+    # rebuild the monic operator with the bumped T-coefficient and check the
+    # partner from the unperturbed parameters no longer commutes
+    l2_bad = DiffOp.build({2: 1, 1: bumped, 0: u0}, (-8, 8))
     from commdiff.opalg import CoeffSeq
     from commdiff.lame import _gamma_u_s_chains
 

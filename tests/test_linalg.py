@@ -3,8 +3,8 @@ import random
 import pytest
 from mpmath import mp, mpf, sqrt
 
-from commdiff.errors import ConvergenceError, RankDeficiencyError
-from commdiff.linalg import _float_pivot, damped_newton, lstsq, require_full_rank
+from commdiff.errors import RankDeficiencyError
+from commdiff.linalg import _float_pivot, lstsq, require_full_rank
 
 
 def _reference_lstsq(rows, rhs, rank_tol=None):
@@ -246,36 +246,3 @@ def test_lstsq_badly_scaled_columns():
     assert abs(x[0] - 3) <= mpf("1e-8")
     assert abs(x[1] - 5) <= mpf("1e-8")
 
-
-def test_damped_newton_converges():
-    # intersection of a circle and a parabola
-    def fun(v):
-        x, y = v
-        return [x * x + y * y - 4, y - x * x]
-
-    x, info = damped_newton(fun, [mpf(1), mpf(1)], target_inf=mpf("1e-25"))
-    assert info["resid_inf"] <= mpf("1e-25")
-    assert abs(x[0] ** 2 + x[1] ** 2 - 4) <= mpf("1e-24")
-
-
-def test_damped_newton_domain_guard():
-    # None outside the domain forces the line search to shrink, not crash
-    from mpmath import sqrt
-
-    def fun(v):
-        (x,) = v
-        if x <= 0:
-            return None
-        return [sqrt(x) - 2]
-
-    x, info = damped_newton(fun, [mpf(1)], target_inf=mpf("1e-20"))
-    assert abs(x[0] - 4) <= mpf("1e-18")
-
-
-def test_damped_newton_reports_stall():
-    def fun(v):
-        (x,) = v
-        return [x * x + 1]  # no real solution
-
-    with pytest.raises(ConvergenceError):
-        damped_newton(fun, [mpf(1)], max_iter=25, target_inf=mpf("1e-20"))

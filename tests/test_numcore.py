@@ -3,18 +3,13 @@ import random
 import pytest
 from mpmath import mpf
 
-from commdiff.errors import (
-    DegenerateDenominatorError,
-    InterpolationError,
-    NonFiniteError,
-)
+from commdiff.errors import DegenerateDenominatorError, NonFiniteError
 from commdiff.numcore import (
     HyperellipticCurve,
     ZPoly,
     chebyshev_nodes,
     get_precision,
     poly_div_exact,
-    poly_interpolate,
     poly_mul,
     scalar,
     set_precision,
@@ -118,41 +113,6 @@ def test_div_mul_roundtrip_residual_zero():
         q, r = poly_div_exact(num, den)
         assert r <= mpf("1e-30") * num.sup_norm()
         assert max(abs(q.coeff(k) - quo.coeff(k)) for k in range(6)) <= mpf("1e-30")
-
-
-def test_poly_interpolate_basics():
-    p, resid = poly_interpolate([(z, z * z) for z in (-1, 0, 2)], 2)
-    assert abs(p.coeff(2) - 1) <= mpf("1e-30")
-    assert resid <= mpf("1e-30")
-    p, resid = poly_interpolate([(z, mpf(5)) for z in (-1, 0, 2, 3)], 0)
-    assert abs(p.coeff(0) - 5) <= mpf("1e-30")
-
-
-def test_poly_interpolate_cubic_fixture():
-    # samples of -F1 with c = (1, 2, 3) on [-2, 2], bound 3
-    curve = HyperellipticCurve(1, (1, 2, 3))
-    samples = [(z, -curve.eval(z)) for z in chebyshev_nodes(6, (-2, 2))]
-    p, resid = poly_interpolate(samples, 3)
-    expected = (-1, -2, -3, -1)
-    for k, e in enumerate(expected):
-        assert abs(p.coeff(k) - e) <= mpf("1e-12")
-    assert resid <= mpf("1e-12")
-
-
-def test_poly_interpolate_duplicate_nodes():
-    with pytest.raises(InterpolationError):
-        poly_interpolate([(1, 1), (1, 2), (2, 3)], 1)
-
-
-def test_interpolation_round_trip_property():
-    rng = random.Random(11)
-    for _ in range(8):
-        deg = rng.randint(1, 6)
-        p = ZPoly([rng.uniform(-3, 3) for _ in range(deg)] + [1])
-        nodes = chebyshev_nodes(deg + 3)
-        q, resid = poly_interpolate([(z, p.eval(z)) for z in nodes], deg)
-        tol = mpf("1e-10") * p.sup_norm()
-        assert max(abs(q.coeff(k) - p.coeff(k)) for k in range(deg + 1)) <= tol
 
 
 def test_ring_axioms_property():

@@ -62,9 +62,13 @@ def test_char_poly_squared_structure():
     L6 = build_l6_special(WIN)
     r = expected_curve_poly(Rank2Params(2, 0, 0))
     report = rank2_curve_check(L4, L6, r)
-    assert report.mismatch_rel <= mpf("1e-7")
-    # constant term of the characteristic polynomial is R(0)^2
-    assert abs(report.char_polys[0].coeff(0) - r.eval(0) ** 2) <= mpf("1e-7")
+    # the pair's coefficients are dyadic, so the polynomial action matrix and
+    # its characteristic polynomial come out exactly: w^4 - 2 R w^2 + R^2
+    assert report.mismatch_rel == 0
+    assert report.closure_defect == 0
+    assert report.char_polys[0].coeffs == (r * r).coeffs
+    assert report.char_polys[2].coeffs == (-r.scale(2)).coeffs
+    assert report.char_polys[1].is_zero and report.char_polys[3].is_zero
 
 
 def test_verify_rank2_report():

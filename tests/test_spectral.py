@@ -1,5 +1,5 @@
 import pytest
-from mpmath import mpf, cos, sin
+from mpmath import mp, mpf, cos, sin
 
 from commdiff.errors import CommutationError, WindowError
 from commdiff.numcore import ZPoly
@@ -14,7 +14,7 @@ from commdiff.dressing import (
     curve_point,
     l2_operator,
 )
-from commdiff.families import geom_family, poly_family, trig_family
+from commdiff.families import FamilySpec, build_case, geom_family, poly_family, trig_family
 from commdiff.spectral import (
     CurveReport,
     action_matrix,
@@ -209,3 +209,41 @@ def test_extract_curve_base_points_required():
     L2, L3, _ = make_pair("poly")
     with pytest.raises(ValueError):
         extract_curve(L2, L3, n0_list=(0,))
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("trig", {"r1": 1}),
+    ("geom", {"a": 2, "beta": 1}),
+    ("poly", {"a2": 1, "a0": 0, "a1": mpf(1) / 2}),
+])
+def test_extract_curve_residuals_are_roundoff(kind, params):
+    # the trace, the base-point spread and the closure defect are rounding
+    # errors, not modelling errors: 47 more bits shrink each by at least 2^30
+    # unless it is already exactly 0
+    measured = []
+    for bits in (113, 160):
+        with mp.workprec(bits):
+            L2, partner, _state, _extras = build_case(FamilySpec(kind, 2, params), (-8, 8))
+            rep = extract_curve(L2, partner)
+            measured.append(
+                (rep.trace_poly.sup_norm(), rep.base_independence_residual, rep.closure_defect)
+            )
+    for at113, at160 in zip(*measured):
+        assert at113 == 0 or at160 <= at113 / 2**30
+
+
+def test_kernel_extend_polynomial_values_evaluate_to_scalar_run():
+    # with z kept symbolic, the z-coefficient sequences evaluated at z give
+    # the scalar recurrence's values
+    from commdiff.spectral import Z
+
+    U, W = poly_family(1, 1, 0, 0, WIN)
+    L2 = l2_operator(U, W)
+    z = mpf("1.75")
+    init = (mpf("0.7"), mpf("-0.2"))
+    psi = kernel_extend(L2, z, -3, init, 14)
+    coeffs = kernel_extend(L2, Z, -3, [ZPoly([v]) for v in init], 14)
+    assert len(coeffs) == 7  # psi(n0 + 13) has degree 6 in z
+    for n in range(-3, 11):
+        val = sum(c.at(n) * z**k for k, c in enumerate(coeffs))
+        assert abs(val - psi.at(n)) <= mpf("1e-28") * psi.sup_norm()

@@ -52,17 +52,24 @@ PARTNERS = [
     ["partner", "--family", "elliptic", "--g", "1"],
 ]
 
-# genus 3 curve extraction and a trig partner
+# genus 3 curve extraction (geometric, and quadratic with a linear term) and
+# a trig partner
 MORE = [
     ["curve", "--family", "trig", "--g", "3", "--r1", "1"],
+    ["curve", "--family", "geom", "--g", "3", "--a", "2", "--beta", "1"],
+    ["curve", "--family", "poly", "--g", "3", "--a2", "1", "--a0", "0", "--a1", "0.5"],
     ["partner", "--family", "trig", "--g", "2", "--r1", "1"],
 ]
 
-# the second lame config runs the Newton recovery from a different x0
+# the lame configs vary x0, the invariants and the step down to eps = 0.0125
 OTHERS = [
     ["rank2"],
     ["lame"],
     ["lame", "--g-list", "1", "2", "--eps", "0.1", "0.05", "--x0", "0.91"],
+    ["lame", "--g-list", "1", "--eps", "0.1", "0.0125", "--x0", "0.91",
+     "--g2", "10", "--g3", "2"],
+    ["lame", "--g-list", "1", "--eps", "0.1", "0.0125", "--x0", "1.27",
+     "--g2", "4", "--g3", "0"],
 ]
 
 CONFIGS = CRITERION_1 + ODD_EXTENSION + NON_MONIC + CURVES + PARTNERS + MORE + OTHERS
