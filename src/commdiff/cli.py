@@ -16,18 +16,20 @@ import json
 import sys
 from pathlib import Path
 
+from mpmath import mp
+
 from . import __version__
 from .errors import CommdiffError
 from .numcore import (
     DEFAULT_PRECISION_BITS,
+    check_precision,
     get_precision,
     mpf_to_str,
     scalar,
-    set_precision,
 )
 from .opalg import commutator_residual, op_to_json
 from . import dressing
-from .families import FamilySpec, build_case
+from .families import FAMILY_PARAMS, FamilySpec, build_case
 from .spectral import extract_curve
 from .lame import (
     MIN_SLOPE,
@@ -37,54 +39,13 @@ from .lame import (
 )
 from .rank2 import verify_rank2
 
-# the value of every option that neither the command line nor a --config
-# file sets; the family parameters are absent, not defaulted, there
-DEFAULTS = {
-    "precision": DEFAULT_PRECISION_BITS,
-    "tolerance": "1e-9",
-    "window": (-24, 24),
-    "out": "reports",
-    "rerun": False,
-    "seed": 1234,
-    "g2": "4",
-    "g3": "0",
-    "eps": ("0.1", "0.05"),
-    "x0": "0.73",
-    "g_list": (1, 2, 3),
-}
-# namespace entries that are not options
-NOT_OPTIONS = ("command", "fn", "config")
-
 
 def _family_from_args(args) -> FamilySpec:
-    kind = args.family
-    params = {}
-    if kind == "trig":
-        if args.r1 is None:
-            raise CommdiffError("trig family needs --r1")
-        params["r1"] = scalar(args.r1)
-    elif kind == "poly":
-        if args.a2 is None:
-            raise CommdiffError("poly family needs --a2")
-        params["a2"] = scalar(args.a2)
-        params["a0"] = scalar(args.a0 if args.a0 is not None else 0)
-        params["a1"] = scalar(args.a1 if args.a1 is not None else 0)
-        if params["a2"] == 0:
-            raise CommdiffError("poly family needs a2 != 0")
-    elif kind == "geom":
-        if args.a is None or args.beta is None:
-            raise CommdiffError("geom family needs --a and --beta")
-        params["a"] = scalar(args.a)
-        params["beta"] = scalar(args.beta)
-    elif kind == "elliptic":
-        params["c2"] = scalar(args.c2 if args.c2 is not None else 0)
-        params["c1"] = scalar(args.c1 if args.c1 is not None else -1)
-        params["c0"] = scalar(args.c0 if args.c0 is not None else 0)
-        if args.g != 1:
-            raise CommdiffError("elliptic family supports genus 1 only")
-    else:
-        raise CommdiffError(f"unknown family {kind!r}")
-    return FamilySpec(kind, args.g, params)
+    """The family's parameter flags that are set; FamilySpec supplies the
+    defaults and names a missing required one."""
+    names = FAMILY_PARAMS[args.family]
+    params = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+    return FamilySpec(args.family, args.g, params)
 
 
 def _config_doc(args, command, spec=None) -> dict:
@@ -177,7 +138,7 @@ def cmd_curve(args) -> int:
     report = extract_curve(L2, partner, n0_list=(-1, 0, 1))
     dev = report.agreement(state.curve.c)
     payload = {
-        "spectral": json.loads(report.to_json()),
+        "spectral": report.doc(),
         "dressing_curve": [mpf_to_str(c) for c in state.curve.c],
         "curve_agreement_abs": mpf_to_str(dev) if dev is not None else None,
     }
@@ -200,7 +161,7 @@ def cmd_partner(args) -> int:
         "order": partner.order,
         "monic": partner.is_monic(),
         "commutator_residual_rel": mpf_to_str(comm_rel),
-        "state": json.loads(state.to_json()),
+        "state": state.doc(),
     }
     payload.update(extras)
     return _emit(args, "partner", config, payload, comm_rel <= tol)
@@ -226,7 +187,7 @@ def cmd_lame(args) -> int:
     }
     if len(eps_list) >= 2:
         rep = lame_curve_independence(ctx, eps_list, x0)
-        payload["independence"] = json.loads(rep.to_json())
+        payload["independence"] = rep.doc()
         ok = ok and rep.passes()
     return _emit(args, "lame", config, payload, ok)
 
@@ -238,33 +199,24 @@ def cmd_rank2(args) -> int:
     return _emit(args, "rank2", config, report, passed)
 
 
-# Every option defaults to None, so that _resolve_options can tell an unset
-# option from a set one: flags > config file > DEFAULTS.
 def _add_common(p):
-    p.add_argument("--precision", type=int, default=None, help="significand bits (>= 53)")
-    p.add_argument("--tolerance", type=str, default=None)
-    p.add_argument("--window", type=int, nargs=2, default=None,
+    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS,
+                   help="significand bits (>= 53)")
+    p.add_argument("--tolerance", type=str, default="1e-9")
+    p.add_argument("--window", type=int, nargs=2, default=(-24, 24),
                    metavar=("N_MIN", "N_MAX"))
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--rerun", action="store_true", default=None,
-                   help="overwrite an existing report")
+    p.add_argument("--out", type=str, default="reports")
+    p.add_argument("--rerun", action="store_true", help="overwrite an existing report")
     p.add_argument("--config", type=str, default=None,
                    help="JSON file with defaults for any of the above")
 
 
 def _add_family(p):
-    p.add_argument("--family", required=True, choices=("trig", "poly", "geom", "elliptic"))
+    p.add_argument("--family", required=True, choices=tuple(FAMILY_PARAMS))
     p.add_argument("--g", type=int, required=True)
-    p.add_argument("--r1", type=str, default=None)
-    p.add_argument("--a2", type=str, default=None)
-    p.add_argument("--a1", type=str, default=None)
-    p.add_argument("--a0", type=str, default=None)
-    p.add_argument("--a", type=str, default=None)
-    p.add_argument("--beta", type=str, default=None)
-    p.add_argument("--c2", type=str, default=None)
-    p.add_argument("--c1", type=str, default=None)
-    p.add_argument("--c0", type=str, default=None)
-    p.add_argument("--seed", type=int, default=None,
+    for name in (k for params in FAMILY_PARAMS.values() for k in params):
+        p.add_argument(f"--{name}", type=str, default=None)
+    p.add_argument("--seed", type=int, default=1234,
                    help="seeds the elliptic family's random gamma_n")
 
 
@@ -291,12 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_partner)
 
     p = sub.add_parser("lame", help="lattice operator continuum and curve-stability checks")
-    p.add_argument("--g2", type=str, default=None)
-    p.add_argument("--g3", type=str, default=None)
-    p.add_argument("--eps", type=str, nargs="*", default=None,
+    p.add_argument("--g2", type=str, default="4")
+    p.add_argument("--g3", type=str, default="0")
+    p.add_argument("--eps", type=str, nargs="*", default=("0.1", "0.05"),
                    help="step sizes, space-separated")
-    p.add_argument("--x0", type=str, default=None)
-    p.add_argument("--g-list", dest="g_list", type=int, nargs="*", default=None)
+    p.add_argument("--x0", type=str, default="0.73")
+    p.add_argument("--g-list", dest="g_list", type=int, nargs="*", default=(1, 2, 3))
     _add_common(p)
     p.set_defaults(fn=cmd_lame)
 
@@ -306,37 +258,46 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _resolve_options(args):
-    """Fill every option the command line left unset, from the --config file
-    and then from DEFAULTS.  A config key that names no option of the
-    command is a usage error."""
-    options = [k for k in vars(args) if k not in NOT_OPTIONS]
-    if args.config is not None:
-        doc = json.loads(Path(args.config).read_text())
-        if not isinstance(doc, dict):
-            raise CommdiffError("a --config file holds one JSON object")
-        for key, val in doc.items():
-            attr = key.replace("-", "_")
-            if attr not in options:
-                raise CommdiffError(f"unknown config key {key!r} for {args.command}")
-            if getattr(args, attr) is None:
-                setattr(args, attr, val)
-    for attr in options:
-        if getattr(args, attr) is None and attr in DEFAULTS:
-            setattr(args, attr, DEFAULTS[attr])
+def _config_argv(args) -> list:
+    """The flags that the --config file of a parsed command stands for.
+
+    Each key names an option of the command ("g-list" or "g_list" for
+    --g-list); a list value gives a multi-value option its arguments, true
+    is a bare flag and false none.  A key that names no option is a usage
+    error."""
+    doc = json.loads(Path(args.config).read_text())
+    if not isinstance(doc, dict):
+        raise CommdiffError("a --config file holds one JSON object")
+    argv = []
+    for key, val in doc.items():
+        attr = key.replace("-", "_")
+        # command, fn and config are namespace entries, not options
+        if attr in ("command", "fn", "config") or attr not in vars(args):
+            raise CommdiffError(f"unknown config key {key!r} for {args.command}")
+        flag = "--" + attr.replace("_", "-")
+        if isinstance(val, list):
+            argv += [flag, *map(str, val)]
+        elif val is True:
+            argv.append(flag)
+        elif val is not False:
+            argv.append(f"{flag}={val}")
+    return argv
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        _resolve_options(args)
-        set_precision(args.precision)
-        if scalar(args.tolerance) <= 0:
-            raise CommdiffError("tolerance must be positive")
-        if args.window[1] < args.window[0]:
-            raise CommdiffError("empty window")
-        return args.fn(args)
+        if args.config is not None:
+            # the file's flags go first, so a command-line flag beats them
+            args = ap.parse_args(argv[:1] + _config_argv(args) + argv[1:])
+        with mp.workprec(check_precision(args.precision)):
+            if scalar(args.tolerance) <= 0:
+                raise CommdiffError("tolerance must be positive")
+            if args.window[1] < args.window[0]:
+                raise CommdiffError("empty window")
+            return args.fn(args)
     except (CommdiffError, ValueError, OSError) as err:
         # OSError: an unreadable --config file or an unwritable --out
         print(f"error: {err}", file=sys.stderr)

@@ -20,8 +20,6 @@ nature, every verification here is pure and parallelizes over (n, z, P).
 
 from __future__ import annotations
 
-import json
-
 from mpmath import mp, mpf, sqrt, cos
 
 from . import linalg
@@ -204,9 +202,10 @@ class DressingState:
     def l2(self) -> DiffOp:
         return l2_operator(self.U, self.W)
 
-    def to_json(self) -> str:
+    def doc(self) -> dict:
+        """The state as JSON-ready data: curve, window and decimal tables."""
         lo, hi = self.window
-        doc = {
+        return {
             "g": self.curve.g,
             "curve": [mpf_to_str(c) for c in self.curve.c],
             "window": [lo, hi],
@@ -215,11 +214,9 @@ class DressingState:
             "U": [mpf_to_str(self.U.at(n)) for n in range(lo, hi + 1)],
             "W": [mpf_to_str(self.W.at(n)) for n in range(lo, hi + 1)],
         }
-        return json.dumps(doc, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "DressingState":
-        doc = json.loads(text)
+    def from_doc(cls, doc: dict) -> "DressingState":
         lo, hi = int(doc["window"][0]), int(doc["window"][1])
         g = int(doc["g"])
         curve = HyperellipticCurve(g, [str_to_mpf(s) for s in doc["curve"]])

@@ -17,29 +17,44 @@ from .errors import DegenerateDenominatorError
 from .numcore import HyperellipticCurve, mpf_to_str, scalar
 from .opalg import CoeffSeq, DiffOp
 
-FAMILY_KINDS = ("trig", "poly", "geom", "elliptic")
+# each family's parameters: None marks a required one, a value its default;
+# the elliptic family is genus 1 only
+FAMILY_PARAMS = {
+    "trig": {"r1": None},
+    "poly": {"a2": None, "a1": 0, "a0": 0},
+    "geom": {"a": None, "beta": None},
+    "elliptic": {"c2": 0, "c1": -1, "c0": 0},
+}
 
 
 class FamilySpec:
-    """Declarative family description: kind, genus, named parameters."""
+    """Declarative family description: kind, genus, named parameters, with
+    the FAMILY_PARAMS defaults filled in."""
 
     __slots__ = ("kind", "g", "params")
 
     def __init__(self, kind: str, g: int, params: dict):
-        if kind not in FAMILY_KINDS:
+        if kind not in FAMILY_PARAMS:
             raise ValueError(f"unknown family kind {kind!r}")
         self.kind = kind
         self.g = int(g)
         if self.g < 1:
             raise ValueError("genus must be >= 1")
-        self.params = {k: scalar(v) for k, v in params.items()}
+        if kind == "elliptic" and self.g != 1:
+            raise ValueError("elliptic family supports genus 1 only")
+        table = FAMILY_PARAMS[kind]
+        unknown = set(params) - set(table)
+        if unknown:
+            raise ValueError(f"{kind} family has no parameter {sorted(unknown)}")
+        missing = [k for k, d in table.items() if d is None and k not in params]
+        if missing:
+            raise ValueError(f"{kind} family needs {' and '.join(missing)}")
+        self.params = {k: scalar(params.get(k, d)) for k, d in table.items()}
 
     @property
     def even(self) -> bool:
         """U and W even in n: trig, or poly without a linear term."""
-        return self.kind == "trig" or (
-            self.kind == "poly" and self.params.get("a1", mpf(0)) == 0
-        )
+        return self.kind == "trig" or (self.kind == "poly" and self.params["a1"] == 0)
 
     def doc(self) -> dict:
         """The spec as JSON-ready data: kind, genus and decimal parameters."""
@@ -141,20 +156,15 @@ def elliptic_family(c2, c1, c0, gamma: CoeffSeq, sigma=None) -> tuple:
 
 
 def family_from_spec(spec: FamilySpec, window):
-    """Instantiate (U, W) for a FamilySpec; elliptic needs gamma in params via
-    gamma_lo/gamma_step or is built by the caller with an explicit sequence."""
+    """Instantiate (U, W) for a FamilySpec; the elliptic family needs an
+    explicit gamma sequence, which build_case draws."""
+    p = spec.params
     if spec.kind == "trig":
-        return trig_family(spec.g, spec.params["r1"], window)
+        return trig_family(spec.g, p["r1"], window)
     if spec.kind == "poly":
-        return poly_family(
-            spec.g,
-            spec.params["a2"],
-            spec.params.get("a0", mpf(0)),
-            spec.params.get("a1", mpf(0)),
-            window,
-        )
+        return poly_family(spec.g, p["a2"], p["a0"], p["a1"], window)
     if spec.kind == "geom":
-        return geom_family(spec.g, spec.params["beta"], spec.params["a"], window)
+        return geom_family(spec.g, p["beta"], p["a"], window)
     raise ValueError(f"family {spec.kind!r} needs an explicit gamma sequence")
 
 

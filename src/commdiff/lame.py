@@ -12,8 +12,6 @@ verify both numerically.
 
 from __future__ import annotations
 
-import json
-
 from mpmath import mpf, sqrt, pi, agm, polyroots, floor, log, cos
 
 from .errors import InconsistentDataError, LatticeProximityError
@@ -256,9 +254,11 @@ def _genus1_parameters(ctx: WeierstrassContext, eps, x0):
     )
 
 
-def _chain_residual(params, u1, u0) -> mpf:
-    """The largest z^0 residual of the genus-1 master identity over
-    CHAIN_SITES lattice sites from n = 0.
+def _genus1_chains(params, u1, u0, window):
+    """gamma_n and S_n(gamma_n) on the window, marched from the closed-form
+    (gamma0, U0), and the chain residual: the largest z^0 residual of the
+    genus-1 master identity over CHAIN_SITES lattice sites from n = 0, which
+    the window must cover.
 
     The master identity for a genus-1 state with Q_n = z - gamma_n reduces,
     coefficient by coefficient in z, to a three-term chain: gamma advances by
@@ -266,19 +266,6 @@ def _chain_residual(params, u1, u0) -> mpf:
     the S constant term delta_n, and the z^0 coefficient leaves one residual
     per lattice site.
     """
-    c2, c1, c0, g_cur, U_cur = params
-    worst = mpf(0)
-    for n in range(CHAIN_SITES):
-        g_next = U_cur**2 - u0 - c2 - g_cur
-        delta = (g_cur * g_next + u0 * (g_cur + g_next) - c1) / (2 * U_cur)
-        worst = max(worst, abs(delta**2 - u0 * g_cur * g_next - c0))
-        U_cur = u1(n) - U_cur
-        g_cur = g_next
-    return worst
-
-
-def _gamma_u_s_chains(params, u1, u0, window):
-    """Tabulate gamma, U, and S(gamma) values on the window from the solve."""
     c2, c1, c0, g0, U0 = params
     lo, hi = int(window[0]), int(window[1])
     gam = {0: g0}
@@ -289,12 +276,15 @@ def _gamma_u_s_chains(params, u1, u0, window):
     for n in range(0, lo, -1):
         U[n - 1] = u1(n - 1) - U[n]
         gam[n - 1] = U[n - 1] ** 2 - u0 - c2 - gam[n]
-
-    def delta(n):
-        return (gam[n] * gam[n + 1] + u0 * (gam[n] + gam[n + 1]) - c1) / (2 * U[n])
-
-    s = {n: -U[n] * gam[n] + delta(n) for n in range(lo, hi)}
-    return gam, U, s
+    delta = {
+        n: (gam[n] * gam[n + 1] + u0 * (gam[n] + gam[n + 1]) - c1) / (2 * U[n])
+        for n in range(lo, hi)
+    }
+    s = {n: -U[n] * gam[n] + delta[n] for n in range(lo, hi)}
+    residual = max(
+        abs(delta[n] ** 2 - u0 * gam[n] * gam[n + 1] - c0) for n in range(CHAIN_SITES)
+    )
+    return gam, s, residual
 
 
 class LameIndependenceReport:
@@ -310,8 +300,9 @@ class LameIndependenceReport:
             e["newton_residual"] <= NEWTON_TOL for e in self.entries
         )
 
-    def to_json(self) -> str:
-        doc = {
+    def doc(self) -> dict:
+        """The report as JSON-ready data, with decimal values."""
+        return {
             "invariants": {"g2": mpf_to_str(self.g2), "g3": mpf_to_str(self.g3)},
             "x0": mpf_to_str(self.x0),
             "cross_eps_curve_deviation": mpf_to_str(self.curve_deviation),
@@ -326,7 +317,6 @@ class LameIndependenceReport:
                 for e in self.entries
             ],
         }
-        return json.dumps(doc, sort_keys=True)
 
 
 def lame_curve_independence(ctx: WeierstrassContext, eps_list, x0) -> LameIndependenceReport:
@@ -351,21 +341,21 @@ def lame_curve_independence(ctx: WeierstrassContext, eps_list, x0) -> LameIndepe
         A1 = ag_build(ctx, 1, eps)
         u0 = eps**2 * ctx.wp(eps)
         # zeta evaluations are the expensive part: tabulate the T-coefficient
-        # once, covering both the chain sites and the partner window
-        tab_lo = min(wlo - 2, -1)
-        tab_hi = max(whi + 4, CHAIN_SITES + 1)
-        u1_tab = {n: eps * A1(x0 + n * eps) for n in range(tab_lo, tab_hi + 1)}
+        # once, on the chain window, which covers both the chain sites and the
+        # partner window
+        chain_window = (wlo - 1, max(whi + 4, CHAIN_SITES))
+        u1_tab = {n: eps * A1(x0 + n * eps) for n in range(*chain_window)}
         u1 = u1_tab.__getitem__
 
         params = _genus1_parameters(ctx, eps, x0)
         c2, c1, c0 = params[0], params[1], params[2]
 
-        gam, _U, s = _gamma_u_s_chains(params, u1, u0, (wlo - 1, whi + 4))
+        gam, s, chain_residual = _genus1_chains(params, u1, u0, chain_window)
         gamma_seq = CoeffSeq(wlo - 1, [gam[n] for n in range(wlo - 1, whi + 4)])
         sigma_seq = CoeffSeq(
             wlo - 1, [mpf(1) if s[n] >= 0 else mpf(-1) for n in range(wlo - 1, whi + 4)]
         )
-        Ue, We, L3 = elliptic_family(c2, c1, c0, gamma_seq, sigma_seq)
+        L3 = elliptic_family(c2, c1, c0, gamma_seq, sigma_seq)[2]
 
         l2m = DiffOp.build({2: 1, 1: u1, 0: u0}, (wlo - 1, whi + 3))
         report = extract_curve(l2m, L3, n0_list=(-1, 0, 1), commutation_tol=mpf("1e-7"))
@@ -379,7 +369,7 @@ def lame_curve_independence(ctx: WeierstrassContext, eps_list, x0) -> LameIndepe
         entries.append(
             {
                 "eps": eps,
-                "newton_residual": _chain_residual(params, u1, u0),
+                "newton_residual": chain_residual,
                 "params": params,
                 "commutator_residual_rel": report.commutator_residual_rel,
                 "curve_monic": cm,

@@ -18,13 +18,18 @@ DEFAULT_PRECISION_BITS = 113
 MIN_PRECISION_BITS = 53
 
 
-def set_precision(bits: int) -> int:
-    """Set the working significand size in bits (>= 53). Returns the value set."""
+def check_precision(bits: int) -> int:
+    """bits as an int, if it is a valid significand size (>= 53)."""
     bits = int(bits)
     if bits < MIN_PRECISION_BITS:
         raise ValueError(f"precision must be at least {MIN_PRECISION_BITS} bits, got {bits}")
-    mp.prec = bits
     return bits
+
+
+def set_precision(bits: int) -> int:
+    """Set the working significand size in bits (>= 53). Returns the value set."""
+    mp.prec = check_precision(bits)
+    return mp.prec
 
 
 def get_precision() -> int:

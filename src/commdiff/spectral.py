@@ -16,7 +16,6 @@ identity) turns the commutation hypothesis into a measured quantity.
 
 from __future__ import annotations
 
-import json
 from functools import reduce
 from operator import add
 
@@ -205,8 +204,9 @@ class CurveReport:
             and dev <= CURVE_TOL * max(mpf(1), max(abs(c) for c in curve_c))
         )
 
-    def to_json(self) -> str:
-        doc = {
+    def doc(self) -> dict:
+        """The report as JSON-ready data, with decimal coefficients."""
+        return {
             "g": self.g,
             "trace": [mpf_to_str(c) for c in self.trace_poly.coeffs],
             "det": [mpf_to_str(c) for c in self.det_poly.coeffs],
@@ -217,7 +217,6 @@ class CurveReport:
             "closure_defect": mpf_to_str(self.closure_defect),
             "commutator_residual_rel": mpf_to_str(self.commutator_residual_rel),
         }
-        return json.dumps(doc, sort_keys=True)
 
 
 def extract_curve(
@@ -279,19 +278,6 @@ class Rank2CurveReport:
         self.mismatch_rel = mismatch_rel
         self.closure_defect = closure_defect
         self.commutator_residual_rel = commutator_residual_rel
-
-    def to_json(self) -> str:
-        doc = {
-            "char": {
-                str(k): [mpf_to_str(c) for c in p.coeffs]
-                for k, p in self.char_polys.items()
-            },
-            "expected_r": [mpf_to_str(c) for c in self.expected_r.coeffs],
-            "mismatch_rel": mpf_to_str(self.mismatch_rel),
-            "closure_defect": mpf_to_str(self.closure_defect),
-            "commutator_residual_rel": mpf_to_str(self.commutator_residual_rel),
-        }
-        return json.dumps(doc, sort_keys=True)
 
 
 def _coefficient_commutator_rel(AB: DiffOp, BA: DiffOp) -> mpf:

@@ -4,13 +4,7 @@ import pytest
 
 from commdiff.cli import main
 from commdiff.families import FamilySpec, build_case
-from commdiff.numcore import mpf_to_str, set_precision
-
-
-@pytest.fixture(autouse=True)
-def restore_precision():
-    yield
-    set_precision(113)
+from commdiff.numcore import get_precision, mpf_to_str
 
 
 def run(argv):
@@ -206,6 +200,15 @@ def test_precision_zero_is_a_usage_error(tmp_path):
                 "--out", str(tmp_path / "r")]) == 2
 
 
+def test_precision_is_scoped_to_the_call(tmp_path):
+    before = get_precision()
+    out = tmp_path / "reports"
+    assert run(["rank2", "--precision", "60", "--out", str(out)]) == 0
+    assert get_precision() == before
+    (path,) = report_files(out)
+    assert json.loads(path.read_text())["config"]["precision_bits"] == 60
+
+
 def test_config_file_sets_options_with_builtin_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 7}))
@@ -235,3 +238,30 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     cfg.write_text(json.dumps({"z-interval": [-4, 4]}))
     assert run(["rank2", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
     assert "z-interval" in capsys.readouterr().err
+
+
+def test_malformed_config_value_is_a_usage_error(tmp_path, capsys):
+    # config values are parsed like the flags: --window takes two integers
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"window": 5}))
+    with pytest.raises(SystemExit) as exc:
+        run(["rank2", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--window" in err
+    assert "Traceback" not in err
+
+
+def test_config_values_are_typed_like_flags(tmp_path):
+    # "1", 1 and the flag --g-list 1 are one run, with one report name
+    names = set()
+    for i, g_list in enumerate((["1"], [1])):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps({"g_list": g_list, "eps": ["0.1", "0.05"]}))
+        out = tmp_path / f"r{i}"
+        assert run(["lame", "--config", str(cfg), "--out", str(out)]) == 0
+        names.add(report_files(out)[0].name)
+    out = tmp_path / "flags"
+    assert run(["lame", "--g-list", "1", "--eps", "0.1", "0.05", "--out", str(out)]) == 0
+    names.add(report_files(out)[0].name)
+    assert len(names) == 1

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -467,7 +468,7 @@ def test_fixture_checks_hold_at_minimum_precision():
 
 def test_state_json_roundtrip():
     state, _ = geometric_fixture((-6, 6))
-    back = DressingState.from_json(state.to_json())
+    back = DressingState.from_doc(json.loads(json.dumps(state.doc())))
     assert back.window == state.window
     for n in range(-5, 6):
         assert (back.s(n) - state.s(n)).sup_norm() == 0

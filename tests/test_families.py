@@ -211,3 +211,16 @@ def test_basis_for_selects_odd_extension():
     assert isinstance(basis_for(spec), PowerBasis)
     spec2 = FamilySpec("poly", 2, {"a2": mpf(1), "a0": mpf(0), "a1": mpf(0)})
     assert isinstance(basis_for(spec2), EvenPowerBasis)
+
+
+def test_family_spec_fills_defaults_and_names_missing_parameters():
+    spec = FamilySpec("poly", 2, {"a2": 1, "a0": 0})
+    assert spec.params == {"a2": 1, "a1": 0, "a0": 0}
+    assert spec.even
+    assert FamilySpec("elliptic", 1, {}).params == {"c2": 0, "c1": -1, "c0": 0}
+    with pytest.raises(ValueError, match="needs a and beta"):
+        FamilySpec("geom", 1, {})
+    with pytest.raises(ValueError, match="no parameter"):
+        FamilySpec("trig", 1, {"r1": 1, "a2": 1})
+    with pytest.raises(ValueError, match="genus 1 only"):
+        FamilySpec("elliptic", 2, {})

@@ -3,10 +3,11 @@ from mpmath import mpf
 
 from commdiff.errors import LatticeProximityError
 from commdiff.lame import (
+    CHAIN_SITES,
     NEWTON_TOL,
     LameIndependenceReport,
     WeierstrassContext,
-    _chain_residual,
+    _genus1_chains,
     ag_build,
     continuum_check,
     continuum_slope,
@@ -176,7 +177,8 @@ def test_curve_independence_detects_broken_operator():
     A1 = ag_build(CTX, 1, eps)
     u0 = eps**2 * CTX.wp(eps)
     bumped = lambda n: eps * A1(x0 + n * eps) + mpf("0.01")
-    broken = dict(entry, newton_residual=_chain_residual(entry["params"], bumped, u0))
+    _gam, _s, chain = _genus1_chains(entry["params"], bumped, u0, (0, CHAIN_SITES))
+    broken = dict(entry, newton_residual=chain)
     assert broken["newton_residual"] > NEWTON_TOL
     assert not LameIndependenceReport(
         rep.g2, rep.g3, rep.x0, [broken], rep.curve_deviation
@@ -185,10 +187,9 @@ def test_curve_independence_detects_broken_operator():
     # partner from the unperturbed parameters no longer commutes
     l2_bad = DiffOp.build({2: 1, 1: bumped, 0: u0}, (-8, 8))
     from commdiff.opalg import CoeffSeq
-    from commdiff.lame import _gamma_u_s_chains
 
-    gam, _, s = _gamma_u_s_chains(
-        entry["params"], lambda n: eps * A1(x0 + n * eps), u0, (-6, 9)
+    gam, s, _chain = _genus1_chains(
+        entry["params"], lambda n: eps * A1(x0 + n * eps), u0, (-6, 10)
     )
     gamma_seq = CoeffSeq(-6, [gam[n] for n in range(-6, 9)])
     sigma_seq = CoeffSeq(-6, [mpf(1) if s[n] >= 0 else mpf(-1) for n in range(-6, 9)])

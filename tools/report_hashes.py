@@ -1,7 +1,8 @@
 """Print the sha256 of every CLI report for a fixed list of configurations.
 
 Two checkouts that print the same lines write byte-identical reports and
-partner-operator files for every configuration below.  Each command runs in
+partner-operator files for every configuration below, including the ones
+that read their options from a --config file.  Each command runs in
 a fresh interpreter on the given source tree, in a temporary directory, with
 a relative output directory, so that no absolute path reaches a report.
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -74,6 +76,14 @@ OTHERS = [
 
 CONFIGS = CRITERION_1 + ODD_EXTENSION + NON_MONIC + CURVES + PARTNERS + MORE + OTHERS
 
+# commands that read options from a --config file: each pairs its argv with
+# the file's JSON object, written to config-<i>.json in the temporary directory
+CONFIG_FILES = [
+    (["verify", "--family", "poly", "--g", "2"],
+     {"a2": "1", "a0": "0", "window": [-10, 10]}),
+    (["lame"], {"g-list": [1, 2], "eps": ["0.1", "0.05"]}),
+]
+
 
 def main(argv=None) -> int:
     default_src = Path(__file__).resolve().parent.parent / "src"
@@ -83,14 +93,19 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     env = dict(os.environ)
-    env.pop("COMMDIFF_PRECISION_BITS", None)
     env["PYTHONPATH"] = str(args.src.resolve())
     status = 0
     with tempfile.TemporaryDirectory(prefix="report-hashes-") as tmp:
-        for argv_ in CONFIGS:
+        runs = [(argv_, None) for argv_ in CONFIGS] + CONFIG_FILES
+        for i, (argv_, config) in enumerate(runs):
+            if config is not None:
+                name = f"config-{i}.json"
+                (Path(tmp) / name).write_text(json.dumps(config))
+                argv_ = [*argv_, "--config", name]
             cmd = [sys.executable, "-m", "commdiff.cli", *argv_, "--out", "reports"]
             proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True)
-            print(f"exit {proc.returncode}: {' '.join(argv_)}")
+            suffix = f" with {json.dumps(config)}" if config is not None else ""
+            print(f"exit {proc.returncode}: {' '.join(argv_)}{suffix}")
             if proc.returncode == 2:
                 status = 1
                 print(proc.stderr.strip())
