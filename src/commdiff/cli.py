@@ -212,8 +212,9 @@ def _add_common(p):
 
 
 def _add_family(p):
-    p.add_argument("--family", required=True, choices=tuple(FAMILY_PARAMS))
-    p.add_argument("--g", type=int, required=True)
+    # required, but a --config file may supply them: main checks after the merge
+    p.add_argument("--family", choices=tuple(FAMILY_PARAMS))
+    p.add_argument("--g", type=int)
     for name in (k for params in FAMILY_PARAMS.values() for k in params):
         p.add_argument(f"--{name}", type=str, default=None)
     p.add_argument("--seed", type=int, default=1234,
@@ -292,6 +293,11 @@ def main(argv=None) -> int:
         if args.config is not None:
             # the file's flags go first, so a command-line flag beats them
             args = ap.parse_args(argv[:1] + _config_argv(args) + argv[1:])
+        opts = vars(args)
+        # lame and rank2 have neither option
+        missing = [f"--{k}" for k in ("family", "g") if k in opts and opts[k] is None]
+        if missing:
+            raise CommdiffError(f"the following arguments are required: {', '.join(missing)}")
         with mp.workprec(check_precision(args.precision)):
             if scalar(args.tolerance) <= 0:
                 raise CommdiffError("tolerance must be positive")

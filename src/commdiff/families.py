@@ -184,11 +184,11 @@ def build_case(spec: FamilySpec, window, seed: int = 1234):
     """Family -> (L2, partner, state, extras) on tables wide enough that the
     commutator of the pair is valid on `window`.
 
-    The state covers [lo - 2, hi + 2g + 3], U and W two more on each side,
-    and the elliptic gamma_n = 2 + u_n (u_n drawn from random.Random(seed))
-    one more on the right.  extras holds the report entries the pipeline
-    adds: w_sign (geom), ansatz_residual_rel (sampled solve) and
-    gamma_window (elliptic).
+    The state covers [lo - 2, hi + 2g + 3]; U and W two more on each side
+    and at least the sampled solve's grid; the elliptic gamma_n = 2 + u_n
+    (u_n drawn from random.Random(seed)) one more on the right.  extras
+    holds the report entries the pipeline adds: w_sign (geom),
+    ansatz_residual_rel (sampled solve) and gamma_window (elliptic).
     """
     lo, hi = int(window[0]), int(window[1])
     slo, shi = lo - 2, hi + 2 * spec.g + 3
@@ -203,10 +203,14 @@ def build_case(spec: FamilySpec, window, seed: int = 1234):
         curve = HyperellipticCurve(1, (c0, c1, c2))
         state = dressing.elliptic_dressing_state(curve, gamma, window=(slo, shi))
         return state.l2(), partner, state, {"gamma_window": list(gamma.window)}
-    U, W = family_from_spec(spec, uw_window)
+    basis = basis_for(spec)
+    # the sampled solve reads U and W on [-(size + 3), size + 4], whatever
+    # the window
+    reach = basis.size + 4
+    U, W = family_from_spec(spec, (min(uw_window[0], -reach), max(uw_window[1], reach)))
     # the solver's no-solution threshold stays fixed; callers' tolerances
     # govern their own checks only
-    result = dressing.ansatz_solve(basis_for(spec), U, W)
+    result = dressing.ansatz_solve(basis, U, W)
     state = result.state(U, W, (slo, shi))
     L2 = state.l2()
     extras = {"ansatz_residual_rel": mpf_to_str(result.info["resid_rel"])}

@@ -2,17 +2,17 @@
 zeta differences, their continuum limit, and the genus-1 spectral-curve
 stability check across step sizes.
 
-wp and zeta are evaluated from the Laurent expansion around 0 (recursive
-coefficients in g2, g3) followed by argument duplication, with real-axis
-reduction by the period 2*omega1 and the quasi-period shift for zeta.  The
-classical differential equation (wp')^2 = 4 wp^3 - g2 wp - g3 and
-zeta' = -wp pin the conventions; the consistency checks in the test-suite
-verify both numerically.
+wp, wp' and zeta are Jacobi theta quotients via mpmath.jtheta (DLMF 23.6),
+with the nome of the rectangular real lattice; the branch points
+e1 > e2 > e3, the roots of 4 e^3 - g2 e - g3, come from Viete's
+trigonometric form.  The classical differential equation
+(wp')^2 = 4 wp^3 - g2 wp - g3 and zeta' = -wp pin the conventions; the
+consistency checks in the test-suite verify both numerically.
 """
 
 from __future__ import annotations
 
-from mpmath import mpf, sqrt, pi, agm, polyroots, floor, log, cos
+from mpmath import mpf, sqrt, pi, agm, acos, exp, jtheta, floor, log, cos
 
 from .errors import InconsistentDataError, LatticeProximityError
 from .numcore import mpf_to_str, scalar
@@ -34,15 +34,17 @@ NEWTON_TOL = mpf("1e-8")
 DEFAULT_SLOPE_EPS = ("0.0125", "0.00625", "0.003125")
 
 
-# terms of the Laurent series of wp around 0
-LAURENT_TERMS = 48
-
-
 class WeierstrassContext:
     """Evaluators for wp, wp', zeta on the real line for invariants (g2, g3).
 
     Requires a positive discriminant (three real branch points) so the real
-    period lattice is rectangular; complex lattices are out of scope.
+    period lattice is rectangular; complex lattices are out of scope.  With
+    k = pi / (2 omega1), the nome q = exp(-pi omega2_mag / omega1) and
+    v = k x (theta_j at nome q, primes in v):
+
+        wp(x)   = e1 + (k theta3(0) theta4(0) theta2(v) / theta1(v))^2
+        zeta(x) = eta1 x / omega1 + k theta1'(v) / theta1(v)
+        eta1    = zeta(omega1) = -k^2 omega1 theta1'''(0) / (3 theta1'(0))
     """
 
     def __init__(self, g2, g3):
@@ -50,75 +52,32 @@ class WeierstrassContext:
         disc = self.g2**3 - 27 * self.g3**2
         if disc <= 0:
             raise ValueError(f"need g2^3 - 27 g3^2 > 0 for a real lattice, got {disc}")
-        roots = polyroots([mpf(4), mpf(0), -self.g2, -self.g3])
-        reals = sorted((r.real for r in roots), reverse=True)
-        self.e1, self.e2, self.e3 = reals
+        t = acos(3 * sqrt(3) * self.g3 / self.g2 ** (mpf(3) / 2)) / 3
+        r = 2 * sqrt(self.g2 / 12)
+        self.e1, self.e2, self.e3 = (r * cos(t - 2 * pi * j / 3) for j in range(3))
         self.omega1 = pi / (2 * agm(sqrt(self.e1 - self.e3), sqrt(self.e1 - self.e2)))
         self.omega2_mag = pi / (2 * agm(sqrt(self.e1 - self.e3), sqrt(self.e2 - self.e3)))
-        c = {2: self.g2 / 20, 3: self.g3 / 28}
-        for k in range(4, LAURENT_TERMS + 1):
-            c[k] = (
-                mpf(3)
-                / ((2 * k + 1) * (k - 3))
-                * sum(c[m] * c[k - m] for m in range(2, k - 1))
-            )
-        self._c = c
-        self._r0 = mpf("0.35") * 2 * min(self.omega1, self.omega2_mag)
-        self._eta1 = None
-        self._eta1 = self._eval_reduced(self.omega1)[2]
-
-    @property
-    def eta1(self) -> mpf:
-        return self._eta1
-
-    def _series(self, t):
-        t2 = t * t
-        p = 1 / t2
-        dp = -2 / (t2 * t)
-        zt = 1 / t
-        tpow = t2
-        for k in range(2, LAURENT_TERMS + 1):
-            ck = self._c[k]
-            p += ck * tpow
-            dp += (2 * k - 2) * ck * tpow / t
-            zt -= ck * tpow * t / (2 * k - 1)
-            tpow *= t2
-        return p, dp, zt
-
-    def _duplicate(self, p, dp, zt):
-        r = 6 * p * p - self.g2 / 2
-        s = 12 * p * dp
-        zt2 = 2 * zt + r / (2 * dp)
-        p2 = (r / (2 * dp)) ** 2 - 2 * p
-        dp2 = r * (s * dp - r * r) / (4 * dp**3) - dp
-        return p2, dp2, zt2
-
-    def _eval_reduced(self, x):
-        sign = 1
-        if x < 0:
-            x, sign = -x, -1
-        halvings = 0
-        while x / 2**halvings > self._r0:
-            halvings += 1
-        p, dp, zt = self._series(x / 2**halvings)
-        for _ in range(halvings):
-            p, dp, zt = self._duplicate(p, dp, zt)
-        if sign < 0:
-            dp, zt = -dp, -zt
-        return p, dp, zt
+        self._k = pi / (2 * self.omega1)
+        self._q = q = exp(-pi * self.omega2_mag / self.omega1)
+        self._c = self._k * jtheta(3, 0, q) * jtheta(4, 0, q)
+        self.eta1 = -self._k**2 * self.omega1 * jtheta(1, 0, q, 3) / (3 * jtheta(1, 0, q, 1))
 
     def triple(self, x):
-        """(wp(x), wp'(x), zeta(x)) with real-axis lattice reduction."""
+        """(wp(x), wp'(x), zeta(x)); x must stay LATTICE_PROXIMITY away from
+        the real lattice points 2 m omega1."""
         x = scalar(x)
         m = int(floor(x / (2 * self.omega1) + mpf(1) / 2))
-        xr = x - 2 * m * self.omega1
-        if abs(xr) < LATTICE_PROXIMITY:
+        if abs(x - 2 * m * self.omega1) < LATTICE_PROXIMITY:
             raise LatticeProximityError(
                 f"argument {x} is within {LATTICE_PROXIMITY} of lattice point "
                 f"{2 * m * self.omega1}"
             )
-        p, dp, zt = self._eval_reduced(xr)
-        return p, dp, zt + 2 * m * self._eta1
+        v, q = self._k * x, self._q
+        t1, d1 = jtheta(1, v, q), jtheta(1, v, q, 1)
+        t2, d2 = jtheta(2, v, q), jtheta(2, v, q, 1)
+        ratio = self._c * t2 / t1
+        dp = 2 * self._k * self._c * ratio * (d2 * t1 - t2 * d1) / t1**2
+        return self.e1 + ratio**2, dp, self.eta1 * x / self.omega1 + self._k * d1 / t1
 
     def wp(self, x) -> mpf:
         return self.triple(x)[0]
@@ -144,36 +103,32 @@ def ag_build(ctx: WeierstrassContext, g: int, eps):
         raise ValueError(f"Lame operator needs genus >= 1, got {g}")
     eps = scalar(eps)
     z = ctx.zeta
+    # the x-independent zeta values, once per call
+    z_eps = z(eps)
 
     def a1(x):
-        return -2 * z(eps) - z(x - eps) + z(x + eps)
-
-    def a2(x):
-        return -mpf(3) / 2 * (z(eps) + z(3 * eps) + z(x - 2 * eps) - z(x + 2 * eps))
+        return -2 * z_eps - z(x - eps) + z(x + eps)
 
     if g == 1:
         return a1
-    if g == 2:
-        return a2
     if g % 2 == 1:
-        g1 = (g - 1) // 2
+        dens = [z_eps + z((4 * k + 1) * eps) for k in range(1, (g - 1) // 2 + 1)]
 
         def a_odd(x):
             acc = a1(x)
-            for k in range(1, g1 + 1):
+            for k, den in enumerate(dens, 1):
                 num = z(x - (2 * k + 1) * eps) - z(x + (2 * k + 1) * eps)
-                den = z(eps) + z((4 * k + 1) * eps)
                 acc *= 1 + num / den
             return acc
 
         return a_odd
-    g1 = g // 2
+    a2_const = z_eps + z(3 * eps)
+    dens = [z_eps + z((4 * k - 1) * eps) for k in range(2, g // 2 + 1)]
 
     def a_even(x):
-        acc = a2(x)
-        for k in range(2, g1 + 1):
+        acc = -mpf(3) / 2 * (a2_const + z(x - 2 * eps) - z(x + 2 * eps))
+        for k, den in enumerate(dens, 2):
             num = z(x - 2 * k * eps) - z(x + 2 * k * eps)
-            den = z(eps) + z((4 * k - 1) * eps)
             acc *= 1 + num / den
         return acc
 

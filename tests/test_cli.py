@@ -265,3 +265,38 @@ def test_config_values_are_typed_like_flags(tmp_path):
     assert run(["lame", "--g-list", "1", "--eps", "0.1", "0.05", "--out", str(out)]) == 0
     names.add(report_files(out)[0].name)
     assert len(names) == 1
+
+
+def test_family_and_genus_from_config_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "poly", "g": 1, "a2": "1"}))
+    assert run(["verify", "--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+    assert run(["verify", "--family", "poly", "--g", "1", "--a2", "1",
+                "--out", str(tmp_path / "flags")]) == 0
+    (from_file,) = report_files(tmp_path / "file")
+    (from_flags,) = report_files(tmp_path / "flags")
+    assert from_file.name == from_flags.name
+    assert from_file.read_bytes() == from_flags.read_bytes()
+    # missing from both the flags and the file: a usage error naming both
+    cfg.write_text(json.dumps({"a2": "1"}))
+    capsys.readouterr()
+    assert run(["verify", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "--family" in err and "--g" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "trig", "--g", "4", "--r1", "1", "--window", "-3", "3"],
+    ["--family", "poly", "--g", "3", "--a2", "1", "--a0", "0", "--a1", "0.5",
+     "--window", "-6", "6"],
+    ["--family", "poly", "--g", "5", "--a2", "1", "--a0", "0", "--a1", "0.5",
+     "--window", "-1", "1"],
+    ["--family", "trig", "--g", "1", "--r1", "1", "--window", "30", "40"],
+])
+def test_verify_windows_off_the_sampled_grid(tmp_path, argv):
+    # the sampled solve reads U and W on |n| <= basis size + 4, which these
+    # windows do not cover
+    out = tmp_path / "reports"
+    assert run(["verify", *argv, "--out", str(out)]) == 0
+    (path,) = report_files(out)
+    assert json.loads(path.read_text())["pass"] is True

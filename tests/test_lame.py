@@ -1,5 +1,5 @@
 import pytest
-from mpmath import mpf
+from mpmath import ellipfun, mpf, sqrt
 
 from commdiff.errors import LatticeProximityError
 from commdiff.lame import (
@@ -32,6 +32,29 @@ def test_roots_and_half_period():
     assert abs(CTX.e3 + 1) <= mpf("1e-30")
     # lemniscatic half period 1.31102877714605990523...
     assert abs(CTX.omega1 - mpf("1.311028777146059905232419794945559")) <= mpf("1e-25")
+
+
+INVARIANTS = [(4, 0), (10, 2), (3, "-0.5"), (7, 1)]
+
+
+@pytest.mark.parametrize("g2, g3", INVARIANTS)
+def test_branch_points_are_ordered_roots(g2, g3):
+    ctx = WeierstrassContext(g2, g3)
+    for e in (ctx.e1, ctx.e2, ctx.e3):
+        assert abs(4 * e**3 - ctx.g2 * e - ctx.g3) <= mpf("1e-30")
+    assert ctx.e1 > ctx.e2 > ctx.e3
+
+
+@pytest.mark.parametrize("g2, g3", INVARIANTS)
+def test_wp_matches_jacobi_sn(g2, g3):
+    # wp(x) = e3 + (e1 - e3) / sn(x sqrt(e1 - e3) | m)^2, m = (e2 - e3)/(e1 - e3)
+    ctx = WeierstrassContext(g2, g3)
+    m = (ctx.e2 - ctx.e3) / (ctx.e1 - ctx.e3)
+    for xs in ("0.05", "0.35", "1.05", "-1.7", "2.9", "5.3"):
+        x = mpf(xs)
+        sn = ellipfun("sn", x * sqrt(ctx.e1 - ctx.e3), m=m)
+        expected = ctx.e3 + (ctx.e1 - ctx.e3) / sn**2
+        assert abs(ctx.wp(x) - expected) <= mpf("1e-28") * abs(expected)
 
 
 def test_wp_laurent_leading():
@@ -142,6 +165,17 @@ def test_continuum_slopes():
         slope, errs = continuum_slope(CTX, g)
         assert slope >= mpf("0.8")
         assert errs[0] > errs[-1]
+
+
+@pytest.mark.parametrize("g, slope", [
+    (1, "0.99352210466151477431"),
+    (2, "0.95306689852040424356"),
+    (3, "0.87631744236920451238"),
+])
+def test_continuum_slope_pinned(g, slope):
+    # values from a Laurent-series evaluation of zeta and wp
+    got, _ = continuum_slope(CTX, g, x=mpf("0.73"))
+    assert abs(got - mpf(slope)) <= mpf("1e-15")
 
 
 def test_continuum_slope_coarse_g1():

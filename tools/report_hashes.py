@@ -63,7 +63,8 @@ MORE = [
     ["partner", "--family", "trig", "--g", "2", "--r1", "1"],
 ]
 
-# the lame configs vary x0, the invariants and the step down to eps = 0.0125
+# the lame configs vary x0, the invariants (g3 < 0 in the last) and the step
+# down to eps = 0.0125
 OTHERS = [
     ["rank2"],
     ["lame"],
@@ -72,6 +73,8 @@ OTHERS = [
      "--g2", "10", "--g3", "2"],
     ["lame", "--g-list", "1", "--eps", "0.1", "0.0125", "--x0", "1.27",
      "--g2", "4", "--g3", "0"],
+    ["lame", "--g2", "3", "--g3", "-0.5", "--g-list", "1", "2", "3",
+     "--eps", "0.1", "0.05", "--x0", "0.8"],
 ]
 
 CONFIGS = CRITERION_1 + ODD_EXTENSION + NON_MONIC + CURVES + PARTNERS + MORE + OTHERS
