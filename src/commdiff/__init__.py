@@ -19,7 +19,6 @@ from .errors import (
 from .numcore import (
     HyperellipticCurve,
     ZPoly,
-    chebyshev_nodes,
     get_precision,
     poly_div_exact,
     poly_mul,

@@ -7,12 +7,13 @@ w^2 = F_g(z).  They satisfy
     Q_n = -(S_{n-1} + S_n) / (U_{n-1} + U_n)                    (pair rule)
     F_g(z) = S_n^2 + (z - U_n^2 - W_n) Q_n Q_{n+1}              (master identity)
 
-plus a linear four-term relation in S obtained by eliminating F_g between
-consecutive n (residual_linear below).  Solvers here construct S either by a
-forward/backward recursion from consistent seed data, or by sampling the
-linear relation over an (n, z) grid against a closed-form coefficient basis
-and solving in least squares.  From a valid state the commuting odd-order
-partner, the eigenfunction products, and the factorization checks follow.
+plus the linear four-term relation R_n(z) = sum_i d_i (z + c_i) S_{n+s_i}(z),
+s_i = -1..2, obtained by eliminating F_g between consecutive n
+(_four_term_factors, residual_linear).  Solvers here construct S either by a
+forward/backward recursion from consistent seed data, or from the
+z-coefficients of R_n over an n grid against a closed-form coefficient basis,
+in least squares.  From a valid state the commuting odd-order partner, the
+eigenfunction products, and the factorization checks follow.
 
 States are immutable once assembled; construction is sequential in n by
 nature, every verification here is pure and parallelizes over (n, z, P).
@@ -31,7 +32,6 @@ from .errors import (
 from .numcore import (
     HyperellipticCurve,
     ZPoly,
-    chebyshev_nodes,
     mpf_to_str,
     poly_div_exact,
     scalar,
@@ -129,12 +129,12 @@ class DressingState:
     """U, W, the curve, and the polynomial tables S_n, Q_n.
 
     S is tabulated on window = [lo, hi]; Q, which consumes S_{n-1}, lives on
-    [lo+1, hi].  meta carries solver diagnostics and is not serialized.
+    [lo+1, hi].
     """
 
-    __slots__ = ("U", "W", "curve", "S", "Q", "window", "meta")
+    __slots__ = ("U", "W", "curve", "S", "Q", "window")
 
-    def __init__(self, U, W, curve, S: dict, Q: dict, meta=None):
+    def __init__(self, U, W, curve, S: dict, Q: dict):
         self.U, self.W, self.curve = U, W, curve
         self.S, self.Q = dict(S), dict(Q)
         lo, hi = min(self.S), max(self.S)
@@ -143,10 +143,9 @@ class DressingState:
         if sorted(self.Q) != list(range(lo + 1, hi + 1)):
             raise WindowError("Q table must cover [lo+1, hi]")
         self.window = (lo, hi)
-        self.meta = dict(meta or {})
 
     @classmethod
-    def from_s_table(cls, U, W, S: dict, curve=None, meta=None):
+    def from_s_table(cls, U, W, S: dict, curve=None):
         """Assemble a state from an S table; Q follows from the pair rule.
 
         Validates the z^g-coefficient normalization of S against -U_n, within
@@ -167,7 +166,7 @@ class DressingState:
             n: q_from_s(S[n - 1], S[n], U.at(n - 1), U.at(n))
             for n in range(lo + 1, hi + 1)
         }
-        state = cls(U, W, curve, S, Q, meta=meta)
+        state = cls(U, W, curve, S, Q)
         if curve is None:
             n0 = (lo + hi) // 2
             n0 = min(max(n0, lo + 1), hi - 2)
@@ -180,7 +179,6 @@ class DressingState:
                     f"n={n0 + 1} by {dev}; the S table is not a valid dressing"
                 )
             state.curve = HyperellipticCurve.from_fpoly(f0, g, tol_rel=mpf("1e-6"))
-            state.meta["curve_recovery_dev"] = dev
         return state
 
     def s(self, n: int) -> ZPoly:
@@ -251,18 +249,26 @@ def verify_master(state: DressingState, n: int) -> mpf:
     return (state.curve.fpoly() - _master_fpoly(state, n)).sup_norm()
 
 
+def _four_term_factors(U: CoeffSeq, W: CoeffSeq, n: int):
+    """(s_i, c_i, d_i), i = 1..4, with R_n(z) = sum_i d_i (z + c_i) S_{n+s_i}(z)
+    the four-term relation at n."""
+    Um1, U0, U1, U2 = U.at(n - 1), U.at(n), U.at(n + 1), U.at(n + 2)
+    W0, W1 = W.at(n), W.at(n + 1)
+    right, left = U1 + U2, Um1 + U0
+    return (
+        (-1, -(U0**2) - W0, right),
+        (0, U0 * U1 + Um1 * (U0 + U1) - W0, right),
+        (1, U0 * U1 + (U0 + U1) * U2 - W1, -left),
+        (2, -(U1**2) - W1, -left),
+    )
+
+
 def _linear_terms(state: DressingState, n: int):
-    """The four products whose signed sum is the linearized relation."""
-    U, W = state.U.at, state.W.at
-    t1 = state.s(n - 1) * ZPoly([-(U(n) ** 2) - W(n), 1]) * (U(n + 1) + U(n + 2))
-    t2 = state.s(n) * ZPoly(
-        [U(n) * U(n + 1) + U(n - 1) * (U(n) + U(n + 1)) - W(n), 1]
-    ) * (U(n + 1) + U(n + 2))
-    t3 = state.s(n + 1) * ZPoly(
-        [U(n) * U(n + 1) + (U(n) + U(n + 1)) * U(n + 2) - W(n + 1), 1]
-    ) * (U(n - 1) + U(n))
-    t4 = state.s(n + 2) * ZPoly([-(U(n + 1) ** 2) - W(n + 1), 1]) * (U(n - 1) + U(n))
-    return t1, t2, t3, t4
+    """The four terms d_i (z + c_i) S_{n+s_i} whose sum is R_n."""
+    return [
+        state.s(n + s) * ZPoly([c, 1]) * d
+        for s, c, d in _four_term_factors(state.U, state.W, n)
+    ]
 
 
 def residual_linear(state: DressingState, n: int) -> ZPoly:
@@ -272,7 +278,7 @@ def residual_linear(state: DressingState, n: int) -> ZPoly:
     n -> -n - 1, which identity_residuals measures when asked.
     """
     t1, t2, t3, t4 = _linear_terms(state, n)
-    return t1 + t2 - t3 - t4
+    return t1 + t2 + t3 + t4
 
 
 def identity_residuals(state: DressingState, window, skew: bool = False):
@@ -300,10 +306,9 @@ def identity_residuals(state: DressingState, window, skew: bool = False):
 
     def linear_at(n):
         if n not in linear:
-            terms = _linear_terms(state, n)
-            t1, t2, t3, t4 = terms
+            t1, t2, t3, t4 = terms = _linear_terms(state, n)
             scale = max(max(t.sup_norm() for t in terms), mpf(1))
-            linear[n] = (t1 + t2 - t3 - t4, scale)
+            linear[n] = (t1 + t2 + t3 + t4, scale)
         return linear[n]
 
     linear_rel = mpf(0)
@@ -348,7 +353,6 @@ def solve_partner_recursive(
         raise WindowError(f"seed index {n0} incompatible with range [{lo}, {hi}]")
     fp = curve.fpoly()
     S = {n0 - 1: s_init[0], n0: s_init[1]}
-    div_resids = []
 
     def step_scale(num):
         return max(num.sup_norm(), fp.sup_norm(), mpf(1))
@@ -358,7 +362,6 @@ def solve_partner_recursive(
         num = fp - S[n] * S[n]
         den = ZPoly([-(U.at(n) ** 2) - W.at(n), 1]) * Qn
         Qnext, resid = poly_div_exact(num, den)
-        div_resids.append(resid / step_scale(num))
         if resid > DIVISION_TOL * step_scale(num):
             raise InconsistentDataError(
                 f"inconsistent data: division residual {resid} at n={n}"
@@ -369,18 +372,16 @@ def solve_partner_recursive(
         num = fp - S[n] * S[n]
         den = ZPoly([-(U.at(n) ** 2) - W.at(n), 1]) * Qnext
         Qn, resid = poly_div_exact(num, den)
-        div_resids.append(resid / step_scale(num))
         if resid > DIVISION_TOL * step_scale(num):
             raise InconsistentDataError(
                 f"inconsistent data: division residual {resid} at n={n}"
             )
         S[n - 1] = (-(U.at(n - 1) + U.at(n))) * Qn - S[n]
-    meta = {"division_residual_max": max(div_resids, default=mpf(0))}
-    return DressingState.from_s_table(U, W, S, curve=curve, meta=meta)
+    return DressingState.from_s_table(U, W, S, curve=curve)
 
 
 # ---------------------------------------------------------------------------
-# coefficient bases and the sampled linear solve
+# coefficient bases and the coefficient solve
 # ---------------------------------------------------------------------------
 
 
@@ -467,10 +468,6 @@ class AnsatzResult:
         self.curve = curve
         self.info = dict(info)
 
-    @property
-    def g(self):
-        return self.basis.g
-
     def s_poly(self, n: int) -> ZPoly:
         phis = self.basis.functions(n)
         acc = ZPoly.zero()
@@ -482,9 +479,7 @@ class AnsatzResult:
         """S_n on the window; the curve is recovered when none is known yet."""
         lo, hi = int(window[0]), int(window[1])
         S = {n: self.s_poly(n) for n in range(lo, hi + 1)}
-        return DressingState.from_s_table(
-            U, W, S, curve=self.curve, meta={"ansatz": self.info}
-        )
+        return DressingState.from_s_table(U, W, S, curve=self.curve)
 
 
 def _pin_top_coefficients(basis, U, n_grid):
@@ -505,67 +500,62 @@ ANSATZ_TOL = mpf("1e-9")
 
 
 def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq) -> AnsatzResult:
-    """Determine S_n = sum_j A_j(z) phi_j(n) from the sampled linear relation.
+    """Determine S_n = sum_j A_j(z) phi_j(n) from the z-coefficients of the
+    four-term relation.
 
-    Assembles the four-term relation on the grid |n| <= size + 2 times
-    g + 3 Chebyshev nodes in z, pins the z^g coefficient of every A_j so
-    that the top coefficient of S_n is -U_n, and solves the rest in least
-    squares.  Rank loss beyond that normalization or a residual above
-    ANSATZ_TOL is an error; the recovered curve comes from the master
-    identity evaluated as a polynomial product.
+    With A_j(z) = sum_k a_jk z^k, the z^k coefficient of
+    R_n = sum_i d_i (z + c_i) S_{n+s_i} is linear in the a_jk: a_jk enters
+    with sum_i d_i c_i phi_j(n + s_i) and a_j(k-1) with
+    sum_i d_i phi_j(n + s_i).  The z^g coefficients a_jg are pinned so that
+    the top coefficient of S_n is -U_n; the rows k = 0..g at every n of the
+    grid |n| <= size + 2, each divided by its largest |entry|, determine the
+    rest in least squares.  The z^(g+1) row holds pinned coefficients only,
+    which the pin fit has checked.  Rank loss beyond that normalization or a
+    residual above ANSATZ_TOL is an error; the recovered curve comes from
+    the master identity evaluated as a polynomial product.
     """
     g = basis.g
     nb = basis.size
     reach = nb + 2
     n_grid = list(range(-reach, reach + 1))
-    z_nodes = chebyshev_nodes(g + 3)
     pinned = _pin_top_coefficients(basis, U, n_grid)
 
-    unknowns = [(j, m) for j in range(nb) for m in range(g)]
+    # unknown a_jk, k < g, sits in column j g + k
     rows, rhs = [], []
     for n in n_grid:
-        Um1, U0, U1, U2 = (U.at(n - 1), U.at(n), U.at(n + 1), U.at(n + 2))
-        W0, W1 = W.at(n), W.at(n + 1)
-        phis = [basis.functions(n + d) for d in (-1, 0, 1, 2)]
-        for z in z_nodes:
-            p1 = (U1 + U2) * (z - U0**2 - W0)
-            p2 = (U1 + U2) * (z + U0 * U1 + Um1 * (U0 + U1) - W0)
-            p3 = (Um1 + U0) * (z + U0 * U1 + (U0 + U1) * U2 - W1)
-            p4 = (Um1 + U0) * (z - U1**2 - W1)
-            G = [
-                p1 * phis[0][j] + p2 * phis[1][j] - p3 * phis[2][j] - p4 * phis[3][j]
-                for j in range(nb)
-            ]
-            zpow = [mpf(1)]
-            for _ in range(g):
-                zpow.append(zpow[-1] * z)
-            rows.append([zpow[m] * G[j] for (j, m) in unknowns])
-            rhs.append(-sum(pinned[j] * zpow[g] * G[j] for j in range(nb)))
+        P, C = [mpf(0)] * nb, [mpf(0)] * nb
+        for s, c, d in _four_term_factors(U, W, n):
+            for j, phi in enumerate(basis.functions(n + s)):
+                P[j] += d * phi
+                C[j] += d * c * phi
+        for k in range(g + 1):
+            row = [mpf(0)] * (nb * g)
+            for j in range(nb):
+                if k < g:
+                    row[j * g + k] = C[j]
+                if k > 0:
+                    row[j * g + k - 1] = P[j]
+            b = -sum(pinned[j] * C[j] for j in range(nb)) if k == g else mpf(0)
+            top = max(abs(v) for v in row)
+            if top:
+                row, b = [v / top for v in row], b / top
+            rows.append(row)
+            rhs.append(b)
 
     x, info = linalg.lstsq(rows, rhs)
     linalg.require_full_rank(info, "ansatz system")
     scale = max(max(abs(v) for v in rhs), mpf(1))
     if info["resid_inf"] > ANSATZ_TOL * scale:
         raise InconsistentDataError(
-            f"no solution in basis '{basis.name}': sampled residual "
+            f"no solution in basis '{basis.name}': relation residual "
             f"{info['resid_inf']} exceeds {ANSATZ_TOL} * {scale}"
         )
 
-    coeff_polys = []
-    for j in range(nb):
-        cs = [x[unknowns.index((j, m))] for m in range(g)] + [pinned[j]]
-        coeff_polys.append(ZPoly(cs))
-    result = AnsatzResult(
-        basis,
-        coeff_polys,
-        None,
-        {"resid_rel": info["resid_inf"] / scale, "rank": info["rank"]},
-    )
+    coeff_polys = [ZPoly(x[j * g:(j + 1) * g] + [pinned[j]]) for j in range(nb)]
+    result = AnsatzResult(basis, coeff_polys, None, {"resid_rel": info["resid_inf"] / scale})
     # the state on [-2, 3] recovers the curve at its centre n = 0 and
     # cross-checks it at n = 1
-    probe = result.state(U, W, (-2, 3))
-    result.curve = probe.curve
-    result.info["curve_dev"] = probe.meta["curve_recovery_dev"]
+    result.curve = result.state(U, W, (-2, 3)).curve
     return result
 
 

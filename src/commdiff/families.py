@@ -177,7 +177,7 @@ def basis_for(spec: FamilySpec) -> dressing.AnsatzBasis:
         return dressing.PowerBasis(spec.g)
     if spec.kind == "geom":
         return dressing.GeomBasis(spec.g, spec.params["a"])
-    raise ValueError(f"no sampled basis for family {spec.kind!r}")
+    raise ValueError(f"no coefficient basis for family {spec.kind!r}")
 
 
 def build_case(spec: FamilySpec, window, seed: int = 1234):
@@ -185,10 +185,10 @@ def build_case(spec: FamilySpec, window, seed: int = 1234):
     commutator of the pair is valid on `window`.
 
     The state covers [lo - 2, hi + 2g + 3]; U and W two more on each side
-    and at least the sampled solve's grid; the elliptic gamma_n = 2 + u_n
+    and at least the coefficient solve's grid; the elliptic gamma_n = 2 + u_n
     (u_n drawn from random.Random(seed)) one more on the right.  extras
     holds the report entries the pipeline adds: w_sign (geom),
-    ansatz_residual_rel (sampled solve) and gamma_window (elliptic).
+    ansatz_residual_rel (coefficient solve) and gamma_window (elliptic).
     """
     lo, hi = int(window[0]), int(window[1])
     slo, shi = lo - 2, hi + 2 * spec.g + 3
@@ -204,7 +204,7 @@ def build_case(spec: FamilySpec, window, seed: int = 1234):
         state = dressing.elliptic_dressing_state(curve, gamma, window=(slo, shi))
         return state.l2(), partner, state, {"gamma_window": list(gamma.window)}
     basis = basis_for(spec)
-    # the sampled solve reads U and W on [-(size + 3), size + 4], whatever
+    # the coefficient solve reads U and W on [-(size + 3), size + 4], whatever
     # the window
     reach = basis.size + 4
     U, W = family_from_spec(spec, (min(uw_window[0], -reach), max(uw_window[1], reach)))

@@ -62,9 +62,9 @@ class WeierstrassContext:
         self._c = self._k * jtheta(3, 0, q) * jtheta(4, 0, q)
         self.eta1 = -self._k**2 * self.omega1 * jtheta(1, 0, q, 3) / (3 * jtheta(1, 0, q, 1))
 
-    def triple(self, x):
-        """(wp(x), wp'(x), zeta(x)); x must stay LATTICE_PROXIMITY away from
-        the real lattice points 2 m omega1."""
+    def _theta1(self, x):
+        """(x, theta1(v), theta1'(v)) at v = k x; x must stay
+        LATTICE_PROXIMITY away from the real lattice points 2 m omega1."""
         x = scalar(x)
         m = int(floor(x / (2 * self.omega1) + mpf(1) / 2))
         if abs(x - 2 * m * self.omega1) < LATTICE_PROXIMITY:
@@ -72,8 +72,13 @@ class WeierstrassContext:
                 f"argument {x} is within {LATTICE_PROXIMITY} of lattice point "
                 f"{2 * m * self.omega1}"
             )
+        v = self._k * x
+        return x, jtheta(1, v, self._q), jtheta(1, v, self._q, 1)
+
+    def triple(self, x):
+        """(wp(x), wp'(x), zeta(x)) away from the real lattice points."""
+        x, t1, d1 = self._theta1(x)
         v, q = self._k * x, self._q
-        t1, d1 = jtheta(1, v, q), jtheta(1, v, q, 1)
         t2, d2 = jtheta(2, v, q), jtheta(2, v, q, 1)
         ratio = self._c * t2 / t1
         dp = 2 * self._k * self._c * ratio * (d2 * t1 - t2 * d1) / t1**2
@@ -83,7 +88,9 @@ class WeierstrassContext:
         return self.triple(x)[0]
 
     def zeta(self, x) -> mpf:
-        return self.triple(x)[2]
+        """zeta(x) from theta1 and theta1' alone, as triple gives it."""
+        x, t1, d1 = self._theta1(x)
+        return self.eta1 * x / self.omega1 + self._k * d1 / t1
 
 
 def ag_build(ctx: WeierstrassContext, g: int, eps):
@@ -242,6 +249,19 @@ def _genus1_chains(params, u1, u0, window):
     return gam, s, residual
 
 
+# the report keys of a step; one off the genus-1 chain has no partner, and
+# its last three are null
+PER_EPS_KEYS = ("eps", "newton_residual", "commutator_residual_rel", "curve_monic",
+                "curve_unnormalized")
+
+
+def _decimal(v):
+    """v, or each entry of v, as a decimal string; None stays None."""
+    if v is None:
+        return None
+    return mpf_to_str(v) if isinstance(v, mpf) else [mpf_to_str(c) for c in v]
+
+
 class LameIndependenceReport:
     def __init__(self, g2, g3, x0, entries, curve_deviation):
         self.g2, self.g3, self.x0 = g2, g3, x0
@@ -261,16 +281,7 @@ class LameIndependenceReport:
             "invariants": {"g2": mpf_to_str(self.g2), "g3": mpf_to_str(self.g3)},
             "x0": mpf_to_str(self.x0),
             "cross_eps_curve_deviation": mpf_to_str(self.curve_deviation),
-            "per_eps": [
-                {
-                    "eps": mpf_to_str(e["eps"]),
-                    "newton_residual": mpf_to_str(e["newton_residual"]),
-                    "commutator_residual_rel": mpf_to_str(e["commutator_residual_rel"]),
-                    "curve_monic": [mpf_to_str(c) for c in e["curve_monic"]],
-                    "curve_unnormalized": [mpf_to_str(c) for c in e["curve_unnormalized"]],
-                }
-                for e in self.entries
-            ],
+            "per_eps": [{k: _decimal(e.get(k)) for k in PER_EPS_KEYS} for e in self.entries],
         }
 
 
@@ -284,7 +295,9 @@ def lame_curve_independence(ctx: WeierstrassContext, eps_list, x0) -> LameIndepe
     and the curve from the action-matrix extraction.  Monicization scales
     the spectral parameter by eps^2, so each curve is mapped back
     (coefficients divided by eps^6, eps^4, eps^2) and compared with the
-    Weierstrass cubic's (-g3/4, -g2/4, 0).
+    Weierstrass cubic's (-g3/4, -g2/4, 0).  A step whose chain residual
+    exceeds NEWTON_TOL gets an entry with that residual and no partner or
+    curve, which fails the report.
     """
     x0 = scalar(x0)
     wlo, whi = L3_WINDOW
@@ -306,6 +319,12 @@ def lame_curve_independence(ctx: WeierstrassContext, eps_list, x0) -> LameIndepe
         c2, c1, c0 = params[0], params[1], params[2]
 
         gam, s, chain_residual = _genus1_chains(params, u1, u0, chain_window)
+        entry = {"eps": eps, "newton_residual": chain_residual, "params": params}
+        entries.append(entry)
+        if chain_residual > NEWTON_TOL:
+            # off the genus-1 chain gamma_n need not lie on a real branch:
+            # no partner, no curve, and the report fails
+            continue
         gamma_seq = CoeffSeq(wlo - 1, [gam[n] for n in range(wlo - 1, whi + 4)])
         sigma_seq = CoeffSeq(
             wlo - 1, [mpf(1) if s[n] >= 0 else mpf(-1) for n in range(wlo - 1, whi + 4)]
@@ -321,16 +340,8 @@ def lame_curve_independence(ctx: WeierstrassContext, eps_list, x0) -> LameIndepe
         cm = report.matched_curve.c
         unnorm = (cm[0] / eps**6, cm[1] / eps**4, cm[2] / eps**2)
         dev = max([dev] + [abs(a - b) for a, b in zip(unnorm, cubic)])
-        entries.append(
-            {
-                "eps": eps,
-                "newton_residual": chain_residual,
-                "params": params,
-                "commutator_residual_rel": report.commutator_residual_rel,
-                "curve_monic": cm,
-                "curve_unnormalized": unnorm,
-            }
-        )
+        entry.update(commutator_residual_rel=report.commutator_residual_rel,
+                     curve_monic=cm, curve_unnormalized=unnorm)
     return LameIndependenceReport(ctx.g2, ctx.g3, x0, entries, dev)
 
 

@@ -1,5 +1,5 @@
 """Numeric substrate: configurable-precision scalars, dense polynomials in the
-spectral parameter z, Chebyshev nodes, and division with residual.
+spectral parameter z, and division with residual.
 
 All arithmetic runs on mpmath floats.  The working precision defaults to a
 113-bit significand (quad-like); the dressing recursion sheds digits at every
@@ -10,7 +10,7 @@ every function here is pure.
 
 from __future__ import annotations
 
-from mpmath import mp, mpf, cos, pi, isfinite
+from mpmath import mp, mpf, isfinite
 
 from .errors import DegenerateDenominatorError, NonFiniteError
 
@@ -197,13 +197,6 @@ def poly_div_exact(num: ZPoly, den: ZPoly):
         rem[k] = mpf(0)
     resid = max((abs(c) for c in rem), default=mpf(0))
     return ZPoly(qn), ensure_finite(resid, "division residual")
-
-
-def chebyshev_nodes(count: int, interval=(-4, 4)) -> list:
-    """count Chebyshev points scaled to the interval (default [-4, 4])."""
-    lo, hi = scalar(interval[0]), scalar(interval[1])
-    mid, half = (lo + hi) / 2, (hi - lo) / 2
-    return [mid + half * cos(pi * (2 * i + 1) / (2 * count)) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def test_criterion_3_closed_form_fixtures():
     tol = mpf("1e-10")
     failures = []
 
-    # trig g=1: coefficient profiles of the sampled solve against closed forms
+    # trig g=1: coefficient profiles of the ansatz solve against closed forms
     U, W = trig_family(1, 1, (-14, 14))
     res = ansatz_solve(TrigBasis(1), U, W)
     a1, a3 = res.coeff_polys[0], res.coeff_polys[1]

@@ -125,6 +125,33 @@ def test_lame_command(tmp_path):
     assert float(doc["report"]["independence"]["cross_eps_curve_deviation"]) <= 1e-4
 
 
+def test_lame_broken_operator_fails_the_check(tmp_path, monkeypatch):
+    # A_1 off by 0.01: the closed-form parameters miss the genus-1 chain
+    # (chain residuals near 7e-5 and 2e-5), so each step reports its chain
+    # residual without a curve and the run exits 1, not 2
+    from mpmath import mpf
+
+    from commdiff import lame
+
+    ag_build = lame.ag_build
+
+    def bumped(ctx, g, eps):
+        a = ag_build(ctx, g, eps)
+        return lambda x: a(x) + mpf("0.01")
+
+    monkeypatch.setattr(lame, "ag_build", bumped)
+    out = tmp_path / "reports"
+    code = run(["lame", "--g-list", "--eps", "0.1", "0.05", "--x0", "0.73",
+                "--out", str(out)])
+    assert code == 1
+    (path,) = report_files(out)
+    doc = json.loads(path.read_text())
+    assert doc["pass"] is False
+    per_eps = doc["report"]["independence"]["per_eps"]
+    assert [float(e["newton_residual"]) > 1e-8 for e in per_eps] == [True, True]
+    assert all(e["curve_monic"] is None for e in per_eps)
+
+
 def test_lame_has_one_bracket_reading(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["lame", "--a2-interpretation", "full", "--out", str(tmp_path / "r")])

@@ -3,7 +3,7 @@ from mpmath import mp, mpf, cos, sin
 
 from commdiff.errors import CommutationError, WindowError
 from commdiff.numcore import ZPoly
-from commdiff.opalg import DiffOp
+from commdiff.opalg import DiffOp, commutator_residual
 from commdiff.dressing import (
     GeomBasis,
     TrigBasis,
@@ -12,6 +12,7 @@ from commdiff.dressing import (
     ba_sequence,
     build_partner_op,
     curve_point,
+    identity_residuals,
     l2_operator,
 )
 from commdiff.families import FamilySpec, build_case, geom_family, poly_family, trig_family
@@ -230,6 +231,24 @@ def test_extract_curve_residuals_are_roundoff(kind, params):
             )
     for at113, at160 in zip(*measured):
         assert at113 == 0 or at160 <= at113 / 2**30
+
+
+@pytest.mark.parametrize("kind, g, params", [
+    ("trig", 2, {"r1": 1}),
+    ("poly", 3, {"a2": 1, "a0": 0, "a1": mpf(1) / 2}),
+    ("geom", 2, {"a": 2, "beta": 1}),
+])
+def test_verify_residuals_are_roundoff(kind, g, params):
+    # the master, linear and commutator residuals that verify reports shrink
+    # by at least 2^30 under 47 more bits, unless already below 2^-113
+    measured = []
+    for bits in (113, 160):
+        with mp.workprec(bits):
+            L2, partner, state, _extras = build_case(FamilySpec(kind, g, params), (-8, 8))
+            master, linear, _skew = identity_residuals(state, (-8, 8))
+            measured.append((master, linear, commutator_residual(L2, partner)[1]))
+    for at113, at160 in zip(*measured):
+        assert at113 <= mpf(2) ** -113 or at160 <= at113 / 2**30
 
 
 def test_kernel_extend_polynomial_values_evaluate_to_scalar_run():

@@ -31,7 +31,7 @@ CRITERION_1 = (
     + [["verify", "--family", "elliptic", "--g", "1"]]
 )
 
-# g = 4 and 5 solve the 189x44 and 248x65 ansatz systems
+# g = 4 and 5 solve the 135x44 and 186x65 ansatz systems
 ODD_EXTENSION = [
     ["verify", "--family", "poly", "--g", str(g), "--a2", "1", "--a0", "0", "--a1", "0.5"]
     for g in (1, 2, 3, 4, 5)
