@@ -10,10 +10,12 @@ w^2 = F_g(z).  They satisfy
 plus the linear four-term relation R_n(z) = sum_i d_i (z + c_i) S_{n+s_i}(z),
 s_i = -1..2, obtained by eliminating F_g between consecutive n
 (_four_term_factors, residual_linear).  Solvers here construct S either by a
-forward/backward recursion from consistent seed data, or from the
-z-coefficients of R_n over an n grid against a closed-form coefficient basis,
-in least squares.  From a valid state the commuting odd-order partner, the
-eigenfunction products, and the factorization checks follow.
+forward/backward recursion in n from consistent seed data, or by the level
+recursion in z (ansatz_solve): the z^(m+1) coefficients of R_n step the
+z^m coefficients of Q_n by 2 in n, the pair rule gives those of S_n, and
+3g constants are fitted on the z^0 coefficients.  From a valid state the
+commuting odd-order partner, the eigenfunction products, and the
+factorization checks follow.
 
 States are immutable once assembled; construction is sequential in n by
 nature, every verification here is pure and parallelizes over (n, z, P).
@@ -94,13 +96,9 @@ def l2_operator(U: CoeffSeq, W: CoeffSeq) -> DiffOp:
     )
 
 
-def q_from_s(S_prev: ZPoly, S_cur: ZPoly, U_prev, U_cur) -> ZPoly:
-    """Pair rule Q = -(S_prev + S_cur) / (U_prev + U_cur).
-
-    The z^g-coefficient normalization of S makes the result monic; a
-    denominator below the general-position threshold is an error.
-    """
-    U_prev, U_cur = scalar(U_prev), scalar(U_cur)
+def _pair_denominator(U_prev, U_cur):
+    """U_prev + U_cur, the pair rule's denominator; an error below the
+    general-position threshold."""
     den = U_prev + U_cur
     # degeneracy means cancellation between the two values, not small size
     dscale = max(abs(U_prev), abs(U_cur))
@@ -108,6 +106,16 @@ def q_from_s(S_prev: ZPoly, S_cur: ZPoly, U_prev, U_cur) -> ZPoly:
         raise DegenerateDenominatorError(
             f"U_prev + U_cur = {den} is degenerate (scale {dscale})"
         )
+    return den
+
+
+def q_from_s(S_prev: ZPoly, S_cur: ZPoly, U_prev, U_cur) -> ZPoly:
+    """Pair rule Q = -(S_prev + S_cur) / (U_prev + U_cur).
+
+    The z^g-coefficient normalization of S makes the result monic; a
+    denominator below the general-position threshold is an error.
+    """
+    den = _pair_denominator(scalar(U_prev), scalar(U_cur))
     q = (S_prev + S_cur).scale(-1 / den)
     if abs(q.lead - 1) > mpf("1e-6"):
         raise InconsistentDataError(
@@ -263,10 +271,17 @@ def _four_term_factors(U: CoeffSeq, W: CoeffSeq, n: int):
     )
 
 
+def _term_coeffs(a, c, d):
+    """The coefficients of d (z + c) A(z), A given by its coefficients a,
+    each formed as d (a_{k-1} + c a_k), the order of a product with [c, 1]."""
+    zero = mpf(0)
+    return [d * (lo + c * hi) for lo, hi in zip((zero, *a), (*a, zero))]
+
+
 def _linear_terms(state: DressingState, n: int):
     """The four terms d_i (z + c_i) S_{n+s_i} whose sum is R_n."""
     return [
-        state.s(n + s) * ZPoly([c, 1]) * d
+        ZPoly(_term_coeffs(state.s(n + s).coeffs, c, d))
         for s, c, d in _four_term_factors(state.U, state.W, n)
     ]
 
@@ -381,12 +396,13 @@ def solve_partner_recursive(
 
 
 # ---------------------------------------------------------------------------
-# coefficient bases and the coefficient solve
+# coefficient bases and the level recursion in z
 # ---------------------------------------------------------------------------
 
 
 class AnsatzBasis:
-    """A finite family of n-profiles phi_j(n) spanning the S coefficients."""
+    """A finite family of n-profiles phi_j(n) spanning the z^g coefficients
+    -U_n of S, which the pin fit matches."""
 
     name = "abstract"
 
@@ -460,25 +476,25 @@ class GeomBasis(AnsatzBasis):
 
 
 class AnsatzResult:
-    """Solved basis coefficients A_j(z) with deg <= g and the recovered curve."""
+    """S_n tabulated on the common window of U and W, the recovered curve,
+    and info["resid_rel"], the worst relative residual of the four-term
+    relation's z^0 rows over that window (see ansatz_solve)."""
 
-    def __init__(self, basis, coeff_polys, curve, info):
-        self.basis = basis
-        self.coeff_polys = list(coeff_polys)
+    def __init__(self, S: dict, curve, info):
+        self.S = dict(S)
         self.curve = curve
         self.info = dict(info)
 
-    def s_poly(self, n: int) -> ZPoly:
-        phis = self.basis.functions(n)
-        acc = ZPoly.zero()
-        for aj, phi in zip(self.coeff_polys, phis):
-            acc = acc + aj.scale(phi)
-        return acc
-
     def state(self, U, W, window) -> DressingState:
-        """S_n on the window; the curve is recovered when none is known yet."""
+        """The S table sliced to window; the curve is recovered when none is
+        known yet."""
         lo, hi = int(window[0]), int(window[1])
-        S = {n: self.s_poly(n) for n in range(lo, hi + 1)}
+        if lo not in self.S or hi not in self.S:
+            raise WindowError(
+                f"state window [{lo}, {hi}] outside the solved S table "
+                f"[{min(self.S)}, {max(self.S)}]"
+            )
+        S = {n: self.S[n] for n in range(lo, hi + 1)}
         return DressingState.from_s_table(U, W, S, curve=self.curve)
 
 
@@ -497,64 +513,149 @@ def _pin_top_coefficients(basis, U, n_grid):
 
 
 ANSATZ_TOL = mpf("1e-9")
+# The marches add one increment per step and level, and the level-0 values
+# that the constant fit reads cancel heavily at high genus, so the marches
+# and the fit run this many bits above the working precision and the table
+# is rounded once at the end.  Without them the master residual of the
+# odd-extension g=5 case (verify on [-24, 24], 113 bits) rises from 1.9e-31
+# to 2.7e-22.
+RECURSION_GUARD_BITS = 32
+
+
+def _comb(f, vs):
+    """sum_i f_i vs_i for the four values S_{n-1..n+2} of one level."""
+    (f1, f2, f3, f4), (v1, v2, v3, v4) = f, vs
+    return [f1 * a + f2 * b + f3 * c + f4 * d for a, b, c, d in zip(v1, v2, v3, v4)]
+
+
+def _march(dc, D, top, seeds, n0, span):
+    """S levels g..0 on span = [a, b] by the level recursion.
+
+    Values are coefficient vectors: affine vectors over the fit's
+    constants, or one entry once those are known.  With D_n = U_{n-1} + U_n
+    and dc[n] the products d_i c_i, level m - 1 follows from level m in two
+    marches: the z^m row of the four-term relation,
+
+        D_n D_{n+2} (q_{n+2,m-1} - q_{n,m-1}) = -sum_i d_i c_i s_{n+s_i,m},
+
+    steps q from n0 and n0 + 1, and the pair rule
+    s_{n,m-1} = -D_n q_{n,m-1} - s_{n-1,m-1} steps s from n0.  seeds holds
+    the three starting values per level, top the level-g row.
+    """
+    a, b = span
+    levels = [top]
+    for q0, q1, s0 in seeds:
+        up = levels[-1]
+        # the division comes after the sum, which cancels heavily
+        step = {}
+        for n in range(a + 1, b - 1):
+            inv = 1 / (D[n] * D[n + 2])
+            step[n] = [v * inv for v in _comb(dc[n], [up[n + k] for k in (-1, 0, 1, 2)])]
+        q = {n0: q0, n0 + 1: q1}
+        for n in range(n0, b - 1):
+            q[n + 2] = [x - y for x, y in zip(q[n], step[n])]
+        for n in range(n0 - 1, a, -1):
+            q[n] = [x + y for x, y in zip(q[n + 2], step[n])]
+        s = {n0: s0}
+        for n in range(n0 + 1, b + 1):
+            s[n] = [-D[n] * x - y for x, y in zip(q[n], s[n - 1])]
+        for n in range(n0, a, -1):
+            s[n - 1] = [-D[n] * x - y for x, y in zip(q[n], s[n])]
+        levels.append(s)
+    return levels
 
 
 def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq) -> AnsatzResult:
-    """Determine S_n = sum_j A_j(z) phi_j(n) from the z-coefficients of the
-    four-term relation.
+    """S_n on the whole common window of U and W, by the level recursion in z.
 
-    With A_j(z) = sum_k a_jk z^k, the z^k coefficient of
-    R_n = sum_i d_i (z + c_i) S_{n+s_i} is linear in the a_jk: a_jk enters
-    with sum_i d_i c_i phi_j(n + s_i) and a_j(k-1) with
-    sum_i d_i phi_j(n + s_i).  The z^g coefficients a_jg are pinned so that
-    the top coefficient of S_n is -U_n; the rows k = 0..g at every n of the
-    grid |n| <= size + 2, each divided by its largest |entry|, determine the
-    rest in least squares.  The z^(g+1) row holds pinned coefficients only,
-    which the pin fit has checked.  Rank loss beyond that normalization or a
-    residual above ANSATZ_TOL is an error; the recovered curve comes from
-    the master identity evaluated as a polynomial product.
+    Starting from s_{n,g} = -U_n (Q monic), each level m = g-1..0 follows
+    from the one above (_march) up to three constants, q_{n0,m},
+    q_{n0+1,m} and s_{n0,m}, with n0 = argmin |U_n| clamped into the
+    relation's rows, so that the marches run away from the small end.  The
+    z^0 rows of the relation with |n - n0| <= 3g + 2 fix the 3g constants:
+    affine vectors over them are marched on that window only, each row is
+    divided by its largest |entry| (linalg.lstsq equilibrates the columns),
+    and a fit of rank below 3g is a RankDeficiencyError.  Scalars are then
+    marched over the whole table; a z^0 row whose residual exceeds
+    ANSATZ_TOL times max_i |d_i| max(|c_i|, 1) |S_{n+s_i}|, a bound on the
+    largest coefficient of the relation's four terms there, is an
+    InconsistentDataError naming n, and the worst ratio is
+    info["resid_rel"].  The marches and the fit run RECURSION_GUARD_BITS
+    above the working precision.
+
+    The table's z^g row is the basis fit of -U_n on |n| <= size + 2
+    (_pin_top_coefficients) evaluated at each n, so the leads of Q are
+    those of the fit.  The curve comes from the master identity at n = 0,
+    cross-checked at n = 1.
     """
     g = basis.g
-    nb = basis.size
-    reach = nb + 2
-    n_grid = list(range(-reach, reach + 1))
-    pinned = _pin_top_coefficients(basis, U, n_grid)
+    reach = basis.size + 2
+    pinned = _pin_top_coefficients(basis, U, range(-reach, reach + 1))
+    lo, hi = max(U.window[0], W.window[0]), min(U.window[1], W.window[1])
+    rlo, rhi = lo + 1, hi - 2
+    ncon = 3 * g
+    if rhi - rlo + 1 < ncon:
+        raise WindowError(
+            f"U and W on [{lo}, {hi}] give {max(rhi - rlo + 1, 0)} relation rows "
+            f"for {ncon} constants"
+        )
+    n0 = min(range(lo, hi + 1), key=lambda n: abs(U.at(n)))
+    n0 = min(max(n0, rlo), rhi)
+    # 3g + 3 rows or more, or every row: at least 3g either way
+    flo, fhi = max(rlo, n0 - ncon - 2), min(rhi, n0 + ncon + 2)
 
-    # unknown a_jk, k < g, sits in column j g + k
-    rows, rhs = [], []
-    for n in n_grid:
-        P, C = [mpf(0)] * nb, [mpf(0)] * nb
-        for s, c, d in _four_term_factors(U, W, n):
-            for j, phi in enumerate(basis.functions(n + s)):
-                P[j] += d * phi
-                C[j] += d * c * phi
-        for k in range(g + 1):
-            row = [mpf(0)] * (nb * g)
-            for j in range(nb):
-                if k < g:
-                    row[j * g + k] = C[j]
-                if k > 0:
-                    row[j * g + k - 1] = P[j]
-            b = -sum(pinned[j] * C[j] for j in range(nb)) if k == g else mpf(0)
-            top = max(abs(v) for v in row)
-            if top:
-                row, b = [v / top for v in row], b / top
+    with mp.workprec(mp.prec + RECURSION_GUARD_BITS):
+        D = {n: _pair_denominator(U.at(n - 1), U.at(n)) for n in range(lo + 1, hi + 1)}
+        fac = {n: _four_term_factors(U, W, n) for n in range(rlo, rhi + 1)}
+        dc = {n: [d * c for _s, c, d in f] for n, f in fac.items()}
+
+        # affine march on the fit window: entry 0 is the inhomogeneous part,
+        # entry 1 + 3 (g - 1 - m) + i the i-th constant of level m
+        def unit(j):
+            return [mpf(1) if k == j else mpf(0) for k in range(ncon + 1)]
+
+        span = (flo - 1, fhi + 2)
+        top = {n: [-U.at(n)] + [mpf(0)] * ncon for n in range(span[0], span[1] + 1)}
+        seeds = [(unit(j), unit(j + 1), unit(j + 2)) for j in range(1, ncon + 1, 3)]
+        s0 = _march(dc, D, top, seeds, n0, span)[-1]
+        rows, rhs = [], []
+        for n in range(flo, fhi + 1):
+            r = _comb(dc[n], [s0[n + k] for k in (-1, 0, 1, 2)])
+            row, b = r[1:], -r[0]
+            big = max(abs(v) for v in row)
+            if big:
+                row, b = [v / big for v in row], b / big
             rows.append(row)
             rhs.append(b)
+        x, info = linalg.lstsq(rows, rhs)
+        linalg.require_full_rank(info, "ansatz constant fit")
 
-    x, info = linalg.lstsq(rows, rhs)
-    linalg.require_full_rank(info, "ansatz system")
-    scale = max(max(abs(v) for v in rhs), mpf(1))
-    if info["resid_inf"] > ANSATZ_TOL * scale:
-        raise InconsistentDataError(
-            f"no solution in basis '{basis.name}': relation residual "
-            f"{info['resid_inf']} exceeds {ANSATZ_TOL} * {scale}"
-        )
+        # scalar march over the whole table, then the z^0 rows there
+        top = {n: [-U.at(n)] for n in range(lo, hi + 1)}
+        seeds = [([x[j]], [x[j + 1]], [x[j + 2]]) for j in range(0, ncon, 3)]
+        levels = _march(dc, D, top, seeds, n0, (lo, hi))
+        coeffs = {n: [lv[n][0] for lv in reversed(levels)] for n in range(lo, hi + 1)}
+        sup = {n: max(abs(v) for v in cs) for n, cs in coeffs.items()}
+        resid_rel = mpf(0)
+        for n, f in fac.items():
+            r = sum(v * coeffs[n + k][0] for v, k in zip(dc[n], (-1, 0, 1, 2)))
+            # a bound on the largest coefficient of d_i (z + c_i) S_{n+s_i}
+            scale = max(abs(d) * max(abs(c), 1) * sup[n + s] for s, c, d in f)
+            rel = abs(r) / scale
+            if rel > ANSATZ_TOL:
+                raise InconsistentDataError(
+                    f"no genus-{g} S for this U and W: the z^0 row of the "
+                    f"four-term relation at n={n} has relative residual {rel}"
+                )
+            resid_rel = max(resid_rel, rel)
 
-    coeff_polys = [ZPoly(x[j * g:(j + 1) * g] + [pinned[j]]) for j in range(nb)]
-    result = AnsatzResult(basis, coeff_polys, None, {"resid_rel": info["resid_inf"] / scale})
-    # the state on [-2, 3] recovers the curve at its centre n = 0 and
-    # cross-checks it at n = 1
+    S = {}
+    for n in range(lo, hi + 1):
+        lead = mpf(0)
+        for p, phi in zip(pinned, basis.functions(n)):
+            lead += p * phi
+        S[n] = ZPoly([+v for v in coeffs[n][:g]] + [lead])
+    result = AnsatzResult(S, None, {"resid_rel": +resid_rel})
     result.curve = result.state(U, W, (-2, 3)).curve
     return result
 

@@ -117,16 +117,18 @@ def test_criterion_3_closed_form_fixtures():
     tol = mpf("1e-10")
     failures = []
 
-    # trig g=1: coefficient profiles of the ansatz solve against closed forms
+    # trig g=1: S_n = A1(z) cos(n) + A3 cos(3n) against the closed-form
+    # profiles A1 = -z + a1_const and A3 = a3_closed
     U, W = trig_family(1, 1, (-14, 14))
-    res = ansatz_solve(TrigBasis(1), U, W)
-    a1, a3 = res.coeff_polys[0], res.coeff_polys[1]
+    state = ansatz_solve(TrigBasis(1), U, W).state(U, W, (-14, 14))
     a3_closed = sin(mpf(1) / 2) ** 2 / (1 - 2 * cos(1)) ** 3
     a1_const = -(5 * cos(1) - 2 * cos(2) - 3) / (2 * (1 - 2 * cos(1)) ** 2)
-    if abs(a3.coeff(0) - a3_closed) > tol * abs(a3_closed):
-        failures.append("trig A3")
-    if abs(a1.coeff(0) - a1_const) > tol * abs(a1_const) or abs(a1.coeff(1) + 1) > tol:
-        failures.append("trig A1")
+    for n in range(-14, 15):
+        p1, p3 = a1_const * cos(n), a3_closed * cos(3 * n)
+        if abs(state.s(n).coeff(0) - (p1 + p3)) > tol * (abs(p1) + abs(p3)):
+            failures.append(f"trig S_{n} constant")
+        if abs(state.s(n).coeff(1) + cos(n)) > tol:
+            failures.append(f"trig S_{n} lead")
 
     # quartic family g=1 (a2=1, a0=0)
     U, W = poly_family(1, 1, 0, 0, (-16, 16))

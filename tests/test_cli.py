@@ -321,8 +321,8 @@ def test_family_and_genus_from_config_file(tmp_path, capsys):
     ["--family", "trig", "--g", "1", "--r1", "1", "--window", "30", "40"],
 ])
 def test_verify_windows_off_the_sampled_grid(tmp_path, argv):
-    # the sampled solve reads U and W on |n| <= basis size + 4, which these
-    # windows do not cover
+    # the pin fit reads U on |n| <= basis size + 2, which these windows do
+    # not cover
     out = tmp_path / "reports"
     assert run(["verify", *argv, "--out", str(out)]) == 0
     (path,) = report_files(out)

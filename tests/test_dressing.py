@@ -2,11 +2,13 @@ import json
 import random
 
 import pytest
-from mpmath import mpf, cos, sin
+from mpmath import mp, mpf, cos, sin
 
 from commdiff.errors import (
     DegenerateDenominatorError,
     InconsistentDataError,
+    RankDeficiencyError,
+    WindowError,
 )
 from commdiff.numcore import HyperellipticCurve, ZPoly
 from commdiff.opalg import CoeffSeq, commutator_residual
@@ -15,6 +17,7 @@ from commdiff.dressing import (
     EvenPowerBasis,
     GeomBasis,
     TrigBasis,
+    _pin_top_coefficients,
     ansatz_solve,
     ba_sequence,
     baker_akhiezer,
@@ -30,7 +33,15 @@ from commdiff.dressing import (
     solve_partner_recursive,
     verify_master,
 )
-from commdiff.families import FamilySpec, build_case, geom_family, poly_family, trig_family
+from commdiff.families import (
+    FamilySpec,
+    basis_for,
+    build_case,
+    family_from_spec,
+    geom_family,
+    poly_family,
+    trig_family,
+)
 
 WIN = (-30, 30)
 
@@ -243,34 +254,36 @@ def test_solve_partner_recursive_rejects_bad_seed():
 
 def test_ansatz_trig_g1_closed_form():
     U, W = trig_family(1, 1, (-12, 12))
-    result = ansatz_solve(TrigBasis(1), U, W)
-    # closed forms: A3 = sin(1/2)^2 / (1 - 2 cos 1)^3,
+    state = ansatz_solve(TrigBasis(1), U, W).state(U, W, (-12, 12))
+    # closed forms: S_n = A1(z) cos(n) + A3 cos(3n) with
+    # A3 = sin(1/2)^2 / (1 - 2 cos 1)^3,
     # A1 = -z - (5 cos 1 - 2 cos 2 - 3) / (2 (1 - 2 cos 1)^2)
-    a3_expected = sin(mpf(1) / 2) ** 2 / (1 - 2 * cos(1)) ** 3
+    a3 = sin(mpf(1) / 2) ** 2 / (1 - 2 * cos(1)) ** 3
     a1_const = -(5 * cos(1) - 2 * cos(2) - 3) / (2 * (1 - 2 * cos(1)) ** 2)
-    a3 = result.coeff_polys[1]
-    a1 = result.coeff_polys[0]
-    assert abs(a3.coeff(0) - a3_expected) <= mpf("1e-10") * abs(a3_expected)
-    assert abs(a3.coeff(1)) <= mpf("1e-20")
-    assert abs(a1.coeff(1) + 1) <= mpf("1e-10")
-    assert abs(a1.coeff(0) - a1_const) <= mpf("1e-10") * abs(a1_const)
+    for n in range(-12, 13):
+        p1, p3 = a1_const * cos(n), a3 * cos(3 * n)
+        assert abs(state.s(n).coeff(0) - (p1 + p3)) <= mpf("1e-10") * (abs(p1) + abs(p3))
+        assert abs(state.s(n).coeff(1) + cos(n)) <= mpf("1e-10")
 
 
 def test_ansatz_quartic_g1_closed_form():
     U, W = poly_family(1, 1, 0, 0, (-14, 14))
-    result = ansatz_solve(EvenPowerBasis(1), U, W)
-    b0, b2, b4 = result.coeff_polys
-    assert (b4 - ZPoly([1])).sup_norm() <= mpf("1e-10")
-    assert (b2 - ZPoly([-mpf(9) / 4, -1])).sup_norm() <= mpf("1e-10")
-    assert (b0 - ZPoly([mpf(1) / 4])).sup_norm() <= mpf("1e-10")
+    state = ansatz_solve(EvenPowerBasis(1), U, W).state(U, W, (-14, 14))
+    # S_n = B0 + B2(z) n^2 + B4 n^4 with B0 = 1/4, B2 = -9/4 - z, B4 = 1
+    for n in range(-14, 15):
+        n2 = mpf(n) ** 2
+        closed = ZPoly([mpf(1) / 4 - mpf(9) / 4 * n2 + n2**2, -n2])
+        assert (state.s(n) - closed).sup_norm() <= mpf("1e-10") * (1 + n2 + n2**2)
 
 
 def test_ansatz_geometric_g1_closed_form():
     U, W = geom_family(1, 1, 2, window=(-12, 12))
     result = ansatz_solve(GeomBasis(1, 2), U, W)
-    g1, g3 = result.coeff_polys
-    assert (g1 - ZPoly([0, -1])).sup_norm() <= mpf("1e-10")
-    assert (g3 - ZPoly([mpf(4) / 27])).sup_norm() <= mpf("1e-10")
+    state = result.state(U, W, (-12, 12))
+    # S_n = G1(z) 2^n + G3 8^n with G1 = -z, G3 = 4/27
+    for n in range(-12, 13):
+        closed = ZPoly([mpf(4) / 27 * mpf(8) ** n, -mpf(2) ** n])
+        assert (state.s(n) - closed).sup_norm() <= mpf("1e-10") * (mpf(2) ** n + mpf(8) ** n)
     assert max(abs(c) for c in result.curve.c) <= mpf("1e-10")  # w^2 = z^3
 
 
@@ -286,6 +299,78 @@ def test_leading_coefficient_law():
     state = result.state(U, W, (-10, 10))
     for n in range(-10, 11):
         assert abs(state.s(n).coeff(2) + U.at(n)) <= mpf("1e-25") * max(1, abs(U.at(n)))
+
+
+def _solved_table(spec, window):
+    U, W = family_from_spec(spec, window)
+    basis = basis_for(spec)
+    return basis, U, ansatz_solve(basis, U, W).S
+
+
+@pytest.mark.parametrize(
+    "kind, g, params",
+    [
+        ("poly", 4, {"a2": 1, "a0": 0}),
+        ("poly", 5, {"a2": 1, "a0": 0, "a1": "0.5"}),
+        ("trig", 4, {"r1": 1}),
+        ("geom", 4, {"a": 2, "beta": 1}),
+    ],
+)
+def test_ansatz_table_matches_320_bit_solve(kind, g, params):
+    window = (-16, 16 + 2 * g)
+    spec = FamilySpec(kind, g, params)
+    _, _, S = _solved_table(spec, window)
+    with mp.workprec(320):
+        _, _, ref = _solved_table(FamilySpec(kind, g, params), window)
+        for n, p in S.items():
+            dev = max(abs(a - b) for a, b in zip(p.coeffs, ref[n].coeffs))
+            assert dev <= mpf("1e-29") * ref[n].sup_norm(), (n, dev)
+
+
+def test_ansatz_top_row_is_the_pin_fit():
+    for spec in (
+        FamilySpec("trig", 3, {"r1": "1.3"}),
+        FamilySpec("poly", 3, {"a2": 1, "a0": "0.25", "a1": "0.5"}),
+        FamilySpec("geom", 2, {"a": "1.764235", "beta": "0.895178"}),
+    ):
+        basis, U, S = _solved_table(spec, (-12, 16))
+        reach = basis.size + 2
+        pinned = _pin_top_coefficients(basis, U, range(-reach, reach + 1))
+        for n, p in S.items():
+            lead = ZPoly.zero()
+            for c, phi in zip(pinned, basis.functions(n)):
+                lead = lead + ZPoly([c]).scale(phi)
+            assert p.coeff(spec.g)._mpf_ == lead.coeff(0)._mpf_
+
+
+def test_ansatz_rejects_perturbed_w():
+    U, W = trig_family(2, 1, (-14, 14))
+    W = CoeffSeq.tabulate(lambda n: W.at(n) * (1 + mpf("1e-6")), W.window)
+    with pytest.raises(InconsistentDataError, match="n="):
+        ansatz_solve(TrigBasis(2), U, W)
+
+
+def test_ansatz_singular_constant_fit_is_a_rank_error():
+    # the genus-1 quadratic family has a one-parameter set of genus-2
+    # solutions, S_n (z + alpha), so the constants are not determined
+    U, W = poly_family(1, 1, 0, 0, (-14, 14))
+    with pytest.raises(RankDeficiencyError, match="ansatz constant fit"):
+        ansatz_solve(EvenPowerBasis(2), U, W)
+
+
+def test_ansatz_state_outside_the_table():
+    U, W = trig_family(1, 1, (-12, 12))
+    result = ansatz_solve(TrigBasis(1), U, W)
+    assert result.state(U, W, (-12, 12)).window == (-12, 12)
+    with pytest.raises(WindowError):
+        result.state(U, W, (-13, 10))
+
+
+def test_ansatz_needs_3g_relation_rows():
+    # rows n = -7..6 of the four-term relation for 15 constants
+    U, W = trig_family(5, 1, (-8, 8))
+    with pytest.raises(WindowError, match="14 relation rows for 15 constants"):
+        ansatz_solve(TrigBasis(5), U, W)
 
 
 def test_recursive_matches_ansatz():

@@ -25,10 +25,9 @@ def test_precision_configurable():
 
 
 def test_scalar_rejects_non_finite():
-    with pytest.raises(NonFiniteError):
-        scalar(float("inf"))
-    with pytest.raises(NonFiniteError):
-        scalar(float("nan"))
+    for bad in (float("inf"), float("nan"), mpf("nan"), mpf("inf"), mpf("-inf")):
+        with pytest.raises(NonFiniteError):
+            scalar(bad)
 
 
 def test_poly_eval_basics():
