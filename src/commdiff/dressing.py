@@ -516,7 +516,8 @@ ANSATZ_TOL = mpf("1e-9")
 # The marches add one increment per step and level, and the level-0 values
 # that the constant fit reads cancel heavily at high genus, so the marches
 # and the fit run this many bits above the working precision and the table
-# is rounded once at the end.  Without them the master residual of the
+# is rounded once at the end; build_case tabulates its fine U and W (see
+# ansatz_solve) this much finer too.  Without them the master residual of the
 # odd-extension g=5 case (verify on [-24, 24], 113 bits) rises from 1.9e-31
 # to 2.7e-22.
 RECURSION_GUARD_BITS = 32
@@ -565,7 +566,7 @@ def _march(dc, D, top, seeds, n0, span):
     return levels
 
 
-def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq) -> AnsatzResult:
+def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> AnsatzResult:
     """S_n on the whole common window of U and W, by the level recursion in z.
 
     Starting from s_{n,g} = -U_n (Q monic), each level m = g-1..0 follows
@@ -582,6 +583,23 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq) -> AnsatzResult:
     InconsistentDataError naming n, and the worst ratio is
     info["resid_rel"].  The marches and the fit run RECURSION_GUARD_BITS
     above the working precision.
+
+    fine, when given, is (U, W) tabulated from the same closed forms
+    RECURSION_GUARD_BITS above the working precision on at least the same
+    window; the marches and the z^0 rows then read it.  Each level is
+    marched from differences of the one above, so the rounding of U_n and
+    W_n reaches S with a gain that grows with |n - n0| and with g, which
+    guard bits in the arithmetic cannot undo: for the quadratic family
+    with (a2, a1, a0) = (0.886695, 0.708451, 0.234504), g = 5, on [-28, 39]
+    at 113 bits, S is off the 320-bit table by 2.9e-20 from the working
+    tables alone and by 1.7e-28 with fine ones.  Tables that are exact at
+    the working precision (dyadic parameters) need none.
+
+    U and W must cover the pin fit's grid |n| <= size + 2 and give at least
+    3g relation rows (a WindowError otherwise).  Near that minimum the
+    constants can be undetermined: trig g = 5 on [-10, 10] is a
+    RankDeficiencyError, on [-10, 12] it solves.  build_case tabulates
+    [lo - 4, hi + 2g + 5] or that grid, whichever is wider.
 
     The table's z^g row is the basis fit of -U_n on |n| <= size + 2
     (_pin_top_coefficients) evaluated at each n, so the leads of Q are
@@ -604,9 +622,16 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq) -> AnsatzResult:
     # 3g + 3 rows or more, or every row: at least 3g either way
     flo, fhi = max(rlo, n0 - ncon - 2), min(rhi, n0 + ncon + 2)
 
+    Uf, Wf = (U, W) if fine is None else fine
+    for n in range(lo, hi + 1):
+        for name, x, xf in (("U", U, Uf), ("W", W, Wf)):
+            if abs(xf.at(n) - x.at(n)) > ANSATZ_TOL * max(abs(x.at(n)), 1):
+                raise InconsistentDataError(
+                    f"fine table of {name} disagrees with {name} at n={n}"
+                )
     with mp.workprec(mp.prec + RECURSION_GUARD_BITS):
-        D = {n: _pair_denominator(U.at(n - 1), U.at(n)) for n in range(lo + 1, hi + 1)}
-        fac = {n: _four_term_factors(U, W, n) for n in range(rlo, rhi + 1)}
+        D = {n: _pair_denominator(Uf.at(n - 1), Uf.at(n)) for n in range(lo + 1, hi + 1)}
+        fac = {n: _four_term_factors(Uf, Wf, n) for n in range(rlo, rhi + 1)}
         dc = {n: [d * c for _s, c, d in f] for n, f in fac.items()}
 
         # affine march on the fit window: entry 0 is the inhomogeneous part,
@@ -615,7 +640,7 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq) -> AnsatzResult:
             return [mpf(1) if k == j else mpf(0) for k in range(ncon + 1)]
 
         span = (flo - 1, fhi + 2)
-        top = {n: [-U.at(n)] + [mpf(0)] * ncon for n in range(span[0], span[1] + 1)}
+        top = {n: [-Uf.at(n)] + [mpf(0)] * ncon for n in range(span[0], span[1] + 1)}
         seeds = [(unit(j), unit(j + 1), unit(j + 2)) for j in range(1, ncon + 1, 3)]
         s0 = _march(dc, D, top, seeds, n0, span)[-1]
         rows, rhs = [], []
@@ -628,10 +653,14 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq) -> AnsatzResult:
             rows.append(row)
             rhs.append(b)
         x, info = linalg.lstsq(rows, rhs)
-        linalg.require_full_rank(info, "ansatz constant fit")
+        linalg.require_full_rank(
+            info,
+            f"ansatz constant fit on the z^0 rows [{flo}, {fhi}] (U and W on a "
+            "wider window may determine it)",
+        )
 
         # scalar march over the whole table, then the z^0 rows there
-        top = {n: [-U.at(n)] for n in range(lo, hi + 1)}
+        top = {n: [-Uf.at(n)] for n in range(lo, hi + 1)}
         seeds = [([x[j]], [x[j + 1]], [x[j + 2]]) for j in range(0, ncon, 3)]
         levels = _march(dc, D, top, seeds, n0, (lo, hi))
         coeffs = {n: [lv[n][0] for lv in reversed(levels)] for n in range(lo, hi + 1)}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from mpmath import mpf, cos, sin
+from mpmath import mp, mpf, cos, sin
 
 from . import dressing
 from .errors import DegenerateDenominatorError
@@ -206,10 +206,13 @@ def build_case(spec: FamilySpec, window, seed: int = 1234):
     basis = basis_for(spec)
     # the pin fit reads U on |n| <= size + 2, whatever the window
     reach = basis.size + 2
-    U, W = family_from_spec(spec, (min(uw_window[0], -reach), max(uw_window[1], reach)))
+    uw_window = (min(uw_window[0], -reach), max(uw_window[1], reach))
+    U, W = family_from_spec(spec, uw_window)
+    with mp.workprec(mp.prec + dressing.RECURSION_GUARD_BITS):
+        fine = family_from_spec(spec, uw_window)
     # the solver's no-solution threshold stays fixed; callers' tolerances
     # govern their own checks only
-    result = dressing.ansatz_solve(basis, U, W)
+    result = dressing.ansatz_solve(basis, U, W, fine)
     state = result.state(U, W, (slo, shi))
     L2 = state.l2()
     extras = {"ansatz_residual_rel": mpf_to_str(result.info["resid_rel"])}

@@ -10,7 +10,7 @@ every function here is pure.
 
 from __future__ import annotations
 
-from mpmath import mp, mpf, isfinite
+from mpmath import mp, mpf
 from mpmath.libmp import finf, fnan, fninf
 
 from .errors import DegenerateDenominatorError, NonFiniteError
@@ -45,17 +45,22 @@ if mp.prec < DEFAULT_PRECISION_BITS:
 _NON_FINITE = (finf, fninf, fnan)
 
 
+def _finite(v: mpf) -> bool:
+    """v is no inf or nan: its raw value against libmp's three specials,
+    cheaper than mpmath.isfinite."""
+    return v._mpf_ not in _NON_FINITE
+
+
 def scalar(x) -> mpf:
     """Coerce to an mpf at working precision; reject non-finite values."""
     v = mpf(x) if not isinstance(x, mpf) else x
-    # the raw value against libmp's three specials: cheaper than isfinite
-    if v._mpf_ in _NON_FINITE:
+    if not _finite(v):
         raise NonFiniteError(f"non-finite scalar {x!r}")
     return v
 
 
 def ensure_finite(v: mpf, what: str = "value") -> mpf:
-    if not isfinite(v):
+    if not _finite(v):
         raise NonFiniteError(f"{what} is not finite")
     return v
 

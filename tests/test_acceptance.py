@@ -118,11 +118,19 @@ def test_criterion_3_closed_form_fixtures():
     failures = []
 
     # trig g=1: S_n = A1(z) cos(n) + A3 cos(3n) against the closed-form
-    # profiles A1 = -z + a1_const and A3 = a3_closed
+    # profiles A1 = -z + a1_const and A3 = a3_closed; the profiles' constant
+    # coefficients are read off S_0 = A1 + A3 and S_1 = A1 cos 1 + A3 cos 3
     U, W = trig_family(1, 1, (-14, 14))
     state = ansatz_solve(TrigBasis(1), U, W).state(U, W, (-14, 14))
     a3_closed = sin(mpf(1) / 2) ** 2 / (1 - 2 * cos(1)) ** 3
     a1_const = -(5 * cos(1) - 2 * cos(2) - 3) / (2 * (1 - 2 * cos(1)) ** 2)
+    s0, s1 = state.s(0), state.s(1)
+    a3 = [(s1.coeff(k) - s0.coeff(k) * cos(1)) / (cos(3) - cos(1)) for k in (0, 1)]
+    a1 = [s0.coeff(k) - a3[k] for k in (0, 1)]
+    if abs(a3[0] - a3_closed) > tol * abs(a3_closed):
+        failures.append("trig A3")
+    if abs(a1[0] - a1_const) > tol * abs(a1_const) or abs(a1[1] + 1) > tol:
+        failures.append("trig A1")
     for n in range(-14, 15):
         p1, p3 = a1_const * cos(n), a3_closed * cos(3 * n)
         if abs(state.s(n).coeff(0) - (p1 + p3)) > tol * (abs(p1) + abs(p3)):
