@@ -52,7 +52,6 @@ from .dressing import (
     l2_operator,
     q_from_s,
     residual_linear,
-    solve_partner_recursive,
     verify_master,
 )
 from .families import (
@@ -64,7 +63,6 @@ from .families import (
     trig_family,
 )
 from .spectral import (
-    ActionMatrix,
     CurveReport,
     action_matrix,
     extract_curve,
@@ -78,7 +76,6 @@ from .lame import (
     continuum_slope,
     lame_curve_independence,
     lame_l2,
-    lemniscatic_context,
 )
 from .rank2 import Rank2Params, build_l4, build_l6_special, verify_rank2
 

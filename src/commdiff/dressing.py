@@ -58,9 +58,6 @@ class CurvePoint:
         self.z = scalar(z)
         self.w = scalar(w)
 
-    def conjugate(self) -> "CurvePoint":
-        return CurvePoint(self.z, -self.w)
-
     def __repr__(self):
         return f"CurvePoint(z={mp.nstr(self.z, 8)}, w={mp.nstr(self.w, 8)})"
 
@@ -180,7 +177,7 @@ class DressingState:
             n0 = min(max(n0, lo + 1), hi - 2)
             f0 = _master_fpoly(state, n0)
             f1 = _master_fpoly(state, n0 + 1)
-            dev = max(abs(a - b) for a, b in zip(_padded(f0, 2 * g + 2), _padded(f1, 2 * g + 2)))
+            dev = (f0 - f1).sup_norm()
             if dev > mpf("1e-6") * max(f0.sup_norm(), mpf(1)):
                 raise InconsistentDataError(
                     f"curve recovery: master identity differs between n={n0} and "
@@ -234,10 +231,6 @@ class DressingState:
 
     def __repr__(self):
         return f"DressingState(g={self.curve.g if self.curve else '?'}, window={self.window})"
-
-
-def _padded(p: ZPoly, n: int):
-    return [p.coeff(k) for k in range(n)]
 
 
 def _master_terms(state: DressingState, n: int):
@@ -791,11 +784,6 @@ def baker_akhiezer(state: DressingState, P: CurvePoint, n: int) -> mpf:
             )
         acc /= chi_eval(state, k, P)
     return acc
-
-
-def ba_sequence(state: DressingState, P: CurvePoint, window) -> CoeffSeq:
-    lo, hi = int(window[0]), int(window[1])
-    return CoeffSeq.tabulate(lambda n: baker_akhiezer(state, P, n), (lo, hi))
 
 
 def factorization_check(state: DressingState, L2: DiffOp, P: CurvePoint, f: CoeffSeq) -> mpf:

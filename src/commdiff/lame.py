@@ -2,12 +2,12 @@
 zeta differences, their continuum limit, and the genus-1 spectral-curve
 stability check across step sizes.
 
-wp, wp' and zeta are Jacobi theta quotients via mpmath.jtheta (DLMF 23.6),
-with the nome of the rectangular real lattice; the branch points
-e1 > e2 > e3, the roots of 4 e^3 - g2 e - g3, come from Viete's
-trigonometric form.  The classical differential equation
-(wp')^2 = 4 wp^3 - g2 wp - g3 and zeta' = -wp pin the conventions; the
-consistency checks in the test-suite verify both numerically.
+wp and zeta are Jacobi theta quotients via mpmath.jtheta (DLMF 23.6), with
+the nome of the rectangular real lattice; the branch points e1 > e2 > e3,
+the roots of 4 e^3 - g2 e - g3, come from Viete's trigonometric form.  The
+test-suite pins the conventions numerically: the Laurent expansion
+wp(x) = 1/x^2 + g2 x^2/20 + ..., zeta' = -wp, and the differential equation
+(wp')^2 = 4 wp^3 - g2 wp - g3 through a difference quotient of wp.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ DEFAULT_SLOPE_EPS = ("0.0125", "0.00625", "0.003125")
 
 
 class WeierstrassContext:
-    """Evaluators for wp, wp', zeta on the real line for invariants (g2, g3).
+    """Evaluators for wp and zeta on the real line for invariants (g2, g3).
 
     Requires a positive discriminant (three real branch points) so the real
     period lattice is rectangular; complex lattices are out of scope.  With
@@ -62,9 +62,9 @@ class WeierstrassContext:
         self._c = self._k * jtheta(3, 0, q) * jtheta(4, 0, q)
         self.eta1 = -self._k**2 * self.omega1 * jtheta(1, 0, q, 3) / (3 * jtheta(1, 0, q, 1))
 
-    def _theta1(self, x):
-        """(x, theta1(v), theta1'(v)) at v = k x; x must stay
-        LATTICE_PROXIMITY away from the real lattice points 2 m omega1."""
+    def _site(self, x):
+        """(x, v) with v = k x; x must stay LATTICE_PROXIMITY away from the
+        real lattice points 2 m omega1."""
         x = scalar(x)
         m = int(floor(x / (2 * self.omega1) + mpf(1) / 2))
         if abs(x - 2 * m * self.omega1) < LATTICE_PROXIMITY:
@@ -72,24 +72,18 @@ class WeierstrassContext:
                 f"argument {x} is within {LATTICE_PROXIMITY} of lattice point "
                 f"{2 * m * self.omega1}"
             )
-        v = self._k * x
-        return x, jtheta(1, v, self._q), jtheta(1, v, self._q, 1)
-
-    def triple(self, x):
-        """(wp(x), wp'(x), zeta(x)) away from the real lattice points."""
-        x, t1, d1 = self._theta1(x)
-        v, q = self._k * x, self._q
-        t2, d2 = jtheta(2, v, q), jtheta(2, v, q, 1)
-        ratio = self._c * t2 / t1
-        dp = 2 * self._k * self._c * ratio * (d2 * t1 - t2 * d1) / t1**2
-        return self.e1 + ratio**2, dp, self.eta1 * x / self.omega1 + self._k * d1 / t1
+        return x, self._k * x
 
     def wp(self, x) -> mpf:
-        return self.triple(x)[0]
+        """wp(x) from theta1 and theta2 at v = k x."""
+        x, v = self._site(x)
+        ratio = self._c * jtheta(2, v, self._q) / jtheta(1, v, self._q)
+        return self.e1 + ratio**2
 
     def zeta(self, x) -> mpf:
-        """zeta(x) from theta1 and theta1' alone, as triple gives it."""
-        x, t1, d1 = self._theta1(x)
+        """zeta(x) from theta1 and theta1' at v = k x."""
+        x, v = self._site(x)
+        t1, d1 = jtheta(1, v, self._q), jtheta(1, v, self._q, 1)
         return self.eta1 * x / self.omega1 + self._k * d1 / t1
 
 
@@ -110,36 +104,30 @@ def ag_build(ctx: WeierstrassContext, g: int, eps):
         raise ValueError(f"Lame operator needs genus >= 1, got {g}")
     eps = scalar(eps)
     z = ctx.zeta
-    # the x-independent zeta values, once per call
+    # the x-independent zeta values, once per call: the seed's constants and
+    # each product factor's (shift, denominator)
     z_eps = z(eps)
-
-    def a1(x):
-        return -2 * z_eps - z(x - eps) + z(x + eps)
-
-    if g == 1:
-        return a1
     if g % 2 == 1:
-        dens = [z_eps + z((4 * k + 1) * eps) for k in range(1, (g - 1) // 2 + 1)]
+        def seed(x):
+            return -2 * z_eps - z(x - eps) + z(x + eps)
 
-        def a_odd(x):
-            acc = a1(x)
-            for k, den in enumerate(dens, 1):
-                num = z(x - (2 * k + 1) * eps) - z(x + (2 * k + 1) * eps)
-                acc *= 1 + num / den
-            return acc
+        factors = [((2 * k + 1) * eps, z_eps + z((4 * k + 1) * eps))
+                   for k in range(1, (g - 1) // 2 + 1)]
+    else:
+        a2_const = z_eps + z(3 * eps)
 
-        return a_odd
-    a2_const = z_eps + z(3 * eps)
-    dens = [z_eps + z((4 * k - 1) * eps) for k in range(2, g // 2 + 1)]
+        def seed(x):
+            return -mpf(3) / 2 * (a2_const + z(x - 2 * eps) - z(x + 2 * eps))
 
-    def a_even(x):
-        acc = -mpf(3) / 2 * (a2_const + z(x - 2 * eps) - z(x + 2 * eps))
-        for k, den in enumerate(dens, 2):
-            num = z(x - 2 * k * eps) - z(x + 2 * k * eps)
-            acc *= 1 + num / den
+        factors = [(2 * k * eps, z_eps + z((4 * k - 1) * eps)) for k in range(2, g // 2 + 1)]
+
+    def a_g(x):
+        acc = seed(x)
+        for shift, den in factors:
+            acc *= 1 + (z(x - shift) - z(x + shift)) / den
         return acc
 
-    return a_even
+    return a_g
 
 
 def lame_l2(ctx: WeierstrassContext, g: int, eps, x0, window) -> DiffOp:
@@ -176,11 +164,10 @@ def _fit_slope(xs, ys):
     return num / den
 
 
-def continuum_slope(ctx: WeierstrassContext, g: int, eps_list=None, x=mpf("0.7")):
-    """Fitted convergence order of the continuum defect across an eps sweep,
-    on the test function cos."""
-    if eps_list is None:
-        eps_list = [mpf(e) for e in DEFAULT_SLOPE_EPS]
+def continuum_slope(ctx: WeierstrassContext, g: int, x=mpf("0.7")):
+    """Fitted convergence order of the continuum defect across the
+    DEFAULT_SLOPE_EPS sweep, on the test function cos."""
+    eps_list = [mpf(e) for e in DEFAULT_SLOPE_EPS]
     errs = [continuum_check(ctx, g, eps, cos, lambda t: -cos(t), x) for eps in eps_list]
     slope = _fit_slope([log(scalar(e)) for e in eps_list], [log(e) for e in errs])
     return slope, errs
@@ -343,8 +330,3 @@ def lame_curve_independence(ctx: WeierstrassContext, eps_list, x0) -> LameIndepe
         entry.update(commutator_residual_rel=report.commutator_residual_rel,
                      curve_monic=cm, curve_unnormalized=unnorm)
     return LameIndependenceReport(ctx.g2, ctx.g3, x0, entries, dev)
-
-
-def lemniscatic_context() -> WeierstrassContext:
-    """Default invariants g2 = 4, g3 = 0: a square real lattice."""
-    return WeierstrassContext(4, 0)

@@ -134,8 +134,6 @@ class ZPoly:
             acc = acc * z + c
         return ensure_finite(acc, "polynomial value")
 
-    __call__ = eval
-
     def __add__(self, other: "ZPoly") -> "ZPoly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -234,8 +232,6 @@ class HyperellipticCurve:
 
     def eval(self, z) -> mpf:
         return self.fpoly().eval(z)
-
-    __call__ = eval
 
     @classmethod
     def from_fpoly(cls, p: ZPoly, g: int, tol_rel=mpf("1e-9")) -> "HyperellipticCurve":

@@ -56,8 +56,6 @@ class CoeffSeq:
             raise WindowError(f"index {n} outside sequence window [{lo}, {hi}]")
         return self.values[i]
 
-    __call__ = at
-
     def restrict(self, window) -> "CoeffSeq":
         lo, hi = int(window[0]), int(window[1])
         return CoeffSeq(lo, self.values_on(lo, hi))

@@ -31,8 +31,6 @@ from .opalg import CoeffSeq, DiffOp, commutator_residual
 CURVE_TOL = mpf("1e-8")
 # kernel values past the m initial ones that the closure defect reads
 ACTION_PAD = 3
-# relative commutator residual above which action_matrix refuses
-ACTION_COMMUTATION_TOL = mpf("1e-8")
 # coefficient-wise commutator bound of the rank-two pair
 RANK2_COMMUTATION_TOL = mpf("1e-10")
 # the spectral parameter as a polynomial
@@ -88,11 +86,13 @@ def _z_values(seqs, n0: int, count: int) -> list:
     return [ZPoly([s.at(n0 + r) for s in seqs]) for r in range(count)]
 
 
-def _action_polys(L_base: DiffOp, L_act: DiffOp, n0: int):
-    """M(z) at base point n0 as rows of ZPoly entries, and the relative
-    closure defect: the largest coefficient of L_act psi minus the kernel
+def action_matrix(L_base: DiffOp, L_act: DiffOp, n0: int):
+    """The action of L_act on ker(L_base - z) in the basis of unit initial
+    data at base point n0: M(z) as rows of ZPoly entries, and the relative
+    closure defect, the largest coefficient of L_act psi minus the kernel
     continuation of its first m values, over the largest coefficient of
-    L_act psi, on the ACTION_PAD values past them."""
+    L_act psi, on the ACTION_PAD values past them.  Commutation is not
+    checked here; extract_curve and rank2_curve_check guard it."""
     m = L_base.order
     count = m + ACTION_PAD
     cols = []
@@ -110,35 +110,6 @@ def _action_polys(L_base: DiffOp, L_act: DiffOp, n0: int):
             vscale = max(vscale, v[r].sup_norm())
     rel = defect / vscale if vscale > 0 else defect
     return [[cols[i][r] for i in range(m)] for r in range(m)], rel
-
-
-class ActionMatrix:
-    """Action of L_act on ker(L_base - z) in the unit-initial-data basis."""
-
-    __slots__ = ("z", "n0", "entries", "closure_defect")
-
-    def __init__(self, z, n0, entries, closure_defect):
-        self.z = z
-        self.n0 = n0
-        self.entries = entries
-        self.closure_defect = closure_defect
-
-    @property
-    def size(self):
-        return len(self.entries)
-
-
-def action_matrix(L_base: DiffOp, L_act: DiffOp, z, n0: int) -> ActionMatrix:
-    """M(z) at base point n0, checking commutation first: the polynomial
-    action matrix evaluated at z, with its z-free closure defect."""
-    _, rel = commutator_residual(L_base, L_act)
-    if rel > ACTION_COMMUTATION_TOL:
-        raise CommutationError(
-            f"operators do not commute: relative residual {rel} > {ACTION_COMMUTATION_TOL}"
-        )
-    z = scalar(z)
-    polys, defect = _action_polys(L_base, L_act, int(n0))
-    return ActionMatrix(z, int(n0), [[p.eval(z) for p in row] for row in polys], defect)
 
 
 def char_poly_coeffs(entries) -> list:
@@ -244,7 +215,7 @@ def extract_curve(
     per_base = []
     worst_defect = mpf(0)
     for n0 in n0_list:
-        M, defect = _action_polys(L_base, L_act, int(n0))
+        M, defect = action_matrix(L_base, L_act, int(n0))
         worst_defect = max(worst_defect, defect)
         det_poly, neg_tr, _ = char_poly_coeffs(M)
         per_base.append((-neg_tr, det_poly))
@@ -311,7 +282,7 @@ def rank2_curve_check(L4: DiffOp, L6: DiffOp, expected_r: ZPoly) -> Rank2CurveRe
     if comm_rel > RANK2_COMMUTATION_TOL:
         raise CommutationError(f"rank-2 pair does not commute: {comm_rel}")
 
-    M, defect = _action_polys(L4, L6, 0)
+    M, defect = action_matrix(L4, L6, 0)
     c = char_poly_coeffs(M)
     char_polys = dict(enumerate(c[:4]))
     # (w^2 - R)^2 = w^4 - 2 R w^2 + R^2

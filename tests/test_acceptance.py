@@ -19,7 +19,7 @@ from commdiff.dressing import (
     identity_residuals,
 )
 from commdiff.families import FamilySpec, build_case, geom_family, poly_family, trig_family
-from commdiff.lame import MIN_SLOPE, continuum_slope, lame_curve_independence, lemniscatic_context
+from commdiff.lame import MIN_SLOPE, WeierstrassContext, continuum_slope, lame_curve_independence
 from commdiff.rank2 import verify_rank2
 from commdiff.spectral import extract_curve
 
@@ -236,7 +236,7 @@ def test_criterion_7_rank2():
 
 def test_criterion_8_continuum_limit():
     t0 = time.perf_counter()
-    ctx = lemniscatic_context()
+    ctx = WeierstrassContext(4, 0)
     slopes = {}
     ok = True
     for g in (1, 2, 3):
@@ -254,7 +254,7 @@ def test_criterion_8_continuum_limit():
 
 
 def test_criterion_9_step_independence():
-    ctx = lemniscatic_context()
+    ctx = WeierstrassContext(4, 0)
     rep = lame_curve_independence(ctx, [mpf("0.1"), mpf("0.05")], mpf("0.73"))
     worst_chain = max(e["newton_residual"] for e in rep.entries)
     _emit(
@@ -320,7 +320,7 @@ def test_criterion_10_property_suites():
             detail.append("division")
 
     # zeta / wp consistency at finite differences
-    ctx = lemniscatic_context()
+    ctx = WeierstrassContext(4, 0)
     h = mpf("1e-6")
     for xs in ("0.35", "0.7", "1.05"):
         x = mpf(xs)

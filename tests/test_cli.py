@@ -1,10 +1,13 @@
 import json
 
 import pytest
+from mpmath import mpf
 
+from commdiff import cli
 from commdiff.cli import main
 from commdiff.families import FamilySpec, build_case
 from commdiff.numcore import get_precision, mpf_to_str
+from commdiff.opalg import CoeffSeq
 
 
 def run(argv):
@@ -64,20 +67,30 @@ def test_verify_check_failure_exits_one(tmp_path):
     assert json.loads(path.read_text())["pass"] is False
 
 
-def test_verify_fails_non_monic_partner(tmp_path):
-    # the partner's lead is within the pair rule's 1e-6 of 1 but not within
-    # is_monic's 1e-12: every residual passes, the verdict must not
+def test_verify_fails_non_monic_partner(tmp_path, monkeypatch):
+    # a partner that is non-monic by construction: the geom case's partner
+    # times 1 + 1e-9.  Scaling leaves the relative commutator residual as it
+    # is, so every residual passes and the verdict must not
+    def scaled_case(spec, window, seed=1234):
+        L2, partner, state, extras = build_case(spec, window, seed)
+        factor = CoeffSeq.constant(1 + mpf("1e-9"), partner.window)
+        return L2, partner.scale_left(factor), state, extras
+
+    monkeypatch.setattr(cli, "build_case", scaled_case)
     out = tmp_path / "reports"
     code = run([
-        "verify", "--family", "geom", "--g", "2", "--a", "1.764235", "--beta", "0.895178",
+        "verify", "--family", "geom", "--g", "1", "--a", "2", "--beta", "1",
         "--out", str(out),
     ])
     assert code == 1
     (path,) = report_files(out)
     doc = json.loads(path.read_text())
     assert doc["pass"] is False
-    assert doc["report"]["partner_monic"] is False
-    assert float(doc["report"]["commutator_residual_rel"]) <= 1e-9
+    report = doc["report"]
+    assert report["partner_monic"] is False
+    for key in ("master_residual_rel", "linear_residual_rel", "commutator_residual_rel"):
+        assert float(report[key]) <= 1e-9
+    assert report["commutator_window_covers"] is True
 
 
 def test_curve_quartic(tmp_path):

@@ -14,6 +14,7 @@ from commdiff.numcore import HyperellipticCurve, ZPoly
 from commdiff.opalg import CoeffSeq, commutator_residual
 from commdiff.dressing import (
     RECURSION_GUARD_BITS,
+    CurvePoint,
     DressingState,
     EvenPowerBasis,
     GeomBasis,
@@ -21,7 +22,6 @@ from commdiff.dressing import (
     _pin_top_coefficients,
     _term_coeffs,
     ansatz_solve,
-    ba_sequence,
     baker_akhiezer,
     build_partner_op,
     chi_eval,
@@ -478,7 +478,7 @@ def test_chi_factorization_equation():
 def test_chi_branch_product():
     state, _ = geometric_fixture()
     P = curve_point(state.curve, mpf(3), 1)
-    Pc = P.conjugate()
+    Pc = CurvePoint(P.z, -P.w)
     for n in (-2, 0, 3):
         lhs = chi_eval(state, n, P) * chi_eval(state, n, Pc) * state.q(n).eval(P.z) ** 2
         rhs = -(P.z - state.U.at(n) ** 2 - state.W.at(n)) * state.q(n + 1).eval(
@@ -521,7 +521,7 @@ def test_baker_akhiezer_eigen_relations():
     L2 = l2_operator(state.U, state.W)
     L3 = build_partner_op(state, L2)
     P = curve_point(state.curve, mpf(2), 1)
-    psi = ba_sequence(state, P, (-13, 13))
+    psi = CoeffSeq.tabulate(lambda n: baker_akhiezer(state, P, n), (-13, 13))
     l2psi = L2.apply(psi)
     l3psi = L3.apply(psi)
     scale = max(abs(psi.at(n)) for n in range(-10, 11)) * max(1, abs(P.z), abs(P.w))
@@ -574,7 +574,7 @@ def test_factorization_check_cases():
     state, _ = geometric_fixture()
     L2 = l2_operator(state.U, state.W)
     P = curve_point(state.curve, mpf(2), 1)
-    psi = ba_sequence(state, P, (-10, 10))
+    psi = CoeffSeq.tabulate(lambda n: baker_akhiezer(state, P, n), (-10, 10))
     scale = L2.sup_norm() * psi.sup_norm()
     assert factorization_check(state, L2, P, psi) <= mpf("1e-12") * scale
     rng = random.Random(23)
@@ -601,7 +601,7 @@ def test_genus2_recursion_and_eigen_relations():
     L5 = build_partner_op(state, L2)
     assert L5.order == 5 and L5.is_monic() and L5.is_positive
     P = curve_point(state.curve, mpf(30), 1)  # above the largest branch point
-    psi = ba_sequence(state, P, (-9, 12))
+    psi = CoeffSeq.tabulate(lambda n: baker_akhiezer(state, P, n), (-9, 12))
     l2psi = L2.apply(psi)
     l5psi = L5.apply(psi)
     scale = max(abs(psi.at(n)) for n in range(-6, 7)) * max(abs(P.z), abs(P.w))

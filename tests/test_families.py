@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from mpmath import mpf, cos, sin, sqrt
+from mpmath import mp, mpf, cos, sin, sqrt
 
 from commdiff.errors import DegenerateDenominatorError, InconsistentDataError
 from commdiff.opalg import CoeffSeq, DiffOp, commutator_residual, op_commutator
@@ -224,3 +224,21 @@ def test_family_spec_fills_defaults_and_names_missing_parameters():
         FamilySpec("trig", 1, {"r1": 1, "a2": 1})
     with pytest.raises(ValueError, match="genus 1 only"):
         FamilySpec("elliptic", 2, {})
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("a, beta", [("2", "1"), ("2.272327", "1.614327")])
+def test_geometric_curve_is_a_pure_power(g, a, beta):
+    # the shift maps the geometric L2 to a^2 L2 conjugated by a^n, so the
+    # curve is invariant under z -> a^2 z and F = z^(2g+1) exactly: every
+    # lower coefficient of the solver's curve is roundoff, at most 1e-32 at
+    # 113 bits (7.7e-34 measured) and 2^40 smaller at 160 bits
+    worst = []
+    for bits in (113, 160):
+        with mp.workprec(bits):
+            _L2, _partner, state, _extras = build_case(
+                FamilySpec("geom", g, {"a": a, "beta": beta}), (-12, 6)
+            )
+            worst.append(max(abs(c) for c in state.curve.c))
+    assert worst[0] <= mpf("1e-32")
+    assert worst[1] <= worst[0] / 2**40

@@ -3,13 +3,13 @@ from mpmath import mp, mpf, cos, sin
 
 from commdiff.errors import CommutationError, WindowError
 from commdiff.numcore import ZPoly
-from commdiff.opalg import DiffOp, commutator_residual
+from commdiff.opalg import CoeffSeq, DiffOp, commutator_residual
 from commdiff.dressing import (
     GeomBasis,
     TrigBasis,
     EvenPowerBasis,
     ansatz_solve,
-    ba_sequence,
+    baker_akhiezer,
     build_partner_op,
     curve_point,
     identity_residuals,
@@ -76,38 +76,44 @@ def test_kernel_extend_window_guard():
         kernel_extend(L, mpf(1), 0, (1, 0), 12)
 
 
+def action_at(L_base, L_act, z, n0):
+    """The polynomial action matrix evaluated at the scalar z."""
+    M, _defect = action_matrix(L_base, L_act, n0)
+    return [[p.eval(z) for p in row] for row in M]
+
+
 def test_action_matrix_self_is_z_identity():
     L2, L3, _ = make_pair("poly")
     z = mpf("1.75")
-    M = action_matrix(L2, L2, z, 0)
-    assert abs(M.entries[0][0] - z) <= mpf("1e-25")
-    assert abs(M.entries[1][1] - z) <= mpf("1e-25")
-    assert abs(M.entries[0][1]) + abs(M.entries[1][0]) <= mpf("1e-25")
+    M = action_at(L2, L2, z, 0)
+    assert abs(M[0][0] - z) <= mpf("1e-25")
+    assert abs(M[1][1] - z) <= mpf("1e-25")
+    assert abs(M[0][1]) + abs(M[1][0]) <= mpf("1e-25")
 
 
 def test_action_matrix_identity_operator():
     L2, _, _ = make_pair("poly")
     I = DiffOp.identity(L2.window)
-    M = action_matrix(L2, I, mpf(2), 0)
-    assert abs(M.entries[0][0] - 1) <= mpf("1e-28")
-    assert abs(M.entries[1][1] - 1) <= mpf("1e-28")
+    M = action_at(L2, I, mpf(2), 0)
+    assert abs(M[0][0] - 1) <= mpf("1e-28")
+    assert abs(M[1][1] - 1) <= mpf("1e-28")
 
 
 def test_action_matrix_geometric_char_poly():
     # at z = 2 the characteristic polynomial is w^2 - 8 (curve w^2 = z^3)
     L2, L3, _ = make_pair("geom")
-    M = action_matrix(L2, L3, mpf(2), 0)
-    tr = M.entries[0][0] + M.entries[1][1]
-    det = M.entries[0][0] * M.entries[1][1] - M.entries[0][1] * M.entries[1][0]
+    M = action_at(L2, L3, mpf(2), 0)
+    tr = M[0][0] + M[1][1]
+    det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
     assert abs(tr) <= mpf("1e-10")
     assert abs(det + 8) <= mpf("1e-10")
 
 
-def test_action_matrix_rejects_non_commuting():
+def test_extract_curve_rejects_non_commuting():
     L2, _, _ = make_pair("poly")
     junk = DiffOp.build({3: 1, 0: lambda n: mpf(n)}, L2.window)
     with pytest.raises(CommutationError):
-        action_matrix(L2, junk, mpf(1), 0)
+        extract_curve(L2, junk)
 
 
 def test_char_poly_coeffs_small_matrix():
@@ -196,11 +202,10 @@ def test_extract_curve_eigen_consistency():
     L2, L3, state = make_pair("geom")
     z = mpf(3)
     P = curve_point(state.curve, z, 1)
-    M = action_matrix(L2, L3, z, 0)
-    psi = ba_sequence(state, P, (0, 1))
-    v0, v1 = psi.at(0), psi.at(1)
-    r0 = M.entries[0][0] * v0 + M.entries[0][1] * v1 - P.w * v0
-    r1 = M.entries[1][0] * v0 + M.entries[1][1] * v1 - P.w * v1
+    M = action_at(L2, L3, z, 0)
+    v0, v1 = baker_akhiezer(state, P, 0), baker_akhiezer(state, P, 1)
+    r0 = M[0][0] * v0 + M[0][1] * v1 - P.w * v0
+    r1 = M[1][0] * v0 + M[1][1] * v1 - P.w * v1
     scale = max(abs(P.w * v0), abs(P.w * v1), mpf(1))
     assert abs(r0) <= mpf("1e-8") * scale
     assert abs(r1) <= mpf("1e-8") * scale
@@ -266,3 +271,24 @@ def test_kernel_extend_polynomial_values_evaluate_to_scalar_run():
     for n in range(-3, 11):
         val = sum(c.at(n) * z**k for k, c in enumerate(coeffs))
         assert abs(val - psi.at(n)) <= mpf("1e-28") * psi.sup_norm()
+
+
+def test_extract_curve_catches_a_perturbed_partner():
+    # 1e-6 on the partner's T^1 coefficient at n = 0 breaks commutation; with
+    # the commutation guard lifted, the base points disagree by about 1e-6
+    # (2.3e-33 unperturbed) and the report fails
+    L2, partner, state, _extras = build_case(FamilySpec("trig", 2, {"r1": 1}), (-10, 10))
+    t1 = partner.terms[1]
+    lo = t1.window[0]
+    terms = dict(partner.terms)
+    terms[1] = CoeffSeq(lo, [v + mpf("1e-6") if lo + i == 0 else v
+                             for i, v in enumerate(t1.values)])
+    bumped = DiffOp(terms, partner.window)
+    with pytest.raises(CommutationError):
+        extract_curve(L2, bumped)
+    clean = extract_curve(L2, partner)
+    rep = extract_curve(L2, bumped, commutation_tol=1)
+    assert clean.passes(state.curve.c)
+    assert clean.base_independence_residual <= mpf("1e-30")
+    assert rep.base_independence_residual >= mpf("1e-6")
+    assert not rep.passes(state.curve.c)
