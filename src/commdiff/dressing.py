@@ -37,7 +37,6 @@ from .numcore import (
     mpf_to_str,
     poly_div_exact,
     scalar,
-    str_to_mpf,
 )
 from .opalg import CoeffSeq, DiffOp
 
@@ -222,11 +221,11 @@ class DressingState:
     def from_doc(cls, doc: dict) -> "DressingState":
         lo, hi = int(doc["window"][0]), int(doc["window"][1])
         g = int(doc["g"])
-        curve = HyperellipticCurve(g, [str_to_mpf(s) for s in doc["curve"]])
-        U = CoeffSeq(lo, [str_to_mpf(s) for s in doc["U"]])
-        W = CoeffSeq(lo, [str_to_mpf(s) for s in doc["W"]])
-        S = {lo + i: ZPoly([str_to_mpf(c) for c in cs]) for i, cs in enumerate(doc["S"])}
-        Q = {lo + 1 + i: ZPoly([str_to_mpf(c) for c in cs]) for i, cs in enumerate(doc["Q"])}
+        curve = HyperellipticCurve(g, [scalar(s) for s in doc["curve"]])
+        U = CoeffSeq(lo, [scalar(s) for s in doc["U"]])
+        W = CoeffSeq(lo, [scalar(s) for s in doc["W"]])
+        S = {lo + i: ZPoly([scalar(c) for c in cs]) for i, cs in enumerate(doc["S"])}
+        Q = {lo + 1 + i: ZPoly([scalar(c) for c in cs]) for i, cs in enumerate(doc["Q"])}
         return cls(U, W, curve, S, Q)
 
     def __repr__(self):
@@ -687,21 +686,22 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
 # ---------------------------------------------------------------------------
 
 
-def elliptic_uw(curve: HyperellipticCurve, gamma: CoeffSeq, sigma=None):
-    """(U, W, s) of the genus-1 family on w^2 = F1(z) with parameter gamma_n.
+def elliptic_dressing_state(
+    curve: HyperellipticCurve, gamma: CoeffSeq, sigma: CoeffSeq | None = None, window=None
+) -> DressingState:
+    """Genus-1 state with Q_n = z - gamma_n for a functional parameter gamma.
 
-    s_n = sigma_n sqrt(F1(gamma_n)) (branch signs default +1),
-    U_n = -(s_n + s_{n+1}) / (gamma_n - gamma_{n+1}) and
-    W_n = -c2 - gamma_n - gamma_{n+1}, tabulated on [glo, ghi - 1]; s is
-    returned as a function of n.
+    s_n = sigma_n sqrt(F1(gamma_n)) is S_n at its own divisor point (branch
+    signs default +1), U_n = -(s_n + s_{n+1}) / (gamma_n - gamma_{n+1}) and
+    W_n = -c2 - gamma_n - gamma_{n+1}, tabulated on [glo, ghi - 1]; then
+    S_n = s_n + U_n gamma_n - U_n z on window, by default [glo, ghi - 1].
     """
+    if curve.g != 1:
+        raise ValueError("elliptic dressing state needs genus 1")
     glo, ghi = gamma.window
-
-    def sgn(n):
-        if sigma is None:
-            return mpf(1)
-        v = sigma.at(n) if isinstance(sigma, CoeffSeq) else sigma(n)
-        return scalar(v)
+    lo, hi = (glo, ghi - 1) if window is None else (int(window[0]), int(window[1]))
+    if lo < glo or hi > ghi - 1:
+        raise WindowError("window needs gamma on [lo, hi+1]")
 
     def s_val(n):
         f = curve.eval(gamma.at(n))
@@ -709,7 +709,7 @@ def elliptic_uw(curve: HyperellipticCurve, gamma: CoeffSeq, sigma=None):
             raise InconsistentDataError(
                 f"F1(gamma_{n}) = {f} < 0: divisor point has no real branch"
             )
-        return sgn(n) * sqrt(f)
+        return sqrt(f) if sigma is None else scalar(sigma.at(n)) * sqrt(f)
 
     def u_val(n):
         dg = gamma.at(n) - gamma.at(n + 1)
@@ -723,24 +723,6 @@ def elliptic_uw(curve: HyperellipticCurve, gamma: CoeffSeq, sigma=None):
     W = CoeffSeq.tabulate(
         lambda n: -curve.c[2] - gamma.at(n) - gamma.at(n + 1), (glo, ghi - 1)
     )
-    return U, W, s_val
-
-
-def elliptic_dressing_state(
-    curve: HyperellipticCurve, gamma: CoeffSeq, sigma=None, window=None
-) -> DressingState:
-    """Genus-1 state with Q_n = z - gamma_n for a functional parameter gamma.
-
-    sigma gives the branch sign of S_n at its own divisor point,
-    S_n(gamma_n) = sigma_n sqrt(F1(gamma_n)); default all +1.
-    """
-    if curve.g != 1:
-        raise ValueError("elliptic dressing state needs genus 1")
-    glo, ghi = gamma.window
-    lo, hi = (glo, ghi - 1) if window is None else (int(window[0]), int(window[1]))
-    if lo < glo or hi > ghi - 1:
-        raise WindowError("window needs gamma on [lo, hi+1]")
-    U, W, s_val = elliptic_uw(curve, gamma, sigma)
     S = {}
     for n in range(lo, hi + 1):
         delta0 = s_val(n) + U.at(n) * gamma.at(n)

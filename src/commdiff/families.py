@@ -3,7 +3,9 @@ partners: trigonometric, quadratic-in-n, geometric, and the elliptic family
 with a free functional parameter.
 
 Each constructor returns tabulated sequences ready for the dressing solvers;
-the elliptic constructor also assembles its order-3 partner in closed form.
+the elliptic constructor also returns its order-3 partner, which
+build_partner_op assembles from the family's dressing state like every other
+family's.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from mpmath import mp, mpf, cos, sin
 from . import dressing
 from .errors import DegenerateDenominatorError
 from .numcore import HyperellipticCurve, mpf_to_str, scalar
-from .opalg import CoeffSeq, DiffOp
+from .opalg import CoeffSeq
 
 # each family's parameters: None marks a required one, a value its default;
 # the elliptic family is genus 1 only
@@ -126,33 +128,14 @@ def elliptic_family(c2, c1, c0, gamma: CoeffSeq, sigma=None) -> tuple:
 
     U_n = -(s_n + s_{n+1}) / (gamma_n - gamma_{n+1}) with
     s_n = sigma_n sqrt(F1(gamma_n)) (branch signs default +1), and
-    W_n = -c2 - gamma_n - gamma_{n+1}.  Returns (U, W, L3) where L3 is the
-    commuting order-3 partner assembled in closed form:
-
-        T^3 + (U_n + U_{n+1} + U_{n+2}) T^2
-            + (U_n^2 + U_{n+1}^2 + U_n U_{n+1} + W_n - gamma_{n+2}) T
-            + (U_n (U_n^2 + W_n - gamma_n) - s_n).
-
-    The sign of the s_n term in the zero-degree coefficient is forced by the
-    branch convention in U_n; commutation verifies the pairing.
+    W_n = -c2 - gamma_n - gamma_{n+1}.  Returns (U, W, L3), where L3 is the
+    commuting order-3 partner that build_partner_op assembles from the
+    family's dressing state (elliptic_dressing_state), valid on
+    [glo + 1, ghi - 5]; a narrower gamma window raises WindowError.
     """
     curve = HyperellipticCurve(1, (c0, c1, c2))
-    glo, ghi = gamma.window
-    if ghi - glo < 3:
-        raise ValueError("gamma window too small for the order-3 partner")
-    U, W, s_val = dressing.elliptic_uw(curve, gamma, sigma)
-    l3_window = (glo, ghi - 3)
-    L3 = DiffOp.build(
-        {
-            3: 1,
-            2: lambda n: U.at(n) + U.at(n + 1) + U.at(n + 2),
-            1: lambda n: U.at(n) ** 2 + U.at(n + 1) ** 2 + U.at(n) * U.at(n + 1)
-            + W.at(n) - gamma.at(n + 2),
-            0: lambda n: U.at(n) * (U.at(n) ** 2 + W.at(n) - gamma.at(n)) - s_val(n),
-        },
-        l3_window,
-    )
-    return U, W, L3
+    state = dressing.elliptic_dressing_state(curve, gamma, sigma)
+    return state.U, state.W, dressing.build_partner_op(state)
 
 
 def family_from_spec(spec: FamilySpec, window):
@@ -199,23 +182,23 @@ def build_case(spec: FamilySpec, window, seed: int = 1234):
             lambda n: mpf(2) + mpf(rng.random()), (uw_window[0], uw_window[1] + 1)
         )
         c2, c1, c0 = spec.params["c2"], spec.params["c1"], spec.params["c0"]
-        _U, _W, partner = elliptic_family(c2, c1, c0, gamma)
         curve = HyperellipticCurve(1, (c0, c1, c2))
         state = dressing.elliptic_dressing_state(curve, gamma, window=(slo, shi))
-        return state.l2(), partner, state, {"gamma_window": list(gamma.window)}
-    basis = basis_for(spec)
-    # the pin fit reads U on |n| <= size + 2, whatever the window
-    reach = basis.size + 2
-    uw_window = (min(uw_window[0], -reach), max(uw_window[1], reach))
-    U, W = family_from_spec(spec, uw_window)
-    with mp.workprec(mp.prec + dressing.RECURSION_GUARD_BITS):
-        fine = family_from_spec(spec, uw_window)
-    # the solver's no-solution threshold stays fixed; callers' tolerances
-    # govern their own checks only
-    result = dressing.ansatz_solve(basis, U, W, fine)
-    state = result.state(U, W, (slo, shi))
+        extras = {"gamma_window": list(gamma.window)}
+    else:
+        basis = basis_for(spec)
+        # the pin fit reads U on |n| <= size + 2, whatever the window
+        reach = basis.size + 2
+        uw_window = (min(uw_window[0], -reach), max(uw_window[1], reach))
+        U, W = family_from_spec(spec, uw_window)
+        with mp.workprec(mp.prec + dressing.RECURSION_GUARD_BITS):
+            fine = family_from_spec(spec, uw_window)
+        # the solver's no-solution threshold stays fixed; callers' tolerances
+        # govern their own checks only
+        result = dressing.ansatz_solve(basis, U, W, fine)
+        state = result.state(U, W, (slo, shi))
+        extras = {"ansatz_residual_rel": mpf_to_str(result.info["resid_rel"])}
+        if spec.kind == "geom":
+            extras["w_sign"] = 1
     L2 = state.l2()
-    extras = {"ansatz_residual_rel": mpf_to_str(result.info["resid_rel"])}
-    if spec.kind == "geom":
-        extras["w_sign"] = 1
     return L2, dressing.build_partner_op(state, L2), state, extras

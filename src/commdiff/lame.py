@@ -1,6 +1,7 @@
 """Discrete second-order operators on an eps-lattice built from Weierstrass
 zeta differences, their continuum limit, and the genus-1 spectral-curve
-stability check across step sizes.
+stability check across step sizes, whose order-3 partner build_partner_op
+assembles from the dressing state of the genus-1 chain.
 
 wp and zeta are Jacobi theta quotients via mpmath.jtheta (DLMF 23.6), with
 the nome of the rectangular real lattice; the branch points e1 > e2 > e3,
@@ -15,9 +16,9 @@ from __future__ import annotations
 from mpmath import mpf, sqrt, pi, agm, acos, exp, jtheta, floor, log, cos
 
 from .errors import InconsistentDataError, LatticeProximityError
-from .numcore import mpf_to_str, scalar
+from .dressing import DressingState, build_partner_op
+from .numcore import HyperellipticCurve, ZPoly, mpf_to_str, scalar
 from .opalg import CoeffSeq, DiffOp
-from .families import elliptic_family
 from .spectral import extract_curve
 
 LATTICE_PROXIMITY = mpf("1e-6")
@@ -185,7 +186,7 @@ L3_WINDOW = (-5, 5)
 
 
 def _genus1_parameters(ctx: WeierstrassContext, eps, x0):
-    """(c2, c1, c0, gamma0, U0) of the elliptic family whose L2 is the monic
+    """(c2, c1, c0, gamma0, U0) of the genus-1 state whose L2 is the monic
     operator eps^2 L2 = T^2 + eps A_1(x_n) T + eps^2 wp(eps), in closed form.
 
     The curve is the Weierstrass cubic in the spectral parameter t = z/eps^2
@@ -204,16 +205,17 @@ def _genus1_parameters(ctx: WeierstrassContext, eps, x0):
 
 
 def _genus1_chains(params, u1, u0, window):
-    """gamma_n and S_n(gamma_n) on the window, marched from the closed-form
-    (gamma0, U0), and the chain residual: the largest z^0 residual of the
-    genus-1 master identity over CHAIN_SITES lattice sites from n = 0, which
-    the window must cover.
+    """U_n and the S constant terms delta_n on the window, marched from the
+    closed-form (gamma0, U0), and the chain residual: the largest z^0
+    residual of the genus-1 master identity over CHAIN_SITES lattice sites
+    from n = 0, which the window must cover.
 
-    The master identity for a genus-1 state with Q_n = z - gamma_n reduces,
-    coefficient by coefficient in z, to a three-term chain: gamma advances by
-    gamma_{n+1} = U_n^2 - u0 - c2 - gamma_n, the linear coefficient determines
-    the S constant term delta_n, and the z^0 coefficient leaves one residual
-    per lattice site.
+    The master identity for a genus-1 state with S_n = delta_n - U_n z and
+    Q_n = z - gamma_n reduces, coefficient by coefficient in z, to a
+    three-term chain: gamma advances by gamma_{n+1} = U_n^2 - u0 - c2 -
+    gamma_n, the linear coefficient determines delta_n, and the z^0
+    coefficient leaves one residual per lattice site.  U is tabulated on
+    [lo, hi], delta on [lo, hi - 1].
     """
     c2, c1, c0, g0, U0 = params
     lo, hi = int(window[0]), int(window[1])
@@ -229,11 +231,25 @@ def _genus1_chains(params, u1, u0, window):
         n: (gam[n] * gam[n + 1] + u0 * (gam[n] + gam[n + 1]) - c1) / (2 * U[n])
         for n in range(lo, hi)
     }
-    s = {n: -U[n] * gam[n] + delta[n] for n in range(lo, hi)}
     residual = max(
         abs(delta[n] ** 2 - u0 * gam[n] * gam[n + 1] - c0) for n in range(CHAIN_SITES)
     )
-    return gam, s, residual
+    return U, delta, residual
+
+
+def _genus1_state(params, U, delta, u0, window) -> DressingState:
+    """The chain's dressing state on window: S_n = delta_n - U_n z and
+    W_n = u0 - U_n^2 on the curve (c0, c1, c2); Q_n follows from the pair
+    rule."""
+    c2, c1, c0 = params[:3]
+    lo, hi = int(window[0]), int(window[1])
+    ns = range(lo, hi + 1)
+    return DressingState.from_s_table(
+        CoeffSeq(lo, [U[n] for n in ns]),
+        CoeffSeq(lo, [u0 - U[n] ** 2 for n in ns]),
+        {n: ZPoly([delta[n], -U[n]]) for n in ns},
+        curve=HyperellipticCurve(1, (c0, c1, c2)),
+    )
 
 
 # the report keys of a step; one off the genus-1 chain has no partner, and
@@ -276,15 +292,16 @@ def lame_curve_independence(ctx: WeierstrassContext, eps_list, x0) -> LameIndepe
     """Check that the extracted curve does not depend on the lattice step.
 
     For each eps the monic operator eps^2 L2 = T^2 + eps A_1(x_n) T +
-    eps^2 wp(eps) is matched to the elliptic coefficient family by the
-    closed-form parameters (c2, c1, c0, gamma0, U0), and the chain residual
-    measures the match; the order-3 partner then comes from the closed form
-    and the curve from the action-matrix extraction.  Monicization scales
-    the spectral parameter by eps^2, so each curve is mapped back
-    (coefficients divided by eps^6, eps^4, eps^2) and compared with the
-    Weierstrass cubic's (-g3/4, -g2/4, 0).  A step whose chain residual
-    exceeds NEWTON_TOL gets an entry with that residual and no partner or
-    curve, which fails the report.
+    eps^2 wp(eps) is matched to a genus-1 dressing state by the closed-form
+    parameters (c2, c1, c0, gamma0, U0), and the chain residual measures the
+    match.  The chain's U_n and delta_n give the state S_n = delta_n - U_n z
+    and W_n = u0 - U_n^2 on the curve (c0, c1, c2); build_partner_op assembles
+    the order-3 partner from it, and the action-matrix extraction gives the
+    curve.  Monicization scales the spectral parameter by eps^2, so each
+    curve is mapped back (coefficients divided by eps^6, eps^4, eps^2) and
+    compared with the Weierstrass cubic's (-g3/4, -g2/4, 0).  A step whose
+    chain residual exceeds NEWTON_TOL gets an entry with that residual and no
+    partner or curve, which fails the report.
     """
     x0 = scalar(x0)
     wlo, whi = L3_WINDOW
@@ -303,22 +320,16 @@ def lame_curve_independence(ctx: WeierstrassContext, eps_list, x0) -> LameIndepe
         u1 = u1_tab.__getitem__
 
         params = _genus1_parameters(ctx, eps, x0)
-        c2, c1, c0 = params[0], params[1], params[2]
-
-        gam, s, chain_residual = _genus1_chains(params, u1, u0, chain_window)
+        U, delta, chain_residual = _genus1_chains(params, u1, u0, chain_window)
         entry = {"eps": eps, "newton_residual": chain_residual, "params": params}
         entries.append(entry)
         if chain_residual > NEWTON_TOL:
-            # off the genus-1 chain gamma_n need not lie on a real branch:
+            # off the genus-1 chain the state need not be a dressing:
             # no partner, no curve, and the report fails
             continue
-        gamma_seq = CoeffSeq(wlo - 1, [gam[n] for n in range(wlo - 1, whi + 4)])
-        sigma_seq = CoeffSeq(
-            wlo - 1, [mpf(1) if s[n] >= 0 else mpf(-1) for n in range(wlo - 1, whi + 4)]
-        )
-        L3 = elliptic_family(c2, c1, c0, gamma_seq, sigma_seq)[2]
-
+        state = _genus1_state(params, U, delta, u0, (wlo - 1, whi))
         l2m = DiffOp.build({2: 1, 1: u1, 0: u0}, (wlo - 1, whi + 3))
+        L3 = build_partner_op(state, l2m)
         report = extract_curve(l2m, L3, n0_list=(-1, 0, 1), commutation_tol=mpf("1e-7"))
         if report.matched_curve is None:
             raise InconsistentDataError(

@@ -70,10 +70,6 @@ def mpf_to_str(x: mpf) -> str:
     return mp.nstr(x, mp.dps + 4, strip_zeros=True)
 
 
-def str_to_mpf(s: str) -> mpf:
-    return scalar(mpf(s))
-
-
 # ---------------------------------------------------------------------------
 # dense polynomials in z
 # ---------------------------------------------------------------------------

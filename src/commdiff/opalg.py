@@ -19,7 +19,7 @@ import operator
 from mpmath import mpf
 
 from .errors import WindowError
-from .numcore import mpf_to_str, scalar, str_to_mpf
+from .numcore import mpf_to_str, scalar
 
 
 class CoeffSeq:
@@ -275,7 +275,7 @@ def op_from_json(text: str) -> DiffOp:
     doc = json.loads(text)
     lo, hi = int(doc["window"][0]), int(doc["window"][1])
     terms = {
-        int(j): CoeffSeq(lo, [str_to_mpf(s) for s in vals])
+        int(j): CoeffSeq(lo, [scalar(s) for s in vals])
         for j, vals in doc["terms"].items()
     }
     return DiffOp(terms, (lo, hi))

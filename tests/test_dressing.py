@@ -546,6 +546,9 @@ def test_build_partner_geometric_printed_coefficients():
 
 
 def test_build_partner_elliptic_matches_closed_form():
+    # elliptic_family's L3 is the partner of its own full-window state; the
+    # partner of a narrower state agrees with it, and test_families checks
+    # both against the closed form
     from commdiff.families import elliptic_family
 
     gamma = CoeffSeq.tabulate(

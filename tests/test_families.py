@@ -12,6 +12,7 @@ from commdiff.dressing import (
     TrigBasis,
     ansatz_solve,
     build_partner_op,
+    identity_residuals,
     l2_operator,
 )
 from commdiff.families import (
@@ -34,6 +35,41 @@ def golden_gamma(window):
     phi = (sqrt(mpf(5)) - 1) / 2
     lo, hi = window
     return CoeffSeq.tabulate(lambda n: 2 + (mpf(n) * phi + mpf(1) / 3) % 1, window)
+
+
+def closed_form_l3(U, W, gamma, s, window):
+    """The order-3 partner of the elliptic family in the paper's closed form,
+
+        T^3 + (U_n + U_{n+1} + U_{n+2}) T^2
+            + (U_n^2 + U_{n+1}^2 + U_n U_{n+1} + W_n - gamma_{n+2}) T
+            + (U_n (U_n^2 + W_n - gamma_n) - s_n),
+
+    with s_n = S_n(gamma_n) = sigma_n sqrt(F1(gamma_n)) the value of S_n at
+    its own divisor point."""
+    return DiffOp.build(
+        {
+            3: 1,
+            2: lambda n: U.at(n) + U.at(n + 1) + U.at(n + 2),
+            1: lambda n: U.at(n) ** 2 + U.at(n + 1) ** 2 + U.at(n) * U.at(n + 1)
+            + W.at(n) - gamma.at(n + 2),
+            0: lambda n: U.at(n) * (U.at(n) ** 2 + W.at(n) - gamma.at(n)) - s(n),
+        },
+        window,
+    )
+
+
+def closed_form_deviation(L3, closed):
+    """max |L3 - closed| coefficient by coefficient on the common window,
+    relative to max(|closed coefficient|, 1)."""
+    lo = max(L3.window[0], closed.window[0])
+    hi = min(L3.window[1], closed.window[1])
+    assert lo < hi
+    return max(
+        abs(L3.coeff(j).at(n) - closed.coeff(j).at(n))
+        / max(abs(closed.coeff(j).at(n)), mpf(1))
+        for j in range(4)
+        for n in range(lo, hi + 1)
+    )
 
 
 def commutation_rel(U, W, basis, state_window):
@@ -153,7 +189,7 @@ def test_elliptic_curve_extraction_matches_input():
 def test_elliptic_alternating_branch_signs():
     # caller-supplied branch signs: an alternating pattern still satisfies
     # all identities when U, W, and the partner share it
-    from commdiff.dressing import elliptic_dressing_state, identity_residuals
+    from commdiff.dressing import elliptic_dressing_state
     from commdiff.numcore import HyperellipticCurve
 
     gamma = golden_gamma((-14, 15))
@@ -165,6 +201,53 @@ def test_elliptic_alternating_branch_signs():
     curve = HyperellipticCurve(1, (0, -1, 0))
     state = elliptic_dressing_state(curve, gamma, sigma, window=(-12, 12))
     assert identity_residuals(state, (-10, 10))[0] <= mpf("1e-20")
+
+
+@pytest.mark.parametrize("seed", [1234, 7, 99])
+def test_build_case_elliptic_partner_matches_closed_form(seed):
+    # the partner build_partner_op assembles from the elliptic state is the
+    # closed form up to roundoff (1.5e-33 measured at 113 bits)
+    _L2, partner, state, extras = build_case(FamilySpec("elliptic", 1, {}), (-24, 24), seed)
+    rng = random.Random(seed)
+    gamma = CoeffSeq.tabulate(lambda n: mpf(2) + mpf(rng.random()), extras["gamma_window"])
+    s = lambda n: sqrt(gamma.at(n) ** 3 - gamma.at(n))
+    glo, ghi = gamma.window
+    closed = closed_form_l3(state.U, state.W, gamma, s, (glo, ghi - 3))
+    assert closed_form_deviation(partner, closed) <= mpf("1e-30")
+
+
+@pytest.mark.parametrize("alternating", [False, True])
+def test_elliptic_family_partner_matches_closed_form(alternating):
+    gamma = golden_gamma((-14, 15))
+    sigma = None
+    if alternating:
+        sigma = CoeffSeq.tabulate(lambda n: mpf(1) if n % 2 == 0 else mpf(-1), (-14, 15))
+    U, W, L3 = elliptic_family(0, -1, 0, gamma, sigma)
+
+    def s(n):
+        sign = 1 if sigma is None else sigma.at(n)
+        return sign * sqrt(gamma.at(n) ** 3 - gamma.at(n))
+
+    closed = closed_form_l3(U, W, gamma, s, (-14, 12))
+    assert closed_form_deviation(L3, closed) <= mpf("1e-30")
+
+
+def test_elliptic_verify_residuals_are_roundoff():
+    # the identity and commutator residuals of the elliptic verify case are
+    # rounding errors: 47 more bits shrink the master and linear residuals
+    # by at least 2^40 (2^46 and 2^47 measured) and the commutator by at
+    # least 2^36 (2^40 measured)
+    measured = []
+    for bits in (113, 160):
+        with mp.workprec(bits):
+            L2, partner, state, _extras = build_case(FamilySpec("elliptic", 1, {}), (-24, 24))
+            master, linear, _ = identity_residuals(state, (-24, 24))
+            _, comm = commutator_residual(L2, partner)
+            measured.append((master, linear, comm))
+    (m113, l113, c113), (m160, l160, c160) = measured
+    assert m160 <= m113 / 2**40
+    assert l160 <= l113 / 2**40
+    assert c160 <= c113 / 2**36
 
 
 def test_elliptic_degenerate_gamma():
