@@ -525,7 +525,9 @@ def _march(dc, D, top, seeds, n0, span):
     """S levels g..0 on span = [a, b] by the level recursion.
 
     Values are coefficient vectors: affine vectors over the fit's
-    constants, or one entry once those are known.  With D_n = U_{n-1} + U_n
+    constants, or one entry once those are known; a level's seeds may be
+    longer than the level above, whose width its steps keep, and the q march
+    carries the seeds' entries past it unchanged.  With D_n = U_{n-1} + U_n
     and dc[n] the products d_i c_i, level m - 1 follows from level m in two
     marches: the z^m row of the four-term relation,
 
@@ -539,6 +541,7 @@ def _march(dc, D, top, seeds, n0, span):
     levels = [top]
     for q0, q1, s0 in seeds:
         up = levels[-1]
+        width = len(up[a])
         # the division comes after the sum, which cancels heavily
         step = {}
         for n in range(a + 1, b - 1):
@@ -546,9 +549,9 @@ def _march(dc, D, top, seeds, n0, span):
             step[n] = [v * inv for v in _comb(dc[n], [up[n + k] for k in (-1, 0, 1, 2)])]
         q = {n0: q0, n0 + 1: q1}
         for n in range(n0, b - 1):
-            q[n + 2] = [x - y for x, y in zip(q[n], step[n])]
+            q[n + 2] = [x - y for x, y in zip(q[n], step[n])] + q[n][width:]
         for n in range(n0 - 1, a, -1):
-            q[n] = [x + y for x, y in zip(q[n + 2], step[n])]
+            q[n] = [x + y for x, y in zip(q[n + 2], step[n])] + q[n + 2][width:]
         s = {n0: s0}
         for n in range(n0 + 1, b + 1):
             s[n] = [-D[n] * x - y for x, y in zip(q[n], s[n - 1])]
@@ -627,13 +630,14 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
         dc = {n: [d * c for _s, c, d in f] for n, f in fac.items()}
 
         # affine march on the fit window: entry 0 is the inhomogeneous part,
-        # entry 1 + 3 (g - 1 - m) + i the i-th constant of level m
-        def unit(j):
-            return [mpf(1) if k == j else mpf(0) for k in range(ncon + 1)]
+        # entry 1 + 3 (g - 1 - m) + i the i-th constant of level m, the last
+        # entries of level m's vectors, since those past them are exact 0s
+        def units(j):
+            return [[mpf(int(k == i)) for k in range(j + 3)] for i in range(j, j + 3)]
 
         span = (flo - 1, fhi + 2)
-        top = {n: [-Uf.at(n)] + [mpf(0)] * ncon for n in range(span[0], span[1] + 1)}
-        seeds = [(unit(j), unit(j + 1), unit(j + 2)) for j in range(1, ncon + 1, 3)]
+        top = {n: [-Uf.at(n)] for n in range(span[0], span[1] + 1)}
+        seeds = [units(j) for j in range(1, ncon + 1, 3)]
         s0 = _march(dc, D, top, seeds, n0, span)[-1]
         rows, rhs = [], []
         for n in range(flo, fhi + 1):
@@ -711,13 +715,15 @@ def elliptic_dressing_state(
             )
         return sqrt(f) if sigma is None else scalar(sigma.at(n)) * sqrt(f)
 
+    s = CoeffSeq.tabulate(s_val, (glo, ghi))
+
     def u_val(n):
         dg = gamma.at(n) - gamma.at(n + 1)
         if abs(dg) <= DEGENERACY_REL * max(mpf(1), abs(gamma.at(n))):
             raise DegenerateDenominatorError(
                 f"gamma_{n} - gamma_{n + 1} = {dg}: functional parameter is degenerate"
             )
-        return -(s_val(n) + s_val(n + 1)) / dg
+        return -(s.at(n) + s.at(n + 1)) / dg
 
     U = CoeffSeq.tabulate(u_val, (glo, ghi - 1))
     W = CoeffSeq.tabulate(
@@ -725,7 +731,7 @@ def elliptic_dressing_state(
     )
     S = {}
     for n in range(lo, hi + 1):
-        delta0 = s_val(n) + U.at(n) * gamma.at(n)
+        delta0 = s.at(n) + U.at(n) * gamma.at(n)
         S[n] = ZPoly([delta0, -U.at(n)])
     return DressingState.from_s_table(U, W, S, curve=curve)
 
@@ -800,21 +806,27 @@ def build_partner_op(state: DressingState, L2: DiffOp | None = None) -> DiffOp:
         sum_k q_{n,k} (T o L2^k)  -  sum_k s_{n,k} L2^k,
 
     with q_{n,k}, s_{n,k} the z^k coefficients of Q_n, S_n acting as
-    left multipliers.
+    left multipliers.  T and the identity have exact 1s for coefficients,
+    so no product is formed with them: T o L2^k re-indexes L2^k (its T^(j+1)
+    coefficient at n is that of T^j at n + 1), on T's window of L2's; L2^1 is
+    L2 on the window of L2 o identity, two sites short of L2's on the right.
     """
     if L2 is None:
         L2 = state.l2()
     g = state.curve.g
     slo, shi = state.window
     qs_window = (slo + 1, shi)
+    lo, hi = L2.window
     acc = None
     l2k = DiffOp.identity(L2.window)
-    T = DiffOp.shift(L2.window)
     for k in range(g + 1):
         qk = CoeffSeq.tabulate(lambda n, k=k: state.q(n).coeff(k), qs_window)
         sk = CoeffSeq.tabulate(lambda n, k=k: state.s(n).coeff(k), qs_window)
-        term = (T * l2k).scale_left(qk) - l2k.scale_left(sk)
+        tlo, thi = max(lo, l2k.window[0] - 1), min(hi, l2k.window[1] - 1)
+        t_l2k = DiffOp({j + 1: CoeffSeq(tlo, t.values_on(tlo + 1, thi + 1))
+                        for j, t in l2k.terms.items()}, (tlo, thi))
+        term = t_l2k.scale_left(qk) - l2k.scale_left(sk)
         acc = term if acc is None else acc + term
         if k < g:
-            l2k = L2 * l2k
+            l2k = DiffOp(L2.terms, (lo, hi - 2)) if k == 0 else L2 * l2k
     return acc

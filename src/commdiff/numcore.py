@@ -10,6 +10,8 @@ every function here is pure.
 
 from __future__ import annotations
 
+import operator
+
 from mpmath import mp, mpf
 from mpmath.libmp import finf, fnan, fninf
 
@@ -96,6 +98,13 @@ class ZPoly:
         self.coeffs = _trimmed(cs) if trim else cs
 
     @classmethod
+    def _computed(cls, coeffs: tuple, trim: bool = True) -> "ZPoly":
+        """Built from values that +, - and * made of finite mpfs: finite, so unchecked."""
+        p = cls.__new__(cls)
+        p.coeffs = _trimmed(coeffs) if trim else coeffs
+        return p
+
+    @classmethod
     def zero(cls) -> "ZPoly":
         return cls(())
 
@@ -134,20 +143,18 @@ class ZPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return ZPoly(out)
+        return ZPoly._computed((*map(operator.add, a, b), *a[len(b):]))
 
     def __sub__(self, other: "ZPoly") -> "ZPoly":
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        return ZPoly._computed((*map(operator.sub, a, b), *a[len(b):], *(-c for c in b[len(a):])))
 
     def __neg__(self) -> "ZPoly":
-        return ZPoly(tuple(-c for c in self.coeffs), trim=False)
+        return ZPoly._computed(tuple(-c for c in self.coeffs), trim=False)
 
     def scale(self, c) -> "ZPoly":
         c = scalar(c)
-        return ZPoly(tuple(c * x for x in self.coeffs))
+        return ZPoly._computed(tuple(c * x for x in self.coeffs))
 
     def __mul__(self, other):
         if not isinstance(other, ZPoly):
@@ -169,12 +176,14 @@ def poly_mul(p: ZPoly, q: ZPoly) -> ZPoly:
     """Convolution product; degrees add when leading coefficients survive."""
     if p.is_zero or q.is_zero:
         return ZPoly.zero()
+    # each sum starts from its first product, not from 0, in the same order
     a, b = p.coeffs, q.coeffs
-    out = [mpf(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
+    out = [a[0] * bj for bj in b]
+    for i, ai in enumerate(a[1:], 1):
+        out.append(ai * b[-1])
+        for j, bj in enumerate(b[:-1]):
             out[i + j] += ai * bj
-    return ZPoly(out)
+    return ZPoly._computed(tuple(out))
 
 
 def poly_div_exact(num: ZPoly, den: ZPoly):
@@ -227,7 +236,11 @@ class HyperellipticCurve:
         return ZPoly(self.c + (mpf(1),), trim=False)
 
     def eval(self, z) -> mpf:
-        return self.fpoly().eval(z)
+        """F(z) by Horner over c from the leading 1, in fpoly().eval's order."""
+        acc, z = mpf(1), scalar(z)
+        for c in reversed(self.c):
+            acc = acc * z + c
+        return acc
 
     @classmethod
     def from_fpoly(cls, p: ZPoly, g: int, tol_rel=mpf("1e-9")) -> "HyperellipticCurve":

@@ -34,6 +34,13 @@ class CoeffSeq:
             raise WindowError("empty coefficient window")
 
     @classmethod
+    def _computed(cls, n_min: int, values) -> "CoeffSeq":
+        """Built from values that +, - and * made of finite mpfs: finite, so unchecked."""
+        seq = cls.__new__(cls)
+        seq.n_min, seq.values = n_min, tuple(values)
+        return seq
+
+    @classmethod
     def tabulate(cls, fn, window) -> "CoeffSeq":
         lo, hi = int(window[0]), int(window[1])
         if hi < lo:
@@ -58,13 +65,15 @@ class CoeffSeq:
 
     def restrict(self, window) -> "CoeffSeq":
         lo, hi = int(window[0]), int(window[1])
-        return CoeffSeq(lo, self.values_on(lo, hi))
+        if (lo, hi) == self.window:
+            return self
+        return CoeffSeq._computed(lo, self.values_on(lo, hi))
 
     def values_on(self, lo: int, hi: int) -> tuple:
-        """The values on [lo, hi], which must lie inside the window."""
+        """The values on [lo, hi], which must be non-empty and inside the window."""
         slo, shi = self.window
-        if lo < slo or hi > shi:
-            raise WindowError(f"[{lo}, {hi}] is outside sequence window [{slo}, {shi}]")
+        if hi < lo or lo < slo or hi > shi:
+            raise WindowError(f"[{lo}, {hi}] is empty or outside sequence window [{slo}, {shi}]")
         return self.values[lo - slo : hi - slo + 1]
 
     def sup_norm(self) -> mpf:
@@ -79,7 +88,7 @@ class CoeffSeq:
 
     def binop(self, other, op) -> "CoeffSeq":
         lo, hi = self.window_intersect(other)
-        return CoeffSeq(lo, map(op, self.values_on(lo, hi), other.values_on(lo, hi)))
+        return CoeffSeq._computed(lo, map(op, self.values_on(lo, hi), other.values_on(lo, hi)))
 
     def __add__(self, other):
         return self.binop(other, operator.add)
@@ -91,12 +100,12 @@ class CoeffSeq:
         if isinstance(other, CoeffSeq):
             return self.binop(other, operator.mul)
         c = scalar(other)
-        return CoeffSeq(self.n_min, [c * v for v in self.values])
+        return CoeffSeq._computed(self.n_min, [c * v for v in self.values])
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return CoeffSeq(self.n_min, [-v for v in self.values])
+        return CoeffSeq._computed(self.n_min, [-v for v in self.values])
 
     def __repr__(self):
         lo, hi = self.window
@@ -197,7 +206,7 @@ class DiffOp:
             for j, u in self.terms.items():
                 acc += u.at(n) * f.at(n + j)
             vals.append(acc)
-        return CoeffSeq(lo, vals)
+        return CoeffSeq._computed(lo, vals)
 
     def __mul__(self, other):
         if not isinstance(other, DiffOp):
@@ -215,7 +224,7 @@ class DiffOp:
                 contrib = map(operator.mul, av, b.values_on(lo + i, hi + i))
                 k = i + j
                 out[k] = list(map(operator.add, out[k], contrib)) if k in out else list(contrib)
-        return DiffOp({k: CoeffSeq(lo, v) for k, v in out.items()}, (lo, hi))
+        return DiffOp({k: CoeffSeq._computed(lo, v) for k, v in out.items()}, (lo, hi))
 
     __rmul__ = __mul__
 
@@ -224,22 +233,23 @@ class DiffOp:
         lo, hi = _common_window([c], self.window)
         cv = c.values_on(lo, hi)
         return DiffOp(
-            {j: CoeffSeq(lo, map(operator.mul, cv, t.values_on(lo, hi)))
+            {j: CoeffSeq._computed(lo, map(operator.mul, cv, t.values_on(lo, hi)))
              for j, t in self.terms.items()},
             (lo, hi),
         )
 
-    def __add__(self, other: "DiffOp") -> "DiffOp":
-        lo, hi = _common_window(
-            list(self.terms.values()) + list(other.terms.values())
-        )
+    def _termwise(self, other: "DiffOp", op, alone) -> "DiffOp":
+        lo, hi = _common_window([*self.terms.values(), *other.terms.values()])
         out = dict(self.terms)
         for j, t in other.terms.items():
-            out[j] = out[j] + t if j in out else t
+            out[j] = op(out[j], t) if j in out else alone(t)
         return DiffOp(out, (lo, hi))
 
+    def __add__(self, other: "DiffOp") -> "DiffOp":
+        return self._termwise(other, operator.add, lambda t: t)
+
     def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return self + (-other)
+        return self._termwise(other, operator.sub, operator.neg)
 
     def __neg__(self) -> "DiffOp":
         return DiffOp({j: -t for j, t in self.terms.items()}, self.window)

@@ -10,8 +10,9 @@ from commdiff.errors import (
     RankDeficiencyError,
     WindowError,
 )
+from commdiff import dressing
 from commdiff.numcore import HyperellipticCurve, ZPoly
-from commdiff.opalg import CoeffSeq, commutator_residual
+from commdiff.opalg import CoeffSeq, DiffOp, commutator_residual
 from commdiff.dressing import (
     RECURSION_GUARD_BITS,
     CurvePoint,
@@ -634,3 +635,122 @@ def test_state_json_roundtrip():
     for n in range(-5, 6):
         assert (back.s(n) - state.s(n)).sup_norm() == 0
     assert identity_residuals(back, (0, 0))[0] <= mpf("1e-20")
+
+
+# ---------------------------------------------------------------------------
+# bit-identity oracles: the loops the pipeline ran before it skipped its
+# arithmetic on exact zeros and ones
+# ---------------------------------------------------------------------------
+
+
+def _reference_march(dc, D, top, seeds, n0, span):
+    """The dense level march that `_march` must reproduce bit for bit: every
+    affine vector padded with exact 0s to the full 3g + 1 entries."""
+    full = max(len(v) for seed in seeds for v in seed)
+
+    def pad(v):
+        return v + [mpf(0)] * (full - len(v))
+
+    a, b = span
+    levels = [{n: pad(v) for n, v in top.items()}]
+    for q0, q1, s0 in seeds:
+        up = levels[-1]
+        step = {}
+        for n in range(a + 1, b - 1):
+            inv = 1 / (D[n] * D[n + 2])
+            step[n] = [v * inv for v in dressing._comb(dc[n], [up[n + k] for k in (-1, 0, 1, 2)])]
+        q = {n0: pad(q0), n0 + 1: pad(q1)}
+        for n in range(n0, b - 1):
+            q[n + 2] = [x - y for x, y in zip(q[n], step[n])]
+        for n in range(n0 - 1, a, -1):
+            q[n] = [x + y for x, y in zip(q[n + 2], step[n])]
+        s = {n0: pad(s0)}
+        for n in range(n0 + 1, b + 1):
+            s[n] = [-D[n] * x - y for x, y in zip(q[n], s[n - 1])]
+        for n in range(n0, a, -1):
+            s[n - 1] = [-D[n] * x - y for x, y in zip(q[n], s[n])]
+        levels.append(s)
+    return levels
+
+
+def _reference_partner(state, L2):
+    """build_partner_op with its products by DiffOp.shift and the identity,
+    which the re-indexed assembly must reproduce bit for bit."""
+    qs_window = (state.window[0] + 1, state.window[1])
+    acc = None
+    l2k = DiffOp.identity(L2.window)
+    T = DiffOp.shift(L2.window)
+    for k in range(state.curve.g + 1):
+        qk = CoeffSeq.tabulate(lambda n, k=k: state.q(n).coeff(k), qs_window)
+        sk = CoeffSeq.tabulate(lambda n, k=k: state.s(n).coeff(k), qs_window)
+        term = (T * l2k).scale_left(qk) - l2k.scale_left(sk)
+        acc = term if acc is None else acc + term
+        if k < state.curve.g:
+            l2k = L2 * l2k
+    return acc
+
+
+def _raw_poly(p):
+    return [c._mpf_ for c in p.coeffs]
+
+
+def _assert_same_op(L, ref):
+    assert L.window == ref.window and sorted(L.terms) == sorted(ref.terms)
+    for j, t in L.terms.items():
+        assert [v._mpf_ for v in t.values] == [v._mpf_ for v in ref.terms[j].values], j
+
+
+def _assert_mpf_only(L2, partner, state):
+    for op in (L2, partner):
+        assert all(type(v) is mpf for t in op.terms.values() for v in t.values)
+    for table in (state.S, state.Q):
+        assert all(type(c) is mpf for p in table.values() for c in p.coeffs)
+    assert all(type(v) is mpf for seq in (state.U, state.W) for v in seq.values)
+
+
+@pytest.mark.parametrize("bits", (113, 160))
+@pytest.mark.parametrize("kind, params", [
+    ("trig", {"r1": "1.3"}),
+    ("poly", ODD5),
+    ("geom", {"a": "1.764235", "beta": "0.895178"}),
+])
+def test_pipeline_matches_dense_references_bit_for_bit(monkeypatch, kind, params, bits):
+    for g in range(1, 6):
+        with mp.workprec(bits):
+            spec = FamilySpec(kind, g, params)
+            L2, partner, state, extras = build_case(spec, (-4, 4))
+            _assert_mpf_only(L2, partner, state)
+            _assert_same_op(partner, _reference_partner(state, L2))
+            with monkeypatch.context() as m:
+                m.setattr(dressing, "_march", _reference_march)
+                _, _, ref_state, ref_extras = build_case(spec, (-4, 4))
+            assert extras == ref_extras
+            assert state.window == ref_state.window
+            for n in range(state.window[0], state.window[1] + 1):
+                assert _raw_poly(state.s(n)) == _raw_poly(ref_state.s(n)), (g, n)
+            assert [c._mpf_ for c in state.curve.c] == [c._mpf_ for c in ref_state.curve.c]
+
+
+@pytest.mark.parametrize("bits", (113, 160))
+def test_elliptic_state_and_partner_match_references_bit_for_bit(bits):
+    # s_n = sigma_n sqrt(F1(gamma_n)), formed once per n, against the
+    # per-use evaluation of the curve polynomial
+    with mp.workprec(bits):
+        curve = HyperellipticCurve(1, (mpf("0.2"), mpf("-1.1"), mpf("0.3")))
+        gamma = CoeffSeq.tabulate(lambda n: mpf(2) + mpf(n * 7 % 11) / 13, (-12, 13))
+        sigma = CoeffSeq.tabulate(lambda n: mpf((-1) ** (n // 3)), (-12, 13))
+        for sig in (None, sigma):
+            state = elliptic_dressing_state(curve, gamma, sig)
+            L2 = state.l2()
+            partner = build_partner_op(state, L2)
+            _assert_mpf_only(L2, partner, state)
+            _assert_same_op(partner, _reference_partner(state, L2))
+
+            def s_ref(n):
+                root = mp.sqrt(curve.fpoly().eval(gamma.at(n)))
+                return root if sig is None else sig.at(n) * root
+
+            for n in range(-12, 13):
+                u = -(s_ref(n) + s_ref(n + 1)) / (gamma.at(n) - gamma.at(n + 1))
+                ref = ZPoly([s_ref(n) + u * gamma.at(n), -u])
+                assert _raw_poly(state.s(n)) == _raw_poly(ref), n

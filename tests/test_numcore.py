@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from commdiff.errors import DegenerateDenominatorError, NonFiniteError
 from commdiff.numcore import (
@@ -59,6 +59,62 @@ def test_poly_mul_pointwise_oracle():
     for z in points:
         ref = s2.eval(z) ** 2
         assert abs(prod2.eval(z) - ref) <= mpf("1e-28") * max(1, abs(ref))
+
+
+def _reference_poly_mul(p, q):
+    """The zero-started convolution that `poly_mul` must reproduce bit for bit."""
+    if p.is_zero or q.is_zero:
+        return ZPoly.zero()
+    out = [mpf(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, ai in enumerate(p.coeffs):
+        for j, bj in enumerate(q.coeffs):
+            out[i + j] += ai * bj
+    return ZPoly(out)
+
+
+def _raw(poly):
+    return [c._mpf_ for c in poly.coeffs]
+
+
+@pytest.mark.parametrize("bits", (113, 160))
+def test_products_and_sums_match_the_reference_loops_bit_for_bit(bits):
+    # non-dyadic coefficients of mixed magnitude, so that every rounding shows
+    rng = random.Random(bits)
+    with mp.workprec(bits):
+        def draw():
+            return ZPoly([mpf(rng.uniform(-3, 3)) / 7 * mpf(10) ** rng.randint(-9, 9)
+                          for _ in range(rng.randint(1, 8))])
+
+        for _ in range(60):
+            p, q = draw(), draw()
+            prod = poly_mul(p, q)
+            assert _raw(prod) == _raw(_reference_poly_mul(p, q))
+            assert all(type(c) is mpf for c in prod.coeffs)
+            assert _raw(p - q) == _raw(p + (-q))
+            assert _raw(q - p) == _raw(q + (-p))
+
+
+def test_values_stay_mpf_and_scalar_operands_are_coerced():
+    p = ZPoly([mpf(1) / 3, 2])
+    for r in (p * 2, 2 * p, p.scale(0.5), p.scale(3) + p, p - p.scale(7), -p,
+              poly_mul(p, p)):
+        assert all(type(c) is mpf for c in r.coeffs)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(NonFiniteError):
+            p.scale(bad)
+
+
+def test_public_constructors_reject_non_finite():
+    for bad in (float("inf"), float("nan"), mpf("inf"), mpf("-inf"), mpf("nan"), "inf"):
+        with pytest.raises(NonFiniteError):
+            ZPoly([1, bad])
+
+
+def test_curve_eval_is_the_horner_of_fpoly():
+    with mp.workprec(160):
+        curve = HyperellipticCurve(2, [mpf(k) / 7 - mpf("0.3") for k in range(5)])
+        for z in (mpf(-2) / 3, mpf("0.1"), mpf(13) / 11):
+            assert curve.eval(z)._mpf_ == curve.fpoly().eval(z)._mpf_
 
 
 def test_poly_degree_law():

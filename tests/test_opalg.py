@@ -3,7 +3,7 @@ import random
 import pytest
 from mpmath import mpf
 
-from commdiff.errors import WindowError
+from commdiff.errors import NonFiniteError, WindowError
 from commdiff.opalg import (
     CoeffSeq,
     DiffOp,
@@ -268,3 +268,61 @@ def test_serialization_roundtrip():
     back = op_from_json(op_to_json(L))
     assert back.window == L.window
     assert (back - L).sup_norm() == 0
+
+
+NON_FINITE = (float("inf"), float("nan"), mpf("inf"), mpf("-inf"), mpf("nan"))
+
+
+def test_public_constructors_reject_non_finite():
+    for bad in NON_FINITE:
+        with pytest.raises(NonFiniteError):
+            CoeffSeq(0, [1, bad])
+        with pytest.raises(NonFiniteError):
+            CoeffSeq.tabulate(lambda n, bad=bad: bad if n == 2 else mpf(n), (0, 3))
+        with pytest.raises(NonFiniteError):
+            DiffOp.build({0: bad, 1: 1}, (0, 3))
+        with pytest.raises(NonFiniteError):
+            DiffOp.build({0: lambda n, bad=bad: bad, 1: 1}, (0, 3))
+        with pytest.raises(NonFiniteError):
+            CoeffSeq(0, [1, 2]) * bad
+    for text in ("inf", "-inf", "nan"):
+        doc = '{"order": 1, "window": [0, 1], "terms": {"0": ["1", "%s"], "1": ["1", "1"]}}'
+        with pytest.raises(NonFiniteError):
+            op_from_json(doc % text)
+
+
+def _all_mpf(L):
+    return all(type(v) is mpf for t in L.terms.values() for v in t.values)
+
+
+def test_results_hold_mpf_and_scalar_operands_are_coerced():
+    rng = random.Random(8)
+    A = DiffOp.build({0: lambda n: mpf(rng.uniform(-2, 2)) / 3, 1: 1}, (-10, 12))
+    B = DiffOp.build({-1: lambda n: mpf(n) / 7, 2: lambda n: mpf(rng.uniform(-2, 2))}, (-8, 10))
+    c = CoeffSeq.tabulate(lambda n: mpf(n) / 9, (-9, 9))
+    f = A.coeff(0)
+    for seq in (f * 2, 2 * f, f * 0.75, f + c, f - c, f * c, -f, f.restrict((0, 3)),
+                A.apply(c)):
+        assert all(type(v) is mpf for v in seq.values)
+    for L in (A * 3, 0.5 * A, A * B, A + B, A - B, -A, A.scale_left(c)):
+        assert _all_mpf(L)
+
+
+def test_difference_matches_the_sum_with_the_negation_bit_for_bit():
+    rng = random.Random(13)
+    A = DiffOp.build({0: lambda n: mpf(rng.uniform(-2, 2)) / 3,
+                      1: lambda n: mpf(rng.uniform(-2, 2)) / 7}, (-10, 12))
+    B = DiffOp.build({-1: lambda n: mpf(rng.uniform(-2, 2)) / 11, 1: 1}, (-8, 14))
+    for X, Y in ((A, B), (B, A), (A * B, B * A)):
+        diff, ref = X - Y, X + (-Y)
+        assert diff.window == ref.window and sorted(diff.terms) == sorted(ref.terms)
+        for j, t in diff.terms.items():
+            assert [v._mpf_ for v in t.values] == [v._mpf_ for v in ref.terms[j].values]
+
+
+def test_terms_on_the_window_are_shared_not_copied():
+    L = DiffOp.build({0: lambda n: mpf(n) / 3, 2: 1}, (-5, 5))
+    same = DiffOp(L.terms, L.window)
+    assert all(same.terms[j] is t for j, t in L.terms.items())
+    cut = DiffOp(L.terms, (-5, 3))
+    assert cut.window == (-5, 3) and cut.terms[0].values == L.terms[0].values[:-2]

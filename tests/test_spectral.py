@@ -242,6 +242,9 @@ def test_extract_curve_residuals_are_roundoff(kind, params):
     ("trig", 2, {"r1": 1}),
     ("poly", 3, {"a2": 1, "a0": 0, "a1": mpf(1) / 2}),
     ("geom", 2, {"a": 2, "beta": 1}),
+    # the longest marches: odd extension g = 5 and trig g = 4
+    ("poly", 5, {"a2": 1, "a0": 0, "a1": mpf(1) / 2}),
+    ("trig", 4, {"r1": 1}),
 ])
 def test_verify_residuals_are_roundoff(kind, g, params):
     # the master, linear and commutator residuals that verify reports shrink

@@ -8,7 +8,9 @@ a relative output directory, so that no absolute path reaches a report.
 
     python3 tools/report_hashes.py [--src PATH/TO/src]
 
-Stdlib only.
+tools/report_hashes.txt holds this checkout's listing, and CI fails when the
+tool's output differs from it; a change that alters a report regenerates it
+with `python3 tools/report_hashes.py > tools/report_hashes.txt`.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -43,6 +45,16 @@ ODD_EXTENSION = [
 # report changes when the pin becomes a closed form
 NON_MONIC = [
     ["verify", "--family", "geom", "--g", "2", "--a", "1.764235", "--beta", "0.895178"],
+]
+
+# parameters that do not round exactly at the working precision, so that a
+# changed rounding order shows on the quadratic, trigonometric and geometric
+# paths too
+NON_DYADIC = [
+    ["verify", "--family", "poly", "--g", "5", "--a2", "0.886695", "--a1", "0.708451",
+     "--a0", "0.234504"],
+    ["verify", "--family", "trig", "--g", "4", "--r1", "1.3"],
+    ["verify", "--family", "geom", "--g", "1", "--a", "2.272327", "--beta", "1.614327"],
 ]
 
 CURVES = (
@@ -80,7 +92,7 @@ OTHERS = [
      "--eps", "0.1", "0.05", "--x0", "0.8"],
 ]
 
-CONFIGS = CRITERION_1 + ODD_EXTENSION + NON_MONIC + CURVES + PARTNERS + MORE + OTHERS
+CONFIGS = CRITERION_1 + ODD_EXTENSION + NON_MONIC + NON_DYADIC + CURVES + PARTNERS + MORE + OTHERS
 
 # commands that read options from a --config file: each pairs its argv with
 # the file's JSON object, written to config-<i>.json in the temporary directory
