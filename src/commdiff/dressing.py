@@ -92,30 +92,31 @@ def l2_operator(U: CoeffSeq, W: CoeffSeq) -> DiffOp:
     )
 
 
-def _pair_denominator(U_prev, U_cur):
+def _pair_denominator(U_prev, U_cur, where: str):
     """U_prev + U_cur, the pair rule's denominator; an error below the
-    general-position threshold."""
+    general-position threshold, whose message starts with where."""
     den = U_prev + U_cur
     # degeneracy means cancellation between the two values, not small size
     dscale = max(abs(U_prev), abs(U_cur))
     if dscale == 0 or abs(den) <= DEGENERACY_REL * dscale:
         raise DegenerateDenominatorError(
-            f"U_prev + U_cur = {den} is degenerate (scale {dscale})"
+            f"{where}: U_prev + U_cur = {den} is degenerate (scale {dscale})"
         )
     return den
 
 
-def q_from_s(S_prev: ZPoly, S_cur: ZPoly, U_prev, U_cur) -> ZPoly:
+def q_from_s(S_prev: ZPoly, S_cur: ZPoly, U_prev, U_cur, where: str = "q_from_s") -> ZPoly:
     """Pair rule Q = -(S_prev + S_cur) / (U_prev + U_cur).
 
     The z^g-coefficient normalization of S makes the result monic; a
-    denominator below the general-position threshold is an error.
+    denominator below the general-position threshold is an error; where
+    names the stage and the index n of Q_n in its message.
     """
-    den = _pair_denominator(scalar(U_prev), scalar(U_cur))
+    den = _pair_denominator(scalar(U_prev), scalar(U_cur), where)
     q = (S_prev + S_cur).scale(-1 / den)
     if abs(q.lead - 1) > mpf("1e-6"):
         raise InconsistentDataError(
-            f"pair rule produced a non-monic polynomial (lead = {q.lead}); "
+            f"{where}: pair rule produced a non-monic polynomial (lead = {q.lead}); "
             "S normalization is broken"
         )
     return q
@@ -167,7 +168,7 @@ class DressingState:
                     f"S_{n} has z^{g} coefficient {lead}, expected {-u}"
                 )
         Q = {
-            n: q_from_s(S[n - 1], S[n], U.at(n - 1), U.at(n))
+            n: q_from_s(S[n - 1], S[n], U.at(n - 1), U.at(n), f"state assembly at n={n}")
             for n in range(lo + 1, hi + 1)
         }
         state = cls(U, W, curve, S, Q)
@@ -265,9 +266,11 @@ def _four_term_factors(U: CoeffSeq, W: CoeffSeq, n: int):
 
 def _term_coeffs(a, c, d):
     """The coefficients of d (z + c) A(z), A given by its coefficients a,
-    each formed as d (a_{k-1} + c a_k), the order of a product with [c, 1]."""
-    zero = mpf(0)
-    return [d * (lo + c * hi) for lo, hi in zip((zero, *a), (*a, zero))]
+    each formed as d (a_{k-1} + c a_k), the order of a product with [c, 1];
+    the exact zeros past both ends of a are left out."""
+    if not a:
+        return []
+    return [d * (c * a[0]), *(d * (lo + c * hi) for lo, hi in zip(a, a[1:])), d * a[-1]]
 
 
 def _linear_terms(state: DressingState, n: int):
@@ -365,7 +368,7 @@ def solve_partner_recursive(
         return max(num.sup_norm(), fp.sup_norm(), mpf(1))
 
     for n in range(n0, hi):
-        Qn = q_from_s(S[n - 1], S[n], U.at(n - 1), U.at(n))
+        Qn = q_from_s(S[n - 1], S[n], U.at(n - 1), U.at(n), f"partner march at n={n}")
         num = fp - S[n] * S[n]
         den = ZPoly([-(U.at(n) ** 2) - W.at(n), 1]) * Qn
         Qnext, resid = poly_div_exact(num, den)
@@ -375,7 +378,7 @@ def solve_partner_recursive(
             )
         S[n + 1] = (-(U.at(n) + U.at(n + 1))) * Qnext - S[n]
     for n in range(n0 - 1, lo, -1):
-        Qnext = q_from_s(S[n], S[n + 1], U.at(n), U.at(n + 1))
+        Qnext = q_from_s(S[n], S[n + 1], U.at(n), U.at(n + 1), f"partner march at n={n + 1}")
         num = fp - S[n] * S[n]
         den = ZPoly([-(U.at(n) ** 2) - W.at(n), 1]) * Qnext
         Qn, resid = poly_div_exact(num, den)
@@ -625,7 +628,10 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
                     f"fine table of {name} disagrees with {name} at n={n}"
                 )
     with mp.workprec(mp.prec + RECURSION_GUARD_BITS):
-        D = {n: _pair_denominator(Uf.at(n - 1), Uf.at(n)) for n in range(lo + 1, hi + 1)}
+        D = {
+            n: _pair_denominator(Uf.at(n - 1), Uf.at(n), f"ansatz_solve at n={n}")
+            for n in range(lo + 1, hi + 1)
+        }
         fac = {n: _four_term_factors(Uf, Wf, n) for n in range(rlo, rhi + 1)}
         dc = {n: [d * c for _s, c, d in f] for n, f in fac.items()}
 

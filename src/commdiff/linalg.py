@@ -5,12 +5,11 @@ equilibration; pivots expose rank loss, which callers treat as an error
 beyond the normalization freedom they expect.  It holds the matrix as
 columns of raw mpf tuples and runs every operation through `mpmath.libmp`
 at the working precision with round-to-nearest, in a fixed order: each sum
-accumulates left to right from zero.  Pivots come from a float screen that
-names the column of largest remaining norm when a float lead exceeds a
-proven rounding bound, and from the rounded mpf norms otherwise.  So the
-result is a function of the input and the precision alone, bit for bit:
-the same x, R diagonal, residual and pivot order as the plain row-major
-loop of mpf objects that `tests/test_linalg.py` keeps as its oracle.
+accumulates left to right from zero.  Each pivot is the first column of
+largest float norm, each entry read as the double nearest its value.  So
+the result is a function of the input and the precision alone, bit for bit:
+the same x, R diagonal, residual and pivot order as the plain row-major loop
+of mpf objects that `tests/test_linalg.py` keeps as its oracle.
 """
 
 from __future__ import annotations
@@ -20,11 +19,11 @@ from operator import mul
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
-    fnone, fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg,
+    fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg,
     mpf_shift, mpf_sqrt, mpf_sub, round_nearest,
 )
 
-from .errors import RankDeficiencyError
+from .errors import NonFiniteError, RankDeficiencyError
 
 
 def lstsq(rows, rhs):
@@ -34,11 +33,9 @@ def lstsq(rows, rhs):
     Returns (x, info) with info = {rank, n, rdiag, resid_inf, pivot}.
     Rank counts the pivots above 2^(-3p/4) times the largest one.
 
-    Each step pivots on the column with the largest remaining 2-norm, as
-    rounded at working precision (the first such column on a tie).  A float
-    screen (`_float_pivot`) names that column without rounding any norm when
-    one float norm leads all others by more than both rounding errors can
-    close; otherwise the rounded norms of all remaining columns decide.
+    Step k pivots on the first column whose float norm over rows k.. is
+    the largest: the fsum of the squares of its entries, each the double
+    nearest its value.  A nan or an infinity in A or b is a NonFiniteError.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -54,9 +51,9 @@ def lstsq(rows, rhs):
 
     cols = [[mpf(row[j])._mpf_ for row in rows] for j in range(n)]
     b = [mpf(v)._mpf_ for v in rhs]
-    # the float screen reads finite entries only; with a nan or an inf
-    # present, the rounded norms choose every pivot
-    screen = all(t[1] or not t[2] for col in cols for t in col)
+    # a special value has no mantissa and a nonzero exponent
+    if any(not t[1] and t[2] for col in cols + [b] for t in col):
+        raise NonFiniteError("least-squares system has a nan or an infinite entry")
 
     # column equilibration
     colscale = []
@@ -73,21 +70,15 @@ def lstsq(rows, rhs):
     perm = list(range(n))
     rdiag = []
     for k in range(n):
-        # pivot on the column with the largest remaining norm
-        j = _float_pivot(cols, k, prec) if screen else None
-        alpha = None
-        if j is None:
-            norms = [mpf_sqrt(sumsq(col, k), prec, rnd) for col in cols[k:]]
-            j = _first_largest(norms)
-            alpha = norms[j]
-            j += k
+        # pivot on the first column of largest float norm
+        sq = [_float_sumsq(col[k:]) for col in cols[k:]]
+        j = k + max(range(n - k), key=sq.__getitem__)
         if j != k:
             cols[k], cols[j] = cols[j], cols[k]
             perm[k], perm[j] = perm[j], perm[k]
         # Householder on column k
         ck = cols[k]
-        if alpha is None:
-            alpha = mpf_sqrt(sumsq(ck, k), prec, rnd)
+        alpha = mpf_sqrt(sumsq(ck, k), prec, rnd)
         if alpha == fzero:
             rdiag.append(mpf(0))
             continue
@@ -138,50 +129,21 @@ def lstsq(rows, rhs):
     return [mp.make_mpf(t) for t in out], info
 
 
-def _first_largest(values):
-    """Index of the first largest raw value (nan never wins)."""
-    best, best_i = fnone, 0
-    for i, t in enumerate(values):
-        if mpf_gt(t, best):
-            best, best_i = t, i
-    return best_i
+def _float_sumsq(col):
+    """fsum of the squares of the doubles nearest the raw finite values in
+    col.  A mantissa past 1000 bits, too long for a float, is first cut by
+    its own excess through true division, which rounds once, as float()."""
+    fl = [
+        ldexp(t[1], t[2]) if t[3] <= 1000
+        else ldexp(t[1] / (1 << (t[3] - 1000)), t[2] + t[3] - 1000)
+        for t in col
+    ]
+    return fsum(map(mul, fl, fl))
 
 
 def _exact(v):
     """The raw value of v itself, unrounded, as mpf arithmetic reads it."""
     return v._mpf_ if isinstance(v, mpf) else mp.convert(v)._mpf_
-
-
-def _float_pivot(cols, k, prec):
-    """Index of the column whose rounded norm over rows k.. is the largest,
-    when float norms alone can tell; None when they cannot.
-
-    With r = m - k terms and u = 2^-prec, the rounded norm is within
-    (r/2 + 2) u of the true norm, relatively.  Each float squared norm here
-    is within 2^-50: entries become floats within 2^-53, squares round once
-    and fsum rounds the sum once.  Entries below 2^-1022 lose relative
-    accuracy, but their absolute error is negligible once the leader's
-    squared norm is at least 2^-900.  So when the leader's float squared norm
-    exceeds every other by the factor 1 + tau, tau = (2m + 16) u + 2^-47,
-    both errors together cannot close the gap (the margin also covers the
-    rounding of this test) and the leader's rounded norm is strictly the
-    largest.
-    """
-    try:
-        sq = [
-            fsum(map(mul, fl, fl))
-            for fl in ([ldexp(t[1], t[2]) for t in col[k:]] for col in cols[k:])
-        ]
-    except OverflowError:
-        # mantissas too long for a float (prec > 1000 bits)
-        return None
-    tau = (2 * len(cols[k]) + 16) * 2.0**-prec + 2.0**-47
-    best = max(range(len(sq)), key=sq.__getitem__)
-    lead = sq[best]
-    rest = max(sq[:best] + sq[best + 1:], default=0.0)
-    if lead >= 2.0**-900 and lead > rest * (1 + tau):
-        return k + best
-    return None
 
 
 def require_full_rank(info, context: str = "linear system"):

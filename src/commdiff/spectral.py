@@ -37,14 +37,12 @@ RANK2_COMMUTATION_TOL = mpf("1e-10")
 Z = ZPoly([0, 1])
 
 
-def kernel_extend(L: DiffOp, z, n0: int, init, length: int):
-    """Solve (L - z) psi = 0 forward from initial data.
+def kernel_extend(L: DiffOp, n0: int, init, length: int):
+    """Solve (L - z) psi = 0 forward from initial data, with z symbolic.
 
-    L must be monic positive of order m; init supplies psi(n0..n0+m-1) and
-    the recurrence fills out to the requested length.  With a scalar z and
-    scalar initial data the result is the CoeffSeq psi.  With z = Z and ZPoly
-    initial data every value is a polynomial in z, and the result is the
-    list of z-coefficient sequences [psi_0, psi_1, ...] of
+    L must be monic positive of order m; init supplies the ZPoly values
+    psi(n0..n0+m-1) and the recurrence fills out to the requested length.
+    The result is the list of z-coefficient sequences [psi_0, psi_1, ...] of
     psi = sum_k psi_k z^k, to which an operator free of z applies one by one.
     """
     if not L.is_positive:
@@ -52,10 +50,6 @@ def kernel_extend(L: DiffOp, z, n0: int, init, length: int):
     m = L.order
     if not L.is_monic():
         raise ValueError("kernel recurrence needs a monic operator")
-    poly = isinstance(z, ZPoly)
-    if not poly:
-        z = scalar(z)
-        init = [scalar(v) for v in init]
     n0 = int(n0)
     if len(init) != m:
         raise ValueError(f"operator of order {m} needs {m} initial values")
@@ -69,14 +63,12 @@ def kernel_extend(L: DiffOp, z, n0: int, init, length: int):
         )
     vals = list(init)
     for n in range(n0, n0 + length - m):
-        acc = z * vals[n - n0]
+        acc = Z * vals[n - n0]
         for j, u in L.terms.items():
             if j == m:
                 continue
             acc -= u.at(n) * vals[n - n0 + j]
         vals.append(acc)
-    if not poly:
-        return CoeffSeq(n0, vals)
     width = max(len(v.coeffs) for v in vals)
     return [CoeffSeq(n0, [v.coeff(k) for v in vals]) for k in range(width)]
 
@@ -100,11 +92,11 @@ def action_matrix(L_base: DiffOp, L_act: DiffOp, n0: int):
     vscale = mpf(0)
     for i in range(m):
         unit = [ZPoly([1]) if j == i else ZPoly.zero() for j in range(m)]
-        psi = kernel_extend(L_base, Z, n0, unit, count + L_act.order)
+        psi = kernel_extend(L_base, n0, unit, count + L_act.order)
         v = _z_values([L_act.apply(s) for s in psi], n0, count)
         cols.append(v[:m])
         # closure defect: L_act psi must satisfy the same kernel recurrence
-        w = _z_values(kernel_extend(L_base, Z, n0, v[:m], count), n0, count)
+        w = _z_values(kernel_extend(L_base, n0, v[:m], count), n0, count)
         for r in range(m, count):
             defect = max(defect, (v[r] - w[r]).sup_norm())
             vscale = max(vscale, v[r].sup_norm())

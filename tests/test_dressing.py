@@ -116,6 +116,22 @@ def test_q_from_s_degenerate():
         q_from_s(s, s, 1, -1)
 
 
+def test_pair_rule_failures_name_stage_and_n():
+    # a = -1 makes every U_{n-1} + U_n vanish; the first one the solver
+    # forms is at n = lo + 1
+    U = CoeffSeq.tabulate(lambda n: mpf(-1) ** n, (-12, 12))
+    W = CoeffSeq.tabulate(lambda n: mpf(1), (-12, 12))
+    with pytest.raises(DegenerateDenominatorError, match=r"^ansatz_solve at n=-11: "):
+        ansatz_solve(GeomBasis(1, -1), U, W)
+    # at 113 bits this geometric g = 5 S table misses the monic Q lead by
+    # 5e-6 at n = 14 (it passes at 160 bits)
+    spec = FamilySpec("geom", 5, {"a": mpf("2.272327"), "beta": mpf("1.614327")})
+    with mp.workprec(113):
+        with pytest.raises(InconsistentDataError,
+                           match=r"^state assembly at n=14: pair rule produced a non-monic"):
+            build_case(spec, (-4, 4))
+
+
 def test_verify_master_fixtures():
     state, _ = geometric_fixture()
     assert identity_residuals(state, (-20, 20))[0] <= mpf("1e-20")

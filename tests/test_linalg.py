@@ -1,10 +1,11 @@
 import random
+from math import fsum
 
 import pytest
 from mpmath import mp, mpf, sqrt
 
-from commdiff.errors import RankDeficiencyError
-from commdiff.linalg import _float_pivot, lstsq, require_full_rank
+from commdiff.errors import NonFiniteError, RankDeficiencyError
+from commdiff.linalg import lstsq, require_full_rank
 
 
 def _reference_lstsq(rows, rhs, rank_tol=None):
@@ -28,9 +29,10 @@ def _reference_lstsq(rows, rhs, rank_tol=None):
     perm = list(range(n))
     rdiag = []
     for k in range(n):
-        best, best_j = mpf(-1), k
+        # the first column of largest float norm over rows k..
+        best, best_j = -1.0, k
         for j in range(k, n):
-            cn = sqrt(sum(A[i][j] ** 2 for i in range(k, m)))
+            cn = fsum(float(A[i][j]) * float(A[i][j]) for i in range(k, m))
             if cn > best:
                 best, best_j = cn, j
         if best_j != k:
@@ -118,7 +120,8 @@ def _ties(rng, m):
 
 
 def _near_ties(rng, m):
-    # norms that differ in the last bits: floats cannot order these columns
+    # norms that differ in the last bits: floats tie some of these columns,
+    # and the first of them is the pivot
     c = [mpf(rng.uniform(-1, 1)) for _ in range(m)]
     cols = [c, [t * (1 + mpf(2) ** -50) for t in c], [t * (1 - mpf(2) ** -70) for t in c[::-1]]]
     cols.append([mpf(rng.uniform(-1, 1)) for _ in range(m)])
@@ -128,8 +131,9 @@ def _near_ties(rng, m):
 
 def _float_misorder(rng):
     # every entry 1 - 2^-54 + 2^-81 of the first column rounds up to 1.0 in
-    # floats, so in floats the first column leads, in truth the second (the
-    # integer entries also reach the residual loop unconverted)
+    # floats, so in floats the first column leads and is the pivot, although
+    # in truth the second does (the integer entries also reach the residual
+    # loop unconverted)
     a = 1 - mpf(2) ** -54 + mpf(2) ** -81
     cols = [[1] + [a] * 7, [1] * 7 + [1 - 3 * mpf(2) ** -53]]
     cols.append([mpf(rng.uniform(-1, 1)) / 4 for _ in range(8)])
@@ -144,15 +148,22 @@ def _zero_column(rng, m, n):
     return rows, rhs
 
 
-def _non_finite(rng, m, n):
-    # in floats the column holding the nan has the largest norm; its rounded
-    # norm is nan, which never wins a pivot
-    rows, rhs = _random_tall(rng, m, n)
-    for i, row in enumerate(rows):
-        row[2] = mpf((-1) ** i)
-    rows[3][2] = mpf("nan")
-    rows[5][4] = mpf("-inf")
-    return rows, rhs
+def _midpoints(rng, m):
+    # below a leading 1, entries s 2^-e (1 + 2^-53 -/+ 2^-1050): at 1100 bits
+    # the first column's round down to s 2^-e as floats and the second's up,
+    # so the second column is the pivot; where 2^-1050 is lost, both are the
+    # midpoint or s 2^-e and the first column is.  The entries with e past
+    # 1022 are subnormal or 0 as floats.
+    es = [rng.randint(1, 4) if i % 2 else rng.randint(1025, 1080) for i in range(m - 1)]
+    signs = [rng.choice((-1, 1)) for _ in range(m - 1)]
+    cols = [
+        [mpf(1)] + [s * mpf(2) ** -e * (1 + mpf(2) ** -53 + d * mpf(2) ** -1050)
+                    for s, e in zip(signs, es)]
+        for d in (-1, 1)
+    ]
+    cols.append([mpf(1)] + [mpf(rng.uniform(-1, 1)) / 2**30 for _ in range(m - 1)])
+    rows = [list(r) for r in zip(*cols)]
+    return rows, [mpf(rng.uniform(-1, 1)) for _ in range(m)]
 
 
 def _oracle_cases():
@@ -170,7 +181,7 @@ def _oracle_cases():
         ("near-ties", *_near_ties(rng, 9)),
         ("float-misorder", *_float_misorder(rng)),
         ("zero-column", *_zero_column(rng, 15, 5)),
-        ("non-finite", *_non_finite(rng, 10, 5)),
+        ("midpoints", *_midpoints(rng, 12)),
     ]
 
 
@@ -178,7 +189,8 @@ def _raw(values):
     return [v._mpf_ for v in values]
 
 
-@pytest.mark.parametrize("bits", [53, 113, 160])
+# 1100 bits: mantissas longer than a float's range reach the pivot rule
+@pytest.mark.parametrize("bits", [53, 113, 160, 1100])
 def test_lstsq_matches_reference_bit_for_bit(bits):
     with mp.workprec(bits):
         for name, rows, rhs in _oracle_cases():
@@ -191,16 +203,15 @@ def test_lstsq_matches_reference_bit_for_bit(bits):
             assert (info["rank"], info["n"]) == (ref["rank"], ref["n"]), name
 
 
-def test_float_pivot_defers_ties_to_rounded_norms():
-    rng = random.Random(5)
-    rows, _ = _ties(rng, 11)
-    cols = [_raw(col) for col in zip(*rows)]
-    assert _float_pivot(cols[:4], 0, 113) is None
-    # a clear leader is named without rounded norms
-    lead = _raw(3 * row[0] for row in rows)
-    assert _float_pivot(cols[:4] + [lead], 0, 113) == 4
-    misorder, _ = _float_misorder(rng)
-    assert _float_pivot([_raw(map(mpf, col)) for col in zip(*misorder)], 0, 113) is None
+@pytest.mark.parametrize("where, bad", [("A", "nan"), ("A", "-inf"), ("b", "inf")])
+def test_lstsq_rejects_non_finite_entries(where, bad):
+    rows, rhs = _random_tall(random.Random(5), 10, 5)
+    if where == "A":
+        rows[3][2] = mpf(bad)
+    else:
+        rhs[7] = mpf(bad)
+    with pytest.raises(NonFiniteError):
+        lstsq(rows, rhs)
 
 
 def test_lstsq_square_exact():

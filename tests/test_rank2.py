@@ -1,5 +1,5 @@
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from commdiff import rank2
 from commdiff.errors import CommutationError
@@ -58,17 +58,20 @@ def test_pair_commutes():
 
 
 def test_char_poly_squared_structure():
-    L4 = build_l4(Rank2Params(2, 0, 0), WIN)
-    L6 = build_l6_special(WIN)
-    r = expected_curve_poly(Rank2Params(2, 0, 0))
-    report = rank2_curve_check(L4, L6, r)
     # the pair's coefficients are dyadic, so the polynomial action matrix and
-    # its characteristic polynomial come out exactly: w^4 - 2 R w^2 + R^2
-    assert report.mismatch_rel == 0
-    assert report.closure_defect == 0
-    assert report.char_polys[0].coeffs == (r * r).coeffs
-    assert report.char_polys[2].coeffs == (-r.scale(2)).coeffs
-    assert report.char_polys[1].is_zero and report.char_polys[3].is_zero
+    # its characteristic polynomial come out exactly, w^4 - 2 R w^2 + R^2,
+    # from 53 bits up
+    for bits in (53, 113, 160):
+        with mp.workprec(bits):
+            L4 = build_l4(Rank2Params(2, 0, 0), WIN)
+            L6 = build_l6_special(WIN)
+            r = expected_curve_poly(Rank2Params(2, 0, 0))
+            report = rank2_curve_check(L4, L6, r)
+            assert report.mismatch_rel == 0, bits
+            assert report.closure_defect == 0, bits
+            assert report.char_polys[0].coeffs == (r * r).coeffs, bits
+            assert report.char_polys[2].coeffs == (-r.scale(2)).coeffs, bits
+            assert report.char_polys[1].is_zero and report.char_polys[3].is_zero, bits
 
 
 def test_verify_rank2_report():
@@ -89,7 +92,11 @@ def test_verify_rank2_rejects_perturbed_partner(monkeypatch):
 
 
 def test_true_pair_commutes_coefficient_by_coefficient():
-    L4 = build_l4(Rank2Params(2, 0, 0), WIN)
-    L6 = build_l6_special(WIN)
-    report = rank2_curve_check(L4, L6, expected_curve_poly(Rank2Params(2, 0, 0)))
-    assert report.commutator_residual_rel == 0
+    # the coefficients of L4 L6 on WIN are integers of up to 84 bits: the
+    # commutator is exactly 0 at 113 and 160 bits, and one rounding at 53
+    for bits, bound in ((53, mpf(2) ** -51), (113, 0), (160, 0)):
+        with mp.workprec(bits):
+            L4 = build_l4(Rank2Params(2, 0, 0), WIN)
+            L6 = build_l6_special(WIN)
+            report = rank2_curve_check(L4, L6, expected_curve_poly(Rank2Params(2, 0, 0)))
+        assert report.commutator_residual_rel <= bound, bits

@@ -44,36 +44,42 @@ def make_pair(kind, g=1):
 
 
 def test_kernel_extend_pure_shift_square():
+    # T^2 psi = z psi from psi(0) = 1, psi(1) = 0: psi(2k) = z^k, psi(2k+1) = 0
     L = DiffOp.build({2: 1, 1: 0, 0: 0}, WIN)
-    z = mpf("2.5")
-    psi = kernel_extend(L, z, 0, (1, 0), 11)
-    for k in range(5):
-        assert psi.at(2 * k) == z**k
-        assert psi.at(2 * k + 1) == 0
+    psi = kernel_extend(L, 0, (ZPoly([1]), ZPoly.zero()), 11)
+    assert len(psi) == 6
+    for j, c in enumerate(psi):
+        for n in range(11):
+            assert c.at(n) == (1 if n == 2 * j else 0)
 
 
 def test_kernel_extend_satisfies_recurrence():
+    # (L2 - z) psi = 0 coefficient by coefficient: L2 psi_0 = 0 and
+    # L2 psi_k = psi_{k-1}
     U, W = poly_family(1, 1, 0, 0, WIN)
     L2 = l2_operator(U, W)
-    z = mpf(1)
-    psi = kernel_extend(L2, z, -3, (mpf("0.7"), mpf("-0.2")), 16)
-    out = L2.apply(psi)
-    scale = L2.sup_norm() * psi.sup_norm()
-    for n in range(out.window[0], out.window[1] + 1):
-        assert abs(out.at(n) - z * psi.at(n)) <= mpf("1e-14") * scale
+    init = (ZPoly([mpf("0.7"), mpf("-0.3")]), ZPoly([mpf("-0.2")]))
+    psi = kernel_extend(L2, -3, init, 16)
+    assert len(psi) == 9  # psi(n0 + 14) has degree 8 in z
+    scale = L2.sup_norm() * max(c.sup_norm() for c in psi)
+    for k, c in enumerate(psi):
+        out = L2.apply(c)
+        for n in range(out.window[0], out.window[1] + 1):
+            below = psi[k - 1].at(n) if k else 0
+            assert abs(out.at(n) - below) <= mpf("1e-28") * scale
 
 
 def test_kernel_extend_zero_init():
     U, W = poly_family(1, 1, 0, 0, WIN)
     L2 = l2_operator(U, W)
-    psi = kernel_extend(L2, mpf(2), 0, (0, 0), 10)
-    assert psi.sup_norm() == 0
+    psi = kernel_extend(L2, 0, (ZPoly.zero(), ZPoly.zero()), 10)
+    assert not any(c.sup_norm() for c in psi)
 
 
 def test_kernel_extend_window_guard():
     L = DiffOp.build({2: 1, 0: 0}, (0, 3))
     with pytest.raises(WindowError):
-        kernel_extend(L, mpf(1), 0, (1, 0), 12)
+        kernel_extend(L, 0, (ZPoly([1]), ZPoly.zero()), 12)
 
 
 def action_at(L_base, L_act, z, n0):
@@ -245,6 +251,8 @@ def test_extract_curve_residuals_are_roundoff(kind, params):
     # the longest marches: odd extension g = 5 and trig g = 4
     ("poly", 5, {"a2": 1, "a0": 0, "a1": mpf(1) / 2}),
     ("trig", 4, {"r1": 1}),
+    ("geom", 3, {"a": 2, "beta": 1}),
+    ("geom", 4, {"a": 2, "beta": 1}),
 ])
 def test_verify_residuals_are_roundoff(kind, g, params):
     # the master, linear and commutator residuals that verify reports shrink
@@ -257,23 +265,6 @@ def test_verify_residuals_are_roundoff(kind, g, params):
             measured.append((master, linear, commutator_residual(L2, partner)[1]))
     for at113, at160 in zip(*measured):
         assert at113 <= mpf(2) ** -113 or at160 <= at113 / 2**30
-
-
-def test_kernel_extend_polynomial_values_evaluate_to_scalar_run():
-    # with z kept symbolic, the z-coefficient sequences evaluated at z give
-    # the scalar recurrence's values
-    from commdiff.spectral import Z
-
-    U, W = poly_family(1, 1, 0, 0, WIN)
-    L2 = l2_operator(U, W)
-    z = mpf("1.75")
-    init = (mpf("0.7"), mpf("-0.2"))
-    psi = kernel_extend(L2, z, -3, init, 14)
-    coeffs = kernel_extend(L2, Z, -3, [ZPoly([v]) for v in init], 14)
-    assert len(coeffs) == 7  # psi(n0 + 13) has degree 6 in z
-    for n in range(-3, 11):
-        val = sum(c.at(n) * z**k for k, c in enumerate(coeffs))
-        assert abs(val - psi.at(n)) <= mpf("1e-28") * psi.sup_norm()
 
 
 def test_extract_curve_catches_a_perturbed_partner():

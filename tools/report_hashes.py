@@ -57,6 +57,15 @@ NON_DYADIC = [
     ["verify", "--family", "geom", "--g", "1", "--a", "2.272327", "--beta", "1.614327"],
 ]
 
+# above 1000 bits, where the pivots of the ansatz fits read mpf mantissas
+# longer than a float can hold; these run after CONFIG_FILES, whose file
+# names count the runs before them
+HIGH_PRECISION = [
+    ["verify", "--family", "poly", "--g", "3", "--a2", "1", "--a0", "0", "--a1", "0.5",
+     "--precision", "1100"],
+    ["verify", "--family", "trig", "--g", "3", "--r1", "1.3", "--precision", "1100"],
+]
+
 CURVES = (
     [["curve", "--family", "trig", "--g", str(g), "--r1", "1"] for g in (1, 2)]
     + [["curve", "--family", "poly", "--g", str(g), "--a2", "1", "--a0", "0"] for g in (1, 2)]
@@ -114,7 +123,8 @@ def main(argv=None) -> int:
     env["PYTHONPATH"] = str(args.src.resolve())
     status = 0
     with tempfile.TemporaryDirectory(prefix="report-hashes-") as tmp:
-        runs = [(argv_, None) for argv_ in CONFIGS] + CONFIG_FILES
+        runs = ([(argv_, None) for argv_ in CONFIGS] + CONFIG_FILES
+                + [(argv_, None) for argv_ in HIGH_PRECISION])
         for i, (argv_, config) in enumerate(runs):
             if config is not None:
                 name = f"config-{i}.json"
