@@ -2,10 +2,10 @@
 extraction, partner construction, lattice sweeps, and JSON reports.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or domain error.
-Reports are deterministic (decimal serialization pinned to the working
-precision, sorted keys, no timestamps) and are written to files named by a
-content hash of the configuration; an existing report is left in place
-unless --rerun is given.
+Reports are deterministic (the library's doc() values encoded by
+numcore.to_json at the working precision, sorted keys, no timestamps) and
+are written to files named by a content hash of the configuration; an
+existing report is left in place unless --rerun is given.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .numcore import (
     DEFAULT_PRECISION_BITS,
     check_precision,
     get_precision,
-    mpf_to_str,
     scalar,
+    to_json,
 )
 from .opalg import commutator_residual, op_to_json
 from . import dressing
@@ -73,7 +73,7 @@ def _config_doc(args, command, spec=None) -> dict:
 
 
 def _report_path(outdir: Path, command: str, config: dict) -> Path:
-    blob = json.dumps(config, sort_keys=True).encode()
+    blob = to_json(config).encode()
     digest = hashlib.sha256(blob).hexdigest()[:12]
     return outdir / f"{command}-{digest}.json"
 
@@ -83,7 +83,7 @@ def _emit(args, command, config, payload, passed) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     path = _report_path(outdir, command, config)
     doc = {"config": config, "report": payload, "pass": bool(passed)}
-    text = json.dumps(doc, sort_keys=True, indent=1)
+    text = to_json(doc, indent=1)
     if path.exists() and not args.rerun:
         print(f"report exists (use --rerun to overwrite): {path}")
     else:
@@ -109,16 +109,16 @@ def cmd_verify(args) -> int:
     monic = partner.is_monic()
 
     checks = {
-        "master_residual_rel": mpf_to_str(master_rel),
-        "linear_residual_rel": mpf_to_str(linear_rel),
-        "commutator_residual_rel": mpf_to_str(comm_rel),
+        "master_residual_rel": master_rel,
+        "linear_residual_rel": linear_rel,
+        "commutator_residual_rel": comm_rel,
         "commutator_window_covers": window_ok,
         "partner_order": partner.order,
         "partner_monic": monic,
-        "curve": [mpf_to_str(c) for c in state.curve.c],
+        "curve": state.curve.c,
     }
     if skew_rel is not None:
-        checks["skew_residual_rel"] = mpf_to_str(skew_rel)
+        checks["skew_residual_rel"] = skew_rel
     checks.update(extras)
     passed = (
         master_rel <= tol
@@ -135,12 +135,11 @@ def cmd_curve(args) -> int:
     spec = _family_from_args(args)
     config = _config_doc(args, "curve", spec)
     L2, partner, state, extras = build_case(spec, args.window, args.seed)
-    report = extract_curve(L2, partner, n0_list=(-1, 0, 1))
-    dev = report.agreement(state.curve.c)
+    report = extract_curve(L2, partner)
     payload = {
         "spectral": report.doc(),
-        "dressing_curve": [mpf_to_str(c) for c in state.curve.c],
-        "curve_agreement_abs": mpf_to_str(dev) if dev is not None else None,
+        "dressing_curve": state.curve.c,
+        "curve_agreement_abs": report.agreement(state.curve.c),
     }
     payload.update(extras)
     return _emit(args, "curve", config, payload, report.passes(state.curve.c))
@@ -160,7 +159,7 @@ def cmd_partner(args) -> int:
         "operator_file": str(op_path),
         "order": partner.order,
         "monic": partner.is_monic(),
-        "commutator_residual_rel": mpf_to_str(comm_rel),
+        "commutator_residual_rel": comm_rel,
         "state": state.doc(),
     }
     payload.update(extras)
@@ -176,13 +175,10 @@ def cmd_lame(args) -> int:
     ok = True
     for g in args.g_list:
         slope, errs = continuum_slope(ctx, g, x=x0)
-        slopes[str(g)] = {
-            "slope": mpf_to_str(slope),
-            "defects": [mpf_to_str(e) for e in errs],
-        }
+        slopes[str(g)] = {"slope": slope, "defects": errs}
         ok = ok and slope >= MIN_SLOPE
     payload = {
-        "omega1": mpf_to_str(ctx.omega1),
+        "omega1": ctx.omega1,
         "continuum": slopes,
     }
     if len(eps_list) >= 2:

@@ -34,7 +34,6 @@ from .errors import (
 from .numcore import (
     HyperellipticCurve,
     ZPoly,
-    mpf_to_str,
     poly_div_exact,
     scalar,
 )
@@ -206,28 +205,17 @@ class DressingState:
         return l2_operator(self.U, self.W)
 
     def doc(self) -> dict:
-        """The state as JSON-ready data: curve, window and decimal tables."""
+        """The state as data for to_json: curve, window and the mpf tables."""
         lo, hi = self.window
         return {
             "g": self.curve.g,
-            "curve": [mpf_to_str(c) for c in self.curve.c],
+            "curve": self.curve.c,
             "window": [lo, hi],
-            "S": [[mpf_to_str(c) for c in self.S[n].coeffs] for n in range(lo, hi + 1)],
-            "Q": [[mpf_to_str(c) for c in self.Q[n].coeffs] for n in range(lo + 1, hi + 1)],
-            "U": [mpf_to_str(self.U.at(n)) for n in range(lo, hi + 1)],
-            "W": [mpf_to_str(self.W.at(n)) for n in range(lo, hi + 1)],
+            "S": [self.S[n].coeffs for n in range(lo, hi + 1)],
+            "Q": [self.Q[n].coeffs for n in range(lo + 1, hi + 1)],
+            "U": [self.U.at(n) for n in range(lo, hi + 1)],
+            "W": [self.W.at(n) for n in range(lo, hi + 1)],
         }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "DressingState":
-        lo, hi = int(doc["window"][0]), int(doc["window"][1])
-        g = int(doc["g"])
-        curve = HyperellipticCurve(g, [scalar(s) for s in doc["curve"]])
-        U = CoeffSeq(lo, [scalar(s) for s in doc["U"]])
-        W = CoeffSeq(lo, [scalar(s) for s in doc["W"]])
-        S = {lo + i: ZPoly([scalar(c) for c in cs]) for i, cs in enumerate(doc["S"])}
-        Q = {lo + 1 + i: ZPoly([scalar(c) for c in cs]) for i, cs in enumerate(doc["Q"])}
-        return cls(U, W, curve, S, Q)
 
     def __repr__(self):
         return f"DressingState(g={self.curve.g if self.curve else '?'}, window={self.window})"

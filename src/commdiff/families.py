@@ -16,7 +16,7 @@ from mpmath import mp, mpf, cos, sin
 
 from . import dressing
 from .errors import DegenerateDenominatorError
-from .numcore import HyperellipticCurve, mpf_to_str, scalar
+from .numcore import HyperellipticCurve, scalar
 from .opalg import CoeffSeq
 
 # each family's parameters: None marks a required one, a value its default;
@@ -59,12 +59,8 @@ class FamilySpec:
         return self.kind == "trig" or (self.kind == "poly" and self.params["a1"] == 0)
 
     def doc(self) -> dict:
-        """The spec as JSON-ready data: kind, genus and decimal parameters."""
-        return {
-            "kind": self.kind,
-            "g": self.g,
-            "params": {k: mpf_to_str(v) for k, v in sorted(self.params.items())},
-        }
+        """The spec as data for to_json: kind, genus and mpf parameters."""
+        return {"kind": self.kind, "g": self.g, "params": dict(self.params)}
 
     def __repr__(self):
         return f"FamilySpec({self.kind}, g={self.g})"
@@ -197,7 +193,7 @@ def build_case(spec: FamilySpec, window, seed: int = 1234):
         # govern their own checks only
         result = dressing.ansatz_solve(basis, U, W, fine)
         state = result.state(U, W, (slo, shi))
-        extras = {"ansatz_residual_rel": mpf_to_str(result.info["resid_rel"])}
+        extras = {"ansatz_residual_rel": result.info["resid_rel"]}
         if spec.kind == "geom":
             extras["w_sign"] = 1
     L2 = state.l2()

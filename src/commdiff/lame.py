@@ -17,7 +17,7 @@ from mpmath import mpf, sqrt, pi, agm, acos, exp, jtheta, floor, log, cos
 
 from .errors import InconsistentDataError, LatticeProximityError
 from .dressing import DressingState, build_partner_op
-from .numcore import HyperellipticCurve, ZPoly, mpf_to_str, scalar
+from .numcore import HyperellipticCurve, ZPoly, scalar
 from .opalg import CoeffSeq, DiffOp
 from .spectral import extract_curve
 
@@ -258,13 +258,6 @@ PER_EPS_KEYS = ("eps", "newton_residual", "commutator_residual_rel", "curve_moni
                 "curve_unnormalized")
 
 
-def _decimal(v):
-    """v, or each entry of v, as a decimal string; None stays None."""
-    if v is None:
-        return None
-    return mpf_to_str(v) if isinstance(v, mpf) else [mpf_to_str(c) for c in v]
-
-
 class LameIndependenceReport:
     def __init__(self, g2, g3, x0, entries, curve_deviation):
         self.g2, self.g3, self.x0 = g2, g3, x0
@@ -279,12 +272,12 @@ class LameIndependenceReport:
         )
 
     def doc(self) -> dict:
-        """The report as JSON-ready data, with decimal values."""
+        """The report as data for to_json, with mpf values."""
         return {
-            "invariants": {"g2": mpf_to_str(self.g2), "g3": mpf_to_str(self.g3)},
-            "x0": mpf_to_str(self.x0),
-            "cross_eps_curve_deviation": mpf_to_str(self.curve_deviation),
-            "per_eps": [{k: _decimal(e.get(k)) for k in PER_EPS_KEYS} for e in self.entries],
+            "invariants": {"g2": self.g2, "g3": self.g3},
+            "x0": self.x0,
+            "cross_eps_curve_deviation": self.curve_deviation,
+            "per_eps": [{k: e.get(k) for k in PER_EPS_KEYS} for e in self.entries],
         }
 
 
@@ -330,7 +323,7 @@ def lame_curve_independence(ctx: WeierstrassContext, eps_list, x0) -> LameIndepe
         state = _genus1_state(params, U, delta, u0, (wlo - 1, whi))
         l2m = DiffOp.build({2: 1, 1: u1, 0: u0}, (wlo - 1, whi + 3))
         L3 = build_partner_op(state, l2m)
-        report = extract_curve(l2m, L3, n0_list=(-1, 0, 1), commutation_tol=mpf("1e-7"))
+        report = extract_curve(l2m, L3, commutation_tol=mpf("1e-7"))
         if report.matched_curve is None:
             raise InconsistentDataError(
                 "extracted action data did not match a hyperelliptic curve"

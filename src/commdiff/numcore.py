@@ -1,5 +1,6 @@
 """Numeric substrate: configurable-precision scalars, dense polynomials in the
-spectral parameter z, and division with residual.
+spectral parameter z, division with residual, and the JSON encoder that
+writes every report's decimals.
 
 All arithmetic runs on mpmath floats.  The working precision defaults to a
 113-bit significand (quad-like); the dressing recursion sheds digits at every
@@ -10,6 +11,7 @@ every function here is pure.
 
 from __future__ import annotations
 
+import json
 import operator
 
 from mpmath import mp, mpf
@@ -70,6 +72,18 @@ def ensure_finite(v: mpf, what: str = "value") -> mpf:
 def mpf_to_str(x: mpf) -> str:
     """Decimal string round-trippable at the current precision."""
     return mp.nstr(x, mp.dps + 4, strip_zeros=True)
+
+
+def _encode(v):
+    if isinstance(v, mpf):
+        return mpf_to_str(v)
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
+
+
+def to_json(doc, indent=None) -> str:
+    """doc as JSON text with sorted keys, every mpf written by mpf_to_str at
+    the current precision; any other non-JSON value is a TypeError."""
+    return json.dumps(doc, sort_keys=True, indent=indent, default=_encode)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import operator
 from mpmath import mpf
 
 from .errors import WindowError
-from .numcore import mpf_to_str, scalar
+from .numcore import scalar, to_json
 
 
 class CoeffSeq:
@@ -274,11 +274,10 @@ def op_to_json(L: DiffOp) -> str:
     doc = {
         "order": L.order,
         "window": [lo, hi],
-        "terms": {
-            str(j): [mpf_to_str(v) for v in t.values] for j, t in L.terms.items()
-        },
+        # text keys, sorted as text: "10" comes before "2"
+        "terms": {str(j): t.values for j, t in L.terms.items()},
     }
-    return json.dumps(doc, sort_keys=True)
+    return to_json(doc)
 
 
 def op_from_json(text: str) -> DiffOp:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from mpmath import mpf
 
-from .numcore import ZPoly, mpf_to_str, scalar
+from .numcore import ZPoly, scalar
 from .opalg import DiffOp
 from .spectral import RANK2_COMMUTATION_TOL, rank2_curve_check
 
@@ -115,11 +115,11 @@ def verify_rank2(window=(-20, 20)) -> dict:
     report = {
         "params": {"a2": "2", "a1": "0", "a0": "0"},
         "window": [lo, hi],
-        "commutator_residual_rel": mpf_to_str(comm_rel),
+        "commutator_residual_rel": comm_rel,
         "commutation_pass": bool(comm_rel <= RANK2_COMMUTATION_TOL),
-        "curve_mismatch_rel": mpf_to_str(curve_report.mismatch_rel),
+        "curve_mismatch_rel": curve_report.mismatch_rel,
         "curve_pass": bool(curve_report.mismatch_rel <= mpf("1e-7")),
-        "closure_defect": mpf_to_str(curve_report.closure_defect),
-        "expected_r": [mpf_to_str(c) for c in r.coeffs],
+        "closure_defect": curve_report.closure_defect,
+        "expected_r": r.coeffs,
     }
     return report

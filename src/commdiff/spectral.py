@@ -22,7 +22,7 @@ from operator import add
 from mpmath import mpf
 
 from .errors import CommutationError, WindowError
-from .numcore import HyperellipticCurve, ZPoly, mpf_to_str, scalar
+from .numcore import HyperellipticCurve, ZPoly, scalar
 from .opalg import CoeffSeq, DiffOp, commutator_residual
 
 # relative bound on the trace, the base-point spread and the distance from
@@ -168,17 +168,15 @@ class CurveReport:
         )
 
     def doc(self) -> dict:
-        """The report as JSON-ready data, with decimal coefficients."""
+        """The report as data for to_json: mpf values and coefficient tuples."""
         return {
             "g": self.g,
-            "trace": [mpf_to_str(c) for c in self.trace_poly.coeffs],
-            "det": [mpf_to_str(c) for c in self.det_poly.coeffs],
-            "curve": [mpf_to_str(c) for c in self.matched_curve.c]
-            if self.matched_curve
-            else None,
-            "base_independence_residual": mpf_to_str(self.base_independence_residual),
-            "closure_defect": mpf_to_str(self.closure_defect),
-            "commutator_residual_rel": mpf_to_str(self.commutator_residual_rel),
+            "trace": self.trace_poly.coeffs,
+            "det": self.det_poly.coeffs,
+            "curve": self.matched_curve.c if self.matched_curve else None,
+            "base_independence_residual": self.base_independence_residual,
+            "closure_defect": self.closure_defect,
+            "commutator_residual_rel": self.commutator_residual_rel,
         }
 
 

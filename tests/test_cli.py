@@ -1,12 +1,12 @@
 import json
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from commdiff import cli
 from commdiff.cli import main
 from commdiff.families import FamilySpec, build_case
-from commdiff.numcore import get_precision, mpf_to_str
+from commdiff.numcore import get_precision, mpf_to_str, scalar
 from commdiff.opalg import CoeffSeq
 
 
@@ -43,7 +43,7 @@ def test_verify_report_matches_build_case(tmp_path):
     spec = FamilySpec("poly", 2, {"a2": "1", "a0": "0", "a1": "0.5"})
     _L2, _partner, state, extras = build_case(spec, (-12, 12))
     assert report["curve"] == [mpf_to_str(c) for c in state.curve.c]
-    assert report["ansatz_residual_rel"] == extras["ansatz_residual_rel"]
+    assert report["ansatz_residual_rel"] == mpf_to_str(extras["ansatz_residual_rel"])
 
 
 def test_verify_usage_errors(tmp_path):
@@ -122,6 +122,32 @@ def test_partner_writes_operator(tmp_path):
     op = op_from_json(ops[0].read_text())
     assert op.order == 3
     assert op.is_monic()
+
+
+@pytest.mark.parametrize("bits", [113, 160])
+def test_partner_report_state_reads_back_exactly(tmp_path, bits):
+    out = tmp_path / "reports"
+    code = run([
+        "partner", "--family", "geom", "--g", "2", "--a", "2", "--beta", "1",
+        "--window", "-8", "8", "--precision", str(bits), "--out", str(out),
+    ])
+    assert code == 0
+    (path,) = [p for p in report_files(out) if not p.name.startswith("partner-op-")]
+    doc = json.loads(path.read_text())["report"]["state"]
+    with mp.workprec(bits):
+        spec = FamilySpec("geom", 2, {"a": "2", "beta": "1"})
+        _L2, _partner, state, _extras = build_case(spec, (-8, 8))
+        lo, hi = state.window
+
+        def read(values):
+            return tuple(scalar(v) for v in values)
+
+        assert doc["window"] == [lo, hi] and doc["g"] == 2
+        assert read(doc["curve"]) == state.curve.c
+        assert [read(cs) for cs in doc["S"]] == [state.s(n).coeffs for n in range(lo, hi + 1)]
+        assert [read(cs) for cs in doc["Q"]] == [state.q(n).coeffs for n in range(lo + 1, hi + 1)]
+        assert read(doc["U"]) == tuple(state.U.at(n) for n in range(lo, hi + 1))
+        assert read(doc["W"]) == tuple(state.W.at(n) for n in range(lo, hi + 1))
 
 
 def test_rank2_command(tmp_path):

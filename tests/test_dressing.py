@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -642,15 +641,6 @@ def test_fixture_checks_hold_at_minimum_precision():
         assert identity_residuals(state, (-8, 8))[0] <= mpf("1e-9")
     finally:
         set_precision(113)
-
-
-def test_state_json_roundtrip():
-    state, _ = geometric_fixture((-6, 6))
-    back = DressingState.from_doc(json.loads(json.dumps(state.doc())))
-    assert back.window == state.window
-    for n in range(-5, 6):
-        assert (back.s(n) - state.s(n)).sup_norm() == 0
-    assert identity_residuals(back, (0, 0))[0] <= mpf("1e-20")
 
 
 # ---------------------------------------------------------------------------

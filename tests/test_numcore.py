@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -8,10 +9,12 @@ from commdiff.numcore import (
     HyperellipticCurve,
     ZPoly,
     get_precision,
+    mpf_to_str,
     poly_div_exact,
     poly_mul,
     scalar,
     set_precision,
+    to_json,
 )
 
 
@@ -196,3 +199,21 @@ def test_curve_validation():
         HyperellipticCurve.from_fpoly(ZPoly([0, 0, 0, 2]), 1)  # lead 2: not monic
     c = HyperellipticCurve.from_fpoly(ZPoly([4, 0, 0, 1]), 1)
     assert c.eval(2) == 12
+
+
+@pytest.mark.parametrize("bits", [53, 160])
+def test_to_json_writes_mpf_as_mpf_to_str(bits):
+    with mp.workprec(bits):
+        third, big = mpf(1) / 3, mpf(2) ** 300 / 7
+        doc = {"z": (third, [big, None]), "a": {"n": 3, "x": -third, "ok": True}}
+        plain = {"z": [mpf_to_str(third), [mpf_to_str(big), None]],
+                 "a": {"n": 3, "x": mpf_to_str(-third), "ok": True}}
+        assert to_json(doc) == json.dumps(plain, sort_keys=True)
+        assert to_json(doc, indent=1) == json.dumps(plain, sort_keys=True, indent=1)
+        # enough digits to read back exactly at the precision of the call
+        assert scalar(json.loads(to_json(third))) == third
+
+
+def test_to_json_rejects_other_objects():
+    with pytest.raises(TypeError, match="ZPoly"):
+        to_json({"p": ZPoly([1, 2])})

@@ -58,8 +58,7 @@ NON_DYADIC = [
 ]
 
 # above 1000 bits, where the pivots of the ansatz fits read mpf mantissas
-# longer than a float can hold; these run after CONFIG_FILES, whose file
-# names count the runs before them
+# longer than a float can hold
 HIGH_PRECISION = [
     ["verify", "--family", "poly", "--g", "3", "--a2", "1", "--a0", "0", "--a1", "0.5",
      "--precision", "1100"],
@@ -78,13 +77,15 @@ PARTNERS = [
     ["partner", "--family", "elliptic", "--g", "1"],
 ]
 
-# genus 3 curve extraction (geometric, and quadratic with a linear term) and
-# a trig partner
+# genus 3 curve extraction (geometric, and quadratic with a linear term), a
+# trig partner, and an order-11 partner, whose operator file's term keys
+# "10" and "11" sort as text between "1" and "2"
 MORE = [
     ["curve", "--family", "trig", "--g", "3", "--r1", "1"],
     ["curve", "--family", "geom", "--g", "3", "--a", "2", "--beta", "1"],
     ["curve", "--family", "poly", "--g", "3", "--a2", "1", "--a0", "0", "--a1", "0.5"],
     ["partner", "--family", "trig", "--g", "2", "--r1", "1"],
+    ["partner", "--family", "poly", "--g", "5", "--a2", "1", "--a0", "0", "--a1", "0.5"],
 ]
 
 # the lame configs vary x0, the invariants (g3 < 0 in the last) and the step
@@ -104,7 +105,8 @@ OTHERS = [
 CONFIGS = CRITERION_1 + ODD_EXTENSION + NON_MONIC + NON_DYADIC + CURVES + PARTNERS + MORE + OTHERS
 
 # commands that read options from a --config file: each pairs its argv with
-# the file's JSON object, written to config-<i>.json in the temporary directory
+# the file's JSON object, written to config-<i>.json in the temporary
+# directory, i its index in this list
 CONFIG_FILES = [
     (["verify", "--family", "poly", "--g", "2"],
      {"a2": "1", "a0": "0", "window": [-10, 10]}),
@@ -125,9 +127,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="report-hashes-") as tmp:
         runs = ([(argv_, None) for argv_ in CONFIGS] + CONFIG_FILES
                 + [(argv_, None) for argv_ in HIGH_PRECISION])
-        for i, (argv_, config) in enumerate(runs):
+        for argv_, config in runs:
             if config is not None:
-                name = f"config-{i}.json"
+                name = f"config-{CONFIG_FILES.index((argv_, config))}.json"
                 (Path(tmp) / name).write_text(json.dumps(config))
                 argv_ = [*argv_, "--config", name]
             cmd = [sys.executable, "-m", "commdiff.cli", *argv_, "--out", "reports"]
