@@ -102,6 +102,19 @@ OTHERS = [
      "--eps", "0.1", "0.05", "--x0", "0.8"],
 ]
 
+# the curve-extraction and Weierstrass paths at a non-dyadic parameter, at
+# 1100 bits and at 160 bits; the non-dyadic geometric pair at g = 2 is left
+# out, because its verify exits 2
+EXTRACTION = [
+    ["curve", "--family", "trig", "--g", "2", "--r1", "1.3"],
+    ["curve", "--family", "poly", "--g", "2", "--a2", "0.886695", "--a1", "0.708451",
+     "--a0", "0.234504"],
+    ["curve", "--family", "trig", "--g", "2", "--r1", "1.3", "--precision", "1100"],
+    ["lame", "--precision", "160", "--g-list", "1", "2", "--eps", "0.1", "0.05",
+     "--x0", "0.91"],
+    ["rank2", "--precision", "160"],
+]
+
 CONFIGS = CRITERION_1 + ODD_EXTENSION + NON_MONIC + NON_DYADIC + CURVES + PARTNERS + MORE + OTHERS
 
 # commands that read options from a --config file: each pairs its argv with
@@ -126,7 +139,7 @@ def main(argv=None) -> int:
     status = 0
     with tempfile.TemporaryDirectory(prefix="report-hashes-") as tmp:
         runs = ([(argv_, None) for argv_ in CONFIGS] + CONFIG_FILES
-                + [(argv_, None) for argv_ in HIGH_PRECISION])
+                + [(argv_, None) for argv_ in HIGH_PRECISION + EXTRACTION])
         for argv_, config in runs:
             if config is not None:
                 name = f"config-{CONFIG_FILES.index((argv_, config))}.json"
