@@ -13,7 +13,7 @@ wp(x) = 1/x^2 + g2 x^2/20 + ..., zeta' = -wp, and the differential equation
 
 from __future__ import annotations
 
-from mpmath import mpf, sqrt, pi, agm, acos, exp, jtheta, floor, log, cos
+from mpmath import mp, mpf, sqrt, pi, agm, acos, exp, jtheta, floor, log, cos
 
 from .errors import InconsistentDataError, LatticeProximityError
 from .dressing import DressingState, build_partner_op
@@ -62,6 +62,7 @@ class WeierstrassContext:
         self._q = q = exp(-pi * self.omega2_mag / self.omega1)
         self._c = self._k * jtheta(3, 0, q) * jtheta(4, 0, q)
         self.eta1 = -self._k**2 * self.omega1 * jtheta(1, 0, q, 3) / (3 * jtheta(1, 0, q, 1))
+        self._values = {}
 
     def _site(self, x):
         """(x, v) with v = k x; x must stay LATTICE_PROXIMITY away from the
@@ -75,17 +76,30 @@ class WeierstrassContext:
             )
         return x, self._k * x
 
-    def wp(self, x) -> mpf:
-        """wp(x) from theta1 and theta2 at v = k x."""
+    def _cached(self, fn, x) -> mpf:
+        """fn(x, v) once per (fn, x, working precision); _site raises before
+        the lookup, so a refused argument is refused on every call."""
         x, v = self._site(x)
+        key = (fn, x._mpf_, mp.prec)
+        if key not in self._values:
+            self._values[key] = fn(self, x, v)
+        return self._values[key]
+
+    def _wp(self, x, v) -> mpf:
         ratio = self._c * jtheta(2, v, self._q) / jtheta(1, v, self._q)
         return self.e1 + ratio**2
 
-    def zeta(self, x) -> mpf:
-        """zeta(x) from theta1 and theta1' at v = k x."""
-        x, v = self._site(x)
+    def _zeta(self, x, v) -> mpf:
         t1, d1 = jtheta(1, v, self._q), jtheta(1, v, self._q, 1)
         return self.eta1 * x / self.omega1 + self._k * d1 / t1
+
+    def wp(self, x) -> mpf:
+        """wp(x) from theta1 and theta2 at v = k x, cached per context."""
+        return self._cached(WeierstrassContext._wp, x)
+
+    def zeta(self, x) -> mpf:
+        """zeta(x) from theta1 and theta1' at v = k x, cached per context."""
+        return self._cached(WeierstrassContext._zeta, x)
 
 
 def ag_build(ctx: WeierstrassContext, g: int, eps):

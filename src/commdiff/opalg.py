@@ -17,6 +17,7 @@ import json
 import operator
 
 from mpmath import mpf
+from mpmath.libmp import fone
 
 from .errors import WindowError
 from .numcore import scalar, to_json
@@ -183,16 +184,18 @@ class DiffOp:
         return CoeffSeq.constant(0, self.window)
 
     def is_monic(self) -> bool:
-        """Every top coefficient within MONIC_TOL of 1."""
+        """Every top coefficient within MONIC_TOL of 1; an exact 1 passes
+        on its raw value, with no subtraction."""
         top = self.terms[self.order]
-        return all(abs(v - 1) <= MONIC_TOL for v in top.values)
+        return all(v._mpf_ == fone or abs(v - 1) <= MONIC_TOL for v in top.values)
 
     def sup_norm(self) -> mpf:
         """max |u_j(n)| over the window; the yardstick for 'numerically zero'."""
         return max(t.sup_norm() for t in self.terms.values())
 
     def apply(self, f: CoeffSeq) -> CoeffSeq:
-        """(L f)(n) = sum_j u_j(n) f(n+j) on the exact shrunken window."""
+        """(L f)(n) = sum_j u_j(n) f(n+j) on the exact shrunken window, each sum
+        from its first product in degree order, terms and f read as slices."""
         lo = max(self.window[0], f.window[0] - self.min_degree)
         hi = min(self.window[1], f.window[1] - self.order)
         if hi < lo:
@@ -200,12 +203,10 @@ class DiffOp:
                 f"application window empty: operator on {self.window} with degrees "
                 f"[{self.min_degree}, {self.order}] needs f beyond [{f.window[0]}, {f.window[1]}]"
             )
-        vals = []
-        for n in range(lo, hi + 1):
-            acc = mpf(0)
-            for j, u in self.terms.items():
-                acc += u.at(n) * f.at(n + j)
-            vals.append(acc)
+        vals = None
+        for j, u in self.terms.items():
+            prods = map(operator.mul, u.values_on(lo, hi), f.values_on(lo + j, hi + j))
+            vals = list(prods) if vals is None else list(map(operator.add, vals, prods))
         return CoeffSeq._computed(lo, vals)
 
     def __mul__(self, other):

@@ -33,8 +33,6 @@ CURVE_TOL = mpf("1e-8")
 ACTION_PAD = 3
 # coefficient-wise commutator bound of the rank-two pair
 RANK2_COMMUTATION_TOL = mpf("1e-10")
-# the spectral parameter as a polynomial
-Z = ZPoly([0, 1])
 
 
 def kernel_extend(L: DiffOp, n0: int, init, length: int):
@@ -44,6 +42,8 @@ def kernel_extend(L: DiffOp, n0: int, init, length: int):
     psi(n0..n0+m-1) and the recurrence fills out to the requested length.
     The result is the list of z-coefficient sequences [psi_0, psi_1, ...] of
     psi = sum_k psi_k z^k, to which an operator free of z applies one by one.
+    Each step forms z psi(n) as a coefficient shift and subtracts u_j(n)
+    psi(n + j) in degree order; each lower u_j is read once, as one slice.
     """
     if not L.is_positive:
         raise ValueError("kernel recurrence needs a positive operator")
@@ -61,21 +61,22 @@ def kernel_extend(L: DiffOp, n0: int, init, length: int):
             f"kernel extension needs operator coefficients on [{lo_needed}, {hi_needed}], "
             f"window is {L.window}"
         )
+    lower = [(j, u.values_on(lo_needed, hi_needed))
+             for j, u in L.terms.items() if j != m] if length > m else []
     vals = list(init)
-    for n in range(n0, n0 + length - m):
-        acc = Z * vals[n - n0]
-        for j, u in L.terms.items():
-            if j == m:
-                continue
-            acc -= u.at(n) * vals[n - n0 + j]
+    for i in range(length - m):
+        # z psi(n): the coefficients one place up; 0 z^0 is trimmed with psi = 0
+        acc = ZPoly._computed((mpf(0), *vals[i].coeffs))
+        for j, uv in lower:
+            acc -= ZPoly._computed(tuple(uv[i] * c for c in vals[i + j].coeffs))
         vals.append(acc)
     width = max(len(v.coeffs) for v in vals)
-    return [CoeffSeq(n0, [v.coeff(k) for v in vals]) for k in range(width)]
+    return [CoeffSeq._computed(n0, [v.coeff(k) for v in vals]) for k in range(width)]
 
 
 def _z_values(seqs, n0: int, count: int) -> list:
     """The ZPoly values at n0..n0+count-1 of z-coefficient sequences."""
-    return [ZPoly([s.at(n0 + r) for s in seqs]) for r in range(count)]
+    return [ZPoly._computed(tuple(s.at(n0 + r) for s in seqs)) for r in range(count)]
 
 
 def action_matrix(L_base: DiffOp, L_act: DiffOp, n0: int):

@@ -109,6 +109,36 @@ def test_lattice_proximity_guard():
         CTX.wp(2 * CTX.omega1 + mpf("1e-9"))
 
 
+@pytest.mark.parametrize("name", ("wp", "zeta"))
+def test_repeated_values_are_the_first_call_bits(name):
+    ctx = WeierstrassContext(10, 2)
+    for xs in ("0.35", "-1.7", "2.9"):
+        first = getattr(WeierstrassContext(10, 2), name)(mpf(xs))
+        for _ in range(2):
+            assert getattr(ctx, name)(mpf(xs))._mpf_ == first._mpf_
+
+
+@pytest.mark.parametrize("name", ("wp", "zeta"))
+def test_values_follow_the_working_precision(name):
+    with mp.workprec(160):
+        ctx = WeierstrassContext(4, 0)
+        x = mpf(1) / 3
+        with mp.workprec(113):
+            low = getattr(ctx, name)(x)
+        high = getattr(ctx, name)(x)
+        assert high._mpf_ != low._mpf_
+        assert high._mpf_ == getattr(WeierstrassContext(4, 0), name)(x)._mpf_
+
+
+def test_lattice_proximity_is_raised_on_every_call():
+    ctx = WeierstrassContext(4, 0)
+    for x in (mpf("1e-8"), 2 * ctx.omega1 + mpf("1e-9")):
+        for _ in range(2):
+            for fn in (ctx.wp, ctx.zeta):
+                with pytest.raises(LatticeProximityError):
+                    fn(x)
+
+
 def test_rectangular_lattice_required():
     with pytest.raises(ValueError):
         WeierstrassContext(1, 1)  # discriminant < 0

@@ -16,6 +16,7 @@ from commdiff.dressing import (
     l2_operator,
 )
 from commdiff.families import FamilySpec, build_case, geom_family, poly_family, trig_family
+from commdiff import spectral
 from commdiff.spectral import (
     CurveReport,
     action_matrix,
@@ -286,3 +287,117 @@ def test_extract_curve_catches_a_perturbed_partner():
     assert clean.base_independence_residual <= mpf("1e-30")
     assert rep.base_independence_residual >= mpf("1e-6")
     assert not rep.passes(state.curve.c)
+
+
+# ---------------------------------------------------------------------------
+# bit-identity oracles: the loops that multiplied z psi by ZPoly([0, 1]),
+# read every value through .at(), summed from mpf(0) and validated every
+# computed value again
+# ---------------------------------------------------------------------------
+
+
+def _reference_kernel_extend(L, n0, init, length):
+    """The kernel recurrence that `kernel_extend` must reproduce bit for bit."""
+    m = L.order
+    vals = list(init)
+    for n in range(n0, n0 + length - m):
+        acc = ZPoly([0, 1]) * vals[n - n0]
+        for j, u in L.terms.items():
+            if j == m:
+                continue
+            acc -= u.at(n) * vals[n - n0 + j]
+        vals.append(acc)
+    width = max(len(v.coeffs) for v in vals)
+    return [CoeffSeq(n0, [v.coeff(k) for v in vals]) for k in range(width)]
+
+
+def _reference_apply(L, f):
+    """The per-site loop that `DiffOp.apply` must reproduce bit for bit."""
+    lo = max(L.window[0], f.window[0] - L.min_degree)
+    hi = min(L.window[1], f.window[1] - L.order)
+    vals = []
+    for n in range(lo, hi + 1):
+        acc = mpf(0)
+        for j, u in L.terms.items():
+            acc += u.at(n) * f.at(n + j)
+        vals.append(acc)
+    return CoeffSeq(lo, vals)
+
+
+def _raw_seq(f):
+    return f.window, [v._mpf_ for v in f.values]
+
+
+def _raw_seqs(seqs):
+    return [_raw_seq(f) for f in seqs]
+
+
+ORACLE_CASES = [
+    ("trig", {"r1": "1"}),
+    ("poly", {"a2": "1", "a0": "0"}),
+    ("geom", {"a": "2", "beta": "1"}),
+    ("poly", {"a2": "0.886695", "a1": "0.708451", "a0": "0.234504"}),
+]
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160))
+@pytest.mark.parametrize("kind, params", ORACLE_CASES)
+def test_kernel_extend_and_apply_match_reference_loops_bit_for_bit(kind, params, bits):
+    with mp.workprec(bits):
+        L2, partner, _state, _extras = build_case(FamilySpec(kind, 2, params), (-6, 6))
+        inits = [
+            (ZPoly([1]), ZPoly.zero()),
+            (ZPoly.zero(), ZPoly([1])),
+            (ZPoly.zero(), ZPoly.zero()),
+            (ZPoly([mpf("0.7"), mpf("-0.3")]), ZPoly([mpf("-0.2"), 0, mpf(1) / 3])),
+        ]
+        for n0 in (L2.window[0], -1, 0, 3):
+            for init in inits:
+                psi = kernel_extend(L2, n0, init, 12)
+                assert _raw_seqs(psi) == _raw_seqs(_reference_kernel_extend(L2, n0, init, 12))
+                for op in (L2, partner):
+                    for f in psi:
+                        assert _raw_seq(op.apply(f)) == _raw_seq(_reference_apply(op, f))
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160))
+def test_apply_matches_the_reference_loop_on_exact_zeros_and_negative_degrees(bits):
+    with mp.workprec(bits):
+        # a negative-degree term, a zero coefficient and exact 1s
+        L = DiffOp.build({-2: lambda n: mpf(n) / 7, 0: 0, 1: 1, 3: lambda n: mpf(1) / (n + 40)},
+                         (-20, 20))
+        f = CoeffSeq.tabulate(lambda n: 0 if n % 3 == 0 else mpf(n) / 11 - mpf(1) / 3, (-15, 18))
+        assert any(v == 0 for v in f.values)
+        assert _raw_seq(L.apply(f)) == _raw_seq(_reference_apply(L, f))
+        # T^2 with exact zero lower coefficients: psi holds exact zeros
+        S = DiffOp.build({2: 1, 1: 0, 0: 0}, (-20, 20))
+        psi = kernel_extend(S, -3, (ZPoly([1]), ZPoly.zero()), 15)
+        assert _raw_seqs(psi) == _raw_seqs(
+            _reference_kernel_extend(S, -3, (ZPoly([1]), ZPoly.zero()), 15))
+        for c in psi:
+            assert _raw_seq(L.apply(c)) == _raw_seq(_reference_apply(L, c))
+        # T^2 alone, from zero data: psi = 0 has no coefficients at all
+        P = DiffOp.build({2: 1}, (-20, 20))
+        zero = (ZPoly.zero(), ZPoly.zero())
+        assert kernel_extend(P, 0, zero, 9) == _reference_kernel_extend(P, 0, zero, 9) == []
+        # no step at all: the initial data back, as sequences
+        init = (ZPoly([mpf(1) / 3, 1]), ZPoly([0, 0, mpf(2) / 7]))
+        assert _raw_seqs(kernel_extend(S, 18, init, 2)) == _raw_seqs(
+            _reference_kernel_extend(S, 18, init, 2))
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160))
+@pytest.mark.parametrize("kind, params", ORACLE_CASES)
+def test_action_matrix_matches_the_reference_loops_bit_for_bit(monkeypatch, kind, params, bits):
+    with mp.workprec(bits):
+        L2, partner, _state, _extras = build_case(FamilySpec(kind, 2, params), (-6, 6))
+        for n0 in (-1, 0, 1):
+            M, defect = action_matrix(L2, partner, n0)
+            with monkeypatch.context() as m:
+                m.setattr(spectral, "kernel_extend", _reference_kernel_extend)
+                m.setattr(DiffOp, "apply", _reference_apply)
+                M_ref, defect_ref = action_matrix(L2, partner, n0)
+            assert [[[c._mpf_ for c in p.coeffs] for p in row] for row in M] == [
+                [[c._mpf_ for c in p.coeffs] for p in row] for row in M_ref
+            ]
+            assert defect._mpf_ == defect_ref._mpf_
