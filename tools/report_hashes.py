@@ -115,7 +115,19 @@ EXTRACTION = [
     ["rank2", "--precision", "160"],
 ]
 
-CONFIGS = CRITERION_1 + ODD_EXTENSION + NON_MONIC + NON_DYADIC + CURVES + PARTNERS + MORE + OTHERS
+# below the default precision, where a changed rounding order shows in almost
+# every printed digit, and one at 160 bits, between the default and 1100
+LOW_PRECISION = [
+    ["verify", "--family", "trig", "--g", "2", "--r1", "1.3", "--precision", "53"],
+    ["verify", "--family", "poly", "--g", "3", "--a2", "0.886695", "--a1", "0.708451",
+     "--a0", "0.234504", "--precision", "53"],
+    ["verify", "--family", "elliptic", "--g", "1", "--precision", "53"],
+    ["verify", "--family", "poly", "--g", "3", "--a2", "0.886695", "--a1", "0.708451",
+     "--a0", "0.234504", "--precision", "160"],
+    ["partner", "--family", "poly", "--g", "2", "--a2", "1", "--a0", "0.3", "--precision", "53"],
+]
+
+CONFIGS = CRITERION_1+ ODD_EXTENSION + NON_MONIC + NON_DYADIC + CURVES + PARTNERS + MORE + OTHERS
 
 # commands that read options from a --config file: each pairs its argv with
 # the file's JSON object, written to config-<i>.json in the temporary
@@ -139,7 +151,7 @@ def main(argv=None) -> int:
     status = 0
     with tempfile.TemporaryDirectory(prefix="report-hashes-") as tmp:
         runs = ([(argv_, None) for argv_ in CONFIGS] + CONFIG_FILES
-                + [(argv_, None) for argv_ in HIGH_PRECISION + EXTRACTION])
+                + [(argv_, None) for argv_ in HIGH_PRECISION + EXTRACTION + LOW_PRECISION])
         for argv_, config in runs:
             if config is not None:
                 name = f"config-{CONFIG_FILES.index((argv_, config))}.json"
