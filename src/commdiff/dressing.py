@@ -24,6 +24,8 @@ nature, every verification here is pure and parallelizes over (n, z, P).
 from __future__ import annotations
 
 from mpmath import mp, mpf, sqrt, cos
+from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg
+from mpmath.libmp import mpf_rdiv_int, mpf_sub, round_nearest as RND
 
 from . import linalg
 from .errors import (
@@ -35,6 +37,7 @@ from .numcore import (
     HyperellipticCurve,
     ZPoly,
     poly_div_exact,
+    raw_max,
     scalar,
 )
 from .opalg import CoeffSeq, DiffOp
@@ -258,13 +261,17 @@ def _term_coeffs(a, c, d):
     the exact zeros past both ends of a are left out."""
     if not a:
         return []
-    return [d * (c * a[0]), *(d * (lo + c * hi) for lo, hi in zip(a, a[1:])), d * a[-1]]
+    p, a, c, d = mp.prec, [v._mpf_ for v in a], c._mpf_, d._mpf_
+    mid = (mpf_mul(d, mpf_add(lo, mpf_mul(c, hi, p, RND), p, RND), p, RND)
+           for lo, hi in zip(a, a[1:]))
+    out = [mpf_mul(d, mpf_mul(c, a[0], p, RND), p, RND), *mid, mpf_mul(d, a[-1], p, RND)]
+    return list(map(mp.make_mpf, out))
 
 
 def _linear_terms(state: DressingState, n: int):
     """The four terms d_i (z + c_i) S_{n+s_i} whose sum is R_n."""
     return [
-        ZPoly(_term_coeffs(state.s(n + s).coeffs, c, d))
+        ZPoly._computed(tuple(_term_coeffs(state.s(n + s).coeffs, c, d)))
         for s, c, d in _four_term_factors(state.U, state.W, n)
     ]
 
@@ -292,34 +299,40 @@ def identity_residuals(state: DressingState, window, skew: bool = False):
     """
     lo, hi = int(window[0]), int(window[1])
     s_lo, s_hi = state.window
-    fpoly = state.curve.fpoly()
-    fnorm = fpoly.sup_norm()
-    master_rel = mpf(0)
+    p, fpoly = mp.prec, state.curve.fpoly()
+    fnorm = fpoly.sup_norm()._mpf_
+
+    # raw maxima: a scale is the first largest of head, each |coefficient| and 1
+    def scale_of(polys, head=fzero):
+        return raw_max((head, *(c._mpf_ for t in polys for c in t.coeffs), fone), p)
+
+    def worst(acc, r, scale):
+        return raw_max((acc, mpf_div(r.sup_norm()._mpf_, scale, p, RND)))
+
+    master_rel = fzero
     for n in range(max(lo, s_lo + 1), min(hi, s_hi - 1) + 1):
         s2, prod = _master_terms(state, n)
-        scale = max(fnorm, s2.sup_norm(), prod.sup_norm(), mpf(1))
-        master_rel = max(master_rel, (fpoly - (s2 + prod)).sup_norm() / scale)
+        master_rel = worst(master_rel, fpoly - (s2 + prod), scale_of((s2, prod), fnorm))
 
     linear = {}
 
     def linear_at(n):
         if n not in linear:
             t1, t2, t3, t4 = terms = _linear_terms(state, n)
-            scale = max(max(t.sup_norm() for t in terms), mpf(1))
-            linear[n] = (t1 + t2 + t3 + t4, scale)
+            linear[n] = (t1 + t2 + t3 + t4, scale_of(terms))
         return linear[n]
 
-    linear_rel = mpf(0)
+    linear_rel = fzero
     for n in range(max(lo, s_lo + 1), min(hi, s_hi - 2) + 1):
-        r, scale = linear_at(n)
-        linear_rel = max(linear_rel, r.sup_norm() / scale)
+        linear_rel = worst(linear_rel, *linear_at(n))
+    make = mp.make_mpf
     if not skew:
-        return master_rel, linear_rel, None
-    skew_rel = mpf(0)
+        return make(master_rel), make(linear_rel), None
+    skew_rel = fzero
     for n in range(0, min(hi, s_hi - 2, -(s_lo + 2)) + 1):
         r, scale = linear_at(n)
-        skew_rel = max(skew_rel, (r + linear_at(-n - 1)[0]).sup_norm() / scale)
-    return master_rel, linear_rel, skew_rel
+        skew_rel = worst(skew_rel, r + linear_at(-n - 1)[0], scale)
+    return make(master_rel), make(linear_rel), make(skew_rel)
 
 
 # ---------------------------------------------------------------------------
@@ -506,21 +519,25 @@ ANSATZ_TOL = mpf("1e-9")
 RECURSION_GUARD_BITS = 32
 
 
-def _comb(f, vs):
-    """sum_i f_i vs_i for the four values S_{n-1..n+2} of one level."""
+def _comb(f, vs, p):
+    """sum_i f_i vs_i over the four raw vectors S_{n-1..n+2} of one level, at p."""
     (f1, f2, f3, f4), (v1, v2, v3, v4) = f, vs
-    return [f1 * a + f2 * b + f3 * c + f4 * d for a, b, c, d in zip(v1, v2, v3, v4)]
+    return [
+        mpf_add(mpf_add(mpf_add(mpf_mul(f1, a, p, RND), mpf_mul(f2, b, p, RND), p, RND),
+                        mpf_mul(f3, c, p, RND), p, RND), mpf_mul(f4, d, p, RND), p, RND)
+        for a, b, c, d in zip(v1, v2, v3, v4)
+    ]
 
 
 def _march(dc, D, top, seeds, n0, span):
     """S levels g..0 on span = [a, b] by the level recursion.
 
-    Values are coefficient vectors: affine vectors over the fit's
-    constants, or one entry once those are known; a level's seeds may be
-    longer than the level above, whose width its steps keep, and the q march
-    carries the seeds' entries past it unchanged.  With D_n = U_{n-1} + U_n
-    and dc[n] the products d_i c_i, level m - 1 follows from level m in two
-    marches: the z^m row of the four-term relation,
+    Values are raw coefficient vectors at the working precision: affine
+    vectors over the fit's constants, or one entry once those are known; a
+    level's seeds may be longer than the level above, whose width its steps
+    keep, and the q march carries the seeds' entries past it unchanged.  With
+    D_n = U_{n-1} + U_n and dc[n] the products d_i c_i, level m - 1 follows
+    from level m in two marches: the z^m row of the four-term relation,
 
         D_n D_{n+2} (q_{n+2,m-1} - q_{n,m-1}) = -sum_i d_i c_i s_{n+s_i,m},
 
@@ -528,7 +545,8 @@ def _march(dc, D, top, seeds, n0, span):
     s_{n,m-1} = -D_n q_{n,m-1} - s_{n-1,m-1} steps s from n0.  seeds holds
     the three starting values per level, top the level-g row.
     """
-    a, b = span
+    p, (a, b) = mp.prec, span
+    neg_d = {n: mpf_neg(v, p, RND) for n, v in D.items()}
     levels = [top]
     for q0, q1, s0 in seeds:
         up = levels[-1]
@@ -536,18 +554,21 @@ def _march(dc, D, top, seeds, n0, span):
         # the division comes after the sum, which cancels heavily
         step = {}
         for n in range(a + 1, b - 1):
-            inv = 1 / (D[n] * D[n + 2])
-            step[n] = [v * inv for v in _comb(dc[n], [up[n + k] for k in (-1, 0, 1, 2)])]
+            inv = mpf_rdiv_int(1, mpf_mul(D[n], D[n + 2], p, RND), p, RND)
+            comb = _comb(dc[n], [up[n + k] for k in (-1, 0, 1, 2)], p)
+            step[n] = [mpf_mul(v, inv, p, RND) for v in comb]
         q = {n0: q0, n0 + 1: q1}
         for n in range(n0, b - 1):
-            q[n + 2] = [x - y for x, y in zip(q[n], step[n])] + q[n][width:]
+            q[n + 2] = [mpf_sub(x, y, p, RND) for x, y in zip(q[n], step[n])] + q[n][width:]
         for n in range(n0 - 1, a, -1):
-            q[n] = [x + y for x, y in zip(q[n + 2], step[n])] + q[n + 2][width:]
+            q[n] = [mpf_add(x, y, p, RND) for x, y in zip(q[n + 2], step[n])] + q[n + 2][width:]
         s = {n0: s0}
         for n in range(n0 + 1, b + 1):
-            s[n] = [-D[n] * x - y for x, y in zip(q[n], s[n - 1])]
+            s[n] = [mpf_sub(mpf_mul(neg_d[n], x, p, RND), y, p, RND)
+                    for x, y in zip(q[n], s[n - 1])]
         for n in range(n0, a, -1):
-            s[n - 1] = [-D[n] * x - y for x, y in zip(q[n], s[n])]
+            s[n - 1] = [mpf_sub(mpf_mul(neg_d[n], x, p, RND), y, p, RND)
+                        for x, y in zip(q[n], s[n])]
         levels.append(s)
     return levels
 
@@ -568,7 +589,7 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
     largest coefficient of the relation's four terms there, is an
     InconsistentDataError naming n, and the worst ratio is
     info["resid_rel"].  The marches and the fit run RECURSION_GUARD_BITS
-    above the working precision.
+    above the working precision, on raw libmp values.
 
     fine, when given, is (U, W) tabulated from the same closed forms
     RECURSION_GUARD_BITS above the working precision on at least the same
@@ -615,33 +636,37 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
                 raise InconsistentDataError(
                     f"fine table of {name} disagrees with {name} at n={n}"
                 )
+    make = mp.make_mpf
     with mp.workprec(mp.prec + RECURSION_GUARD_BITS):
+        p = mp.prec
         D = {
-            n: _pair_denominator(Uf.at(n - 1), Uf.at(n), f"ansatz_solve at n={n}")
+            n: _pair_denominator(Uf.at(n - 1), Uf.at(n), f"ansatz_solve at n={n}")._mpf_
             for n in range(lo + 1, hi + 1)
         }
         fac = {n: _four_term_factors(Uf, Wf, n) for n in range(rlo, rhi + 1)}
-        dc = {n: [d * c for _s, c, d in f] for n, f in fac.items()}
+        dc = {n: [mpf_mul(d._mpf_, c._mpf_, p, RND) for _s, c, d in f] for n, f in fac.items()}
 
         # affine march on the fit window: entry 0 is the inhomogeneous part,
         # entry 1 + 3 (g - 1 - m) + i the i-th constant of level m, the last
         # entries of level m's vectors, since those past them are exact 0s
         def units(j):
-            return [[mpf(int(k == i)) for k in range(j + 3)] for i in range(j, j + 3)]
+            return [[fone if k == i else fzero for k in range(j + 3)] for i in range(j, j + 3)]
+
+        def tops(a, b):
+            return {n: [mpf_neg(Uf.at(n)._mpf_, p, RND)] for n in range(a, b + 1)}
 
         span = (flo - 1, fhi + 2)
-        top = {n: [-Uf.at(n)] for n in range(span[0], span[1] + 1)}
         seeds = [units(j) for j in range(1, ncon + 1, 3)]
-        s0 = _march(dc, D, top, seeds, n0, span)[-1]
+        s0 = _march(dc, D, tops(*span), seeds, n0, span)[-1]
         rows, rhs = [], []
         for n in range(flo, fhi + 1):
-            r = _comb(dc[n], [s0[n + k] for k in (-1, 0, 1, 2)])
-            row, b = r[1:], -r[0]
-            big = max(abs(v) for v in row)
-            if big:
-                row, b = [v / big for v in row], b / big
-            rows.append(row)
-            rhs.append(b)
+            r = _comb(dc[n], [s0[n + k] for k in (-1, 0, 1, 2)], p)
+            row, b = r[1:], mpf_neg(r[0], p, RND)
+            big = raw_max(row, p)
+            if big != fzero:
+                row, b = [mpf_div(v, big, p, RND) for v in row], mpf_div(b, big, p, RND)
+            rows.append(list(map(make, row)))
+            rhs.append(make(b))
         x, info = linalg.lstsq(rows, rhs)
         linalg.require_full_rank(
             info,
@@ -650,31 +675,33 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
         )
 
         # scalar march over the whole table, then the z^0 rows there
-        top = {n: [-Uf.at(n)] for n in range(lo, hi + 1)}
-        seeds = [([x[j]], [x[j + 1]], [x[j + 2]]) for j in range(0, ncon, 3)]
-        levels = _march(dc, D, top, seeds, n0, (lo, hi))
+        seeds = [([x[j]._mpf_], [x[j + 1]._mpf_], [x[j + 2]._mpf_]) for j in range(0, ncon, 3)]
+        levels = _march(dc, D, tops(lo, hi), seeds, n0, (lo, hi))
         coeffs = {n: [lv[n][0] for lv in reversed(levels)] for n in range(lo, hi + 1)}
-        sup = {n: max(abs(v) for v in cs) for n, cs in coeffs.items()}
-        resid_rel = mpf(0)
+        sup = {n: raw_max(cs, p) for n, cs in coeffs.items()}
+        resid_rel = fzero
         for n, f in fac.items():
-            r = sum(v * coeffs[n + k][0] for v, k in zip(dc[n], (-1, 0, 1, 2)))
+            r = fzero  # sum() starts from the int 0
+            for v, k in zip(dc[n], (-1, 0, 1, 2)):
+                r = mpf_add(r, mpf_mul(v, coeffs[n + k][0], p, RND), p, RND)
             # a bound on the largest coefficient of d_i (z + c_i) S_{n+s_i}
-            scale = max(abs(d) * max(abs(c), 1) * sup[n + s] for s, c, d in f)
-            rel = abs(r) / scale
-            if rel > ANSATZ_TOL:
+            scale = raw_max(mpf_mul(mpf_mul(mpf_abs(d._mpf_, p, RND), raw_max((c._mpf_, fone), p),
+                                            p, RND), sup[n + s], p, RND) for s, c, d in f)
+            rel = mpf_div(mpf_abs(r, p, RND), scale, p, RND)
+            if mpf_gt(rel, ANSATZ_TOL._mpf_):
                 raise InconsistentDataError(
                     f"no genus-{g} S for this U and W: the z^0 row of the "
-                    f"four-term relation at n={n} has relative residual {rel}"
+                    f"four-term relation at n={n} has relative residual {make(rel)}"
                 )
-            resid_rel = max(resid_rel, rel)
+            resid_rel = raw_max((resid_rel, rel))
 
     S = {}
     for n in range(lo, hi + 1):
         lead = mpf(0)
         for p, phi in zip(pinned, basis.functions(n)):
             lead += p * phi
-        S[n] = ZPoly([+v for v in coeffs[n][:g]] + [lead])
-    result = AnsatzResult(S, None, {"resid_rel": +resid_rel})
+        S[n] = ZPoly([+make(v) for v in coeffs[n][:g]] + [lead])
+    result = AnsatzResult(S, None, {"resid_rel": +make(resid_rel)})
     result.curve = result.state(U, W, (-2, 3)).curve
     return result
 

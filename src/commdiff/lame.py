@@ -46,6 +46,9 @@ class WeierstrassContext:
         wp(x)   = e1 + (k theta3(0) theta4(0) theta2(v) / theta1(v))^2
         zeta(x) = eta1 x / omega1 + k theta1'(v) / theta1(v)
         eta1    = zeta(omega1) = -k^2 omega1 theta1'''(0) / (3 theta1'(0))
+
+    Its constants are those of the precision at construction; wp and zeta
+    at another precision read a context built at that one, once.
     """
 
     def __init__(self, g2, g3):
@@ -63,6 +66,7 @@ class WeierstrassContext:
         self._c = self._k * jtheta(3, 0, q) * jtheta(4, 0, q)
         self.eta1 = -self._k**2 * self.omega1 * jtheta(1, 0, q, 3) / (3 * jtheta(1, 0, q, 1))
         self._values = {}
+        self._by_prec = {mp.prec: self}
 
     def _site(self, x):
         """(x, v) with v = k x; x must stay LATTICE_PROXIMITY away from the
@@ -79,11 +83,14 @@ class WeierstrassContext:
     def _cached(self, fn, x) -> mpf:
         """fn(x, v) once per (fn, x, working precision); _site raises before
         the lookup, so a refused argument is refused on every call."""
-        x, v = self._site(x)
+        if mp.prec not in self._by_prec:
+            self._by_prec[mp.prec] = WeierstrassContext(self.g2, self.g3)
+        ctx = self._by_prec[mp.prec]
+        x, v = ctx._site(x)
         key = (fn, x._mpf_, mp.prec)
-        if key not in self._values:
-            self._values[key] = fn(self, x, v)
-        return self._values[key]
+        if key not in ctx._values:
+            ctx._values[key] = fn(ctx, x, v)
+        return ctx._values[key]
 
     def _wp(self, x, v) -> mpf:
         ratio = self._c * jtheta(2, v, self._q) / jtheta(1, v, self._q)

@@ -12,10 +12,11 @@ every function here is pure.
 from __future__ import annotations
 
 import json
-import operator
+from itertools import repeat
 
 from mpmath import mp, mpf
-from mpmath.libmp import finf, fnan, fninf
+from mpmath.libmp import finf, fnan, fninf, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_sub
+from mpmath.libmp import round_nearest as RND
 
 from .errors import DegenerateDenominatorError, NonFiniteError
 
@@ -67,6 +68,17 @@ def ensure_finite(v: mpf, what: str = "value") -> mpf:
     if not _finite(v):
         raise NonFiniteError(f"{what} is not finite")
     return v
+
+
+def raw_max(vals, prec=None):
+    """The first largest of the raw values vals, as max() picks it; with prec,
+    of their mpf_abs at prec: max(abs(v) for v in vals), as mpf's abs rounds."""
+    it = iter(vals) if prec is None else (mpf_abs(v, prec, RND) for v in vals)
+    best = next(it)
+    for v in it:
+        if mpf_gt(v, best):
+            best = v
+    return best
 
 
 def mpf_to_str(x: mpf) -> str:
@@ -144,7 +156,7 @@ class ZPoly:
     def sup_norm(self) -> mpf:
         if not self.coeffs:
             return mpf(0)
-        return max(abs(c) for c in self.coeffs)
+        return mp.make_mpf(raw_max((c._mpf_ for c in self.coeffs), mp.prec))
 
     def eval(self, z) -> mpf:
         z = scalar(z)
@@ -157,18 +169,17 @@ class ZPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        return ZPoly._computed((*map(operator.add, a, b), *a[len(b):]))
+        return ZPoly._computed((*raw_map(mpf_add, a, b), *a[len(b):]))
 
     def __sub__(self, other: "ZPoly") -> "ZPoly":
         a, b = self.coeffs, other.coeffs
-        return ZPoly._computed((*map(operator.sub, a, b), *a[len(b):], *(-c for c in b[len(a):])))
+        return ZPoly._computed((*raw_map(mpf_sub, a, b), *a[len(b):], *(-c for c in b[len(a):])))
 
     def __neg__(self) -> "ZPoly":
         return ZPoly._computed(tuple(-c for c in self.coeffs), trim=False)
 
     def scale(self, c) -> "ZPoly":
-        c = scalar(c)
-        return ZPoly._computed(tuple(c * x for x in self.coeffs))
+        return ZPoly._computed(tuple(raw_map(mpf_mul, repeat(scalar(c)), self.coeffs)))
 
     def __mul__(self, other):
         if not isinstance(other, ZPoly):
@@ -186,18 +197,24 @@ class ZPoly:
         return f"ZPoly(deg={self.degree})"
 
 
+def raw_map(op, xs, ys) -> list:
+    """[op(x, y) for x, y in zip(xs, ys)] for mpfs, by the raw libmp op as mpf rounds."""
+    prec, make = mp.prec, mp.make_mpf
+    return [make(op(x._mpf_, y._mpf_, prec, RND)) for x, y in zip(xs, ys)]
+
+
 def poly_mul(p: ZPoly, q: ZPoly) -> ZPoly:
     """Convolution product; degrees add when leading coefficients survive."""
     if p.is_zero or q.is_zero:
         return ZPoly.zero()
     # each sum starts from its first product, not from 0, in the same order
-    a, b = p.coeffs, q.coeffs
-    out = [a[0] * bj for bj in b]
+    prec, a, b = mp.prec, [c._mpf_ for c in p.coeffs], [c._mpf_ for c in q.coeffs]
+    out = [mpf_mul(a[0], bj, prec, RND) for bj in b]
     for i, ai in enumerate(a[1:], 1):
-        out.append(ai * b[-1])
+        out.append(mpf_mul(ai, b[-1], prec, RND))
         for j, bj in enumerate(b[:-1]):
-            out[i + j] += ai * bj
-    return ZPoly._computed(tuple(out))
+            out[i + j] = mpf_add(out[i + j], mpf_mul(ai, bj, prec, RND), prec, RND)
+    return ZPoly._computed(tuple(map(mp.make_mpf, out)))
 
 
 def poly_div_exact(num: ZPoly, den: ZPoly):

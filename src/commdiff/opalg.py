@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import json
 import operator
+from itertools import repeat
 
-from mpmath import mpf
-from mpmath.libmp import fone
+from mpmath import mp, mpf
+from mpmath.libmp import fone, mpf_add, mpf_mul, mpf_sub, round_nearest as RND
 
 from .errors import WindowError
-from .numcore import scalar, to_json
+from .numcore import raw_map, raw_max, scalar, to_json
 
 
 class CoeffSeq:
@@ -78,7 +79,7 @@ class CoeffSeq:
         return self.values[lo - slo : hi - slo + 1]
 
     def sup_norm(self) -> mpf:
-        return max(abs(v) for v in self.values)
+        return mp.make_mpf(raw_max((v._mpf_ for v in self.values), mp.prec))
 
     def window_intersect(self, other) -> tuple:
         lo = max(self.window[0], other.window[0])
@@ -88,20 +89,20 @@ class CoeffSeq:
         return (lo, hi)
 
     def binop(self, other, op) -> "CoeffSeq":
+        """self op other on the common window; op is a raw libmp operation."""
         lo, hi = self.window_intersect(other)
-        return CoeffSeq._computed(lo, map(op, self.values_on(lo, hi), other.values_on(lo, hi)))
+        return CoeffSeq._computed(lo, raw_map(op, self.values_on(lo, hi), other.values_on(lo, hi)))
 
     def __add__(self, other):
-        return self.binop(other, operator.add)
+        return self.binop(other, mpf_add)
 
     def __sub__(self, other):
-        return self.binop(other, operator.sub)
+        return self.binop(other, mpf_sub)
 
     def __mul__(self, other):
         if isinstance(other, CoeffSeq):
-            return self.binop(other, operator.mul)
-        c = scalar(other)
-        return CoeffSeq._computed(self.n_min, [c * v for v in self.values])
+            return self.binop(other, mpf_mul)
+        return CoeffSeq._computed(self.n_min, raw_map(mpf_mul, repeat(scalar(other)), self.values))
 
     __rmul__ = __mul__
 
@@ -203,11 +204,12 @@ class DiffOp:
                 f"application window empty: operator on {self.window} with degrees "
                 f"[{self.min_degree}, {self.order}] needs f beyond [{f.window[0]}, {f.window[1]}]"
             )
-        vals = None
+        prec, vals = mp.prec, None
         for j, u in self.terms.items():
-            prods = map(operator.mul, u.values_on(lo, hi), f.values_on(lo + j, hi + j))
-            vals = list(prods) if vals is None else list(map(operator.add, vals, prods))
-        return CoeffSeq._computed(lo, vals)
+            prods = [mpf_mul(x._mpf_, y._mpf_, prec, RND)
+                     for x, y in zip(u.values_on(lo, hi), f.values_on(lo + j, hi + j))]
+            vals = prods if vals is None else [mpf_add(x, y, prec, RND) for x, y in zip(vals, prods)]
+        return CoeffSeq._computed(lo, map(mp.make_mpf, vals))
 
     def __mul__(self, other):
         if not isinstance(other, DiffOp):
@@ -218,14 +220,18 @@ class DiffOp:
         hi = min(self.window[1], other.window[1] - self.order)
         if hi < lo:
             raise WindowError("composition window empty")
+        prec, olo = mp.prec, other.window[0]
+        raw = {j: [v._mpf_ for v in b.values] for j, b in other.terms.items()}
         out: dict = {}
         for i, a in self.terms.items():
-            av = a.values_on(lo, hi)
-            for j, b in other.terms.items():
-                contrib = map(operator.mul, av, b.values_on(lo + i, hi + i))
+            av = [v._mpf_ for v in a.values_on(lo, hi)]
+            for j, bv in raw.items():
+                contrib = [mpf_mul(x, y, prec, RND) for x, y in zip(av, bv[lo + i - olo:])]
                 k = i + j
-                out[k] = list(map(operator.add, out[k], contrib)) if k in out else list(contrib)
-        return DiffOp({k: CoeffSeq._computed(lo, v) for k, v in out.items()}, (lo, hi))
+                out[k] = ([mpf_add(x, y, prec, RND) for x, y in zip(out[k], contrib)]
+                          if k in out else contrib)
+        return DiffOp({k: CoeffSeq._computed(lo, map(mp.make_mpf, v)) for k, v in out.items()},
+                      (lo, hi))
 
     __rmul__ = __mul__
 
@@ -234,7 +240,7 @@ class DiffOp:
         lo, hi = _common_window([c], self.window)
         cv = c.values_on(lo, hi)
         return DiffOp(
-            {j: CoeffSeq._computed(lo, map(operator.mul, cv, t.values_on(lo, hi)))
+            {j: CoeffSeq._computed(lo, raw_map(mpf_mul, cv, t.values_on(lo, hi)))
              for j, t in self.terms.items()},
             (lo, hi),
         )

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
 
+import commdiff
 from commdiff import cli
 from commdiff.cli import main
 from commdiff.families import FamilySpec, build_case
@@ -53,6 +58,20 @@ def test_verify_usage_errors(tmp_path):
     assert run(["verify", "--family", "trig", "--g", "1", "--out", out]) == 2  # missing r1
     assert run(["verify", "--family", "trig", "--g", "1", "--r1", "1",
                 "--tolerance", "-1", "--out", out]) == 2
+
+
+def test_python_dash_m_commdiff_runs_the_cli(tmp_path):
+    src = str(Path(commdiff.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def exit_code(*argv):
+        proc = subprocess.run([sys.executable, "-m", "commdiff", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        return proc.returncode
+
+    assert exit_code("verify", "--family", "elliptic", "--g", "1", "--out", "r") == 0
+    assert exit_code("verify", "--family", "trig", "--g", "1", "--out", "r") == 2  # no --r1
+    assert exit_code("no-such-command") == 2
 
 
 def test_verify_check_failure_exits_one(tmp_path):

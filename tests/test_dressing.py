@@ -9,7 +9,7 @@ from commdiff.errors import (
     RankDeficiencyError,
     WindowError,
 )
-from commdiff import dressing
+from commdiff import dressing, linalg
 from commdiff.numcore import HyperellipticCurve, ZPoly
 from commdiff.opalg import CoeffSeq, DiffOp, commutator_residual
 from commdiff.dressing import (
@@ -34,6 +34,13 @@ from commdiff.dressing import (
     residual_linear,
     solve_partner_recursive,
     verify_master,
+)
+from test_numcore import (
+    _reference_add,
+    _reference_poly_mul,
+    _reference_sub,
+    _reference_sup_norm,
+    trap_values,
 )
 from commdiff.families import (
     FamilySpec,
@@ -649,9 +656,15 @@ def test_fixture_checks_hold_at_minimum_precision():
 # ---------------------------------------------------------------------------
 
 
+def _reference_comb(f, vs):
+    """The mpf loop that `_comb` runs on raw values."""
+    (f1, f2, f3, f4), (v1, v2, v3, v4) = f, vs
+    return [f1 * a + f2 * b + f3 * c + f4 * d for a, b, c, d in zip(v1, v2, v3, v4)]
+
+
 def _reference_march(dc, D, top, seeds, n0, span):
-    """The dense level march that `_march` must reproduce bit for bit: every
-    affine vector padded with exact 0s to the full 3g + 1 entries."""
+    """The dense level march of mpfs that `_march` must reproduce bit for
+    bit: every affine vector padded with exact 0s to the full 3g + 1 entries."""
     full = max(len(v) for seed in seeds for v in seed)
 
     def pad(v):
@@ -664,7 +677,7 @@ def _reference_march(dc, D, top, seeds, n0, span):
         step = {}
         for n in range(a + 1, b - 1):
             inv = 1 / (D[n] * D[n + 2])
-            step[n] = [v * inv for v in dressing._comb(dc[n], [up[n + k] for k in (-1, 0, 1, 2)])]
+            step[n] = [v * inv for v in _reference_comb(dc[n], [up[n + k] for k in (-1, 0, 1, 2)])]
         q = {n0: pad(q0), n0 + 1: pad(q1)}
         for n in range(n0, b - 1):
             q[n + 2] = [x - y for x, y in zip(q[n], step[n])]
@@ -677,6 +690,178 @@ def _reference_march(dc, D, top, seeds, n0, span):
             s[n - 1] = [-D[n] * x - y for x, y in zip(q[n], s[n])]
         levels.append(s)
     return levels
+
+
+def _on_raw_values(march):
+    """march, which takes and returns mpfs, with the raw-value interface of
+    `_march`."""
+    def raw_march(dc, D, top, seeds, n0, span):
+        make = mp.make_mpf
+        dc = {n: [make(v) for v in f] for n, f in dc.items()}
+        D = {n: make(v) for n, v in D.items()}
+        top = {n: [make(v) for v in vs] for n, vs in top.items()}
+        seeds = [[[make(v) for v in vs] for vs in seed] for seed in seeds]
+        levels = march(dc, D, top, seeds, n0, span)
+        return [{n: [v._mpf_ for v in vs] for n, vs in lv.items()} for lv in levels]
+
+    return raw_march
+
+
+def _reference_ansatz_solve(basis, U, W, fine=None):
+    """ansatz_solve as its mpf loops ran: the march, the fit rows, the z^0
+    rows and their maxima on mpf objects (checks and messages left out)."""
+    g = basis.g
+    reach = basis.size + 2
+    pinned = dressing._pin_top_coefficients(basis, U, range(-reach, reach + 1))
+    lo, hi = max(U.window[0], W.window[0]), min(U.window[1], W.window[1])
+    rlo, rhi = lo + 1, hi - 2
+    ncon = 3 * g
+    n0 = min(range(lo, hi + 1), key=lambda n: abs(U.at(n)))
+    n0 = min(max(n0, rlo), rhi)
+    flo, fhi = max(rlo, n0 - ncon - 2), min(rhi, n0 + ncon + 2)
+    Uf, Wf = (U, W) if fine is None else fine
+    with mp.workprec(mp.prec + RECURSION_GUARD_BITS):
+        D = {n: dressing._pair_denominator(Uf.at(n - 1), Uf.at(n), "")
+             for n in range(lo + 1, hi + 1)}
+        fac = {n: dressing._four_term_factors(Uf, Wf, n) for n in range(rlo, rhi + 1)}
+        dc = {n: [d * c for _s, c, d in f] for n, f in fac.items()}
+
+        def units(j):
+            return [[mpf(int(k == i)) for k in range(j + 3)] for i in range(j, j + 3)]
+
+        span = (flo - 1, fhi + 2)
+        top = {n: [-Uf.at(n)] for n in range(span[0], span[1] + 1)}
+        seeds = [units(j) for j in range(1, ncon + 1, 3)]
+        s0 = _reference_march(dc, D, top, seeds, n0, span)[-1]
+        rows, rhs = [], []
+        for n in range(flo, fhi + 1):
+            r = _reference_comb(dc[n], [s0[n + k] for k in (-1, 0, 1, 2)])
+            row, b = r[1:], -r[0]
+            big = max(abs(v) for v in row)
+            if big:
+                row, b = [v / big for v in row], b / big
+            rows.append(row)
+            rhs.append(b)
+        x, info = linalg.lstsq(rows, rhs)
+
+        top = {n: [-Uf.at(n)] for n in range(lo, hi + 1)}
+        seeds = [([x[j]], [x[j + 1]], [x[j + 2]]) for j in range(0, ncon, 3)]
+        levels = _reference_march(dc, D, top, seeds, n0, (lo, hi))
+        coeffs = {n: [lv[n][0] for lv in reversed(levels)] for n in range(lo, hi + 1)}
+        sup = {n: max(abs(v) for v in cs) for n, cs in coeffs.items()}
+        resid_rel = mpf(0)
+        for n, f in fac.items():
+            r = sum(v * coeffs[n + k][0] for v, k in zip(dc[n], (-1, 0, 1, 2)))
+            scale = max(abs(d) * max(abs(c), 1) * sup[n + s] for s, c, d in f)
+            resid_rel = max(resid_rel, abs(r) / scale)
+
+    S = {}
+    for n in range(lo, hi + 1):
+        lead = mpf(0)
+        for p, phi in zip(pinned, basis.functions(n)):
+            lead += p * phi
+        S[n] = ZPoly([+v for v in coeffs[n][:g]] + [lead])
+    return S, +resid_rel
+
+
+def _reference_term_coeffs(a, c, d):
+    """The mpf loop that `_term_coeffs` runs on raw values."""
+    if not a:
+        return []
+    return [d * (c * a[0]), *(d * (lo + c * hi) for lo, hi in zip(a, a[1:])), d * a[-1]]
+
+
+def _reference_identity_residuals(state, window, skew):
+    """identity_residuals as its mpf loops ran: the products, sums and sup
+    norms by the reference loops, each maximum by max()."""
+    lo, hi = window
+    s_lo, s_hi = state.window
+    fpoly = state.curve.fpoly()
+    fnorm = _reference_sup_norm(fpoly)
+    add, sup = _reference_add, _reference_sup_norm
+    master_rel = mpf(0)
+    for n in range(max(lo, s_lo + 1), min(hi, s_hi - 1) + 1):
+        lin = ZPoly([-(state.U.at(n) ** 2) - state.W.at(n), 1], trim=False)
+        s2 = _reference_poly_mul(state.s(n), state.s(n))
+        prod = _reference_poly_mul(_reference_poly_mul(lin, state.q(n)), state.q(n + 1))
+        scale = max(fnorm, sup(s2), sup(prod), mpf(1))
+        master_rel = max(master_rel, sup(_reference_sub(fpoly, add(s2, prod))) / scale)
+
+    def linear_at(n):
+        terms = [ZPoly(_reference_term_coeffs(state.s(n + s).coeffs, c, d))
+                 for s, c, d in dressing._four_term_factors(state.U, state.W, n)]
+        t1, t2, t3, t4 = terms
+        return add(add(add(t1, t2), t3), t4), max(max(sup(t) for t in terms), mpf(1))
+
+    linear_rel = mpf(0)
+    for n in range(max(lo, s_lo + 1), min(hi, s_hi - 2) + 1):
+        r, scale = linear_at(n)
+        linear_rel = max(linear_rel, sup(r) / scale)
+    if not skew:
+        return master_rel, linear_rel, None
+    skew_rel = mpf(0)
+    for n in range(0, min(hi, s_hi - 2, -(s_lo + 2)) + 1):
+        r, scale = linear_at(n)
+        skew_rel = max(skew_rel, sup(add(r, linear_at(-n - 1)[0])) / scale)
+    return master_rel, linear_rel, skew_rel
+
+
+def _raw_tuple(vals):
+    return tuple(None if v is None else v._mpf_ for v in vals)
+
+
+TRAP_FAMILIES = [("poly", 3, ODD5), ("trig", 2, {"r1": "1.3"})]
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160, 1100))
+def test_term_coeffs_match_the_mpf_loop_bit_for_bit(bits):
+    rng = random.Random(bits + 3)
+    pool = trap_values(rng, bits)
+    with mp.workprec(bits):
+        for deg in range(6):
+            a = [rng.choice(pool) for _ in range(deg + 1)]
+            for c, d in ((rng.choice(pool), rng.choice(pool)) for _ in range(8)):
+                got = [v._mpf_ for v in _term_coeffs(a, c, d)]
+                assert got == [v._mpf_ for v in _reference_term_coeffs(a, c, d)]
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160, 1100))
+@pytest.mark.parametrize("kind, g, params", TRAP_FAMILIES)
+def test_ansatz_solve_matches_the_mpf_loops_bit_for_bit(kind, g, params, bits):
+    # the working tables, build_case's fine ones, and tables tabulated at
+    # twice the precision, whose negation rounds
+    spec = FamilySpec(kind, g, params)
+    basis, window = basis_for(spec), (-12, 16)
+    with mp.workprec(bits):
+        U, W = family_from_spec(spec, window)
+        with mp.workprec(bits + RECURSION_GUARD_BITS):
+            fine = family_from_spec(spec, window)
+        with mp.workprec(2 * bits):
+            wide = family_from_spec(spec, window)
+        for tables, extra in (((U, W), None), ((U, W), fine), (wide, None)):
+            result = ansatz_solve(basis, *tables, extra)
+            S, resid_rel = _reference_ansatz_solve(basis, *tables, extra)
+            assert sorted(result.S) == sorted(S)
+            for n, p in S.items():
+                assert _raw_poly(result.S[n]) == _raw_poly(p), n
+            assert result.info["resid_rel"]._mpf_ == resid_rel._mpf_
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160, 1100))
+@pytest.mark.parametrize("kind, g, params", TRAP_FAMILIES)
+def test_identity_residuals_match_the_mpf_loops_bit_for_bit(kind, g, params, bits):
+    # states built at the working precision and at twice it, whose curve
+    # coefficients and tables carry bits that abs and negation round
+    spec = FamilySpec(kind, g, params)
+    for build_bits in (bits, 2 * bits):
+        with mp.workprec(build_bits):
+            _L2, _partner, state, _extras = build_case(spec, (-4, 4))
+        with mp.workprec(bits):
+            for window in ((-4, 4), (-40, 40)):
+                for skew in (False, True):
+                    got = identity_residuals(state, window, skew=skew)
+                    ref = _reference_identity_residuals(state, window, skew)
+                    assert _raw_tuple(got) == _raw_tuple(ref), (build_bits, window, skew)
 
 
 def _reference_partner(state, L2):
@@ -728,7 +913,7 @@ def test_pipeline_matches_dense_references_bit_for_bit(monkeypatch, kind, params
             _assert_mpf_only(L2, partner, state)
             _assert_same_op(partner, _reference_partner(state, L2))
             with monkeypatch.context() as m:
-                m.setattr(dressing, "_march", _reference_march)
+                m.setattr(dressing, "_march", _on_raw_values(_reference_march))
                 _, _, ref_state, ref_extras = build_case(spec, (-4, 4))
             assert extras == ref_extras
             assert state.window == ref_state.window

@@ -130,6 +130,22 @@ def test_values_follow_the_working_precision(name):
         assert high._mpf_ == getattr(WeierstrassContext(4, 0), name)(x)._mpf_
 
 
+@pytest.mark.parametrize("g2, g3", [(4, 0), (10, 2), (3, "-0.5")])
+def test_another_precision_reads_a_context_built_at_it(g2, g3):
+    # a 113-bit context asked at 160 bits gives a fresh 160-bit context's
+    # values, and its attributes keep the 113-bit constants
+    ctx, ref = WeierstrassContext(g2, g3), WeierstrassContext(g2, g3)
+    with mp.workprec(160):
+        fresh = WeierstrassContext(g2, g3)
+        for x in (mpf(1) / 3, mpf("-1.7"), mpf("2.9")):
+            assert ctx.wp(x)._mpf_ == fresh.wp(x)._mpf_
+            assert ctx.zeta(x)._mpf_ == fresh.zeta(x)._mpf_
+    for name in ("e1", "e2", "e3", "omega1", "omega2_mag", "eta1"):
+        assert getattr(ctx, name)._mpf_ == getattr(ref, name)._mpf_
+        assert getattr(ctx, name)._mpf_ != getattr(fresh, name)._mpf_
+    assert ctx.wp(mpf(1) / 3)._mpf_ == ref.wp(mpf(1) / 3)._mpf_
+
+
 def test_lattice_proximity_is_raised_on_every_call():
     ctx = WeierstrassContext(4, 0)
     for x in (mpf("1e-8"), 2 * ctx.omega1 + mpf("1e-9")):

@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from commdiff.numcore import (
     mpf_to_str,
     poly_div_exact,
     poly_mul,
+    raw_max,
     scalar,
     set_precision,
     to_json,
@@ -77,6 +79,62 @@ def _reference_poly_mul(p, q):
 
 def _raw(poly):
     return [c._mpf_ for c in poly.coeffs]
+
+
+# the mpf-object loops that ZPoly's arithmetic runs on raw libmp values
+
+def _reference_add(p, q):
+    a, b = p.coeffs, q.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    return ZPoly((*map(operator.add, a, b), *a[len(b):]))
+
+
+def _reference_sub(p, q):
+    a, b = p.coeffs, q.coeffs
+    return ZPoly((*map(operator.sub, a, b), *a[len(b):], *(-c for c in b[len(a):])))
+
+
+def _reference_scale(p, c):
+    c = scalar(c)
+    return ZPoly(tuple(c * x for x in p.coeffs))
+
+
+def _reference_sup_norm(p):
+    return max((abs(c) for c in p.coeffs), default=mpf(0))
+
+
+def trap_values(rng, bits):
+    """Exact 0 and +-1, negative values, and values built at twice `bits`,
+    which mpf's unary minus and abs round to the working precision."""
+    with mp.workprec(2 * bits):
+        wide = [mpf(rng.uniform(-3, 3)) * mp.sqrt(2) * mpf(10) ** rng.randint(-6, 6)
+                for _ in range(4)]
+    return [mpf(0), mpf(1), mpf(-1), -mpf(rng.uniform(0, 3)) / 7, *wide]
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160, 1100))
+def test_poly_kernels_match_the_mpf_loops_bit_for_bit(bits):
+    rng = random.Random(bits + 7)
+    pool = trap_values(rng, bits)
+    assert all(v._mpf_[3] > bits for v in pool[4:])
+    with mp.workprec(bits):
+        def draw():
+            return ZPoly([rng.choice(pool) if rng.random() < 0.6 else mpf(rng.uniform(-3, 3)) / 7
+                          for _ in range(rng.randint(1, 7))])
+
+        for _ in range(60):
+            p, q, c = draw(), draw(), rng.choice(pool)
+            assert _raw(poly_mul(p, q)) == _raw(_reference_poly_mul(p, q))
+            assert _raw(p + q) == _raw(_reference_add(p, q))
+            assert _raw(p - q) == _raw(_reference_sub(p, q))
+            assert _raw(q - p) == _raw(_reference_sub(q, p))
+            assert _raw(p.scale(c)) == _raw(_reference_scale(p, c))
+            assert p.sup_norm()._mpf_ == _reference_sup_norm(p)._mpf_
+        # the first largest, as max() picks it; with prec, of the rounded |v|
+        raws = [v._mpf_ for v in pool]
+        assert raw_max(raws) == max(pool)._mpf_
+        assert raw_max(raws, bits) == max(abs(v) for v in pool)._mpf_
 
 
 @pytest.mark.parametrize("bits", (113, 160))

@@ -1,7 +1,8 @@
+import operator
 import random
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from commdiff.errors import NonFiniteError, WindowError
 from commdiff.opalg import (
@@ -12,6 +13,7 @@ from commdiff.opalg import (
     op_from_json,
     op_to_json,
 )
+from test_numcore import trap_values
 
 WIN = (-24, 24)
 
@@ -326,3 +328,82 @@ def test_terms_on_the_window_are_shared_not_copied():
     assert all(same.terms[j] is t for j, t in L.terms.items())
     cut = DiffOp(L.terms, (-5, 3))
     assert cut.window == (-5, 3) and cut.terms[0].values == L.terms[0].values[:-2]
+
+
+# ---------------------------------------------------------------------------
+# bit-identity oracles: the mpf-object loops that the coefficient and
+# operator arithmetic runs on raw libmp values
+# ---------------------------------------------------------------------------
+
+
+def _reference_binop(x, y, op):
+    lo, hi = x.window_intersect(y)
+    return list(map(op, x.values_on(lo, hi), y.values_on(lo, hi)))
+
+
+def _reference_compose(A, B):
+    lo = max(A.window[0], B.window[0] - A.min_degree)
+    hi = min(A.window[1], B.window[1] - A.order)
+    out = {}
+    for i, a in A.terms.items():
+        av = a.values_on(lo, hi)
+        for j, b in B.terms.items():
+            contrib = map(operator.mul, av, b.values_on(lo + i, hi + i))
+            k = i + j
+            out[k] = list(map(operator.add, out[k], contrib)) if k in out else list(contrib)
+    return (lo, hi), out
+
+
+def _reference_scale_left(L, c):
+    lo, hi = max(c.window[0], L.window[0]), min(c.window[1], L.window[1])
+    cv = c.values_on(lo, hi)
+    return (lo, hi), {j: list(map(operator.mul, cv, t.values_on(lo, hi)))
+                      for j, t in L.terms.items()}
+
+
+def _reference_apply(L, f):
+    lo = max(L.window[0], f.window[0] - L.min_degree)
+    hi = min(L.window[1], f.window[1] - L.order)
+    vals = None
+    for j, u in L.terms.items():
+        prods = map(operator.mul, u.values_on(lo, hi), f.values_on(lo + j, hi + j))
+        vals = list(prods) if vals is None else list(map(operator.add, vals, prods))
+    return lo, vals
+
+
+def _raw_vals(vals):
+    return [v._mpf_ for v in vals]
+
+
+def _assert_op_is(L, window, terms):
+    assert L.window == window and sorted(L.terms) == sorted(terms)
+    for j, vals in terms.items():
+        assert _raw_vals(L.terms[j].values) == _raw_vals(vals), j
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160, 1100))
+def test_coefficient_and_operator_kernels_match_the_mpf_loops_bit_for_bit(bits):
+    rng = random.Random(bits + 11)
+    pool = trap_values(rng, bits)
+    with mp.workprec(bits):
+        def seq(window):
+            return CoeffSeq.tabulate(
+                lambda n: rng.choice(pool) if rng.random() < 0.6 else mpf(rng.uniform(-3, 3)) / 7,
+                window)
+
+        for _ in range(4):
+            x, y, c = seq((-9, 12)), seq((-11, 8)), rng.choice(pool)
+            for got, op in ((x + y, operator.add), (x - y, operator.sub), (x * y, operator.mul)):
+                assert _raw_vals(got.values) == _raw_vals(_reference_binop(x, y, op))
+            assert _raw_vals((x * c).values) == _raw_vals([c * v for v in x.values])
+            assert x.sup_norm()._mpf_ == max(abs(v) for v in x.values)._mpf_
+            A = DiffOp({-1: seq((-12, 12)), 0: seq((-12, 12)), 2: seq((-12, 12))})
+            B = DiffOp({0: seq((-10, 14)), 1: seq((-10, 14)), 3: seq((-10, 14))})
+            _assert_op_is(A * B, *_reference_compose(A, B))
+            _assert_op_is(B * A, *_reference_compose(B, A))
+            _assert_op_is(A.scale_left(x), *_reference_scale_left(A, x))
+            lo, vals = _reference_apply(B, y)
+            got = B.apply(y)
+            assert got.window[0] == lo and _raw_vals(got.values) == _raw_vals(vals)
+            assert A.sup_norm()._mpf_ == max(abs(v) for t in A.terms.values()
+                                             for v in t.values)._mpf_
