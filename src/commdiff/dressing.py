@@ -24,8 +24,8 @@ nature, every verification here is pure and parallelizes over (n, z, P).
 from __future__ import annotations
 
 from mpmath import mp, mpf, sqrt, cos
-from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg
-from mpmath.libmp import mpf_rdiv_int, mpf_sub, round_nearest as RND
+from mpmath.libmp import fone, fzero, mpf_abs, mpf_div, mpf_gt, mpf_neg, mpf_rdiv_int
+from mpmath.libmp import round_nearest as RND
 
 from . import linalg
 from .errors import (
@@ -37,7 +37,10 @@ from .numcore import (
     HyperellipticCurve,
     ZPoly,
     poly_div_exact,
+    radd,
     raw_max,
+    rmul,
+    rsub,
     scalar,
 )
 from .opalg import CoeffSeq, DiffOp
@@ -243,28 +246,31 @@ def verify_master(state: DressingState, n: int) -> mpf:
 
 def _four_term_factors(U: CoeffSeq, W: CoeffSeq, n: int):
     """(s_i, c_i, d_i), i = 1..4, with R_n(z) = sum_i d_i (z + c_i) S_{n+s_i}(z)
-    the four-term relation at n."""
-    Um1, U0, U1, U2 = U.at(n - 1), U.at(n), U.at(n + 1), U.at(n + 2)
-    W0, W1 = W.at(n), W.at(n + 1)
-    right, left = U1 + U2, Um1 + U0
+    the four-term relation at n, c_i and d_i raw.  c_1 = -U_n^2 - W_n and
+    c_4 = -U_{n+1}^2 - W_{n+1} are rounded as -(x * x + w), which equals mpf's
+    -(x ** 2) - w bit for bit, round-to-nearest being symmetric."""
+    p = mp.prec
+    Um1, U0, U1, U2 = (U.at(k)._mpf_ for k in range(n - 1, n + 3))
+    W0, W1 = W.at(n)._mpf_, W.at(n + 1)._mpf_
+    right, left = radd(U1, U2, p), mpf_neg(radd(Um1, U0, p))
+    u01, s01 = rmul(U0, U1, p), radd(U0, U1, p)
     return (
-        (-1, -(U0**2) - W0, right),
-        (0, U0 * U1 + Um1 * (U0 + U1) - W0, right),
-        (1, U0 * U1 + (U0 + U1) * U2 - W1, -left),
-        (2, -(U1**2) - W1, -left),
+        (-1, mpf_neg(radd(rmul(U0, U0, p), W0, p)), right),
+        (0, rsub(radd(u01, rmul(Um1, s01, p), p), W0, p), right),
+        (1, rsub(radd(u01, rmul(s01, U2, p), p), W1, p), left),
+        (2, mpf_neg(radd(rmul(U1, U1, p), W1, p)), left),
     )
 
 
 def _term_coeffs(a, c, d):
-    """The coefficients of d (z + c) A(z), A given by its coefficients a,
-    each formed as d (a_{k-1} + c a_k), the order of a product with [c, 1];
-    the exact zeros past both ends of a are left out."""
+    """The coefficients of d (z + c) A(z), A given by its mpf coefficients a
+    and c, d raw, each formed as d (a_{k-1} + c a_k), the order of a product
+    with [c, 1]; the exact zeros past both ends of a are left out."""
     if not a:
         return []
-    p, a, c, d = mp.prec, [v._mpf_ for v in a], c._mpf_, d._mpf_
-    mid = (mpf_mul(d, mpf_add(lo, mpf_mul(c, hi, p, RND), p, RND), p, RND)
-           for lo, hi in zip(a, a[1:]))
-    out = [mpf_mul(d, mpf_mul(c, a[0], p, RND), p, RND), *mid, mpf_mul(d, a[-1], p, RND)]
+    p, a = mp.prec, [v._mpf_ for v in a]
+    mid = (rmul(d, radd(lo, rmul(c, hi, p), p), p) for lo, hi in zip(a, a[1:]))
+    out = [rmul(d, rmul(c, a[0], p), p), *mid, rmul(d, a[-1], p)]
     return list(map(mp.make_mpf, out))
 
 
@@ -522,11 +528,8 @@ RECURSION_GUARD_BITS = 32
 def _comb(f, vs, p):
     """sum_i f_i vs_i over the four raw vectors S_{n-1..n+2} of one level, at p."""
     (f1, f2, f3, f4), (v1, v2, v3, v4) = f, vs
-    return [
-        mpf_add(mpf_add(mpf_add(mpf_mul(f1, a, p, RND), mpf_mul(f2, b, p, RND), p, RND),
-                        mpf_mul(f3, c, p, RND), p, RND), mpf_mul(f4, d, p, RND), p, RND)
-        for a, b, c, d in zip(v1, v2, v3, v4)
-    ]
+    return [radd(radd(radd(rmul(f1, a, p), rmul(f2, b, p), p), rmul(f3, c, p), p),
+                 rmul(f4, d, p), p) for a, b, c, d in zip(v1, v2, v3, v4)]
 
 
 def _march(dc, D, top, seeds, n0, span):
@@ -554,21 +557,19 @@ def _march(dc, D, top, seeds, n0, span):
         # the division comes after the sum, which cancels heavily
         step = {}
         for n in range(a + 1, b - 1):
-            inv = mpf_rdiv_int(1, mpf_mul(D[n], D[n + 2], p, RND), p, RND)
+            inv = mpf_rdiv_int(1, rmul(D[n], D[n + 2], p), p, RND)
             comb = _comb(dc[n], [up[n + k] for k in (-1, 0, 1, 2)], p)
-            step[n] = [mpf_mul(v, inv, p, RND) for v in comb]
+            step[n] = [rmul(v, inv, p) for v in comb]
         q = {n0: q0, n0 + 1: q1}
         for n in range(n0, b - 1):
-            q[n + 2] = [mpf_sub(x, y, p, RND) for x, y in zip(q[n], step[n])] + q[n][width:]
+            q[n + 2] = [rsub(x, y, p) for x, y in zip(q[n], step[n])] + q[n][width:]
         for n in range(n0 - 1, a, -1):
-            q[n] = [mpf_add(x, y, p, RND) for x, y in zip(q[n + 2], step[n])] + q[n + 2][width:]
+            q[n] = [radd(x, y, p) for x, y in zip(q[n + 2], step[n])] + q[n + 2][width:]
         s = {n0: s0}
         for n in range(n0 + 1, b + 1):
-            s[n] = [mpf_sub(mpf_mul(neg_d[n], x, p, RND), y, p, RND)
-                    for x, y in zip(q[n], s[n - 1])]
+            s[n] = [rsub(rmul(neg_d[n], x, p), y, p) for x, y in zip(q[n], s[n - 1])]
         for n in range(n0, a, -1):
-            s[n - 1] = [mpf_sub(mpf_mul(neg_d[n], x, p, RND), y, p, RND)
-                        for x, y in zip(q[n], s[n])]
+            s[n - 1] = [rsub(rmul(neg_d[n], x, p), y, p) for x, y in zip(q[n], s[n])]
         levels.append(s)
     return levels
 
@@ -644,7 +645,7 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
             for n in range(lo + 1, hi + 1)
         }
         fac = {n: _four_term_factors(Uf, Wf, n) for n in range(rlo, rhi + 1)}
-        dc = {n: [mpf_mul(d._mpf_, c._mpf_, p, RND) for _s, c, d in f] for n, f in fac.items()}
+        dc = {n: [rmul(d, c, p) for _s, c, d in f] for n, f in fac.items()}
 
         # affine march on the fit window: entry 0 is the inhomogeneous part,
         # entry 1 + 3 (g - 1 - m) + i the i-th constant of level m, the last
@@ -683,10 +684,10 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
         for n, f in fac.items():
             r = fzero  # sum() starts from the int 0
             for v, k in zip(dc[n], (-1, 0, 1, 2)):
-                r = mpf_add(r, mpf_mul(v, coeffs[n + k][0], p, RND), p, RND)
+                r = radd(r, rmul(v, coeffs[n + k][0], p), p)
             # a bound on the largest coefficient of d_i (z + c_i) S_{n+s_i}
-            scale = raw_max(mpf_mul(mpf_mul(mpf_abs(d._mpf_, p, RND), raw_max((c._mpf_, fone), p),
-                                            p, RND), sup[n + s], p, RND) for s, c, d in f)
+            scale = raw_max(rmul(rmul(mpf_abs(d, p, RND), raw_max((c, fone), p), p), sup[n + s], p)
+                            for s, c, d in f)
             rel = mpf_div(mpf_abs(r, p, RND), scale, p, RND)
             if mpf_gt(rel, ANSATZ_TOL._mpf_):
                 raise InconsistentDataError(
@@ -695,12 +696,12 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
                 )
             resid_rel = raw_max((resid_rel, rel))
 
-    S = {}
+    S, p = {}, mp.prec
     for n in range(lo, hi + 1):
-        lead = mpf(0)
-        for p, phi in zip(pinned, basis.functions(n)):
-            lead += p * phi
-        S[n] = ZPoly([+make(v) for v in coeffs[n][:g]] + [lead])
+        lead = fzero
+        for x, phi in zip(pinned, basis.functions(n)):
+            lead = radd(lead, rmul(x._mpf_, phi._mpf_, p), p)
+        S[n] = ZPoly([+make(v) for v in coeffs[n][:g]] + [make(lead)])
     result = AnsatzResult(S, None, {"resid_rel": +make(resid_rel)})
     result.curve = result.state(U, W, (-2, 3)).curve
     return result

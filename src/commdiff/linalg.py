@@ -3,8 +3,9 @@
 The least-squares path is a column-pivoted Householder QR with column
 equilibration; pivots expose rank loss, which callers treat as an error
 beyond the normalization freedom they expect.  It holds the matrix as
-columns of raw mpf tuples and runs every operation through `mpmath.libmp`
-at the working precision with round-to-nearest, in a fixed order: each sum
+columns of raw mpf tuples and runs every operation at the working precision
+with round-to-nearest, in a fixed order: products, sums and differences
+through the kernels of `numcore`, the rest through `mpmath.libmp`.  Each sum
 accumulates left to right from zero.  Each pivot is the first column of
 largest float norm, each entry read as the double nearest its value.  So
 the result is a function of the input and the precision alone, bit for bit:
@@ -19,11 +20,11 @@ from operator import mul
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
-    fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg,
-    mpf_shift, mpf_sqrt, mpf_sub, round_nearest,
+    fone, fzero, mpf_abs, mpf_div, mpf_gt, mpf_neg, mpf_shift, mpf_sqrt, round_nearest,
 )
 
 from .errors import NonFiniteError, RankDeficiencyError
+from .numcore import radd, raw_max, rmul, rsub
 
 
 def lstsq(rows, rhs):
@@ -46,7 +47,7 @@ def lstsq(rows, rhs):
     def sumsq(col, k):
         acc = fzero
         for t in col[k:]:
-            acc = mpf_add(acc, mpf_mul(t, t, prec, rnd), prec, rnd)
+            acc = radd(acc, rmul(t, t, prec), prec)
         return acc
 
     cols = [[mpf(row[j])._mpf_ for row in rows] for j in range(n)]
@@ -58,11 +59,7 @@ def lstsq(rows, rhs):
     # column equilibration
     colscale = []
     for col in cols:
-        s = mpf_abs(col[0])
-        for t in col[1:]:
-            a = mpf_abs(t)
-            if mpf_gt(a, s):
-                s = a
+        s = raw_max(map(mpf_abs, col))
         s = s if mpf_gt(s, fzero) else fone
         colscale.append(s)
         col[:] = [mpf_div(t, s, prec, rnd) for t in col]
@@ -85,19 +82,16 @@ def lstsq(rows, rhs):
         if mpf_gt(ck[k], fzero):
             alpha = mpf_neg(alpha)
         v = ck[k:]
-        v[0] = mpf_sub(v[0], alpha, prec, rnd)
+        v[0] = rsub(v[0], alpha, prec)
         vnorm2 = sumsq(v, 0)
         ck[k:] = [alpha] + [fzero] * (m - k - 1)
         if mpf_gt(vnorm2, fzero):
             for col in cols[k + 1:] + [b]:
                 dot = fzero
                 for vi, t in zip(v, col[k:]):
-                    dot = mpf_add(dot, mpf_mul(vi, t, prec, rnd), prec, rnd)
+                    dot = radd(dot, rmul(vi, t, prec), prec)
                 f = mpf_div(mpf_shift(dot, 1), vnorm2, prec, rnd)
-                col[k:] = [
-                    mpf_sub(t, mpf_mul(f, vi, prec, rnd), prec, rnd)
-                    for vi, t in zip(v, col[k:])
-                ]
+                col[k:] = [rsub(t, rmul(f, vi, prec), prec) for vi, t in zip(v, col[k:])]
         rdiag.append(mp.make_mpf(alpha))
 
     r0 = max((abs(d) for d in rdiag), default=mpf(0))
@@ -108,8 +102,8 @@ def lstsq(rows, rhs):
     for k in range(min(rank, n) - 1, -1, -1):
         acc = fzero
         for j in range(k + 1, n):
-            acc = mpf_add(acc, mpf_mul(cols[j][k], x[j], prec, rnd), prec, rnd)
-        x[k] = mpf_div(mpf_sub(b[k], acc, prec, rnd), cols[k][k], prec, rnd)
+            acc = radd(acc, rmul(cols[j][k], x[j], prec), prec)
+        x[k] = mpf_div(rsub(b[k], acc, prec), cols[k][k], prec, rnd)
 
     out = [fzero] * n
     for k in range(n):
@@ -119,8 +113,8 @@ def lstsq(rows, rhs):
     for row, y in zip(rows, rhs):
         acc = fzero
         for a, t in zip(row, out):
-            acc = mpf_add(acc, mpf_mul(_exact(a), t, prec, rnd), prec, rnd)
-        r = mpf_abs(mpf_sub(acc, _exact(y), prec, rnd))
+            acc = radd(acc, rmul(_exact(a), t, prec), prec)
+        r = mpf_abs(rsub(acc, _exact(y), prec))
         if mpf_gt(r, resid):
             resid = r
 

@@ -2,11 +2,15 @@
 spectral parameter z, division with residual, and the JSON encoder that
 writes every report's decimals.
 
-All arithmetic runs on mpmath floats.  The working precision defaults to a
-113-bit significand (quad-like); the dressing recursion sheds digits at every
-step, so the headroom above double precision is what keeps window-wide
-residual checks below 1e-9 tolerances.  Values are immutable once built and
-every function here is pure.
+Values are mpmath floats.  The hot loops of the package run on their raw
+tuples through the kernels rmul, radd and rsub below, libmp's
+round-to-nearest mpf_mul, mpf_add and mpf_sub reimplemented bit for bit
+with int.bit_length, so this module is the one that knows how a result is
+rounded.  The working precision defaults to a 113-bit significand
+(quad-like); the dressing recursion sheds digits at every step, so the
+headroom above double precision is what keeps window-wide residual checks
+below 1e-9 tolerances.  Values are immutable once built and every function
+here is pure.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import json
 from itertools import repeat
 
 from mpmath import mp, mpf
-from mpmath.libmp import finf, fnan, fninf, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_sub
+from mpmath.libmp import finf, fnan, fninf, fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_sub
 from mpmath.libmp import round_nearest as RND
 
 from .errors import DegenerateDenominatorError, NonFiniteError
@@ -72,13 +76,89 @@ def ensure_finite(v: mpf, what: str = "value") -> mpf:
 
 def raw_max(vals, prec=None):
     """The first largest of the raw values vals, as max() picks it; with prec,
-    of their mpf_abs at prec: max(abs(v) for v in vals), as mpf's abs rounds."""
-    it = iter(vals) if prec is None else (mpf_abs(v, prec, RND) for v in vals)
+    of their mpf_abs at prec: max(abs(v) for v in vals), as mpf's abs rounds.
+    Two nonzero finite values of sign 0 compare on exponent plus bit count,
+    the binary order of magnitude; ties, zeros, specials and signs go to
+    libmp."""
+    if prec is not None:
+        # a value that fits in prec bits needs no rounding, only its sign cleared
+        vals = (mpf_abs(v, prec, RND) if not v[1] or v[3] > prec else
+                (0, v[1], v[2], v[3]) if v[0] else v for v in vals)
+    it = iter(vals)
     best = next(it)
     for v in it:
+        if v[1] and best[1] and not (v[0] or best[0]):
+            d = v[2] + v[3] - best[2] - best[3]
+            if d:
+                if d > 0:
+                    best = v
+                continue
         if mpf_gt(v, best):
             best = v
     return best
+
+
+# Round-to-nearest kernels: libmp's result for normalized raw values, the
+# mantissa cut to p bits with ties to even and the bits past the half bit
+# sticky, a carry to 2^p stored as mantissa 1, trailing zeros stripped, an
+# exact cancellation fzero.  Zero and special operands, and sums whose
+# exponents lie over 100 apart (where libmp perturbs), go to libmp itself.
+
+
+def rmul(s, t, p):
+    """s * t at p bits, as mpf_mul(s, t, p, round_nearest)."""
+    sign, sman, sexp, _ = s
+    tsign, tman, texp, _ = t
+    man = sman * tman
+    if not man:
+        return mpf_mul(s, t, p, RND)
+    bc, exp = man.bit_length(), sexp + texp
+    if bc > p:
+        # odd mantissas have an odd product, so only a rounding leaves zeros
+        n = bc - p
+        h = man >> (n - 1)
+        man = (h >> 1) + 1 if h & 1 and (h & 2 or man & ((1 << (n - 1)) - 1)) else h >> 1
+        exp, bc = exp + n, p
+        if not man & 1:
+            z = (man & -man).bit_length() - 1
+            man, exp, bc = man >> z, exp + z, p - z or 1
+    return sign ^ tsign, man, exp, bc
+
+
+def radd(s, t, p, _neg=0):
+    """s + t at p bits, as mpf_add(s, t, p, round_nearest); s - t with _neg."""
+    sign, sman, sexp, _ = s
+    tsign, tman, texp, _ = t
+    off = sexp - texp
+    if not (sman and tman) or off > 100 or off < -100:
+        return (mpf_sub if _neg else mpf_add)(s, t, p, RND)
+    if off >= 0:
+        sman, exp = sman << off, texp
+    else:
+        tman, exp = tman << -off, sexp
+    if sign == tsign ^ _neg:
+        man = sman + tman
+    else:
+        man = sman - tman
+        if man < 0:
+            man, sign = -man, sign ^ 1
+        elif not man:
+            return fzero
+    bc = man.bit_length()
+    if bc > p:
+        n = bc - p
+        h = man >> (n - 1)
+        man = (h >> 1) + 1 if h & 1 and (h & 2 or man & ((1 << (n - 1)) - 1)) else h >> 1
+        exp, bc = exp + n, p
+    if not man & 1:
+        z = (man & -man).bit_length() - 1
+        man, exp, bc = man >> z, exp + z, bc - z or 1
+    return sign, man, exp, bc
+
+
+def rsub(s, t, p):
+    """s - t at p bits, as mpf_sub(s, t, p, round_nearest)."""
+    return radd(s, t, p, 1)
 
 
 def mpf_to_str(x: mpf) -> str:
@@ -109,7 +189,7 @@ def _trimmed(coeffs: tuple) -> tuple:
     # the largest one, so any magnitude-relative trim would corrupt degrees;
     # every degree in this pipeline is structural, never a roundoff artifact.
     k = len(coeffs)
-    while k > 0 and coeffs[k - 1] == 0:
+    while k > 0 and coeffs[k - 1]._mpf_ == fzero:
         k -= 1
     return coeffs[:k]
 
@@ -169,17 +249,17 @@ class ZPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        return ZPoly._computed((*raw_map(mpf_add, a, b), *a[len(b):]))
+        return ZPoly._computed((*raw_map(radd, a, b), *a[len(b):]))
 
     def __sub__(self, other: "ZPoly") -> "ZPoly":
         a, b = self.coeffs, other.coeffs
-        return ZPoly._computed((*raw_map(mpf_sub, a, b), *a[len(b):], *(-c for c in b[len(a):])))
+        return ZPoly._computed((*raw_map(rsub, a, b), *a[len(b):], *(-c for c in b[len(a):])))
 
     def __neg__(self) -> "ZPoly":
         return ZPoly._computed(tuple(-c for c in self.coeffs), trim=False)
 
     def scale(self, c) -> "ZPoly":
-        return ZPoly._computed(tuple(raw_map(mpf_mul, repeat(scalar(c)), self.coeffs)))
+        return ZPoly._computed(tuple(raw_map(rmul, repeat(scalar(c)), self.coeffs)))
 
     def __mul__(self, other):
         if not isinstance(other, ZPoly):
@@ -198,9 +278,9 @@ class ZPoly:
 
 
 def raw_map(op, xs, ys) -> list:
-    """[op(x, y) for x, y in zip(xs, ys)] for mpfs, by the raw libmp op as mpf rounds."""
+    """[op(x, y) for x, y in zip(xs, ys)] for mpfs, by the raw kernel op as mpf rounds."""
     prec, make = mp.prec, mp.make_mpf
-    return [make(op(x._mpf_, y._mpf_, prec, RND)) for x, y in zip(xs, ys)]
+    return [make(op(x._mpf_, y._mpf_, prec)) for x, y in zip(xs, ys)]
 
 
 def poly_mul(p: ZPoly, q: ZPoly) -> ZPoly:
@@ -209,11 +289,11 @@ def poly_mul(p: ZPoly, q: ZPoly) -> ZPoly:
         return ZPoly.zero()
     # each sum starts from its first product, not from 0, in the same order
     prec, a, b = mp.prec, [c._mpf_ for c in p.coeffs], [c._mpf_ for c in q.coeffs]
-    out = [mpf_mul(a[0], bj, prec, RND) for bj in b]
+    out = [rmul(a[0], bj, prec) for bj in b]
     for i, ai in enumerate(a[1:], 1):
-        out.append(mpf_mul(ai, b[-1], prec, RND))
+        out.append(rmul(ai, b[-1], prec))
         for j, bj in enumerate(b[:-1]):
-            out[i + j] = mpf_add(out[i + j], mpf_mul(ai, bj, prec, RND), prec, RND)
+            out[i + j] = radd(out[i + j], rmul(ai, bj, prec), prec)
     return ZPoly._computed(tuple(map(mp.make_mpf, out)))
 
 

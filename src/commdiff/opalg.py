@@ -18,10 +18,10 @@ import operator
 from itertools import repeat
 
 from mpmath import mp, mpf
-from mpmath.libmp import fone, mpf_add, mpf_mul, mpf_sub, round_nearest as RND
+from mpmath.libmp import fone
 
 from .errors import WindowError
-from .numcore import raw_map, raw_max, scalar, to_json
+from .numcore import radd, raw_map, raw_max, rmul, rsub, scalar, to_json
 
 
 class CoeffSeq:
@@ -89,20 +89,20 @@ class CoeffSeq:
         return (lo, hi)
 
     def binop(self, other, op) -> "CoeffSeq":
-        """self op other on the common window; op is a raw libmp operation."""
+        """self op other on the common window; op is a raw kernel of numcore."""
         lo, hi = self.window_intersect(other)
         return CoeffSeq._computed(lo, raw_map(op, self.values_on(lo, hi), other.values_on(lo, hi)))
 
     def __add__(self, other):
-        return self.binop(other, mpf_add)
+        return self.binop(other, radd)
 
     def __sub__(self, other):
-        return self.binop(other, mpf_sub)
+        return self.binop(other, rsub)
 
     def __mul__(self, other):
         if isinstance(other, CoeffSeq):
-            return self.binop(other, mpf_mul)
-        return CoeffSeq._computed(self.n_min, raw_map(mpf_mul, repeat(scalar(other)), self.values))
+            return self.binop(other, rmul)
+        return CoeffSeq._computed(self.n_min, raw_map(rmul, repeat(scalar(other)), self.values))
 
     __rmul__ = __mul__
 
@@ -206,9 +206,9 @@ class DiffOp:
             )
         prec, vals = mp.prec, None
         for j, u in self.terms.items():
-            prods = [mpf_mul(x._mpf_, y._mpf_, prec, RND)
+            prods = [rmul(x._mpf_, y._mpf_, prec)
                      for x, y in zip(u.values_on(lo, hi), f.values_on(lo + j, hi + j))]
-            vals = prods if vals is None else [mpf_add(x, y, prec, RND) for x, y in zip(vals, prods)]
+            vals = prods if vals is None else [radd(x, y, prec) for x, y in zip(vals, prods)]
         return CoeffSeq._computed(lo, map(mp.make_mpf, vals))
 
     def __mul__(self, other):
@@ -226,9 +226,9 @@ class DiffOp:
         for i, a in self.terms.items():
             av = [v._mpf_ for v in a.values_on(lo, hi)]
             for j, bv in raw.items():
-                contrib = [mpf_mul(x, y, prec, RND) for x, y in zip(av, bv[lo + i - olo:])]
+                contrib = [rmul(x, y, prec) for x, y in zip(av, bv[lo + i - olo:])]
                 k = i + j
-                out[k] = ([mpf_add(x, y, prec, RND) for x, y in zip(out[k], contrib)]
+                out[k] = ([radd(x, y, prec) for x, y in zip(out[k], contrib)]
                           if k in out else contrib)
         return DiffOp({k: CoeffSeq._computed(lo, map(mp.make_mpf, v)) for k, v in out.items()},
                       (lo, hi))
@@ -240,7 +240,7 @@ class DiffOp:
         lo, hi = _common_window([c], self.window)
         cv = c.values_on(lo, hi)
         return DiffOp(
-            {j: CoeffSeq._computed(lo, raw_map(mpf_mul, cv, t.values_on(lo, hi)))
+            {j: CoeffSeq._computed(lo, raw_map(rmul, cv, t.values_on(lo, hi)))
              for j, t in self.terms.items()},
             (lo, hi),
         )

@@ -68,7 +68,7 @@ def kernel_extend(L: DiffOp, n0: int, init, length: int):
         # z psi(n): the coefficients one place up; 0 z^0 is trimmed with psi = 0
         acc = ZPoly._computed((mpf(0), *vals[i].coeffs))
         for j, uv in lower:
-            acc -= ZPoly._computed(tuple(uv[i] * c for c in vals[i + j].coeffs))
+            acc -= vals[i + j].scale(uv[i])
         vals.append(acc)
     width = max(len(v.coeffs) for v in vals)
     return [CoeffSeq._computed(n0, [v.coeff(k) for v in vals]) for k in range(width)]
@@ -188,7 +188,9 @@ def extract_curve(
     commutation_tol=mpf("1e-8"),
 ) -> CurveReport:
     """Trace and determinant of M(z) at each base point, and the curve they
-    give; at least two base points feed the independence residual."""
+    give; at least two base points feed the independence residual.  A base
+    point whose action matrix reads past either operator's window is a
+    WindowError naming it, raised before any arithmetic."""
     if L_base.order != 2:
         raise ValueError("curve extraction here fixes the base operator at order 2")
     if L_act.order % 2 == 0:
@@ -196,6 +198,15 @@ def extract_curve(
     g = (L_act.order - 1) // 2
     if len(n0_list) < 2:
         raise ValueError("need at least two base points")
+    for n0 in map(int, n0_list):
+        # action_matrix's reach: the kernel recurrence of L_base, and L_act on
+        # the m + ACTION_PAD kernel values from n0 (m = 2)
+        base, act = [n0, n0 + ACTION_PAD + L_act.order - 1], [n0, n0 + 1 + ACTION_PAD]
+        (blo, bhi), (alo, ahi) = L_base.window, L_act.window
+        if n0 < max(blo, alo) or base[1] > bhi or act[1] > ahi:
+            raise WindowError(
+                f"curve extraction at base point n0={n0} needs L_base on {base} and L_act on "
+                f"{act}; the pair's windows are {list(L_base.window)} and {list(L_act.window)}")
 
     _, comm_rel = commutator_residual(L_base, L_act)
     if comm_rel > commutation_tol:

@@ -127,6 +127,23 @@ def test_curve_quartic(tmp_path):
     assert abs(curve[2] - 3 / 2) <= 1e-8
 
 
+@pytest.mark.parametrize("window, n0, spans", [
+    ((0, 0), 0, "needs L_base on [0, 7] and L_act on [0, 4]; "
+                "the pair's windows are [-5, 8] and [-1, 3]"),
+    ((-1, 1), 1, "needs L_base on [1, 8] and L_act on [1, 5]; "
+                 "the pair's windows are [-5, 9] and [-2, 4]"),
+], ids=("window-0-0", "window-1-1"))
+def test_curve_on_a_short_window_names_the_extraction_stage(tmp_path, capsys, window, n0, spans):
+    # the pair built on these windows is too short for the action matrix at
+    # one of the base points -1, 0, 1; -2 2 is the shortest symmetric window
+    # that passes
+    argv = ["curve", "--family", "trig", "--g", "2", "--r1", "1", "--out", str(tmp_path)]
+    code = run(argv + ["--window", str(window[0]), str(window[1])])
+    assert code == 2
+    assert f"error: curve extraction at base point n0={n0} {spans}" in capsys.readouterr().err
+    assert run(argv + ["--window", "-2", "2"]) == 0
+
+
 def test_partner_writes_operator(tmp_path):
     out = tmp_path / "reports"
     code = run([

@@ -237,7 +237,8 @@ def test_term_coeffs_match_the_product_bit_for_bit():
         a = [mpf(rng.uniform(-3, 3)) / 7 for _ in range(deg + 1)]
         c, d = mpf(rng.uniform(-2, 2)) / 3, mpf(rng.uniform(-2, 2)) / 11
         product = ZPoly(a) * ZPoly([c, 1]) * d
-        assert [v._mpf_ for v in _term_coeffs(a, c, d)] == [v._mpf_ for v in product.coeffs]
+        got = _term_coeffs(a, c._mpf_, d._mpf_)
+        assert [v._mpf_ for v in got] == [v._mpf_ for v in product.coeffs]
 
 
 @pytest.mark.parametrize(
@@ -723,7 +724,7 @@ def _reference_ansatz_solve(basis, U, W, fine=None):
     with mp.workprec(mp.prec + RECURSION_GUARD_BITS):
         D = {n: dressing._pair_denominator(Uf.at(n - 1), Uf.at(n), "")
              for n in range(lo + 1, hi + 1)}
-        fac = {n: dressing._four_term_factors(Uf, Wf, n) for n in range(rlo, rhi + 1)}
+        fac = {n: _reference_four_term_factors(Uf, Wf, n) for n in range(rlo, rhi + 1)}
         dc = {n: [d * c for _s, c, d in f] for n, f in fac.items()}
 
         def units(j):
@@ -764,6 +765,19 @@ def _reference_ansatz_solve(basis, U, W, fine=None):
     return S, +resid_rel
 
 
+def _reference_four_term_factors(U, W, n):
+    """The mpf expressions that `_four_term_factors` rounds on raw values."""
+    Um1, U0, U1, U2 = U.at(n - 1), U.at(n), U.at(n + 1), U.at(n + 2)
+    W0, W1 = W.at(n), W.at(n + 1)
+    right, left = U1 + U2, Um1 + U0
+    return (
+        (-1, -(U0**2) - W0, right),
+        (0, U0 * U1 + Um1 * (U0 + U1) - W0, right),
+        (1, U0 * U1 + (U0 + U1) * U2 - W1, -left),
+        (2, -(U1**2) - W1, -left),
+    )
+
+
 def _reference_term_coeffs(a, c, d):
     """The mpf loop that `_term_coeffs` runs on raw values."""
     if not a:
@@ -789,7 +803,7 @@ def _reference_identity_residuals(state, window, skew):
 
     def linear_at(n):
         terms = [ZPoly(_reference_term_coeffs(state.s(n + s).coeffs, c, d))
-                 for s, c, d in dressing._four_term_factors(state.U, state.W, n)]
+                 for s, c, d in _reference_four_term_factors(state.U, state.W, n)]
         t1, t2, t3, t4 = terms
         return add(add(add(t1, t2), t3), t4), max(max(sup(t) for t in terms), mpf(1))
 
@@ -821,8 +835,27 @@ def test_term_coeffs_match_the_mpf_loop_bit_for_bit(bits):
         for deg in range(6):
             a = [rng.choice(pool) for _ in range(deg + 1)]
             for c, d in ((rng.choice(pool), rng.choice(pool)) for _ in range(8)):
-                got = [v._mpf_ for v in _term_coeffs(a, c, d)]
+                got = [v._mpf_ for v in _term_coeffs(a, c._mpf_, d._mpf_)]
                 assert got == [v._mpf_ for v in _reference_term_coeffs(a, c, d)]
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160, 1100))
+def test_four_term_factors_match_the_mpf_expressions_bit_for_bit(bits):
+    # family tables at the working precision and at twice it, and tables of
+    # trap values (exact 0 and +-1, negative and wide values)
+    rng = random.Random(bits + 11)
+    pool = trap_values(rng, bits)
+    tables = [(CoeffSeq(-6, [rng.choice(pool) for _ in range(13)]),
+               CoeffSeq(-6, [rng.choice(pool) for _ in range(13)])) for _ in range(4)]
+    for kind, g, params in TRAP_FAMILIES:
+        for build_bits in (bits, 2 * bits):
+            with mp.workprec(build_bits):
+                tables.append(family_from_spec(FamilySpec(kind, g, params), (-6, 6)))
+    with mp.workprec(bits):
+        for U, W in tables:
+            for n in range(-5, 4):
+                ref = [(s, c._mpf_, d._mpf_) for s, c, d in _reference_four_term_factors(U, W, n)]
+                assert list(dressing._four_term_factors(U, W, n)) == ref, n
 
 
 @pytest.mark.parametrize("bits", (53, 113, 160, 1100))

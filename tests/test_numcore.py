@@ -4,6 +4,10 @@ import random
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import (
+    finf, fnan, fninf, fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_neg,
+    mpf_sub, round_nearest,
+)
 
 from commdiff.errors import DegenerateDenominatorError, NonFiniteError
 from commdiff.numcore import (
@@ -13,7 +17,10 @@ from commdiff.numcore import (
     mpf_to_str,
     poly_div_exact,
     poly_mul,
+    radd,
     raw_max,
+    rmul,
+    rsub,
     scalar,
     set_precision,
     to_json,
@@ -135,6 +142,115 @@ def test_poly_kernels_match_the_mpf_loops_bit_for_bit(bits):
         raws = [v._mpf_ for v in pool]
         assert raw_max(raws) == max(pool)._mpf_
         assert raw_max(raws, bits) == max(abs(v) for v in pool)._mpf_
+
+
+# ---------------------------------------------------------------------------
+# the round-to-nearest kernels against libmp, the oracle they reimplement
+# ---------------------------------------------------------------------------
+
+KERNELS = ((rmul, mpf_mul), (radd, mpf_add), (rsub, mpf_sub))
+
+
+def _check_kernels(pairs, p, kernels=KERNELS):
+    pairs = list(pairs)
+    for kernel, libmp_op in kernels:
+        got = [kernel(s, t, p) for s, t in pairs]
+        want = [libmp_op(s, t, p, round_nearest) for s, t in pairs]
+        bad = [(s, t) for (s, t), x, y in zip(pairs, got, want) if x != y]
+        assert not bad, (kernel.__name__, p, bad[:3])
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_kernels_match_libmp_on_every_short_mantissa(p):
+    # every odd mantissa below 2^7 of either sign against every one at an
+    # exponent offset of -10..10: ties, sticky bits, carries to 2^p and exact
+    # cancellations all occur at these precisions.  A product's rounding does
+    # not depend on the exponents, so products run at offset 0 only; sums run
+    # with s > 0 and differences with s < 0, which between them meet every
+    # sign pattern of the two operands, as rsub(s, t) is radd(s, -t).
+    odd = range(1, 128, 2)
+    for off in range(-10, 11):
+        t = [from_man_exp(sign * m, off) for m in odd for sign in (1, -1)]
+        for sign, kernels in ((1, KERNELS[1:2]), (-1, KERNELS[2:])):
+            _check_kernels(((from_man_exp(sign * m, 0), y) for m in odd for y in t), p, kernels)
+        if off == 0:
+            _check_kernels(((x, y) for x in t for y in t), p, KERNELS[:1])
+    # a carry to 2^p and an exact cancellation, by name
+    assert rmul(from_man_exp(2 ** p - 1, 0), from_man_exp(2 ** p + 1, 0), p) == (0, 1, 2 * p, 1)
+    assert radd(from_man_exp(2 ** p - 1, 0), from_man_exp(1, -1), p) == (0, 1, p, 1)
+    assert rsub(from_man_exp(-5, 3), from_man_exp(-5, 3), p) == fzero
+
+
+@pytest.mark.parametrize("p", (53, 113, 145, 1100))
+def test_kernels_match_libmp_on_random_operands(p):
+    # p-bit mantissas, mantissas of twice p (as trap_values builds them) and
+    # others of random width, at exponent gaps within libmp's exact reach
+    rng = random.Random(p)
+
+    def draw():
+        width = rng.choice((p, 2 * p, rng.randint(1, 3 * p)))
+        man = rng.getrandbits(width) | 1 | (1 << (width - 1))
+        return from_man_exp(rng.choice((1, -1)) * man, rng.randint(-60, 60) - width)
+
+    _check_kernels(((draw(), draw()) for _ in range(1500)), p)
+    with mp.workprec(p):
+        pool = [v._mpf_ for v in trap_values(rng, p)]
+    _check_kernels(((s, t) for s in pool for t in pool), p)
+
+
+def test_kernels_match_libmp_on_zeros_and_specials():
+    values = [fzero, finf, fninf, fnan, fone, from_man_exp(-3, -7), from_man_exp(2 ** 60 + 1, 4)]
+    for p in (1, 53, 113):
+        _check_kernels(((s, t) for s in values for t in values), p)
+
+
+@pytest.mark.parametrize("gap", (99, 100, 101, 300))
+def test_kernels_match_libmp_across_exponent_gaps(gap):
+    # past a gap of 100 bits libmp perturbs the larger operand when the
+    # smaller lies wholly below its precision (big and small), and adds
+    # exactly when the smaller one's mantissa reaches up into it (big and long)
+    rng = random.Random(gap)
+    for p in (53, 113):
+        big = from_man_exp(rng.getrandbits(p) | 1 | (1 << (p - 1)), gap)
+        small = from_man_exp(rng.getrandbits(20) | 1, 0)
+        long = from_man_exp(rng.getrandbits(gap + p) | 1 | (1 << (gap + p - 1)), -p)
+        short = (from_man_exp(1, gap), from_man_exp(-1, 0), from_man_exp(3, gap),
+                 from_man_exp(-1, -1))
+        for a in (big, small, long, *short):
+            for b in (big, small, long, *short):
+                _check_kernels([(a, b), (mpf_neg(a), b), (a, mpf_neg(b))], p)
+
+
+def _reference_raw_max(vals, prec=None):
+    """The libmp loop that `raw_max` shortcuts: mpf_gt on every pair."""
+    it = iter(vals) if prec is None else (mpf_abs(v, prec, round_nearest) for v in vals)
+    best = next(it)
+    for v in it:
+        if mpf_gt(v, best):
+            best = v
+    return best
+
+
+def test_raw_max_matches_the_libmp_loop():
+    rng = random.Random(3)
+    p = 53
+    x = from_man_exp(rng.getrandbits(p) | 1, -20)
+    wide = [from_man_exp(rng.getrandbits(2 * p) | 1 | (1 << (2 * p - 1)), -p - k) for k in range(3)]
+    pool = [fzero, finf, fninf, fnan, fone, x, mpf_neg(x), from_man_exp(1, p - 20), *wide,
+            *(mpf_neg(w) for w in wide), from_man_exp(rng.getrandbits(p) | 1, -20)]
+    for _ in range(400):
+        vals = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+        for prec in (None, p, 2 * p):
+            assert raw_max(vals, prec) == _reference_raw_max(vals, prec), (vals, prec)
+    # equal values: the first one is returned, as max() returns it
+    a, b = (0, 3, -1, 2), (0, 3, -1, 2)
+    assert raw_max([fone, a, b]) is a
+    assert raw_max([from_man_exp(-3, -1), a]) is a
+    # equal magnitudes of opposite sign: with prec both give the same |v|
+    assert raw_max([mpf_neg(x), x], p) == x == raw_max([x, mpf_neg(x)], p)
+    assert raw_max([mpf_neg(x), x]) is x
+    # a value wider than prec is rounded before it is compared
+    assert raw_max([wide[0], fzero], p) == mpf_abs(wide[0], p, round_nearest)
 
 
 @pytest.mark.parametrize("bits", (113, 160))

@@ -83,6 +83,20 @@ def test_kernel_extend_window_guard():
         kernel_extend(L, 0, (ZPoly([1]), ZPoly.zero()), 12)
 
 
+def test_extract_curve_window_guard_names_the_base_point():
+    # genus 1: base point n0 reads L_base on [n0, n0 + ACTION_PAD + 2] and
+    # L_act on [n0, n0 + ACTION_PAD + 1], for n0 = -1, 0, 1
+    L2, L3, _ = make_pair("poly")
+    base, act = DiffOp(L2.terms, (-1, 6)), DiffOp(L3.terms, (-1, 5))
+    assert extract_curve(base, act).matched_curve is not None
+    with pytest.raises(WindowError, match=r"base point n0=1 needs L_base on \[1, 6\]"):
+        extract_curve(DiffOp(L2.terms, (-1, 5)), act)
+    with pytest.raises(WindowError, match=r"base point n0=-1 .* L_act on \[-1, 3\]"):
+        extract_curve(base, DiffOp(L3.terms, (0, 5)))
+    with pytest.raises(WindowError, match=r"base point n0=1 .* L_act on \[1, 5\]"):
+        extract_curve(base, DiffOp(L3.terms, (-1, 4)))
+
+
 def action_at(L_base, L_act, z, n0):
     """The polynomial action matrix evaluated at the scalar z."""
     M, _defect = action_matrix(L_base, L_act, n0)
