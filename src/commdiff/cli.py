@@ -4,8 +4,9 @@ extraction, partner construction, lattice sweeps, and JSON reports.
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or domain error.
 Reports are deterministic (the library's doc() values encoded by
 numcore.to_json at the working precision, sorted keys, no timestamps) and
-are written to files named by a content hash of the configuration; an
-existing report is left in place unless --rerun is given.
+are written to files named by a content hash of the configuration, the
+parsed value of each option the command reads; an existing report is left
+in place unless --rerun is given.
 """
 
 from __future__ import annotations
@@ -49,14 +50,15 @@ def _family_from_args(args) -> FamilySpec:
 
 
 def _config_doc(args, command, spec=None) -> dict:
+    """The parsed value of each option the command reads, so that one run
+    has one content hash however its decimals were spelled."""
     doc = {
         "command": command,
         "version": __version__,
         # resolved value, so the content hash tracks the effective precision
         "precision_bits": get_precision(),
-        "tolerance": args.tolerance,
-        "window": list(args.window),
     }
+    doc.update((k, v) for k, v in vars(args).items() if k in ("tolerance", "window"))
     if spec is not None:
         doc["family"] = spec.doc()
         if spec.kind == "elliptic":
@@ -94,7 +96,7 @@ def _emit(args, command, config, payload, passed) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = scalar(args.tolerance)
+    tol = args.tolerance
     spec = _family_from_args(args)
     config = _config_doc(args, "verify", spec)
     L2, partner, state, extras = build_case(spec, args.window, args.seed)
@@ -146,7 +148,6 @@ def cmd_curve(args) -> int:
 
 
 def cmd_partner(args) -> int:
-    tol = scalar(args.tolerance)
     spec = _family_from_args(args)
     config = _config_doc(args, "partner", spec)
     L2, partner, state, extras = build_case(spec, args.window, args.seed)
@@ -163,26 +164,24 @@ def cmd_partner(args) -> int:
         "state": state.doc(),
     }
     payload.update(extras)
-    return _emit(args, "partner", config, payload, comm_rel <= tol)
+    return _emit(args, "partner", config, payload, comm_rel <= args.tolerance)
 
 
 def cmd_lame(args) -> int:
-    eps_list = [scalar(e) for e in args.eps]
     config = _config_doc(args, "lame")
-    ctx = WeierstrassContext(scalar(args.g2), scalar(args.g3))
-    x0 = scalar(args.x0)
+    ctx = WeierstrassContext(args.g2, args.g3)
     slopes = {}
     ok = True
     for g in args.g_list:
-        slope, errs = continuum_slope(ctx, g, x=x0)
+        slope, errs = continuum_slope(ctx, g, x=args.x0)
         slopes[str(g)] = {"slope": slope, "defects": errs}
         ok = ok and slope >= MIN_SLOPE
     payload = {
         "omega1": ctx.omega1,
         "continuum": slopes,
     }
-    if len(eps_list) >= 2:
-        rep = lame_curve_independence(ctx, eps_list, x0)
+    if len(args.eps) >= 2:
+        rep = lame_curve_independence(ctx, args.eps, args.x0)
         payload["independence"] = rep.doc()
         ok = ok and rep.passes()
     return _emit(args, "lame", config, payload, ok)
@@ -198,9 +197,6 @@ def cmd_rank2(args) -> int:
 def _add_common(p):
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS,
                    help="significand bits (>= 53)")
-    p.add_argument("--tolerance", type=str, default="1e-9")
-    p.add_argument("--window", type=int, nargs=2, default=(-24, 24),
-                   metavar=("N_MIN", "N_MAX"))
     p.add_argument("--out", type=str, default="reports")
     p.add_argument("--rerun", action="store_true", help="overwrite an existing report")
     p.add_argument("--config", type=str, default=None,
@@ -215,6 +211,8 @@ def _add_family(p):
         p.add_argument(f"--{name}", type=str, default=None)
     p.add_argument("--seed", type=int, default=1234,
                    help="seeds the elliptic family's random gamma_n")
+    p.add_argument("--window", type=int, nargs=2, default=(-24, 24),
+                   metavar=("N_MIN", "N_MAX"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,20 +222,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="run the identity and commutation checks for a family")
-    _add_family(p)
-    _add_common(p)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("curve", help="extract the spectral curve via action matrices")
-    _add_family(p)
-    _add_common(p)
-    p.set_defaults(fn=cmd_curve)
-
-    p = sub.add_parser("partner", help="construct and save the commuting partner operator")
-    _add_family(p)
-    _add_common(p)
-    p.set_defaults(fn=cmd_partner)
+    for name, fn, text in (
+        ("verify", cmd_verify, "run the identity and commutation checks for a family"),
+        ("curve", cmd_curve, "extract the spectral curve via action matrices"),
+        ("partner", cmd_partner, "construct and save the commuting partner operator"),
+    ):
+        p = sub.add_parser(name, help=text)
+        _add_family(p)
+        if fn is not cmd_curve:  # the curve verdict reads no residual bound
+            p.add_argument("--tolerance", type=str, default="1e-9")
+        _add_common(p)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("lame", help="lattice operator continuum and curve-stability checks")
     p.add_argument("--g2", type=str, default="4")
@@ -295,9 +290,13 @@ def main(argv=None) -> int:
         if missing:
             raise CommdiffError(f"the following arguments are required: {', '.join(missing)}")
         with mp.workprec(check_precision(args.precision)):
-            if scalar(args.tolerance) <= 0:
+            # a decimal's value depends on --precision, so argparse keeps the text
+            for key in ("tolerance", "g2", "g3", "x0", "eps"):
+                if key in opts:
+                    opts[key] = [*map(scalar, opts[key])] if key == "eps" else scalar(opts[key])
+            if "tolerance" in opts and args.tolerance <= 0:
                 raise CommdiffError("tolerance must be positive")
-            if args.window[1] < args.window[0]:
+            if "window" in opts and args.window[1] < args.window[0]:
                 raise CommdiffError("empty window")
             return args.fn(args)
     except (CommdiffError, ValueError, OSError) as err:

@@ -23,6 +23,8 @@ nature, every verification here is pure and parallelizes over (n, z, P).
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from mpmath import mp, mpf, sqrt, cos
 from mpmath.libmp import fone, fzero, mpf_abs, mpf_div, mpf_gt, mpf_neg, mpf_rdiv_int
 from mpmath.libmp import round_nearest as RND
@@ -39,6 +41,7 @@ from .numcore import (
     poly_div_exact,
     radd,
     raw_max,
+    rdot,
     rmul,
     rsub,
     scalar,
@@ -229,7 +232,7 @@ class DressingState:
 
 def _master_terms(state: DressingState, n: int):
     """S_n^2 and (z - U_n^2 - W_n) Q_n Q_{n+1}, the two master-identity terms."""
-    lin = ZPoly([-(state.U.at(n) ** 2) - state.W.at(n), 1], trim=False)
+    lin = ZPoly([-(state.U.at(n) ** 2) - state.W.at(n), 1])
     return state.s(n) * state.s(n), lin * state.q(n) * state.q(n + 1)
 
 
@@ -359,10 +362,12 @@ def solve_partner_recursive(
 ) -> DressingState:
     """March the master identity from seed polynomials (S_{n0-1}, S_{n0}).
 
-    Each forward step divides F - S_n^2 by (z - U_n^2 - W_n) Q_n; a division
-    residual above DIVISION_TOL times the local scale means the seed data is
-    inconsistent, reported with the offending n.  The backward march mirrors
-    the same identity.
+    Each step at n divides F - S_n^2 by (z - U_n^2 - W_n) times the Q that
+    S_n and its known neighbour give: Q_n marching forward (n = n0..hi-1),
+    Q_{n+1} backward (n = n0-1 down to lo+1).  The quotient is the other Q,
+    from which the pair rule gives the new neighbour.  A division residual
+    above DIVISION_TOL times the local scale means the seed data is
+    inconsistent, reported with the offending n.
     """
     lo, hi = int(n_range[0]), int(n_range[1])
     n0 = int(n0)
@@ -374,26 +379,17 @@ def solve_partner_recursive(
     def step_scale(num):
         return max(num.sup_norm(), fp.sup_norm(), mpf(1))
 
-    for n in range(n0, hi):
-        Qn = q_from_s(S[n - 1], S[n], U.at(n - 1), U.at(n), f"partner march at n={n}")
+    for n, d in [*zip(range(n0, hi), repeat(1)), *zip(range(n0 - 1, lo, -1), repeat(-1))]:
+        k = max(n, n - d)  # the Q index between S_n and its known neighbour
+        Qk = q_from_s(S[k - 1], S[k], U.at(k - 1), U.at(k), f"partner march at n={k}")
         num = fp - S[n] * S[n]
-        den = ZPoly([-(U.at(n) ** 2) - W.at(n), 1]) * Qn
-        Qnext, resid = poly_div_exact(num, den)
+        den = ZPoly([-(U.at(n) ** 2) - W.at(n), 1]) * Qk
+        Qother, resid = poly_div_exact(num, den)
         if resid > DIVISION_TOL * step_scale(num):
             raise InconsistentDataError(
                 f"inconsistent data: division residual {resid} at n={n}"
             )
-        S[n + 1] = (-(U.at(n) + U.at(n + 1))) * Qnext - S[n]
-    for n in range(n0 - 1, lo, -1):
-        Qnext = q_from_s(S[n], S[n + 1], U.at(n), U.at(n + 1), f"partner march at n={n + 1}")
-        num = fp - S[n] * S[n]
-        den = ZPoly([-(U.at(n) ** 2) - W.at(n), 1]) * Qnext
-        Qn, resid = poly_div_exact(num, den)
-        if resid > DIVISION_TOL * step_scale(num):
-            raise InconsistentDataError(
-                f"inconsistent data: division residual {resid} at n={n}"
-            )
-        S[n - 1] = (-(U.at(n - 1) + U.at(n))) * Qn - S[n]
+        S[n + d] = (-(U.at(n) + U.at(n + d))) * Qother - S[n]
     return DressingState.from_s_table(U, W, S, curve=curve)
 
 
@@ -682,9 +678,7 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
         sup = {n: raw_max(cs, p) for n, cs in coeffs.items()}
         resid_rel = fzero
         for n, f in fac.items():
-            r = fzero  # sum() starts from the int 0
-            for v, k in zip(dc[n], (-1, 0, 1, 2)):
-                r = radd(r, rmul(v, coeffs[n + k][0], p), p)
+            r = rdot(dc[n], [coeffs[n + k][0] for k in (-1, 0, 1, 2)], p)
             # a bound on the largest coefficient of d_i (z + c_i) S_{n+s_i}
             scale = raw_max(rmul(rmul(mpf_abs(d, p, RND), raw_max((c, fone), p), p), sup[n + s], p)
                             for s, c, d in f)
@@ -698,9 +692,7 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
 
     S, p = {}, mp.prec
     for n in range(lo, hi + 1):
-        lead = fzero
-        for x, phi in zip(pinned, basis.functions(n)):
-            lead = radd(lead, rmul(x._mpf_, phi._mpf_, p), p)
+        lead = rdot([x._mpf_ for x in pinned], [phi._mpf_ for phi in basis.functions(n)], p)
         S[n] = ZPoly([+make(v) for v in coeffs[n][:g]] + [make(lead)])
     result = AnsatzResult(S, None, {"resid_rel": +make(resid_rel)})
     result.curve = result.state(U, W, (-2, 3)).curve

@@ -6,11 +6,12 @@ beyond the normalization freedom they expect.  It holds the matrix as
 columns of raw mpf tuples and runs every operation at the working precision
 with round-to-nearest, in a fixed order: products, sums and differences
 through the kernels of `numcore`, the rest through `mpmath.libmp`.  Each sum
-accumulates left to right from zero.  Each pivot is the first column of
-largest float norm, each entry read as the double nearest its value.  So
-the result is a function of the input and the precision alone, bit for bit:
-the same x, R diagonal, residual and pivot order as the plain row-major loop
-of mpf objects that `tests/test_linalg.py` keeps as its oracle.
+of products is `numcore.rdot`, left to right from its first product.  Each
+pivot is the first column of largest float norm, each entry read as the
+double nearest its value.  So the result is a function of the input and
+the precision alone, bit for bit: the same x, R diagonal, residual and pivot
+order as the plain row-major loop of mpf objects that `tests/test_linalg.py`
+keeps as its oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from mpmath.libmp import (
 )
 
 from .errors import NonFiniteError, RankDeficiencyError
-from .numcore import radd, raw_max, rmul, rsub
+from .numcore import raw_max, rdot, rmul, rsub
 
 
 def lstsq(rows, rhs):
@@ -45,10 +46,7 @@ def lstsq(rows, rhs):
     prec, rnd = mp.prec, round_nearest
 
     def sumsq(col, k):
-        acc = fzero
-        for t in col[k:]:
-            acc = radd(acc, rmul(t, t, prec), prec)
-        return acc
+        return rdot(col[k:], col[k:], prec)
 
     cols = [[mpf(row[j])._mpf_ for row in rows] for j in range(n)]
     b = [mpf(v)._mpf_ for v in rhs]
@@ -87,10 +85,7 @@ def lstsq(rows, rhs):
         ck[k:] = [alpha] + [fzero] * (m - k - 1)
         if mpf_gt(vnorm2, fzero):
             for col in cols[k + 1:] + [b]:
-                dot = fzero
-                for vi, t in zip(v, col[k:]):
-                    dot = radd(dot, rmul(vi, t, prec), prec)
-                f = mpf_div(mpf_shift(dot, 1), vnorm2, prec, rnd)
+                f = mpf_div(mpf_shift(rdot(v, col[k:], prec), 1), vnorm2, prec, rnd)
                 col[k:] = [rsub(t, rmul(f, vi, prec), prec) for vi, t in zip(v, col[k:])]
         rdiag.append(mp.make_mpf(alpha))
 
@@ -100,9 +95,7 @@ def lstsq(rows, rhs):
 
     x = [fzero] * n
     for k in range(min(rank, n) - 1, -1, -1):
-        acc = fzero
-        for j in range(k + 1, n):
-            acc = radd(acc, rmul(cols[j][k], x[j], prec), prec)
+        acc = rdot([cols[j][k] for j in range(k + 1, n)], x[k + 1:], prec)
         x[k] = mpf_div(rsub(b[k], acc, prec), cols[k][k], prec, rnd)
 
     out = [fzero] * n
@@ -111,10 +104,7 @@ def lstsq(rows, rhs):
 
     resid = fzero
     for row, y in zip(rows, rhs):
-        acc = fzero
-        for a, t in zip(row, out):
-            acc = radd(acc, rmul(_exact(a), t, prec), prec)
-        r = mpf_abs(rsub(acc, _exact(y), prec))
+        r = mpf_abs(rsub(rdot(map(_exact, row), out, prec), _exact(y), prec))
         if mpf_gt(r, resid):
             resid = r
 

@@ -161,6 +161,17 @@ def rsub(s, t, p):
     return radd(s, t, p, 1)
 
 
+def rdot(xs, ys, p):
+    """The sum of rmul(x, y, p) over the pairs of xs and ys at p bits, left to
+    right from the first product (fzero for none): the sum from fzero bit for
+    bit, since a product rounded at p needs no further rounding at p."""
+    prods = map(rmul, xs, ys, repeat(p))
+    acc = next(prods, fzero)
+    for t in prods:
+        acc = radd(acc, t, p)
+    return acc
+
+
 def mpf_to_str(x: mpf) -> str:
     """Decimal string round-trippable at the current precision."""
     return mp.nstr(x, mp.dps + 4, strip_zeros=True)
@@ -199,15 +210,14 @@ class ZPoly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=(), trim: bool = True):
-        cs = tuple(scalar(c) for c in coeffs)
-        self.coeffs = _trimmed(cs) if trim else cs
+    def __init__(self, coeffs=()):
+        self.coeffs = _trimmed(tuple(scalar(c) for c in coeffs))
 
     @classmethod
-    def _computed(cls, coeffs: tuple, trim: bool = True) -> "ZPoly":
+    def _computed(cls, coeffs: tuple) -> "ZPoly":
         """Built from values that +, - and * made of finite mpfs: finite, so unchecked."""
         p = cls.__new__(cls)
-        p.coeffs = _trimmed(coeffs) if trim else coeffs
+        p.coeffs = _trimmed(coeffs)
         return p
 
     @classmethod
@@ -256,7 +266,7 @@ class ZPoly:
         return ZPoly._computed((*raw_map(rsub, a, b), *a[len(b):], *(-c for c in b[len(a):])))
 
     def __neg__(self) -> "ZPoly":
-        return ZPoly._computed(tuple(-c for c in self.coeffs), trim=False)
+        return ZPoly._computed(tuple(-c for c in self.coeffs))
 
     def scale(self, c) -> "ZPoly":
         return ZPoly._computed(tuple(raw_map(rmul, repeat(scalar(c)), self.coeffs)))
@@ -344,7 +354,7 @@ class HyperellipticCurve:
         self.c = c
 
     def fpoly(self) -> ZPoly:
-        return ZPoly(self.c + (mpf(1),), trim=False)
+        return ZPoly(self.c + (mpf(1),))
 
     def eval(self, z) -> mpf:
         """F(z) by Horner over c from the leading 1, in fpoly().eval's order."""

@@ -81,16 +81,9 @@ class CoeffSeq:
     def sup_norm(self) -> mpf:
         return mp.make_mpf(raw_max((v._mpf_ for v in self.values), mp.prec))
 
-    def window_intersect(self, other) -> tuple:
-        lo = max(self.window[0], other.window[0])
-        hi = min(self.window[1], other.window[1])
-        if hi < lo:
-            raise WindowError("disjoint sequence windows")
-        return (lo, hi)
-
     def binop(self, other, op) -> "CoeffSeq":
         """self op other on the common window; op is a raw kernel of numcore."""
-        lo, hi = self.window_intersect(other)
+        lo, hi = _common_window([self, other])
         return CoeffSeq._computed(lo, raw_map(op, self.values_on(lo, hi), other.values_on(lo, hi)))
 
     def __add__(self, other):

@@ -58,6 +58,11 @@ def test_verify_usage_errors(tmp_path):
     assert run(["verify", "--family", "trig", "--g", "1", "--out", out]) == 2  # missing r1
     assert run(["verify", "--family", "trig", "--g", "1", "--r1", "1",
                 "--tolerance", "-1", "--out", out]) == 2
+    # the commands that take --tolerance and --window check them
+    assert run(["partner", "--family", "trig", "--g", "1", "--r1", "1",
+                "--tolerance", "0", "--out", out]) == 2
+    assert run(["curve", "--family", "trig", "--g", "1", "--r1", "1",
+                "--window", "5", "0", "--out", out]) == 2
 
 
 def test_python_dash_m_commdiff_runs_the_cli(tmp_path):
@@ -326,13 +331,14 @@ def test_config_file_sets_options_with_builtin_defaults(tmp_path):
     (path,) = report_files(out)
     doc = json.loads(path.read_text())
     assert doc["config"]["lame"]["g_list"] == [1]
-    assert doc["config"]["lame"]["eps"] == ["0.1"]
+    assert [scalar(e) for e in doc["config"]["lame"]["eps"]] == [mpf("0.1")]
     assert list(doc["report"]["continuum"]) == ["1"]
     # a flag beats the config file
     out = tmp_path / "flag"
     assert run(["lame", "--config", str(cfg), "--eps", "0.05", "--out", str(out)]) == 0
     (path,) = report_files(out)
-    assert json.loads(path.read_text())["config"]["lame"]["eps"] == ["0.05"]
+    eps = json.loads(path.read_text())["config"]["lame"]["eps"]
+    assert [scalar(e) for e in eps] == [mpf("0.05")]
 
 
 def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
@@ -347,7 +353,8 @@ def test_malformed_config_value_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"window": 5}))
     with pytest.raises(SystemExit) as exc:
-        run(["rank2", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        run(["curve", "--family", "trig", "--g", "1", "--r1", "1",
+             "--config", str(cfg), "--out", str(tmp_path / "r")])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--window" in err
@@ -367,6 +374,68 @@ def test_config_values_are_typed_like_flags(tmp_path):
     assert run(["lame", "--g-list", "1", "--eps", "0.1", "0.05", "--out", str(out)]) == 0
     names.add(report_files(out)[0].name)
     assert len(names) == 1
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["curve", "--family", "trig", "--g", "1", "--r1", "1"], "tolerance"),
+    (["lame"], "tolerance"),
+    (["lame"], "window"),
+    (["rank2"], "tolerance"),
+    (["rank2"], "window"),
+], ids=("curve-tolerance", "lame-tolerance", "lame-window", "rank2-tolerance", "rank2-window"))
+def test_options_a_command_does_not_read_are_usage_errors(tmp_path, capsys, argv, key):
+    # a command takes only the options it reads: as a flag, as a config key
+    value = ["-1"] if key == "tolerance" else ["5", "0"]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, f"--{key}", *value, "--out", str(tmp_path / "flag")])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "1e-9" if key == "tolerance" else [-8, 8]}))
+    capsys.readouterr()
+    assert run([*argv, "--config", str(cfg), "--out", str(tmp_path / "file")]) == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists() and not (tmp_path / "file").exists()
+
+
+@pytest.mark.parametrize("spellings", [
+    [["verify", "--family", "trig", "--g", "1", "--r1", "1", "--window", "-8", "8",
+      "--tolerance", t] for t in ("1e-9", "1.0e-9", "0.000000001")]
+    + [["verify", "--family", "trig", "--g", "1", "--r1", "1", "--window", "-8", "8",
+        "--config", {"tolerance": 1e-9}]],
+    [["lame", "--g-list", "1", "--eps", *eps, "--x0", x0]
+     for eps, x0 in ((["0.1", "0.05"], "0.73"), (["0.10", "0.050"], "0.730"))]
+    + [["lame", "--config", {"g-list": [1], "eps": [0.1, 0.05], "x0": 0.73}]],
+], ids=("verify-tolerance", "lame-eps-x0"))
+def test_one_run_has_one_report_name(tmp_path, spellings):
+    # the config block holds parsed values, so every spelling of one value
+    # names the same report, and the second run finds it in place
+    out = tmp_path / "reports"
+    for i, argv in enumerate(spellings):
+        if isinstance(argv[-1], dict):
+            cfg = tmp_path / f"cfg{i}.json"
+            cfg.write_text(json.dumps(argv[-1]))
+            argv = [*argv[:-1], str(cfg)]
+        assert run([*argv, "--out", str(out)]) == 0
+        assert len(report_files(out)) == 1
+
+
+@pytest.mark.parametrize("bits", [113, 160])
+def test_config_decimals_read_back_to_the_parsed_inputs(tmp_path, bits):
+    out = tmp_path / "reports"
+    assert run(["verify", "--family", "trig", "--g", "1", "--r1", "1.3", "--window", "-8", "8",
+                "--tolerance", "3e-9", "--precision", str(bits), "--out", str(out)]) == 0
+    assert run(["lame", "--g-list", "1", "--eps", "0.1", "0.0125", "--x0", "0.91",
+                "--g2", "10", "--g3", "-0.3", "--precision", str(bits), "--out", str(out)]) == 0
+    lame, verify = (json.loads(p.read_text())["config"] for p in report_files(out))
+    with mp.workprec(bits):
+        assert scalar(verify["tolerance"]) == mpf("3e-9")
+        assert scalar(verify["family"]["params"]["r1"]) == mpf("1.3")
+        assert verify["window"] == [-8, 8]
+        cfg = lame["lame"]
+        assert [scalar(e) for e in cfg["eps"]] == [mpf("0.1"), mpf("0.0125")]
+        assert (scalar(cfg["x0"]), scalar(cfg["g2"]), scalar(cfg["g3"])) == (
+            mpf("0.91"), mpf(10), mpf("-0.3"))
+    assert "tolerance" not in lame and "window" not in lame
 
 
 def test_family_and_genus_from_config_file(tmp_path, capsys):

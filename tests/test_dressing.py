@@ -80,7 +80,7 @@ def quartic_fixture(window=WIN):
     lo, hi = window
 
     def s_poly(n):
-        return ZPoly([mpf(1) / 4, -mpf(n) ** 2], trim=False) + ZPoly(
+        return ZPoly([mpf(1) / 4, -mpf(n) ** 2]) + ZPoly(
             [mpf(n) ** 4 - mpf(9) / 4 * n**2]
         )
 
@@ -192,7 +192,7 @@ def _old_scale_maxima(state, window, skew):
     s_lo, s_hi = state.window
 
     def master_scale(n):
-        lin = ZPoly([-(state.U.at(n) ** 2) - state.W.at(n), 1], trim=False)
+        lin = ZPoly([-(state.U.at(n) ** 2) - state.W.at(n), 1])
         prod = lin * state.q(n) * state.q(n + 1)
         return max(state.curve.fpoly().sup_norm(), (state.s(n) * state.s(n)).sup_norm(),
                    prod.sup_norm(), mpf(1))
@@ -795,7 +795,7 @@ def _reference_identity_residuals(state, window, skew):
     add, sup = _reference_add, _reference_sup_norm
     master_rel = mpf(0)
     for n in range(max(lo, s_lo + 1), min(hi, s_hi - 1) + 1):
-        lin = ZPoly([-(state.U.at(n) ** 2) - state.W.at(n), 1], trim=False)
+        lin = ZPoly([-(state.U.at(n) ** 2) - state.W.at(n), 1])
         s2 = _reference_poly_mul(state.s(n), state.s(n))
         prod = _reference_poly_mul(_reference_poly_mul(lin, state.q(n)), state.q(n + 1))
         scale = max(fnorm, sup(s2), sup(prod), mpf(1))

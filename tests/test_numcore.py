@@ -19,6 +19,7 @@ from commdiff.numcore import (
     poly_mul,
     radd,
     raw_max,
+    rdot,
     rmul,
     rsub,
     scalar,
@@ -229,6 +230,43 @@ def _reference_raw_max(vals, prec=None):
         if mpf_gt(v, best):
             best = v
     return best
+
+
+def _reference_rdot(xs, ys, p, add=mpf_add, mul=mpf_mul):
+    """The loop that rdot replaces: every sum of products from fzero, by
+    libmp's round-to-nearest operations or by the kernels."""
+    acc = fzero
+    for x, y in zip(xs, ys):
+        acc = add(acc, mul(x, y, p, round_nearest), p, round_nearest)
+    return acc
+
+
+@pytest.mark.parametrize("p", (53, 113, 1100))
+def test_rdot_is_the_sum_from_zero(p):
+    # no products, one, zero products first, last and throughout, and
+    # random draws from trap_values, whose wide values need rounding at p
+    rng = random.Random(p + 11)
+    with mp.workprec(p):
+        pool = [v._mpf_ for v in trap_values(rng, p)]
+    wide = pool[4:]
+    cases = [([], []), ([wide[0]], [wide[1]]), ([fzero], [wide[0]]),
+             ([fzero, wide[0], wide[1]], [wide[2], wide[3], fone]),
+             ([wide[0], wide[1], fzero], [wide[2], wide[3], wide[0]]),
+             ([fzero, fzero], [wide[0], wide[1]])]
+    for k in range(1, 9):
+        cases += [(rng.choices(pool, k=k), rng.choices(pool, k=k)) for _ in range(20)]
+
+    def kernel_add(s, t, p, _rnd):
+        return radd(s, t, p)
+
+    def kernel_mul(s, t, p, _rnd):
+        return rmul(s, t, p)
+
+    for xs, ys in cases:
+        want = _reference_rdot(xs, ys, p)
+        assert rdot(xs, ys, p) == want, (xs, ys)
+        assert rdot(iter(xs), iter(ys), p) == want
+        assert _reference_rdot(xs, ys, p, kernel_add, kernel_mul) == want
 
 
 def test_raw_max_matches_the_libmp_loop():

@@ -2,7 +2,8 @@
 
 Two checkouts that print the same lines write byte-identical reports and
 partner-operator files for every configuration below, including the ones
-that read their options from a --config file.  Each command runs in
+that read their options from a --config file, and give other spellings of
+one run the same report name.  Each command runs in
 a fresh interpreter on the given source tree, in a temporary directory, with
 a relative output directory, so that no absolute path reaches a report.
 
@@ -138,6 +139,16 @@ CONFIG_FILES = [
     (["lame"], {"g-list": [1, 2], "eps": ["0.1", "0.05"]}),
 ]
 
+# other spellings of runs listed above: a report is named by the parsed
+# values of its options, so each finds the report of its run in place and
+# adds an exit line and no file line; a config entry's file is
+# config-<i>.json, i counting on from CONFIG_FILES
+ALIASES = [
+    (["verify", "--family", "trig", "--g", "1", "--r1", "1", "--tolerance", "1.0e-9"], None),
+    (["verify", "--family", "trig", "--g", "1", "--r1", "1"], {"tolerance": 1e-9}),
+    (["lame", "--eps", "0.10", "0.050", "--x0", "0.730"], None),
+]
+
 
 def main(argv=None) -> int:
     default_src = Path(__file__).resolve().parent.parent / "src"
@@ -151,10 +162,13 @@ def main(argv=None) -> int:
     status = 0
     with tempfile.TemporaryDirectory(prefix="report-hashes-") as tmp:
         runs = ([(argv_, None) for argv_ in CONFIGS] + CONFIG_FILES
-                + [(argv_, None) for argv_ in HIGH_PRECISION + EXTRACTION + LOW_PRECISION])
+                + [(argv_, None) for argv_ in HIGH_PRECISION + EXTRACTION + LOW_PRECISION]
+                + ALIASES)
+        files = 0
         for argv_, config in runs:
             if config is not None:
-                name = f"config-{CONFIG_FILES.index((argv_, config))}.json"
+                name = f"config-{files}.json"
+                files += 1
                 (Path(tmp) / name).write_text(json.dumps(config))
                 argv_ = [*argv_, "--config", name]
             cmd = [sys.executable, "-m", "commdiff.cli", *argv_, "--out", "reports"]
