@@ -41,12 +41,16 @@ from .lame import (
 from .rank2 import verify_rank2
 
 
+# every family's parameter flags, each once, in FAMILY_PARAMS order
+PARAM_FLAGS = tuple(dict.fromkeys(k for params in FAMILY_PARAMS.values() for k in params))
+
+
 def _family_from_args(args) -> FamilySpec:
-    """The family's parameter flags that are set; FamilySpec supplies the
-    defaults and names a missing required one."""
-    names = FAMILY_PARAMS[args.family]
-    params = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
-    return FamilySpec(args.family, args.g, params)
+    """Every family flag that is set, --seed too; FamilySpec supplies the
+    defaults and names a missing required one and any the family does not
+    read."""
+    params = {k: getattr(args, k) for k in PARAM_FLAGS if getattr(args, k) is not None}
+    return FamilySpec(args.family, args.g, params, args.seed)
 
 
 def _config_doc(args, command, spec=None) -> dict:
@@ -61,8 +65,8 @@ def _config_doc(args, command, spec=None) -> dict:
     doc.update((k, v) for k, v in vars(args).items() if k in ("tolerance", "window"))
     if spec is not None:
         doc["family"] = spec.doc()
-        if spec.kind == "elliptic":
-            doc["seed"] = args.seed
+        if spec.seed is not None:
+            doc["seed"] = spec.seed
     if command == "lame":
         doc["lame"] = {
             "g2": args.g2,
@@ -99,7 +103,7 @@ def cmd_verify(args) -> int:
     tol = args.tolerance
     spec = _family_from_args(args)
     config = _config_doc(args, "verify", spec)
-    L2, partner, state, extras = build_case(spec, args.window, args.seed)
+    L2, partner, state, extras = build_case(spec, args.window)
     lo, hi = args.window
 
     master_rel, linear_rel, skew_rel = dressing.identity_residuals(
@@ -136,7 +140,7 @@ def cmd_verify(args) -> int:
 def cmd_curve(args) -> int:
     spec = _family_from_args(args)
     config = _config_doc(args, "curve", spec)
-    L2, partner, state, extras = build_case(spec, args.window, args.seed)
+    L2, partner, state, extras = build_case(spec, args.window)
     report = extract_curve(L2, partner)
     payload = {
         "spectral": report.doc(),
@@ -150,7 +154,7 @@ def cmd_curve(args) -> int:
 def cmd_partner(args) -> int:
     spec = _family_from_args(args)
     config = _config_doc(args, "partner", spec)
-    L2, partner, state, extras = build_case(spec, args.window, args.seed)
+    L2, partner, state, extras = build_case(spec, args.window)
     _, comm_rel = commutator_residual(L2, partner)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -168,6 +172,8 @@ def cmd_partner(args) -> int:
 
 
 def cmd_lame(args) -> int:
+    if not args.g_list and len(args.eps) < 2:
+        raise CommdiffError("nothing to check: give --g-list a genus or --eps two steps")
     config = _config_doc(args, "lame")
     ctx = WeierstrassContext(args.g2, args.g3)
     slopes = {}
@@ -207,10 +213,10 @@ def _add_family(p):
     # required, but a --config file may supply them: main checks after the merge
     p.add_argument("--family", choices=tuple(FAMILY_PARAMS))
     p.add_argument("--g", type=int)
-    for name in (k for params in FAMILY_PARAMS.values() for k in params):
+    for name in PARAM_FLAGS:
         p.add_argument(f"--{name}", type=str, default=None)
-    p.add_argument("--seed", type=int, default=1234,
-                   help="seeds the elliptic family's random gamma_n")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seeds the elliptic family's random gamma_n (default 1234)")
     p.add_argument("--window", type=int, nargs=2, default=(-24, 24),
                    metavar=("N_MIN", "N_MAX"))
 

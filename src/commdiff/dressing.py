@@ -303,8 +303,10 @@ def identity_residuals(state: DressingState, window, skew: bool = False):
     against the largest of |F_g|, |S_n^2|, |(z - U_n^2 - W_n) Q_n Q_{n+1}|
     and 1; the linear relation on [max(lo, s_lo+1), min(hi, s_hi-2)] against
     its largest term and 1.  With skew, |R_n + R_{-n-1}| over the linear
-    scale at n is checked for n = 0..min(hi, s_hi-2, -(s_lo+2)).  Each
-    product is formed once per n, and the skew pass reuses the linear one.
+    scale at n is checked for n = 0..min(hi, s_hi-2, -(s_lo+2)); skew_rel
+    is None without skew or when that range is empty, as no pair (n, -n-1)
+    is compared.  Each product is formed once per n, and the skew pass
+    reuses the linear one.
     """
     lo, hi = int(window[0]), int(window[1])
     s_lo, s_hi = state.window
@@ -335,10 +337,11 @@ def identity_residuals(state: DressingState, window, skew: bool = False):
     for n in range(max(lo, s_lo + 1), min(hi, s_hi - 2) + 1):
         linear_rel = worst(linear_rel, *linear_at(n))
     make = mp.make_mpf
-    if not skew:
+    mirrored = range(0, min(hi, s_hi - 2, -(s_lo + 2)) + 1)
+    if not skew or not mirrored:
         return make(master_rel), make(linear_rel), None
     skew_rel = fzero
-    for n in range(0, min(hi, s_hi - 2, -(s_lo + 2)) + 1):
+    for n in mirrored:
         r, scale = linear_at(n)
         skew_rel = worst(skew_rel, r + linear_at(-n - 1)[0], scale)
     return make(master_rel), make(linear_rel), make(skew_rel)

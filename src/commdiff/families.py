@@ -28,14 +28,18 @@ FAMILY_PARAMS = {
     "elliptic": {"c2": 0, "c1": -1, "c0": 0},
 }
 
+# the elliptic family's default seed for its random gamma_n
+ELLIPTIC_SEED = 1234
+
 
 class FamilySpec:
     """Declarative family description: kind, genus, named parameters, with
-    the FAMILY_PARAMS defaults filled in."""
+    the FAMILY_PARAMS defaults filled in, and the elliptic family's seed for
+    its random gamma_n (ELLIPTIC_SEED by default; no other family takes one)."""
 
-    __slots__ = ("kind", "g", "params")
+    __slots__ = ("kind", "g", "params", "seed")
 
-    def __init__(self, kind: str, g: int, params: dict):
+    def __init__(self, kind: str, g: int, params: dict, seed=None):
         if kind not in FAMILY_PARAMS:
             raise ValueError(f"unknown family kind {kind!r}")
         self.kind = kind
@@ -52,6 +56,9 @@ class FamilySpec:
         if missing:
             raise ValueError(f"{kind} family needs {' and '.join(missing)}")
         self.params = {k: scalar(params.get(k, d)) for k, d in table.items()}
+        if kind != "elliptic" and seed is not None:
+            raise ValueError(f"{kind} family takes no seed: only the elliptic draws gamma_n")
+        self.seed = ELLIPTIC_SEED if kind == "elliptic" and seed is None else seed
 
     @property
     def even(self) -> bool:
@@ -137,14 +144,11 @@ def elliptic_family(c2, c1, c0, gamma: CoeffSeq, sigma=None) -> tuple:
 def family_from_spec(spec: FamilySpec, window):
     """Instantiate (U, W) for a FamilySpec; the elliptic family needs an
     explicit gamma sequence, which build_case draws."""
-    p = spec.params
-    if spec.kind == "trig":
-        return trig_family(spec.g, p["r1"], window)
-    if spec.kind == "poly":
-        return poly_family(spec.g, p["a2"], p["a0"], p["a1"], window)
-    if spec.kind == "geom":
-        return geom_family(spec.g, p["beta"], p["a"], window)
-    raise ValueError(f"family {spec.kind!r} needs an explicit gamma sequence")
+    # looked up per call, so that a wrapped module attribute is the one called
+    tabulators = {"trig": trig_family, "poly": poly_family, "geom": geom_family}
+    if spec.kind not in tabulators:
+        raise ValueError(f"family {spec.kind!r} needs an explicit gamma sequence")
+    return tabulators[spec.kind](spec.g, window=window, **spec.params)
 
 
 def basis_for(spec: FamilySpec) -> dressing.AnsatzBasis:
@@ -159,13 +163,13 @@ def basis_for(spec: FamilySpec) -> dressing.AnsatzBasis:
     raise ValueError(f"no coefficient basis for family {spec.kind!r}")
 
 
-def build_case(spec: FamilySpec, window, seed: int = 1234):
+def build_case(spec: FamilySpec, window):
     """Family -> (L2, partner, state, extras) on tables wide enough that the
     commutator of the pair is valid on `window`.
 
     The state covers [lo - 2, hi + 2g + 3]; U and W two more on each side
     and at least the pin fit's grid; the elliptic gamma_n = 2 + u_n
-    (u_n drawn from random.Random(seed)) one more on the right.  extras
+    (u_n drawn from random.Random(spec.seed)) one more on the right.  extras
     holds the report entries the pipeline adds: w_sign (geom),
     ansatz_residual_rel (ansatz solve) and gamma_window (elliptic).
     """
@@ -173,7 +177,7 @@ def build_case(spec: FamilySpec, window, seed: int = 1234):
     slo, shi = lo - 2, hi + 2 * spec.g + 3
     uw_window = (slo - 2, shi + 2)
     if spec.kind == "elliptic":
-        rng = random.Random(seed)
+        rng = random.Random(spec.seed)
         gamma = CoeffSeq.tabulate(
             lambda n: mpf(2) + mpf(rng.random()), (uw_window[0], uw_window[1] + 1)
         )

@@ -13,6 +13,8 @@ wp(x) = 1/x^2 + g2 x^2/20 + ..., zeta' = -wp, and the differential equation
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from mpmath import mp, mpf, sqrt, pi, agm, acos, exp, jtheta, floor, log, cos
 
 from .errors import InconsistentDataError, LatticeProximityError
@@ -242,12 +244,10 @@ def _genus1_chains(params, u1, u0, window):
     lo, hi = int(window[0]), int(window[1])
     gam = {0: g0}
     U = {0: U0}
-    for n in range(0, hi):
-        U[n + 1] = u1(n) - U[n]
-        gam[n + 1] = U[n] ** 2 - u0 - c2 - gam[n]
-    for n in range(0, lo, -1):
-        U[n - 1] = u1(n - 1) - U[n]
-        gam[n - 1] = U[n - 1] ** 2 - u0 - c2 - gam[n]
+    for n, d in [*zip(range(0, hi), repeat(1)), *zip(range(0, lo, -1), repeat(-1))]:
+        m = min(n, n + d)  # the bond between n and n + d
+        U[n + d] = u1(m) - U[n]
+        gam[n + d] = U[m] ** 2 - u0 - c2 - gam[n]
     delta = {
         n: (gam[n] * gam[n + 1] + u0 * (gam[n] + gam[n + 1]) - c1) / (2 * U[n])
         for n in range(lo, hi)

@@ -188,16 +188,16 @@ def extract_curve(
     commutation_tol=mpf("1e-8"),
 ) -> CurveReport:
     """Trace and determinant of M(z) at each base point, and the curve they
-    give; at least two base points feed the independence residual.  A base
-    point whose action matrix reads past either operator's window is a
-    WindowError naming it, raised before any arithmetic."""
+    give; at least two distinct base points feed the independence residual.
+    A base point whose action matrix reads past either operator's window is
+    a WindowError naming it, raised before any arithmetic."""
     if L_base.order != 2:
         raise ValueError("curve extraction here fixes the base operator at order 2")
     if L_act.order % 2 == 0:
         raise ValueError("partner operator must have odd order")
     g = (L_act.order - 1) // 2
-    if len(n0_list) < 2:
-        raise ValueError("need at least two base points")
+    if len(set(map(int, n0_list))) < 2:
+        raise ValueError("need at least two distinct base points")
     for n0 in map(int, n0_list):
         # action_matrix's reach: the kernel recurrence of L_base, and L_act on
         # the m + ACTION_PAD kernel values from n0 (m = 2)

@@ -95,8 +95,8 @@ def test_verify_fails_non_monic_partner(tmp_path, monkeypatch):
     # a partner that is non-monic by construction: the geom case's partner
     # times 1 + 1e-9.  Scaling leaves the relative commutator residual as it
     # is, so every residual passes and the verdict must not
-    def scaled_case(spec, window, seed=1234):
-        L2, partner, state, extras = build_case(spec, window, seed)
+    def scaled_case(spec, window):
+        L2, partner, state, extras = build_case(spec, window)
         factor = CoeffSeq.constant(1 + mpf("1e-9"), partner.window)
         return L2, partner.scale_left(factor), state, extras
 
@@ -471,3 +471,73 @@ def test_verify_windows_off_the_sampled_grid(tmp_path, argv):
     assert run(["verify", *argv, "--out", str(out)]) == 0
     (path,) = report_files(out)
     assert json.loads(path.read_text())["pass"] is True
+
+
+@pytest.mark.parametrize("command", ["verify", "curve", "partner"])
+@pytest.mark.parametrize("family, key, value", [
+    (["--family", "trig", "--g", "1", "--r1", "1"], "a2", "5"),
+    (["--family", "trig", "--g", "1", "--r1", "1"], "beta", "3"),
+    (["--family", "poly", "--g", "1", "--a2", "1"], "r1", "1"),
+    (["--family", "geom", "--g", "1", "--a", "2", "--beta", "1"], "c2", "0"),
+    (["--family", "elliptic", "--g", "1"], "a1", "0.5"),
+    (["--family", "trig", "--g", "1", "--r1", "1"], "seed", "1234"),
+    (["--family", "poly", "--g", "1", "--a2", "1"], "seed", "7"),
+    (["--family", "geom", "--g", "1", "--a", "2", "--beta", "1"], "seed", "1234"),
+], ids=("trig-a2", "trig-beta", "poly-r1", "geom-c2", "elliptic-a1",
+        "trig-seed", "poly-seed", "geom-seed"))
+def test_options_the_family_does_not_read_are_usage_errors(
+        tmp_path, capsys, command, family, key, value):
+    # each family takes only its own parameters, and only the elliptic
+    # family a seed: as a flag and as a config key, exit 2 and no report
+    argv = [command, *family, "--window", "-4", "4"]
+    expected = "takes no seed" if key == "seed" else f"has no parameter [{key!r}]"
+    assert run([*argv, f"--{key}", value, "--out", str(tmp_path / "flag")]) == 2
+    assert expected in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: int(value) if key == "seed" else value}))
+    assert run([*argv, "--config", str(cfg), "--out", str(tmp_path / "file")]) == 2
+    assert expected in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists() and not (tmp_path / "file").exists()
+
+
+def test_elliptic_default_seed_finds_the_default_report(tmp_path, capsys):
+    out = tmp_path / "reports"
+    argv = ["verify", "--family", "elliptic", "--g", "1", "--window", "-8", "8"]
+    assert run([*argv, "--out", str(out)]) == 0
+    (path,) = report_files(out)
+    before = path.read_bytes()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1234}))
+    for extra in (["--seed", "1234"], ["--config", str(cfg)]):
+        capsys.readouterr()
+        assert run([*argv, *extra, "--out", str(out)]) == 0
+        assert "report exists" in capsys.readouterr().out
+        assert report_files(out) == [path] and path.read_bytes() == before
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--g-list", "--eps", "0.1"], None),
+    ([], {"g-list": [], "eps": ["0.1"]}),
+], ids=("flags", "config"))
+def test_lame_with_nothing_to_check_is_a_usage_error(tmp_path, capsys, argv, config):
+    # no genus for the continuum check and one step for the independence
+    # check: a run that checked nothing must not pass
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg)]
+    assert run(["lame", *argv, "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "--g-list" in err and "--eps" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_verify_omits_the_skew_without_a_mirror_pair(tmp_path):
+    # the state starts at n = 3, so no pair (n, -n-1) is compared
+    out = tmp_path / "reports"
+    assert run(["verify", "--family", "trig", "--g", "1", "--r1", "1", "--window", "5", "10",
+                "--out", str(out)]) == 0
+    (path,) = report_files(out)
+    report = json.loads(path.read_text())["report"]
+    assert "skew_residual_rel" not in report
+    assert "master_residual_rel" in report

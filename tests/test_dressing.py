@@ -185,6 +185,16 @@ def test_skew_symmetry_for_arbitrary_even_data():
     assert identity_residuals(state, (0, 9), skew=True)[2] <= mpf("1e-25")
 
 
+def test_skew_is_none_without_a_mirror_pair():
+    # a state on [3, 15] holds no pair (n, -n-1): the skew compares nothing
+    spec = FamilySpec("trig", 1, {"r1": 1})
+    _L2, _partner, state, _extras = build_case(spec, (5, 10))
+    assert state.window[0] == 3
+    master, linear, skew_rel = identity_residuals(state, (5, 10), skew=True)
+    assert skew_rel is None
+    assert master <= mpf("1e-25") and linear <= mpf("1e-25")
+
+
 def _old_scale_maxima(state, window, skew):
     """The per-n maxima written out with verify_master, residual_linear and
     the scale formulas identity_residuals replaced."""

@@ -16,6 +16,7 @@ from commdiff.dressing import (
     l2_operator,
 )
 from commdiff.families import (
+    ELLIPTIC_SEED,
     FamilySpec,
     basis_for,
     build_case,
@@ -207,7 +208,7 @@ def test_elliptic_alternating_branch_signs():
 def test_build_case_elliptic_partner_matches_closed_form(seed):
     # the partner build_partner_op assembles from the elliptic state is the
     # closed form up to roundoff (1.5e-33 measured at 113 bits)
-    _L2, partner, state, extras = build_case(FamilySpec("elliptic", 1, {}), (-24, 24), seed)
+    _L2, partner, state, extras = build_case(FamilySpec("elliptic", 1, {}, seed), (-24, 24))
     rng = random.Random(seed)
     gamma = CoeffSeq.tabulate(lambda n: mpf(2) + mpf(rng.random()), extras["gamma_window"])
     s = lambda n: sqrt(gamma.at(n) ** 3 - gamma.at(n))
@@ -307,6 +308,15 @@ def test_family_spec_fills_defaults_and_names_missing_parameters():
         FamilySpec("trig", 1, {"r1": 1, "a2": 1})
     with pytest.raises(ValueError, match="genus 1 only"):
         FamilySpec("elliptic", 2, {})
+
+
+def test_family_spec_seed_belongs_to_the_elliptic_family():
+    assert FamilySpec("elliptic", 1, {}).seed == ELLIPTIC_SEED == 1234
+    assert FamilySpec("elliptic", 1, {}, 7).seed == 7
+    assert FamilySpec("trig", 1, {"r1": 1}).seed is None
+    for kind, params in (("trig", {"r1": 1}), ("poly", {"a2": 1}), ("geom", {"a": 2, "beta": 1})):
+        with pytest.raises(ValueError, match=f"{kind} family takes no seed"):
+            FamilySpec(kind, 1, params, seed=1234)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])

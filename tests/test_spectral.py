@@ -236,6 +236,9 @@ def test_extract_curve_base_points_required():
     L2, L3, _ = make_pair("poly")
     with pytest.raises(ValueError):
         extract_curve(L2, L3, n0_list=(0,))
+    # one point twice compares a curve with itself: residual 0, nothing checked
+    with pytest.raises(ValueError, match="distinct"):
+        extract_curve(L2, L3, n0_list=(0, 0))
 
 
 @pytest.mark.parametrize("kind, params", [

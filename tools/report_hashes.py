@@ -147,6 +147,8 @@ ALIASES = [
     (["verify", "--family", "trig", "--g", "1", "--r1", "1", "--tolerance", "1.0e-9"], None),
     (["verify", "--family", "trig", "--g", "1", "--r1", "1"], {"tolerance": 1e-9}),
     (["lame", "--eps", "0.10", "0.050", "--x0", "0.730"], None),
+    (["verify", "--family", "elliptic", "--g", "1", "--seed", "1234"], None),
+    (["verify", "--family", "elliptic", "--g", "1"], {"seed": 1234}),
 ]
 
 
