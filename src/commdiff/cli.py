@@ -156,6 +156,7 @@ def cmd_partner(args) -> int:
     config = _config_doc(args, "partner", spec)
     L2, partner, state, extras = build_case(spec, args.window)
     _, comm_rel = commutator_residual(L2, partner)
+    monic = partner.is_monic()
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     op_path = _report_path(outdir, "partner-op", config)
@@ -163,17 +164,19 @@ def cmd_partner(args) -> int:
     payload = {
         "operator_file": str(op_path),
         "order": partner.order,
-        "monic": partner.is_monic(),
+        "monic": monic,
         "commutator_residual_rel": comm_rel,
         "state": state.doc(),
     }
     payload.update(extras)
-    return _emit(args, "partner", config, payload, comm_rel <= args.tolerance)
+    return _emit(args, "partner", config, payload, comm_rel <= args.tolerance and monic)
 
 
 def cmd_lame(args) -> int:
     if not args.g_list and len(args.eps) < 2:
         raise CommdiffError("nothing to check: give --g-list a genus or --eps two steps")
+    if len(set(args.eps)) < len(args.eps):
+        raise CommdiffError("--eps steps must be distinct")
     config = _config_doc(args, "lame")
     ctx = WeierstrassContext(args.g2, args.g3)
     slopes = {}

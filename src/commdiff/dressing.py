@@ -9,21 +9,17 @@ w^2 = F_g(z).  They satisfy
 
 plus the linear four-term relation R_n(z) = sum_i d_i (z + c_i) S_{n+s_i}(z),
 s_i = -1..2, obtained by eliminating F_g between consecutive n
-(_four_term_factors, residual_linear).  Solvers here construct S either by a
-forward/backward recursion in n from consistent seed data, or by the level
-recursion in z (ansatz_solve): the z^(m+1) coefficients of R_n step the
-z^m coefficients of Q_n by 2 in n, the pair rule gives those of S_n, and
-3g constants are fitted on the z^0 coefficients.  From a valid state the
-commuting odd-order partner, the eigenfunction products, and the
-factorization checks follow.
+(_four_term_factors, residual_linear).  ansatz_solve constructs S by the
+level recursion in z: the z^(m+1) coefficients of R_n step the z^m
+coefficients of Q_n by 2 in n, the pair rule gives those of S_n, and 3g
+constants are fitted on the z^0 coefficients.  From a valid state the
+commuting odd-order partner follows (build_partner_op).
 
 States are immutable once assembled; construction is sequential in n by
-nature, every verification here is pure and parallelizes over (n, z, P).
+nature, every verification here is pure and parallelizes over (n, z).
 """
 
 from __future__ import annotations
-
-from itertools import repeat
 
 from mpmath import mp, mpf, sqrt, cos
 from mpmath.libmp import fone, fzero, mpf_abs, mpf_div, mpf_gt, mpf_neg, mpf_rdiv_int
@@ -38,7 +34,6 @@ from .errors import (
 from .numcore import (
     HyperellipticCurve,
     ZPoly,
-    poly_div_exact,
     radd,
     raw_max,
     rdot,
@@ -49,33 +44,6 @@ from .numcore import (
 from .opalg import CoeffSeq, DiffOp
 
 DEGENERACY_REL = mpf("1e-8")
-
-
-# ---------------------------------------------------------------------------
-# curve points
-# ---------------------------------------------------------------------------
-
-
-class CurvePoint:
-    """A point (z, w) with w^2 = F_g(z)."""
-
-    __slots__ = ("z", "w")
-
-    def __init__(self, z, w):
-        self.z = scalar(z)
-        self.w = scalar(w)
-
-    def __repr__(self):
-        return f"CurvePoint(z={mp.nstr(self.z, 8)}, w={mp.nstr(self.w, 8)})"
-
-
-def curve_point(curve: HyperellipticCurve, z, branch: int = 1) -> CurvePoint:
-    """Lift z to the curve on the requested branch; needs F_g(z) >= 0."""
-    z = scalar(z)
-    fz = curve.eval(z)
-    if fz < 0:
-        raise InconsistentDataError(f"F(z) = {fz} < 0 at z = {z}: no real branch")
-    return CurvePoint(z, branch * sqrt(fz))
 
 
 # ---------------------------------------------------------------------------
@@ -345,55 +313,6 @@ def identity_residuals(state: DressingState, window, skew: bool = False):
         r, scale = linear_at(n)
         skew_rel = worst(skew_rel, r + linear_at(-n - 1)[0], scale)
     return make(master_rel), make(linear_rel), make(skew_rel)
-
-
-# ---------------------------------------------------------------------------
-# recursive partner solve
-# ---------------------------------------------------------------------------
-
-
-DIVISION_TOL = mpf("1e-20")
-
-
-def solve_partner_recursive(
-    U: CoeffSeq,
-    W: CoeffSeq,
-    curve: HyperellipticCurve,
-    s_init,
-    n0: int,
-    n_range,
-) -> DressingState:
-    """March the master identity from seed polynomials (S_{n0-1}, S_{n0}).
-
-    Each step at n divides F - S_n^2 by (z - U_n^2 - W_n) times the Q that
-    S_n and its known neighbour give: Q_n marching forward (n = n0..hi-1),
-    Q_{n+1} backward (n = n0-1 down to lo+1).  The quotient is the other Q,
-    from which the pair rule gives the new neighbour.  A division residual
-    above DIVISION_TOL times the local scale means the seed data is
-    inconsistent, reported with the offending n.
-    """
-    lo, hi = int(n_range[0]), int(n_range[1])
-    n0 = int(n0)
-    if not (lo <= n0 - 1 and n0 <= hi):
-        raise WindowError(f"seed index {n0} incompatible with range [{lo}, {hi}]")
-    fp = curve.fpoly()
-    S = {n0 - 1: s_init[0], n0: s_init[1]}
-
-    def step_scale(num):
-        return max(num.sup_norm(), fp.sup_norm(), mpf(1))
-
-    for n, d in [*zip(range(n0, hi), repeat(1)), *zip(range(n0 - 1, lo, -1), repeat(-1))]:
-        k = max(n, n - d)  # the Q index between S_n and its known neighbour
-        Qk = q_from_s(S[k - 1], S[k], U.at(k - 1), U.at(k), f"partner march at n={k}")
-        num = fp - S[n] * S[n]
-        den = ZPoly([-(U.at(n) ** 2) - W.at(n), 1]) * Qk
-        Qother, resid = poly_div_exact(num, den)
-        if resid > DIVISION_TOL * step_scale(num):
-            raise InconsistentDataError(
-                f"inconsistent data: division residual {resid} at n={n}"
-            )
-        S[n + d] = (-(U.at(n) + U.at(n + d))) * Qother - S[n]
-    return DressingState.from_s_table(U, W, S, curve=curve)
 
 
 # ---------------------------------------------------------------------------
@@ -754,64 +673,8 @@ def elliptic_dressing_state(
 
 
 # ---------------------------------------------------------------------------
-# chi, the eigenfunction products, factorization, partner assembly
+# partner assembly
 # ---------------------------------------------------------------------------
-
-
-def chi_eval(state: DressingState, n: int, P: CurvePoint) -> mpf:
-    """chi_n(P) = (S_n(z) + w) / Q_n(z); errors on the divisor of Q_n."""
-    qv = state.q(n).eval(P.z)
-    qscale = state.q(n).sup_norm() * max(mpf(1), abs(P.z)) ** state.curve.g
-    if abs(qv) <= DEGENERACY_REL * qscale:
-        raise DegenerateDenominatorError(
-            f"Q_{n}(z) = {qv} vanishes at z = {P.z}: chi has a pole there"
-        )
-    return (state.s(n).eval(P.z) + P.w) / qv
-
-
-def baker_akhiezer(state: DressingState, P: CurvePoint, n: int) -> mpf:
-    """psi(n, P) as the product of consecutive chi ratios, psi(0) = 1."""
-    n = int(n)
-    if n == 0:
-        return mpf(1)
-    acc = mpf(1)
-    if n > 0:
-        for k in range(n):
-            acc *= chi_eval(state, k, P)
-        return acc
-    for k in range(n, 0):
-        # the inverse product hits a zero of chi when S_k(z) cancels w
-        num = state.s(k).eval(P.z) + P.w
-        nscale = max(abs(state.s(k).eval(P.z)), abs(P.w))
-        if nscale == 0 or abs(num) <= DEGENERACY_REL * nscale:
-            raise DegenerateDenominatorError(
-                f"chi_{k}(P) vanishes (S + w = {num}): inverse product undefined"
-            )
-        acc /= chi_eval(state, k, P)
-    return acc
-
-
-def factorization_check(state: DressingState, L2: DiffOp, P: CurvePoint, f: CoeffSeq) -> mpf:
-    """Sup difference of (L2 - z) f and (T + U_n + U_{n+1} + chi_{n+1})(T - chi_n) f."""
-    lhs = L2.apply(f) - f * P.z
-    qlo, qhi = state.window[0] + 1, state.window[1]
-    glo = max(f.window[0], qlo)
-    ghi = min(f.window[1] - 1, qhi)
-    inner = CoeffSeq.tabulate(
-        lambda n: f.at(n + 1) - chi_eval(state, n, P) * f.at(n), (glo, ghi)
-    )
-    rlo = max(glo, state.U.window[0], qlo - 1)
-    rhi = min(ghi - 1, state.U.window[1] - 1, qhi - 1)
-    rhs = CoeffSeq.tabulate(
-        lambda n: inner.at(n + 1)
-        + (state.U.at(n) + state.U.at(n + 1) + chi_eval(state, n + 1, P)) * inner.at(n),
-        (rlo, rhi),
-    )
-    lo = max(lhs.window[0], rhs.window[0])
-    hi = min(lhs.window[1], rhs.window[1])
-    if hi < lo:
-        raise WindowError("factorization check window is empty")
-    return max(abs(lhs.at(n) - rhs.at(n)) for n in range(lo, hi + 1))
 
 
 def build_partner_op(state: DressingState, L2: DiffOp | None = None) -> DiffOp:

@@ -357,11 +357,7 @@ class HyperellipticCurve:
         return ZPoly(self.c + (mpf(1),))
 
     def eval(self, z) -> mpf:
-        """F(z) by Horner over c from the leading 1, in fpoly().eval's order."""
-        acc, z = mpf(1), scalar(z)
-        for c in reversed(self.c):
-            acc = acc * z + c
-        return acc
+        return self.fpoly().eval(z)
 
     @classmethod
     def from_fpoly(cls, p: ZPoly, g: int, tol_rel=mpf("1e-9")) -> "HyperellipticCurve":

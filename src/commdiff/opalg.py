@@ -156,10 +156,6 @@ class DiffOp:
     def identity(cls, window) -> "DiffOp":
         return cls.build({0: 1}, window)
 
-    @classmethod
-    def shift(cls, window, degree: int = 1) -> "DiffOp":
-        return cls.build({degree: 1}, window)
-
     @property
     def order(self) -> int:
         return max(self.terms)

@@ -91,7 +91,12 @@ def test_verify_check_failure_exits_one(tmp_path):
     assert json.loads(path.read_text())["pass"] is False
 
 
-def test_verify_fails_non_monic_partner(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command, monic_key, residual_keys", [
+    ("verify", "partner_monic",
+     ("master_residual_rel", "linear_residual_rel", "commutator_residual_rel")),
+    ("partner", "monic", ("commutator_residual_rel",)),
+], ids=("verify", "partner"))
+def test_verify_fails_non_monic_partner(tmp_path, monkeypatch, command, monic_key, residual_keys):
     # a partner that is non-monic by construction: the geom case's partner
     # times 1 + 1e-9.  Scaling leaves the relative commutator residual as it
     # is, so every residual passes and the verdict must not
@@ -103,18 +108,19 @@ def test_verify_fails_non_monic_partner(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_case", scaled_case)
     out = tmp_path / "reports"
     code = run([
-        "verify", "--family", "geom", "--g", "1", "--a", "2", "--beta", "1",
+        command, "--family", "geom", "--g", "1", "--a", "2", "--beta", "1",
         "--out", str(out),
     ])
     assert code == 1
-    (path,) = report_files(out)
+    (path,) = (p for p in report_files(out) if not p.name.startswith("partner-op-"))
     doc = json.loads(path.read_text())
     assert doc["pass"] is False
     report = doc["report"]
-    assert report["partner_monic"] is False
-    for key in ("master_residual_rel", "linear_residual_rel", "commutator_residual_rel"):
+    assert report[monic_key] is False
+    for key in residual_keys:
         assert float(report[key]) <= 1e-9
-    assert report["commutator_window_covers"] is True
+    if command == "verify":
+        assert report["commutator_window_covers"] is True
 
 
 def test_curve_quartic(tmp_path):
@@ -515,20 +521,22 @@ def test_elliptic_default_seed_finds_the_default_report(tmp_path, capsys):
         assert report_files(out) == [path] and path.read_bytes() == before
 
 
-@pytest.mark.parametrize("argv, config", [
-    (["--g-list", "--eps", "0.1"], None),
-    ([], {"g-list": [], "eps": ["0.1"]}),
-], ids=("flags", "config"))
-def test_lame_with_nothing_to_check_is_a_usage_error(tmp_path, capsys, argv, config):
+@pytest.mark.parametrize("argv, config, named", [
+    (["--g-list", "--eps", "0.1"], None, ("--g-list", "--eps")),
+    ([], {"g-list": [], "eps": ["0.1"]}, ("--g-list", "--eps")),
+    (["--g-list", "--eps", "0.1", "0.10"], None, ("--eps", "distinct")),
+    ([], {"g-list": [], "eps": ["0.1", 0.1]}, ("--eps", "distinct")),
+], ids=("flags", "config", "repeated-eps-flags", "repeated-eps-config"))
+def test_lame_with_nothing_to_check_is_a_usage_error(tmp_path, capsys, argv, config, named):
     # no genus for the continuum check and one step for the independence
-    # check: a run that checked nothing must not pass
+    # check, or one step given twice: a run that checked nothing must not pass
     if config is not None:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         argv = ["--config", str(cfg)]
     assert run(["lame", *argv, "--out", str(tmp_path / "r")]) == 2
     err = capsys.readouterr().err
-    assert "--g-list" in err and "--eps" in err
+    assert all(word in err for word in named)
     assert not (tmp_path / "r").exists()
 
 

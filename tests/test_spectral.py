@@ -9,14 +9,13 @@ from commdiff.dressing import (
     TrigBasis,
     EvenPowerBasis,
     ansatz_solve,
-    baker_akhiezer,
     build_partner_op,
-    curve_point,
     identity_residuals,
     l2_operator,
 )
 from commdiff.families import FamilySpec, build_case, geom_family, poly_family, trig_family
 from commdiff import spectral
+from oracles import baker_akhiezer, curve_point
 from commdiff.spectral import (
     CurveReport,
     action_matrix,
