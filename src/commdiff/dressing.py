@@ -37,6 +37,7 @@ from .numcore import (
     radd,
     raw_max,
     rdot,
+    rmac,
     rmul,
     rsub,
     scalar,
@@ -58,25 +59,30 @@ def l2_operator(U: CoeffSeq, W: CoeffSeq) -> DiffOp:
     hi = min(U.window[1] - 1, W.window[1])
     if hi < lo:
         raise WindowError("window too small to assemble L2")
+    p, make = mp.prec, mp.make_mpf
+    u = [v._mpf_ for v in U.values_on(lo, hi + 1)]
+    w = [v._mpf_ for v in W.values_on(lo, hi)]
     return DiffOp.build(
         {
             2: 1,
-            1: lambda n: U.at(n) + U.at(n + 1),
-            0: lambda n: U.at(n) ** 2 + W.at(n),
+            1: CoeffSeq._computed(lo, [make(radd(a, b, p)) for a, b in zip(u, u[1:])]),
+            0: CoeffSeq._computed(lo, [make(radd(rmul(a, a, p), b, p)) for a, b in zip(u, w)]),
         },
         (lo, hi),
     )
 
 
-def _pair_denominator(U_prev, U_cur, where: str):
-    """U_prev + U_cur, the pair rule's denominator; an error below the
-    general-position threshold, whose message starts with where."""
-    den = U_prev + U_cur
+def _pair_denominator(u_prev, u_cur, p, where: str):
+    """u_prev + u_cur at p bits, the pair rule's denominator, for raw values;
+    an error below the general-position threshold, whose message starts
+    with where."""
+    den = radd(u_prev, u_cur, p)
     # degeneracy means cancellation between the two values, not small size
-    dscale = max(abs(U_prev), abs(U_cur))
-    if dscale == 0 or abs(den) <= DEGENERACY_REL * dscale:
+    dscale = raw_max((u_prev, u_cur), p)
+    if dscale == fzero or not mpf_gt(mpf_abs(den), rmul(DEGENERACY_REL._mpf_, dscale, p)):
+        make = mp.make_mpf
         raise DegenerateDenominatorError(
-            f"{where}: U_prev + U_cur = {den} is degenerate (scale {dscale})"
+            f"{where}: U_prev + U_cur = {make(den)} is degenerate (scale {make(dscale)})"
         )
     return den
 
@@ -88,9 +94,10 @@ def q_from_s(S_prev: ZPoly, S_cur: ZPoly, U_prev, U_cur, where: str = "q_from_s"
     denominator below the general-position threshold is an error; where
     names the stage and the index n of Q_n in its message.
     """
-    den = _pair_denominator(scalar(U_prev), scalar(U_cur), where)
-    q = (S_prev + S_cur).scale(-1 / den)
-    if abs(q.lead - 1) > mpf("1e-6"):
+    p = mp.prec
+    den = _pair_denominator(scalar(U_prev)._mpf_, scalar(U_cur)._mpf_, p, where)
+    q = (S_prev + S_cur).scale(mp.make_mpf(mpf_rdiv_int(-1, den, p, RND)))
+    if mpf_gt(mpf_abs(rsub(q.lead._mpf_, fone, p)), mpf("1e-6")._mpf_):
         raise InconsistentDataError(
             f"{where}: pair rule produced a non-monic polynomial (lead = {q.lead}); "
             "S normalization is broken"
@@ -136,10 +143,12 @@ class DressingState:
         """
         lo, hi = min(S), max(S)
         g = max(p.degree for p in S.values())
+        prec, tol = mp.prec, S_LEAD_TOL._mpf_
         for n in range(lo, hi + 1):
             lead = S[n].coeff(g)
             u = U.at(n)
-            if abs(lead + u) > S_LEAD_TOL * max(mpf(1), abs(u), S[n].sup_norm()):
+            scale = raw_max((fone, u._mpf_, *(c._mpf_ for c in S[n].coeffs)), prec)
+            if mpf_gt(mpf_abs(radd(lead._mpf_, u._mpf_, prec)), rmul(tol, scale, prec)):
                 raise InconsistentDataError(
                     f"S_{n} has z^{g} coefficient {lead}, expected {-u}"
                 )
@@ -360,8 +369,7 @@ class EvenPowerBasis(AnsatzBasis):
         return self.g + 2
 
     def functions(self, n):
-        n = mpf(n)
-        return [n ** (2 * k) if k else mpf(1) for k in range(self.g + 2)]
+        return [mpf(n ** (2 * k)) for k in range(self.g + 2)]
 
 
 class PowerBasis(AnsatzBasis):
@@ -374,8 +382,7 @@ class PowerBasis(AnsatzBasis):
         return 2 * self.g + 3
 
     def functions(self, n):
-        n = mpf(n)
-        return [n**j if j else mpf(1) for j in range(2 * self.g + 3)]
+        return [mpf(n**j) for j in range(2 * self.g + 3)]
 
 
 class GeomBasis(AnsatzBasis):
@@ -418,10 +425,11 @@ class AnsatzResult:
         return DressingState.from_s_table(U, W, S, curve=self.curve)
 
 
-def _pin_top_coefficients(basis, U, n_grid):
-    """Fit -U_n in the basis span: these are the pinned z^g coefficients."""
-    rows = [basis.functions(n) for n in n_grid]
-    rhs = [-U.at(n) for n in n_grid]
+def _pin_top_coefficients(basis, U, phi):
+    """Fit -U_n in the basis span on the grid of phi, which maps n to the
+    basis functions at n: these are the pinned z^g coefficients."""
+    rows = list(phi.values())
+    rhs = [-U.at(n) for n in phi]
     x, info = linalg.lstsq(rows, rhs)
     scale = max(max(abs(v) for v in rhs), mpf(1))
     if info["resid_inf"] > mpf("1e-9") * scale:
@@ -446,8 +454,8 @@ RECURSION_GUARD_BITS = 32
 def _comb(f, vs, p):
     """sum_i f_i vs_i over the four raw vectors S_{n-1..n+2} of one level, at p."""
     (f1, f2, f3, f4), (v1, v2, v3, v4) = f, vs
-    return [radd(radd(radd(rmul(f1, a, p), rmul(f2, b, p), p), rmul(f3, c, p), p),
-                 rmul(f4, d, p), p) for a, b, c, d in zip(v1, v2, v3, v4)]
+    return [rmac(rmac(rmac(rmul(f1, a, p), f2, b, p), f3, c, p), f4, d, p)
+            for a, b, c, d in zip(v1, v2, v3, v4)]
 
 
 def _march(dc, D, top, seeds, n0, span):
@@ -464,7 +472,9 @@ def _march(dc, D, top, seeds, n0, span):
 
     steps q from n0 and n0 + 1, and the pair rule
     s_{n,m-1} = -D_n q_{n,m-1} - s_{n-1,m-1} steps s from n0.  seeds holds
-    the three starting values per level, top the level-g row.
+    the three starting values per level, top the level-g row.  Neither
+    relation reads m: every level is the same affine map of the one above,
+    linear in it and in the level's seeds, which _fit_rows exploits.
     """
     p, (a, b) = mp.prec, span
     neg_d = {n: mpf_neg(v, p, RND) for n, v in D.items()}
@@ -492,6 +502,31 @@ def _march(dc, D, top, seeds, n0, span):
     return levels
 
 
+_UNIT_SEEDS = tuple([fzero, *(fone if k == i else fzero for k in range(3))] for i in range(3))
+_ZERO_SEEDS = ([fzero] * 4,) * 3
+
+
+def _fit_rows(dc, D, top, g, n0, span):
+    """The z^0 rows of the four-term relation at n = a + 1..b - 2 of span =
+    [a, b], as raw affine vectors over the 3g constants: entry 0 the
+    inhomogeneous part, entry 1 + 3 (g - 1 - m) + i the coefficient of the
+    i-th constant of level m (q_{n0,m}, q_{n0+1,m}, s_{n0,m}).
+
+    The march's level map Lambda is the same at every level (_march), so a
+    constant's column at level 0 is Lambda^m H(e_i), H(e_i) the march of a
+    unit seed under a zero level.  One march of four columns, [the
+    inhomogeneous part, H(e_1), H(e_2), H(e_3)] with zero seeds after its
+    first step, holds Lambda^m H(e_i) at level g - 1 - m: each level's three
+    constant columns, bit for bit the entries that a march of all 3g + 1
+    columns gives at level 0.
+    """
+    levels = _march(dc, D, top, [_UNIT_SEEDS, *[_ZERO_SEEDS] * (g - 1)], n0, span)
+    p, (a, b), low = mp.prec, span, levels[-1]
+    s0 = {n: [low[n][0], *(v for lv in reversed(levels[1:]) for v in lv[n][1:])]
+          for n in range(a, b + 1)}
+    return {n: _comb(dc[n], [s0[n + k] for k in (-1, 0, 1, 2)], p) for n in range(a + 1, b - 1)}
+
+
 def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> AnsatzResult:
     """S_n on the whole common window of U and W, by the level recursion in z.
 
@@ -500,7 +535,9 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
     q_{n0+1,m} and s_{n0,m}, with n0 = argmin |U_n| clamped into the
     relation's rows, so that the marches run away from the small end.  The
     z^0 rows of the relation with |n - n0| <= 3g + 2 fix the 3g constants:
-    affine vectors over them are marched on that window only, each row is
+    affine vectors over them are marched on that window only, in four
+    columns (_fit_rows: the level map does not depend on the level, so
+    every level's constants share one march of unit seeds), each row is
     divided by its largest |entry| (linalg.lstsq equilibrates the columns),
     and a fit of rank below 3g is a RankDeficiencyError.  Scalars are then
     marched over the whole table; a z^0 row whose residual exceeds
@@ -534,8 +571,9 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
     """
     g = basis.g
     reach = basis.size + 2
-    pinned = _pin_top_coefficients(basis, U, range(-reach, reach + 1))
     lo, hi = max(U.window[0], W.window[0]), min(U.window[1], W.window[1])
+    phi = {n: basis.functions(n) for n in range(min(lo, -reach), max(hi, reach) + 1)}
+    pinned = _pin_top_coefficients(basis, U, {n: phi[n] for n in range(-reach, reach + 1)})
     rlo, rhi = lo + 1, hi - 2
     ncon = 3 * g
     if rhi - rlo + 1 < ncon:
@@ -549,37 +587,28 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
     flo, fhi = max(rlo, n0 - ncon - 2), min(rhi, n0 + ncon + 2)
 
     Uf, Wf = (U, W) if fine is None else fine
-    for n in range(lo, hi + 1):
+    make, p, tol = mp.make_mpf, mp.prec, ANSATZ_TOL._mpf_
+    for n in range(lo, hi + 1) if fine is not None else ():
         for name, x, xf in (("U", U, Uf), ("W", W, Wf)):
-            if abs(xf.at(n) - x.at(n)) > ANSATZ_TOL * max(abs(x.at(n)), 1):
+            x, xf = x.at(n)._mpf_, xf.at(n)._mpf_
+            if mpf_gt(mpf_abs(rsub(xf, x, p)), rmul(tol, raw_max((x, fone), p), p)):
                 raise InconsistentDataError(
                     f"fine table of {name} disagrees with {name} at n={n}"
                 )
-    make = mp.make_mpf
     with mp.workprec(mp.prec + RECURSION_GUARD_BITS):
         p = mp.prec
         D = {
-            n: _pair_denominator(Uf.at(n - 1), Uf.at(n), f"ansatz_solve at n={n}")._mpf_
+            n: _pair_denominator(Uf.at(n - 1)._mpf_, Uf.at(n)._mpf_, p, f"ansatz_solve at n={n}")
             for n in range(lo + 1, hi + 1)
         }
         fac = {n: _four_term_factors(Uf, Wf, n) for n in range(rlo, rhi + 1)}
         dc = {n: [rmul(d, c, p) for _s, c, d in f] for n, f in fac.items()}
 
-        # affine march on the fit window: entry 0 is the inhomogeneous part,
-        # entry 1 + 3 (g - 1 - m) + i the i-th constant of level m, the last
-        # entries of level m's vectors, since those past them are exact 0s
-        def units(j):
-            return [[fone if k == i else fzero for k in range(j + 3)] for i in range(j, j + 3)]
-
         def tops(a, b):
             return {n: [mpf_neg(Uf.at(n)._mpf_, p, RND)] for n in range(a, b + 1)}
 
-        span = (flo - 1, fhi + 2)
-        seeds = [units(j) for j in range(1, ncon + 1, 3)]
-        s0 = _march(dc, D, tops(*span), seeds, n0, span)[-1]
         rows, rhs = [], []
-        for n in range(flo, fhi + 1):
-            r = _comb(dc[n], [s0[n + k] for k in (-1, 0, 1, 2)], p)
+        for r in _fit_rows(dc, D, tops(flo - 1, fhi + 2), g, n0, (flo - 1, fhi + 2)).values():
             row, b = r[1:], mpf_neg(r[0], p, RND)
             big = raw_max(row, p)
             if big != fzero:
@@ -612,9 +641,9 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
                 )
             resid_rel = raw_max((resid_rel, rel))
 
-    S, p = {}, mp.prec
+    S, p, pinned = {}, mp.prec, [x._mpf_ for x in pinned]
     for n in range(lo, hi + 1):
-        lead = rdot([x._mpf_ for x in pinned], [phi._mpf_ for phi in basis.functions(n)], p)
+        lead = rdot(pinned, [f._mpf_ for f in phi[n]], p)
         S[n] = ZPoly([+make(v) for v in coeffs[n][:g]] + [make(lead)])
     result = AnsatzResult(S, None, {"resid_rel": +make(resid_rel)})
     result.curve = result.state(U, W, (-2, 3)).curve

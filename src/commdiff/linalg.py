@@ -6,7 +6,8 @@ beyond the normalization freedom they expect.  It holds the matrix as
 columns of raw mpf tuples and runs every operation at the working precision
 with round-to-nearest, in a fixed order: products, sums and differences
 through the kernels of `numcore`, the rest through `mpmath.libmp`.  Each sum
-of products is `numcore.rdot`, left to right from its first product.  Each
+of products is `numcore.rdot`, left to right from its first product, and
+each entry t - f v_i of a Householder update is one `numcore.rmac`.  Each
 pivot is the first column of largest float norm, each entry read as the
 double nearest its value.  So the result is a function of the input and
 the precision alone, bit for bit: the same x, R diagonal, residual and pivot
@@ -25,7 +26,7 @@ from mpmath.libmp import (
 )
 
 from .errors import NonFiniteError, RankDeficiencyError
-from .numcore import raw_max, rdot, rmul, rsub
+from .numcore import raw_max, rdot, rmac, rsub
 
 
 def lstsq(rows, rhs):
@@ -86,7 +87,7 @@ def lstsq(rows, rhs):
         if mpf_gt(vnorm2, fzero):
             for col in cols[k + 1:] + [b]:
                 f = mpf_div(mpf_shift(rdot(v, col[k:], prec), 1), vnorm2, prec, rnd)
-                col[k:] = [rsub(t, rmul(f, vi, prec), prec) for vi, t in zip(v, col[k:])]
+                col[k:] = [rmac(t, f, vi, prec, 1) for vi, t in zip(v, col[k:])]
         rdiag.append(mp.make_mpf(alpha))
 
     r0 = max((abs(d) for d in rdiag), default=mpf(0))

@@ -5,8 +5,11 @@ writes every report's decimals.
 Values are mpmath floats.  The hot loops of the package run on their raw
 tuples through the kernels rmul, radd and rsub below, libmp's
 round-to-nearest mpf_mul, mpf_add and mpf_sub reimplemented bit for bit
-with int.bit_length, so this module is the one that knows how a result is
-rounded.  The working precision defaults to a 113-bit significand
+with int.bit_length, and through rmac, their multiply-accumulate
+radd(acc, rmul(s, t, p), p) in one call, so this module is the one that
+knows how a result is rounded.  Composition and scale_left (opalg) form no
+product with a term of exact 1s: 1 times v at p bits is v itself when v
+fits in p bits, and a wider v is rounded as rmul(fone, v, p) rounds it.  The working precision defaults to a 113-bit significand
 (quad-like); the dressing recursion sheds digits at every step, so the
 headroom above double precision is what keeps window-wide residual checks
 below 1e-9 tolerances.  Values are immutable once built and every function
@@ -161,14 +164,67 @@ def rsub(s, t, p):
     return radd(s, t, p, 1)
 
 
+def rmac(acc, s, t, p, _neg=0):
+    """acc + s * t at p bits, the product rounded at p first, in one call:
+    radd(acc, rmul(s, t, p), p, _neg) bit for bit; acc - s * t with _neg.
+    The rounded product keeps its trailing zeros, which the exact sum and
+    its rounding do not see.  Zero and special operands, and exponent gaps
+    past 100 bits from the unstripped product, go to the two kernels.  The
+    stripped product can lie over 100 bits above acc when this one does
+    not; it has at most p bits then, and libmp's perturbation of it rounds
+    as the exact sum does."""
+    sign, sman, sexp, _ = s
+    tsign, tman, texp, _ = t
+    asign, aman, aexp, _ = acc
+    man = sman * tman
+    if not (man and aman):
+        return radd(acc, rmul(s, t, p), p, _neg)
+    exp = sexp + texp
+    bc = man.bit_length()
+    if bc > p:
+        n = bc - p
+        h = man >> (n - 1)
+        man = (h >> 1) + 1 if h & 1 and (h & 2 or man & ((1 << (n - 1)) - 1)) else h >> 1
+        exp += n
+    off = aexp - exp
+    if off > 100 or off < -100:
+        return radd(acc, rmul(s, t, p), p, _neg)
+    if off >= 0:
+        aman <<= off
+    else:
+        man, exp = man << -off, aexp
+    if asign == sign ^ tsign ^ _neg:
+        man += aman
+    else:
+        man = aman - man
+        if man < 0:
+            man, asign = -man, asign ^ 1
+        elif not man:
+            return fzero
+    bc = man.bit_length()
+    if bc > p:
+        n = bc - p
+        h = man >> (n - 1)
+        man = (h >> 1) + 1 if h & 1 and (h & 2 or man & ((1 << (n - 1)) - 1)) else h >> 1
+        exp, bc = exp + n, p
+    if not man & 1:
+        z = (man & -man).bit_length() - 1
+        man, exp, bc = man >> z, exp + z, bc - z or 1
+    return asign, man, exp, bc
+
+
 def rdot(xs, ys, p):
     """The sum of rmul(x, y, p) over the pairs of xs and ys at p bits, left to
     right from the first product (fzero for none): the sum from fzero bit for
     bit, since a product rounded at p needs no further rounding at p."""
-    prods = map(rmul, xs, ys, repeat(p))
-    acc = next(prods, fzero)
-    for t in prods:
-        acc = radd(acc, t, p)
+    pairs = zip(xs, ys)
+    for x, y in pairs:
+        acc = rmul(x, y, p)
+        break
+    else:
+        return fzero
+    for x, y in pairs:
+        acc = rmac(acc, x, y, p)
     return acc
 
 
@@ -303,7 +359,7 @@ def poly_mul(p: ZPoly, q: ZPoly) -> ZPoly:
     for i, ai in enumerate(a[1:], 1):
         out.append(rmul(ai, b[-1], prec))
         for j, bj in enumerate(b[:-1]):
-            out[i + j] = radd(out[i + j], rmul(ai, bj, prec), prec)
+            out[i + j] = rmac(out[i + j], ai, bj, prec)
     return ZPoly._computed(tuple(map(mp.make_mpf, out)))
 
 

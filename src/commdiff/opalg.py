@@ -21,7 +21,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import fone
 
 from .errors import WindowError
-from .numcore import radd, raw_map, raw_max, rmul, rsub, scalar, to_json
+from .numcore import radd, raw_map, raw_max, rmac, rmul, rsub, scalar, to_json
 
 
 class CoeffSeq:
@@ -117,6 +117,17 @@ def _common_window(seqs, requested=None):
     return lo, hi
 
 
+def _all_ones(vals) -> bool:
+    """Every raw value in vals is exactly 1."""
+    return vals.count(fone) == len(vals)
+
+
+def _one_times(vals, p) -> list:
+    """rmul(fone, v, p) for the raw values vals: v itself when it fits in p
+    bits, so no product is formed then."""
+    return [v if v[3] <= p else rmul(fone, v, p) for v in vals]
+
+
 MONIC_TOL = mpf("1e-12")
 
 
@@ -195,44 +206,56 @@ class DiffOp:
             )
         prec, vals = mp.prec, None
         for j, u in self.terms.items():
-            prods = [rmul(x._mpf_, y._mpf_, prec)
-                     for x, y in zip(u.values_on(lo, hi), f.values_on(lo + j, hi + j))]
-            vals = prods if vals is None else [radd(x, y, prec) for x, y in zip(vals, prods)]
+            uv, fv = u.values_on(lo, hi), f.values_on(lo + j, hi + j)
+            vals = ([rmul(x._mpf_, y._mpf_, prec) for x, y in zip(uv, fv)] if vals is None else
+                    [rmac(acc, x._mpf_, y._mpf_, prec) for acc, x, y in zip(vals, uv, fv)])
         return CoeffSeq._computed(lo, map(mp.make_mpf, vals))
 
     def __mul__(self, other):
         if not isinstance(other, DiffOp):
             c = scalar(other)
             return DiffOp({j: t * c for j, t in self.terms.items()}, self.window)
-        # composition: coefficient of T^(i+j) picks up b_j shifted by i
+        # composition: coefficient of T^(i+j) picks up b_j shifted by i; a
+        # product with a term of exact 1s is the other factor's values
         lo = max(self.window[0], other.window[0] - self.min_degree)
         hi = min(self.window[1], other.window[1] - self.order)
         if hi < lo:
             raise WindowError("composition window empty")
-        prec, olo = mp.prec, other.window[0]
+        prec, olo, width = mp.prec, other.window[0], hi - lo + 1
         raw = {j: [v._mpf_ for v in b.values] for j, b in other.terms.items()}
+        ones = {j for j, bv in raw.items() if _all_ones(bv)}
         out: dict = {}
         for i, a in self.terms.items():
             av = [v._mpf_ for v in a.values_on(lo, hi)]
+            a_ones = _all_ones(av)
             for j, bv in raw.items():
-                contrib = [rmul(x, y, prec) for x, y in zip(av, bv[lo + i - olo:])]
+                bv = bv[lo + i - olo:lo + i - olo + width]
                 k = i + j
-                out[k] = ([radd(x, y, prec) for x, y in zip(out[k], contrib)]
-                          if k in out else contrib)
+                if a_ones or j in ones:
+                    contrib = _one_times(bv if a_ones else av, prec)
+                    out[k] = ([radd(x, y, prec) for x, y in zip(out[k], contrib)]
+                              if k in out else contrib)
+                elif k in out:
+                    out[k] = [rmac(acc, x, y, prec) for acc, x, y in zip(out[k], av, bv)]
+                else:
+                    out[k] = [rmul(x, y, prec) for x, y in zip(av, bv)]
         return DiffOp({k: CoeffSeq._computed(lo, map(mp.make_mpf, v)) for k, v in out.items()},
                       (lo, hi))
 
     __rmul__ = __mul__
 
     def scale_left(self, c: CoeffSeq) -> "DiffOp":
-        """Multiply by the zero-degree coefficient c(n) from the left."""
+        """Multiply by the zero-degree coefficient c(n) from the left; a term
+        of exact 1s takes c's values, as composition does."""
         lo, hi = _common_window([c], self.window)
-        cv = c.values_on(lo, hi)
-        return DiffOp(
-            {j: CoeffSeq._computed(lo, raw_map(rmul, cv, t.values_on(lo, hi)))
-             for j, t in self.terms.items()},
-            (lo, hi),
-        )
+        prec, cv = mp.prec, [v._mpf_ for v in c.values_on(lo, hi)]
+        terms = {}
+        for j, t in self.terms.items():
+            tv = [v._mpf_ for v in t.values_on(lo, hi)]
+            vals = (_one_times(cv, prec) if _all_ones(tv) else
+                    [rmul(x, y, prec) for x, y in zip(cv, tv)])
+            terms[j] = CoeffSeq._computed(lo, map(mp.make_mpf, vals))
+        return DiffOp(terms, (lo, hi))
 
     def _termwise(self, other: "DiffOp", op, alone) -> "DiffOp":
         lo, hi = _common_window([*self.terms.values(), *other.terms.values()])

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from mpmath import lu_solve, matrix, mp, mpf, cos, sin
+from mpmath.libmp import fone, fzero
 
 from commdiff.errors import (
     DegenerateDenominatorError,
@@ -17,6 +18,7 @@ from commdiff.dressing import (
     DressingState,
     EvenPowerBasis,
     GeomBasis,
+    PowerBasis,
     TrigBasis,
     _pin_top_coefficients,
     _term_coeffs,
@@ -427,6 +429,19 @@ def test_ansatz_rejects_fine_tables_of_another_family():
         ansatz_solve(basis_for(spec), U, W, other)
 
 
+@pytest.mark.parametrize("bits", (53, 113, 1100))
+def test_power_bases_round_the_exact_integer_powers(bits):
+    # mpf(n ** j) rounds the exact power once, as mpf(n) ** j does while the
+    # power has fewer than 1000 bits; 2^35 is past every window used here
+    with mp.workprec(bits):
+        for g in (1, 6, 12):
+            for n in (*range(-60, 61), 2**35 - 1, -(3**20)):
+                x = mpf(n)
+                want = [(x**j if j else mpf(1))._mpf_ for j in range(2 * g + 3)]
+                assert [v._mpf_ for v in PowerBasis(g).functions(n)] == want, (g, n)
+                assert [v._mpf_ for v in EvenPowerBasis(g).functions(n)] == want[::2][:g + 2]
+
+
 def test_ansatz_top_row_is_the_pin_fit():
     for spec in (
         FamilySpec("trig", 3, {"r1": "1.3"}),
@@ -435,7 +450,8 @@ def test_ansatz_top_row_is_the_pin_fit():
     ):
         basis, U, S = _solved_table(spec, (-12, 16))
         reach = basis.size + 2
-        pinned = _pin_top_coefficients(basis, U, range(-reach, reach + 1))
+        pinned = _pin_top_coefficients(
+            basis, U, {n: basis.functions(n) for n in range(-reach, reach + 1)})
         for n, p in S.items():
             lead = ZPoly.zero()
             for c, phi in zip(pinned, basis.functions(n)):
@@ -719,12 +735,61 @@ def _on_raw_values(march):
     return raw_march
 
 
+def _fit_march_inputs(U, W, g):
+    """dc, D, the level-g row, n0 and the march span of the constant fit,
+    formed from U and W as ansatz_solve forms them."""
+    lo, hi = max(U.window[0], W.window[0]), min(U.window[1], W.window[1])
+    rlo, rhi = lo + 1, hi - 2
+    n0 = min(max(min(range(lo, hi + 1), key=lambda n: abs(U.at(n))), rlo), rhi)
+    a, b = max(rlo, n0 - 3 * g - 2) - 1, min(rhi, n0 + 3 * g + 2) + 2
+    D = {n: (U.at(n - 1) + U.at(n))._mpf_ for n in range(lo + 1, hi + 1)}
+    dc = {n: [(c * d)._mpf_ for _s, c, d in _reference_four_term_factors(U, W, n)]
+          for n in range(rlo, rhi + 1)}
+    top = {n: [(-U.at(n))._mpf_] for n in range(a, b + 1)}
+    return dc, D, top, n0, (a, b)
+
+
+def _reference_fit_rows(dc, D, top, g, n0, span):
+    """The z^0 fit rows as the affine march of all 3g + 1 columns formed
+    them: level m's seeds the unit vectors of entries 1 + 3 (g - 1 - m) + i,
+    every entry marched through every level below its own."""
+    def units(j):
+        return [[fone if k == i else fzero for k in range(j + 3)] for i in range(j, j + 3)]
+
+    seeds = [units(j) for j in range(1, 3 * g + 1, 3)]
+    s0 = _on_raw_values(_reference_march)(dc, D, top, seeds, n0, span)[-1]
+    make = mp.make_mpf
+    return {n: [v._mpf_ for v in _reference_comb([make(v) for v in dc[n]],
+                                                  [[make(v) for v in s0[n + k]] for k in (-1, 0, 1, 2)])]
+            for n in range(span[0] + 1, span[1] - 1)}
+
+
+FIT_FAMILIES = [("trig", {"r1": "1.3"}), ("poly", {"a2": "0.886695", "a0": "0.234504"}),
+                ("poly", ODD5), ("geom", {"a": "1.764235", "beta": "0.895178"})]
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160, 1100))
+@pytest.mark.parametrize("kind, params", FIT_FAMILIES)
+def test_fit_rows_match_the_march_of_every_column_bit_for_bit(kind, params, bits):
+    # one march of four columns against the 3g + 1 columns marched apart, at
+    # the guard precision the fit runs at, on every genus up to 6
+    for g in range(1, 7):
+        with mp.workprec(bits):
+            U, W = family_from_spec(FamilySpec(kind, g, params), (-10, 12))
+        with mp.workprec(bits + RECURSION_GUARD_BITS):
+            dc, D, top, n0, span = _fit_march_inputs(U, W, g)
+            rows = dressing._fit_rows(dc, D, top, g, n0, span)
+            assert rows == _reference_fit_rows(dc, D, top, g, n0, span), g
+            assert len(rows[n0]) == 3 * g + 1
+
+
 def _reference_ansatz_solve(basis, U, W, fine=None):
     """ansatz_solve as its mpf loops ran: the march, the fit rows, the z^0
     rows and their maxima on mpf objects (checks and messages left out)."""
     g = basis.g
     reach = basis.size + 2
-    pinned = dressing._pin_top_coefficients(basis, U, range(-reach, reach + 1))
+    pinned = dressing._pin_top_coefficients(
+        basis, U, {n: basis.functions(n) for n in range(-reach, reach + 1)})
     lo, hi = max(U.window[0], W.window[0]), min(U.window[1], W.window[1])
     rlo, rhi = lo + 1, hi - 2
     ncon = 3 * g
@@ -733,8 +798,7 @@ def _reference_ansatz_solve(basis, U, W, fine=None):
     flo, fhi = max(rlo, n0 - ncon - 2), min(rhi, n0 + ncon + 2)
     Uf, Wf = (U, W) if fine is None else fine
     with mp.workprec(mp.prec + RECURSION_GUARD_BITS):
-        D = {n: dressing._pair_denominator(Uf.at(n - 1), Uf.at(n), "")
-             for n in range(lo + 1, hi + 1)}
+        D = {n: Uf.at(n - 1) + Uf.at(n) for n in range(lo + 1, hi + 1)}
         fac = {n: _reference_four_term_factors(Uf, Wf, n) for n in range(rlo, rhi + 1)}
         dc = {n: [d * c for _s, c, d in f] for n, f in fac.items()}
 

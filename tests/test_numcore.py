@@ -20,6 +20,7 @@ from commdiff.numcore import (
     radd,
     raw_max,
     rdot,
+    rmac,
     rmul,
     rsub,
     scalar,
@@ -220,6 +221,83 @@ def test_kernels_match_libmp_across_exponent_gaps(gap):
         for a in (big, small, long, *short):
             for b in (big, small, long, *short):
                 _check_kernels([(a, b), (mpf_neg(a), b), (a, mpf_neg(b))], p)
+
+
+def _check_rmac(triples, p):
+    """rmac(acc, s, t, p) and its subtracting form against the two calls it
+    fuses, on the raw triples (acc, s, t)."""
+    triples = list(triples)
+    for neg, fused in ((0, radd), (1, rsub)):
+        bad = [(a, s, t) for a, s, t in triples
+               if rmac(a, s, t, p, neg) != fused(a, rmul(s, t, p), p)]
+        assert not bad, (neg, p, bad[:3])
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_rmac_matches_the_kernels_on_every_short_mantissa(p):
+    # every product of two odd mantissas below 2^5, rounded at p (ties,
+    # sticky bits, carries to 2^p and the trailing zeros they leave), plus
+    # every odd mantissa below 2^4 of either sign at an exponent offset of
+    # -10..10 from 1: rmac(acc, s, t) with s t > 0 and both signs of acc,
+    # added and subtracted, meets every sign pattern of the sum
+    odd = range(1, 32, 2)
+    accs = [from_man_exp(sign * m, off) for off in range(-10, 11)
+            for m in range(1, 16, 2) for sign in (1, -1)]
+    prods = [(from_man_exp(m, 0), from_man_exp(k, 0)) for m in odd for k in odd if k <= m]
+    _check_rmac(((a, s, t) for s, t in prods for a in accs), p)
+    # a product that carries to 2^p, cancelled exactly and added to
+    s, t = from_man_exp(2 ** p - 1, 0), from_man_exp(2 ** p + 1, 0)
+    assert rmac(from_man_exp(-1, 2 * p), s, t, p) == fzero
+    assert rmac(from_man_exp(1, 2 * p), s, t, p) == (0, 1, 2 * p + 1, 1)
+
+
+@pytest.mark.parametrize("p", (53, 113, 145, 1100))
+def test_rmac_matches_the_kernels_on_random_operands(p):
+    # p-bit, 2p-bit and random-width mantissas, and the trap_values pool
+    rng = random.Random(p + 5)
+
+    def draw():
+        width = rng.choice((p, 2 * p, rng.randint(1, 3 * p)))
+        man = rng.getrandbits(width) | 1 | (1 << (width - 1))
+        return from_man_exp(rng.choice((1, -1)) * man, rng.randint(-60, 60) - width)
+
+    _check_rmac(((draw(), draw(), draw()) for _ in range(1500)), p)
+    with mp.workprec(p):
+        pool = [v._mpf_ for v in trap_values(rng, p)]
+    _check_rmac(((a, s, t) for a in pool for s in pool for t in pool), p)
+
+
+def test_rmac_matches_the_kernels_on_zeros_and_specials():
+    values = [fzero, finf, fninf, fnan, fone, from_man_exp(-3, -7), from_man_exp(2 ** 60 + 1, 4)]
+    for p in (1, 53, 113):
+        _check_rmac(((a, s, t) for a in values for s in values for t in values), p)
+
+
+@pytest.mark.parametrize("gap", (99, 100, 101, 300))
+def test_rmac_matches_the_kernels_across_exponent_gaps(gap):
+    # accumulators gap bits above and below the product's stripped exponent,
+    # short, p-bit and longer than the gap, for a product that fits, one
+    # that rounds, and one that rounds to a power of two: its rounded
+    # mantissa has p trailing zeros, so its stripped exponent lies p bits
+    # above the one rmac adds at, and an accumulator past libmp's limit of
+    # 100 bits below the one can lie within it from the other
+    rng = random.Random(gap + 1)
+    for p in (53, 113, 145):
+        def odd(bits):
+            return rng.getrandbits(bits) | 1 | (1 << (bits - 1))
+
+        factors = [(from_man_exp(odd(p // 2), 0), from_man_exp(odd(p // 2), 3)),
+                   (from_man_exp(odd(p), 0), from_man_exp(-odd(p), -p)),
+                   (from_man_exp(2 ** p - 1, 0), from_man_exp(2 ** p + 1, 0))]
+        for s, t in factors:
+            exp = rmul(s, t, p)[2]
+            accs = [from_man_exp(m, exp + off) for off in (gap, -gap, gap - 7, -gap - 7)
+                    for m in (1, -3, odd(p), -odd(gap + p))]
+            # wider than p, its bits below the top p 0111..1: a product that
+            # reaches above its last bit carries into the half bit, which
+            # libmp's perturbation past 100 bits leaves out
+            accs.append(from_man_exp((odd(p) << 21) + (1 << 20) - 1, exp + gap))
+            _check_rmac([(a, s, t) for a in accs] + [(a, t, s) for a in accs], p)
 
 
 def _reference_raw_max(vals, prec=None):

@@ -403,6 +403,16 @@ def test_coefficient_and_operator_kernels_match_the_mpf_loops_bit_for_bit(bits):
             _assert_op_is(A * B, *_reference_compose(A, B))
             _assert_op_is(B * A, *_reference_compose(B, A))
             _assert_op_is(A.scale_left(x), *_reference_scale_left(A, x))
+            # terms of exact 1s on either side, against factors that hold a
+            # value wider than bits, which a product with 1 rounds
+            ones = CoeffSeq.constant(1, (-12, 14))
+            wide = CoeffSeq(-12, [pool[4], *(v for v in x.values_on(-9, 12)), pool[5]])
+            A1 = DiffOp({**A.terms, 0: wide, 2: ones})
+            B1 = DiffOp({0: ones, 1: wide, 3: ones})
+            for L, R in ((A1, B), (B, A1), (A, B1), (B1, A), (A1, B1), (B1, A1), (A1, A1)):
+                _assert_op_is(L * R, *_reference_compose(L, R))
+            for L, c in ((A1, x), (B1, wide), (B1, x)):
+                _assert_op_is(L.scale_left(c), *_reference_scale_left(L, c))
             lo, vals = _reference_apply(B, y)
             got = B.apply(y)
             assert got.window[0] == lo and _raw_vals(got.values) == _raw_vals(vals)

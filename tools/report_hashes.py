@@ -130,6 +130,13 @@ LOW_PRECISION = [
     ["partner", "--family", "poly", "--g", "2", "--a2", "1", "--a0", "0.3", "--precision", "53"],
 ]
 
+# the largest constant fits at the default precision, whose affine marches
+# carry the most columns: 18 constants at g = 6 and a non-dyadic g = 5
+WIDE_FITS = [
+    ["verify", "--family", "poly", "--g", "6", "--a2", "1", "--a0", "0", "--a1", "0.5"],
+    ["verify", "--family", "trig", "--g", "5", "--r1", "1.3"],
+]
+
 CONFIGS = CRITERION_1+ ODD_EXTENSION + NON_MONIC + NON_DYADIC + CURVES + PARTNERS + MORE + OTHERS
 
 # commands that read options from a --config file: each pairs its argv with
@@ -166,7 +173,7 @@ def main(argv=None) -> int:
     status = 0
     with tempfile.TemporaryDirectory(prefix="report-hashes-") as tmp:
         runs = ([(argv_, None) for argv_ in CONFIGS] + CONFIG_FILES
-                + [(argv_, None) for argv_ in HIGH_PRECISION + EXTRACTION + LOW_PRECISION]
+                + [(argv_, None) for argv_ in HIGH_PRECISION + EXTRACTION + LOW_PRECISION + WIDE_FITS]
                 + ALIASES)
         files = 0
         for argv_, config in runs:
