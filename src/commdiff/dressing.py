@@ -502,10 +502,6 @@ def _march(dc, D, top, seeds, n0, span):
     return levels
 
 
-_UNIT_SEEDS = tuple([fzero, *(fone if k == i else fzero for k in range(3))] for i in range(3))
-_ZERO_SEEDS = ([fzero] * 4,) * 3
-
-
 def _fit_rows(dc, D, top, g, n0, span):
     """The z^0 rows of the four-term relation at n = a + 1..b - 2 of span =
     [a, b], as raw affine vectors over the 3g constants: entry 0 the
@@ -520,7 +516,9 @@ def _fit_rows(dc, D, top, g, n0, span):
     constant columns, bit for bit the entries that a march of all 3g + 1
     columns gives at level 0.
     """
-    levels = _march(dc, D, top, [_UNIT_SEEDS, *[_ZERO_SEEDS] * (g - 1)], n0, span)
+    units = [[fzero, *(fone if k == i else fzero for k in range(3))] for i in range(3)]
+    zeros = [[fzero] * 4] * 3
+    levels = _march(dc, D, top, [units, *[zeros] * (g - 1)], n0, span)
     p, (a, b), low = mp.prec, span, levels[-1]
     s0 = {n: [low[n][0], *(v for lv in reversed(levels[1:]) for v in lv[n][1:])]
           for n in range(a, b + 1)}
@@ -588,10 +586,11 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
 
     Uf, Wf = (U, W) if fine is None else fine
     make, p, tol = mp.make_mpf, mp.prec, ANSATZ_TOL._mpf_
+    # without fine tables, each value would be checked against itself
     for n in range(lo, hi + 1) if fine is not None else ():
         for name, x, xf in (("U", U, Uf), ("W", W, Wf)):
-            x, xf = x.at(n)._mpf_, xf.at(n)._mpf_
-            if mpf_gt(mpf_abs(rsub(xf, x, p)), rmul(tol, raw_max((x, fone), p), p)):
+            v, vf = x.at(n)._mpf_, xf.at(n)._mpf_
+            if mpf_gt(mpf_abs(rsub(vf, v, p)), rmul(tol, raw_max((v, fone), p), p)):
                 raise InconsistentDataError(
                     f"fine table of {name} disagrees with {name} at n={n}"
                 )

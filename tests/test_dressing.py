@@ -758,10 +758,12 @@ def _reference_fit_rows(dc, D, top, g, n0, span):
 
     seeds = [units(j) for j in range(1, 3 * g + 1, 3)]
     s0 = _on_raw_values(_reference_march)(dc, D, top, seeds, n0, span)[-1]
-    make = mp.make_mpf
-    return {n: [v._mpf_ for v in _reference_comb([make(v) for v in dc[n]],
-                                                  [[make(v) for v in s0[n + k]] for k in (-1, 0, 1, 2)])]
+    def mpfs(vals):
+        return [mp.make_mpf(v) for v in vals]
+
+    rows = {n: _reference_comb(mpfs(dc[n]), [mpfs(s0[n + k]) for k in (-1, 0, 1, 2)])
             for n in range(span[0] + 1, span[1] - 1)}
+    return {n: [v._mpf_ for v in row] for n, row in rows.items()}
 
 
 FIT_FAMILIES = [("trig", {"r1": "1.3"}), ("poly", {"a2": "0.886695", "a0": "0.234504"}),

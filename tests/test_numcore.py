@@ -237,9 +237,9 @@ def _check_rmac(triples, p):
 def test_rmac_matches_the_kernels_on_every_short_mantissa(p):
     # every product of two odd mantissas below 2^5, rounded at p (ties,
     # sticky bits, carries to 2^p and the trailing zeros they leave), plus
-    # every odd mantissa below 2^4 of either sign at an exponent offset of
-    # -10..10 from 1: rmac(acc, s, t) with s t > 0 and both signs of acc,
-    # added and subtracted, meets every sign pattern of the sum
+    # every odd mantissa below 2^4 of either sign at exponents -10..10 as the
+    # accumulator: rmac(acc, s, t) with s t > 0 and both signs of acc, added
+    # and subtracted, meets every sign pattern of the sum
     odd = range(1, 32, 2)
     accs = [from_man_exp(sign * m, off) for off in range(-10, 11)
             for m in range(1, 16, 2) for sign in (1, -1)]

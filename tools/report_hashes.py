@@ -173,7 +173,8 @@ def main(argv=None) -> int:
     status = 0
     with tempfile.TemporaryDirectory(prefix="report-hashes-") as tmp:
         runs = ([(argv_, None) for argv_ in CONFIGS] + CONFIG_FILES
-                + [(argv_, None) for argv_ in HIGH_PRECISION + EXTRACTION + LOW_PRECISION + WIDE_FITS]
+                + [(argv_, None)
+                   for argv_ in HIGH_PRECISION + EXTRACTION + LOW_PRECISION + WIDE_FITS]
                 + ALIASES)
         files = 0
         for argv_, config in runs:
