@@ -758,6 +758,7 @@ def _reference_fit_rows(dc, D, top, g, n0, span):
 
     seeds = [units(j) for j in range(1, 3 * g + 1, 3)]
     s0 = _on_raw_values(_reference_march)(dc, D, top, seeds, n0, span)[-1]
+
     def mpfs(vals):
         return [mp.make_mpf(v) for v in vals]
 
