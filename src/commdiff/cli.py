@@ -160,7 +160,8 @@ def cmd_partner(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     op_path = _report_path(outdir, "partner-op", config)
-    op_path.write_text(op_to_json(partner) + "\n")
+    if args.rerun or not op_path.exists():
+        op_path.write_text(op_to_json(partner) + "\n")
     payload = {
         "operator_file": str(op_path),
         "order": partner.order,

@@ -54,22 +54,11 @@ DEGENERACY_REL = mpf("1e-8")
 
 def l2_operator(U: CoeffSeq, W: CoeffSeq) -> DiffOp:
     """(T + U_n)^2 + W_n = T^2 + (U_n + U_{n+1}) T + (U_n^2 + W_n), on every
-    n where U_{n+1} and W_n are tabulated."""
-    lo = max(U.window[0], W.window[0])
-    hi = min(U.window[1] - 1, W.window[1])
-    if hi < lo:
-        raise WindowError("window too small to assemble L2")
-    p, make = mp.prec, mp.make_mpf
-    u = [v._mpf_ for v in U.values_on(lo, hi + 1)]
-    w = [v._mpf_ for v in W.values_on(lo, hi)]
-    return DiffOp.build(
-        {
-            2: 1,
-            1: CoeffSeq._computed(lo, [make(radd(a, b, p)) for a, b in zip(u, u[1:])]),
-            0: CoeffSeq._computed(lo, [make(radd(rmul(a, a, p), b, p)) for a, b in zip(u, w)]),
-        },
-        (lo, hi),
-    )
+    n where U_{n+1} and W_n are tabulated, formed as written: the square is a
+    composition, whose exact-one rule copies U where it meets T's 1s (so a U
+    wider than the working precision is rounded before U_n + U_{n+1})."""
+    t_u = DiffOp.build({1: 1, 0: U}, U.window)
+    return t_u * t_u + DiffOp({0: W})
 
 
 def _pair_denominator(u_prev, u_cur, p, where: str):
@@ -711,30 +700,27 @@ def build_partner_op(state: DressingState, L2: DiffOp | None = None) -> DiffOp:
     On eigenfunctions, w psi(n) = Q_n(z) psi(n+1) - S_n(z) psi(n); replacing
     powers of z by powers of L2 yields the positive monic operator
 
-        sum_k q_{n,k} (T o L2^k)  -  sum_k s_{n,k} L2^k,
+        sum_k (q_{n,k} T - s_{n,k}) o L2^k,
 
-    with q_{n,k}, s_{n,k} the z^k coefficients of Q_n, S_n acting as
-    left multipliers.  T and the identity have exact 1s for coefficients,
-    so no product is formed with them: T o L2^k re-indexes L2^k (its T^(j+1)
-    coefficient at n is that of T^j at n + 1), on T's window of L2's; L2^1 is
-    L2 on the window of L2 o identity, two sites short of L2's on the right.
+    with q_{n,k}, s_{n,k} the z^k coefficients of Q_n, S_n, L2^0 the
+    identity on L2's window and L2^k = L2 o L2^(k-1).  Every product is a
+    composition, whose exact-one rule copies the other factor where it meets
+    the identity's 1s or those of the top term of L2^k; so L2^1 = L2 o I holds
+    L2's values (rounded to p bits where wider) on the identity's window less
+    L2's order.  s_{n,k} is negated exactly, so a state wider than p is
+    rounded once, in the products.  The powers are summed, not nested
+    (Horner), which would round differently and on other windows.
     """
     if L2 is None:
         L2 = state.l2()
-    g = state.curve.g
-    slo, shi = state.window
-    qs_window = (slo + 1, shi)
-    lo, hi = L2.window
-    acc = None
-    l2k = DiffOp.identity(L2.window)
-    for k in range(g + 1):
-        qk = CoeffSeq.tabulate(lambda n, k=k: state.q(n).coeff(k), qs_window)
-        sk = CoeffSeq.tabulate(lambda n, k=k: state.s(n).coeff(k), qs_window)
-        tlo, thi = max(lo, l2k.window[0] - 1), min(hi, l2k.window[1] - 1)
-        t_l2k = DiffOp({j + 1: CoeffSeq(tlo, t.values_on(tlo + 1, thi + 1))
-                        for j, t in l2k.terms.items()}, (tlo, thi))
-        term = t_l2k.scale_left(qk) - l2k.scale_left(sk)
+    qs_window = (state.window[0] + 1, state.window[1])
+    acc, l2k = None, DiffOp.identity(L2.window)
+    for k in range(state.curve.g + 1):
+        if k:
+            l2k = L2 * l2k
+        qk = CoeffSeq.tabulate(lambda n: state.q(n).coeff(k), qs_window)
+        neg_sk = CoeffSeq.tabulate(lambda n: mp.make_mpf(mpf_neg(state.s(n).coeff(k)._mpf_)),
+                                   qs_window)
+        term = DiffOp({1: qk, 0: neg_sk}) * l2k
         acc = term if acc is None else acc + term
-        if k < g:
-            l2k = DiffOp(L2.terms, (lo, hi - 2)) if k == 0 else L2 * l2k
     return acc

@@ -7,9 +7,10 @@ tuples through the kernels rmul, radd and rsub below, libmp's
 round-to-nearest mpf_mul, mpf_add and mpf_sub reimplemented bit for bit
 with int.bit_length, and through rmac, their multiply-accumulate
 radd(acc, rmul(s, t, p), p) in one call, so this module is the one that
-knows how a result is rounded.  Composition and scale_left (opalg) form no
-product with a term of exact 1s: 1 times v at p bits is v itself when v
-fits in p bits, and a wider v is rounded as rmul(fone, v, p) rounds it.
+knows how a result is rounded.  Composition (opalg's DiffOp.__mul__, which
+scale_left and the L2 and partner assemblies of dressing are built on)
+forms no product with a term of exact 1s: 1 times v at p bits is v itself
+when v fits in p bits, and a wider v is rounded as rmul(fone, v, p) rounds it.
 The working precision defaults to a 113-bit significand (quad-like); the
 dressing recursion sheds digits at every step, so the headroom above double
 precision is what keeps window-wide residual checks below 1e-9 tolerances.

@@ -245,17 +245,9 @@ class DiffOp:
     __rmul__ = __mul__
 
     def scale_left(self, c: CoeffSeq) -> "DiffOp":
-        """Multiply by the zero-degree coefficient c(n) from the left; a term
-        of exact 1s takes c's values, as composition does."""
-        lo, hi = _common_window([c], self.window)
-        prec, cv = mp.prec, [v._mpf_ for v in c.values_on(lo, hi)]
-        terms = {}
-        for j, t in self.terms.items():
-            tv = [v._mpf_ for v in t.values_on(lo, hi)]
-            vals = (_one_times(cv, prec) if _all_ones(tv) else
-                    [rmul(x, y, prec) for x, y in zip(cv, tv)])
-            terms[j] = CoeffSeq._computed(lo, map(mp.make_mpf, vals))
-        return DiffOp(terms, (lo, hi))
+        """c(n) o self, the zero-degree coefficient c as a left factor: a
+        composition, so a term of exact 1s takes c's values."""
+        return DiffOp({0: c}) * self
 
     def _termwise(self, other: "DiffOp", op, alone) -> "DiffOp":
         lo, hi = _common_window([*self.terms.values(), *other.terms.values()])

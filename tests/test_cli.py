@@ -171,6 +171,21 @@ def test_partner_writes_operator(tmp_path):
     assert op.is_monic()
 
 
+def test_partner_keeps_an_existing_operator_file_without_rerun(tmp_path):
+    # the operator file is kept or rewritten as the report is
+    out = tmp_path / "reports"
+    argv = ["partner", "--family", "elliptic", "--g", "1", "--window", "-8", "8",
+            "--out", str(out)]
+    assert run(argv) == 0
+    (op_path,) = [p for p in out.iterdir() if p.name.startswith("partner-op-")]
+    written = op_path.read_bytes()
+    op_path.write_text("sentinel\n")
+    assert run(argv) == 0
+    assert op_path.read_text() == "sentinel\n"
+    assert run(argv + ["--rerun"]) == 0
+    assert op_path.read_bytes() == written
+
+
 @pytest.mark.parametrize("bits", [113, 160])
 def test_partner_report_state_reads_back_exactly(tmp_path, bits):
     out = tmp_path / "reports"

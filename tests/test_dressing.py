@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -40,6 +41,7 @@ from oracles import (
     shift,
     solve_partner_recursive,
 )
+from test_opalg import _reference_compose, _reference_scale_left
 from test_numcore import (
     _reference_add,
     _reference_poly_mul,
@@ -975,21 +977,50 @@ def test_identity_residuals_match_the_mpf_loops_bit_for_bit(kind, g, params, bit
                     assert _raw_tuple(got) == _raw_tuple(ref), (build_bits, window, skew)
 
 
+def _op(window, terms):
+    """The DiffOp on window whose term j holds the mpf list terms[j]."""
+    return DiffOp({j: CoeffSeq(window[0], vals) for j, vals in terms.items()}, window)
+
+
+def _reference_termwise(x, y, op):
+    """op of two (window, terms) operators, termwise on the common window;
+    a term missing on one side reads as 0 there."""
+    (xlo, xhi), xt = x
+    (ylo, yhi), yt = y
+    lo, hi = max(xlo, ylo), min(xhi, yhi)
+    zeros = [mpf(0)] * (hi - lo + 1)
+    out = {}
+    for j in sorted({*xt, *yt}):
+        a = xt[j][lo - xlo:hi - xlo + 1] if j in xt else zeros
+        b = yt[j][lo - ylo:hi - ylo + 1] if j in yt else zeros
+        out[j] = list(map(op, a, b))
+    return (lo, hi), out
+
+
+def _reference_l2(U, W):
+    """(T + U_n)^2 + W_n with the mpf loops, the 1s of T multiplied out."""
+    t_u = DiffOp.build({1: 1, 0: U}, U.window)
+    return _reference_termwise(_reference_compose(t_u, t_u), (W.window, {0: list(W.values)}),
+                               operator.add)
+
+
 def _reference_partner(state, L2):
-    """build_partner_op with its products by shift and the identity,
-    which the re-indexed assembly must reproduce bit for bit."""
+    """sum_k q_{n,k} (T o L2^k) - s_{n,k} L2^k with the mpf loops: T o L2^k
+    and L2^(k+1) = L2 o L2^k multiply by their exact 1s, q_{n,k} and s_{n,k}
+    are left factors, and the difference and the sum go termwise."""
     qs_window = (state.window[0] + 1, state.window[1])
-    acc = None
-    l2k = DiffOp.identity(L2.window)
     T = shift(L2.window)
+    acc, l2k = None, DiffOp.identity(L2.window)
     for k in range(state.curve.g + 1):
-        qk = CoeffSeq.tabulate(lambda n, k=k: state.q(n).coeff(k), qs_window)
-        sk = CoeffSeq.tabulate(lambda n, k=k: state.s(n).coeff(k), qs_window)
-        term = (T * l2k).scale_left(qk) - l2k.scale_left(sk)
-        acc = term if acc is None else acc + term
+        qk = CoeffSeq.tabulate(lambda n: state.q(n).coeff(k), qs_window)
+        sk = CoeffSeq.tabulate(lambda n: state.s(n).coeff(k), qs_window)
+        term = _reference_termwise(
+            _reference_scale_left(_op(*_reference_compose(T, l2k)), qk),
+            _reference_scale_left(l2k, sk), operator.sub)
+        acc = term if acc is None else _reference_termwise(acc, term, operator.add)
         if k < state.curve.g:
-            l2k = L2 * l2k
-    return acc
+            l2k = _op(*_reference_compose(L2, l2k))
+    return _op(*acc)
 
 
 def _raw_poly(p):
@@ -1056,3 +1087,61 @@ def test_elliptic_state_and_partner_match_references_bit_for_bit(bits):
                 u = -(s_ref(n) + s_ref(n + 1)) / (gamma.at(n) - gamma.at(n + 1))
                 ref = ZPoly([s_ref(n) + u * gamma.at(n), -u])
                 assert _raw_poly(state.s(n)) == _raw_poly(ref), n
+
+
+def _wide(vals, p):
+    """Some value of vals has more than p significant bits."""
+    return any(v._mpf_[3] > p for v in vals)
+
+
+def _rounded(seq):
+    """seq's values rounded to the working precision."""
+    return CoeffSeq(seq.n_min, [+v for v in seq.values])
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160))
+def test_l2_operator_window_and_bits_match_the_mpf_loops(bits):
+    rng = random.Random(bits)
+    with mp.workprec(2 * bits):
+        def seq(window):
+            return CoeffSeq.tabulate(lambda n: mpf(rng.uniform(-3, 3)) / 7, window)
+
+        tables = [(seq((-12, 12)), seq((-8, 8))), (seq((-5, 6)), seq((-9, 10)))]
+    with mp.workprec(bits):
+        # U wider than W, then W wider than U; each table at twice bits,
+        # rounded as the formula multiplies by the 1s of T
+        for U2, W2 in tables:
+            for U, W in ((U2, W2), (_rounded(U2), _rounded(W2))):
+                _assert_same_op(l2_operator(U, W), _op(*_reference_l2(U, W)))
+        assert [l2_operator(U, W).window for U, W in tables] == [(-8, 8), (-5, 5)]
+        assert _wide(tables[0][0].values, bits)
+
+
+def test_l2_operator_on_too_small_a_window_is_a_window_error():
+    U = CoeffSeq.tabulate(lambda n: mpf(n) / 3, (0, 4))
+    W = CoeffSeq.tabulate(lambda n: mpf(n) / 5, (-3, 6))
+    with pytest.raises(WindowError):
+        l2_operator(CoeffSeq(2, [mpf(1) / 3]), W)  # no U_{n+1}
+    with pytest.raises(WindowError):
+        l2_operator(U, CoeffSeq(4, [mpf(1) / 5]))  # U_5 missing
+    with pytest.raises(WindowError):
+        l2_operator(U, CoeffSeq(-4, [mpf(1) / 5]))  # disjoint
+    assert l2_operator(U, W).window == (0, 3)
+
+
+@pytest.mark.parametrize("bits", (113, 160))
+@pytest.mark.parametrize("kind, g, params", [
+    ("trig", 2, {"r1": "1.3"}), ("poly", 3, ODD5), ("geom", 2, {"a": "2.272327", "beta": "1.614327"}),
+])
+def test_partner_of_a_wider_state_matches_the_mpf_loops(kind, g, params, bits):
+    # the state's tables at 2p enter each product unrounded, s_{n,k} too,
+    # and are rounded once, by the product; an L2 at 2p is rounded where
+    # L2^1 = L2 o I multiplies it by 1
+    with mp.workprec(2 * bits):
+        wide_l2, _, state, _ = build_case(FamilySpec(kind, g, params), (-6, 6))
+    with mp.workprec(bits):
+        for L2 in (l2_operator(_rounded(state.U), _rounded(state.W)), wide_l2):
+            _assert_same_op(build_partner_op(state, L2), _reference_partner(state, L2))
+        assert _wide((c for table in (state.S, state.Q) for p in table.values()
+                      for c in p.coeffs), bits)
+        assert _wide((v for t in wide_l2.terms.values() for v in t.values), bits)

@@ -137,6 +137,15 @@ WIDE_FITS = [
     ["verify", "--family", "trig", "--g", "5", "--r1", "1.3"],
 ]
 
+# non-dyadic partners of genus 3, whose operator files carry L2^1..L2^3 and
+# the products of every q_{n,k} and s_{n,k} with them, at 113 and 160 bits
+GENUS3_PARTNERS = [
+    ["partner", "--family", "trig", "--g", "3", "--r1", "1.3"],
+    ["partner", "--family", "poly", "--g", "3", "--a2", "0.886695", "--a1", "0.708451",
+     "--a0", "0.234504"],
+    ["partner", "--family", "trig", "--g", "3", "--r1", "1.3", "--precision", "160"],
+]
+
 CONFIGS = CRITERION_1+ ODD_EXTENSION + NON_MONIC + NON_DYADIC + CURVES + PARTNERS + MORE + OTHERS
 
 # commands that read options from a --config file: each pairs its argv with
@@ -174,7 +183,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="report-hashes-") as tmp:
         runs = ([(argv_, None) for argv_ in CONFIGS] + CONFIG_FILES
                 + [(argv_, None)
-                   for argv_ in HIGH_PRECISION + EXTRACTION + LOW_PRECISION + WIDE_FITS]
+                   for argv_ in (HIGH_PRECISION + EXTRACTION + LOW_PRECISION + WIDE_FITS
+                                 + GENUS3_PARTNERS)]
                 + ALIASES)
         files = 0
         for argv_, config in runs:
