@@ -45,6 +45,7 @@ from .numcore import (
 from .opalg import CoeffSeq, DiffOp
 
 DEGENERACY_REL = mpf("1e-8")
+S_LEAD_TOL = mpf("1e-6")
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +87,7 @@ def q_from_s(S_prev: ZPoly, S_cur: ZPoly, U_prev, U_cur, where: str = "q_from_s"
     p = mp.prec
     den = _pair_denominator(scalar(U_prev)._mpf_, scalar(U_cur)._mpf_, p, where)
     q = (S_prev + S_cur).scale(mp.make_mpf(mpf_rdiv_int(-1, den, p, RND)))
-    if mpf_gt(mpf_abs(rsub(q.lead._mpf_, fone, p)), mpf("1e-6")._mpf_):
+    if mpf_gt(mpf_abs(rsub(q.lead._mpf_, fone, p)), S_LEAD_TOL._mpf_):
         raise InconsistentDataError(
             f"{where}: pair rule produced a non-monic polynomial (lead = {q.lead}); "
             "S normalization is broken"
@@ -97,9 +98,6 @@ def q_from_s(S_prev: ZPoly, S_cur: ZPoly, U_prev, U_cur, where: str = "q_from_s"
 # ---------------------------------------------------------------------------
 # dressing state
 # ---------------------------------------------------------------------------
-
-
-S_LEAD_TOL = mpf("1e-6")
 
 
 class DressingState:
@@ -171,10 +169,6 @@ class DressingState:
             return self.Q[int(n)]
         except KeyError:
             raise WindowError(f"Q_{n} not tabulated (state window {self.window})") from None
-
-    @property
-    def g(self) -> int:
-        return self.curve.g
 
     def l2(self) -> DiffOp:
         return l2_operator(self.U, self.W)
@@ -327,13 +321,6 @@ class AnsatzBasis:
     def __init__(self, g: int):
         self.g = int(g)
 
-    @property
-    def size(self) -> int:
-        raise NotImplementedError
-
-    def functions(self, n: int):
-        raise NotImplementedError
-
 
 class TrigBasis(AnsatzBasis):
     """cos((2k+1) n), k = 0..g; integer arguments in radians."""
@@ -421,7 +408,7 @@ def _pin_top_coefficients(basis, U, phi):
     rhs = [-U.at(n) for n in phi]
     x, info = linalg.lstsq(rows, rhs)
     scale = max(max(abs(v) for v in rhs), mpf(1))
-    if info["resid_inf"] > mpf("1e-9") * scale:
+    if info["resid_inf"] > ANSATZ_TOL * scale:
         raise InconsistentDataError(
             f"coefficient family is not in the span of basis '{basis.name}' "
             f"(fit residual {info['resid_inf']})"

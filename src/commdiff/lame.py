@@ -188,7 +188,7 @@ def _fit_slope(xs, ys):
     return num / den
 
 
-def continuum_slope(ctx: WeierstrassContext, g: int, x=mpf("0.7")):
+def continuum_slope(ctx: WeierstrassContext, g: int, x):
     """Fitted convergence order of the continuum defect across the
     DEFAULT_SLOPE_EPS sweep, on the test function cos."""
     eps_list = [mpf(e) for e in DEFAULT_SLOPE_EPS]

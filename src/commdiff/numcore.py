@@ -11,9 +11,12 @@ knows how a result is rounded.  Composition (opalg's DiffOp.__mul__, which
 scale_left and the L2 and partner assemblies of dressing are built on)
 forms no product with a term of exact 1s: 1 times v at p bits is v itself
 when v fits in p bits, and a wider v is rounded as rmul(fone, v, p) rounds it.
-The working precision defaults to a 113-bit significand (quad-like); the
-dressing recursion sheds digits at every step, so the headroom above double
-precision is what keeps window-wide residual checks below 1e-9 tolerances.
+Every function computes at the caller's mpmath precision, mp.prec, which
+the caller scopes with mp.workprec; importing the package leaves it alone.
+The CLI runs at DEFAULT_PRECISION_BITS, a 113-bit significand (quad-like),
+unless --precision says otherwise: the dressing recursion sheds digits at
+every step, so the headroom above double precision is what keeps
+window-wide residual checks below 1e-9 tolerances.
 Values are immutable once built and every function here is pure.
 """
 
@@ -50,11 +53,6 @@ def get_precision() -> int:
     return mp.prec
 
 
-# module import must not leave mpmath at its 53-bit default
-if mp.prec < DEFAULT_PRECISION_BITS:
-    set_precision(DEFAULT_PRECISION_BITS)
-
-
 _NON_FINITE = (finf, fninf, fnan)
 
 
@@ -69,12 +67,6 @@ def scalar(x) -> mpf:
     v = mpf(x) if not isinstance(x, mpf) else x
     if not _finite(v):
         raise NonFiniteError(f"non-finite scalar {x!r}")
-    return v
-
-
-def ensure_finite(v: mpf, what: str = "value") -> mpf:
-    if not _finite(v):
-        raise NonFiniteError(f"{what} is not finite")
     return v
 
 
@@ -310,7 +302,7 @@ class ZPoly:
         acc = mpf(0)
         for c in reversed(self.coeffs):
             acc = acc * z + c
-        return ensure_finite(acc, "polynomial value")
+        return acc
 
     def __add__(self, other: "ZPoly") -> "ZPoly":
         a, b = self.coeffs, other.coeffs
@@ -387,7 +379,7 @@ def poly_div_exact(num: ZPoly, den: ZPoly):
                 rem[k - dd + j] -= f * dn[j]
         rem[k] = mpf(0)
     resid = max((abs(c) for c in rem), default=mpf(0))
-    return ZPoly(qn), ensure_finite(resid, "division residual")
+    return ZPoly(qn), resid
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,7 @@ def test_criterion_8_continuum_limit():
     slopes = {}
     ok = True
     for g in (1, 2, 3):
-        slope, _ = continuum_slope(ctx, g)
+        slope, _ = continuum_slope(ctx, g, x=mpf("0.7"))
         slopes[g] = float(slope)
         ok = ok and slope >= MIN_SLOPE
     elapsed = time.perf_counter() - t0

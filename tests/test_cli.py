@@ -65,9 +65,15 @@ def test_verify_usage_errors(tmp_path):
                 "--window", "5", "0", "--out", out]) == 2
 
 
-def test_python_dash_m_commdiff_runs_the_cli(tmp_path):
+def _env_with_src():
+    """The environment, with this checkout's package first on PYTHONPATH, for
+    a fresh interpreter."""
     src = str(Path(commdiff.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def test_python_dash_m_commdiff_runs_the_cli(tmp_path):
+    env = _env_with_src()
 
     def exit_code(*argv):
         proc = subprocess.run([sys.executable, "-m", "commdiff", *argv], cwd=tmp_path, env=env,
@@ -335,6 +341,14 @@ def test_precision_is_scoped_to_the_call(tmp_path):
     assert get_precision() == before
     (path,) = report_files(out)
     assert json.loads(path.read_text())["config"]["precision_bits"] == 60
+
+
+def test_import_leaves_the_working_precision_alone():
+    # a fresh interpreter, so that no test's precision is already in place
+    proc = subprocess.run([sys.executable, "-c", "import commdiff.cli, mpmath; print(mpmath.mp.prec)"],
+                          env=_env_with_src(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "53"
 
 
 def test_config_file_sets_options_with_builtin_defaults(tmp_path):

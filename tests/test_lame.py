@@ -213,7 +213,7 @@ def test_continuum_zero_function():
 
 def test_continuum_slopes():
     for g in (1, 2, 3):
-        slope, errs = continuum_slope(CTX, g)
+        slope, errs = continuum_slope(CTX, g, x=mpf("0.7"))
         assert slope >= mpf("0.8")
         assert errs[0] > errs[-1]
 

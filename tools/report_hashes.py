@@ -119,7 +119,9 @@ EXTRACTION = [
 ]
 
 # below the default precision, where a changed rounding order shows in almost
-# every printed digit, and one at 160 bits, between the default and 1100
+# every printed digit (curve extraction, the Lame lattice and rank2 too, so
+# that no module constant made at import moves a 53-bit verdict), and one at
+# 160 bits, between the default and 1100
 LOW_PRECISION = [
     ["verify", "--family", "trig", "--g", "2", "--r1", "1.3", "--precision", "53"],
     ["verify", "--family", "poly", "--g", "3", "--a2", "0.886695", "--a1", "0.708451",
@@ -128,6 +130,9 @@ LOW_PRECISION = [
     ["verify", "--family", "poly", "--g", "3", "--a2", "0.886695", "--a1", "0.708451",
      "--a0", "0.234504", "--precision", "160"],
     ["partner", "--family", "poly", "--g", "2", "--a2", "1", "--a0", "0.3", "--precision", "53"],
+    ["curve", "--family", "trig", "--g", "2", "--r1", "1.3", "--precision", "53"],
+    ["lame", "--precision", "53"],
+    ["rank2", "--precision", "53"],
 ]
 
 # the largest constant fits at the default precision, whose affine marches
