@@ -46,6 +46,7 @@ from .opalg import CoeffSeq, DiffOp
 
 DEGENERACY_REL = mpf("1e-8")
 S_LEAD_TOL = mpf("1e-6")
+CURVE_RECOVERY_TOL = mpf("1e-6")
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +126,9 @@ class DressingState:
 
         Validates the z^g-coefficient normalization of S against -U_n, within
         S_LEAD_TOL of the larger of 1, |U_n| and |S_n|, and,
-        when no curve is given, recovers it from the master identity at the
-        window center (cross-checked one step to the right).
+        when no curve is given, recovers it from the master identity at
+        n = 0 clamped into [lo + 1, hi - 2], so from S_{-1..2} on any window
+        holding them, cross-checked at n + 1 within CURVE_RECOVERY_TOL.
         """
         lo, hi = min(S), max(S)
         g = max(p.degree for p in S.values())
@@ -145,17 +147,16 @@ class DressingState:
         }
         state = cls(U, W, curve, S, Q)
         if curve is None:
-            n0 = (lo + hi) // 2
-            n0 = min(max(n0, lo + 1), hi - 2)
+            n0 = min(max(0, lo + 1), hi - 2)
             f0 = _master_fpoly(state, n0)
             f1 = _master_fpoly(state, n0 + 1)
             dev = (f0 - f1).sup_norm()
-            if dev > mpf("1e-6") * max(f0.sup_norm(), mpf(1)):
+            if dev > CURVE_RECOVERY_TOL * max(f0.sup_norm(), mpf(1)):
                 raise InconsistentDataError(
                     f"curve recovery: master identity differs between n={n0} and "
                     f"n={n0 + 1} by {dev}; the S table is not a valid dressing"
                 )
-            state.curve = HyperellipticCurve.from_fpoly(f0, g, tol_rel=mpf("1e-6"))
+            state.curve = HyperellipticCurve.from_fpoly(f0, g, tol_rel=CURVE_RECOVERY_TOL)
         return state
 
     def s(self, n: int) -> ZPoly:
@@ -379,18 +380,17 @@ class GeomBasis(AnsatzBasis):
 
 
 class AnsatzResult:
-    """S_n tabulated on the common window of U and W, the recovered curve,
-    and info["resid_rel"], the worst relative residual of the four-term
-    relation's z^0 rows over that window (see ansatz_solve)."""
+    """S_n tabulated on the common window of U and W, and info["resid_rel"],
+    the worst relative residual of the four-term relation's z^0 rows over
+    that window (see ansatz_solve)."""
 
-    def __init__(self, S: dict, curve, info):
+    def __init__(self, S: dict, info):
         self.S = dict(S)
-        self.curve = curve
         self.info = dict(info)
 
     def state(self, U, W, window) -> DressingState:
-        """The S table sliced to window; the curve is recovered when none is
-        known yet."""
+        """The S table sliced to window, as a state that recovers its own
+        curve (DressingState.from_s_table)."""
         lo, hi = int(window[0]), int(window[1])
         if lo not in self.S or hi not in self.S:
             raise WindowError(
@@ -398,7 +398,7 @@ class AnsatzResult:
                 f"[{min(self.S)}, {max(self.S)}]"
             )
         S = {n: self.S[n] for n in range(lo, hi + 1)}
-        return DressingState.from_s_table(U, W, S, curve=self.curve)
+        return DressingState.from_s_table(U, W, S)
 
 
 def _pin_top_coefficients(basis, U, phi):
@@ -540,8 +540,7 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
 
     The table's z^g row is the basis fit of -U_n on |n| <= size + 2
     (_pin_top_coefficients) evaluated at each n, so the leads of Q are
-    those of the fit.  The curve comes from the master identity at n = 0,
-    cross-checked at n = 1.
+    those of the fit.
     """
     g = basis.g
     reach = basis.size + 2
@@ -620,9 +619,7 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
     for n in range(lo, hi + 1):
         lead = rdot(pinned, [f._mpf_ for f in phi[n]], p)
         S[n] = ZPoly([+make(v) for v in coeffs[n][:g]] + [make(lead)])
-    result = AnsatzResult(S, None, {"resid_rel": +make(resid_rel)})
-    result.curve = result.state(U, W, (-2, 3)).curve
-    return result
+    return AnsatzResult(S, {"resid_rel": +make(resid_rel)})
 
 
 # ---------------------------------------------------------------------------
@@ -694,9 +691,11 @@ def build_partner_op(state: DressingState, L2: DiffOp | None = None) -> DiffOp:
     composition, whose exact-one rule copies the other factor where it meets
     the identity's 1s or those of the top term of L2^k; so L2^1 = L2 o I holds
     L2's values (rounded to p bits where wider) on the identity's window less
-    L2's order.  s_{n,k} is negated exactly, so a state wider than p is
-    rounded once, in the products.  The powers are summed, not nested
-    (Horner), which would round differently and on other windows.
+    L2's order.  Starting from L2 itself would widen the partner by two
+    sites, which carry the pair's largest commutator residuals.  s_{n,k} is
+    negated exactly, so a state wider than p is rounded once, in the
+    products.  The powers are summed, not nested (Horner), which would round
+    differently and on other windows.
     """
     if L2 is None:
         L2 = state.l2()

@@ -359,7 +359,7 @@ def test_ansatz_geometric_g1_closed_form():
     for n in range(-12, 13):
         closed = ZPoly([mpf(4) / 27 * mpf(8) ** n, -mpf(2) ** n])
         assert (state.s(n) - closed).sup_norm() <= mpf("1e-10") * (mpf(2) ** n + mpf(8) ** n)
-    assert max(abs(c) for c in result.curve.c) <= mpf("1e-10")  # w^2 = z^3
+    assert max(abs(c) for c in state.curve.c) <= mpf("1e-10")  # w^2 = z^3
 
 
 def test_ansatz_rejects_mismatched_basis():
@@ -476,6 +476,51 @@ def test_ansatz_singular_constant_fit_is_a_rank_error():
         ansatz_solve(EvenPowerBasis(2), U, W)
 
 
+def test_ansatz_solve_assembles_no_state(monkeypatch):
+    # the solve returns the S table only; each state recovers its own curve
+    calls = []
+    assemble = DressingState.from_s_table.__func__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return assemble(cls, *args, **kwargs)
+
+    monkeypatch.setattr(DressingState, "from_s_table", classmethod(counted))
+    U, W = trig_family(2, 1, (-14, 14))
+    result = ansatz_solve(TrigBasis(2), U, W)
+    assert calls == []
+    assert not hasattr(result, "curve")
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160))
+@pytest.mark.parametrize("spec", [
+    FamilySpec("trig", 2, {"r1": "1.3"}),
+    FamilySpec("poly", 3, ODD5),
+    FamilySpec("geom", 2, {"a": 2, "beta": 1}),
+], ids=("trig", "poly", "geom"))
+def test_state_curve_is_read_at_n0(spec, bits):
+    # a window holding n = -1..2 recovers its curve from S_{-1..2}, as the
+    # state on (-2, 3) does, whatever its width
+    with mp.workprec(bits):
+        U, W = family_from_spec(spec, (-12, 16))
+        result = ansatz_solve(basis_for(spec), U, W)
+        want = [c._mpf_ for c in result.state(U, W, (-2, 3)).curve.c]
+        for window in ((-1, 2), (-10, 14), (-12, 16), (-3, 9)):
+            got = result.state(U, W, window).curve.c
+            assert [c._mpf_ for c in got] == want, window
+
+
+def test_state_without_n0_reads_its_curve_at_lo_plus_1():
+    # (3, 17) holds no n = 0: the curve comes from the master identity at
+    # n = 4, the first site whose Q_n, Q_{n+1} and Q_{n+2} are tabulated
+    U, W = trig_family(2, mpf("1.3"), (-12, 20))
+    state = ansatz_solve(TrigBasis(2), U, W).state(U, W, (3, 17))
+    f4 = dressing._master_fpoly(state, 4)
+    want = HyperellipticCurve.from_fpoly(f4, 2, tol_rel=dressing.CURVE_RECOVERY_TOL)
+    assert [c._mpf_ for c in state.curve.c] == [c._mpf_ for c in want.c]
+    assert verify_master(state, 4) <= mpf("1e-30")
+
+
 def test_ansatz_state_outside_the_table():
     U, W = trig_family(1, 1, (-12, 12))
     result = ansatz_solve(TrigBasis(1), U, W)
@@ -506,7 +551,7 @@ def test_recursive_matches_ansatz():
     result = ansatz_solve(TrigBasis(1), U, W)
     state = result.state(U, W, (-12, 12))
     rec = solve_partner_recursive(
-        U, W, result.curve, (state.s(-1), state.s(0)), 0, (-12, 12)
+        U, W, state.curve, (state.s(-1), state.s(0)), 0, (-12, 12)
     )
     for n in range(-12, 13):
         dev = (rec.s(n) - state.s(n)).sup_norm()
@@ -647,7 +692,7 @@ def test_genus2_recursion_and_eigen_relations():
     result = ansatz_solve(TrigBasis(2), U, W)
     state = result.state(U, W, (-14, 14))
     rec = solve_partner_recursive(
-        U, W, result.curve, (state.s(-1), state.s(0)), 0, (-10, 10)
+        U, W, state.curve, (state.s(-1), state.s(0)), 0, (-10, 10)
     )
     for n in range(-10, 11):
         dev = (rec.s(n) - state.s(n)).sup_norm()

@@ -151,6 +151,12 @@ GENUS3_PARTNERS = [
     ["partner", "--family", "trig", "--g", "3", "--r1", "1.3", "--precision", "160"],
 ]
 
+# a state window that holds no n = 0, [3, 17] for the window [5, 10]: the
+# state reads its curve off the master identity at its own first sites
+OFF_CENTRE = [
+    ["verify", "--family", "trig", "--g", "2", "--r1", "1.3", "--window", "5", "10"],
+]
+
 CONFIGS = CRITERION_1+ ODD_EXTENSION + NON_MONIC + NON_DYADIC + CURVES + PARTNERS + MORE + OTHERS
 
 # commands that read options from a --config file: each pairs its argv with
@@ -189,7 +195,7 @@ def main(argv=None) -> int:
         runs = ([(argv_, None) for argv_ in CONFIGS] + CONFIG_FILES
                 + [(argv_, None)
                    for argv_ in (HIGH_PRECISION + EXTRACTION + LOW_PRECISION + WIDE_FITS
-                                 + GENUS3_PARTNERS)]
+                                 + GENUS3_PARTNERS + OFF_CENTRE)]
                 + ALIASES)
         files = 0
         for argv_, config in runs:
