@@ -26,11 +26,7 @@ from mpmath.libmp import fone, fzero, mpf_abs, mpf_div, mpf_gt, mpf_neg, mpf_rdi
 from mpmath.libmp import round_nearest as RND
 
 from . import linalg
-from .errors import (
-    DegenerateDenominatorError,
-    InconsistentDataError,
-    WindowError,
-)
+from .errors import DegenerateDenominatorError, InconsistentDataError, WindowError
 from .numcore import (
     HyperellipticCurve,
     ZPoly,
@@ -127,8 +123,9 @@ class DressingState:
         Validates the z^g-coefficient normalization of S against -U_n, within
         S_LEAD_TOL of the larger of 1, |U_n| and |S_n|, and,
         when no curve is given, recovers it from the master identity at
-        n = 0 clamped into [lo + 1, hi - 2], so from S_{-1..2} on any window
-        holding them, cross-checked at n + 1 within CURVE_RECOVERY_TOL.
+        n = 0 clamped into [lo + 1, hi - 2] (four sites at least), so from
+        S_{-1..2} on any window holding them, cross-checked at n + 1 within
+        CURVE_RECOVERY_TOL; its error grows as |S_n|^2 at the site it reads.
         """
         lo, hi = min(S), max(S)
         g = max(p.degree for p in S.values())
@@ -389,8 +386,9 @@ class AnsatzResult:
         self.info = dict(info)
 
     def state(self, U, W, window) -> DressingState:
-        """The S table sliced to window, as a state that recovers its own
-        curve (DressingState.from_s_table)."""
+        """The S table sliced to window, as a state.  A window without
+        n = -1..2 takes the curve of the table's sites -2..3: a growing S_n
+        (geom) would swamp the master identity at the window's own sites."""
         lo, hi = int(window[0]), int(window[1])
         if lo not in self.S or hi not in self.S:
             raise WindowError(
@@ -398,7 +396,8 @@ class AnsatzResult:
                 f"[{min(self.S)}, {max(self.S)}]"
             )
         S = {n: self.S[n] for n in range(lo, hi + 1)}
-        return DressingState.from_s_table(U, W, S)
+        curve = None if lo <= -1 and hi >= 2 else self.state(U, W, (-2, 3)).curve
+        return DressingState.from_s_table(U, W, S, curve=curve)
 
 
 def _pin_top_coefficients(basis, U, phi):

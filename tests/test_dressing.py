@@ -511,14 +511,44 @@ def test_state_curve_is_read_at_n0(spec, bits):
 
 
 def test_state_without_n0_reads_its_curve_at_lo_plus_1():
-    # (3, 17) holds no n = 0: the curve comes from the master identity at
-    # n = 4, the first site whose Q_n, Q_{n+1} and Q_{n+2} are tabulated
+    # an S table on (3, 17) holds no n = 0: the curve comes from the master
+    # identity at n = 4, the first site whose Q_n, Q_{n+1} and Q_{n+2} are
+    # tabulated
     U, W = trig_family(2, mpf("1.3"), (-12, 20))
-    state = ansatz_solve(TrigBasis(2), U, W).state(U, W, (3, 17))
+    result = ansatz_solve(TrigBasis(2), U, W)
+    state = DressingState.from_s_table(U, W, {n: result.S[n] for n in range(3, 18)})
     f4 = dressing._master_fpoly(state, 4)
     want = HyperellipticCurve.from_fpoly(f4, 2, tol_rel=dressing.CURVE_RECOVERY_TOL)
     assert [c._mpf_ for c in state.curve.c] == [c._mpf_ for c in want.c]
     assert verify_master(state, 4) <= mpf("1e-30")
+
+
+@pytest.mark.parametrize("bits", (53, 113))
+def test_off_centre_state_takes_the_curve_at_n0(bits):
+    # geom S_n grows as 8^n: the master identity at n = 19 is a difference
+    # of terms near 8^38, so a state on (18, 29) takes the curve the table's
+    # sites -2..3 give, and its master identity holds to working precision
+    spec = FamilySpec("geom", 1, {"a": 2, "beta": 1})
+    with mp.workprec(bits):
+        U, W = family_from_spec(spec, (-5, 31))
+        result = ansatz_solve(basis_for(spec), U, W)
+        want = [c._mpf_ for c in result.state(U, W, (-2, 3)).curve.c]
+        state = result.state(U, W, (18, 29))
+        assert [c._mpf_ for c in state.curve.c] == want
+        for n in range(19, 28):
+            scale = (state.s(n) * state.s(n)).sup_norm()
+            assert verify_master(state, n) <= mpf(2) ** (10 - bits) * scale, n
+
+
+def test_curve_recovery_needs_four_sites():
+    U, W = trig_family(1, 1, (-12, 12))
+    result = ansatz_solve(TrigBasis(1), U, W)
+    want = [c._mpf_ for c in result.state(U, W, (-2, 3)).curve.c]
+    for window in ((5, 5), (-1, 1), (4, 7)):
+        state = result.state(U, W, window)
+        assert [c._mpf_ for c in state.curve.c] == want, window
+    with pytest.raises(WindowError):
+        DressingState.from_s_table(U, W, {n: result.S[n] for n in range(-1, 2)})
 
 
 def test_ansatz_state_outside_the_table():

@@ -151,10 +151,16 @@ GENUS3_PARTNERS = [
     ["partner", "--family", "trig", "--g", "3", "--r1", "1.3", "--precision", "160"],
 ]
 
-# a state window that holds no n = 0, [3, 17] for the window [5, 10]: the
-# state reads its curve off the master identity at its own first sites
+# state windows that hold no n = 0 ([3, 17] for trig g = 2 on [5, 10],
+# [18, 29] for geom g = 1 on [20, 24]): each takes the curve of the solved
+# table's sites -2..3, where a growing geom S_n has not swamped the master
+# identity
 OFF_CENTRE = [
     ["verify", "--family", "trig", "--g", "2", "--r1", "1.3", "--window", "5", "10"],
+    ["verify", "--family", "geom", "--g", "1", "--a", "2", "--beta", "1",
+     "--window", "20", "24"],
+    ["verify", "--family", "geom", "--g", "1", "--a", "2", "--beta", "1",
+     "--window", "20", "24", "--precision", "53"],
 ]
 
 CONFIGS = CRITERION_1+ ODD_EXTENSION + NON_MONIC + NON_DYADIC + CURVES + PARTNERS + MORE + OTHERS
