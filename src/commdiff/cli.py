@@ -12,6 +12,7 @@ in place unless --rerun is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -225,7 +226,10 @@ def _add_family(p):
                    metavar=("N_MIN", "N_MAX"))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged,
+    so every main() call reuses it."""
     ap = argparse.ArgumentParser(
         prog="commdiff",
         description="verify and analyze positive one-point commuting difference operators",

@@ -35,6 +35,9 @@ from .numcore import (
     rdot,
     rmac,
     rmul,
+    rpoly_add,
+    rpoly_mul,
+    rpoly_sub,
     rsub,
     scalar,
 )
@@ -188,16 +191,10 @@ class DressingState:
         return f"DressingState(g={self.curve.g if self.curve else '?'}, window={self.window})"
 
 
-def _master_terms(state: DressingState, n: int):
-    """S_n^2 and (z - U_n^2 - W_n) Q_n Q_{n+1}, the two master-identity terms."""
-    lin = ZPoly([-(state.U.at(n) ** 2) - state.W.at(n), 1])
-    return state.s(n) * state.s(n), lin * state.q(n) * state.q(n + 1)
-
-
 def _master_fpoly(state: DressingState, n: int) -> ZPoly:
     """S_n^2 + (z - U_n^2 - W_n) Q_n Q_{n+1}, the curve polynomial."""
-    s2, prod = _master_terms(state, n)
-    return s2 + prod
+    lin = ZPoly([-(state.U.at(n) ** 2) - state.W.at(n), 1])
+    return state.s(n) * state.s(n) + lin * state.q(n) * state.q(n + 1)
 
 
 def verify_master(state: DressingState, n: int) -> mpf:
@@ -224,23 +221,29 @@ def _four_term_factors(U: CoeffSeq, W: CoeffSeq, n: int):
 
 
 def _term_coeffs(a, c, d):
-    """The coefficients of d (z + c) A(z), A given by its mpf coefficients a
-    and c, d raw, each formed as d (a_{k-1} + c a_k), the order of a product
-    with [c, 1]; the exact zeros past both ends of a are left out."""
+    """The coefficients of d (z + c) A(z) as raw values, A given by its raw
+    coefficients a and c, d raw, each formed as d (a_{k-1} + c a_k), the
+    order of a product with [c, 1]; the exact zeros past both ends of a are
+    left out, and trailing exact zeros are kept."""
     if not a:
         return []
-    p, a = mp.prec, [v._mpf_ for v in a]
+    p = mp.prec
     mid = (rmul(d, radd(lo, rmul(c, hi, p), p), p) for lo, hi in zip(a, a[1:]))
-    out = [rmul(d, rmul(c, a[0], p), p), *mid, rmul(d, a[-1], p)]
-    return list(map(mp.make_mpf, out))
+    return [rmul(d, rmul(c, a[0], p), p), *mid, rmul(d, a[-1], p)]
 
 
-def _linear_terms(state: DressingState, n: int):
-    """The four terms d_i (z + c_i) S_{n+s_i} whose sum is R_n."""
-    return [
-        ZPoly._computed(tuple(_term_coeffs(state.s(n + s).coeffs, c, d)))
-        for s, c, d in _four_term_factors(state.U, state.W, n)
-    ]
+def _linear_terms(state: DressingState, n: int, S: dict):
+    """The four terms d_i (z + c_i) S_{n+s_i} whose sum is R_n, as raw
+    vectors; S maps k to the raw coefficients of S_k."""
+    return [_term_coeffs(S[n + s], c, d) for s, c, d in _four_term_factors(state.U, state.W, n)]
+
+
+def _linear_sum(terms, p):
+    """t1 + t2 + t3 + t4 at p, trimmed.  A term's trailing exact zeros need
+    no trim first: every value they meet is a product or sum at p bits,
+    which radd leaves as it is, as the sum of the trimmed terms copies it."""
+    t1, t2, t3, t4 = terms
+    return rpoly_add(rpoly_add(rpoly_add(t1, t2, p), t3, p), t4, p)
 
 
 def residual_linear(state: DressingState, n: int) -> ZPoly:
@@ -249,8 +252,8 @@ def residual_linear(state: DressingState, n: int) -> ZPoly:
     For coefficient families even in n the result is skew under
     n -> -n - 1, which identity_residuals measures when asked.
     """
-    t1, t2, t3, t4 = _linear_terms(state, n)
-    return t1 + t2 + t3 + t4
+    S = {k: state.s(k).raw for k in range(n - 1, n + 3)}
+    return ZPoly._from_raw(_linear_sum(_linear_terms(state, n, S), mp.prec))
 
 
 def identity_residuals(state: DressingState, window, skew: bool = False):
@@ -263,32 +266,45 @@ def identity_residuals(state: DressingState, window, skew: bool = False):
     its largest term and 1.  With skew, |R_n + R_{-n-1}| over the linear
     scale at n is checked for n = 0..min(hi, s_hi-2, -(s_lo+2)); skew_rel
     is None without skew or when that range is empty, as no pair (n, -n-1)
-    is compared.  Each product is formed once per n, and the skew pass
-    reuses the linear one.
+    is compared.
+
+    Everything runs on raw libmp vectors: each S_n and Q_n is read once,
+    the products, sums and differences are numcore's rpoly_mul, rpoly_add
+    and rpoly_sub, which ZPoly's arithmetic wraps, so the values are those
+    of the ZPoly expressions bit for bit, and only the three results become
+    mpfs.  Each product is formed once per n, and the skew pass reuses the
+    linear one.
     """
     lo, hi = int(window[0]), int(window[1])
     s_lo, s_hi = state.window
-    p, fpoly = mp.prec, state.curve.fpoly()
-    fnorm = fpoly.sup_norm()._mpf_
+    p = mp.prec
+    f = state.curve.fpoly().raw
+    fnorm = raw_max(f, p)
+    S = {n: v.raw for n, v in state.S.items()}
+    Q = {n: v.raw for n, v in state.Q.items()}
 
-    # raw maxima: a scale is the first largest of head, each |coefficient| and 1
-    def scale_of(polys, head=fzero):
-        return raw_max((head, *(c._mpf_ for t in polys for c in t.coeffs), fone), p)
+    # a scale is the first largest of head, each |coefficient| and 1
+    def scale_of(vecs, head=fzero):
+        return raw_max((head, *(c for v in vecs for c in v), fone), p)
 
     def worst(acc, r, scale):
-        return raw_max((acc, mpf_div(r.sup_norm()._mpf_, scale, p, RND)))
+        return raw_max((acc, mpf_div(raw_max(r, p) if r else fzero, scale, p, RND)))
 
     master_rel = fzero
     for n in range(max(lo, s_lo + 1), min(hi, s_hi - 1) + 1):
-        s2, prod = _master_terms(state, n)
-        master_rel = worst(master_rel, fpoly - (s2 + prod), scale_of((s2, prod), fnorm))
+        u, w = state.U.at(n)._mpf_, state.W.at(n)._mpf_
+        lin = [mpf_neg(radd(rmul(u, u, p), w, p)), fone]
+        s2 = rpoly_mul(S[n], S[n], p)
+        prod = rpoly_mul(rpoly_mul(lin, Q[n], p), Q[n + 1], p)
+        master_rel = worst(master_rel, rpoly_sub(f, rpoly_add(s2, prod, p), p),
+                           scale_of((s2, prod), fnorm))
 
     linear = {}
 
     def linear_at(n):
         if n not in linear:
-            t1, t2, t3, t4 = terms = _linear_terms(state, n)
-            linear[n] = (t1 + t2 + t3 + t4, scale_of(terms))
+            terms = _linear_terms(state, n, S)
+            linear[n] = (_linear_sum(terms, p), scale_of(terms))
         return linear[n]
 
     linear_rel = fzero
@@ -301,7 +317,7 @@ def identity_residuals(state: DressingState, window, skew: bool = False):
     skew_rel = fzero
     for n in mirrored:
         r, scale = linear_at(n)
-        skew_rel = worst(skew_rel, r + linear_at(-n - 1)[0], scale)
+        skew_rel = worst(skew_rel, rpoly_add(r, linear_at(-n - 1)[0], p), scale)
     return make(master_rel), make(linear_rel), make(skew_rel)
 
 
@@ -449,10 +465,12 @@ def _march(dc, D, top, seeds, n0, span):
     s_{n,m-1} = -D_n q_{n,m-1} - s_{n-1,m-1} steps s from n0.  seeds holds
     the three starting values per level, top the level-g row.  Neither
     relation reads m: every level is the same affine map of the one above,
-    linear in it and in the level's seeds, which _fit_rows exploits.
+    linear in it and in the level's seeds, which _fit_rows exploits.  So
+    1 / (D_n D_{n+2}) and -D_n are formed once per call, not per level.
     """
     p, (a, b) = mp.prec, span
-    neg_d = {n: mpf_neg(v, p, RND) for n, v in D.items()}
+    neg_d = {n: mpf_neg(D[n], p, RND) for n in range(a + 1, b + 1)}
+    inv = {n: mpf_rdiv_int(1, rmul(D[n], D[n + 2], p), p, RND) for n in range(a + 1, b - 1)}
     levels = [top]
     for q0, q1, s0 in seeds:
         up = levels[-1]
@@ -460,9 +478,8 @@ def _march(dc, D, top, seeds, n0, span):
         # the division comes after the sum, which cancels heavily
         step = {}
         for n in range(a + 1, b - 1):
-            inv = mpf_rdiv_int(1, rmul(D[n], D[n + 2], p), p, RND)
             comb = _comb(dc[n], [up[n + k] for k in (-1, 0, 1, 2)], p)
-            step[n] = [rmul(v, inv, p) for v in comb]
+            step[n] = [rmul(v, inv[n], p) for v in comb]
         q = {n0: q0, n0 + 1: q1}
         for n in range(n0, b - 1):
             q[n + 2] = [rsub(x, y, p) for x, y in zip(q[n], step[n])] + q[n][width:]

@@ -7,10 +7,14 @@ tuples through the kernels rmul, radd and rsub below, libmp's
 round-to-nearest mpf_mul, mpf_add and mpf_sub reimplemented bit for bit
 with int.bit_length, and through rmac, their multiply-accumulate
 radd(acc, rmul(s, t, p), p) in one call, so this module is the one that
-knows how a result is rounded.  Composition (opalg's DiffOp.__mul__, which
-scale_left and the L2 and partner assemblies of dressing are built on)
-forms no product with a term of exact 1s: 1 times v at p bits is v itself
-when v fits in p bits, and a wider v is rounded as rmul(fone, v, p) rounds it.
+knows how a result is rounded.  Polynomial products, sums and differences
+exist once, as rpoly_mul, rpoly_add and rpoly_sub on raw coefficient
+vectors: ZPoly's *, + and - wrap them, and dressing's identity checks call
+them directly, making an mpf only of what they return.  Composition
+(opalg's DiffOp.__mul__, which scale_left and the L2 and partner assemblies
+of dressing are built on) forms no product with a term of exact 1s: 1 times
+v at p bits is v itself when v fits in p bits, and a wider v is rounded as
+rmul(fone, v, p) rounds it.
 Every function computes at the caller's mpmath precision, mp.prec, which
 the caller scopes with mp.workprec; importing the package leaves it alone.
 The CLI runs at DEFAULT_PRECISION_BITS, a 113-bit significand (quad-like),
@@ -26,7 +30,9 @@ import json
 from itertools import repeat
 
 from mpmath import mp, mpf
-from mpmath.libmp import finf, fnan, fninf, fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_sub
+from mpmath.libmp import (
+    finf, fnan, fninf, fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_neg, mpf_sub,
+)
 from mpmath.libmp import round_nearest as RND
 
 from .errors import DegenerateDenominatorError, NonFiniteError
@@ -270,6 +276,18 @@ class ZPoly:
         return p
 
     @classmethod
+    def _from_raw(cls, vec) -> "ZPoly":
+        """Built from a raw vector that rpoly_mul, rpoly_add or rpoly_sub made."""
+        p = cls.__new__(cls)
+        p.coeffs = tuple(map(mp.make_mpf, vec))
+        return p
+
+    @property
+    def raw(self) -> list:
+        """The coefficients as raw libmp values."""
+        return [c._mpf_ for c in self.coeffs]
+
+    @classmethod
     def zero(cls) -> "ZPoly":
         return cls(())
 
@@ -305,14 +323,10 @@ class ZPoly:
         return acc
 
     def __add__(self, other: "ZPoly") -> "ZPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return ZPoly._computed((*raw_map(radd, a, b), *a[len(b):]))
+        return ZPoly._from_raw(rpoly_add(self.raw, other.raw, mp.prec))
 
     def __sub__(self, other: "ZPoly") -> "ZPoly":
-        a, b = self.coeffs, other.coeffs
-        return ZPoly._computed((*raw_map(rsub, a, b), *a[len(b):], *(-c for c in b[len(a):])))
+        return ZPoly._from_raw(rpoly_sub(self.raw, other.raw, mp.prec))
 
     def __neg__(self) -> "ZPoly":
         return ZPoly._computed(tuple(-c for c in self.coeffs))
@@ -344,16 +358,47 @@ def raw_map(op, xs, ys) -> list:
 
 def poly_mul(p: ZPoly, q: ZPoly) -> ZPoly:
     """Convolution product; degrees add when leading coefficients survive."""
-    if p.is_zero or q.is_zero:
-        return ZPoly.zero()
-    # each sum starts from its first product, not from 0, in the same order
-    prec, a, b = mp.prec, [c._mpf_ for c in p.coeffs], [c._mpf_ for c in q.coeffs]
-    out = [rmul(a[0], bj, prec) for bj in b]
+    return ZPoly._from_raw(rpoly_mul(p.raw, q.raw, mp.prec))
+
+
+# Raw polynomial vectors: lists of libmp values, coefficient k multiplying
+# z^k, as ZPoly's arithmetic and the identity checks of dressing form them.
+# Each result is trimmed of its trailing exact zeros, as _trimmed trims.
+
+
+def _rtrimmed(out: list) -> list:
+    while out and out[-1] == fzero:
+        out.pop()
+    return out
+
+
+def rpoly_mul(a, b, p) -> list:
+    """The convolution of a and b at p bits, each out[k] the sum of its
+    products a_i b_j in ascending i from the first one, not from 0, which is
+    the sum from 0 bit for bit; [] when either vector is empty."""
+    if not (a and b):
+        return []
+    out = [rmul(a[0], bj, p) for bj in b]
     for i, ai in enumerate(a[1:], 1):
-        out.append(rmul(ai, b[-1], prec))
+        out.append(rmul(ai, b[-1], p))
         for j, bj in enumerate(b[:-1]):
-            out[i + j] = rmac(out[i + j], ai, bj, prec)
-    return ZPoly._computed(tuple(map(mp.make_mpf, out)))
+            out[i + j] = rmac(out[i + j], ai, bj, p)
+    return _rtrimmed(out)
+
+
+def rpoly_add(a, b, p) -> list:
+    """a + b at p bits; the longer vector's tail is copied unrounded."""
+    if len(a) < len(b):
+        a, b = b, a
+    return _rtrimmed([*map(radd, a, b, repeat(p)), *a[len(b):]])
+
+
+def rpoly_sub(a, b, p) -> list:
+    """a - b at p bits; a's tail is copied unrounded, b's negated at p."""
+    out = [*map(rsub, a, b, repeat(p)), *a[len(b):]]
+    if len(b) > len(a):
+        out += [mpf_neg(v, p, RND) for v in b[len(a):]]
+    return _rtrimmed(out)
 
 
 def poly_div_exact(num: ZPoly, den: ZPoly):

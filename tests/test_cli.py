@@ -578,3 +578,30 @@ def test_verify_omits_the_skew_without_a_mirror_pair(tmp_path):
     report = json.loads(path.read_text())["report"]
     assert "skew_residual_rel" not in report
     assert "master_residual_rel" in report
+
+
+def test_main_reuses_one_parser_and_writes_the_same_reports(tmp_path, monkeypatch):
+    # the cached parser against a fresh one per call, over verify, curve,
+    # lame, a --config run and another spelling of the verify run
+    (tmp_path / "cfg.json").write_text(json.dumps({"a2": "1", "a0": "0"}))
+    runs = [
+        ["verify", "--family", "trig", "--g", "1", "--r1", "1", "--window", "-8", "8"],
+        ["curve", "--family", "trig", "--g", "1", "--r1", "1"],
+        ["lame", "--g-list", "1", "--eps", "0.1", "0.05"],
+        ["verify", "--family", "poly", "--g", "1", "--window", "-8", "8",
+         "--config", str(tmp_path / "cfg.json")],
+        ["verify", "--family", "trig", "--g", "1", "--r1", "1.0", "--window", "-8", "8",
+         "--tolerance", "1.0e-9", "--rerun"],
+    ]
+
+    def reports(out):
+        codes = [main([*argv, "--out", str(out)]) for argv in runs]
+        return codes, {p.name: p.read_bytes() for p in report_files(out)}
+
+    cached = reports(tmp_path / "cached")
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    fresh = reports(tmp_path / "fresh")
+    assert cached == fresh
+    assert cached[0] == [0] * len(runs) and len(cached[1]) == 4

@@ -254,8 +254,8 @@ def test_term_coeffs_match_the_product_bit_for_bit():
         a = [mpf(rng.uniform(-3, 3)) / 7 for _ in range(deg + 1)]
         c, d = mpf(rng.uniform(-2, 2)) / 3, mpf(rng.uniform(-2, 2)) / 11
         product = ZPoly(a) * ZPoly([c, 1]) * d
-        got = _term_coeffs(a, c._mpf_, d._mpf_)
-        assert [v._mpf_ for v in got] == [v._mpf_ for v in product.coeffs]
+        got = _term_coeffs([v._mpf_ for v in a], c._mpf_, d._mpf_)
+        assert got == [v._mpf_ for v in product.coeffs]
 
 
 @pytest.mark.parametrize(
@@ -990,7 +990,7 @@ def test_term_coeffs_match_the_mpf_loop_bit_for_bit(bits):
         for deg in range(6):
             a = [rng.choice(pool) for _ in range(deg + 1)]
             for c, d in ((rng.choice(pool), rng.choice(pool)) for _ in range(8)):
-                got = [v._mpf_ for v in _term_coeffs(a, c._mpf_, d._mpf_)]
+                got = _term_coeffs([v._mpf_ for v in a], c._mpf_, d._mpf_)
                 assert got == [v._mpf_ for v in _reference_term_coeffs(a, c, d)]
 
 
@@ -1036,16 +1036,20 @@ def test_ansatz_solve_matches_the_mpf_loops_bit_for_bit(kind, g, params, bits):
 
 
 @pytest.mark.parametrize("bits", (53, 113, 160, 1100))
-@pytest.mark.parametrize("kind, g, params", TRAP_FAMILIES)
+@pytest.mark.parametrize("kind, g, params", [
+    *TRAP_FAMILIES, ("geom", 2, {"a": "1.764235", "beta": "0.895178"}), ("elliptic", 1, {}),
+])
 def test_identity_residuals_match_the_mpf_loops_bit_for_bit(kind, g, params, bits):
     # states built at the working precision and at twice it, whose curve
-    # coefficients and tables carry bits that abs and negation round
+    # coefficients and tables carry bits that abs and negation round, on
+    # windows inside the state and clipped at its low end, its high end
+    # and both
     spec = FamilySpec(kind, g, params)
     for build_bits in (bits, 2 * bits):
         with mp.workprec(build_bits):
             _L2, _partner, state, _extras = build_case(spec, (-4, 4))
         with mp.workprec(bits):
-            for window in ((-4, 4), (-40, 40)):
+            for window in ((-4, 4), (-40, 1), (-1, 40), (-40, 40)):
                 for skew in (False, True):
                     got = identity_residuals(state, window, skew=skew)
                     ref = _reference_identity_residuals(state, window, skew)

@@ -22,6 +22,9 @@ from commdiff.numcore import (
     rdot,
     rmac,
     rmul,
+    rpoly_add,
+    rpoly_mul,
+    rpoly_sub,
     rsub,
     scalar,
     set_precision,
@@ -144,6 +147,34 @@ def test_poly_kernels_match_the_mpf_loops_bit_for_bit(bits):
         raws = [v._mpf_ for v in pool]
         assert raw_max(raws) == max(pool)._mpf_
         assert raw_max(raws, bits) == max(abs(v) for v in pool)._mpf_
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160, 1100))
+def test_raw_vector_helpers_match_the_mpf_loops_bit_for_bit(bits):
+    # trap values (exact 0 and +-1, values wider than bits), empty vectors,
+    # and pairs whose top coefficients cancel to an exact 0, which the
+    # helpers trim as ZPoly does
+    rng = random.Random(bits + 13)
+    pool = trap_values(rng, bits)
+    with mp.workprec(bits):
+        def draw():
+            return [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+
+        pairs = [(draw(), draw()) for _ in range(80)]
+        for a, _b in pairs[:20]:
+            tail = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+            pairs += [(a + tail, a + tail), (a + tail, a + [-v for v in tail]), (a, [])]
+        for a, b in pairs:
+            p, q = ZPoly._computed(tuple(a)), ZPoly._computed(tuple(b))
+            a, b = p.raw, q.raw  # trimmed, as ZPoly's operands always are
+            assert rpoly_mul(a, b, bits) == _raw(_reference_poly_mul(p, q))
+            assert rpoly_add(a, b, bits) == _raw(_reference_add(p, q))
+            assert rpoly_sub(a, b, bits) == _raw(_reference_sub(p, q))
+            assert rpoly_sub(b, a, bits) == _raw(_reference_sub(q, p))
+        # a cancelled top coefficient leaves no exact zero behind
+        one = [fone, fone]
+        assert rpoly_sub(one, one, bits) == [] and rpoly_add(one, [fone, mpf_neg(fone)], bits) == [
+            radd(fone, fone, bits)]
 
 
 # ---------------------------------------------------------------------------

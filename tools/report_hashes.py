@@ -11,7 +11,9 @@ a relative output directory, so that no absolute path reaches a report.
 
 tools/report_hashes.txt holds this checkout's listing, and CI fails when the
 tool's output differs from it; a change that alters a report regenerates it
-with `python3 tools/report_hashes.py > tools/report_hashes.txt`.  Stdlib only.
+with `python3 tools/report_hashes.py > tools/report_hashes.txt`, and
+tools/report_diff.py, which runs the same listing (run_listing) on two
+trees, lists what changed.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -187,6 +189,34 @@ ALIASES = [
 ]
 
 
+def run_listing(src: Path, tmp: Path) -> list:
+    """Run every configuration above on the commdiff package under src, in
+    the directory tmp, writing to its relative output directory reports.
+
+    Returns one (label, exit code, stdout, stderr) per run, in listing
+    order; the label is the argv, with the JSON of its --config file when
+    it has one."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(src).resolve())
+    runs = ([(argv_, None) for argv_ in CONFIGS] + CONFIG_FILES
+            + [(argv_, None)
+               for argv_ in (HIGH_PRECISION + EXTRACTION + LOW_PRECISION + WIDE_FITS
+                             + GENUS3_PARTNERS + OFF_CENTRE)]
+            + ALIASES)
+    results, files = [], 0
+    for argv_, config in runs:
+        if config is not None:
+            name = f"config-{files}.json"
+            files += 1
+            (Path(tmp) / name).write_text(json.dumps(config))
+            argv_ = [*argv_, "--config", name]
+        cmd = [sys.executable, "-m", "commdiff.cli", *argv_, "--out", "reports"]
+        proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True)
+        suffix = f" with {json.dumps(config)}" if config is not None else ""
+        results.append((f"{' '.join(argv_)}{suffix}", proc.returncode, proc.stdout, proc.stderr))
+    return results
+
+
 def main(argv=None) -> int:
     default_src = Path(__file__).resolve().parent.parent / "src"
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -194,29 +224,13 @@ def main(argv=None) -> int:
                     help="source tree holding the commdiff package (default: this checkout)")
     args = ap.parse_args(argv)
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(args.src.resolve())
     status = 0
     with tempfile.TemporaryDirectory(prefix="report-hashes-") as tmp:
-        runs = ([(argv_, None) for argv_ in CONFIGS] + CONFIG_FILES
-                + [(argv_, None)
-                   for argv_ in (HIGH_PRECISION + EXTRACTION + LOW_PRECISION + WIDE_FITS
-                                 + GENUS3_PARTNERS + OFF_CENTRE)]
-                + ALIASES)
-        files = 0
-        for argv_, config in runs:
-            if config is not None:
-                name = f"config-{files}.json"
-                files += 1
-                (Path(tmp) / name).write_text(json.dumps(config))
-                argv_ = [*argv_, "--config", name]
-            cmd = [sys.executable, "-m", "commdiff.cli", *argv_, "--out", "reports"]
-            proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True)
-            suffix = f" with {json.dumps(config)}" if config is not None else ""
-            print(f"exit {proc.returncode}: {' '.join(argv_)}{suffix}")
-            if proc.returncode == 2:
+        for label, code, _out, err in run_listing(args.src, Path(tmp)):
+            print(f"exit {code}: {label}")
+            if code == 2:
                 status = 1
-                print(proc.stderr.strip())
+                print(err.strip())
         for path in sorted((Path(tmp) / "reports").glob("*.json")):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.name}")
