@@ -22,7 +22,7 @@ nature, every verification here is pure and parallelizes over (n, z).
 from __future__ import annotations
 
 from mpmath import mp, mpf, sqrt, cos
-from mpmath.libmp import fone, fzero, mpf_abs, mpf_div, mpf_gt, mpf_neg, mpf_rdiv_int
+from mpmath.libmp import fone, fzero, mpf_abs, mpf_div, mpf_gt, mpf_neg, mpf_pos, mpf_rdiv_int
 from mpmath.libmp import round_nearest as RND
 
 from . import linalg
@@ -133,13 +133,12 @@ class DressingState:
         lo, hi = min(S), max(S)
         g = max(p.degree for p in S.values())
         prec, tol = mp.prec, S_LEAD_TOL._mpf_
-        for n in range(lo, hi + 1):
-            lead = S[n].coeff(g)
-            u = U.at(n)
-            scale = raw_max((fone, u._mpf_, *(c._mpf_ for c in S[n].coeffs)), prec)
-            if mpf_gt(mpf_abs(radd(lead._mpf_, u._mpf_, prec)), rmul(tol, scale, prec)):
+        for n, u in zip(range(lo, hi + 1), U.values_on(lo, hi)):
+            s = S[n].raw
+            lead = s[g] if g < len(s) else fzero
+            if mpf_gt(mpf_abs(radd(lead, u, prec)), rmul(tol, raw_max((fone, u, *s), prec), prec)):
                 raise InconsistentDataError(
-                    f"S_{n} has z^{g} coefficient {lead}, expected {-u}"
+                    f"S_{n} has z^{g} coefficient {S[n].coeff(g)}, expected {-U.at(n)}"
                 )
         Q = {
             n: q_from_s(S[n - 1], S[n], U.at(n - 1), U.at(n), f"state assembly at n={n}")
@@ -208,8 +207,8 @@ def _four_term_factors(U: CoeffSeq, W: CoeffSeq, n: int):
     c_4 = -U_{n+1}^2 - W_{n+1} are rounded as -(x * x + w), which equals mpf's
     -(x ** 2) - w bit for bit, round-to-nearest being symmetric."""
     p = mp.prec
-    Um1, U0, U1, U2 = (U.at(k)._mpf_ for k in range(n - 1, n + 3))
-    W0, W1 = W.at(n)._mpf_, W.at(n + 1)._mpf_
+    Um1, U0, U1, U2 = U.values_on(n - 1, n + 2)
+    W0, W1 = W.values_on(n, n + 1)
     right, left = radd(U1, U2, p), mpf_neg(radd(Um1, U0, p))
     u01, s01 = rmul(U0, U1, p), radd(U0, U1, p)
     return (
@@ -578,24 +577,24 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
     Uf, Wf = (U, W) if fine is None else fine
     make, p, tol = mp.make_mpf, mp.prec, ANSATZ_TOL._mpf_
     # without fine tables, each value would be checked against itself
-    for n in range(lo, hi + 1) if fine is not None else ():
-        for name, x, xf in (("U", U, Uf), ("W", W, Wf)):
-            v, vf = x.at(n)._mpf_, xf.at(n)._mpf_
+    cols = [x.values_on(lo, hi) for x in (U, Uf, W, Wf)] if fine is not None else [()] * 4
+    for n, u, uf, w, wf in zip(range(lo, hi + 1), *cols):
+        for name, v, vf in (("U", u, uf), ("W", w, wf)):
             if mpf_gt(mpf_abs(rsub(vf, v, p)), rmul(tol, raw_max((v, fone), p), p)):
                 raise InconsistentDataError(
                     f"fine table of {name} disagrees with {name} at n={n}"
                 )
     with mp.workprec(mp.prec + RECURSION_GUARD_BITS):
-        p = mp.prec
+        p, Uv = mp.prec, Uf.values_on(lo, hi)
         D = {
-            n: _pair_denominator(Uf.at(n - 1)._mpf_, Uf.at(n)._mpf_, p, f"ansatz_solve at n={n}")
+            n: _pair_denominator(Uv[n - 1 - lo], Uv[n - lo], p, f"ansatz_solve at n={n}")
             for n in range(lo + 1, hi + 1)
         }
         fac = {n: _four_term_factors(Uf, Wf, n) for n in range(rlo, rhi + 1)}
         dc = {n: [rmul(d, c, p) for _s, c, d in f] for n, f in fac.items()}
 
         def tops(a, b):
-            return {n: [mpf_neg(Uf.at(n)._mpf_, p, RND)] for n in range(a, b + 1)}
+            return {n: [mpf_neg(Uv[n - lo], p, RND)] for n in range(a, b + 1)}
 
         rows, rhs = [], []
         for r in _fit_rows(dc, D, tops(flo - 1, fhi + 2), g, n0, (flo - 1, fhi + 2)).values():
@@ -634,7 +633,7 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
     S, p, pinned = {}, mp.prec, [x._mpf_ for x in pinned]
     for n in range(lo, hi + 1):
         lead = rdot(pinned, [f._mpf_ for f in phi[n]], p)
-        S[n] = ZPoly([+make(v) for v in coeffs[n][:g]] + [make(lead)])
+        S[n] = ZPoly._from_raw([*(mpf_pos(v, p, RND) for v in coeffs[n][:g]), lead])
     return AnsatzResult(S, {"resid_rel": +make(resid_rel)})
 
 

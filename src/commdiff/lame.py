@@ -83,13 +83,13 @@ class WeierstrassContext:
         return x, self._k * x
 
     def _cached(self, fn, x) -> mpf:
-        """fn(x, v) once per (fn, x, working precision); _site raises before
-        the lookup, so a refused argument is refused on every call."""
+        """fn(x, v) once per (fn, x) in the working precision's context; _site
+        raises before the lookup, so a refused argument is refused on every call."""
         if mp.prec not in self._by_prec:
             self._by_prec[mp.prec] = WeierstrassContext(self.g2, self.g3)
         ctx = self._by_prec[mp.prec]
         x, v = ctx._site(x)
-        key = (fn, x._mpf_, mp.prec)
+        key = (fn, x._mpf_)
         if key not in ctx._values:
             ctx._values[key] = fn(ctx, x, v)
         return ctx._values[key]

@@ -2,26 +2,26 @@
 spectral parameter z, division with residual, and the JSON encoder that
 writes every report's decimals.
 
-Values are mpmath floats.  The hot loops of the package run on their raw
-tuples through the kernels rmul, radd and rsub below, libmp's
-round-to-nearest mpf_mul, mpf_add and mpf_sub reimplemented bit for bit
-with int.bit_length, and through rmac, their multiply-accumulate
-radd(acc, rmul(s, t, p), p) in one call, so this module is the one that
-knows how a result is rounded.  Polynomial products, sums and differences
-exist once, as rpoly_mul, rpoly_add and rpoly_sub on raw coefficient
-vectors: ZPoly's *, + and - wrap them, and dressing's identity checks call
-them directly, making an mpf only of what they return.  Composition
-(opalg's DiffOp.__mul__, which scale_left and the L2 and partner assemblies
-of dressing are built on) forms no product with a term of exact 1s: 1 times
-v at p bits is v itself when v fits in p bits, and a wider v is rounded as
-rmul(fone, v, p) rounds it.
+Values are raw libmp tuples, the only thing ZPoly stores, computed on by
+the kernels rmul, radd and rsub below, libmp's round-to-nearest mpf_mul,
+mpf_add and mpf_sub reimplemented bit for bit with int.bit_length, and by
+rmac, their multiply-accumulate radd(acc, rmul(s, t, p), p) in one call, so
+this module is the one that knows how a result is rounded.  mpmath floats
+appear where a value enters (scalar, ZPoly's constructor) or leaves (coeffs,
+lead, sup_norm, reports).  Polynomial products, sums and differences exist
+once, as rpoly_mul, rpoly_add and rpoly_sub on raw coefficient vectors:
+ZPoly's *, + and - wrap them, and dressing's identity checks call them
+directly.  Composition (opalg's DiffOp.__mul__, which scale_left and the L2
+and partner assemblies of dressing are built on) forms no product with a
+term of exact 1s: 1 times v at p bits is v itself when v fits in p bits,
+and a wider v is rounded as rmul(fone, v, p) rounds it.
 Every function computes at the caller's mpmath precision, mp.prec, which
 the caller scopes with mp.workprec; importing the package leaves it alone.
 The CLI runs at DEFAULT_PRECISION_BITS, a 113-bit significand (quad-like),
 unless --precision says otherwise: the dressing recursion sheds digits at
 every step, so the headroom above double precision is what keeps
 window-wide residual checks below 1e-9 tolerances.
-Values are immutable once built and every function here is pure.
+ZPolys are never mutated once built and every function here is pure.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from itertools import repeat
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
-    finf, fnan, fninf, fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_neg, mpf_sub,
+    finf, fnan, fninf, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg, mpf_sub,
 )
 from mpmath.libmp import round_nearest as RND
 
@@ -249,71 +249,55 @@ def to_json(doc, indent=None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _trimmed(coeffs: tuple) -> tuple:
-    # Only exact zeros are dropped.  Coefficient families with exponential
-    # n-dependence carry true leading coefficients hundreds of orders below
-    # the largest one, so any magnitude-relative trim would corrupt degrees;
-    # every degree in this pipeline is structural, never a roundoff artifact.
-    k = len(coeffs)
-    while k > 0 and coeffs[k - 1]._mpf_ == fzero:
-        k -= 1
-    return coeffs[:k]
-
-
 class ZPoly:
-    """Dense polynomial in z; ``coeffs[k]`` multiplies z^k."""
+    """Dense polynomial in z; ``raw[k]``, a libmp value, multiplies z^k.
 
-    __slots__ = ("coeffs",)
+    raw, a list never mutated once built, ends in no exact zero.  Only exact
+    zeros are trimmed: coefficient families with exponential n-dependence
+    carry true leading coefficients hundreds of orders below the largest one,
+    so any magnitude-relative trim would corrupt degrees; every degree in this
+    pipeline is structural, never a roundoff artifact.
+    """
+
+    __slots__ = ("raw",)
 
     def __init__(self, coeffs=()):
-        self.coeffs = _trimmed(tuple(scalar(c) for c in coeffs))
+        self.raw = _rtrimmed([scalar(c)._mpf_ for c in coeffs])
 
     @classmethod
-    def _computed(cls, coeffs: tuple) -> "ZPoly":
-        """Built from values that +, - and * made of finite mpfs: finite, so unchecked."""
+    def _from_raw(cls, vec: list) -> "ZPoly":
+        """Built from a list of finite raw values, which it trims in place and keeps."""
         p = cls.__new__(cls)
-        p.coeffs = _trimmed(coeffs)
+        p.raw = _rtrimmed(vec)
         return p
-
-    @classmethod
-    def _from_raw(cls, vec) -> "ZPoly":
-        """Built from a raw vector that rpoly_mul, rpoly_add or rpoly_sub made."""
-        p = cls.__new__(cls)
-        p.coeffs = tuple(map(mp.make_mpf, vec))
-        return p
-
-    @property
-    def raw(self) -> list:
-        """The coefficients as raw libmp values."""
-        return [c._mpf_ for c in self.coeffs]
 
     @classmethod
     def zero(cls) -> "ZPoly":
-        return cls(())
+        return cls._from_raw([])
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(map(mp.make_mpf, self.raw))
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.raw) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.raw
 
     @property
     def lead(self) -> mpf:
-        if not self.coeffs:
-            return mpf(0)
-        return self.coeffs[-1]
+        return self.coeff(len(self.raw) - 1)
 
     def coeff(self, k: int) -> mpf:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.raw):
+            return mp.make_mpf(self.raw[k])
         return mpf(0)
 
     def sup_norm(self) -> mpf:
-        if not self.coeffs:
-            return mpf(0)
-        return mp.make_mpf(raw_max((c._mpf_ for c in self.coeffs), mp.prec))
+        return mp.make_mpf(raw_max(self.raw, mp.prec)) if self.raw else mpf(0)
 
     def eval(self, z) -> mpf:
         z = scalar(z)
@@ -329,10 +313,12 @@ class ZPoly:
         return ZPoly._from_raw(rpoly_sub(self.raw, other.raw, mp.prec))
 
     def __neg__(self) -> "ZPoly":
-        return ZPoly._computed(tuple(-c for c in self.coeffs))
+        p = mp.prec
+        return ZPoly._from_raw([mpf_neg(v, p, RND) for v in self.raw])
 
     def scale(self, c) -> "ZPoly":
-        return ZPoly._computed(tuple(raw_map(rmul, repeat(scalar(c)), self.coeffs)))
+        c, p = scalar(c)._mpf_, mp.prec
+        return ZPoly._from_raw([rmul(c, v, p) for v in self.raw])
 
     def __mul__(self, other):
         if not isinstance(other, ZPoly):
@@ -343,17 +329,11 @@ class ZPoly:
 
     def __truediv__(self, c) -> "ZPoly":
         """Divide every coefficient by the scalar c, each rounded once."""
-        c = scalar(c)
-        return ZPoly(tuple(x / c for x in self.coeffs))
+        c, p = scalar(c)._mpf_, mp.prec
+        return ZPoly._from_raw([mpf_div(v, c, p, RND) for v in self.raw])
 
     def __repr__(self):
         return f"ZPoly(deg={self.degree})"
-
-
-def raw_map(op, xs, ys) -> list:
-    """[op(x, y) for x, y in zip(xs, ys)] for mpfs, by the raw kernel op as mpf rounds."""
-    prec, make = mp.prec, mp.make_mpf
-    return [make(op(x._mpf_, y._mpf_, prec)) for x, y in zip(xs, ys)]
 
 
 def poly_mul(p: ZPoly, q: ZPoly) -> ZPoly:
@@ -362,8 +342,8 @@ def poly_mul(p: ZPoly, q: ZPoly) -> ZPoly:
 
 
 # Raw polynomial vectors: lists of libmp values, coefficient k multiplying
-# z^k, as ZPoly's arithmetic and the identity checks of dressing form them.
-# Each result is trimmed of its trailing exact zeros, as _trimmed trims.
+# z^k, as ZPoly stores them.  Each result is trimmed of its trailing exact
+# zeros, as ZPoly's are.
 
 
 def _rtrimmed(out: list) -> list:

@@ -7,7 +7,8 @@ T^i (a(n) T^j) = a(n+i) T^(i+j).  Every operation computes the exact shrunken
 validity window of its result and refuses evaluation outside it; silent
 zero-padding would corrupt commutator checks at the window edges.
 
-Sequences tabulate at construction (nothing lazy) and operators never mutate,
+Sequences store raw libmp values, on which numcore's kernels compute, and
+tabulate at construction (nothing lazy); neither they nor operators mutate,
 so values are safe to share across workers.
 """
 
@@ -18,28 +19,30 @@ import operator
 from itertools import repeat
 
 from mpmath import mp, mpf
-from mpmath.libmp import fone
+from mpmath.libmp import fone, mpf_neg
+from mpmath.libmp import round_nearest as RND
 
 from .errors import WindowError
-from .numcore import radd, raw_map, raw_max, rmac, rmul, rsub, scalar, to_json
+from .numcore import radd, raw_max, rmac, rmul, rsub, scalar, to_json
 
 
 class CoeffSeq:
-    """A coefficient sequence n -> scalar, tabulated on an integer window."""
+    """A coefficient sequence n -> scalar, tabulated on an integer window:
+    raw, a list never mutated once built, holds its values as libmp tuples."""
 
-    __slots__ = ("n_min", "values")
+    __slots__ = ("n_min", "raw")
 
     def __init__(self, n_min: int, values):
         self.n_min = int(n_min)
-        self.values = tuple(scalar(v) for v in values)
-        if not self.values:
+        self.raw = [scalar(v)._mpf_ for v in values]
+        if not self.raw:
             raise WindowError("empty coefficient window")
 
     @classmethod
-    def _computed(cls, n_min: int, values) -> "CoeffSeq":
-        """Built from values that +, - and * made of finite mpfs: finite, so unchecked."""
+    def _from_raw(cls, n_min: int, raw: list) -> "CoeffSeq":
+        """Built from a non-empty list of finite raw values, which it keeps."""
         seq = cls.__new__(cls)
-        seq.n_min, seq.values = n_min, tuple(values)
+        seq.n_min, seq.raw = n_min, raw
         return seq
 
     @classmethod
@@ -55,36 +58,41 @@ class CoeffSeq:
         return cls(lo, [scalar(value)] * (hi - lo + 1))
 
     @property
+    def values(self) -> tuple:
+        return tuple(map(mp.make_mpf, self.raw))
+
+    @property
     def window(self):
-        return (self.n_min, self.n_min + len(self.values) - 1)
+        return (self.n_min, self.n_min + len(self.raw) - 1)
 
     def at(self, n: int) -> mpf:
         i = int(n) - self.n_min
-        if i < 0 or i >= len(self.values):
+        if i < 0 or i >= len(self.raw):
             lo, hi = self.window
             raise WindowError(f"index {n} outside sequence window [{lo}, {hi}]")
-        return self.values[i]
+        return mp.make_mpf(self.raw[i])
 
     def restrict(self, window) -> "CoeffSeq":
         lo, hi = int(window[0]), int(window[1])
         if (lo, hi) == self.window:
             return self
-        return CoeffSeq._computed(lo, self.values_on(lo, hi))
+        return CoeffSeq._from_raw(lo, self.values_on(lo, hi))
 
-    def values_on(self, lo: int, hi: int) -> tuple:
-        """The values on [lo, hi], which must be non-empty and inside the window."""
+    def values_on(self, lo: int, hi: int) -> list:
+        """The raw values on [lo, hi], which must be non-empty and inside the window."""
         slo, shi = self.window
         if hi < lo or lo < slo or hi > shi:
             raise WindowError(f"[{lo}, {hi}] is empty or outside sequence window [{slo}, {shi}]")
-        return self.values[lo - slo : hi - slo + 1]
+        return self.raw[lo - slo : hi - slo + 1]
 
     def sup_norm(self) -> mpf:
-        return mp.make_mpf(raw_max((v._mpf_ for v in self.values), mp.prec))
+        return mp.make_mpf(raw_max(self.raw, mp.prec))
 
     def binop(self, other, op) -> "CoeffSeq":
         """self op other on the common window; op is a raw kernel of numcore."""
         lo, hi = _common_window([self, other])
-        return CoeffSeq._computed(lo, raw_map(op, self.values_on(lo, hi), other.values_on(lo, hi)))
+        vals = map(op, self.values_on(lo, hi), other.values_on(lo, hi), repeat(mp.prec))
+        return CoeffSeq._from_raw(lo, list(vals))
 
     def __add__(self, other):
         return self.binop(other, radd)
@@ -95,12 +103,14 @@ class CoeffSeq:
     def __mul__(self, other):
         if isinstance(other, CoeffSeq):
             return self.binop(other, rmul)
-        return CoeffSeq._computed(self.n_min, raw_map(rmul, repeat(scalar(other)), self.values))
+        c, p = scalar(other)._mpf_, mp.prec
+        return CoeffSeq._from_raw(self.n_min, [rmul(c, v, p) for v in self.raw])
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return CoeffSeq._computed(self.n_min, [-v for v in self.values])
+        p = mp.prec
+        return CoeffSeq._from_raw(self.n_min, [mpf_neg(v, p, RND) for v in self.raw])
 
     def __repr__(self):
         lo, hi = self.window
@@ -188,7 +198,7 @@ class DiffOp:
         """Every top coefficient within MONIC_TOL of 1; an exact 1 passes
         on its raw value, with no subtraction."""
         top = self.terms[self.order]
-        return all(v._mpf_ == fone or abs(v - 1) <= MONIC_TOL for v in top.values)
+        return all(v == fone or abs(mp.make_mpf(v) - 1) <= MONIC_TOL for v in top.raw)
 
     def sup_norm(self) -> mpf:
         """max |u_j(n)| over the window; the yardstick for 'numerically zero'."""
@@ -207,9 +217,9 @@ class DiffOp:
         prec, vals = mp.prec, None
         for j, u in self.terms.items():
             uv, fv = u.values_on(lo, hi), f.values_on(lo + j, hi + j)
-            vals = ([rmul(x._mpf_, y._mpf_, prec) for x, y in zip(uv, fv)] if vals is None else
-                    [rmac(acc, x._mpf_, y._mpf_, prec) for acc, x, y in zip(vals, uv, fv)])
-        return CoeffSeq._computed(lo, map(mp.make_mpf, vals))
+            vals = ([rmul(x, y, prec) for x, y in zip(uv, fv)] if vals is None else
+                    [rmac(acc, x, y, prec) for acc, x, y in zip(vals, uv, fv)])
+        return CoeffSeq._from_raw(lo, vals)
 
     def __mul__(self, other):
         if not isinstance(other, DiffOp):
@@ -222,11 +232,11 @@ class DiffOp:
         if hi < lo:
             raise WindowError("composition window empty")
         prec, olo, width = mp.prec, other.window[0], hi - lo + 1
-        raw = {j: [v._mpf_ for v in b.values] for j, b in other.terms.items()}
+        raw = {j: b.raw for j, b in other.terms.items()}
         ones = {j for j, bv in raw.items() if _all_ones(bv)}
         out: dict = {}
         for i, a in self.terms.items():
-            av = [v._mpf_ for v in a.values_on(lo, hi)]
+            av = a.values_on(lo, hi)
             a_ones = _all_ones(av)
             for j, bv in raw.items():
                 bv = bv[lo + i - olo:lo + i - olo + width]
@@ -239,8 +249,7 @@ class DiffOp:
                     out[k] = [rmac(acc, x, y, prec) for acc, x, y in zip(out[k], av, bv)]
                 else:
                     out[k] = [rmul(x, y, prec) for x, y in zip(av, bv)]
-        return DiffOp({k: CoeffSeq._computed(lo, map(mp.make_mpf, v)) for k, v in out.items()},
-                      (lo, hi))
+        return DiffOp({k: CoeffSeq._from_raw(lo, v) for k, v in out.items()}, (lo, hi))
 
     __rmul__ = __mul__
 

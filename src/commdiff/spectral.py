@@ -19,10 +19,11 @@ from __future__ import annotations
 from functools import reduce
 from operator import add
 
-from mpmath import mpf
+from mpmath import mp, mpf
+from mpmath.libmp import fzero
 
 from .errors import CommutationError, WindowError
-from .numcore import HyperellipticCurve, ZPoly, scalar
+from .numcore import HyperellipticCurve, ZPoly, rmul, rpoly_sub, scalar
 from .opalg import CoeffSeq, DiffOp, commutator_residual
 
 # relative bound on the trace, the base-point spread and the distance from
@@ -42,8 +43,9 @@ def kernel_extend(L: DiffOp, n0: int, init, length: int):
     psi(n0..n0+m-1) and the recurrence fills out to the requested length.
     The result is the list of z-coefficient sequences [psi_0, psi_1, ...] of
     psi = sum_k psi_k z^k, to which an operator free of z applies one by one.
-    Each step forms z psi(n) as a coefficient shift and subtracts u_j(n)
-    psi(n + j) in degree order; each lower u_j is read once, as one slice.
+    Each step shifts the raw vector of psi(n) up one place for z psi(n) and
+    subtracts u_j(n) psi(n + j), rmul's products, by rpoly_sub in degree
+    order; each lower u_j is read once, as one raw slice.
     """
     if not L.is_positive:
         raise ValueError("kernel recurrence needs a positive operator")
@@ -63,20 +65,25 @@ def kernel_extend(L: DiffOp, n0: int, init, length: int):
         )
     lower = [(j, u.values_on(lo_needed, hi_needed))
              for j, u in L.terms.items() if j != m] if length > m else []
-    vals = list(init)
+    p = mp.prec
+    vals = [v.raw for v in init]
     for i in range(length - m):
-        # z psi(n): the coefficients one place up; 0 z^0 is trimmed with psi = 0
-        acc = ZPoly._computed((mpf(0), *vals[i].coeffs))
+        # z psi(n): the coefficients one place up; psi = 0 stays empty
+        acc = [fzero, *vals[i]] if vals[i] else []
         for j, uv in lower:
-            acc -= vals[i + j].scale(uv[i])
+            u = uv[i]
+            if u != fzero:
+                acc = rpoly_sub(acc, [rmul(u, v, p) for v in vals[i + j]], p)
         vals.append(acc)
-    width = max(len(v.coeffs) for v in vals)
-    return [CoeffSeq._computed(n0, [v.coeff(k) for v in vals]) for k in range(width)]
+    width = max(map(len, vals))
+    return [CoeffSeq._from_raw(n0, [v[k] if k < len(v) else fzero for v in vals])
+            for k in range(width)]
 
 
 def _z_values(seqs, n0: int, count: int) -> list:
     """The ZPoly values at n0..n0+count-1 of z-coefficient sequences."""
-    return [ZPoly._computed(tuple(s.at(n0 + r) for s in seqs)) for r in range(count)]
+    cols = [s.values_on(n0, n0 + count - 1) for s in seqs]
+    return [ZPoly._from_raw([c[r] for c in cols]) for r in range(count)]
 
 
 def action_matrix(L_base: DiffOp, L_act: DiffOp, n0: int):

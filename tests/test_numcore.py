@@ -142,6 +142,7 @@ def test_poly_kernels_match_the_mpf_loops_bit_for_bit(bits):
             assert _raw(p - q) == _raw(_reference_sub(p, q))
             assert _raw(q - p) == _raw(_reference_sub(q, p))
             assert _raw(p.scale(c)) == _raw(_reference_scale(p, c))
+            assert _raw(-p) == _raw(ZPoly([-x for x in p.coeffs]))
             assert p.sup_norm()._mpf_ == _reference_sup_norm(p)._mpf_
         # the first largest, as max() picks it; with prec, of the rounded |v|
         raws = [v._mpf_ for v in pool]
@@ -165,7 +166,7 @@ def test_raw_vector_helpers_match_the_mpf_loops_bit_for_bit(bits):
             tail = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
             pairs += [(a + tail, a + tail), (a + tail, a + [-v for v in tail]), (a, [])]
         for a, b in pairs:
-            p, q = ZPoly._computed(tuple(a)), ZPoly._computed(tuple(b))
+            p, q = ZPoly(a), ZPoly(b)
             a, b = p.raw, q.raw  # trimmed, as ZPoly's operands always are
             assert rpoly_mul(a, b, bits) == _raw(_reference_poly_mul(p, q))
             assert rpoly_add(a, b, bits) == _raw(_reference_add(p, q))

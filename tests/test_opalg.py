@@ -337,9 +337,13 @@ def test_terms_on_the_window_are_shared_not_copied():
 # ---------------------------------------------------------------------------
 
 
+def _mpfs_on(seq, lo, hi):
+    return [mp.make_mpf(v) for v in seq.values_on(lo, hi)]
+
+
 def _reference_binop(x, y, op):
     lo, hi = max(x.window[0], y.window[0]), min(x.window[1], y.window[1])
-    return list(map(op, x.values_on(lo, hi), y.values_on(lo, hi)))
+    return list(map(op, _mpfs_on(x, lo, hi), _mpfs_on(y, lo, hi)))
 
 
 def _reference_compose(A, B):
@@ -347,9 +351,9 @@ def _reference_compose(A, B):
     hi = min(A.window[1], B.window[1] - A.order)
     out = {}
     for i, a in A.terms.items():
-        av = a.values_on(lo, hi)
+        av = _mpfs_on(a, lo, hi)
         for j, b in B.terms.items():
-            contrib = map(operator.mul, av, b.values_on(lo + i, hi + i))
+            contrib = map(operator.mul, av, _mpfs_on(b, lo + i, hi + i))
             k = i + j
             out[k] = list(map(operator.add, out[k], contrib)) if k in out else list(contrib)
     return (lo, hi), out
@@ -357,8 +361,8 @@ def _reference_compose(A, B):
 
 def _reference_scale_left(L, c):
     lo, hi = max(c.window[0], L.window[0]), min(c.window[1], L.window[1])
-    cv = c.values_on(lo, hi)
-    return (lo, hi), {j: list(map(operator.mul, cv, t.values_on(lo, hi)))
+    cv = _mpfs_on(c, lo, hi)
+    return (lo, hi), {j: list(map(operator.mul, cv, _mpfs_on(t, lo, hi)))
                       for j, t in L.terms.items()}
 
 
@@ -367,7 +371,7 @@ def _reference_apply(L, f):
     hi = min(L.window[1], f.window[1] - L.order)
     vals = None
     for j, u in L.terms.items():
-        prods = map(operator.mul, u.values_on(lo, hi), f.values_on(lo + j, hi + j))
+        prods = map(operator.mul, _mpfs_on(u, lo, hi), _mpfs_on(f, lo + j, hi + j))
         vals = list(prods) if vals is None else list(map(operator.add, vals, prods))
     return lo, vals
 
@@ -397,6 +401,7 @@ def test_coefficient_and_operator_kernels_match_the_mpf_loops_bit_for_bit(bits):
             for got, op in ((x + y, operator.add), (x - y, operator.sub), (x * y, operator.mul)):
                 assert _raw_vals(got.values) == _raw_vals(_reference_binop(x, y, op))
             assert _raw_vals((x * c).values) == _raw_vals([c * v for v in x.values])
+            assert _raw_vals((-x).values) == _raw_vals([-v for v in x.values])
             assert x.sup_norm()._mpf_ == max(abs(v) for v in x.values)._mpf_
             A = DiffOp({-1: seq((-12, 12)), 0: seq((-12, 12)), 2: seq((-12, 12))})
             B = DiffOp({0: seq((-10, 14)), 1: seq((-10, 14)), 3: seq((-10, 14))})
@@ -406,7 +411,7 @@ def test_coefficient_and_operator_kernels_match_the_mpf_loops_bit_for_bit(bits):
             # terms of exact 1s on either side, against factors that hold a
             # value wider than bits, which a product with 1 rounds
             ones = CoeffSeq.constant(1, (-12, 14))
-            wide = CoeffSeq(-12, [pool[4], *(v for v in x.values_on(-9, 12)), pool[5]])
+            wide = CoeffSeq(-12, [pool[4], *_mpfs_on(x, -9, 12), pool[5]])
             A1 = DiffOp({**A.terms, 0: wide, 2: ones})
             B1 = DiffOp({0: ones, 1: wide, 3: ones})
             for L, R in ((A1, B), (B, A1), (A, B1), (B1, A), (A1, B1), (B1, A1), (A1, A1)):

@@ -1,5 +1,6 @@
 import pytest
 from mpmath import mp, mpf, cos, sin
+from mpmath.libmp import fzero
 
 from commdiff.errors import CommutationError, WindowError
 from commdiff.numcore import ZPoly
@@ -15,7 +16,9 @@ from commdiff.dressing import (
 )
 from commdiff.families import FamilySpec, build_case, geom_family, poly_family, trig_family
 from commdiff import spectral
+from commdiff.rank2 import Rank2Params, build_l4, build_l6_special
 from oracles import baker_akhiezer, curve_point
+from test_numcore import _raw, _reference_add, _reference_poly_mul
 from commdiff.spectral import (
     CurveReport,
     action_matrix,
@@ -400,6 +403,16 @@ def test_apply_matches_the_reference_loop_on_exact_zeros_and_negative_degrees(bi
         init = (ZPoly([mpf(1) / 3, 1]), ZPoly([0, 0, mpf(2) / 7]))
         assert _raw_seqs(kernel_extend(S, 18, init, 2)) == _raw_seqs(
             _reference_kernel_extend(S, 18, init, 2))
+        # initial data wider than bits under exact-zero lower coefficients:
+        # z psi is an exact shift and a zero coefficient subtracts nothing,
+        # so psi(n + 2) = z psi(n) keeps every bit
+        with mp.workprec(2 * bits):
+            wide = (ZPoly([mp.sqrt(2), -mp.sqrt(3)]), ZPoly([mp.sqrt(5)]))
+        psi = kernel_extend(S, 0, wide, 6)
+        for r in range(2, 6):
+            got = [s.at(r)._mpf_ for s in psi]
+            want = [fzero] * (r // 2) + wide[r % 2].raw
+            assert got == want + [fzero] * (len(got) - len(want)), r
 
 
 @pytest.mark.parametrize("bits", (53, 113, 160))
@@ -417,3 +430,66 @@ def test_action_matrix_matches_the_reference_loops_bit_for_bit(monkeypatch, kind
                 [[c._mpf_ for c in p.coeffs] for p in row] for row in M_ref
             ]
             assert defect._mpf_ == defect_ref._mpf_
+
+
+# the rank-two L4: order 4, the dyadic pair of rank2 and a non-dyadic L4
+RANK2_CASES = [(2, 0, 0), ("0.3", "1.7", "-0.45")]
+
+
+def _reference_total(polys):
+    """p_1 + p_2 + ... left to right, each sum the mpf loop of ZPoly's +."""
+    acc = polys[0]
+    for p in polys[1:]:
+        acc = _reference_add(acc, p)
+    return acc
+
+
+def _reference_char_poly(A):
+    """The Faddeev-LeVerrier loop over ZPoly entries that `char_poly_coeffs`
+    must reproduce bit for bit above 2 x 2: traces of A^1..A^m, then Newton's
+    identities, c_{m-k} = -(p_k + c_{m-1} p_{k-1} + ...) / k."""
+    m = len(A)
+    Mk = A
+    traces = [_reference_total([A[i][i] for i in range(m)])]
+    for _ in range(m - 1):
+        Mk = [[_reference_total([_reference_poly_mul(Mk[i][k], A[k][j]) for k in range(m)])
+               for j in range(m)] for i in range(m)]
+        traces.append(_reference_total([Mk[i][i] for i in range(m)]))
+    coeffs = [None] * m + [mpf(1)]
+    for k in range(1, m + 1):
+        acc = traces[k - 1]
+        for i in range(1, k):
+            acc = _reference_add(acc, _reference_poly_mul(coeffs[m - i], traces[k - i - 1]))
+        coeffs[m - k] = ZPoly([-c / k for c in acc.coeffs])
+    return coeffs
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160, 1100))
+@pytest.mark.parametrize("params", RANK2_CASES)
+def test_kernel_extend_of_the_rank2_l4_matches_the_reference_loop_bit_for_bit(params, bits):
+    with mp.workprec(bits):
+        L4 = build_l4(Rank2Params(*params), (-12, 12))
+        units = [tuple(ZPoly([1]) if j == i else ZPoly.zero() for j in range(4))
+                 for i in range(4)]
+        mixed = (ZPoly([mpf("0.7"), mpf("-0.3")]), ZPoly.zero(), ZPoly([0, 0, mpf(1) / 3]),
+                 ZPoly([mpf(-2) / 7]))
+        for n0 in (-12, -1, 0, 3):
+            for init in (*units, mixed):
+                psi = kernel_extend(L4, n0, init, 14)
+                assert _raw_seqs(psi) == _raw_seqs(_reference_kernel_extend(L4, n0, init, 14))
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160, 1100))
+@pytest.mark.parametrize("params", RANK2_CASES)
+def test_char_poly_of_the_rank2_action_matrix_matches_faddeev_leverrier_bit_for_bit(params,
+                                                                                    bits):
+    # at (2, 0, 0) the 4 x 4 action of L6 on ker(L4 - z) is exact; the
+    # non-dyadic L4 with the same L6 (which then does not commute with it)
+    # gives entries that round
+    with mp.workprec(bits):
+        L4 = build_l4(Rank2Params(*params), (-20, 20))
+        M, _defect = action_matrix(L4, build_l6_special((-20, 20)), 0)
+        assert len(M) == 4 and all(len(row) == 4 for row in M)
+        got, want = char_poly_coeffs(M), _reference_char_poly(M)
+        assert [_raw(c) for c in got[:4]] == [_raw(c) for c in want[:4]]
+        assert got[4] == want[4] == 1
