@@ -21,7 +21,7 @@ nature, every verification here is pure and parallelizes over (n, z).
 
 from __future__ import annotations
 
-from mpmath import mp, mpf, sqrt, cos
+from mpmath import mp, mpf, sqrt
 from mpmath.libmp import fone, fzero, mpf_abs, mpf_div, mpf_gt, mpf_neg, mpf_pos, mpf_rdiv_int
 from mpmath.libmp import round_nearest as RND
 
@@ -30,6 +30,7 @@ from .errors import DegenerateDenominatorError, InconsistentDataError, WindowErr
 from .numcore import (
     HyperellipticCurve,
     ZPoly,
+    cos_int,
     radd,
     raw_max,
     rdot,
@@ -204,18 +205,19 @@ def verify_master(state: DressingState, n: int) -> mpf:
 def _four_term_factors(U: CoeffSeq, W: CoeffSeq, n: int):
     """(s_i, c_i, d_i), i = 1..4, with R_n(z) = sum_i d_i (z + c_i) S_{n+s_i}(z)
     the four-term relation at n, c_i and d_i raw.  c_1 = -U_n^2 - W_n and
-    c_4 = -U_{n+1}^2 - W_{n+1} are rounded as -(x * x + w), which equals mpf's
-    -(x ** 2) - w bit for bit, round-to-nearest being symmetric."""
+    c_4 = -U_{n+1}^2 - W_{n+1} are rounded as -(w + x * x), one rmac, which
+    equals mpf's -(x ** 2) - w bit for bit, round-to-nearest being symmetric
+    and libmp's sum commutative."""
     p = mp.prec
     Um1, U0, U1, U2 = U.values_on(n - 1, n + 2)
     W0, W1 = W.values_on(n, n + 1)
     right, left = radd(U1, U2, p), mpf_neg(radd(Um1, U0, p))
     u01, s01 = rmul(U0, U1, p), radd(U0, U1, p)
     return (
-        (-1, mpf_neg(radd(rmul(U0, U0, p), W0, p)), right),
-        (0, rsub(radd(u01, rmul(Um1, s01, p), p), W0, p), right),
-        (1, rsub(radd(u01, rmul(s01, U2, p), p), W1, p), left),
-        (2, mpf_neg(radd(rmul(U1, U1, p), W1, p)), left),
+        (-1, mpf_neg(rmac(W0, U0, U0, p)), right),
+        (0, rsub(rmac(u01, Um1, s01, p), W0, p), right),
+        (1, rsub(rmac(u01, s01, U2, p), W1, p), left),
+        (2, mpf_neg(rmac(W1, U1, U1, p)), left),
     )
 
 
@@ -227,7 +229,7 @@ def _term_coeffs(a, c, d):
     if not a:
         return []
     p = mp.prec
-    mid = (rmul(d, radd(lo, rmul(c, hi, p), p), p) for lo, hi in zip(a, a[1:]))
+    mid = (rmul(d, rmac(lo, c, hi, p), p) for lo, hi in zip(a, a[1:]))
     return [rmul(d, rmul(c, a[0], p), p), *mid, rmul(d, a[-1], p)]
 
 
@@ -267,12 +269,12 @@ def identity_residuals(state: DressingState, window, skew: bool = False):
     is None without skew or when that range is empty, as no pair (n, -n-1)
     is compared.
 
-    Everything runs on raw libmp vectors: each S_n and Q_n is read once,
-    the products, sums and differences are numcore's rpoly_mul, rpoly_add
-    and rpoly_sub, which ZPoly's arithmetic wraps, so the values are those
-    of the ZPoly expressions bit for bit, and only the three results become
-    mpfs.  Each product is formed once per n, and the skew pass reuses the
-    linear one.
+    Everything runs on raw libmp vectors: each S_n and Q_n is read once, U
+    and W on the master's sites as one raw slice each, and the products,
+    sums and differences are numcore's rpoly_mul, rpoly_add and rpoly_sub,
+    which ZPoly's arithmetic wraps, so the values are those of the ZPoly
+    expressions bit for bit, and only the three results become mpfs.  Each
+    product is formed once per n, and the skew pass reuses the linear one.
     """
     lo, hi = int(window[0]), int(window[1])
     s_lo, s_hi = state.window
@@ -290,9 +292,11 @@ def identity_residuals(state: DressingState, window, skew: bool = False):
         return raw_max((acc, mpf_div(raw_max(r, p) if r else fzero, scale, p, RND)))
 
     master_rel = fzero
-    for n in range(max(lo, s_lo + 1), min(hi, s_hi - 1) + 1):
-        u, w = state.U.at(n)._mpf_, state.W.at(n)._mpf_
-        lin = [mpf_neg(radd(rmul(u, u, p), w, p)), fone]
+    sites = range(max(lo, s_lo + 1), min(hi, s_hi - 1) + 1)
+    uw = zip(state.U.values_on(sites[0], sites[-1]),
+             state.W.values_on(sites[0], sites[-1])) if sites else ()
+    for n, (u, w) in zip(sites, uw):
+        lin = [mpf_neg(rmac(w, u, u, p)), fone]
         s2 = rpoly_mul(S[n], S[n], p)
         prod = rpoly_mul(rpoly_mul(lin, Q[n], p), Q[n + 1], p)
         master_rel = worst(master_rel, rpoly_sub(f, rpoly_add(s2, prod, p), p),
@@ -345,7 +349,7 @@ class TrigBasis(AnsatzBasis):
         return self.g + 1
 
     def functions(self, n):
-        return [cos((2 * k + 1) * mpf(n)) for k in range(self.g + 1)]
+        return [cos_int((2 * k + 1) * n) for k in range(self.g + 1)]
 
 
 class EvenPowerBasis(AnsatzBasis):

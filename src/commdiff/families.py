@@ -16,7 +16,7 @@ from mpmath import mp, mpf, cos, sin
 
 from . import dressing
 from .errors import DegenerateDenominatorError
-from .numcore import HyperellipticCurve, scalar
+from .numcore import HyperellipticCurve, cos_int, scalar
 from .opalg import CoeffSeq
 
 # each family's parameters: None marks a required one, a value its default;
@@ -84,8 +84,8 @@ def trig_family(g: int, r1, window) -> tuple:
         raise ValueError("trig family needs r1 != 0")
     g = int(g)
     amp = r1**2 * sin(mpf(g)) * sin(mpf(g + 1)) / (2 * cos(g + mpf(1) / 2) ** 2)
-    U = CoeffSeq.tabulate(lambda n: r1 * cos(n), window)
-    W = CoeffSeq.tabulate(lambda n: amp * cos(2 * n), window)
+    U = CoeffSeq.tabulate(lambda n: r1 * cos_int(n), window)
+    W = CoeffSeq.tabulate(lambda n: amp * cos_int(2 * n), window)
     return U, W
 
 

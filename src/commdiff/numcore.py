@@ -6,12 +6,16 @@ Values are raw libmp tuples, the only thing ZPoly stores, computed on by
 the kernels rmul, radd and rsub below, libmp's round-to-nearest mpf_mul,
 mpf_add and mpf_sub reimplemented bit for bit with int.bit_length, and by
 rmac, their multiply-accumulate radd(acc, rmul(s, t, p), p) in one call, so
-this module is the one that knows how a result is rounded.  mpmath floats
-appear where a value enters (scalar, ZPoly's constructor) or leaves (coeffs,
-lead, sup_norm, reports).  Polynomial products, sums and differences exist
-once, as rpoly_mul, rpoly_add and rpoly_sub on raw coefficient vectors:
-ZPoly's *, + and - wrap them, and dressing's identity checks call them
-directly.  Composition (opalg's DiffOp.__mul__, which scale_left and the L2
+this module is the one that knows how a result is rounded.  A zero operand
+stays in the kernels (libmp's answer, the other operand or fzero, needs no
+rounding when the other operand fits in p bits), and raw_max compares
+magnitudes in place, rounding only what mpf_abs must.  cos_int is
+mpmath's cos at an integer, computed once per argument and precision for
+the trig family and basis.  mpmath floats appear where a value enters
+(scalar, ZPoly's constructor) or leaves (coeffs, lead, sup_norm, reports).
+Polynomial products, sums and differences exist once, as rpoly_mul,
+rpoly_add and rpoly_sub on raw coefficient vectors: ZPoly's *, + and -
+wrap them, and dressing's identity checks call them directly.  Composition (opalg's DiffOp.__mul__, which scale_left and the L2
 and partner assemblies of dressing are built on) forms no product with a
 term of exact 1s: 1 times v at p bits is v itself when v fits in p bits,
 and a wider v is rounded as rmul(fone, v, p) rounds it.
@@ -27,9 +31,10 @@ ZPolys are never mutated once built and every function here is pure.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from itertools import repeat
 
-from mpmath import mp, mpf
+from mpmath import cos, mp, mpf
 from mpmath.libmp import (
     finf, fnan, fninf, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg, mpf_sub,
 )
@@ -79,32 +84,70 @@ def scalar(x) -> mpf:
 def raw_max(vals, prec=None):
     """The first largest of the raw values vals, as max() picks it; with prec,
     of their mpf_abs at prec: max(abs(v) for v in vals), as mpf's abs rounds.
-    Two nonzero finite values of sign 0 compare on exponent plus bit count,
-    the binary order of magnitude; ties, zeros, specials and signs go to
-    libmp."""
-    if prec is not None:
-        # a value that fits in prec bits needs no rounding, only its sign cleared
-        vals = (mpf_abs(v, prec, RND) if not v[1] or v[3] > prec else
-                (0, v[1], v[2], v[3]) if v[0] else v for v in vals)
-    it = iter(vals)
-    best = next(it)
-    for v in it:
-        if v[1] and best[1] and not (v[0] or best[0]):
-            d = v[2] + v[3] - best[2] - best[3]
-            if d:
-                if d > 0:
-                    best = v
+    Without prec, two nonzero finite values of sign 0 compare on exponent plus
+    bit count, the binary order of magnitude, and ties, zeros, specials and
+    signs go to libmp's mpf_gt.  With prec, magnitudes are compared in place:
+    exponent plus bit count first, on a tie the mantissas shifted to a common
+    length; only zeros, specials and values wider than prec are rounded by
+    mpf_abs, and the winner's abs is returned."""
+    if prec is None:
+        it = iter(vals)
+        best = next(it)
+        for v in it:
+            if v[1] and best[1] and not (v[0] or best[0]):
+                d = v[2] + v[3] - best[2] - best[3]
+                if d:
+                    if d > 0:
+                        best = v
+                    continue
+            if mpf_gt(v, best):
+                best = v
+        return best
+    # best is the winner, or its abs when mpf_abs made it; bman, btop and bbc
+    # are its mantissa (0 for a zero or special), exponent plus bit count and
+    # bit count
+    best, bman = None, 0
+    for v in vals:
+        _, man, exp, bc = v
+        if not man or bc > prec:
+            v = mpf_abs(v, prec, RND)
+            _, man, exp, bc = v
+            if not man:
+                # a zero or nan never wins after the first; inf beats finite
+                if best is None or v == finf and (bman or best == fzero):
+                    best, bman = v, 0
                 continue
-        if mpf_gt(v, best):
-            best = v
-    return best
+        top = exp + bc
+        if bman:
+            if top < btop or top == btop and (
+                    man <= bman << (bc - bbc) if bc >= bbc else man << (bbc - bc) <= bman):
+                continue
+        elif best is not None and best != fzero:
+            continue
+        best, bman, btop, bbc = v, man, top, bc
+    return (0, bman, best[2], bbc) if best[0] else best
+
+
+def cos_int(j: int) -> mpf:
+    """cos(j) in radians for an integer j at the working precision, mpmath's
+    cos(j), computed once per (|j|, mp.prec) while a bounded cache holds it:
+    libmp reduces |j| and gives cos(-j) the same bits."""
+    return _cos_at(abs(j), mp.prec)
+
+
+@lru_cache(maxsize=1024)
+def _cos_at(j: int, prec: int) -> mpf:
+    # prec, mp.prec at the call, is only the key
+    return cos(j)
 
 
 # Round-to-nearest kernels: libmp's result for normalized raw values, the
 # mantissa cut to p bits with ties to even and the bits past the half bit
 # sticky, a carry to 2^p stored as mantissa 1, trailing zeros stripped, an
-# exact cancellation fzero.  Zero and special operands, and sums whose
-# exponents lie over 100 apart (where libmp perturbs), go to libmp itself.
+# exact cancellation fzero.  A zero operand stays here: times a finite value
+# it gives fzero, and in a sum the other operand, when that fits in p bits.
+# Special operands, a zero beside a value wider than p, and sums whose
+# exponents lie over 100 apart (where libmp perturbs) go to libmp itself.
 
 
 def rmul(s, t, p):
@@ -113,7 +156,8 @@ def rmul(s, t, p):
     tsign, tman, texp, _ = t
     man = sman * tman
     if not man:
-        return mpf_mul(s, t, p, RND)
+        # a zero times a finite value; a special goes to libmp
+        return fzero if (sman or not sexp) and (tman or not texp) else mpf_mul(s, t, p, RND)
     bc, exp = man.bit_length(), sexp + texp
     if bc > p:
         # odd mantissas have an odd product, so only a rounding leaves zeros
@@ -129,10 +173,16 @@ def rmul(s, t, p):
 
 def radd(s, t, p, _neg=0):
     """s + t at p bits, as mpf_add(s, t, p, round_nearest); s - t with _neg."""
-    sign, sman, sexp, _ = s
-    tsign, tman, texp, _ = t
+    sign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
     off = sexp - texp
     if not (sman and tman) or off > 100 or off < -100:
+        # 0 ± t is ±t, and s ± 0 is s, when that value fits in p bits
+        if not tman:
+            if sman and not texp and sbc <= p:
+                return s
+        elif not (sman or sexp) and tbc <= p:
+            return (tsign ^ 1, tman, texp, tbc) if _neg else t
         return (mpf_sub if _neg else mpf_add)(s, t, p, RND)
     if off >= 0:
         sman, exp = sman << off, texp

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 from mpmath import mp, mpf, cos, sin, sqrt
 
+from commdiff import dressing, families, numcore
 from commdiff.errors import DegenerateDenominatorError, InconsistentDataError
 from commdiff.opalg import CoeffSeq, DiffOp, commutator_residual, op_commutator
 from commdiff.dressing import (
@@ -288,6 +290,23 @@ def test_commutator_residual_is_the_normalized_sup_norm():
         old = op_commutator(L2, partner)
         assert rel == old.sup_norm() / (L2.sup_norm() * partner.sup_norm())
         assert (comm - old).sup_norm() == 0
+
+
+def test_trig_cases_compute_each_cosine_once(monkeypatch):
+    # two trig cases in one process tabulate U and W at p and p + 32 bits and
+    # the basis profiles at p, over overlapping windows: mpmath's cos, where
+    # any module binds it, meets each (argument, precision) at most once
+    calls = Counter()
+
+    def counted(x):
+        calls[x, mp.prec] += 1
+        return cos(x)
+
+    for module in (numcore, families, dressing):
+        monkeypatch.setattr(module, "cos", counted, raising=False)
+    build_case(FamilySpec("trig", 3, {"r1": mpf("0.7")}), (-6, 6))
+    build_case(FamilySpec("trig", 4, {"r1": mpf("1.3")}), (-6, 6))
+    assert calls and max(calls.values()) == 1, calls.most_common(3)
 
 
 def test_basis_for_selects_odd_extension():

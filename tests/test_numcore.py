@@ -3,7 +3,7 @@ import operator
 import random
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import cos, mp, mpf
 from mpmath.libmp import (
     finf, fnan, fninf, fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_neg,
     mpf_sub, round_nearest,
@@ -13,6 +13,7 @@ from commdiff.errors import DegenerateDenominatorError, NonFiniteError
 from commdiff.numcore import (
     HyperellipticCurve,
     ZPoly,
+    cos_int,
     get_precision,
     mpf_to_str,
     poly_div_exact,
@@ -233,8 +234,14 @@ def test_kernels_match_libmp_on_random_operands(p):
 
 
 def test_kernels_match_libmp_on_zeros_and_specials():
-    values = [fzero, finf, fninf, fnan, fone, from_man_exp(-3, -7), from_man_exp(2 ** 60 + 1, 4)]
-    for p in (1, 53, 113):
+    # every pair, so a zero meets partners of at most p bits, which the
+    # kernels answer themselves, wider ones, which libmp rounds, and specials
+    rng = random.Random(17)
+    for p in (1, 53, 113, 1100):
+        values = [fzero, finf, fninf, fnan, fone, from_man_exp(-3, -7), from_man_exp(2 ** 60 + 1, 4)]
+        for width in (p // 2 or 1, p, p + 1, 2 * p):
+            man = rng.getrandbits(width) | 1 | (1 << (width - 1))
+            values += [from_man_exp(man, -width), from_man_exp(-man, rng.randint(-90, 90))]
         _check_kernels(((s, t) for s in values for t in values), p)
 
 
@@ -384,12 +391,23 @@ def test_raw_max_matches_the_libmp_loop():
     p = 53
     x = from_man_exp(rng.getrandbits(p) | 1, -20)
     wide = [from_man_exp(rng.getrandbits(2 * p) | 1 | (1 << (2 * p - 1)), -p - k) for k in range(3)]
+    # (m << p) + d, of 2p bits, rounds to the p-bit m at p for every odd |d|
+    # below 2^(p-1): ties that only the rounding makes, among themselves and
+    # with m; carry rounds up to 2^p and ties with the one-bit 1
+    m = rng.getrandbits(p) | 1 | (1 << (p - 1))
+    ties = [from_man_exp((m << p) + d, -2 * p) for d in (1, -1, 3, (1 << (p - 1)) - 1)]
+    carry = from_man_exp(((2 ** p - 1) << p) + (1 << (p - 1)) + 1, -2 * p)
+    assert {mpf_abs(v, p, round_nearest) for v in ties} == {from_man_exp(m, -p)}
+    assert mpf_abs(carry, p, round_nearest) == fone
     pool = [fzero, finf, fninf, fnan, fone, x, mpf_neg(x), from_man_exp(1, p - 20), *wide,
-            *(mpf_neg(w) for w in wide), from_man_exp(rng.getrandbits(p) | 1, -20)]
-    for _ in range(400):
-        vals = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
-        for prec in (None, p, 2 * p):
-            assert raw_max(vals, prec) == _reference_raw_max(vals, prec), (vals, prec)
+            *(mpf_neg(w) for w in wide), from_man_exp(rng.getrandbits(p) | 1, -20),
+            *ties, mpf_neg(ties[1]), from_man_exp(m, -p), carry, mpf_neg(carry)]
+    # lists led by nothing in particular, by a zero and by each special
+    for lead in ((), (fzero,), (finf,), (fninf,), (fnan,)):
+        for _ in range(400):
+            vals = [*lead, *(rng.choice(pool) for _ in range(rng.randint(1, 6)))]
+            for prec in (None, p, 2 * p):
+                assert raw_max(vals, prec) == _reference_raw_max(vals, prec), (vals, prec)
     # equal values: the first one is returned, as max() returns it
     a, b = (0, 3, -1, 2), (0, 3, -1, 2)
     assert raw_max([fone, a, b]) is a
@@ -399,6 +417,27 @@ def test_raw_max_matches_the_libmp_loop():
     assert raw_max([mpf_neg(x), x]) is x
     # a value wider than prec is rounded before it is compared
     assert raw_max([wide[0], fzero], p) == mpf_abs(wide[0], p, round_nearest)
+    assert raw_max([mpf_neg(carry), fone], p) == fone == raw_max([fone, carry], p)
+    # inf after finite values wins, nan does not
+    assert raw_max([*ties, fninf, fnan], p) == finf
+    assert raw_max([fzero, *ties, fnan], p) == from_man_exp(m, -p)
+
+
+@pytest.mark.parametrize("bits", (53, 113, 145, 1100))
+def test_cos_int_is_mpmath_cos_at_the_working_precision(bits):
+    with mp.workprec(bits):
+        for j in range(-400, 401):
+            assert cos_int(j)._mpf_ == cos(j)._mpf_, (bits, j)
+
+
+def test_cos_int_keys_its_cache_on_the_working_precision():
+    with mp.workprec(113):
+        at_113 = cos_int(29)
+    with mp.workprec(145):
+        at_145 = cos_int(-29)
+        assert at_145._mpf_ == cos(29)._mpf_ != at_113._mpf_
+    with mp.workprec(113):
+        assert cos_int(-29) is at_113
 
 
 @pytest.mark.parametrize("bits", (113, 160))
