@@ -22,7 +22,7 @@ nature, every verification here is pure and parallelizes over (n, z).
 from __future__ import annotations
 
 from mpmath import mp, mpf, sqrt
-from mpmath.libmp import fone, fzero, mpf_abs, mpf_div, mpf_gt, mpf_neg, mpf_pos, mpf_rdiv_int
+from mpmath.libmp import fone, from_int, fzero, mpf_abs, mpf_gt, mpf_neg, mpf_pos, mpf_rdiv_int
 from mpmath.libmp import round_nearest as RND
 
 from . import linalg
@@ -31,8 +31,10 @@ from .numcore import (
     HyperellipticCurve,
     ZPoly,
     cos_int,
+    pow_int,
     radd,
     raw_max,
+    rdiv,
     rdot,
     rmac,
     rmul,
@@ -85,10 +87,16 @@ def q_from_s(S_prev: ZPoly, S_cur: ZPoly, U_prev, U_cur, where: str = "q_from_s"
     denominator below the general-position threshold is an error; where
     names the stage and the index n of Q_n in its message.
     """
+    return _pair_rule(S_prev.raw, S_cur.raw, scalar(U_prev)._mpf_, scalar(U_cur)._mpf_, where)
+
+
+def _pair_rule(s_prev, s_cur, u_prev, u_cur, where: str) -> ZPoly:
+    """q_from_s on the raw coefficients of S_prev and S_cur and raw U values."""
     p = mp.prec
-    den = _pair_denominator(scalar(U_prev)._mpf_, scalar(U_cur)._mpf_, p, where)
-    q = (S_prev + S_cur).scale(mp.make_mpf(mpf_rdiv_int(-1, den, p, RND)))
-    if mpf_gt(mpf_abs(rsub(q.lead._mpf_, fone, p)), S_LEAD_TOL._mpf_):
+    inv = mpf_rdiv_int(-1, _pair_denominator(u_prev, u_cur, p, where), p, RND)
+    q = ZPoly._from_raw([rmul(inv, v, p) for v in rpoly_add(s_prev, s_cur, p)])
+    lead = q.raw[-1] if q.raw else fzero
+    if mpf_gt(mpf_abs(rsub(lead, fone, p)), S_LEAD_TOL._mpf_):
         raise InconsistentDataError(
             f"{where}: pair rule produced a non-monic polynomial (lead = {q.lead}); "
             "S normalization is broken"
@@ -133,8 +141,8 @@ class DressingState:
         """
         lo, hi = min(S), max(S)
         g = max(p.degree for p in S.values())
-        prec, tol = mp.prec, S_LEAD_TOL._mpf_
-        for n, u in zip(range(lo, hi + 1), U.values_on(lo, hi)):
+        prec, tol, us = mp.prec, S_LEAD_TOL._mpf_, U.values_on(lo, hi)
+        for n, u in zip(range(lo, hi + 1), us):
             s = S[n].raw
             lead = s[g] if g < len(s) else fzero
             if mpf_gt(mpf_abs(radd(lead, u, prec)), rmul(tol, raw_max((fone, u, *s), prec), prec)):
@@ -142,7 +150,8 @@ class DressingState:
                     f"S_{n} has z^{g} coefficient {S[n].coeff(g)}, expected {-U.at(n)}"
                 )
         Q = {
-            n: q_from_s(S[n - 1], S[n], U.at(n - 1), U.at(n), f"state assembly at n={n}")
+            n: _pair_rule(S[n - 1].raw, S[n].raw, us[n - 1 - lo], us[n - lo],
+                          f"state assembly at n={n}")
             for n in range(lo + 1, hi + 1)
         }
         state = cls(U, W, curve, S, Q)
@@ -202,23 +211,30 @@ def verify_master(state: DressingState, n: int) -> mpf:
     return (state.curve.fpoly() - _master_fpoly(state, n)).sup_norm()
 
 
-def _four_term_factors(U: CoeffSeq, W: CoeffSeq, n: int):
-    """(s_i, c_i, d_i), i = 1..4, with R_n(z) = sum_i d_i (z + c_i) S_{n+s_i}(z)
-    the four-term relation at n, c_i and d_i raw.  c_1 = -U_n^2 - W_n and
-    c_4 = -U_{n+1}^2 - W_{n+1} are rounded as -(w + x * x), one rmac, which
-    equals mpf's -(x ** 2) - w bit for bit, round-to-nearest being symmetric
-    and libmp's sum commutative."""
+def _four_term_factors(U: CoeffSeq, W: CoeffSeq, lo: int, hi: int, D=None) -> dict:
+    """{n: ((s_i, c_i, d_i), i = 1..4)} for n = lo..hi, with R_n(z) =
+    sum_i d_i (z + c_i) S_{n+s_i}(z) the four-term relation at n, c_i and d_i
+    raw.  With D_n = U_{n-1} + U_n and E_n = W_n + U_n^2, each formed once
+    per n and shared by the neighbouring rows, d = (D_{n+2}, D_{n+2}, -D_n,
+    -D_n), c_1 = -E_n and c_4 = -E_{n+1}; E_n is one rmac, which equals mpf's
+    U_n ** 2 + W_n bit for bit, round-to-nearest being symmetric and libmp's
+    sum commutative.  D, when given, maps n = lo..hi + 2 to D_n."""
     p = mp.prec
-    Um1, U0, U1, U2 = U.values_on(n - 1, n + 2)
-    W0, W1 = W.values_on(n, n + 1)
-    right, left = radd(U1, U2, p), mpf_neg(radd(Um1, U0, p))
-    u01, s01 = rmul(U0, U1, p), radd(U0, U1, p)
-    return (
-        (-1, mpf_neg(rmac(W0, U0, U0, p)), right),
-        (0, rsub(rmac(u01, Um1, s01, p), W0, p), right),
-        (1, rsub(rmac(u01, s01, U2, p), W1, p), left),
-        (2, mpf_neg(rmac(W1, U1, U1, p)), left),
-    )
+    Uv, Wv = U.values_on(lo - 1, hi + 2), W.values_on(lo, hi + 1)
+    if D is None:
+        D = {n: radd(Uv[n - lo], Uv[n - lo + 1], p) for n in range(lo, hi + 3)}
+    E = [rmac(w, u, u, p) for w, u in zip(Wv, Uv[1:])]
+    out = {}
+    for i, n in enumerate(range(lo, hi + 1)):
+        Um1, U0, U1, U2 = Uv[i:i + 4]
+        right, left, u01 = D[n + 2], mpf_neg(D[n]), rmul(U0, U1, p)
+        out[n] = (
+            (-1, mpf_neg(E[i]), right),
+            (0, rsub(rmac(u01, Um1, D[n + 1], p), Wv[i], p), right),
+            (1, rsub(rmac(u01, D[n + 1], U2, p), Wv[i + 1], p), left),
+            (2, mpf_neg(E[i + 1]), left),
+        )
+    return out
 
 
 def _term_coeffs(a, c, d):
@@ -233,10 +249,10 @@ def _term_coeffs(a, c, d):
     return [rmul(d, rmul(c, a[0], p), p), *mid, rmul(d, a[-1], p)]
 
 
-def _linear_terms(state: DressingState, n: int, S: dict):
+def _linear_terms(factors, n: int, S: dict):
     """The four terms d_i (z + c_i) S_{n+s_i} whose sum is R_n, as raw
-    vectors; S maps k to the raw coefficients of S_k."""
-    return [_term_coeffs(S[n + s], c, d) for s, c, d in _four_term_factors(state.U, state.W, n)]
+    vectors, for the factors at n; S maps k to the raw coefficients of S_k."""
+    return [_term_coeffs(S[n + s], c, d) for s, c, d in factors]
 
 
 def _linear_sum(terms, p):
@@ -254,7 +270,8 @@ def residual_linear(state: DressingState, n: int) -> ZPoly:
     n -> -n - 1, which identity_residuals measures when asked.
     """
     S = {k: state.s(k).raw for k in range(n - 1, n + 3)}
-    return ZPoly._from_raw(_linear_sum(_linear_terms(state, n, S), mp.prec))
+    factors = _four_term_factors(state.U, state.W, n, n)[n]
+    return ZPoly._from_raw(_linear_sum(_linear_terms(factors, n, S), mp.prec))
 
 
 def identity_residuals(state: DressingState, window, skew: bool = False):
@@ -274,7 +291,9 @@ def identity_residuals(state: DressingState, window, skew: bool = False):
     sums and differences are numcore's rpoly_mul, rpoly_add and rpoly_sub,
     which ZPoly's arithmetic wraps, so the values are those of the ZPoly
     expressions bit for bit, and only the three results become mpfs.  Each
-    product is formed once per n, and the skew pass reuses the linear one.
+    product is formed once per n, the four-term factors once on one span
+    over the linear rows and the mirrored pairs, and the skew pass reuses
+    the linear one.
     """
     lo, hi = int(window[0]), int(window[1])
     s_lo, s_hi = state.window
@@ -289,7 +308,7 @@ def identity_residuals(state: DressingState, window, skew: bool = False):
         return raw_max((head, *(c for v in vecs for c in v), fone), p)
 
     def worst(acc, r, scale):
-        return raw_max((acc, mpf_div(raw_max(r, p) if r else fzero, scale, p, RND)))
+        return raw_max((acc, rdiv(raw_max(r, p) if r else fzero, scale, p)))
 
     master_rel = fzero
     sites = range(max(lo, s_lo + 1), min(hi, s_hi - 1) + 1)
@@ -302,20 +321,24 @@ def identity_residuals(state: DressingState, window, skew: bool = False):
         master_rel = worst(master_rel, rpoly_sub(f, rpoly_add(s2, prod, p), p),
                            scale_of((s2, prod), fnorm))
 
+    rows = range(max(lo, s_lo + 1), min(hi, s_hi - 2) + 1)
+    mirrored = range(0, min(hi, s_hi - 2, -(s_lo + 2)) + 1) if skew else range(0)
+    # the factors on one span over the rows and the mirrored pairs
+    need = [*rows, *mirrored, *(-n - 1 for n in mirrored)]
+    fac = _four_term_factors(state.U, state.W, min(need), max(need)) if need else {}
     linear = {}
 
     def linear_at(n):
         if n not in linear:
-            terms = _linear_terms(state, n, S)
+            terms = _linear_terms(fac[n], n, S)
             linear[n] = (_linear_sum(terms, p), scale_of(terms))
         return linear[n]
 
     linear_rel = fzero
-    for n in range(max(lo, s_lo + 1), min(hi, s_hi - 2) + 1):
+    for n in rows:
         linear_rel = worst(linear_rel, *linear_at(n))
     make = mp.make_mpf
-    mirrored = range(0, min(hi, s_hi - 2, -(s_lo + 2)) + 1)
-    if not skew or not mirrored:
+    if not mirrored:
         return make(master_rel), make(linear_rel), None
     skew_rel = fzero
     for n in mirrored:
@@ -331,7 +354,8 @@ def identity_residuals(state: DressingState, window, skew: bool = False):
 
 class AnsatzBasis:
     """A finite family of n-profiles phi_j(n) spanning the z^g coefficients
-    -U_n of S, which the pin fit matches."""
+    -U_n of S, which the pin fit matches; functions(n) gives their raw
+    values at the working precision."""
 
     name = "abstract"
 
@@ -349,7 +373,7 @@ class TrigBasis(AnsatzBasis):
         return self.g + 1
 
     def functions(self, n):
-        return [cos_int((2 * k + 1) * n) for k in range(self.g + 1)]
+        return [cos_int((2 * k + 1) * n)._mpf_ for k in range(self.g + 1)]
 
 
 class EvenPowerBasis(AnsatzBasis):
@@ -362,7 +386,7 @@ class EvenPowerBasis(AnsatzBasis):
         return self.g + 2
 
     def functions(self, n):
-        return [mpf(n ** (2 * k)) for k in range(self.g + 2)]
+        return [from_int(n ** (2 * k), mp.prec, RND) for k in range(self.g + 2)]
 
 
 class PowerBasis(AnsatzBasis):
@@ -375,7 +399,7 @@ class PowerBasis(AnsatzBasis):
         return 2 * self.g + 3
 
     def functions(self, n):
-        return [mpf(n**j) for j in range(2 * self.g + 3)]
+        return [from_int(n**j, mp.prec, RND) for j in range(2 * self.g + 3)]
 
 
 class GeomBasis(AnsatzBasis):
@@ -392,7 +416,8 @@ class GeomBasis(AnsatzBasis):
         return self.g + 1
 
     def functions(self, n):
-        return [self.a ** ((2 * k + 1) * n) for k in range(self.g + 1)]
+        a, p = self.a._mpf_, mp.prec
+        return [pow_int(a, (2 * k + 1) * n, p) for k in range(self.g + 1)]
 
 
 class AnsatzResult:
@@ -420,18 +445,22 @@ class AnsatzResult:
 
 
 def _pin_top_coefficients(basis, U, phi):
-    """Fit -U_n in the basis span on the grid of phi, which maps n to the
-    basis functions at n: these are the pinned z^g coefficients."""
+    """Fit -U_n in the basis span on the grid of phi, which maps the
+    consecutive n to the raw basis functions at n: the raw pinned z^g
+    coefficients x and the fit residual max_n |phi(n) . x + U_n|, each dot
+    product by rdot, which must not exceed ANSATZ_TOL times the largest of 1
+    and the |U_n|."""
+    p = mp.prec
     rows = list(phi.values())
-    rhs = [-U.at(n) for n in phi]
-    x, info = linalg.lstsq(rows, rhs)
-    scale = max(max(abs(v) for v in rhs), mpf(1))
-    if info["resid_inf"] > ANSATZ_TOL * scale:
+    rhs = [mpf_neg(u, p, RND) for u in U.values_on(min(phi), max(phi))]
+    x, _info = linalg.lstsq(rows, rhs)
+    resid = raw_max([mpf_abs(rsub(rdot(row, x, p), y, p)) for row, y in zip(rows, rhs)])
+    if mpf_gt(resid, rmul(ANSATZ_TOL._mpf_, raw_max((*rhs, fone), p), p)):
         raise InconsistentDataError(
             f"coefficient family is not in the span of basis '{basis.name}' "
-            f"(fit residual {info['resid_inf']})"
+            f"(fit residual {mp.make_mpf(resid)})"
         )
-    return x
+    return x, resid
 
 
 ANSATZ_TOL = mpf("1e-9")
@@ -565,7 +594,8 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
     reach = basis.size + 2
     lo, hi = max(U.window[0], W.window[0]), min(U.window[1], W.window[1])
     phi = {n: basis.functions(n) for n in range(min(lo, -reach), max(hi, reach) + 1)}
-    pinned = _pin_top_coefficients(basis, U, {n: phi[n] for n in range(-reach, reach + 1)})
+    pinned, _resid = _pin_top_coefficients(
+        basis, U, {n: phi[n] for n in range(-reach, reach + 1)})
     rlo, rhi = lo + 1, hi - 2
     ncon = 3 * g
     if rhi - rlo + 1 < ncon:
@@ -594,7 +624,7 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
             n: _pair_denominator(Uv[n - 1 - lo], Uv[n - lo], p, f"ansatz_solve at n={n}")
             for n in range(lo + 1, hi + 1)
         }
-        fac = {n: _four_term_factors(Uf, Wf, n) for n in range(rlo, rhi + 1)}
+        fac = _four_term_factors(Uf, Wf, rlo, rhi, D)
         dc = {n: [rmul(d, c, p) for _s, c, d in f] for n, f in fac.items()}
 
         def tops(a, b):
@@ -605,9 +635,9 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
             row, b = r[1:], mpf_neg(r[0], p, RND)
             big = raw_max(row, p)
             if big != fzero:
-                row, b = [mpf_div(v, big, p, RND) for v in row], mpf_div(b, big, p, RND)
-            rows.append(list(map(make, row)))
-            rhs.append(make(b))
+                row, b = [rdiv(v, big, p) for v in row], rdiv(b, big, p)
+            rows.append(row)
+            rhs.append(b)
         x, info = linalg.lstsq(rows, rhs)
         linalg.require_full_rank(
             info,
@@ -616,7 +646,7 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
         )
 
         # scalar march over the whole table, then the z^0 rows there
-        seeds = [([x[j]._mpf_], [x[j + 1]._mpf_], [x[j + 2]._mpf_]) for j in range(0, ncon, 3)]
+        seeds = [([x[j]], [x[j + 1]], [x[j + 2]]) for j in range(0, ncon, 3)]
         levels = _march(dc, D, tops(lo, hi), seeds, n0, (lo, hi))
         coeffs = {n: [lv[n][0] for lv in reversed(levels)] for n in range(lo, hi + 1)}
         sup = {n: raw_max(cs, p) for n, cs in coeffs.items()}
@@ -626,7 +656,7 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
             # a bound on the largest coefficient of d_i (z + c_i) S_{n+s_i}
             scale = raw_max(rmul(rmul(mpf_abs(d, p, RND), raw_max((c, fone), p), p), sup[n + s], p)
                             for s, c, d in f)
-            rel = mpf_div(mpf_abs(r, p, RND), scale, p, RND)
+            rel = rdiv(mpf_abs(r, p, RND), scale, p)
             if mpf_gt(rel, ANSATZ_TOL._mpf_):
                 raise InconsistentDataError(
                     f"no genus-{g} S for this U and W: the z^0 row of the "
@@ -634,9 +664,9 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
                 )
             resid_rel = raw_max((resid_rel, rel))
 
-    S, p, pinned = {}, mp.prec, [x._mpf_ for x in pinned]
+    S, p = {}, mp.prec
     for n in range(lo, hi + 1):
-        lead = rdot(pinned, [f._mpf_ for f in phi[n]], p)
+        lead = rdot(pinned, phi[n], p)
         S[n] = ZPoly._from_raw([*(mpf_pos(v, p, RND) for v in coeffs[n][:g]), lead])
     return AnsatzResult(S, {"resid_rel": +make(resid_rel)})
 
@@ -723,9 +753,14 @@ def build_partner_op(state: DressingState, L2: DiffOp | None = None) -> DiffOp:
     for k in range(state.curve.g + 1):
         if k:
             l2k = L2 * l2k
-        qk = CoeffSeq.tabulate(lambda n: state.q(n).coeff(k), qs_window)
-        neg_sk = CoeffSeq.tabulate(lambda n: mp.make_mpf(mpf_neg(state.s(n).coeff(k)._mpf_)),
-                                   qs_window)
+        qk = CoeffSeq.tabulate(lambda n: _raw_coeff(state.Q[n], k), qs_window, raw=True)
+        neg_sk = CoeffSeq.tabulate(lambda n: mpf_neg(_raw_coeff(state.S[n], k)), qs_window,
+                                   raw=True)
         term = DiffOp({1: qk, 0: neg_sk}) * l2k
         acc = term if acc is None else acc + term
     return acc
+
+
+def _raw_coeff(poly: ZPoly, k: int):
+    """The raw z^k coefficient of poly, fzero past its degree."""
+    return poly.raw[k] if k < len(poly.raw) else fzero

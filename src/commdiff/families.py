@@ -13,10 +13,11 @@ from __future__ import annotations
 import random
 
 from mpmath import mp, mpf, cos, sin
+from mpmath.libmp import from_int
 
 from . import dressing
 from .errors import DegenerateDenominatorError
-from .numcore import HyperellipticCurve, cos_int, scalar
+from .numcore import HyperellipticCurve, cos_int, pow_int, radd, rmul, scalar
 from .opalg import CoeffSeq
 
 # each family's parameters: None marks a required one, a value its default;
@@ -84,8 +85,9 @@ def trig_family(g: int, r1, window) -> tuple:
         raise ValueError("trig family needs r1 != 0")
     g = int(g)
     amp = r1**2 * sin(mpf(g)) * sin(mpf(g + 1)) / (2 * cos(g + mpf(1) / 2) ** 2)
-    U = CoeffSeq.tabulate(lambda n: r1 * cos_int(n), window)
-    W = CoeffSeq.tabulate(lambda n: amp * cos_int(2 * n), window)
+    r1, amp, p = r1._mpf_, amp._mpf_, mp.prec
+    U = CoeffSeq.tabulate(lambda n: rmul(r1, cos_int(n)._mpf_, p), window, raw=True)
+    W = CoeffSeq.tabulate(lambda n: rmul(amp, cos_int(2 * n)._mpf_, p), window, raw=True)
     return U, W
 
 
@@ -99,9 +101,19 @@ def poly_family(g: int, a2, a0, a1, window) -> tuple:
     if a2 == 0:
         raise ValueError("quadratic family needs a2 != 0")
     g = int(g)
-    U = CoeffSeq.tabulate(lambda n: a2 * n * n + a1 * n + a0, window)
-    W = CoeffSeq.tabulate(lambda n: -g * (g + 1) * a2 * n * (a2 * n + a1), window)
-    return U, W
+    a2, a1, a0, p = a2._mpf_, a1._mpf_, a0._mpf_, mp.prec
+    c = rmul(a2, from_int(-g * (g + 1)), p)
+
+    # in mpf's order: (a2 n) n + a1 n + a0 and (c n) (a2 n + a1), c = -g (g + 1) a2
+    def u(n):
+        m = from_int(n)
+        return radd(radd(rmul(rmul(a2, m, p), m, p), rmul(a1, m, p), p), a0, p)
+
+    def w(n):
+        m = from_int(n)
+        return rmul(rmul(c, m, p), radd(rmul(a2, m, p), a1, p), p)
+
+    return CoeffSeq.tabulate(u, window, raw=True), CoeffSeq.tabulate(w, window, raw=True)
 
 
 def geom_family(g: int, beta, a, window) -> tuple:
@@ -121,8 +133,9 @@ def geom_family(g: int, beta, a, window) -> tuple:
     if abs(den) <= mpf("1e-12"):
         raise DegenerateDenominatorError(f"a^(2g+1) + 1 = {den} is degenerate")
     amp = -(a ** (2 * g + 2) - 1) * (a ** (2 * g) - 1) / den**2 * beta**2
-    U = CoeffSeq.tabulate(lambda n: beta * a**n, window)
-    W = CoeffSeq.tabulate(lambda n: amp * a ** (2 * n), window)
+    beta, a, amp, p = beta._mpf_, a._mpf_, amp._mpf_, mp.prec
+    U = CoeffSeq.tabulate(lambda n: rmul(beta, pow_int(a, n, p), p), window, raw=True)
+    W = CoeffSeq.tabulate(lambda n: rmul(amp, pow_int(a, 2 * n, p), p), window, raw=True)
     return U, W
 
 

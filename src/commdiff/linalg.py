@@ -1,18 +1,19 @@
-"""Dense least squares on mpmath floats.
+"""Dense least squares on raw mpmath values.
 
 The least-squares path is a column-pivoted Householder QR with column
 equilibration; pivots expose rank loss, which callers treat as an error
-beyond the normalization freedom they expect.  It holds the matrix as
-columns of raw mpf tuples and runs every operation at the working precision
-with round-to-nearest, in a fixed order: products, sums and differences
-through the kernels of `numcore`, the rest through `mpmath.libmp`.  Each sum
-of products is `numcore.rdot`, left to right from its first product, and
-each entry t - f v_i of a Householder update is one `numcore.rmac`.  Each
-pivot is the first column of largest float norm, each entry read as the
-double nearest its value.  So the result is a function of the input and
-the precision alone, bit for bit: the same x, R diagonal, residual and pivot
-order as the plain row-major loop of mpf objects that `tests/test_linalg.py`
-keeps as its oracle.
+beyond the normalization freedom they expect.  It takes rows of raw libmp
+values, holds the matrix as columns of them and runs every operation at the
+working precision with round-to-nearest, in a fixed order: products, sums,
+differences and quotients through the kernels of `numcore`, square roots
+and the doubling of a dot product through `mpmath.libmp`.  Each sum of
+products is `numcore.rdot`, left to right from its first product, and each
+entry t - f v_i of a Householder update is one `numcore.rmac`.  Each pivot
+is the first column of largest float norm, each entry read as the double
+nearest its value.  So the result is a function of the input and the
+precision alone, bit for bit: the same x, R diagonal and pivot order as the
+plain row-major loop of mpf objects that the tests keep as their oracle
+(`_reference_lstsq` in `tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -20,21 +21,20 @@ from __future__ import annotations
 from math import fsum, ldexp
 from operator import mul
 
-from mpmath import mp, mpf
-from mpmath.libmp import (
-    fone, fzero, mpf_abs, mpf_div, mpf_gt, mpf_neg, mpf_shift, mpf_sqrt, round_nearest,
-)
+from mpmath import mp
+from mpmath.libmp import fone, fzero, mpf_abs, mpf_gt, mpf_neg, mpf_shift, mpf_sqrt, round_nearest
 
 from .errors import NonFiniteError, RankDeficiencyError
-from .numcore import raw_max, rdot, rmac, rsub
+from .numcore import raw_max, rdiv, rdot, rmac, rsub
 
 
 def lstsq(rows, rhs):
     """Minimize ||A x - b||_2 by column-pivoted Householder QR.
 
-    rows: list of rows of A (m x n, m >= n); rhs: length-m vector.
-    Returns (x, info) with info = {rank, n, rdiag, resid_inf, pivot}.
-    Rank counts the pivots above 2^(-3p/4) times the largest one.
+    rows: list of rows of A (m x n, m >= n); rhs: length-m vector; every
+    entry a raw value of at most mp.prec bits.  Returns (x, info), x raw,
+    with info = {rank, n, rdiag, pivot}, rdiag the raw R diagonal.  Rank
+    counts the pivots above 2^floor(-3p/4) times the largest one.
 
     Step k pivots on the first column whose float norm over rows k.. is
     the largest: the fsum of the squares of its entries, each the double
@@ -44,13 +44,13 @@ def lstsq(rows, rhs):
     n = len(rows[0]) if m else 0
     if m < n:
         raise ValueError(f"underdetermined system: {m} equations, {n} unknowns")
-    prec, rnd = mp.prec, round_nearest
+    prec = mp.prec
 
     def sumsq(col, k):
         return rdot(col[k:], col[k:], prec)
 
-    cols = [[mpf(row[j])._mpf_ for row in rows] for j in range(n)]
-    b = [mpf(v)._mpf_ for v in rhs]
+    cols = [list(col) for col in zip(*rows)]
+    b = list(rhs)
     # a special value has no mantissa and a nonzero exponent
     if any(not t[1] and t[2] for col in cols + [b] for t in col):
         raise NonFiniteError("least-squares system has a nan or an infinite entry")
@@ -61,7 +61,7 @@ def lstsq(rows, rhs):
         s = raw_max(map(mpf_abs, col))
         s = s if mpf_gt(s, fzero) else fone
         colscale.append(s)
-        col[:] = [mpf_div(t, s, prec, rnd) for t in col]
+        col[:] = [rdiv(t, s, prec) for t in col]
 
     perm = list(range(n))
     rdiag = []
@@ -74,9 +74,9 @@ def lstsq(rows, rhs):
             perm[k], perm[j] = perm[j], perm[k]
         # Householder on column k
         ck = cols[k]
-        alpha = mpf_sqrt(sumsq(ck, k), prec, rnd)
+        alpha = mpf_sqrt(sumsq(ck, k), prec, round_nearest)
         if alpha == fzero:
-            rdiag.append(mpf(0))
+            rdiag.append(fzero)
             continue
         if mpf_gt(ck[k], fzero):
             alpha = mpf_neg(alpha)
@@ -86,32 +86,24 @@ def lstsq(rows, rhs):
         ck[k:] = [alpha] + [fzero] * (m - k - 1)
         if mpf_gt(vnorm2, fzero):
             for col in cols[k + 1:] + [b]:
-                f = mpf_div(mpf_shift(rdot(v, col[k:], prec), 1), vnorm2, prec, rnd)
+                f = rdiv(mpf_shift(rdot(v, col[k:], prec), 1), vnorm2, prec)
                 col[k:] = [rmac(t, f, vi, prec, 1) for vi, t in zip(v, col[k:])]
-        rdiag.append(mp.make_mpf(alpha))
+        rdiag.append(alpha)
 
-    r0 = max((abs(d) for d in rdiag), default=mpf(0))
-    rank_tol = mpf(2) ** (-(3 * mp.prec) // 4)
-    rank = sum(1 for d in rdiag if abs(d) > rank_tol * r0) if r0 > 0 else 0
+    # |d| > 2^floor(-3p/4) r0, the product exact as a shift
+    r0 = raw_max(rdiag, prec) if rdiag else fzero
+    tol = mpf_shift(r0, -(3 * prec) // 4)
+    rank = sum(1 for d in rdiag if mpf_gt(mpf_abs(d), tol)) if r0 != fzero else 0
 
     x = [fzero] * n
     for k in range(min(rank, n) - 1, -1, -1):
         acc = rdot([cols[j][k] for j in range(k + 1, n)], x[k + 1:], prec)
-        x[k] = mpf_div(rsub(b[k], acc, prec), cols[k][k], prec, rnd)
+        x[k] = rdiv(rsub(b[k], acc, prec), cols[k][k], prec)
 
     out = [fzero] * n
     for k in range(n):
-        out[perm[k]] = mpf_div(x[k], colscale[perm[k]], prec, rnd)
-
-    resid = fzero
-    for row, y in zip(rows, rhs):
-        r = mpf_abs(rsub(rdot(map(_exact, row), out, prec), _exact(y), prec))
-        if mpf_gt(r, resid):
-            resid = r
-
-    resid = mp.make_mpf(resid)
-    info = {"rank": rank, "n": n, "rdiag": rdiag, "resid_inf": resid, "pivot": perm}
-    return [mp.make_mpf(t) for t in out], info
+        out[perm[k]] = rdiv(x[k], colscale[perm[k]], prec)
+    return out, {"rank": rank, "n": n, "rdiag": rdiag, "pivot": perm}
 
 
 def _float_sumsq(col):
@@ -124,11 +116,6 @@ def _float_sumsq(col):
         for t in col
     ]
     return fsum(map(mul, fl, fl))
-
-
-def _exact(v):
-    """The raw value of v itself, unrounded, as mpf arithmetic reads it."""
-    return v._mpf_ if isinstance(v, mpf) else mp.convert(v)._mpf_
 
 
 def require_full_rank(info, context: str = "linear system"):

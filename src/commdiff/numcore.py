@@ -1,17 +1,22 @@
 """Numeric substrate: configurable-precision scalars, dense polynomials in the
-spectral parameter z, division with residual, and the JSON encoder that
-writes every report's decimals.
+spectral parameter z, and the JSON encoder that writes every report's
+decimals.
 
 Values are raw libmp tuples, the only thing ZPoly stores, computed on by
-the kernels rmul, radd and rsub below, libmp's round-to-nearest mpf_mul,
-mpf_add and mpf_sub reimplemented bit for bit with int.bit_length, and by
-rmac, their multiply-accumulate radd(acc, rmul(s, t, p), p) in one call, so
-this module is the one that knows how a result is rounded.  A zero operand
-stays in the kernels (libmp's answer, the other operand or fzero, needs no
-rounding when the other operand fits in p bits), and raw_max compares
-magnitudes in place, rounding only what mpf_abs must.  cos_int is
-mpmath's cos at an integer, computed once per argument and precision for
-the trig family and basis.  mpmath floats appear where a value enters
+the kernels rmul, radd, rsub and rdiv below, libmp's round-to-nearest
+mpf_mul, mpf_add, mpf_sub and mpf_div reimplemented bit for bit with
+int.bit_length, and by rmac, their multiply-accumulate
+radd(acc, rmul(s, t, p), p) in one call, so this module is the one that
+knows how a result is rounded.  A zero operand stays in the kernels (libmp's
+answer, the other operand or fzero, needs no rounding when the other
+operand fits in p bits), and so does a sum over an exponent gap past 100
+bits: added exactly when the magnitudes lie within p + 4 bits, otherwise
+the larger operand, to which libmp's perturbation rounds back when it fits
+in p bits.  raw_max compares magnitudes in place, rounding only what
+mpf_abs must.  cos_int is mpmath's cos at an integer, computed once per
+argument and precision for the trig family and basis, and pow_int libmp's
+integer power, computed once per (base, exponent, precision) for the
+geometric family and basis.  mpmath floats appear where a value enters
 (scalar, ZPoly's constructor) or leaves (coeffs, lead, sup_norm, reports).
 Polynomial products, sums and differences exist once, as rpoly_mul,
 rpoly_add and rpoly_sub on raw coefficient vectors: ZPoly's *, + and -
@@ -36,11 +41,12 @@ from itertools import repeat
 
 from mpmath import cos, mp, mpf
 from mpmath.libmp import (
-    finf, fnan, fninf, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg, mpf_sub,
+    finf, fnan, fninf, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg, mpf_pow_int,
+    mpf_sub,
 )
 from mpmath.libmp import round_nearest as RND
 
-from .errors import DegenerateDenominatorError, NonFiniteError
+from .errors import NonFiniteError
 
 DEFAULT_PRECISION_BITS = 113
 MIN_PRECISION_BITS = 53
@@ -141,13 +147,25 @@ def _cos_at(j: int, prec: int) -> mpf:
     return cos(j)
 
 
+@lru_cache(maxsize=1024)
+def pow_int(a, e: int, p: int):
+    """a ** e at p bits for a raw a and an integer e, mpf_pow_int(a, e, p,
+    round_nearest), computed once per (a, e, p) while a bounded cache holds
+    it: the geometric family and basis meet the same powers at every call."""
+    return mpf_pow_int(a, e, p, RND)
+
+
 # Round-to-nearest kernels: libmp's result for normalized raw values, the
 # mantissa cut to p bits with ties to even and the bits past the half bit
 # sticky, a carry to 2^p stored as mantissa 1, trailing zeros stripped, an
 # exact cancellation fzero.  A zero operand stays here: times a finite value
-# it gives fzero, and in a sum the other operand, when that fits in p bits.
-# Special operands, a zero beside a value wider than p, and sums whose
-# exponents lie over 100 apart (where libmp perturbs) go to libmp itself.
+# it gives fzero, in a sum the other operand when that fits in p bits, and
+# 0 +- 0 is fzero.  Where exponents lie over 100 bits apart, libmp adds
+# exactly when the magnitudes lie within p + 4 bits, and so do the kernels;
+# otherwise it perturbs the larger operand by one unit p + 4 bits below it,
+# which rounds away when that operand fits in p bits, so the kernels return
+# it.  Special operands, a zero beside a value wider than p, and a larger
+# operand wider than p beside a far smaller one go to libmp itself.
 
 
 def rmul(s, t, p):
@@ -175,13 +193,20 @@ def radd(s, t, p, _neg=0):
     """s + t at p bits, as mpf_add(s, t, p, round_nearest); s - t with _neg."""
     sign, sman, sexp, sbc = s
     tsign, tman, texp, tbc = t
-    off = sexp - texp
-    if not (sman and tman) or off > 100 or off < -100:
-        # 0 ± t is ±t, and s ± 0 is s, when that value fits in p bits
-        if not tman:
-            if sman and not texp and sbc <= p:
+    if not (sman and tman):
+        # s +- 0 is s (a zero too), and 0 +- t is +-t, when that fits in p bits
+        if not (tman or texp):
+            if (sman or not sexp) and sbc <= p:
                 return s
-        elif not (sman or sexp) and tbc <= p:
+        elif not (sman or sexp) and tman and tbc <= p:
+            return (tsign ^ 1, tman, texp, tbc) if _neg else t
+        return (mpf_sub if _neg else mpf_add)(s, t, p, RND)
+    off = sexp - texp
+    # one operand wholly below the other's p + 4 bits, past a 100-bit gap
+    if off > 100 and off + sbc - tbc > p + 4:
+        return s if sbc <= p else (mpf_sub if _neg else mpf_add)(s, t, p, RND)
+    if off < -100 and tbc - sbc - off > p + 4:
+        if tbc <= p:
             return (tsign ^ 1, tman, texp, tbc) if _neg else t
         return (mpf_sub if _neg else mpf_add)(s, t, p, RND)
     if off >= 0:
@@ -211,6 +236,35 @@ def radd(s, t, p, _neg=0):
 def rsub(s, t, p):
     """s - t at p bits, as mpf_sub(s, t, p, round_nearest)."""
     return radd(s, t, p, 1)
+
+
+def rdiv(s, t, p):
+    """s / t at p bits, as mpf_div(s, t, p, round_nearest): the quotient of
+    the mantissas shifted by libmp's extra bits, a nonzero remainder kept as
+    a sticky last bit, rounded once.  A zero s over a finite nonzero t is
+    fzero, and an s of at most p bits over a power of two (mantissa 1) is
+    an exact shift; special operands, a zero divisor and a wider s over a
+    power of two go to libmp."""
+    sign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    if tman < 2 or not sman:
+        if tman == 1 and sman and sbc <= p:
+            return sign ^ tsign, sman, sexp - texp, sbc
+        return fzero if tman and not (sman or sexp) else mpf_div(s, t, p, RND)
+    extra = max(p - sbc + tbc + 5, 5)
+    man, rem = divmod(sman << extra, tman)
+    exp = sexp - texp - extra
+    if rem:
+        man, exp = man << 1 | 1, exp - 1
+    # the quotient has p + 5 bits or more, so it is always cut
+    n = man.bit_length() - p
+    h = man >> (n - 1)
+    man = (h >> 1) + 1 if h & 1 and (h & 2 or man & ((1 << (n - 1)) - 1)) else h >> 1
+    exp, bc = exp + n, p
+    if not man & 1:
+        z = (man & -man).bit_length() - 1
+        man, exp, bc = man >> z, exp + z, p - z or 1
+    return sign ^ tsign, man, exp, bc
 
 
 def rmac(acc, s, t, p, _neg=0):
@@ -380,7 +434,7 @@ class ZPoly:
     def __truediv__(self, c) -> "ZPoly":
         """Divide every coefficient by the scalar c, each rounded once."""
         c, p = scalar(c)._mpf_, mp.prec
-        return ZPoly._from_raw([mpf_div(v, c, p, RND) for v in self.raw])
+        return ZPoly._from_raw([rdiv(v, c, p) for v in self.raw])
 
     def __repr__(self):
         return f"ZPoly(deg={self.degree})"
@@ -429,32 +483,6 @@ def rpoly_sub(a, b, p) -> list:
     if len(b) > len(a):
         out += [mpf_neg(v, p, RND) for v in b[len(a):]]
     return _rtrimmed(out)
-
-
-def poly_div_exact(num: ZPoly, den: ZPoly):
-    """Long division num = q*den + r; returns (q, max |r coefficient|).
-
-    The caller judges whether the residual norm is small enough to call the
-    division exact.  Raises if den is numerically zero.
-    """
-    if den.is_zero:
-        raise DegenerateDenominatorError("division by numerically zero polynomial")
-    rem = list(num.coeffs)
-    dn = den.coeffs
-    dd = len(dn) - 1
-    lead = dn[-1]
-    if len(rem) - 1 < dd:
-        return ZPoly.zero(), num.sup_norm()
-    qn = [mpf(0)] * (len(rem) - dd)
-    for k in range(len(rem) - 1, dd - 1, -1):
-        f = rem[k] / lead
-        qn[k - dd] = f
-        if f != 0:
-            for j in range(dd + 1):
-                rem[k - dd + j] -= f * dn[j]
-        rem[k] = mpf(0)
-    resid = max((abs(c) for c in rem), default=mpf(0))
-    return ZPoly(qn), resid
 
 
 # ---------------------------------------------------------------------------

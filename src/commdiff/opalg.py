@@ -46,11 +46,13 @@ class CoeffSeq:
         return seq
 
     @classmethod
-    def tabulate(cls, fn, window) -> "CoeffSeq":
+    def tabulate(cls, fn, window, raw=False) -> "CoeffSeq":
+        """fn(n) on window; with raw, fn gives finite raw values, kept as they are."""
         lo, hi = int(window[0]), int(window[1])
         if hi < lo:
             raise WindowError(f"empty window [{lo}, {hi}]")
-        return cls(lo, [fn(n) for n in range(lo, hi + 1)])
+        vals = [fn(n) for n in range(lo, hi + 1)]
+        return cls._from_raw(lo, vals) if raw else cls(lo, vals)
 
     @classmethod
     def constant(cls, value, window) -> "CoeffSeq":

@@ -6,7 +6,9 @@ master identity F_g = S_n^2 + (z - U_n^2 - W_n) Q_n Q_{n+1} from seed data
 (solve_partner_recursive), and the eigenfunction side of the theory: points
 of the curve, the ratio chi_n(P) = (S_n(z) + w) / Q_n(z), the Baker-Akhiezer
 products of consecutive ratios and the factorization of L2 - z.  shift(window,
-degree) is the operator T^degree on window.
+degree) is the operator T^degree on window.  poly_div_exact, the long
+division the partner march divides by, and _reference_lstsq, the mpf loop
+that linalg.lstsq reproduces bit for bit, live here too.
 
 Import them as `from oracles import ...`; pytest's default import mode puts
 this directory on sys.path.
@@ -15,12 +17,13 @@ this directory on sys.path.
 from __future__ import annotations
 
 from itertools import repeat
+from math import fsum
 
 from mpmath import mp, mpf, sqrt
 
 from commdiff.dressing import DEGENERACY_REL, DressingState, q_from_s
 from commdiff.errors import DegenerateDenominatorError, InconsistentDataError, WindowError
-from commdiff.numcore import HyperellipticCurve, ZPoly, poly_div_exact, scalar
+from commdiff.numcore import HyperellipticCurve, ZPoly, scalar
 from commdiff.opalg import CoeffSeq, DiffOp
 
 
@@ -61,6 +64,32 @@ def curve_point(curve: HyperellipticCurve, z, branch: int = 1) -> CurvePoint:
 
 
 DIVISION_TOL = mpf("1e-20")
+
+
+def poly_div_exact(num: ZPoly, den: ZPoly):
+    """Long division num = q*den + r; returns (q, max |r coefficient|).
+
+    The caller judges whether the residual norm is small enough to call the
+    division exact.  Raises if den is numerically zero.
+    """
+    if den.is_zero:
+        raise DegenerateDenominatorError("division by numerically zero polynomial")
+    rem = list(num.coeffs)
+    dn = den.coeffs
+    dd = len(dn) - 1
+    lead = dn[-1]
+    if len(rem) - 1 < dd:
+        return ZPoly.zero(), num.sup_norm()
+    qn = [mpf(0)] * (len(rem) - dd)
+    for k in range(len(rem) - 1, dd - 1, -1):
+        f = rem[k] / lead
+        qn[k - dd] = f
+        if f != 0:
+            for j in range(dd + 1):
+                rem[k - dd + j] -= f * dn[j]
+        rem[k] = mpf(0)
+    resid = max((abs(c) for c in rem), default=mpf(0))
+    return ZPoly(qn), resid
 
 
 def solve_partner_recursive(
@@ -163,3 +192,84 @@ def factorization_check(state: DressingState, L2: DiffOp, P: CurvePoint, f: Coef
     if hi < lo:
         raise WindowError("factorization check window is empty")
     return max(abs(lhs.at(n) - rhs.at(n)) for n in range(lo, hi + 1))
+
+
+# ---------------------------------------------------------------------------
+# least squares
+# ---------------------------------------------------------------------------
+
+
+def _reference_lstsq(rows, rhs, rank_tol=None):
+    """The row-major mpf loop that `lstsq` must reproduce bit for bit."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if rank_tol is None:
+        rank_tol = mpf(2) ** (-(3 * mp.prec) // 4)
+
+    A = [[mpf(v) for v in row] for row in rows]
+    b = [mpf(v) for v in rhs]
+
+    colscale = []
+    for j in range(n):
+        s = max(abs(A[i][j]) for i in range(m))
+        s = s if s > 0 else mpf(1)
+        colscale.append(s)
+        for i in range(m):
+            A[i][j] /= s
+
+    perm = list(range(n))
+    rdiag = []
+    for k in range(n):
+        # the first column of largest float norm over rows k..
+        best, best_j = -1.0, k
+        for j in range(k, n):
+            cn = fsum(float(A[i][j]) * float(A[i][j]) for i in range(k, m))
+            if cn > best:
+                best, best_j = cn, j
+        if best_j != k:
+            for i in range(m):
+                A[i][k], A[i][best_j] = A[i][best_j], A[i][k]
+            perm[k], perm[best_j] = perm[best_j], perm[k]
+        alpha = sqrt(sum(A[i][k] ** 2 for i in range(k, m)))
+        if alpha == 0:
+            rdiag.append(mpf(0))
+            continue
+        if A[k][k] > 0:
+            alpha = -alpha
+        v = [A[i][k] for i in range(k, m)]
+        v[0] -= alpha
+        vnorm2 = sum(t * t for t in v)
+        A[k][k] = alpha
+        for i in range(k + 1, m):
+            A[i][k] = mpf(0)
+        if vnorm2 > 0:
+            for j in range(k + 1, n):
+                dot = sum(v[i - k] * A[i][j] for i in range(k, m))
+                f = 2 * dot / vnorm2
+                for i in range(k, m):
+                    A[i][j] -= f * v[i - k]
+            dot = sum(v[i - k] * b[i] for i in range(k, m))
+            f = 2 * dot / vnorm2
+            for i in range(k, m):
+                b[i] -= f * v[i - k]
+        rdiag.append(alpha)
+
+    r0 = max((abs(d) for d in rdiag), default=mpf(0))
+    rank = sum(1 for d in rdiag if abs(d) > rank_tol * r0) if r0 > 0 else 0
+
+    x = [mpf(0)] * n
+    for k in range(min(rank, n) - 1, -1, -1):
+        s = b[k] - sum(A[k][j] * x[j] for j in range(k + 1, n))
+        x[k] = s / A[k][k]
+
+    out = [mpf(0)] * n
+    for k in range(n):
+        out[perm[k]] = x[k] / colscale[perm[k]]
+
+    resid = mpf(0)
+    for i in range(m):
+        r = sum(rows[i][j] * out[j] for j in range(n)) - rhs[i]
+        resid = max(resid, abs(r))
+
+    info = {"rank": rank, "n": n, "rdiag": rdiag, "resid_inf": resid, "pivot": perm}
+    return out, info

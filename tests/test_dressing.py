@@ -37,6 +37,7 @@ from oracles import (
     baker_akhiezer,
     chi_eval,
     curve_point,
+    _reference_lstsq,
     factorization_check,
     shift,
     solve_partner_recursive,
@@ -309,7 +310,7 @@ def test_solve_partner_recursive_rejects_bad_seed():
 def _profiles(state, basis, ns):
     """The z-polynomials A_j with S_n = sum_j A_j(z) phi_j(n), read off the
     S table at the basis.size values ns."""
-    M = matrix([basis.functions(n) for n in ns])
+    M = matrix([list(map(mp.make_mpf, basis.functions(n))) for n in ns])
     by_k = [lu_solve(M, [state.s(n).coeff(k) for n in ns]) for k in range(basis.g + 1)]
     return [ZPoly([col[j] for col in by_k]) for j in range(basis.size)]
 
@@ -440,8 +441,8 @@ def test_power_bases_round_the_exact_integer_powers(bits):
             for n in (*range(-60, 61), 2**35 - 1, -(3**20)):
                 x = mpf(n)
                 want = [(x**j if j else mpf(1))._mpf_ for j in range(2 * g + 3)]
-                assert [v._mpf_ for v in PowerBasis(g).functions(n)] == want, (g, n)
-                assert [v._mpf_ for v in EvenPowerBasis(g).functions(n)] == want[::2][:g + 2]
+                assert PowerBasis(g).functions(n) == want, (g, n)
+                assert EvenPowerBasis(g).functions(n) == want[::2][:g + 2]
 
 
 def test_ansatz_top_row_is_the_pin_fit():
@@ -452,13 +453,37 @@ def test_ansatz_top_row_is_the_pin_fit():
     ):
         basis, U, S = _solved_table(spec, (-12, 16))
         reach = basis.size + 2
-        pinned = _pin_top_coefficients(
+        pinned, _resid = _pin_top_coefficients(
             basis, U, {n: basis.functions(n) for n in range(-reach, reach + 1)})
         for n, p in S.items():
             lead = ZPoly.zero()
             for c, phi in zip(pinned, basis.functions(n)):
-                lead = lead + ZPoly([c]).scale(phi)
+                lead = lead + ZPoly([mp.make_mpf(c)]).scale(mp.make_mpf(phi))
             assert p.coeff(spec.g)._mpf_ == lead.coeff(0)._mpf_
+
+
+@pytest.mark.parametrize("bits", (53, 113, 1100))
+def test_pin_fit_matches_the_mpf_loop_bit_for_bit(bits):
+    # the pinned coefficients and the fit residual against the mpf loop of
+    # _reference_lstsq on the basis rows and -U_n; U tabulated at twice the
+    # precision holds values that the negation rounds
+    for spec in (
+        FamilySpec("trig", 3, {"r1": "1.3"}),
+        FamilySpec("poly", 3, {"a2": 1, "a0": "0.25", "a1": "0.5"}),
+        FamilySpec("geom", 2, {"a": "1.764235", "beta": "0.895178"}),
+    ):
+        for build_bits in (bits, 2 * bits):
+            with mp.workprec(build_bits):
+                U, _W = family_from_spec(spec, (-12, 16))
+            with mp.workprec(bits):
+                basis = basis_for(spec)
+                reach = basis.size + 2
+                phi = {n: basis.functions(n) for n in range(-reach, reach + 1)}
+                pinned, resid = _pin_top_coefficients(basis, U, phi)
+                rows = [list(map(mp.make_mpf, phi[n])) for n in phi]
+                x, ref = _reference_lstsq(rows, [-U.at(n) for n in phi])
+                assert pinned == [v._mpf_ for v in x], (spec, build_bits)
+                assert resid == ref["resid_inf"]._mpf_, (spec, build_bits)
 
 
 def test_ansatz_rejects_perturbed_w():
@@ -868,7 +893,7 @@ def _reference_ansatz_solve(basis, U, W, fine=None):
     rows and their maxima on mpf objects (checks and messages left out)."""
     g = basis.g
     reach = basis.size + 2
-    pinned = dressing._pin_top_coefficients(
+    pinned, _resid = dressing._pin_top_coefficients(
         basis, U, {n: basis.functions(n) for n in range(-reach, reach + 1)})
     lo, hi = max(U.window[0], W.window[0]), min(U.window[1], W.window[1])
     rlo, rhi = lo + 1, hi - 2
@@ -896,9 +921,9 @@ def _reference_ansatz_solve(basis, U, W, fine=None):
             big = max(abs(v) for v in row)
             if big:
                 row, b = [v / big for v in row], b / big
-            rows.append(row)
-            rhs.append(b)
-        x, info = linalg.lstsq(rows, rhs)
+            rows.append([v._mpf_ for v in row])
+            rhs.append(b._mpf_)
+        x = [mp.make_mpf(v) for v in linalg.lstsq(rows, rhs)[0]]
 
         top = {n: [-Uf.at(n)] for n in range(lo, hi + 1)}
         seeds = [([x[j]], [x[j + 1]], [x[j + 2]]) for j in range(0, ncon, 3)]
@@ -915,7 +940,7 @@ def _reference_ansatz_solve(basis, U, W, fine=None):
     for n in range(lo, hi + 1):
         lead = mpf(0)
         for p, phi in zip(pinned, basis.functions(n)):
-            lead += p * phi
+            lead += mp.make_mpf(p) * mp.make_mpf(phi)
         S[n] = ZPoly([+v for v in coeffs[n][:g]] + [lead])
     return S, +resid_rel
 
@@ -1008,9 +1033,11 @@ def test_four_term_factors_match_the_mpf_expressions_bit_for_bit(bits):
                 tables.append(family_from_spec(FamilySpec(kind, g, params), (-6, 6)))
     with mp.workprec(bits):
         for U, W in tables:
+            got = dressing._four_term_factors(U, W, -5, 3)
+            assert sorted(got) == list(range(-5, 4))
             for n in range(-5, 4):
                 ref = [(s, c._mpf_, d._mpf_) for s, c, d in _reference_four_term_factors(U, W, n)]
-                assert list(dressing._four_term_factors(U, W, n)) == ref, n
+                assert list(got[n]) == ref, n
 
 
 @pytest.mark.parametrize("bits", (53, 113, 160, 1100))

@@ -3,8 +3,10 @@ from collections import Counter
 
 import pytest
 from mpmath import mp, mpf, cos, sin, sqrt
+from mpmath.libmp import fzero, mpf_add, mpf_pow_int, mpf_sub
+from test_acceptance import CRITERION_1_PARAMS
 
-from commdiff import dressing, families, numcore
+from commdiff import cli, dressing, families, numcore
 from commdiff.errors import DegenerateDenominatorError, InconsistentDataError
 from commdiff.opalg import CoeffSeq, DiffOp, commutator_residual, op_commutator
 from commdiff.dressing import (
@@ -81,6 +83,43 @@ def commutation_rel(U, W, basis, state_window):
     L2 = l2_operator(U, W)
     partner = build_partner_op(state, L2)
     return commutator_residual(L2, partner)[1]
+
+
+def _reference_tables(kind, g, params, window):
+    """The raw values of the mpf expressions that trig_family, poly_family
+    and geom_family evaluate on raw values."""
+    if kind == "trig":
+        r1 = params["r1"]
+        amp = r1**2 * sin(mpf(g)) * sin(mpf(g + 1)) / (2 * cos(g + mpf(1) / 2) ** 2)
+        fns = (lambda n: r1 * cos(n), lambda n: amp * cos(2 * n))
+    elif kind == "poly":
+        a2, a1, a0 = params["a2"], params["a1"], params["a0"]
+        fns = (lambda n: a2 * n * n + a1 * n + a0,
+               lambda n: -g * (g + 1) * a2 * n * (a2 * n + a1))
+    else:
+        a, beta = params["a"], params["beta"]
+        amp = -(a ** (2 * g + 2) - 1) * (a ** (2 * g) - 1) / (a ** (2 * g + 1) + 1) ** 2 * beta**2
+        fns = (lambda n: beta * a**n, lambda n: amp * a ** (2 * n))
+    return [[f(n)._mpf_ for n in range(window[0], window[1] + 1)] for f in fns]
+
+
+@pytest.mark.parametrize("bits", (53, 113, 1100))
+def test_family_tables_match_the_mpf_expressions_bit_for_bit(bits):
+    # non-dyadic parameters at the working precision and at twice it, whose
+    # products and sums round; a zero linear term; a negative ratio
+    cases = [("trig", 3, {"r1": "1.3"}), ("poly", 4, {"a2": "0.886695", "a1": "0.708451",
+             "a0": "0.234504"}), ("poly", 2, {"a2": "-1.5981", "a1": "0", "a0": "0.47858"}),
+             ("geom", 3, {"a": "1.764235", "beta": "0.895178"}),
+             ("geom", 2, {"a": "-0.4", "beta": "2.5"})]
+    tabulators = {"trig": trig_family, "poly": poly_family, "geom": geom_family}
+    for kind, g, params in cases:
+        for param_bits in (bits, 2 * bits):
+            with mp.workprec(param_bits):
+                values = {k: mpf(v) for k, v in params.items()}
+            with mp.workprec(bits):
+                U, W = tabulators[kind](g, window=(-30, 30), **values)
+                want = _reference_tables(kind, g, values, (-30, 30))
+                assert [U.raw, W.raw] == want, (kind, g, param_bits)
 
 
 def test_trig_values():
@@ -307,6 +346,39 @@ def test_trig_cases_compute_each_cosine_once(monkeypatch):
     build_case(FamilySpec("trig", 3, {"r1": mpf("0.7")}), (-6, 6))
     build_case(FamilySpec("trig", 4, {"r1": mpf("1.3")}), (-6, 6))
     assert calls and max(calls.values()) == 1, calls.most_common(3)
+
+
+def test_verify_cases_keep_short_sums_in_the_kernels_and_compute_each_power_once(
+        monkeypatch, tmp_path):
+    # the criterion-1 verify configurations in one process: no sum or
+    # difference of two finite operands of at most p bits reaches libmp's
+    # mpf_add or mpf_sub where numcore binds them, and mpf_pow_int meets each
+    # (a, e, p) at most once
+    leaks, powers = [], Counter()
+
+    def watched(op):
+        def call(s, t, prec, rnd):
+            if all((v[1] or v == fzero) and v[3] <= prec for v in (s, t)):
+                leaks.append((op.__name__, s, t, prec))
+            return op(s, t, prec, rnd)
+        return call
+
+    def counted(a, e, prec, rnd):
+        powers[a, e, prec] += 1
+        return mpf_pow_int(a, e, prec, rnd)
+
+    monkeypatch.setattr(numcore, "mpf_add", watched(mpf_add))
+    monkeypatch.setattr(numcore, "mpf_sub", watched(mpf_sub))
+    monkeypatch.setattr(numcore, "mpf_pow_int", counted)
+    numcore.pow_int.cache_clear()
+    for kind, params in CRITERION_1_PARAMS.items():
+        for g in (1,) if kind == "elliptic" else (1, 2, 3, 4):
+            argv = ["verify", "--family", kind, "--g", str(g), "--out", str(tmp_path)]
+            for key, val in params.items():
+                argv.append(f"--{key}={val}")
+            assert cli.main(argv) == 0, argv
+    assert not leaks, (len(leaks), leaks[:3])
+    assert powers and max(powers.values()) == 1, powers.most_common(3)
 
 
 def test_basis_for_selects_odd_extension():

@@ -5,9 +5,11 @@ import random
 import pytest
 from mpmath import cos, mp, mpf
 from mpmath.libmp import (
-    finf, fnan, fninf, fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_neg,
-    mpf_sub, round_nearest,
+    finf, fnan, fninf, fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_mul,
+    mpf_neg, mpf_sub, round_nearest,
 )
+
+from oracles import poly_div_exact
 
 from commdiff.errors import DegenerateDenominatorError, NonFiniteError
 from commdiff.numcore import (
@@ -16,10 +18,11 @@ from commdiff.numcore import (
     cos_int,
     get_precision,
     mpf_to_str,
-    poly_div_exact,
     poly_mul,
+    pow_int,
     radd,
     raw_max,
+    rdiv,
     rdot,
     rmac,
     rmul,
@@ -260,6 +263,107 @@ def test_kernels_match_libmp_across_exponent_gaps(gap):
         for a in (big, small, long, *short):
             for b in (big, small, long, *short):
                 _check_kernels([(a, b), (mpf_neg(a), b), (a, mpf_neg(b))], p)
+
+
+@pytest.mark.parametrize("p", (53, 113, 145, 1100))
+@pytest.mark.parametrize("gap", (90, 101, 102, 150, 250, 400))
+def test_far_sums_match_libmp_in_both_regimes(gap, p):
+    # operands gap bits apart in exponent: the smaller one's mantissa reaches
+    # up to within p + 4 bits of the larger one's top (libmp adds exactly) or
+    # lies wholly below it (libmp perturbs the larger, which rounds back to
+    # it when it fits in p bits); larger operands of one bit (a power of two,
+    # whose binade below is finer), of p bits and wider than p; both orders
+    # and every sign pattern
+    rng = random.Random(gap * 7 + p)
+
+    def odd(bits):
+        return rng.getrandbits(bits) | 1 | (1 << (bits - 1))
+
+    larger = [from_man_exp(1, gap), from_man_exp(3, gap), from_man_exp(odd(p), gap),
+              from_man_exp(odd(p // 2), gap), from_man_exp(odd(p + 1), gap),
+              from_man_exp(odd(2 * p), gap)]
+    # mantissas of gap + top - reach bits reach up to top - reach bits below
+    # the larger operand's top, at exponent 0
+    smaller = [from_man_exp(1, 0), from_man_exp(odd(20), 0), from_man_exp(odd(p), 0)]
+    for big in larger:
+        top = big[2] + big[3]
+        for reach in (p + 5, p + 4, p + 3, p, 1, 0):
+            width = top - reach
+            if width > 0:
+                smaller.append(from_man_exp(odd(width), 0))
+    pairs = []
+    for a in larger:
+        for b in smaller:
+            for x, y in ((a, b), (b, a)):
+                pairs += [(x, y), (mpf_neg(x), y), (x, mpf_neg(y)), (mpf_neg(x), mpf_neg(y))]
+    _check_kernels(pairs, p, KERNELS[1:])
+    # 0 +- 0, by name
+    assert radd(fzero, fzero, p) == rsub(fzero, fzero, p) == fzero
+
+
+def _check_rdiv(pairs, p):
+    pairs = list(pairs)
+    bad = [(s, t) for s, t in pairs if rdiv(s, t, p) != mpf_div(s, t, p, round_nearest)]
+    assert not bad, (p, bad[:3])
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_rdiv_matches_libmp_on_every_short_mantissa(p):
+    # every odd mantissa below 2^7 of either sign over every one: exact and
+    # inexact quotients, ties that only an exact quotient makes, carries to
+    # 2^p, and the divisor 1, which libmp rounds itself
+    odd = range(1, 128, 2)
+    vals = [from_man_exp(sign * m, off) for m in odd for sign in (1, -1) for off in (-3, 0, 5)]
+    _check_rdiv(((s, t) for s in vals for t in vals), p)
+
+
+@pytest.mark.parametrize("p", (53, 113, 145, 1100))
+def test_rdiv_matches_libmp(p):
+    # random operands of p bits, 2p bits (wider than p) and random width;
+    # quotients that are exact, exact at p bits and ties; divisors that are
+    # powers of two; zero and special operands
+    rng = random.Random(p + 29)
+
+    def odd(bits):
+        return rng.getrandbits(bits) | 1 | (1 << (bits - 1))
+
+    def draw():
+        width = rng.choice((p, 2 * p, rng.randint(1, 3 * p)))
+        return from_man_exp(rng.choice((1, -1)) * odd(width), rng.randint(-60, 60) - width)
+
+    pairs = [(draw(), draw()) for _ in range(1500)]
+    for _ in range(200):
+        t, q = draw(), draw()
+        # t q / t is q, exactly
+        pairs.append((from_man_exp(t[1] * q[1] * (-1) ** q[0], t[2] + q[2]), t))
+    for width in (p, p + 1, p + 2):
+        # a quotient of width p + 1 ending in 1 lies halfway between two p-bit values
+        pairs += [(from_man_exp(odd(width) * 3, -5), from_man_exp(3, 2)) for _ in range(40)]
+    pairs += [(draw(), from_man_exp(rng.choice((1, -1)), rng.randint(-90, 90)))
+              for _ in range(100)]
+    with mp.workprec(p):
+        pool = [v._mpf_ for v in trap_values(rng, p)]
+    pairs += [(s, t) for s in pool for t in pool if t != fzero]
+    specials = [fzero, finf, fninf, fnan, fone, draw(), draw()]
+    pairs += [(s, t) for s in specials for t in specials if t != fzero]
+    _check_rdiv(pairs, p)
+    for s in specials:
+        with pytest.raises(ZeroDivisionError):
+            rdiv(s, fzero, p)
+
+
+@pytest.mark.parametrize("p", (53, 113, 145, 1100))
+def test_pow_int_is_mpf_power_at_p_bits(p):
+    # pow_int(a, e, p) is a ** e under mp.workprec(p): negative, zero, small
+    # and large exponents, a of one bit, of p bits and wider than p
+    with mp.workprec(2 * p):
+        wide = mpf(2) ** mpf("0.5") * 3
+    for a in (mpf(2), mpf(-3), mpf("1.764235"), mpf("-0.4"), wide):
+        for e in (-2000, -301, -37, -2, -1, 0, 1, 2, 3, 37, 301, 2000):
+            with mp.workprec(p):
+                want = (a ** e)._mpf_
+            assert pow_int(a._mpf_, e, p) == want, (a, e, p)
+            assert pow_int(a._mpf_, e, p) is pow_int(a._mpf_, e, p)
 
 
 def _check_rmac(triples, p):
