@@ -21,6 +21,8 @@ nature, every verification here is pure and parallelizes over (n, z).
 
 from __future__ import annotations
 
+from functools import reduce
+
 from mpmath import mp, mpf, sqrt
 from mpmath.libmp import fone, from_int, fzero, mpf_abs, mpf_gt, mpf_neg, mpf_pos, mpf_rdiv_int
 from mpmath.libmp import round_nearest as RND
@@ -554,7 +556,7 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
 
     Starting from s_{n,g} = -U_n (Q monic), each level m = g-1..0 follows
     from the one above (_march) up to three constants, q_{n0,m},
-    q_{n0+1,m} and s_{n0,m}, with n0 = argmin |U_n| clamped into the
+    q_{n0+1,m} and s_{n0,m}, with n0 the first argmin |U_n| clamped into the
     relation's rows, so that the marches run away from the small end.  The
     z^0 rows of the relation with |n - n0| <= 3g + 2 fix the 3g constants:
     affine vectors over them are marched on that window only, in four
@@ -603,7 +605,8 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
             f"U and W on [{lo}, {hi}] give {max(rhi - rlo + 1, 0)} relation rows "
             f"for {ncon} constants"
         )
-    n0 = min(range(lo, hi + 1), key=lambda n: abs(U.at(n)))
+    mags = [mpf_abs(u, mp.prec, RND) for u in U.values_on(lo, hi)]
+    n0 = lo + mags.index(reduce(lambda a, b: b if mpf_gt(a, b) else a, mags))
     n0 = min(max(n0, rlo), rhi)
     # 3g + 3 rows or more, or every row: at least 3g either way
     flo, fhi = max(rlo, n0 - ncon - 2), min(rhi, n0 + ncon + 2)

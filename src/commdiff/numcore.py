@@ -366,13 +366,13 @@ class ZPoly:
     __slots__ = ("raw",)
 
     def __init__(self, coeffs=()):
-        self.raw = _rtrimmed([scalar(c)._mpf_ for c in coeffs])
+        self.raw = rtrimmed([scalar(c)._mpf_ for c in coeffs])
 
     @classmethod
     def _from_raw(cls, vec: list) -> "ZPoly":
         """Built from a list of finite raw values, which it trims in place and keeps."""
         p = cls.__new__(cls)
-        p.raw = _rtrimmed(vec)
+        p.raw = rtrimmed(vec)
         return p
 
     @classmethod
@@ -450,7 +450,7 @@ def poly_mul(p: ZPoly, q: ZPoly) -> ZPoly:
 # zeros, as ZPoly's are.
 
 
-def _rtrimmed(out: list) -> list:
+def rtrimmed(out: list) -> list:
     while out and out[-1] == fzero:
         out.pop()
     return out
@@ -467,14 +467,14 @@ def rpoly_mul(a, b, p) -> list:
         out.append(rmul(ai, b[-1], p))
         for j, bj in enumerate(b[:-1]):
             out[i + j] = rmac(out[i + j], ai, bj, p)
-    return _rtrimmed(out)
+    return rtrimmed(out)
 
 
 def rpoly_add(a, b, p) -> list:
     """a + b at p bits; the longer vector's tail is copied unrounded."""
     if len(a) < len(b):
         a, b = b, a
-    return _rtrimmed([*map(radd, a, b, repeat(p)), *a[len(b):]])
+    return rtrimmed([*map(radd, a, b, repeat(p)), *a[len(b):]])
 
 
 def rpoly_sub(a, b, p) -> list:
@@ -482,7 +482,7 @@ def rpoly_sub(a, b, p) -> list:
     out = [*map(rsub, a, b, repeat(p)), *a[len(b):]]
     if len(b) > len(a):
         out += [mpf_neg(v, p, RND) for v in b[len(a):]]
-    return _rtrimmed(out)
+    return rtrimmed(out)
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,13 @@ from mpmath.libmp import fone, mpf_neg
 from mpmath.libmp import round_nearest as RND
 
 from .errors import WindowError
-from .numcore import radd, raw_max, rmac, rmul, rsub, scalar, to_json
+from .numcore import radd, raw_max, rmac, rmul, rsub, rtrimmed, scalar, to_json
 
 
 class CoeffSeq:
     """A coefficient sequence n -> scalar, tabulated on an integer window:
-    raw, a list never mutated once built, holds its values as libmp tuples."""
+    raw, a list never mutated once built, holds its values as libmp tuples, or
+    raw coefficient vectors in a sequence of z-polynomials for DiffOp.apply."""
 
     __slots__ = ("n_min", "raw")
 
@@ -207,8 +208,11 @@ class DiffOp:
         return max(t.sup_norm() for t in self.terms.values())
 
     def apply(self, f: CoeffSeq) -> CoeffSeq:
-        """(L f)(n) = sum_j u_j(n) f(n+j) on the exact shrunken window, each sum
-        from its first product in degree order, terms and f read as slices."""
+        """(L f)(n) = sum_j u_j(n) f(n+j) on the exact shrunken window, for f of
+        scalars or of z-polynomials (raw coefficient vectors, as
+        spectral.kernel_extend gives them; the result's are trimmed), a scalar
+        being the degree-0 case.  Each coefficient is summed in degree order
+        from its first product; terms and f are read as slices."""
         lo = max(self.window[0], f.window[0] - self.min_degree)
         hi = min(self.window[1], f.window[1] - self.order)
         if hi < lo:
@@ -216,12 +220,14 @@ class DiffOp:
                 f"application window empty: operator on {self.window} with degrees "
                 f"[{self.min_degree}, {self.order}] needs f beyond [{f.window[0]}, {f.window[1]}]"
             )
-        prec, vals = mp.prec, None
+        prec, scalars, vals = mp.prec, isinstance(f.raw[0], tuple), [[] for _ in range(hi - lo + 1)]
         for j, u in self.terms.items():
-            uv, fv = u.values_on(lo, hi), f.values_on(lo + j, hi + j)
-            vals = ([rmul(x, y, prec) for x, y in zip(uv, fv)] if vals is None else
-                    [rmac(acc, x, y, prec) for acc, x, y in zip(vals, uv, fv)])
-        return CoeffSeq._from_raw(lo, vals)
+            fv = f.values_on(lo + j, hi + j)
+            for acc, x, ys in zip(vals, u.values_on(lo, hi), [[y] for y in fv] if scalars else fv):
+                k = min(len(acc), len(ys))
+                acc[:k] = map(rmac, acc, repeat(x), ys, repeat(prec))
+                acc += [rmul(x, y, prec) for y in ys[k:]]
+        return CoeffSeq._from_raw(lo, [v[0] for v in vals] if scalars else [*map(rtrimmed, vals)])
 
     def __mul__(self, other):
         if not isinstance(other, DiffOp):

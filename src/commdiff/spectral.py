@@ -23,7 +23,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import fzero
 
 from .errors import CommutationError, WindowError
-from .numcore import HyperellipticCurve, ZPoly, rmul, rpoly_sub, scalar
+from .numcore import HyperellipticCurve, ZPoly, rtrimmed, rmac, scalar
 from .opalg import CoeffSeq, DiffOp, commutator_residual
 
 # relative bound on the trace, the base-point spread and the distance from
@@ -36,16 +36,16 @@ ACTION_PAD = 3
 RANK2_COMMUTATION_TOL = mpf("1e-10")
 
 
-def kernel_extend(L: DiffOp, n0: int, init, length: int):
+def kernel_extend(L: DiffOp, n0: int, init, length: int) -> list:
     """Solve (L - z) psi = 0 forward from initial data, with z symbolic.
 
     L must be monic positive of order m; init supplies the ZPoly values
-    psi(n0..n0+m-1) and the recurrence fills out to the requested length.
-    The result is the list of z-coefficient sequences [psi_0, psi_1, ...] of
-    psi = sum_k psi_k z^k, to which an operator free of z applies one by one.
-    Each step shifts the raw vector of psi(n) up one place for z psi(n) and
-    subtracts u_j(n) psi(n + j), rmul's products, by rpoly_sub in degree
-    order; each lower u_j is read once, as one raw slice.
+    psi(n0..n0+m-1), used as given, not rounded.  The result is psi(n0),
+    psi(n0 + 1), ... to the requested length, as raw coefficient vectors
+    trimmed as ZPoly's are, which DiffOp.apply takes.  Each step shifts
+    psi(n) up one place for z psi(n), exactly, and subtracts u_j(n)
+    psi(n + j) coefficient-wise by rmac (rpoly_sub of rmul's products bit
+    for bit), each lower u_j read once, as one raw slice.
     """
     if not L.is_positive:
         raise ValueError("kernel recurrence needs a positive operator")
@@ -71,19 +71,12 @@ def kernel_extend(L: DiffOp, n0: int, init, length: int):
         # z psi(n): the coefficients one place up; psi = 0 stays empty
         acc = [fzero, *vals[i]] if vals[i] else []
         for j, uv in lower:
-            u = uv[i]
+            u, v = uv[i], vals[i + j]
             if u != fzero:
-                acc = rpoly_sub(acc, [rmul(u, v, p) for v in vals[i + j]], p)
-        vals.append(acc)
-    width = max(map(len, vals))
-    return [CoeffSeq._from_raw(n0, [v[k] if k < len(v) else fzero for v in vals])
-            for k in range(width)]
-
-
-def _z_values(seqs, n0: int, count: int) -> list:
-    """The ZPoly values at n0..n0+count-1 of z-coefficient sequences."""
-    cols = [s.values_on(n0, n0 + count - 1) for s in seqs]
-    return [ZPoly._from_raw([c[r] for c in cols]) for r in range(count)]
+                acc += [fzero] * (len(v) - len(acc))
+                acc[:len(v)] = [rmac(a, u, x, p, 1) for a, x in zip(acc, v)]
+        vals.append(rtrimmed(acc))
+    return vals
 
 
 def action_matrix(L_base: DiffOp, L_act: DiffOp, n0: int):
@@ -95,18 +88,16 @@ def action_matrix(L_base: DiffOp, L_act: DiffOp, n0: int):
     checked here; extract_curve and rank2_curve_check guard it."""
     m = L_base.order
     count = m + ACTION_PAD
-    cols = []
-    defect = mpf(0)
-    vscale = mpf(0)
+    cols, defect, vscale = [], mpf(0), mpf(0)
     for i in range(m):
         unit = [ZPoly([1]) if j == i else ZPoly.zero() for j in range(m)]
-        psi = kernel_extend(L_base, n0, unit, count + L_act.order)
-        v = _z_values([L_act.apply(s) for s in psi], n0, count)
+        psi = CoeffSeq._from_raw(n0, kernel_extend(L_base, n0, unit, count + L_act.order))
+        v = [ZPoly._from_raw(c) for c in L_act.apply(psi).values_on(n0, n0 + count - 1)]
         cols.append(v[:m])
         # closure defect: L_act psi must satisfy the same kernel recurrence
-        w = _z_values(kernel_extend(L_base, n0, v[:m], count), n0, count)
+        w = kernel_extend(L_base, n0, v[:m], count)
         for r in range(m, count):
-            defect = max(defect, (v[r] - w[r]).sup_norm())
+            defect = max(defect, (v[r] - ZPoly._from_raw(w[r])).sup_norm())
             vscale = max(vscale, v[r].sup_norm())
     rel = defect / vscale if vscale > 0 else defect
     return [[cols[i][r] for i in range(m)] for r in range(m)], rel

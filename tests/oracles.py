@@ -8,7 +8,11 @@ of the curve, the ratio chi_n(P) = (S_n(z) + w) / Q_n(z), the Baker-Akhiezer
 products of consecutive ratios and the factorization of L2 - z.  shift(window,
 degree) is the operator T^degree on window.  poly_div_exact, the long
 division the partner march divides by, and _reference_lstsq, the mpf loop
-that linalg.lstsq reproduces bit for bit, live here too.
+that linalg.lstsq reproduces bit for bit, live here too, and so do the
+loops that spectral.kernel_extend, DiffOp.apply and spectral.action_matrix
+reproduce bit for bit: the kernel recurrence in ZPoly arithmetic, the
+per-site mpf apply, and the action matrix read from the kernel transposed
+into one zero-padded sequence per power of z.
 
 Import them as `from oracles import ...`; pytest's default import mode puts
 this directory on sys.path.
@@ -20,11 +24,13 @@ from itertools import repeat
 from math import fsum
 
 from mpmath import mp, mpf, sqrt
+from mpmath.libmp import fzero
 
 from commdiff.dressing import DEGENERACY_REL, DressingState, q_from_s
 from commdiff.errors import DegenerateDenominatorError, InconsistentDataError, WindowError
 from commdiff.numcore import HyperellipticCurve, ZPoly, scalar
 from commdiff.opalg import CoeffSeq, DiffOp
+from commdiff.spectral import ACTION_PAD
 
 
 def shift(window, degree: int = 1) -> DiffOp:
@@ -192,6 +198,90 @@ def factorization_check(state: DressingState, L2: DiffOp, P: CurvePoint, f: Coef
     if hi < lo:
         raise WindowError("factorization check window is empty")
     return max(abs(lhs.at(n) - rhs.at(n)) for n in range(lo, hi + 1))
+
+
+# ---------------------------------------------------------------------------
+# kernel recurrence, apply and action matrix
+# ---------------------------------------------------------------------------
+
+
+def _reference_kernel_extend(L, n0, init, length):
+    """The kernel recurrence that `kernel_extend` must reproduce bit for bit,
+    in ZPoly arithmetic: z psi(n) as an exact shift of the coefficients, as
+    given, then u_j(n) psi(n + j) subtracted as ZPoly's scale and
+    difference.  Returns psi(n0), psi(n0 + 1), ... as raw vectors."""
+    m = L.order
+    vals = list(init)
+    for n in range(n0, n0 + length - m):
+        acc = ZPoly([0, *vals[n - n0].coeffs])
+        for j, u in L.terms.items():
+            if j != m:
+                acc -= u.at(n) * vals[n - n0 + j]
+        vals.append(acc)
+    return [v.raw for v in vals]
+
+
+def _reference_apply(L, f):
+    """The per-site mpf loop that `DiffOp.apply` must reproduce bit for bit
+    on a scalar sequence."""
+    lo = max(L.window[0], f.window[0] - L.min_degree)
+    hi = min(L.window[1], f.window[1] - L.order)
+    vals = []
+    for n in range(lo, hi + 1):
+        acc = mpf(0)
+        for j, u in L.terms.items():
+            acc += u.at(n) * f.at(n + j)
+        vals.append(acc)
+    return CoeffSeq(lo, vals)
+
+
+def _by_power(vals, n0):
+    """The z-coefficient sequences [psi_0, psi_1, ...] of the raw vectors
+    psi(n0), psi(n0 + 1), ..., each zero-padded to the window; none for
+    psi = 0."""
+    width = max(map(len, vals))
+    return [CoeffSeq._from_raw(n0, [v[k] if k < len(v) else fzero for v in vals])
+            for k in range(width)]
+
+
+def _z_values(seqs, n0: int, count: int) -> list:
+    """The ZPoly values at n0..n0+count-1 of z-coefficient sequences."""
+    cols = [s.values_on(n0, n0 + count - 1) for s in seqs]
+    return [ZPoly._from_raw([c[r] for c in cols]) for r in range(count)]
+
+
+def _reference_apply_by_power(L, vals, n0):
+    """L applied to each z-coefficient sequence of psi by the mpf loop:
+    (window, raw vectors) of L psi, which `DiffOp.apply` must reproduce on
+    the sequence of z-polynomials psi(n0), psi(n0 + 1), ..."""
+    out = [_reference_apply(L, s) for s in _by_power(vals, n0) or
+           [CoeffSeq._from_raw(n0, [fzero] * len(vals))]]
+    lo, hi = out[0].window
+    return (lo, hi), [v.raw for v in _z_values(out, lo, hi - lo + 1)]
+
+
+def _reference_action_matrix(L_base, L_act, n0: int):
+    """The action matrix and closure defect that `action_matrix` must
+    reproduce bit for bit: each kernel transposed into its zero-padded
+    z-coefficient sequences, L_act applied to each by the mpf loop, and the
+    values read back per site."""
+    m = L_base.order
+    count = m + ACTION_PAD
+    cols = []
+    defect = mpf(0)
+    vscale = mpf(0)
+    for i in range(m):
+        unit = [ZPoly([1]) if j == i else ZPoly.zero() for j in range(m)]
+        psi = _by_power(_reference_kernel_extend(L_base, n0, unit, count + L_act.order), n0)
+        v = _z_values([_reference_apply(L_act, s) for s in psi], n0, count)
+        cols.append(v[:m])
+        w = _z_values(_by_power(_reference_kernel_extend(L_base, n0, v[:m], count), n0),
+                      n0, count)
+        for r in range(m, count):
+            defect = max(defect, (v[r] - w[r]).sup_norm())
+            vscale = max(vscale, v[r].sup_norm())
+    rel = defect / vscale if vscale > 0 else defect
+    return [[cols[i][r] for i in range(m)] for r in range(m)], rel
 
 
 # ---------------------------------------------------------------------------

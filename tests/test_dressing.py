@@ -501,6 +501,54 @@ def test_ansatz_singular_constant_fit_is_a_rank_error():
         ansatz_solve(EvenPowerBasis(2), U, W)
 
 
+class _Anchor(Exception):
+    """Carries the n0 that ansatz_solve hands to its constant fit."""
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160))
+def test_ansatz_anchor_is_the_first_smallest_abs_u(monkeypatch, bits):
+    # n0 is the first n of smallest |U_n| as mpf's abs rounds it, clamped
+    # into the relation rows [lo + 1, hi - 2]: ties of either sign, a value
+    # wider than bits that rounds onto a later exact 1, exact zeros, and a
+    # smallest value at the window's edge
+    def stop(dc, D, top, g, n0, span):
+        raise _Anchor(n0)
+
+    monkeypatch.setattr(dressing, "_fit_rows", stop)
+    # the tables below are no family: skip the basis fit of -U_n
+    monkeypatch.setattr(dressing, "_pin_top_coefficients", lambda basis, U, phi: ([], fzero))
+    with mp.workprec(bits):
+        U, W = poly_family(2, 1, 0, 0, (-12, 12))
+        with mp.workprec(2 * bits):
+            above, below = 1 + mpf(2) ** -(bits + 3), 1 - mpf(2) ** -(bits + 3)
+        assert all(v._mpf_[3] > bits and +v == 1 for v in (above, below))
+        base = [mpf(3 + (n % 5)) for n in range(-12, 13)]
+
+        def with_values(**at):
+            vals = list(base)
+            for n, v in at.items():
+                vals[int(n[1:]) * (-1 if n[0] == "m" else 1) + 12] = v
+            return CoeffSeq(-12, vals)
+
+        tables = [
+            U,
+            with_values(m7=mpf(-1), p4=mpf(1)),
+            with_values(m5=above, p2=mpf(1)),
+            with_values(m5=mpf(1), p2=below),
+            with_values(p8=mpf(0), p10=mpf(0), m3=mpf("0.5")),
+            with_values(m12=mpf("0.25"), p3=mpf("0.5")),
+            with_values(p12=mpf("0.25"), p11=mpf("0.5")),
+        ]
+        picks = []
+        for table in tables:
+            with pytest.raises(_Anchor) as got:
+                ansatz_solve(EvenPowerBasis(2), table, W)
+            want = min(range(-12, 13), key=lambda n: abs(table.at(n)))
+            assert got.value.args[0] == min(max(want, -11), 10)
+            picks.append(got.value.args[0])
+        assert picks == [0, -7, -5, -5, 8, -11, 10]
+
+
 def test_ansatz_solve_assembles_no_state(monkeypatch):
     # the solve returns the S table only; each state recovers its own curve
     calls = []

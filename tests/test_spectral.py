@@ -1,6 +1,6 @@
 import pytest
 from mpmath import mp, mpf, cos, sin
-from mpmath.libmp import fzero
+from mpmath.libmp import fone, fzero
 
 from commdiff.errors import CommutationError, WindowError
 from commdiff.numcore import ZPoly
@@ -15,9 +15,16 @@ from commdiff.dressing import (
     l2_operator,
 )
 from commdiff.families import FamilySpec, build_case, geom_family, poly_family, trig_family
-from commdiff import spectral
 from commdiff.rank2 import Rank2Params, build_l4, build_l6_special
-from oracles import baker_akhiezer, curve_point
+from oracles import (
+    _by_power,
+    _reference_action_matrix,
+    _reference_apply,
+    _reference_apply_by_power,
+    _reference_kernel_extend,
+    baker_akhiezer,
+    curve_point,
+)
 from test_numcore import _raw, _reference_add, _reference_poly_mul
 from commdiff.spectral import (
     CurveReport,
@@ -50,10 +57,7 @@ def test_kernel_extend_pure_shift_square():
     # T^2 psi = z psi from psi(0) = 1, psi(1) = 0: psi(2k) = z^k, psi(2k+1) = 0
     L = DiffOp.build({2: 1, 1: 0, 0: 0}, WIN)
     psi = kernel_extend(L, 0, (ZPoly([1]), ZPoly.zero()), 11)
-    assert len(psi) == 6
-    for j, c in enumerate(psi):
-        for n in range(11):
-            assert c.at(n) == (1 if n == 2 * j else 0)
+    assert psi == [[fzero] * (n // 2) + [fone] if n % 2 == 0 else [] for n in range(11)]
 
 
 def test_kernel_extend_satisfies_recurrence():
@@ -62,7 +66,7 @@ def test_kernel_extend_satisfies_recurrence():
     U, W = poly_family(1, 1, 0, 0, WIN)
     L2 = l2_operator(U, W)
     init = (ZPoly([mpf("0.7"), mpf("-0.3")]), ZPoly([mpf("-0.2")]))
-    psi = kernel_extend(L2, -3, init, 16)
+    psi = _by_power(kernel_extend(L2, -3, init, 16), -3)
     assert len(psi) == 9  # psi(n0 + 14) has degree 8 in z
     scale = L2.sup_norm() * max(c.sup_norm() for c in psi)
     for k, c in enumerate(psi):
@@ -75,8 +79,7 @@ def test_kernel_extend_satisfies_recurrence():
 def test_kernel_extend_zero_init():
     U, W = poly_family(1, 1, 0, 0, WIN)
     L2 = l2_operator(U, W)
-    psi = kernel_extend(L2, 0, (ZPoly.zero(), ZPoly.zero()), 10)
-    assert not any(c.sup_norm() for c in psi)
+    assert kernel_extend(L2, 0, (ZPoly.zero(), ZPoly.zero()), 10) == [[]] * 10
 
 
 def test_kernel_extend_window_guard():
@@ -309,46 +312,22 @@ def test_extract_curve_catches_a_perturbed_partner():
 
 
 # ---------------------------------------------------------------------------
-# bit-identity oracles: the loops that multiplied z psi by ZPoly([0, 1]),
-# read every value through .at(), summed from mpf(0) and validated every
-# computed value again
+# bit-identity against the oracles: the kernel recurrence in ZPoly
+# arithmetic, the per-site mpf apply on each z-coefficient sequence, and the
+# action matrix read from the kernel transposed into one zero-padded
+# sequence per power of z
 # ---------------------------------------------------------------------------
 
 
-def _reference_kernel_extend(L, n0, init, length):
-    """The kernel recurrence that `kernel_extend` must reproduce bit for bit."""
-    m = L.order
-    vals = list(init)
-    for n in range(n0, n0 + length - m):
-        acc = ZPoly([0, 1]) * vals[n - n0]
-        for j, u in L.terms.items():
-            if j == m:
-                continue
-            acc -= u.at(n) * vals[n - n0 + j]
-        vals.append(acc)
-    width = max(len(v.coeffs) for v in vals)
-    return [CoeffSeq(n0, [v.coeff(k) for v in vals]) for k in range(width)]
-
-
-def _reference_apply(L, f):
-    """The per-site loop that `DiffOp.apply` must reproduce bit for bit."""
-    lo = max(L.window[0], f.window[0] - L.min_degree)
-    hi = min(L.window[1], f.window[1] - L.order)
-    vals = []
-    for n in range(lo, hi + 1):
-        acc = mpf(0)
-        for j, u in L.terms.items():
-            acc += u.at(n) * f.at(n + j)
-        vals.append(acc)
-    return CoeffSeq(lo, vals)
+def _applies_as_reference(op, psi, n0):
+    """op applied to the sequence of z-polynomials psi from n0 gives, bit for
+    bit, the window and values of the mpf loop applied power by power."""
+    got = op.apply(CoeffSeq._from_raw(n0, psi))
+    return (got.window, got.raw) == _reference_apply_by_power(op, psi, n0)
 
 
 def _raw_seq(f):
     return f.window, [v._mpf_ for v in f.values]
-
-
-def _raw_seqs(seqs):
-    return [_raw_seq(f) for f in seqs]
 
 
 ORACLE_CASES = [
@@ -373,9 +352,10 @@ def test_kernel_extend_and_apply_match_reference_loops_bit_for_bit(kind, params,
         for n0 in (L2.window[0], -1, 0, 3):
             for init in inits:
                 psi = kernel_extend(L2, n0, init, 12)
-                assert _raw_seqs(psi) == _raw_seqs(_reference_kernel_extend(L2, n0, init, 12))
+                assert psi == _reference_kernel_extend(L2, n0, init, 12)
                 for op in (L2, partner):
-                    for f in psi:
+                    assert _applies_as_reference(op, psi, n0)
+                    for f in _by_power(psi, n0):
                         assert _raw_seq(op.apply(f)) == _raw_seq(_reference_apply(op, f))
 
 
@@ -391,45 +371,83 @@ def test_apply_matches_the_reference_loop_on_exact_zeros_and_negative_degrees(bi
         # T^2 with exact zero lower coefficients: psi holds exact zeros
         S = DiffOp.build({2: 1, 1: 0, 0: 0}, (-20, 20))
         psi = kernel_extend(S, -3, (ZPoly([1]), ZPoly.zero()), 15)
-        assert _raw_seqs(psi) == _raw_seqs(
-            _reference_kernel_extend(S, -3, (ZPoly([1]), ZPoly.zero()), 15))
-        for c in psi:
+        assert psi == _reference_kernel_extend(S, -3, (ZPoly([1]), ZPoly.zero()), 15)
+        assert _applies_as_reference(L, psi, -3)
+        for c in _by_power(psi, -3):
             assert _raw_seq(L.apply(c)) == _raw_seq(_reference_apply(L, c))
         # T^2 alone, from zero data: psi = 0 has no coefficients at all
         P = DiffOp.build({2: 1}, (-20, 20))
         zero = (ZPoly.zero(), ZPoly.zero())
-        assert kernel_extend(P, 0, zero, 9) == _reference_kernel_extend(P, 0, zero, 9) == []
-        # no step at all: the initial data back, as sequences
+        assert kernel_extend(P, 0, zero, 9) == _reference_kernel_extend(P, 0, zero, 9) == [[]] * 9
+        assert _applies_as_reference(L, [[]] * 9, 0)
+        # no step at all: the initial data back
         init = (ZPoly([mpf(1) / 3, 1]), ZPoly([0, 0, mpf(2) / 7]))
-        assert _raw_seqs(kernel_extend(S, 18, init, 2)) == _raw_seqs(
-            _reference_kernel_extend(S, 18, init, 2))
-        # initial data wider than bits under exact-zero lower coefficients:
-        # z psi is an exact shift and a zero coefficient subtracts nothing,
-        # so psi(n + 2) = z psi(n) keeps every bit
+        assert kernel_extend(S, 18, init, 2) == _reference_kernel_extend(S, 18, init, 2)
+        # initial data wider than bits, used as given: z psi is an exact
+        # shift, so under exact-zero lower coefficients psi(n + 2) = z psi(n)
+        # keeps every bit, and under nonzero ones the coefficients that no
+        # product reaches keep theirs too
         with mp.workprec(2 * bits):
             wide = (ZPoly([mp.sqrt(2), -mp.sqrt(3)]), ZPoly([mp.sqrt(5)]))
         psi = kernel_extend(S, 0, wide, 6)
+        assert psi == _reference_kernel_extend(S, 0, wide, 6)
         for r in range(2, 6):
-            got = [s.at(r)._mpf_ for s in psi]
-            want = [fzero] * (r // 2) + wide[r % 2].raw
-            assert got == want + [fzero] * (len(got) - len(want)), r
+            assert psi[r] == [fzero] * (r // 2) + wide[r % 2].raw, r
+        R = DiffOp.build({2: 1, 1: lambda n: mpf(n) / 7, 0: lambda n: mpf(1) / (n + 40)},
+                         (-20, 20))
+        for n0 in (-3, 0):
+            psi = kernel_extend(R, n0, wide, 9)
+            assert psi == _reference_kernel_extend(R, n0, wide, 9)
+            assert any(v[3] > bits for vec in psi[2:] for v in vec)
+            assert _applies_as_reference(L, psi, n0)
 
 
-@pytest.mark.parametrize("bits", (53, 113, 160))
+def _action_or_error(action, L_base, L_act, n0):
+    """The raw entries of M and the raw defect, or the WindowError's name."""
+    try:
+        M, defect = action(L_base, L_act, n0)
+    except WindowError:
+        return "WindowError"
+    return [[p.raw for p in row] for row in M], defect._mpf_
+
+
+def _assert_actions_match(L_base, acts, base_points):
+    """action_matrix against the per-power oracle, bit for bit, on every
+    pair of acting operator and base point; returns how many gave a matrix."""
+    made = 0
+    for L_act in acts:
+        for n0 in base_points:
+            got = _action_or_error(action_matrix, L_base, L_act, n0)
+            assert got == _action_or_error(_reference_action_matrix, L_base, L_act, n0), n0
+            made += got != "WindowError"
+    return made
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160, 1100))
 @pytest.mark.parametrize("kind, params", ORACLE_CASES)
-def test_action_matrix_matches_the_reference_loops_bit_for_bit(monkeypatch, kind, params, bits):
+def test_action_matrix_matches_the_reference_loops_bit_for_bit(kind, params, bits):
+    # the partner, L2 itself (M = z I), an operator with an exact-zero term,
+    # zero sites and exact 1s, and one with a negative-degree term, whose
+    # action needs kernel values below the base point (a WindowError on
+    # both sides); L2.window[0] lies below the partner's window
     with mp.workprec(bits):
         L2, partner, _state, _extras = build_case(FamilySpec(kind, 2, params), (-6, 6))
-        for n0 in (-1, 0, 1):
-            M, defect = action_matrix(L2, partner, n0)
-            with monkeypatch.context() as m:
-                m.setattr(spectral, "kernel_extend", _reference_kernel_extend)
-                m.setattr(DiffOp, "apply", _reference_apply)
-                M_ref, defect_ref = action_matrix(L2, partner, n0)
-            assert [[[c._mpf_ for c in p.coeffs] for p in row] for row in M] == [
-                [[c._mpf_ for c in p.coeffs] for p in row] for row in M_ref
-            ]
-            assert defect._mpf_ == defect_ref._mpf_
+        zeros = DiffOp.build({0: lambda n: 0 if n % 2 else mpf(n) / 7, 1: 0, 2: 1,
+                              3: lambda n: mpf(1) / (n + 40)}, L2.window)
+        negative = DiffOp.build({-1: lambda n: mpf(n) / 5, 0: 0, 1: 1}, L2.window)
+        made = _assert_actions_match(L2, (partner, L2, zeros, negative),
+                                     (-1, 0, 1, L2.window[0]))
+        assert made == 11
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160, 1100))
+@pytest.mark.parametrize("params", [(2, 0, 0), ("0.3", "1.7", "-0.45")])
+def test_rank2_action_matrix_matches_the_reference_loops_bit_for_bit(params, bits):
+    with mp.workprec(bits):
+        L4 = build_l4(Rank2Params(*params), (-20, 20))
+        made = _assert_actions_match(L4, (build_l6_special((-20, 20)), L4),
+                                     (-1, 0, 1, L4.window[0]))
+        assert made == 8
 
 
 # the rank-two L4: order 4, the dyadic pair of rank2 and a non-dyadic L4
@@ -476,7 +494,7 @@ def test_kernel_extend_of_the_rank2_l4_matches_the_reference_loop_bit_for_bit(pa
         for n0 in (-12, -1, 0, 3):
             for init in (*units, mixed):
                 psi = kernel_extend(L4, n0, init, 14)
-                assert _raw_seqs(psi) == _raw_seqs(_reference_kernel_extend(L4, n0, init, 14))
+                assert psi == _reference_kernel_extend(L4, n0, init, 14)
 
 
 @pytest.mark.parametrize("bits", (53, 113, 160, 1100))
