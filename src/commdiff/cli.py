@@ -110,8 +110,7 @@ def cmd_verify(args) -> int:
     master_rel, linear_rel, skew_rel = dressing.identity_residuals(
         state, (lo, hi), skew=spec.even
     )
-    comm, comm_rel = commutator_residual(L2, partner)
-    clo, chi_ = comm.window
+    (clo, chi_), comm_rel = commutator_residual(L2, partner)
     window_ok = clo <= lo and chi_ >= hi
     monic = partner.is_monic()
 

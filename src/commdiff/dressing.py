@@ -46,7 +46,7 @@ from .numcore import (
     rsub,
     scalar,
 )
-from .opalg import CoeffSeq, DiffOp
+from .opalg import CoeffSeq, DiffOp, exact_compose, exact_form, exact_op, exact_sum
 
 DEGENERACY_REL = mpf("1e-8")
 S_LEAD_TOL = mpf("1e-6")
@@ -61,8 +61,8 @@ CURVE_RECOVERY_TOL = mpf("1e-6")
 def l2_operator(U: CoeffSeq, W: CoeffSeq) -> DiffOp:
     """(T + U_n)^2 + W_n = T^2 + (U_n + U_{n+1}) T + (U_n^2 + W_n), on every
     n where U_{n+1} and W_n are tabulated, formed as written: the square is a
-    composition, whose exact-one rule copies U where it meets T's 1s (so a U
-    wider than the working precision is rounded before U_n + U_{n+1})."""
+    composition, whose products with T's 1s round a U wider than the
+    working precision before U_n + U_{n+1}."""
     t_u = DiffOp.build({1: 1, 0: U}, U.window)
     return t_u * t_u + DiffOp({0: W})
 
@@ -739,29 +739,30 @@ def build_partner_op(state: DressingState, L2: DiffOp | None = None) -> DiffOp:
         sum_k (q_{n,k} T - s_{n,k}) o L2^k,
 
     with q_{n,k}, s_{n,k} the z^k coefficients of Q_n, S_n, L2^0 the
-    identity on L2's window and L2^k = L2 o L2^(k-1).  Every product is a
-    composition, whose exact-one rule copies the other factor where it meets
-    the identity's 1s or those of the top term of L2^k; so L2^1 = L2 o I holds
-    L2's values (rounded to p bits where wider) on the identity's window less
-    L2's order.  Starting from L2 itself would widen the partner by two
-    sites, which carry the pair's largest commutator residuals.  s_{n,k} is
-    negated exactly, so a state wider than p is rounded once, in the
-    products.  The powers are summed, not nested (Horner), which would round
-    differently and on other windows.
+    identity on L2's window and L2^k = L2 o L2^(k-1).  The powers, products
+    and sum are formed exactly on opalg's exact forms, the raw values of L2
+    and of the tables entering unrounded at whatever width they hold, and
+    each coefficient of the partner is rounded once, at the working
+    precision.  The windows are composition's: L2^1 = L2 o I lies on the
+    identity's window less L2's order, two sites short of L2's, and the
+    partner with it.  Starting from L2 itself would widen the partner by
+    those two sites, which carry the pair's largest commutator residuals.
+    The powers are summed, not nested (Horner), which would give other
+    windows.
     """
     if L2 is None:
         L2 = state.l2()
     qs_window = (state.window[0] + 1, state.window[1])
-    acc, l2k = None, DiffOp.identity(L2.window)
+    l2, l2k, acc = exact_form(L2), exact_form(DiffOp.identity(L2.window)), None
     for k in range(state.curve.g + 1):
         if k:
-            l2k = L2 * l2k
+            l2k = exact_compose(l2, l2k)
         qk = CoeffSeq.tabulate(lambda n: _raw_coeff(state.Q[n], k), qs_window, raw=True)
         neg_sk = CoeffSeq.tabulate(lambda n: mpf_neg(_raw_coeff(state.S[n], k)), qs_window,
                                    raw=True)
-        term = DiffOp({1: qk, 0: neg_sk}) * l2k
-        acc = term if acc is None else acc + term
-    return acc
+        term = exact_compose(exact_form(DiffOp({1: qk, 0: neg_sk})), l2k)
+        acc = term if acc is None else exact_sum(acc, term)
+    return exact_op(acc, mp.prec)
 
 
 def _raw_coeff(poly: ZPoly, k: int):

@@ -20,10 +20,10 @@ geometric family and basis.  mpmath floats appear where a value enters
 (scalar, ZPoly's constructor) or leaves (coeffs, lead, sup_norm, reports).
 Polynomial products, sums and differences exist once, as rpoly_mul,
 rpoly_add and rpoly_sub on raw coefficient vectors: ZPoly's *, + and -
-wrap them, and dressing's identity checks call them directly.  Composition (opalg's DiffOp.__mul__, which scale_left and the L2
-and partner assemblies of dressing are built on) forms no product with a
-term of exact 1s: 1 times v at p bits is v itself when v fits in p bits,
-and a wider v is rounded as rmul(fone, v, p) rounds it.
+wrap them, and dressing's identity checks call them directly.  Operator
+composition (opalg's DiffOp.__mul__) rounds each product and sum here; the
+commutator and the partner assembly compose exactly on ints instead and
+round each result once, by libmp's from_rational and from_man_exp.
 Every function computes at the caller's mpmath precision, mp.prec, which
 the caller scopes with mp.workprec; importing the package leaves it alone.
 The CLI runs at DEFAULT_PRECISION_BITS, a 113-bit significand (quad-like),
@@ -271,7 +271,8 @@ def rmac(acc, s, t, p, _neg=0):
     """acc + s * t at p bits, the product rounded at p first, in one call:
     radd(acc, rmul(s, t, p), p, _neg) bit for bit; acc - s * t with _neg.
     The rounded product keeps its trailing zeros, which the exact sum and
-    its rounding do not see.  Zero and special operands, and exponent gaps
+    its rounding do not see.  An exact-zero acc gives the rounded product
+    (negated with _neg); other zero and special operands, and exponent gaps
     past 100 bits from the unstripped product, go to the two kernels.  The
     stripped product can lie over 100 bits above acc when this one does
     not; it has at most p bits then, and libmp's perturbation of it rounds
@@ -281,6 +282,8 @@ def rmac(acc, s, t, p, _neg=0):
     asign, aman, aexp, _ = acc
     man = sman * tman
     if not (man and aman):
+        if acc == fzero:  # the sum is the product rounded at p
+            return mpf_neg(rmul(s, t, p)) if _neg else rmul(s, t, p)
         return radd(acc, rmul(s, t, p), p, _neg)
     exp = sexp + texp
     bc = man.bit_length()

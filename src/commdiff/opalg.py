@@ -9,7 +9,10 @@ zero-padding would corrupt commutator checks at the window edges.
 
 Sequences store raw libmp values, on which numcore's kernels compute, and
 tabulate at construction (nothing lazy); neither they nor operators mutate,
-so values are safe to share across workers.
+so values are safe to share across workers.  DiffOp's * and + round every
+product and sum.  An exact form (exact_form: raw values as signed ints on
+one exponent) composes and sums with no rounding, and exact_op rounds each
+value once; the commutator and dressing's partner are formed so.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import operator
 from itertools import repeat
 
 from mpmath import mp, mpf
-from mpmath.libmp import fone, mpf_neg
+from mpmath.libmp import fone, from_man_exp, from_rational, mpf_neg
 from mpmath.libmp import round_nearest as RND
 
 from .errors import WindowError
@@ -130,17 +133,6 @@ def _common_window(seqs, requested=None):
     return lo, hi
 
 
-def _all_ones(vals) -> bool:
-    """Every raw value in vals is exactly 1."""
-    return vals.count(fone) == len(vals)
-
-
-def _one_times(vals, p) -> list:
-    """rmul(fone, v, p) for the raw values vals: v itself when it fits in p
-    bits, so no product is formed then."""
-    return [v if v[3] <= p else rmul(fone, v, p) for v in vals]
-
-
 MONIC_TOL = mpf("1e-12")
 
 
@@ -233,27 +225,17 @@ class DiffOp:
         if not isinstance(other, DiffOp):
             c = scalar(other)
             return DiffOp({j: t * c for j, t in self.terms.items()}, self.window)
-        # composition: coefficient of T^(i+j) picks up b_j shifted by i; a
-        # product with a term of exact 1s is the other factor's values
+        # composition: coefficient of T^(i+j) picks up b_j shifted by i
         lo = max(self.window[0], other.window[0] - self.min_degree)
         hi = min(self.window[1], other.window[1] - self.order)
         if hi < lo:
             raise WindowError("composition window empty")
-        prec, olo, width = mp.prec, other.window[0], hi - lo + 1
-        raw = {j: b.raw for j, b in other.terms.items()}
-        ones = {j for j, bv in raw.items() if _all_ones(bv)}
-        out: dict = {}
+        prec, out = mp.prec, {}
         for i, a in self.terms.items():
             av = a.values_on(lo, hi)
-            a_ones = _all_ones(av)
-            for j, bv in raw.items():
-                bv = bv[lo + i - olo:lo + i - olo + width]
-                k = i + j
-                if a_ones or j in ones:
-                    contrib = _one_times(bv if a_ones else av, prec)
-                    out[k] = ([radd(x, y, prec) for x, y in zip(out[k], contrib)]
-                              if k in out else contrib)
-                elif k in out:
+            for j, b in other.terms.items():
+                bv, k = b.values_on(lo + i, hi + i), i + j
+                if k in out:
                     out[k] = [rmac(acc, x, y, prec) for acc, x, y in zip(out[k], av, bv)]
                 else:
                     out[k] = [rmul(x, y, prec) for x, y in zip(av, bv)]
@@ -262,8 +244,7 @@ class DiffOp:
     __rmul__ = __mul__
 
     def scale_left(self, c: CoeffSeq) -> "DiffOp":
-        """c(n) o self, the zero-degree coefficient c as a left factor: a
-        composition, so a term of exact 1s takes c's values."""
+        """c(n) o self, the zero-degree coefficient c as a left factor."""
         return DiffOp({0: c}) * self
 
     def _termwise(self, other: "DiffOp", op, alone) -> "DiffOp":
@@ -286,15 +267,70 @@ class DiffOp:
         return f"DiffOp(order={self.order}, window={self.window})"
 
 
-def op_commutator(A: DiffOp, B: DiffOp) -> DiffOp:
-    return A * B - B * A
+def exact_form(L: DiffOp):
+    """L exactly as (window, terms, exp): terms[j][i] times 2^exp is the raw
+    value i of L's term j, exp the least exponent of L's raw values."""
+    exp = min(v[2] for t in L.terms.values() for v in t.raw)
+    return L.window, {j: [-m << (e - exp) if s else m << (e - exp) for s, m, e, _ in t.raw]
+                      for j, t in L.terms.items()}, exp
+
+
+def exact_compose(a, b):
+    """a o b of two exact forms, exactly, on DiffOp.__mul__'s window: the
+    coefficient of T^(i+j) is the sum of a_i(n) b_j(n+i)."""
+    ((alo, ahi), at, ae), ((blo, bhi), bt, be) = a, b
+    lo, hi = max(alo, blo - min(at)), min(ahi, bhi - max(at))
+    if hi < lo:
+        raise WindowError("composition window empty")
+    out: dict = {}
+    for i, av in at.items():
+        av = av[lo - alo:hi - alo + 1]
+        for j, bv in bt.items():
+            prod = map(operator.mul, av, bv[lo + i - blo:hi + i - blo + 1])
+            out[i + j] = [*map(operator.add, out[i + j], prod)] if i + j in out else [*prod]
+    return (lo, hi), out, ae + be
+
+
+def exact_sum(a, b, sign=1):
+    """a + sign * b of two exact forms, exactly, termwise on the common window."""
+    ((alo, ahi), at, ae), ((blo, bhi), bt, be) = a, b
+    lo, hi = max(alo, blo), min(ahi, bhi)
+    if hi < lo:
+        raise WindowError("term windows have empty intersection")
+    exp = min(ae, be)
+    out = {j: [v << (ae - exp) for v in t[lo - alo:hi - alo + 1]] for j, t in at.items()}
+    for j, t in bt.items():
+        t = [sign * v << (be - exp) for v in t[lo - blo:hi - blo + 1]]
+        out[j] = [*map(operator.add, out[j], t)] if j in out else t
+    return (lo, hi), out, exp
+
+
+def exact_op(x, prec: int) -> DiffOp:
+    """The DiffOp of the exact form x, each value rounded once at prec bits."""
+    (lo, hi), terms, exp = x
+    return DiffOp({j: CoeffSeq._from_raw(lo, [from_man_exp(v, exp, prec, RND) for v in t])
+                   for j, t in terms.items()}, (lo, hi))
+
+
+def op_commutator(a, b):
+    """[a, b] = a o b - b o a of two exact forms, exactly, on the window of
+    A * B - B * A for the operators A and B they hold."""
+    return exact_sum(exact_compose(a, b), exact_compose(b, a), -1)
+
+
+def _int_sup(terms) -> int:
+    return max(max(map(abs, t)) for t in terms.values())
 
 
 def commutator_residual(A: DiffOp, B: DiffOp):
-    """([A, B], its sup norm over |A| |B|): the commutator and its
-    dimensionless residual."""
-    comm = op_commutator(A, B)
-    return comm, comm.sup_norm() / (A.sup_norm() * B.sup_norm())
+    """(window, rel): the window of [A, B] and the dimensionless residual
+    rel = sup|[A, B]| / (|A| |B|), the sups over exact values, so a ratio of
+    two ints, rounded once at mp.prec."""
+    a, b = exact_form(A), exact_form(B)
+    window, comm, _ = op_commutator(a, b)
+    # [a, b] carries the exponent of a times b, which cancels in the ratio
+    rel = from_rational(_int_sup(comm), _int_sup(a[1]) * _int_sup(b[1]), mp.prec, RND)
+    return window, mp.make_mpf(rel)
 
 
 def op_to_json(L: DiffOp) -> str:

@@ -20,11 +20,12 @@ from functools import reduce
 from operator import add
 
 from mpmath import mp, mpf
-from mpmath.libmp import fzero
+from mpmath.libmp import from_rational, fzero
+from mpmath.libmp import round_nearest as RND
 
 from .errors import CommutationError, WindowError
-from .numcore import HyperellipticCurve, ZPoly, rtrimmed, rmac, scalar
-from .opalg import CoeffSeq, DiffOp, commutator_residual
+from .numcore import HyperellipticCurve, ZPoly, raw_max, rtrimmed, rmac, scalar
+from .opalg import CoeffSeq, DiffOp, commutator_residual, exact_compose, exact_form, exact_sum
 
 # relative bound on the trace, the base-point spread and the distance from
 # the reference curve in CurveReport.passes, and on the trace and the
@@ -251,18 +252,17 @@ class Rank2CurveReport:
         self.commutator_residual_rel = commutator_residual_rel
 
 
-def _coefficient_commutator_rel(AB: DiffOp, BA: DiffOp) -> mpf:
-    """max over (j, n) of |(AB - BA)_j(n)| / max(|AB_j(n)|, |BA_j(n)|)."""
-    comm = AB - BA
-    lo, hi = comm.window
-    worst = mpf(0)
-    for j, c in comm.terms.items():
-        ab, ba = AB.coeff(j), BA.coeff(j)
-        for n, v in zip(range(lo, hi + 1), c.values):
-            # v != 0 needs a non-zero product coefficient
-            if v:
-                worst = max(worst, abs(v) / max(abs(ab.at(n)), abs(ba.at(n))))
-    return worst
+def _coefficient_commutator_rel(A: DiffOp, B: DiffOp) -> mpf:
+    """max over (j, n) of |(AB - BA)_j(n)| / max(|AB_j(n)|, |BA_j(n)|), with
+    AB and BA exact, on the windows of A * B - B * A, each ratio rounded once."""
+    a, b = exact_form(A), exact_form(B)
+    ab, ba = exact_compose(a, b), exact_compose(b, a)
+    (lo, _), comm, _ = exact_sum(ab, ba, -1)
+    ((alo, _), abt, _), ((blo, _), bat, _) = ab, ba
+    # v != 0 needs a non-zero product coefficient
+    return mp.make_mpf(raw_max([fzero, *(
+        from_rational(abs(v), max(abs(x), abs(y)), mp.prec, RND) for j, c in comm.items()
+        for v, x, y in zip(c, abt[j][lo - alo:], bat[j][lo - blo:]) if v)]))
 
 
 def rank2_curve_check(L4: DiffOp, L6: DiffOp, expected_r: ZPoly) -> Rank2CurveReport:
@@ -278,7 +278,7 @@ def rank2_curve_check(L4: DiffOp, L6: DiffOp, expected_r: ZPoly) -> Rank2CurveRe
     taken from the whole operators would be set by the largest coefficient
     of L6 at the window edge and would hide a broken partner.
     """
-    comm_rel = _coefficient_commutator_rel(L4 * L6, L6 * L4)
+    comm_rel = _coefficient_commutator_rel(L4, L6)
     if comm_rel > RANK2_COMMUTATION_TOL:
         raise CommutationError(f"rank-2 pair does not commute: {comm_rel}")
 

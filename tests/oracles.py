@@ -12,7 +12,10 @@ that linalg.lstsq reproduces bit for bit, live here too, and so do the
 loops that spectral.kernel_extend, DiffOp.apply and spectral.action_matrix
 reproduce bit for bit: the kernel recurrence in ZPoly arithmetic, the
 per-site mpf apply, and the action matrix read from the kernel transposed
-into one zero-padded sequence per power of z.
+into one zero-padded sequence per power of z.  The exact operator algebra
+has Fraction references: the commutator and its residual ratio
+(exact_commutator, exact_commutator_rel) and the partner assembly
+(exact_partner), each value a Fraction, per site, rounded once at the end.
 
 Import them as `from oracles import ...`; pytest's default import mode puts
 this directory on sys.path.
@@ -20,11 +23,12 @@ this directory on sys.path.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import repeat
 from math import fsum
 
 from mpmath import mp, mpf, sqrt
-from mpmath.libmp import fzero
+from mpmath.libmp import from_rational, fzero, round_nearest
 
 from commdiff.dressing import DEGENERACY_REL, DressingState, q_from_s
 from commdiff.errors import DegenerateDenominatorError, InconsistentDataError, WindowError
@@ -363,3 +367,97 @@ def _reference_lstsq(rows, rhs, rank_tol=None):
 
     info = {"rank": rank, "n": n, "rdiag": rdiag, "resid_inf": resid, "pivot": perm}
     return out, info
+
+
+# ---------------------------------------------------------------------------
+# exact operator algebra
+# ---------------------------------------------------------------------------
+
+
+def _fraction(v) -> Fraction:
+    """The raw libmp value v as an exact Fraction."""
+    sign, man, exp, _ = v
+    f = man * Fraction(2) ** exp
+    return -f if sign else f
+
+
+def fraction_op(L: DiffOp):
+    """L as (window, terms) with every value an exact Fraction."""
+    return L.window, {j: [_fraction(v) for v in t.raw] for j, t in L.terms.items()}
+
+
+def fraction_form(x):
+    """The exact form (window, terms, exp) of opalg as (window, terms) with
+    every value an exact Fraction."""
+    window, terms, exp = x
+    scale = Fraction(2) ** exp
+    return window, {j: [v * scale for v in t] for j, t in terms.items()}
+
+
+def _fraction_compose(x, y):
+    """x o y of two Fraction operators, site by site: the T^(i+j) coefficient
+    at n sums x_i(n) y_j(n+i), on composition's window."""
+    ((xlo, xhi), xt), ((ylo, yhi), yt) = x, y
+    lo, hi = max(xlo, ylo - min(xt)), min(xhi, yhi - max(xt))
+    assert lo <= hi
+    out = {}
+    for n in range(lo, hi + 1):
+        for i, a in xt.items():
+            for j, b in yt.items():
+                vals = out.setdefault(i + j, [Fraction(0)] * (hi - lo + 1))
+                vals[n - lo] += a[n - xlo] * b[n + i - ylo]
+    return (lo, hi), out
+
+
+def _fraction_sum(x, y, sign=1):
+    """x + sign y termwise on the common window, a missing term read as 0."""
+    ((xlo, xhi), xt), ((ylo, yhi), yt) = x, y
+    lo, hi = max(xlo, ylo), min(xhi, yhi)
+    zeros = [Fraction(0)] * (hi - lo + 1)
+    return (lo, hi), {
+        j: [a + sign * b for a, b in zip(xt[j][lo - xlo:] if j in xt else zeros,
+                                         yt[j][lo - ylo:] if j in yt else zeros)]
+        for j in sorted({*xt, *yt})
+    }
+
+
+def rounded_op(x, prec: int) -> DiffOp:
+    """The DiffOp of the Fraction operator x, each value rounded once at prec."""
+    (lo, hi), terms = x
+    return DiffOp({j: CoeffSeq(lo, [mp.make_mpf(from_rational(
+        f.numerator, f.denominator, prec, round_nearest)) for f in vals])
+        for j, vals in terms.items()}, (lo, hi))
+
+
+def exact_commutator(A: DiffOp, B: DiffOp):
+    """[A, B] = A B - B A in Fractions: (window, terms)."""
+    a, b = fraction_op(A), fraction_op(B)
+    return _fraction_sum(_fraction_compose(a, b), _fraction_compose(b, a), -1)
+
+
+def _fraction_sup(x) -> Fraction:
+    return max(abs(v) for vals in x[1].values() for v in vals)
+
+
+def exact_commutator_rel(A: DiffOp, B: DiffOp) -> mpf:
+    """sup|[A, B]| / (sup|A| sup|B|) as a Fraction, rounded once at mp.prec."""
+    r = _fraction_sup(exact_commutator(A, B)) / (
+        _fraction_sup(fraction_op(A)) * _fraction_sup(fraction_op(B)))
+    return mp.make_mpf(from_rational(r.numerator, r.denominator, mp.prec, round_nearest))
+
+
+def exact_partner(state: DressingState, L2: DiffOp) -> DiffOp:
+    """sum_k (q_{n,k} T - s_{n,k}) o L2^k in Fractions, L2^0 the identity on
+    L2's window and L2^k = L2 o L2^(k-1), each value rounded once at mp.prec."""
+    lo, hi = state.window[0] + 1, state.window[1]
+    l2 = fraction_op(L2)
+    l2k = (L2.window, {0: [Fraction(1)] * (L2.window[1] - L2.window[0] + 1)})
+    acc = None
+    for k in range(state.curve.g + 1):
+        if k:
+            l2k = _fraction_compose(l2, l2k)
+        pk = ((lo, hi), {1: [_fraction(state.q(n).coeff(k)._mpf_) for n in range(lo, hi + 1)],
+                         0: [-_fraction(state.s(n).coeff(k)._mpf_) for n in range(lo, hi + 1)]})
+        term = _fraction_compose(pk, l2k)
+        acc = term if acc is None else _fraction_sum(acc, term)
+    return rounded_op(acc, mp.prec)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
+from oracles import exact_commutator_rel
 
 import commdiff
 from commdiff import cli
@@ -49,6 +50,24 @@ def test_verify_report_matches_build_case(tmp_path):
     _L2, _partner, state, extras = build_case(spec, (-12, 12))
     assert report["curve"] == [mpf_to_str(c) for c in state.curve.c]
     assert report["ansatz_residual_rel"] == mpf_to_str(extras["ansatz_residual_rel"])
+
+
+def test_verify_reports_the_exact_commutator_residual(tmp_path):
+    # geom g = 1 off centre at 53 bits: the exact commutator of the pair is
+    # not 0, though A * B - B * A, every product rounded, cancelled to 0
+    out = tmp_path / "reports"
+    code = run([
+        "verify", "--family", "geom", "--g", "1", "--a", "2", "--beta", "1",
+        "--window", "20", "24", "--precision", "53", "--out", str(out),
+    ])
+    assert code == 0
+    (path,) = report_files(out)
+    rel = json.loads(path.read_text())["report"]["commutator_residual_rel"]
+    assert rel == "1.3631516442219084e-27"
+    with mp.workprec(53):
+        L2, partner, _state, _extras = build_case(FamilySpec("geom", 1, {"a": 2, "beta": 1}),
+                                                  (20, 24))
+        assert rel == mpf_to_str(exact_commutator_rel(L2, partner))
 
 
 def test_verify_usage_errors(tmp_path):

@@ -38,11 +38,11 @@ from oracles import (
     chi_eval,
     curve_point,
     _reference_lstsq,
+    exact_partner,
     factorization_check,
-    shift,
     solve_partner_recursive,
 )
-from test_opalg import _reference_compose, _reference_scale_left
+from test_opalg import _reference_compose
 from test_numcore import (
     _reference_add,
     _reference_poly_mul,
@@ -1158,25 +1158,6 @@ def _reference_l2(U, W):
                                operator.add)
 
 
-def _reference_partner(state, L2):
-    """sum_k q_{n,k} (T o L2^k) - s_{n,k} L2^k with the mpf loops: T o L2^k
-    and L2^(k+1) = L2 o L2^k multiply by their exact 1s, q_{n,k} and s_{n,k}
-    are left factors, and the difference and the sum go termwise."""
-    qs_window = (state.window[0] + 1, state.window[1])
-    T = shift(L2.window)
-    acc, l2k = None, DiffOp.identity(L2.window)
-    for k in range(state.curve.g + 1):
-        qk = CoeffSeq.tabulate(lambda n: state.q(n).coeff(k), qs_window)
-        sk = CoeffSeq.tabulate(lambda n: state.s(n).coeff(k), qs_window)
-        term = _reference_termwise(
-            _reference_scale_left(_op(*_reference_compose(T, l2k)), qk),
-            _reference_scale_left(l2k, sk), operator.sub)
-        acc = term if acc is None else _reference_termwise(acc, term, operator.add)
-        if k < state.curve.g:
-            l2k = _op(*_reference_compose(L2, l2k))
-    return _op(*acc)
-
-
 def _raw_poly(p):
     return [c._mpf_ for c in p.coeffs]
 
@@ -1207,7 +1188,7 @@ def test_pipeline_matches_dense_references_bit_for_bit(monkeypatch, kind, params
             spec = FamilySpec(kind, g, params)
             L2, partner, state, extras = build_case(spec, (-4, 4))
             _assert_mpf_only(L2, partner, state)
-            _assert_same_op(partner, _reference_partner(state, L2))
+            _assert_same_op(partner, exact_partner(state, L2))
             with monkeypatch.context() as m:
                 m.setattr(dressing, "_march", _on_raw_values(_reference_march))
                 _, _, ref_state, ref_extras = build_case(spec, (-4, 4))
@@ -1231,7 +1212,7 @@ def test_elliptic_state_and_partner_match_references_bit_for_bit(bits):
             L2 = state.l2()
             partner = build_partner_op(state, L2)
             _assert_mpf_only(L2, partner, state)
-            _assert_same_op(partner, _reference_partner(state, L2))
+            _assert_same_op(partner, exact_partner(state, L2))
 
             def s_ref(n):
                 root = mp.sqrt(curve.fpoly().eval(gamma.at(n)))
@@ -1288,14 +1269,13 @@ def test_l2_operator_on_too_small_a_window_is_a_window_error():
     ("trig", 2, {"r1": "1.3"}), ("poly", 3, ODD5), ("geom", 2, {"a": "2.272327", "beta": "1.614327"}),
 ])
 def test_partner_of_a_wider_state_matches_the_mpf_loops(kind, g, params, bits):
-    # the state's tables at 2p enter each product unrounded, s_{n,k} too,
-    # and are rounded once, by the product; an L2 at 2p is rounded where
-    # L2^1 = L2 o I multiplies it by 1
+    # the state's tables at 2p, and an L2 at 2p, enter the exact assembly
+    # unrounded; each coefficient of the partner is rounded once
     with mp.workprec(2 * bits):
         wide_l2, _, state, _ = build_case(FamilySpec(kind, g, params), (-6, 6))
     with mp.workprec(bits):
         for L2 in (l2_operator(_rounded(state.U), _rounded(state.W)), wide_l2):
-            _assert_same_op(build_partner_op(state, L2), _reference_partner(state, L2))
+            _assert_same_op(build_partner_op(state, L2), exact_partner(state, L2))
         assert _wide((c for table in (state.S, state.Q) for p in table.values()
                       for c in p.coeffs), bits)
         assert _wide((v for t in wide_l2.terms.values() for v in t.values), bits)

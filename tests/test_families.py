@@ -4,11 +4,12 @@ from collections import Counter
 import pytest
 from mpmath import mp, mpf, cos, sin, sqrt
 from mpmath.libmp import fzero, mpf_add, mpf_pow_int, mpf_sub
+from oracles import exact_commutator, exact_commutator_rel, fraction_form
 from test_acceptance import CRITERION_1_PARAMS
 
 from commdiff import cli, dressing, families, numcore
 from commdiff.errors import DegenerateDenominatorError, InconsistentDataError
-from commdiff.opalg import CoeffSeq, DiffOp, commutator_residual, op_commutator
+from commdiff.opalg import CoeffSeq, DiffOp, commutator_residual, exact_form, op_commutator
 from commdiff.dressing import (
     EvenPowerBasis,
     GeomBasis,
@@ -323,12 +324,29 @@ def test_elliptic_flipped_constant_term_fails():
 
 
 def test_commutator_residual_is_the_normalized_sup_norm():
+    # the commutator exactly and sup|[A, B]| / (|A| |B|) rounded once, against
+    # their Fraction references
     for kind, params in (("trig", {"r1": 1}), ("geom", {"beta": 1, "a": 2})):
         L2, partner, _state, _extras = build_case(FamilySpec(kind, 2, params), (-10, 10))
-        comm, rel = commutator_residual(L2, partner)
-        old = op_commutator(L2, partner)
-        assert rel == old.sup_norm() / (L2.sup_norm() * partner.sup_norm())
-        assert (comm - old).sup_norm() == 0
+        window, rel = commutator_residual(L2, partner)
+        comm = op_commutator(exact_form(L2), exact_form(partner))
+        assert window == comm[0] and fraction_form(comm) == exact_commutator(L2, partner)
+        assert rel._mpf_ == exact_commutator_rel(L2, partner)._mpf_
+        assert rel > 0
+
+
+@pytest.mark.parametrize("kind, g, params, l2_window", [
+    ("trig", 2, {"r1": 1}, (-10, 14)),
+    ("poly", 3, {"a2": 1, "a1": "0.5"}, (-11, 16)),
+    ("geom", 2, {"a": 2, "beta": 1}, (-10, 14)),
+    ("elliptic", 1, {}, (-10, 12)),
+])
+def test_partner_windows_stay_two_sites_short_of_l2(kind, g, params, l2_window):
+    # L2^1 = L2 o I lies two sites short of L2 on the right, and so does the
+    # partner: it ends at L2's high end less its order 2g + 1, not 2g - 1
+    L2, partner, state, _extras = build_case(FamilySpec(kind, g, params), (-6, 6))
+    assert L2.window == l2_window
+    assert partner.window == (-7, 9) == (state.window[0] + 1, l2_window[1] - partner.order)
 
 
 def test_trig_cases_compute_each_cosine_once(monkeypatch):

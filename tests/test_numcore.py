@@ -11,6 +11,7 @@ from mpmath.libmp import (
 
 from oracles import poly_div_exact
 
+from commdiff import numcore
 from commdiff.errors import DegenerateDenominatorError, NonFiniteError
 from commdiff.numcore import (
     HyperellipticCurve,
@@ -414,6 +415,31 @@ def test_rmac_matches_the_kernels_on_zeros_and_specials():
     values = [fzero, finf, fninf, fnan, fone, from_man_exp(-3, -7), from_man_exp(2 ** 60 + 1, 4)]
     for p in (1, 53, 113):
         _check_rmac(((a, s, t) for a in values for s in values for t in values), p)
+
+
+@pytest.mark.parametrize("p", (53, 113, 160))
+def test_rmac_on_an_exact_zero_accumulator_is_the_rounded_product(monkeypatch, p):
+    # operands up to three times wider than p, whose product rmul rounds,
+    # and zero and special operands: rmac(fzero, s, t, p, neg) is
+    # radd(fzero, rmul(s, t, p), p, neg) bit for bit, without calling radd
+    rng = random.Random(p + 11)
+
+    def draw():
+        width = rng.randint(p + 1, 3 * p)
+        man = rng.getrandbits(width) | 1 | (1 << (width - 1))
+        return from_man_exp(rng.choice((1, -1)) * man, rng.randint(-60, 60) - width)
+
+    pairs = [(draw(), draw()) for _ in range(400)]
+    pairs += [(s, t) for s in (fzero, finf, fnan, draw()) for t in (fzero, fninf, draw())]
+    want = {neg: [radd(fzero, rmul(s, t, p), p, neg) for s, t in pairs] for neg in (0, 1)}
+    assert any(s[3] > p for s, _ in pairs)
+
+    def no_radd(*args):
+        raise AssertionError(f"radd called on {args}")
+
+    monkeypatch.setattr(numcore, "radd", no_radd)
+    for neg in (0, 1):
+        assert [rmac(fzero, s, t, p, neg) for s, t in pairs] == want[neg], neg
 
 
 @pytest.mark.parametrize("gap", (99, 100, 101, 300))

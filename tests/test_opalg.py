@@ -3,17 +3,20 @@ import random
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import fzero
 
 from commdiff.errors import NonFiniteError, WindowError
 from commdiff.opalg import (
     CoeffSeq,
     DiffOp,
     commutator_residual,
+    exact_form,
+    exact_sum,
     op_commutator,
     op_from_json,
     op_to_json,
 )
-from oracles import shift
+from oracles import exact_commutator, exact_commutator_rel, fraction_form, shift
 from test_numcore import trap_values
 
 WIN = (-24, 24)
@@ -157,19 +160,50 @@ def test_square_plus_w_expansion():
     assert (sq - expect).sup_norm() <= mpf("1e-30")
 
 
+def _is_zero(x) -> bool:
+    """Every value of the exact form x is exactly 0."""
+    return not any(map(any, x[1].values()))
+
+
 def test_commutator_trivial():
     A = DiffOp.build({1: 1, 0: lambda n: mpf(n) / 3}, WIN)
-    assert op_commutator(A, A).sup_norm() == 0
+    assert _is_zero(op_commutator(exact_form(A), exact_form(A)))
     T = shift(WIN)
     T3 = shift(WIN, 3)
-    assert op_commutator(T, T3).sup_norm() == 0
+    assert _is_zero(op_commutator(exact_form(T), exact_form(T3)))
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160))
+def test_commutator_is_exact_against_the_fraction_reference(bits):
+    # operators on different windows, with a negative degree, exact 1s and
+    # values built at twice bits: [A, B] holds the exact values, [A, A] is
+    # exactly 0, and the residual is the exact ratio rounded once
+    rng = random.Random(bits + 3)
+    pool = trap_values(rng, bits)
+    with mp.workprec(bits):
+        def seq(window):
+            return CoeffSeq.tabulate(
+                lambda n: rng.choice(pool) if rng.random() < 0.5 else mpf(rng.uniform(-3, 3)) / 7,
+                window)
+
+        A = DiffOp({-1: seq((-12, 12)), 0: seq((-12, 12)), 2: CoeffSeq.constant(1, (-12, 12))})
+        B = DiffOp({0: seq((-10, 14)), 1: seq((-10, 14)), 3: seq((-10, 14))})
+        assert any(v._mpf_[3] > bits for t in A.terms.values() for v in t.values)
+        for X, Y in ((A, B), (B, A), (A, A)):
+            comm = op_commutator(exact_form(X), exact_form(Y))
+            assert fraction_form(comm) == exact_commutator(X, Y)
+            window, rel = commutator_residual(X, Y)
+            assert window == comm[0] == (X * Y - Y * X).window
+            assert rel._mpf_ == exact_commutator_rel(X, Y)._mpf_
+        assert _is_zero(op_commutator(exact_form(A), exact_form(A)))
+        assert commutator_residual(A, A)[1]._mpf_ == fzero
 
 
 def test_commutator_quartic_pair():
     L2 = quartic_l2(1, 0, (-30, 30))
     L3 = quartic_l3(1, 0, (-30, 30))
-    comm, rel = commutator_residual(L2, L3)
-    assert comm.window[0] <= -20 and comm.window[1] >= 20
+    window, rel = commutator_residual(L2, L3)
+    assert window[0] <= -20 and window[1] >= 20
     assert rel <= mpf("1e-15")
 
 
@@ -198,10 +232,12 @@ def test_antisymmetry_exact():
             {2: 1, 0: lambda n: mpf(rng.uniform(-2, 2))},
             (-20, 20),
         )
-        assert (op_commutator(A, B) + op_commutator(B, A)).sup_norm() == 0
+        a, b = exact_form(A), exact_form(B)
+        assert _is_zero(exact_sum(op_commutator(a, b), op_commutator(b, a)))
 
 
 def test_jacobi_identity_property():
+    # exact, as the commutators of exact forms round nothing
     rng = random.Random(12)
     win = (-18, 18)
 
@@ -216,14 +252,11 @@ def test_jacobi_identity_property():
         )
 
     for _ in range(4):
-        A, B, C = rnd_op(), rnd_op(), rnd_op()
-        J = (
-            op_commutator(A, op_commutator(B, C))
-            + op_commutator(B, op_commutator(C, A))
-            + op_commutator(C, op_commutator(A, B))
-        )
-        scale = A.sup_norm() * B.sup_norm() * C.sup_norm()
-        assert J.sup_norm() <= mpf("1e-12") * scale
+        a, b, c = (exact_form(rnd_op()) for _ in range(3))
+        J = exact_sum(exact_sum(op_commutator(a, op_commutator(b, c)),
+                                op_commutator(b, op_commutator(c, a))),
+                      op_commutator(c, op_commutator(a, b)))
+        assert _is_zero(J)
 
 
 def test_apply_mul_coherence_property():
