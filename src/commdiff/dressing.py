@@ -8,12 +8,13 @@ w^2 = F_g(z).  They satisfy
     F_g(z) = S_n^2 + (z - U_n^2 - W_n) Q_n Q_{n+1}              (master identity)
 
 plus the linear four-term relation R_n(z) = sum_i d_i (z + c_i) S_{n+s_i}(z),
-s_i = -1..2, obtained by eliminating F_g between consecutive n
-(_four_term_factors, residual_linear).  ansatz_solve constructs S by the
-level recursion in z: the z^(m+1) coefficients of R_n step the z^m
-coefficients of Q_n by 2 in n, the pair rule gives those of S_n, and 3g
-constants are fitted on the z^0 coefficients.  From a valid state the
-commuting odd-order partner follows (build_partner_op).
+s_i = -1..2, obtained by eliminating F_g between consecutive n; the identity
+checks form both exactly on ints and round each result once.  ansatz_solve
+constructs S by the level recursion in z (_four_term_factors): the z^(m+1)
+coefficients of R_n step the z^m coefficients of Q_n by 2 in n, the pair
+rule gives those of S_n, and 3g constants are fitted on the z^0
+coefficients.  From a valid state the commuting odd-order partner follows
+(build_partner_op).
 
 States are immutable once assembled; construction is sequential in n by
 nature, every verification here is pure and parallelizes over (n, z).
@@ -22,10 +23,11 @@ nature, every verification here is pure and parallelizes over (n, z).
 from __future__ import annotations
 
 from functools import reduce
+from itertools import zip_longest
 
 from mpmath import mp, mpf, sqrt
 from mpmath.libmp import fone, from_int, fzero, mpf_abs, mpf_gt, mpf_neg, mpf_pos, mpf_rdiv_int
-from mpmath.libmp import round_nearest as RND
+from mpmath.libmp import from_rational, round_nearest as RND
 
 from . import linalg
 from .errors import DegenerateDenominatorError, InconsistentDataError, WindowError
@@ -35,15 +37,16 @@ from .numcore import (
     cos_int,
     pow_int,
     radd,
+    raw_ints,
     raw_max,
     rdiv,
     rdot,
     rmac,
     rmul,
     rpoly_add,
-    rpoly_mul,
-    rpoly_sub,
+    rround,
     rsub,
+    rtrimmed,
     scalar,
 )
 from .opalg import CoeffSeq, DiffOp, exact_compose, exact_form, exact_op, exact_sum
@@ -208,23 +211,78 @@ def _master_fpoly(state: DressingState, n: int) -> ZPoly:
     return state.s(n) * state.s(n) + lin * state.q(n) * state.q(n + 1)
 
 
+def _imul(a, b):
+    """The product of two int coefficient vectors; [] when either is empty."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return out
+
+
+def _zmul(c, v, k):
+    """(z + c) v for an int c and an int vector v, z's coefficient 1 << k."""
+    if not v:
+        return []
+    return [c * v[0], *((x << k) + c * y for x, y in zip(v, v[1:])), v[-1] << k]
+
+
+def _exact_checks(state: DressingState, a: int, b: int):
+    """(master, linear, exp): the identity checks at n = a..b on exact ints.
+
+    U, W, S, Q and F_g are read once where those rows reach, as ints on one
+    exponent e <= 0 (numcore.raw_ints), 1 being 1 << -e.  master(n) and
+    linear(n) give (r, scale), ints on 2^exp, exp = 4e: r the coefficients
+    of F_g - S_n^2 - (z - U_n^2 - W_n) Q_n Q_{n+1}, or of R_n, and scale the
+    largest |coefficient| of F_g, the two products and 1, or of R_n's terms
+    d_i (z + c_i) S_{n+s_i} (_four_term_factors' factors, exact) and 1."""
+    s_lo, s_hi = state.window
+    ulo, uhi, whi = max(a - 1, s_lo), min(b + 2, s_hi), min(b + 1, s_hi - 1)
+    (u, w, f, *sq), e = raw_ints([
+        state.U.values_on(ulo, uhi), state.W.values_on(a, whi), state.curve.fpoly().raw,
+        *(state.s(n).raw for n in range(ulo, uhi + 1)),
+        *(state.q(n).raw for n in range(a, min(b + 1, s_hi) + 1))])
+    U, W = dict(zip(range(ulo, uhi + 1), u)), dict(zip(range(a, whi + 1), w))
+    S, Q = dict(zip(range(ulo, uhi + 1), sq)), dict(zip(range(a, b + 2), sq[uhi - ulo + 1:]))
+    k, k2, one = -e, -2 * e, 1 << -4 * e
+    F = [v << 3 * k for v in f]
+    fscale = max([one, *map(abs, F)])
+
+    def master(n):
+        s2 = [v << k2 for v in _imul(S[n], S[n])]
+        prod = _zmul(-((W[n] << k) + U[n] * U[n]), _imul(Q[n], Q[n + 1]), k2)
+        scale = max([fscale, *map(abs, s2), *map(abs, prod)])
+        return [x - y - z for x, y, z in zip_longest(F, s2, prod, fillvalue=0)], scale
+
+    def linear(n):
+        um1, u0, u1, u2 = U[n - 1], U[n], U[n + 1], U[n + 2]
+        w0, w1, u01 = W[n] << k, W[n + 1] << k, u0 * u1
+        left, mid, right = um1 + u0, u0 + u1, u1 + u2
+        terms = [[d * v for v in _zmul(c, S[n + s], k2)] for s, c, d in (
+            (-1, -(w0 + u0 * u0), right), (0, u01 + um1 * mid - w0, right),
+            (1, u01 + mid * u2 - w1, -left), (2, -(w1 + u1 * u1), -left))]
+        scale = max([one, *(abs(v) for t in terms for v in t)])
+        return [sum(c) for c in zip_longest(*terms, fillvalue=0)], scale
+
+    return master, linear, 4 * e
+
+
 def verify_master(state: DressingState, n: int) -> mpf:
-    """Max |coefficient| of F_g - S_n^2 - (z - U_n^2 - W_n) Q_n Q_{n+1}."""
-    return (state.curve.fpoly() - _master_fpoly(state, n)).sup_norm()
+    """Max |coefficient| of F_g - S_n^2 - (z - U_n^2 - W_n) Q_n Q_{n+1}, rounded once."""
+    master, _linear, exp = _exact_checks(state, n, n)
+    return mp.make_mpf(rround(max(map(abs, master(n)[0]), default=0), exp, mp.prec))
 
 
-def _four_term_factors(U: CoeffSeq, W: CoeffSeq, lo: int, hi: int, D=None) -> dict:
+def _four_term_factors(U: CoeffSeq, W: CoeffSeq, lo: int, hi: int, D: dict) -> dict:
     """{n: ((s_i, c_i, d_i), i = 1..4)} for n = lo..hi, with R_n(z) =
     sum_i d_i (z + c_i) S_{n+s_i}(z) the four-term relation at n, c_i and d_i
-    raw.  With D_n = U_{n-1} + U_n and E_n = W_n + U_n^2, each formed once
-    per n and shared by the neighbouring rows, d = (D_{n+2}, D_{n+2}, -D_n,
-    -D_n), c_1 = -E_n and c_4 = -E_{n+1}; E_n is one rmac, which equals mpf's
-    U_n ** 2 + W_n bit for bit, round-to-nearest being symmetric and libmp's
-    sum commutative.  D, when given, maps n = lo..hi + 2 to D_n."""
+    raw.  With D_n = U_{n-1} + U_n, which D maps n = lo..hi + 2 to, and E_n
+    = W_n + U_n^2, formed once per n and shared by the neighbouring rows, d
+    = (D_{n+2}, D_{n+2}, -D_n, -D_n), c_1 = -E_n and c_4 = -E_{n+1}; E_n is
+    one rmac, which equals mpf's U_n ** 2 + W_n bit for bit, round-to-nearest
+    being symmetric and libmp's sum commutative."""
     p = mp.prec
     Uv, Wv = U.values_on(lo - 1, hi + 2), W.values_on(lo, hi + 1)
-    if D is None:
-        D = {n: radd(Uv[n - lo], Uv[n - lo + 1], p) for n in range(lo, hi + 3)}
     E = [rmac(w, u, u, p) for w, u in zip(Wv, Uv[1:])]
     out = {}
     for i, n in enumerate(range(lo, hi + 1)):
@@ -239,41 +297,15 @@ def _four_term_factors(U: CoeffSeq, W: CoeffSeq, lo: int, hi: int, D=None) -> di
     return out
 
 
-def _term_coeffs(a, c, d):
-    """The coefficients of d (z + c) A(z) as raw values, A given by its raw
-    coefficients a and c, d raw, each formed as d (a_{k-1} + c a_k), the
-    order of a product with [c, 1]; the exact zeros past both ends of a are
-    left out, and trailing exact zeros are kept."""
-    if not a:
-        return []
-    p = mp.prec
-    mid = (rmul(d, rmac(lo, c, hi, p), p) for lo, hi in zip(a, a[1:]))
-    return [rmul(d, rmul(c, a[0], p), p), *mid, rmul(d, a[-1], p)]
-
-
-def _linear_terms(factors, n: int, S: dict):
-    """The four terms d_i (z + c_i) S_{n+s_i} whose sum is R_n, as raw
-    vectors, for the factors at n; S maps k to the raw coefficients of S_k."""
-    return [_term_coeffs(S[n + s], c, d) for s, c, d in factors]
-
-
-def _linear_sum(terms, p):
-    """t1 + t2 + t3 + t4 at p, trimmed.  A term's trailing exact zeros need
-    no trim first: every value they meet is a product or sum at p bits,
-    which radd leaves as it is, as the sum of the trimmed terms copies it."""
-    t1, t2, t3, t4 = terms
-    return rpoly_add(rpoly_add(rpoly_add(t1, t2, p), t3, p), t4, p)
-
-
 def residual_linear(state: DressingState, n: int) -> ZPoly:
-    """Four-term linear relation in S_{n-1..n+2}; zero for valid states.
+    """Four-term linear relation in S_{n-1..n+2}, each coefficient exact and
+    rounded once; zero for valid states.
 
     For coefficient families even in n the result is skew under
     n -> -n - 1, which identity_residuals measures when asked.
     """
-    S = {k: state.s(k).raw for k in range(n - 1, n + 3)}
-    factors = _four_term_factors(state.U, state.W, n, n)[n]
-    return ZPoly._from_raw(_linear_sum(_linear_terms(factors, n, S), mp.prec))
+    _master, linear, exp = _exact_checks(state, n, n)
+    return ZPoly._from_raw(rtrimmed([rround(v, exp, mp.prec) for v in linear(n)[0]]))
 
 
 def identity_residuals(state: DressingState, window, skew: bool = False):
@@ -288,65 +320,33 @@ def identity_residuals(state: DressingState, window, skew: bool = False):
     is None without skew or when that range is empty, as no pair (n, -n-1)
     is compared.
 
-    Everything runs on raw libmp vectors: each S_n and Q_n is read once, U
-    and W on the master's sites as one raw slice each, and the products,
-    sums and differences are numcore's rpoly_mul, rpoly_add and rpoly_sub,
-    which ZPoly's arithmetic wraps, so the values are those of the ZPoly
-    expressions bit for bit, and only the three results become mpfs.  Each
-    product is formed once per n, the four-term factors once on one span
-    over the linear rows and the mirrored pairs, and the skew pass reuses
-    the linear one.
+    Every residual and scale is exact (_exact_checks), the per-n ratios
+    |r| / scale are compared exactly by cross-multiplying, and the worst of
+    each identity is rounded once at mp.prec, by libmp's from_rational.
     """
-    lo, hi = int(window[0]), int(window[1])
-    s_lo, s_hi = state.window
-    p = mp.prec
-    f = state.curve.fpoly().raw
-    fnorm = raw_max(f, p)
-    S = {n: v.raw for n, v in state.S.items()}
-    Q = {n: v.raw for n, v in state.Q.items()}
-
-    # a scale is the first largest of head, each |coefficient| and 1
-    def scale_of(vecs, head=fzero):
-        return raw_max((head, *(c for v in vecs for c in v), fone), p)
-
-    def worst(acc, r, scale):
-        return raw_max((acc, rdiv(raw_max(r, p) if r else fzero, scale, p)))
-
-    master_rel = fzero
+    (lo, hi), (s_lo, s_hi) = map(int, window), state.window
     sites = range(max(lo, s_lo + 1), min(hi, s_hi - 1) + 1)
-    uw = zip(state.U.values_on(sites[0], sites[-1]),
-             state.W.values_on(sites[0], sites[-1])) if sites else ()
-    for n, (u, w) in zip(sites, uw):
-        lin = [mpf_neg(rmac(w, u, u, p)), fone]
-        s2 = rpoly_mul(S[n], S[n], p)
-        prod = rpoly_mul(rpoly_mul(lin, Q[n], p), Q[n + 1], p)
-        master_rel = worst(master_rel, rpoly_sub(f, rpoly_add(s2, prod, p), p),
-                           scale_of((s2, prod), fnorm))
-
-    rows = range(max(lo, s_lo + 1), min(hi, s_hi - 2) + 1)
+    rows = range(sites.start, min(hi, s_hi - 2) + 1)
     mirrored = range(0, min(hi, s_hi - 2, -(s_lo + 2)) + 1) if skew else range(0)
-    # the factors on one span over the rows and the mirrored pairs
-    need = [*rows, *mirrored, *(-n - 1 for n in mirrored)]
-    fac = _four_term_factors(state.U, state.W, min(need), max(need)) if need else {}
-    linear = {}
+    pairs = {*mirrored, *(-n - 1 for n in mirrored)}
+    span = [*sites, *pairs]
+    if not span:
+        return mpf(0), mpf(0), None
+    master, linear, _exp = _exact_checks(state, min(span), max(span))
+    lin = {n: linear(n) for n in {*rows, *pairs}}
 
-    def linear_at(n):
-        if n not in linear:
-            terms = _linear_terms(fac[n], n, S)
-            linear[n] = (_linear_sum(terms, p), scale_of(terms))
-        return linear[n]
+    def worst(ratios):
+        num, den = 0, 1
+        for r, scale in ratios:
+            top = max(map(abs, r), default=0)
+            if top * den > num * scale:
+                num, den = top, scale
+        return mp.make_mpf(from_rational(num, den, mp.prec, RND))
 
-    linear_rel = fzero
-    for n in rows:
-        linear_rel = worst(linear_rel, *linear_at(n))
-    make = mp.make_mpf
-    if not mirrored:
-        return make(master_rel), make(linear_rel), None
-    skew_rel = fzero
-    for n in mirrored:
-        r, scale = linear_at(n)
-        skew_rel = worst(skew_rel, rpoly_add(r, linear_at(-n - 1)[0], p), scale)
-    return make(master_rel), make(linear_rel), make(skew_rel)
+    master_rel, linear_rel = worst(map(master, sites)), worst(lin[n] for n in rows)
+    return master_rel, linear_rel, worst(
+        ([x + y for x, y in zip_longest(lin[n][0], lin[-n - 1][0], fillvalue=0)], lin[n][1])
+        for n in mirrored) if mirrored else None
 
 
 # ---------------------------------------------------------------------------
@@ -740,31 +740,26 @@ def build_partner_op(state: DressingState, L2: DiffOp | None = None) -> DiffOp:
 
     with q_{n,k}, s_{n,k} the z^k coefficients of Q_n, S_n, L2^0 the
     identity on L2's window and L2^k = L2 o L2^(k-1).  The powers, products
-    and sum are formed exactly on opalg's exact forms, the raw values of L2
-    and of the tables entering unrounded at whatever width they hold, and
-    each coefficient of the partner is rounded once, at the working
-    precision.  The windows are composition's: L2^1 = L2 o I lies on the
-    identity's window less L2's order, two sites short of L2's, and the
-    partner with it.  Starting from L2 itself would widen the partner by
-    those two sites, which carry the pair's largest commutator residuals.
-    The powers are summed, not nested (Horner), which would give other
-    windows.
+    and sum are formed exactly on opalg's exact forms: L2's raw values, and
+    the z^k coefficients of the S and Q tables on [lo + 1, hi] read once
+    per k as ints (numcore.raw_ints), enter at whatever width they hold,
+    and each coefficient of the partner is rounded once, at the working
+    precision, by numcore's rround.  The windows are composition's: L2^1 =
+    L2 o I lies on the identity's window less L2's order, two sites short of
+    L2's, and the partner with it.  Starting from L2 itself would widen the
+    partner by those two sites, which carry the pair's largest commutator
+    residuals.  The powers are summed, not nested (Horner), which would give
+    other windows.
     """
     if L2 is None:
         L2 = state.l2()
-    qs_window = (state.window[0] + 1, state.window[1])
+    qs_window = lo, hi = state.window[0] + 1, state.window[1]
+    tables = [[t[n].raw for n in range(lo, hi + 1)] for t in (state.Q, state.S)]
     l2, l2k, acc = exact_form(L2), exact_form(DiffOp.identity(L2.window)), None
     for k in range(state.curve.g + 1):
         if k:
             l2k = exact_compose(l2, l2k)
-        qk = CoeffSeq.tabulate(lambda n: _raw_coeff(state.Q[n], k), qs_window, raw=True)
-        neg_sk = CoeffSeq.tabulate(lambda n: mpf_neg(_raw_coeff(state.S[n], k)), qs_window,
-                                   raw=True)
-        term = exact_compose(exact_form(DiffOp({1: qk, 0: neg_sk})), l2k)
+        (qk, sk), exp = raw_ints([[v[k] if k < len(v) else fzero for v in t] for t in tables])
+        term = exact_compose((qs_window, {1: qk, 0: [-v for v in sk]}, exp), l2k)
         acc = term if acc is None else exact_sum(acc, term)
     return exact_op(acc, mp.prec)
-
-
-def _raw_coeff(poly: ZPoly, k: int):
-    """The raw z^k coefficient of poly, fzero past its degree."""
-    return poly.raw[k] if k < len(poly.raw) else fzero

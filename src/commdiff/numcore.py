@@ -19,11 +19,11 @@ integer power, computed once per (base, exponent, precision) for the
 geometric family and basis.  mpmath floats appear where a value enters
 (scalar, ZPoly's constructor) or leaves (coeffs, lead, sup_norm, reports).
 Polynomial products, sums and differences exist once, as rpoly_mul,
-rpoly_add and rpoly_sub on raw coefficient vectors: ZPoly's *, + and -
-wrap them, and dressing's identity checks call them directly.  Operator
-composition (opalg's DiffOp.__mul__) rounds each product and sum here; the
-commutator and the partner assembly compose exactly on ints instead and
-round each result once, by libmp's from_rational and from_man_exp.
+rpoly_add and rpoly_sub on raw coefficient vectors, which ZPoly's *, + and
+- wrap.  Operator composition (opalg's DiffOp.__mul__) rounds each product
+and sum here; the commutator, the partner and dressing's identity checks
+run exactly on raw_ints' ints and round each result once, a ratio by
+libmp's from_rational, an int times a power of two by rround.
 Every function computes at the caller's mpmath precision, mp.prec, which
 the caller scopes with mp.workprec; importing the package leaves it alone.
 The CLI runs at DEFAULT_PRECISION_BITS, a 113-bit significand (quad-like),
@@ -332,6 +332,30 @@ def rdot(xs, ys, p):
     for x, y in pairs:
         acc = rmac(acc, x, y, p)
     return acc
+
+
+def rround(man: int, exp: int, p):
+    """The int man times 2^exp at p bits, as from_man_exp(man, exp, p,
+    round_nearest): rmul's rounding step (ties to even, the carry to 2^p),
+    then the trailing zeros stripped."""
+    if not man:
+        return fzero
+    sign, man = (1, -man) if man < 0 else (0, man)
+    n = man.bit_length() - p
+    if n > 0:
+        h = man >> (n - 1)
+        man = (h >> 1) + 1 if h & 1 and (h & 2 or man & ((1 << (n - 1)) - 1)) else h >> 1
+        exp += n
+    z = (man & -man).bit_length() - 1
+    return sign, man >> z, exp + z, (man >> z).bit_length()
+
+
+def raw_ints(vecs):
+    """The raw vectors vecs exactly as (ints, exp), ints[k][i] * 2^exp being
+    vecs[k][i]: exp is their least exponent or 0, so that 1 is 1 << -exp."""
+    exp = min(0, min((v[2] for vec in vecs for v in vec), default=0))
+    return [[-m << (e - exp) if s else m << (e - exp) for s, m, e, _ in vec]
+            for vec in vecs], exp
 
 
 def mpf_to_str(x: mpf) -> str:

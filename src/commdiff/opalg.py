@@ -22,11 +22,11 @@ import operator
 from itertools import repeat
 
 from mpmath import mp, mpf
-from mpmath.libmp import fone, from_man_exp, from_rational, mpf_neg
+from mpmath.libmp import fone, from_rational, mpf_neg
 from mpmath.libmp import round_nearest as RND
 
 from .errors import WindowError
-from .numcore import radd, raw_max, rmac, rmul, rsub, rtrimmed, scalar, to_json
+from .numcore import radd, raw_ints, raw_max, rmac, rmul, rround, rsub, rtrimmed, scalar, to_json
 
 
 class CoeffSeq:
@@ -269,10 +269,9 @@ class DiffOp:
 
 def exact_form(L: DiffOp):
     """L exactly as (window, terms, exp): terms[j][i] times 2^exp is the raw
-    value i of L's term j, exp the least exponent of L's raw values."""
-    exp = min(v[2] for t in L.terms.values() for v in t.raw)
-    return L.window, {j: [-m << (e - exp) if s else m << (e - exp) for s, m, e, _ in t.raw]
-                      for j, t in L.terms.items()}, exp
+    value i of L's term j, on numcore.raw_ints' exponent."""
+    ints, exp = raw_ints([t.raw for t in L.terms.values()])
+    return L.window, dict(zip(L.terms, ints)), exp
 
 
 def exact_compose(a, b):
@@ -308,7 +307,7 @@ def exact_sum(a, b, sign=1):
 def exact_op(x, prec: int) -> DiffOp:
     """The DiffOp of the exact form x, each value rounded once at prec bits."""
     (lo, hi), terms, exp = x
-    return DiffOp({j: CoeffSeq._from_raw(lo, [from_man_exp(v, exp, prec, RND) for v in t])
+    return DiffOp({j: CoeffSeq._from_raw(lo, [rround(v, exp, prec) for v in t])
                    for j, t in terms.items()}, (lo, hi))
 
 

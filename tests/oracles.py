@@ -15,7 +15,10 @@ per-site mpf apply, and the action matrix read from the kernel transposed
 into one zero-padded sequence per power of z.  The exact operator algebra
 has Fraction references: the commutator and its residual ratio
 (exact_commutator, exact_commutator_rel) and the partner assembly
-(exact_partner), each value a Fraction, per site, rounded once at the end.
+(exact_partner), each value a Fraction, per site, rounded once at the end,
+and so do the identity checks (exact_master, exact_linear and
+exact_identity_residuals): each per-n ratio a Fraction, the worst of each
+identity rounded once.
 
 Import them as `from oracles import ...`; pytest's default import mode puts
 this directory on sys.path.
@@ -461,3 +464,87 @@ def exact_partner(state: DressingState, L2: DiffOp) -> DiffOp:
         term = _fraction_compose(pk, l2k)
         acc = term if acc is None else _fraction_sum(acc, term)
     return rounded_op(acc, mp.prec)
+
+
+# ---------------------------------------------------------------------------
+# exact identity checks
+# ---------------------------------------------------------------------------
+
+
+def _fraction_poly(p: ZPoly) -> list:
+    return [_fraction(v) for v in p.raw]
+
+
+def _fpmul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _fpsum(*polys):
+    """The coefficient-wise sum of polys, a missing coefficient read as 0."""
+    out = [Fraction(0)] * max(map(len, polys))
+    for p in polys:
+        for k, v in enumerate(p):
+            out[k] += v
+    return out
+
+
+def _fpsup(p) -> Fraction:
+    return max(map(abs, p), default=Fraction(0))
+
+
+def exact_master(state: DressingState, n: int):
+    """(r, scale) in Fractions: r = F_g - S_n^2 - (z - U_n^2 - W_n) Q_n Q_{n+1}
+    and scale the largest |coefficient| of F_g, the two products and 1."""
+    F, S = _fraction_poly(state.curve.fpoly()), _fraction_poly(state.s(n))
+    U, W = _fraction(state.U.at(n)._mpf_), _fraction(state.W.at(n)._mpf_)
+    s2 = _fpmul(S, S)
+    prod = _fpmul(_fpmul([-U ** 2 - W, Fraction(1)], _fraction_poly(state.q(n))),
+                  _fraction_poly(state.q(n + 1)))
+    r = _fpsum(F, [-v for v in s2], [-v for v in prod])
+    return r, max(_fpsup(F), _fpsup(s2), _fpsup(prod), 1)
+
+
+def exact_linear(state: DressingState, n: int):
+    """(R_n, scale) in Fractions: the four-term relation R_n = sum_i d_i
+    (z + c_i) S_{n+s_i} and the largest |coefficient| of its terms and 1."""
+    Um1, U0, U1, U2 = (_fraction(state.U.at(k)._mpf_) for k in range(n - 1, n + 3))
+    W0, W1 = (_fraction(state.W.at(k)._mpf_) for k in (n, n + 1))
+    right, left = U1 + U2, Um1 + U0
+    terms = [_fpmul([d * c, d], _fraction_poly(state.s(n + s))) for s, c, d in (
+        (-1, -U0 ** 2 - W0, right), (0, U0 * U1 + Um1 * (U0 + U1) - W0, right),
+        (1, U0 * U1 + (U0 + U1) * U2 - W1, -left), (2, -U1 ** 2 - W1, -left))]
+    return _fpsum(*terms), max(max(map(_fpsup, terms)), 1)
+
+
+def rounded_fraction(x: Fraction) -> mpf:
+    """x rounded once at mp.prec."""
+    return mp.make_mpf(from_rational(x.numerator, x.denominator, mp.prec, round_nearest))
+
+
+def exact_identity_residuals(state: DressingState, window, skew: bool = False):
+    """identity_residuals in Fractions: max |r| / scale of exact_master at
+    each n, of exact_linear, and |R_n + R_{-n-1}| over exact_linear's scale
+    at n, on identity_residuals' ranges; each ratio exact, the worst of each
+    identity rounded once at mp.prec (skew_rel None without skew or without
+    a pair)."""
+    lo, hi = window
+    s_lo, s_hi = state.window
+
+    def worst(pairs):
+        return rounded_fraction(max((_fpsup(r) / scale for r, scale in pairs),
+                                    default=Fraction(0)))
+
+    master_rel = worst(exact_master(state, n)
+                       for n in range(max(lo, s_lo + 1), min(hi, s_hi - 1) + 1))
+    linear_rel = worst(exact_linear(state, n)
+                       for n in range(max(lo, s_lo + 1), min(hi, s_hi - 2) + 1))
+    mirrored = range(0, min(hi, s_hi - 2, -(s_lo + 2)) + 1)
+    if not (skew and mirrored):
+        return master_rel, linear_rel, None
+    skew_rel = worst((_fpsum(exact_linear(state, n)[0], exact_linear(state, -n - 1)[0]),
+                      exact_linear(state, n)[1]) for n in mirrored)
+    return master_rel, linear_rel, skew_rel

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
-from oracles import exact_commutator_rel
+from oracles import exact_commutator_rel, exact_identity_residuals
 
 import commdiff
 from commdiff import cli
@@ -68,6 +68,26 @@ def test_verify_reports_the_exact_commutator_residual(tmp_path):
         L2, partner, _state, _extras = build_case(FamilySpec("geom", 1, {"a": 2, "beta": 1}),
                                                   (20, 24))
         assert rel == mpf_to_str(exact_commutator_rel(L2, partner))
+
+
+def test_verify_reports_the_exact_identity_residuals(tmp_path):
+    # the same pair: the exact master and linear residuals are about 2^-54,
+    # where the checks that rounded every product and sum read 0
+    out = tmp_path / "reports"
+    code = run([
+        "verify", "--family", "geom", "--g", "1", "--a", "2", "--beta", "1",
+        "--window", "20", "24", "--precision", "53", "--out", str(out),
+    ])
+    assert code == 0
+    (path,) = report_files(out)
+    report = json.loads(path.read_text())["report"]
+    assert report["master_residual_rel"] == "5.551115123125782702e-17"
+    with mp.workprec(53):
+        _L2, _partner, state, _extras = build_case(
+            FamilySpec("geom", 1, {"a": 2, "beta": 1}), (20, 24))
+        master, linear, _skew = exact_identity_residuals(state, (20, 24))
+        assert report["master_residual_rel"] == mpf_to_str(master)
+        assert report["linear_residual_rel"] == mpf_to_str(linear) != "0.0"
 
 
 def test_verify_usage_errors(tmp_path):

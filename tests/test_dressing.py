@@ -22,7 +22,6 @@ from commdiff.dressing import (
     PowerBasis,
     TrigBasis,
     _pin_top_coefficients,
-    _term_coeffs,
     ansatz_solve,
     build_partner_op,
     elliptic_dressing_state,
@@ -38,16 +37,16 @@ from oracles import (
     chi_eval,
     curve_point,
     _reference_lstsq,
+    exact_identity_residuals,
+    exact_linear,
+    exact_master,
     exact_partner,
     factorization_check,
+    rounded_fraction,
     solve_partner_recursive,
 )
 from test_opalg import _reference_compose
 from test_numcore import (
-    _reference_add,
-    _reference_poly_mul,
-    _reference_sub,
-    _reference_sup_norm,
     trap_values,
 )
 from commdiff.families import (
@@ -193,6 +192,33 @@ def test_skew_symmetry_for_arbitrary_even_data():
     assert identity_residuals(state, (0, 9), skew=True)[2] <= mpf("1e-25")
 
 
+@pytest.mark.parametrize("kind, g, params", [
+    ("trig", 3, {"r1": 1}), ("poly", 2, {"a2": 1, "a0": 0}),
+])
+def test_skew_is_exactly_zero_on_symmetric_tables(kind, g, params):
+    # tables even under n -> -n - 1 bit for bit give R_n + R_{-n-1} = 0
+    # exactly, which a check that rounds its sums need not see
+    _L2, _partner, state, _extras = build_case(FamilySpec(kind, g, params), (-12, 12))
+    _master, linear, skew_rel = identity_residuals(state, (-12, 12), skew=True)
+    assert skew_rel == 0 and linear > 0
+    assert exact_identity_residuals(state, (-12, 12), skew=True)[2] == 0
+
+
+def test_exact_residuals_fall_with_the_precision():
+    # a non-dyadic state built at 113 and at 177 bits: the checks measure
+    # the state, not their own rounding, so every residual falls by about
+    # 2^-64
+    spec = FamilySpec("poly", 3, {"a2": "0.886695", "a1": "0.708451", "a0": "0.234504"})
+    rels = []
+    for bits in (113, 177):
+        with mp.workprec(bits):
+            _L2, _partner, state, _extras = build_case(spec, (-12, 12))
+            rels.append(identity_residuals(state, (-12, 12)))
+    (m113, l113, _), (m177, l177, _) = rels
+    assert 0 < m177 <= m113 * mpf(2) ** -50
+    assert 0 < l177 <= l113 * mpf(2) ** -50
+
+
 def test_skew_is_none_without_a_mirror_pair():
     # a state on [3, 15] holds no pair (n, -n-1): the skew compares nothing
     spec = FamilySpec("trig", 1, {"r1": 1})
@@ -203,74 +229,19 @@ def test_skew_is_none_without_a_mirror_pair():
     assert master <= mpf("1e-25") and linear <= mpf("1e-25")
 
 
-def _old_scale_maxima(state, window, skew):
-    """The per-n maxima written out with verify_master, residual_linear and
-    the scale formulas identity_residuals replaced."""
-    lo, hi = window
-    s_lo, s_hi = state.window
-
-    def master_scale(n):
-        lin = ZPoly([-(state.U.at(n) ** 2) - state.W.at(n), 1])
-        prod = lin * state.q(n) * state.q(n + 1)
-        return max(state.curve.fpoly().sup_norm(), (state.s(n) * state.s(n)).sup_norm(),
-                   prod.sup_norm(), mpf(1))
-
-    def linear_scale(n):
-        U, W = state.U.at, state.W.at
-        terms = (
-            state.s(n - 1) * ZPoly([-(U(n) ** 2) - W(n), 1]) * (U(n + 1) + U(n + 2)),
-            state.s(n) * ZPoly([U(n) * U(n + 1) + U(n - 1) * (U(n) + U(n + 1)) - W(n), 1])
-            * (U(n + 1) + U(n + 2)),
-            state.s(n + 1) * ZPoly([U(n) * U(n + 1) + (U(n) + U(n + 1)) * U(n + 2) - W(n + 1), 1])
-            * (U(n - 1) + U(n)),
-            state.s(n + 2) * ZPoly([-(U(n + 1) ** 2) - W(n + 1), 1]) * (U(n - 1) + U(n)),
-        )
-        return max(max(t.sup_norm() for t in terms), mpf(1))
-
-    master = max(
-        (verify_master(state, n) / master_scale(n)
-         for n in range(max(lo, s_lo + 1), min(hi, s_hi - 1) + 1)),
-        default=mpf(0),
-    )
-    linear = max(
-        (residual_linear(state, n).sup_norm() / linear_scale(n)
-         for n in range(max(lo, s_lo + 1), min(hi, s_hi - 2) + 1)),
-        default=mpf(0),
-    )
-    if not skew:
-        return master, linear, None
-    skew_rel = max(
-        ((residual_linear(state, n) + residual_linear(state, -n - 1)).sup_norm() / linear_scale(n)
-         for n in range(0, min(hi, s_hi - 2, -(s_lo + 2)) + 1)),
-        default=mpf(0),
-    )
-    return master, linear, skew_rel
-
-
-def test_term_coeffs_match_the_product_bit_for_bit():
-    # d (z + c) A(z) coefficient-wise rounds as A * [c, 1] through poly_mul,
-    # then scaled by d: the same operations in the same order
-    rng = random.Random(5)
-    for deg in range(6):
-        a = [mpf(rng.uniform(-3, 3)) / 7 for _ in range(deg + 1)]
-        c, d = mpf(rng.uniform(-2, 2)) / 3, mpf(rng.uniform(-2, 2)) / 11
-        product = ZPoly(a) * ZPoly([c, 1]) * d
-        got = _term_coeffs([v._mpf_ for v in a], c._mpf_, d._mpf_)
-        assert got == [v._mpf_ for v in product.coeffs]
-
-
 @pytest.mark.parametrize(
     "kind,params",
     [("trig", {"r1": 1}), ("poly", {"a2": 1, "a0": 0, "a1": mpf(1) / 2})],
 )
 def test_identity_residuals_match_per_n_maxima(kind, params):
-    # one pass over the window gives the very values of the per-n loops
+    # one pass over the window gives the very values of the per-n ratios,
+    # each exact, the worst rounded once
     spec = FamilySpec(kind, 2, params)
     _L2, _partner, state, _extras = build_case(spec, (-12, 12))
     for window in ((-12, 12), (-40, 40)):
         for skew in (False, True):
             got = identity_residuals(state, window, skew=skew)
-            assert got == _old_scale_maxima(state, window, skew)
+            assert got == exact_identity_residuals(state, window, skew)
             assert got[1] <= mpf("1e-9")
 
 
@@ -1006,48 +977,6 @@ def _reference_four_term_factors(U, W, n):
     )
 
 
-def _reference_term_coeffs(a, c, d):
-    """The mpf loop that `_term_coeffs` runs on raw values."""
-    if not a:
-        return []
-    return [d * (c * a[0]), *(d * (lo + c * hi) for lo, hi in zip(a, a[1:])), d * a[-1]]
-
-
-def _reference_identity_residuals(state, window, skew):
-    """identity_residuals as its mpf loops ran: the products, sums and sup
-    norms by the reference loops, each maximum by max()."""
-    lo, hi = window
-    s_lo, s_hi = state.window
-    fpoly = state.curve.fpoly()
-    fnorm = _reference_sup_norm(fpoly)
-    add, sup = _reference_add, _reference_sup_norm
-    master_rel = mpf(0)
-    for n in range(max(lo, s_lo + 1), min(hi, s_hi - 1) + 1):
-        lin = ZPoly([-(state.U.at(n) ** 2) - state.W.at(n), 1])
-        s2 = _reference_poly_mul(state.s(n), state.s(n))
-        prod = _reference_poly_mul(_reference_poly_mul(lin, state.q(n)), state.q(n + 1))
-        scale = max(fnorm, sup(s2), sup(prod), mpf(1))
-        master_rel = max(master_rel, sup(_reference_sub(fpoly, add(s2, prod))) / scale)
-
-    def linear_at(n):
-        terms = [ZPoly(_reference_term_coeffs(state.s(n + s).coeffs, c, d))
-                 for s, c, d in _reference_four_term_factors(state.U, state.W, n)]
-        t1, t2, t3, t4 = terms
-        return add(add(add(t1, t2), t3), t4), max(max(sup(t) for t in terms), mpf(1))
-
-    linear_rel = mpf(0)
-    for n in range(max(lo, s_lo + 1), min(hi, s_hi - 2) + 1):
-        r, scale = linear_at(n)
-        linear_rel = max(linear_rel, sup(r) / scale)
-    if not skew:
-        return master_rel, linear_rel, None
-    skew_rel = mpf(0)
-    for n in range(0, min(hi, s_hi - 2, -(s_lo + 2)) + 1):
-        r, scale = linear_at(n)
-        skew_rel = max(skew_rel, sup(add(r, linear_at(-n - 1)[0])) / scale)
-    return master_rel, linear_rel, skew_rel
-
-
 def _raw_tuple(vals):
     return tuple(None if v is None else v._mpf_ for v in vals)
 
@@ -1056,15 +985,29 @@ TRAP_FAMILIES = [("poly", 3, ODD5), ("trig", 2, {"r1": "1.3"})]
 
 
 @pytest.mark.parametrize("bits", (53, 113, 160, 1100))
-def test_term_coeffs_match_the_mpf_loop_bit_for_bit(bits):
+def test_verify_master_and_residual_linear_are_exact(bits):
+    # tables of trap values (exact 0 and +-1, negative and wide values): each
+    # coefficient of R_n, and the largest |coefficient| of the master
+    # residual, is the Fraction value rounded once
     rng = random.Random(bits + 3)
     pool = trap_values(rng, bits)
     with mp.workprec(bits):
-        for deg in range(6):
-            a = [rng.choice(pool) for _ in range(deg + 1)]
-            for c, d in ((rng.choice(pool), rng.choice(pool)) for _ in range(8)):
-                got = _term_coeffs([v._mpf_ for v in a], c._mpf_, d._mpf_)
-                assert got == [v._mpf_ for v in _reference_term_coeffs(a, c, d)]
+        for g in (1, 2, 3):
+            U, W = (CoeffSeq(-4, [rng.choice(pool) for _ in range(9)]) for _ in range(2))
+            S = {n: ZPoly([rng.choice(pool) for _ in range(g + 1)]) for n in range(-4, 5)}
+            Q = {n: ZPoly([*(rng.choice(pool) for _ in range(g)), 1]) for n in range(-3, 5)}
+            curve = HyperellipticCurve(g, [rng.choice(pool) for _ in range(2 * g + 1)])
+            state = DressingState(U, W, curve, S, Q)
+            for n in range(-3, 4):
+                r, _scale = exact_master(state, n)
+                ref = rounded_fraction(max(map(abs, r)))
+                assert verify_master(state, n)._mpf_ == ref._mpf_, n
+            for n in range(-3, 3):
+                r, _scale = exact_linear(state, n)
+                ref = [rounded_fraction(v) for v in r]
+                while ref and ref[-1] == 0:
+                    ref.pop()
+                assert residual_linear(state, n).raw == [v._mpf_ for v in ref], n
 
 
 @pytest.mark.parametrize("bits", (53, 113, 160, 1100))
@@ -1081,7 +1024,8 @@ def test_four_term_factors_match_the_mpf_expressions_bit_for_bit(bits):
                 tables.append(family_from_spec(FamilySpec(kind, g, params), (-6, 6)))
     with mp.workprec(bits):
         for U, W in tables:
-            got = dressing._four_term_factors(U, W, -5, 3)
+            D = {n: (U.at(n - 1) + U.at(n))._mpf_ for n in range(-5, 6)}
+            got = dressing._four_term_factors(U, W, -5, 3, D)
             assert sorted(got) == list(range(-5, 4))
             for n in range(-5, 4):
                 ref = [(s, c._mpf_, d._mpf_) for s, c, d in _reference_four_term_factors(U, W, n)]
@@ -1127,7 +1071,7 @@ def test_identity_residuals_match_the_mpf_loops_bit_for_bit(kind, g, params, bit
             for window in ((-4, 4), (-40, 1), (-1, 40), (-40, 40)):
                 for skew in (False, True):
                     got = identity_residuals(state, window, skew=skew)
-                    ref = _reference_identity_residuals(state, window, skew)
+                    ref = exact_identity_residuals(state, window, skew)
                     assert _raw_tuple(got) == _raw_tuple(ref), (build_bits, window, skew)
 
 

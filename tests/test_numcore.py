@@ -1,6 +1,7 @@
 import json
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import cos, mp, mpf
@@ -22,6 +23,7 @@ from commdiff.numcore import (
     poly_mul,
     pow_int,
     radd,
+    raw_ints,
     raw_max,
     rdiv,
     rdot,
@@ -30,6 +32,7 @@ from commdiff.numcore import (
     rpoly_add,
     rpoly_mul,
     rpoly_sub,
+    rround,
     rsub,
     scalar,
     set_precision,
@@ -708,3 +711,37 @@ def test_to_json_writes_mpf_as_mpf_to_str(bits):
 def test_to_json_rejects_other_objects():
     with pytest.raises(TypeError, match="ZPoly"):
         to_json({"p": ZPoly([1, 2])})
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160, 1100))
+def test_rround_matches_from_man_exp_bit_for_bit(bits):
+    # zero, both signs, mantissas 1 to 3p bits wide, even ones, ties to even
+    # (an odd and an even kept part, exactly half below it) and ties with a
+    # sticky bit, and the carry to 2^p
+    rng = random.Random(bits + 31)
+    p = bits
+    mans = [0, 1, 2, 3, 2 ** p, 2 ** p - 1, 2 ** (p + 1) - 1]
+    for width in range(1, 3 * p + 1, max(1, p // 16)):
+        m = rng.getrandbits(width) | (1 << (width - 1))
+        mans += [m, m << rng.randint(1, 9)]
+    for n in (1, 2, 5, p):
+        for kept in (rng.getrandbits(p - 1) | (1 << (p - 1)), (2 ** p) - 1):
+            for last in (0, 1):
+                tie = ((kept & ~1 | last) << n) | (1 << (n - 1))
+                mans += [tie, tie + 1, tie - 1]
+    for m in mans:
+        for exp in (-2 * p - 3, -p, -1, 0, 7, p + 5):
+            for v in (m, -m):
+                assert rround(v, exp, p) == from_man_exp(v, exp, p, round_nearest), (v, exp)
+
+
+def test_raw_ints_are_exact():
+    vals = [[fzero, fone, from_man_exp(-3, -7)], [],
+            [from_man_exp(5, 4), from_man_exp(2 ** 70 + 1, -90)]]
+    ints, exp = raw_ints(vals)
+    assert exp == -90
+    assert [[v * Fraction(2) ** exp for v in row] for row in ints] == [
+        [(-1) ** s * m * Fraction(2) ** e for s, m, e, _ in row] for row in vals]
+    # exponents above 0 are read on 0, so 1 is an int
+    assert raw_ints([[from_man_exp(3, 4)]]) == ([[48]], 0)
+    assert raw_ints([]) == ([], 0)

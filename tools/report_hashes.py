@@ -122,10 +122,13 @@ EXTRACTION = [
 
 # below the default precision, where a changed rounding order shows in almost
 # every printed digit (curve extraction, the Lame lattice and rank2 too, so
-# that no module constant made at import moves a 53-bit verdict), and one at
-# 160 bits, between the default and 1100
+# that no module constant made at import moves a 53-bit verdict), one at
+# 160 bits, between the default and 1100, and the first again at 177 bits:
+# its exact identity residuals measure the state, so the listing pins them
+# at two precisions
 LOW_PRECISION = [
     ["verify", "--family", "trig", "--g", "2", "--r1", "1.3", "--precision", "53"],
+    ["verify", "--family", "trig", "--g", "2", "--r1", "1.3", "--precision", "177"],
     ["verify", "--family", "poly", "--g", "3", "--a2", "0.886695", "--a1", "0.708451",
      "--a0", "0.234504", "--precision", "53"],
     ["verify", "--family", "elliptic", "--g", "1", "--precision", "53"],
