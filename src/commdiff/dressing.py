@@ -26,7 +26,7 @@ from functools import reduce
 from itertools import zip_longest
 
 from mpmath import mp, mpf, sqrt
-from mpmath.libmp import fone, from_int, fzero, mpf_abs, mpf_gt, mpf_neg, mpf_pos, mpf_rdiv_int
+from mpmath.libmp import fone, from_int, fzero, mpf_abs, mpf_gt, mpf_neg, mpf_rdiv_int
 from mpmath.libmp import from_rational, round_nearest as RND
 
 from . import linalg
@@ -228,48 +228,51 @@ def _zmul(c, v, k):
 
 
 def _exact_checks(state: DressingState, a: int, b: int):
-    """(master, linear, exp): the identity checks at n = a..b on exact ints.
+    """(master, linear, mexp, lexp): the identity checks at n = a..b on exact ints.
 
-    U, W, S, Q and F_g are read once where those rows reach, as ints on one
-    exponent e <= 0 (numcore.raw_ints), 1 being 1 << -e.  master(n) and
-    linear(n) give (r, scale), ints on 2^exp, exp = 4e: r the coefficients
-    of F_g - S_n^2 - (z - U_n^2 - W_n) Q_n Q_{n+1}, or of R_n, and scale the
-    largest |coefficient| of F_g, the two products and 1, or of R_n's terms
-    d_i (z + c_i) S_{n+s_i} (_four_term_factors' factors, exact) and 1."""
+    U, W, S, Q and F_g are read once where those rows reach, each table as
+    ints on its own exponent <= 0 (numcore.raw_ints), aligned by shifts
+    where products meet.  master(n) gives (r, scale) on 2^mexp: r the
+    coefficients of F_g - S_n^2 - (z - U_n^2 - W_n) Q_n Q_{n+1}, scale the
+    largest |coefficient| of F_g, the two products and 1; linear(n) the same
+    on 2^lexp for R_n and its terms d_i (z + c_i) S_{n+s_i} and 1."""
     s_lo, s_hi = state.window
     ulo, uhi, whi = max(a - 1, s_lo), min(b + 2, s_hi), min(b + 1, s_hi - 1)
-    (u, w, f, *sq), e = raw_ints([
-        state.U.values_on(ulo, uhi), state.W.values_on(a, whi), state.curve.fpoly().raw,
-        *(state.s(n).raw for n in range(ulo, uhi + 1)),
-        *(state.q(n).raw for n in range(a, min(b + 1, s_hi) + 1))])
+    ((u,), eu), ((w,), ew), ((f,), ef), (s, es), (q, eq) = map(raw_ints, (
+        [state.U.values_on(ulo, uhi)], [state.W.values_on(a, whi)], [state.curve.fpoly().raw],
+        [state.s(n).raw for n in range(ulo, uhi + 1)],
+        [state.q(n).raw for n in range(a, min(b + 1, s_hi) + 1)]))
     U, W = dict(zip(range(ulo, uhi + 1), u)), dict(zip(range(a, whi + 1), w))
-    S, Q = dict(zip(range(ulo, uhi + 1), sq)), dict(zip(range(a, b + 2), sq[uhi - ulo + 1:]))
-    k, k2, one = -e, -2 * e, 1 << -4 * e
-    F = [v << 3 * k for v in f]
-    fscale = max([one, *map(abs, F)])
+    S, Q = dict(zip(range(ulo, uhi + 1), s)), dict(zip(range(a, b + 2), q))
+    # U_n^2 + W_n and the c_i lie on ec, the master's terms on mexp, R_n's on lexp
+    ec = min(2 * eu, ew)
+    ku, kw, mexp, lexp = 2 * eu - ec, ew - ec, min(ef, 2 * es, ec + 2 * eq), eu + ec + es
+    ks, kp = 2 * es - mexp, ec + 2 * eq - mexp
+    F = [v << ef - mexp for v in f]
+    fscale = max([1 << -mexp, *map(abs, F)])
 
     def master(n):
-        s2 = [v << k2 for v in _imul(S[n], S[n])]
-        prod = _zmul(-((W[n] << k) + U[n] * U[n]), _imul(Q[n], Q[n + 1]), k2)
+        s2 = [v << ks for v in _imul(S[n], S[n])]
+        prod = _zmul(-((W[n] << kw) + (U[n] * U[n] << ku)) << kp, _imul(Q[n], Q[n + 1]), kp - ec)
         scale = max([fscale, *map(abs, s2), *map(abs, prod)])
         return [x - y - z for x, y, z in zip_longest(F, s2, prod, fillvalue=0)], scale
 
     def linear(n):
         um1, u0, u1, u2 = U[n - 1], U[n], U[n + 1], U[n + 2]
-        w0, w1, u01 = W[n] << k, W[n + 1] << k, u0 * u1
+        w0, w1, u01 = W[n] << kw, W[n + 1] << kw, u0 * u1
         left, mid, right = um1 + u0, u0 + u1, u1 + u2
-        terms = [[d * v for v in _zmul(c, S[n + s], k2)] for s, c, d in (
-            (-1, -(w0 + u0 * u0), right), (0, u01 + um1 * mid - w0, right),
-            (1, u01 + mid * u2 - w1, -left), (2, -(w1 + u1 * u1), -left))]
-        scale = max([one, *(abs(v) for t in terms for v in t)])
+        terms = [[d * v for v in _zmul(c, S[n + s], -ec)] for s, c, d in (
+            (-1, -(w0 + (u0 * u0 << ku)), right), (0, (u01 + um1 * mid << ku) - w0, right),
+            (1, (u01 + mid * u2 << ku) - w1, -left), (2, -(w1 + (u1 * u1 << ku)), -left))]
+        scale = max([1 << -lexp, *(abs(v) for t in terms for v in t)])
         return [sum(c) for c in zip_longest(*terms, fillvalue=0)], scale
 
-    return master, linear, 4 * e
+    return master, linear, mexp, lexp
 
 
 def verify_master(state: DressingState, n: int) -> mpf:
     """Max |coefficient| of F_g - S_n^2 - (z - U_n^2 - W_n) Q_n Q_{n+1}, rounded once."""
-    master, _linear, exp = _exact_checks(state, n, n)
+    master, _linear, exp, _lexp = _exact_checks(state, n, n)
     return mp.make_mpf(rround(max(map(abs, master(n)[0]), default=0), exp, mp.prec))
 
 
@@ -304,7 +307,7 @@ def residual_linear(state: DressingState, n: int) -> ZPoly:
     For coefficient families even in n the result is skew under
     n -> -n - 1, which identity_residuals measures when asked.
     """
-    _master, linear, exp = _exact_checks(state, n, n)
+    _master, linear, _mexp, exp = _exact_checks(state, n, n)
     return ZPoly._from_raw(rtrimmed([rround(v, exp, mp.prec) for v in linear(n)[0]]))
 
 
@@ -332,7 +335,7 @@ def identity_residuals(state: DressingState, window, skew: bool = False):
     span = [*sites, *pairs]
     if not span:
         return mpf(0), mpf(0), None
-    master, linear, _exp = _exact_checks(state, min(span), max(span))
+    master, linear, *_exps = _exact_checks(state, min(span), max(span))
     lin = {n: linear(n) for n in {*rows, *pairs}}
 
     def worst(ratios):
@@ -466,65 +469,76 @@ def _pin_top_coefficients(basis, U, phi):
 
 
 ANSATZ_TOL = mpf("1e-9")
-# The marches add one increment per step and level, and the level-0 values
-# that the constant fit reads cancel heavily at high genus, so the marches
-# and the fit run this many bits above the working precision and the table
-# is rounded once at the end; build_case tabulates its fine U and W (see
-# ansatz_solve) this much finer too.  Without them the master residual of the
-# odd-extension g=5 case (verify on [-24, 24], 113 bits) rises from 1.9e-31
-# to 2.7e-22.
+# The level recursion is exact, but not its inputs: d_i c_i, D_n and
+# 1 / (D_n D_{n+2}) are rounded from the fine U and W (see ansatz_solve), and
+# the constant fit reads level-0 values that cancel heavily at high genus.
+# So build_case's fine tables, the factors, the inverses and the fit carry
+# this many bits above the working precision; without them the master
+# residual of odd-extension g=5 (verify on [-24, 24], 113 bits) rises from
+# 1.9e-31 to 3.1e-22.
 RECURSION_GUARD_BITS = 32
 
 
-def _comb(f, vs, p):
-    """sum_i f_i vs_i over the four raw vectors S_{n-1..n+2} of one level, at p."""
-    (f1, f2, f3, f4), (v1, v2, v3, v4) = f, vs
-    return [rmac(rmac(rmac(rmul(f1, a, p), f2, b, p), f3, c, p), f4, d, p)
-            for a, b, c, d in zip(v1, v2, v3, v4)]
+def _above_tol(num: int, den: int) -> bool:
+    """num / den > ANSATZ_TOL for ints num >= 0 and den > 0, exactly."""
+    _, man, exp, _ = ANSATZ_TOL._mpf_
+    return num << max(-exp, 0) > man * den << max(exp, 0)
+
+
+def _exact(table: dict):
+    """{n: raw vector} as ({n: int vector}, exp), on one exponent (numcore.raw_ints)."""
+    ints, exp = raw_ints(table.values())
+    return dict(zip(table, ints)), exp
+
+
+def _row_entry(f, s, n, j):
+    """sum_i f_i s_{n+s_i}[j] over the level table s: entry j of R_n's row."""
+    return f[0] * s[n - 1][j] + f[1] * s[n][j] + f[2] * s[n + 1][j] + f[3] * s[n + 2][j]
 
 
 def _march(dc, D, top, seeds, n0, span):
-    """S levels g..0 on span = [a, b] by the level recursion.
+    """S levels g..0 on span = [a, b] by the level recursion, exactly.
 
-    Values are raw coefficient vectors at the working precision: affine
-    vectors over the fit's constants, or one entry once those are known; a
-    level's seeds may be longer than the level above, whose width its steps
-    keep, and the q march carries the seeds' entries past it unchanged.  With
-    D_n = U_{n-1} + U_n and dc[n] the products d_i c_i, level m - 1 follows
-    from level m in two marches: the z^m row of the four-term relation,
+    Each table is exact, as _exact gives it: dc maps n to the products
+    d_i c_i, D is the tables of D_n = U_{n-1} + U_n and 1 / (D_n D_{n+2}),
+    top is level g and seeds holds each lower level's ((q0, q1, s0), exp).
+    Level m - 1 follows from level m in two marches: the z^m row of the
+    four-term relation,
 
         D_n D_{n+2} (q_{n+2,m-1} - q_{n,m-1}) = -sum_i d_i c_i s_{n+s_i,m},
 
-    steps q from n0 and n0 + 1, and the pair rule
-    s_{n,m-1} = -D_n q_{n,m-1} - s_{n-1,m-1} steps s from n0.  seeds holds
-    the three starting values per level, top the level-g row.  Neither
-    relation reads m: every level is the same affine map of the one above,
-    linear in it and in the level's seeds, which _fit_rows exploits.  So
-    1 / (D_n D_{n+2}) and -D_n are formed once per call, not per level.
+    steps q from n0 and n0 + 1, and the pair rule s_{n,m-1} = -D_n q_{n,m-1}
+    - s_{n-1,m-1} steps s from n0, in int products and sums, exponents
+    aligned by shifts.  Entries are affine vectors over the fit's constants,
+    or one entry once those are known; a level's seeds may be longer than
+    the level above, whose width its steps keep, and the q march carries
+    the seeds' entries past it unchanged.  Neither relation reads m: every
+    level is the same affine map of the one above, which _fit_rows exploits.
     """
-    p, (a, b) = mp.prec, span
-    neg_d = {n: mpf_neg(D[n], p, RND) for n in range(a + 1, b + 1)}
-    inv = {n: mpf_rdiv_int(1, rmul(D[n], D[n + 2], p), p, RND) for n in range(a + 1, b - 1)}
+    (dc, edc), ((D, ed), (inv, einv)) = dc, D
+    a, b = span
     levels = [top]
-    for q0, q1, s0 in seeds:
-        up = levels[-1]
+    for (q0, q1, s0), e in seeds:
+        up, eup = levels[-1]
         width = len(up[a])
-        # the division comes after the sum, which cancels heavily
-        step = {}
-        for n in range(a + 1, b - 1):
-            comb = _comb(dc[n], [up[n + k] for k in (-1, 0, 1, 2)], p)
-            step[n] = [rmul(v, inv[n], p) for v in comb]
-        q = {n0: q0, n0 + 1: q1}
+        # the steps inv_n sum_i dc_i s_{n+s_i} lie on estep, q on eq, s on es
+        estep = einv + edc + eup
+        eq = min(estep, e)
+        es = min(ed + eq, e)
+        step = {n: [_row_entry(dc[n], up, n, j) * (inv[n][0] << estep - eq) for j in range(width)]
+                for n in range(a + 1, b - 1)}
+        q = {n0: [v << e - eq for v in q0], n0 + 1: [v << e - eq for v in q1]}
         for n in range(n0, b - 1):
-            q[n + 2] = [rsub(x, y, p) for x, y in zip(q[n], step[n])] + q[n][width:]
+            q[n + 2] = [x - y for x, y in zip(q[n], step[n])] + q[n][width:]
         for n in range(n0 - 1, a, -1):
-            q[n] = [radd(x, y, p) for x, y in zip(q[n + 2], step[n])] + q[n + 2][width:]
-        s = {n0: s0}
+            q[n] = [x + y for x, y in zip(q[n + 2], step[n])] + q[n + 2][width:]
+        d = {n: -D[n][0] << ed + eq - es for n in range(a + 1, b + 1)}
+        s = {n0: [v << e - es for v in s0]}
         for n in range(n0 + 1, b + 1):
-            s[n] = [rsub(rmul(neg_d[n], x, p), y, p) for x, y in zip(q[n], s[n - 1])]
+            s[n] = [d[n] * x - y for x, y in zip(q[n], s[n - 1])]
         for n in range(n0, a, -1):
-            s[n - 1] = [rsub(rmul(neg_d[n], x, p), y, p) for x, y in zip(q[n], s[n])]
-        levels.append(s)
+            s[n - 1] = [d[n] * x - y for x, y in zip(q[n], s[n])]
+        levels.append((s, es))
     return levels
 
 
@@ -532,23 +546,25 @@ def _fit_rows(dc, D, top, g, n0, span):
     """The z^0 rows of the four-term relation at n = a + 1..b - 2 of span =
     [a, b], as raw affine vectors over the 3g constants: entry 0 the
     inhomogeneous part, entry 1 + 3 (g - 1 - m) + i the coefficient of the
-    i-th constant of level m (q_{n0,m}, q_{n0+1,m}, s_{n0,m}).
+    i-th constant of level m (q_{n0,m}, q_{n0+1,m}, s_{n0,m}), from
+    _march's inputs, each formed exactly and rounded once at mp.prec.
 
     The march's level map Lambda is the same at every level (_march), so a
     constant's column at level 0 is Lambda^m H(e_i), H(e_i) the march of a
     unit seed under a zero level.  One march of four columns, [the
     inhomogeneous part, H(e_1), H(e_2), H(e_3)] with zero seeds after its
     first step, holds Lambda^m H(e_i) at level g - 1 - m: each level's three
-    constant columns, bit for bit the entries that a march of all 3g + 1
+    constant columns, exactly the entries that a march of all 3g + 1
     columns gives at level 0.
     """
-    units = [[fzero, *(fone if k == i else fzero for k in range(3))] for i in range(3)]
-    zeros = [[fzero] * 4] * 3
+    units = [[0, *(int(k == i) for k in range(3))] for i in range(3)], 0
+    zeros = [[0] * 4] * 3, 0
     levels = _march(dc, D, top, [units, *[zeros] * (g - 1)], n0, span)
-    p, (a, b), low = mp.prec, span, levels[-1]
-    s0 = {n: [low[n][0], *(v for lv in reversed(levels[1:]) for v in lv[n][1:])]
-          for n in range(a, b + 1)}
-    return {n: _comb(dc[n], [s0[n + k] for k in (-1, 0, 1, 2)], p) for n in range(a + 1, b - 1)}
+    # each entry's column: (level table, its exponent, the column index)
+    cols = [(*levels[-1], 0), *((s, e, j) for s, e in reversed(levels[1:]) for j in (1, 2, 3))]
+    p, (a, b), (f, edc) = mp.prec, span, dc
+    return {n: [rround(_row_entry(f[n], s, n, j), edc + e, p) for s, e, j in cols]
+            for n in range(a + 1, b - 1)}
 
 
 def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> AnsatzResult:
@@ -568,19 +584,22 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
     ANSATZ_TOL times max_i |d_i| max(|c_i|, 1) |S_{n+s_i}|, a bound on the
     largest coefficient of the relation's four terms there, is an
     InconsistentDataError naming n, and the worst ratio is
-    info["resid_rel"].  The marches and the fit run RECURSION_GUARD_BITS
-    above the working precision, on raw libmp values.
+    info["resid_rel"].  The marches are exact (_march); each fit-row entry
+    is rounded once RECURSION_GUARD_BITS above the working precision, where
+    the fit runs, each coefficient below z^g once at the working precision,
+    and the z^0 check compares exact ints, its worst ratio rounded once.
 
     fine, when given, is (U, W) tabulated from the same closed forms
     RECURSION_GUARD_BITS above the working precision on at least the same
-    window; the marches and the z^0 rows then read it.  Each level is
-    marched from differences of the one above, so the rounding of U_n and
-    W_n reaches S with a gain that grows with |n - n0| and with g, which
-    guard bits in the arithmetic cannot undo: for the quadratic family
-    with (a2, a1, a0) = (0.886695, 0.708451, 0.234504), g = 5, on [-28, 39]
-    at 113 bits, S is off the 320-bit table by 2.9e-20 from the working
-    tables alone and by 1.7e-28 with fine ones.  Tables that are exact at
-    the working precision (dyadic parameters) need none.
+    window, each value within ANSATZ_TOL max(|v|, 1) of the working v
+    (compared exactly); the marches and the z^0 rows then read it.  Each
+    level is marched from differences of the one above, so the rounding of
+    U_n and W_n reaches S with a gain that grows with |n - n0| and with g:
+    for the quadratic family with (a2, a1, a0) = (0.886695, 0.708451,
+    0.234504), g = 5, on [-28, 39] at 113 bits, S is off the 320-bit table
+    by 2.9e-20 from the working tables alone and by 1.0e-28 with fine ones.
+    Tables that are exact at the working precision (dyadic parameters) need
+    none.
 
     U and W must cover the pin fit's grid |n| <= size + 2 and give at least
     3g relation rows (a WindowError otherwise).  Near that minimum the
@@ -612,29 +631,26 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
     flo, fhi = max(rlo, n0 - ncon - 2), min(rhi, n0 + ncon + 2)
 
     Uf, Wf = (U, W) if fine is None else fine
-    make, p, tol = mp.make_mpf, mp.prec, ANSATZ_TOL._mpf_
+    make, p_out = mp.make_mpf, mp.prec
     # without fine tables, each value would be checked against itself
-    cols = [x.values_on(lo, hi) for x in (U, Uf, W, Wf)] if fine is not None else [()] * 4
-    for n, u, uf, w, wf in zip(range(lo, hi + 1), *cols):
-        for name, v, vf in (("U", u, uf), ("W", w, wf)):
-            if mpf_gt(mpf_abs(rsub(vf, v, p)), rmul(tol, raw_max((v, fone), p), p)):
-                raise InconsistentDataError(
-                    f"fine table of {name} disagrees with {name} at n={n}"
-                )
+    for name, x, xf in (("U", U, Uf), ("W", W, Wf)) if fine is not None else ():
+        (vs, fs), e = raw_ints([x.values_on(lo, hi), xf.values_on(lo, hi)])
+        for n, v, vf in zip(range(lo, hi + 1), vs, fs):
+            if _above_tol(abs(vf - v), max(abs(v), 1 << -e)):
+                raise InconsistentDataError(f"fine table of {name} disagrees with {name} at n={n}")
     with mp.workprec(mp.prec + RECURSION_GUARD_BITS):
         p, Uv = mp.prec, Uf.values_on(lo, hi)
-        D = {
-            n: _pair_denominator(Uv[n - 1 - lo], Uv[n - lo], p, f"ansatz_solve at n={n}")
-            for n in range(lo + 1, hi + 1)
-        }
+        D = {n: _pair_denominator(Uv[n - 1 - lo], Uv[n - lo], p, f"ansatz_solve at n={n}")
+             for n in range(lo + 1, hi + 1)}
         fac = _four_term_factors(Uf, Wf, rlo, rhi, D)
-        dc = {n: [rmul(d, c, p) for _s, c, d in f] for n, f in fac.items()}
-
-        def tops(a, b):
-            return {n: [mpf_neg(Uv[n - lo], p, RND)] for n in range(a, b + 1)}
+        # the recursion's inputs, read once
+        dc = _exact({n: [rmul(d, c, p) for _s, c, d in f] for n, f in fac.items()})
+        den = _exact({n: [v] for n, v in D.items()}), _exact(
+            {n: [mpf_rdiv_int(1, rmul(D[n], D[n + 2], p), p, RND)] for n in fac})
+        top, etop = _exact({n: [mpf_neg(Uv[n - lo], p, RND)] for n in range(lo, hi + 1)})
 
         rows, rhs = [], []
-        for r in _fit_rows(dc, D, tops(flo - 1, fhi + 2), g, n0, (flo - 1, fhi + 2)).values():
+        for r in _fit_rows(dc, den, (top, etop), g, n0, (flo - 1, fhi + 2)).values():
             row, b = r[1:], mpf_neg(r[0], p, RND)
             big = raw_max(row, p)
             if big != fzero:
@@ -649,29 +665,32 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
         )
 
         # scalar march over the whole table, then the z^0 rows there
-        seeds = [([x[j]], [x[j + 1]], [x[j + 2]]) for j in range(0, ncon, 3)]
-        levels = _march(dc, D, tops(lo, hi), seeds, n0, (lo, hi))
-        coeffs = {n: [lv[n][0] for lv in reversed(levels)] for n in range(lo, hi + 1)}
-        sup = {n: raw_max(cs, p) for n, cs in coeffs.items()}
-        resid_rel = fzero
-        for n, f in fac.items():
-            r = rdot(dc[n], [coeffs[n + k][0] for k in (-1, 0, 1, 2)], p)
+        (xv,), ex = raw_ints([x])
+        seeds = [(([xv[j]], [xv[j + 1]], [xv[j + 2]]), ex) for j in range(0, ncon, 3)]
+        levels = _march(dc, den, (top, etop), seeds, n0, (lo, hi))
+        (s0, e0), (f, edc), (Dv, ed) = levels[-1], dc, den[0]
+        # |S_n|, the largest |coefficient| at n, on e0, the least level exponent
+        sup = {n: max(abs(s[n][0]) << e - e0 for s, e in levels) for n in range(lo, hi + 1)}
+        cs, ec = _exact({n: [c for _s, c, _d in t] for n, t in fac.items()})
+        # r lies on 2^(edc + e0), the scale on 2^(ed + ec + e0)
+        shift, one = edc - ed - ec, 1 << -ec
+        worst = 0, 1
+        for n, fn in f.items():
+            r = abs(_row_entry(fn, s0, n, 0)) << max(shift, 0)
             # a bound on the largest coefficient of d_i (z + c_i) S_{n+s_i}
-            scale = raw_max(rmul(rmul(mpf_abs(d, p, RND), raw_max((c, fone), p), p), sup[n + s], p)
-                            for s, c, d in f)
-            rel = rdiv(mpf_abs(r, p, RND), scale, p)
-            if mpf_gt(rel, ANSATZ_TOL._mpf_):
-                raise InconsistentDataError(
-                    f"no genus-{g} S for this U and W: the z^0 row of the "
-                    f"four-term relation at n={n} has relative residual {make(rel)}"
-                )
-            resid_rel = raw_max((resid_rel, rel))
+            scale = max(abs(Dv[m][0]) * max(abs(c), one) * sup[n + k] for m, c, k in zip(
+                (n + 2, n + 2, n, n), cs[n], (-1, 0, 1, 2))) << max(-shift, 0)
+            if _above_tol(r, scale):
+                rel = make(from_rational(r, scale, p, RND))
+                raise InconsistentDataError(f"no genus-{g} S for this U and W: the z^0 row of "
+                                            f"the four-term relation at n={n} has relative "
+                                            f"residual {rel}")
+            if r * worst[1] > worst[0] * scale:
+                worst = r, scale
 
-    S, p = {}, mp.prec
-    for n in range(lo, hi + 1):
-        lead = rdot(pinned, phi[n], p)
-        S[n] = ZPoly._from_raw([*(mpf_pos(v, p, RND) for v in coeffs[n][:g]), lead])
-    return AnsatzResult(S, {"resid_rel": +make(resid_rel)})
+    S = {n: ZPoly._from_raw([*(rround(s[n][0], e, p_out) for s, e in reversed(levels[1:])),
+                             rdot(pinned, phi[n], p_out)]) for n in range(lo, hi + 1)}
+    return AnsatzResult(S, {"resid_rel": make(from_rational(*worst, p_out, RND))})
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,10 @@ geometric family and basis.  mpmath floats appear where a value enters
 Polynomial products, sums and differences exist once, as rpoly_mul,
 rpoly_add and rpoly_sub on raw coefficient vectors, which ZPoly's *, + and
 - wrap.  Operator composition (opalg's DiffOp.__mul__) rounds each product
-and sum here; the commutator, the partner and dressing's identity checks
-run exactly on raw_ints' ints and round each result once, a ratio by
-libmp's from_rational, an int times a power of two by rround.
+and sum here; the commutator, the partner, dressing's identity checks and
+its level recursion (the ansatz marches, fit rows and z^0 check) run
+exactly on raw_ints' ints and round each result once, a ratio by libmp's
+from_rational, an int times a power of two by rround.
 Every function computes at the caller's mpmath precision, mp.prec, which
 the caller scopes with mp.workprec; importing the package leaves it alone.
 The CLI runs at DEFAULT_PRECISION_BITS, a 113-bit significand (quad-like),

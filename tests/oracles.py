@@ -18,7 +18,9 @@ has Fraction references: the commutator and its residual ratio
 (exact_partner), each value a Fraction, per site, rounded once at the end,
 and so do the identity checks (exact_master, exact_linear and
 exact_identity_residuals): each per-n ratio a Fraction, the worst of each
-identity rounded once.
+identity rounded once.  The level recursion of the ansatz solve has one
+too (fraction_march), on the solver's rounded inputs, with fraction_table
+and exact_table converting its exact tables to Fractions and back.
 
 Import them as `from oracles import ...`; pytest's default import mode puts
 this directory on sys.path.
@@ -26,6 +28,7 @@ this directory on sys.path.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import repeat
 from math import fsum
@@ -548,3 +551,59 @@ def exact_identity_residuals(state: DressingState, window, skew: bool = False):
     skew_rel = worst((_fpsum(exact_linear(state, n)[0], exact_linear(state, -n - 1)[0]),
                       exact_linear(state, n)[1]) for n in mirrored)
     return master_rel, linear_rel, skew_rel
+
+
+# ---------------------------------------------------------------------------
+# exact level recursion
+# ---------------------------------------------------------------------------
+
+
+def fraction_row(f, vs):
+    """sum_i f_i vs_i over four Fraction vectors, the S_{n-1..n+2} of a level."""
+    return [sum(map(operator.mul, f, col)) for col in zip(*vs)]
+
+
+def fraction_march(dc, D, inv, top, seeds, n0, span):
+    """The level recursion of dressing._march over Fractions, on the
+    solver's rounded inputs: dc maps n to the four d_i c_i, D to D_n and inv
+    to 1 / (D_n D_{n+2}) as the solver rounded it; top is level g and seeds
+    holds (q0, q1, s0) per level below it.  Every affine vector is padded
+    with zeros to the widest seed's width; every level is {n: [Fraction]}."""
+    full = max(len(v) for seed in seeds for v in seed)
+
+    def pad(v):
+        return list(v) + [Fraction(0)] * (full - len(v))
+
+    a, b = span
+    levels = [{n: pad(v) for n, v in top.items()}]
+    for q0, q1, s0 in seeds:
+        up = levels[-1]
+        step = {n: [v * inv[n] for v in fraction_row(dc[n], [up[n + k] for k in (-1, 0, 1, 2)])]
+                for n in range(a + 1, b - 1)}
+        q = {n0: pad(q0), n0 + 1: pad(q1)}
+        for n in range(n0, b - 1):
+            q[n + 2] = [x - y for x, y in zip(q[n], step[n])]
+        for n in range(n0 - 1, a, -1):
+            q[n] = [x + y for x, y in zip(q[n + 2], step[n])]
+        s = {n0: pad(s0)}
+        for n in range(n0 + 1, b + 1):
+            s[n] = [-D[n] * x - y for x, y in zip(q[n], s[n - 1])]
+        for n in range(n0, a, -1):
+            s[n - 1] = [-D[n] * x - y for x, y in zip(q[n], s[n])]
+        levels.append(s)
+    return levels
+
+
+def fraction_table(table) -> dict:
+    """An exact table of dressing's level recursion, (vals, exp) with vals
+    {n: [int]}, as {n: [Fraction]}."""
+    vals, exp = table
+    scale = Fraction(2) ** exp
+    return {n: [v * scale for v in vs] for n, vs in vals.items()}
+
+
+def exact_table(fracs: dict):
+    """{n: [Fraction]} of dyadic values as an exact table (vals, exp), exp
+    the least exponent the values need, at most 0."""
+    exp = -max((v.denominator.bit_length() - 1 for vs in fracs.values() for v in vs), default=0)
+    return {n: [int(v * 2 ** -exp) for v in vs] for n, vs in fracs.items()}, exp

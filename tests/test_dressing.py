@@ -1,9 +1,10 @@
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import lu_solve, matrix, mp, mpf, cos, sin
-from mpmath.libmp import fone, fzero
+from mpmath.libmp import fzero
 
 from commdiff.errors import (
     DegenerateDenominatorError,
@@ -36,12 +37,17 @@ from oracles import (
     baker_akhiezer,
     chi_eval,
     curve_point,
+    _fraction,
     _reference_lstsq,
     exact_identity_residuals,
+    exact_table,
     exact_linear,
     exact_master,
     exact_partner,
     factorization_check,
+    fraction_march,
+    fraction_row,
+    fraction_table,
     rounded_fraction,
     solve_partner_recursive,
 )
@@ -401,6 +407,39 @@ def test_ansatz_rejects_fine_tables_of_another_family():
         other = family_from_spec(FamilySpec("poly", 2, {**ODD3, "a0": "0.5"}), (-12, 12))
     with pytest.raises(InconsistentDataError, match="fine table of U .* n=-12"):
         ansatz_solve(basis_for(spec), U, W, other)
+
+
+@pytest.mark.parametrize("bits", (53, 113))
+def test_fine_table_check_is_exact_at_its_bound(bits):
+    # a fine value off the working one by exactly ANSATZ_TOL max(|v|, 1)
+    # passes the check and one a hair further fails it, for |v| above 1
+    # and below it
+    spec = FamilySpec("poly", 2, ODD3)
+    with mp.workprec(bits):
+        U, W = family_from_spec(spec, (-12, 12))
+    with mp.workprec(4 * bits):
+        fine = family_from_spec(spec, (-12, 12))
+        for name, n in (("U", 7), ("W", 0), ("U", 0)):
+            table = U if name == "U" else W
+            v = table.at(n)
+            bound = dressing.ANSATZ_TOL * max(abs(v), 1)
+            for extra, fails in ((0, False), (mpf(2) ** (-3 * bits), True)):
+                vals = list(table.values)
+                vals[n - table.n_min] = v + bound + extra
+                seq = CoeffSeq(table.n_min, vals)
+                tables = (seq, fine[1]) if name == "U" else (fine[0], seq)
+                with mp.workprec(bits):
+                    if fails:
+                        with pytest.raises(InconsistentDataError,
+                                           match=f"fine table of {name} .* n={n}$"):
+                            ansatz_solve(basis_for(spec), U, W, tables)
+                    else:
+                        # a fine table this far off may leave no solution,
+                        # but the check itself passes
+                        try:
+                            ansatz_solve(basis_for(spec), U, W, tables)
+                        except InconsistentDataError as err:
+                            assert "fine table" not in str(err)
 
 
 @pytest.mark.parametrize("bits", (53, 113, 1100))
@@ -801,115 +840,132 @@ def test_fixture_checks_hold_at_minimum_precision():
 
 # ---------------------------------------------------------------------------
 # bit-identity oracles: the loops the pipeline ran before it skipped its
-# arithmetic on exact zeros and ones
+# arithmetic on exact zeros and ones, and the exact level recursion
 # ---------------------------------------------------------------------------
 
 
-def _reference_comb(f, vs):
-    """The mpf loop that `_comb` runs on raw values."""
-    (f1, f2, f3, f4), (v1, v2, v3, v4) = f, vs
-    return [f1 * a + f2 * b + f3 * c + f4 * d for a, b, c, d in zip(v1, v2, v3, v4)]
+def _on_fractions(march):
+    """The Fraction march of oracles (fraction_march) with the exact-table
+    interface of `_march`: its tables converted to Fractions and back."""
+    def exact_march(dc, D, top, seeds, n0, span):
+        fd, fi = ({n: v for n, (v,) in fraction_table(t).items()} for t in D)
+        seeds = [[[v * Fraction(2) ** e for v in vec] for vec in seed] for seed, e in seeds]
+        levels = march(fraction_table(dc), fd, fi, fraction_table(top), seeds, n0, span)
+        return [exact_table(lv) for lv in levels]
+
+    return exact_march
 
 
-def _reference_march(dc, D, top, seeds, n0, span):
-    """The dense level march of mpfs that `_march` must reproduce bit for
-    bit: every affine vector padded with exact 0s to the full 3g + 1 entries."""
-    full = max(len(v) for seed in seeds for v in seed)
-
-    def pad(v):
-        return v + [mpf(0)] * (full - len(v))
-
-    a, b = span
-    levels = [{n: pad(v) for n, v in top.items()}]
-    for q0, q1, s0 in seeds:
-        up = levels[-1]
-        step = {}
-        for n in range(a + 1, b - 1):
-            inv = 1 / (D[n] * D[n + 2])
-            step[n] = [v * inv for v in _reference_comb(dc[n], [up[n + k] for k in (-1, 0, 1, 2)])]
-        q = {n0: pad(q0), n0 + 1: pad(q1)}
-        for n in range(n0, b - 1):
-            q[n + 2] = [x - y for x, y in zip(q[n], step[n])]
-        for n in range(n0 - 1, a, -1):
-            q[n] = [x + y for x, y in zip(q[n + 2], step[n])]
-        s = {n0: pad(s0)}
-        for n in range(n0 + 1, b + 1):
-            s[n] = [-D[n] * x - y for x, y in zip(q[n], s[n - 1])]
-        for n in range(n0, a, -1):
-            s[n - 1] = [-D[n] * x - y for x, y in zip(q[n], s[n])]
-        levels.append(s)
-    return levels
-
-
-def _on_raw_values(march):
-    """march, which takes and returns mpfs, with the raw-value interface of
-    `_march`."""
-    def raw_march(dc, D, top, seeds, n0, span):
-        make = mp.make_mpf
-        dc = {n: [make(v) for v in f] for n, f in dc.items()}
-        D = {n: make(v) for n, v in D.items()}
-        top = {n: [make(v) for v in vs] for n, vs in top.items()}
-        seeds = [[[make(v) for v in vs] for vs in seed] for seed in seeds]
-        levels = march(dc, D, top, seeds, n0, span)
-        return [{n: [v._mpf_ for v in vs] for n, vs in lv.items()} for lv in levels]
-
-    return raw_march
+def _F(v):
+    """The mpf v as an exact Fraction."""
+    return _fraction(v._mpf_)
 
 
 def _fit_march_inputs(U, W, g):
-    """dc, D, the level-g row, n0 and the march span of the constant fit,
-    formed from U and W as ansatz_solve forms them."""
+    """The raw dc, D and 1 / (D_n D_{n+2}), the level-g row, n0 and the
+    march span of the constant fit, formed from U and W with mpf arithmetic
+    as ansatz_solve rounds them."""
     lo, hi = max(U.window[0], W.window[0]), min(U.window[1], W.window[1])
     rlo, rhi = lo + 1, hi - 2
     n0 = min(max(min(range(lo, hi + 1), key=lambda n: abs(U.at(n))), rlo), rhi)
     a, b = max(rlo, n0 - 3 * g - 2) - 1, min(rhi, n0 + 3 * g + 2) + 2
-    D = {n: (U.at(n - 1) + U.at(n))._mpf_ for n in range(lo + 1, hi + 1)}
+    D = {n: U.at(n - 1) + U.at(n) for n in range(lo + 1, hi + 1)}
     dc = {n: [(c * d)._mpf_ for _s, c, d in _reference_four_term_factors(U, W, n)]
           for n in range(rlo, rhi + 1)}
+    inv = {n: [(1 / (D[n] * D[n + 2]))._mpf_] for n in range(rlo, rhi + 1)}
     top = {n: [(-U.at(n))._mpf_] for n in range(a, b + 1)}
-    return dc, D, top, n0, (a, b)
+    return dc, {n: [v._mpf_] for n, v in D.items()}, inv, top, n0, (a, b)
 
 
-def _reference_fit_rows(dc, D, top, g, n0, span):
-    """The z^0 fit rows as the affine march of all 3g + 1 columns formed
-    them: level m's seeds the unit vectors of entries 1 + 3 (g - 1 - m) + i,
-    every entry marched through every level below its own."""
-    def units(j):
-        return [[fone if k == i else fzero for k in range(j + 3)] for i in range(j, j + 3)]
+def _fraction_inputs(dc, D, inv, top):
+    """The raw inputs of _fit_march_inputs as Fractions, D and inv as
+    scalars, for oracles.fraction_march."""
+    dc, top = ({n: [_fraction(v) for v in vs] for n, vs in t.items()} for t in (dc, top))
+    D, inv = ({n: _fraction(v) for n, (v,) in t.items()} for t in (D, inv))
+    return dc, D, inv, top
 
-    seeds = [units(j) for j in range(1, 3 * g + 1, 3)]
-    s0 = _on_raw_values(_reference_march)(dc, D, top, seeds, n0, span)[-1]
 
-    def mpfs(vals):
-        return [mp.make_mpf(v) for v in vals]
+def _column_seeds(g):
+    """The seeds of a march of all 3g + 1 columns: level m's the unit
+    vectors of entries 1 + 3 (g - 1 - m) + i, as Fractions."""
+    return [[[Fraction(int(k == i)) for k in range(j + 3)] for i in range(j, j + 3)]
+            for j in range(1, 3 * g + 1, 3)]
 
-    rows = {n: _reference_comb(mpfs(dc[n]), [mpfs(s0[n + k]) for k in (-1, 0, 1, 2)])
+
+def _reference_fit_rows(dc, D, inv, top, g, n0, span):
+    """The z^0 fit rows of the 3g + 1 columns marched apart over Fractions
+    (oracles.fraction_march), each entry rounded once at mp.prec."""
+    dc, D, inv, top = _fraction_inputs(dc, D, inv, top)
+    s0 = fraction_march(dc, D, inv, top, _column_seeds(g), n0, span)[-1]
+    return {n: [rounded_fraction(v)._mpf_
+                for v in fraction_row(dc[n], [s0[n + k] for k in (-1, 0, 1, 2)])]
             for n in range(span[0] + 1, span[1] - 1)}
-    return {n: [v._mpf_ for v in row] for n, row in rows.items()}
 
 
 FIT_FAMILIES = [("trig", {"r1": "1.3"}), ("poly", {"a2": "0.886695", "a0": "0.234504"}),
                 ("poly", ODD5), ("geom", {"a": "1.764235", "beta": "0.895178"})]
 
 
+def _exact_inputs(dc, D, inv, top):
+    """The raw inputs of _fit_march_inputs as dressing's exact tables."""
+    return dressing._exact(dc), (dressing._exact(D), dressing._exact(inv)), dressing._exact(top)
+
+
 @pytest.mark.parametrize("bits", (53, 113, 160, 1100))
 @pytest.mark.parametrize("kind, params", FIT_FAMILIES)
 def test_fit_rows_match_the_march_of_every_column_bit_for_bit(kind, params, bits):
-    # one march of four columns against the 3g + 1 columns marched apart, at
-    # the guard precision the fit runs at, on every genus up to 6
+    # one exact march of four columns against the 3g + 1 columns marched
+    # apart over Fractions, each entry rounded once at the guard precision
+    # the fit runs at, on every genus up to 6
     for g in range(1, 7):
         with mp.workprec(bits):
             U, W = family_from_spec(FamilySpec(kind, g, params), (-10, 12))
         with mp.workprec(bits + RECURSION_GUARD_BITS):
-            dc, D, top, n0, span = _fit_march_inputs(U, W, g)
-            rows = dressing._fit_rows(dc, D, top, g, n0, span)
-            assert rows == _reference_fit_rows(dc, D, top, g, n0, span), g
+            dc, D, inv, top, n0, span = _fit_march_inputs(U, W, g)
+            rows = dressing._fit_rows(*_exact_inputs(dc, D, inv, top), g, n0, span)
+            assert rows == _reference_fit_rows(dc, D, inv, top, g, n0, span), g
             assert len(rows[n0]) == 3 * g + 1
 
 
+@pytest.mark.parametrize("bits", (53, 113, 1100))
+@pytest.mark.parametrize("kind, params", FIT_FAMILIES)
+def test_four_column_march_equals_every_column_marched_apart_exactly(kind, params, bits):
+    # the level map is the same at every level, so each level's constant
+    # columns at level 0 are exactly the four-column march's unit columns at
+    # level g - 1 - m: as exact values, before any rounding; and the march
+    # of every column is the Fraction march, exactly
+    for g in (1, 3, 6):
+        with mp.workprec(bits):
+            U, W = family_from_spec(FamilySpec(kind, g, params), (-10, 12))
+        with mp.workprec(bits + RECURSION_GUARD_BITS):
+            dc, D, inv, top, n0, span = _fit_march_inputs(U, W, g)
+            ref = fraction_march(*_fraction_inputs(dc, D, inv, top), _column_seeds(g), n0,
+                                 span)[-1]
+            dc, den, top = _exact_inputs(dc, D, inv, top)
+            units = [[0, *(int(k == i) for k in range(3))] for i in range(3)], 0
+            four = dressing._march(dc, den, top, [units, *[([[0] * 4] * 3, 0)] * (g - 1)],
+                                   n0, span)
+            seeds = [([[int(v) for v in u] for u in seed], 0) for seed in _column_seeds(g)]
+            every = fraction_table(dressing._march(dc, den, top, seeds, n0, span)[-1])
+            assert every == ref, g
+            low, cols = fraction_table(four[-1]), [fraction_table(lv) for lv in four[:0:-1]]
+            for n in range(span[0], span[1] + 1):
+                got = [low[n][0], *(v for lv in cols for v in lv[n][1:])]
+                assert got == every[n], (g, n)
+            # some level-0 value needs more bits than the guard precision
+            assert any(_fraction(rounded_fraction(v)._mpf_) != v
+                       for vs in every.values() for v in vs), g
+
+
 def _reference_ansatz_solve(basis, U, W, fine=None):
-    """ansatz_solve as its mpf loops ran: the march, the fit rows, the z^0
-    rows and their maxima on mpf objects (checks and messages left out)."""
+    """ansatz_solve with its recursion over Fractions on the solver's
+    rounded inputs: D_n, d_i c_i and 1 / (D_n D_{n+2}) in mpf arithmetic at
+    the guard precision, the 3g + 1 fit columns marched apart
+    (oracles.fraction_march), each fit-row entry rounded once there and the
+    rows scaled and fitted as the solver does; the scalar march over
+    Fractions, each coefficient below z^g rounded once at the working
+    precision, and the worst z^0 ratio, exact, rounded once (checks and
+    messages left out).  Returns the S table and the exact worst ratio."""
     g = basis.g
     reach = basis.size + 2
     pinned, _resid = dressing._pin_top_coefficients(
@@ -924,44 +980,42 @@ def _reference_ansatz_solve(basis, U, W, fine=None):
     with mp.workprec(mp.prec + RECURSION_GUARD_BITS):
         D = {n: Uf.at(n - 1) + Uf.at(n) for n in range(lo + 1, hi + 1)}
         fac = {n: _reference_four_term_factors(Uf, Wf, n) for n in range(rlo, rhi + 1)}
-        dc = {n: [d * c for _s, c, d in f] for n, f in fac.items()}
-
-        def units(j):
-            return [[mpf(int(k == i)) for k in range(j + 3)] for i in range(j, j + 3)]
+        dc = {n: [_F(d * c) for _s, c, d in f] for n, f in fac.items()}
+        inv = {n: _F(1 / (D[n] * D[n + 2])) for n in fac}
+        FD = {n: _F(v) for n, v in D.items()}
+        top = {n: [_F(-Uf.at(n))] for n in range(lo, hi + 1)}
 
         span = (flo - 1, fhi + 2)
-        top = {n: [-Uf.at(n)] for n in range(span[0], span[1] + 1)}
-        seeds = [units(j) for j in range(1, ncon + 1, 3)]
-        s0 = _reference_march(dc, D, top, seeds, n0, span)[-1]
+        s0 = fraction_march(dc, FD, inv, top, _column_seeds(g), n0, span)[-1]
         rows, rhs = [], []
         for n in range(flo, fhi + 1):
-            r = _reference_comb(dc[n], [s0[n + k] for k in (-1, 0, 1, 2)])
+            r = [rounded_fraction(v)
+                 for v in fraction_row(dc[n], [s0[n + k] for k in (-1, 0, 1, 2)])]
             row, b = r[1:], -r[0]
             big = max(abs(v) for v in row)
             if big:
                 row, b = [v / big for v in row], b / big
             rows.append([v._mpf_ for v in row])
             rhs.append(b._mpf_)
-        x = [mp.make_mpf(v) for v in linalg.lstsq(rows, rhs)[0]]
+        x = [_fraction(v) for v in linalg.lstsq(rows, rhs)[0]]
 
-        top = {n: [-Uf.at(n)] for n in range(lo, hi + 1)}
         seeds = [([x[j]], [x[j + 1]], [x[j + 2]]) for j in range(0, ncon, 3)]
-        levels = _reference_march(dc, D, top, seeds, n0, (lo, hi))
+        levels = fraction_march(dc, FD, inv, top, seeds, n0, (lo, hi))
         coeffs = {n: [lv[n][0] for lv in reversed(levels)] for n in range(lo, hi + 1)}
         sup = {n: max(abs(v) for v in cs) for n, cs in coeffs.items()}
-        resid_rel = mpf(0)
+        worst = Fraction(0)
         for n, f in fac.items():
             r = sum(v * coeffs[n + k][0] for v, k in zip(dc[n], (-1, 0, 1, 2)))
-            scale = max(abs(d) * max(abs(c), 1) * sup[n + s] for s, c, d in f)
-            resid_rel = max(resid_rel, abs(r) / scale)
+            scale = max(abs(_F(d)) * max(abs(_F(c)), 1) * sup[n + s] for s, c, d in f)
+            worst = max(worst, abs(r) / scale)
 
     S = {}
     for n in range(lo, hi + 1):
         lead = mpf(0)
         for p, phi in zip(pinned, basis.functions(n)):
             lead += mp.make_mpf(p) * mp.make_mpf(phi)
-        S[n] = ZPoly([+v for v in coeffs[n][:g]] + [lead])
-    return S, +resid_rel
+        S[n] = ZPoly([rounded_fraction(v) for v in coeffs[n][:g]] + [lead])
+    return S, worst
 
 
 def _reference_four_term_factors(U, W, n):
@@ -1047,11 +1101,57 @@ def test_ansatz_solve_matches_the_mpf_loops_bit_for_bit(kind, g, params, bits):
             wide = family_from_spec(spec, window)
         for tables, extra in (((U, W), None), ((U, W), fine), (wide, None)):
             result = ansatz_solve(basis, *tables, extra)
-            S, resid_rel = _reference_ansatz_solve(basis, *tables, extra)
+            S, worst = _reference_ansatz_solve(basis, *tables, extra)
             assert sorted(result.S) == sorted(S)
             for n, p in S.items():
                 assert _raw_poly(result.S[n]) == _raw_poly(p), n
-            assert result.info["resid_rel"]._mpf_ == resid_rel._mpf_
+            assert result.info["resid_rel"]._mpf_ == rounded_fraction(worst)._mpf_
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160))
+def test_ansatz_residual_is_the_exact_worst_ratio_rounded_once(monkeypatch, bits):
+    # the scalar march's exact level-0 values, recorded as the solver
+    # marched them, give each z^0 row's residual and scale over Fractions;
+    # info["resid_rel"] is the worst ratio rounded once at the working
+    # precision
+    march, calls = dressing._march, []
+
+    def recording(*args):
+        calls.append((args, march(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(dressing, "_march", recording)
+    for kind, g, params in (("trig", 4, {"r1": "1.3"}), ("poly", 3, ODD3),
+                            ("geom", 2, {"a": "2", "beta": "1"})):
+        spec = FamilySpec(kind, g, params)
+        with mp.workprec(bits):
+            U, W = family_from_spec(spec, (-12, 16))
+            result = ansatz_solve(basis_for(spec), U, W)
+            (dc, (D, _inv), _top, _seeds, _n0, (lo, hi)), levels = calls[-1]
+            with mp.workprec(bits + RECURSION_GUARD_BITS):
+                fac = {n: _reference_four_term_factors(U, W, n) for n in range(lo + 1, hi - 1)}
+            dc, levels = fraction_table(dc), [fraction_table(lv) for lv in levels]
+            worst = Fraction(0)
+            for n, f in fac.items():
+                r = sum(v * levels[-1][n + k][0] for v, k in zip(dc[n], (-1, 0, 1, 2)))
+                scale = max(abs(_F(d)) * max(abs(_F(c)), 1)
+                            * max(abs(lv[n + s][0]) for lv in levels) for s, c, d in f)
+                worst = max(worst, abs(r) / scale)
+            assert worst > 0
+            assert result.info["resid_rel"]._mpf_ == rounded_fraction(worst)._mpf_, kind
+
+
+@pytest.mark.parametrize("site, row", [(12, 12), (-12, -13)])
+def test_ansatz_rejects_a_z0_row_above_tolerance_naming_n(site, row):
+    # W off by 1e-6 at one site outside the fit rows: the constants fit,
+    # and the first z^0 row whose exact residual exceeds ANSATZ_TOL times
+    # its scale is named, with its ratio
+    U, W = trig_family(2, 1, (-14, 14))
+    vals = list(W.values)
+    vals[site - W.n_min] *= 1 + mpf("1e-6")
+    with pytest.raises(InconsistentDataError, match=(
+            rf"z\^0 row of the four-term relation at n={row} has relative residual 0\.0+[1-9]")):
+        ansatz_solve(TrigBasis(2), U, CoeffSeq(W.n_min, vals))
 
 
 @pytest.mark.parametrize("bits", (53, 113, 160, 1100))
@@ -1134,7 +1234,7 @@ def test_pipeline_matches_dense_references_bit_for_bit(monkeypatch, kind, params
             _assert_mpf_only(L2, partner, state)
             _assert_same_op(partner, exact_partner(state, L2))
             with monkeypatch.context() as m:
-                m.setattr(dressing, "_march", _on_raw_values(_reference_march))
+                m.setattr(dressing, "_march", _on_fractions(fraction_march))
                 _, _, ref_state, ref_extras = build_case(spec, (-4, 4))
             assert extras == ref_extras
             assert state.window == ref_state.window

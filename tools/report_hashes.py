@@ -168,6 +168,13 @@ OFF_CENTRE = [
      "--window", "20", "24", "--precision", "53"],
 ]
 
+# the widest exact level recursions: eight levels of ints below z^8, on
+# the trigonometric family and the quadratic one with a linear term
+HIGH_GENUS = [
+    ["verify", "--family", "trig", "--g", "8", "--r1", "1.3"],
+    ["verify", "--family", "poly", "--g", "8", "--a2", "1", "--a0", "0", "--a1", "0.5"],
+]
+
 CONFIGS = CRITERION_1+ ODD_EXTENSION + NON_MONIC + NON_DYADIC + CURVES + PARTNERS + MORE + OTHERS
 
 # commands that read options from a --config file: each pairs its argv with
@@ -204,7 +211,7 @@ def run_listing(src: Path, tmp: Path) -> list:
     runs = ([(argv_, None) for argv_ in CONFIGS] + CONFIG_FILES
             + [(argv_, None)
                for argv_ in (HIGH_PRECISION + EXTRACTION + LOW_PRECISION + WIDE_FITS
-                             + GENUS3_PARTNERS + OFF_CENTRE)]
+                             + GENUS3_PARTNERS + OFF_CENTRE + HIGH_GENUS)]
             + ALIASES)
     results, files = [], 0
     for argv_, config in runs:
