@@ -63,9 +63,10 @@ CURVE_RECOVERY_TOL = mpf("1e-6")
 
 def l2_operator(U: CoeffSeq, W: CoeffSeq) -> DiffOp:
     """(T + U_n)^2 + W_n = T^2 + (U_n + U_{n+1}) T + (U_n^2 + W_n), on every
-    n where U_{n+1} and W_n are tabulated, formed as written: the square is a
-    composition, whose products with T's 1s round a U wider than the
-    working precision before U_n + U_{n+1}."""
+    n where U_{n+1} and W_n are tabulated, formed as written: the square is
+    one exact composition and adding W one exact sum, each of whose
+    coefficients is rounded once, so U_n + U_{n+1} is rounded once and
+    U_n^2 + W_n twice."""
     t_u = DiffOp.build({1: 1, 0: U}, U.window)
     return t_u * t_u + DiffOp({0: W})
 
@@ -459,7 +460,7 @@ def _pin_top_coefficients(basis, U, phi):
     rows = list(phi.values())
     rhs = [mpf_neg(u, p, RND) for u in U.values_on(min(phi), max(phi))]
     x, _info = linalg.lstsq(rows, rhs)
-    resid = raw_max([mpf_abs(rsub(rdot(row, x, p), y, p)) for row, y in zip(rows, rhs)])
+    resid = raw_max([rsub(rdot(row, x, p), y, p) for row, y in zip(rows, rhs)], p)
     if mpf_gt(resid, rmul(ANSATZ_TOL._mpf_, raw_max((*rhs, fone), p), p)):
         raise InconsistentDataError(
             f"coefficient family is not in the span of basis '{basis.name}' "

@@ -38,7 +38,10 @@ def lstsq(rows, rhs):
 
     Step k pivots on the first column whose float norm over rows k.. is
     the largest: the fsum of the squares of its entries, each the double
-    nearest its value.  A nan or an infinity in A or b is a NonFiniteError.
+    nearest its value times 2^-top, top the largest exponent plus bit count
+    among the entries left in columns and rows k.., so that no norm above
+    about 2^-537 of the largest underflows to 0.  A nan or an infinity in A
+    or b is a NonFiniteError.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -58,7 +61,7 @@ def lstsq(rows, rhs):
     # column equilibration
     colscale = []
     for col in cols:
-        s = raw_max(map(mpf_abs, col))
+        s = raw_max(col, prec)
         s = s if mpf_gt(s, fzero) else fone
         colscale.append(s)
         col[:] = [rdiv(t, s, prec) for t in col]
@@ -66,8 +69,9 @@ def lstsq(rows, rhs):
     perm = list(range(n))
     rdiag = []
     for k in range(n):
-        # pivot on the first column of largest float norm
-        sq = [_float_sumsq(col[k:]) for col in cols[k:]]
+        # pivot on the first column of largest float norm, all scaled alike
+        top = max((t[2] + t[3] for col in cols[k:] for t in col[k:] if t[1]), default=0)
+        sq = [_float_sumsq(col[k:], top) for col in cols[k:]]
         j = k + max(range(n - k), key=sq.__getitem__)
         if j != k:
             cols[k], cols[j] = cols[j], cols[k]
@@ -106,13 +110,14 @@ def lstsq(rows, rhs):
     return out, {"rank": rank, "n": n, "rdiag": rdiag, "pivot": perm}
 
 
-def _float_sumsq(col):
-    """fsum of the squares of the doubles nearest the raw finite values in
-    col.  A mantissa past 1000 bits, too long for a float, is first cut by
-    its own excess through true division, which rounds once, as float()."""
+def _float_sumsq(col, top):
+    """fsum of the squares of the doubles nearest v 2^-top, for the raw
+    finite values v in col.  A mantissa past 1000 bits, too long for a
+    float, is first cut by its own excess through true division, which
+    rounds once, as float()."""
     fl = [
-        ldexp(t[1], t[2]) if t[3] <= 1000
-        else ldexp(t[1] / (1 << (t[3] - 1000)), t[2] + t[3] - 1000)
+        ldexp(t[1], t[2] - top) if t[3] <= 1000
+        else ldexp(t[1] / (1 << (t[3] - 1000)), t[2] + t[3] - 1000 - top)
         for t in col
     ]
     return fsum(map(mul, fl, fl))

@@ -12,19 +12,20 @@ answer, the other operand or fzero, needs no rounding when the other
 operand fits in p bits), and so does a sum over an exponent gap past 100
 bits: added exactly when the magnitudes lie within p + 4 bits, otherwise
 the larger operand, to which libmp's perturbation rounds back when it fits
-in p bits.  raw_max compares magnitudes in place, rounding only what
-mpf_abs must.  cos_int is mpmath's cos at an integer, computed once per
-argument and precision for the trig family and basis, and pow_int libmp's
-integer power, computed once per (base, exponent, precision) for the
-geometric family and basis.  mpmath floats appear where a value enters
-(scalar, ZPoly's constructor) or leaves (coeffs, lead, sup_norm, reports).
+in p bits.  raw_max, the largest magnitude at p bits, compares in place,
+rounding only what mpf_abs must.  cos_int is mpmath's cos at an integer,
+computed once per argument and precision for the trig family and basis,
+and pow_int libmp's integer power, computed once per (base, exponent,
+precision) for the geometric family and basis.  mpmath floats appear
+where a value enters (scalar, ZPoly's constructor) or leaves (coeffs,
+lead, sup_norm, reports).
 Polynomial products, sums and differences exist once, as rpoly_mul,
 rpoly_add and rpoly_sub on raw coefficient vectors, which ZPoly's *, + and
-- wrap.  Operator composition (opalg's DiffOp.__mul__) rounds each product
-and sum here; the commutator, the partner, dressing's identity checks and
-its level recursion (the ansatz marches, fit rows and z^0 check) run
-exactly on raw_ints' ints and round each result once, a ratio by libmp's
-from_rational, an int times a power of two by rround.
+- wrap.  Operator arithmetic (opalg's composition, sum and commutator, and
+so the partner), dressing's identity checks and its level recursion (the
+ansatz marches, fit rows and z^0 check) run exactly on raw_ints' ints and
+round each result once, a ratio by libmp's from_rational, an int times a
+power of two by rround.
 Every function computes at the caller's mpmath precision, mp.prec, which
 the caller scopes with mp.workprec; importing the package leaves it alone.
 The CLI runs at DEFAULT_PRECISION_BITS, a 113-bit significand (quad-like),
@@ -42,7 +43,7 @@ from itertools import repeat
 
 from mpmath import cos, mp, mpf
 from mpmath.libmp import (
-    finf, fnan, fninf, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg, mpf_pow_int,
+    finf, fnan, fninf, fzero, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_pow_int,
     mpf_sub,
 )
 from mpmath.libmp import round_nearest as RND
@@ -88,28 +89,12 @@ def scalar(x) -> mpf:
     return v
 
 
-def raw_max(vals, prec=None):
-    """The first largest of the raw values vals, as max() picks it; with prec,
-    of their mpf_abs at prec: max(abs(v) for v in vals), as mpf's abs rounds.
-    Without prec, two nonzero finite values of sign 0 compare on exponent plus
-    bit count, the binary order of magnitude, and ties, zeros, specials and
-    signs go to libmp's mpf_gt.  With prec, magnitudes are compared in place:
-    exponent plus bit count first, on a tie the mantissas shifted to a common
-    length; only zeros, specials and values wider than prec are rounded by
-    mpf_abs, and the winner's abs is returned."""
-    if prec is None:
-        it = iter(vals)
-        best = next(it)
-        for v in it:
-            if v[1] and best[1] and not (v[0] or best[0]):
-                d = v[2] + v[3] - best[2] - best[3]
-                if d:
-                    if d > 0:
-                        best = v
-                    continue
-            if mpf_gt(v, best):
-                best = v
-        return best
+def raw_max(vals, prec):
+    """max(abs(v) for v in vals) of the raw values vals, as mpf's abs rounds
+    at prec: the first largest, as max() picks it.  Magnitudes are compared in
+    place: exponent plus bit count first, on a tie the mantissas shifted to a
+    common length; only zeros, specials and values wider than prec are
+    rounded by mpf_abs, and the winner's abs is returned."""
     # best is the winner, or its abs when mpf_abs made it; bman, btop and bbc
     # are its mantissa (0 for a zero or special), exponent plus bit count and
     # bit count

@@ -9,10 +9,11 @@ zero-padding would corrupt commutator checks at the window edges.
 
 Sequences store raw libmp values, on which numcore's kernels compute, and
 tabulate at construction (nothing lazy); neither they nor operators mutate,
-so values are safe to share across workers.  DiffOp's * and + round every
-product and sum.  An exact form (exact_form: raw values as signed ints on
-one exponent) composes and sums with no rounding, and exact_op rounds each
-value once; the commutator and dressing's partner are formed so.
+so values are safe to share across workers.  Operators have one
+arithmetic: an exact form (exact_form: raw values as signed ints on one
+exponent) composes and sums with no rounding, and exact_op rounds each
+value once.  DiffOp's *, + and - are one such composition or sum of their
+operands, and the commutator and dressing's partner are formed so too.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ import operator
 from itertools import repeat
 
 from mpmath import mp, mpf
-from mpmath.libmp import fone, from_rational, mpf_neg
+from mpmath.libmp import fone, from_rational
 from mpmath.libmp import round_nearest as RND
 
 from .errors import WindowError
-from .numcore import radd, raw_ints, raw_max, rmac, rmul, rround, rsub, rtrimmed, scalar, to_json
+from .numcore import raw_ints, raw_max, rmac, rmul, rround, rtrimmed, scalar, to_json
 
 
 class CoeffSeq:
@@ -94,43 +95,9 @@ class CoeffSeq:
     def sup_norm(self) -> mpf:
         return mp.make_mpf(raw_max(self.raw, mp.prec))
 
-    def binop(self, other, op) -> "CoeffSeq":
-        """self op other on the common window; op is a raw kernel of numcore."""
-        lo, hi = _common_window([self, other])
-        vals = map(op, self.values_on(lo, hi), other.values_on(lo, hi), repeat(mp.prec))
-        return CoeffSeq._from_raw(lo, list(vals))
-
-    def __add__(self, other):
-        return self.binop(other, radd)
-
-    def __sub__(self, other):
-        return self.binop(other, rsub)
-
-    def __mul__(self, other):
-        if isinstance(other, CoeffSeq):
-            return self.binop(other, rmul)
-        c, p = scalar(other)._mpf_, mp.prec
-        return CoeffSeq._from_raw(self.n_min, [rmul(c, v, p) for v in self.raw])
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        p = mp.prec
-        return CoeffSeq._from_raw(self.n_min, [mpf_neg(v, p, RND) for v in self.raw])
-
     def __repr__(self):
         lo, hi = self.window
         return f"CoeffSeq([{lo}, {hi}])"
-
-
-def _common_window(seqs, requested=None):
-    lo = max(s.window[0] for s in seqs)
-    hi = min(s.window[1] for s in seqs)
-    if requested is not None:
-        lo, hi = max(lo, int(requested[0])), min(hi, int(requested[1]))
-    if hi < lo:
-        raise WindowError("term windows have empty intersection")
-    return lo, hi
 
 
 MONIC_TOL = mpf("1e-12")
@@ -150,7 +117,12 @@ class DiffOp:
         items = {int(j): t for j, t in terms.items()}
         if not items:
             raise ValueError("operator needs at least one term")
-        lo, hi = _common_window(list(items.values()), window)
+        lo = max(t.window[0] for t in items.values())
+        hi = min(t.window[1] for t in items.values())
+        if window is not None:
+            lo, hi = max(lo, int(window[0])), min(hi, int(window[1]))
+        if hi < lo:
+            raise WindowError("term windows have empty intersection")
         self.terms = {j: items[j].restrict((lo, hi)) for j in sorted(items)}
         self.window = (lo, hi)
 
@@ -222,46 +194,25 @@ class DiffOp:
         return CoeffSeq._from_raw(lo, [v[0] for v in vals] if scalars else [*map(rtrimmed, vals)])
 
     def __mul__(self, other):
+        """self o other, exactly, each coefficient rounded once."""
         if not isinstance(other, DiffOp):
-            c = scalar(other)
-            return DiffOp({j: t * c for j, t in self.terms.items()}, self.window)
-        # composition: coefficient of T^(i+j) picks up b_j shifted by i
-        lo = max(self.window[0], other.window[0] - self.min_degree)
-        hi = min(self.window[1], other.window[1] - self.order)
-        if hi < lo:
-            raise WindowError("composition window empty")
-        prec, out = mp.prec, {}
-        for i, a in self.terms.items():
-            av = a.values_on(lo, hi)
-            for j, b in other.terms.items():
-                bv, k = b.values_on(lo + i, hi + i), i + j
-                if k in out:
-                    out[k] = [rmac(acc, x, y, prec) for acc, x, y in zip(out[k], av, bv)]
-                else:
-                    out[k] = [rmul(x, y, prec) for x, y in zip(av, bv)]
-        return DiffOp({k: CoeffSeq._from_raw(lo, v) for k, v in out.items()}, (lo, hi))
-
-    __rmul__ = __mul__
+            return NotImplemented
+        return exact_op(exact_compose(exact_form(self), exact_form(other)), mp.prec)
 
     def scale_left(self, c: CoeffSeq) -> "DiffOp":
         """c(n) o self, the zero-degree coefficient c as a left factor."""
         return DiffOp({0: c}) * self
 
-    def _termwise(self, other: "DiffOp", op, alone) -> "DiffOp":
-        lo, hi = _common_window([*self.terms.values(), *other.terms.values()])
-        out = dict(self.terms)
-        for j, t in other.terms.items():
-            out[j] = op(out[j], t) if j in out else alone(t)
-        return DiffOp(out, (lo, hi))
-
     def __add__(self, other: "DiffOp") -> "DiffOp":
-        return self._termwise(other, operator.add, lambda t: t)
+        """self + other termwise, exactly, each coefficient rounded once."""
+        if not isinstance(other, DiffOp):
+            return NotImplemented
+        return exact_op(exact_sum(exact_form(self), exact_form(other)), mp.prec)
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return self._termwise(other, operator.sub, operator.neg)
-
-    def __neg__(self) -> "DiffOp":
-        return DiffOp({j: -t for j, t in self.terms.items()}, self.window)
+        if not isinstance(other, DiffOp):
+            return NotImplemented
+        return exact_op(exact_sum(exact_form(self), exact_form(other), -1), mp.prec)
 
     def __repr__(self):
         return f"DiffOp(order={self.order}, window={self.window})"

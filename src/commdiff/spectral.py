@@ -262,7 +262,7 @@ def _coefficient_commutator_rel(A: DiffOp, B: DiffOp) -> mpf:
     # v != 0 needs a non-zero product coefficient
     return mp.make_mpf(raw_max([fzero, *(
         from_rational(abs(v), max(abs(x), abs(y)), mp.prec, RND) for j, c in comm.items()
-        for v, x, y in zip(c, abt[j][lo - alo:], bat[j][lo - blo:]) if v)]))
+        for v, x, y in zip(c, abt[j][lo - alo:], bat[j][lo - blo:]) if v)], mp.prec))
 
 
 def rank2_curve_check(L4: DiffOp, L6: DiffOp, expected_r: ZPoly) -> Rank2CurveReport:

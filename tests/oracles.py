@@ -189,7 +189,8 @@ def baker_akhiezer(state: DressingState, P: CurvePoint, n: int) -> mpf:
 
 def factorization_check(state: DressingState, L2: DiffOp, P: CurvePoint, f: CoeffSeq) -> mpf:
     """Sup difference of (L2 - z) f and (T + U_n + U_{n+1} + chi_{n+1})(T - chi_n) f."""
-    lhs = L2.apply(f) - f * P.z
+    l2f = L2.apply(f)
+    lhs = CoeffSeq.tabulate(lambda n: l2f.at(n) - f.at(n) * P.z, l2f.window)
     qlo, qhi = state.window[0] + 1, state.window[1]
     glo = max(f.window[0], qlo)
     ghi = min(f.window[1] - 1, qhi)
@@ -320,10 +321,14 @@ def _reference_lstsq(rows, rhs, rank_tol=None):
     perm = list(range(n))
     rdiag = []
     for k in range(n):
-        # the first column of largest float norm over rows k..
+        # the first column of largest float norm over rows k.., every entry
+        # scaled by 2^-top, top the largest binary exponent left
+        top = max((mp.frexp(A[i][j])[1] for j in range(k, n) for i in range(k, m) if A[i][j]),
+                  default=0)
         best, best_j = -1.0, k
         for j in range(k, n):
-            cn = fsum(float(A[i][j]) * float(A[i][j]) for i in range(k, m))
+            fl = [float(mp.ldexp(A[i][j], -top)) for i in range(k, m)]
+            cn = fsum(x * x for x in fl)
             if cn > best:
                 best, best_j = cn, j
         if best_j != k:

@@ -38,6 +38,8 @@ from oracles import (
     chi_eval,
     curve_point,
     _fraction,
+    _fraction_compose,
+    _fraction_sum,
     _reference_lstsq,
     exact_identity_residuals,
     exact_table,
@@ -46,9 +48,11 @@ from oracles import (
     exact_partner,
     factorization_check,
     fraction_march,
+    fraction_op,
     fraction_row,
     fraction_table,
     rounded_fraction,
+    rounded_op,
     solve_partner_recursive,
 )
 from test_opalg import _reference_compose
@@ -1202,6 +1206,14 @@ def _reference_l2(U, W):
                                operator.add)
 
 
+def _exact_l2(U, W):
+    """(T + U_n)^2 + W_n in Fractions: the square rounded once at the
+    working precision, then the sum with W rounded once."""
+    t_u = fraction_op(DiffOp.build({1: 1, 0: U}, U.window))
+    sq = rounded_op(_fraction_compose(t_u, t_u), mp.prec)
+    return rounded_op(_fraction_sum(fraction_op(sq), fraction_op(DiffOp({0: W}))), mp.prec)
+
+
 def _raw_poly(p):
     return [c._mpf_ for c in p.coeffs]
 
@@ -1287,11 +1299,14 @@ def test_l2_operator_window_and_bits_match_the_mpf_loops(bits):
 
         tables = [(seq((-12, 12)), seq((-8, 8))), (seq((-5, 6)), seq((-9, 10)))]
     with mp.workprec(bits):
-        # U wider than W, then W wider than U; each table at twice bits,
-        # rounded as the formula multiplies by the 1s of T
+        # U wider than W, then W wider than U; each table at twice bits, with
+        # the square and the sum each exact and rounded once; rounded to
+        # bits, the tables give the bits of the rounded mpf loops
         for U2, W2 in tables:
-            for U, W in ((U2, W2), (_rounded(U2), _rounded(W2))):
-                _assert_same_op(l2_operator(U, W), _op(*_reference_l2(U, W)))
+            _assert_same_op(l2_operator(U2, W2), _exact_l2(U2, W2))
+            U, W = _rounded(U2), _rounded(W2)
+            _assert_same_op(l2_operator(U, W), _op(*_reference_l2(U, W)))
+            _assert_same_op(l2_operator(U, W), _exact_l2(U, W))
         assert [l2_operator(U, W).window for U, W in tables] == [(-8, 8), (-5, 5)]
         assert _wide(tables[0][0].values, bits)
 

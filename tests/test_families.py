@@ -177,7 +177,7 @@ def test_geom_w_closed_form_sign():
             amp = -(a ** (2 * g + 2) - 1) * (a ** (2 * g) - 1) / (a ** (2 * g + 1) + 1) ** 2
             assert all(W.at(n) == amp * a ** (2 * n) for n in range(-g - 6, g + 7))
             with pytest.raises(InconsistentDataError):
-                ansatz_solve(GeomBasis(g, a), U, -W)
+                ansatz_solve(GeomBasis(g, a), U, CoeffSeq(W.n_min, [-w for w in W.values]))
 
 
 def test_geom_validation():

@@ -16,6 +16,7 @@ from commdiff.lame import (
     lame_curve_independence,
     lame_l2,
 )
+from commdiff.opalg import CoeffSeq
 
 CTX = WeierstrassContext(4, 0)
 
@@ -195,7 +196,7 @@ def test_lame_l2_structure():
     for n in (-24, 0, 24):
         assert L2.coeff(0).at(n) == wp_eps
         assert L2.coeff(2).at(n) == 1 / eps**2
-    monic = L2 * eps**2
+    monic = L2.scale_left(CoeffSeq.constant(eps**2, L2.window))
     assert monic.is_monic()
 
 

@@ -90,6 +90,17 @@ def _midpoints(rng, m):
     return rows, [mpf(rng.uniform(-1, 1)) for _ in range(m)]
 
 
+def _tiny_norms(rng, m):
+    # c, c + 2^-700 r2, c + 2^-600 r1: after the first step the two columns
+    # left have norms near 2^-700 and 2^-600, whose float squares underflow
+    # to 0 unless scaled; the second pivot is the third column
+    c, r1, r2 = ([mpf(rng.uniform(-1, 1)) for _ in range(m)] for _ in range(3))
+    cols = [c, [x + mpf(2) ** -700 * y for x, y in zip(c, r2)],
+            [x + mpf(2) ** -600 * y for x, y in zip(c, r1)]]
+    rows = [list(r) for r in zip(*cols)]
+    return rows, [mpf(rng.uniform(-1, 1)) for _ in range(m)]
+
+
 def _oracle_cases():
     rng = random.Random(4)
     return [
@@ -106,6 +117,7 @@ def _oracle_cases():
         ("float-misorder", *_float_misorder(rng)),
         ("zero-column", *_zero_column(rng, 15, 5)),
         ("midpoints", *_midpoints(rng, 12)),
+        ("tiny-norms", *_tiny_norms(rng, 8)),
     ]
 
 
@@ -133,6 +145,20 @@ def test_lstsq_matches_reference_bit_for_bit(bits):
             assert info["rdiag"] == _raw(ref["rdiag"]), name
             assert info["pivot"] == ref["pivot"], name
             assert (info["rank"], info["n"]) == (ref["rank"], ref["n"]), name
+
+
+def test_lstsq_pivots_by_norm_where_float_squares_underflow():
+    # the remaining norms 2^-600 and 2^-700 lie far above the rank threshold
+    # at 1100 bits; unscaled, both float squares read 0 and the pivot order
+    # fell back to the column index
+    with mp.workprec(1100):
+        rows, rhs = _tiny_norms(random.Random(6), 8)
+        _x, info = _solve(rows, rhs)
+        d = [abs(mp.make_mpf(v)) for v in info["rdiag"]]
+    assert info["pivot"] == [0, 2, 1] and info["rank"] == 3
+    assert d[0] > 1
+    assert mpf(2) ** -604 < d[1] < mpf(2) ** -596
+    assert mpf(2) ** -704 < d[2] < mpf(2) ** -696
 
 
 @pytest.mark.parametrize("where, bad", [("A", "nan"), ("A", "-inf"), ("b", "inf")])

@@ -16,7 +16,16 @@ from commdiff.opalg import (
     op_from_json,
     op_to_json,
 )
-from oracles import exact_commutator, exact_commutator_rel, fraction_form, shift
+from oracles import (
+    _fraction_compose,
+    _fraction_sum,
+    exact_commutator,
+    exact_commutator_rel,
+    fraction_form,
+    fraction_op,
+    rounded_op,
+    shift,
+)
 from test_numcore import trap_values
 
 WIN = (-24, 24)
@@ -122,25 +131,19 @@ def test_mul_variable_coefficients():
 
 
 def test_mul_and_scale_left_match_elementwise_reference():
-    # the sliced products must equal the per-index sums, in the same order
+    # every coefficient is the exact per-index sum, rounded once
     rng = random.Random(21)
     A = DiffOp.build({-1: lambda n: mpf(rng.uniform(-2, 2)), 0: lambda n: mpf(n) / 3,
                       2: lambda n: mpf(rng.uniform(-2, 2))}, (-20, 22))
     B = DiffOp.build({0: lambda n: mpf(rng.uniform(-2, 2)), 1: 1,
                       3: lambda n: mpf(n) / 7}, (-24, 18))
     prod = A * B
-    lo, hi = prod.window
-    ref = {}
-    for i, a in A.terms.items():
-        for j, b in B.terms.items():
-            contrib = [a.at(n) * b.at(n + i) for n in range(lo, hi + 1)]
-            old = ref.get(i + j)
-            ref[i + j] = contrib if old is None else [x + y for x, y in zip(old, contrib)]
-    assert sorted(prod.terms) == sorted(ref)
-    assert all(list(prod.terms[k].values) == v for k, v in ref.items())
+    _assert_op_is(prod, *_exact_compose(A, B))
+    assert prod.window == (-20, 16)
     c = CoeffSeq.tabulate(lambda n: mpf(rng.uniform(-2, 2)), (-15, 30))
     scaled = A.scale_left(c)
     assert scaled.window == (-15, 22)
+    # c(n) u_j(n), one product each, is the mpf product
     for j, t in A.terms.items():
         assert list(scaled.terms[j].values) == [c.at(n) * t.at(n) for n in range(-15, 23)]
 
@@ -319,8 +322,6 @@ def test_public_constructors_reject_non_finite():
             DiffOp.build({0: bad, 1: 1}, (0, 3))
         with pytest.raises(NonFiniteError):
             DiffOp.build({0: lambda n, bad=bad: bad, 1: 1}, (0, 3))
-        with pytest.raises(NonFiniteError):
-            CoeffSeq(0, [1, 2]) * bad
     for text in ("inf", "-inf", "nan"):
         doc = '{"order": 1, "window": [0, 1], "terms": {"0": ["1", "%s"], "1": ["1", "1"]}}'
         with pytest.raises(NonFiniteError):
@@ -331,29 +332,58 @@ def _all_mpf(L):
     return all(type(v) is mpf for t in L.terms.values() for v in t.values)
 
 
-def test_results_hold_mpf_and_scalar_operands_are_coerced():
+def test_results_hold_mpf():
     rng = random.Random(8)
     A = DiffOp.build({0: lambda n: mpf(rng.uniform(-2, 2)) / 3, 1: 1}, (-10, 12))
     B = DiffOp.build({-1: lambda n: mpf(n) / 7, 2: lambda n: mpf(rng.uniform(-2, 2))}, (-8, 10))
     c = CoeffSeq.tabulate(lambda n: mpf(n) / 9, (-9, 9))
     f = A.coeff(0)
-    for seq in (f * 2, 2 * f, f * 0.75, f + c, f - c, f * c, -f, f.restrict((0, 3)),
-                A.apply(c)):
+    for seq in (f.restrict((0, 3)), A.apply(c)):
         assert all(type(v) is mpf for v in seq.values)
-    for L in (A * 3, 0.5 * A, A * B, A + B, A - B, -A, A.scale_left(c)):
+    for L in (A * B, A + B, A - B, A.scale_left(c)):
         assert _all_mpf(L)
 
 
+@pytest.mark.parametrize("op", (operator.mul, operator.add, operator.sub))
+def test_operands_other_than_operators_are_a_type_error(op):
+    A = DiffOp.build({0: lambda n: mpf(n) / 3, 1: 1}, (-4, 4))
+    for other in (2, mpf("0.5"), A.coeff(0)):
+        with pytest.raises(TypeError):
+            op(A, other)
+        with pytest.raises(TypeError):
+            op(other, A)
+
+
+def test_empty_composition_and_sum_windows_are_window_errors():
+    # disjoint windows; and windows that overlap, but where A's T^2 needs
+    # the right factor beyond its window
+    A = DiffOp.build({0: lambda n: mpf(n) / 3, 2: 1}, (0, 5))
+    B = DiffOp.build({1: 1}, (7, 9))
+    C = DiffOp.build({0: 1}, (5, 6))
+    for X, Y in ((A, B), (B, A)):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(WindowError, match="^term windows have empty intersection$"):
+                op(X, Y)
+    for X, Y in ((A, B), (B, A), (A, C)):
+        with pytest.raises(WindowError, match="^composition window empty$"):
+            X * Y
+    with pytest.raises(WindowError, match="^composition window empty$"):
+        A.scale_left(B.coeff(1))
+    assert (A + C).window == (C * A).window == (5, 5)
+
+
 def test_difference_matches_the_sum_with_the_negation_bit_for_bit():
+    # -Y as (-1) o Y, an exact negation; both sides are the exact sum
+    # rounded once
     rng = random.Random(13)
     A = DiffOp.build({0: lambda n: mpf(rng.uniform(-2, 2)) / 3,
                       1: lambda n: mpf(rng.uniform(-2, 2)) / 7}, (-10, 12))
     B = DiffOp.build({-1: lambda n: mpf(rng.uniform(-2, 2)) / 11, 1: 1}, (-8, 14))
     for X, Y in ((A, B), (B, A), (A * B, B * A)):
-        diff, ref = X - Y, X + (-Y)
-        assert diff.window == ref.window and sorted(diff.terms) == sorted(ref.terms)
-        for j, t in diff.terms.items():
-            assert [v._mpf_ for v in t.values] == [v._mpf_ for v in ref.terms[j].values]
+        diff = X - Y
+        _assert_op_is(diff, *_exact_sum(X, Y, -1))
+        ref = X + Y.scale_left(CoeffSeq.constant(-1, Y.window))
+        _assert_op_is(diff, *_terms_of(ref))
 
 
 def test_terms_on_the_window_are_shared_not_copied():
@@ -365,8 +395,9 @@ def test_terms_on_the_window_are_shared_not_copied():
 
 
 # ---------------------------------------------------------------------------
-# bit-identity oracles: the mpf-object loops that the coefficient and
-# operator arithmetic runs on raw libmp values
+# bit-identity oracles: the Fraction references of the exact operator
+# arithmetic, and the mpf-object loops of the kernels that still round each
+# product or sum
 # ---------------------------------------------------------------------------
 
 
@@ -374,12 +405,8 @@ def _mpfs_on(seq, lo, hi):
     return [mp.make_mpf(v) for v in seq.values_on(lo, hi)]
 
 
-def _reference_binop(x, y, op):
-    lo, hi = max(x.window[0], y.window[0]), min(x.window[1], y.window[1])
-    return list(map(op, _mpfs_on(x, lo, hi), _mpfs_on(y, lo, hi)))
-
-
 def _reference_compose(A, B):
+    """A o B by the mpf loops, every product and partial sum rounded."""
     lo = max(A.window[0], B.window[0] - A.min_degree)
     hi = min(A.window[1], B.window[1] - A.order)
     out = {}
@@ -390,6 +417,20 @@ def _reference_compose(A, B):
             k = i + j
             out[k] = list(map(operator.add, out[k], contrib)) if k in out else list(contrib)
     return (lo, hi), out
+
+
+def _terms_of(L):
+    return L.window, {j: t.values for j, t in L.terms.items()}
+
+
+def _exact_compose(A, B):
+    """A o B in Fractions, each coefficient rounded once at the working precision."""
+    return _terms_of(rounded_op(_fraction_compose(fraction_op(A), fraction_op(B)), mp.prec))
+
+
+def _exact_sum(A, B, sign=1):
+    """A + sign B in Fractions, each coefficient rounded once at the working precision."""
+    return _terms_of(rounded_op(_fraction_sum(fraction_op(A), fraction_op(B), sign), mp.prec))
 
 
 def _reference_scale_left(L, c):
@@ -420,7 +461,7 @@ def _assert_op_is(L, window, terms):
 
 
 @pytest.mark.parametrize("bits", (53, 113, 160, 1100))
-def test_coefficient_and_operator_kernels_match_the_mpf_loops_bit_for_bit(bits):
+def test_operator_kernels_match_their_references_bit_for_bit(bits):
     rng = random.Random(bits + 11)
     pool = trap_values(rng, bits)
     with mp.workprec(bits):
@@ -430,25 +471,26 @@ def test_coefficient_and_operator_kernels_match_the_mpf_loops_bit_for_bit(bits):
                 window)
 
         for _ in range(4):
-            x, y, c = seq((-9, 12)), seq((-11, 8)), rng.choice(pool)
-            for got, op in ((x + y, operator.add), (x - y, operator.sub), (x * y, operator.mul)):
-                assert _raw_vals(got.values) == _raw_vals(_reference_binop(x, y, op))
-            assert _raw_vals((x * c).values) == _raw_vals([c * v for v in x.values])
-            assert _raw_vals((-x).values) == _raw_vals([-v for v in x.values])
+            x, y = seq((-9, 12)), seq((-11, 8))
             assert x.sup_norm()._mpf_ == max(abs(v) for v in x.values)._mpf_
             A = DiffOp({-1: seq((-12, 12)), 0: seq((-12, 12)), 2: seq((-12, 12))})
             B = DiffOp({0: seq((-10, 14)), 1: seq((-10, 14)), 3: seq((-10, 14))})
-            _assert_op_is(A * B, *_reference_compose(A, B))
-            _assert_op_is(B * A, *_reference_compose(B, A))
+            for X, Y in ((A, B), (B, A), (A, A)):
+                _assert_op_is(X * Y, *_exact_compose(X, Y))
+                _assert_op_is(X + Y, *_exact_sum(X, Y))
+                _assert_op_is(X - Y, *_exact_sum(X, Y, -1))
+            # a scale is one product per coefficient, the mpf product
             _assert_op_is(A.scale_left(x), *_reference_scale_left(A, x))
             # terms of exact 1s on either side, against factors that hold a
-            # value wider than bits, which a product with 1 rounds
+            # value wider than bits, which the exact arithmetic rounds only
+            # in the result
             ones = CoeffSeq.constant(1, (-12, 14))
             wide = CoeffSeq(-12, [pool[4], *_mpfs_on(x, -9, 12), pool[5]])
             A1 = DiffOp({**A.terms, 0: wide, 2: ones})
             B1 = DiffOp({0: ones, 1: wide, 3: ones})
             for L, R in ((A1, B), (B, A1), (A, B1), (B1, A), (A1, B1), (B1, A1), (A1, A1)):
-                _assert_op_is(L * R, *_reference_compose(L, R))
+                _assert_op_is(L * R, *_exact_compose(L, R))
+                _assert_op_is(L + R, *_exact_sum(L, R))
             for L, c in ((A1, x), (B1, wide), (B1, x)):
                 _assert_op_is(L.scale_left(c), *_reference_scale_left(L, c))
             lo, vals = _reference_apply(B, y)
@@ -456,3 +498,4 @@ def test_coefficient_and_operator_kernels_match_the_mpf_loops_bit_for_bit(bits):
             assert got.window[0] == lo and _raw_vals(got.values) == _raw_vals(vals)
             assert A.sup_norm()._mpf_ == max(abs(v) for t in A.terms.values()
                                              for v in t.values)._mpf_
+
