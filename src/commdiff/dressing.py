@@ -459,7 +459,7 @@ def _pin_top_coefficients(basis, U, phi):
     p = mp.prec
     rows = list(phi.values())
     rhs = [mpf_neg(u, p, RND) for u in U.values_on(min(phi), max(phi))]
-    x, _info = linalg.lstsq(rows, rhs)
+    x, _info = linalg.lstsq_mpf(rows, rhs)
     resid = raw_max([rsub(rdot(row, x, p), y, p) for row, y in zip(rows, rhs)], p)
     if mpf_gt(resid, rmul(ANSATZ_TOL._mpf_, raw_max((*rhs, fone), p), p)):
         raise InconsistentDataError(
@@ -579,11 +579,12 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
     affine vectors over them are marched on that window only, in four
     columns (_fit_rows: the level map does not depend on the level, so
     every level's constants share one march of unit seeds), each row is
-    divided by its largest |entry| (linalg.lstsq equilibrates the columns),
-    and a fit of rank below 3g is a RankDeficiencyError.  Scalars are then
-    marched over the whole table; a z^0 row whose residual exceeds
-    ANSATZ_TOL times max_i |d_i| max(|c_i|, 1) |S_{n+s_i}|, a bound on the
-    largest coefficient of the relation's four terms there, is an
+    divided by its largest |entry| (linalg.lstsq, the fixed-point solve,
+    then shifts each column by a power of two), and a fit of rank below 3g
+    is a RankDeficiencyError.  Scalars are then marched over the whole
+    table; a z^0 row whose residual exceeds ANSATZ_TOL times
+    max_i |d_i| max(|c_i|, 1) |S_{n+s_i}|, a bound on the largest
+    coefficient of the relation's four terms there, is an
     InconsistentDataError naming n, and the worst ratio is
     info["resid_rel"].  The marches are exact (_march); each fit-row entry
     is rounded once RECURSION_GUARD_BITS above the working precision, where

@@ -183,8 +183,8 @@ def build_case(spec: FamilySpec, window):
     The state covers [lo - 2, hi + 2g + 3]; U and W two more on each side
     and at least the pin fit's grid; the elliptic gamma_n = 2 + u_n
     (u_n drawn from random.Random(spec.seed)) one more on the right.  extras
-    holds the report entries the pipeline adds: w_sign (geom),
-    ansatz_residual_rel (ansatz solve) and gamma_window (elliptic).
+    holds the report entries the pipeline adds: ansatz_residual_rel
+    (ansatz solve) and gamma_window (elliptic).
     """
     lo, hi = int(window[0]), int(window[1])
     slo, shi = lo - 2, hi + 2 * spec.g + 3
@@ -211,7 +211,5 @@ def build_case(spec: FamilySpec, window):
         result = dressing.ansatz_solve(basis, U, W, fine)
         state = result.state(U, W, (slo, shi))
         extras = {"ansatz_residual_rel": result.info["resid_rel"]}
-        if spec.kind == "geom":
-            extras["w_sign"] = 1
     L2 = state.l2()
     return L2, dressing.build_partner_op(state, L2), state, extras

@@ -1,34 +1,115 @@
-"""Dense least squares on raw mpmath values.
+"""Dense least squares for the ansatz solve's two fits: column-pivoted
+Householder QR on rows of raw libmp values, whose pivots expose rank loss.
 
-The least-squares path is a column-pivoted Householder QR with column
-equilibration; pivots expose rank loss, which callers treat as an error
-beyond the normalization freedom they expect.  It takes rows of raw libmp
-values, holds the matrix as columns of them and runs every operation at the
-working precision with round-to-nearest, in a fixed order: products, sums,
-differences and quotients through the kernels of `numcore`, square roots
-and the doubling of a dot product through `mpmath.libmp`.  Each sum of
-products is `numcore.rdot`, left to right from its first product, and each
-entry t - f v_i of a Householder update is one `numcore.rmac`.  Each pivot
-is the first column of largest float norm, each entry read as the double
-nearest its value.  So the result is a function of the input and the
-precision alone, bit for bit: the same x, R diagonal and pivot order as the
-plain row-major loop of mpf objects that the tests keep as their oracle
-(`_reference_lstsq` in `tests/oracles.py`).
+`lstsq` runs in fixed point, on Python ints (see its docstring).  Its one
+caller is `dressing.ansatz_solve`'s fit of the 3g integration constants.
+
+`lstsq_mpf` equilibrates the columns and runs every operation at the working
+precision with round-to-nearest, in a fixed order: products, sums,
+differences and quotients through the kernels of `numcore`, square roots and
+the doubling of a dot product through `mpmath.libmp`.  Each sum of products
+is `numcore.rdot`, left to right from its first product, and each entry
+t - f v_i of a Householder update is one `numcore.rmac`.  Each pivot is the
+first column of largest float norm, each entry read as the double nearest
+its value.  So the result is a function of the input and the precision
+alone, bit for bit: the same x, R diagonal and pivot order as the plain
+row-major loop of mpf objects that the tests keep as their oracle
+(`_reference_lstsq` in `tests/oracles.py`).  Its one caller is
+`dressing._pin_top_coefficients`, whose bits set the leads of Q; ROADMAP
+item 2b deletes the pin fit and this solver with it.
 """
 
 from __future__ import annotations
 
-from math import fsum, ldexp
+from math import fsum, isqrt, ldexp
 from operator import mul
 
 from mpmath import mp
 from mpmath.libmp import fone, fzero, mpf_abs, mpf_gt, mpf_neg, mpf_shift, mpf_sqrt, round_nearest
 
 from .errors import NonFiniteError, RankDeficiencyError
-from .numcore import raw_max, rdiv, rdot, rmac, rsub
+from .numcore import raw_max, rdiv, rdot, rmac, rround, rsub
 
 
 def lstsq(rows, rhs):
+    """Minimize ||A x - b||_2 by column-pivoted Householder QR in fixed point.
+
+    rows: list of rows of A (m x n, m >= n); rhs: length-m vector; every
+    entry a raw value.  Returns (x, info), x raw, with info = {rank, n,
+    rdiag, pivot}, rdiag the raw R diagonal of the shifted columns.  Rank
+    counts the pivots above 2^floor(-3p/4) times the largest, p = mp.prec.
+
+    Each column of A and b is held as ints on 2^-F, F = p + 16, after the
+    shift that puts its largest |entry| in [1/2, 1) (_fixed).  Step k pivots
+    on the first column of largest exact norm over rows k..; alpha is the
+    isqrt of that norm, and each entry t of a column is updated to
+    t - ((f v_i) >> F), f = floor(2^(F+1) (v . t) / (v . v)).  The
+    back-substitution floors each quotient on 2^-2F, and each x is rounded
+    once at p by numcore.rround.  A nan or an infinity in A or b is a
+    NonFiniteError.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if m < n:
+        raise ValueError(f"underdetermined system: {m} equations, {n} unknowns")
+    p = mp.prec
+    F = p + 16
+    raw = [*zip(*rows), rhs]
+    if any(not t[1] and t[2] for col in raw for t in col):
+        raise NonFiniteError("least-squares system has a nan or an infinite entry")
+    (*cols, b), (*tops, btop) = zip(*(_fixed(col, F) for col in raw))
+
+    perm = list(range(n))
+    rdiag = []
+    for k in range(n):
+        norms = [sum(map(mul, col[k:], col[k:])) for col in cols[k:]]
+        j = k + norms.index(max(norms))
+        cols[k], cols[j] = cols[j], cols[k]
+        perm[k], perm[j] = perm[j], perm[k]
+        ck = cols[k]
+        alpha = isqrt(norms[j - k])
+        if ck[k] > 0:
+            alpha = -alpha
+        rdiag.append(alpha)
+        if not alpha:
+            continue
+        v = ck[k:]
+        v[0] -= alpha
+        vnorm2 = sum(map(mul, v, v))
+        ck[k:] = [alpha] + [0] * (m - k - 1)
+        for col in cols[k + 1:] + [b]:
+            f = (sum(map(mul, v, col[k:])) << F + 1) // vnorm2
+            col[k:] = [t - (f * vi >> F) for vi, t in zip(v, col[k:])]
+
+    # |d| 2^ceil(3p/4) > max |d|: one bit more than (3p)//4 when 4 does not divide 3p
+    r0, shift = max(map(abs, rdiag), default=0), -(-3 * p // 4)
+    rank = sum(1 for d in rdiag if abs(d) << shift > r0)
+
+    # y on 2^-2F: r_kj y_j on 2^-3F, b_k shifted up to it
+    y = [0] * n
+    for k in range(rank - 1, -1, -1):
+        num = (b[k] << 2 * F) - sum(cols[j][k] * y[j] for j in range(k + 1, rank))
+        y[k] = num // cols[k][k]
+    x = [fzero] * n
+    for yk, j in zip(y, perm):
+        x[j] = rround(yk, btop - tops[j] - 2 * F, p)
+    return x, {"rank": rank, "n": n, "rdiag": [rround(d, -F, p) for d in rdiag], "pivot": perm}
+
+
+def _fixed(col, F):
+    """The raw finite values of col as ints on 2^-F after the shift by
+    2^-top that puts the largest |entry| in [1/2, 1), each rounded to the
+    nearest int, halves up: (ints, top), top 0 for an all-zero column."""
+    top = max((e + bc for _s, man, e, bc in col if man), default=0)
+    out = []
+    for s, man, e, _bc in col:
+        sh = e - top + F
+        v = man << sh if sh >= 0 else (man >> -sh - 1) + 1 >> 1
+        out.append(-v if s else v)
+    return out, top
+
+
+def lstsq_mpf(rows, rhs):
     """Minimize ||A x - b||_2 by column-pivoted Householder QR.
 
     rows: list of rows of A (m x n, m >= n); rhs: length-m vector; every

@@ -7,8 +7,10 @@ master identity F_g = S_n^2 + (z - U_n^2 - W_n) Q_n Q_{n+1} from seed data
 of the curve, the ratio chi_n(P) = (S_n(z) + w) / Q_n(z), the Baker-Akhiezer
 products of consecutive ratios and the factorization of L2 - z.  shift(window,
 degree) is the operator T^degree on window.  poly_div_exact, the long
-division the partner march divides by, and _reference_lstsq, the mpf loop
-that linalg.lstsq reproduces bit for bit, live here too, and so do the
+division the partner march divides by, _reference_lstsq, the mpf loop
+that linalg.lstsq_mpf reproduces bit for bit, and exact_lstsq, the exact
+least-squares solution that linalg.lstsq is measured against, live here
+too, and so do the
 loops that spectral.kernel_extend, DiffOp.apply and spectral.action_matrix
 reproduce bit for bit: the kernel recurrence in ZPoly arithmetic, the
 per-site mpf apply, and the action matrix read from the kernel transposed
@@ -38,7 +40,7 @@ from mpmath.libmp import from_rational, fzero, round_nearest
 
 from commdiff.dressing import DEGENERACY_REL, DressingState, q_from_s
 from commdiff.errors import DegenerateDenominatorError, InconsistentDataError, WindowError
-from commdiff.numcore import HyperellipticCurve, ZPoly, scalar
+from commdiff.numcore import HyperellipticCurve, ZPoly, raw_ints, scalar
 from commdiff.opalg import CoeffSeq, DiffOp
 from commdiff.spectral import ACTION_PAD
 
@@ -301,7 +303,7 @@ def _reference_action_matrix(L_base, L_act, n0: int):
 
 
 def _reference_lstsq(rows, rhs, rank_tol=None):
-    """The row-major mpf loop that `lstsq` must reproduce bit for bit."""
+    """The row-major mpf loop that `lstsq_mpf` must reproduce bit for bit."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     if rank_tol is None:
@@ -378,6 +380,30 @@ def _reference_lstsq(rows, rhs, rank_tol=None):
 
     info = {"rank": rank, "n": n, "rdiag": rdiag, "resid_inf": resid, "pivot": perm}
     return out, info
+
+
+def exact_lstsq(rows, rhs):
+    """The least-squares solution of the raw rows and rhs, of full column
+    rank, as Fractions: the normal equations A^T A y = A^T b over the ints
+    that hold each column on its own exponent (numcore.raw_ints), reduced
+    by fraction-free (Bareiss) elimination, then solved back over
+    Fractions."""
+    cols = [raw_ints([col]) for col in zip(*rows)]
+    ((b,), eb), n = raw_ints([rhs]), len(cols)
+    M = [[sum(map(operator.mul, c, d)) for (d,), _e in cols] + [sum(map(operator.mul, c, b))]
+         for (c,), _e in cols]
+    prev = 1
+    for k in range(n):
+        piv = next(i for i in range(k, n) if M[i][k])
+        M[k], M[piv] = M[piv], M[k]
+        for i in range(k + 1, n):
+            M[i] = [0] * (k + 1) + [(M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+                                    for j in range(k + 1, n + 1)]
+        prev = M[k][k]
+    y = [Fraction(0)] * n
+    for k in range(n - 1, -1, -1):
+        y[k] = (M[k][n] - sum(M[k][j] * y[j] for j in range(k + 1, n))) / Fraction(M[k][k])
+    return [v * Fraction(2) ** (eb - e) for v, (_c, e) in zip(y, cols)]
 
 
 # ---------------------------------------------------------------------------

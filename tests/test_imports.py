@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -30,3 +32,37 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_package_modules_import_no_unused_name(path):
     assert unused_imports(path.read_text()) == []
+
+
+BENCH_PASSRUN = PACKAGE.parent.parent / "benchmarks" / "passrun.py"
+
+
+def _package_chains(tree) -> list:
+    """The attribute chains cd.<module>.<name> and commdiff.<module>.<name>
+    in tree (cd being the package as passrun's functions receive it), as
+    (module, name, the Call node when the chain is called, else None)."""
+    called = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    return [
+        (node.value.attr, node.attr, called.get(id(node)))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+        and isinstance(node.value.value, ast.Name) and node.value.value.id in ("cd", "commdiff")
+    ]
+
+
+def test_what_the_benchmark_calls_resolves_and_binds():
+    # benchmarks/passrun.py calls the package by attribute chains, so a
+    # renamed or deleted function fails only when the benchmark runs
+    from commdiff.dressing import AnsatzResult, ansatz_solve
+
+    chains = _package_chains(ast.parse(BENCH_PASSRUN.read_text()))
+    assert len(chains) >= 16
+    for module, name, call in chains:
+        target = getattr(importlib.import_module(f"commdiff.{module}"), name, None)
+        assert target is not None, f"{module}.{name}"
+        if call is not None:
+            args = [None] * len(call.args)
+            inspect.signature(target).bind(*args, **{k.arg: None for k in call.keywords})
+    for args in (("basis", "U", "W"), ("basis", "U", "W", "fine")):
+        inspect.signature(ansatz_solve).bind(*args)
+    inspect.signature(AnsatzResult.state).bind("self", "U", "W", "window")

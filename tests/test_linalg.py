@@ -1,11 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import fsum, mp, mpf
-from oracles import _reference_lstsq
+from oracles import _fraction, _reference_lstsq, exact_lstsq
 
+from commdiff import linalg
 from commdiff.errors import NonFiniteError, RankDeficiencyError
-from commdiff.linalg import lstsq, require_full_rank
+from commdiff.families import FamilySpec, build_case
+from commdiff.linalg import lstsq, lstsq_mpf, require_full_rank
 
 
 def _random_tall(rng, m, n):
@@ -125,21 +128,22 @@ def _raw(values):
     return [mpf(v)._mpf_ for v in values]
 
 
-def _solve(rows, rhs):
-    """lstsq on the raw values of rows and rhs (mpfs or ints at the working
+def _solve(rows, rhs, solver=lstsq):
+    """solver on the raw values of rows and rhs (mpfs or ints at the working
     precision), x returned as mpfs."""
-    x, info = lstsq([_raw(row) for row in rows], _raw(rhs))
+    x, info = solver([_raw(row) for row in rows], _raw(rhs))
     return [mp.make_mpf(v) for v in x], info
 
 
-# 1100 bits: mantissas longer than a float's range reach the pivot rule; the
-# residual the reference also returns is checked where it is formed, in the
-# pin fit (tests/test_dressing.py)
+# lstsq_mpf, the pin fit's solver; 1100 bits: mantissas longer than a
+# float's range reach the pivot rule; the residual the reference also
+# returns is checked where it is formed, in the pin fit
+# (tests/test_dressing.py)
 @pytest.mark.parametrize("bits", [53, 113, 160, 1100])
 def test_lstsq_matches_reference_bit_for_bit(bits):
     with mp.workprec(bits):
         for name, rows, rhs in _oracle_cases():
-            x, info = _solve(rows, rhs)
+            x, info = _solve(rows, rhs, lstsq_mpf)
             x_ref, ref = _reference_lstsq(rows, rhs)
             assert _raw(x) == _raw(x_ref), name
             assert info["rdiag"] == _raw(ref["rdiag"]), name
@@ -149,16 +153,17 @@ def test_lstsq_matches_reference_bit_for_bit(bits):
 
 def test_lstsq_pivots_by_norm_where_float_squares_underflow():
     # the remaining norms 2^-600 and 2^-700 lie far above the rank threshold
-    # at 1100 bits; unscaled, both float squares read 0 and the pivot order
-    # fell back to the column index
-    with mp.workprec(1100):
-        rows, rhs = _tiny_norms(random.Random(6), 8)
-        _x, info = _solve(rows, rhs)
-        d = [abs(mp.make_mpf(v)) for v in info["rdiag"]]
-    assert info["pivot"] == [0, 2, 1] and info["rank"] == 3
-    assert d[0] > 1
-    assert mpf(2) ** -604 < d[1] < mpf(2) ** -596
-    assert mpf(2) ** -704 < d[2] < mpf(2) ** -696
+    # at 1100 bits; unscaled, both float squares read 0 and lstsq_mpf's
+    # pivot order fell back to the column index; lstsq compares exact norms
+    for solver in (lstsq, lstsq_mpf):
+        with mp.workprec(1100):
+            rows, rhs = _tiny_norms(random.Random(6), 8)
+            _x, info = _solve(rows, rhs, solver)
+            d = [abs(mp.make_mpf(v)) for v in info["rdiag"]]
+        assert info["pivot"] == [0, 2, 1] and info["rank"] == 3, solver.__name__
+        assert d[0] > 1
+        assert mpf(2) ** -604 < d[1] < mpf(2) ** -596
+        assert mpf(2) ** -704 < d[2] < mpf(2) ** -696
 
 
 @pytest.mark.parametrize("where, bad", [("A", "nan"), ("A", "-inf"), ("b", "inf")])
@@ -203,15 +208,17 @@ def test_lstsq_rank_deficiency_detected():
         require_full_rank(info)
 
 
-@pytest.mark.parametrize("bits", [53, 113])
+# 145: the constant fit's precision at 113 bits (RECURSION_GUARD_BITS above)
+@pytest.mark.parametrize("bits", [53, 113, 145, 1100])
 def test_lstsq_rank_threshold_is_two_to_the_floor_of_minus_three_quarters_p(bits):
     # the second pivot is about e times the first: rank 2 for e half a bit
     # above 2^floor(-3p/4), rank 1 half a bit below it
     k = (-3 * bits) // 4
     with mp.workprec(bits):
-        for e, rank in ((mpf(2) ** (k + mpf("0.5")), 2), (mpf(2) ** (k - mpf("0.5")), 1)):
-            _x, info = _solve([[1, 1], [0, e]], [1, 1])
-            assert info["rank"] == rank, (bits, e)
+        for solver in (lstsq, lstsq_mpf):
+            for e, rank in ((mpf(2) ** (k + mpf("0.5")), 2), (mpf(2) ** (k - mpf("0.5")), 1)):
+                _x, info = _solve([[1, 1], [0, e]], [1, 1], solver)
+                assert info["rank"] == rank, (solver.__name__, bits, e)
 
 
 def test_lstsq_badly_scaled_columns():
@@ -227,3 +234,64 @@ def test_lstsq_badly_scaled_columns():
     assert abs(x[0] - 3) <= mpf("1e-8")
     assert abs(x[1] - 5) <= mpf("1e-8")
 
+
+
+# lstsq against the exact least-squares solution of the same rows: its
+# relative distance, in columns scaled to their largest |entry|, is within
+# the final rounding 2^-p plus EXACT_LS_MULTIPLE 2^-F kappa, F = p + 16 and
+# kappa the ratio of the largest to the smallest |R diagonal| entry within
+# the rank (at most 63 over these cases)
+EXACT_LS_MULTIPLE = 2**8
+
+
+def _exact_distance(rows, rhs, solver=lstsq):
+    """(distance, bound) of solver's x from exact_lstsq on the columns that
+    solver's rank keeps, x being 0 on the others."""
+    x, info = solver(rows, rhs)
+    keep = sorted(info["pivot"][:info["rank"]])
+    sub = [[row[j] for j in keep] for row in rows]
+    ref = exact_lstsq(sub, rhs)
+    scale = [max(abs(_fraction(row[j])) for row in sub) for j in range(len(keep))]
+    dist = max(abs(_fraction(x[j]) - r) * s for j, r, s in zip(keep, ref, scale)) / max(
+        abs(r) * s for r, s in zip(ref, scale))
+    assert all(x[j] == (0, 0, 0, 0) for j in set(range(len(x))) - set(keep))
+    d = [abs(_fraction(v)) for v in info["rdiag"][:info["rank"]]]
+    p = mp.prec
+    return dist, Fraction(1, 2**p) + EXACT_LS_MULTIPLE * max(d) / min(d) / 2 ** (p + 16)
+
+
+@pytest.mark.parametrize("bits", [53, 113, 145, 1100])
+def test_lstsq_is_near_the_exact_least_squares_solution(bits):
+    with mp.workprec(bits):
+        for name, rows, rhs in _oracle_cases():
+            dist, bound = _exact_distance([_raw(row) for row in rows], _raw(rhs))
+            assert dist <= bound, (name, float(dist), float(bound))
+
+
+# the constant fits of build_case tables on [-24, 24] at 113 bits
+BUILD_CASE_FITS = [
+    FamilySpec("trig", 4, {"r1": "1.3"}),
+    FamilySpec("poly", 5, {"a2": "0.886695", "a1": "0.708451", "a0": "0.234504"}),
+    FamilySpec("geom", 3, {"a": 2, "beta": "0.5"}),
+    FamilySpec("trig", 8, {"r1": "1.3"}),
+    FamilySpec("poly", 8, {"a2": "0.886695", "a1": "0.708451", "a0": "0.234504"}),
+]
+
+
+@pytest.mark.parametrize("spec", BUILD_CASE_FITS, ids=repr)
+def test_constant_fit_is_no_farther_from_exact_least_squares_than_lstsq_mpf(spec, monkeypatch):
+    fits = []
+
+    def capture(rows, rhs):
+        fits.append((rows, rhs, mp.prec))
+        return lstsq(rows, rhs)
+
+    monkeypatch.setattr(linalg, "lstsq", capture)
+    with mp.workprec(113):
+        build_case(spec, (-24, 24))
+    (rows, rhs, prec), = fits
+    with mp.workprec(prec):
+        dist, bound = _exact_distance(rows, rhs)
+        dist_mpf, _bound = _exact_distance(rows, rhs, lstsq_mpf)
+    assert dist <= bound, (float(dist), float(bound))
+    assert dist <= dist_mpf, (float(dist), float(dist_mpf))
