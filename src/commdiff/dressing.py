@@ -26,7 +26,7 @@ from functools import reduce
 from itertools import zip_longest
 
 from mpmath import mp, mpf, sqrt
-from mpmath.libmp import fone, from_int, fzero, mpf_abs, mpf_gt, mpf_neg, mpf_rdiv_int
+from mpmath.libmp import fone, from_int, fzero, mpf_abs, mpf_gt, mpf_neg, mpf_rdiv_int, mpf_shift
 from mpmath.libmp import from_rational, round_nearest as RND
 
 from . import linalg
@@ -35,18 +35,17 @@ from .numcore import (
     HyperellipticCurve,
     ZPoly,
     cos_int,
+    ipoly_mul,
     pow_int,
     radd,
     raw_ints,
     raw_max,
-    rdiv,
     rdot,
     rmac,
     rmul,
     rpoly_add,
     rround,
     rsub,
-    rtrimmed,
     scalar,
 )
 from .opalg import CoeffSeq, DiffOp, exact_compose, exact_form, exact_op, exact_sum
@@ -212,15 +211,6 @@ def _master_fpoly(state: DressingState, n: int) -> ZPoly:
     return state.s(n) * state.s(n) + lin * state.q(n) * state.q(n + 1)
 
 
-def _imul(a, b):
-    """The product of two int coefficient vectors; [] when either is empty."""
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        for j, y in enumerate(b, i):
-            out[j] += x * y
-    return out
-
-
 def _zmul(c, v, k):
     """(z + c) v for an int c and an int vector v, z's coefficient 1 << k."""
     if not v:
@@ -253,8 +243,9 @@ def _exact_checks(state: DressingState, a: int, b: int):
     fscale = max([1 << -mexp, *map(abs, F)])
 
     def master(n):
-        s2 = [v << ks for v in _imul(S[n], S[n])]
-        prod = _zmul(-((W[n] << kw) + (U[n] * U[n] << ku)) << kp, _imul(Q[n], Q[n + 1]), kp - ec)
+        s2 = [v << ks for v in ipoly_mul(S[n], S[n])]
+        prod = _zmul(-((W[n] << kw) + (U[n] * U[n] << ku)) << kp, ipoly_mul(Q[n], Q[n + 1]),
+                     kp - ec)
         scale = max([fscale, *map(abs, s2), *map(abs, prod)])
         return [x - y - z for x, y, z in zip_longest(F, s2, prod, fillvalue=0)], scale
 
@@ -309,7 +300,7 @@ def residual_linear(state: DressingState, n: int) -> ZPoly:
     n -> -n - 1, which identity_residuals measures when asked.
     """
     _master, linear, _mexp, exp = _exact_checks(state, n, n)
-    return ZPoly._from_raw(rtrimmed([rround(v, exp, mp.prec) for v in linear(n)[0]]))
+    return ZPoly._from_raw([rround(v, exp, mp.prec) for v in linear(n)[0]])
 
 
 def identity_residuals(state: DressingState, window, skew: bool = False):
@@ -654,9 +645,10 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
         rows, rhs = [], []
         for r in _fit_rows(dc, den, (top, etop), g, n0, (flo - 1, fhi + 2)).values():
             row, b = r[1:], mpf_neg(r[0], p, RND)
-            big = raw_max(row, p)
-            if big != fzero:
-                row, b = [rdiv(v, big, p) for v in row], rdiv(b, big, p)
+            # the largest |entry| shifted into [1/2, 1), exactly
+            _, _, exp, bc = raw_max(row, p)
+            if bc:
+                row, b = [mpf_shift(v, -exp - bc) for v in row], mpf_shift(b, -exp - bc)
             rows.append(row)
             rhs.append(b)
         x, info = linalg.lstsq(rows, rhs)

@@ -25,7 +25,9 @@ rpoly_add and rpoly_sub on raw coefficient vectors, which ZPoly's *, + and
 so the partner), dressing's identity checks and its level recursion (the
 ansatz marches, fit rows and z^0 check) run exactly on raw_ints' ints and
 round each result once, a ratio by libmp's from_rational, an int times a
-power of two by rround.
+power of two by rround; so does spectral's curve extraction, on exact
+z-polynomials (int vectors on one exponent) that zsum adds and ipoly_mul
+multiplies.
 Every function computes at the caller's mpmath precision, mp.prec, which
 the caller scopes with mp.workprec; importing the package leaves it alone.
 The CLI runs at DEFAULT_PRECISION_BITS, a 113-bit significand (quad-like),
@@ -344,6 +346,26 @@ def raw_ints(vecs):
             for vec in vecs], exp
 
 
+def ipoly_mul(a, b):
+    """The product of two int coefficient vectors, exactly; [] when either is empty."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return out
+
+
+def zsum(terms):
+    """sum k v 2^e over terms (k, v, e), k an int and v an int vector, as the
+    exact z-polynomial (ints, exp), ints[i] 2^exp the z^i coefficient."""
+    exp = min([e for _k, _v, e in terms], default=0)
+    out = [0] * max([len(v) for _k, v, _e in terms], default=0)
+    for k, v, e in terms:
+        for i, x in enumerate(v):
+            out[i] += k * x << e - exp
+    return out, exp
+
+
 def mpf_to_str(x: mpf) -> str:
     """Decimal string round-trippable at the current precision."""
     return mp.nstr(x, mp.dps + 4, strip_zeros=True)
@@ -388,10 +410,6 @@ class ZPoly:
         p.raw = rtrimmed(vec)
         return p
 
-    @classmethod
-    def zero(cls) -> "ZPoly":
-        return cls._from_raw([])
-
     @property
     def coeffs(self) -> tuple:
         return tuple(map(mp.make_mpf, self.raw))
@@ -429,10 +447,6 @@ class ZPoly:
     def __sub__(self, other: "ZPoly") -> "ZPoly":
         return ZPoly._from_raw(rpoly_sub(self.raw, other.raw, mp.prec))
 
-    def __neg__(self) -> "ZPoly":
-        p = mp.prec
-        return ZPoly._from_raw([mpf_neg(v, p, RND) for v in self.raw])
-
     def scale(self, c) -> "ZPoly":
         c, p = scalar(c)._mpf_, mp.prec
         return ZPoly._from_raw([rmul(c, v, p) for v in self.raw])
@@ -443,11 +457,6 @@ class ZPoly:
         return poly_mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, c) -> "ZPoly":
-        """Divide every coefficient by the scalar c, each rounded once."""
-        c, p = scalar(c)._mpf_, mp.prec
-        return ZPoly._from_raw([rdiv(v, c, p) for v in self.raw])
 
     def __repr__(self):
         return f"ZPoly(deg={self.degree})"

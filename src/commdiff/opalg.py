@@ -13,27 +13,27 @@ so values are safe to share across workers.  Operators have one
 arithmetic: an exact form (exact_form: raw values as signed ints on one
 exponent) composes and sums with no rounding, and exact_op rounds each
 value once.  DiffOp's *, + and - are one such composition or sum of their
-operands, and the commutator and dressing's partner are formed so too.
+operands, and the commutator and dressing's partner are formed so too;
+apply sums exactly on exact z-polynomials, as spectral's kernels are held.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from itertools import repeat
 
 from mpmath import mp, mpf
 from mpmath.libmp import fone, from_rational
 from mpmath.libmp import round_nearest as RND
 
 from .errors import WindowError
-from .numcore import raw_ints, raw_max, rmac, rmul, rround, rtrimmed, scalar, to_json
+from .numcore import raw_ints, raw_max, rround, scalar, to_json, zsum
 
 
 class CoeffSeq:
     """A coefficient sequence n -> scalar, tabulated on an integer window:
     raw, a list never mutated once built, holds its values as libmp tuples, or
-    raw coefficient vectors in a sequence of z-polynomials for DiffOp.apply."""
+    exact z-polynomials (ints, exp) in a sequence for DiffOp.apply."""
 
     __slots__ = ("n_min", "raw")
 
@@ -172,11 +172,10 @@ class DiffOp:
         return max(t.sup_norm() for t in self.terms.values())
 
     def apply(self, f: CoeffSeq) -> CoeffSeq:
-        """(L f)(n) = sum_j u_j(n) f(n+j) on the exact shrunken window, for f of
-        scalars or of z-polynomials (raw coefficient vectors, as
-        spectral.kernel_extend gives them; the result's are trimmed), a scalar
-        being the degree-0 case.  Each coefficient is summed in degree order
-        from its first product; terms and f are read as slices."""
+        """(L f)(n) = sum_j u_j(n) f(n+j) on the exact shrunken window, exactly,
+        for f a sequence of exact z-polynomials (ints, exp), as
+        spectral.kernel_extend gives them: each value one numcore.zsum, the
+        terms read once, as ints on that window (raw_ints)."""
         lo = max(self.window[0], f.window[0] - self.min_degree)
         hi = min(self.window[1], f.window[1] - self.order)
         if hi < lo:
@@ -184,14 +183,10 @@ class DiffOp:
                 f"application window empty: operator on {self.window} with degrees "
                 f"[{self.min_degree}, {self.order}] needs f beyond [{f.window[0]}, {f.window[1]}]"
             )
-        prec, scalars, vals = mp.prec, isinstance(f.raw[0], tuple), [[] for _ in range(hi - lo + 1)]
-        for j, u in self.terms.items():
-            fv = f.values_on(lo + j, hi + j)
-            for acc, x, ys in zip(vals, u.values_on(lo, hi), [[y] for y in fv] if scalars else fv):
-                k = min(len(acc), len(ys))
-                acc[:k] = map(rmac, acc, repeat(x), ys, repeat(prec))
-                acc += [rmul(x, y, prec) for y in ys[k:]]
-        return CoeffSeq._from_raw(lo, [v[0] for v in vals] if scalars else [*map(rtrimmed, vals)])
+        us, eu = raw_ints([u.values_on(lo, hi) for u in self.terms.values()])
+        fs = [f.values_on(lo + j, hi + j) for j in self.terms]
+        return CoeffSeq._from_raw(lo, [zsum([(u, x, eu + e) for u, (x, e) in zip(un, fn) if u])
+                                       for un, fn in zip(zip(*us), zip(*fs))])
 
     def __mul__(self, other):
         """self o other, exactly, each coefficient rounded once."""

@@ -8,10 +8,10 @@ out of scope here.
 
 from __future__ import annotations
 
-from mpmath import mpf
+from mpmath import mp, mpf
 
-from .numcore import ZPoly, scalar
-from .opalg import DiffOp
+from .numcore import ZPoly, raw_ints, rround, scalar
+from .opalg import CoeffSeq, DiffOp
 from .spectral import RANK2_COMMUTATION_TOL, rank2_curve_check
 
 
@@ -22,21 +22,25 @@ class Rank2Params:
         self.a2, self.a1, self.a0 = scalar(a2), scalar(a1), scalar(a0)
 
 
-def build_l4(p: Rank2Params, window) -> DiffOp:
-    """Monic positive order-4 operator of the rank-two family."""
-    a2, a1, a0 = p.a2, p.a1, p.a0
+def _monic(order: int, forms: dict, window) -> DiffOp:
+    """T^order plus the closed forms {j: (f, e)}, each f(n) 2^e rounded once."""
+    p = mp.prec
+    seqs = {j: CoeffSeq.tabulate(lambda n, f=f, e=e: rround(f(n), e, p), window, raw=True)
+            for j, (f, e) in forms.items()}
+    return DiffOp.build({order: 1, **seqs}, window)
 
-    def c3(n):
-        return a2 * n * n + a1 * n + a0
+
+def build_l4(p: Rank2Params, window) -> DiffOp:
+    """Monic positive order-4 operator of the rank-two family: each closed
+    form evaluated exactly on the parameters' ints, a = A 2^e (raw_ints), its
+    dyadic constant a shift, and rounded once."""
+    ((a2, a1, a0),), e = raw_ints([[p.a2._mpf_, p.a1._mpf_, p.a0._mpf_]])
 
     def c2(n):
-        return (
-            mpf(3) / 8 * (a1 + a2 * (n - 1)) * n
-            * (2 * a0 + a1 * (n - 1) + a2 * (n * n - n - 2))
-        )
+        return 3 * (a1 + a2 * (n - 1)) * n * (2 * a0 + a1 * (n - 1) + a2 * (n * n - n - 2))
 
     def c1(n):
-        return -mpf(1) / 16 * (a0 + a1 * (n - 1) + a2 * (n - 2) * n) * (
+        return -(a0 + a1 * (n - 1) + a2 * (n - 2) * n) * (
             2 * a0**2
             - a1**2 * (n - 2) * n
             - a0 * (a1 + 2 * a2 * (n - 1) ** 2 + 2 * a1 * n)
@@ -45,7 +49,7 @@ def build_l4(p: Rank2Params, window) -> DiffOp:
         )
 
     def c0(n):
-        return mpf(1) / 256 * (a1 + a2 * (n - 3)) * n * (
+        return (a1 + a2 * (n - 3)) * n * (
             2 * a0 - 4 * a2 + (n - 3) * (a1 + a2 * n)
         ) * (
             -4 * a0**2
@@ -55,40 +59,34 @@ def build_l4(p: Rank2Params, window) -> DiffOp:
             + a1 * a2 * (6 + n * (5 + n * (2 * n - 9)))
         )
 
-    return DiffOp.build({4: 1, 3: c3, 2: c2, 1: c1, 0: c0}, window)
+    # the constants 3/8, -1/16 and 1/256: 3 and the sign in c2 and c1, the rest shifts
+    return _monic(4, {3: (lambda n: a2 * n * n + a1 * n + a0, e), 2: (c2, 2 * e - 3),
+                      1: (c1, 3 * e - 4), 0: (c0, 4 * e - 8)}, window)
 
 
 def build_l6_special(window) -> DiffOp:
-    """The order-6 partner at (a2, a1, a0) = (2, 0, 0)."""
-
-    def c5(n):
-        return mpf(3) * n * n + 6 * n + 8
+    """The order-6 partner at (a2, a1, a0) = (2, 0, 0), each closed form an
+    int times a dyadic constant, rounded once."""
 
     def c4(n):
-        return mpf(1) / 4 * (n * (n + 1) * (32 + 15 * n * (n + 1)) - 6)
+        return n * (n + 1) * (32 + 15 * n * (n + 1)) - 6
 
     def c3(n):
-        return mpf(1) / 2 * n**2 * (n**2 - 2) * (5 * n**2 + 7)
+        return n**2 * (n**2 - 2) * (5 * n**2 + 7)
 
     def c2(n):
-        return (
-            mpf(1) / 16 * (n - 2) * (n - 1) * n * (n + 1)
-            * ((n - 1) * n * (15 * (n - 1) * n - 38) - 36)
-        )
+        return (n - 2) * (n - 1) * n * (n + 1) * ((n - 1) * n * (15 * (n - 1) * n - 38) - 36)
 
     def c1(n):
-        return (
-            mpf(1) / 16 * (n - 2) ** 2 * n**2
-            * (12 + (n - 2) * n * ((n - 2) * n - 5) * (3 * (n - 2) * n - 11))
-        )
+        return (n - 2) ** 2 * n**2 * (12 + (n - 2) * n * ((n - 2) * n - 5) * (3 * (n - 2) * n - 11))
 
     def c0(n):
-        return (
-            mpf(1) / 64 * (n - 4) * (n - 3) * (n - 2) * (n - 1) * n * (n + 1)
-            * ((n - 3) * n - 6) * ((n - 4) * (n - 3) * n * (n + 1) - 6)
-        )
+        return ((n - 4) * (n - 3) * (n - 2) * (n - 1) * n * (n + 1)
+                * ((n - 3) * n - 6) * ((n - 4) * (n - 3) * n * (n + 1) - 6))
 
-    return DiffOp.build({6: 1, 5: c5, 4: c4, 3: c3, 2: c2, 1: c1, 0: c0}, window)
+    # the constants 1/4, 1/2, 1/16, 1/16 and 1/64 as shifts
+    return _monic(6, {5: (lambda n: 3 * n * n + 6 * n + 8, 0), 4: (c4, -2), 3: (c3, -1),
+                      2: (c2, -4), 1: (c1, -4), 0: (c0, -6)}, window)
 
 
 def expected_curve_poly(p: Rank2Params) -> ZPoly:

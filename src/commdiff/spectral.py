@@ -7,7 +7,9 @@ characteristic polynomial is z-polynomial data of the joint spectrum.  L_base
 is positive, so its kernel recurrence runs forward only and every kernel
 value, every entry of M(z) and every coefficient of its characteristic
 polynomial is a polynomial in z; they are computed as such, with z kept
-symbolic, never sampled.  For a hyperelliptic pair of orders (2, 2g+1) the
+symbolic, never sampled, and exactly, the stored operators being dyadic:
+each is an int vector on one exponent (numcore.zsum), and each reported
+value is rounded once.  For a hyperelliptic pair of orders (2, 2g+1) the
 trace vanishes and -det M(z) is the monic curve polynomial F_g; base-point
 independence of the coefficients is the well-definedness check, and the
 closure defect (distance of L_act psi from the kernel, as a polynomial
@@ -16,15 +18,12 @@ identity) turns the commutation hypothesis into a measured quantity.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import add
-
 from mpmath import mp, mpf
 from mpmath.libmp import from_rational, fzero
 from mpmath.libmp import round_nearest as RND
 
 from .errors import CommutationError, WindowError
-from .numcore import HyperellipticCurve, ZPoly, raw_max, rtrimmed, rmac, scalar
+from .numcore import HyperellipticCurve, ZPoly, ipoly_mul, raw_ints, raw_max, rround, zsum
 from .opalg import CoeffSeq, DiffOp, commutator_residual, exact_compose, exact_form, exact_sum
 
 # relative bound on the trace, the base-point spread and the distance from
@@ -38,15 +37,13 @@ RANK2_COMMUTATION_TOL = mpf("1e-10")
 
 
 def kernel_extend(L: DiffOp, n0: int, init, length: int) -> list:
-    """Solve (L - z) psi = 0 forward from initial data, with z symbolic.
+    """Solve (L - z) psi = 0 forward from initial data, with z symbolic, exactly.
 
-    L must be monic positive of order m; init supplies the ZPoly values
-    psi(n0..n0+m-1), used as given, not rounded.  The result is psi(n0),
-    psi(n0 + 1), ... to the requested length, as raw coefficient vectors
-    trimmed as ZPoly's are, which DiffOp.apply takes.  Each step shifts
-    psi(n) up one place for z psi(n), exactly, and subtracts u_j(n)
-    psi(n + j) coefficient-wise by rmac (rpoly_sub of rmul's products bit
-    for bit), each lower u_j read once, as one raw slice.
+    L must be monic positive of order m; init supplies psi(n0..n0+m-1) as
+    exact z-polynomials (ints, exp), sum_k ints[k] 2^exp z^k.  The result is
+    psi(n0), psi(n0 + 1), ... to the requested length, each such a pair:
+    psi(n + m) = z psi(n) - sum_j u_j(n) psi(n + j) by numcore.zsum, the
+    lower u_j read once, as ints on the rows stepped over (raw_ints).
     """
     if not L.is_positive:
         raise ValueError("kernel recurrence needs a positive operator")
@@ -64,72 +61,89 @@ def kernel_extend(L: DiffOp, n0: int, init, length: int) -> list:
             f"kernel extension needs operator coefficients on [{lo_needed}, {hi_needed}], "
             f"window is {L.window}"
         )
-    lower = [(j, u.values_on(lo_needed, hi_needed))
-             for j, u in L.terms.items() if j != m] if length > m else []
-    p = mp.prec
-    vals = [v.raw for v in init]
+    js = [j for j in L.terms if j != m] if length > m else []
+    lower, eu = raw_ints([L.terms[j].values_on(lo_needed, hi_needed) for j in js])
+    vals = list(init)
     for i in range(length - m):
-        # z psi(n): the coefficients one place up; psi = 0 stays empty
-        acc = [fzero, *vals[i]] if vals[i] else []
-        for j, uv in lower:
-            u, v = uv[i], vals[i + j]
-            if u != fzero:
-                acc += [fzero] * (len(v) - len(acc))
-                acc[:len(v)] = [rmac(a, u, x, p, 1) for a, x in zip(acc, v)]
-        vals.append(rtrimmed(acc))
+        c, e = vals[i]
+        # z psi(n), its coefficients one place up, less each u_j(n) psi(n + j)
+        terms = [(-u[i], x, eu + f) for u, (x, f) in zip(lower, [vals[i + j] for j in js]) if u[i]]
+        vals.append(zsum([(1, [0, *c], e), *terms]))
     return vals
+
+
+def _sup(polys):
+    """The largest |coefficient| of the exact z-polynomials polys, as (int, exp)."""
+    e = min(f for _c, f in polys)
+    return max((abs(x) << f - e for c, f in polys for x in c), default=0), e
+
+
+def _ratio(a, b):
+    """a / b of two magnitudes (int, exp) as a pair of ints."""
+    (x, e), (y, f) = a, b
+    return x << max(e - f, 0), y << max(f - e, 0)
+
+
+def _rounded(x, sign=1) -> ZPoly:
+    """The exact z-polynomial sign * x as a ZPoly, each coefficient rounded once."""
+    return ZPoly._from_raw([rround(sign * v, x[1], mp.prec) for v in x[0]])
 
 
 def action_matrix(L_base: DiffOp, L_act: DiffOp, n0: int):
     """The action of L_act on ker(L_base - z) in the basis of unit initial
-    data at base point n0: M(z) as rows of ZPoly entries, and the relative
-    closure defect, the largest coefficient of L_act psi minus the kernel
-    continuation of its first m values, over the largest coefficient of
-    L_act psi, on the ACTION_PAD values past them.  Commutation is not
-    checked here; extract_curve and rank2_curve_check guard it."""
+    data at base point n0, exactly: M(z) as rows of exact z-polynomials, and
+    the relative closure defect as a pair of ints, the largest coefficient
+    of L_act psi minus the kernel continuation of its first m values, over
+    the largest coefficient of L_act psi (1 if that is 0), on the ACTION_PAD
+    values past them.  Commutation is not checked here; extract_curve and
+    rank2_curve_check guard it."""
     m = L_base.order
     count = m + ACTION_PAD
-    cols, defect, vscale = [], mpf(0), mpf(0)
+    cols, gaps, vals = [], [], []
     for i in range(m):
-        unit = [ZPoly([1]) if j == i else ZPoly.zero() for j in range(m)]
+        unit = [([1], 0) if j == i else ([], 0) for j in range(m)]
         psi = CoeffSeq._from_raw(n0, kernel_extend(L_base, n0, unit, count + L_act.order))
-        v = [ZPoly._from_raw(c) for c in L_act.apply(psi).values_on(n0, n0 + count - 1)]
+        v = L_act.apply(psi).values_on(n0, n0 + count - 1)
         cols.append(v[:m])
         # closure defect: L_act psi must satisfy the same kernel recurrence
         w = kernel_extend(L_base, n0, v[:m], count)
-        for r in range(m, count):
-            defect = max(defect, (v[r] - ZPoly._from_raw(w[r])).sup_norm())
-            vscale = max(vscale, v[r].sup_norm())
-    rel = defect / vscale if vscale > 0 else defect
-    return [[cols[i][r] for i in range(m)] for r in range(m)], rel
+        gaps += [zsum([(1, *v[r]), (-1, *w[r])]) for r in range(m, count)]
+        vals += v[m:]
+    vscale = _sup(vals)
+    return ([[cols[i][r] for i in range(m)] for r in range(m)],
+            _ratio(_sup(gaps), vscale if vscale[0] else (1, 0)))
 
 
 def char_poly_coeffs(entries) -> list:
     """Characteristic polynomial coefficients (monic, low to high) of a
-    matrix of scalars or of ZPoly entries: the determinant and trace in
-    closed form for 2 x 2, Faddeev-LeVerrier above."""
+    matrix of exact z-polynomials, each exact: the determinant and minus
+    the trace for 2 x 2, Faddeev-LeVerrier above.  With the entries on one
+    exponent e, the coefficient of w^(m-k) is an integer polynomial in them
+    on k e, so Newton's identities divide by k exactly."""
     m = len(entries)
-    A = [[v if isinstance(v, ZPoly) else scalar(v) for v in row] for row in entries]
+    e = min((f for row in entries for c, f in row if c), default=0)
+    A = [[[x << f - e for x in c] for c, f in row] for row in entries]
     if m == 2:
         (a, b), (c, d) = A
-        return [a * d - b * c, -(a + d), mpf(1)]
+        det = zsum([(1, ipoly_mul(a, d), 2 * e), (-1, ipoly_mul(b, c), 2 * e)])
+        return [det, zsum([(-1, a, e), (-1, d, e)]), ([1], 0)]
+
+    def total(vs):
+        return zsum([(1, v, 0) for v in vs])[0]
+
     # traces of A^1..A^m
-    Mk = A
-    traces = [reduce(add, (A[i][i] for i in range(m)))]
+    Mk, traces = A, [total(A[i][i] for i in range(m))]
     for _ in range(m - 1):
-        Mk = [
-            [reduce(add, (Mk[i][k] * A[k][j] for k in range(m))) for j in range(m)]
-            for i in range(m)
-        ]
-        traces.append(reduce(add, (Mk[i][i] for i in range(m))))
+        Mk = [[total(ipoly_mul(Mk[i][k], A[k][j]) for k in range(m)) for j in range(m)]
+              for i in range(m)]
+        traces.append(total(Mk[i][i] for i in range(m)))
     # Newton's identities: p_k + c_{m-1} p_{k-1} + ... + k c_{m-k} = 0
-    coeffs = [None] * m + [mpf(1)]
+    coeffs = [None] * m + [[1]]
     for k in range(1, m + 1):
-        acc = traces[k - 1]
-        for i in range(1, k):
-            acc = acc + coeffs[m - i] * traces[k - i - 1]
-        coeffs[m - k] = -acc / k
-    return coeffs
+        acc = total([traces[k - 1], *(ipoly_mul(coeffs[m - i], traces[k - i - 1])
+                                      for i in range(1, k))])
+        coeffs[m - k] = [-v // k for v in acc]
+    return [(c, (m - i) * e) for i, c in enumerate(coeffs)]
 
 
 class CurveReport:
@@ -213,31 +227,25 @@ def extract_curve(
             f"operators do not commute: relative residual {comm_rel}"
         )
 
-    per_base = []
-    worst_defect = mpf(0)
-    for n0 in n0_list:
-        M, defect = action_matrix(L_base, L_act, int(n0))
-        worst_defect = max(worst_defect, defect)
-        det_poly, neg_tr, _ = char_poly_coeffs(M)
-        per_base.append((-neg_tr, det_poly))
-
-    tr_poly, det_poly = per_base[0]
-    base_dev = mpf(0)
-    for tp, dp in per_base[1:]:
-        base_dev = max(base_dev, (tp - tr_poly).sup_norm(), (dp - det_poly).sup_norm())
+    actions = [action_matrix(L_base, L_act, int(n0)) for n0 in n0_list]
+    # (det, -trace) per base point; rounding is monotone, so the largest
+    # defect rounded once is the largest of the defects each rounded once
+    (det, neg_tr), *others = [char_poly_coeffs(M)[:2] for M, _defect in actions]
+    worst = max(mp.make_mpf(from_rational(*d, mp.prec, RND)) for _M, d in actions)
+    spread = _sup([zsum([(1, *x), (-1, *y)]) for xs in others for x, y in zip(xs, (det, neg_tr))])
+    tr_poly, det_poly = _rounded(neg_tr, -1), _rounded(det)
 
     det_scale = max(det_poly.sup_norm(), mpf(1))
     matched = None
-    neg_det = -det_poly
+    neg_det = _rounded(det, -1)
     if (
         tr_poly.sup_norm() <= CURVE_TOL * det_scale
         and neg_det.degree == 2 * g + 1
         and abs(neg_det.lead - 1) <= CURVE_TOL
     ):
         matched = HyperellipticCurve.from_fpoly(neg_det, g, tol_rel=CURVE_TOL)
-    return CurveReport(
-        g, tr_poly, det_poly, base_dev, worst_defect, matched, comm_rel
-    )
+    return CurveReport(g, tr_poly, det_poly, mp.make_mpf(rround(*spread, mp.prec)), worst,
+                       matched, comm_rel)
 
 
 class Rank2CurveReport:
@@ -268,15 +276,16 @@ def _coefficient_commutator_rel(A: DiffOp, B: DiffOp) -> mpf:
 def rank2_curve_check(L4: DiffOp, L6: DiffOp, expected_r: ZPoly) -> Rank2CurveReport:
     """Verify the 4x4 action characteristic polynomial equals (w^2 - R(z))^2.
 
-    The action is read at base point 0 as a matrix of polynomials in z, and
-    Faddeev-LeVerrier over ZPoly gives each coefficient of the characteristic
-    polynomial as a polynomial in z.  The squared factor is the rank-two
-    expectation; it is verified coefficient by coefficient against the
-    supplied R, never assumed.  Commutation is judged coefficient by
-    coefficient too: each coefficient of [L4, L6] against the same
-    coefficient of L4 L6 and L6 L4, within RANK2_COMMUTATION_TOL.  A scale
-    taken from the whole operators would be set by the largest coefficient
-    of L6 at the window edge and would hide a broken partner.
+    The action is read at base point 0 as a matrix of exact z-polynomials, and
+    Faddeev-LeVerrier on ints gives each coefficient of the characteristic
+    polynomial exactly.  The squared factor is the rank-two expectation; it
+    is verified coefficient by coefficient against the supplied R, read
+    exactly, never assumed, and the mismatch ratio is rounded once.
+    Commutation is judged coefficient by coefficient too: each coefficient
+    of [L4, L6] against the same coefficient of L4 L6 and L6 L4, within
+    RANK2_COMMUTATION_TOL.  A scale taken from the whole operators would be
+    set by the largest coefficient of L6 at the window edge and would hide
+    a broken partner.
     """
     comm_rel = _coefficient_commutator_rel(L4, L6)
     if comm_rel > RANK2_COMMUTATION_TOL:
@@ -284,14 +293,11 @@ def rank2_curve_check(L4: DiffOp, L6: DiffOp, expected_r: ZPoly) -> Rank2CurveRe
 
     M, defect = action_matrix(L4, L6, 0)
     c = char_poly_coeffs(M)
-    char_polys = dict(enumerate(c[:4]))
+    (r,), er = raw_ints([expected_r.raw])
+    r2 = ipoly_mul(r, r), 2 * er
     # (w^2 - R)^2 = w^4 - 2 R w^2 + R^2
-    r2 = expected_r * expected_r
-    mism = max(
-        (c[0] - r2).sup_norm(),
-        c[1].sup_norm(),
-        (c[2] + expected_r.scale(2)).sup_norm(),
-        c[3].sup_norm(),
-    )
-    sup = max(r2.sup_norm(), mpf(1))
-    return Rank2CurveReport(char_polys, expected_r, mism / sup, defect, comm_rel)
+    mism = _sup([zsum([(1, *c[0]), (-1, *r2)]), c[1], zsum([(1, *c[2]), (2, r, er)]), c[3]])
+    rel = from_rational(*_ratio(mism, _sup([r2, ([1], 0)])), mp.prec, RND)
+    return Rank2CurveReport({k: _rounded(x) for k, x in enumerate(c[:4])}, expected_r,
+                            mp.make_mpf(rel), mp.make_mpf(from_rational(*defect, mp.prec, RND)),
+                            comm_rel)

@@ -10,11 +10,13 @@ degree) is the operator T^degree on window.  poly_div_exact, the long
 division the partner march divides by, _reference_lstsq, the mpf loop
 that linalg.lstsq_mpf reproduces bit for bit, and exact_lstsq, the exact
 least-squares solution that linalg.lstsq is measured against, live here
-too, and so do the
-loops that spectral.kernel_extend, DiffOp.apply and spectral.action_matrix
-reproduce bit for bit: the kernel recurrence in ZPoly arithmetic, the
-per-site mpf apply, and the action matrix read from the kernel transposed
-into one zero-padded sequence per power of z.  The exact operator algebra
+too.  Curve extraction has Fraction references, site by site: the kernel
+recurrence, the apply, the action matrix and its closure defect
+(fraction_kernel, fraction_apply, fraction_action_matrix), the
+characteristic polynomial by principal minors (fraction_char_poly) and the
+reported trace, determinant, base spread and defect (exact_curve);
+apply_scalars applies an operator to a scalar sequence through the exact
+DiffOp.apply, each value rounded once.  The exact operator algebra
 has Fraction references: the commutator and its residual ratio
 (exact_commutator, exact_commutator_rel) and the partner assembly
 (exact_partner), each value a Fraction, per site, rounded once at the end,
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import repeat
+from itertools import combinations, permutations, repeat
 from math import fsum
 
 from mpmath import mp, mpf, sqrt
@@ -40,7 +42,7 @@ from mpmath.libmp import from_rational, fzero, round_nearest
 
 from commdiff.dressing import DEGENERACY_REL, DressingState, q_from_s
 from commdiff.errors import DegenerateDenominatorError, InconsistentDataError, WindowError
-from commdiff.numcore import HyperellipticCurve, ZPoly, raw_ints, scalar
+from commdiff.numcore import HyperellipticCurve, ZPoly, raw_ints, rround, scalar
 from commdiff.opalg import CoeffSeq, DiffOp
 from commdiff.spectral import ACTION_PAD
 
@@ -97,7 +99,7 @@ def poly_div_exact(num: ZPoly, den: ZPoly):
     dd = len(dn) - 1
     lead = dn[-1]
     if len(rem) - 1 < dd:
-        return ZPoly.zero(), num.sup_norm()
+        return ZPoly(), num.sup_norm()
     qn = [mpf(0)] * (len(rem) - dd)
     for k in range(len(rem) - 1, dd - 1, -1):
         f = rem[k] / lead
@@ -191,7 +193,7 @@ def baker_akhiezer(state: DressingState, P: CurvePoint, n: int) -> mpf:
 
 def factorization_check(state: DressingState, L2: DiffOp, P: CurvePoint, f: CoeffSeq) -> mpf:
     """Sup difference of (L2 - z) f and (T + U_n + U_{n+1} + chi_{n+1})(T - chi_n) f."""
-    l2f = L2.apply(f)
+    l2f = apply_scalars(L2, f)
     lhs = CoeffSeq.tabulate(lambda n: l2f.at(n) - f.at(n) * P.z, l2f.window)
     qlo, qhi = state.window[0] + 1, state.window[1]
     glo = max(f.window[0], qlo)
@@ -214,87 +216,123 @@ def factorization_check(state: DressingState, L2: DiffOp, P: CurvePoint, f: Coef
 
 
 # ---------------------------------------------------------------------------
-# kernel recurrence, apply and action matrix
+# exact curve extraction
 # ---------------------------------------------------------------------------
 
 
-def _reference_kernel_extend(L, n0, init, length):
-    """The kernel recurrence that `kernel_extend` must reproduce bit for bit,
-    in ZPoly arithmetic: z psi(n) as an exact shift of the coefficients, as
-    given, then u_j(n) psi(n + j) subtracted as ZPoly's scale and
-    difference.  Returns psi(n0), psi(n0 + 1), ... as raw vectors."""
+def apply_scalars(L: DiffOp, f: CoeffSeq) -> CoeffSeq:
+    """L f for a scalar sequence f through DiffOp.apply, each value of f a
+    constant exact z-polynomial, each value of L f rounded once at mp.prec."""
+    (vals,), exp = raw_ints([f.raw])
+    out = L.apply(CoeffSeq._from_raw(f.n_min, [([v], exp) for v in vals]))
+    return CoeffSeq._from_raw(out.n_min, [rround(sum(c), e, mp.prec) for c, e in out.raw])
+
+
+def exact_z(p: ZPoly):
+    """The ZPoly p as an exact z-polynomial (ints, exp)."""
+    (ints,), exp = raw_ints([p.raw])
+    return ints, exp
+
+
+def _trimmed(p: list) -> list:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def fraction_z(x) -> list:
+    """The exact z-polynomial x = (ints, exp) as Fractions, trailing zeros trimmed."""
+    return _trimmed([v * Fraction(2) ** x[1] for v in x[0]])
+
+
+def rounded_poly(p) -> list:
+    """The raw coefficients of the Fraction list p, each rounded once at
+    mp.prec, trailing exact zeros trimmed as ZPoly trims them."""
+    out = [from_rational(v.numerator, v.denominator, mp.prec, round_nearest) for v in p]
+    while out and out[-1] == fzero:
+        out.pop()
+    return out
+
+
+def fraction_kernel(L: DiffOp, n0: int, init, length: int) -> list:
+    """psi(n0), psi(n0 + 1), ... of (L - z) psi = 0 as Fraction lists, site by
+    site from the Fraction lists init: psi(n + m) = z psi(n) - sum_j u_j(n)
+    psi(n + j), trailing zeros trimmed; a WindowError where L's window ends."""
     m = L.order
-    vals = list(init)
-    for n in range(n0, n0 + length - m):
-        acc = ZPoly([0, *vals[n - n0].coeffs])
-        for j, u in L.terms.items():
-            if j != m:
-                acc -= u.at(n) * vals[n - n0 + j]
-        vals.append(acc)
-    return [v.raw for v in vals]
+    if n0 < L.window[0] or n0 + length - 1 - m > L.window[1]:
+        raise WindowError(f"kernel rows [{n0}, {n0 + length - 1 - m}] outside {L.window}")
+    vals = [list(v) for v in init]
+    for i in range(length - m):
+        vals.append(_trimmed(_fpsum([Fraction(0), *vals[i]], *(
+            [-_fraction(u.raw[n0 + i - u.n_min]) * c for c in vals[i + j]]
+            for j, u in L.terms.items() if j != m))))
+    return vals
 
 
-def _reference_apply(L, f):
-    """The per-site mpf loop that `DiffOp.apply` must reproduce bit for bit
-    on a scalar sequence."""
-    lo = max(L.window[0], f.window[0] - L.min_degree)
-    hi = min(L.window[1], f.window[1] - L.order)
-    vals = []
-    for n in range(lo, hi + 1):
-        acc = mpf(0)
-        for j, u in L.terms.items():
-            acc += u.at(n) * f.at(n + j)
-        vals.append(acc)
-    return CoeffSeq(lo, vals)
+def fraction_apply(L: DiffOp, psi: list, n0: int):
+    """(lo, values) of L psi for the Fraction lists psi(n0), psi(n0 + 1), ...:
+    sum_j u_j(n) psi(n + j) at each n of DiffOp.apply's window."""
+    lo = max(L.window[0], n0 - L.min_degree)
+    hi = min(L.window[1], n0 + len(psi) - 1 - L.order)
+    return lo, [_trimmed(_fpsum([], *([_fraction(u.raw[n - u.n_min]) * c for c in psi[n + j - n0]]
+                                      for j, u in L.terms.items()))) for n in range(lo, hi + 1)]
 
 
-def _by_power(vals, n0):
-    """The z-coefficient sequences [psi_0, psi_1, ...] of the raw vectors
-    psi(n0), psi(n0 + 1), ..., each zero-padded to the window; none for
-    psi = 0."""
-    width = max(map(len, vals))
-    return [CoeffSeq._from_raw(n0, [v[k] if k < len(v) else fzero for v in vals])
-            for k in range(width)]
-
-
-def _z_values(seqs, n0: int, count: int) -> list:
-    """The ZPoly values at n0..n0+count-1 of z-coefficient sequences."""
-    cols = [s.values_on(n0, n0 + count - 1) for s in seqs]
-    return [ZPoly._from_raw([c[r] for c in cols]) for r in range(count)]
-
-
-def _reference_apply_by_power(L, vals, n0):
-    """L applied to each z-coefficient sequence of psi by the mpf loop:
-    (window, raw vectors) of L psi, which `DiffOp.apply` must reproduce on
-    the sequence of z-polynomials psi(n0), psi(n0 + 1), ..."""
-    out = [_reference_apply(L, s) for s in _by_power(vals, n0) or
-           [CoeffSeq._from_raw(n0, [fzero] * len(vals))]]
-    lo, hi = out[0].window
-    return (lo, hi), [v.raw for v in _z_values(out, lo, hi - lo + 1)]
-
-
-def _reference_action_matrix(L_base, L_act, n0: int):
-    """The action matrix and closure defect that `action_matrix` must
-    reproduce bit for bit: each kernel transposed into its zero-padded
-    z-coefficient sequences, L_act applied to each by the mpf loop, and the
-    values read back per site."""
+def fraction_action_matrix(L_base: DiffOp, L_act: DiffOp, n0: int):
+    """(M, defect) of spectral.action_matrix in Fractions: M as rows of
+    Fraction lists, and the closure defect, the largest |coefficient| of
+    L_act psi minus the kernel continuation of its first m values over the
+    largest |coefficient| of L_act psi (1 if 0), on the ACTION_PAD values
+    past them; a WindowError where a window ends."""
     m = L_base.order
     count = m + ACTION_PAD
-    cols = []
-    defect = mpf(0)
-    vscale = mpf(0)
+    cols, defect, vscale = [], Fraction(0), Fraction(0)
     for i in range(m):
-        unit = [ZPoly([1]) if j == i else ZPoly.zero() for j in range(m)]
-        psi = _by_power(_reference_kernel_extend(L_base, n0, unit, count + L_act.order), n0)
-        v = _z_values([_reference_apply(L_act, s) for s in psi], n0, count)
+        unit = [[Fraction(1)] if j == i else [] for j in range(m)]
+        lo, v = fraction_apply(L_act, fraction_kernel(L_base, n0, unit, count + L_act.order), n0)
+        if lo > n0 or len(v) < n0 - lo + count:
+            raise WindowError(f"L_act psi on [{n0}, {n0 + count - 1}] needs more kernel values")
+        v = v[n0 - lo:n0 - lo + count]
         cols.append(v[:m])
-        w = _z_values(_by_power(_reference_kernel_extend(L_base, n0, v[:m], count), n0),
-                      n0, count)
+        w = fraction_kernel(L_base, n0, v[:m], count)
         for r in range(m, count):
-            defect = max(defect, (v[r] - w[r]).sup_norm())
-            vscale = max(vscale, v[r].sup_norm())
-    rel = defect / vscale if vscale > 0 else defect
-    return [[cols[i][r] for i in range(m)] for r in range(m)], rel
+            defect = max(defect, _fpsup(_fpsum(v[r], [-x for x in w[r]])))
+            vscale = max(vscale, _fpsup(v[r]))
+    return [[cols[i][r] for i in range(m)] for r in range(m)], defect / (vscale or 1)
+
+
+def fraction_char_poly(M) -> list:
+    """det(w - M) of a matrix of Fraction lists (polynomials in z), as the
+    coefficients of w^0..w^m: the coefficient of w^(m-k) is (-1)^k times the
+    sum of the principal k x k minors, each by the Leibniz formula."""
+    m = len(M)
+    out = []
+    for k in range(m + 1):
+        acc = []
+        for rows in combinations(range(m), k):
+            for cols in permutations(rows):
+                term = [Fraction((-1) ** (k + sum(a > b for a, b in combinations(cols, 2))))]
+                for r, c in zip(rows, cols):
+                    term = _fpmul(term, M[r][c])
+                acc = _fpsum(acc, term)
+        out.append(_trimmed(acc))
+    return out[::-1]
+
+
+def exact_curve(L_base: DiffOp, L_act: DiffOp, n0_list=(-1, 0, 1)):
+    """(trace, det, spread, defect) of spectral.extract_curve in Fractions:
+    the trace and the determinant of M(z) at n0_list[0] as Fraction lists,
+    the largest |coefficient| difference of either from those at the other
+    base points, and the worst closure defect."""
+    per, worst = [], Fraction(0)
+    for n0 in n0_list:
+        M, defect = fraction_action_matrix(L_base, L_act, n0)
+        worst = max(worst, defect)
+        det, neg_tr, _ = fraction_char_poly(M)
+        per.append(([-v for v in neg_tr], det))
+    spread = max(_fpsup(_fpsum(x, [-v for v in y]))
+                 for other in per[1:] for x, y in zip(other, per[0]))
+    return (*per[0], spread, worst)
 
 
 # ---------------------------------------------------------------------------

@@ -66,3 +66,46 @@ def test_what_the_benchmark_calls_resolves_and_binds():
     for args in (("basis", "U", "W"), ("basis", "U", "W", "fine")):
         inspect.signature(ansatz_solve).bind(*args)
     inspect.signature(AnsatzResult.state).bind("self", "U", "W", "window")
+
+
+BENCH_TRACING = PACKAGE.parent.parent / "benchmarks" / "tracing.py"
+# the tracer's targets whose functions left the package; CI's bench-smoke
+# job expects the traced benchmark to report exactly these as missing
+STALE_TARGETS = [
+    "commdiff.dressing.linear_scale", "commdiff.dressing.master_scale",
+    "commdiff.families.resolve_geom_w_sign", "commdiff.lame.WeierstrassContext.triple",
+    "commdiff.linalg.damped_newton", "commdiff.numcore.poly_interpolate",
+]
+
+
+def _missing_span_targets() -> list:
+    """The targets of the tracer's SPANS table, read from its source, that
+    do not resolve in the package, as dotted names in table order."""
+    tree = ast.parse(BENCH_TRACING.read_text())
+    (spans,) = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["SPANS"]]
+    missing = []
+    for module, path in (t for targets in spans.values() for t in targets):
+        obj = importlib.import_module(module)
+        for name in path.split("."):
+            obj = getattr(obj, name, None)
+        if obj is None:
+            missing.append(f"{module}.{path}")
+    return missing
+
+
+def test_every_traced_target_resolves_but_the_stale_ones():
+    # a renamed or deleted function unhooks its span, and the traced
+    # benchmark fails when a span that a workload needs records no calls
+    assert sorted(_missing_span_targets()) == STALE_TARGETS
+
+
+@pytest.mark.parametrize("module, owner, name", [
+    ("spectral", None, "kernel_extend"), ("opalg", "DiffOp", "apply"),
+    ("rank2", None, "build_l4"), ("opalg", None, "op_commutator"),
+])
+def test_a_renamed_curve_lattice_target_is_reported(monkeypatch, module, owner, name):
+    target = importlib.import_module(f"commdiff.{module}")
+    monkeypatch.delattr(getattr(target, owner) if owner else target, name)
+    dotted = f"commdiff.{module}.{owner + '.' if owner else ''}{name}"
+    assert dotted in _missing_span_targets()

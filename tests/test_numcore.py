@@ -58,7 +58,7 @@ def test_scalar_rejects_non_finite():
 def test_poly_eval_basics():
     p = ZPoly([1, 0, 1])  # z^2 + 1
     assert p.eval(2) == 5
-    assert ZPoly.zero().eval(17) == 0
+    assert ZPoly().eval(17) == 0
     f1 = HyperellipticCurve(1, (0, 0, 0)).fpoly()  # monic cubic
     assert f1.eval(3) == 27
 
@@ -68,7 +68,7 @@ def test_poly_mul_basics():
     q = ZPoly([-1, 1])  # z - 1
     r = poly_mul(p, q)
     assert r.coeffs == (mpf(-1), mpf(0), mpf(1))
-    assert poly_mul(p, ZPoly.zero()).is_zero
+    assert poly_mul(p, ZPoly()).is_zero
 
 
 def test_poly_mul_pointwise_oracle():
@@ -89,7 +89,7 @@ def test_poly_mul_pointwise_oracle():
 def _reference_poly_mul(p, q):
     """The zero-started convolution that `poly_mul` must reproduce bit for bit."""
     if p.is_zero or q.is_zero:
-        return ZPoly.zero()
+        return ZPoly()
     out = [mpf(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
     for i, ai in enumerate(p.coeffs):
         for j, bj in enumerate(q.coeffs):
@@ -150,7 +150,6 @@ def test_poly_kernels_match_the_mpf_loops_bit_for_bit(bits):
             assert _raw(p - q) == _raw(_reference_sub(p, q))
             assert _raw(q - p) == _raw(_reference_sub(q, p))
             assert _raw(p.scale(c)) == _raw(_reference_scale(p, c))
-            assert _raw(-p) == _raw(ZPoly([-x for x in p.coeffs]))
             assert p.sup_norm()._mpf_ == _reference_sup_norm(p)._mpf_
         # the first largest of the |v| rounded at prec, as max() picks it
         raws = [v._mpf_ for v in pool]
@@ -584,13 +583,13 @@ def test_products_and_sums_match_the_reference_loops_bit_for_bit(bits):
             prod = poly_mul(p, q)
             assert _raw(prod) == _raw(_reference_poly_mul(p, q))
             assert all(type(c) is mpf for c in prod.coeffs)
-            assert _raw(p - q) == _raw(p + (-q))
-            assert _raw(q - p) == _raw(q + (-p))
+            assert _raw(p - q) == _raw(p + q.scale(-1))
+            assert _raw(q - p) == _raw(q + p.scale(-1))
 
 
 def test_values_stay_mpf_and_scalar_operands_are_coerced():
     p = ZPoly([mpf(1) / 3, 2])
-    for r in (p * 2, 2 * p, p.scale(0.5), p.scale(3) + p, p - p.scale(7), -p,
+    for r in (p * 2, 2 * p, p.scale(0.5), p.scale(3) + p, p - p.scale(7),
               poly_mul(p, p)):
         assert all(type(c) is mpf for c in r.coeffs)
     for bad in (float("inf"), float("nan")):
@@ -633,7 +632,7 @@ def test_poly_div_exact_basics():
     assert q.coeffs == (mpf(1), mpf(1))
     assert r == 1
     with pytest.raises(DegenerateDenominatorError):
-        poly_div_exact(ZPoly([1, 1]), ZPoly.zero())
+        poly_div_exact(ZPoly([1, 1]), ZPoly())
 
 
 def test_poly_div_exact_geometric_fixture():

@@ -17,13 +17,17 @@ from commdiff.opalg import (
     op_to_json,
 )
 from oracles import (
+    _fraction,
     _fraction_compose,
     _fraction_sum,
     exact_commutator,
     exact_commutator_rel,
+    fraction_apply,
     fraction_form,
     fraction_op,
+    apply_scalars,
     rounded_op,
+    rounded_poly,
     shift,
 )
 from test_numcore import trap_values
@@ -83,7 +87,7 @@ def geometric_l3(beta, a, window):
 def test_apply_shift():
     L = shift(WIN)
     f = CoeffSeq.tabulate(lambda n: mpf(n), (-30, 30))
-    out = L.apply(f)
+    out = apply_scalars(L, f)
     for n in range(-20, 21):
         assert out.at(n) == n + 1
 
@@ -92,7 +96,7 @@ def test_apply_constant_l2():
     # (T + U)^2 + W with U = W = 0 is T^2; on 2^n it multiplies by 4
     L = DiffOp.build({2: 1, 1: 0, 0: 0}, WIN)
     f = CoeffSeq.tabulate(lambda n: mpf(2) ** n, (-30, 30))
-    out = L.apply(f)
+    out = apply_scalars(L, f)
     for n in range(-20, 21):
         assert out.at(n) == 4 * mpf(2) ** n
 
@@ -100,7 +104,7 @@ def test_apply_constant_l2():
 def test_apply_quartic_partner_to_ones():
     L3 = quartic_l3(1, 0, WIN)
     f = CoeffSeq.constant(1, (-30, 30))
-    out = L3.apply(f)
+    out = apply_scalars(L3, f)
     expected = sum(L3.coeff(j).at(0) for j in range(4))
     assert abs(out.at(0) - expected) <= mpf("1e-30")
 
@@ -123,8 +127,8 @@ def test_mul_variable_coefficients():
     # oracle: apply both sides to delta sequences
     for k in range(-4, 5):
         delta = CoeffSeq.tabulate(lambda n, k=k: mpf(1) if n == k else mpf(0), (-30, 30))
-        lhs = prod.apply(delta)
-        rhs = A.apply(B.apply(delta))
+        lhs = apply_scalars(prod, delta)
+        rhs = apply_scalars(A, apply_scalars(B, delta))
         lo = max(lhs.window[0], rhs.window[0])
         hi = min(lhs.window[1], rhs.window[1])
         assert max(abs(lhs.at(n) - rhs.at(n)) for n in range(lo, hi + 1)) == 0
@@ -267,8 +271,8 @@ def test_apply_mul_coherence_property():
     A = quartic_l2(1, mpf(1) / 3, (-24, 24))
     B = quartic_l3(1, mpf(1) / 3, (-24, 24))
     f = CoeffSeq.tabulate(lambda n: mpf(rng.uniform(-1, 1)), (-30, 30))
-    lhs = (A * B).apply(f)
-    rhs = A.apply(B.apply(f))
+    lhs = apply_scalars(A * B, f)
+    rhs = apply_scalars(A, apply_scalars(B, f))
     lo = max(lhs.window[0], rhs.window[0])
     hi = min(lhs.window[1], rhs.window[1])
     scale = A.sup_norm() * B.sup_norm() * f.sup_norm()
@@ -298,7 +302,7 @@ def test_negative_degrees_representable():
     L = DiffOp.build({-1: 1, 1: 1}, WIN)
     assert not L.is_positive
     f = CoeffSeq.tabulate(lambda n: mpf(n) ** 2, (-30, 30))
-    out = L.apply(f)
+    out = apply_scalars(L, f)
     assert out.at(0) == (mpf(1) + mpf(1))  # (n-1)^2 + (n+1)^2 at n=0
 
 
@@ -338,8 +342,7 @@ def test_results_hold_mpf():
     B = DiffOp.build({-1: lambda n: mpf(n) / 7, 2: lambda n: mpf(rng.uniform(-2, 2))}, (-8, 10))
     c = CoeffSeq.tabulate(lambda n: mpf(n) / 9, (-9, 9))
     f = A.coeff(0)
-    for seq in (f.restrict((0, 3)), A.apply(c)):
-        assert all(type(v) is mpf for v in seq.values)
+    assert all(type(v) is mpf for v in f.restrict((0, 3)).values)
     for L in (A * B, A + B, A - B, A.scale_left(c)):
         assert _all_mpf(L)
 
@@ -440,16 +443,6 @@ def _reference_scale_left(L, c):
                       for j, t in L.terms.items()}
 
 
-def _reference_apply(L, f):
-    lo = max(L.window[0], f.window[0] - L.min_degree)
-    hi = min(L.window[1], f.window[1] - L.order)
-    vals = None
-    for j, u in L.terms.items():
-        prods = map(operator.mul, _mpfs_on(u, lo, hi), _mpfs_on(f, lo + j, hi + j))
-        vals = list(prods) if vals is None else list(map(operator.add, vals, prods))
-    return lo, vals
-
-
 def _raw_vals(vals):
     return [v._mpf_ for v in vals]
 
@@ -493,9 +486,11 @@ def test_operator_kernels_match_their_references_bit_for_bit(bits):
                 _assert_op_is(L + R, *_exact_sum(L, R))
             for L, c in ((A1, x), (B1, wide), (B1, x)):
                 _assert_op_is(L.scale_left(c), *_reference_scale_left(L, c))
-            lo, vals = _reference_apply(B, y)
-            got = B.apply(y)
-            assert got.window[0] == lo and _raw_vals(got.values) == _raw_vals(vals)
+            # the apply is exact, each value rounded once
+            lo, vals = fraction_apply(B, [[_fraction(v)] for v in y.raw], y.n_min)
+            got = apply_scalars(B, y)
+            assert got.window[0] == lo and got.raw == [(rounded_poly(v) or [fzero])[0]
+                                                       for v in vals]
             assert A.sup_norm()._mpf_ == max(abs(v) for t in A.terms.values()
                                              for v in t.values)._mpf_
 

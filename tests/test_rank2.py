@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import fone
 
 from commdiff import rank2
 from commdiff.errors import CommutationError
@@ -12,6 +15,7 @@ from commdiff.rank2 import (
     verify_rank2,
 )
 from commdiff.spectral import rank2_curve_check
+from oracles import _fraction, rounded_fraction
 
 WIN = (-28, 28)
 
@@ -70,7 +74,7 @@ def test_char_poly_squared_structure():
             assert report.mismatch_rel == 0, bits
             assert report.closure_defect == 0, bits
             assert report.char_polys[0].coeffs == (r * r).coeffs, bits
-            assert report.char_polys[2].coeffs == (-r.scale(2)).coeffs, bits
+            assert report.char_polys[2].coeffs == r.scale(-2).coeffs, bits
             assert report.char_polys[1].is_zero and report.char_polys[3].is_zero, bits
 
 
@@ -100,3 +104,70 @@ def test_true_pair_commutes_coefficient_by_coefficient():
             L6 = build_l6_special(WIN)
             report = rank2_curve_check(L4, L6, expected_curve_poly(Rank2Params(2, 0, 0)))
         assert report.commutator_residual_rel <= bound, bits
+
+
+def _closed_forms(a2, a1, a0, one):
+    """The closed forms of L4's and L6's lower coefficients, {order: {j: f}},
+    in the order of operations that the mpf tabulation used, for one =
+    mpf(1), or exactly, for one = Fraction(1) and Fraction parameters."""
+    return {4: {
+        3: lambda n: a2 * n * n + a1 * n + a0,
+        2: lambda n: (one * 3 / 8 * (a1 + a2 * (n - 1)) * n
+                      * (2 * a0 + a1 * (n - 1) + a2 * (n * n - n - 2))),
+        1: lambda n: -one / 16 * (a0 + a1 * (n - 1) + a2 * (n - 2) * n) * (
+            2 * a0**2 - a1**2 * (n - 2) * n - a0 * (a1 + 2 * a2 * (n - 1) ** 2 + 2 * a1 * n)
+            - a1 * a2 * (2 * n**3 - 6 * n**2 - n + 2) - a2**2 * n * (n**3 - 4 * n**2 - n + 10)),
+        0: lambda n: one / 256 * (a1 + a2 * (n - 3)) * n * (
+            2 * a0 - 4 * a2 + (n - 3) * (a1 + a2 * n)) * (
+            -4 * a0**2 + a1**2 * (n - 2) * (n - 1)
+            + a2**2 * (n - 2) * (n - 1) * ((n - 3) * n - 6)
+            + 2 * a0 * (a1 * n + a2 * ((n - 3) * n + 4))
+            + a1 * a2 * (6 + n * (5 + n * (2 * n - 9)))),
+    }, 6: {
+        5: lambda n: one * 3 * n * n + 6 * n + 8,
+        4: lambda n: one / 4 * (n * (n + 1) * (32 + 15 * n * (n + 1)) - 6),
+        3: lambda n: one / 2 * n**2 * (n**2 - 2) * (5 * n**2 + 7),
+        2: lambda n: (one / 16 * (n - 2) * (n - 1) * n * (n + 1)
+                      * ((n - 1) * n * (15 * (n - 1) * n - 38) - 36)),
+        1: lambda n: (one / 16 * (n - 2) ** 2 * n**2
+                      * (12 + (n - 2) * n * ((n - 2) * n - 5) * (3 * (n - 2) * n - 11))),
+        0: lambda n: (one / 64 * (n - 4) * (n - 3) * (n - 2) * (n - 1) * n * (n + 1)
+                      * ((n - 3) * n - 6) * ((n - 4) * (n - 3) * n * (n + 1) - 6)),
+    }}
+
+
+def _terms(L):
+    return {j: t.raw for j, t in L.terms.items()}
+
+
+def _tabulated(forms, order, convert):
+    lo, hi = WIN
+    return {order: [fone] * (hi - lo + 1),
+            **{j: [convert(f(n)) for n in range(lo, hi + 1)] for j, f in forms.items()}}
+
+
+@pytest.mark.parametrize("bits", (53, 113))
+def test_the_dyadic_pair_tabulates_as_the_mpf_closed_forms(bits):
+    # the integer closed forms, each shifted by its dyadic constant and
+    # rounded once, give the bits of the mpf formulas on WIN
+    with mp.workprec(bits):
+        forms = _closed_forms(mpf(2), mpf(0), mpf(0), mpf(1))
+        raw = lambda v: mpf(v)._mpf_
+        assert _terms(build_l4(Rank2Params(2, 0, 0), WIN)) == _tabulated(forms[4], 4, raw)
+        assert _terms(build_l6_special(WIN)) == _tabulated(forms[6], 6, raw)
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160))
+@pytest.mark.parametrize("params", [("0.3", "1.7", "-0.45"), ("1e-9", "-3", "7.25")])
+def test_l4_coefficients_are_the_exact_closed_forms_rounded_once(params, bits):
+    with mp.workprec(bits):
+        p = Rank2Params(*params)
+        a2, a1, a0 = (_fraction(v._mpf_) for v in (p.a2, p.a1, p.a0))
+        forms = _closed_forms(a2, a1, a0, Fraction(1))[4]
+        assert _terms(build_l4(p, WIN)) == _tabulated(forms, 4, lambda v: rounded_fraction(v)._mpf_)
+
+
+def test_verify_rank2_reports_exact_zeros():
+    report = verify_rank2()
+    for key in ("commutator_residual_rel", "curve_mismatch_rel", "closure_defect"):
+        assert report[key] == 0 and type(report[key]) is mpf, key

@@ -1,6 +1,8 @@
+import functools
+from fractions import Fraction
+
 import pytest
 from mpmath import mp, mpf, cos, sin
-from mpmath.libmp import fone, fzero
 
 from commdiff.errors import CommutationError, WindowError
 from commdiff.numcore import ZPoly
@@ -15,23 +17,28 @@ from commdiff.dressing import (
     l2_operator,
 )
 from commdiff.families import FamilySpec, build_case, geom_family, poly_family, trig_family
-from commdiff.rank2 import Rank2Params, build_l4, build_l6_special
+from commdiff.rank2 import Rank2Params, build_l4, build_l6_special, expected_curve_poly
 from oracles import (
-    _by_power,
-    _reference_action_matrix,
-    _reference_apply,
-    _reference_apply_by_power,
-    _reference_kernel_extend,
+    _fraction,
     baker_akhiezer,
     curve_point,
+    exact_curve,
+    exact_z,
+    fraction_action_matrix,
+    fraction_apply,
+    fraction_char_poly,
+    fraction_kernel,
+    fraction_z,
+    rounded_fraction,
+    rounded_poly,
 )
-from test_numcore import _raw, _reference_add, _reference_poly_mul
 from commdiff.spectral import (
     CurveReport,
     action_matrix,
     char_poly_coeffs,
     extract_curve,
     kernel_extend,
+    rank2_curve_check,
 )
 
 WIN = (-26, 26)
@@ -53,39 +60,40 @@ def make_pair(kind, g=1):
     return L2, build_partner_op(state, L2), state
 
 
+ONE, ZERO = ([1], 0), ([], 0)
+
+
 def test_kernel_extend_pure_shift_square():
     # T^2 psi = z psi from psi(0) = 1, psi(1) = 0: psi(2k) = z^k, psi(2k+1) = 0
     L = DiffOp.build({2: 1, 1: 0, 0: 0}, WIN)
-    psi = kernel_extend(L, 0, (ZPoly([1]), ZPoly.zero()), 11)
-    assert psi == [[fzero] * (n // 2) + [fone] if n % 2 == 0 else [] for n in range(11)]
+    psi = kernel_extend(L, 0, (ONE, ZERO), 11)
+    assert [fraction_z(x) for x in psi] == [[0] * (n // 2) + [1] if n % 2 == 0 else []
+                                            for n in range(11)]
 
 
 def test_kernel_extend_satisfies_recurrence():
-    # (L2 - z) psi = 0 coefficient by coefficient: L2 psi_0 = 0 and
-    # L2 psi_k = psi_{k-1}
+    # (L2 - z) psi = 0 exactly: L2 psi(n) = z psi(n), coefficient by coefficient
     U, W = poly_family(1, 1, 0, 0, WIN)
     L2 = l2_operator(U, W)
-    init = (ZPoly([mpf("0.7"), mpf("-0.3")]), ZPoly([mpf("-0.2")]))
-    psi = _by_power(kernel_extend(L2, -3, init, 16), -3)
-    assert len(psi) == 9  # psi(n0 + 14) has degree 8 in z
-    scale = L2.sup_norm() * max(c.sup_norm() for c in psi)
-    for k, c in enumerate(psi):
-        out = L2.apply(c)
-        for n in range(out.window[0], out.window[1] + 1):
-            below = psi[k - 1].at(n) if k else 0
-            assert abs(out.at(n) - below) <= mpf("1e-28") * scale
+    init = (exact_z(ZPoly([mpf("0.7"), mpf("-0.3")])), exact_z(ZPoly([mpf("-0.2")])))
+    psi = kernel_extend(L2, -3, init, 16)
+    assert len(fraction_z(psi[-1])) == 9  # psi(n0 + 15) has degree 8 in z
+    out = L2.apply(CoeffSeq._from_raw(-3, psi))
+    assert out.window == (-3, 10)
+    for n, v in zip(range(-3, 11), out.raw):
+        assert fraction_z(v) == [0, *fraction_z(psi[n + 3])], n
 
 
 def test_kernel_extend_zero_init():
     U, W = poly_family(1, 1, 0, 0, WIN)
     L2 = l2_operator(U, W)
-    assert kernel_extend(L2, 0, (ZPoly.zero(), ZPoly.zero()), 10) == [[]] * 10
+    assert all(not any(c) for c, _e in kernel_extend(L2, 0, (ZERO, ZERO), 10))
 
 
 def test_kernel_extend_window_guard():
     L = DiffOp.build({2: 1, 0: 0}, (0, 3))
     with pytest.raises(WindowError):
-        kernel_extend(L, 0, (ZPoly([1]), ZPoly.zero()), 12)
+        kernel_extend(L, 0, (ONE, ZERO), 12)
 
 
 def test_extract_curve_window_guard_names_the_base_point():
@@ -105,7 +113,7 @@ def test_extract_curve_window_guard_names_the_base_point():
 def action_at(L_base, L_act, z, n0):
     """The polynomial action matrix evaluated at the scalar z."""
     M, _defect = action_matrix(L_base, L_act, n0)
-    return [[p.eval(z) for p in row] for row in M]
+    return [[ZPoly._from_raw(rounded_poly(fraction_z(p))).eval(z) for p in row] for row in M]
 
 
 def test_action_matrix_self_is_z_identity():
@@ -144,13 +152,14 @@ def test_extract_curve_rejects_non_commuting():
 
 def test_char_poly_coeffs_small_matrix():
     # companion matrix of w^3 - 6 w^2 + 11 w - 6 = (w-1)(w-2)(w-3)
-    M = [[0, 0, 6], [1, 0, -11], [0, 1, 6]]
-    cs = char_poly_coeffs(M)
-    expected = [-6, 11, -6, 1]
-    assert max(abs(a - b) for a, b in zip(cs, expected)) <= mpf("1e-25")
+    M = [[([v], 0) for v in row] for row in ([0, 0, 6], [1, 0, -11], [0, 1, 6])]
+    assert [fraction_z(c) for c in char_poly_coeffs(M)] == [[-6], [11], [-6], [1]]
     # 2 x 2: determinant and minus the trace, exactly
-    a, b, c, d = mpf(1) / 3, mpf(2) / 7, mpf(-5) / 11, mpf(3) / 13
-    assert char_poly_coeffs([[a, b], [c, d]]) == [a * d - b * c, -(a + d), 1]
+    vals = [mpf(1) / 3, mpf(2) / 7, mpf(-5) / 11, mpf(3) / 13]
+    a, b, c, d = (_fraction(v._mpf_) for v in vals)
+    (ea, eb), (ec, ed) = [[exact_z(ZPoly([v])) for v in vals[k:k + 2]] for k in (0, 2)]
+    got = char_poly_coeffs([[ea, eb], [ec, ed]])
+    assert [fraction_z(x) for x in got] == [[a * d - b * c], [-(a + d)], [1]]
 
 
 def test_extract_curve_quartic_family():
@@ -217,7 +226,7 @@ def test_extract_curve_genus2_invariants():
     assert rep.matched_curve is not None
     scale = max(rep.det_poly.sup_norm(), mpf(1))
     assert rep.trace_poly.sup_norm() <= mpf("1e-8") * scale
-    assert (-rep.det_poly).degree == 5
+    assert rep.det_poly.degree == 5
     assert rep.base_independence_residual <= mpf("1e-8") * scale
     for a, b in zip(rep.matched_curve.c, state.curve.c):
         assert abs(a - b) <= mpf("1e-8") * scale
@@ -312,202 +321,150 @@ def test_extract_curve_catches_a_perturbed_partner():
 
 
 # ---------------------------------------------------------------------------
-# bit-identity against the oracles: the kernel recurrence in ZPoly
-# arithmetic, the per-site mpf apply on each z-coefficient sequence, and the
-# action matrix read from the kernel transposed into one zero-padded
-# sequence per power of z
+# exactness against the Fraction oracles: the kernel, the apply, the action
+# matrix and its characteristic polynomial are exact, and every reported
+# value is the exact one rounded once
 # ---------------------------------------------------------------------------
 
 
-def _applies_as_reference(op, psi, n0):
-    """op applied to the sequence of z-polynomials psi from n0 gives, bit for
-    bit, the window and values of the mpf loop applied power by power."""
-    got = op.apply(CoeffSeq._from_raw(n0, psi))
-    return (got.window, got.raw) == _reference_apply_by_power(op, psi, n0)
-
-
-def _raw_seq(f):
-    return f.window, [v._mpf_ for v in f.values]
-
-
-ORACLE_CASES = [
-    ("trig", {"r1": "1"}),
-    ("poly", {"a2": "1", "a0": "0"}),
-    ("geom", {"a": "2", "beta": "1"}),
-    ("poly", {"a2": "0.886695", "a1": "0.708451", "a0": "0.234504"}),
+EXACT_CASES = [
+    ("trig", 2, (("r1", "1"),)),
+    ("poly", 2, (("a2", "1"), ("a0", "0"))),
+    ("poly", 2, (("a2", "0.886695"), ("a1", "0.708451"), ("a0", "0.234504"))),
+    ("geom", 2, (("a", "2"), ("beta", "1"))),
+    ("elliptic", 1, ()),
 ]
+EXACT_IDS = ["trig", "poly", "poly-nondyadic", "geom", "elliptic"]
 
 
-@pytest.mark.parametrize("bits", (53, 113, 160))
-@pytest.mark.parametrize("kind, params", ORACLE_CASES)
-def test_kernel_extend_and_apply_match_reference_loops_bit_for_bit(kind, params, bits):
+@functools.lru_cache(maxsize=None)
+def _built(kind, g, params, bits):
+    """build_case's (L2, partner) on [-8, 8] at bits, built once per test session."""
     with mp.workprec(bits):
-        L2, partner, _state, _extras = build_case(FamilySpec(kind, 2, params), (-6, 6))
-        inits = [
-            (ZPoly([1]), ZPoly.zero()),
-            (ZPoly.zero(), ZPoly([1])),
-            (ZPoly.zero(), ZPoly.zero()),
-            (ZPoly([mpf("0.7"), mpf("-0.3")]), ZPoly([mpf("-0.2"), 0, mpf(1) / 3])),
-        ]
-        for n0 in (L2.window[0], -1, 0, 3):
-            for init in inits:
-                psi = kernel_extend(L2, n0, init, 12)
-                assert psi == _reference_kernel_extend(L2, n0, init, 12)
-                for op in (L2, partner):
-                    assert _applies_as_reference(op, psi, n0)
-                    for f in _by_power(psi, n0):
-                        assert _raw_seq(op.apply(f)) == _raw_seq(_reference_apply(op, f))
+        return build_case(FamilySpec(kind, g, dict(params)), (-8, 8))[:2]
 
 
-@pytest.mark.parametrize("bits", (53, 113, 160))
-def test_apply_matches_the_reference_loop_on_exact_zeros_and_negative_degrees(bits):
-    with mp.workprec(bits):
-        # a negative-degree term, a zero coefficient and exact 1s
-        L = DiffOp.build({-2: lambda n: mpf(n) / 7, 0: 0, 1: 1, 3: lambda n: mpf(1) / (n + 40)},
-                         (-20, 20))
-        f = CoeffSeq.tabulate(lambda n: 0 if n % 3 == 0 else mpf(n) / 11 - mpf(1) / 3, (-15, 18))
-        assert any(v == 0 for v in f.values)
-        assert _raw_seq(L.apply(f)) == _raw_seq(_reference_apply(L, f))
-        # T^2 with exact zero lower coefficients: psi holds exact zeros
-        S = DiffOp.build({2: 1, 1: 0, 0: 0}, (-20, 20))
-        psi = kernel_extend(S, -3, (ZPoly([1]), ZPoly.zero()), 15)
-        assert psi == _reference_kernel_extend(S, -3, (ZPoly([1]), ZPoly.zero()), 15)
-        assert _applies_as_reference(L, psi, -3)
-        for c in _by_power(psi, -3):
-            assert _raw_seq(L.apply(c)) == _raw_seq(_reference_apply(L, c))
-        # T^2 alone, from zero data: psi = 0 has no coefficients at all
-        P = DiffOp.build({2: 1}, (-20, 20))
-        zero = (ZPoly.zero(), ZPoly.zero())
-        assert kernel_extend(P, 0, zero, 9) == _reference_kernel_extend(P, 0, zero, 9) == [[]] * 9
-        assert _applies_as_reference(L, [[]] * 9, 0)
-        # no step at all: the initial data back
-        init = (ZPoly([mpf(1) / 3, 1]), ZPoly([0, 0, mpf(2) / 7]))
-        assert kernel_extend(S, 18, init, 2) == _reference_kernel_extend(S, 18, init, 2)
-        # initial data wider than bits, used as given: z psi is an exact
-        # shift, so under exact-zero lower coefficients psi(n + 2) = z psi(n)
-        # keeps every bit, and under nonzero ones the coefficients that no
-        # product reaches keep theirs too
-        with mp.workprec(2 * bits):
-            wide = (ZPoly([mp.sqrt(2), -mp.sqrt(3)]), ZPoly([mp.sqrt(5)]))
-        psi = kernel_extend(S, 0, wide, 6)
-        assert psi == _reference_kernel_extend(S, 0, wide, 6)
-        for r in range(2, 6):
-            assert psi[r] == [fzero] * (r // 2) + wide[r % 2].raw, r
-        R = DiffOp.build({2: 1, 1: lambda n: mpf(n) / 7, 0: lambda n: mpf(1) / (n + 40)},
-                         (-20, 20))
-        for n0 in (-3, 0):
-            psi = kernel_extend(R, n0, wide, 9)
-            assert psi == _reference_kernel_extend(R, n0, wide, 9)
-            assert any(v[3] > bits for vec in psi[2:] for v in vec)
-            assert _applies_as_reference(L, psi, n0)
-
-
-def _action_or_error(action, L_base, L_act, n0):
-    """The raw entries of M and the raw defect, or the WindowError's name."""
+def _exact_or_error(action, L_base, L_act, n0):
+    """The action matrix and defect as Fractions, or "WindowError"."""
     try:
         M, defect = action(L_base, L_act, n0)
     except WindowError:
         return "WindowError"
-    return [[p.raw for p in row] for row in M], defect._mpf_
+    if isinstance(defect, tuple):  # the package's exact z-polynomials and int ratio
+        return [[fraction_z(x) for x in row] for row in M], Fraction(*defect)
+    return M, defect
 
 
-def _assert_actions_match(L_base, acts, base_points):
-    """action_matrix against the per-power oracle, bit for bit, on every
-    pair of acting operator and base point; returns how many gave a matrix."""
-    made = 0
-    for L_act in acts:
-        for n0 in base_points:
-            got = _action_or_error(action_matrix, L_base, L_act, n0)
-            assert got == _action_or_error(_reference_action_matrix, L_base, L_act, n0), n0
-            made += got != "WindowError"
-    return made
+def _assert_kernel_and_apply_exact(L, ops, n0, init, length):
+    """kernel_extend from init and each of ops applied to the kernel equal
+    the Fraction recurrence and sums, exactly."""
+    psi = kernel_extend(L, n0, init, length)
+    want = fraction_kernel(L, n0, [fraction_z(x) for x in init], length)
+    assert [fraction_z(x) for x in psi] == want
+    for op in ops:
+        got = op.apply(CoeffSeq._from_raw(n0, psi))
+        lo, vals = fraction_apply(op, want, n0)
+        assert got.window[0] == lo and [fraction_z(x) for x in got.raw] == vals
 
 
 @pytest.mark.parametrize("bits", (53, 113, 160, 1100))
-@pytest.mark.parametrize("kind, params", ORACLE_CASES)
-def test_action_matrix_matches_the_reference_loops_bit_for_bit(kind, params, bits):
+@pytest.mark.parametrize("kind, g, params", EXACT_CASES, ids=EXACT_IDS)
+def test_kernel_and_apply_are_exact(kind, g, params, bits):
+    L2, partner = _built(kind, g, params, bits)
+    with mp.workprec(bits):
+        inits = [(ONE, ZERO), (ZERO, ONE), (ZERO, ZERO),
+                 (exact_z(ZPoly([mpf("0.7"), mpf("-0.3")])), exact_z(ZPoly([0, 0, mpf(1) / 3])))]
+        for n0 in (L2.window[0], -1, 0, 3):
+            for init in inits:
+                _assert_kernel_and_apply_exact(L2, (L2, partner), n0, init, 12)
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160, 1100))
+@pytest.mark.parametrize("kind, g, params", EXACT_CASES, ids=EXACT_IDS)
+def test_action_matrix_and_char_poly_are_exact(kind, g, params, bits):
     # the partner, L2 itself (M = z I), an operator with an exact-zero term,
     # zero sites and exact 1s, and one with a negative-degree term, whose
     # action needs kernel values below the base point (a WindowError on
     # both sides); L2.window[0] lies below the partner's window
+    L2, partner = _built(kind, g, params, bits)
     with mp.workprec(bits):
-        L2, partner, _state, _extras = build_case(FamilySpec(kind, 2, params), (-6, 6))
         zeros = DiffOp.build({0: lambda n: 0 if n % 2 else mpf(n) / 7, 1: 0, 2: 1,
                               3: lambda n: mpf(1) / (n + 40)}, L2.window)
         negative = DiffOp.build({-1: lambda n: mpf(n) / 5, 0: 0, 1: 1}, L2.window)
-        made = _assert_actions_match(L2, (partner, L2, zeros, negative),
-                                     (-1, 0, 1, L2.window[0]))
+        made = 0
+        for L_act in (partner, L2, zeros, negative):
+            for n0 in (-1, 0, 1, L2.window[0]):
+                got = _exact_or_error(action_matrix, L2, L_act, n0)
+                assert got == _exact_or_error(fraction_action_matrix, L2, L_act, n0), n0
+                if got != "WindowError":
+                    made += 1
+                    M, _defect = action_matrix(L2, L_act, n0)
+                    assert [fraction_z(x) for x in char_poly_coeffs(M)] == \
+                        fraction_char_poly(got[0])
         assert made == 11
 
 
 @pytest.mark.parametrize("bits", (53, 113, 160, 1100))
-@pytest.mark.parametrize("params", [(2, 0, 0), ("0.3", "1.7", "-0.45")])
-def test_rank2_action_matrix_matches_the_reference_loops_bit_for_bit(params, bits):
+@pytest.mark.parametrize("kind, g, params", EXACT_CASES, ids=EXACT_IDS)
+def test_each_reported_extraction_value_is_the_exact_one_rounded_once(kind, g, params, bits):
+    L2, partner = _built(kind, g, params, bits)
     with mp.workprec(bits):
-        L4 = build_l4(Rank2Params(*params), (-20, 20))
-        made = _assert_actions_match(L4, (build_l6_special((-20, 20)), L4),
-                                     (-1, 0, 1, L4.window[0]))
-        assert made == 8
+        # commutation_tol=1: at 53 bits a stored pair may not pass the guard
+        rep = extract_curve(L2, partner, commutation_tol=1)
+        trace, det, spread, worst = exact_curve(L2, partner)
+        assert rep.trace_poly.raw == rounded_poly(trace)
+        assert rep.det_poly.raw == rounded_poly(det)
+        assert rep.base_independence_residual == rounded_fraction(spread)
+        assert rep.closure_defect == rounded_fraction(worst)
 
 
-# the rank-two L4: order 4, the dyadic pair of rank2 and a non-dyadic L4
-RANK2_CASES = [(2, 0, 0), ("0.3", "1.7", "-0.45")]
-
-
-def _reference_total(polys):
-    """p_1 + p_2 + ... left to right, each sum the mpf loop of ZPoly's +."""
-    acc = polys[0]
-    for p in polys[1:]:
-        acc = _reference_add(acc, p)
-    return acc
-
-
-def _reference_char_poly(A):
-    """The Faddeev-LeVerrier loop over ZPoly entries that `char_poly_coeffs`
-    must reproduce bit for bit above 2 x 2: traces of A^1..A^m, then Newton's
-    identities, c_{m-k} = -(p_k + c_{m-1} p_{k-1} + ...) / k."""
-    m = len(A)
-    Mk = A
-    traces = [_reference_total([A[i][i] for i in range(m)])]
-    for _ in range(m - 1):
-        Mk = [[_reference_total([_reference_poly_mul(Mk[i][k], A[k][j]) for k in range(m)])
-               for j in range(m)] for i in range(m)]
-        traces.append(_reference_total([Mk[i][i] for i in range(m)]))
-    coeffs = [None] * m + [mpf(1)]
-    for k in range(1, m + 1):
-        acc = traces[k - 1]
-        for i in range(1, k):
-            acc = _reference_add(acc, _reference_poly_mul(coeffs[m - i], traces[k - i - 1]))
-        coeffs[m - k] = ZPoly([-c / k for c in acc.coeffs])
-    return coeffs
+@pytest.mark.parametrize("bits", (53, 113, 160))
+def test_kernel_and_apply_are_exact_on_zeros_negative_degrees_and_wide_data(bits):
+    with mp.workprec(bits):
+        # a negative-degree term, a zero coefficient and exact 1s
+        L = DiffOp.build({-2: lambda n: mpf(n) / 7, 0: 0, 1: 1, 3: lambda n: mpf(1) / (n + 40)},
+                         (-20, 20))
+        # T^2 with exact-zero lower coefficients, T^2 alone, and a general L2
+        S = DiffOp.build({2: 1, 1: 0, 0: 0}, (-20, 20))
+        P = DiffOp.build({2: 1}, (-20, 20))
+        R = DiffOp.build({2: 1, 1: lambda n: mpf(n) / 7, 0: lambda n: mpf(1) / (n + 40)},
+                         (-20, 20))
+        # initial data wider than bits, used as given
+        with mp.workprec(2 * bits):
+            wide = (exact_z(ZPoly([mp.sqrt(2), -mp.sqrt(3)])), exact_z(ZPoly([mp.sqrt(5)])))
+        assert max(len(bin(v)) for x in wide for v in x[0]) > bits
+        for base in (S, P, R):
+            for n0, init in ((-3, (ONE, ZERO)), (0, (ZERO, ZERO)), (0, wide), (-3, wide)):
+                _assert_kernel_and_apply_exact(base, (L, base), n0, init, 9)
+        # no step at all: the initial data back
+        assert kernel_extend(S, 18, wide, 2) == list(wide)
 
 
 @pytest.mark.parametrize("bits", (53, 113, 160, 1100))
-@pytest.mark.parametrize("params", RANK2_CASES)
-def test_kernel_extend_of_the_rank2_l4_matches_the_reference_loop_bit_for_bit(params, bits):
+@pytest.mark.parametrize("params", [(2, 0, 0), ("0.3", "1.7", "-0.45")])
+def test_rank2_action_and_char_poly_are_exact(params, bits):
+    # at (2, 0, 0) the pair commutes and its report holds exact values; the
+    # non-dyadic L4 with the same L6 (which then does not commute with it)
+    # gives a 4 x 4 action whose entries and characteristic polynomial are
+    # exact all the same
     with mp.workprec(bits):
-        L4 = build_l4(Rank2Params(*params), (-12, 12))
-        units = [tuple(ZPoly([1]) if j == i else ZPoly.zero() for j in range(4))
-                 for i in range(4)]
-        mixed = (ZPoly([mpf("0.7"), mpf("-0.3")]), ZPoly.zero(), ZPoly([0, 0, mpf(1) / 3]),
-                 ZPoly([mpf(-2) / 7]))
+        L4, L6 = build_l4(Rank2Params(*params), (-20, 20)), build_l6_special((-20, 20))
+        units = [tuple(ONE if j == i else ZERO for j in range(4)) for i in range(4)]
+        mixed = (exact_z(ZPoly([mpf("0.7"), mpf("-0.3")])), ZERO,
+                 exact_z(ZPoly([0, 0, mpf(1) / 3])), exact_z(ZPoly([mpf(-2) / 7])))
         for n0 in (-12, -1, 0, 3):
             for init in (*units, mixed):
-                psi = kernel_extend(L4, n0, init, 14)
-                assert psi == _reference_kernel_extend(L4, n0, init, 14)
-
-
-@pytest.mark.parametrize("bits", (53, 113, 160, 1100))
-@pytest.mark.parametrize("params", RANK2_CASES)
-def test_char_poly_of_the_rank2_action_matrix_matches_faddeev_leverrier_bit_for_bit(params,
-                                                                                    bits):
-    # at (2, 0, 0) the 4 x 4 action of L6 on ker(L4 - z) is exact; the
-    # non-dyadic L4 with the same L6 (which then does not commute with it)
-    # gives entries that round
-    with mp.workprec(bits):
-        L4 = build_l4(Rank2Params(*params), (-20, 20))
-        M, _defect = action_matrix(L4, build_l6_special((-20, 20)), 0)
-        assert len(M) == 4 and all(len(row) == 4 for row in M)
-        got, want = char_poly_coeffs(M), _reference_char_poly(M)
-        assert [_raw(c) for c in got[:4]] == [_raw(c) for c in want[:4]]
-        assert got[4] == want[4] == 1
+                _assert_kernel_and_apply_exact(L4, (L4, L6), n0, init, 14)
+        M, defect = action_matrix(L4, L6, 0)
+        fM, fdefect = fraction_action_matrix(L4, L6, 0)
+        assert len(M) == 4 and [[fraction_z(x) for x in row] for row in M] == fM
+        assert Fraction(*defect) == fdefect
+        got = char_poly_coeffs(M)
+        assert [fraction_z(x) for x in got] == fraction_char_poly(fM)
+        if params == (2, 0, 0):
+            r = expected_curve_poly(Rank2Params(*params))
+            rep = rank2_curve_check(L4, L6, r)
+            assert {k: p.raw for k, p in rep.char_polys.items()} == {
+                k: rounded_poly(fraction_z(x)) for k, x in enumerate(got[:4])}
+            assert rep.closure_defect == rounded_fraction(fdefect) == 0
+            assert rep.mismatch_rel == 0
