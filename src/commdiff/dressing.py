@@ -8,8 +8,11 @@ w^2 = F_g(z).  They satisfy
     F_g(z) = S_n^2 + (z - U_n^2 - W_n) Q_n Q_{n+1}              (master identity)
 
 plus the linear four-term relation R_n(z) = sum_i d_i (z + c_i) S_{n+s_i}(z),
-s_i = -1..2, obtained by eliminating F_g between consecutive n; the identity
-checks form both exactly on ints and round each result once.  ansatz_solve
+s_i = -1..2, obtained by eliminating F_g between consecutive n.  Both run
+exactly on ints (numcore's z-polynomials) and round each result once: the
+pair rule gives each coefficient of Q_n as a ratio of ints, the identity
+checks form both identities, and a state built without a curve reads F_g
+off the master polynomial at one site.  ansatz_solve
 constructs S by the level recursion in z (_four_term_factors): the z^(m+1)
 coefficients of R_n step the z^m coefficients of Q_n by 2 in n, the pair
 rule gives those of S_n, and 3g constants are fitted on the z^0
@@ -27,7 +30,7 @@ from itertools import zip_longest
 
 from mpmath import mp, mpf, sqrt
 from mpmath.libmp import fone, from_int, fzero, mpf_abs, mpf_gt, mpf_neg, mpf_rdiv_int, mpf_shift
-from mpmath.libmp import from_rational, round_nearest as RND
+from mpmath.libmp import round_nearest as RND
 
 from . import linalg
 from .errors import DegenerateDenominatorError, InconsistentDataError, WindowError
@@ -35,7 +38,8 @@ from .numcore import (
     HyperellipticCurve,
     ZPoly,
     cos_int,
-    ipoly_mul,
+    exceeds,
+    poly_mul,
     pow_int,
     radd,
     raw_ints,
@@ -43,7 +47,7 @@ from .numcore import (
     rdot,
     rmac,
     rmul,
-    rpoly_add,
+    rratio,
     rround,
     rsub,
     scalar,
@@ -70,18 +74,17 @@ def l2_operator(U: CoeffSeq, W: CoeffSeq) -> DiffOp:
     return t_u * t_u + DiffOp({0: W})
 
 
-def _pair_denominator(u_prev, u_cur, p, where: str):
-    """u_prev + u_cur at p bits, the pair rule's denominator, for raw values;
-    an error below the general-position threshold, whose message starts
-    with where."""
-    den = radd(u_prev, u_cur, p)
-    # degeneracy means cancellation between the two values, not small size
-    dscale = raw_max((u_prev, u_cur), p)
-    if dscale == fzero or not mpf_gt(mpf_abs(den), rmul(DEGENERACY_REL._mpf_, dscale, p)):
-        make = mp.make_mpf
-        raise DegenerateDenominatorError(
-            f"{where}: U_prev + U_cur = {make(den)} is degenerate (scale {make(dscale)})"
-        )
+def _pair_denominator(u_prev: int, u_cur: int, exp: int, where: str) -> int:
+    """u_prev + u_cur, the pair rule's denominator, for U_{n-1} and U_n as
+    ints on 2^exp, exactly; an error unless it exceeds DEGENERACY_REL times
+    the larger |U| (degeneracy is cancellation between the two values, not
+    small size), whose message starts with where."""
+    den = u_prev + u_cur
+    dscale = max(abs(u_prev), abs(u_cur))
+    if not exceeds(abs(den), dscale, DEGENERACY_REL):
+        make, p = mp.make_mpf, mp.prec
+        raise DegenerateDenominatorError(f"{where}: U_prev + U_cur = {make(rround(den, exp, p))} "
+                                         f"is degenerate (scale {make(rround(dscale, exp, p))})")
     return den
 
 
@@ -96,12 +99,17 @@ def q_from_s(S_prev: ZPoly, S_cur: ZPoly, U_prev, U_cur, where: str = "q_from_s"
 
 
 def _pair_rule(s_prev, s_cur, u_prev, u_cur, where: str) -> ZPoly:
-    """q_from_s on the raw coefficients of S_prev and S_cur and raw U values."""
+    """q_from_s on the raw coefficients of S_prev and S_cur and raw U values,
+    read as ints on one exponent (numcore.raw_ints): each coefficient of Q
+    is the exact ratio -(s_prev + s_cur) / (u_prev + u_cur), rounded once,
+    and its lead must lie within S_LEAD_TOL of 1, compared exactly."""
     p = mp.prec
-    inv = mpf_rdiv_int(-1, _pair_denominator(u_prev, u_cur, p, where), p, RND)
-    q = ZPoly._from_raw([rmul(inv, v, p) for v in rpoly_add(s_prev, s_cur, p)])
-    lead = q.raw[-1] if q.raw else fzero
-    if mpf_gt(mpf_abs(rsub(lead, fone, p)), S_LEAD_TOL._mpf_):
+    (a, b, (up, uc)), exp = raw_ints([s_prev, s_cur, [u_prev, u_cur]])
+    den = -_pair_denominator(up, uc, exp, where)
+    num = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+    q = ZPoly._from_raw([rratio(v, den, p) for v in num])
+    lead = next((v for v in reversed(num) if v), 0)
+    if exceeds(abs(lead - den), abs(den), S_LEAD_TOL):
         raise InconsistentDataError(
             f"{where}: pair rule produced a non-monic polynomial (lead = {q.lead}); "
             "S normalization is broken"
@@ -141,8 +149,12 @@ class DressingState:
         S_LEAD_TOL of the larger of 1, |U_n| and |S_n|, and,
         when no curve is given, recovers it from the master identity at
         n = 0 clamped into [lo + 1, hi - 2] (four sites at least), so from
-        S_{-1..2} on any window holding them, cross-checked at n + 1 within
-        CURVE_RECOVERY_TOL; its error grows as |S_n|^2 at the site it reads.
+        S_{-1..2} on any window holding them: the exact polynomial
+        S_n^2 + (z - U_n^2 - W_n) Q_n Q_{n+1} of _exact_checks, which must
+        equal the one at n + 1 within CURVE_RECOVERY_TOL of the larger of
+        its largest |coefficient| and 1, compared exactly, gives the curve
+        (HyperellipticCurve.from_exact); its error grows as |S_n|^2 at the
+        site it reads.
         """
         lo, hi = min(S), max(S)
         g = max(p.degree for p in S.values())
@@ -161,16 +173,19 @@ class DressingState:
         }
         state = cls(U, W, curve, S, Q)
         if curve is None:
+            # with no curve, F = 0 and master(n) is minus the curve polynomial
             n0 = min(max(0, lo + 1), hi - 2)
-            f0 = _master_fpoly(state, n0)
-            f1 = _master_fpoly(state, n0 + 1)
-            dev = (f0 - f1).sup_norm()
-            if dev > CURVE_RECOVERY_TOL * max(f0.sup_norm(), mpf(1)):
+            master, _linear, exp, _lexp = _exact_checks(state, n0, n0 + 1)
+            (f0, _), (f1, _) = master(n0), master(n0 + 1)
+            dev = max(abs(x - y) for x, y in zip_longest(f0, f1, fillvalue=0))
+            if exceeds(dev, max(1 << -exp, *map(abs, f0)), CURVE_RECOVERY_TOL):
                 raise InconsistentDataError(
                     f"curve recovery: master identity differs between n={n0} and "
-                    f"n={n0 + 1} by {dev}; the S table is not a valid dressing"
+                    f"n={n0 + 1} by {mp.make_mpf(rround(dev, exp, prec))}; the S table "
+                    "is not a valid dressing"
                 )
-            state.curve = HyperellipticCurve.from_fpoly(f0, g, tol_rel=CURVE_RECOVERY_TOL)
+            state.curve = HyperellipticCurve.from_exact(([-v for v in f0], exp), g,
+                                                        CURVE_RECOVERY_TOL)
         return state
 
     def s(self, n: int) -> ZPoly:
@@ -205,12 +220,6 @@ class DressingState:
         return f"DressingState(g={self.curve.g if self.curve else '?'}, window={self.window})"
 
 
-def _master_fpoly(state: DressingState, n: int) -> ZPoly:
-    """S_n^2 + (z - U_n^2 - W_n) Q_n Q_{n+1}, the curve polynomial."""
-    lin = ZPoly([-(state.U.at(n) ** 2) - state.W.at(n), 1])
-    return state.s(n) * state.s(n) + lin * state.q(n) * state.q(n + 1)
-
-
 def _zmul(c, v, k):
     """(z + c) v for an int c and an int vector v, z's coefficient 1 << k."""
     if not v:
@@ -223,14 +232,16 @@ def _exact_checks(state: DressingState, a: int, b: int):
 
     U, W, S, Q and F_g are read once where those rows reach, each table as
     ints on its own exponent <= 0 (numcore.raw_ints), aligned by shifts
-    where products meet.  master(n) gives (r, scale) on 2^mexp: r the
-    coefficients of F_g - S_n^2 - (z - U_n^2 - W_n) Q_n Q_{n+1}, scale the
-    largest |coefficient| of F_g, the two products and 1; linear(n) the same
-    on 2^lexp for R_n and its terms d_i (z + c_i) S_{n+s_i} and 1."""
+    where products meet; a state with no curve yet reads F_g = 0.  master(n)
+    gives (r, scale) on 2^mexp: r the coefficients of F_g - S_n^2 - (z -
+    U_n^2 - W_n) Q_n Q_{n+1}, scale the largest |coefficient| of F_g, the two
+    products and 1; linear(n) the same on 2^lexp for R_n and its terms d_i
+    (z + c_i) S_{n+s_i} and 1."""
     s_lo, s_hi = state.window
     ulo, uhi, whi = max(a - 1, s_lo), min(b + 2, s_hi), min(b + 1, s_hi - 1)
+    fraw = state.curve.fpoly().raw if state.curve else []
     ((u,), eu), ((w,), ew), ((f,), ef), (s, es), (q, eq) = map(raw_ints, (
-        [state.U.values_on(ulo, uhi)], [state.W.values_on(a, whi)], [state.curve.fpoly().raw],
+        [state.U.values_on(ulo, uhi)], [state.W.values_on(a, whi)], [fraw],
         [state.s(n).raw for n in range(ulo, uhi + 1)],
         [state.q(n).raw for n in range(a, min(b + 1, s_hi) + 1)]))
     U, W = dict(zip(range(ulo, uhi + 1), u)), dict(zip(range(a, whi + 1), w))
@@ -243,8 +254,8 @@ def _exact_checks(state: DressingState, a: int, b: int):
     fscale = max([1 << -mexp, *map(abs, F)])
 
     def master(n):
-        s2 = [v << ks for v in ipoly_mul(S[n], S[n])]
-        prod = _zmul(-((W[n] << kw) + (U[n] * U[n] << ku)) << kp, ipoly_mul(Q[n], Q[n + 1]),
+        s2 = [v << ks for v in poly_mul(S[n], S[n])]
+        prod = _zmul(-((W[n] << kw) + (U[n] * U[n] << ku)) << kp, poly_mul(Q[n], Q[n + 1]),
                      kp - ec)
         scale = max([fscale, *map(abs, s2), *map(abs, prod)])
         return [x - y - z for x, y, z in zip_longest(F, s2, prod, fillvalue=0)], scale
@@ -317,7 +328,7 @@ def identity_residuals(state: DressingState, window, skew: bool = False):
 
     Every residual and scale is exact (_exact_checks), the per-n ratios
     |r| / scale are compared exactly by cross-multiplying, and the worst of
-    each identity is rounded once at mp.prec, by libmp's from_rational.
+    each identity is rounded once at mp.prec, by numcore.rratio.
     """
     (lo, hi), (s_lo, s_hi) = map(int, window), state.window
     sites = range(max(lo, s_lo + 1), min(hi, s_hi - 1) + 1)
@@ -336,7 +347,7 @@ def identity_residuals(state: DressingState, window, skew: bool = False):
             top = max(map(abs, r), default=0)
             if top * den > num * scale:
                 num, den = top, scale
-        return mp.make_mpf(from_rational(num, den, mp.prec, RND))
+        return mp.make_mpf(rratio(num, den, mp.prec))
 
     master_rel, linear_rel = worst(map(master, sites)), worst(lin[n] for n in rows)
     return master_rel, linear_rel, worst(
@@ -469,12 +480,6 @@ ANSATZ_TOL = mpf("1e-9")
 # residual of odd-extension g=5 (verify on [-24, 24], 113 bits) rises from
 # 1.9e-31 to 3.1e-22.
 RECURSION_GUARD_BITS = 32
-
-
-def _above_tol(num: int, den: int) -> bool:
-    """num / den > ANSATZ_TOL for ints num >= 0 and den > 0, exactly."""
-    _, man, exp, _ = ANSATZ_TOL._mpf_
-    return num << max(-exp, 0) > man * den << max(exp, 0)
 
 
 def _exact(table: dict):
@@ -629,12 +634,13 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
     for name, x, xf in (("U", U, Uf), ("W", W, Wf)) if fine is not None else ():
         (vs, fs), e = raw_ints([x.values_on(lo, hi), xf.values_on(lo, hi)])
         for n, v, vf in zip(range(lo, hi + 1), vs, fs):
-            if _above_tol(abs(vf - v), max(abs(v), 1 << -e)):
+            if exceeds(abs(vf - v), max(abs(v), 1 << -e), ANSATZ_TOL):
                 raise InconsistentDataError(f"fine table of {name} disagrees with {name} at n={n}")
     with mp.workprec(mp.prec + RECURSION_GUARD_BITS):
         p, Uv = mp.prec, Uf.values_on(lo, hi)
-        D = {n: _pair_denominator(Uv[n - 1 - lo], Uv[n - lo], p, f"ansatz_solve at n={n}")
-             for n in range(lo + 1, hi + 1)}
+        (ui,), eu = raw_ints([Uv])
+        D = {n: rround(_pair_denominator(u0, u1, eu, f"ansatz_solve at n={n}"), eu, p)
+             for n, u0, u1 in zip(range(lo + 1, hi + 1), ui, ui[1:])}
         fac = _four_term_factors(Uf, Wf, rlo, rhi, D)
         # the recursion's inputs, read once
         dc = _exact({n: [rmul(d, c, p) for _s, c, d in f] for n, f in fac.items()})
@@ -674,8 +680,8 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
             # a bound on the largest coefficient of d_i (z + c_i) S_{n+s_i}
             scale = max(abs(Dv[m][0]) * max(abs(c), one) * sup[n + k] for m, c, k in zip(
                 (n + 2, n + 2, n, n), cs[n], (-1, 0, 1, 2))) << max(-shift, 0)
-            if _above_tol(r, scale):
-                rel = make(from_rational(r, scale, p, RND))
+            if exceeds(r, scale, ANSATZ_TOL):
+                rel = make(rratio(r, scale, p))
                 raise InconsistentDataError(f"no genus-{g} S for this U and W: the z^0 row of "
                                             f"the four-term relation at n={n} has relative "
                                             f"residual {rel}")
@@ -684,7 +690,7 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
 
     S = {n: ZPoly._from_raw([*(rround(s[n][0], e, p_out) for s, e in reversed(levels[1:])),
                              rdot(pinned, phi[n], p_out)]) for n in range(lo, hi + 1)}
-    return AnsatzResult(S, {"resid_rel": make(from_rational(*worst, p_out, RND))})
+    return AnsatzResult(S, {"resid_rel": make(rratio(*worst, p_out))})
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,16 @@ and pow_int libmp's integer power, computed once per (base, exponent,
 precision) for the geometric family and basis.  mpmath floats appear
 where a value enters (scalar, ZPoly's constructor) or leaves (coeffs,
 lead, sup_norm, reports).
-Polynomial products, sums and differences exist once, as rpoly_mul,
-rpoly_add and rpoly_sub on raw coefficient vectors, which ZPoly's *, + and
-- wrap.  Operator arithmetic (opalg's composition, sum and commutator, and
-so the partner), dressing's identity checks and its level recursion (the
-ansatz marches, fit rows and z^0 check) run exactly on raw_ints' ints and
-round each result once, a ratio by libmp's from_rational, an int times a
-power of two by rround; so does spectral's curve extraction, on exact
-z-polynomials (int vectors on one exponent) that zsum adds and ipoly_mul
-multiplies.
+ZPoly stores a polynomial and has no arithmetic.  Polynomials are computed
+on exactly, as z-polynomials (ints, exp), an int vector on one exponent
+that raw_ints reads from raw values, zsum adds and poly_mul, the one
+polynomial product, multiplies.  Operator arithmetic (opalg's composition,
+sum and commutator, and so the partner), dressing's pair rule, identity
+checks, curve recovery and level recursion, and spectral's curve
+extraction run on those ints and round each result once: an int times a
+power of two by rround, a ratio of ints by rratio, which gives libmp's
+from_rational bit for bit; exceeds compares a ratio of ints with a
+tolerance exactly.
 Every function computes at the caller's mpmath precision, mp.prec, which
 the caller scopes with mp.workprec; importing the package leaves it alone.
 The CLI runs at DEFAULT_PRECISION_BITS, a 113-bit significand (quad-like),
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import repeat
 
 from mpmath import cos, mp, mpf
 from mpmath.libmp import (
@@ -338,6 +338,24 @@ def rround(man: int, exp: int, p):
     return sign, man >> z, exp + z, (man >> z).bit_length()
 
 
+def rratio(num: int, den: int, p):
+    """num / den at p bits for ints num and den != 0, as from_rational(num,
+    den, p, round_nearest): rdiv on the ints as raw values, whose mantissas
+    need not be normalized, or rround when |den| = 1, where rdiv's exact
+    shift would keep num's trailing zeros."""
+    if den in (1, -1):
+        return rround(num * den, 0, p)
+    return rdiv((int(num < 0), abs(num), 0, num.bit_length()),
+                (int(den < 0), abs(den), 0, den.bit_length()), p)
+
+
+def exceeds(num: int, den: int, tol) -> bool:
+    """num / den > tol exactly, for ints num >= 0 and den > 0 and a positive
+    mpf tol."""
+    _, man, exp, _ = tol._mpf_
+    return num << max(-exp, 0) > man * den << max(exp, 0)
+
+
 def raw_ints(vecs):
     """The raw vectors vecs exactly as (ints, exp), ints[k][i] * 2^exp being
     vecs[k][i]: exp is their least exponent or 0, so that 1 is 1 << -exp."""
@@ -346,8 +364,9 @@ def raw_ints(vecs):
             for vec in vecs], exp
 
 
-def ipoly_mul(a, b):
-    """The product of two int coefficient vectors, exactly; [] when either is empty."""
+def poly_mul(a, b):
+    """The product of two int coefficient vectors, exactly; [] when either is
+    empty.  The package's one polynomial product."""
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         for j, y in enumerate(b, i):
@@ -388,6 +407,13 @@ def to_json(doc, indent=None) -> str:
 # ---------------------------------------------------------------------------
 
 
+def rtrimmed(out: list) -> list:
+    """out, a list of raw values, with its trailing exact zeros popped."""
+    while out and out[-1] == fzero:
+        out.pop()
+    return out
+
+
 class ZPoly:
     """Dense polynomial in z; ``raw[k]``, a libmp value, multiplies z^k.
 
@@ -419,10 +445,6 @@ class ZPoly:
         return len(self.raw) - 1
 
     @property
-    def is_zero(self) -> bool:
-        return not self.raw
-
-    @property
     def lead(self) -> mpf:
         return self.coeff(len(self.raw) - 1)
 
@@ -441,70 +463,8 @@ class ZPoly:
             acc = acc * z + c
         return acc
 
-    def __add__(self, other: "ZPoly") -> "ZPoly":
-        return ZPoly._from_raw(rpoly_add(self.raw, other.raw, mp.prec))
-
-    def __sub__(self, other: "ZPoly") -> "ZPoly":
-        return ZPoly._from_raw(rpoly_sub(self.raw, other.raw, mp.prec))
-
-    def scale(self, c) -> "ZPoly":
-        c, p = scalar(c)._mpf_, mp.prec
-        return ZPoly._from_raw([rmul(c, v, p) for v in self.raw])
-
-    def __mul__(self, other):
-        if not isinstance(other, ZPoly):
-            return self.scale(other)
-        return poly_mul(self, other)
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         return f"ZPoly(deg={self.degree})"
-
-
-def poly_mul(p: ZPoly, q: ZPoly) -> ZPoly:
-    """Convolution product; degrees add when leading coefficients survive."""
-    return ZPoly._from_raw(rpoly_mul(p.raw, q.raw, mp.prec))
-
-
-# Raw polynomial vectors: lists of libmp values, coefficient k multiplying
-# z^k, as ZPoly stores them.  Each result is trimmed of its trailing exact
-# zeros, as ZPoly's are.
-
-
-def rtrimmed(out: list) -> list:
-    while out and out[-1] == fzero:
-        out.pop()
-    return out
-
-
-def rpoly_mul(a, b, p) -> list:
-    """The convolution of a and b at p bits, each out[k] the sum of its
-    products a_i b_j in ascending i from the first one, not from 0, which is
-    the sum from 0 bit for bit; [] when either vector is empty."""
-    if not (a and b):
-        return []
-    out = [rmul(a[0], bj, p) for bj in b]
-    for i, ai in enumerate(a[1:], 1):
-        out.append(rmul(ai, b[-1], p))
-        for j, bj in enumerate(b[:-1]):
-            out[i + j] = rmac(out[i + j], ai, bj, p)
-    return rtrimmed(out)
-
-
-def rpoly_add(a, b, p) -> list:
-    """a + b at p bits; the longer vector's tail is copied unrounded."""
-    if len(a) < len(b):
-        a, b = b, a
-    return rtrimmed([*map(radd, a, b, repeat(p)), *a[len(b):]])
-
-
-def rpoly_sub(a, b, p) -> list:
-    """a - b at p bits; a's tail is copied unrounded, b's negated at p."""
-    out = [*map(rsub, a, b, repeat(p)), *a[len(b):]]
-    if len(b) > len(a):
-        out += [mpf_neg(v, p, RND) for v in b[len(a):]]
-    return rtrimmed(out)
 
 
 # ---------------------------------------------------------------------------
@@ -534,15 +494,24 @@ class HyperellipticCurve:
         return self.fpoly().eval(z)
 
     @classmethod
-    def from_fpoly(cls, p: ZPoly, g: int, tol_rel=mpf("1e-9")) -> "HyperellipticCurve":
-        """Build from a numerically monic polynomial of degree 2g+1."""
+    def from_exact(cls, poly, g: int, tol) -> "HyperellipticCurve":
+        """The curve of the exact z-polynomial poly = (ints, exp) of degree
+        2g + 1, whose lead must lie within tol times the larger of 1 and its
+        largest |coefficient| of 1, compared exactly: each c_k = f_k / lead
+        is rounded once at the working precision."""
+        f, exp = list(poly[0]), poly[1]
+        while f and not f[-1]:
+            f.pop()
         deg = 2 * g + 1
-        if p.degree != deg:
-            raise ValueError(f"expected degree {deg}, got {p.degree}")
-        lead = p.lead
-        if abs(lead - 1) > tol_rel * max(mpf(1), p.sup_norm()):
+        if len(f) != deg + 1:
+            raise ValueError(f"expected degree {deg}, got {len(f) - 1}")
+        # 1 on the polynomial's exponent, or the polynomial on 1's
+        one, f = (1 << -exp, f) if exp <= 0 else (1, [v << exp for v in f])
+        if exceeds(abs(f[-1] - one), max(one, *map(abs, f)), tol):
+            lead = mp.make_mpf(rround(f[-1], min(exp, 0), mp.prec))
             raise ValueError(f"polynomial is not monic within tolerance (lead={lead})")
-        return cls(g, tuple(c / lead for c in p.coeffs[:deg]))
+        p = mp.prec
+        return cls(g, tuple(mp.make_mpf(rratio(v, f[-1], p)) for v in f[:deg]))
 
     def __repr__(self):
         return f"HyperellipticCurve(g={self.g})"

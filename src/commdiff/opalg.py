@@ -23,11 +23,10 @@ import json
 import operator
 
 from mpmath import mp, mpf
-from mpmath.libmp import fone, from_rational
-from mpmath.libmp import round_nearest as RND
+from mpmath.libmp import fone
 
 from .errors import WindowError
-from .numcore import raw_ints, raw_max, rround, scalar, to_json, zsum
+from .numcore import raw_ints, raw_max, rratio, rround, scalar, to_json, zsum
 
 
 class CoeffSeq:
@@ -274,7 +273,7 @@ def commutator_residual(A: DiffOp, B: DiffOp):
     a, b = exact_form(A), exact_form(B)
     window, comm, _ = op_commutator(a, b)
     # [a, b] carries the exponent of a times b, which cancels in the ratio
-    rel = from_rational(_int_sup(comm), _int_sup(a[1]) * _int_sup(b[1]), mp.prec, RND)
+    rel = rratio(_int_sup(comm), _int_sup(a[1]) * _int_sup(b[1]), mp.prec)
     return window, mp.make_mpf(rel)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from mpmath import mp, mpf
 
-from .numcore import ZPoly, raw_ints, rround, scalar
+from .numcore import ZPoly, poly_mul, raw_ints, rround, scalar
 from .opalg import CoeffSeq, DiffOp
 from .spectral import RANK2_COMMUTATION_TOL, rank2_curve_check
 
@@ -91,13 +91,16 @@ def build_l6_special(window) -> DiffOp:
 
 def expected_curve_poly(p: Rank2Params) -> ZPoly:
     """R(z) with w^2 = R(z): the published product of a squared linear factor
-    and a linear factor, expanded to a monic-normalizable cubic."""
+    and a linear factor, expanded to a monic-normalizable cubic.  The
+    factors' constants are rounded at the working precision; the product is
+    exact (numcore.poly_mul) and each coefficient rounded once."""
     a2, a1, a0 = p.a2, p.a1, p.a0
     inner1 = (a0 - a1) * (a0 - a2) * (a0 * (2 * a0 - a1) - 2 * (a0 + a1) * a2)
     inner2 = (-2 * a0**2 + a1**2 + 4 * a0 * a2 + 3 * (a1 - 2 * a2) * a2) ** 2
-    lin1 = ZPoly([inner1, 32])
-    lin2 = ZPoly([inner2, 256])
-    return (lin1 * lin1 * lin2).scale(mpf(1) / 262144)
+    (lin1, lin2), e = raw_ints([ZPoly([inner1, 32]).raw, ZPoly([inner2, 256]).raw])
+    # the factors' leads 32 and 256 give R the lead 2^18
+    return ZPoly._from_raw([rround(v, 3 * e - 18, mp.prec)
+                            for v in poly_mul(poly_mul(lin1, lin1), lin2)])
 
 
 def verify_rank2(window=(-20, 20)) -> dict:

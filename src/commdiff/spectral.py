@@ -19,11 +19,10 @@ identity) turns the commutation hypothesis into a measured quantity.
 from __future__ import annotations
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, fzero
-from mpmath.libmp import round_nearest as RND
+from mpmath.libmp import fzero
 
 from .errors import CommutationError, WindowError
-from .numcore import HyperellipticCurve, ZPoly, ipoly_mul, raw_ints, raw_max, rround, zsum
+from .numcore import HyperellipticCurve, ZPoly, poly_mul, raw_ints, raw_max, rratio, rround, zsum
 from .opalg import CoeffSeq, DiffOp, commutator_residual, exact_compose, exact_form, exact_sum
 
 # relative bound on the trace, the base-point spread and the distance from
@@ -125,7 +124,7 @@ def char_poly_coeffs(entries) -> list:
     A = [[[x << f - e for x in c] for c, f in row] for row in entries]
     if m == 2:
         (a, b), (c, d) = A
-        det = zsum([(1, ipoly_mul(a, d), 2 * e), (-1, ipoly_mul(b, c), 2 * e)])
+        det = zsum([(1, poly_mul(a, d), 2 * e), (-1, poly_mul(b, c), 2 * e)])
         return [det, zsum([(-1, a, e), (-1, d, e)]), ([1], 0)]
 
     def total(vs):
@@ -134,13 +133,13 @@ def char_poly_coeffs(entries) -> list:
     # traces of A^1..A^m
     Mk, traces = A, [total(A[i][i] for i in range(m))]
     for _ in range(m - 1):
-        Mk = [[total(ipoly_mul(Mk[i][k], A[k][j]) for k in range(m)) for j in range(m)]
+        Mk = [[total(poly_mul(Mk[i][k], A[k][j]) for k in range(m)) for j in range(m)]
               for i in range(m)]
         traces.append(total(Mk[i][i] for i in range(m)))
     # Newton's identities: p_k + c_{m-1} p_{k-1} + ... + k c_{m-k} = 0
     coeffs = [None] * m + [[1]]
     for k in range(1, m + 1):
-        acc = total([traces[k - 1], *(ipoly_mul(coeffs[m - i], traces[k - i - 1])
+        acc = total([traces[k - 1], *(poly_mul(coeffs[m - i], traces[k - i - 1])
                                       for i in range(1, k))])
         coeffs[m - k] = [-v // k for v in acc]
     return [(c, (m - i) * e) for i, c in enumerate(coeffs)]
@@ -231,19 +230,18 @@ def extract_curve(
     # (det, -trace) per base point; rounding is monotone, so the largest
     # defect rounded once is the largest of the defects each rounded once
     (det, neg_tr), *others = [char_poly_coeffs(M)[:2] for M, _defect in actions]
-    worst = max(mp.make_mpf(from_rational(*d, mp.prec, RND)) for _M, d in actions)
+    worst = max(mp.make_mpf(rratio(*d, mp.prec)) for _M, d in actions)
     spread = _sup([zsum([(1, *x), (-1, *y)]) for xs in others for x, y in zip(xs, (det, neg_tr))])
     tr_poly, det_poly = _rounded(neg_tr, -1), _rounded(det)
 
     det_scale = max(det_poly.sup_norm(), mpf(1))
     matched = None
-    neg_det = _rounded(det, -1)
     if (
         tr_poly.sup_norm() <= CURVE_TOL * det_scale
-        and neg_det.degree == 2 * g + 1
-        and abs(neg_det.lead - 1) <= CURVE_TOL
+        and det_poly.degree == 2 * g + 1
+        and abs(det_poly.lead + 1) <= CURVE_TOL
     ):
-        matched = HyperellipticCurve.from_fpoly(neg_det, g, tol_rel=CURVE_TOL)
+        matched = HyperellipticCurve.from_exact(([-v for v in det[0]], det[1]), g, CURVE_TOL)
     return CurveReport(g, tr_poly, det_poly, mp.make_mpf(rround(*spread, mp.prec)), worst,
                        matched, comm_rel)
 
@@ -269,7 +267,7 @@ def _coefficient_commutator_rel(A: DiffOp, B: DiffOp) -> mpf:
     ((alo, _), abt, _), ((blo, _), bat, _) = ab, ba
     # v != 0 needs a non-zero product coefficient
     return mp.make_mpf(raw_max([fzero, *(
-        from_rational(abs(v), max(abs(x), abs(y)), mp.prec, RND) for j, c in comm.items()
+        rratio(abs(v), max(abs(x), abs(y)), mp.prec) for j, c in comm.items()
         for v, x, y in zip(c, abt[j][lo - alo:], bat[j][lo - blo:]) if v)], mp.prec))
 
 
@@ -294,10 +292,10 @@ def rank2_curve_check(L4: DiffOp, L6: DiffOp, expected_r: ZPoly) -> Rank2CurveRe
     M, defect = action_matrix(L4, L6, 0)
     c = char_poly_coeffs(M)
     (r,), er = raw_ints([expected_r.raw])
-    r2 = ipoly_mul(r, r), 2 * er
+    r2 = poly_mul(r, r), 2 * er
     # (w^2 - R)^2 = w^4 - 2 R w^2 + R^2
     mism = _sup([zsum([(1, *c[0]), (-1, *r2)]), c[1], zsum([(1, *c[2]), (2, r, er)]), c[3]])
-    rel = from_rational(*_ratio(mism, _sup([r2, ([1], 0)])), mp.prec, RND)
+    rel = rratio(*_ratio(mism, _sup([r2, ([1], 0)])), mp.prec)
     return Rank2CurveReport({k: _rounded(x) for k, x in enumerate(c[:4])}, expected_r,
-                            mp.make_mpf(rel), mp.make_mpf(from_rational(*defect, mp.prec, RND)),
+                            mp.make_mpf(rel), mp.make_mpf(rratio(*defect, mp.prec)),
                             comm_rel)

@@ -3,15 +3,16 @@
 The package builds S_n by the level recursion in z (dressing.ansatz_solve);
 the tests keep a second construction, the forward/backward march of the
 master identity F_g = S_n^2 + (z - U_n^2 - W_n) Q_n Q_{n+1} from seed data
-(solve_partner_recursive), and the eigenfunction side of the theory: points
-of the curve, the ratio chi_n(P) = (S_n(z) + w) / Q_n(z), the Baker-Akhiezer
-products of consecutive ratios and the factorization of L2 - z.  shift(window,
-degree) is the operator T^degree on window.  poly_div_exact, the long
-division the partner march divides by, _reference_lstsq, the mpf loop
-that linalg.lstsq_mpf reproduces bit for bit, and exact_lstsq, the exact
-least-squares solution that linalg.lstsq is measured against, live here
-too.  Curve extraction has Fraction references, site by site: the kernel
-recurrence, the apply, the action matrix and its closure defect
+(solve_partner_recursive, each step exact over Fractions of the stored
+values), and the eigenfunction side of the theory: points of the curve,
+the ratio chi_n(P) = (S_n(z) + w) / Q_n(z), the Baker-Akhiezer products of
+consecutive ratios and the factorization of L2 - z.  shift(window, degree)
+is the operator T^degree on window.  poly_div_exact, the exact long
+division of Fraction lists that the partner march divides by,
+_reference_lstsq, the mpf loop that linalg.lstsq_mpf reproduces bit for
+bit, and exact_lstsq, the exact least-squares solution that linalg.lstsq
+is measured against, live here too.  Curve extraction has Fraction
+references, site by site: the kernel recurrence, the apply, the action matrix and its closure defect
 (fraction_kernel, fraction_apply, fraction_action_matrix), the
 characteristic polynomial by principal minors (fraction_char_poly) and the
 reported trace, determinant, base spread and defect (exact_curve);
@@ -22,9 +23,12 @@ has Fraction references: the commutator and its residual ratio
 (exact_partner), each value a Fraction, per site, rounded once at the end,
 and so do the identity checks (exact_master, exact_linear and
 exact_identity_residuals): each per-n ratio a Fraction, the worst of each
-identity rounded once.  The level recursion of the ansatz solve has one
-too (fraction_march), on the solver's rounded inputs, with fraction_table
-and exact_table converting its exact tables to Fractions and back.
+identity rounded once.  The pair rule (fraction_pair_rule) and the curve
+that the master identity gives (fraction_curve) are Fraction ratios of the
+stored values; poly_dev measures two ZPolys' distance.  The level
+recursion of the ansatz solve has one too (fraction_march), on the
+solver's rounded inputs, with fraction_table and exact_table converting
+its exact tables to Fractions and back.
 
 Import them as `from oracles import ...`; pytest's default import mode puts
 this directory on sys.path.
@@ -34,13 +38,13 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import combinations, permutations, repeat
+from itertools import combinations, permutations, repeat, zip_longest
 from math import fsum
 
 from mpmath import mp, mpf, sqrt
 from mpmath.libmp import from_rational, fzero, round_nearest
 
-from commdiff.dressing import DEGENERACY_REL, DressingState, q_from_s
+from commdiff.dressing import DEGENERACY_REL, DressingState
 from commdiff.errors import DegenerateDenominatorError, InconsistentDataError, WindowError
 from commdiff.numcore import HyperellipticCurve, ZPoly, raw_ints, rround, scalar
 from commdiff.opalg import CoeffSeq, DiffOp
@@ -83,33 +87,25 @@ def curve_point(curve: HyperellipticCurve, z, branch: int = 1) -> CurvePoint:
 # ---------------------------------------------------------------------------
 
 
-DIVISION_TOL = mpf("1e-20")
+DIVISION_TOL = Fraction(1, 10 ** 20)
 
 
-def poly_div_exact(num: ZPoly, den: ZPoly):
-    """Long division num = q*den + r; returns (q, max |r coefficient|).
-
-    The caller judges whether the residual norm is small enough to call the
-    division exact.  Raises if den is numerically zero.
+def poly_div_exact(num, den):
+    """Long division num = q den + r of Fraction coefficient lists (z^k
+    coefficient at k), exactly; returns (q, max |r coefficient|), q trimmed
+    of trailing zeros.  The caller judges whether the remainder is small
+    enough to call the division exact.  Raises if den is zero.
     """
-    if den.is_zero:
-        raise DegenerateDenominatorError("division by numerically zero polynomial")
-    rem = list(num.coeffs)
-    dn = den.coeffs
-    dd = len(dn) - 1
-    lead = dn[-1]
-    if len(rem) - 1 < dd:
-        return ZPoly(), num.sup_norm()
-    qn = [mpf(0)] * (len(rem) - dd)
+    den = _trimmed(list(den))
+    if not den:
+        raise DegenerateDenominatorError("division by the zero polynomial")
+    rem, dd = list(num), len(den) - 1
+    q = [Fraction(0)] * max(len(rem) - dd, 0)
     for k in range(len(rem) - 1, dd - 1, -1):
-        f = rem[k] / lead
-        qn[k - dd] = f
-        if f != 0:
-            for j in range(dd + 1):
-                rem[k - dd + j] -= f * dn[j]
-        rem[k] = mpf(0)
-    resid = max((abs(c) for c in rem), default=mpf(0))
-    return ZPoly(qn), resid
+        f = q[k - dd] = rem[k] / den[-1]
+        for j in range(dd + 1):
+            rem[k - dd + j] -= f * den[j]
+    return _trimmed(q), _fpsup(rem)
 
 
 def solve_partner_recursive(
@@ -123,33 +119,39 @@ def solve_partner_recursive(
     """March the master identity from seed polynomials (S_{n0-1}, S_{n0}).
 
     Each step at n divides F - S_n^2 by (z - U_n^2 - W_n) times the Q that
-    S_n and its known neighbour give: Q_n marching forward (n = n0..hi-1),
-    Q_{n+1} backward (n = n0-1 down to lo+1).  The quotient is the other Q,
-    from which the pair rule gives the new neighbour.  A division residual
-    above DIVISION_TOL times the local scale means the seed data is
-    inconsistent, reported with the offending n.
+    S_n and its known neighbour give by the pair rule: Q_n marching forward
+    (n = n0..hi-1), Q_{n+1} backward (n = n0-1 down to lo+1).  The quotient
+    is the other Q, from which the pair rule gives the new neighbour.  Each
+    step is exact over Fractions of the stored values, and each new S
+    coefficient is rounded once at mp.prec, as a stored S table is.  A
+    pair-rule denominator within DEGENERACY_REL of cancelling, or a
+    division residual above DIVISION_TOL times the local scale, is an error
+    naming n.
     """
     lo, hi = int(n_range[0]), int(n_range[1])
     n0 = int(n0)
     if not (lo <= n0 - 1 and n0 <= hi):
         raise WindowError(f"seed index {n0} incompatible with range [{lo}, {hi}]")
-    fp = curve.fpoly()
+    fp = _fraction_poly(curve.fpoly())
     S = {n0 - 1: s_init[0], n0: s_init[1]}
-
-    def step_scale(num):
-        return max(num.sup_norm(), fp.sup_norm(), mpf(1))
+    u = {n: _fraction(U.at(n)._mpf_) for n in range(lo, hi + 1)}
 
     for n, d in [*zip(range(n0, hi), repeat(1)), *zip(range(n0 - 1, lo, -1), repeat(-1))]:
         k = max(n, n - d)  # the Q index between S_n and its known neighbour
-        Qk = q_from_s(S[k - 1], S[k], U.at(k - 1), U.at(k), f"partner march at n={k}")
-        num = fp - S[n] * S[n]
-        den = ZPoly([-(U.at(n) ** 2) - W.at(n), 1]) * Qk
-        Qother, resid = poly_div_exact(num, den)
-        if resid > DIVISION_TOL * step_scale(num):
+        den = u[k - 1] + u[k]
+        if abs(den) <= _fraction(DEGENERACY_REL._mpf_) * max(abs(u[k - 1]), abs(u[k])):
+            raise DegenerateDenominatorError(f"partner march at n={k}: U_{k - 1} + U_{k} = {den}")
+        Qk = [-v / den for v in _fpsum(_fraction_poly(S[k - 1]), _fraction_poly(S[k]))]
+        sn = _fraction_poly(S[n])
+        num = _fpsum(fp, [-v for v in _fpmul(sn, sn)])
+        lin = [-u[n] ** 2 - _fraction(W.at(n)._mpf_), Fraction(1)]
+        Qother, resid = poly_div_exact(num, _fpmul(lin, Qk))
+        if resid > DIVISION_TOL * max(_fpsup(num), _fpsup(fp), 1):
             raise InconsistentDataError(
-                f"inconsistent data: division residual {resid} at n={n}"
+                f"inconsistent data: division residual {rounded_fraction(resid)} at n={n}"
             )
-        S[n + d] = (-(U.at(n) + U.at(n + d))) * Qother - S[n]
+        S[n + d] = ZPoly._from_raw(rounded_poly(_fpsum(
+            [-(u[n] + u[n + d]) * v for v in Qother], [-v for v in sn])))
     return DressingState.from_s_table(U, W, S, curve=curve)
 
 
@@ -568,16 +570,42 @@ def _fpsup(p) -> Fraction:
     return max(map(abs, p), default=Fraction(0))
 
 
+def _master_terms(state: DressingState, n: int):
+    """S_n^2 and (z - U_n^2 - W_n) Q_n Q_{n+1} in Fractions."""
+    S = _fraction_poly(state.s(n))
+    U, W = _fraction(state.U.at(n)._mpf_), _fraction(state.W.at(n)._mpf_)
+    return _fpmul(S, S), _fpmul(_fpmul([-U ** 2 - W, Fraction(1)], _fraction_poly(state.q(n))),
+                                _fraction_poly(state.q(n + 1)))
+
+
 def exact_master(state: DressingState, n: int):
     """(r, scale) in Fractions: r = F_g - S_n^2 - (z - U_n^2 - W_n) Q_n Q_{n+1}
     and scale the largest |coefficient| of F_g, the two products and 1."""
-    F, S = _fraction_poly(state.curve.fpoly()), _fraction_poly(state.s(n))
-    U, W = _fraction(state.U.at(n)._mpf_), _fraction(state.W.at(n)._mpf_)
-    s2 = _fpmul(S, S)
-    prod = _fpmul(_fpmul([-U ** 2 - W, Fraction(1)], _fraction_poly(state.q(n))),
-                  _fraction_poly(state.q(n + 1)))
+    F, (s2, prod) = _fraction_poly(state.curve.fpoly()), _master_terms(state, n)
     r = _fpsum(F, [-v for v in s2], [-v for v in prod])
     return r, max(_fpsup(F), _fpsup(s2), _fpsup(prod), 1)
+
+
+def fraction_curve(state: DressingState, n: int) -> list:
+    """The curve coefficients c_0..c_2g that the master identity at n gives:
+    the Fraction polynomial S_n^2 + (z - U_n^2 - W_n) Q_n Q_{n+1} over its
+    lead, each ratio rounded once at mp.prec."""
+    f = _fpsum(*_master_terms(state, n))
+    return [rounded_fraction(v / f[-1]) for v in f[:-1]]
+
+
+def fraction_pair_rule(state: DressingState, n: int) -> list:
+    """Q_n = -(S_{n-1} + S_n) / (U_{n-1} + U_n) in Fractions of the stored
+    values, trailing zeros trimmed."""
+    den = _fraction(state.U.at(n - 1)._mpf_) + _fraction(state.U.at(n)._mpf_)
+    return _trimmed([-v / den for v in _fpsum(_fraction_poly(state.s(n - 1)),
+                                             _fraction_poly(state.s(n)))])
+
+
+def poly_dev(p: ZPoly, q: ZPoly) -> mpf:
+    """The largest |coefficient| of p - q, a missing coefficient read as 0."""
+    return max((abs(a - b) for a, b in zip_longest(p.coeffs, q.coeffs, fillvalue=mpf(0))),
+               default=mpf(0))
 
 
 def exact_linear(state: DressingState, n: int):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import ldexp, lu_solve, matrix, mp, mpf, cos, sin
-from mpmath.libmp import fzero
+from mpmath.libmp import fone, fzero
 
 from commdiff.errors import (
     DegenerateDenominatorError,
@@ -13,7 +13,7 @@ from commdiff.errors import (
     WindowError,
 )
 from commdiff import dressing, linalg
-from commdiff.numcore import HyperellipticCurve, ZPoly
+from commdiff.numcore import HyperellipticCurve, ZPoly, poly_mul, raw_ints, rround
 from commdiff.opalg import CoeffSeq, DiffOp, commutator_residual
 from commdiff.dressing import (
     RECURSION_GUARD_BITS,
@@ -48,12 +48,16 @@ from oracles import (
     exact_master,
     exact_partner,
     factorization_check,
+    fraction_curve,
     fraction_march,
     fraction_op,
+    fraction_pair_rule,
     fraction_row,
     fraction_table,
+    poly_dev,
     rounded_fraction,
     rounded_op,
+    rounded_poly,
     solve_partner_recursive,
 )
 from test_opalg import _reference_compose
@@ -98,9 +102,7 @@ def quartic_fixture(window=WIN):
     lo, hi = window
 
     def s_poly(n):
-        return ZPoly([mpf(1) / 4, -mpf(n) ** 2]) + ZPoly(
-            [mpf(n) ** 4 - mpf(9) / 4 * n**2]
-        )
+        return ZPoly([mpf(1) / 4 + (mpf(n) ** 4 - mpf(9) / 4 * n**2), -mpf(n) ** 2])
 
     S = {n: s_poly(n) for n in range(lo, hi + 1)}
     curve = HyperellipticCurve(1, (mpf(1) / 16, mpf(9) / 16, mpf(3) / 2))
@@ -121,7 +123,7 @@ def test_q_from_s_geometric_fixture():
     q1 = state.q(1)
     assert abs(q1.coeff(0) + mpf(4) / 9) <= mpf("1e-30")
     for n in range(-8, 9):
-        assert (state.q(n) - q_poly(n)).sup_norm() <= mpf("1e-28") * q_poly(n).sup_norm()
+        assert poly_dev(state.q(n), q_poly(n)) <= mpf("1e-28") * q_poly(n).sup_norm()
 
 
 def test_q_from_s_quartic_fixture():
@@ -131,7 +133,7 @@ def test_q_from_s_quartic_fixture():
     assert abs(state.q(0).coeff(0) - mpf(3) / 4) <= mpf("1e-30")
     for n in range(-6, 7):
         expected = ZPoly([mpf(3) / 4 - n * (n - 1), 1])
-        assert (state.q(n) - expected).sup_norm() <= mpf("1e-28") * expected.sup_norm()
+        assert poly_dev(state.q(n), expected) <= mpf("1e-28") * expected.sup_norm()
 
 
 def test_q_from_s_degenerate():
@@ -156,6 +158,94 @@ def test_pair_rule_failures_name_stage_and_n():
             build_case(spec, (-4, 4))
 
 
+def test_pair_rule_lead_is_judged_exactly():
+    # Q's lead 1 +- S_LEAD_TOL passes and one unit of the tolerance's last
+    # bit past it fails, on leads that need more than the working precision
+    t = dressing.S_LEAD_TOL
+    unit = mpf(2) ** t._mpf_[2]
+    half = mpf(1) / 2
+    with mp.workprec(400):
+        cases = [(1 + t, True), (1 + t + unit, False), (1 - t, True), (1 - t - unit, False)]
+        cases = [(ZPoly([0, -lead / 2]), ok) for lead, ok in cases]
+    for s, ok in cases:
+        if ok:
+            q_from_s(s, s, half, half)
+        else:
+            with pytest.raises(InconsistentDataError, match="non-monic"):
+                q_from_s(s, s, half, half)
+
+
+def test_pair_rule_rounds_a_near_tie_once():
+    # q_0 = M + 1/2 + 2^-20 / 3 for an even p-bit M lies just above a tie:
+    # rounded once it goes up to M + 1; a rounding in between that lands
+    # on the tie sends it down to the even M
+    p = mp.prec
+    M = 2 ** (p - 1) + 2
+    with mp.workprec(p + 40):
+        s_prev = ZPoly([-(3 * M + mpf(3) / 2 + mpf(2) ** -20), mpf(-3) / 2])
+    q = q_from_s(s_prev, ZPoly([0, mpf(-3) / 2]), 1, 2)
+    assert q.raw == [rround(M + 1, 0, p), fone]
+
+
+# one state of each kind: trig, dyadic and non-dyadic poly, geom and elliptic
+STATE_SPECS = [
+    FamilySpec("trig", 2, {"r1": "1.3"}),
+    FamilySpec("poly", 2, {"a2": 1, "a0": "0.25", "a1": "0.5"}),
+    FamilySpec("poly", 2, {"a2": "0.886695", "a1": "0.708451", "a0": "0.234504"}),
+    FamilySpec("geom", 2, {"a": "1.764235", "beta": "0.895178"}),
+    FamilySpec("elliptic", 1, {}),
+]
+STATE_IDS = ["trig", "poly", "poly-nondyadic", "geom", "elliptic"]
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160, 1100))
+@pytest.mark.parametrize("spec", STATE_SPECS, ids=STATE_IDS)
+def test_pair_rule_is_the_fraction_ratio_rounded_once(spec, bits):
+    # every Q_n of the state: -(S_{n-1} + S_n) / (U_{n-1} + U_n) over
+    # Fractions of the stored values, each coefficient rounded once
+    with mp.workprec(bits):
+        _L2, _partner, state, _extras = build_case(spec, (-3, 3))
+        for n in state.Q:
+            assert state.q(n).raw == rounded_poly(fraction_pair_rule(state, n)), n
+            assert q_from_s(state.s(n - 1), state.s(n), state.U.at(n - 1),
+                            state.U.at(n)).raw == state.q(n).raw
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160, 1100))
+@pytest.mark.parametrize("spec", STATE_SPECS, ids=STATE_IDS)
+def test_recovered_curve_is_the_fraction_master_rounded_once(spec, bits):
+    # a state assembled with no curve reads it from the master identity at
+    # n0 = 0 clamped into [lo + 1, hi - 2]: S_n0^2 + (z - U^2 - W) Q_n0 Q_n0+1
+    # over Fractions of the stored values, each coefficient over the lead
+    # rounded once
+    with mp.workprec(bits):
+        _L2, _partner, built, _extras = build_case(spec, (-3, 3))
+        lo, hi = built.window
+        for window, n0 in (((lo, hi), 0), ((3, hi), 4), ((-4, -1), -3)):
+            S = {n: built.s(n) for n in range(window[0], window[1] + 1)}
+            state = DressingState.from_s_table(built.U, built.W, S)
+            want = fraction_curve(state, n0)
+            assert [c._mpf_ for c in state.curve.c] == [c._mpf_ for c in want], window
+
+
+def test_curve_recovery_compares_n0_and_n0_plus_1_exactly():
+    # the master polynomials at n0 and n0 + 1 must agree within
+    # CURVE_RECOVERY_TOL of the larger of 1 and their largest |coefficient|:
+    # one S_n0+2 coefficient off just past that bound fails, and one off
+    # just inside it passes
+    _L2, _partner, built, _extras = build_case(FamilySpec("trig", 1, {"r1": 1}), (-3, 3))
+    S = {n: built.s(n) for n in range(-2, 4)}
+    DressingState.from_s_table(built.U, built.W, S)
+    for off, ok in ((mpf("1e-4"), False), (mpf("1e-12"), True)):
+        bad = dict(S)
+        bad[2] = ZPoly([S[2].coeff(0) + off, *S[2].coeffs[1:]])
+        if ok:
+            DressingState.from_s_table(built.U, built.W, bad)
+        else:
+            with pytest.raises(InconsistentDataError, match="between n=0 and n=1"):
+                DressingState.from_s_table(built.U, built.W, bad)
+
+
 def test_verify_master_fixtures():
     state, _ = geometric_fixture()
     assert identity_residuals(state, (-20, 20))[0] <= mpf("1e-20")
@@ -166,7 +256,7 @@ def test_verify_master_fixtures():
 def test_verify_master_detects_corruption():
     state, _ = geometric_fixture()
     bad = dict(state.S)
-    bad[0] = bad[0] + ZPoly([1])
+    bad[0] = ZPoly([bad[0].coeff(0) + 1, *bad[0].coeffs[1:]])
     corrupted = DressingState(state.U, state.W, state.curve, bad, state.Q)
     assert verify_master(corrupted, 0) >= mpf("0.5")
 
@@ -262,7 +352,7 @@ def test_solve_partner_recursive_geometric():
         state.U, state.W, state.curve, (state.s(-1), state.s(0)), 0, (-10, 10)
     )
     for n in range(-10, 11):
-        dev = (rec.s(n) - state.s(n)).sup_norm()
+        dev = poly_dev(rec.s(n), state.s(n))
         assert dev <= mpf("1e-15") * max(state.s(n).sup_norm(), mpf(1))
 
 
@@ -272,7 +362,7 @@ def test_solve_partner_recursive_quartic():
         state.U, state.W, state.curve, (state.s(-1), state.s(0)), 0, (-10, 10)
     )
     for n in range(-10, 11):
-        dev = (rec.s(n) - state.s(n)).sup_norm()
+        dev = poly_dev(rec.s(n), state.s(n))
         assert dev <= mpf("1e-15") * max(state.s(n).sup_norm(), mpf(1))
 
 
@@ -283,7 +373,7 @@ def test_solve_partner_recursive_rejects_bad_seed():
             state.U,
             state.W,
             state.curve,
-            (state.s(-1), state.s(0) + ZPoly([mpf("0.37")])),
+            (state.s(-1), ZPoly([state.s(0).coeff(0) + mpf("0.37"), *state.s(0).coeffs[1:]])),
             0,
             (-10, 10),
         )
@@ -322,13 +412,13 @@ def test_ansatz_quartic_g1_closed_form():
     state = ansatz_solve(EvenPowerBasis(1), U, W).state(U, W, (-14, 14))
     # S_n = B0 + B2(z) n^2 + B4 n^4 with B0 = 1/4, B2 = -9/4 - z, B4 = 1
     b0, b2, b4 = _profiles(state, EvenPowerBasis(1), (0, 1, 2))
-    assert (b4 - ZPoly([1])).sup_norm() <= mpf("1e-10")
-    assert (b2 - ZPoly([-mpf(9) / 4, -1])).sup_norm() <= mpf("1e-10")
-    assert (b0 - ZPoly([mpf(1) / 4])).sup_norm() <= mpf("1e-10")
+    assert poly_dev(b4, ZPoly([1])) <= mpf("1e-10")
+    assert poly_dev(b2, ZPoly([-mpf(9) / 4, -1])) <= mpf("1e-10")
+    assert poly_dev(b0, ZPoly([mpf(1) / 4])) <= mpf("1e-10")
     for n in range(-14, 15):
         n2 = mpf(n) ** 2
         closed = ZPoly([mpf(1) / 4 - mpf(9) / 4 * n2 + n2**2, -n2])
-        assert (state.s(n) - closed).sup_norm() <= mpf("1e-10") * (1 + n2 + n2**2)
+        assert poly_dev(state.s(n), closed) <= mpf("1e-10") * (1 + n2 + n2**2)
 
 
 def test_ansatz_geometric_g1_closed_form():
@@ -337,11 +427,11 @@ def test_ansatz_geometric_g1_closed_form():
     state = result.state(U, W, (-12, 12))
     # S_n = G1(z) 2^n + G3 8^n with G1 = -z, G3 = 4/27
     g1, g3 = _profiles(state, GeomBasis(1, 2), (0, 1))
-    assert (g1 - ZPoly([0, -1])).sup_norm() <= mpf("1e-10")
-    assert (g3 - ZPoly([mpf(4) / 27])).sup_norm() <= mpf("1e-10")
+    assert poly_dev(g1, ZPoly([0, -1])) <= mpf("1e-10")
+    assert poly_dev(g3, ZPoly([mpf(4) / 27])) <= mpf("1e-10")
     for n in range(-12, 13):
         closed = ZPoly([mpf(4) / 27 * mpf(8) ** n, -mpf(2) ** n])
-        assert (state.s(n) - closed).sup_norm() <= mpf("1e-10") * (mpf(2) ** n + mpf(8) ** n)
+        assert poly_dev(state.s(n), closed) <= mpf("1e-10") * (mpf(2) ** n + mpf(8) ** n)
     assert max(abs(c) for c in state.curve.c) <= mpf("1e-10")  # w^2 = z^3
 
 
@@ -471,10 +561,14 @@ def test_ansatz_top_row_is_the_pin_fit():
         pinned, _resid = _pin_top_coefficients(
             basis, U, {n: basis.functions(n) for n in range(-reach, reach + 1)})
         for n, p in S.items():
-            lead = ZPoly()
-            for c, phi in zip(pinned, basis.functions(n)):
-                lead = lead + ZPoly([mp.make_mpf(c)]).scale(mp.make_mpf(phi))
-            assert p.coeff(spec.g)._mpf_ == lead.coeff(0)._mpf_
+            # the dot product from its first term, each product and sum
+            # rounded at the working precision
+            terms = [mp.make_mpf(phi) * mp.make_mpf(c)
+                     for c, phi in zip(pinned, basis.functions(n))]
+            lead = terms[0]
+            for t in terms[1:]:
+                lead += t
+            assert p.coeff(spec.g)._mpf_ == lead._mpf_
 
 
 @pytest.mark.parametrize("bits", (53, 113, 1100))
@@ -601,13 +695,12 @@ def test_state_curve_is_read_at_n0(spec, bits):
 def test_state_without_n0_reads_its_curve_at_lo_plus_1():
     # an S table on (3, 17) holds no n = 0: the curve comes from the master
     # identity at n = 4, the first site whose Q_n, Q_{n+1} and Q_{n+2} are
-    # tabulated
+    # tabulated, each coefficient the Fraction ratio rounded once
     U, W = trig_family(2, mpf("1.3"), (-12, 20))
     result = ansatz_solve(TrigBasis(2), U, W)
     state = DressingState.from_s_table(U, W, {n: result.S[n] for n in range(3, 18)})
-    f4 = dressing._master_fpoly(state, 4)
-    want = HyperellipticCurve.from_fpoly(f4, 2, tol_rel=dressing.CURVE_RECOVERY_TOL)
-    assert [c._mpf_ for c in state.curve.c] == [c._mpf_ for c in want.c]
+    assert [c._mpf_ for c in state.curve.c] == [c._mpf_ for c in fraction_curve(state, 4)]
+    assert [c._mpf_ for c in state.curve.c] != [c._mpf_ for c in fraction_curve(state, 5)]
     assert verify_master(state, 4) <= mpf("1e-30")
 
 
@@ -624,7 +717,9 @@ def test_off_centre_state_takes_the_curve_at_n0(bits):
         state = result.state(U, W, (18, 29))
         assert [c._mpf_ for c in state.curve.c] == want
         for n in range(19, 28):
-            scale = (state.s(n) * state.s(n)).sup_norm()
+            # the largest |coefficient| of S_n^2
+            (s,), e = raw_ints([state.s(n).raw])
+            scale = mp.make_mpf(rround(max(map(abs, poly_mul(s, s))), 2 * e, bits))
             assert verify_master(state, n) <= mpf(2) ** (10 - bits) * scale, n
 
 
@@ -672,7 +767,7 @@ def test_recursive_matches_ansatz():
         U, W, state.curve, (state.s(-1), state.s(0)), 0, (-12, 12)
     )
     for n in range(-12, 13):
-        dev = (rec.s(n) - state.s(n)).sup_norm()
+        dev = poly_dev(rec.s(n), state.s(n))
         assert dev <= mpf("1e-9") * max(state.s(n).sup_norm(), mpf(1))
 
 
@@ -813,7 +908,7 @@ def test_genus2_recursion_and_eigen_relations():
         U, W, state.curve, (state.s(-1), state.s(0)), 0, (-10, 10)
     )
     for n in range(-10, 11):
-        dev = (rec.s(n) - state.s(n)).sup_norm()
+        dev = poly_dev(rec.s(n), state.s(n))
         assert dev <= mpf("1e-12") * max(state.s(n).sup_norm(), mpf(1))
 
     L2 = l2_operator(U, W)

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -109,3 +110,69 @@ def test_a_renamed_curve_lattice_target_is_reported(monkeypatch, module, owner, 
     monkeypatch.delattr(getattr(target, owner) if owner else target, name)
     dotted = f"commdiff.{module}.{owner + '.' if owner else ''}{name}"
     assert dotted in _missing_span_targets()
+
+
+REPO = PACKAGE.parent.parent
+# public entry points that no code in the repository calls, with the reason
+# each stays: q_from_s is the pair rule for callers holding ZPolys and mpf
+# values, op_from_json reads back the operator files that op_to_json writes
+# (the partner command's partner-op report), and lame_l2 builds the paper's Lame lattice
+# operator T^2/eps^2 + A_g T/eps + wp(eps) for a caller's own lattice
+WITHOUT_CALLER = {"q_from_s", "op_from_json", "lame_l2"}
+_WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def dead_definitions(sources: dict, package: set) -> list:
+    """The functions, classes and methods defined in the files named in
+    package whose name appears nowhere in sources (path -> text) outside
+    their own definition: not as a name, an attribute or a word of a string
+    that is not a docstring.  Dunder methods, which Python calls, count as
+    named.  Each as 'file:line name'."""
+    uses, defs = [], []
+    for path, text in sources.items():
+        tree = ast.parse(text)
+        docs = {id(node.body[0].value) for node in ast.walk(tree)
+                if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                     ast.AsyncFunctionDef))
+                and node.body and isinstance(node.body[0], ast.Expr)
+                and isinstance(node.body[0].value, ast.Constant)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                uses.append((path, node.lineno, node.attr))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and id(node) not in docs:
+                uses += [(path, node.lineno, w) for w in _WORD.findall(node.value)]
+            if path in package and isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((path, node.lineno, node.end_lineno, node.name))
+    named = {}
+    for path, line, name in uses:
+        named.setdefault(name, []).append((path, line))
+    return [f"{path}:{a} {name}" for path, a, b, name in defs
+            if not (name.startswith("__") and name.endswith("__"))
+            and not any(p != path or not a <= line <= b for p, line in named.get(name, ()))]
+
+
+def test_dead_definitions_are_found():
+    src = {
+        "pkg.py": ('def used():\n    """used() is named only here."""\n    return used()\n'
+                   'def called():\n    pass\nclass Box:\n    def __len__(self):\n        return 0\n'
+                   '    def helper(self):\n        return 1\n'),
+        "other.py": 'import pkg\npkg.called()\nTARGETS = ["pkg.Box.helper"]\n',
+    }
+    assert dead_definitions(src, {"pkg.py"}) == ["pkg.py:1 used"]
+
+
+def test_every_package_definition_is_named_outside_itself():
+    # a function, class or method of the package that nothing in src/,
+    # benchmarks/ or tools/ names is dead code, unless it is a listed entry
+    # point
+    sources = {str(p.relative_to(REPO)): p.read_text()
+               for d in ("src", "benchmarks", "tools") for p in sorted((REPO / d).rglob("*.py"))}
+    package = {k for k in sources if k.startswith("src/")}
+    dead = dead_definitions(sources, package)
+    assert sorted(d.split()[1] for d in dead if d.split()[1] in WITHOUT_CALLER) == \
+        sorted(WITHOUT_CALLER)
+    assert [d for d in dead if d.split()[1] not in WITHOUT_CALLER] == []

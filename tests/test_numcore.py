@@ -1,16 +1,15 @@
 import json
-import operator
 import random
 from fractions import Fraction
 
 import pytest
 from mpmath import cos, mp, mpf
 from mpmath.libmp import (
-    finf, fnan, fninf, fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_mul,
-    mpf_neg, mpf_sub, round_nearest,
+    finf, fnan, fninf, fone, from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_div,
+    mpf_gt, mpf_mul, mpf_neg, mpf_sub, round_nearest,
 )
 
-from oracles import poly_div_exact
+from oracles import _fpmul, _fpsum, _fraction_poly, poly_div_exact
 
 from commdiff import numcore
 from commdiff.errors import DegenerateDenominatorError, NonFiniteError
@@ -18,6 +17,7 @@ from commdiff.numcore import (
     HyperellipticCurve,
     ZPoly,
     cos_int,
+    exceeds,
     get_precision,
     mpf_to_str,
     poly_mul,
@@ -29,14 +29,13 @@ from commdiff.numcore import (
     rdot,
     rmac,
     rmul,
-    rpoly_add,
-    rpoly_mul,
-    rpoly_sub,
+    rratio,
     rround,
     rsub,
     scalar,
     set_precision,
     to_json,
+    zsum,
 )
 
 
@@ -64,60 +63,38 @@ def test_poly_eval_basics():
 
 
 def test_poly_mul_basics():
-    p = ZPoly([1, 1])   # z + 1
-    q = ZPoly([-1, 1])  # z - 1
-    r = poly_mul(p, q)
-    assert r.coeffs == (mpf(-1), mpf(0), mpf(1))
-    assert poly_mul(p, ZPoly()).is_zero
+    assert poly_mul([1, 1], [-1, 1]) == [-1, 0, 1]  # (z + 1)(z - 1)
+    assert poly_mul([0, 2], [0, 0, -3]) == [0, 0, 0, -6]
+    assert poly_mul([1, 1], []) == poly_mul([], [3]) == poly_mul([], []) == []
+
+
+def _horner(p, z):
+    acc = 0
+    for c in reversed(p):
+        acc = acc * z + c
+    return acc
 
 
 def test_poly_mul_pointwise_oracle():
-    # quartic-family S at n=0 (a2=1, a0=0) is the constant 1/4
-    s0 = ZPoly([mpf(1) / 4])
-    prod = poly_mul(s0, s0)
-    points = [mpf(-3), mpf("-1.7"), mpf(0), mpf("0.45"), mpf("2.9")]
-    for z in points:
-        assert abs(prod.eval(z) - s0.eval(z) ** 2) <= mpf("1e-30")
-    # and a generic polynomial, squared, against sampled evaluation
-    s2 = ZPoly([mpf(1) / 4, -mpf(13) / 4, 0, 1])
-    prod2 = poly_mul(s2, s2)
-    for z in points:
-        ref = s2.eval(z) ** 2
-        assert abs(prod2.eval(z) - ref) <= mpf("1e-28") * max(1, abs(ref))
+    # the product's value is the product of the values, exactly, at integer
+    # and rational points, on ints of both signs, zeros and 3000-bit widths
+    rng = random.Random(17)
+    points = [Fraction(-3), Fraction(-17, 10), Fraction(0), Fraction(9, 20), Fraction(29, 10)]
+    for width in (1, 64, 3000):
+        def draw():
+            return [rng.choice((1, -1, 0)) * rng.getrandbits(width)
+                    for _ in range(rng.randint(1, 6))]
 
-
-def _reference_poly_mul(p, q):
-    """The zero-started convolution that `poly_mul` must reproduce bit for bit."""
-    if p.is_zero or q.is_zero:
-        return ZPoly()
-    out = [mpf(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
-    for i, ai in enumerate(p.coeffs):
-        for j, bj in enumerate(q.coeffs):
-            out[i + j] += ai * bj
-    return ZPoly(out)
+        for _ in range(10):
+            a, b = draw(), draw()
+            prod = poly_mul(a, b)
+            assert len(prod) == len(a) + len(b) - 1
+            for z in points:
+                assert _horner(prod, z) == _horner(a, z) * _horner(b, z)
 
 
 def _raw(poly):
     return [c._mpf_ for c in poly.coeffs]
-
-
-# the mpf-object loops that ZPoly's arithmetic runs on raw libmp values
-
-def _reference_add(p, q):
-    a, b = p.coeffs, q.coeffs
-    if len(a) < len(b):
-        a, b = b, a
-    return ZPoly((*map(operator.add, a, b), *a[len(b):]))
-
-
-def _reference_sub(p, q):
-    a, b = p.coeffs, q.coeffs
-    return ZPoly((*map(operator.sub, a, b), *a[len(b):], *(-c for c in b[len(a):])))
-
-
-def _reference_scale(p, c):
-    c = scalar(c)
-    return ZPoly(tuple(c * x for x in p.coeffs))
 
 
 def _reference_sup_norm(p):
@@ -139,17 +116,9 @@ def test_poly_kernels_match_the_mpf_loops_bit_for_bit(bits):
     pool = trap_values(rng, bits)
     assert all(v._mpf_[3] > bits for v in pool[4:])
     with mp.workprec(bits):
-        def draw():
-            return ZPoly([rng.choice(pool) if rng.random() < 0.6 else mpf(rng.uniform(-3, 3)) / 7
-                          for _ in range(rng.randint(1, 7))])
-
         for _ in range(60):
-            p, q, c = draw(), draw(), rng.choice(pool)
-            assert _raw(poly_mul(p, q)) == _raw(_reference_poly_mul(p, q))
-            assert _raw(p + q) == _raw(_reference_add(p, q))
-            assert _raw(p - q) == _raw(_reference_sub(p, q))
-            assert _raw(q - p) == _raw(_reference_sub(q, p))
-            assert _raw(p.scale(c)) == _raw(_reference_scale(p, c))
+            p = ZPoly([rng.choice(pool) if rng.random() < 0.6 else mpf(rng.uniform(-3, 3)) / 7
+                       for _ in range(rng.randint(1, 7))])
             assert p.sup_norm()._mpf_ == _reference_sup_norm(p)._mpf_
         # the first largest of the |v| rounded at prec, as max() picks it
         raws = [v._mpf_ for v in pool]
@@ -159,8 +128,11 @@ def test_poly_kernels_match_the_mpf_loops_bit_for_bit(bits):
 @pytest.mark.parametrize("bits", (53, 113, 160, 1100))
 def test_raw_vector_helpers_match_the_mpf_loops_bit_for_bit(bits):
     # trap values (exact 0 and +-1, values wider than bits), empty vectors,
-    # and pairs whose top coefficients cancel to an exact 0, which the
-    # helpers trim as ZPoly does
+    # and pairs whose top coefficients cancel to an exact 0: the product,
+    # sum and difference of two raw vectors, read exactly (raw_ints), formed
+    # by poly_mul and zsum and each coefficient rounded once (rround), equal
+    # the mpf loops run wide enough to be exact, each coefficient then
+    # rounded once at bits, trimmed as ZPoly trims
     rng = random.Random(bits + 13)
     pool = trap_values(rng, bits)
     with mp.workprec(bits):
@@ -171,17 +143,28 @@ def test_raw_vector_helpers_match_the_mpf_loops_bit_for_bit(bits):
         for a, _b in pairs[:20]:
             tail = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
             pairs += [(a + tail, a + tail), (a + tail, a + [-v for v in tail]), (a, [])]
-        for a, b in pairs:
-            p, q = ZPoly(a), ZPoly(b)
-            a, b = p.raw, q.raw  # trimmed, as ZPoly's operands always are
-            assert rpoly_mul(a, b, bits) == _raw(_reference_poly_mul(p, q))
-            assert rpoly_add(a, b, bits) == _raw(_reference_add(p, q))
-            assert rpoly_sub(a, b, bits) == _raw(_reference_sub(p, q))
-            assert rpoly_sub(b, a, bits) == _raw(_reference_sub(q, p))
-        # a cancelled top coefficient leaves no exact zero behind
-        one = [fone, fone]
-        assert rpoly_sub(one, one, bits) == [] and rpoly_add(one, [fone, mpf_neg(fone)], bits) == [
-            radd(fone, fone, bits)]
+
+    def rounded(vals):
+        # unary plus rounds at the working precision
+        return ZPoly([+v for v in vals]).raw
+
+    for a, b in pairs:
+        (x, y), e = raw_ints([ZPoly(a).raw, ZPoly(b).raw])
+        p, q = ZPoly(a).coeffs, ZPoly(b).coeffs
+        with mp.workprec(10 * bits + 400):
+            prod = [mpf(0)] * (len(p) + len(q) - 1) if p and q else []
+            for i, u in enumerate(p):
+                for j, v in enumerate(q):
+                    prod[i + j] += u * v
+            pad = max(len(p), len(q))
+            p, q = [*p, *[mpf(0)] * (pad - len(p))], [*q, *[mpf(0)] * (pad - len(q))]
+            sums = [[u + v for u, v in zip(p, q)], [u - v for u, v in zip(p, q)]]
+        with mp.workprec(bits):
+            assert ZPoly._from_raw([rround(v, 2 * e, bits) for v in poly_mul(x, y)]).raw == \
+                rounded(prod)
+            for sign, want in zip((1, -1), sums):
+                got, f = zsum([(1, x, e), (sign, y, e)])
+                assert ZPoly._from_raw([rround(v, f, bits) for v in got]).raw == rounded(want)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +554,8 @@ def test_cos_int_keys_its_cache_on_the_working_precision():
 
 @pytest.mark.parametrize("bits", (113, 160))
 def test_products_and_sums_match_the_reference_loops_bit_for_bit(bits):
-    # non-dyadic coefficients of mixed magnitude, so that every rounding shows
+    # non-dyadic coefficients of mixed magnitude, read exactly: poly_mul and
+    # zsum give the Fraction convolution and sums of the stored values
     rng = random.Random(bits)
     with mp.workprec(bits):
         def draw():
@@ -580,21 +564,26 @@ def test_products_and_sums_match_the_reference_loops_bit_for_bit(bits):
 
         for _ in range(60):
             p, q = draw(), draw()
-            prod = poly_mul(p, q)
-            assert _raw(prod) == _raw(_reference_poly_mul(p, q))
-            assert all(type(c) is mpf for c in prod.coeffs)
-            assert _raw(p - q) == _raw(p + q.scale(-1))
-            assert _raw(q - p) == _raw(q + p.scale(-1))
+            (x, y), e = raw_ints([p.raw, q.raw])
+            fp, fq = _fraction_poly(p), _fraction_poly(q)
+            assert [v * Fraction(2) ** (2 * e) for v in poly_mul(x, y)] == _fpmul(fp, fq)
+            for sign in (1, -1):
+                got, f = zsum([(1, x, e), (sign, y, e)])
+                assert [v * Fraction(2) ** f for v in got] == \
+                    _fpsum(fp, [sign * v for v in fq])
 
 
 def test_values_stay_mpf_and_scalar_operands_are_coerced():
-    p = ZPoly([mpf(1) / 3, 2])
-    for r in (p * 2, 2 * p, p.scale(0.5), p.scale(3) + p, p - p.scale(7),
-              poly_mul(p, p)):
-        assert all(type(c) is mpf for c in r.coeffs)
+    # ints, floats, strings and mpfs enter ZPoly and HyperellipticCurve as mpf
+    p = ZPoly([1, 0.5, "0.25", mpf(1) / 3])
+    assert p.coeffs[:3] == (mpf(1), mpf(0.5), mpf("0.25"))
+    for v in (*p.coeffs, p.lead, p.coeff(0), p.coeff(9), p.sup_norm(), p.eval(2)):
+        assert type(v) is mpf
+    curve = HyperellipticCurve(1, (1, 0.5, "2"))
+    assert all(type(c) is mpf for c in curve.c) and type(curve.eval(1)) is mpf
     for bad in (float("inf"), float("nan")):
         with pytest.raises(NonFiniteError):
-            p.scale(bad)
+            HyperellipticCurve(1, (0, 0, bad))
 
 
 def test_public_constructors_reject_non_finite():
@@ -613,71 +602,70 @@ def test_curve_eval_is_the_horner_of_fpoly():
 def test_poly_degree_law():
     rng = random.Random(7)
     for _ in range(20):
-        p = ZPoly([rng.uniform(-2, 2) for _ in range(rng.randint(1, 5))] + [1])
-        q = ZPoly([rng.uniform(-2, 2) for _ in range(rng.randint(1, 5))] + [1])
-        assert poly_mul(p, q).degree == p.degree + q.degree
+        p = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [rng.choice((1, -3))]
+        q = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [rng.choice((1, 7))]
+        assert len(poly_mul(p, q)) - 1 == (len(p) - 1) + (len(q) - 1)
 
 
 def test_trailing_exact_zeros_trimmed():
     p = ZPoly([1, 2, 0, 0])
     assert p.degree == 1
-    assert ZPoly([0, 0]).is_zero
+    assert ZPoly([0, 0]).raw == [] and ZPoly([0, 0]).degree == -1
+
+
+def _fractions(*vals):
+    return [Fraction(v) for v in vals]
 
 
 def test_poly_div_exact_basics():
-    q, r = poly_div_exact(ZPoly([-1, 0, 1]), ZPoly([-1, 1]))  # (z^2-1)/(z-1)
-    assert q.coeffs == (mpf(1), mpf(1))
+    q, r = poly_div_exact(_fractions(-1, 0, 1), _fractions(-1, 1))  # (z^2-1)/(z-1)
+    assert q == [1, 1]
     assert r == 0
-    q, r = poly_div_exact(ZPoly([0, 0, 1]), ZPoly([-1, 1]))  # z^2/(z-1)
-    assert q.coeffs == (mpf(1), mpf(1))
+    q, r = poly_div_exact(_fractions(0, 0, 1), _fractions(-1, 1))  # z^2/(z-1)
+    assert q == [1, 1]
     assert r == 1
+    q, r = poly_div_exact(_fractions(3), _fractions(-1, 1))  # a lower degree: q = 0
+    assert q == [] and r == 3
     with pytest.raises(DegenerateDenominatorError):
-        poly_div_exact(ZPoly([1, 1]), ZPoly())
+        poly_div_exact(_fractions(1, 1), [])
 
 
 def test_poly_div_exact_geometric_fixture():
     # genus-1 geometric fixture at n=0 (a=2, beta=1): curve w^2 = z^3,
     # S_0 = -z + 4/27, U_0 = 1, W_0 = -5/9, Q_0 = z - 1/9; the quotient is
-    # Q_1 = z - 4/9 with numerically zero remainder
-    f = ZPoly([0, 0, 0, 1])
-    s0 = ZPoly([mpf(4) / 27, -1])
-    u0, w0 = mpf(1), -mpf(5) / 9
-    q0 = ZPoly([-mpf(1) / 9, 1])
-    num = f - poly_mul(s0, s0)
-    den = poly_mul(ZPoly([-(u0**2) - w0, 1]), q0)
+    # Q_1 = z - 4/9, exactly
+    f = _fractions(0, 0, 0, 1)
+    s0 = [Fraction(4, 27), Fraction(-1)]
+    u0, w0 = Fraction(1), Fraction(-5, 9)
+    q0 = [Fraction(-1, 9), Fraction(1)]
+    num = _fpsum(f, [-v for v in _fpmul(s0, s0)])
+    den = _fpmul([-(u0**2) - w0, Fraction(1)], q0)
     q1, resid = poly_div_exact(num, den)
-    scale = num.sup_norm()
-    assert resid <= mpf("1e-20") * scale
-    assert abs(q1.coeff(0) + mpf(4) / 9) <= mpf("1e-30")
-    assert abs(q1.coeff(1) - 1) <= mpf("1e-30")
+    assert resid == 0
+    assert q1 == [Fraction(-4, 9), 1]
 
 
 def test_div_mul_roundtrip_residual_zero():
     rng = random.Random(3)
     for _ in range(10):
-        den = ZPoly([rng.uniform(-2, 2) for _ in range(3)] + [1])
-        quo = ZPoly([rng.uniform(-2, 2) for _ in range(4)] + [1])
-        num = poly_mul(quo, den)
-        q, r = poly_div_exact(num, den)
-        assert r <= mpf("1e-30") * num.sup_norm()
-        assert max(abs(q.coeff(k) - quo.coeff(k)) for k in range(6)) <= mpf("1e-30")
+        den = [Fraction(rng.uniform(-2, 2)) for _ in range(3)] + [Fraction(1)]
+        quo = [Fraction(rng.uniform(-2, 2)) for _ in range(4)] + [Fraction(1)]
+        q, r = poly_div_exact(_fpmul(quo, den), den)
+        assert r == 0 and q == quo
 
 
 def test_ring_axioms_property():
+    # associativity and distributivity of poly_mul, exactly
     rng = random.Random(5)
     for _ in range(12):
         def rnd():
-            return ZPoly([rng.uniform(-2, 2) for _ in range(rng.randint(1, 4))])
+            return [rng.choice((1, -1)) * rng.getrandbits(rng.choice((3, 120)))
+                    for _ in range(rng.randint(1, 4))]
 
         a, b, c = rnd(), rnd(), rnd()
-        lhs = poly_mul(poly_mul(a, b), c)
-        rhs = poly_mul(a, poly_mul(b, c))
-        scale = max(lhs.sup_norm(), mpf(1))
-        assert (lhs - rhs).sup_norm() <= mpf("1e-12") * scale
-        lhs = poly_mul(a, b + c)
-        rhs = poly_mul(a, b) + poly_mul(a, c)
-        scale = max(lhs.sup_norm(), mpf(1))
-        assert (lhs - rhs).sup_norm() <= mpf("1e-12") * scale
+        assert poly_mul(poly_mul(a, b), c) == poly_mul(a, poly_mul(b, c))
+        b_plus_c = zsum([(1, b, 0), (1, c, 0)])[0]
+        assert poly_mul(a, b_plus_c) == zsum([(1, poly_mul(a, b), 0), (1, poly_mul(a, c), 0)])[0]
 
 
 def test_curve_validation():
@@ -685,10 +673,86 @@ def test_curve_validation():
         HyperellipticCurve(0, ())
     with pytest.raises(ValueError):
         HyperellipticCurve(1, (1, 2))
-    with pytest.raises(ValueError):
-        HyperellipticCurve.from_fpoly(ZPoly([0, 0, 0, 2]), 1)  # lead 2: not monic
-    c = HyperellipticCurve.from_fpoly(ZPoly([4, 0, 0, 1]), 1)
+    with pytest.raises(ValueError, match="not monic"):
+        HyperellipticCurve.from_exact(([0, 0, 0, 2], 0), 1, mpf("1e-9"))  # lead 2
+    with pytest.raises(ValueError, match="expected degree 3, got 2"):
+        HyperellipticCurve.from_exact(([0, 0, 1, 0], 0), 1, mpf("1e-9"))
+    c = HyperellipticCurve.from_exact(([4, 0, 0, 1, 0, 0], 0), 1, mpf("1e-9"))
     assert c.eval(2) == 12
+    # z^3 + z / 2 on 2^-1 is the ints [0, 1, 0, 2]; on 2^3 the lead is 8
+    assert HyperellipticCurve.from_exact(([0, 1, 0, 2], -1), 1, mpf("1e-9")).c == (0, 0.5, 0)
+    with pytest.raises(ValueError, match="lead=8"):
+        HyperellipticCurve.from_exact(([3, 0, 0, 1], 3), 1, mpf("1e-9"))
+
+
+def _fraction_of(v) -> Fraction:
+    sign, man, exp, _ = v._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160, 1100))
+def test_from_exact_rounds_each_coefficient_once(bits):
+    # each c_k is the Fraction f_k / lead rounded once, for ints up to 3100
+    # bits wide, on exponents down to -3000; the lead is judged exactly, on
+    # either side of 1, against tol times the larger of 1 and the largest
+    # |coefficient|
+    rng = random.Random(bits + 41)
+    tol = mpf("1e-6")
+    t = _fraction_of(tol)
+    with mp.workprec(bits):
+        for exp in (-3000, -bits, -20, -1):
+            one = 1 << -exp
+            for _ in range(20):
+                f = [rng.choice((1, -1, 0)) * rng.getrandbits(rng.randint(1, 3100))
+                     for _ in range(5)]
+                f.append(one + rng.randint(-(one >> 30), one >> 30))
+                curve = HyperellipticCurve.from_exact((f, exp), 2, tol)
+                assert [c._mpf_ for c in curve.c] == [
+                    from_rational(v, f[-1], bits, round_nearest) for v in f[:5]]
+            # the largest lead above 1 and the least below it that pass
+            above, below = int(t * one / (1 - t)), int(t * one)
+            for lead, ok in ((one + above, True), (one + above + 1, False),
+                             (one - below, True), (one - below - 1, False)):
+                if ok:
+                    HyperellipticCurve.from_exact(([0] * 5 + [lead], exp), 2, tol)
+                else:
+                    with pytest.raises(ValueError, match="not monic"):
+                        HyperellipticCurve.from_exact(([0] * 5 + [lead], exp), 2, tol)
+            # a coefficient larger than 1 widens the lead's bound with it
+            wide = [0, 0, 0, 0, 1000 * one]
+            HyperellipticCurve.from_exact((wide + [one + 500 * below], exp), 2, tol)
+
+
+def test_exceeds_is_the_exact_comparison():
+    for tol in (mpf("1e-6"), mpf(3), mpf(2) ** -200, mpf(1) / 3):
+        t = _fraction_of(tol)
+        for den in (1, 7, 2 ** 90 + 1):
+            edge = t * den
+            for num in {int(edge) - 1, int(edge), int(edge) + 1, 0}:
+                if num >= 0:
+                    assert exceeds(num, den, tol) == (num > edge), (tol, num, den)
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160, 1100))
+def test_rratio_is_from_rational_bit_for_bit(bits):
+    # numerators and denominators of both signs, zero numerators, |den| = 1,
+    # powers of two (even, unnormalized mantissas), ties, exact quotients
+    # and ints up to 3000 bits wide
+    rng = random.Random(bits + 53)
+    nums, dens = [0, 1, -1, 2, -6, 3 << 200], [1, -1, 2, -4, 3, 2 ** 64, -(2 ** 3000)]
+    for width in (1, 2, bits - 1, bits, bits + 1, 2 * bits, 3000):
+        for _ in range(12):
+            v = rng.getrandbits(width) | (1 << (width - 1))
+            v <<= rng.choice((0, 0, 1, 37))
+            nums.append(rng.choice((1, -1)) * v)
+            dens.append(rng.choice((1, -1)) * (v | 1 if rng.random() < 0.5 else v))
+    # exact quotients and ties: d * q and d * q + d / 2 over d
+    for d in dens[2:12]:
+        q = rng.getrandbits(bits + 3)
+        nums += [d * q, d * q + d // 2, -d * q]
+    pairs = [(n, d) for n in nums for d in rng.sample(dens, 8)]
+    for n, d in pairs:
+        assert rratio(n, d, bits) == from_rational(n, d, bits, round_nearest), (n, d)
 
 
 @pytest.mark.parametrize("bits", [53, 160])

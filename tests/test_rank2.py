@@ -6,6 +6,7 @@ from mpmath.libmp import fone
 
 from commdiff import rank2
 from commdiff.errors import CommutationError
+from commdiff.numcore import poly_mul, raw_ints, rround
 from commdiff.opalg import CoeffSeq, DiffOp, commutator_residual
 from commdiff.rank2 import (
     Rank2Params,
@@ -15,7 +16,7 @@ from commdiff.rank2 import (
     verify_rank2,
 )
 from commdiff.spectral import rank2_curve_check
-from oracles import _fraction, rounded_fraction
+from oracles import _fpmul, _fraction, rounded_fraction
 
 WIN = (-28, 28)
 
@@ -54,6 +55,21 @@ def test_expected_curve_specialized():
     assert abs(r.eval(1) - mpf(851968) / 262144) <= mpf("1e-28")
 
 
+@pytest.mark.parametrize("bits", (53, 113, 160))
+def test_expected_curve_is_the_exact_product_rounded_once(bits):
+    # the factors' constants are the published formulas in mpf at the
+    # working precision; their product is exact, each coefficient rounded once
+    with mp.workprec(bits):
+        p = Rank2Params("0.3", "1.7", "-0.45")
+        a2, a1, a0 = p.a2, p.a1, p.a0
+        inner1 = (a0 - a1) * (a0 - a2) * (a0 * (2 * a0 - a1) - 2 * (a0 + a1) * a2)
+        inner2 = (-2 * a0**2 + a1**2 + 4 * a0 * a2 + 3 * (a1 - 2 * a2) * a2) ** 2
+        lin1, lin2 = [_fraction(inner1._mpf_), 32], [_fraction(inner2._mpf_), 256]
+        want = [v / 2 ** 18 for v in _fpmul(_fpmul(lin1, lin1), lin2)]
+        assert [c._mpf_ for c in expected_curve_poly(p).coeffs] == [
+            rounded_fraction(v)._mpf_ for v in want]
+
+
 def test_pair_commutes():
     L4 = build_l4(Rank2Params(2, 0, 0), WIN)
     L6 = build_l6_special(WIN)
@@ -73,9 +89,11 @@ def test_char_poly_squared_structure():
             report = rank2_curve_check(L4, L6, r)
             assert report.mismatch_rel == 0, bits
             assert report.closure_defect == 0, bits
-            assert report.char_polys[0].coeffs == (r * r).coeffs, bits
-            assert report.char_polys[2].coeffs == r.scale(-2).coeffs, bits
-            assert report.char_polys[1].is_zero and report.char_polys[3].is_zero, bits
+            (ri,), e = raw_ints([r.raw])
+            r2 = [mp.make_mpf(rround(v, 2 * e, bits)) for v in poly_mul(ri, ri)]
+            assert report.char_polys[0].coeffs == tuple(r2), bits
+            assert report.char_polys[2].coeffs == tuple(-2 * c for c in r.coeffs), bits
+            assert report.char_polys[1].raw == report.char_polys[3].raw == [], bits
 
 
 def test_verify_rank2_report():

@@ -44,6 +44,7 @@ def test_identical_runs_print_no_change():
     # two defects
     assert counts["residuals compared"] == 5
     assert counts["residuals changed"] == counts["other fields changed"] == 0
+    assert "  largest residual growth: none" in lines
 
 
 def test_exit_changes_flips_and_residuals_are_listed():
@@ -66,6 +67,9 @@ def test_exit_changes_flips_and_residuals_are_listed():
     assert counts["exit changes"] == 1 and counts["verdict flips"] == 2
     assert (counts["residuals changed"], counts["smaller"], counts["larger"]) == (2, 1, 1)
     assert lines[-1] == "reports changed" and text.index("summary") > text.index("flip")
+    # the commutator residual fell; the master residual's 2x is the largest growth
+    assert lines[-2] == f"  largest residual growth: ratio 2, report/master_residual_rel in " \
+        f"verify-a.json ({VERIFY}): 6.6e-34 -> 1.32e-33, both below 2^-p: no"
 
 
 def test_below_precision_other_fields_and_lone_files():
@@ -82,6 +86,29 @@ def test_below_precision_other_fields_and_lone_files():
     assert "  1 other fields changed" in lines
     assert "partner-op-b.json: only in base" in lines and "curve-c.json: only in new" in lines
     assert counts["files only in base"] == counts["files only in new"] == 1
+
+
+def test_largest_growth_is_the_largest_ratio_across_reports():
+    # a 3x rise in one report beats a 2x rise in another; below 2^-p is
+    # judged at each report's precision, and a value rising from 0 is the
+    # largest growth of all
+    base, new = _run(), _run()
+    new["reports"]["verify-a.json"]["report"]["linear_residual_rel"] = "5.8e-34"
+    new["reports"]["partner-b.json"]["report"]["defects"][1] = "0.06"
+    lines, _counts = compare(base, new)
+    assert lines[-2] == "  largest residual growth: ratio 3, report/defects/1 in " \
+        f"partner-b.json ({PARTNER}): 0.02 -> 0.06, both below 2^-p: no"
+    base["reports"]["partner-b.json"]["report"]["commutator_residual_rel"] = "0"
+    lines, _counts = compare(base, new)
+    assert lines[-2].startswith("  largest residual growth: ratio inf, "
+                                "report/commutator_residual_rel in partner-b.json")
+    # a file that no run named keeps its bare name
+    base, new = _run(), _run()
+    base["reports"]["partner-op-b.json"]["mismatch"] = "1e-40"
+    new["reports"]["partner-op-b.json"]["mismatch"] = "4e-40"
+    lines, _counts = compare(base, new)
+    assert lines[-2] == "  largest residual growth: ratio 4, mismatch in partner-op-b.json: " \
+        "1e-40 -> 4e-40, both below 2^-p: ?"
 
 
 def test_diff_report_is_pure_and_handles_zero_and_missing_precision():

@@ -206,11 +206,8 @@ def test_extract_curve_trig_family():
     L2, L3, _ = make_pair("trig")
     dbl = 4 * sin(mpf(1) / 2) ** 4 / (1 - 2 * cos(1)) ** 2
     smp = (1 - 2 * cos(1) + cos(2)) / (1 - 2 * cos(1)) ** 2
-    expected = (
-        dbl * dbl * ZPoly([-smp, 1])
-        + ZPoly([0])
-    )
-    fexp = ZPoly([-smp, 1]) * ZPoly([-dbl, 1]) * ZPoly([-dbl, 1])
+    # (z - smp) (z - dbl)^2, expanded
+    fexp = ZPoly([-dbl * dbl * smp, dbl * dbl + 2 * dbl * smp, -2 * dbl - smp, 1])
     report = extract_curve(L2, L3, n0_list=(-1, 0, 1))
     scale = fexp.sup_norm()
     for k in range(3):

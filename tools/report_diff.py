@@ -13,9 +13,12 @@ prints, per report:
 - the count of other changed fields (curve coefficients, state tables,
   operator terms).
 
-Summary counts come last.  The exit status is 1 when a configuration of the
-new tree exits 2 (a usage or domain error), and 0 otherwise, whatever the
-differences: the tool describes a report change, it does not judge it.
+Summary counts come last, with the largest residual growth: its field,
+report and configuration, its values before and after, the ratio, and
+whether both lie below 2^-p, or "none" when no residual grew.  The exit
+status is 1 when a configuration of the new tree exits 2 (a usage or
+domain error), and 0 otherwise, whatever the differences: the tool
+describes a report change, it does not judge it.
 
     python3 tools/report_diff.py --base OLD/src --new NEW/src
 
@@ -128,7 +131,7 @@ def compare(base: dict, new: dict) -> tuple:
                             "files only in base", "files only in new"), 0)
     if [r[0] for r in base["runs"]] != [r[0] for r in new["runs"]]:
         raise ValueError("the two trees ran different listings")
-    label_of = {}
+    label_of, growth = {}, None
     for (label, code0, _f0), (_label, code1, file1) in zip(base["runs"], new["runs"]):
         if file1 is not None:
             label_of.setdefault(file1, label)
@@ -154,13 +157,16 @@ def compare(base: dict, new: dict) -> tuple:
         if not (d["flips"] or d["residuals"] or d["other"]):
             continue
         label = label_of.get(name)
-        lines.append(f"{name}" + (f" ({label})" if label else ""))
+        where = f"{name}" + (f" ({label})" if label else "")
+        lines.append(where)
         for path, before, after in d["flips"]:
             lines.append(f"  flip {path}: {json.dumps(before)} -> {json.dumps(after)}")
         for path, before, after, ratio, below in d["residuals"]:
             flag = {True: "yes", False: "no", None: "?"}[below]
             lines.append(f"  {path}: {before} -> {after}  ratio {float(ratio):.3g}"
                          f"  both below 2^-p: {flag}")
+            if ratio > 1 and (growth is None or ratio > growth[0]):
+                growth = ratio, f"{path} in {where}: {before} -> {after}, both below 2^-p: {flag}"
         if d["other"]:
             lines.append(f"  {d['other']} other fields changed")
     c = counts
@@ -171,6 +177,8 @@ def compare(base: dict, new: dict) -> tuple:
         f"  residual fields: {c['residuals compared']} compared, {c['residuals changed']} "
         f"changed ({c['smaller']} smaller, {c['larger']} larger)",
         f"  other fields changed: {c['other fields changed']}",
+        "  largest residual growth: "
+        + (f"ratio {float(growth[0]):.3g}, {growth[1]}" if growth else "none"),
     ]
     unchanged = not any(v for k, v in c.items()
                         if k not in ("residuals compared", "smaller", "larger"))
