@@ -8,16 +8,17 @@ w^2 = F_g(z).  They satisfy
     F_g(z) = S_n^2 + (z - U_n^2 - W_n) Q_n Q_{n+1}              (master identity)
 
 plus the linear four-term relation R_n(z) = sum_i d_i (z + c_i) S_{n+s_i}(z),
-s_i = -1..2, obtained by eliminating F_g between consecutive n.  Both run
+s_i = -1..2, obtained by eliminating F_g between consecutive n, whose
+factors d_i and c_i one helper forms exactly (_four_term).  Both run
 exactly on ints (numcore's z-polynomials) and round each result once: the
 pair rule gives each coefficient of Q_n as a ratio of ints, the identity
 checks form both identities, and a state built without a curve reads F_g
-off the master polynomial at one site.  ansatz_solve
-constructs S by the level recursion in z (_four_term_factors): the z^(m+1)
-coefficients of R_n step the z^m coefficients of Q_n by 2 in n, the pair
-rule gives those of S_n, and 3g constants are fitted on the z^0
-coefficients.  From a valid state the commuting odd-order partner follows
-(build_partner_op).
+off the master polynomial at one site.  ansatz_solve constructs S by the
+level recursion in z on the same exact factors, each recursion input
+rounded once: the z^(m+1) coefficients of R_n step the z^m coefficients of
+Q_n by 2 in n, the pair rule gives those of S_n, and 3g constants are
+fitted on the z^0 coefficients.  From a valid state the commuting odd-order
+partner follows (build_partner_op).
 
 States are immutable once assembled; construction is sequential in n by
 nature, every verification here is pure and parallelizes over (n, z).
@@ -29,7 +30,7 @@ from functools import reduce
 from itertools import zip_longest
 
 from mpmath import mp, mpf, sqrt
-from mpmath.libmp import fone, from_int, fzero, mpf_abs, mpf_gt, mpf_neg, mpf_rdiv_int, mpf_shift
+from mpmath.libmp import fone, from_int, fzero, mpf_abs, mpf_gt, mpf_neg, mpf_shift
 from mpmath.libmp import round_nearest as RND
 
 from . import linalg
@@ -41,11 +42,9 @@ from .numcore import (
     exceeds,
     poly_mul,
     pow_int,
-    radd,
     raw_ints,
     raw_max,
     rdot,
-    rmac,
     rmul,
     rratio,
     rround,
@@ -146,7 +145,7 @@ class DressingState:
         """Assemble a state from an S table; Q follows from the pair rule.
 
         Validates the z^g-coefficient normalization of S against -U_n, within
-        S_LEAD_TOL of the larger of 1, |U_n| and |S_n|, and,
+        S_LEAD_TOL of the larger of 1, |U_n| and |S_n|, compared exactly, and,
         when no curve is given, recovers it from the master identity at
         n = 0 clamped into [lo + 1, hi - 2] (four sites at least), so from
         S_{-1..2} on any window holding them: the exact polynomial
@@ -158,11 +157,11 @@ class DressingState:
         """
         lo, hi = min(S), max(S)
         g = max(p.degree for p in S.values())
-        prec, tol, us = mp.prec, S_LEAD_TOL._mpf_, U.values_on(lo, hi)
-        for n, u in zip(range(lo, hi + 1), us):
-            s = S[n].raw
-            lead = s[g] if g < len(s) else fzero
-            if mpf_gt(mpf_abs(radd(lead, u, prec)), rmul(tol, raw_max((fone, u, *s), prec), prec)):
+        prec, us = mp.prec, U.values_on(lo, hi)
+        for n in range(lo, hi + 1):
+            (s, (u,)), e = raw_ints([S[n].raw, [us[n - lo]]])
+            lead = s[g] if g < len(s) else 0
+            if exceeds(abs(lead + u), max(1 << -e, abs(u), *map(abs, s)), S_LEAD_TOL):
                 raise InconsistentDataError(
                     f"S_{n} has z^{g} coefficient {S[n].coeff(g)}, expected {-U.at(n)}"
                 )
@@ -220,6 +219,21 @@ class DressingState:
         return f"DressingState(g={self.curve.g if self.curve else '?'}, window={self.window})"
 
 
+def _four_term(U: dict, W: dict, ku: int, kw: int, n: int):
+    """((s_i, c_i, d_i), i = 1..4) of the four-term relation at n, R_n(z) =
+    sum_i d_i (z + c_i) S_{n+s_i}(z), exactly: U and W map n to ints on 2^eu
+    and 2^ew, d_i lies on 2^eu and c_i on 2^ec, ec = min(2 eu, ew), ku = 2 eu
+    - ec and kw = ew - ec.  With D_n = U_{n-1} + U_n and E_n = U_n^2 + W_n,
+    d = (D_{n+2}, D_{n+2}, -D_n, -D_n), c_1 = -E_n, c_2 = U_n U_{n+1} +
+    U_{n-1} (U_n + U_{n+1}) - W_n, c_3 = U_n U_{n+1} + (U_n + U_{n+1}) U_{n+2}
+    - W_{n+1} and c_4 = -E_{n+1}."""
+    um1, u0, u1, u2 = U[n - 1], U[n], U[n + 1], U[n + 2]
+    w0, w1, u01 = W[n] << kw, W[n + 1] << kw, u0 * u1
+    left, mid, right = um1 + u0, u0 + u1, u1 + u2
+    return ((-1, -(w0 + (u0 * u0 << ku)), right), (0, (u01 + um1 * mid << ku) - w0, right),
+            (1, (u01 + mid * u2 << ku) - w1, -left), (2, -(w1 + (u1 * u1 << ku)), -left))
+
+
 def _zmul(c, v, k):
     """(z + c) v for an int c and an int vector v, z's coefficient 1 << k."""
     if not v:
@@ -261,12 +275,8 @@ def _exact_checks(state: DressingState, a: int, b: int):
         return [x - y - z for x, y, z in zip_longest(F, s2, prod, fillvalue=0)], scale
 
     def linear(n):
-        um1, u0, u1, u2 = U[n - 1], U[n], U[n + 1], U[n + 2]
-        w0, w1, u01 = W[n] << kw, W[n + 1] << kw, u0 * u1
-        left, mid, right = um1 + u0, u0 + u1, u1 + u2
-        terms = [[d * v for v in _zmul(c, S[n + s], -ec)] for s, c, d in (
-            (-1, -(w0 + (u0 * u0 << ku)), right), (0, (u01 + um1 * mid << ku) - w0, right),
-            (1, (u01 + mid * u2 << ku) - w1, -left), (2, -(w1 + (u1 * u1 << ku)), -left))]
+        terms = [[d * v for v in _zmul(c, S[n + s], -ec)]
+                 for s, c, d in _four_term(U, W, ku, kw, n)]
         scale = max([1 << -lexp, *(abs(v) for t in terms for v in t)])
         return [sum(c) for c in zip_longest(*terms, fillvalue=0)], scale
 
@@ -277,30 +287,6 @@ def verify_master(state: DressingState, n: int) -> mpf:
     """Max |coefficient| of F_g - S_n^2 - (z - U_n^2 - W_n) Q_n Q_{n+1}, rounded once."""
     master, _linear, exp, _lexp = _exact_checks(state, n, n)
     return mp.make_mpf(rround(max(map(abs, master(n)[0]), default=0), exp, mp.prec))
-
-
-def _four_term_factors(U: CoeffSeq, W: CoeffSeq, lo: int, hi: int, D: dict) -> dict:
-    """{n: ((s_i, c_i, d_i), i = 1..4)} for n = lo..hi, with R_n(z) =
-    sum_i d_i (z + c_i) S_{n+s_i}(z) the four-term relation at n, c_i and d_i
-    raw.  With D_n = U_{n-1} + U_n, which D maps n = lo..hi + 2 to, and E_n
-    = W_n + U_n^2, formed once per n and shared by the neighbouring rows, d
-    = (D_{n+2}, D_{n+2}, -D_n, -D_n), c_1 = -E_n and c_4 = -E_{n+1}; E_n is
-    one rmac, which equals mpf's U_n ** 2 + W_n bit for bit, round-to-nearest
-    being symmetric and libmp's sum commutative."""
-    p = mp.prec
-    Uv, Wv = U.values_on(lo - 1, hi + 2), W.values_on(lo, hi + 1)
-    E = [rmac(w, u, u, p) for w, u in zip(Wv, Uv[1:])]
-    out = {}
-    for i, n in enumerate(range(lo, hi + 1)):
-        Um1, U0, U1, U2 = Uv[i:i + 4]
-        right, left, u01 = D[n + 2], mpf_neg(D[n]), rmul(U0, U1, p)
-        out[n] = (
-            (-1, mpf_neg(E[i]), right),
-            (0, rsub(rmac(u01, Um1, D[n + 1], p), Wv[i], p), right),
-            (1, rsub(rmac(u01, D[n + 1], U2, p), Wv[i + 1], p), left),
-            (2, mpf_neg(E[i + 1]), left),
-        )
-    return out
 
 
 def residual_linear(state: DressingState, n: int) -> ZPoly:
@@ -473,12 +459,12 @@ def _pin_top_coefficients(basis, U, phi):
 
 ANSATZ_TOL = mpf("1e-9")
 # The level recursion is exact, but not its inputs: d_i c_i, D_n and
-# 1 / (D_n D_{n+2}) are rounded from the fine U and W (see ansatz_solve), and
-# the constant fit reads level-0 values that cancel heavily at high genus.
-# So build_case's fine tables, the factors, the inverses and the fit carry
-# this many bits above the working precision; without them the master
-# residual of odd-extension g=5 (verify on [-24, 24], 113 bits) rises from
-# 1.9e-31 to 3.1e-22.
+# 1 / (D_n D_{n+2}) are each formed exactly from the fine U and W and rounded
+# once (see ansatz_solve), and the constant fit reads level-0 values that
+# cancel heavily at high genus.  So build_case's fine tables, those inputs
+# and the fit carry this many bits above the working precision; without
+# them the master residual of odd-extension g=5 (verify on [-24, 24], 113
+# bits) rises from 1.9e-31 to 3.1e-22.
 RECURSION_GUARD_BITS = 32
 
 
@@ -575,17 +561,21 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
     affine vectors over them are marched on that window only, in four
     columns (_fit_rows: the level map does not depend on the level, so
     every level's constants share one march of unit seeds), each row is
-    divided by its largest |entry| (linalg.lstsq, the fixed-point solve,
-    then shifts each column by a power of two), and a fit of rank below 3g
-    is a RankDeficiencyError.  Scalars are then marched over the whole
-    table; a z^0 row whose residual exceeds ANSATZ_TOL times
-    max_i |d_i| max(|c_i|, 1) |S_{n+s_i}|, a bound on the largest
-    coefficient of the relation's four terms there, is an
+    shifted by the power of two that puts its largest |entry| in [1/2, 1)
+    (linalg.lstsq, the fixed-point solve, then shifts each column by a
+    power of two), and a fit of rank below 3g is a RankDeficiencyError.
+    Scalars are then marched over the whole table; a z^0 row whose residual
+    exceeds ANSATZ_TOL times max_i |d_i| max(|c_i|, 1) |S_{n+s_i}|, a bound
+    on the largest coefficient of the relation's four terms there, is an
     InconsistentDataError naming n, and the worst ratio is
-    info["resid_rel"].  The marches are exact (_march); each fit-row entry
-    is rounded once RECURSION_GUARD_BITS above the working precision, where
-    the fit runs, each coefficient below z^g once at the working precision,
-    and the z^0 check compares exact ints, its worst ratio rounded once.
+    info["resid_rel"].  The fine U and W are read once as ints, and the
+    march's inputs D_n, d_i c_i (the factors of _four_term, which the
+    identity checks read too) and 1 / (D_n D_{n+2}) are each formed exactly
+    and rounded once RECURSION_GUARD_BITS above the working precision; the
+    marches are exact (_march); each fit-row entry is rounded once at that
+    precision, where the fit runs, each coefficient below z^g once at the
+    working precision, and the z^0 check compares exact ints, its scale
+    read from the exact d_i and c_i, its worst ratio rounded once.
 
     fine, when given, is (U, W) tabulated from the same closed forms
     RECURSION_GUARD_BITS above the working precision on at least the same
@@ -637,19 +627,22 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
             if exceeds(abs(vf - v), max(abs(v), 1 << -e), ANSATZ_TOL):
                 raise InconsistentDataError(f"fine table of {name} disagrees with {name} at n={n}")
     with mp.workprec(mp.prec + RECURSION_GUARD_BITS):
-        p, Uv = mp.prec, Uf.values_on(lo, hi)
-        (ui,), eu = raw_ints([Uv])
-        D = {n: rround(_pair_denominator(u0, u1, eu, f"ansatz_solve at n={n}"), eu, p)
-             for n, u0, u1 in zip(range(lo + 1, hi + 1), ui, ui[1:])}
-        fac = _four_term_factors(Uf, Wf, rlo, rhi, D)
-        # the recursion's inputs, read once
-        dc = _exact({n: [rmul(d, c, p) for _s, c, d in f] for n, f in fac.items()})
-        den = _exact({n: [v] for n, v in D.items()}), _exact(
-            {n: [mpf_rdiv_int(1, rmul(D[n], D[n + 2], p), p, RND)] for n in fac})
-        top, etop = _exact({n: [mpf_neg(Uv[n - lo], p, RND)] for n in range(lo, hi + 1)})
+        # the fine U and W as ints, read once: D_n, the four-term factors and
+        # so every input of the recursion are exact, and each is rounded once
+        p = mp.prec
+        ((ui,), eu), ((wi,), ew) = (raw_ints([t.values_on(lo, hi)]) for t in (Uf, Wf))
+        Ui, Wi = dict(zip(range(lo, hi + 1), ui)), dict(zip(range(lo, hi + 1), wi))
+        ec = min(2 * eu, ew)
+        Dx = {n: _pair_denominator(Ui[n - 1], Ui[n], eu, f"ansatz_solve at n={n}")
+              for n in range(lo + 1, hi + 1)}
+        fac = {n: _four_term(Ui, Wi, 2 * eu - ec, ew - ec, n) for n in range(rlo, rhi + 1)}
+        dc = _exact({n: [rround(d * c, eu + ec, p) for _s, c, d in f] for n, f in fac.items()})
+        den = _exact({n: [rround(v, eu, p)] for n, v in Dx.items()}), _exact(
+            {n: [rratio(1 << -2 * eu, Dx[n] * Dx[n + 2], p)] for n in fac})
+        top = {n: [-u] for n, u in Ui.items()}, eu
 
         rows, rhs = [], []
-        for r in _fit_rows(dc, den, (top, etop), g, n0, (flo - 1, fhi + 2)).values():
+        for r in _fit_rows(dc, den, top, g, n0, (flo - 1, fhi + 2)).values():
             row, b = r[1:], mpf_neg(r[0], p, RND)
             # the largest |entry| shifted into [1/2, 1), exactly
             _, _, exp, bc = raw_max(row, p)
@@ -667,19 +660,18 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
         # scalar march over the whole table, then the z^0 rows there
         (xv,), ex = raw_ints([x])
         seeds = [(([xv[j]], [xv[j + 1]], [xv[j + 2]]), ex) for j in range(0, ncon, 3)]
-        levels = _march(dc, den, (top, etop), seeds, n0, (lo, hi))
-        (s0, e0), (f, edc), (Dv, ed) = levels[-1], dc, den[0]
+        levels = _march(dc, den, top, seeds, n0, (lo, hi))
+        (s0, e0), (f, edc) = levels[-1], dc
         # |S_n|, the largest |coefficient| at n, on e0, the least level exponent
         sup = {n: max(abs(s[n][0]) << e - e0 for s, e in levels) for n in range(lo, hi + 1)}
-        cs, ec = _exact({n: [c for _s, c, _d in t] for n, t in fac.items()})
-        # r lies on 2^(edc + e0), the scale on 2^(ed + ec + e0)
-        shift, one = edc - ed - ec, 1 << -ec
+        # r lies on 2^(edc + e0), the scale on 2^(eu + ec + e0)
+        shift, one = edc - eu - ec, 1 << -ec
         worst = 0, 1
         for n, fn in f.items():
             r = abs(_row_entry(fn, s0, n, 0)) << max(shift, 0)
             # a bound on the largest coefficient of d_i (z + c_i) S_{n+s_i}
-            scale = max(abs(Dv[m][0]) * max(abs(c), one) * sup[n + k] for m, c, k in zip(
-                (n + 2, n + 2, n, n), cs[n], (-1, 0, 1, 2))) << max(-shift, 0)
+            scale = max(abs(d) * max(abs(c), one) * sup[n + k]
+                        for k, c, d in fac[n]) << max(-shift, 0)
             if exceeds(r, scale, ANSATZ_TOL):
                 rel = make(rratio(r, scale, p))
                 raise InconsistentDataError(f"no genus-{g} S for this U and W: the z^0 row of "

@@ -2,17 +2,18 @@
 spectral parameter z, and the JSON encoder that writes every report's
 decimals.
 
-Values are raw libmp tuples, the only thing ZPoly stores, computed on by
-the kernels rmul, radd, rsub and rdiv below, libmp's round-to-nearest
-mpf_mul, mpf_add, mpf_sub and mpf_div reimplemented bit for bit with
-int.bit_length, and by rmac, their multiply-accumulate
-radd(acc, rmul(s, t, p), p) in one call, so this module is the one that
-knows how a result is rounded.  A zero operand stays in the kernels (libmp's
-answer, the other operand or fzero, needs no rounding when the other
-operand fits in p bits), and so does a sum over an exponent gap past 100
-bits: added exactly when the magnitudes lie within p + 4 bits, otherwise
-the larger operand, to which libmp's perturbation rounds back when it fits
-in p bits.  raw_max, the largest magnitude at p bits, compares in place,
+Values are raw libmp tuples, the only thing ZPoly stores.  Where values are
+still computed on as floats (the pin fit and its solver linalg.lstsq_mpf,
+the family tables, rratio), it is by the kernels rmul, radd, rsub and rdiv
+below, libmp's round-to-nearest mpf_mul, mpf_add, mpf_sub and mpf_div
+reimplemented bit for bit with int.bit_length, and by rmac, their
+multiply-accumulate radd(acc, rmul(s, t, p), p) in one call, so this
+module is the one that knows how a result is rounded.  A zero operand
+stays in the kernels (libmp's answer, the other operand or fzero, needs no
+rounding when the other operand fits in p bits), and so does a sum over an
+exponent gap past 100 bits: added exactly when the magnitudes lie within
+p + 4 bits, otherwise the larger operand, to which libmp's perturbation
+rounds back when it fits in p bits.  raw_max, the largest magnitude at p bits, compares in place,
 rounding only what mpf_abs must.  cos_int is mpmath's cos at an integer,
 computed once per argument and precision for the trig family and basis,
 and pow_int libmp's integer power, computed once per (base, exponent,
@@ -23,12 +24,13 @@ ZPoly stores a polynomial and has no arithmetic.  Polynomials are computed
 on exactly, as z-polynomials (ints, exp), an int vector on one exponent
 that raw_ints reads from raw values, zsum adds and poly_mul, the one
 polynomial product, multiplies.  Operator arithmetic (opalg's composition,
-sum and commutator, and so the partner), dressing's pair rule, identity
-checks, curve recovery and level recursion, and spectral's curve
-extraction run on those ints and round each result once: an int times a
-power of two by rround, a ratio of ints by rratio, which gives libmp's
-from_rational bit for bit; exceeds compares a ratio of ints with a
-tolerance exactly.
+sum and commutator, and so the partner), dressing's S-lead check, pair
+rule, four-term factors, identity checks, curve recovery and level
+recursion (its inputs each formed exactly, then rounded once), and
+spectral's curve extraction run on those ints and round each result once:
+an int times a power of two by rround, a ratio of ints by rratio, which
+gives libmp's from_rational bit for bit; exceeds compares a ratio of ints
+with a tolerance exactly.
 Every function computes at the caller's mpmath precision, mp.prec, which
 the caller scopes with mp.workprec; importing the package leaves it alone.
 The CLI runs at DEFAULT_PRECISION_BITS, a 113-bit significand (quad-like),

@@ -23,7 +23,8 @@ has Fraction references: the commutator and its residual ratio
 (exact_partner), each value a Fraction, per site, rounded once at the end,
 and so do the identity checks (exact_master, exact_linear and
 exact_identity_residuals): each per-n ratio a Fraction, the worst of each
-identity rounded once.  The pair rule (fraction_pair_rule) and the curve
+identity rounded once; fraction_four_term gives the four-term relation's
+factors d_i and c_i, which exact_linear reads.  The pair rule (fraction_pair_rule) and the curve
 that the master identity gives (fraction_curve) are Fraction ratios of the
 stored values; poly_dev measures two ZPolys' distance.  The level
 recursion of the ansatz solve has one too (fraction_march), on the
@@ -608,15 +609,21 @@ def poly_dev(p: ZPoly, q: ZPoly) -> mpf:
                default=mpf(0))
 
 
+def fraction_four_term(U, W, n: int):
+    """((s_i, c_i, d_i), i = 1..4) in Fractions of the stored U and W: the
+    four-term relation R_n = sum_i d_i (z + c_i) S_{n+s_i}."""
+    Um1, U0, U1, U2 = (_fraction(U.at(k)._mpf_) for k in range(n - 1, n + 3))
+    W0, W1 = (_fraction(W.at(k)._mpf_) for k in (n, n + 1))
+    right, left = U1 + U2, Um1 + U0
+    return ((-1, -U0 ** 2 - W0, right), (0, U0 * U1 + Um1 * (U0 + U1) - W0, right),
+            (1, U0 * U1 + (U0 + U1) * U2 - W1, -left), (2, -U1 ** 2 - W1, -left))
+
+
 def exact_linear(state: DressingState, n: int):
     """(R_n, scale) in Fractions: the four-term relation R_n = sum_i d_i
     (z + c_i) S_{n+s_i} and the largest |coefficient| of its terms and 1."""
-    Um1, U0, U1, U2 = (_fraction(state.U.at(k)._mpf_) for k in range(n - 1, n + 3))
-    W0, W1 = (_fraction(state.W.at(k)._mpf_) for k in (n, n + 1))
-    right, left = U1 + U2, Um1 + U0
-    terms = [_fpmul([d * c, d], _fraction_poly(state.s(n + s))) for s, c, d in (
-        (-1, -U0 ** 2 - W0, right), (0, U0 * U1 + Um1 * (U0 + U1) - W0, right),
-        (1, U0 * U1 + (U0 + U1) * U2 - W1, -left), (2, -U1 ** 2 - W1, -left))]
+    terms = [_fpmul([d * c, d], _fraction_poly(state.s(n + s)))
+             for s, c, d in fraction_four_term(state.U, state.W, n)]
     return _fpsum(*terms), max(max(map(_fpsup, terms)), 1)
 
 

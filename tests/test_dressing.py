@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import ldexp, lu_solve, matrix, mp, mpf, cos, sin
-from mpmath.libmp import fone, fzero
+from mpmath.libmp import fone, fzero, mpf_neg
 
 from commdiff.errors import (
     DegenerateDenominatorError,
@@ -49,6 +49,7 @@ from oracles import (
     exact_partner,
     factorization_check,
     fraction_curve,
+    fraction_four_term,
     fraction_march,
     fraction_op,
     fraction_pair_rule,
@@ -173,6 +174,29 @@ def test_pair_rule_lead_is_judged_exactly():
         else:
             with pytest.raises(InconsistentDataError, match="non-monic"):
                 q_from_s(s, s, half, half)
+
+
+@pytest.mark.parametrize("bits", (53, 113))
+def test_s_lead_is_judged_exactly(bits):
+    # |s_{n,g} + U_n| at S_LEAD_TOL times max(1, |U_n|, |S_n|) = 1 passes;
+    # one unit of the tolerance's last bit past it fails, and so does 2^-200
+    # past it, which a sum rounded at the working precision would drop; the
+    # pair rule's lead test, the same ratio at |U_n| = 1, passes at the bound
+    t = dressing.S_LEAD_TOL
+    unit = mpf(2) ** t._mpf_[2]
+    curve = HyperellipticCurve(1, (0, 0, 0))
+    for u in (1, -1):
+        U = CoeffSeq(0, [u] * 4)
+        with mp.workprec(400):
+            cases = [(t, True), (t + unit, False), (t + mpf(2) ** -200, False)]
+            cases = [({n: ZPoly([0, -u + u * gap]) for n in range(4)}, ok) for gap, ok in cases]
+        for S, ok in cases:
+            with mp.workprec(bits):
+                if ok:
+                    DressingState.from_s_table(U, U, S, curve=curve)
+                else:
+                    with pytest.raises(InconsistentDataError, match=r"^S_0 has z\^1 coeff"):
+                        DressingState.from_s_table(U, U, S, curve=curve)
 
 
 def test_pair_rule_rounds_a_near_tie_once():
@@ -961,20 +985,32 @@ def _F(v):
     return _fraction(v._mpf_)
 
 
+def _recursion_inputs(U, W, lo, hi):
+    """The raw d_i c_i, D_n and 1 / (D_n D_{n+2}) that ansatz_solve forms
+    from U and W on [lo, hi]: each the exact value over Fractions of the
+    stored tables (the factors by oracles.fraction_four_term), rounded once
+    at mp.prec; dc and the inverses on the relation's rows lo + 1..hi - 2,
+    D on lo + 1..hi."""
+    FU = {n: _F(U.at(n)) for n in range(lo, hi + 1)}
+    D = {n: FU[n - 1] + FU[n] for n in range(lo + 1, hi + 1)}
+    rows = range(lo + 1, hi - 1)
+    dc = {n: [rounded_fraction(d * c)._mpf_ for _s, c, d in fraction_four_term(U, W, n)]
+          for n in rows}
+    inv = {n: [rounded_fraction(1 / (D[n] * D[n + 2]))._mpf_] for n in rows}
+    return dc, {n: [rounded_fraction(v)._mpf_] for n, v in D.items()}, inv
+
+
 def _fit_march_inputs(U, W, g):
-    """The raw dc, D and 1 / (D_n D_{n+2}), the level-g row, n0 and the
-    march span of the constant fit, formed from U and W with mpf arithmetic
-    as ansatz_solve rounds them."""
+    """The raw dc, D and 1 / (D_n D_{n+2}) (_recursion_inputs), the level-g
+    row, n0 and the march span of the constant fit, as ansatz_solve forms
+    them from U and W."""
     lo, hi = max(U.window[0], W.window[0]), min(U.window[1], W.window[1])
     rlo, rhi = lo + 1, hi - 2
     n0 = min(max(min(range(lo, hi + 1), key=lambda n: abs(U.at(n))), rlo), rhi)
     a, b = max(rlo, n0 - 3 * g - 2) - 1, min(rhi, n0 + 3 * g + 2) + 2
-    D = {n: U.at(n - 1) + U.at(n) for n in range(lo + 1, hi + 1)}
-    dc = {n: [(c * d)._mpf_ for _s, c, d in _reference_four_term_factors(U, W, n)]
-          for n in range(rlo, rhi + 1)}
-    inv = {n: [(1 / (D[n] * D[n + 2]))._mpf_] for n in range(rlo, rhi + 1)}
+    dc, D, inv = _recursion_inputs(U, W, lo, hi)
     top = {n: [(-U.at(n))._mpf_] for n in range(a, b + 1)}
-    return dc, {n: [v._mpf_] for n, v in D.items()}, inv, top, n0, (a, b)
+    return dc, D, inv, top, n0, (a, b)
 
 
 def _fraction_inputs(dc, D, inv, top):
@@ -1059,8 +1095,9 @@ def test_four_column_march_equals_every_column_marched_apart_exactly(kind, param
 
 def _reference_ansatz_solve(basis, U, W, fine=None):
     """ansatz_solve with its recursion over Fractions on the solver's
-    rounded inputs: D_n, d_i c_i and 1 / (D_n D_{n+2}) in mpf arithmetic at
-    the guard precision, the 3g + 1 fit columns marched apart
+    rounded inputs: D_n, d_i c_i and 1 / (D_n D_{n+2}) each exact and
+    rounded once at the guard precision (_recursion_inputs), level g the
+    exact -U_n, the 3g + 1 fit columns marched apart
     (oracles.fraction_march), each fit-row entry rounded once there and the
     rows scaled and fitted as the solver does; the scalar march over
     Fractions, each coefficient below z^g rounded once at the working
@@ -1078,12 +1115,9 @@ def _reference_ansatz_solve(basis, U, W, fine=None):
     flo, fhi = max(rlo, n0 - ncon - 2), min(rhi, n0 + ncon + 2)
     Uf, Wf = (U, W) if fine is None else fine
     with mp.workprec(mp.prec + RECURSION_GUARD_BITS):
-        D = {n: Uf.at(n - 1) + Uf.at(n) for n in range(lo + 1, hi + 1)}
-        fac = {n: _reference_four_term_factors(Uf, Wf, n) for n in range(rlo, rhi + 1)}
-        dc = {n: [_F(d * c) for _s, c, d in f] for n, f in fac.items()}
-        inv = {n: _F(1 / (D[n] * D[n + 2])) for n in fac}
-        FD = {n: _F(v) for n, v in D.items()}
-        top = {n: [_F(-Uf.at(n))] for n in range(lo, hi + 1)}
+        top = {n: [mpf_neg(Uf.values_on(n, n)[0])] for n in range(lo, hi + 1)}
+        dc, FD, inv, top = _fraction_inputs(*_recursion_inputs(Uf, Wf, lo, hi), top)
+        fac = {n: fraction_four_term(Uf, Wf, n) for n in dc}
 
         span = (flo - 1, fhi + 2)
         s0 = fraction_march(dc, FD, inv, top, _column_seeds(g), n0, span)[-1]
@@ -1108,7 +1142,7 @@ def _reference_ansatz_solve(basis, U, W, fine=None):
         worst = Fraction(0)
         for n, f in fac.items():
             r = sum(v * coeffs[n + k][0] for v, k in zip(dc[n], (-1, 0, 1, 2)))
-            scale = max(abs(_F(d)) * max(abs(_F(c)), 1) * sup[n + s] for s, c, d in f)
+            scale = max(abs(d) * max(abs(c), 1) * sup[n + s] for s, c, d in f)
             worst = max(worst, abs(r) / scale)
 
     S = {}
@@ -1118,19 +1152,6 @@ def _reference_ansatz_solve(basis, U, W, fine=None):
             lead += mp.make_mpf(p) * mp.make_mpf(phi)
         S[n] = ZPoly([rounded_fraction(v) for v in coeffs[n][:g]] + [lead])
     return S, worst
-
-
-def _reference_four_term_factors(U, W, n):
-    """The mpf expressions that `_four_term_factors` rounds on raw values."""
-    Um1, U0, U1, U2 = U.at(n - 1), U.at(n), U.at(n + 1), U.at(n + 2)
-    W0, W1 = W.at(n), W.at(n + 1)
-    right, left = U1 + U2, Um1 + U0
-    return (
-        (-1, -(U0**2) - W0, right),
-        (0, U0 * U1 + Um1 * (U0 + U1) - W0, right),
-        (1, U0 * U1 + (U0 + U1) * U2 - W1, -left),
-        (2, -(U1**2) - W1, -left),
-    )
 
 
 def _raw_tuple(vals):
@@ -1167,9 +1188,11 @@ def test_verify_master_and_residual_linear_are_exact(bits):
 
 
 @pytest.mark.parametrize("bits", (53, 113, 160, 1100))
-def test_four_term_factors_match_the_mpf_expressions_bit_for_bit(bits):
+def test_four_term_factors_are_the_fraction_factors_exactly(bits):
     # family tables at the working precision and at twice it, and tables of
-    # trap values (exact 0 and +-1, negative and wide values)
+    # trap values (exact 0 and +-1, negative and wide values), read as ints
+    # the way _exact_checks and ansatz_solve read them: each c_i and d_i is
+    # the Fraction factor of the stored U and W, with no rounding
     rng = random.Random(bits + 11)
     pool = trap_values(rng, bits)
     tables = [(CoeffSeq(-6, [rng.choice(pool) for _ in range(13)]),
@@ -1180,12 +1203,13 @@ def test_four_term_factors_match_the_mpf_expressions_bit_for_bit(bits):
                 tables.append(family_from_spec(FamilySpec(kind, g, params), (-6, 6)))
     with mp.workprec(bits):
         for U, W in tables:
-            D = {n: (U.at(n - 1) + U.at(n))._mpf_ for n in range(-5, 6)}
-            got = dressing._four_term_factors(U, W, -5, 3, D)
-            assert sorted(got) == list(range(-5, 4))
+            ((u,), eu), ((w,), ew) = raw_ints([U.values_on(-6, 6)]), raw_ints([W.values_on(-6, 6)])
+            ec = min(2 * eu, ew)
+            U_int, W_int = dict(zip(range(-6, 7), u)), dict(zip(range(-6, 7), w))
             for n in range(-5, 4):
-                ref = [(s, c._mpf_, d._mpf_) for s, c, d in _reference_four_term_factors(U, W, n)]
-                assert list(got[n]) == ref, n
+                got = [(s, c * Fraction(2) ** ec, d * Fraction(2) ** eu)
+                       for s, c, d in dressing._four_term(U_int, W_int, 2 * eu - ec, ew - ec, n)]
+                assert got == list(fraction_four_term(U, W, n)), n
 
 
 @pytest.mark.parametrize("bits", (53, 113, 160, 1100))
@@ -1213,9 +1237,9 @@ def test_ansatz_solve_matches_the_mpf_loops_bit_for_bit(kind, g, params, bits):
 @pytest.mark.parametrize("bits", (53, 113, 160))
 def test_ansatz_residual_is_the_exact_worst_ratio_rounded_once(monkeypatch, bits):
     # the scalar march's exact level-0 values, recorded as the solver
-    # marched them, give each z^0 row's residual and scale over Fractions;
-    # info["resid_rel"] is the worst ratio rounded once at the working
-    # precision
+    # marched them, give each z^0 row's residual over Fractions, and with
+    # the exact factors d_i and c_i its scale; info["resid_rel"] is the
+    # worst ratio rounded once at the working precision
     march, calls = dressing._march, []
 
     def recording(*args):
@@ -1230,13 +1254,12 @@ def test_ansatz_residual_is_the_exact_worst_ratio_rounded_once(monkeypatch, bits
             U, W = family_from_spec(spec, (-12, 16))
             result = ansatz_solve(basis_for(spec), U, W)
             (dc, (D, _inv), _top, _seeds, _n0, (lo, hi)), levels = calls[-1]
-            with mp.workprec(bits + RECURSION_GUARD_BITS):
-                fac = {n: _reference_four_term_factors(U, W, n) for n in range(lo + 1, hi - 1)}
+            fac = {n: fraction_four_term(U, W, n) for n in range(lo + 1, hi - 1)}
             dc, levels = fraction_table(dc), [fraction_table(lv) for lv in levels]
             worst = Fraction(0)
             for n, f in fac.items():
                 r = sum(v * levels[-1][n + k][0] for v, k in zip(dc[n], (-1, 0, 1, 2)))
-                scale = max(abs(_F(d)) * max(abs(_F(c)), 1)
+                scale = max(abs(d) * max(abs(c), 1)
                             * max(abs(lv[n + s][0]) for lv in levels) for s, c, d in f)
                 worst = max(worst, abs(r) / scale)
             assert worst > 0

@@ -140,3 +140,26 @@ def test_only_a_new_exit_two_fails_the_tool(monkeypatch, capsys, new_errors, sta
     out = capsys.readouterr().out
     assert "flip pass: true -> false" in out
     assert ("error: boom" in out) == bool(status)
+
+
+def test_largest_growth_not_both_below_precision_is_named_apart():
+    # a 5x rise below 2^-113 leads the overall line; the 1.5x rise above
+    # 2^-53 leads the line of residuals not both below 2^-p, and a value
+    # rising from below 2^-p to above it counts there too
+    base, new = _run(), _run()
+    base["reports"]["verify-a.json"]["report"]["linear_residual_rel"] = "1e-36"
+    new["reports"]["verify-a.json"]["report"]["linear_residual_rel"] = "5e-36"
+    new["reports"]["partner-b.json"]["report"]["commutator_residual_rel"] = "1.5e-12"
+    lines, _counts = compare(base, new)
+    assert lines[-3] == "  largest residual growth not both below 2^-p: ratio 1.5, " \
+        f"report/commutator_residual_rel in partner-b.json ({PARTNER}): 1e-12 -> 1.5e-12, " \
+        "both below 2^-p: no"
+    assert lines[-2].startswith("  largest residual growth: ratio 5, "
+                                "report/linear_residual_rel in verify-a.json")
+    new["reports"]["verify-a.json"]["report"]["linear_residual_rel"] = "2e-34"
+    lines, _counts = compare(base, new)
+    assert lines[-3] == lines[-2].replace("growth:", "growth not both below 2^-p:")
+    assert "ratio 200, report/linear_residual_rel" in lines[-2]
+    # with no rise above 2^-p that line reads none
+    lines, _counts = compare(_run(), _run())
+    assert lines[-3] == "  largest residual growth not both below 2^-p: none"
