@@ -30,7 +30,7 @@ from functools import reduce
 from itertools import zip_longest
 
 from mpmath import mp, mpf, sqrt
-from mpmath.libmp import fone, from_int, fzero, mpf_abs, mpf_gt, mpf_neg, mpf_shift
+from mpmath.libmp import fone, from_int, fzero, mpf_abs, mpf_gt, mpf_neg, mpf_shift, mpf_sub
 from mpmath.libmp import round_nearest as RND
 
 from . import linalg
@@ -48,8 +48,8 @@ from .numcore import (
     rmul,
     rratio,
     rround,
-    rsub,
     scalar,
+    worst_ratio,
 )
 from .opalg import CoeffSeq, DiffOp, exact_compose, exact_form, exact_op, exact_sum
 
@@ -312,9 +312,9 @@ def identity_residuals(state: DressingState, window, skew: bool = False):
     is None without skew or when that range is empty, as no pair (n, -n-1)
     is compared.
 
-    Every residual and scale is exact (_exact_checks), the per-n ratios
-    |r| / scale are compared exactly by cross-multiplying, and the worst of
-    each identity is rounded once at mp.prec, by numcore.rratio.
+    Every residual and scale is exact (_exact_checks), and the worst of the
+    per-n ratios |r| / scale of each identity, compared exactly, is rounded
+    once at mp.prec, by numcore.worst_ratio.
     """
     (lo, hi), (s_lo, s_hi) = map(int, window), state.window
     sites = range(max(lo, s_lo + 1), min(hi, s_hi - 1) + 1)
@@ -328,12 +328,8 @@ def identity_residuals(state: DressingState, window, skew: bool = False):
     lin = {n: linear(n) for n in {*rows, *pairs}}
 
     def worst(ratios):
-        num, den = 0, 1
-        for r, scale in ratios:
-            top = max(map(abs, r), default=0)
-            if top * den > num * scale:
-                num, den = top, scale
-        return mp.make_mpf(rratio(num, den, mp.prec))
+        return mp.make_mpf(worst_ratio(
+            ((max(map(abs, r), default=0), scale) for r, scale in ratios), mp.prec))
 
     master_rel, linear_rel = worst(map(master, sites)), worst(lin[n] for n in rows)
     return master_rel, linear_rel, worst(
@@ -448,7 +444,7 @@ def _pin_top_coefficients(basis, U, phi):
     rows = list(phi.values())
     rhs = [mpf_neg(u, p, RND) for u in U.values_on(min(phi), max(phi))]
     x, _info = linalg.lstsq_mpf(rows, rhs)
-    resid = raw_max([rsub(rdot(row, x, p), y, p) for row, y in zip(rows, rhs)], p)
+    resid = raw_max([mpf_sub(rdot(row, x, p), y, p, RND) for row, y in zip(rows, rhs)], p)
     if mpf_gt(resid, rmul(ANSATZ_TOL._mpf_, raw_max((*rhs, fone), p), p)):
         raise InconsistentDataError(
             f"coefficient family is not in the span of basis '{basis.name}' "
@@ -643,13 +639,11 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
 
         rows, rhs = [], []
         for r in _fit_rows(dc, den, top, g, n0, (flo - 1, fhi + 2)).values():
-            row, b = r[1:], mpf_neg(r[0], p, RND)
-            # the largest |entry| shifted into [1/2, 1), exactly
-            _, _, exp, bc = raw_max(row, p)
-            if bc:
-                row, b = [mpf_shift(v, -exp - bc) for v in row], mpf_shift(b, -exp - bc)
-            rows.append(row)
-            rhs.append(b)
+            # the largest |entry| shifted into [1/2, 1), exactly: each has
+            # at most p bits, so the largest has the top exponent plus bit count
+            peak = max((e + bc for _s, man, e, bc in r[1:] if man), default=0)
+            rows.append([mpf_shift(v, -peak) for v in r[1:]])
+            rhs.append(mpf_shift(mpf_neg(r[0], p, RND), -peak))
         x, info = linalg.lstsq(rows, rhs)
         linalg.require_full_rank(
             info,
@@ -666,7 +660,7 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
         sup = {n: max(abs(s[n][0]) << e - e0 for s, e in levels) for n in range(lo, hi + 1)}
         # r lies on 2^(edc + e0), the scale on 2^(eu + ec + e0)
         shift, one = edc - eu - ec, 1 << -ec
-        worst = 0, 1
+        ratios = []
         for n, fn in f.items():
             r = abs(_row_entry(fn, s0, n, 0)) << max(shift, 0)
             # a bound on the largest coefficient of d_i (z + c_i) S_{n+s_i}
@@ -677,12 +671,11 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
                 raise InconsistentDataError(f"no genus-{g} S for this U and W: the z^0 row of "
                                             f"the four-term relation at n={n} has relative "
                                             f"residual {rel}")
-            if r * worst[1] > worst[0] * scale:
-                worst = r, scale
+            ratios.append((r, scale))
 
     S = {n: ZPoly._from_raw([*(rround(s[n][0], e, p_out) for s, e in reversed(levels[1:])),
                              rdot(pinned, phi[n], p_out)]) for n in range(lo, hi + 1)}
-    return AnsatzResult(S, {"resid_rel": make(rratio(*worst, p_out))})
+    return AnsatzResult(S, {"resid_rel": make(worst_ratio(ratios, p_out))})
 
 
 # ---------------------------------------------------------------------------

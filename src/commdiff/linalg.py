@@ -5,8 +5,8 @@ Householder QR on rows of raw libmp values, whose pivots expose rank loss.
 caller is `dressing.ansatz_solve`'s fit of the 3g integration constants.
 
 `lstsq_mpf` equilibrates the columns and runs every operation at the working
-precision with round-to-nearest, in a fixed order: products, sums,
-differences and quotients through the kernels of `numcore`, square roots and
+precision with round-to-nearest, in a fixed order: products and sums
+through the kernels of `numcore`, differences, quotients, square roots and
 the doubling of a dot product through `mpmath.libmp`.  Each sum of products
 is `numcore.rdot`, left to right from its first product, and each entry
 t - f v_i of a Householder update is one `numcore.rmac`.  Each pivot is the
@@ -25,10 +25,13 @@ from math import fsum, isqrt, ldexp
 from operator import mul
 
 from mpmath import mp
-from mpmath.libmp import fone, fzero, mpf_abs, mpf_gt, mpf_neg, mpf_shift, mpf_sqrt, round_nearest
+from mpmath.libmp import (
+    fone, fzero, mpf_abs, mpf_div, mpf_gt, mpf_neg, mpf_shift, mpf_sqrt, mpf_sub,
+)
+from mpmath.libmp import round_nearest as RND
 
 from .errors import NonFiniteError, RankDeficiencyError
-from .numcore import raw_max, rdiv, rdot, rmac, rround, rsub
+from .numcore import raw_max, rdot, rmac, rround
 
 
 def lstsq(rows, rhs):
@@ -145,7 +148,7 @@ def lstsq_mpf(rows, rhs):
         s = raw_max(col, prec)
         s = s if mpf_gt(s, fzero) else fone
         colscale.append(s)
-        col[:] = [rdiv(t, s, prec) for t in col]
+        col[:] = [mpf_div(t, s, prec, RND) for t in col]
 
     perm = list(range(n))
     rdiag = []
@@ -159,19 +162,19 @@ def lstsq_mpf(rows, rhs):
             perm[k], perm[j] = perm[j], perm[k]
         # Householder on column k
         ck = cols[k]
-        alpha = mpf_sqrt(sumsq(ck, k), prec, round_nearest)
+        alpha = mpf_sqrt(sumsq(ck, k), prec, RND)
         if alpha == fzero:
             rdiag.append(fzero)
             continue
         if mpf_gt(ck[k], fzero):
             alpha = mpf_neg(alpha)
         v = ck[k:]
-        v[0] = rsub(v[0], alpha, prec)
+        v[0] = mpf_sub(v[0], alpha, prec, RND)
         vnorm2 = sumsq(v, 0)
         ck[k:] = [alpha] + [fzero] * (m - k - 1)
         if mpf_gt(vnorm2, fzero):
             for col in cols[k + 1:] + [b]:
-                f = rdiv(mpf_shift(rdot(v, col[k:], prec), 1), vnorm2, prec)
+                f = mpf_div(mpf_shift(rdot(v, col[k:], prec), 1), vnorm2, prec, RND)
                 col[k:] = [rmac(t, f, vi, prec, 1) for vi, t in zip(v, col[k:])]
         rdiag.append(alpha)
 
@@ -183,11 +186,11 @@ def lstsq_mpf(rows, rhs):
     x = [fzero] * n
     for k in range(min(rank, n) - 1, -1, -1):
         acc = rdot([cols[j][k] for j in range(k + 1, n)], x[k + 1:], prec)
-        x[k] = rdiv(rsub(b[k], acc, prec), cols[k][k], prec)
+        x[k] = mpf_div(mpf_sub(b[k], acc, prec, RND), cols[k][k], prec, RND)
 
     out = [fzero] * n
     for k in range(n):
-        out[perm[k]] = rdiv(x[k], colscale[perm[k]], prec)
+        out[perm[k]] = mpf_div(x[k], colscale[perm[k]], prec, RND)
     return out, {"rank": rank, "n": n, "rdiag": rdiag, "pivot": perm}
 
 

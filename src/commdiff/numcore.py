@@ -4,22 +4,23 @@ decimals.
 
 Values are raw libmp tuples, the only thing ZPoly stores.  Where values are
 still computed on as floats (the pin fit and its solver linalg.lstsq_mpf,
-the family tables, rratio), it is by the kernels rmul, radd, rsub and rdiv
-below, libmp's round-to-nearest mpf_mul, mpf_add, mpf_sub and mpf_div
-reimplemented bit for bit with int.bit_length, and by rmac, their
-multiply-accumulate radd(acc, rmul(s, t, p), p) in one call, so this
-module is the one that knows how a result is rounded.  A zero operand
-stays in the kernels (libmp's answer, the other operand or fzero, needs no
-rounding when the other operand fits in p bits), and so does a sum over an
-exponent gap past 100 bits: added exactly when the magnitudes lie within
-p + 4 bits, otherwise the larger operand, to which libmp's perturbation
-rounds back when it fits in p bits.  raw_max, the largest magnitude at p bits, compares in place,
-rounding only what mpf_abs must.  cos_int is mpmath's cos at an integer,
-computed once per argument and precision for the trig family and basis,
-and pow_int libmp's integer power, computed once per (base, exponent,
-precision) for the geometric family and basis.  mpmath floats appear
-where a value enters (scalar, ZPoly's constructor) or leaves (coeffs,
-lead, sup_norm, reports).
+the family tables), products and sums go through the kernels rmul and radd
+below, libmp's round-to-nearest mpf_mul and mpf_add (mpf_sub with radd's
+last argument) reimplemented bit for bit with int.bit_length, and through
+rmac, their multiply-accumulate radd(acc, rmul(s, t, p), p) in one call;
+the pin fit's quotients and differences call libmp's mpf_div and mpf_sub
+themselves.  A zero operand stays in the kernels (libmp's answer, the
+other operand or fzero, needs no rounding when the other operand fits in
+p bits), and so does a sum over an exponent gap past 100 bits: added
+exactly when the magnitudes lie within p + 4 bits, otherwise the larger
+operand, to which libmp's perturbation rounds back when it fits in p bits.
+raw_max, the largest magnitude of float values at p bits, compares in
+place, rounding only what mpf_abs must.  cos_int is mpmath's cos at an
+integer, computed once per argument and precision for the trig family and
+basis, and pow_int libmp's integer power, computed once per (base,
+exponent, precision) for the geometric family and basis.  mpmath floats
+appear where a value enters (scalar, ZPoly's constructor) or leaves
+(coeffs, lead, sup_norm, reports).
 ZPoly stores a polynomial and has no arithmetic.  Polynomials are computed
 on exactly, as z-polynomials (ints, exp), an int vector on one exponent
 that raw_ints reads from raw values, zsum adds and poly_mul, the one
@@ -29,8 +30,9 @@ rule, four-term factors, identity checks, curve recovery and level
 recursion (its inputs each formed exactly, then rounded once), and
 spectral's curve extraction run on those ints and round each result once:
 an int times a power of two by rround, a ratio of ints by rratio, which
-gives libmp's from_rational bit for bit; exceeds compares a ratio of ints
-with a tolerance exactly.
+divides the ints itself and gives libmp's from_rational bit for bit, the
+worst of several ratios by worst_ratio, compared exactly and rounded once;
+exceeds compares a ratio of ints with a tolerance exactly.
 Every function computes at the caller's mpmath precision, mp.prec, which
 the caller scopes with mp.workprec; importing the package leaves it alone.
 The CLI runs at DEFAULT_PRECISION_BITS, a 113-bit significand (quad-like),
@@ -47,8 +49,7 @@ from functools import lru_cache
 
 from mpmath import cos, mp, mpf
 from mpmath.libmp import (
-    finf, fnan, fninf, fzero, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_pow_int,
-    mpf_sub,
+    finf, fnan, fninf, fzero, mpf_abs, mpf_add, mpf_mul, mpf_neg, mpf_pow_int, mpf_sub,
 )
 from mpmath.libmp import round_nearest as RND
 
@@ -223,40 +224,6 @@ def radd(s, t, p, _neg=0):
     return sign, man, exp, bc
 
 
-def rsub(s, t, p):
-    """s - t at p bits, as mpf_sub(s, t, p, round_nearest)."""
-    return radd(s, t, p, 1)
-
-
-def rdiv(s, t, p):
-    """s / t at p bits, as mpf_div(s, t, p, round_nearest): the quotient of
-    the mantissas shifted by libmp's extra bits, a nonzero remainder kept as
-    a sticky last bit, rounded once.  A zero s over a finite nonzero t is
-    fzero, and an s of at most p bits over a power of two (mantissa 1) is
-    an exact shift; special operands, a zero divisor and a wider s over a
-    power of two go to libmp."""
-    sign, sman, sexp, sbc = s
-    tsign, tman, texp, tbc = t
-    if tman < 2 or not sman:
-        if tman == 1 and sman and sbc <= p:
-            return sign ^ tsign, sman, sexp - texp, sbc
-        return fzero if tman and not (sman or sexp) else mpf_div(s, t, p, RND)
-    extra = max(p - sbc + tbc + 5, 5)
-    man, rem = divmod(sman << extra, tman)
-    exp = sexp - texp - extra
-    if rem:
-        man, exp = man << 1 | 1, exp - 1
-    # the quotient has p + 5 bits or more, so it is always cut
-    n = man.bit_length() - p
-    h = man >> (n - 1)
-    man = (h >> 1) + 1 if h & 1 and (h & 2 or man & ((1 << (n - 1)) - 1)) else h >> 1
-    exp, bc = exp + n, p
-    if not man & 1:
-        z = (man & -man).bit_length() - 1
-        man, exp, bc = man >> z, exp + z, p - z or 1
-    return sign ^ tsign, man, exp, bc
-
-
 def rmac(acc, s, t, p, _neg=0):
     """acc + s * t at p bits, the product rounded at p first, in one call:
     radd(acc, rmul(s, t, p), p, _neg) bit for bit; acc - s * t with _neg.
@@ -342,13 +309,28 @@ def rround(man: int, exp: int, p):
 
 def rratio(num: int, den: int, p):
     """num / den at p bits for ints num and den != 0, as from_rational(num,
-    den, p, round_nearest): rdiv on the ints as raw values, whose mantissas
-    need not be normalized, or rround when |den| = 1, where rdiv's exact
-    shift would keep num's trailing zeros."""
-    if den in (1, -1):
-        return rround(num * den, 0, p)
-    return rdiv((int(num < 0), abs(num), 0, num.bit_length()),
-                (int(den < 0), abs(den), 0, den.bit_length()), p)
+    den, p, round_nearest): libmp's division of the two ints, the quotient
+    of |num| shifted by its extra bits, max(p - bc(num) + bc(den) + 5, 5),
+    a nonzero remainder kept as a sticky last bit, then rounded once by
+    rround.  num = 0 gives fzero and |den| = 1 an exact quotient, which
+    rround strips of the shift."""
+    extra = max(p - num.bit_length() + den.bit_length() + 5, 5)
+    man, rem = divmod(abs(num) << extra, abs(den))
+    if rem:
+        man, extra = man << 1 | 1, extra + 1
+    return rround(-man if (num < 0) != (den < 0) else man, -extra, p)
+
+
+def worst_ratio(ratios, p):
+    """The largest num / den over the pairs of ints ratios (num >= 0, den >
+    0), compared exactly by cross-multiplying, rounded once at p bits by
+    rratio; fzero for none.  Rounding to nearest is monotone, so it is also
+    the largest of the ratios each rounded at p."""
+    num, den = 0, 1
+    for n, d in ratios:
+        if n * den > num * d:
+            num, den = n, d
+    return rratio(num, den, p)
 
 
 def exceeds(num: int, den: int, tol) -> bool:

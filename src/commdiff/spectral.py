@@ -19,10 +19,11 @@ identity) turns the commutation hypothesis into a measured quantity.
 from __future__ import annotations
 
 from mpmath import mp, mpf
-from mpmath.libmp import fzero
 
 from .errors import CommutationError, WindowError
-from .numcore import HyperellipticCurve, ZPoly, poly_mul, raw_ints, raw_max, rratio, rround, zsum
+from .numcore import (
+    HyperellipticCurve, ZPoly, poly_mul, raw_ints, rratio, rround, worst_ratio, zsum,
+)
 from .opalg import CoeffSeq, DiffOp, commutator_residual, exact_compose, exact_form, exact_sum
 
 # relative bound on the trace, the base-point spread and the distance from
@@ -227,10 +228,9 @@ def extract_curve(
         )
 
     actions = [action_matrix(L_base, L_act, int(n0)) for n0 in n0_list]
-    # (det, -trace) per base point; rounding is monotone, so the largest
-    # defect rounded once is the largest of the defects each rounded once
+    # (det, -trace) per base point
     (det, neg_tr), *others = [char_poly_coeffs(M)[:2] for M, _defect in actions]
-    worst = max(mp.make_mpf(rratio(*d, mp.prec)) for _M, d in actions)
+    worst = mp.make_mpf(worst_ratio((d for _M, d in actions), mp.prec))
     spread = _sup([zsum([(1, *x), (-1, *y)]) for xs in others for x, y in zip(xs, (det, neg_tr))])
     tr_poly, det_poly = _rounded(neg_tr, -1), _rounded(det)
 
@@ -260,15 +260,15 @@ class Rank2CurveReport:
 
 def _coefficient_commutator_rel(A: DiffOp, B: DiffOp) -> mpf:
     """max over (j, n) of |(AB - BA)_j(n)| / max(|AB_j(n)|, |BA_j(n)|), with
-    AB and BA exact, on the windows of A * B - B * A, each ratio rounded once."""
+    AB and BA exact, on the windows of A * B - B * A, the worst rounded once."""
     a, b = exact_form(A), exact_form(B)
     ab, ba = exact_compose(a, b), exact_compose(b, a)
     (lo, _), comm, _ = exact_sum(ab, ba, -1)
     ((alo, _), abt, _), ((blo, _), bat, _) = ab, ba
     # v != 0 needs a non-zero product coefficient
-    return mp.make_mpf(raw_max([fzero, *(
-        rratio(abs(v), max(abs(x), abs(y)), mp.prec) for j, c in comm.items()
-        for v, x, y in zip(c, abt[j][lo - alo:], bat[j][lo - blo:]) if v)], mp.prec))
+    return mp.make_mpf(worst_ratio(
+        ((abs(v), max(abs(x), abs(y))) for j, c in comm.items()
+         for v, x, y in zip(c, abt[j][lo - alo:], bat[j][lo - blo:]) if v), mp.prec))
 
 
 def rank2_curve_check(L4: DiffOp, L6: DiffOp, expected_r: ZPoly) -> Rank2CurveReport:

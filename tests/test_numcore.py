@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from mpmath import cos, mp, mpf
 from mpmath.libmp import (
-    finf, fnan, fninf, fone, from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_div,
-    mpf_gt, mpf_mul, mpf_neg, mpf_sub, round_nearest,
+    finf, fnan, fninf, fone, from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_gt,
+    mpf_mul, mpf_neg, mpf_sub, round_nearest,
 )
 
 from oracles import _fpmul, _fpsum, _fraction_poly, poly_div_exact
@@ -25,16 +25,15 @@ from commdiff.numcore import (
     radd,
     raw_ints,
     raw_max,
-    rdiv,
     rdot,
     rmac,
     rmul,
     rratio,
     rround,
-    rsub,
     scalar,
     set_precision,
     to_json,
+    worst_ratio,
     zsum,
 )
 
@@ -171,16 +170,18 @@ def test_raw_vector_helpers_match_the_mpf_loops_bit_for_bit(bits):
 # the round-to-nearest kernels against libmp, the oracle they reimplement
 # ---------------------------------------------------------------------------
 
-KERNELS = ((rmul, mpf_mul), (radd, mpf_add), (rsub, mpf_sub))
+# (kernel, its trailing arguments, the libmp function it reimplements):
+# radd with _neg = 1 is the difference
+KERNELS = ((rmul, (), mpf_mul), (radd, (), mpf_add), (radd, (1,), mpf_sub))
 
 
 def _check_kernels(pairs, p, kernels=KERNELS):
     pairs = list(pairs)
-    for kernel, libmp_op in kernels:
-        got = [kernel(s, t, p) for s, t in pairs]
+    for kernel, args, libmp_op in kernels:
+        got = [kernel(s, t, p, *args) for s, t in pairs]
         want = [libmp_op(s, t, p, round_nearest) for s, t in pairs]
         bad = [(s, t) for (s, t), x, y in zip(pairs, got, want) if x != y]
-        assert not bad, (kernel.__name__, p, bad[:3])
+        assert not bad, (libmp_op.__name__, p, bad[:3])
 
 
 @pytest.mark.parametrize("p", range(1, 7))
@@ -190,7 +191,7 @@ def test_kernels_match_libmp_on_every_short_mantissa(p):
     # cancellations all occur at these precisions.  A product's rounding does
     # not depend on the exponents, so products run at offset 0 only; sums run
     # with s > 0 and differences with s < 0, which between them meet every
-    # sign pattern of the two operands, as rsub(s, t) is radd(s, -t).
+    # sign pattern of the two operands, as s - t is s + (-t).
     odd = range(1, 128, 2)
     for off in range(-10, 11):
         t = [from_man_exp(sign * m, off) for m in odd for sign in (1, -1)]
@@ -201,7 +202,7 @@ def test_kernels_match_libmp_on_every_short_mantissa(p):
     # a carry to 2^p and an exact cancellation, by name
     assert rmul(from_man_exp(2 ** p - 1, 0), from_man_exp(2 ** p + 1, 0), p) == (0, 1, 2 * p, 1)
     assert radd(from_man_exp(2 ** p - 1, 0), from_man_exp(1, -1), p) == (0, 1, p, 1)
-    assert rsub(from_man_exp(-5, 3), from_man_exp(-5, 3), p) == fzero
+    assert radd(from_man_exp(-5, 3), from_man_exp(-5, 3), p, 1) == fzero
 
 
 @pytest.mark.parametrize("p", (53, 113, 145, 1100))
@@ -283,58 +284,7 @@ def test_far_sums_match_libmp_in_both_regimes(gap, p):
                 pairs += [(x, y), (mpf_neg(x), y), (x, mpf_neg(y)), (mpf_neg(x), mpf_neg(y))]
     _check_kernels(pairs, p, KERNELS[1:])
     # 0 +- 0, by name
-    assert radd(fzero, fzero, p) == rsub(fzero, fzero, p) == fzero
-
-
-def _check_rdiv(pairs, p):
-    pairs = list(pairs)
-    bad = [(s, t) for s, t in pairs if rdiv(s, t, p) != mpf_div(s, t, p, round_nearest)]
-    assert not bad, (p, bad[:3])
-
-
-@pytest.mark.parametrize("p", range(1, 7))
-def test_rdiv_matches_libmp_on_every_short_mantissa(p):
-    # every odd mantissa below 2^7 of either sign over every one: exact and
-    # inexact quotients, ties that only an exact quotient makes, carries to
-    # 2^p, and the divisor 1, which libmp rounds itself
-    odd = range(1, 128, 2)
-    vals = [from_man_exp(sign * m, off) for m in odd for sign in (1, -1) for off in (-3, 0, 5)]
-    _check_rdiv(((s, t) for s in vals for t in vals), p)
-
-
-@pytest.mark.parametrize("p", (53, 113, 145, 1100))
-def test_rdiv_matches_libmp(p):
-    # random operands of p bits, 2p bits (wider than p) and random width;
-    # quotients that are exact, exact at p bits and ties; divisors that are
-    # powers of two; zero and special operands
-    rng = random.Random(p + 29)
-
-    def odd(bits):
-        return rng.getrandbits(bits) | 1 | (1 << (bits - 1))
-
-    def draw():
-        width = rng.choice((p, 2 * p, rng.randint(1, 3 * p)))
-        return from_man_exp(rng.choice((1, -1)) * odd(width), rng.randint(-60, 60) - width)
-
-    pairs = [(draw(), draw()) for _ in range(1500)]
-    for _ in range(200):
-        t, q = draw(), draw()
-        # t q / t is q, exactly
-        pairs.append((from_man_exp(t[1] * q[1] * (-1) ** q[0], t[2] + q[2]), t))
-    for width in (p, p + 1, p + 2):
-        # a quotient of width p + 1 ending in 1 lies halfway between two p-bit values
-        pairs += [(from_man_exp(odd(width) * 3, -5), from_man_exp(3, 2)) for _ in range(40)]
-    pairs += [(draw(), from_man_exp(rng.choice((1, -1)), rng.randint(-90, 90)))
-              for _ in range(100)]
-    with mp.workprec(p):
-        pool = [v._mpf_ for v in trap_values(rng, p)]
-    pairs += [(s, t) for s in pool for t in pool if t != fzero]
-    specials = [fzero, finf, fninf, fnan, fone, draw(), draw()]
-    pairs += [(s, t) for s in specials for t in specials if t != fzero]
-    _check_rdiv(pairs, p)
-    for s in specials:
-        with pytest.raises(ZeroDivisionError):
-            rdiv(s, fzero, p)
+    assert radd(fzero, fzero, p) == radd(fzero, fzero, p, 1) == fzero
 
 
 @pytest.mark.parametrize("p", (53, 113, 145, 1100))
@@ -355,9 +305,9 @@ def _check_rmac(triples, p):
     """rmac(acc, s, t, p) and its subtracting form against the two calls it
     fuses, on the raw triples (acc, s, t)."""
     triples = list(triples)
-    for neg, fused in ((0, radd), (1, rsub)):
+    for neg in (0, 1):
         bad = [(a, s, t) for a, s, t in triples
-               if rmac(a, s, t, p, neg) != fused(a, rmul(s, t, p), p)]
+               if rmac(a, s, t, p, neg) != radd(a, rmul(s, t, p), p, neg)]
         assert not bad, (neg, p, bad[:3])
 
 
@@ -723,6 +673,26 @@ def test_from_exact_rounds_each_coefficient_once(bits):
             HyperellipticCurve.from_exact((wide + [one + 500 * below], exp), 2, tol)
 
 
+@pytest.mark.parametrize("bits", (3, 53, 113))
+def test_worst_ratio_is_the_largest_ratio_rounded_once(bits):
+    # the exact largest num / den rounded by from_rational, which is also
+    # the largest of the ratios each rounded at p: ratios that round alike
+    # but differ exactly, equal ratios on different ints, zero numerators
+    rng = random.Random(bits + 7)
+    for _ in range(40):
+        ratios = [(rng.getrandbits(rng.randint(0, 3 * bits)), rng.getrandbits(2 * bits) | 1)
+                  for _ in range(rng.randint(1, 9))]
+        n, d = ratios[0]
+        ratios += [(n << 1 | 1, d << 1), (3 * n, 3 * d), (0, d)]
+        rng.shuffle(ratios)
+        top = max(Fraction(n, d) for n, d in ratios)
+        want = from_rational(top.numerator, top.denominator, bits, round_nearest)
+        assert worst_ratio(ratios, bits) == want
+        assert want == max((from_rational(n, d, bits, round_nearest) for n, d in ratios),
+                           key=mp.make_mpf)
+    assert worst_ratio([], bits) == worst_ratio([(0, 5)], bits) == fzero
+
+
 def test_exceeds_is_the_exact_comparison():
     for tol in (mpf("1e-6"), mpf(3), mpf(2) ** -200, mpf(1) / 3):
         t = _fraction_of(tol)
@@ -733,14 +703,23 @@ def test_exceeds_is_the_exact_comparison():
                     assert exceeds(num, den, tol) == (num > edge), (tol, num, den)
 
 
-@pytest.mark.parametrize("bits", (53, 113, 160, 1100))
+@pytest.mark.parametrize("bits", (*range(1, 7), 53, 113, 160, 1100))
 def test_rratio_is_from_rational_bit_for_bit(bits):
+    # every pair of ints below 2^7 of both signs, zero numerators among
+    # them, and of powers of two up to 2^40 and three times them: exact and
+    # inexact quotients, ties that only an exact quotient makes, sticky
+    # bits, carries to 2^p and |den| = 1, which the small precisions meet
+    short = [*range(-127, 128),
+             *(s * m << k for k in range(7, 41) for m in (1, 3) for s in (1, -1))]
+    bad = [(n, d) for n in short for d in short
+           if d and rratio(n, d, bits) != from_rational(n, d, bits, round_nearest)]
+    assert not bad, (bits, bad[:3])
     # numerators and denominators of both signs, zero numerators, |den| = 1,
     # powers of two (even, unnormalized mantissas), ties, exact quotients
     # and ints up to 3000 bits wide
     rng = random.Random(bits + 53)
     nums, dens = [0, 1, -1, 2, -6, 3 << 200], [1, -1, 2, -4, 3, 2 ** 64, -(2 ** 3000)]
-    for width in (1, 2, bits - 1, bits, bits + 1, 2 * bits, 3000):
+    for width in (1, 2, max(bits - 1, 1), bits, bits + 1, 2 * bits, 3000):
         for _ in range(12):
             v = rng.getrandbits(width) | (1 << (width - 1))
             v <<= rng.choice((0, 0, 1, 37))
