@@ -31,6 +31,13 @@ recursion of the ansatz solve has one too (fraction_march), on the
 solver's rounded inputs, with fraction_table and exact_table converting
 its exact tables to Fractions and back.
 
+Two helpers that several test modules share live here as well, so that no
+test module imports another: trap_values, a pool of values that the
+arithmetic must not special-case wrongly (exact 0 and +-1, negative values
+and values wider than the working precision), and CRITERION_1_PARAMS, the
+parameters of each family in acceptance criterion 1, which other tests
+build and run through the CLI too.
+
 Import them as `from oracles import ...`; pytest's default import mode puts
 this directory on sys.path.
 """
@@ -54,6 +61,23 @@ from commdiff.spectral import ACTION_PAD
 
 def shift(window, degree: int = 1) -> DiffOp:
     return DiffOp.build({degree: 1}, window)
+
+
+def trap_values(rng, bits):
+    """Exact 0 and +-1, negative values, and values built at twice `bits`,
+    which mpf's unary minus and abs round to the working precision."""
+    with mp.workprec(2 * bits):
+        wide = [mpf(rng.uniform(-3, 3)) * mp.sqrt(2) * mpf(10) ** rng.randint(-6, 6)
+                for _ in range(4)]
+    return [mpf(0), mpf(1), mpf(-1), -mpf(rng.uniform(0, 3)) / 7, *wide]
+
+
+CRITERION_1_PARAMS = {
+    "trig": {"r1": 1},
+    "poly": {"a2": 1, "a0": 0, "a1": 0},
+    "geom": {"beta": 1, "a": 2},
+    "elliptic": {"c2": 0, "c1": -1, "c0": 0},
+}
 
 
 # ---------------------------------------------------------------------------

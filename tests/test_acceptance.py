@@ -1,7 +1,8 @@
 """Acceptance suite: every release criterion at its stated tolerance.
 
 Each test prints one PASS/FAIL line (run with -s to see them inline).  The
-commutation cases of criterion 1 are built once and shared with criterion 2.
+commutation cases of criterion 1 are built once and shared with criteria 2,
+3 and 4.
 """
 
 import random
@@ -12,18 +13,12 @@ from mpmath import mpf, cos, sin
 
 from commdiff.numcore import ZPoly
 from commdiff.opalg import DiffOp, commutator_residual, exact_form, exact_sum, op_commutator
-from commdiff.dressing import (
-    EvenPowerBasis,
-    GeomBasis,
-    TrigBasis,
-    ansatz_solve,
-    identity_residuals,
-)
-from commdiff.families import FamilySpec, build_case, geom_family, poly_family, trig_family
+from commdiff.dressing import identity_residuals
+from commdiff.families import FamilySpec, build_case
 from commdiff.lame import MIN_SLOPE, WeierstrassContext, continuum_slope, lame_curve_independence
 from commdiff.rank2 import verify_rank2
 from commdiff.spectral import extract_curve
-from oracles import poly_dev
+from oracles import CRITERION_1_PARAMS, poly_dev
 
 N_WINDOW = 24
 ELLIPTIC_SEED = 20250808
@@ -33,14 +28,6 @@ def _emit(num, name, passed, detail) -> None:
     status = "PASS" if passed else "FAIL"
     print(f"ACCEPTANCE {num:02d} {name}: {status} ({detail})")
     assert passed, f"criterion {num} [{name}] failed: {detail}"
-
-
-CRITERION_1_PARAMS = {
-    "trig": {"r1": 1},
-    "poly": {"a2": 1, "a0": 0, "a1": 0},
-    "geom": {"beta": 1, "a": 2},
-    "elliptic": {"c2": 0, "c1": -1, "c0": 0},
-}
 
 
 def _build_case(kind, g):
@@ -119,12 +106,14 @@ def test_criterion_2_master_and_linear_identities():
 def test_criterion_3_closed_form_fixtures():
     tol = mpf("1e-10")
     failures = []
+    # criterion 1's genus-1 states, each checked over its whole window
+    states = {c["kind"]: c["state"] for c in rank1_cases() if c["g"] == 1}
 
     # trig g=1: S_n = A1(z) cos(n) + A3 cos(3n) against the closed-form
     # profiles A1 = -z + a1_const and A3 = a3_closed; the profiles' constant
     # coefficients are read off S_0 = A1 + A3 and S_1 = A1 cos 1 + A3 cos 3
-    U, W = trig_family(1, 1, (-14, 14))
-    state = ansatz_solve(TrigBasis(1), U, W).state(U, W, (-14, 14))
+    state = states["trig"]
+    lo, hi = state.window
     a3_closed = sin(mpf(1) / 2) ** 2 / (1 - 2 * cos(1)) ** 3
     a1_const = -(5 * cos(1) - 2 * cos(2) - 3) / (2 * (1 - 2 * cos(1)) ** 2)
     s0, s1 = state.s(0), state.s(1)
@@ -134,7 +123,7 @@ def test_criterion_3_closed_form_fixtures():
         failures.append("trig A3")
     if abs(a1[0] - a1_const) > tol * abs(a1_const) or abs(a1[1] + 1) > tol:
         failures.append("trig A1")
-    for n in range(-14, 15):
+    for n in range(lo, hi + 1):
         p1, p3 = a1_const * cos(n), a3_closed * cos(3 * n)
         if abs(state.s(n).coeff(0) - (p1 + p3)) > tol * (abs(p1) + abs(p3)):
             failures.append(f"trig S_{n} constant")
@@ -142,10 +131,9 @@ def test_criterion_3_closed_form_fixtures():
             failures.append(f"trig S_{n} lead")
 
     # quartic family g=1 (a2=1, a0=0)
-    U, W = poly_family(1, 1, 0, 0, (-16, 16))
-    res = ansatz_solve(EvenPowerBasis(1), U, W)
-    state = res.state(U, W, (-12, 12))
-    for n in range(-10, 11):
+    state = states["poly"]
+    lo, hi = state.window
+    for n in range(lo + 1, hi + 1):
         s_closed = ZPoly([mpf(n) ** 4 - mpf(9) / 4 * n**2 + mpf(1) / 4, -mpf(n) ** 2])
         q_closed = ZPoly([mpf(3) / 4 - n * (n - 1), 1])
         if poly_dev(state.s(n), s_closed) > tol * max(s_closed.sup_norm(), mpf(1)):
@@ -154,10 +142,9 @@ def test_criterion_3_closed_form_fixtures():
             failures.append(f"quartic Q_{n}")
 
     # geometric family g=1 (a=2, beta=1)
-    U, W = geom_family(1, 1, 2, window=(-16, 16))
-    res = ansatz_solve(GeomBasis(1, 2), U, W)
-    state = res.state(U, W, (-12, 12))
-    for n in range(-10, 11):
+    state = states["geom"]
+    lo, hi = state.window
+    for n in range(lo + 1, hi + 1):
         s_closed = ZPoly([mpf(4) / 27 * mpf(8) ** n, -mpf(2) ** n])
         q_closed = ZPoly([-mpf(4) ** n / 9, 1])
         if poly_dev(state.s(n), s_closed) > tol * s_closed.sup_norm():

@@ -129,7 +129,7 @@ def test_verify_check_failure_exits_one(tmp_path):
     # an unreachable tolerance turns residual checks into failures: exit 1
     out = tmp_path / "reports"
     code = run([
-        "verify", "--family", "poly", "--g", "1", "--a2", "1", "--a0", "0",
+        "verify", "--family", "trig", "--g", "1", "--r1", "1.3",
         "--window", "-8", "8", "--tolerance", "1e-40", "--out", str(out),
     ])
     assert code == 1
@@ -184,20 +184,21 @@ def test_curve_quartic(tmp_path):
     assert abs(curve[2] - 3 / 2) <= 1e-8
 
 
-@pytest.mark.parametrize("window, n0, spans", [
-    ((0, 0), 0, "needs L_base on [0, 7] and L_act on [0, 4]; "
-                "the pair's windows are [-5, 8] and [-1, 3]"),
-    ((-1, 1), 1, "needs L_base on [1, 8] and L_act on [1, 5]; "
-                 "the pair's windows are [-5, 9] and [-2, 4]"),
+@pytest.mark.parametrize("window, n0, needs", [
+    ((0, 0), 0, "needs L_base on [0, 7] and L_act on [0, 4]"),
+    ((-1, 1), 1, "needs L_base on [1, 8] and L_act on [1, 5]"),
 ], ids=("window-0-0", "window-1-1"))
-def test_curve_on_a_short_window_names_the_extraction_stage(tmp_path, capsys, window, n0, spans):
+def test_curve_on_a_short_window_names_the_extraction_stage(tmp_path, capsys, window, n0, needs):
     # the pair built on these windows is too short for the action matrix at
-    # one of the base points -1, 0, 1; -2 2 is the shortest symmetric window
-    # that passes
+    # one of the base points -1, 0, 1, and the message names the built
+    # pair's windows; -2 2 is the shortest symmetric window that passes
+    L2, partner, _state, _extras = build_case(FamilySpec("trig", 2, {"r1": 1}), window)
+    spans = f"the pair's windows are {list(L2.window)} and {list(partner.window)}"
     argv = ["curve", "--family", "trig", "--g", "2", "--r1", "1", "--out", str(tmp_path)]
     code = run(argv + ["--window", str(window[0]), str(window[1])])
     assert code == 2
-    assert f"error: curve extraction at base point n0={n0} {spans}" in capsys.readouterr().err
+    assert (f"error: curve extraction at base point n0={n0} {needs}; {spans}"
+            in capsys.readouterr().err)
     assert run(argv + ["--window", "-2", "2"]) == 0
 
 

@@ -4,8 +4,7 @@ from collections import Counter
 import pytest
 from mpmath import mp, mpf, cos, sin, sqrt
 from mpmath.libmp import fzero, mpf_add, mpf_pow_int, mpf_sub
-from oracles import exact_commutator, exact_commutator_rel, fraction_form
-from test_acceptance import CRITERION_1_PARAMS
+from oracles import CRITERION_1_PARAMS, exact_commutator, exact_commutator_rel, fraction_form
 
 from commdiff import cli, dressing, families, numcore
 from commdiff.errors import DegenerateDenominatorError, InconsistentDataError
@@ -14,9 +13,7 @@ from commdiff.dressing import (
     EvenPowerBasis,
     GeomBasis,
     PowerBasis,
-    TrigBasis,
     ansatz_solve,
-    build_partner_op,
     identity_residuals,
     l2_operator,
 )
@@ -31,8 +28,6 @@ from commdiff.families import (
     trig_family,
 )
 from commdiff.spectral import extract_curve
-
-WIN = (-28, 28)
 
 
 def golden_gamma(window):
@@ -78,11 +73,10 @@ def closed_form_deviation(L3, closed):
     )
 
 
-def commutation_rel(U, W, basis, state_window):
-    result = ansatz_solve(basis, U, W)
-    state = result.state(U, W, state_window)
-    L2 = l2_operator(U, W)
-    partner = build_partner_op(state, L2)
+def commutation_rel(spec):
+    """The relative commutator residual of spec's pair, built to commute on
+    [-22, 22]."""
+    L2, partner, _state, _extras = build_case(spec, (-22, 22))
     return commutator_residual(L2, partner)[1]
 
 
@@ -139,9 +133,7 @@ def test_trig_parity():
 
 def test_trig_pipeline_commutes():
     for g in (1, 2):
-        U, W = trig_family(g, 1, WIN)
-        rel = commutation_rel(U, W, TrigBasis(g), (-24, 24))
-        assert rel <= mpf("1e-9")
+        assert commutation_rel(FamilySpec("trig", g, {"r1": 1})) <= mpf("1e-9")
 
 
 def test_poly_values():
@@ -157,15 +149,14 @@ def test_poly_requires_a2():
 
 
 def test_poly_pipeline_commutes():
-    U, W = poly_family(1, 1, 0, 0, WIN)
-    assert commutation_rel(U, W, EvenPowerBasis(1), (-24, 24)) <= mpf("1e-9")
+    assert commutation_rel(FamilySpec("poly", 1, {"a2": 1})) <= mpf("1e-9")
 
 
 def test_poly_odd_extension_commutes():
     # conjectural a1 != 0 case, small genus
     for g in (1, 2):
-        U, W = poly_family(g, 1, 0, mpf(1) / 2, WIN)
-        assert commutation_rel(U, W, PowerBasis(g), (-24, 24)) <= mpf("1e-9")
+        spec = FamilySpec("poly", g, {"a2": 1, "a1": mpf(1) / 2})
+        assert commutation_rel(spec) <= mpf("1e-9")
 
 
 def test_geom_w_closed_form_sign():
@@ -196,8 +187,8 @@ def test_geom_beta_homogeneity():
 
 
 def test_geom_small_ratio_commutes():
-    U, W = geom_family(1, 1, mpf(1) / 2, window=WIN)
-    assert commutation_rel(U, W, GeomBasis(1, mpf(1) / 2), (-24, 24)) <= mpf("1e-9")
+    spec = FamilySpec("geom", 1, {"a": mpf(1) / 2, "beta": 1})
+    assert commutation_rel(spec) <= mpf("1e-9")
 
 
 def test_elliptic_commutes_random_gamma():

@@ -79,20 +79,22 @@ STALE_TARGETS = [
 ]
 
 
+def _resolves(module: str, path: str) -> bool:
+    """The dotted path names an attribute chain of the imported module."""
+    obj = importlib.import_module(module)
+    for name in path.split("."):
+        obj = getattr(obj, name, None)
+    return obj is not None
+
+
 def _missing_span_targets() -> list:
     """The targets of the tracer's SPANS table, read from its source, that
     do not resolve in the package, as dotted names in table order."""
     tree = ast.parse(BENCH_TRACING.read_text())
     (spans,) = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["SPANS"]]
-    missing = []
-    for module, path in (t for targets in spans.values() for t in targets):
-        obj = importlib.import_module(module)
-        for name in path.split("."):
-            obj = getattr(obj, name, None)
-        if obj is None:
-            missing.append(f"{module}.{path}")
-    return missing
+    return [f"{module}.{path}" for targets in spans.values() for module, path in targets
+            if not _resolves(module, path)]
 
 
 def test_every_traced_target_resolves_but_the_stale_ones():
@@ -176,3 +178,76 @@ def test_every_package_definition_is_named_outside_itself():
     assert sorted(d.split()[1] for d in dead if d.split()[1] in WITHOUT_CALLER) == \
         sorted(WITHOUT_CALLER)
     assert [d for d in dead if d.split()[1] not in WITHOUT_CALLER] == []
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def test_no_test_module_imports_another():
+    # a module that imports a test module fails to collect whenever that
+    # module does; shared helpers live in oracles.py
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [node.module or ""] if isinstance(node, ast.ImportFrom) else \
+                [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            assert not any(n.split(".")[0].startswith("test_") for n in names), \
+                (path.name, node.lineno)
+
+
+# the float kernels: each rounds every product or sum it forms, where the
+# rest of the package forms values exactly and rounds them once
+FLOAT_KERNELS = {"rmul", "radd", "rmac", "rdot", "pow_int", "lstsq_mpf"}
+# the package functions that may call one, as module.function or
+# module.Class.method: the family tables, the pin fit with its solver and
+# the z^g row it gives, and rmac and rdot themselves (each of them calls one
+# today)
+FLOAT_CALLERS = {
+    "families.trig_family", "families.poly_family", "families.geom_family",
+    "dressing.GeomBasis.functions", "dressing._pin_top_coefficients", "dressing.ansatz_solve",
+    "linalg.lstsq_mpf", "numcore.rmac", "numcore.rdot",
+}
+
+
+def float_callers(sources: dict, kernels: set) -> set:
+    """The functions and methods in sources (module name -> text) that call
+    one of kernels by name or attribute, nested functions and lambdas
+    included, as module.function or module.Class.method; a call outside
+    any of them counts as module.Class or module.<module>."""
+    found = set()
+    for module, text in sources.items():
+        scopes = []
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.ClassDef):
+                scopes += [(f"{node.name}.{f.name}" if isinstance(f, ast.FunctionDef)
+                            else node.name, f) for f in node.body]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scopes.append((node.name, node))
+            else:
+                scopes.append(("<module>", node))
+        for name, scope in scopes:
+            if any(isinstance(n, ast.Call)
+                   and getattr(n.func, "id", getattr(n.func, "attr", None)) in kernels
+                   for n in ast.walk(scope)):
+                found.add(f"{module}.{name}")
+    return found
+
+
+def test_float_callers_are_found():
+    src = ("def f(x):\n    return [lambda n: rmul(n, n, 53)]\n"
+           "class C:\n    def m(self):\n        return linalg.lstsq_mpf([], [])\n"
+           "    def k(self):\n        return rround(1, 0, 53)\n"
+           "def g():\n    def inner():\n        return radd(1, 2, 53)\n    return inner\n"
+           "ONE = pow_int(1, 2, 53)\n")
+    assert float_callers({"mod": src}, FLOAT_KERNELS) == {"mod.f", "mod.C.m", "mod.g",
+                                                          "mod.<module>"}
+
+
+def test_only_the_listed_functions_call_the_float_kernels():
+    # a new caller of a float kernel is a new float path; a listed function
+    # that leaves the package leaves the list, so that retiring the pin fit
+    # or the float family tables shrinks it
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert float_callers(sources, FLOAT_KERNELS) <= FLOAT_CALLERS
+    for name in sorted(FLOAT_CALLERS):
+        module, path = name.split(".", 1)
+        assert _resolves(f"commdiff.{module}", path), name

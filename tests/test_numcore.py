@@ -9,7 +9,7 @@ from mpmath.libmp import (
     mpf_mul, mpf_neg, mpf_sub, round_nearest,
 )
 
-from oracles import _fpmul, _fpsum, _fraction_poly, poly_div_exact
+from oracles import _fpmul, _fpsum, _fraction_poly, poly_div_exact, trap_values
 
 from commdiff import numcore
 from commdiff.errors import DegenerateDenominatorError, NonFiniteError
@@ -98,15 +98,6 @@ def _raw(poly):
 
 def _reference_sup_norm(p):
     return max((abs(c) for c in p.coeffs), default=mpf(0))
-
-
-def trap_values(rng, bits):
-    """Exact 0 and +-1, negative values, and values built at twice `bits`,
-    which mpf's unary minus and abs round to the working precision."""
-    with mp.workprec(2 * bits):
-        wide = [mpf(rng.uniform(-3, 3)) * mp.sqrt(2) * mpf(10) ** rng.randint(-6, 6)
-                for _ in range(4)]
-    return [mpf(0), mpf(1), mpf(-1), -mpf(rng.uniform(0, 3)) / 7, *wide]
 
 
 @pytest.mark.parametrize("bits", (53, 113, 160, 1100))

@@ -29,8 +29,8 @@ from oracles import (
     rounded_op,
     rounded_poly,
     shift,
+    trap_values,
 )
-from test_numcore import trap_values
 
 WIN = (-24, 24)
 
@@ -399,27 +399,12 @@ def test_terms_on_the_window_are_shared_not_copied():
 
 # ---------------------------------------------------------------------------
 # bit-identity oracles: the Fraction references of the exact operator
-# arithmetic, and the mpf-object loops of the kernels that still round each
-# product or sum
+# arithmetic, each coefficient rounded once
 # ---------------------------------------------------------------------------
 
 
 def _mpfs_on(seq, lo, hi):
     return [mp.make_mpf(v) for v in seq.values_on(lo, hi)]
-
-
-def _reference_compose(A, B):
-    """A o B by the mpf loops, every product and partial sum rounded."""
-    lo = max(A.window[0], B.window[0] - A.min_degree)
-    hi = min(A.window[1], B.window[1] - A.order)
-    out = {}
-    for i, a in A.terms.items():
-        av = _mpfs_on(a, lo, hi)
-        for j, b in B.terms.items():
-            contrib = map(operator.mul, av, _mpfs_on(b, lo + i, hi + i))
-            k = i + j
-            out[k] = list(map(operator.add, out[k], contrib)) if k in out else list(contrib)
-    return (lo, hi), out
 
 
 def _terms_of(L):
@@ -434,13 +419,6 @@ def _exact_compose(A, B):
 def _exact_sum(A, B, sign=1):
     """A + sign B in Fractions, each coefficient rounded once at the working precision."""
     return _terms_of(rounded_op(_fraction_sum(fraction_op(A), fraction_op(B), sign), mp.prec))
-
-
-def _reference_scale_left(L, c):
-    lo, hi = max(c.window[0], L.window[0]), min(c.window[1], L.window[1])
-    cv = _mpfs_on(c, lo, hi)
-    return (lo, hi), {j: list(map(operator.mul, cv, _mpfs_on(t, lo, hi)))
-                      for j, t in L.terms.items()}
 
 
 def _raw_vals(vals):
@@ -472,8 +450,9 @@ def test_operator_kernels_match_their_references_bit_for_bit(bits):
                 _assert_op_is(X * Y, *_exact_compose(X, Y))
                 _assert_op_is(X + Y, *_exact_sum(X, Y))
                 _assert_op_is(X - Y, *_exact_sum(X, Y, -1))
-            # a scale is one product per coefficient, the mpf product
-            _assert_op_is(A.scale_left(x), *_reference_scale_left(A, x))
+            # a scale is the composition c(n) o L: one exact product per
+            # coefficient, rounded once
+            _assert_op_is(A.scale_left(x), *_exact_compose(DiffOp({0: x}), A))
             # terms of exact 1s on either side, against factors that hold a
             # value wider than bits, which the exact arithmetic rounds only
             # in the result
@@ -485,7 +464,7 @@ def test_operator_kernels_match_their_references_bit_for_bit(bits):
                 _assert_op_is(L * R, *_exact_compose(L, R))
                 _assert_op_is(L + R, *_exact_sum(L, R))
             for L, c in ((A1, x), (B1, wide), (B1, x)):
-                _assert_op_is(L.scale_left(c), *_reference_scale_left(L, c))
+                _assert_op_is(L.scale_left(c), *_exact_compose(DiffOp({0: c}), L))
             # the apply is exact, each value rounded once
             lo, vals = fraction_apply(B, [[_fraction(v)] for v in y.raw], y.n_min)
             got = apply_scalars(B, y)

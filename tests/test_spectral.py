@@ -7,18 +7,11 @@ from mpmath import mp, mpf, cos, sin
 from commdiff.errors import CommutationError, WindowError
 from commdiff.numcore import ZPoly
 from commdiff.opalg import CoeffSeq, DiffOp, commutator_residual
-from commdiff.dressing import (
-    GeomBasis,
-    TrigBasis,
-    EvenPowerBasis,
-    ansatz_solve,
-    build_partner_op,
-    identity_residuals,
-    l2_operator,
-)
-from commdiff.families import FamilySpec, build_case, geom_family, poly_family, trig_family
+from commdiff.dressing import identity_residuals, l2_operator
+from commdiff.families import FamilySpec, build_case, poly_family
 from commdiff.rank2 import Rank2Params, build_l4, build_l6_special, expected_curve_poly
 from oracles import (
+    CRITERION_1_PARAMS,
     _fraction,
     baker_akhiezer,
     curve_point,
@@ -45,19 +38,11 @@ WIN = (-26, 26)
 
 
 def make_pair(kind, g=1):
-    if kind == "trig":
-        U, W = trig_family(g, 1, WIN)
-        basis = TrigBasis(g)
-    elif kind == "poly":
-        U, W = poly_family(g, 1, 0, 0, WIN)
-        basis = EvenPowerBasis(g)
-    else:
-        U, W = geom_family(g, 1, 2, window=WIN)
-        basis = GeomBasis(g, 2)
-    result = ansatz_solve(basis, U, W)
-    state = result.state(U, W, (-22, 22))
-    L2 = l2_operator(U, W)
-    return L2, build_partner_op(state, L2), state
+    """(L2, partner, state) of criterion 1's parameters for kind, commuting
+    on [-8, 8]."""
+    L2, partner, state, _extras = build_case(FamilySpec(kind, g, CRITERION_1_PARAMS[kind]),
+                                             (-8, 8))
+    return L2, partner, state
 
 
 ONE, ZERO = ([1], 0), ([], 0)
