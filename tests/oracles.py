@@ -29,14 +29,20 @@ that the master identity gives (fraction_curve) are Fraction ratios of the
 stored values; poly_dev measures two ZPolys' distance.  The level
 recursion of the ansatz solve has one too (fraction_march), on the
 solver's rounded inputs, with fraction_table and exact_table converting
-its exact tables to Fractions and back.
+its exact tables to Fractions and back.  test_dressing runs it once over
+all 3g + 1 fit columns per case and checks both the exact four-column
+march and the rounded fit rows against that one march; its reference
+solve reads the same inputs and fit rows.
 
-Two helpers that several test modules share live here as well, so that no
-test module imports another: trap_values, a pool of values that the
-arithmetic must not special-case wrongly (exact 0 and +-1, negative values
-and values wider than the working precision), and CRITERION_1_PARAMS, the
-parameters of each family in acceptance criterion 1, which other tests
-build and run through the CLI too.
+Helpers that several test modules share live here as well, so that no
+test module imports another and none keeps its own copy: trap_values, a
+pool of values that the arithmetic must not special-case wrongly (exact 0
+and +-1, negative values and values wider than the working precision);
+CRITERION_1_PARAMS, the parameters of each family in acceptance criterion
+1, which other tests build and run through the CLI too; and the value
+converters _fraction (a raw libmp value as a Fraction), fraction_of (an
+mpf as a Fraction) and raws (mpfs as their raw values, for bit-for-bit
+comparisons).
 
 Import them as `from oracles import ...`; pytest's default import mode puts
 this directory on sys.path.
@@ -159,17 +165,17 @@ def solve_partner_recursive(
         raise WindowError(f"seed index {n0} incompatible with range [{lo}, {hi}]")
     fp = _fraction_poly(curve.fpoly())
     S = {n0 - 1: s_init[0], n0: s_init[1]}
-    u = {n: _fraction(U.at(n)._mpf_) for n in range(lo, hi + 1)}
+    u = {n: fraction_of(U.at(n)) for n in range(lo, hi + 1)}
 
     for n, d in [*zip(range(n0, hi), repeat(1)), *zip(range(n0 - 1, lo, -1), repeat(-1))]:
         k = max(n, n - d)  # the Q index between S_n and its known neighbour
         den = u[k - 1] + u[k]
-        if abs(den) <= _fraction(DEGENERACY_REL._mpf_) * max(abs(u[k - 1]), abs(u[k])):
+        if abs(den) <= fraction_of(DEGENERACY_REL) * max(abs(u[k - 1]), abs(u[k])):
             raise DegenerateDenominatorError(f"partner march at n={k}: U_{k - 1} + U_{k} = {den}")
         Qk = [-v / den for v in _fpsum(_fraction_poly(S[k - 1]), _fraction_poly(S[k]))]
         sn = _fraction_poly(S[n])
         num = _fpsum(fp, [-v for v in _fpmul(sn, sn)])
-        lin = [-u[n] ** 2 - _fraction(W.at(n)._mpf_), Fraction(1)]
+        lin = [-u[n] ** 2 - fraction_of(W.at(n)), Fraction(1)]
         Qother, resid = poly_div_exact(num, _fpmul(lin, Qk))
         if resid > DIVISION_TOL * max(_fpsup(num), _fpsup(fp), 1):
             raise InconsistentDataError(
@@ -483,6 +489,16 @@ def _fraction(v) -> Fraction:
     return -f if sign else f
 
 
+def fraction_of(x) -> Fraction:
+    """The mpf x as an exact Fraction."""
+    return _fraction(x._mpf_)
+
+
+def raws(vals) -> list:
+    """The raw libmp values of the mpfs vals, a None kept as None."""
+    return [None if v is None else v._mpf_ for v in vals]
+
+
 def fraction_op(L: DiffOp):
     """L as (window, terms) with every value an exact Fraction."""
     return L.window, {j: [_fraction(v) for v in t.raw] for j, t in L.terms.items()}
@@ -558,8 +574,8 @@ def exact_partner(state: DressingState, L2: DiffOp) -> DiffOp:
     for k in range(state.curve.g + 1):
         if k:
             l2k = _fraction_compose(l2, l2k)
-        pk = ((lo, hi), {1: [_fraction(state.q(n).coeff(k)._mpf_) for n in range(lo, hi + 1)],
-                         0: [-_fraction(state.s(n).coeff(k)._mpf_) for n in range(lo, hi + 1)]})
+        pk = ((lo, hi), {1: [fraction_of(state.q(n).coeff(k)) for n in range(lo, hi + 1)],
+                         0: [-fraction_of(state.s(n).coeff(k)) for n in range(lo, hi + 1)]})
         term = _fraction_compose(pk, l2k)
         acc = term if acc is None else _fraction_sum(acc, term)
     return rounded_op(acc, mp.prec)
@@ -598,7 +614,7 @@ def _fpsup(p) -> Fraction:
 def _master_terms(state: DressingState, n: int):
     """S_n^2 and (z - U_n^2 - W_n) Q_n Q_{n+1} in Fractions."""
     S = _fraction_poly(state.s(n))
-    U, W = _fraction(state.U.at(n)._mpf_), _fraction(state.W.at(n)._mpf_)
+    U, W = fraction_of(state.U.at(n)), fraction_of(state.W.at(n))
     return _fpmul(S, S), _fpmul(_fpmul([-U ** 2 - W, Fraction(1)], _fraction_poly(state.q(n))),
                                 _fraction_poly(state.q(n + 1)))
 
@@ -622,7 +638,7 @@ def fraction_curve(state: DressingState, n: int) -> list:
 def fraction_pair_rule(state: DressingState, n: int) -> list:
     """Q_n = -(S_{n-1} + S_n) / (U_{n-1} + U_n) in Fractions of the stored
     values, trailing zeros trimmed."""
-    den = _fraction(state.U.at(n - 1)._mpf_) + _fraction(state.U.at(n)._mpf_)
+    den = fraction_of(state.U.at(n - 1)) + fraction_of(state.U.at(n))
     return _trimmed([-v / den for v in _fpsum(_fraction_poly(state.s(n - 1)),
                                              _fraction_poly(state.s(n)))])
 
@@ -636,8 +652,8 @@ def poly_dev(p: ZPoly, q: ZPoly) -> mpf:
 def fraction_four_term(U, W, n: int):
     """((s_i, c_i, d_i), i = 1..4) in Fractions of the stored U and W: the
     four-term relation R_n = sum_i d_i (z + c_i) S_{n+s_i}."""
-    Um1, U0, U1, U2 = (_fraction(U.at(k)._mpf_) for k in range(n - 1, n + 3))
-    W0, W1 = (_fraction(W.at(k)._mpf_) for k in (n, n + 1))
+    Um1, U0, U1, U2 = (fraction_of(U.at(k)) for k in range(n - 1, n + 3))
+    W0, W1 = (fraction_of(W.at(k)) for k in (n, n + 1))
     right, left = U1 + U2, Um1 + U0
     return ((-1, -U0 ** 2 - W0, right), (0, U0 * U1 + Um1 * (U0 + U1) - W0, right),
             (1, U0 * U1 + (U0 + U1) * U2 - W1, -left), (2, -U1 ** 2 - W1, -left))

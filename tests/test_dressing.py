@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import ldexp, lu_solve, matrix, mp, mpf, cos, sin
-from mpmath.libmp import fone, fzero, mpf_neg
+from mpmath.libmp import fone, fzero
 
 from commdiff.errors import (
     DegenerateDenominatorError,
@@ -50,11 +50,13 @@ from oracles import (
     fraction_curve,
     fraction_four_term,
     fraction_march,
+    fraction_of,
     fraction_op,
     fraction_pair_rule,
     fraction_row,
     fraction_table,
     poly_dev,
+    raws,
     rounded_fraction,
     rounded_op,
     rounded_poly,
@@ -260,7 +262,7 @@ def test_recovered_curve_is_the_fraction_master_rounded_once(spec, bits):
             S = {n: built.s(n) for n in range(window[0], window[1] + 1)}
             state = DressingState.from_s_table(built.U, built.W, S)
             want = fraction_curve(state, n0)
-            assert [c._mpf_ for c in state.curve.c] == [c._mpf_ for c in want], window
+            assert raws(state.curve.c) == raws(want), window
 
 
 def test_curve_recovery_compares_n0_and_n0_plus_1_exactly():
@@ -630,7 +632,7 @@ def test_pin_fit_matches_the_mpf_loop_bit_for_bit(bits):
                 pinned, resid = _pin_top_coefficients(basis, U, phi)
                 rows = [list(map(mp.make_mpf, phi[n])) for n in phi]
                 x, ref = _reference_lstsq(rows, [-U.at(n) for n in phi])
-                assert pinned == [v._mpf_ for v in x], (spec, build_bits)
+                assert pinned == raws(x), (spec, build_bits)
                 assert resid == ref["resid_inf"]._mpf_, (spec, build_bits)
 
 
@@ -725,10 +727,10 @@ def test_state_curve_is_read_at_n0(spec, bits):
     with mp.workprec(bits):
         U, W = family_from_spec(spec, (-12, 16))
         result = ansatz_solve(basis_for(spec), U, W)
-        want = [c._mpf_ for c in result.state(U, W, (-2, 3)).curve.c]
+        want = raws(result.state(U, W, (-2, 3)).curve.c)
         for window in ((-1, 2), (-10, 14), (-12, 16), (-3, 9)):
             got = result.state(U, W, window).curve.c
-            assert [c._mpf_ for c in got] == want, window
+            assert raws(got) == want, window
 
 
 def test_state_without_n0_reads_its_curve_at_lo_plus_1():
@@ -738,8 +740,8 @@ def test_state_without_n0_reads_its_curve_at_lo_plus_1():
     U, W = trig_family(2, mpf("1.3"), (-12, 20))
     result = ansatz_solve(TrigBasis(2), U, W)
     state = DressingState.from_s_table(U, W, {n: result.S[n] for n in range(3, 18)})
-    assert [c._mpf_ for c in state.curve.c] == [c._mpf_ for c in fraction_curve(state, 4)]
-    assert [c._mpf_ for c in state.curve.c] != [c._mpf_ for c in fraction_curve(state, 5)]
+    assert raws(state.curve.c) == raws(fraction_curve(state, 4))
+    assert raws(state.curve.c) != raws(fraction_curve(state, 5))
     assert verify_master(state, 4) <= mpf("1e-30")
 
 
@@ -752,9 +754,9 @@ def test_off_centre_state_takes_the_curve_at_n0(bits):
     with mp.workprec(bits):
         U, W = family_from_spec(spec, (-5, 31))
         result = ansatz_solve(basis_for(spec), U, W)
-        want = [c._mpf_ for c in result.state(U, W, (-2, 3)).curve.c]
+        want = raws(result.state(U, W, (-2, 3)).curve.c)
         state = result.state(U, W, (18, 29))
-        assert [c._mpf_ for c in state.curve.c] == want
+        assert raws(state.curve.c) == want
         for n in range(19, 28):
             # the largest |coefficient| of S_n^2
             (s,), e = raw_ints([state.s(n).raw])
@@ -765,10 +767,10 @@ def test_off_centre_state_takes_the_curve_at_n0(bits):
 def test_curve_recovery_needs_four_sites():
     U, W = trig_family(1, 1, (-12, 12))
     result = ansatz_solve(TrigBasis(1), U, W)
-    want = [c._mpf_ for c in result.state(U, W, (-2, 3)).curve.c]
+    want = raws(result.state(U, W, (-2, 3)).curve.c)
     for window in ((5, 5), (-1, 1), (4, 7)):
         state = result.state(U, W, window)
-        assert [c._mpf_ for c in state.curve.c] == want, window
+        assert raws(state.curve.c) == want, window
     with pytest.raises(WindowError):
         DressingState.from_s_table(U, W, {n: result.S[n] for n in range(-1, 2)})
 
@@ -995,45 +997,38 @@ def _on_fractions(march):
     return exact_march
 
 
-def _F(v):
-    """The mpf v as an exact Fraction."""
-    return _fraction(v._mpf_)
+def _once(x):
+    """The Fraction x rounded once at mp.prec, as a Fraction."""
+    return fraction_of(rounded_fraction(x))
 
 
-def _recursion_inputs(U, W, lo, hi):
-    """The raw d_i c_i, D_n and 1 / (D_n D_{n+2}) that ansatz_solve forms
-    from U and W on [lo, hi]: each the exact value over Fractions of the
-    stored tables (the factors by oracles.fraction_four_term), rounded once
-    at mp.prec; dc and the inverses on the relation's rows lo + 1..hi - 2,
-    D on lo + 1..hi."""
-    FU = {n: _F(U.at(n)) for n in range(lo, hi + 1)}
-    D = {n: FU[n - 1] + FU[n] for n in range(lo + 1, hi + 1)}
-    rows = range(lo + 1, hi - 1)
-    dc = {n: [rounded_fraction(d * c)._mpf_ for _s, c, d in fraction_four_term(U, W, n)]
-          for n in rows}
-    inv = {n: [rounded_fraction(1 / (D[n] * D[n + 2]))._mpf_] for n in rows}
-    return dc, {n: [rounded_fraction(v)._mpf_] for n, v in D.items()}, inv
-
-
-def _fit_march_inputs(U, W, g):
-    """The raw dc, D and 1 / (D_n D_{n+2}) (_recursion_inputs), the level-g
-    row, n0 and the march span of the constant fit, as ansatz_solve forms
-    them from U and W."""
+def _recursion_inputs(U, W, g, fine=None):
+    """ansatz_solve's recursion inputs as Fractions: the four d_i c_i, D_n
+    and 1 / (D_n D_{n+2}), each exact over the stored fine tables (U and W
+    without them; the factors by oracles.fraction_four_term) and rounded
+    once RECURSION_GUARD_BITS above mp.prec, dc and the inverses on the
+    relation's rows, D on lo + 1..hi; level g, the exact -U_n on [lo, hi];
+    n0, the first argmin |U_n| at mp.prec clamped into the rows; and the
+    span of the constant fit's march."""
     lo, hi = max(U.window[0], W.window[0]), min(U.window[1], W.window[1])
     rlo, rhi = lo + 1, hi - 2
     n0 = min(max(min(range(lo, hi + 1), key=lambda n: abs(U.at(n))), rlo), rhi)
-    a, b = max(rlo, n0 - 3 * g - 2) - 1, min(rhi, n0 + 3 * g + 2) + 2
-    dc, D, inv = _recursion_inputs(U, W, lo, hi)
-    top = {n: [(-U.at(n))._mpf_] for n in range(a, b + 1)}
-    return dc, D, inv, top, n0, (a, b)
+    span = max(rlo, n0 - 3 * g - 2) - 1, min(rhi, n0 + 3 * g + 2) + 2
+    Uf, Wf = fine or (U, W)
+    u = {n: fraction_of(Uf.at(n)) for n in range(lo, hi + 1)}
+    D = {n: u[n - 1] + u[n] for n in range(lo + 1, hi + 1)}
+    with mp.workprec(mp.prec + RECURSION_GUARD_BITS):
+        dc = {n: [_once(d * c) for _s, c, d in fraction_four_term(Uf, Wf, n)]
+              for n in range(rlo, rhi + 1)}
+        inv = {n: _once(1 / (D[n] * D[n + 2])) for n in dc}
+        D = {n: _once(v) for n, v in D.items()}
+    return dc, D, inv, {n: [-v] for n, v in u.items()}, n0, span
 
 
-def _fraction_inputs(dc, D, inv, top):
-    """The raw inputs of _fit_march_inputs as Fractions, D and inv as
-    scalars, for oracles.fraction_march."""
-    dc, top = ({n: [_fraction(v) for v in vs] for n, vs in t.items()} for t in (dc, top))
-    D, inv = ({n: _fraction(v) for n, (v,) in t.items()} for t in (D, inv))
-    return dc, D, inv, top
+def _exact_inputs(dc, D, inv, top):
+    """The inputs of _recursion_inputs as dressing's exact tables."""
+    return exact_table(dc), (exact_table({n: [v] for n, v in D.items()}),
+                             exact_table({n: [v] for n, v in inv.items()})), exact_table(top)
 
 
 def _column_seeds(g):
@@ -1043,126 +1038,85 @@ def _column_seeds(g):
             for j in range(1, 3 * g + 1, 3)]
 
 
-def _reference_fit_rows(dc, D, inv, top, g, n0, span):
-    """The z^0 fit rows of the 3g + 1 columns marched apart over Fractions
-    (oracles.fraction_march), each entry rounded once at mp.prec."""
-    dc, D, inv, top = _fraction_inputs(dc, D, inv, top)
+def _every_column(dc, D, inv, top, g, n0, span):
+    """Level 0 of the 3g + 1 fit columns marched apart over Fractions
+    (oracles.fraction_march) on span = [a, b], and its z^0 rows at n = a +
+    1..b - 2, exact."""
     s0 = fraction_march(dc, D, inv, top, _column_seeds(g), n0, span)[-1]
-    return {n: [rounded_fraction(v)._mpf_
-                for v in fraction_row(dc[n], [s0[n + k] for k in (-1, 0, 1, 2)])]
-            for n in range(span[0] + 1, span[1] - 1)}
+    return s0, {n: fraction_row(dc[n], [s0[n + k] for k in (-1, 0, 1, 2)])
+                for n in range(span[0] + 1, span[1] - 1)}
+
+
+def _worst_z0_ratio(U, W, dc, levels):
+    """ansatz_solve's worst z^0 ratio over Fractions: at each row n of dc,
+    |R_n| from level 0 of levels (g down to 0, each {n: [Fraction]}) over
+    max_i |d_i| max(|c_i|, 1) max_m |s_{n+s_i,m}|, the factors those of
+    oracles.fraction_four_term; exact."""
+    return max(abs(fraction_row(dc[n], [levels[-1][n + k] for k in (-1, 0, 1, 2)])[0])
+               / max(abs(d) * max(abs(c), 1) * max(abs(lv[n + s][0]) for lv in levels)
+                     for s, c, d in fraction_four_term(U, W, n))
+               for n in dc)
 
 
 FIT_FAMILIES = [("trig", {"r1": "1.3"}), ("poly", {"a2": "0.886695", "a0": "0.234504"}),
                 ("poly", ODD5), ("geom", {"a": "1.764235", "beta": "0.895178"})]
 
 
-def _exact_inputs(dc, D, inv, top):
-    """The raw inputs of _fit_march_inputs as dressing's exact tables."""
-    return dressing._exact(dc), (dressing._exact(D), dressing._exact(inv)), dressing._exact(top)
-
-
 @pytest.mark.parametrize("bits", (53, 113, 160, 1100))
 @pytest.mark.parametrize("kind, params", FIT_FAMILIES)
 def test_fit_rows_match_the_march_of_every_column_bit_for_bit(kind, params, bits):
-    # one exact march of four columns against the 3g + 1 columns marched
-    # apart over Fractions, each entry rounded once at the guard precision
-    # the fit runs at, on every genus up to 6
+    # the 3g + 1 fit columns marched apart over Fractions, on every genus up
+    # to 6: the level map is the same at every level, so the exact
+    # four-column march holds each level's constant columns of level 0 at
+    # level g - 1 - m, exactly; each fit-row entry is the exact entry
+    # rounded once at the guard precision the fit runs at; and some level-0
+    # value needs more bits than that precision
     for g in range(1, 7):
         with mp.workprec(bits):
             U, W = family_from_spec(FamilySpec(kind, g, params), (-10, 12))
+            dc, D, inv, top, n0, span = _recursion_inputs(U, W, g)
+        s0, exact_rows = _every_column(dc, D, inv, top, g, n0, span)
+        tables = _exact_inputs(dc, D, inv, top)
+        units = [[0, *(int(k == i) for k in range(3))] for i in range(3)], 0
+        four = dressing._march(*tables, [units, *[([[0] * 4] * 3, 0)] * (g - 1)], n0, span)
+        low, cols = fraction_table(four[-1]), [fraction_table(lv) for lv in four[:0:-1]]
+        for n in range(span[0], span[1] + 1):
+            assert [low[n][0], *(v for lv in cols for v in lv[n][1:])] == s0[n], (g, n)
         with mp.workprec(bits + RECURSION_GUARD_BITS):
-            dc, D, inv, top, n0, span = _fit_march_inputs(U, W, g)
-            rows = dressing._fit_rows(*_exact_inputs(dc, D, inv, top), g, n0, span)
-            assert rows == _reference_fit_rows(dc, D, inv, top, g, n0, span), g
-            assert len(rows[n0]) == 3 * g + 1
-
-
-@pytest.mark.parametrize("bits", (53, 113, 1100))
-@pytest.mark.parametrize("kind, params", FIT_FAMILIES)
-def test_four_column_march_equals_every_column_marched_apart_exactly(kind, params, bits):
-    # the level map is the same at every level, so each level's constant
-    # columns at level 0 are exactly the four-column march's unit columns at
-    # level g - 1 - m: as exact values, before any rounding; and the march
-    # of every column is the Fraction march, exactly
-    for g in (1, 3, 6):
-        with mp.workprec(bits):
-            U, W = family_from_spec(FamilySpec(kind, g, params), (-10, 12))
-        with mp.workprec(bits + RECURSION_GUARD_BITS):
-            dc, D, inv, top, n0, span = _fit_march_inputs(U, W, g)
-            ref = fraction_march(*_fraction_inputs(dc, D, inv, top), _column_seeds(g), n0,
-                                 span)[-1]
-            dc, den, top = _exact_inputs(dc, D, inv, top)
-            units = [[0, *(int(k == i) for k in range(3))] for i in range(3)], 0
-            four = dressing._march(dc, den, top, [units, *[([[0] * 4] * 3, 0)] * (g - 1)],
-                                   n0, span)
-            seeds = [([[int(v) for v in u] for u in seed], 0) for seed in _column_seeds(g)]
-            every = fraction_table(dressing._march(dc, den, top, seeds, n0, span)[-1])
-            assert every == ref, g
-            low, cols = fraction_table(four[-1]), [fraction_table(lv) for lv in four[:0:-1]]
-            for n in range(span[0], span[1] + 1):
-                got = [low[n][0], *(v for lv in cols for v in lv[n][1:])]
-                assert got == every[n], (g, n)
-            # some level-0 value needs more bits than the guard precision
-            assert any(_fraction(rounded_fraction(v)._mpf_) != v
-                       for vs in every.values() for v in vs), g
+            rows = dressing._fit_rows(*tables, g, n0, span)
+            assert rows == {n: raws(map(rounded_fraction, r)) for n, r in exact_rows.items()}, g
+            assert any(_once(v) != v for vs in s0.values() for v in vs), g
+        assert len(rows[n0]) == 3 * g + 1
 
 
 def _reference_ansatz_solve(g, U, W, fine=None):
-    """ansatz_solve's coefficients below z^g with its recursion over
-    Fractions on the solver's rounded inputs: D_n, d_i c_i and
-    1 / (D_n D_{n+2}) each exact and rounded once at the guard precision
-    (_recursion_inputs), level g the exact -U_n, the 3g + 1 fit columns
-    marched apart (oracles.fraction_march), each fit-row entry rounded once
-    there and the rows scaled and fitted as the solver does; the scalar
-    march over Fractions, each coefficient below z^g rounded once at the
-    working precision, and the worst z^0 ratio, exact, rounded once (checks
-    and messages left out).  Returns {n: the raw coefficients of z^0..z^(g-1)}
-    and the exact worst ratio; the z^g row is the pin fit's, which
-    test_ansatz_top_row_is_the_pin_fit checks."""
-    lo, hi = max(U.window[0], W.window[0]), min(U.window[1], W.window[1])
-    rlo, rhi = lo + 1, hi - 2
-    ncon = 3 * g
-    n0 = min(range(lo, hi + 1), key=lambda n: abs(U.at(n)))
-    n0 = min(max(n0, rlo), rhi)
-    flo, fhi = max(rlo, n0 - ncon - 2), min(rhi, n0 + ncon + 2)
-    Uf, Wf = (U, W) if fine is None else fine
+    """ansatz_solve's coefficients below z^g and its worst z^0 ratio, with
+    its recursion over Fractions on the solver's rounded inputs
+    (_recursion_inputs): the fit rows of _every_column, each entry rounded
+    once at the guard precision and the rows scaled and fitted as the
+    solver does; the scalar march over Fractions, each coefficient below
+    z^g rounded once at the working precision; and the exact worst ratio
+    (_worst_z0_ratio).  Checks and messages are left out.  Returns {n: the
+    raw coefficients of z^0..z^(g-1)} and the ratio; the z^g row is the pin
+    fit's, which test_ansatz_top_row_is_the_pin_fit checks."""
+    dc, D, inv, top, n0, span = _recursion_inputs(U, W, g, fine)
     with mp.workprec(mp.prec + RECURSION_GUARD_BITS):
-        top = {n: [mpf_neg(Uf.values_on(n, n)[0])] for n in range(lo, hi + 1)}
-        dc, FD, inv, top = _fraction_inputs(*_recursion_inputs(Uf, Wf, lo, hi), top)
-        fac = {n: fraction_four_term(Uf, Wf, n) for n in dc}
-
-        span = (flo - 1, fhi + 2)
-        s0 = fraction_march(dc, FD, inv, top, _column_seeds(g), n0, span)[-1]
         rows, rhs = [], []
-        for n in range(flo, fhi + 1):
-            r = [rounded_fraction(v)
-                 for v in fraction_row(dc[n], [s0[n + k] for k in (-1, 0, 1, 2)])]
+        for r in _every_column(dc, D, inv, top, g, n0, span)[1].values():
+            r = [rounded_fraction(v) for v in r]
             row, b = r[1:], -r[0]
             big = max(abs(v) for v in row)
             if big:
                 # a power of two puts the largest |entry| in [1/2, 1), exactly
                 k = -sum(big._mpf_[2:])
                 row, b = [ldexp(v, k) for v in row], ldexp(b, k)
-            rows.append([v._mpf_ for v in row])
+            rows.append(raws(row))
             rhs.append(b._mpf_)
         x = [_fraction(v) for v in linalg.lstsq(rows, rhs)[0]]
-
-        seeds = [([x[j]], [x[j + 1]], [x[j + 2]]) for j in range(0, ncon, 3)]
-        levels = fraction_march(dc, FD, inv, top, seeds, n0, (lo, hi))
-        coeffs = {n: [lv[n][0] for lv in reversed(levels)] for n in range(lo, hi + 1)}
-        sup = {n: max(abs(v) for v in cs) for n, cs in coeffs.items()}
-        worst = Fraction(0)
-        for n, f in fac.items():
-            r = sum(v * coeffs[n + k][0] for v, k in zip(dc[n], (-1, 0, 1, 2)))
-            scale = max(abs(d) * max(abs(c), 1) * sup[n + s] for s, c, d in f)
-            worst = max(worst, abs(r) / scale)
-
-    return {n: [rounded_fraction(v)._mpf_ for v in cs[:g]] for n, cs in coeffs.items()}, worst
-
-
-def _raw_tuple(vals):
-    return tuple(None if v is None else v._mpf_ for v in vals)
+    seeds = [([x[j]], [x[j + 1]], [x[j + 2]]) for j in range(0, 3 * g, 3)]
+    levels = fraction_march(dc, D, inv, top, seeds, n0, (min(top), max(top)))
+    below = {n: raws(rounded_fraction(lv[n][0]) for lv in levels[:0:-1]) for n in top}
+    return below, _worst_z0_ratio(*(fine or (U, W)), dc, levels)
 
 
 TRAP_FAMILIES = [("poly", 3, ODD5), ("trig", 2, {"r1": "1.3"})]
@@ -1191,7 +1145,7 @@ def test_verify_master_and_residual_linear_are_exact(bits):
                 ref = [rounded_fraction(v) for v in r]
                 while ref and ref[-1] == 0:
                     ref.pop()
-                assert residual_linear(state, n).raw == [v._mpf_ for v in ref], n
+                assert residual_linear(state, n).raw == raws(ref), n
 
 
 @pytest.mark.parametrize("bits", (53, 113, 160, 1100))
@@ -1221,12 +1175,14 @@ def test_four_term_factors_are_the_fraction_factors_exactly(bits):
 
 @pytest.mark.parametrize("bits", (53, 113, 160, 1100))
 @pytest.mark.parametrize("kind, g, params", TRAP_FAMILIES)
-def test_ansatz_solve_matches_the_mpf_loops_bit_for_bit(kind, g, params, bits):
+def test_ansatz_solve_is_the_fraction_recursion_bit_for_bit(kind, g, params, bits):
     # the working tables, build_case's fine ones, and tables tabulated at
-    # twice the precision, whose negation rounds
-    spec = FamilySpec(kind, g, params)
-    basis, window = basis_for(spec), (-12, 16)
+    # twice the precision, whose negation rounds; the parameters are read
+    # at the working precision, so that the tables are as wide as it
+    window = (-12, 16)
     with mp.workprec(bits):
+        spec = FamilySpec(kind, g, params)
+        basis = basis_for(spec)
         U, W = family_from_spec(spec, window)
         with mp.workprec(bits + RECURSION_GUARD_BITS):
             fine = family_from_spec(spec, window)
@@ -1237,7 +1193,7 @@ def test_ansatz_solve_matches_the_mpf_loops_bit_for_bit(kind, g, params, bits):
             below, worst = _reference_ansatz_solve(g, *tables, extra)
             assert sorted(result.S) == sorted(below)
             for n, coeffs in below.items():
-                assert [result.S[n].coeff(k)._mpf_ for k in range(g)] == coeffs, n
+                assert raws(result.S[n].coeff(k) for k in range(g)) == coeffs, n
             assert result.info["resid_rel"]._mpf_ == rounded_fraction(worst)._mpf_
 
 
@@ -1260,15 +1216,8 @@ def test_ansatz_residual_is_the_exact_worst_ratio_rounded_once(monkeypatch, bits
         with mp.workprec(bits):
             U, W = family_from_spec(spec, (-12, 16))
             result = ansatz_solve(basis_for(spec), U, W)
-            (dc, (D, _inv), _top, _seeds, _n0, (lo, hi)), levels = calls[-1]
-            fac = {n: fraction_four_term(U, W, n) for n in range(lo + 1, hi - 1)}
-            dc, levels = fraction_table(dc), [fraction_table(lv) for lv in levels]
-            worst = Fraction(0)
-            for n, f in fac.items():
-                r = sum(v * levels[-1][n + k][0] for v, k in zip(dc[n], (-1, 0, 1, 2)))
-                scale = max(abs(d) * max(abs(c), 1)
-                            * max(abs(lv[n + s][0]) for lv in levels) for s, c, d in f)
-                worst = max(worst, abs(r) / scale)
+            (dc, *_), levels = calls[-1]
+            worst = _worst_z0_ratio(U, W, fraction_table(dc), [fraction_table(lv) for lv in levels])
             assert worst > 0
             assert result.info["resid_rel"]._mpf_ == rounded_fraction(worst)._mpf_, kind
 
@@ -1290,7 +1239,7 @@ def test_ansatz_rejects_a_z0_row_above_tolerance_naming_n(site, row):
 @pytest.mark.parametrize("kind, g, params", [
     *TRAP_FAMILIES, ("geom", 2, {"a": "1.764235", "beta": "0.895178"}), ("elliptic", 1, {}),
 ])
-def test_identity_residuals_match_the_mpf_loops_bit_for_bit(kind, g, params, bits):
+def test_identity_residuals_are_exact_ratios_rounded_once(kind, g, params, bits):
     # states built at the working precision and at twice it, whose curve
     # coefficients and tables carry bits that abs and negation round, on
     # windows inside the state and clipped at its low end, its high end
@@ -1304,7 +1253,7 @@ def test_identity_residuals_match_the_mpf_loops_bit_for_bit(kind, g, params, bit
                 for skew in (False, True):
                     got = identity_residuals(state, window, skew=skew)
                     ref = exact_identity_residuals(state, window, skew)
-                    assert _raw_tuple(got) == _raw_tuple(ref), (build_bits, window, skew)
+                    assert raws(got) == raws(ref), (build_bits, window, skew)
 
 
 def _exact_l2(U, W):
@@ -1315,14 +1264,10 @@ def _exact_l2(U, W):
     return rounded_op(_fraction_sum(fraction_op(sq), fraction_op(DiffOp({0: W}))), mp.prec)
 
 
-def _raw_poly(p):
-    return [c._mpf_ for c in p.coeffs]
-
-
 def _assert_same_op(L, ref):
     assert L.window == ref.window and sorted(L.terms) == sorted(ref.terms)
     for j, t in L.terms.items():
-        assert [v._mpf_ for v in t.values] == [v._mpf_ for v in ref.terms[j].values], j
+        assert raws(t.values) == raws(ref.terms[j].values), j
 
 
 def _assert_mpf_only(L2, partner, state):
@@ -1352,8 +1297,8 @@ def test_pipeline_matches_dense_references_bit_for_bit(monkeypatch, kind, params
             assert extras == ref_extras
             assert state.window == ref_state.window
             for n in range(state.window[0], state.window[1] + 1):
-                assert _raw_poly(state.s(n)) == _raw_poly(ref_state.s(n)), (g, n)
-            assert [c._mpf_ for c in state.curve.c] == [c._mpf_ for c in ref_state.curve.c]
+                assert raws(state.s(n).coeffs) == raws(ref_state.s(n).coeffs), (g, n)
+            assert raws(state.curve.c) == raws(ref_state.curve.c)
 
 
 @pytest.mark.parametrize("bits", (113, 160))
@@ -1378,7 +1323,7 @@ def test_elliptic_state_and_partner_match_references_bit_for_bit(bits):
             for n in range(-12, 13):
                 u = -(s_ref(n) + s_ref(n + 1)) / (gamma.at(n) - gamma.at(n + 1))
                 ref = ZPoly([s_ref(n) + u * gamma.at(n), -u])
-                assert _raw_poly(state.s(n)) == _raw_poly(ref), n
+                assert raws(state.s(n).coeffs) == raws(ref.coeffs), n
 
 
 def _wide(vals, p):
@@ -1392,7 +1337,7 @@ def _rounded(seq):
 
 
 @pytest.mark.parametrize("bits", (53, 113, 160))
-def test_l2_operator_window_and_bits_match_the_mpf_loops(bits):
+def test_l2_operator_window_and_bits_match_the_exact_square_and_sum(bits):
     rng = random.Random(bits)
     with mp.workprec(2 * bits):
         def seq(window):
@@ -1427,7 +1372,7 @@ def test_l2_operator_on_too_small_a_window_is_a_window_error():
 @pytest.mark.parametrize("kind, g, params", [
     ("trig", 2, {"r1": "1.3"}), ("poly", 3, ODD5), ("geom", 2, {"a": "2.272327", "beta": "1.614327"}),
 ])
-def test_partner_of_a_wider_state_matches_the_mpf_loops(kind, g, params, bits):
+def test_partner_of_a_wider_state_is_the_exact_assembly(kind, g, params, bits):
     # the state's tables at 2p, and an L2 at 2p, enter the exact assembly
     # unrounded; each coefficient of the partner is rounded once
     with mp.workprec(2 * bits):

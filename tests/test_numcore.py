@@ -9,7 +9,7 @@ from mpmath.libmp import (
     mpf_mul, mpf_neg, mpf_sub, round_nearest,
 )
 
-from oracles import _fpmul, _fpsum, _fraction_poly, poly_div_exact, trap_values
+from oracles import _fpmul, _fpsum, _fraction_poly, fraction_of, poly_div_exact, raws, trap_values
 
 from commdiff import numcore
 from commdiff.errors import DegenerateDenominatorError, NonFiniteError
@@ -92,10 +92,6 @@ def test_poly_mul_pointwise_oracle():
                 assert _horner(prod, z) == _horner(a, z) * _horner(b, z)
 
 
-def _raw(poly):
-    return [c._mpf_ for c in poly.coeffs]
-
-
 def _reference_sup_norm(p):
     return max((abs(c) for c in p.coeffs), default=mpf(0))
 
@@ -111,8 +107,7 @@ def test_poly_kernels_match_the_mpf_loops_bit_for_bit(bits):
                        for _ in range(rng.randint(1, 7))])
             assert p.sup_norm()._mpf_ == _reference_sup_norm(p)._mpf_
         # the first largest of the |v| rounded at prec, as max() picks it
-        raws = [v._mpf_ for v in pool]
-        assert raw_max(raws, bits) == max(abs(v) for v in pool)._mpf_
+        assert raw_max(raws(pool), bits) == max(abs(v) for v in pool)._mpf_
 
 
 @pytest.mark.parametrize("bits", (53, 113, 160, 1100))
@@ -209,7 +204,7 @@ def test_kernels_match_libmp_on_random_operands(p):
 
     _check_kernels(((draw(), draw()) for _ in range(1500)), p)
     with mp.workprec(p):
-        pool = [v._mpf_ for v in trap_values(rng, p)]
+        pool = raws(trap_values(rng, p))
     _check_kernels(((s, t) for s in pool for t in pool), p)
 
 
@@ -332,7 +327,7 @@ def test_rmac_matches_the_kernels_on_random_operands(p):
 
     _check_rmac(((draw(), draw(), draw()) for _ in range(1500)), p)
     with mp.workprec(p):
-        pool = [v._mpf_ for v in trap_values(rng, p)]
+        pool = raws(trap_values(rng, p))
     _check_rmac(((a, s, t) for a in pool for s in pool for t in pool), p)
 
 
@@ -419,7 +414,7 @@ def test_rdot_is_the_sum_from_zero(p):
     # random draws from trap_values, whose wide values need rounding at p
     rng = random.Random(p + 11)
     with mp.workprec(p):
-        pool = [v._mpf_ for v in trap_values(rng, p)]
+        pool = raws(trap_values(rng, p))
     wide = pool[4:]
     cases = [([], []), ([wide[0]], [wide[1]]), ([fzero], [wide[0]]),
              ([fzero, wide[0], wide[1]], [wide[2], wide[3], fone]),
@@ -626,11 +621,6 @@ def test_curve_validation():
         HyperellipticCurve.from_exact(([3, 0, 0, 1], 3), 1, mpf("1e-9"))
 
 
-def _fraction_of(v) -> Fraction:
-    sign, man, exp, _ = v._mpf_
-    return (-1) ** sign * man * Fraction(2) ** exp
-
-
 @pytest.mark.parametrize("bits", (53, 113, 160, 1100))
 def test_from_exact_rounds_each_coefficient_once(bits):
     # each c_k is the Fraction f_k / lead rounded once, for ints up to 3100
@@ -639,7 +629,7 @@ def test_from_exact_rounds_each_coefficient_once(bits):
     # |coefficient|
     rng = random.Random(bits + 41)
     tol = mpf("1e-6")
-    t = _fraction_of(tol)
+    t = fraction_of(tol)
     with mp.workprec(bits):
         for exp in (-3000, -bits, -20, -1):
             one = 1 << -exp
@@ -648,7 +638,7 @@ def test_from_exact_rounds_each_coefficient_once(bits):
                      for _ in range(5)]
                 f.append(one + rng.randint(-(one >> 30), one >> 30))
                 curve = HyperellipticCurve.from_exact((f, exp), 2, tol)
-                assert [c._mpf_ for c in curve.c] == [
+                assert raws(curve.c) == [
                     from_rational(v, f[-1], bits, round_nearest) for v in f[:5]]
             # the largest lead above 1 and the least below it that pass
             above, below = int(t * one / (1 - t)), int(t * one)
@@ -686,7 +676,7 @@ def test_worst_ratio_is_the_largest_ratio_rounded_once(bits):
 
 def test_exceeds_is_the_exact_comparison():
     for tol in (mpf("1e-6"), mpf(3), mpf(2) ** -200, mpf(1) / 3):
-        t = _fraction_of(tol)
+        t = fraction_of(tol)
         for den in (1, 7, 2 ** 90 + 1):
             edge = t * den
             for num in {int(edge) - 1, int(edge), int(edge) + 1, 0}:

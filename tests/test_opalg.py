@@ -26,6 +26,7 @@ from oracles import (
     fraction_form,
     fraction_op,
     apply_scalars,
+    raws,
     rounded_op,
     rounded_poly,
     shift,
@@ -421,14 +422,10 @@ def _exact_sum(A, B, sign=1):
     return _terms_of(rounded_op(_fraction_sum(fraction_op(A), fraction_op(B), sign), mp.prec))
 
 
-def _raw_vals(vals):
-    return [v._mpf_ for v in vals]
-
-
 def _assert_op_is(L, window, terms):
     assert L.window == window and sorted(L.terms) == sorted(terms)
     for j, vals in terms.items():
-        assert _raw_vals(L.terms[j].values) == _raw_vals(vals), j
+        assert raws(L.terms[j].values) == raws(vals), j
 
 
 @pytest.mark.parametrize("bits", (53, 113, 160, 1100))

@@ -16,7 +16,7 @@ from commdiff.rank2 import (
     verify_rank2,
 )
 from commdiff.spectral import rank2_curve_check
-from oracles import _fpmul, _fraction, rounded_fraction
+from oracles import _fpmul, fraction_of, raws, rounded_fraction
 
 WIN = (-28, 28)
 
@@ -64,10 +64,9 @@ def test_expected_curve_is_the_exact_product_rounded_once(bits):
         a2, a1, a0 = p.a2, p.a1, p.a0
         inner1 = (a0 - a1) * (a0 - a2) * (a0 * (2 * a0 - a1) - 2 * (a0 + a1) * a2)
         inner2 = (-2 * a0**2 + a1**2 + 4 * a0 * a2 + 3 * (a1 - 2 * a2) * a2) ** 2
-        lin1, lin2 = [_fraction(inner1._mpf_), 32], [_fraction(inner2._mpf_), 256]
+        lin1, lin2 = [fraction_of(inner1), 32], [fraction_of(inner2), 256]
         want = [v / 2 ** 18 for v in _fpmul(_fpmul(lin1, lin1), lin2)]
-        assert [c._mpf_ for c in expected_curve_poly(p).coeffs] == [
-            rounded_fraction(v)._mpf_ for v in want]
+        assert raws(expected_curve_poly(p).coeffs) == raws(map(rounded_fraction, want))
 
 
 def test_pair_commutes():
@@ -180,7 +179,7 @@ def test_the_dyadic_pair_tabulates_as_the_mpf_closed_forms(bits):
 def test_l4_coefficients_are_the_exact_closed_forms_rounded_once(params, bits):
     with mp.workprec(bits):
         p = Rank2Params(*params)
-        a2, a1, a0 = (_fraction(v._mpf_) for v in (p.a2, p.a1, p.a0))
+        a2, a1, a0 = (fraction_of(v) for v in (p.a2, p.a1, p.a0))
         forms = _closed_forms(a2, a1, a0, Fraction(1))[4]
         assert _terms(build_l4(p, WIN)) == _tabulated(forms, 4, lambda v: rounded_fraction(v)._mpf_)
 

@@ -12,7 +12,6 @@ from commdiff.families import FamilySpec, build_case, poly_family
 from commdiff.rank2 import Rank2Params, build_l4, build_l6_special, expected_curve_poly
 from oracles import (
     CRITERION_1_PARAMS,
-    _fraction,
     baker_akhiezer,
     curve_point,
     exact_curve,
@@ -21,6 +20,7 @@ from oracles import (
     fraction_apply,
     fraction_char_poly,
     fraction_kernel,
+    fraction_of,
     fraction_z,
     rounded_fraction,
     rounded_poly,
@@ -141,7 +141,7 @@ def test_char_poly_coeffs_small_matrix():
     assert [fraction_z(c) for c in char_poly_coeffs(M)] == [[-6], [11], [-6], [1]]
     # 2 x 2: determinant and minus the trace, exactly
     vals = [mpf(1) / 3, mpf(2) / 7, mpf(-5) / 11, mpf(3) / 13]
-    a, b, c, d = (_fraction(v._mpf_) for v in vals)
+    a, b, c, d = (fraction_of(v) for v in vals)
     (ea, eb), (ec, ed) = [[exact_z(ZPoly([v])) for v in vals[k:k + 2]] for k in (0, 2)]
     got = char_poly_coeffs([[ea, eb], [ec, ed]])
     assert [fraction_z(x) for x in got] == [[a * d - b * c], [-(a + d)], [1]]
