@@ -3,27 +3,37 @@ zeta differences, their continuum limit, and the genus-1 spectral-curve
 stability check across step sizes, whose order-3 partner build_partner_op
 assembles from the dressing state of the genus-1 chain.
 
-wp and zeta are Jacobi theta quotients via mpmath.jtheta (DLMF 23.6), with
-the nome of the rectangular real lattice; the branch points e1 > e2 > e3,
-the roots of 4 e^3 - g2 e - g3, come from Viete's trigonometric form.  The
-test-suite pins the conventions numerically: the Laurent expansion
-wp(x) = 1/x^2 + g2 x^2/20 + ..., zeta' = -wp, and the differential equation
-(wp')^2 = 4 wp^3 - g2 wp - g3 through a difference quotient of wp.
+wp and zeta are Jacobi theta quotients (DLMF 23.6) with the nome of the
+rectangular real lattice, summed from the theta series (DLMF 20.2.1-2): one
+fixed-point pass per site gives the sums for theta1, theta2 and theta1',
+and each value is one ratio of ints rounded once; mpmath.jtheta gives the
+constants only.  The branch points e1 > e2 > e3, the roots of
+4 e^3 - g2 e - g3, come from Viete's trigonometric form.  The test-suite
+pins the conventions numerically: the Laurent expansion
+wp(x) = 1/x^2 + g2 x^2/20 + ..., zeta' = -wp, the differential equation
+(wp')^2 = 4 wp^3 - g2 wp - g3 through a difference quotient of wp, and
+both values against the same quotients by mpmath.jtheta 200 bits finer.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import count, repeat
 
-from mpmath import mp, mpf, sqrt, pi, agm, acos, exp, jtheta, floor, log, cos
+from mpmath import mp, mpf, sqrt, pi, agm, acos, exp, jtheta, log, cos
+from mpmath.libmp import fzero, mpf_abs, mpf_cos_sin, mpf_lt, mpf_mul
+from mpmath.libmp import round_nearest as RND
 
 from .errors import InconsistentDataError, LatticeProximityError
 from .dressing import DressingState, build_partner_op
-from .numcore import HyperellipticCurve, ZPoly, scalar
+from .numcore import HyperellipticCurve, ZPoly, rratio, rround, scalar
 from .opalg import CoeffSeq, DiffOp
 from .spectral import extract_curve
 
 LATTICE_PROXIMITY = mpf("1e-6")
+
+# fixed-point bits of the theta sums past the working precision, besides
+# those that theta1 loses near a lattice point (see WeierstrassContext)
+THETA_GUARD_BITS = 12
 
 # verdict thresholds: the fitted continuum order, the distance of each step's
 # curve from the Weierstrass cubic, and the genus-1 chain residual (named for
@@ -37,6 +47,26 @@ NEWTON_TOL = mpf("1e-8")
 DEFAULT_SLOPE_EPS = ("0.0125", "0.00625", "0.003125")
 
 
+def _signed(v):
+    """The raw value v as (signed mantissa, exponent), exactly."""
+    sign, man, exp, _ = v
+    return -man if sign else man, exp
+
+
+def _fixed(man: int, exp: int, bits: int) -> int:
+    """man 2^exp as the nearest int on 2^-bits, halves rounded up."""
+    shift = exp + bits
+    return man << shift if shift >= 0 else ((man >> (-shift - 1)) + 1) >> 1
+
+
+def _ratio(a: int, ea: int, b: int, eb: int, den: int, p):
+    """(a 2^ea + b 2^eb) / den for ints a, b and den != 0, rounded once at p
+    bits by rratio."""
+    e = min(ea, eb)
+    sign, man, exp, bc = rratio((a << (ea - e)) + (b << (eb - e)), den, p)
+    return (sign, man, exp + e, bc) if man else fzero
+
+
 class WeierstrassContext:
     """Evaluators for wp and zeta on the real line for invariants (g2, g3).
 
@@ -45,12 +75,33 @@ class WeierstrassContext:
     k = pi / (2 omega1), the nome q = exp(-pi omega2_mag / omega1) and
     v = k x (theta_j at nome q, primes in v):
 
-        wp(x)   = e1 + (k theta3(0) theta4(0) theta2(v) / theta1(v))^2
+        wp(x)   = e1 + (c theta2(v) / theta1(v))^2,  c = k theta3(0) theta4(0)
         zeta(x) = eta1 x / omega1 + k theta1'(v) / theta1(v)
         eta1    = zeta(omega1) = -k^2 omega1 theta1'''(0) / (3 theta1'(0))
 
-    Its constants are those of the precision at construction; wp and zeta
-    at another precision read a context built at that one, once.
+    The constants e1, omega1, k, q, c and eta1 are mpmath values at the
+    precision of construction.  With the theta series
+
+        theta1(v)  = 2 q^(1/4) sum (-1)^n q^(n(n+1)) sin((2n+1) v)
+        theta2(v)  = 2 q^(1/4) sum q^(n(n+1)) cos((2n+1) v)
+        theta1'(v) = 2 q^(1/4) sum (-1)^n (2n+1) q^(n(n+1)) cos((2n+1) v)
+
+    a site needs the three sums S1, C2 and D1 without the factor
+    2 q^(1/4), which cancels from
+
+        zeta(x) = (eta1 x S1 + k omega1 D1) / (omega1 S1)
+        wp(x)   = (e1 S1^2 + c^2 C2^2) / S1^2,
+
+    each one ratio of ints rounded once.  The sums are fixed point on
+    2^-bits: the ints q^(n(n+1)) down to the last nonzero one, rounded once
+    from the exact power of q, meet cos and sin of (2n+1) v, which start
+    from mpmath's cos_sin of the exact product k x and step by the rotation
+    through 2 v.  bits is the precision plus THETA_GUARD_BITS plus the bits
+    of 1 / (k LATTICE_PROXIMITY): theta1 falls to about k d at a distance d
+    from a lattice point while the sums are absolute, so those bits keep its
+    relative error below 2^-prec at the closest site the guard admits.  wp
+    and zeta at another precision read a context built at that one, once;
+    each context caches its values per site.
     """
 
     def __init__(self, g2, g3):
@@ -67,47 +118,106 @@ class WeierstrassContext:
         self._q = q = exp(-pi * self.omega2_mag / self.omega1)
         self._c = self._k * jtheta(3, 0, q) * jtheta(4, 0, q)
         self.eta1 = -self._k**2 * self.omega1 * jtheta(1, 0, q, 3) / (3 * jtheta(1, 0, q, 1))
+        self._prec = mp.prec
+        self._bits = bits = (mp.prec + THETA_GUARD_BITS
+                             + int(1 / (self._k * LATTICE_PROXIMITY)).bit_length())
+        # the weights of term n in S1, C2 and D1: (-1)^n Q_n, Q_n and
+        # (-1)^n (2n+1) Q_n, with Q_n = q^(n(n+1)) on 2^-bits
+        qm, qe = _signed(q._mpf_)
+        self._terms = []
+        for n in count():
+            big_q = _fixed(qm ** (n * (n + 1)), qe * n * (n + 1), bits)
+            if not big_q:
+                break
+            sq = -big_q if n % 2 else big_q
+            self._terms.append((sq, big_q, (2 * n + 1) * sq))
+        # the ratios' constants as signed mantissas and exponents: omega1;
+        # zeta's eta1 and k omega1, omega1's exponent divided out; wp's e1
+        # and c^2
+        self._om = om, oe = _signed(self.omega1._mpf_)
+        eta, eta_exp = _signed(self.eta1._mpf_)
+        km, ke = _signed(self._k._mpf_)
+        cm, ce = _signed(self._c._mpf_)
+        self._zeta_consts = (eta, eta_exp - oe, km * om, ke)
+        self._wp_consts = (*_signed(self.e1._mpf_), cm * cm, 2 * ce)
         self._values = {}
         self._by_prec = {mp.prec: self}
 
-    def _site(self, x):
-        """(x, v) with v = k x; x must stay LATTICE_PROXIMITY away from the
-        real lattice points 2 m omega1."""
-        x = scalar(x)
-        m = int(floor(x / (2 * self.omega1) + mpf(1) / 2))
-        if abs(x - 2 * m * self.omega1) < LATTICE_PROXIMITY:
+    def _site(self, x: mpf) -> mpf:
+        """x, refused within LATTICE_PROXIMITY of the real lattice points
+        2 m omega1: h = x / (2 omega1), m = floor(h + 1/2) and the distance
+        x - 2 m omega1, each step formed exactly and rounded once at the
+        context's precision, so that the message's mpf expressions give the
+        same bits."""
+        p = self._prec
+        om, oe = self._om
+        xm, xe = _signed(x._mpf_)
+        sign, man, exp, bc = rratio(xm, om, p)
+        exp += xe - oe - 1
+        if not man or exp + bc <= -2:
+            m = 0  # |h| < 1/4, so h + 1/2 rounds into (1/4, 3/4)
+        else:
+            e = min(exp, -1)
+            sign, man, exp, _ = rround(((-man if sign else man) << (exp - e)) + (1 << (-1 - e)),
+                                       e, p)
+            m = -man if sign else man
+            m = m << exp if exp >= 0 else m >> -exp
+        tm, te = _signed(rround(2 * m * om, oe, p))
+        e = min(xe, te)
+        d = rround((xm << (xe - e)) - (tm << (te - e)), e, p)
+        if mpf_lt(mpf_abs(d), LATTICE_PROXIMITY._mpf_):
             raise LatticeProximityError(
                 f"argument {x} is within {LATTICE_PROXIMITY} of lattice point "
                 f"{2 * m * self.omega1}"
             )
-        return x, self._k * x
+        return x
 
     def _cached(self, fn, x) -> mpf:
-        """fn(x, v) once per (fn, x) in the working precision's context; _site
-        raises before the lookup, so a refused argument is refused on every call."""
-        if mp.prec not in self._by_prec:
-            self._by_prec[mp.prec] = WeierstrassContext(self.g2, self.g3)
-        ctx = self._by_prec[mp.prec]
-        x, v = ctx._site(x)
+        """fn(x) once per (fn, x) in the working precision's context; only a
+        value _site admits is cached, so a refused argument is refused on
+        every call."""
+        ctx = self._by_prec.get(mp.prec)
+        if ctx is None:
+            ctx = self._by_prec[mp.prec] = WeierstrassContext(self.g2, self.g3)
+        x = scalar(x)
         key = (fn, x._mpf_)
         if key not in ctx._values:
-            ctx._values[key] = fn(ctx, x, v)
+            ctx._values[key] = mp.make_mpf(fn(ctx, ctx._site(x)))
         return ctx._values[key]
 
-    def _wp(self, x, v) -> mpf:
-        ratio = self._c * jtheta(2, v, self._q) / jtheta(1, v, self._q)
-        return self.e1 + ratio**2
+    def _sums(self, x):
+        """(S1, C2, D1) at v = k x, on 2^-2bits."""
+        bits = self._bits
+        cos_v, sin_v = mpf_cos_sin(mpf_mul(self._k._mpf_, x._mpf_), bits, RND)
+        c, s = _fixed(*_signed(cos_v), bits), _fixed(*_signed(sin_v), bits)
+        # cos 2v and sin 2v, which step (2n+1) v to (2n+3) v
+        c2, s2 = (c * c - s * s) >> bits, (c * s) >> (bits - 1)
+        s1 = c2_sum = d1 = 0
+        for sq, big_q, dq in self._terms:
+            s1 += sq * s
+            c2_sum += big_q * c
+            d1 += dq * c
+            c, s = (c * c2 - s * s2) >> bits, (s * c2 + c * s2) >> bits
+        return s1, c2_sum, d1
 
-    def _zeta(self, x, v) -> mpf:
-        t1, d1 = jtheta(1, v, self._q), jtheta(1, v, self._q, 1)
-        return self.eta1 * x / self.omega1 + self._k * d1 / t1
+    def _wp(self, x):
+        s1, c2, _ = self._sums(x)
+        e1, e1_exp, cc, cc_exp = self._wp_consts
+        return _ratio(e1 * s1 * s1, e1_exp, cc * c2 * c2, cc_exp, s1 * s1, self._prec)
+
+    def _zeta(self, x):
+        s1, _, d1 = self._sums(x)
+        eta, eta_exp, kw, k_exp = self._zeta_consts
+        xm, xe = _signed(x._mpf_)
+        return _ratio(eta * xm * s1, eta_exp + xe, kw * d1, k_exp, self._om[0] * s1,
+                      self._prec)
 
     def wp(self, x) -> mpf:
-        """wp(x) from theta1 and theta2 at v = k x, cached per context."""
+        """wp(x) = (e1 S1^2 + c^2 C2^2) / S1^2, cached per context."""
         return self._cached(WeierstrassContext._wp, x)
 
     def zeta(self, x) -> mpf:
-        """zeta(x) from theta1 and theta1' at v = k x, cached per context."""
+        """zeta(x) = (eta1 x S1 + k omega1 D1) / (omega1 S1), cached per context."""
         return self._cached(WeierstrassContext._zeta, x)
 
 
@@ -326,9 +436,8 @@ def lame_curve_independence(ctx: WeierstrassContext, eps_list, x0) -> LameIndepe
         eps = scalar(eps)
         A1 = ag_build(ctx, 1, eps)
         u0 = eps**2 * ctx.wp(eps)
-        # zeta evaluations are the expensive part: tabulate the T-coefficient
-        # once, on the chain window, which covers both the chain sites and the
-        # partner window
+        # the T-coefficient, tabulated once on the chain window, which covers
+        # both the chain sites and the partner window
         chain_window = (wlo - 1, max(whi + 4, CHAIN_SITES))
         u1_tab = {n: eps * A1(x0 + n * eps) for n in range(*chain_window)}
         u1 = u1_tab.__getitem__

@@ -224,13 +224,15 @@ def test_pair_rule_rounds_a_near_tie_once():
     assert q.raw == [rround(M + 1, 0, p), fone]
 
 
-# one state of each kind: trig, dyadic and non-dyadic poly, geom and elliptic
+# one state of each kind: trig, dyadic and non-dyadic poly, geom and elliptic,
+# as (kind, genus, parameters); each test reads its FamilySpec at its working
+# precision, so that a non-dyadic family's tables are as wide as it
 STATE_SPECS = [
-    FamilySpec("trig", 2, {"r1": "1.3"}),
-    FamilySpec("poly", 2, {"a2": 1, "a0": "0.25", "a1": "0.5"}),
-    FamilySpec("poly", 2, {"a2": "0.886695", "a1": "0.708451", "a0": "0.234504"}),
-    FamilySpec("geom", 2, {"a": "1.764235", "beta": "0.895178"}),
-    FamilySpec("elliptic", 1, {}),
+    ("trig", 2, {"r1": "1.3"}),
+    ("poly", 2, {"a2": 1, "a0": "0.25", "a1": "0.5"}),
+    ("poly", 2, {"a2": "0.886695", "a1": "0.708451", "a0": "0.234504"}),
+    ("geom", 2, {"a": "1.764235", "beta": "0.895178"}),
+    ("elliptic", 1, {}),
 ]
 STATE_IDS = ["trig", "poly", "poly-nondyadic", "geom", "elliptic"]
 
@@ -241,7 +243,7 @@ def test_pair_rule_is_the_fraction_ratio_rounded_once(spec, bits):
     # every Q_n of the state: -(S_{n-1} + S_n) / (U_{n-1} + U_n) over
     # Fractions of the stored values, each coefficient rounded once
     with mp.workprec(bits):
-        _L2, _partner, state, _extras = build_case(spec, (-3, 3))
+        _L2, _partner, state, _extras = build_case(FamilySpec(*spec), (-3, 3))
         for n in state.Q:
             assert state.q(n).raw == rounded_poly(fraction_pair_rule(state, n)), n
             assert q_from_s(state.s(n - 1), state.s(n), state.U.at(n - 1),
@@ -256,7 +258,7 @@ def test_recovered_curve_is_the_fraction_master_rounded_once(spec, bits):
     # over Fractions of the stored values, each coefficient over the lead
     # rounded once
     with mp.workprec(bits):
-        _L2, _partner, built, _extras = build_case(spec, (-3, 3))
+        _L2, _partner, built, _extras = build_case(FamilySpec(*spec), (-3, 3))
         lo, hi = built.window
         for window, n0 in (((lo, hi), 0), ((3, hi), 4), ((-4, -1), -3)):
             S = {n: built.s(n) for n in range(window[0], window[1] + 1)}
@@ -1240,14 +1242,13 @@ def test_ansatz_rejects_a_z0_row_above_tolerance_naming_n(site, row):
     *TRAP_FAMILIES, ("geom", 2, {"a": "1.764235", "beta": "0.895178"}), ("elliptic", 1, {}),
 ])
 def test_identity_residuals_are_exact_ratios_rounded_once(kind, g, params, bits):
-    # states built at the working precision and at twice it, whose curve
-    # coefficients and tables carry bits that abs and negation round, on
-    # windows inside the state and clipped at its low end, its high end
-    # and both
-    spec = FamilySpec(kind, g, params)
+    # states built at the working precision and at twice it, each from
+    # parameters read at its own precision, whose curve coefficients and
+    # tables carry bits that abs and negation round, on windows inside the
+    # state and clipped at its low end, its high end and both
     for build_bits in (bits, 2 * bits):
         with mp.workprec(build_bits):
-            _L2, _partner, state, _extras = build_case(spec, (-4, 4))
+            _L2, _partner, state, _extras = build_case(FamilySpec(kind, g, params), (-4, 4))
         with mp.workprec(bits):
             for window in ((-4, 4), (-40, 1), (-1, 40), (-40, 40)):
                 for skew in (False, True):

@@ -1,5 +1,5 @@
 import pytest
-from mpmath import cos, ellipfun, log, mp, mpf, sqrt
+from mpmath import cos, ellipfun, jtheta, ldexp, log, mag, mp, mpf, sqrt
 
 from commdiff.errors import LatticeProximityError
 from commdiff.lame import (
@@ -57,6 +57,54 @@ def test_wp_matches_jacobi_sn(g2, g3):
         sn = ellipfun("sn", x * sqrt(ctx.e1 - ctx.e3), m=m)
         expected = ctx.e3 + (ctx.e1 - ctx.e3) / sn**2
         assert abs(ctx.wp(x) - expected) <= mpf("1e-28") * abs(expected)
+
+
+def _theta_quotient(ctx, name, x):
+    """wp(x) or zeta(x) from ctx's constants by mpmath.jtheta at the working
+    precision, with v = k x rounded at it, and the scale of its error: wp
+    itself, or for zeta the larger of |eta1 x / omega1| and |k theta1'/theta1|,
+    since zeta cancels near its zeros.  200 bits past the context's
+    precision v is exact and this is the reference; at it, the evaluation
+    the context made with three jtheta calls per value."""
+    v = ctx._k * x
+    t1 = jtheta(1, v, ctx._q)
+    if name == "wp":
+        value = ctx.e1 + (ctx._c * jtheta(2, v, ctx._q) / t1) ** 2
+        return value, value
+    drift, pole = ctx.eta1 * x / ctx.omega1, ctx._k * jtheta(1, v, ctx._q, 1) / t1
+    return drift + pole, max(abs(drift), abs(pole))
+
+
+# the largest error in ulps of the scale for a value rounded once (zeta's
+# sum can carry one more bit than its larger term), and the slack over the
+# jtheta path's error: the sums' own error, which can move a value across
+# a rounding boundary only from within that distance of it
+THETA_ULPS = {"wp": mpf("0.5"), "zeta": mpf(1)}
+THETA_SLACK = mpf(1) / 16
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160))
+@pytest.mark.parametrize("g2, g3", INVARIANTS)
+def test_theta_sums_are_the_quotients_rounded_once(g2, g3, bits):
+    # lattice sites x0 + k eps, sites past the first period (argument
+    # reduction) and sites 1e-5 from a lattice point, where theta1 is small
+    with mp.workprec(bits):
+        ctx = WeierstrassContext(g2, g3)
+        period, near = 2 * ctx.omega1, mpf("1e-5")
+        sites = [mpf("0.73") + k * mpf("0.05") for k in range(-8, 13)]
+        sites += [period + mpf("0.3"), 3 * ctx.omega1 + mpf("0.2"), 2 * period - mpf("0.4"),
+                  -period - mpf("0.5"), mpf("3.9")]
+        sites += [near, -near, period + near, period - near, -period + near]
+        for x in sites:
+            for name in ("wp", "zeta"):
+                got = getattr(ctx, name)(x)
+                jtheta_path, _ = _theta_quotient(ctx, name, x)
+                with mp.workprec(bits + 200):
+                    ref, scale = _theta_quotient(ctx, name, x)
+                    ulp = ldexp(1, mag(scale) - bits)
+                    err, jtheta_err = abs(got - ref) / ulp, abs(jtheta_path - ref) / ulp
+                assert err <= THETA_ULPS[name] + THETA_SLACK, (name, x, err)
+                assert err <= jtheta_err + THETA_SLACK, (name, x, err, jtheta_err)
 
 
 def test_wp_laurent_leading():

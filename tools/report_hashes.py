@@ -94,10 +94,12 @@ MORE = [
 ]
 
 # the lame configs vary x0, the invariants (g3 < 0 in the last) and the step
-# down to eps = 0.0125
+# down to eps = 0.0125; x0 = 3.9 lies past the first period (2 omega1 = 2.62
+# for g2 = 4, g3 = 0), so its lattice sites reduce their argument k x past pi
 OTHERS = [
     ["rank2"],
     ["lame"],
+    ["lame", "--x0", "3.9"],
     ["lame", "--g-list", "1", "2", "--eps", "0.1", "0.05", "--x0", "0.91"],
     ["lame", "--g-list", "1", "--eps", "0.1", "0.0125", "--x0", "0.91",
      "--g2", "10", "--g3", "2"],
