@@ -701,7 +701,7 @@ def elliptic_dressing_state(
         raise WindowError("window needs gamma on [lo, hi+1]")
 
     def s_val(n):
-        f = curve.eval(gamma.at(n))
+        f = curve.fpoly().eval(gamma.at(n))
         if f < 0:
             raise InconsistentDataError(
                 f"F1(gamma_{n}) = {f} < 0: divisor point has no real branch"

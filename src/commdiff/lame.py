@@ -20,12 +20,12 @@ from __future__ import annotations
 from itertools import count, repeat
 
 from mpmath import mp, mpf, sqrt, pi, agm, acos, exp, jtheta, log, cos
-from mpmath.libmp import fzero, mpf_abs, mpf_cos_sin, mpf_lt, mpf_mul
+from mpmath.libmp import fzero, mpf_cos_sin, mpf_mul
 from mpmath.libmp import round_nearest as RND
 
 from .errors import InconsistentDataError, LatticeProximityError
 from .dressing import DressingState, build_partner_op
-from .numcore import HyperellipticCurve, ZPoly, rratio, rround, scalar
+from .numcore import HyperellipticCurve, ZPoly, rratio, scalar
 from .opalg import CoeffSeq, DiffOp
 from .spectral import extract_curve
 
@@ -99,9 +99,10 @@ class WeierstrassContext:
     through 2 v.  bits is the precision plus THETA_GUARD_BITS plus the bits
     of 1 / (k LATTICE_PROXIMITY): theta1 falls to about k d at a distance d
     from a lattice point while the sums are absolute, so those bits keep its
-    relative error below 2^-prec at the closest site the guard admits.  wp
-    and zeta at another precision read a context built at that one, once;
-    each context caches its values per site.
+    relative error below 2^-prec at the closest site the guard admits, in
+    one exact comparison of ints (_site).  wp and zeta at another precision
+    read a context built at that one, once; each context caches its values
+    per site.
     """
 
     def __init__(self, g2, g3):
@@ -144,28 +145,16 @@ class WeierstrassContext:
         self._by_prec = {mp.prec: self}
 
     def _site(self, x: mpf) -> mpf:
-        """x, refused within LATTICE_PROXIMITY of the real lattice points
-        2 m omega1: h = x / (2 omega1), m = floor(h + 1/2) and the distance
-        x - 2 m omega1, each step formed exactly and rounded once at the
-        context's precision, so that the message's mpf expressions give the
-        same bits."""
-        p = self._prec
+        """x, refused within LATTICE_PROXIMITY of the nearest real lattice
+        point 2 m omega1, m = floor((x + omega1) / (2 omega1)): x, omega1
+        and the bound as ints on one exponent, m and the distance exact."""
         om, oe = self._om
         xm, xe = _signed(x._mpf_)
-        sign, man, exp, bc = rratio(xm, om, p)
-        exp += xe - oe - 1
-        if not man or exp + bc <= -2:
-            m = 0  # |h| < 1/4, so h + 1/2 rounds into (1/4, 3/4)
-        else:
-            e = min(exp, -1)
-            sign, man, exp, _ = rround(((-man if sign else man) << (exp - e)) + (1 << (-1 - e)),
-                                       e, p)
-            m = -man if sign else man
-            m = m << exp if exp >= 0 else m >> -exp
-        tm, te = _signed(rround(2 * m * om, oe, p))
-        e = min(xe, te)
-        d = rround((xm << (xe - e)) - (tm << (te - e)), e, p)
-        if mpf_lt(mpf_abs(d), LATTICE_PROXIMITY._mpf_):
+        lm, le = _signed(LATTICE_PROXIMITY._mpf_)
+        e = min(xe, oe, le)
+        xm, om = xm << (xe - e), om << (oe - e)
+        m = (xm + om) // (2 * om)
+        if abs(xm - 2 * m * om) < lm << (le - e):
             raise LatticeProximityError(
                 f"argument {x} is within {LATTICE_PROXIMITY} of lattice point "
                 f"{2 * m * self.omega1}"

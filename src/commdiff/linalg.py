@@ -5,18 +5,18 @@ Householder QR on rows of raw libmp values, whose pivots expose rank loss.
 caller is `dressing.ansatz_solve`'s fit of the 3g integration constants.
 
 `lstsq_mpf` equilibrates the columns and runs every operation at the working
-precision with round-to-nearest, in a fixed order: products and sums
-through the kernels of `numcore`, differences, quotients, square roots and
-the doubling of a dot product through `mpmath.libmp`.  Each sum of products
-is `numcore.rdot`, left to right from its first product, and each entry
-t - f v_i of a Householder update is one `numcore.rmac`.  Each pivot is the
-first column of largest float norm, each entry read as the double nearest
-its value.  So the result is a function of the input and the precision
-alone, bit for bit: the same x, R diagonal and pivot order as the plain
-row-major loop of mpf objects that the tests keep as their oracle
-(`_reference_lstsq` in `tests/oracles.py`).  Its one caller is
-`dressing._pin_top_coefficients`, whose bits set the leads of Q; ROADMAP
-item 2b deletes the pin fit and this solver with it.
+precision with round-to-nearest, in a fixed order: products and sums through
+the kernels of `numcore`, differences, quotients, square roots and the
+doubling of a dot product through `mpmath.libmp`.  Each sum of products is
+`numcore.rdot`, left to right from its first product, and each entry
+t - f v_i of a Householder update is `radd(t, rmul(f, v_i, p), p, 1)`, the
+product rounded first.  Each pivot is the first column of largest float
+norm, each entry read as the double nearest its value.  So the result is a
+function of the input and the precision alone, bit for bit: the same x, R
+diagonal and pivot order as the plain row-major loop of mpf objects that
+the tests keep as their oracle (`_reference_lstsq` in `tests/oracles.py`).
+Its one caller is `dressing._pin_top_coefficients`, whose bits set the
+leads of Q; ROADMAP item 2b deletes the pin fit and this solver with it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from mpmath.libmp import (
 from mpmath.libmp import round_nearest as RND
 
 from .errors import NonFiniteError, RankDeficiencyError
-from .numcore import raw_max, rdot, rmac, rround
+from .numcore import radd, raw_max, rdot, rmul, rround
 
 
 def lstsq(rows, rhs):
@@ -175,7 +175,7 @@ def lstsq_mpf(rows, rhs):
         if mpf_gt(vnorm2, fzero):
             for col in cols[k + 1:] + [b]:
                 f = mpf_div(mpf_shift(rdot(v, col[k:], prec), 1), vnorm2, prec, RND)
-                col[k:] = [rmac(t, f, vi, prec, 1) for vi, t in zip(v, col[k:])]
+                col[k:] = [radd(t, rmul(f, vi, prec), prec, 1) for vi, t in zip(v, col[k:])]
         rdiag.append(alpha)
 
     # |d| > 2^floor(-3p/4) r0, the product exact as a shift

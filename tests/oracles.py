@@ -107,7 +107,7 @@ class CurvePoint:
 def curve_point(curve: HyperellipticCurve, z, branch: int = 1) -> CurvePoint:
     """Lift z to the curve on the requested branch; needs F_g(z) >= 0."""
     z = scalar(z)
-    fz = curve.eval(z)
+    fz = curve.fpoly().eval(z)
     if fz < 0:
         raise InconsistentDataError(f"F(z) = {fz} < 0 at z = {z}: no real branch")
     return CurvePoint(z, branch * sqrt(fz))

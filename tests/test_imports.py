@@ -195,16 +195,16 @@ def test_no_test_module_imports_another():
 
 
 # the float kernels: each rounds every product or sum it forms, where the
-# rest of the package forms values exactly and rounds them once
-FLOAT_KERNELS = {"rmul", "radd", "rmac", "rdot", "pow_int", "lstsq_mpf"}
+# rest of the package forms values exactly and rounds them once; a kernel
+# the package retires leaves this list
+FLOAT_KERNELS = {"rmul", "radd", "rdot", "pow_int", "lstsq_mpf"}
 # the package functions that may call one, as module.function or
 # module.Class.method: the family tables, the pin fit with its solver and
-# the z^g row it gives, and rmac and rdot themselves (each of them calls one
-# today)
+# the z^g row it gives, and rdot itself (which calls rmul and radd)
 FLOAT_CALLERS = {
     "families.trig_family", "families.poly_family", "families.geom_family",
     "dressing.GeomBasis.functions", "dressing._pin_top_coefficients", "dressing.ansatz_solve",
-    "linalg.lstsq_mpf", "numcore.rmac", "numcore.rdot",
+    "linalg.lstsq_mpf", "numcore.rdot",
 }
 
 

@@ -1,9 +1,14 @@
+import re
+
 import pytest
 from mpmath import cos, ellipfun, jtheta, ldexp, log, mag, mp, mpf, sqrt
+
+from oracles import fraction_of
 
 from commdiff.errors import LatticeProximityError
 from commdiff.lame import (
     CHAIN_SITES,
+    LATTICE_PROXIMITY,
     NEWTON_TOL,
     LameIndependenceReport,
     WeierstrassContext,
@@ -202,6 +207,38 @@ def test_lattice_proximity_is_raised_on_every_call():
             for fn in (ctx.wp, ctx.zeta):
                 with pytest.raises(LatticeProximityError):
                     fn(x)
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160))
+def test_lattice_guard_at_its_bound(bits):
+    # sites LATTICE_PROXIMITY (1 +- 1e-10) and (1 +- 1e-6) away on either
+    # side of the lattice points 0, 2 omega1 and -4 omega1: a site whose
+    # exact distance lies inside the bound is refused, the message naming
+    # the point, and one outside is admitted; omega1, half-way between 0
+    # and 2 omega1, is admitted
+    with mp.workprec(bits):
+        ctx = WeierstrassContext(10, 2)
+        bound = fraction_of(LATTICE_PROXIMITY)
+        for m in (0, 1, -2):
+            point = 2 * m * ctx.omega1
+            refused = admitted = 0
+            for rel in ("1e-10", "1e-6"):
+                for scale in (1 - mpf(rel), 1 + mpf(rel)):
+                    for side in (1, -1):
+                        x = point + side * LATTICE_PROXIMITY * scale
+                        inside = abs(fraction_of(x) - fraction_of(point)) < bound
+                        if rel == "1e-6":  # resolved at every precision here
+                            assert inside == (scale < 1), (bits, m, x)
+                        if inside:
+                            with pytest.raises(LatticeProximityError,
+                                               match=f"of lattice point {re.escape(str(point))}$"):
+                                ctx.zeta(x)
+                            refused += 1
+                        else:
+                            ctx.zeta(x)
+                            admitted += 1
+            assert refused and admitted, (m, refused, admitted)
+        ctx.zeta(ctx.omega1)
 
 
 def test_rectangular_lattice_required():

@@ -26,7 +26,6 @@ from commdiff.numcore import (
     raw_ints,
     raw_max,
     rdot,
-    rmac,
     rmul,
     rratio,
     rround,
@@ -287,110 +286,9 @@ def test_pow_int_is_mpf_power_at_p_bits(p):
             assert pow_int(a._mpf_, e, p) is pow_int(a._mpf_, e, p)
 
 
-def _check_rmac(triples, p):
-    """rmac(acc, s, t, p) and its subtracting form against the two calls it
-    fuses, on the raw triples (acc, s, t)."""
-    triples = list(triples)
-    for neg in (0, 1):
-        bad = [(a, s, t) for a, s, t in triples
-               if rmac(a, s, t, p, neg) != radd(a, rmul(s, t, p), p, neg)]
-        assert not bad, (neg, p, bad[:3])
-
-
-@pytest.mark.parametrize("p", range(1, 7))
-def test_rmac_matches_the_kernels_on_every_short_mantissa(p):
-    # every product of two odd mantissas below 2^5, rounded at p (ties,
-    # sticky bits, carries to 2^p and the trailing zeros they leave), plus
-    # every odd mantissa below 2^4 of either sign at exponents -10..10 as the
-    # accumulator: rmac(acc, s, t) with s t > 0 and both signs of acc, added
-    # and subtracted, meets every sign pattern of the sum
-    odd = range(1, 32, 2)
-    accs = [from_man_exp(sign * m, off) for off in range(-10, 11)
-            for m in range(1, 16, 2) for sign in (1, -1)]
-    prods = [(from_man_exp(m, 0), from_man_exp(k, 0)) for m in odd for k in odd if k <= m]
-    _check_rmac(((a, s, t) for s, t in prods for a in accs), p)
-    # a product that carries to 2^p, cancelled exactly and added to
-    s, t = from_man_exp(2 ** p - 1, 0), from_man_exp(2 ** p + 1, 0)
-    assert rmac(from_man_exp(-1, 2 * p), s, t, p) == fzero
-    assert rmac(from_man_exp(1, 2 * p), s, t, p) == (0, 1, 2 * p + 1, 1)
-
-
-@pytest.mark.parametrize("p", (53, 113, 145, 1100))
-def test_rmac_matches_the_kernels_on_random_operands(p):
-    # p-bit, 2p-bit and random-width mantissas, and the trap_values pool
-    rng = random.Random(p + 5)
-
-    def draw():
-        width = rng.choice((p, 2 * p, rng.randint(1, 3 * p)))
-        man = rng.getrandbits(width) | 1 | (1 << (width - 1))
-        return from_man_exp(rng.choice((1, -1)) * man, rng.randint(-60, 60) - width)
-
-    _check_rmac(((draw(), draw(), draw()) for _ in range(1500)), p)
-    with mp.workprec(p):
-        pool = raws(trap_values(rng, p))
-    _check_rmac(((a, s, t) for a in pool for s in pool for t in pool), p)
-
-
-def test_rmac_matches_the_kernels_on_zeros_and_specials():
-    values = [fzero, finf, fninf, fnan, fone, from_man_exp(-3, -7), from_man_exp(2 ** 60 + 1, 4)]
-    for p in (1, 53, 113):
-        _check_rmac(((a, s, t) for a in values for s in values for t in values), p)
-
-
-@pytest.mark.parametrize("p", (53, 113, 160))
-def test_rmac_on_an_exact_zero_accumulator_is_the_rounded_product(monkeypatch, p):
-    # operands up to three times wider than p, whose product rmul rounds,
-    # and zero and special operands: rmac(fzero, s, t, p, neg) is
-    # radd(fzero, rmul(s, t, p), p, neg) bit for bit, without calling radd
-    rng = random.Random(p + 11)
-
-    def draw():
-        width = rng.randint(p + 1, 3 * p)
-        man = rng.getrandbits(width) | 1 | (1 << (width - 1))
-        return from_man_exp(rng.choice((1, -1)) * man, rng.randint(-60, 60) - width)
-
-    pairs = [(draw(), draw()) for _ in range(400)]
-    pairs += [(s, t) for s in (fzero, finf, fnan, draw()) for t in (fzero, fninf, draw())]
-    want = {neg: [radd(fzero, rmul(s, t, p), p, neg) for s, t in pairs] for neg in (0, 1)}
-    assert any(s[3] > p for s, _ in pairs)
-
-    def no_radd(*args):
-        raise AssertionError(f"radd called on {args}")
-
-    monkeypatch.setattr(numcore, "radd", no_radd)
-    for neg in (0, 1):
-        assert [rmac(fzero, s, t, p, neg) for s, t in pairs] == want[neg], neg
-
-
-@pytest.mark.parametrize("gap", (99, 100, 101, 300))
-def test_rmac_matches_the_kernels_across_exponent_gaps(gap):
-    # accumulators gap bits above and below the product's stripped exponent,
-    # short, p-bit and longer than the gap, for a product that fits, one
-    # that rounds, and one that rounds to a power of two: its rounded
-    # mantissa has p trailing zeros, so its stripped exponent lies p bits
-    # above the one rmac adds at, and an accumulator past libmp's limit of
-    # 100 bits below the one can lie within it from the other
-    rng = random.Random(gap + 1)
-    for p in (53, 113, 145):
-        def odd(bits):
-            return rng.getrandbits(bits) | 1 | (1 << (bits - 1))
-
-        factors = [(from_man_exp(odd(p // 2), 0), from_man_exp(odd(p // 2), 3)),
-                   (from_man_exp(odd(p), 0), from_man_exp(-odd(p), -p)),
-                   (from_man_exp(2 ** p - 1, 0), from_man_exp(2 ** p + 1, 0))]
-        for s, t in factors:
-            exp = rmul(s, t, p)[2]
-            accs = [from_man_exp(m, exp + off) for off in (gap, -gap, gap - 7, -gap - 7)
-                    for m in (1, -3, odd(p), -odd(gap + p))]
-            # wider than p, its bits below the top p 0111..1: a product that
-            # reaches above its last bit carries into the half bit, which
-            # libmp's perturbation past 100 bits leaves out
-            accs.append(from_man_exp((odd(p) << 21) + (1 << 20) - 1, exp + gap))
-            _check_rmac([(a, s, t) for a in accs] + [(a, t, s) for a in accs], p)
-
-
 def _reference_raw_max(vals, prec):
-    """The libmp loop that `raw_max` shortcuts: mpf_gt on every pair."""
+    """The libmp loop that `raw_max` runs: mpf_abs of every value at prec,
+    then the first strict mpf_gt."""
     it = (mpf_abs(v, prec, round_nearest) for v in vals)
     best = next(it)
     for v in it:
@@ -516,7 +414,7 @@ def test_values_stay_mpf_and_scalar_operands_are_coerced():
     for v in (*p.coeffs, p.lead, p.coeff(0), p.coeff(9), p.sup_norm(), p.eval(2)):
         assert type(v) is mpf
     curve = HyperellipticCurve(1, (1, 0.5, "2"))
-    assert all(type(c) is mpf for c in curve.c) and type(curve.eval(1)) is mpf
+    assert all(type(c) is mpf for c in curve.c) and type(curve.fpoly().eval(1)) is mpf
     for bad in (float("inf"), float("nan")):
         with pytest.raises(NonFiniteError):
             HyperellipticCurve(1, (0, 0, bad))
@@ -526,13 +424,6 @@ def test_public_constructors_reject_non_finite():
     for bad in (float("inf"), float("nan"), mpf("inf"), mpf("-inf"), mpf("nan"), "inf"):
         with pytest.raises(NonFiniteError):
             ZPoly([1, bad])
-
-
-def test_curve_eval_is_the_horner_of_fpoly():
-    with mp.workprec(160):
-        curve = HyperellipticCurve(2, [mpf(k) / 7 - mpf("0.3") for k in range(5)])
-        for z in (mpf(-2) / 3, mpf("0.1"), mpf(13) / 11):
-            assert curve.eval(z)._mpf_ == curve.fpoly().eval(z)._mpf_
 
 
 def test_poly_degree_law():
@@ -614,7 +505,7 @@ def test_curve_validation():
     with pytest.raises(ValueError, match="expected degree 3, got 2"):
         HyperellipticCurve.from_exact(([0, 0, 1, 0], 0), 1, mpf("1e-9"))
     c = HyperellipticCurve.from_exact(([4, 0, 0, 1, 0, 0], 0), 1, mpf("1e-9"))
-    assert c.eval(2) == 12
+    assert c.fpoly().eval(2) == 12
     # z^3 + z / 2 on 2^-1 is the ints [0, 1, 0, 2]; on 2^3 the lead is 8
     assert HyperellipticCurve.from_exact(([0, 1, 0, 2], -1), 1, mpf("1e-9")).c == (0, 0.5, 0)
     with pytest.raises(ValueError, match="lead=8"):
