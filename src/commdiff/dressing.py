@@ -30,7 +30,7 @@ from functools import reduce
 from itertools import zip_longest
 
 from mpmath import mp, mpf, sqrt
-from mpmath.libmp import fone, from_int, fzero, mpf_abs, mpf_gt, mpf_neg, mpf_shift, mpf_sub
+from mpmath.libmp import from_int, fzero, mpf_abs, mpf_gt, mpf_neg, mpf_shift
 from mpmath.libmp import round_nearest as RND
 
 from . import linalg
@@ -43,9 +43,7 @@ from .numcore import (
     poly_mul,
     pow_int,
     raw_ints,
-    raw_max,
     rdot,
-    rmul,
     rratio,
     rround,
     scalar,
@@ -310,7 +308,8 @@ def identity_residuals(state: DressingState, window, skew: bool = False):
     its largest term and 1.  With skew, |R_n + R_{-n-1}| over the linear
     scale at n is checked for n = 0..min(hi, s_hi-2, -(s_lo+2)); skew_rel
     is None without skew or when that range is empty, as no pair (n, -n-1)
-    is compared.
+    is compared.  A window that holds no row of the linear relation, and so
+    none of the master identity either, is a WindowError.
 
     Every residual and scale is exact (_exact_checks), and the worst of the
     per-n ratios |r| / scale of each identity, compared exactly, is rounded
@@ -319,11 +318,12 @@ def identity_residuals(state: DressingState, window, skew: bool = False):
     (lo, hi), (s_lo, s_hi) = map(int, window), state.window
     sites = range(max(lo, s_lo + 1), min(hi, s_hi - 1) + 1)
     rows = range(sites.start, min(hi, s_hi - 2) + 1)
+    if not rows:
+        raise WindowError(f"window [{lo}, {hi}] holds no row of the identities of the state "
+                          f"on [{s_lo}, {s_hi}]")
     mirrored = range(0, min(hi, s_hi - 2, -(s_lo + 2)) + 1) if skew else range(0)
     pairs = {*mirrored, *(-n - 1 for n in mirrored)}
     span = [*sites, *pairs]
-    if not span:
-        return mpf(0), mpf(0), None
     master, linear, *_exps = _exact_checks(state, min(span), max(span))
     lin = {n: linear(n) for n in {*rows, *pairs}}
 
@@ -434,23 +434,27 @@ class AnsatzResult:
         return DressingState.from_s_table(U, W, S, curve=curve)
 
 
-def _pin_top_coefficients(basis, U, phi):
-    """Fit -U_n in the basis span on the grid of phi, which maps the
-    consecutive n to the raw basis functions at n: the raw pinned z^g
-    coefficients x and the fit residual max_n |phi(n) . x + U_n|, each dot
-    product by rdot, which must not exceed ANSATZ_TOL times the largest of 1
-    and the |U_n|."""
-    p = mp.prec
-    rows = list(phi.values())
-    rhs = [mpf_neg(u, p, RND) for u in U.values_on(min(phi), max(phi))]
-    x, _info = linalg.lstsq_mpf(rows, rhs)
-    resid = raw_max([mpf_sub(rdot(row, x, p), y, p, RND) for row, y in zip(rows, rhs)], p)
-    if mpf_gt(resid, rmul(ANSATZ_TOL._mpf_, raw_max((*rhs, fone), p), p)):
+def _pin_top_row(basis, U, lo, hi):
+    """The z^g row of S: -U_n fitted in the basis span on the grid |n| <=
+    size + 2 (linalg.lstsq_mpf on the raw basis functions and -U_n rounded
+    at the working precision), evaluated as {n: phi(n) . x}, one rdot per
+    site, on the hull of the grid and [lo, hi].  The fit residual max |phi(n)
+    . x + U_n| over the grid, compared exactly on the ints of the row and U,
+    must not exceed ANSATZ_TOL times the larger of 1 and max |U_n|."""
+    p, reach = mp.prec, basis.size + 2
+    us = U.values_on(-reach, reach)
+    phi = {n: basis.functions(n) for n in range(min(lo, -reach), max(hi, reach) + 1)}
+    x, _info = linalg.lstsq_mpf([phi[n] for n in range(-reach, reach + 1)],
+                                [mpf_neg(u, p, RND) for u in us])
+    row = {n: rdot(x, f, p) for n, f in phi.items()}
+    (r, u), e = raw_ints([[row[n] for n in range(-reach, reach + 1)], us])
+    resid = max(abs(a + b) for a, b in zip(r, u))
+    if exceeds(resid, max(1 << -e, *map(abs, u)), ANSATZ_TOL):
         raise InconsistentDataError(
             f"coefficient family is not in the span of basis '{basis.name}' "
-            f"(fit residual {mp.make_mpf(resid)})"
+            f"(fit residual {mp.make_mpf(rround(resid, e, p))})"
         )
-    return x, resid
+    return row
 
 
 ANSATZ_TOL = mpf("1e-9")
@@ -592,15 +596,12 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
     [lo - 4, hi + 2g + 5] or that grid, whichever is wider.
 
     The table's z^g row is the basis fit of -U_n on |n| <= size + 2
-    (_pin_top_coefficients) evaluated at each n, so the leads of Q are
-    those of the fit.
+    evaluated at each n (_pin_top_row), so the leads of Q are those of the
+    fit.
     """
     g = basis.g
-    reach = basis.size + 2
     lo, hi = max(U.window[0], W.window[0]), min(U.window[1], W.window[1])
-    phi = {n: basis.functions(n) for n in range(min(lo, -reach), max(hi, reach) + 1)}
-    pinned, _resid = _pin_top_coefficients(
-        basis, U, {n: phi[n] for n in range(-reach, reach + 1)})
+    top_row = _pin_top_row(basis, U, lo, hi)
     rlo, rhi = lo + 1, hi - 2
     ncon = 3 * g
     if rhi - rlo + 1 < ncon:
@@ -674,7 +675,7 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
             ratios.append((r, scale))
 
     S = {n: ZPoly._from_raw([*(rround(s[n][0], e, p_out) for s, e in reversed(levels[1:])),
-                             rdot(pinned, phi[n], p_out)]) for n in range(lo, hi + 1)}
+                             top_row[n]]) for n in range(lo, hi + 1)}
     return AnsatzResult(S, {"resid_rel": make(worst_ratio(ratios, p_out))})
 
 
@@ -699,34 +700,28 @@ def elliptic_dressing_state(
     lo, hi = (glo, ghi - 1) if window is None else (int(window[0]), int(window[1]))
     if lo < glo or hi > ghi - 1:
         raise WindowError("window needs gamma on [lo, hi+1]")
-
-    def s_val(n):
-        f = curve.fpoly().eval(gamma.at(n))
-        if f < 0:
-            raise InconsistentDataError(
-                f"F1(gamma_{n}) = {f} < 0: divisor point has no real branch"
-            )
-        return sqrt(f) if sigma is None else scalar(sigma.at(n)) * sqrt(f)
-
-    s = CoeffSeq.tabulate(s_val, (glo, ghi))
-
-    def u_val(n):
-        dg = gamma.at(n) - gamma.at(n + 1)
-        if abs(dg) <= DEGENERACY_REL * max(mpf(1), abs(gamma.at(n))):
-            raise DegenerateDenominatorError(
-                f"gamma_{n} - gamma_{n + 1} = {dg}: functional parameter is degenerate"
-            )
-        return -(s.at(n) + s.at(n + 1)) / dg
-
-    U = CoeffSeq.tabulate(u_val, (glo, ghi - 1))
-    W = CoeffSeq.tabulate(
-        lambda n: -curve.c[2] - gamma.at(n) - gamma.at(n + 1), (glo, ghi - 1)
-    )
-    S = {}
-    for n in range(lo, hi + 1):
-        delta0 = s.at(n) + U.at(n) * gamma.at(n)
-        S[n] = ZPoly([delta0, -U.at(n)])
-    return DressingState.from_s_table(U, W, S, curve=curve)
+    f, c2 = curve.fpoly(), curve.c[2]
+    signs = [None] * (ghi - glo + 1) if sigma is None else sigma.values_on(glo, ghi)
+    U, W, S = [], [], {}
+    # one pass: s_n at each n, then U, W and S at n - 1 from (gamma, s) at n - 1 and n
+    for n, x, sign in zip(range(glo, ghi + 1), gamma.values, signs):
+        fx = f.eval(x)
+        if fx < 0:
+            raise InconsistentDataError(f"F1(gamma_{n}) = {fx} < 0: divisor point has no "
+                                        "real branch")
+        s = sqrt(fx) if sign is None else mp.make_mpf(sign) * sqrt(fx)
+        if n > glo:
+            dg = x0 - x
+            if abs(dg) <= DEGENERACY_REL * max(mpf(1), abs(x0)):
+                raise DegenerateDenominatorError(f"gamma_{n - 1} - gamma_{n} = {dg}: functional "
+                                                 "parameter is degenerate")
+            u = -(s0 + s) / dg
+            U.append(u)
+            W.append(-c2 - x0 - x)
+            if lo <= n - 1 <= hi:
+                S[n - 1] = ZPoly([s0 + u * x0, -u])
+        x0, s0 = x, s
+    return DressingState.from_s_table(CoeffSeq(glo, U), CoeffSeq(glo, W), S, curve=curve)
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +754,7 @@ def build_partner_op(state: DressingState, L2: DiffOp | None = None) -> DiffOp:
         L2 = state.l2()
     qs_window = lo, hi = state.window[0] + 1, state.window[1]
     tables = [[t[n].raw for n in range(lo, hi + 1)] for t in (state.Q, state.S)]
-    l2, l2k, acc = exact_form(L2), exact_form(DiffOp.identity(L2.window)), None
+    l2, l2k, acc = exact_form(L2), exact_form(DiffOp.build({0: 1}, L2.window)), None
     for k in range(state.curve.g + 1):
         if k:
             l2k = exact_compose(l2, l2k)

@@ -10,18 +10,18 @@ the kernels of `numcore`, differences, quotients, square roots and the
 doubling of a dot product through `mpmath.libmp`.  Each sum of products is
 `numcore.rdot`, left to right from its first product, and each entry
 t - f v_i of a Householder update is `radd(t, rmul(f, v_i, p), p, 1)`, the
-product rounded first.  Each pivot is the first column of largest float
-norm, each entry read as the double nearest its value.  So the result is a
-function of the input and the precision alone, bit for bit: the same x, R
-diagonal and pivot order as the plain row-major loop of mpf objects that
-the tests keep as their oracle (`_reference_lstsq` in `tests/oracles.py`).
-Its one caller is `dressing._pin_top_coefficients`, whose bits set the
-leads of Q; ROADMAP item 2b deletes the pin fit and this solver with it.
+product rounded first.  Each pivot is the first column of largest exact
+norm over the rows left, as in `lstsq`.  So the result is a function of the
+input and the precision alone, bit for bit: the same x, R diagonal and
+pivot order as the plain row-major loop of mpf objects that the tests keep
+as their oracle (`_reference_lstsq` in `tests/oracles.py`).  Its one caller
+is `dressing._pin_top_row`, whose bits set the leads of Q; ROADMAP item 2b
+deletes the pin fit and this solver with it.
 """
 
 from __future__ import annotations
 
-from math import fsum, isqrt, ldexp
+from math import isqrt
 from operator import mul
 
 from mpmath import mp
@@ -31,7 +31,7 @@ from mpmath.libmp import (
 from mpmath.libmp import round_nearest as RND
 
 from .errors import NonFiniteError, RankDeficiencyError
-from .numcore import radd, raw_max, rdot, rmul, rround
+from .numcore import radd, raw_ints, raw_max, rdot, rmul, rround
 
 
 def lstsq(rows, rhs):
@@ -120,22 +120,17 @@ def lstsq_mpf(rows, rhs):
     with info = {rank, n, rdiag, pivot}, rdiag the raw R diagonal.  Rank
     counts the pivots above 2^floor(-3p/4) times the largest one.
 
-    Step k pivots on the first column whose float norm over rows k.. is
-    the largest: the fsum of the squares of its entries, each the double
-    nearest its value times 2^-top, top the largest exponent plus bit count
-    among the entries left in columns and rows k.., so that no norm above
-    about 2^-537 of the largest underflows to 0.  A nan or an infinity in A
-    or b is a NonFiniteError.
+    Each column is first divided by its largest |entry| (equilibration).
+    Step k pivots on the first column whose exact norm over rows k.. is the
+    largest: the sum of the squares of its entries there, read as ints on
+    one exponent (numcore.raw_ints).  A nan or an infinity in A or b is a
+    NonFiniteError.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     if m < n:
         raise ValueError(f"underdetermined system: {m} equations, {n} unknowns")
     prec = mp.prec
-
-    def sumsq(col, k):
-        return rdot(col[k:], col[k:], prec)
-
     cols = [list(col) for col in zip(*rows)]
     b = list(rhs)
     # a special value has no mantissa and a nonzero exponent
@@ -153,30 +148,27 @@ def lstsq_mpf(rows, rhs):
     perm = list(range(n))
     rdiag = []
     for k in range(n):
-        # pivot on the first column of largest float norm, all scaled alike
-        top = max((t[2] + t[3] for col in cols[k:] for t in col[k:] if t[1]), default=0)
-        sq = [_float_sumsq(col[k:], top) for col in cols[k:]]
-        j = k + max(range(n - k), key=sq.__getitem__)
-        if j != k:
-            cols[k], cols[j] = cols[j], cols[k]
-            perm[k], perm[j] = perm[j], perm[k]
+        # pivot on the first column of largest exact norm over rows k..
+        norms = [sum(map(mul, c, c)) for c in raw_ints([col[k:] for col in cols[k:]])[0]]
+        j = k + norms.index(max(norms))
+        cols[k], cols[j] = cols[j], cols[k]
+        perm[k], perm[j] = perm[j], perm[k]
         # Householder on column k
         ck = cols[k]
-        alpha = mpf_sqrt(sumsq(ck, k), prec, RND)
-        if alpha == fzero:
-            rdiag.append(fzero)
-            continue
+        alpha = mpf_sqrt(rdot(ck[k:], ck[k:], prec), prec, RND)
         if mpf_gt(ck[k], fzero):
             alpha = mpf_neg(alpha)
+        rdiag.append(alpha)
+        if alpha == fzero:
+            continue
         v = ck[k:]
         v[0] = mpf_sub(v[0], alpha, prec, RND)
-        vnorm2 = sumsq(v, 0)
+        vnorm2 = rdot(v, v, prec)
         ck[k:] = [alpha] + [fzero] * (m - k - 1)
         if mpf_gt(vnorm2, fzero):
             for col in cols[k + 1:] + [b]:
                 f = mpf_div(mpf_shift(rdot(v, col[k:], prec), 1), vnorm2, prec, RND)
                 col[k:] = [radd(t, rmul(f, vi, prec), prec, 1) for vi, t in zip(v, col[k:])]
-        rdiag.append(alpha)
 
     # |d| > 2^floor(-3p/4) r0, the product exact as a shift
     r0 = raw_max(rdiag, prec) if rdiag else fzero
@@ -192,19 +184,6 @@ def lstsq_mpf(rows, rhs):
     for k in range(n):
         out[perm[k]] = mpf_div(x[k], colscale[perm[k]], prec, RND)
     return out, {"rank": rank, "n": n, "rdiag": rdiag, "pivot": perm}
-
-
-def _float_sumsq(col, top):
-    """fsum of the squares of the doubles nearest v 2^-top, for the raw
-    finite values v in col.  A mantissa past 1000 bits, too long for a
-    float, is first cut by its own excess through true division, which
-    rounds once, as float()."""
-    fl = [
-        ldexp(t[1], t[2] - top) if t[3] <= 1000
-        else ldexp(t[1] / (1 << (t[3] - 1000)), t[2] + t[3] - 1000 - top)
-        for t in col
-    ]
-    return fsum(map(mul, fl, fl))
 
 
 def require_full_rank(info, context: str = "linear system"):

@@ -3,19 +3,19 @@ spectral parameter z, and the JSON encoder that writes every report's
 decimals.
 
 Values are raw libmp tuples, the only thing ZPoly stores.  Where values are
-still computed on as floats (the pin fit and its solver linalg.lstsq_mpf,
-the family tables), products and sums go through the kernels rmul and radd
-below, libmp's round-to-nearest mpf_mul and mpf_add (mpf_sub with radd's
-last argument) reimplemented bit for bit with int.bit_length; a
-multiply-accumulate is radd(acc, rmul(s, t, p), p), and the pin fit's
-quotients and differences call libmp's mpf_div and mpf_sub themselves.  A
-zero operand stays in the kernels (libmp's answer, the other operand or
-fzero, needs no rounding when the other operand fits in p bits), and so
-does a sum over an exponent gap past 100 bits: added exactly when the
-magnitudes lie within p + 4 bits, otherwise the larger operand, to which
-libmp's perturbation rounds back when it fits in p bits.  The kernels pay:
+still computed on as floats (the pin fit's solver linalg.lstsq_mpf and the
+z^g row of S it gives, the family tables), products and sums go through
+the kernels rmul and radd below, libmp's round-to-nearest mpf_mul and
+mpf_add (mpf_sub with radd's last argument) reimplemented bit for bit with
+int.bit_length; a multiply-accumulate is radd(acc, rmul(s, t, p), p), and
+the solver's quotients and differences call libmp's mpf_div and mpf_sub
+themselves.  A zero operand stays in the kernels (libmp's answer, the other
+operand or fzero, needs no rounding when the other operand fits in p bits),
+and so does a sum over an exponent gap past 100 bits: added exactly when
+the magnitudes lie within p + 4 bits, otherwise the larger operand, to
+which libmp's perturbation rounds back when it fits in p bits.  The kernels pay:
 on 113-bit operands (CPython 3.11, mpmath 1.3.0) they take 25 % (rmul) and
-38 % (radd) less time than mpf_mul and mpf_add, at 12,838 and 8,136 calls
+38 % (radd) less time than mpf_mul and mpf_add, at 12,208 and 7,670 calls
 per verify benchmark pass (seed 1).  raw_max, the largest magnitude of
 float values at p bits, is libmp's loop: mpf_abs, then the first strict
 mpf_gt.  cos_int is mpmath's cos at an integer, computed once per argument

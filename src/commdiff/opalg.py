@@ -139,10 +139,6 @@ class DiffOp:
                 terms[j] = CoeffSeq.constant(v, (lo, hi))
         return cls(terms, (lo, hi))
 
-    @classmethod
-    def identity(cls, window) -> "DiffOp":
-        return cls.build({0: 1}, window)
-
     @property
     def order(self) -> int:
         return max(self.terms)

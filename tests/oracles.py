@@ -53,7 +53,6 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from itertools import combinations, permutations, repeat, zip_longest
-from math import fsum
 
 from mpmath import mp, mpf, sqrt
 from mpmath.libmp import from_rational, fzero, round_nearest
@@ -374,7 +373,8 @@ def exact_curve(L_base: DiffOp, L_act: DiffOp, n0_list=(-1, 0, 1)):
 
 
 def _reference_lstsq(rows, rhs, rank_tol=None):
-    """The row-major mpf loop that `lstsq_mpf` must reproduce bit for bit."""
+    """The row-major mpf loop that `lstsq_mpf` must reproduce bit for bit,
+    each pivot the first column of largest exact norm, summed in Fractions."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     if rank_tol is None:
@@ -394,14 +394,10 @@ def _reference_lstsq(rows, rhs, rank_tol=None):
     perm = list(range(n))
     rdiag = []
     for k in range(n):
-        # the first column of largest float norm over rows k.., every entry
-        # scaled by 2^-top, top the largest binary exponent left
-        top = max((mp.frexp(A[i][j])[1] for j in range(k, n) for i in range(k, m) if A[i][j]),
-                  default=0)
-        best, best_j = -1.0, k
+        # the first column of largest exact norm over rows k..
+        best, best_j = -1, k
         for j in range(k, n):
-            fl = [float(mp.ldexp(A[i][j], -top)) for i in range(k, m)]
-            cn = fsum(x * x for x in fl)
+            cn = sum(fraction_of(A[i][j]) ** 2 for i in range(k, m))
             if cn > best:
                 best, best_j = cn, j
         if best_j != k:
@@ -443,14 +439,7 @@ def _reference_lstsq(rows, rhs, rank_tol=None):
     out = [mpf(0)] * n
     for k in range(n):
         out[perm[k]] = x[k] / colscale[perm[k]]
-
-    resid = mpf(0)
-    for i in range(m):
-        r = sum(rows[i][j] * out[j] for j in range(n)) - rhs[i]
-        resid = max(resid, abs(r))
-
-    info = {"rank": rank, "n": n, "rdiag": rdiag, "resid_inf": resid, "pivot": perm}
-    return out, info
+    return out, {"rank": rank, "n": n, "rdiag": rdiag, "pivot": perm}
 
 
 def exact_lstsq(rows, rhs):

@@ -424,6 +424,14 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     assert "z-interval" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [[1, 2], "verify", 3, None], ids=["list", "str", "int", "null"])
+def test_config_file_that_is_not_an_object_is_a_usage_error(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run(["rank2", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert "a --config file holds one JSON object" in capsys.readouterr().err
+
+
 def test_malformed_config_value_is_a_usage_error(tmp_path, capsys):
     # config values are parsed like the flags: --window takes two integers
     cfg = tmp_path / "cfg.json"

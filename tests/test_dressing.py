@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import ldexp, lu_solve, matrix, mp, mpf, cos, sin
-from mpmath.libmp import fone, fzero
+from mpmath.libmp import fone
 
 from commdiff.errors import (
     DegenerateDenominatorError,
@@ -21,7 +21,7 @@ from commdiff.dressing import (
     GeomBasis,
     PowerBasis,
     TrigBasis,
-    _pin_top_coefficients,
+    _pin_top_row,
     ansatz_solve,
     build_partner_op,
     elliptic_dressing_state,
@@ -369,6 +369,21 @@ def test_skew_is_none_without_a_mirror_pair():
     assert master <= mpf("1e-25") and linear <= mpf("1e-25")
 
 
+def test_identity_residuals_refuse_a_window_that_holds_no_row():
+    # the state lies on [-10, 15]; (100, 120) once read as a pass, with a
+    # skew from n = 0..8 outside it, and (14, 15) holds a master site but
+    # no linear row
+    _L2, _partner, state, _extras = build_case(FamilySpec("trig", 2, {"r1": "1.3"}), (-8, 8))
+    assert state.window == (-10, 15)
+    for window in ((100, 120), (-40, -11), (14, 15), (5, 4)):
+        for skew in (False, True):
+            with pytest.raises(WindowError, match=rf"window \[{window[0]}, {window[1]}\] holds "
+                                                  r"no row .* on \[-10, 15\]"):
+                identity_residuals(state, window, skew=skew)
+    # one linear row left, at n = 13
+    assert identity_residuals(state, (13, 20))[1] >= 0
+
+
 @pytest.mark.parametrize(
     "kind,params",
     [("trig", {"r1": 1}), ("poly", {"a2": 1, "a0": 0, "a1": mpf(1) / 2})],
@@ -589,53 +604,85 @@ def test_power_bases_round_the_exact_integer_powers(bits):
                 assert EvenPowerBasis(g).functions(n) == want[::2][:g + 2]
 
 
+PIN_SPECS = (
+    FamilySpec("trig", 3, {"r1": "1.3"}),
+    FamilySpec("poly", 3, {"a2": 1, "a0": "0.25", "a1": "0.5"}),
+    FamilySpec("geom", 2, {"a": "1.764235", "beta": "0.895178"}),
+)
+
+
+def _reference_top_row(basis, U, sites):
+    """{n: phi(n) . x} for the x of _reference_lstsq on the basis rows and
+    -U_n of the pin-fit grid, each dot product an mpf sum from its first
+    term, each product and sum rounded at the working precision."""
+    reach = basis.size + 2
+    grid = range(-reach, reach + 1)
+    x, _ref = _reference_lstsq([list(map(mp.make_mpf, basis.functions(n))) for n in grid],
+                               [-U.at(n) for n in grid])
+    row = {}
+    for n in sites:
+        terms = [mp.make_mpf(phi) * c for phi, c in zip(basis.functions(n), x)]
+        lead = terms[0]
+        for t in terms[1:]:
+            lead += t
+        row[n] = lead._mpf_
+    return row
+
+
 @pytest.mark.parametrize("bits", (53, 113, 160, 1100))
 def test_ansatz_top_row_is_the_pin_fit(bits):
     # the one check of the z^g row of S, which every other test of the
     # solver leaves out
-    for spec in (
-        FamilySpec("trig", 3, {"r1": "1.3"}),
-        FamilySpec("poly", 3, {"a2": 1, "a0": "0.25", "a1": "0.5"}),
-        FamilySpec("geom", 2, {"a": "1.764235", "beta": "0.895178"}),
-    ):
+    for spec in PIN_SPECS:
         with mp.workprec(bits):
             basis, U, S = _solved_table(spec, (-12, 16))
-            reach = basis.size + 2
-            pinned, _resid = _pin_top_coefficients(
-                basis, U, {n: basis.functions(n) for n in range(-reach, reach + 1)})
-            for n, p in S.items():
-                # the dot product from its first term, each product and sum
-                # rounded at the working precision
-                terms = [mp.make_mpf(phi) * mp.make_mpf(c)
-                         for c, phi in zip(pinned, basis.functions(n))]
-                lead = terms[0]
-                for t in terms[1:]:
-                    lead += t
-                assert p.coeff(spec.g)._mpf_ == lead._mpf_, (spec, n)
+            want = _reference_top_row(basis, U, S)
+            assert {n: p.raw[spec.g] for n, p in S.items()} == want, spec
 
 
 @pytest.mark.parametrize("bits", (53, 113, 1100))
 def test_pin_fit_matches_the_mpf_loop_bit_for_bit(bits):
-    # the pinned coefficients and the fit residual against the mpf loop of
-    # _reference_lstsq on the basis rows and -U_n; U tabulated at twice the
-    # precision holds values that the negation rounds
-    for spec in (
-        FamilySpec("trig", 3, {"r1": "1.3"}),
-        FamilySpec("poly", 3, {"a2": 1, "a0": "0.25", "a1": "0.5"}),
-        FamilySpec("geom", 2, {"a": "1.764235", "beta": "0.895178"}),
-    ):
+    # _pin_top_row on the grid and on tables that reach past it on either
+    # side; U tabulated at twice the precision holds values that the
+    # negation rounds
+    for spec in PIN_SPECS:
         for build_bits in (bits, 2 * bits):
             with mp.workprec(build_bits):
-                U, _W = family_from_spec(spec, (-12, 16))
+                U, _W = family_from_spec(spec, (-20, 20))
             with mp.workprec(bits):
                 basis = basis_for(spec)
-                reach = basis.size + 2
-                phi = {n: basis.functions(n) for n in range(-reach, reach + 1)}
-                pinned, resid = _pin_top_coefficients(basis, U, phi)
-                rows = [list(map(mp.make_mpf, phi[n])) for n in phi]
-                x, ref = _reference_lstsq(rows, [-U.at(n) for n in phi])
-                assert pinned == raws(x), (spec, build_bits)
-                assert resid == ref["resid_inf"]._mpf_, (spec, build_bits)
+                for lo, hi in ((-3, 3), (-20, 4), (-1, 20)):
+                    row = _pin_top_row(basis, U, lo, hi)
+                    reach = basis.size + 2
+                    sites = range(min(lo, -reach), max(hi, reach) + 1)
+                    assert row == _reference_top_row(basis, U, sites), (spec, build_bits, lo)
+
+
+@pytest.mark.parametrize("bits", (53, 113))
+def test_pin_fit_refuses_exactly_above_its_tolerance(bits):
+    # U_0 moved off the basis span by about the tolerance: the fit refuses
+    # exactly when max |phi(n) . x + U_n| over the grid, in Fractions,
+    # exceeds ANSATZ_TOL times the larger of 1 and max |U_n|
+    with mp.workprec(bits):
+        U, _W = trig_family(2, "1.3", (-8, 8))
+        basis = TrigBasis(2)
+        reach = basis.size + 2
+        verdicts = set()
+        for k in range(-12, 13):
+            vals = list(U.values)
+            vals[8] += mpf("1.6e-9") * (1 + mpf(k) / 20)
+            bent = CoeffSeq(-8, vals)
+            row = _reference_top_row(basis, bent, range(-reach, reach + 1))
+            resid = max(abs(_fraction(row[n]) + fraction_of(bent.at(n))) for n in row)
+            scale = max(Fraction(1), *(abs(fraction_of(bent.at(n))) for n in row))
+            refuse = resid > fraction_of(dressing.ANSATZ_TOL) * scale
+            verdicts.add(refuse)
+            if refuse:
+                with pytest.raises(InconsistentDataError, match="not in the span of basis 'trig'"):
+                    _pin_top_row(basis, bent, -8, 8)
+            else:
+                _pin_top_row(basis, bent, -8, 8)
+        assert verdicts == {False, True}
 
 
 def test_ansatz_rejects_perturbed_w():
@@ -668,7 +715,7 @@ def test_ansatz_anchor_is_the_first_smallest_abs_u(monkeypatch, bits):
 
     monkeypatch.setattr(dressing, "_fit_rows", stop)
     # the tables below are no family: skip the basis fit of -U_n
-    monkeypatch.setattr(dressing, "_pin_top_coefficients", lambda basis, U, phi: ([], fzero))
+    monkeypatch.setattr(dressing, "_pin_top_row", lambda basis, U, lo, hi: {})
     with mp.workprec(bits):
         U, W = poly_family(2, 1, 0, 0, (-12, 12))
         with mp.workprec(2 * bits):
@@ -1384,3 +1431,37 @@ def test_partner_of_a_wider_state_is_the_exact_assembly(kind, g, params, bits):
         assert _wide((c for table in (state.S, state.Q) for p in table.values()
                       for c in p.coeffs), bits)
         assert _wide((v for t in wide_l2.terms.values() for v in t.values), bits)
+
+
+def _elliptic_gamma(at0=None):
+    """gamma_n = 2 + (n mod 3) / 7 on [-4, 5], gamma_0 = at0 when given."""
+    vals = [mpf(2) + mpf(n % 3) / 7 for n in range(-4, 6)]
+    vals[4] = vals[4] if at0 is None else mpf(at0)
+    return CoeffSeq(-4, vals)
+
+
+def _s_table(sites):
+    """S_n = -z on the given sites, a table no state check reaches."""
+    return {n: ZPoly([0, -1]) for n in sites}
+
+
+ELLIPTIC = HyperellipticCurve(1, (0, -1, 0))
+UNIT = CoeffSeq(-4, [1] * 10)
+
+
+@pytest.mark.parametrize("make, error, fragment", [
+    (lambda: elliptic_dressing_state(HyperellipticCurve(2, (0,) * 5), _elliptic_gamma()),
+     ValueError, "needs genus 1"),
+    (lambda: elliptic_dressing_state(ELLIPTIC, _elliptic_gamma(), window=(-4, 5)), WindowError,
+     "window needs gamma on [lo, hi+1]"),
+    (lambda: elliptic_dressing_state(ELLIPTIC, _elliptic_gamma("0.5")),
+     InconsistentDataError, "F1(gamma_0) = -0.375 < 0"),
+    (lambda: DressingState(UNIT, UNIT, ELLIPTIC, _s_table([0, 1, 3]), {}), WindowError,
+     "S table has gaps"),
+    (lambda: DressingState(UNIT, UNIT, ELLIPTIC, _s_table([0, 1, 2]), _s_table([0, 1, 2])),
+     WindowError, "Q table must cover [lo+1, hi]"),
+], ids=["genus-2", "window-past-gamma", "no-real-branch", "s-gap", "q-off-window"])
+def test_state_constructors_refuse_what_they_cannot_build(make, error, fragment):
+    with pytest.raises(error) as got:
+        make()
+    assert fragment in str(got.value)

@@ -23,6 +23,7 @@ from commdiff.families import (
     basis_for,
     build_case,
     elliptic_family,
+    family_from_spec,
     geom_family,
     poly_family,
     trig_family,
@@ -435,3 +436,19 @@ def test_geometric_curve_is_a_pure_power(g, a, beta):
             worst.append(max(abs(c) for c in state.curve.c))
     assert worst[0] <= mpf("1e-32")
     assert worst[1] <= worst[0] / 2**40
+
+
+@pytest.mark.parametrize("make, error, fragment", [
+    (lambda: FamilySpec("cubic", 1, {}), ValueError, "unknown family kind 'cubic'"),
+    (lambda: trig_family(2, 0, (-4, 4)), ValueError, "needs r1 != 0"),
+    (lambda: geom_family(1, 1, mpf("-1.00000000000001"), (-4, 4)), DegenerateDenominatorError,
+     "a^(2g+1) + 1 = "),
+    (lambda: family_from_spec(FamilySpec("elliptic", 1, {}), (-4, 4)), ValueError,
+     "needs an explicit gamma sequence"),
+    (lambda: basis_for(FamilySpec("elliptic", 1, {})), ValueError,
+     "no coefficient basis for family 'elliptic'"),
+], ids=["unknown-kind", "trig-r1-zero", "geom-degenerate", "elliptic-tables", "elliptic-basis"])
+def test_family_constructors_refuse_what_they_cannot_build(make, error, fragment):
+    with pytest.raises(error) as got:
+        make()
+    assert fragment in str(got.value)

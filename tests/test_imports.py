@@ -199,11 +199,11 @@ def test_no_test_module_imports_another():
 # the package retires leaves this list
 FLOAT_KERNELS = {"rmul", "radd", "rdot", "pow_int", "lstsq_mpf"}
 # the package functions that may call one, as module.function or
-# module.Class.method: the family tables, the pin fit with its solver and
-# the z^g row it gives, and rdot itself (which calls rmul and radd)
+# module.Class.method: the family tables, the pin fit (which gives the z^g
+# row of S) with its solver, and rdot itself (which calls rmul and radd)
 FLOAT_CALLERS = {
     "families.trig_family", "families.poly_family", "families.geom_family",
-    "dressing.GeomBasis.functions", "dressing._pin_top_coefficients", "dressing.ansatz_solve",
+    "dressing.GeomBasis.functions", "dressing._pin_top_row",
     "linalg.lstsq_mpf", "numcore.rdot",
 }
 

@@ -47,8 +47,8 @@ def _ties(rng, m):
 
 
 def _near_ties(rng, m):
-    # norms that differ in the last bits: floats tie some of these columns,
-    # and the first of them is the pivot
+    # norms 2^-50 and 2^-70 apart, relatively: exact norms order columns
+    # that the float norm of a double per entry would tie
     c = [mpf(rng.uniform(-1, 1)) for _ in range(m)]
     cols = [c, [t * (1 + mpf(2) ** -50) for t in c], [t * (1 - mpf(2) ** -70) for t in c[::-1]]]
     cols.append([mpf(rng.uniform(-1, 1)) for _ in range(m)])
@@ -57,10 +57,11 @@ def _near_ties(rng, m):
 
 
 def _float_misorder(rng):
-    # every entry 1 - 2^-54 + 2^-81 of the first column rounds up to 1.0 in
-    # floats, so in floats the first column leads and is the pivot, although
-    # in truth the second does (the integer entries also reach the residual
-    # loop unconverted)
+    # every entry 1 - 2^-54 + 2^-81 of the first column rounds up to 1.0 as
+    # a double, so a float norm puts the first column first; its exact norm
+    # is the smaller, and the second column leads wherever the working
+    # precision holds the entry (at 53 bits it rounds to 1, and the first
+    # column leads)
     a = 1 - mpf(2) ** -54 + mpf(2) ** -81
     cols = [[1] + [a] * 7, [1] * 7 + [1 - 3 * mpf(2) ** -53]]
     cols.append([mpf(rng.uniform(-1, 1)) / 4 for _ in range(8)])
@@ -77,10 +78,10 @@ def _zero_column(rng, m, n):
 
 def _midpoints(rng, m):
     # below a leading 1, entries s 2^-e (1 + 2^-53 -/+ 2^-1050): at 1100 bits
-    # the first column's round down to s 2^-e as floats and the second's up,
-    # so the second column is the pivot; where 2^-1050 is lost, both are the
-    # midpoint or s 2^-e and the first column is.  The entries with e past
-    # 1022 are subnormal or 0 as floats.
+    # the second column's exact norm is the larger and it is the pivot;
+    # where 2^-1050 is lost the columns are equal and the first is.  As
+    # doubles, the entries lie at midpoints that 2^-1050 decides, and those
+    # with e past 1022 are subnormal or 0.
     es = [rng.randint(1, 4) if i % 2 else rng.randint(1025, 1080) for i in range(m - 1)]
     signs = [rng.choice((-1, 1)) for _ in range(m - 1)]
     cols = [
@@ -94,9 +95,10 @@ def _midpoints(rng, m):
 
 
 def _tiny_norms(rng, m):
-    # c, c + 2^-700 r2, c + 2^-600 r1: after the first step the two columns
-    # left have norms near 2^-700 and 2^-600, whose float squares underflow
-    # to 0 unless scaled; the second pivot is the third column
+    # c, c + 2^-700 r2, c + 2^-600 r1: at 1100 bits the columns differ by
+    # about 2^-700 and 2^-600, far above the rank threshold, where the float
+    # squares of what is left after the first step would underflow to 0;
+    # below 600 bits the differences are lost and the columns are equal
     c, r1, r2 = ([mpf(rng.uniform(-1, 1)) for _ in range(m)] for _ in range(3))
     cols = [c, [x + mpf(2) ** -700 * y for x, y in zip(c, r2)],
             [x + mpf(2) ** -600 * y for x, y in zip(c, r1)]]
@@ -136,9 +138,8 @@ def _solve(rows, rhs, solver=lstsq):
 
 
 # lstsq_mpf, the pin fit's solver; 1100 bits: mantissas longer than a
-# float's range reach the pivot rule; the residual the reference also
-# returns is checked where it is formed, in the pin fit
-# (tests/test_dressing.py)
+# double's range reach the exact pivot rule; the fit residual is checked
+# where it is formed, in the pin fit (tests/test_dressing.py)
 @pytest.mark.parametrize("bits", [53, 113, 160, 1100])
 def test_lstsq_matches_reference_bit_for_bit(bits):
     with mp.workprec(bits):
@@ -153,14 +154,15 @@ def test_lstsq_matches_reference_bit_for_bit(bits):
 
 def test_lstsq_pivots_by_norm_where_float_squares_underflow():
     # the remaining norms 2^-600 and 2^-700 lie far above the rank threshold
-    # at 1100 bits; unscaled, both float squares read 0 and lstsq_mpf's
-    # pivot order fell back to the column index; lstsq compares exact norms
-    for solver in (lstsq, lstsq_mpf):
+    # at 1100 bits, where float squares would read 0; both solvers compare
+    # exact norms, but of other columns: lstsq shifts each column by a power
+    # of two, lstsq_mpf divides it by its largest entry
+    for solver, order in ((lstsq, [0, 2, 1]), (lstsq_mpf, [2, 1, 0])):
         with mp.workprec(1100):
             rows, rhs = _tiny_norms(random.Random(6), 8)
             _x, info = _solve(rows, rhs, solver)
             d = [abs(mp.make_mpf(v)) for v in info["rdiag"]]
-        assert info["pivot"] == [0, 2, 1] and info["rank"] == 3, solver.__name__
+        assert info["pivot"] == order and info["rank"] == 3, solver.__name__
         assert d[0] > 1
         assert mpf(2) ** -604 < d[1] < mpf(2) ** -596
         assert mpf(2) ** -704 < d[2] < mpf(2) ** -696
@@ -295,3 +297,17 @@ def test_constant_fit_is_no_farther_from_exact_least_squares_than_lstsq_mpf(spec
         dist_mpf, _bound = _exact_distance(rows, rhs, lstsq_mpf)
     assert dist <= bound, (float(dist), float(bound))
     assert dist <= dist_mpf, (float(dist), float(dist_mpf))
+
+
+@pytest.mark.parametrize("solve, rows, rhs, error, fragment", [
+    (lstsq, [[1, 2, 3], [4, 5, 6]], [1, 2], ValueError, "underdetermined system: 2 equations"),
+    (lstsq_mpf, [[1, 2, 3], [4, 5, 6]], [1, 2], ValueError,
+     "underdetermined system: 2 equations"),
+    (lstsq_mpf, [[1, 2], [3, "nan"], [5, 6]], [1, 2, 3], NonFiniteError, "nan or an infinite"),
+    (lstsq_mpf, [[1, 2], [3, 4], [5, 6]], [1, "-inf", 3], NonFiniteError, "nan or an infinite"),
+], ids=["lstsq-underdetermined", "lstsq_mpf-underdetermined", "lstsq_mpf-nan",
+        "lstsq_mpf-inf-rhs"])
+def test_solvers_refuse_what_they_cannot_solve(solve, rows, rhs, error, fragment):
+    with pytest.raises(error) as got:
+        _solve(rows, rhs, solve)
+    assert fragment in str(got.value)

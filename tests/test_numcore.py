@@ -9,7 +9,10 @@ from mpmath.libmp import (
     mpf_mul, mpf_neg, mpf_sub, round_nearest,
 )
 
-from oracles import _fpmul, _fpsum, _fraction_poly, fraction_of, poly_div_exact, raws, trap_values
+from oracles import (
+    _fpmul, _fpsum, _fraction_poly, fraction_of, poly_div_exact, raws, rounded_fraction,
+    trap_values,
+)
 
 from commdiff import numcore
 from commdiff.errors import DegenerateDenominatorError, NonFiniteError
@@ -386,25 +389,44 @@ def test_cos_int_keys_its_cache_on_the_working_precision():
         assert cos_int(-29) is at_113
 
 
-@pytest.mark.parametrize("bits", (113, 160))
+@pytest.mark.parametrize("bits", (53, 113, 160, 1100))
 def test_products_and_sums_match_the_reference_loops_bit_for_bit(bits):
-    # non-dyadic coefficients of mixed magnitude, read exactly: poly_mul and
-    # zsum give the Fraction convolution and sums of the stored values
+    # non-dyadic coefficients of mixed magnitude; trap values (exact 0 and
+    # +-1, values wider than bits), empty vectors and pairs whose top
+    # coefficients cancel to an exact 0: read exactly (raw_ints), poly_mul
+    # and zsum give the Fraction convolution and sums of the stored values,
+    # and each coefficient rounded once (rround), trimmed as ZPoly trims, is
+    # that Fraction rounded once at bits
     rng = random.Random(bits)
+    pool = trap_values(rng, bits)
     with mp.workprec(bits):
-        def draw():
-            return ZPoly([mpf(rng.uniform(-3, 3)) / 7 * mpf(10) ** rng.randint(-9, 9)
-                          for _ in range(rng.randint(1, 8))])
+        def mixed():
+            return [mpf(rng.uniform(-3, 3)) / 7 * mpf(10) ** rng.randint(-9, 9)
+                    for _ in range(rng.randint(1, 8))]
 
-        for _ in range(60):
-            p, q = draw(), draw()
+        def trap():
+            return [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+
+        pairs = [(mixed(), mixed()) for _ in range(60)] + [(trap(), trap()) for _ in range(80)]
+        for a, _b in pairs[60:80]:
+            tail = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+            pairs += [(a + tail, a + tail), (a + tail, a + [-v for v in tail]), (a, [])]
+
+        def rounded(fracs):
+            return ZPoly(map(rounded_fraction, fracs)).raw
+
+        for a, b in pairs:
+            p, q = ZPoly(a), ZPoly(b)
             (x, y), e = raw_ints([p.raw, q.raw])
             fp, fq = _fraction_poly(p), _fraction_poly(q)
-            assert [v * Fraction(2) ** (2 * e) for v in poly_mul(x, y)] == _fpmul(fp, fq)
+            prod, want = poly_mul(x, y), _fpmul(fp, fq)
+            assert [v * Fraction(2) ** (2 * e) for v in prod] == want
+            assert ZPoly._from_raw([rround(v, 2 * e, bits) for v in prod]).raw == rounded(want)
             for sign in (1, -1):
                 got, f = zsum([(1, x, e), (sign, y, e)])
-                assert [v * Fraction(2) ** f for v in got] == \
-                    _fpsum(fp, [sign * v for v in fq])
+                want = _fpsum(fp, [sign * v for v in fq])
+                assert [v * Fraction(2) ** f for v in got] == want
+                assert ZPoly._from_raw([rround(v, f, bits) for v in got]).raw == rounded(want)
 
 
 def test_values_stay_mpf_and_scalar_operands_are_coerced():

@@ -447,9 +447,17 @@ def test_operator_kernels_match_their_references_bit_for_bit(bits):
                 _assert_op_is(X * Y, *_exact_compose(X, Y))
                 _assert_op_is(X + Y, *_exact_sum(X, Y))
                 _assert_op_is(X - Y, *_exact_sum(X, Y, -1))
+            assert (A * B).window == (-9, 12) and (B * A).window == (-10, 9)
             # a scale is the composition c(n) o L: one exact product per
-            # coefficient, rounded once
+            # coefficient, rounded once, so c(n) u_j(n) is the mpf product,
+            # on the windows' intersection
             _assert_op_is(A.scale_left(x), *_exact_compose(DiffOp({0: x}), A))
+            c = seq((-8, 30))
+            scaled = A.scale_left(c)
+            assert scaled.window == (-8, 12)
+            for j, t in A.terms.items():
+                assert raws(scaled.terms[j].values) == \
+                    raws([c.at(n) * t.at(n) for n in range(-8, 13)]), j
             # terms of exact 1s on either side, against factors that hold a
             # value wider than bits, which the exact arithmetic rounds only
             # in the result
@@ -470,3 +478,15 @@ def test_operator_kernels_match_their_references_bit_for_bit(bits):
             assert A.sup_norm()._mpf_ == max(abs(v) for t in A.terms.values()
                                              for v in t.values)._mpf_
 
+
+@pytest.mark.parametrize("make, error, fragment", [
+    (lambda: CoeffSeq(0, []), WindowError, "empty coefficient window"),
+    (lambda: CoeffSeq.tabulate(mpf, (3, 2)), WindowError, "empty window [3, 2]"),
+    (lambda: DiffOp({}), ValueError, "at least one term"),
+    (lambda: DiffOp({0: CoeffSeq(0, [1, 2]), 1: CoeffSeq(5, [1])}), WindowError,
+     "term windows have empty intersection"),
+], ids=["no-values", "empty-tabulate", "no-term", "disjoint-terms"])
+def test_sequence_and_operator_constructors_refuse_empty_windows(make, error, fragment):
+    with pytest.raises(error) as got:
+        make()
+    assert fragment in str(got.value)

@@ -112,7 +112,7 @@ def test_action_matrix_self_is_z_identity():
 
 def test_action_matrix_identity_operator():
     L2, _, _ = make_pair("poly")
-    I = DiffOp.identity(L2.window)
+    I = DiffOp.build({0: 1}, L2.window)
     M = action_at(L2, I, mpf(2), 0)
     assert abs(M[0][0] - 1) <= mpf("1e-28")
     assert abs(M[1][1] - 1) <= mpf("1e-28")
@@ -450,3 +450,25 @@ def test_rank2_action_and_char_poly_are_exact(params, bits):
                 k: rounded_poly(fraction_z(x)) for k, x in enumerate(got[:4])}
             assert rep.closure_defect == rounded_fraction(fdefect) == 0
             assert rep.mismatch_rel == 0
+
+
+def _partner(order):
+    """A monic positive operator of the given order on WIN."""
+    return DiffOp.build({order: 1, 0: lambda n: mpf(n) / 5}, WIN)
+
+
+@pytest.mark.parametrize("make, fragment", [
+    (lambda: kernel_extend(DiffOp.build({2: 1, -1: 1}, WIN), 0, [ONE, ZERO], 6),
+     "needs a positive operator"),
+    (lambda: kernel_extend(DiffOp.build({2: 2, 0: 1}, WIN), 0, [ONE, ZERO], 6),
+     "needs a monic operator"),
+    (lambda: kernel_extend(_partner(2), 0, [ONE], 6), "order 2 needs 2 initial values"),
+    (lambda: kernel_extend(_partner(2), 0, [ONE, ZERO], 1), "length must cover"),
+    (lambda: extract_curve(_partner(3), _partner(5)), "fixes the base operator at order 2"),
+    (lambda: extract_curve(_partner(2), _partner(4)), "must have odd order"),
+], ids=["non-positive", "non-monic", "init-count", "short-length", "base-order",
+        "even-partner"])
+def test_kernel_and_extraction_refuse_operators_they_do_not_take(make, fragment):
+    with pytest.raises(ValueError) as got:
+        make()
+    assert fragment in str(got.value)

@@ -62,8 +62,8 @@ NON_DYADIC = [
     ["verify", "--family", "geom", "--g", "1", "--a", "2.272327", "--beta", "1.614327"],
 ]
 
-# above 1000 bits, where the pivots of the ansatz fits read mpf mantissas
-# longer than a float can hold
+# above 1000 bits: tables whose mantissas are longer than a double can hold,
+# through both fits (each pivots on exact norms) and the recursion
 HIGH_PRECISION = [
     ["verify", "--family", "poly", "--g", "3", "--a2", "1", "--a0", "0", "--a1", "0.5",
      "--precision", "1100"],
