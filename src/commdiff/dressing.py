@@ -27,7 +27,8 @@ nature, every verification here is pure and parallelizes over (n, z).
 from __future__ import annotations
 
 from functools import reduce
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
+from operator import mul, sub
 
 from mpmath import mp, mpf, sqrt
 from mpmath.libmp import from_int, fzero, mpf_abs, mpf_gt, mpf_neg, mpf_shift
@@ -92,19 +93,18 @@ def q_from_s(S_prev: ZPoly, S_cur: ZPoly, U_prev, U_cur, where: str = "q_from_s"
     denominator below the general-position threshold is an error; where
     names the stage and the index n of Q_n in its message.
     """
-    return _pair_rule(S_prev.raw, S_cur.raw, scalar(U_prev)._mpf_, scalar(U_cur)._mpf_, where)
+    (a, b, (up, uc)), exp = raw_ints([S_prev.raw, S_cur.raw,
+                                      [scalar(U_prev)._mpf_, scalar(U_cur)._mpf_]])
+    return _pair_rule(a, b, up, uc, exp, where)
 
 
-def _pair_rule(s_prev, s_cur, u_prev, u_cur, where: str) -> ZPoly:
-    """q_from_s on the raw coefficients of S_prev and S_cur and raw U values,
-    read as ints on one exponent (numcore.raw_ints): each coefficient of Q
-    is the exact ratio -(s_prev + s_cur) / (u_prev + u_cur), rounded once,
-    and its lead must lie within S_LEAD_TOL of 1, compared exactly."""
-    p = mp.prec
-    (a, b, (up, uc)), exp = raw_ints([s_prev, s_cur, [u_prev, u_cur]])
+def _pair_rule(a, b, up, uc, exp: int, where: str) -> ZPoly:
+    """q_from_s on S_prev's and S_cur's coefficients a and b and U_prev and
+    U_cur, up and uc, all ints on 2^exp: each coefficient of Q is the exact
+    -(a + b) / (up + uc) rounded once, its lead within S_LEAD_TOL of 1."""
     den = -_pair_denominator(up, uc, exp, where)
     num = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
-    q = ZPoly._from_raw([rratio(v, den, p) for v in num])
+    q = ZPoly._from_raw([rratio(v, den, mp.prec) for v in num])
     lead = next((v for v in reversed(num) if v), 0)
     if exceeds(abs(lead - den), abs(den), S_LEAD_TOL):
         raise InconsistentDataError(
@@ -155,19 +155,17 @@ class DressingState:
         """
         lo, hi = min(S), max(S)
         g = max(p.degree for p in S.values())
-        prec, us = mp.prec, U.values_on(lo, hi)
-        for n in range(lo, hi + 1):
-            (s, (u,)), e = raw_ints([S[n].raw, [us[n - lo]]])
+        prec, sites = mp.prec, range(lo, hi + 1)
+        # every S row and U value as ints on one exponent, read once for both checks
+        (*rows, us), e = raw_ints([*(S[n].raw for n in sites), U.values_on(lo, hi)])
+        for n, s, u in zip(sites, rows, us):
             lead = s[g] if g < len(s) else 0
             if exceeds(abs(lead + u), max(1 << -e, abs(u), *map(abs, s)), S_LEAD_TOL):
                 raise InconsistentDataError(
                     f"S_{n} has z^{g} coefficient {S[n].coeff(g)}, expected {-U.at(n)}"
                 )
-        Q = {
-            n: _pair_rule(S[n - 1].raw, S[n].raw, us[n - 1 - lo], us[n - lo],
-                          f"state assembly at n={n}")
-            for n in range(lo + 1, hi + 1)
-        }
+        Q = {n: _pair_rule(a, b, up, uc, e, f"state assembly at n={n}")
+             for n, a, b, up, uc in zip(sites[1:], rows, rows[1:], us, us[1:])}
         state = cls(U, W, curve, S, Q)
         if curve is None:
             # with no curve, F = 0 and master(n) is minus the curve polynomial
@@ -217,19 +215,27 @@ class DressingState:
         return f"DressingState(g={self.curve.g if self.curve else '?'}, window={self.window})"
 
 
-def _four_term(U: dict, W: dict, ku: int, kw: int, n: int):
-    """((s_i, c_i, d_i), i = 1..4) of the four-term relation at n, R_n(z) =
-    sum_i d_i (z + c_i) S_{n+s_i}(z), exactly: U and W map n to ints on 2^eu
-    and 2^ew, d_i lies on 2^eu and c_i on 2^ec, ec = min(2 eu, ew), ku = 2 eu
-    - ec and kw = ew - ec.  With D_n = U_{n-1} + U_n and E_n = U_n^2 + W_n,
-    d = (D_{n+2}, D_{n+2}, -D_n, -D_n), c_1 = -E_n, c_2 = U_n U_{n+1} +
-    U_{n-1} (U_n + U_{n+1}) - W_n, c_3 = U_n U_{n+1} + (U_n + U_{n+1}) U_{n+2}
-    - W_{n+1} and c_4 = -E_{n+1}."""
-    um1, u0, u1, u2 = U[n - 1], U[n], U[n + 1], U[n + 2]
-    w0, w1, u01 = W[n] << kw, W[n + 1] << kw, u0 * u1
-    left, mid, right = um1 + u0, u0 + u1, u1 + u2
-    return ((-1, -(w0 + (u0 * u0 << ku)), right), (0, (u01 + um1 * mid << ku) - w0, right),
-            (1, (u01 + mid * u2 << ku) - w1, -left), (2, -(w1 + (u1 * u1 << ku)), -left))
+def _four_term(u: list, w: list, ku: int, kw: int):
+    """[(c_i, d_i), i = 1..4], the factors of the four-term relation R_n(z) =
+    sum_i d_i (z + c_i) S_{n+s_i}(z), s_i = -1..2, exactly, as columns over
+    the rows n = m.. that u (U_{m-1}.. as ints on 2^eu) and w (W_m.. on
+    2^ew) reach: d_i on 2^eu, c_i on 2^ec, ec = min(2 eu, ew), ku = 2 eu - ec
+    and kw = ew - ec.  With D_n = U_{n-1} + U_n and E_n = U_n^2 + W_n, d =
+    (D_{n+2}, D_{n+2}, -D_n, -D_n), c_1 = -E_n, c_2 = U_n U_{n+1} + U_{n-1}
+    (U_n + U_{n+1}) - W_n, c_3 = U_n U_{n+1} + (U_n + U_{n+1}) U_{n+2} -
+    W_{n+1} and c_4 = -E_{n+1}."""
+    ws = [v << kw for v in w]
+    rows = [(-(w0 + (u0 * u0 << ku)), (u0 * u1 + um1 * (u0 + u1) << ku) - w0,
+             (u0 * u1 + (u0 + u1) * u2 << ku) - w1, -(w1 + (u1 * u1 << ku)), u1 + u2, -(um1 + u0))
+            for um1, u0, u1, u2, w0, w1 in zip(u, u[1:], u[2:], u[3:], ws, ws[1:])]
+    c1, c2, c3, c4, right, left = map(list, zip(*rows)) if rows else [[]] * 6
+    return [(c1, right), (c2, right), (c3, left), (c4, left)]
+
+
+def _relation(f, x):
+    """sum_i f_i x_{n+s_i} at the rows n of the four columns f, x from n - 1."""
+    return [a * v + b * y + c * z + d * t
+            for a, b, c, d, v, y, z, t in zip(*f, x, x[1:], x[2:], x[3:])]
 
 
 def _zmul(c, v, k):
@@ -264,6 +270,8 @@ def _exact_checks(state: DressingState, a: int, b: int):
     ks, kp = 2 * es - mexp, ec + 2 * eq - mexp
     F = [v << ef - mexp for v in f]
     fscale = max([1 << -mexp, *map(abs, F)])
+    # the factors of R_n from n = ulo + 1 on
+    fac = _four_term(u, w[ulo + 1 - a:], ku, kw)
 
     def master(n):
         s2 = [v << ks for v in poly_mul(S[n], S[n])]
@@ -273,8 +281,9 @@ def _exact_checks(state: DressingState, a: int, b: int):
         return [x - y - z for x, y, z in zip_longest(F, s2, prod, fillvalue=0)], scale
 
     def linear(n):
-        terms = [[d * v for v in _zmul(c, S[n + s], -ec)]
-                 for s, c, d in _four_term(U, W, ku, kw, n)]
+        k = n - ulo - 1
+        terms = [[d[k] * v for v in _zmul(c[k], S[n + s], -ec)]
+                 for s, (c, d) in zip((-1, 0, 1, 2), fac)]
         scale = max([1 << -lexp, *(abs(v) for t in terms for v in t)])
         return [sum(c) for c in zip_longest(*terms, fillvalue=0)], scale
 
@@ -425,10 +434,8 @@ class AnsatzResult:
         (geom) would swamp the master identity at the window's own sites."""
         lo, hi = int(window[0]), int(window[1])
         if lo not in self.S or hi not in self.S:
-            raise WindowError(
-                f"state window [{lo}, {hi}] outside the solved S table "
-                f"[{min(self.S)}, {max(self.S)}]"
-            )
+            raise WindowError(f"state window [{lo}, {hi}] outside the solved S table "
+                              f"[{min(self.S)}, {max(self.S)}]")
         S = {n: self.S[n] for n in range(lo, hi + 1)}
         curve = None if lo <= -1 and hi >= 2 else self.state(U, W, (-2, 3)).curve
         return DressingState.from_s_table(U, W, S, curve=curve)
@@ -468,114 +475,111 @@ ANSATZ_TOL = mpf("1e-9")
 RECURSION_GUARD_BITS = 32
 
 
-def _exact(table: dict):
-    """{n: raw vector} as ({n: int vector}, exp), on one exponent (numcore.raw_ints)."""
-    ints, exp = raw_ints(table.values())
-    return dict(zip(table, ints)), exp
+def _two_step(x0, x1, k, v):
+    """x on 0..len(v) - 1 from x[k] = x0, x[k + 1] = x1 and x[i] = x[i - 2] +
+    v[i] (v[0], v[1] unread): each parity's prefix sums from its seed."""
+    x = [0] * len(v)
+    for i, seed in ((k, x0), (k + 1, x1)):
+        steps, c = v[i % 2 + 2::2], i // 2
+        back = list(accumulate(steps[:c][::-1], sub, initial=seed))
+        x[i % 2::2] = back[:0:-1] + list(accumulate(steps[c:], initial=seed))
+    return x
 
 
-def _row_entry(f, s, n, j):
-    """sum_i f_i s_{n+s_i}[j] over the level table s: entry j of R_n's row."""
-    return f[0] * s[n - 1][j] + f[1] * s[n][j] + f[2] * s[n + 1][j] + f[3] * s[n + 2][j]
-
-
-def _march(dc, D, top, seeds, n0, span):
+def _march(dc, D, inv, top, seeds, n0, span):
     """S levels g..0 on span = [a, b] by the level recursion, exactly.
 
-    Each table is exact, as _exact gives it: dc maps n to the products
-    d_i c_i, D is the tables of D_n = U_{n-1} + U_n and 1 / (D_n D_{n+2}),
-    top is level g and seeds holds each lower level's ((q0, q1, s0), exp).
-    Level m - 1 follows from level m in two marches: the z^m row of the
-    four-term relation,
+    Tables are (columns, exp), lists over n of ints on 2^exp (numcore's
+    raw_ints), and may run past b: top holds level g from n = a; dc the four
+    d_i c_i, D the D_n = U_{n-1} + U_n and inv the 1 / (D_n D_{n+2}) from
+    a + 1; seeds each lower level's ((q0, q1, s0), exp).  Level m - 1
+    follows from level m by the z^m row of the four-term relation,
 
         D_n D_{n+2} (q_{n+2,m-1} - q_{n,m-1}) = -sum_i d_i c_i s_{n+s_i,m},
 
-    steps q from n0 and n0 + 1, and the pair rule s_{n,m-1} = -D_n q_{n,m-1}
-    - s_{n-1,m-1} steps s from n0, in int products and sums, exponents
-    aligned by shifts.  Entries are affine vectors over the fit's constants,
-    or one entry once those are known; a level's seeds may be longer than
-    the level above, whose width its steps keep, and the q march carries
-    the seeds' entries past it unchanged.  Neither relation reads m: every
-    level is the same affine map of the one above, which _fit_rows exploits.
+    and the pair rule s_{n,m-1} = t_n - s_{n-1,m-1}, t_n = -D_n q_{n,m-1}:
+    both step by 2 in n from n0 and n0 + 1 (s_{n,m-1} - s_{n-2,m-1} = t_n -
+    t_{n-1}), each march a prefix sum over a whole column (_two_step) in int
+    products and sums, exponents aligned by shifts.  Entries are affine in
+    the fit's constants, a column each; a seed entry past the columns of the
+    level above takes no steps.  Neither relation reads m: every level is
+    the same affine map of the one above, which _fit_rows exploits.
     """
-    (dc, edc), ((D, ed), (inv, einv)) = dc, D
-    a, b = span
-    levels = [top]
+    (f, edc), ((dn,), ed), ((iv,), einv) = dc, D, inv
+    k, size = n0 - span[0], span[1] - span[0]
+    levels = [([c[:size + 1] for c in top[0]], top[1])]
     for (q0, q1, s0), e in seeds:
         up, eup = levels[-1]
-        width = len(up[a])
         # the steps inv_n sum_i dc_i s_{n+s_i} lie on estep, q on eq, s on es
         estep = einv + edc + eup
         eq = min(estep, e)
         es = min(ed + eq, e)
-        step = {n: [_row_entry(dc[n], up, n, j) * (inv[n][0] << estep - eq) for j in range(width)]
-                for n in range(a + 1, b - 1)}
-        q = {n0: [v << e - eq for v in q0], n0 + 1: [v << e - eq for v in q1]}
-        for n in range(n0, b - 1):
-            q[n + 2] = [x - y for x, y in zip(q[n], step[n])] + q[n][width:]
-        for n in range(n0 - 1, a, -1):
-            q[n] = [x + y for x, y in zip(q[n + 2], step[n])] + q[n + 2][width:]
-        d = {n: -D[n][0] << ed + eq - es for n in range(a + 1, b + 1)}
-        s = {n0: [v << e - es for v in s0]}
-        for n in range(n0 + 1, b + 1):
-            s[n] = [d[n] * x - y for x, y in zip(q[n], s[n - 1])]
-        for n in range(n0, a, -1):
-            s[n - 1] = [d[n] * x - y for x, y in zip(q[n], s[n])]
-        levels.append((s, es))
+        minus_inv = [-v << estep - eq for v in iv]
+        d = [-v << ed + eq - es for v in dn]
+        cols = []
+        for j, (x0, x1, y0) in enumerate(zip(q0, q1, s0)):
+            x0, x1, y0 = x0 << e - eq, x1 << e - eq, y0 << e - es
+            # q on a + 1..b, s on a..b
+            steps = ([0, 0] + [x * y for x, y in zip(minus_inv, _relation(f, up[j]))]
+                     if j < len(up) else [0] * size)
+            q = _two_step(x0, x1, k - 1, steps)
+            t = [x * y for x, y in zip(d, q)]
+            cols.append(_two_step(y0, t[k] - y0, k, [0, 0] + [x - y for x, y in zip(t[1:], t)]))
+        levels.append((cols, es))
     return levels
 
 
-def _fit_rows(dc, D, top, g, n0, span):
-    """The z^0 rows of the four-term relation at n = a + 1..b - 2 of span =
-    [a, b], as raw affine vectors over the 3g constants: entry 0 the
+def _fit_rows(dc, D, inv, top, g, n0, span):
+    """{n: the z^0 row of the four-term relation} at n = a + 1..b - 2 of
+    span = [a, b], as raw affine vectors over the 3g constants: entry 0 the
     inhomogeneous part, entry 1 + 3 (g - 1 - m) + i the coefficient of the
     i-th constant of level m (q_{n0,m}, q_{n0+1,m}, s_{n0,m}), from
-    _march's inputs, each formed exactly and rounded once at mp.prec.
+    _march's tables, each formed exactly and rounded once at mp.prec, an
+    entry's whole column at a time.
 
-    The march's level map Lambda is the same at every level (_march), so a
+    The level map Lambda is the same at every level (_march), so a
     constant's column at level 0 is Lambda^m H(e_i), H(e_i) the march of a
     unit seed under a zero level.  One march of four columns, [the
     inhomogeneous part, H(e_1), H(e_2), H(e_3)] with zero seeds after its
-    first step, holds Lambda^m H(e_i) at level g - 1 - m: each level's three
-    constant columns, exactly the entries that a march of all 3g + 1
-    columns gives at level 0.
+    first step, holds Lambda^m H(e_i) at level g - 1 - m: exactly the
+    entries that a march of all 3g + 1 columns gives at level 0.
     """
     units = [[0, *(int(k == i) for k in range(3))] for i in range(3)], 0
     zeros = [[0] * 4] * 3, 0
-    levels = _march(dc, D, top, [units, *[zeros] * (g - 1)], n0, span)
-    # each entry's column: (level table, its exponent, the column index)
-    cols = [(*levels[-1], 0), *((s, e, j) for s, e in reversed(levels[1:]) for j in (1, 2, 3))]
+    levels = _march(dc, D, inv, top, [units, *[zeros] * (g - 1)], n0, span)
+    # each entry's column and its exponent
+    cols = [(levels[-1][0][0], levels[-1][1]),
+            *((c[j], e) for c, e in reversed(levels[1:]) for j in (1, 2, 3))]
     p, (a, b), (f, edc) = mp.prec, span, dc
-    return {n: [rround(_row_entry(f[n], s, n, j), edc + e, p) for s, e, j in cols]
-            for n in range(a + 1, b - 1)}
+    entries = [[rround(v, edc + e, p) for v in _relation(f, c)] for c, e in cols]
+    return dict(zip(range(a + 1, b - 1), map(list, zip(*entries))))
 
 
 def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> AnsatzResult:
     """S_n on the whole common window of U and W, by the level recursion in z.
 
     Starting from s_{n,g} = -U_n (Q monic), each level m = g-1..0 follows
-    from the one above (_march) up to three constants, q_{n0,m},
-    q_{n0+1,m} and s_{n0,m}, with n0 the first argmin |U_n| clamped into the
-    relation's rows, so that the marches run away from the small end.  The
-    z^0 rows of the relation with |n - n0| <= 3g + 2 fix the 3g constants:
-    affine vectors over them are marched on that window only, in four
-    columns (_fit_rows: the level map does not depend on the level, so
-    every level's constants share one march of unit seeds), each row is
-    shifted by the power of two that puts its largest |entry| in [1/2, 1)
-    (linalg.lstsq, the fixed-point solve, then shifts each column by a
-    power of two), and a fit of rank below 3g is a RankDeficiencyError.
-    Scalars are then marched over the whole table; a z^0 row whose residual
-    exceeds ANSATZ_TOL times max_i |d_i| max(|c_i|, 1) |S_{n+s_i}|, a bound
-    on the largest coefficient of the relation's four terms there, is an
-    InconsistentDataError naming n, and the worst ratio is
-    info["resid_rel"].  The fine U and W are read once as ints, and the
-    march's inputs D_n, d_i c_i (the factors of _four_term, which the
-    identity checks read too) and 1 / (D_n D_{n+2}) are each formed exactly
-    and rounded once RECURSION_GUARD_BITS above the working precision; the
-    marches are exact (_march); each fit-row entry is rounded once at that
-    precision, where the fit runs, each coefficient below z^g once at the
-    working precision, and the z^0 check compares exact ints, its scale
-    read from the exact d_i and c_i, its worst ratio rounded once.
+    from the one above (_march) up to three constants, q_{n0,m}, q_{n0+1,m}
+    and s_{n0,m}, n0 the first argmin |U_n| clamped into the relation's
+    rows, so that the marches run away from the small end.  The z^0 rows
+    with |n - n0| <= 3g + 2 fix the 3g constants: affine vectors over them
+    are marched on that window only, in four columns (_fit_rows: the level
+    map does not depend on the level), each row shifted by the power of two
+    that puts its largest |entry| in [1/2, 1) for linalg.lstsq, and a fit of
+    rank below 3g is a RankDeficiencyError.  Scalars are then marched over
+    the whole table; a z^0 row whose residual exceeds ANSATZ_TOL times
+    max_i |d_i| max(|c_i|, 1) |S_{n+s_i}|, a bound on the largest
+    coefficient of the relation's four terms, is an InconsistentDataError
+    naming n, and the worst ratio, compared on bit lengths first
+    (numcore.worst_ratio), is info["resid_rel"].
+
+    Each table is one list over the window, or a list of such columns, on
+    one exponent.  The fine U and W are read once as ints; D_n, d_i c_i
+    (from _four_term's columns, which the identity checks read too) and
+    1 / (D_n D_{n+2}) are each formed exactly and rounded once
+    RECURSION_GUARD_BITS above the working precision; the marches are exact;
+    each fit-row entry is rounded once at that precision, and each
+    coefficient below z^g once at the working precision, a column at a time.
 
     fine, when given, is (U, W) tabulated from the same closed forms
     RECURSION_GUARD_BITS above the working precision on at least the same
@@ -605,10 +609,8 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
     rlo, rhi = lo + 1, hi - 2
     ncon = 3 * g
     if rhi - rlo + 1 < ncon:
-        raise WindowError(
-            f"U and W on [{lo}, {hi}] give {max(rhi - rlo + 1, 0)} relation rows "
-            f"for {ncon} constants"
-        )
+        raise WindowError(f"U and W on [{lo}, {hi}] give {max(rhi - rlo + 1, 0)} relation rows "
+                          f"for {ncon} constants")
     mags = [mpf_abs(u, mp.prec, RND) for u in U.values_on(lo, hi)]
     n0 = lo + mags.index(reduce(lambda a, b: b if mpf_gt(a, b) else a, mags))
     n0 = min(max(n0, rlo), rhi)
@@ -625,57 +627,53 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
                 raise InconsistentDataError(f"fine table of {name} disagrees with {name} at n={n}")
     with mp.workprec(mp.prec + RECURSION_GUARD_BITS):
         # the fine U and W as ints, read once: D_n, the four-term factors and
-        # so every input of the recursion are exact, and each is rounded once
+        # so every input of the recursion are exact, each rounded once, each
+        # table one list over the window (D, dc and inv from lo + 1)
         p = mp.prec
-        ((ui,), eu), ((wi,), ew) = (raw_ints([t.values_on(lo, hi)]) for t in (Uf, Wf))
-        Ui, Wi = dict(zip(range(lo, hi + 1), ui)), dict(zip(range(lo, hi + 1), wi))
+        ((u,), eu), ((w,), ew) = (raw_ints([t.values_on(lo, hi)]) for t in (Uf, Wf))
         ec = min(2 * eu, ew)
-        Dx = {n: _pair_denominator(Ui[n - 1], Ui[n], eu, f"ansatz_solve at n={n}")
-              for n in range(lo + 1, hi + 1)}
-        fac = {n: _four_term(Ui, Wi, 2 * eu - ec, ew - ec, n) for n in range(rlo, rhi + 1)}
-        dc = _exact({n: [rround(d * c, eu + ec, p) for _s, c, d in f] for n, f in fac.items()})
-        den = _exact({n: [rround(v, eu, p)] for n, v in Dx.items()}), _exact(
-            {n: [rratio(1 << -2 * eu, Dx[n] * Dx[n + 2], p)] for n in fac})
-        top = {n: [-u] for n, u in Ui.items()}, eu
+        Dx = [_pair_denominator(x, y, eu, f"ansatz_solve at n={n}")
+              for n, x, y in zip(range(lo + 1, hi + 1), u, u[1:])]
+        fac = _four_term(u, w[1:], 2 * eu - ec, ew - ec)
+        dc = raw_ints([[rround(d * c, eu + ec, p) for c, d in zip(*t)] for t in fac])
+        D = raw_ints([[rround(v, eu, p) for v in Dx]])
+        inv = raw_ints([[rratio(1 << -2 * eu, x * y, p) for x, y in zip(Dx, Dx[2:])]])
+        top = [[-v for v in u]], eu
 
-        rows, rhs = [], []
-        for r in _fit_rows(dc, den, top, g, n0, (flo - 1, fhi + 2)).values():
+        rows, rhs, o = [], [], flo - 1 - lo
+        fit = [([c[o:] for c in cols], e) for cols, e in (dc, D, inv, top)]
+        for r in _fit_rows(*fit, g, n0, (flo - 1, fhi + 2)).values():
             # the largest |entry| shifted into [1/2, 1), exactly: each has
             # at most p bits, so the largest has the top exponent plus bit count
             peak = max((e + bc for _s, man, e, bc in r[1:] if man), default=0)
             rows.append([mpf_shift(v, -peak) for v in r[1:]])
             rhs.append(mpf_shift(mpf_neg(r[0], p, RND), -peak))
         x, info = linalg.lstsq(rows, rhs)
-        linalg.require_full_rank(
-            info,
-            f"ansatz constant fit on the z^0 rows [{flo}, {fhi}] (U and W on a "
-            "wider window may determine it)",
-        )
+        linalg.require_full_rank(info, f"ansatz constant fit on the z^0 rows [{flo}, {fhi}] "
+                                       "(U and W on a wider window may determine it)")
 
         # scalar march over the whole table, then the z^0 rows there
         (xv,), ex = raw_ints([x])
         seeds = [(([xv[j]], [xv[j + 1]], [xv[j + 2]]), ex) for j in range(0, ncon, 3)]
-        levels = _march(dc, den, top, seeds, n0, (lo, hi))
-        (s0, e0), (f, edc) = levels[-1], dc
+        levels = _march(dc, D, inv, top, seeds, n0, (lo, hi))
+        ((s0,), e0), (f, edc) = levels[-1], dc
         # |S_n|, the largest |coefficient| at n, on e0, the least level exponent
-        sup = {n: max(abs(s[n][0]) << e - e0 for s, e in levels) for n in range(lo, hi + 1)}
-        # r lies on 2^(edc + e0), the scale on 2^(eu + ec + e0)
+        sup = list(map(max, *([abs(v) << e - e0 for v in c] for (c,), e in levels)))
+        # r lies on 2^(edc + e0), the scale on 2^(eu + ec + e0); the scale
+        # bounds the largest coefficient of the terms d_i (z + c_i) S_{n+s_i}
         shift, one = edc - eu - ec, 1 << -ec
-        ratios = []
-        for n, fn in f.items():
-            r = abs(_row_entry(fn, s0, n, 0)) << max(shift, 0)
-            # a bound on the largest coefficient of d_i (z + c_i) S_{n+s_i}
-            scale = max(abs(d) * max(abs(c), one) * sup[n + k]
-                        for k, c, d in fac[n]) << max(-shift, 0)
+        weights = zip(*([abs(d) * max(abs(c), one) for c, d in zip(*t)] for t in fac))
+        scales = (max(map(mul, row, sups)) << max(-shift, 0)
+                  for row, sups in zip(weights, zip(sup, sup[1:], sup[2:], sup[3:])))
+        ratios = list(zip((abs(v) << max(shift, 0) for v in _relation(f, s0)), scales))
+        for n, (r, scale) in enumerate(ratios, rlo):
             if exceeds(r, scale, ANSATZ_TOL):
-                rel = make(rratio(r, scale, p))
                 raise InconsistentDataError(f"no genus-{g} S for this U and W: the z^0 row of "
                                             f"the four-term relation at n={n} has relative "
-                                            f"residual {rel}")
-            ratios.append((r, scale))
+                                            f"residual {make(rratio(r, scale, p))}")
 
-    S = {n: ZPoly._from_raw([*(rround(s[n][0], e, p_out) for s, e in reversed(levels[1:])),
-                             top_row[n]]) for n in range(lo, hi + 1)}
+    below = zip(*([rround(v, e, p_out) for v in c] for (c,), e in reversed(levels[1:])))
+    S = {n: ZPoly._from_raw([*row, top_row[n]]) for n, row in zip(range(lo, hi + 1), below)}
     return AnsatzResult(S, {"resid_rel": make(worst_ratio(ratios, p_out))})
 
 

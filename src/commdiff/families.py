@@ -63,7 +63,9 @@ class FamilySpec:
 
     @property
     def even(self) -> bool:
-        """U and W even in n: trig, or poly without a linear term."""
+        """U and W even in n: trig, or poly without a linear term.  With one,
+        poly is the even table at n + h, h = a1 / (2 a2) (poly_family), so
+        its skew symmetry n -> -n - 1 becomes n -> -n - 1 - 2h."""
         return self.kind == "trig" or (self.kind == "poly" and self.params["a1"] == 0)
 
     def doc(self) -> dict:
@@ -94,8 +96,10 @@ def trig_family(g: int, r1, window) -> tuple:
 def poly_family(g: int, a2, a0, a1, window) -> tuple:
     """U_n = a2 n^2 + a1 n + a0, W_n = -g(g+1) a2 n (a2 n + a1).
 
-    a1 = 0 is the proven even case; a1 != 0 is the conjectural extension,
-    verified per genus by the commutation checks rather than assumed.
+    a1 = 0 is the proven even case; a1 != 0 is it translated: with h =
+    a1 / (2 a2) and kappa = g(g+1) a1^2 / 4, U_n and W_n - kappa are the even
+    family (a0 - a1^2 / (4 a2)) at n + h, so F_odd(z) = F_even(z - kappa)
+    where S is polynomial in n; the commutation checks verify each genus.
     """
     a2, a1, a0 = scalar(a2), scalar(a1), scalar(a0)
     if a2 == 0:

@@ -9,21 +9,13 @@ the kernels rmul and radd below, libmp's round-to-nearest mpf_mul and
 mpf_add (mpf_sub with radd's last argument) reimplemented bit for bit with
 int.bit_length; a multiply-accumulate is radd(acc, rmul(s, t, p), p), and
 the solver's quotients and differences call libmp's mpf_div and mpf_sub
-themselves.  A zero operand stays in the kernels (libmp's answer, the other
-operand or fzero, needs no rounding when the other operand fits in p bits),
-and so does a sum over an exponent gap past 100 bits: added exactly when
-the magnitudes lie within p + 4 bits, otherwise the larger operand, to
-which libmp's perturbation rounds back when it fits in p bits.  The kernels pay:
-on 113-bit operands (CPython 3.11, mpmath 1.3.0) they take 25 % (rmul) and
-38 % (radd) less time than mpf_mul and mpf_add, at 12,208 and 7,670 calls
-per verify benchmark pass (seed 1).  raw_max, the largest magnitude of
-float values at p bits, is libmp's loop: mpf_abs, then the first strict
-mpf_gt.  cos_int is mpmath's cos at an integer, computed once per argument
-and precision for the trig family and basis, and pow_int libmp's integer
-power, once per (base, exponent, precision) for the geometric family and
-basis; their caches are hit 1,701 and 792 times in that pass.  mpmath
-floats appear where a value enters (scalar, ZPoly's constructor) or
-leaves (coeffs, lead, sup_norm, reports).
+themselves.  raw_max, the largest magnitude of float values at p bits, is
+libmp's loop: mpf_abs, then the first strict mpf_gt.  cos_int is mpmath's
+cos at an integer, computed once per argument and precision for the trig
+family and basis, and pow_int libmp's integer power, once per (base,
+exponent, precision) for the geometric family and basis.  mpmath floats
+appear where a value enters (scalar, ZPoly's constructor) or leaves
+(coeffs, lead, sup_norm, reports).
 ZPoly stores a polynomial and has no arithmetic.  Polynomials are computed
 on exactly, as z-polynomials (ints, exp), an int vector on one exponent
 that raw_ints reads from raw values, zsum adds and poly_mul, the one
@@ -34,8 +26,9 @@ recursion (its inputs each formed exactly, then rounded once), and
 spectral's curve extraction run on those ints and round each result once:
 an int times a power of two by rround, a ratio of ints by rratio, which
 divides the ints itself and gives libmp's from_rational bit for bit, the
-worst of several ratios by worst_ratio, compared exactly and rounded once;
-exceeds compares a ratio of ints with a tolerance exactly.
+worst of several ratios by worst_ratio, compared on bit lengths and
+cross-multiplied only within one bit, then rounded once; exceeds compares a
+ratio of ints with a tolerance exactly.
 Every function computes at the caller's mpmath precision, mp.prec, which
 the caller scopes with mp.workprec; importing the package leaves it alone.
 The CLI runs at DEFAULT_PRECISION_BITS, a 113-bit significand (quad-like),
@@ -256,13 +249,16 @@ def rratio(num: int, den: int, p):
 
 def worst_ratio(ratios, p):
     """The largest num / den over the pairs of ints ratios (num >= 0, den >
-    0), compared exactly by cross-multiplying, rounded once at p bits by
-    rratio; fzero for none.  Rounding to nearest is monotone, so it is also
-    the largest of the ratios each rounded at p."""
-    num, den = 0, 1
+    0), compared exactly, rounded once at p bits by rratio; fzero for none.
+    A ratio lies within a factor of 2 of 2^k, k its numerator's bit length
+    less its denominator's: two whose k lie 2 or more apart are ordered by
+    k, and only others are cross-multiplied.  Rounding to nearest is
+    monotone, so it is also the largest of the ratios each rounded at p."""
+    num, den, top = 0, 1, None
     for n, d in ratios:
-        if n * den > num * d:
-            num, den = n, d
+        k = n.bit_length() - d.bit_length()
+        if n and (top is None or k > top + 1 or k >= top - 1 and n * den > num * d):
+            num, den, top = n, d, k
     return rratio(num, den, p)
 
 

@@ -29,7 +29,7 @@ that the master identity gives (fraction_curve) are Fraction ratios of the
 stored values; poly_dev measures two ZPolys' distance.  The level
 recursion of the ansatz solve has one too (fraction_march), on the
 solver's rounded inputs, with fraction_table and exact_table converting
-its exact tables to Fractions and back.  test_dressing runs it once over
+its exact column tables to Fractions and back.  test_dressing runs it once over
 all 3g + 1 fit columns per case and checks both the exact four-column
 march and the rounded fit rows against that one march; its reference
 solve reads the same inputs and fit rows.
@@ -727,16 +727,19 @@ def fraction_march(dc, D, inv, top, seeds, n0, span):
     return levels
 
 
-def fraction_table(table) -> dict:
-    """An exact table of dressing's level recursion, (vals, exp) with vals
-    {n: [int]}, as {n: [Fraction]}."""
-    vals, exp = table
+def fraction_table(table, start: int) -> dict:
+    """An exact table of dressing's level recursion, (columns, exp) with
+    each column a list of ints over n = start, start + 1, ..., as {n:
+    [Fraction]}, one entry per column."""
+    cols, exp = table
     scale = Fraction(2) ** exp
-    return {n: [v * scale for v in vs] for n, vs in vals.items()}
+    return {start + i: [v * scale for v in row] for i, row in enumerate(zip(*cols))}
 
 
 def exact_table(fracs: dict):
-    """{n: [Fraction]} of dyadic values as an exact table (vals, exp), exp
-    the least exponent the values need, at most 0."""
+    """{n: [Fraction]} of dyadic values on consecutive n as an exact table
+    (columns, exp), columns over the n in order and exp the least exponent
+    the values need, at most 0."""
     exp = -max((v.denominator.bit_length() - 1 for vs in fracs.values() for v in vs), default=0)
-    return {n: [int(v * 2 ** -exp) for v in vs] for n, vs in fracs.items()}, exp
+    rows = [[int(v * 2 ** -exp) for v in fracs[n]] for n in sorted(fracs)]
+    return [list(col) for col in zip(*rows)], exp

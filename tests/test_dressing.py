@@ -710,7 +710,7 @@ def test_ansatz_anchor_is_the_first_smallest_abs_u(monkeypatch, bits):
     # into the relation rows [lo + 1, hi - 2]: ties of either sign, a value
     # wider than bits that rounds onto a later exact 1, exact zeros, and a
     # smallest value at the window's edge
-    def stop(dc, D, top, g, n0, span):
+    def stop(dc, D, inv, top, g, n0, span):
         raise _Anchor(n0)
 
     monkeypatch.setattr(dressing, "_fit_rows", stop)
@@ -1037,10 +1037,12 @@ def test_fixture_checks_hold_at_minimum_precision():
 def _on_fractions(march):
     """The Fraction march of oracles (fraction_march) with the exact-table
     interface of `_march`: its tables converted to Fractions and back."""
-    def exact_march(dc, D, top, seeds, n0, span):
-        fd, fi = ({n: v for n, (v,) in fraction_table(t).items()} for t in D)
+    def exact_march(dc, D, inv, top, seeds, n0, span):
+        a, b = span
+        fd, fi = ({n: v for n, (v,) in fraction_table(t, a + 1).items()} for t in (D, inv))
         seeds = [[[v * Fraction(2) ** e for v in vec] for vec in seed] for seed, e in seeds]
-        levels = march(fraction_table(dc), fd, fi, fraction_table(top), seeds, n0, span)
+        top = {n: v for n, v in fraction_table(top, a).items() if n <= b}
+        levels = march(fraction_table(dc, a + 1), fd, fi, top, seeds, n0, span)
         return [exact_table(lv) for lv in levels]
 
     return exact_march
@@ -1074,10 +1076,14 @@ def _recursion_inputs(U, W, g, fine=None):
     return dc, D, inv, {n: [-v] for n, v in u.items()}, n0, span
 
 
-def _exact_inputs(dc, D, inv, top):
-    """The inputs of _recursion_inputs as dressing's exact tables."""
-    return exact_table(dc), (exact_table({n: [v] for n, v in D.items()}),
-                             exact_table({n: [v] for n, v in inv.items()})), exact_table(top)
+def _exact_inputs(dc, D, inv, top, a):
+    """The inputs of _recursion_inputs as dressing's exact tables for a
+    march from n = a: top from a, the others from a + 1."""
+    def table(t, start):
+        return exact_table({n: v for n, v in t.items() if n >= start})
+
+    return (table(dc, a + 1), table({n: [v] for n, v in D.items()}, a + 1),
+            table({n: [v] for n, v in inv.items()}, a + 1), table(top, a))
 
 
 def _column_seeds(g):
@@ -1125,10 +1131,11 @@ def test_fit_rows_match_the_march_of_every_column_bit_for_bit(kind, params, bits
             U, W = family_from_spec(FamilySpec(kind, g, params), (-10, 12))
             dc, D, inv, top, n0, span = _recursion_inputs(U, W, g)
         s0, exact_rows = _every_column(dc, D, inv, top, g, n0, span)
-        tables = _exact_inputs(dc, D, inv, top)
+        tables = _exact_inputs(dc, D, inv, top, span[0])
         units = [[0, *(int(k == i) for k in range(3))] for i in range(3)], 0
         four = dressing._march(*tables, [units, *[([[0] * 4] * 3, 0)] * (g - 1)], n0, span)
-        low, cols = fraction_table(four[-1]), [fraction_table(lv) for lv in four[:0:-1]]
+        low, cols = (fraction_table(four[-1], span[0]),
+                     [fraction_table(lv, span[0]) for lv in four[:0:-1]])
         for n in range(span[0], span[1] + 1):
             assert [low[n][0], *(v for lv in cols for v in lv[n][1:])] == s0[n], (g, n)
         with mp.workprec(bits + RECURSION_GUARD_BITS):
@@ -1215,10 +1222,11 @@ def test_four_term_factors_are_the_fraction_factors_exactly(bits):
         for U, W in tables:
             ((u,), eu), ((w,), ew) = raw_ints([U.values_on(-6, 6)]), raw_ints([W.values_on(-6, 6)])
             ec = min(2 * eu, ew)
-            U_int, W_int = dict(zip(range(-6, 7), u)), dict(zip(range(-6, 7), w))
+            # the factor columns of the rows n = -5.. from U_{-6..} and W_{-5..}
+            factors = dressing._four_term(u, w[1:], 2 * eu - ec, ew - ec)
             for n in range(-5, 4):
-                got = [(s, c * Fraction(2) ** ec, d * Fraction(2) ** eu)
-                       for s, c, d in dressing._four_term(U_int, W_int, 2 * eu - ec, ew - ec, n)]
+                got = [(s, c[n + 5] * Fraction(2) ** ec, d[n + 5] * Fraction(2) ** eu)
+                       for s, (c, d) in zip((-1, 0, 1, 2), factors)]
                 assert got == list(fraction_four_term(U, W, n)), n
 
 
@@ -1265,8 +1273,9 @@ def test_ansatz_residual_is_the_exact_worst_ratio_rounded_once(monkeypatch, bits
         with mp.workprec(bits):
             U, W = family_from_spec(spec, (-12, 16))
             result = ansatz_solve(basis_for(spec), U, W)
-            (dc, *_), levels = calls[-1]
-            worst = _worst_z0_ratio(U, W, fraction_table(dc), [fraction_table(lv) for lv in levels])
+            (dc, *_, (a, _b)), levels = calls[-1]
+            worst = _worst_z0_ratio(U, W, fraction_table(dc, a + 1),
+                                    [fraction_table(lv, a) for lv in levels])
             assert worst > 0
             assert result.info["resid_rel"]._mpf_ == rounded_fraction(worst)._mpf_, kind
 

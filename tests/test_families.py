@@ -4,7 +4,10 @@ from collections import Counter
 import pytest
 from mpmath import mp, mpf, cos, sin, sqrt
 from mpmath.libmp import fzero, mpf_add, mpf_pow_int, mpf_sub
-from oracles import CRITERION_1_PARAMS, exact_commutator, exact_commutator_rel, fraction_form
+from oracles import (
+    CRITERION_1_PARAMS, _fpmul, _fpsum, exact_commutator, exact_commutator_rel, fraction_form,
+    fraction_of, rounded_fraction,
+)
 
 from commdiff import cli, dressing, families, numcore
 from commdiff.errors import DegenerateDenominatorError, InconsistentDataError
@@ -436,6 +439,38 @@ def test_geometric_curve_is_a_pure_power(g, a, beta):
             worst.append(max(abs(c) for c in state.curve.c))
     assert worst[0] <= mpf("1e-32")
     assert worst[1] <= worst[0] / 2**40
+
+
+# the odd extension's cases: the listing's (a2, a1, a0) = (1, 1/2, 0) at every
+# genus, and one non-dyadic set
+ODD_CASES = [*((("1", "0.5", "0"), g) for g in range(1, 6)),
+             (("0.886695", "0.708451", "0.234504"), 3)]
+# measured worst: 2.5e3 ulps (g = 4, 160 bits)
+TRANSLATION_ULPS = 2 ** 13
+
+
+@pytest.mark.parametrize("bits", (53, 113, 160))
+def test_odd_extension_is_the_even_family_translated(bits):
+    # with h = a1 / (2 a2) and kappa = g(g+1) a1^2 / 4, the odd table is the
+    # even one (a0 - a1^2 / (4 a2)) at n + h with W raised by kappa, so the
+    # recovered curves satisfy F_odd(z) = F_even(z - kappa): every
+    # coefficient within TRANSLATION_ULPS ulps of the largest, each pair
+    # built by build_case at the working precision and F_even(z - kappa)
+    # formed exactly; with kappa negated the curves differ by about kappa
+    for params, g in ODD_CASES:
+        with mp.workprec(bits):
+            a2, a1, a0 = (mpf(v) for v in params)
+            A2, A1, A0 = map(fraction_of, (a2, a1, a0))
+            kappa = g * (g + 1) * A1 ** 2 / 4
+            even = {"a2": a2, "a0": rounded_fraction(A0 - A1 ** 2 / (4 * A2))}
+            curves = [[*map(fraction_of, build_case(FamilySpec("poly", g, spec), (0, 0))[2].curve.c),
+                       1] for spec in ({"a2": a2, "a1": a1, "a0": a0}, even)]
+        for shift, close in ((kappa, True), (-kappa, False)):
+            moved = []
+            for c in reversed(curves[1]):
+                moved = _fpsum(_fpmul(moved, [-shift, 1]), [c])
+            dev = max(abs(x - y) for x, y in zip(curves[0], moved))
+            assert (dev <= TRANSLATION_ULPS * max(map(abs, moved)) / 2 ** bits) == close, (g, shift)
 
 
 @pytest.mark.parametrize("make, error, fragment", [

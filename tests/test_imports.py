@@ -9,6 +9,8 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "commdiff"
 # __init__.py imports to export
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# the test modules and the tools, whose imports the same guard checks
+SCRIPTS = sorted(p for d in ("tests", "tools") for p in (PACKAGE.parent.parent / d).glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -32,6 +34,11 @@ def test_unused_imports_are_found():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_package_modules_import_no_unused_name(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_test_modules_and_tools_import_no_unused_name(path):
     assert unused_imports(path.read_text()) == []
 
 

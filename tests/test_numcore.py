@@ -14,7 +14,6 @@ from oracles import (
     trap_values,
 )
 
-from commdiff import numcore
 from commdiff.errors import DegenerateDenominatorError, NonFiniteError
 from commdiff.numcore import (
     HyperellipticCurve,
@@ -585,6 +584,35 @@ def test_worst_ratio_is_the_largest_ratio_rounded_once(bits):
         assert want == max((from_rational(n, d, bits, round_nearest) for n, d in ratios),
                            key=mp.make_mpf)
     assert worst_ratio([], bits) == worst_ratio([(0, 5)], bits) == fzero
+
+
+@pytest.mark.parametrize("bits", (3, 53, 113))
+def test_worst_ratio_matches_the_fraction_maximum_on_adversarial_lists(bits):
+    # worst_ratio orders two ratios by their bit lengths only when those lie
+    # two or more bits apart: lists of ratios with equal bit lengths, of
+    # ratios whose larger bit length holds the smaller value (one bit apart),
+    # of ratios one unit apart in the last place, zero numerators and equal
+    # ratios on different terms, in every order, give the Fraction maximum
+    rng = random.Random(bits + 13)
+    for _ in range(60):
+        w, k = rng.randint(2, 3 * bits), rng.randint(0, bits)
+        d = rng.getrandbits(w - 1) | 1 << (w - 1)
+        n = rng.getrandbits(w + k - 1) | 1 << (w + k - 1)
+        # 2^(w+k) / (2^w - 1) has one bit more than (2^(w+k) - 1) / 2^(w-1)
+        # and about half its value
+        flipped = [((1 << (w + k)), (1 << w) - 1), ((1 << (w + k)) - 1, 1 << (w - 1))]
+        same_bits = [(n ^ rng.getrandbits(w + k - 2), d) for _ in range(3)]
+        ulp = [(n, d), (n + 1, d), (n * d + 1, d * d), (n * d - 1, d * d)]
+        equal = [(3 * n, 3 * d), (n << 5, d << 5), (n, d)]
+        for ratios in (flipped, same_bits, ulp, equal, flipped + ulp + equal + [(0, d), (0, 1)]):
+            for order in (ratios, ratios[::-1], rng.sample(ratios, len(ratios))):
+                top = max(Fraction(a, b) for a, b in order)
+                want = from_rational(top.numerator, top.denominator, bits, round_nearest)
+                assert worst_ratio(order, bits) == want, order
+        assert Fraction(*flipped[0]) < Fraction(*flipped[1])
+        assert flipped[0][0].bit_length() - flipped[0][1].bit_length() == k + 1
+        assert flipped[1][0].bit_length() - flipped[1][1].bit_length() == k
+    assert worst_ratio([(0, 3), (0, 1 << 90)], bits) == fzero
 
 
 def test_exceeds_is_the_exact_comparison():
