@@ -26,12 +26,11 @@ nature, every verification here is pure and parallelizes over (n, z).
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import accumulate, zip_longest
-from operator import mul, sub
+from itertools import accumulate, repeat, zip_longest
+from operator import add, mul, sub
 
 from mpmath import mp, mpf, sqrt
-from mpmath.libmp import from_int, fzero, mpf_abs, mpf_gt, mpf_neg, mpf_shift
+from mpmath.libmp import from_int, fzero, mpf_abs, mpf_neg, mpf_shift
 from mpmath.libmp import round_nearest as RND
 
 from . import linalg
@@ -41,6 +40,7 @@ from .numcore import (
     ZPoly,
     cos_int,
     exceeds,
+    first_exceeding,
     poly_mul,
     pow_int,
     raw_ints,
@@ -72,17 +72,17 @@ def l2_operator(U: CoeffSeq, W: CoeffSeq) -> DiffOp:
     return t_u * t_u + DiffOp({0: W})
 
 
-def _pair_denominator(u_prev: int, u_cur: int, exp: int, where: str) -> int:
-    """u_prev + u_cur, the pair rule's denominator, for U_{n-1} and U_n as
-    ints on 2^exp, exactly; an error unless it exceeds DEGENERACY_REL times
-    the larger |U| (degeneracy is cancellation between the two values, not
-    small size), whose message starts with where."""
-    den = u_prev + u_cur
-    dscale = max(abs(u_prev), abs(u_cur))
-    if not exceeds(abs(den), dscale, DEGENERACY_REL):
+def _denominators(u: list, exp: int, where) -> list:
+    """The pair rule's denominators u_k + u_{k+1} of the U values u, ints on
+    2^exp; the first not above DEGENERACY_REL times the larger |U| (degeneracy
+    is cancellation, not small size) is an error whose message starts with where(k)."""
+    den, scale = list(map(add, u, u[1:])), list(map(max, map(abs, u), map(abs, u[1:])))
+    k = first_exceeding(zip(map(abs, den), scale), DEGENERACY_REL, over=False)
+    if k is not None:
         make, p = mp.make_mpf, mp.prec
-        raise DegenerateDenominatorError(f"{where}: U_prev + U_cur = {make(rround(den, exp, p))} "
-                                         f"is degenerate (scale {make(rround(dscale, exp, p))})")
+        raise DegenerateDenominatorError(
+            f"{where(k)}: U_prev + U_cur = {make(rround(den[k], exp, p))} is degenerate "
+            f"(scale {make(rround(scale[k], exp, p))})")
     return den
 
 
@@ -93,25 +93,28 @@ def q_from_s(S_prev: ZPoly, S_cur: ZPoly, U_prev, U_cur, where: str = "q_from_s"
     denominator below the general-position threshold is an error; where
     names the stage and the index n of Q_n in its message.
     """
-    (a, b, (up, uc)), exp = raw_ints([S_prev.raw, S_cur.raw,
-                                      [scalar(U_prev)._mpf_, scalar(U_cur)._mpf_]])
-    return _pair_rule(a, b, up, uc, exp, where)
+    (a, b, us), exp = raw_ints([S_prev.raw, S_cur.raw, [scalar(U_prev)._mpf_, scalar(U_cur)._mpf_]])
+    return _pair_rule(list(zip_longest(a, b, fillvalue=0)), us, exp, lambda k: where)[0]
 
 
-def _pair_rule(a, b, up, uc, exp: int, where: str) -> ZPoly:
-    """q_from_s on S_prev's and S_cur's coefficients a and b and U_prev and
-    U_cur, up and uc, all ints on 2^exp: each coefficient of Q is the exact
-    -(a + b) / (up + uc) rounded once, its lead within S_LEAD_TOL of 1."""
-    den = -_pair_denominator(up, uc, exp, where)
-    num = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
-    q = ZPoly._from_raw([rratio(v, den, mp.prec) for v in num])
-    lead = next((v for v in reversed(num) if v), 0)
-    if exceeds(abs(lead - den), abs(den), S_LEAD_TOL):
-        raise InconsistentDataError(
-            f"{where}: pair rule produced a non-monic polynomial (lead = {q.lead}); "
-            "S normalization is broken"
-        )
-    return q
+def _pair_rule(cols, us, exp: int, where) -> list:
+    """q_from_s along a table, a column at a time: S's coefficient columns
+    cols (cols[j][i] its z^j coefficient at site i) and U's values us, ints
+    on 2^exp, give the list of Q from the sites k and k + 1; the first k
+    whose denominator is degenerate or whose lead lies more than S_LEAD_TOL
+    from 1, compared exactly, is an error whose message starts with where(k)."""
+    den, num = list(map(add, us, us[1:])), [list(map(add, c, c[1:])) for c in cols]
+    # each site's last nonzero numerator, 0 for none
+    lead = [next(filter(None, reversed(r)), 0) for r in zip(*num, [0] * len(den))]
+    k, p = first_exceeding(zip(map(abs, map(add, lead, den)), map(abs, den)), S_LEAD_TOL), mp.prec
+    # a degenerate denominator at or before the first non-monic lead is named
+    _denominators(us if k is None else us[:k + 2], exp, where)
+    if k is not None:
+        q = ZPoly._from_raw([rratio(c[k], -den[k], p) for c in num])
+        raise InconsistentDataError(f"{where(k)}: pair rule produced a non-monic polynomial "
+                                    f"(lead = {q.lead}); S normalization is broken")
+    return [ZPoly._from_raw(list(q)) for q in zip(*([rratio(v, -d, p) for v, d in zip(c, den)]
+                                                    for c in num))]
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +146,8 @@ class DressingState:
         """Assemble a state from an S table; Q follows from the pair rule.
 
         Validates the z^g-coefficient normalization of S against -U_n, within
-        S_LEAD_TOL of the larger of 1, |U_n| and |S_n|, compared exactly, and,
+        S_LEAD_TOL of the larger of 1, |U_n| and |S_n|, compared exactly (one
+        pass over S's coefficient columns, as the pair rule's), and,
         when no curve is given, recovers it from the master identity at
         n = 0 clamped into [lo + 1, hi - 2] (four sites at least), so from
         S_{-1..2} on any window holding them: the exact polynomial
@@ -158,21 +162,21 @@ class DressingState:
         prec, sites = mp.prec, range(lo, hi + 1)
         # every S row and U value as ints on one exponent, read once for both checks
         (*rows, us), e = raw_ints([*(S[n].raw for n in sites), U.values_on(lo, hi)])
-        for n, s, u in zip(sites, rows, us):
-            lead = s[g] if g < len(s) else 0
-            if exceeds(abs(lead + u), max(1 << -e, abs(u), *map(abs, s)), S_LEAD_TOL):
-                raise InconsistentDataError(
-                    f"S_{n} has z^{g} coefficient {S[n].coeff(g)}, expected {-U.at(n)}"
-                )
-        Q = {n: _pair_rule(a, b, up, uc, e, f"state assembly at n={n}")
-             for n, a, b, up, uc in zip(sites[1:], rows, rows[1:], us, us[1:])}
-        state = cls(U, W, curve, S, Q)
+        cols = list(zip_longest(*rows, fillvalue=0))
+        sup = map(max, repeat(1 << -e), map(abs, us), *(map(abs, c) for c in cols))
+        k = first_exceeding(zip(map(abs, map(add, cols[g], us)), sup), S_LEAD_TOL)
+        if k is not None:
+            n = lo + k
+            raise InconsistentDataError(f"S_{n} has z^{g} coefficient {S[n].coeff(g)}, "
+                                        f"expected {-U.at(n)}")
+        Q = _pair_rule(cols, us, e, lambda k: f"state assembly at n={lo + 1 + k}")
+        state = cls(U, W, curve, S, dict(zip(sites[1:], Q)))
         if curve is None:
-            # with no curve, F = 0 and master(n) is minus the curve polynomial
+            # with no curve, F = 0 and the master residual is minus the curve polynomial
             n0 = min(max(0, lo + 1), hi - 2)
-            master, _linear, exp, _lexp = _exact_checks(state, n0, n0 + 1)
-            (f0, _), (f1, _) = master(n0), master(n0 + 1)
-            dev = max(abs(x - y) for x, y in zip_longest(f0, f1, fillvalue=0))
+            ((f0, f1), _scale), _linear, exp, _lexp = _exact_checks(state, range(n0, n0 + 2),
+                                                                   range(0))
+            dev = max(map(abs, map(sub, f0, f1)))
             if exceeds(dev, max(1 << -exp, *map(abs, f0)), CURVE_RECOVERY_TOL):
                 raise InconsistentDataError(
                     f"curve recovery: master identity differs between n={n0} and "
@@ -238,62 +242,78 @@ def _relation(f, x):
             for a, b, c, d, v, y, z, t in zip(*f, x, x[1:], x[2:], x[3:])]
 
 
-def _zmul(c, v, k):
-    """(z + c) v for an int c and an int vector v, z's coefficient 1 << k."""
-    if not v:
-        return []
-    return [c * v[0], *((x << k) + c * y for x, y in zip(v, v[1:])), v[-1] << k]
+def _zmul(c, cols, k):
+    """The coefficient columns of (z + c_i) v_i, z's coefficient 1 << k, for
+    the int column c and vectors v_i of coefficient columns cols."""
+    zero = [0] * len(c)
+    return [[x * y + (v << k) for x, y, v in zip(c, cur, prev)]
+            for cur, prev in zip([*cols, zero], [zero, *cols])]
 
 
-def _exact_checks(state: DressingState, a: int, b: int):
-    """(master, linear, mexp, lexp): the identity checks at n = a..b on exact ints.
+def _exact_checks(state: DressingState, sites: range, rows: range):
+    """(master, linear, mexp, lexp): the identity checks on exact ints.
 
-    U, W, S, Q and F_g are read once where those rows reach, each table as
-    ints on its own exponent <= 0 (numcore.raw_ints), aligned by shifts
-    where products meet; a state with no curve yet reads F_g = 0.  master(n)
-    gives (r, scale) on 2^mexp: r the coefficients of F_g - S_n^2 - (z -
-    U_n^2 - W_n) Q_n Q_{n+1}, scale the largest |coefficient| of F_g, the two
-    products and 1; linear(n) the same on 2^lexp for R_n and its terms d_i
-    (z + c_i) S_{n+s_i} and 1."""
+    U, W, S, Q and F_g are read once where sites and rows reach, each table
+    as ints on its own exponent <= 0 (numcore.raw_ints), aligned by shifts
+    where products meet; a state with no curve yet reads F_g = 0.  master
+    is (r, scale), lists over sites on 2^mexp: r[k] the coefficients of F_g
+    - S_n^2 - (z - U_n^2 - W_n) Q_n Q_{n+1}, scale[k] the largest
+    |coefficient| of F_g, the two products and 1; linear the same over rows
+    on 2^lexp for R_n, its terms d_i (z + c_i) S_{n+s_i} (_four_term's d_i
+    and c_i) and 1.  S_n^2 and Q_n Q_{n+1} are one poly_mul per site; the
+    rest runs in passes over whole coefficient columns, zero-padded."""
     s_lo, s_hi = state.window
+    a, b = min([*sites, *rows]), max([*sites, *rows])
     ulo, uhi, whi = max(a - 1, s_lo), min(b + 2, s_hi), min(b + 1, s_hi - 1)
     fraw = state.curve.fpoly().raw if state.curve else []
     ((u,), eu), ((w,), ew), ((f,), ef), (s, es), (q, eq) = map(raw_ints, (
         [state.U.values_on(ulo, uhi)], [state.W.values_on(a, whi)], [fraw],
         [state.s(n).raw for n in range(ulo, uhi + 1)],
         [state.q(n).raw for n in range(a, min(b + 1, s_hi) + 1)]))
-    U, W = dict(zip(range(ulo, uhi + 1), u)), dict(zip(range(a, whi + 1), w))
-    S, Q = dict(zip(range(ulo, uhi + 1), s)), dict(zip(range(a, b + 2), q))
     # U_n^2 + W_n and the c_i lie on ec, the master's terms on mexp, R_n's on lexp
     ec = min(2 * eu, ew)
     ku, kw, mexp, lexp = 2 * eu - ec, ew - ec, min(ef, 2 * es, ec + 2 * eq), eu + ec + es
     ks, kp = 2 * es - mexp, ec + 2 * eq - mexp
     F = [v << ef - mexp for v in f]
     fscale = max([1 << -mexp, *map(abs, F)])
-    # the factors of R_n from n = ulo + 1 on
-    fac = _four_term(u, w[ulo + 1 - a:], ku, kw)
 
-    def master(n):
-        s2 = [v << ks for v in poly_mul(S[n], S[n])]
-        prod = _zmul(-((W[n] << kw) + (U[n] * U[n] << ku)) << kp, poly_mul(Q[n], Q[n + 1]),
-                     kp - ec)
-        scale = max([fscale, *map(abs, s2), *map(abs, prod)])
-        return [x - y - z for x, y, z in zip_longest(F, s2, prod, fillvalue=0)], scale
+    # the master identity at n = k + sites.start from S's row i + k and Q's j + k
+    i, j, m = sites.start - ulo, sites.start - a, len(sites)
+    s2 = [[v << ks for v in c] for c in zip_longest(*map(poly_mul, s[i:i + m], s[i:i + m]),
+                                                    fillvalue=0)]
+    prod = _zmul([-((x << kw) + (y * y << ku)) << kp for x, y in zip(w[j:j + m], u[i:i + m])],
+                 list(zip_longest(*map(poly_mul, q[j:j + m], q[j + 1:j + m + 1]), fillvalue=0)),
+                 kp - ec)
+    r = [[x - y - z for x, y, z in zip(fc, sc, pc)]
+         for fc, sc, pc in zip_longest(map(repeat, F), s2, prod, fillvalue=[0] * m)]
+    master = list(zip(*r)), list(map(max, repeat(fscale), *(map(abs, c) for c in s2 + prod)))
 
-    def linear(n):
-        k = n - ulo - 1
-        terms = [[d[k] * v for v in _zmul(c[k], S[n + s], -ec)]
-                 for s, (c, d) in zip((-1, 0, 1, 2), fac)]
-        scale = max([1 << -lexp, *(abs(v) for t in terms for v in t)])
-        return [sum(c) for c in zip_longest(*terms, fillvalue=0)], scale
-
+    # the four-term relation's rows n = k + rows.start, from row o + k of its factors
+    o, m = rows.start - ulo - 1, len(rows)
+    cols = list(zip_longest(*s, fillvalue=0))
+    terms = [_zmul(c[o:o + m], [[e * x for e, x in zip(d[o:o + m], col[o + t:])] for col in cols],
+                   -ec) for t, (c, d) in enumerate(_four_term(u, w[ulo + 1 - a:], ku, kw))]
+    r = [[x + y + z + v for x, y, z, v in zip(*t)] for t in zip(*terms)]
+    linear = list(zip(*r)), list(map(max, repeat(1 << -lexp),
+                                     *(map(abs, c) for t in terms for c in t)))
     return master, linear, mexp, lexp
+
+
+def _reach(state: DressingState, n: int, short: int, identity: str) -> range:
+    """range(n, n + 1) for n in [lo + 1, hi - short], the identity's reach on
+    the state window [lo, hi]; a WindowError naming n and that reach otherwise."""
+    lo, hi, n = state.window[0] + 1, state.window[1] - short, int(n)
+    if not lo <= n <= hi:
+        raise WindowError(f"the {identity} at n={n} is outside its reach [{lo}, {hi}] "
+                          f"on the state window {list(state.window)}")
+    return range(n, n + 1)
 
 
 def verify_master(state: DressingState, n: int) -> mpf:
     """Max |coefficient| of F_g - S_n^2 - (z - U_n^2 - W_n) Q_n Q_{n+1}, rounded once."""
-    master, _linear, exp, _lexp = _exact_checks(state, n, n)
-    return mp.make_mpf(rround(max(map(abs, master(n)[0]), default=0), exp, mp.prec))
+    ((r,), _scale), _linear, exp, _lexp = _exact_checks(
+        state, _reach(state, n, 1, "master identity"), range(0))
+    return mp.make_mpf(rround(max(map(abs, r)), exp, mp.prec))
 
 
 def residual_linear(state: DressingState, n: int) -> ZPoly:
@@ -303,8 +323,9 @@ def residual_linear(state: DressingState, n: int) -> ZPoly:
     For coefficient families even in n the result is skew under
     n -> -n - 1, which identity_residuals measures when asked.
     """
-    _master, linear, _mexp, exp = _exact_checks(state, n, n)
-    return ZPoly._from_raw([rround(v, exp, mp.prec) for v in linear(n)[0]])
+    _master, ((r,), _scale), _mexp, exp = _exact_checks(
+        state, range(0), _reach(state, n, 2, "linear relation"))
+    return ZPoly._from_raw([rround(v, exp, mp.prec) for v in r])
 
 
 def identity_residuals(state: DressingState, window, skew: bool = False):
@@ -320,9 +341,10 @@ def identity_residuals(state: DressingState, window, skew: bool = False):
     is compared.  A window that holds no row of the linear relation, and so
     none of the master identity either, is a WindowError.
 
-    Every residual and scale is exact (_exact_checks), and the worst of the
-    per-n ratios |r| / scale of each identity, compared exactly, is rounded
-    once at mp.prec, by numcore.worst_ratio.
+    Every residual and scale is exact (_exact_checks' column passes, the
+    linear one over the hull of the rows and the pairs), and the worst of
+    the per-n ratios |r| / scale of each identity, compared exactly, is
+    rounded once at mp.prec, by numcore.worst_ratio.
     """
     (lo, hi), (s_lo, s_hi) = map(int, window), state.window
     sites = range(max(lo, s_lo + 1), min(hi, s_hi - 1) + 1)
@@ -331,19 +353,17 @@ def identity_residuals(state: DressingState, window, skew: bool = False):
         raise WindowError(f"window [{lo}, {hi}] holds no row of the identities of the state "
                           f"on [{s_lo}, {s_hi}]")
     mirrored = range(0, min(hi, s_hi - 2, -(s_lo + 2)) + 1) if skew else range(0)
-    pairs = {*mirrored, *(-n - 1 for n in mirrored)}
-    span = [*sites, *pairs]
-    master, linear, *_exps = _exact_checks(state, min(span), max(span))
-    lin = {n: linear(n) for n in {*rows, *pairs}}
+    # the linear pass runs from the first row or pair to the last row
+    at = min([rows.start, *(-n - 1 for n in mirrored)])
+    master, (lr, ls), *_exps = _exact_checks(state, sites, range(at, rows.stop))
 
-    def worst(ratios):
-        return mp.make_mpf(worst_ratio(
-            ((max(map(abs, r), default=0), scale) for r, scale in ratios), mp.prec))
+    def worst(r, scale):
+        return mp.make_mpf(worst_ratio(((max(map(abs, v)), x) for v, x in zip(r, scale)), mp.prec))
 
-    master_rel, linear_rel = worst(map(master, sites)), worst(lin[n] for n in rows)
+    master_rel, linear_rel = worst(*master), worst(lr[rows.start - at:], ls[rows.start - at:])
     return master_rel, linear_rel, worst(
-        ([x + y for x, y in zip_longest(lin[n][0], lin[-n - 1][0], fillvalue=0)], lin[n][1])
-        for n in mirrored) if mirrored else None
+        [list(map(add, lr[n - at], lr[-n - 1 - at])) for n in mirrored],
+        [ls[n - at] for n in mirrored]) if mirrored else None
 
 
 # ---------------------------------------------------------------------------
@@ -611,9 +631,9 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
     if rhi - rlo + 1 < ncon:
         raise WindowError(f"U and W on [{lo}, {hi}] give {max(rhi - rlo + 1, 0)} relation rows "
                           f"for {ncon} constants")
-    mags = [mpf_abs(u, mp.prec, RND) for u in U.values_on(lo, hi)]
-    n0 = lo + mags.index(reduce(lambda a, b: b if mpf_gt(a, b) else a, mags))
-    n0 = min(max(n0, rlo), rhi)
+    # each |U_n| as mpf's abs rounds it, as ints: the first smallest is n0
+    (mags,), _e = raw_ints([[mpf_abs(u, mp.prec, RND) for u in U.values_on(lo, hi)]])
+    n0 = min(max(lo + mags.index(min(mags)), rlo), rhi)
     # 3g + 3 rows or more, or every row: at least 3g either way
     flo, fhi = max(rlo, n0 - ncon - 2), min(rhi, n0 + ncon + 2)
 
@@ -622,9 +642,10 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
     # without fine tables, each value would be checked against itself
     for name, x, xf in (("U", U, Uf), ("W", W, Wf)) if fine is not None else ():
         (vs, fs), e = raw_ints([x.values_on(lo, hi), xf.values_on(lo, hi)])
-        for n, v, vf in zip(range(lo, hi + 1), vs, fs):
-            if exceeds(abs(vf - v), max(abs(v), 1 << -e), ANSATZ_TOL):
-                raise InconsistentDataError(f"fine table of {name} disagrees with {name} at n={n}")
+        scale = map(max, map(abs, vs), repeat(1 << -e))
+        k = first_exceeding(zip(map(abs, map(sub, fs, vs)), scale), ANSATZ_TOL)
+        if k is not None:
+            raise InconsistentDataError(f"fine table of {name} disagrees with {name} at n={lo + k}")
     with mp.workprec(mp.prec + RECURSION_GUARD_BITS):
         # the fine U and W as ints, read once: D_n, the four-term factors and
         # so every input of the recursion are exact, each rounded once, each
@@ -632,8 +653,7 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
         p = mp.prec
         ((u,), eu), ((w,), ew) = (raw_ints([t.values_on(lo, hi)]) for t in (Uf, Wf))
         ec = min(2 * eu, ew)
-        Dx = [_pair_denominator(x, y, eu, f"ansatz_solve at n={n}")
-              for n, x, y in zip(range(lo + 1, hi + 1), u, u[1:])]
+        Dx = _denominators(u, eu, lambda k: f"ansatz_solve at n={lo + 1 + k}")
         fac = _four_term(u, w[1:], 2 * eu - ec, ew - ec)
         dc = raw_ints([[rround(d * c, eu + ec, p) for c, d in zip(*t)] for t in fac])
         D = raw_ints([[rround(v, eu, p) for v in Dx]])
@@ -666,11 +686,11 @@ def ansatz_solve(basis: AnsatzBasis, U: CoeffSeq, W: CoeffSeq, fine=None) -> Ans
         scales = (max(map(mul, row, sups)) << max(-shift, 0)
                   for row, sups in zip(weights, zip(sup, sup[1:], sup[2:], sup[3:])))
         ratios = list(zip((abs(v) << max(shift, 0) for v in _relation(f, s0)), scales))
-        for n, (r, scale) in enumerate(ratios, rlo):
-            if exceeds(r, scale, ANSATZ_TOL):
-                raise InconsistentDataError(f"no genus-{g} S for this U and W: the z^0 row of "
-                                            f"the four-term relation at n={n} has relative "
-                                            f"residual {make(rratio(r, scale, p))}")
+        k = first_exceeding(ratios, ANSATZ_TOL)
+        if k is not None:
+            raise InconsistentDataError(f"no genus-{g} S for this U and W: the z^0 row of "
+                                        f"the four-term relation at n={rlo + k} has relative "
+                                        f"residual {make(rratio(*ratios[k], p))}")
 
     below = zip(*([rround(v, e, p_out) for v in c] for (c,), e in reversed(levels[1:])))
     S = {n: ZPoly._from_raw([*row, top_row[n]]) for n, row in zip(range(lo, hi + 1), below)}

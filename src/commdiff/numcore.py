@@ -27,8 +27,8 @@ spectral's curve extraction run on those ints and round each result once:
 an int times a power of two by rround, a ratio of ints by rratio, which
 divides the ints itself and gives libmp's from_rational bit for bit, the
 worst of several ratios by worst_ratio, compared on bit lengths and
-cross-multiplied only within one bit, then rounded once; exceeds compares a
-ratio of ints with a tolerance exactly.
+cross-multiplied only within one bit, then rounded once; exceeds and, over
+a column, first_exceeding compare ratios of ints with a tolerance exactly.
 Every function computes at the caller's mpmath precision, mp.prec, which
 the caller scopes with mp.workprec; importing the package leaves it alone.
 The CLI runs at DEFAULT_PRECISION_BITS, a 113-bit significand (quad-like),
@@ -262,11 +262,20 @@ def worst_ratio(ratios, p):
     return rratio(num, den, p)
 
 
+def first_exceeding(ratios, tol, over=True):
+    """The index of the first pair of ints (num >= 0, den >= 0) of ratios
+    whose num / den > tol exactly, for a positive mpf tol, or with over false
+    of the first whose num / den <= tol; None for none.  One column pass."""
+    _, man, exp, _ = tol._mpf_
+    a, b = max(-exp, 0), max(exp, 0)
+    return next((i for i, (num, den) in enumerate(ratios)
+                 if (num << a > man * den << b) == over), None)
+
+
 def exceeds(num: int, den: int, tol) -> bool:
     """num / den > tol exactly, for ints num >= 0 and den > 0 and a positive
-    mpf tol."""
-    _, man, exp, _ = tol._mpf_
-    return num << max(-exp, 0) > man * den << max(exp, 0)
+    mpf tol: first_exceeding on one pair."""
+    return first_exceeding([(num, den)], tol) == 0
 
 
 def raw_ints(vecs):

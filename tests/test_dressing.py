@@ -384,6 +384,25 @@ def test_identity_residuals_refuse_a_window_that_holds_no_row():
     assert identity_residuals(state, (13, 20))[1] >= 0
 
 
+def test_single_site_checks_name_n_and_the_reach_of_their_identity():
+    # on the state window [-10, 15] the master identity reaches [-9, 14] and
+    # the linear relation [-9, 13]; a site past either is a WindowError that
+    # names n and that reach, not an IndexError or an error about W's window
+    _L2, _partner, state, _extras = build_case(FamilySpec("trig", 2, {"r1": "1.3"}), (-8, 8))
+    assert state.window == (-10, 15)
+    assert verify_master(state, 14) <= mpf("1e-25") and verify_master(state, -9) <= mpf("1e-25")
+    assert residual_linear(state, 13).sup_norm() <= mpf("1e-25")
+    assert residual_linear(state, -9).sup_norm() <= mpf("1e-25")
+    for n in (15, -10, 40):
+        with pytest.raises(WindowError, match=rf"^the master identity at n={n} is outside its "
+                                              r"reach \[-9, 14\] on the state window \[-10, 15\]$"):
+            verify_master(state, n)
+    for n in (14, 15, -10):
+        with pytest.raises(WindowError, match=rf"^the linear relation at n={n} is outside its "
+                                              r"reach \[-9, 13\] on the state window \[-10, 15\]$"):
+            residual_linear(state, n)
+
+
 @pytest.mark.parametrize(
     "kind,params",
     [("trig", {"r1": 1}), ("poly", {"a2": 1, "a0": 0, "a1": mpf(1) / 2})],
@@ -550,12 +569,26 @@ def test_ansatz_table_matches_320_bit_solve(kind, g, params, window, fine, bound
 
 
 def test_ansatz_rejects_fine_tables_of_another_family():
+    # fine tables of another family differ at every site, and fine tables
+    # of the same family moved by 1e-6 at two sites: the first site that
+    # differs is named, U's before W's
     spec = FamilySpec("poly", 2, ODD3)
     U, W = family_from_spec(spec, (-12, 12))
     with mp.workprec(mp.prec + RECURSION_GUARD_BITS):
         other = family_from_spec(FamilySpec("poly", 2, {**ODD3, "a0": "0.5"}), (-12, 12))
-    with pytest.raises(InconsistentDataError, match="fine table of U .* n=-12"):
-        ansatz_solve(basis_for(spec), U, W, other)
+        fine = family_from_spec(spec, (-12, 12))
+        cases = [(other, "U", -12)]
+        for name, sites, named in (("U", (5, -3), -3), ("W", (7, 2), 2)):
+            moved, table = list(fine), "UW".index(name)
+            vals = list(fine[table].values)
+            for n in sites:
+                vals[n + 12] *= 1 + mpf("1e-6")
+            moved[table] = CoeffSeq(-12, vals)
+            cases.append((moved, name, named))
+    for tables, name, named in cases:
+        with pytest.raises(InconsistentDataError,
+                           match=f"^fine table of {name} disagrees with {name} at n={named}$"):
+            ansatz_solve(basis_for(spec), U, W, tables)
 
 
 @pytest.mark.parametrize("bits", (53, 113))
@@ -1280,14 +1313,16 @@ def test_ansatz_residual_is_the_exact_worst_ratio_rounded_once(monkeypatch, bits
             assert result.info["resid_rel"]._mpf_ == rounded_fraction(worst)._mpf_, kind
 
 
-@pytest.mark.parametrize("site, row", [(12, 12), (-12, -13)])
-def test_ansatz_rejects_a_z0_row_above_tolerance_naming_n(site, row):
-    # W off by 1e-6 at one site outside the fit rows: the constants fit,
-    # and the first z^0 row whose exact residual exceeds ANSATZ_TOL times
-    # its scale is named, with its ratio
+@pytest.mark.parametrize("sites, row", [((12,), 12), ((-12,), -13), ((12, -12), -13)],
+                         ids=["12-12", "-12--13", "12,-12--13"])
+def test_ansatz_rejects_a_z0_row_above_tolerance_naming_n(sites, row):
+    # W off by 1e-6 at sites outside the fit rows: the constants fit, and
+    # the first z^0 row whose exact residual exceeds ANSATZ_TOL times its
+    # scale is named, with its ratio, the lower one of two off sites
     U, W = trig_family(2, 1, (-14, 14))
     vals = list(W.values)
-    vals[site - W.n_min] *= 1 + mpf("1e-6")
+    for site in sites:
+        vals[site - W.n_min] *= 1 + mpf("1e-6")
     with pytest.raises(InconsistentDataError, match=(
             rf"z\^0 row of the four-term relation at n={row} has relative residual 0\.0+[1-9]")):
         ansatz_solve(TrigBasis(2), U, CoeffSeq(W.n_min, vals))
@@ -1301,12 +1336,16 @@ def test_identity_residuals_are_exact_ratios_rounded_once(kind, g, params, bits)
     # states built at the working precision and at twice it, each from
     # parameters read at its own precision, whose curve coefficients and
     # tables carry bits that abs and negation round, on windows inside the
-    # state and clipped at its low end, its high end and both
+    # state and clipped at its low end, its high end and both; (6, 8) lies
+    # above n = 0, and its skew still compares n = 0.. ; the last two hold
+    # one linear row, and end past the last linear row at the last master site
     for build_bits in (bits, 2 * bits):
         with mp.workprec(build_bits):
             _L2, _partner, state, _extras = build_case(FamilySpec(kind, g, params), (-4, 4))
+        s_hi = state.window[1]
         with mp.workprec(bits):
-            for window in ((-4, 4), (-40, 1), (-1, 40), (-40, 40)):
+            for window in ((-4, 4), (-40, 1), (-1, 40), (-40, 40), (6, 8), (s_hi - 2, s_hi + 5),
+                           (s_hi - 4, s_hi - 1)):
                 for skew in (False, True):
                     got = identity_residuals(state, window, skew=skew)
                     ref = exact_identity_residuals(state, window, skew)
@@ -1454,8 +1493,17 @@ def _s_table(sites):
     return {n: ZPoly([0, -1]) for n in sites}
 
 
+def _lead_table(U, off):
+    """S_n = -(U_n + off_n) z on U's window, off_n = 0 at the sites off leaves out."""
+    lo, hi = U.window
+    return {n: ZPoly([0, -(U.at(n) + off.get(n, 0))]) for n in range(lo, hi + 1)}
+
+
 ELLIPTIC = HyperellipticCurve(1, (0, -1, 0))
 UNIT = CoeffSeq(-4, [1] * 10)
+# U_{n-1} + U_n = 2 against |U_n| near 1000: S's lead 1e-4 off -U_n passes
+# the lead check and leaves Q's lead 5e-5 off 1
+ALTERNATING = CoeffSeq.tabulate(lambda n: 1000 * mpf(-1) ** n + 1, (-6, 6))
 
 
 @pytest.mark.parametrize("make, error, fragment", [
@@ -1469,7 +1517,16 @@ UNIT = CoeffSeq(-4, [1] * 10)
      "S table has gaps"),
     (lambda: DressingState(UNIT, UNIT, ELLIPTIC, _s_table([0, 1, 2]), _s_table([0, 1, 2])),
      WindowError, "Q table must cover [lo+1, hi]"),
-], ids=["genus-2", "window-past-gamma", "no-real-branch", "s-gap", "q-off-window"])
+    # tables off at two sites: the lower one is named
+    (lambda: DressingState.from_s_table(UNIT, UNIT, _lead_table(UNIT, {3: 1, 1: mpf("0.5")}),
+                                        curve=ELLIPTIC),
+     InconsistentDataError, "S_1 has z^1 coefficient -1.5, expected -1.0"),
+    (lambda: DressingState.from_s_table(ALTERNATING, ALTERNATING, _lead_table(ALTERNATING, {
+        4: mpf("-1e-4"), -2: mpf("-1e-4")}), curve=ELLIPTIC),
+     InconsistentDataError, "state assembly at n=-2: pair rule produced a non-monic polynomial "
+                            "(lead = 0.99995"),
+], ids=["genus-2", "window-past-gamma", "no-real-branch", "s-gap", "q-off-window",
+        "s-lead-first-of-two", "pair-lead-first-of-two"])
 def test_state_constructors_refuse_what_they_cannot_build(make, error, fragment):
     with pytest.raises(error) as got:
         make()

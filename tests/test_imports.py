@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,20 +95,89 @@ def _resolves(module: str, path: str) -> bool:
     return obj is not None
 
 
-def _missing_span_targets() -> list:
-    """The targets of the tracer's SPANS table, read from its source, that
-    do not resolve in the package, as dotted names in table order."""
+def _tracer_table(name: str):
+    """The value of the tracer's module-level table name (SPANS or
+    DOMINATES), read from its source, which stays unedited."""
     tree = ast.parse(BENCH_TRACING.read_text())
-    (spans,) = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
-                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["SPANS"]]
-    return [f"{module}.{path}" for targets in spans.values() for module, path in targets
-            if not _resolves(module, path)]
+    (table,) = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == [name]]
+    return table
+
+
+def _missing_span_targets() -> list:
+    """The targets of the tracer's SPANS table that do not resolve in the
+    package, as dotted names in table order."""
+    return [f"{module}.{path}" for targets in _tracer_table("SPANS").values()
+            for module, path in targets if not _resolves(module, path)]
 
 
 def test_every_traced_target_resolves_but_the_stale_ones():
     # a renamed or deleted function unhooks its span, and the traced
     # benchmark fails when a span that a workload needs records no calls
     assert sorted(_missing_span_targets()) == STALE_TARGETS
+
+
+def _count_at_every_binding(monkeypatch, module: str, path: str, calls: dict):
+    """Count the calls of a span target wherever the tracer would wrap it:
+    a classmethod or staticmethod on its class, any other object at every
+    commdiff module global and class attribute that holds it."""
+    *owners, attr = path.split(".")
+    owner = importlib.import_module(module)
+    for name in owners:
+        owner = getattr(owner, name)
+    raw = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+    key = f"{module}.{path}"
+    calls[key] = 0
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    if isinstance(raw, (classmethod, staticmethod)):
+        monkeypatch.setattr(owner, attr, type(raw)(counting(raw.__func__)))
+        return
+    wrapper = counting(raw)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is None or mod_name.split(".")[0] != "commdiff":
+            continue
+        for name, value in list(vars(mod).items()):
+            if value is raw:
+                monkeypatch.setattr(mod, name, wrapper)
+            elif isinstance(value, type) and value.__module__.startswith("commdiff"):
+                for cname, cvalue in list(vars(value).items()):
+                    if cvalue is raw:
+                        monkeypatch.setattr(value, cname, wrapper)
+
+
+def test_every_span_the_cli_workloads_need_records_calls(monkeypatch, tmp_path):
+    # the traced benchmark fails when a span that dominates verify or
+    # odd-ext records no call there; a function called through a binding
+    # the tracer cannot rewrap (a local alias, a default argument) records
+    # none, which only the benchmark would notice.  As the benchmark's own
+    # check, a span with a stale target is exempt, and a span records a
+    # call when any of its targets does: trig and odd poly reach no
+    # elliptic or geometric tabulation
+    import commdiff.cli
+
+    spans, dominates = _tracer_table("SPANS"), _tracer_table("DOMINATES")
+    needed = {name: targets for name, targets in spans.items()
+              if {"verify", "odd-ext"} & set(dominates.get(name, ()))
+              and all(_resolves(module, path) for module, path in targets)}
+    assert "numcore.poly_mul" in needed and "dressing.state" in needed
+    calls = {}
+    for targets in needed.values():
+        for module, path in targets:
+            _count_at_every_binding(monkeypatch, module, path, calls)
+    out = str(tmp_path / "reports")
+    for family in (["trig", "--g", "2", "--r1", "1.3"],
+                   ["poly", "--g", "2", "--a2", "1", "--a1", "0.5", "--a0", "0.25"]):
+        assert commdiff.cli.main(["verify", "--family", *family, "--window", "-4", "4",
+                                  "--out", out]) == 0
+    silent = [name for name, targets in needed.items()
+              if not any(calls[f"{module}.{path}"] for module, path in targets)]
+    assert silent == [], calls
 
 
 @pytest.mark.parametrize("module, owner, name", [
