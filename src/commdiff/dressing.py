@@ -41,10 +41,11 @@ from .numcore import (
     cos_int,
     exceeds,
     first_exceeding,
+    maxpy,
     poly_mul,
     pow_int,
     raw_ints,
-    rdot,
+    raw_split,
     rratio,
     rround,
     scalar,
@@ -149,8 +150,8 @@ class DressingState:
         S_LEAD_TOL of the larger of 1, |U_n| and |S_n|, compared exactly (one
         pass over S's coefficient columns, as the pair rule's), and,
         when no curve is given, recovers it from the master identity at
-        n = 0 clamped into [lo + 1, hi - 2] (four sites at least), so from
-        S_{-1..2} on any window holding them: the exact polynomial
+        n = 0 clamped into [lo + 1, hi - 2] (a WindowError below four sites),
+        so from S_{-1..2} on any window holding them: the exact polynomial
         S_n^2 + (z - U_n^2 - W_n) Q_n Q_{n+1} of _exact_checks, which must
         equal the one at n + 1 within CURVE_RECOVERY_TOL of the larger of
         its largest |coefficient| and 1, compared exactly, gives the curve
@@ -173,7 +174,10 @@ class DressingState:
         state = cls(U, W, curve, S, dict(zip(sites[1:], Q)))
         if curve is None:
             # with no curve, F = 0 and the master residual is minus the curve polynomial
-            n0 = min(max(0, lo + 1), hi - 2)
+            n0 = max(min(0, hi - 2), lo + 1)
+            if hi - lo < 3:
+                raise WindowError(f"curve recovery reads S at the four sites [{n0 - 1}, {n0 + 2}]"
+                                  f"; the S table holds [{lo}, {hi}]")
             ((f0, f1), _scale), _linear, exp, _lexp = _exact_checks(state, range(n0, n0 + 2),
                                                                    range(0))
             dev = max(map(abs, map(sub, f0, f1)))
@@ -464,16 +468,19 @@ class AnsatzResult:
 def _pin_top_row(basis, U, lo, hi):
     """The z^g row of S: -U_n fitted in the basis span on the grid |n| <=
     size + 2 (linalg.lstsq_mpf on the raw basis functions and -U_n rounded
-    at the working precision), evaluated as {n: phi(n) . x}, one rdot per
-    site, on the hull of the grid and [lo, hi].  The fit residual max |phi(n)
-    . x + U_n| over the grid, compared exactly on the ints of the row and U,
-    must not exceed ANSATZ_TOL times the larger of 1 and max |U_n|."""
+    at the working precision), {n: phi(n) . x} on the hull of the grid and
+    [lo, hi], summed by numcore.maxpy a basis column at a time.  The fit
+    residual max |phi(n) . x + U_n| over the grid, compared exactly on the
+    ints of the row and U, must not exceed ANSATZ_TOL times max(1, max |U_n|)."""
     p, reach = mp.prec, basis.size + 2
     us = U.values_on(-reach, reach)
     phi = {n: basis.functions(n) for n in range(min(lo, -reach), max(hi, reach) + 1)}
     x, _info = linalg.lstsq_mpf([phi[n] for n in range(-reach, reach + 1)],
                                 [mpf_neg(u, p, RND) for u in us])
-    row = {n: rdot(x, f, p) for n, f in phi.items()}
+    row = [0] * len(phi), [0] * len(phi)
+    for a, col in zip(x, zip(*phi.values())):
+        row = maxpy(a, *raw_split(col), *row, p)
+    row = {n: rround(m, e, p) for n, m, e in zip(phi, *row)}
     (r, u), e = raw_ints([[row[n] for n in range(-reach, reach + 1)], us])
     resid = max(abs(a + b) for a, b in zip(r, u))
     if exceeds(resid, max(1 << -e, *map(abs, u)), ANSATZ_TOL):

@@ -5,18 +5,17 @@ Householder QR on rows of raw libmp values, whose pivots expose rank loss.
 caller is `dressing.ansatz_solve`'s fit of the 3g integration constants.
 
 `lstsq_mpf` equilibrates the columns and runs every operation at the working
-precision with round-to-nearest, in a fixed order: products and sums through
-the kernels of `numcore`, differences, quotients, square roots and the
-doubling of a dot product through `mpmath.libmp`.  Each sum of products is
-`numcore.rdot`, left to right from its first product, and each entry
-t - f v_i of a Householder update is `radd(t, rmul(f, v_i, p), p, 1)`, the
-product rounded first.  Each pivot is the first column of largest exact
-norm over the rows left, as in `lstsq`.  So the result is a function of the
-input and the precision alone, bit for bit: the same x, R diagonal and
-pivot order as the plain row-major loop of mpf objects that the tests keep
-as their oracle (`_reference_lstsq` in `tests/oracles.py`).  Its one caller
-is `dressing._pin_top_row`, whose bits set the leads of Q; ROADMAP item 2b
-deletes the pin fit and this solver with it.
+precision with round-to-nearest, in a fixed order, on columns of signed int
+mantissas and exponents: each sum of products is `numcore.mdot`, left to
+right from its first product, and each entry t - f v_i of a Householder
+update is `numcore.maxpy` with -f, the product rounded first; differences,
+quotients and square roots are libmp's.  Each pivot is the first column of
+largest exact norm over the rows left, as in `lstsq`.  So the result is a
+function of the input and the precision alone, bit for bit: the same x, R
+diagonal and pivot order as the plain row-major loop of mpf objects that
+the tests keep as their oracle (`_reference_lstsq` in `tests/oracles.py`).
+Its one caller is `dressing._pin_top_row`, whose bits set the leads of Q;
+ROADMAP item 2b deletes the pin fit and this solver with it.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from mpmath.libmp import (
 from mpmath.libmp import round_nearest as RND
 
 from .errors import NonFiniteError, RankDeficiencyError
-from .numcore import radd, raw_ints, raw_max, rdot, rmul, rround
+from .numcore import maxpy, mdot, raw_max, raw_split, rround
 
 
 def lstsq(rows, rhs):
@@ -120,65 +119,66 @@ def lstsq_mpf(rows, rhs):
     with info = {rank, n, rdiag, pivot}, rdiag the raw R diagonal.  Rank
     counts the pivots above 2^floor(-3p/4) times the largest one.
 
-    Each column is first divided by its largest |entry| (equilibration).
-    Step k pivots on the first column whose exact norm over rows k.. is the
-    largest: the sum of the squares of its entries there, read as ints on
-    one exponent (numcore.raw_ints).  A nan or an infinity in A or b is a
-    NonFiniteError.
+    Each column is divided by its largest |entry|, then split by
+    numcore.raw_split, b last.  Step k pivots on the first column of largest
+    exact norm over rows k.. (the sum of the squares of its entries there, on
+    their least exponent).  A nan or an infinity in A or b is a NonFiniteError.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     if m < n:
         raise ValueError(f"underdetermined system: {m} equations, {n} unknowns")
     prec = mp.prec
-    cols = [list(col) for col in zip(*rows)]
-    b = list(rhs)
+    cols = [list(col) for col in zip(*rows)] + [list(rhs)]
     # a special value has no mantissa and a nonzero exponent
-    if any(not t[1] and t[2] for col in cols + [b] for t in col):
+    if any(not t[1] and t[2] for col in cols for t in col):
         raise NonFiniteError("least-squares system has a nan or an infinite entry")
 
     # column equilibration
     colscale = []
-    for col in cols:
+    for col in cols[:n]:
         s = raw_max(col, prec)
         s = s if mpf_gt(s, fzero) else fone
         colscale.append(s)
         col[:] = [mpf_div(t, s, prec, RND) for t in col]
+    cols = [raw_split(col) for col in cols]
 
     perm = list(range(n))
     rdiag = []
     for k in range(n):
         # pivot on the first column of largest exact norm over rows k..
-        norms = [sum(map(mul, c, c)) for c in raw_ints([col[k:] for col in cols[k:]])[0]]
+        low = min(e for _cm, ce in cols[k:n] for e in ce[k:])
+        norms = [sum(t * t << 2 * (e - low) for t, e in zip(cm[k:], ce[k:]))
+                 for cm, ce in cols[k:n]]
         j = k + norms.index(max(norms))
         cols[k], cols[j] = cols[j], cols[k]
         perm[k], perm[j] = perm[j], perm[k]
-        # Householder on column k
-        ck = cols[k]
-        alpha = mpf_sqrt(rdot(ck[k:], ck[k:], prec), prec, RND)
-        if mpf_gt(ck[k], fzero):
+        # Householder on column k: |v_0| >= |alpha| > 0 keeps vnorm2 > 0
+        cm, ce = cols[k]
+        alpha = mpf_sqrt(mdot(cm[k:], ce[k:], cm[k:], ce[k:], prec), prec, RND)
+        if cm[k] > 0:
             alpha = mpf_neg(alpha)
         rdiag.append(alpha)
         if alpha == fzero:
             continue
-        v = ck[k:]
-        v[0] = mpf_sub(v[0], alpha, prec, RND)
-        vnorm2 = rdot(v, v, prec)
-        ck[k:] = [alpha] + [fzero] * (m - k - 1)
-        if mpf_gt(vnorm2, fzero):
-            for col in cols[k + 1:] + [b]:
-                f = mpf_div(mpf_shift(rdot(v, col[k:], prec), 1), vnorm2, prec, RND)
-                col[k:] = [radd(t, rmul(f, vi, prec), prec, 1) for vi, t in zip(v, col[k:])]
+        (v0,), (e0,) = raw_split([mpf_sub(rround(cm[k], ce[k], prec), alpha, prec, RND)])
+        vm, ve = [v0, *cm[k + 1:]], [e0, *ce[k + 1:]]
+        vnorm2 = mdot(vm, ve, vm, ve, prec)
+        for tm, te in cols[k + 1:]:
+            f = mpf_div(mpf_shift(mdot(vm, ve, tm[k:], te[k:], prec), 1), vnorm2, prec, RND)
+            tm[k:], te[k:] = maxpy(mpf_neg(f), vm, ve, tm[k:], te[k:], prec)
 
     # |d| > 2^floor(-3p/4) r0, the product exact as a shift
     r0 = raw_max(rdiag, prec) if rdiag else fzero
     tol = mpf_shift(r0, -(3 * prec) // 4)
     rank = sum(1 for d in rdiag if mpf_gt(mpf_abs(d), tol)) if r0 != fzero else 0
 
+    bm, be = cols[n]
     x = [fzero] * n
     for k in range(min(rank, n) - 1, -1, -1):
-        acc = rdot([cols[j][k] for j in range(k + 1, n)], x[k + 1:], prec)
-        x[k] = mpf_div(mpf_sub(b[k], acc, prec, RND), cols[k][k], prec, RND)
+        r = [cm[k] for cm, _ce in cols[k + 1:n]], [ce[k] for _cm, ce in cols[k + 1:n]]
+        acc = mdot(*r, *raw_split(x[k + 1:]), prec)
+        x[k] = mpf_div(mpf_sub(rround(bm[k], be[k], prec), acc, prec, RND), rdiag[k], prec, RND)
 
     out = [fzero] * n
     for k in range(n):

@@ -3,19 +3,18 @@ spectral parameter z, and the JSON encoder that writes every report's
 decimals.
 
 Values are raw libmp tuples, the only thing ZPoly stores.  Where values are
-still computed on as floats (the pin fit's solver linalg.lstsq_mpf and the
-z^g row of S it gives, the family tables), products and sums go through
-the kernels rmul and radd below, libmp's round-to-nearest mpf_mul and
-mpf_add (mpf_sub with radd's last argument) reimplemented bit for bit with
-int.bit_length; a multiply-accumulate is radd(acc, rmul(s, t, p), p), and
-the solver's quotients and differences call libmp's mpf_div and mpf_sub
-themselves.  raw_max, the largest magnitude of float values at p bits, is
-libmp's loop: mpf_abs, then the first strict mpf_gt.  cos_int is mpmath's
-cos at an integer, computed once per argument and precision for the trig
-family and basis, and pow_int libmp's integer power, once per (base,
-exponent, precision) for the geometric family and basis.  mpmath floats
-appear where a value enters (scalar, ZPoly's constructor) or leaves
-(coeffs, lead, sup_norm, reports).
+still computed on as floats, products and sums are libmp's round-to-nearest
+mpf_mul and mpf_add redone bit for bit on ints: rmul and radd on raw values
+for the family tables, and for the pin fit (linalg.lstsq_mpf and the z^g row
+of S it gives) the column kernels mdot (a dot product) and maxpy (y + a x) on
+columns of int mantissas and exponents (raw_split); libmp gives its quotients,
+roots and differences.  raw_max, the largest magnitude of float values at p
+bits, is libmp's loop: mpf_abs, then the first strict mpf_gt.  cos_int is
+mpmath's cos at an integer, computed once per argument and precision for the
+trig family and basis, and pow_int libmp's integer power, once per (base,
+exponent, precision) for the geometric family and basis.  mpmath floats appear
+where a value enters (scalar, ZPoly's constructor) or leaves (coeffs, lead,
+sup_norm, reports).
 ZPoly stores a polynomial and has no arithmetic.  Polynomials are computed
 on exactly, as z-polynomials (ints, exp), an int vector on one exponent
 that raw_ints reads from raw values, zsum adds and poly_mul, the one
@@ -45,7 +44,7 @@ from functools import lru_cache
 
 from mpmath import cos, mp, mpf
 from mpmath.libmp import (
-    finf, fnan, fninf, fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_pow_int, mpf_sub,
+    finf, fnan, fninf, fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_pow_int,
 )
 from mpmath.libmp import round_nearest as RND
 
@@ -124,17 +123,17 @@ def pow_int(a, e: int, p: int):
     return mpf_pow_int(a, e, p, RND)
 
 
-# Round-to-nearest kernels: libmp's result for normalized raw values, the
-# mantissa cut to p bits with ties to even and the bits past the half bit
-# sticky, a carry to 2^p stored as mantissa 1, trailing zeros stripped, an
-# exact cancellation fzero.  A zero operand stays here: times a finite value
-# it gives fzero, in a sum the other operand when that fits in p bits, and
-# 0 +- 0 is fzero.  Where exponents lie over 100 bits apart, libmp adds
-# exactly when the magnitudes lie within p + 4 bits, and so do the kernels;
-# otherwise it perturbs the larger operand by one unit p + 4 bits below it,
-# which rounds away when that operand fits in p bits, so the kernels return
-# it.  Special operands, a zero beside a value wider than p, and a larger
-# operand wider than p beside a far smaller one go to libmp itself.
+# Round-to-nearest kernels: libmp's mpf_mul and mpf_add, the exact product or
+# sum cut to p bits with ties to even, the bits past the half bit sticky.  Past
+# a 100-bit exponent gap libmp adds exactly when the magnitudes lie within
+# p + 4 bits, else perturbs the larger operand by one unit p + 4 bits below it,
+# which rounds away when that operand fits in p bits: on operands of at most p
+# bits the exact result cut once is libmp's, zeros and far gaps included.
+# rmul and radd normalize their raw results (a carry to 2^p as mantissa 1,
+# trailing zeros stripped, a cancellation fzero) and send specials, a zero
+# beside a value wider than p and a wider larger operand past a far gap to
+# libmp.  mdot and maxpy take columns (raw_split) of at most p bits; rround
+# normalizes their entries (trailing zeros, a carry to 2^p, stale zeros).
 
 
 def rmul(s, t, p):
@@ -158,31 +157,29 @@ def rmul(s, t, p):
     return sign ^ tsign, man, exp, bc
 
 
-def radd(s, t, p, _neg=0):
-    """s + t at p bits, as mpf_add(s, t, p, round_nearest); s - t with _neg."""
+def radd(s, t, p):
+    """s + t at p bits, as mpf_add(s, t, p, round_nearest)."""
     sign, sman, sexp, sbc = s
     tsign, tman, texp, tbc = t
     if not (sman and tman):
-        # s +- 0 is s (a zero too), and 0 +- t is +-t, when that fits in p bits
+        # s + 0 is s (a zero too), and 0 + t is t, when that fits in p bits
         if not (tman or texp):
             if (sman or not sexp) and sbc <= p:
                 return s
         elif not (sman or sexp) and tman and tbc <= p:
-            return (tsign ^ 1, tman, texp, tbc) if _neg else t
-        return (mpf_sub if _neg else mpf_add)(s, t, p, RND)
+            return t
+        return mpf_add(s, t, p, RND)
     off = sexp - texp
     # one operand wholly below the other's p + 4 bits, past a 100-bit gap
     if off > 100 and off + sbc - tbc > p + 4:
-        return s if sbc <= p else (mpf_sub if _neg else mpf_add)(s, t, p, RND)
+        return s if sbc <= p else mpf_add(s, t, p, RND)
     if off < -100 and tbc - sbc - off > p + 4:
-        if tbc <= p:
-            return (tsign ^ 1, tman, texp, tbc) if _neg else t
-        return (mpf_sub if _neg else mpf_add)(s, t, p, RND)
+        return t if tbc <= p else mpf_add(s, t, p, RND)
     if off >= 0:
         sman, exp = sman << off, texp
     else:
         tman, exp = tman << -off, sexp
-    if sign == tsign ^ _neg:
+    if sign == tsign:
         man = sman + tman
     else:
         man = sman - tman
@@ -202,19 +199,50 @@ def radd(s, t, p, _neg=0):
     return sign, man, exp, bc
 
 
-def rdot(xs, ys, p):
-    """The sum of rmul(x, y, p) over the pairs of xs and ys at p bits, left to
-    right from the first product (fzero for none): the sum from fzero bit for
-    bit, since a product rounded at p needs no further rounding at p."""
-    pairs = zip(xs, ys)
-    for x, y in pairs:
-        acc = rmul(x, y, p)
-        break
-    else:
-        return fzero
-    for x, y in pairs:
-        acc = radd(acc, rmul(x, y, p), p)
-    return acc
+def mdot(xs, xe, ys, ye, p):
+    """The sum of the products x y of two columns at p bits, each product
+    rounded, then each sum, left to right: libmp's loop from fzero, raw."""
+    acc = ea = 0
+    for a, e, b, f in zip(xs, xe, ys, ye):
+        m, e = a * b, e + f
+        n = m.bit_length() - p
+        if n > 0:
+            h = m >> n - 1
+            m = (h >> 1) + 1 if h & 1 and (h & 2 or m & (1 << n - 1) - 1) else h >> 1
+            e += n
+        if e > ea:
+            m, e = m << e - ea, ea
+        acc, ea = m + (acc << ea - e), e
+        n = acc.bit_length() - p
+        if n > 0:
+            h = acc >> n - 1
+            acc = (h >> 1) + 1 if h & 1 and (h & 2 or acc & (1 << n - 1) - 1) else h >> 1
+            ea += n
+    return rround(acc, ea, p)
+
+
+def maxpy(a, xs, xe, ys, ye, p):
+    """The column y + a x at p bits for a raw a, each product rounded first."""
+    (a,), (ae,) = raw_split([a])
+    om, oe = [], []
+    for b, f, t, et in zip(xs, xe, ys, ye):
+        m, e = a * b, ae + f
+        n = m.bit_length() - p
+        if n > 0:
+            h = m >> n - 1
+            m = (h >> 1) + 1 if h & 1 and (h & 2 or m & (1 << n - 1) - 1) else h >> 1
+            e += n
+        if e > et:
+            m, e = m << e - et, et
+        m += t << et - e
+        n = m.bit_length() - p
+        if n > 0:
+            h = m >> n - 1
+            m = (h >> 1) + 1 if h & 1 and (h & 2 or m & (1 << n - 1) - 1) else h >> 1
+            e += n
+        om.append(m)
+        oe.append(e)
+    return om, oe
 
 
 def rround(man: int, exp: int, p):
@@ -284,6 +312,11 @@ def raw_ints(vecs):
     exp = min(0, min((v[2] for vec in vecs for v in vec), default=0))
     return [[-m << (e - exp) if s else m << (e - exp) for s, m, e, _ in vec]
             for vec in vecs], exp
+
+
+def raw_split(vec):
+    """The raw finite values vec as mdot's and maxpy's columns (mans, exps)."""
+    return [-m if s else m for s, m, _e, _b in vec], [e for _s, _m, e, _b in vec]
 
 
 def poly_mul(a, b):

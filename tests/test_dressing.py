@@ -1,3 +1,4 @@
+import re
 import random
 from fractions import Fraction
 
@@ -853,8 +854,11 @@ def test_curve_recovery_needs_four_sites():
     for window in ((5, 5), (-1, 1), (4, 7)):
         state = result.state(U, W, window)
         assert raws(state.curve.c) == want, window
-    with pytest.raises(WindowError):
-        DressingState.from_s_table(U, W, {n: result.S[n] for n in range(-1, 2)})
+    # a table of three sites names the four the recovery reads, from its low end
+    for lo, hi, sites in ((-1, 1, "[-1, 2]"), (5, 5, "[5, 8]"), (-9, -7, "[-9, -6]")):
+        with pytest.raises(WindowError, match=re.escape(
+                f"curve recovery reads S at the four sites {sites}; the S table holds [{lo}, {hi}]")):
+            DressingState.from_s_table(U, W, {n: result.S[n] for n in range(lo, hi + 1)})
 
 
 def test_ansatz_state_outside_the_table():

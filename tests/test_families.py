@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 from mpmath import mp, mpf, cos, sin, sqrt
-from mpmath.libmp import fzero, mpf_add, mpf_pow_int, mpf_sub
+from mpmath.libmp import fzero, mpf_add, mpf_pow_int
 from oracles import (
     CRITERION_1_PARAMS, _fpmul, _fpsum, exact_commutator, exact_commutator_rel, fraction_form,
     fraction_of, rounded_fraction,
@@ -363,10 +363,9 @@ def test_trig_cases_compute_each_cosine_once(monkeypatch):
 
 def test_verify_cases_keep_short_sums_in_the_kernels_and_compute_each_power_once(
         monkeypatch, tmp_path):
-    # the criterion-1 verify configurations in one process: no sum or
-    # difference of two finite operands of at most p bits reaches libmp's
-    # mpf_add or mpf_sub where numcore binds them, and mpf_pow_int meets each
-    # (a, e, p) at most once
+    # the criterion-1 verify configurations in one process: no sum of two
+    # finite operands of at most p bits reaches libmp's mpf_add where numcore
+    # binds it, and mpf_pow_int meets each (a, e, p) at most once
     leaks, powers = [], Counter()
 
     def watched(op):
@@ -381,7 +380,6 @@ def test_verify_cases_keep_short_sums_in_the_kernels_and_compute_each_power_once
         return mpf_pow_int(a, e, prec, rnd)
 
     monkeypatch.setattr(numcore, "mpf_add", watched(mpf_add))
-    monkeypatch.setattr(numcore, "mpf_sub", watched(mpf_sub))
     monkeypatch.setattr(numcore, "mpf_pow_int", counted)
     numcore.pow_int.cache_clear()
     for kind, params in CRITERION_1_PARAMS.items():

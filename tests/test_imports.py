@@ -274,14 +274,13 @@ def test_no_test_module_imports_another():
 # the float kernels: each rounds every product or sum it forms, where the
 # rest of the package forms values exactly and rounds them once; a kernel
 # the package retires leaves this list
-FLOAT_KERNELS = {"rmul", "radd", "rdot", "pow_int", "lstsq_mpf"}
+FLOAT_KERNELS = {"rmul", "radd", "mdot", "maxpy", "pow_int", "lstsq_mpf"}
 # the package functions that may call one, as module.function or
-# module.Class.method: the family tables, the pin fit (which gives the z^g
-# row of S) with its solver, and rdot itself (which calls rmul and radd)
+# module.Class.method: the family tables, and the pin fit (which gives the
+# z^g row of S) with its solver, the two callers of the column kernels
 FLOAT_CALLERS = {
     "families.trig_family", "families.poly_family", "families.geom_family",
-    "dressing.GeomBasis.functions", "dressing._pin_top_row",
-    "linalg.lstsq_mpf", "numcore.rdot",
+    "dressing.GeomBasis.functions", "dressing._pin_top_row", "linalg.lstsq_mpf",
 }
 
 

@@ -106,6 +106,29 @@ def _tiny_norms(rng, m):
     return rows, [mpf(rng.uniform(-1, 1)) for _ in range(m)]
 
 
+def _cancelled_entry(rng):
+    # the first step pivots on (1, 1, 1, 1, 0, 0) (alpha = -2, v = (3, 1, 1,
+    # 1, 0, 0)) and updates (3/4, 3/4, 3/4, 3/4, 1, 1/2) by f = 3/4: rows 1
+    # to 3 of the second pivot column cancel to exact zeros, on a lower
+    # exponent than the entries 1 and 1/2 below them; the third column, near
+    # (1, 1/2, 1/2, 1/2, 0, 0), keeps less of its norm
+    third = [mpf(v) + mpf(rng.uniform(-1, 1)) * 2**-20 for v in (1, 0.5, 0.5, 0.5, 0, 0)]
+    ones = [mpf(1)] * 4 + [mpf(0)] * 2
+    rows = [list(r) for r in zip(ones, [mpf(3) / 4] * 4 + [mpf(1), mpf(1) / 2], third)]
+    return rows, [mpf(rng.uniform(-1, 1)) for _ in range(6)]
+
+
+def _carry(rng):
+    # the first step pivots on the column of ones and updates (2^-(p+1), 1,
+    # -1/2, -1/2) by f = 2^-p / 3, rounded: 1 - f at row 1 rounds up to 1,
+    # a mantissa of all ones carried to 2^p, in the second pivot column
+    p = mp.prec
+    third = [mpf(v) + mpf(rng.uniform(-1, 1)) * 2**-20 for v in ("0.96875", 0.5, 0.5, 0.5)]
+    half = mpf(1) / 2
+    rows = [list(r) for r in zip([mpf(1)] * 4, [mpf(2) ** -(p + 1), mpf(1), -half, -half], third)]
+    return rows, [mpf(rng.uniform(-1, 1)) for _ in range(4)]
+
+
 def _oracle_cases():
     rng = random.Random(4)
     return [
@@ -123,6 +146,8 @@ def _oracle_cases():
         ("zero-column", *_zero_column(rng, 15, 5)),
         ("midpoints", *_midpoints(rng, 12)),
         ("tiny-norms", *_tiny_norms(rng, 8)),
+        ("cancelled-entry", *_cancelled_entry(rng)),
+        ("carry", *_carry(rng)),
     ]
 
 

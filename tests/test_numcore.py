@@ -6,7 +6,7 @@ import pytest
 from mpmath import cos, mp, mpf
 from mpmath.libmp import (
     finf, fnan, fninf, fone, from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_gt,
-    mpf_mul, mpf_neg, mpf_sub, round_nearest,
+    mpf_mul, mpf_neg, mpf_pos, mpf_sub, round_nearest,
 )
 
 from oracles import (
@@ -21,13 +21,15 @@ from commdiff.numcore import (
     cos_int,
     exceeds,
     get_precision,
+    maxpy,
+    mdot,
     mpf_to_str,
     poly_mul,
     pow_int,
     radd,
     raw_ints,
     raw_max,
-    rdot,
+    raw_split,
     rmul,
     rratio,
     rround,
@@ -157,18 +159,55 @@ def test_raw_vector_helpers_match_the_mpf_loops_bit_for_bit(bits):
 # the round-to-nearest kernels against libmp, the oracle they reimplement
 # ---------------------------------------------------------------------------
 
-# (kernel, its trailing arguments, the libmp function it reimplements):
-# radd with _neg = 1 is the difference
-KERNELS = ((rmul, (), mpf_mul), (radd, (), mpf_add), (radd, (1,), mpf_sub))
+# (kernel, the libmp function it reimplements)
+KERNELS = ((rmul, mpf_mul), (radd, mpf_add))
 
 
 def _check_kernels(pairs, p, kernels=KERNELS):
     pairs = list(pairs)
-    for kernel, args, libmp_op in kernels:
-        got = [kernel(s, t, p, *args) for s, t in pairs]
+    for kernel, libmp_op in kernels:
+        got = [kernel(s, t, p) for s, t in pairs]
         want = [libmp_op(s, t, p, round_nearest) for s, t in pairs]
         bad = [(s, t) for (s, t), x, y in zip(pairs, got, want) if x != y]
         assert not bad, (libmp_op.__name__, p, bad[:3])
+    _check_columns(pairs, p)
+
+
+def _unnormalized(vals, shift):
+    """The column (mans, exps) of the raw vals, each mantissa shifted up by
+    shift bits and its exponent down: the same values, with trailing zeros
+    (a power of two shifted by p is the carry 2^p), a zero's exponent
+    stale."""
+    mans, exps = raw_split(vals)
+    return [m << shift for m in mans], [e - shift for e in exps]
+
+
+def _check_columns(pairs, p):
+    # the column kernels on the pairs whose operands are zeros or finite
+    # values of at most p bits, their entries normalized or not: s + t,
+    # s - t and s t, and s + s t and s - s t with the product rounded first,
+    # against libmp's round-to-nearest mul, add and sub
+    pairs = [(s, t) for s, t in pairs if all(v[3] <= p and (v[1] or not v[2]) for v in (s, t))]
+    if not pairs:
+        return
+    rnd = round_nearest
+    want = [[mpf_add(s, t, p, rnd) for s, t in pairs], [mpf_sub(s, t, p, rnd) for s, t in pairs],
+            [mpf_mul(s, t, p, rnd) for s, t in pairs],
+            [mpf_add(s, mpf_mul(s, t, p, rnd), p, rnd) for s, t in pairs],
+            [mpf_sub(s, mpf_mul(s, t, p, rnd), p, rnd) for s, t in pairs]]
+    xs, ys = zip(*pairs)
+    for shift in (0, p):
+        (sm, se), (tm, te) = _unnormalized(xs, shift), _unnormalized(ys, shift + 3)
+        cols = list(zip(xs, sm, se, tm, te))
+        got = [[rround(m, e, p) for m, e in zip(*maxpy(fone, sm, se, tm, te, p))],
+               [rround(m, e, p) for m, e in zip(*maxpy(mpf_neg(fone), tm, te, sm, se, p))],
+               [mdot([a], [ae], [b], [be], p) for _s, a, ae, b, be in cols],
+               [mdot([a, a], [ae, ae], [b, 1], [be, 0], p) for _s, a, ae, b, be in cols],
+               [rround(*(v[0] for v in maxpy(mpf_neg(s), [b], [be], [a], [ae], p)), p)
+                for s, a, ae, b, be in cols]]
+        for name, g, w in zip(("sum", "difference", "product", "dot", "update"), got, want):
+            bad = [(s, t, x, y) for (s, t), x, y in zip(pairs, g, w) if x != y]
+            assert not bad, (name, p, shift, bad[:3])
 
 
 @pytest.mark.parametrize("p", range(1, 7))
@@ -177,19 +216,18 @@ def test_kernels_match_libmp_on_every_short_mantissa(p):
     # exponent offset of -10..10: ties, sticky bits, carries to 2^p and exact
     # cancellations all occur at these precisions.  A product's rounding does
     # not depend on the exponents, so products run at offset 0 only; sums run
-    # with s > 0 and differences with s < 0, which between them meet every
-    # sign pattern of the two operands, as s - t is s + (-t).
+    # on every sign pattern of the two operands.
     odd = range(1, 128, 2)
     for off in range(-10, 11):
         t = [from_man_exp(sign * m, off) for m in odd for sign in (1, -1)]
-        for sign, kernels in ((1, KERNELS[1:2]), (-1, KERNELS[2:])):
-            _check_kernels(((from_man_exp(sign * m, 0), y) for m in odd for y in t), p, kernels)
+        for sign in (1, -1):
+            _check_kernels(((from_man_exp(sign * m, 0), y) for m in odd for y in t), p, KERNELS[1:])
         if off == 0:
             _check_kernels(((x, y) for x in t for y in t), p, KERNELS[:1])
     # a carry to 2^p and an exact cancellation, by name
     assert rmul(from_man_exp(2 ** p - 1, 0), from_man_exp(2 ** p + 1, 0), p) == (0, 1, 2 * p, 1)
     assert radd(from_man_exp(2 ** p - 1, 0), from_man_exp(1, -1), p) == (0, 1, p, 1)
-    assert radd(from_man_exp(-5, 3), from_man_exp(-5, 3), p, 1) == fzero
+    assert radd(from_man_exp(-5, 3), from_man_exp(5, 3), p) == fzero
 
 
 @pytest.mark.parametrize("p", (53, 113, 145, 1100))
@@ -270,8 +308,8 @@ def test_far_sums_match_libmp_in_both_regimes(gap, p):
             for x, y in ((a, b), (b, a)):
                 pairs += [(x, y), (mpf_neg(x), y), (x, mpf_neg(y)), (mpf_neg(x), mpf_neg(y))]
     _check_kernels(pairs, p, KERNELS[1:])
-    # 0 +- 0, by name
-    assert radd(fzero, fzero, p) == radd(fzero, fzero, p, 1) == fzero
+    # 0 + 0, by name
+    assert radd(fzero, fzero, p) == fzero
 
 
 @pytest.mark.parametrize("p", (53, 113, 145, 1100))
@@ -299,41 +337,44 @@ def _reference_raw_max(vals, prec):
     return best
 
 
-def _reference_rdot(xs, ys, p, add=mpf_add, mul=mpf_mul):
-    """The loop that rdot replaces: every sum of products from fzero, by
-    libmp's round-to-nearest operations or by the kernels."""
+def _reference_dot(xs, ys, p):
+    """The loop that mdot replaces: every sum of products from fzero, by
+    libmp's round-to-nearest operations."""
     acc = fzero
     for x, y in zip(xs, ys):
-        acc = add(acc, mul(x, y, p, round_nearest), p, round_nearest)
+        acc = mpf_add(acc, mpf_mul(x, y, p, round_nearest), p, round_nearest)
     return acc
 
 
 @pytest.mark.parametrize("p", (53, 113, 1100))
-def test_rdot_is_the_sum_from_zero(p):
+def test_mdot_is_the_sum_from_zero(p):
     # no products, one, zero products first, last and throughout, and
-    # random draws from trap_values, whose wide values need rounding at p
+    # random draws from trap_values, each rounded to p bits (the kernels'
+    # operands have at most p); every sum of products of a length, summed
+    # one column at a time by maxpy from zero columns (the pin fit's z^g
+    # row), is the same sum
     rng = random.Random(p + 11)
     with mp.workprec(p):
-        pool = raws(trap_values(rng, p))
+        pool = [mpf_pos(v, p, round_nearest) for v in raws(trap_values(rng, p))]
     wide = pool[4:]
     cases = [([], []), ([wide[0]], [wide[1]]), ([fzero], [wide[0]]),
              ([fzero, wide[0], wide[1]], [wide[2], wide[3], fone]),
              ([wide[0], wide[1], fzero], [wide[2], wide[3], wide[0]]),
              ([fzero, fzero], [wide[0], wide[1]])]
     for k in range(1, 9):
-        cases += [(rng.choices(pool, k=k), rng.choices(pool, k=k)) for _ in range(20)]
-
-    def kernel_add(s, t, p, _rnd):
-        return radd(s, t, p)
-
-    def kernel_mul(s, t, p, _rnd):
-        return rmul(s, t, p)
+        xs = rng.choices(pool, k=k)
+        rows = [rng.choices(pool, k=k) for _ in range(20)]
+        cases += [(xs, ys) for ys in rows]
+        acc = [0] * len(rows), [0] * len(rows)
+        for a, col in zip(xs, zip(*rows)):
+            acc = maxpy(a, *raw_split(col), *acc, p)
+        assert [rround(m, e, p) for m, e in zip(*acc)] == \
+            [_reference_dot(xs, ys, p) for ys in rows], (k, xs)
 
     for xs, ys in cases:
-        want = _reference_rdot(xs, ys, p)
-        assert rdot(xs, ys, p) == want, (xs, ys)
-        assert rdot(iter(xs), iter(ys), p) == want
-        assert _reference_rdot(xs, ys, p, kernel_add, kernel_mul) == want
+        want = _reference_dot(xs, ys, p)
+        assert mdot(*raw_split(xs), *raw_split(ys), p) == want, (xs, ys)
+        assert mdot(*map(iter, raw_split(xs) + raw_split(ys)), p) == want
 
 
 def test_raw_max_matches_the_libmp_loop():
