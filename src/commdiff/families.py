@@ -13,11 +13,12 @@ from __future__ import annotations
 import random
 
 from mpmath import mp, mpf, cos, sin
-from mpmath.libmp import from_int
+from mpmath.libmp import mpf_add, mpf_mul, mpf_mul_int
+from mpmath.libmp import round_nearest as RND
 
 from . import dressing
 from .errors import DegenerateDenominatorError
-from .numcore import HyperellipticCurve, cos_int, pow_int, radd, rmul, scalar
+from .numcore import HyperellipticCurve, cos_int, pow_int, scalar
 from .opalg import CoeffSeq
 
 # each family's parameters: None marks a required one, a value its default;
@@ -88,8 +89,8 @@ def trig_family(g: int, r1, window) -> tuple:
     g = int(g)
     amp = r1**2 * sin(mpf(g)) * sin(mpf(g + 1)) / (2 * cos(g + mpf(1) / 2) ** 2)
     r1, amp, p = r1._mpf_, amp._mpf_, mp.prec
-    U = CoeffSeq.tabulate(lambda n: rmul(r1, cos_int(n)._mpf_, p), window, raw=True)
-    W = CoeffSeq.tabulate(lambda n: rmul(amp, cos_int(2 * n)._mpf_, p), window, raw=True)
+    U = CoeffSeq.tabulate(lambda n: mpf_mul(r1, cos_int(n)._mpf_, p, RND), window, raw=True)
+    W = CoeffSeq.tabulate(lambda n: mpf_mul(amp, cos_int(2 * n)._mpf_, p, RND), window, raw=True)
     return U, W
 
 
@@ -106,18 +107,15 @@ def poly_family(g: int, a2, a0, a1, window) -> tuple:
         raise ValueError("quadratic family needs a2 != 0")
     g = int(g)
     a2, a1, a0, p = a2._mpf_, a1._mpf_, a0._mpf_, mp.prec
-    c = rmul(a2, from_int(-g * (g + 1)), p)
-
-    # in mpf's order: (a2 n) n + a1 n + a0 and (c n) (a2 n + a1), c = -g (g + 1) a2
-    def u(n):
-        m = from_int(n)
-        return radd(radd(rmul(rmul(a2, m, p), m, p), rmul(a1, m, p), p), a0, p)
-
-    def w(n):
-        m = from_int(n)
-        return rmul(rmul(c, m, p), radd(rmul(a2, m, p), a1, p), p)
-
-    return CoeffSeq.tabulate(u, window, raw=True), CoeffSeq.tabulate(w, window, raw=True)
+    c = mpf_mul_int(a2, -g * (g + 1), p, RND)
+    # in mpf's order, a2 n rounded once for both: (a2 n) n + a1 n + a0 and
+    # (c n) (a2 n + a1), c = -g (g + 1) a2
+    a2n = CoeffSeq.tabulate(lambda n: mpf_mul_int(a2, n, p, RND), window, raw=True)
+    sites = list(enumerate(a2n.raw, a2n.n_min))
+    U = [mpf_add(mpf_add(mpf_mul_int(x, n, p, RND), mpf_mul_int(a1, n, p, RND), p, RND),
+                 a0, p, RND) for n, x in sites]
+    W = [mpf_mul(mpf_mul_int(c, n, p, RND), mpf_add(x, a1, p, RND), p, RND) for n, x in sites]
+    return CoeffSeq._from_raw(a2n.n_min, U), CoeffSeq._from_raw(a2n.n_min, W)
 
 
 def geom_family(g: int, beta, a, window) -> tuple:
@@ -138,8 +136,8 @@ def geom_family(g: int, beta, a, window) -> tuple:
         raise DegenerateDenominatorError(f"a^(2g+1) + 1 = {den} is degenerate")
     amp = -(a ** (2 * g + 2) - 1) * (a ** (2 * g) - 1) / den**2 * beta**2
     beta, a, amp, p = beta._mpf_, a._mpf_, amp._mpf_, mp.prec
-    U = CoeffSeq.tabulate(lambda n: rmul(beta, pow_int(a, n, p), p), window, raw=True)
-    W = CoeffSeq.tabulate(lambda n: rmul(amp, pow_int(a, 2 * n, p), p), window, raw=True)
+    U = CoeffSeq.tabulate(lambda n: mpf_mul(beta, pow_int(a, n, p), p, RND), window, raw=True)
+    W = CoeffSeq.tabulate(lambda n: mpf_mul(amp, pow_int(a, 2 * n, p), p, RND), window, raw=True)
     return U, W
 
 

@@ -2,19 +2,18 @@
 spectral parameter z, and the JSON encoder that writes every report's
 decimals.
 
-Values are raw libmp tuples, the only thing ZPoly stores.  Where values are
-still computed on as floats, products and sums are libmp's round-to-nearest
-mpf_mul and mpf_add redone bit for bit on ints: rmul and radd on raw values
-for the family tables, and for the pin fit (linalg.lstsq_mpf and the z^g row
-of S it gives) the column kernels mdot (a dot product) and maxpy (y + a x) on
-columns of int mantissas and exponents (raw_split); libmp gives its quotients,
-roots and differences.  raw_max, the largest magnitude of float values at p
-bits, is libmp's loop: mpf_abs, then the first strict mpf_gt.  cos_int is
-mpmath's cos at an integer, computed once per argument and precision for the
-trig family and basis, and pow_int libmp's integer power, once per (base,
-exponent, precision) for the geometric family and basis.  mpmath floats appear
-where a value enters (scalar, ZPoly's constructor) or leaves (coeffs, lead,
-sup_norm, reports).
+Values are raw libmp tuples, the only thing ZPoly stores.  The family tables
+compute on them with libmp's round-to-nearest mpf_mul and mpf_add; the pin
+fit (linalg.lstsq_mpf and the z^g row of S it gives) redoes those two bit for
+bit on ints, as the column kernels mdot (a dot product) and maxpy (y + a x)
+on columns of int mantissas and exponents (raw_split), and takes libmp's
+quotients, roots and differences.  raw_max, the largest magnitude of float
+values at p bits, is libmp's loop: mpf_abs, then the first strict mpf_gt.
+cos_int is mpmath's cos at an integer, computed once per argument and
+precision for the trig family and basis, and pow_int libmp's integer power,
+once per (base, exponent, precision) for the geometric family and basis.
+mpmath floats appear where a value enters (scalar, ZPoly's constructor) or
+leaves (coeffs, lead, sup_norm, reports).
 ZPoly stores a polynomial and has no arithmetic.  Polynomials are computed
 on exactly, as z-polynomials (ints, exp), an int vector on one exponent
 that raw_ints reads from raw values, zsum adds and poly_mul, the one
@@ -43,9 +42,7 @@ import json
 from functools import lru_cache
 
 from mpmath import cos, mp, mpf
-from mpmath.libmp import (
-    finf, fnan, fninf, fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_pow_int,
-)
+from mpmath.libmp import finf, fnan, fninf, fzero, mpf_abs, mpf_gt, mpf_pow_int
 from mpmath.libmp import round_nearest as RND
 
 from .errors import NonFiniteError
@@ -123,80 +120,15 @@ def pow_int(a, e: int, p: int):
     return mpf_pow_int(a, e, p, RND)
 
 
-# Round-to-nearest kernels: libmp's mpf_mul and mpf_add, the exact product or
-# sum cut to p bits with ties to even, the bits past the half bit sticky.  Past
-# a 100-bit exponent gap libmp adds exactly when the magnitudes lie within
-# p + 4 bits, else perturbs the larger operand by one unit p + 4 bits below it,
-# which rounds away when that operand fits in p bits: on operands of at most p
-# bits the exact result cut once is libmp's, zeros and far gaps included.
-# rmul and radd normalize their raw results (a carry to 2^p as mantissa 1,
-# trailing zeros stripped, a cancellation fzero) and send specials, a zero
-# beside a value wider than p and a wider larger operand past a far gap to
-# libmp.  mdot and maxpy take columns (raw_split) of at most p bits; rround
-# normalizes their entries (trailing zeros, a carry to 2^p, stale zeros).
-
-
-def rmul(s, t, p):
-    """s * t at p bits, as mpf_mul(s, t, p, round_nearest)."""
-    sign, sman, sexp, _ = s
-    tsign, tman, texp, _ = t
-    man = sman * tman
-    if not man:
-        # a zero times a finite value; a special goes to libmp
-        return fzero if (sman or not sexp) and (tman or not texp) else mpf_mul(s, t, p, RND)
-    bc, exp = man.bit_length(), sexp + texp
-    if bc > p:
-        # odd mantissas have an odd product, so only a rounding leaves zeros
-        n = bc - p
-        h = man >> (n - 1)
-        man = (h >> 1) + 1 if h & 1 and (h & 2 or man & ((1 << (n - 1)) - 1)) else h >> 1
-        exp, bc = exp + n, p
-        if not man & 1:
-            z = (man & -man).bit_length() - 1
-            man, exp, bc = man >> z, exp + z, p - z or 1
-    return sign ^ tsign, man, exp, bc
-
-
-def radd(s, t, p):
-    """s + t at p bits, as mpf_add(s, t, p, round_nearest)."""
-    sign, sman, sexp, sbc = s
-    tsign, tman, texp, tbc = t
-    if not (sman and tman):
-        # s + 0 is s (a zero too), and 0 + t is t, when that fits in p bits
-        if not (tman or texp):
-            if (sman or not sexp) and sbc <= p:
-                return s
-        elif not (sman or sexp) and tman and tbc <= p:
-            return t
-        return mpf_add(s, t, p, RND)
-    off = sexp - texp
-    # one operand wholly below the other's p + 4 bits, past a 100-bit gap
-    if off > 100 and off + sbc - tbc > p + 4:
-        return s if sbc <= p else mpf_add(s, t, p, RND)
-    if off < -100 and tbc - sbc - off > p + 4:
-        return t if tbc <= p else mpf_add(s, t, p, RND)
-    if off >= 0:
-        sman, exp = sman << off, texp
-    else:
-        tman, exp = tman << -off, sexp
-    if sign == tsign:
-        man = sman + tman
-    else:
-        man = sman - tman
-        if man < 0:
-            man, sign = -man, sign ^ 1
-        elif not man:
-            return fzero
-    bc = man.bit_length()
-    if bc > p:
-        n = bc - p
-        h = man >> (n - 1)
-        man = (h >> 1) + 1 if h & 1 and (h & 2 or man & ((1 << (n - 1)) - 1)) else h >> 1
-        exp, bc = exp + n, p
-    if not man & 1:
-        z = (man & -man).bit_length() - 1
-        man, exp, bc = man >> z, exp + z, bc - z or 1
-    return sign, man, exp, bc
+# The pin fit's round-to-nearest kernels: libmp's mpf_mul and mpf_add, the
+# exact product or sum cut to p bits with ties to even, the bits past the half
+# bit sticky.  Past a 100-bit exponent gap libmp adds exactly when the
+# magnitudes lie within p + 4 bits, else perturbs the larger operand by one
+# unit p + 4 bits below it, which rounds away when that operand fits in p
+# bits: on operands of at most p bits the exact result cut once is libmp's,
+# zeros and far gaps included.  mdot and maxpy take columns (raw_split) of at
+# most p bits; rround normalizes their entries (trailing zeros, a carry to
+# 2^p, stale zeros).
 
 
 def mdot(xs, xe, ys, ye, p):
@@ -247,7 +179,7 @@ def maxpy(a, xs, xe, ys, ye, p):
 
 def rround(man: int, exp: int, p):
     """The int man times 2^exp at p bits, as from_man_exp(man, exp, p,
-    round_nearest): rmul's rounding step (ties to even, the carry to 2^p),
+    round_nearest): the cut to p bits with ties to even (a carry to 2^p),
     then the trailing zeros stripped."""
     if not man:
         return fzero

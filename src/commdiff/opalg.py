@@ -285,10 +285,15 @@ def op_to_json(L: DiffOp) -> str:
 
 
 def op_from_json(text: str) -> DiffOp:
+    """The operator op_to_json wrote: each term one value per site of the
+    window, the order its top term's degree, else a WindowError or ValueError
+    that names the term."""
     doc = json.loads(text)
     lo, hi = int(doc["window"][0]), int(doc["window"][1])
-    terms = {
-        int(j): CoeffSeq(lo, [scalar(s) for s in vals])
-        for j, vals in doc["terms"].items()
-    }
-    return DiffOp(terms, (lo, hi))
+    for j, vals in doc["terms"].items():
+        if len(vals) != hi - lo + 1:
+            raise WindowError(f"term {j} holds {len(vals)} values on window [{lo}, {hi}]")
+    L = DiffOp({int(j): CoeffSeq(lo, vals) for j, vals in doc["terms"].items()}, (lo, hi))
+    if L.order != int(doc["order"]):
+        raise ValueError(f"order {doc['order']} is not the top term's degree, term {L.order}")
+    return L

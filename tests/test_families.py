@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 from mpmath import mp, mpf, cos, sin, sqrt
-from mpmath.libmp import fzero, mpf_add, mpf_pow_int
+from mpmath.libmp import mpf_pow_int
 from oracles import (
     CRITERION_1_PARAMS, _fpmul, _fpsum, exact_commutator, exact_commutator_rel, fraction_form,
     fraction_of, rounded_fraction,
@@ -102,23 +102,27 @@ def _reference_tables(kind, g, params, window):
     return [[f(n)._mpf_ for n in range(window[0], window[1] + 1)] for f in fns]
 
 
-@pytest.mark.parametrize("bits", (53, 113, 1100))
+@pytest.mark.parametrize("bits", (53, 113, 160, 1100))
 def test_family_tables_match_the_mpf_expressions_bit_for_bit(bits):
     # non-dyadic parameters at the working precision and at twice it, whose
-    # products and sums round; a zero linear term; a negative ratio
+    # products and sums round, and at the working precision tabulated
+    # RECURSION_GUARD_BITS above it, as build_case's fine tables are; a zero
+    # linear term; a negative ratio; n = -45..45, build_case's widest table
+    # on the CLI's default window up to g = 8
     cases = [("trig", 3, {"r1": "1.3"}), ("poly", 4, {"a2": "0.886695", "a1": "0.708451",
              "a0": "0.234504"}), ("poly", 2, {"a2": "-1.5981", "a1": "0", "a0": "0.47858"}),
              ("geom", 3, {"a": "1.764235", "beta": "0.895178"}),
              ("geom", 2, {"a": "-0.4", "beta": "2.5"})]
     tabulators = {"trig": trig_family, "poly": poly_family, "geom": geom_family}
+    fine = bits + dressing.RECURSION_GUARD_BITS
     for kind, g, params in cases:
-        for param_bits in (bits, 2 * bits):
+        for param_bits, table_bits in ((bits, bits), (2 * bits, bits), (bits, fine)):
             with mp.workprec(param_bits):
                 values = {k: mpf(v) for k, v in params.items()}
-            with mp.workprec(bits):
-                U, W = tabulators[kind](g, window=(-30, 30), **values)
-                want = _reference_tables(kind, g, values, (-30, 30))
-                assert [U.raw, W.raw] == want, (kind, g, param_bits)
+            with mp.workprec(table_bits):
+                U, W = tabulators[kind](g, window=(-45, 45), **values)
+                want = _reference_tables(kind, g, values, (-45, 45))
+                assert [U.raw, W.raw] == want, (kind, g, param_bits, table_bits)
 
 
 def test_trig_values():
@@ -361,25 +365,15 @@ def test_trig_cases_compute_each_cosine_once(monkeypatch):
     assert calls and max(calls.values()) == 1, calls.most_common(3)
 
 
-def test_verify_cases_keep_short_sums_in_the_kernels_and_compute_each_power_once(
-        monkeypatch, tmp_path):
-    # the criterion-1 verify configurations in one process: no sum of two
-    # finite operands of at most p bits reaches libmp's mpf_add where numcore
-    # binds it, and mpf_pow_int meets each (a, e, p) at most once
-    leaks, powers = [], Counter()
-
-    def watched(op):
-        def call(s, t, prec, rnd):
-            if all((v[1] or v == fzero) and v[3] <= prec for v in (s, t)):
-                leaks.append((op.__name__, s, t, prec))
-            return op(s, t, prec, rnd)
-        return call
+def test_verify_cases_compute_each_power_once(monkeypatch, tmp_path):
+    # the criterion-1 verify configurations in one process: mpf_pow_int
+    # meets each (a, e, p) at most once
+    powers = Counter()
 
     def counted(a, e, prec, rnd):
         powers[a, e, prec] += 1
         return mpf_pow_int(a, e, prec, rnd)
 
-    monkeypatch.setattr(numcore, "mpf_add", watched(mpf_add))
     monkeypatch.setattr(numcore, "mpf_pow_int", counted)
     numcore.pow_int.cache_clear()
     for kind, params in CRITERION_1_PARAMS.items():
@@ -388,7 +382,6 @@ def test_verify_cases_keep_short_sums_in_the_kernels_and_compute_each_power_once
             for key, val in params.items():
                 argv.append(f"--{key}={val}")
             assert cli.main(argv) == 0, argv
-    assert not leaks, (len(leaks), leaks[:3])
     assert powers and max(powers.values()) == 1, powers.most_common(3)
 
 

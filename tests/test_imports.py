@@ -273,8 +273,9 @@ def test_no_test_module_imports_another():
 
 # the float kernels: each rounds every product or sum it forms, where the
 # rest of the package forms values exactly and rounds them once; a kernel
-# the package retires leaves this list
-FLOAT_KERNELS = {"rmul", "radd", "mdot", "maxpy", "pow_int", "lstsq_mpf"}
+# the package retires leaves this list.  libmp's ops (mpf_*) round only when
+# given a precision: without one they are exact and call no kernel
+FLOAT_KERNELS = {"mpf_mul", "mpf_mul_int", "mpf_add", "mdot", "maxpy", "pow_int", "lstsq_mpf"}
 # the package functions that may call one, as module.function or
 # module.Class.method: the family tables, and the pin fit (which gives the
 # z^g row of S) with its solver, the two callers of the column kernels
@@ -286,9 +287,16 @@ FLOAT_CALLERS = {
 
 def float_callers(sources: dict, kernels: set) -> set:
     """The functions and methods in sources (module name -> text) that call
-    one of kernels by name or attribute, nested functions and lambdas
-    included, as module.function or module.Class.method; a call outside
-    any of them counts as module.Class or module.<module>."""
+    one of kernels by name or attribute, a libmp op with a precision (a
+    third argument or prec), nested functions and lambdas included, as
+    module.function or module.Class.method; a call outside any of them
+    counts as module.Class or module.<module>."""
+
+    def rounds(call):
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        return name in kernels and (not name.startswith("mpf_") or len(call.args) > 2
+                                    or any(k.arg == "prec" for k in call.keywords))
+
     found = set()
     for module, text in sources.items():
         scopes = []
@@ -301,21 +309,26 @@ def float_callers(sources: dict, kernels: set) -> set:
             else:
                 scopes.append(("<module>", node))
         for name, scope in scopes:
-            if any(isinstance(n, ast.Call)
-                   and getattr(n.func, "id", getattr(n.func, "attr", None)) in kernels
-                   for n in ast.walk(scope)):
+            if any(isinstance(n, ast.Call) and rounds(n) for n in ast.walk(scope)):
                 found.add(f"{module}.{name}")
     return found
 
 
 def test_float_callers_are_found():
-    src = ("def f(x):\n    return [lambda n: rmul(n, n, 53)]\n"
+    # mpf_mul with no precision is exact; every other call rounds
+    src = ("def f(x):\n    return [lambda n: mpf_mul(n, n, 53, RND)]\n"
            "class C:\n    def m(self):\n        return linalg.lstsq_mpf([], [])\n"
            "    def k(self):\n        return rround(1, 0, 53)\n"
-           "def g():\n    def inner():\n        return radd(1, 2, 53)\n    return inner\n"
+           "    def e(self, x):\n        return libmp.mpf_mul(x, x)\n"
+           "def g():\n    def inner():\n        return mpf_add(1, 2, 53, RND)\n    return inner\n"
+           "def h(x):\n    return mpf_mul_int(x, 3, prec=53)\n"
            "ONE = pow_int(1, 2, 53)\n")
-    assert float_callers({"mod": src}, FLOAT_KERNELS) == {"mod.f", "mod.C.m", "mod.g",
+    assert float_callers({"mod": src}, FLOAT_KERNELS) == {"mod.f", "mod.C.m", "mod.g", "mod.h",
                                                           "mod.<module>"}
+    # a new package function that adds at a precision is a new float path
+    sources = {p.stem: p.read_text() for p in MODULES}
+    sources["families"] += "\ndef double(x):\n    return mpf_add(x, x, 53, RND)\n"
+    assert float_callers(sources, FLOAT_KERNELS) - FLOAT_CALLERS == {"families.double"}
 
 
 def test_only_the_listed_functions_call_the_float_kernels():

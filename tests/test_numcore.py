@@ -26,11 +26,9 @@ from commdiff.numcore import (
     mpf_to_str,
     poly_mul,
     pow_int,
-    radd,
     raw_ints,
     raw_max,
     raw_split,
-    rmul,
     rratio,
     rround,
     scalar,
@@ -159,20 +157,6 @@ def test_raw_vector_helpers_match_the_mpf_loops_bit_for_bit(bits):
 # the round-to-nearest kernels against libmp, the oracle they reimplement
 # ---------------------------------------------------------------------------
 
-# (kernel, the libmp function it reimplements)
-KERNELS = ((rmul, mpf_mul), (radd, mpf_add))
-
-
-def _check_kernels(pairs, p, kernels=KERNELS):
-    pairs = list(pairs)
-    for kernel, libmp_op in kernels:
-        got = [kernel(s, t, p) for s, t in pairs]
-        want = [libmp_op(s, t, p, round_nearest) for s, t in pairs]
-        bad = [(s, t) for (s, t), x, y in zip(pairs, got, want) if x != y]
-        assert not bad, (libmp_op.__name__, p, bad[:3])
-    _check_columns(pairs, p)
-
-
 def _unnormalized(vals, shift):
     """The column (mans, exps) of the raw vals, each mantissa shifted up by
     shift bits and its exponent down: the same values, with trailing zeros
@@ -213,21 +197,26 @@ def _check_columns(pairs, p):
 @pytest.mark.parametrize("p", range(1, 7))
 def test_kernels_match_libmp_on_every_short_mantissa(p):
     # every odd mantissa below 2^7 of either sign against every one at an
-    # exponent offset of -10..10: ties, sticky bits, carries to 2^p and exact
+    # exponent offset of -10..10, the operands of at most p bits in the
+    # column kernels: ties, sticky bits, carries to 2^p and exact
     # cancellations all occur at these precisions.  A product's rounding does
-    # not depend on the exponents, so products run at offset 0 only; sums run
-    # on every sign pattern of the two operands.
+    # not depend on the exponents, so all pairs run at offset 0; the others
+    # run with the first operand at exponent 0, of either sign.
     odd = range(1, 128, 2)
     for off in range(-10, 11):
         t = [from_man_exp(sign * m, off) for m in odd for sign in (1, -1)]
         for sign in (1, -1):
-            _check_kernels(((from_man_exp(sign * m, 0), y) for m in odd for y in t), p, KERNELS[1:])
+            _check_columns(((from_man_exp(sign * m, 0), y) for m in odd for y in t), p)
         if off == 0:
-            _check_kernels(((x, y) for x in t for y in t), p, KERNELS[:1])
-    # a carry to 2^p and an exact cancellation, by name
-    assert rmul(from_man_exp(2 ** p - 1, 0), from_man_exp(2 ** p + 1, 0), p) == (0, 1, 2 * p, 1)
-    assert radd(from_man_exp(2 ** p - 1, 0), from_man_exp(1, -1), p) == (0, 1, p, 1)
-    assert radd(from_man_exp(-5, 3), from_man_exp(5, 3), p) == fzero
+            _check_columns(((x, y) for x in t for y in t), p)
+    # by name: a carry to 2^p in a product (of p >= 3 bits), in a sum of
+    # products, in an update, and an exact cancellation
+    top = 2 ** p - 1
+    if p >= 3:
+        assert mdot([2 ** (p - 1) + 1], [0], [2 ** (p - 1) - 1], [0], p) == (0, 1, 2 * p - 2, 1)
+    assert mdot([top, top], [0, 0], [1, 1], [p, 0], p) == (0, 1, 2 * p, 1)
+    assert rround(*(c[0] for c in maxpy(fone, [1], [-1], [top], [0], p)), p) == (0, 1, p, 1)
+    assert rround(*(c[0] for c in maxpy(mpf_neg(fone), [top], [3], [top], [3], p)), p) == fzero
 
 
 @pytest.mark.parametrize("p", (53, 113, 145, 1100))
@@ -241,22 +230,22 @@ def test_kernels_match_libmp_on_random_operands(p):
         man = rng.getrandbits(width) | 1 | (1 << (width - 1))
         return from_man_exp(rng.choice((1, -1)) * man, rng.randint(-60, 60) - width)
 
-    _check_kernels(((draw(), draw()) for _ in range(1500)), p)
+    _check_columns(((draw(), draw()) for _ in range(1500)), p)
     with mp.workprec(p):
         pool = raws(trap_values(rng, p))
-    _check_kernels(((s, t) for s in pool for t in pool), p)
+    _check_columns(((s, t) for s in pool for t in pool), p)
 
 
 def test_kernels_match_libmp_on_zeros_and_specials():
     # every pair, so a zero meets partners of at most p bits, which the
-    # kernels answer themselves, wider ones, which libmp rounds, and specials
+    # column kernels take, and wider ones and specials, which they never see
     rng = random.Random(17)
     for p in (1, 53, 113, 1100):
         values = [fzero, finf, fninf, fnan, fone, from_man_exp(-3, -7), from_man_exp(2 ** 60 + 1, 4)]
         for width in (p // 2 or 1, p, p + 1, 2 * p):
             man = rng.getrandbits(width) | 1 | (1 << (width - 1))
             values += [from_man_exp(man, -width), from_man_exp(-man, rng.randint(-90, 90))]
-        _check_kernels(((s, t) for s in values for t in values), p)
+        _check_columns(((s, t) for s in values for t in values), p)
 
 
 @pytest.mark.parametrize("gap", (99, 100, 101, 300))
@@ -273,7 +262,7 @@ def test_kernels_match_libmp_across_exponent_gaps(gap):
                  from_man_exp(-1, -1))
         for a in (big, small, long, *short):
             for b in (big, small, long, *short):
-                _check_kernels([(a, b), (mpf_neg(a), b), (a, mpf_neg(b))], p)
+                _check_columns([(a, b), (mpf_neg(a), b), (a, mpf_neg(b))], p)
 
 
 @pytest.mark.parametrize("p", (53, 113, 145, 1100))
@@ -307,9 +296,10 @@ def test_far_sums_match_libmp_in_both_regimes(gap, p):
         for b in smaller:
             for x, y in ((a, b), (b, a)):
                 pairs += [(x, y), (mpf_neg(x), y), (x, mpf_neg(y)), (mpf_neg(x), mpf_neg(y))]
-    _check_kernels(pairs, p, KERNELS[1:])
+    _check_columns(pairs, p)
     # 0 + 0, by name
-    assert radd(fzero, fzero, p) == fzero
+    assert mdot([0], [0], [0], [0], p) == fzero
+    assert rround(*(c[0] for c in maxpy(fone, [0], [0], [0], [0], p)), p) == fzero
 
 
 @pytest.mark.parametrize("p", (53, 113, 145, 1100))

@@ -1,3 +1,4 @@
+import json
 import operator
 import random
 
@@ -312,6 +313,34 @@ def test_serialization_roundtrip():
     back = op_from_json(op_to_json(L))
     assert back.window == L.window
     assert (back - L).sup_norm() == 0
+
+
+def _seven_site_doc():
+    # a 7-site operator on (-3, 3), as op_to_json writes it
+    L = DiffOp.build({0: lambda n: mpf(n) / 3, 1: 2, 2: 1}, (-3, 3))
+    return json.loads(op_to_json(L))
+
+
+def test_op_from_json_refuses_a_cut_term():
+    doc = _seven_site_doc()
+    doc["terms"]["1"] = doc["terms"]["1"][:4]
+    with pytest.raises(WindowError, match=r"term 1 holds 4 values on window \[-3, 3\]"):
+        op_from_json(json.dumps(doc))
+
+
+def test_op_from_json_refuses_a_window_its_terms_do_not_fill():
+    doc = _seven_site_doc()
+    doc["window"] = [-10, 10]
+    with pytest.raises(WindowError, match=r"term 0 holds 7 values on window \[-10, 10\]"):
+        op_from_json(json.dumps(doc))
+
+
+def test_op_from_json_refuses_an_order_that_is_not_the_top_term():
+    doc = _seven_site_doc()
+    assert op_from_json(json.dumps(doc)).order == doc["order"] == 2
+    doc["order"] = 3
+    with pytest.raises(ValueError, match="order 3 is not the top term's degree, term 2"):
+        op_from_json(json.dumps(doc))
 
 
 NON_FINITE = (float("inf"), float("nan"), mpf("inf"), mpf("-inf"), mpf("nan"))
