@@ -17,10 +17,12 @@ leaves (coeffs, lead, sup_norm, reports).
 ZPoly stores a polynomial and has no arithmetic.  Polynomials are computed
 on exactly, as z-polynomials (ints, exp), an int vector on one exponent
 that raw_ints reads from raw values, zsum adds and poly_mul, the one
-polynomial product, multiplies.  Operator arithmetic (opalg's composition,
-sum and commutator, and so the partner), dressing's S-lead check, pair
-rule, four-term factors, identity checks, curve recovery and level
-recursion (its inputs each formed exactly, then rounded once), and
+polynomial product, multiplies; spectral's kernels and action matrices
+hold each packed into one int instead, sum_k ints[k] 2^(k w) (pack), read
+back as balanced w-bit digits (unpack).  Operator arithmetic (opalg's
+composition, sum and commutator, and so the partner), dressing's S-lead
+check, pair rule, four-term factors, identity checks, curve recovery and
+level recursion (its inputs each formed exactly, then rounded once), and
 spectral's curve extraction run on those ints and round each result once:
 an int times a power of two by rround, a ratio of ints by rratio, which
 divides the ints itself and gives libmp's from_rational bit for bit, the
@@ -270,6 +272,34 @@ def zsum(terms):
         for i, x in enumerate(v):
             out[i] += k * x << e - exp
     return out, exp
+
+
+def pack(ints, w: int) -> int:
+    """The int vector ints as one int, sum_k ints[k] 2^(k w): the
+    z-polynomial at z = 2^w (Kronecker substitution), which unpack inverts
+    while every |ints[k]| < 2^(w - 1).  z times it is a shift by w, an int
+    times it one product and a sum of such values one add."""
+    x = 0
+    for c in reversed(ints):
+        x = (x << w) + c
+    return x
+
+
+def unpack(x: int, w: int, n: int) -> list:
+    """The n balanced w-bit digits of x, low first, each in [-2^(w - 1),
+    2^(w - 1)): pack's inverse.  A ValueError when anything is left above
+    the top slot, which a coefficient too wide for w can leave."""
+    half, full, out = 1 << w - 1, 1 << w, []
+    for _ in range(n):
+        d = x & full - 1
+        x >>= w
+        if d >= half:
+            d -= full
+            x += 1
+        out.append(d)
+    if x:
+        raise ValueError(f"packed value does not fit in {n} slots of {w} bits")
+    return out
 
 
 def mpf_to_str(x: mpf) -> str:

@@ -14,7 +14,7 @@ arithmetic: an exact form (exact_form: raw values as signed ints on one
 exponent) composes and sums with no rounding, and exact_op rounds each
 value once.  DiffOp's *, + and - are one such composition or sum of their
 operands, and the commutator and dressing's partner are formed so too;
-apply sums exactly on exact z-polynomials, as spectral's kernels are held.
+apply sums exactly on packed z-polynomials, as spectral's kernels are held.
 """
 
 from __future__ import annotations
@@ -26,13 +26,15 @@ from mpmath import mp, mpf
 from mpmath.libmp import fone
 
 from .errors import WindowError
-from .numcore import raw_ints, raw_max, rratio, rround, scalar, to_json, zsum
+from .numcore import raw_ints, raw_max, rratio, rround, scalar, to_json
 
 
 class CoeffSeq:
     """A coefficient sequence n -> scalar, tabulated on an integer window:
-    raw, a list never mutated once built, holds its values as libmp tuples, or
-    exact z-polynomials (ints, exp) in a sequence for DiffOp.apply."""
+    raw, a list never mutated once built, holds its values as libmp tuples, or,
+    in a sequence for DiffOp.apply, exact z-polynomials packed into one int
+    each, (numcore.pack(ints, w), exp): sum_k ints[k] 2^exp z^k, read back
+    by numcore.unpack at the width w that spectral.action_matrix fixes."""
 
     __slots__ = ("n_min", "raw")
 
@@ -168,9 +170,14 @@ class DiffOp:
 
     def apply(self, f: CoeffSeq) -> CoeffSeq:
         """(L f)(n) = sum_j u_j(n) f(n+j) on the exact shrunken window, exactly,
-        for f a sequence of exact z-polynomials (ints, exp), as
-        spectral.kernel_extend gives them: each value one numcore.zsum, the
-        terms read once, as ints on that window (raw_ints)."""
+        for f a sequence of packed z-polynomials (numcore.pack(ints, w), exp),
+        as spectral.kernel_extend gives them.  Packing is linear, so each
+        value is one int product of the raw u_j(n)'s mantissa and f(n + j)
+        per term, read in place, summed on the least exponent of its terms
+        ((0, 0) where every u_j(n) is 0), and packed at the same w, whose
+        width must exceed each coefficient by 2 bits for numcore.unpack to
+        read it back.  The exponents depend only on f's and on which u_j(n)
+        vanish."""
         lo = max(self.window[0], f.window[0] - self.min_degree)
         hi = min(self.window[1], f.window[1] - self.order)
         if hi < lo:
@@ -178,10 +185,25 @@ class DiffOp:
                 f"application window empty: operator on {self.window} with degrees "
                 f"[{self.min_degree}, {self.order}] needs f beyond [{f.window[0]}, {f.window[1]}]"
             )
-        us, eu = raw_ints([u.values_on(lo, hi) for u in self.terms.values()])
-        fs = [f.values_on(lo + j, hi + j) for j in self.terms]
-        return CoeffSeq._from_raw(lo, [zsum([(u, x, eu + e) for u, (x, e) in zip(un, fn) if u])
-                                       for un, fn in zip(zip(*us), zip(*fs))])
+        terms = [(u.raw, u.n_min, j - f.n_min) for j, u in self.terms.items()]
+        out = []
+        for n in range(lo, hi + 1):
+            acc, low = 0, None
+            for raw, k, kf in terms:
+                s, u, e, _ = raw[n - k]
+                if u:
+                    # u_j(n) f(n + j) on exponent e + g, the sum moved down to it
+                    x, g = f.raw[n + kf]
+                    e += g
+                    if low is None:
+                        low = e
+                    elif e < low:
+                        acc <<= low - e
+                        low = e
+                    x = u * x << e - low
+                    acc = acc - x if s else acc + x
+            out.append((acc, 0 if low is None else low))
+        return CoeffSeq._from_raw(lo, out)
 
     def __mul__(self, other):
         """self o other, exactly, each coefficient rounded once."""
@@ -286,14 +308,26 @@ def op_to_json(L: DiffOp) -> str:
 
 def op_from_json(text: str) -> DiffOp:
     """The operator op_to_json wrote: each term one value per site of the
-    window, the order its top term's degree, else a WindowError or ValueError
-    that names the term."""
+    window, no two term keys naming one degree, the window's ends and the
+    order ints and the order its top term's degree, else a WindowError or
+    ValueError that names the term or the entry."""
     doc = json.loads(text)
-    lo, hi = int(doc["window"][0]), int(doc["window"][1])
-    for j, vals in doc["terms"].items():
+    window, order = doc["window"], doc["order"]
+    # type, not isinstance: JSON's true is no int, and int() would cut 1.7 to 1
+    if len(window) != 2 or any(type(v) is not int for v in window):
+        raise ValueError(f"window {window} is not two ints")
+    if type(order) is not int:
+        raise ValueError(f"order {order} is not an int")
+    lo, hi = window
+    terms = {}
+    for key, vals in doc["terms"].items():
         if len(vals) != hi - lo + 1:
-            raise WindowError(f"term {j} holds {len(vals)} values on window [{lo}, {hi}]")
-    L = DiffOp({int(j): CoeffSeq(lo, vals) for j, vals in doc["terms"].items()}, (lo, hi))
-    if L.order != int(doc["order"]):
-        raise ValueError(f"order {doc['order']} is not the top term's degree, term {L.order}")
+            raise WindowError(f"term {key} holds {len(vals)} values on window [{lo}, {hi}]")
+        j = int(key)
+        if j in terms:
+            raise ValueError(f"terms {terms[j][0]} and {key} name one degree, {j}")
+        terms[j] = key, vals
+    L = DiffOp({j: CoeffSeq(lo, vals) for j, (_key, vals) in terms.items()}, (lo, hi))
+    if L.order != order:
+        raise ValueError(f"order {order} is not the top term's degree, term {L.order}")
     return L

@@ -7,9 +7,14 @@ characteristic polynomial is z-polynomial data of the joint spectrum.  L_base
 is positive, so its kernel recurrence runs forward only and every kernel
 value, every entry of M(z) and every coefficient of its characteristic
 polynomial is a polynomial in z; they are computed as such, with z kept
-symbolic, never sampled, and exactly, the stored operators being dyadic:
-each is an int vector on one exponent (numcore.zsum), and each reported
-value is rounded once.  For a hyperelliptic pair of orders (2, 2g+1) the
+symbolic, never sampled, and exactly, the stored operators being dyadic,
+and each reported value is rounded once.  Inside an action each
+z-polynomial is one int on one exponent, its coefficients packed at
+z = 2^w (Kronecker substitution, numcore.pack), so that z psi is a shift,
+u_j psi one int product and a sum one add, whatever the degree; w is fixed
+per action by a bound pass over its steps (_action_width), and
+numcore.unpack reads back only the entries of M(z) and what the closure
+defect measures.  For a hyperelliptic pair of orders (2, 2g+1) the
 trace vanishes and -det M(z) is the monic curve polynomial F_g; base-point
 independence of the coefficients is the well-definedness check, and the
 closure defect (distance of L_act psi from the kernel, as a polynomial
@@ -22,7 +27,8 @@ from mpmath import mp, mpf
 
 from .errors import CommutationError, WindowError
 from .numcore import (
-    HyperellipticCurve, ZPoly, poly_mul, raw_ints, rratio, rround, worst_ratio, zsum,
+    HyperellipticCurve, ZPoly, pack, poly_mul, raw_ints, rratio, rround, unpack, worst_ratio,
+    zsum,
 )
 from .opalg import CoeffSeq, DiffOp, commutator_residual, exact_compose, exact_form, exact_sum
 
@@ -36,14 +42,19 @@ ACTION_PAD = 3
 RANK2_COMMUTATION_TOL = mpf("1e-10")
 
 
-def kernel_extend(L: DiffOp, n0: int, init, length: int) -> list:
+def kernel_extend(L: DiffOp, n0: int, init, length: int, w: int) -> list:
     """Solve (L - z) psi = 0 forward from initial data, with z symbolic, exactly.
 
     L must be monic positive of order m; init supplies psi(n0..n0+m-1) as
-    exact z-polynomials (ints, exp), sum_k ints[k] 2^exp z^k.  The result is
-    psi(n0), psi(n0 + 1), ... to the requested length, each such a pair:
-    psi(n + m) = z psi(n) - sum_j u_j(n) psi(n + j) by numcore.zsum, the
-    lower u_j read once, as ints on the rows stepped over (raw_ints).
+    exact z-polynomials packed at width w, (numcore.pack(ints, w), exp) for
+    sum_k ints[k] 2^exp z^k.  The result is psi(n0), psi(n0 + 1), ... to
+    the requested length, each such a pair: psi(n + m) = z psi(n) - sum_j
+    u_j(n) psi(n + j), z psi(n) a shift by w and each u_j(n) psi(n + j) one
+    int product with the raw u_j(n)'s mantissa, read in place, summed on
+    the least exponent of the terms, whatever the degree.  The exponents
+    depend only on init's and on which u_j(n) vanish; each coefficient must
+    stay 2 bits below w for numcore.unpack to read it back, which
+    action_matrix's width (_action_width) sees to.
     """
     if not L.is_positive:
         raise ValueError("kernel recurrence needs a positive operator")
@@ -61,15 +72,91 @@ def kernel_extend(L: DiffOp, n0: int, init, length: int) -> list:
             f"kernel extension needs operator coefficients on [{lo_needed}, {hi_needed}], "
             f"window is {L.window}"
         )
-    js = [j for j in L.terms if j != m] if length > m else []
-    lower, eu = raw_ints([L.terms[j].values_on(lo_needed, hi_needed) for j in js])
+    lower = [(j, t.raw, n0 - t.n_min) for j, t in L.terms.items() if j != m]
     vals = list(init)
     for i in range(length - m):
-        c, e = vals[i]
-        # z psi(n), its coefficients one place up, less each u_j(n) psi(n + j)
-        terms = [(-u[i], x, eu + f) for u, (x, f) in zip(lower, [vals[i + j] for j in js]) if u[i]]
-        vals.append(zsum([(1, [0, *c], e), *terms]))
+        acc, low = vals[i]
+        acc <<= w
+        for j, raw, k in lower:
+            s, u, f, _ = raw[k + i]
+            if u:
+                # u_j(n) psi(n + j) on exponent f + g, the sum moved down to it
+                y, g = vals[i + j]
+                f += g
+                if f < low:
+                    acc <<= low - f
+                    low = f
+                y = u * y << f - low
+                acc = acc + y if s else acc - y
+        vals.append((acc, low))
     return vals
+
+
+def _magnitudes(t: CoeffSeq, lo: int, hi: int) -> list:
+    """Per site of [lo, hi], (exp, top) of the raw value v, |v| below 2^top
+    and its mantissa an int on exp, or None where v is 0."""
+    return [(e, e + bc) if u else None for _s, u, e, bc in t.values_on(lo, hi)]
+
+
+def _sum_bound(cols, psi, i, first=None):
+    """The bound (low, top, deg) of a sum of values each bounded so: on
+    exponent low, every coefficient times 2^low below 2^top in magnitude,
+    of degree at most deg.  The terms are first, when given, and per (j, us)
+    of cols with us[i] not None, us[i] times psi(n + j), which psi[i + j]
+    bounds: exponents and tops add.  The sum lies on the least exponent,
+    and t terms each below 2^top sum below 2^(top + ceil(log2 t)); a sum of
+    none is (0, 0, -1), the zero DiffOp.apply forms where every u_j(n) is 0."""
+    low, top, deg = first or (0, 0, -1)
+    t = 0 if first is None else 1
+    for j, us in cols:
+        u = us[i]
+        if u:
+            e, p, d = psi[i + j]
+            e, p = e + u[0], p + u[1]
+            if not t or e < low:
+                low = e
+            if not t or p > top:
+                top = p
+            if d > deg:
+                deg = d
+            t += 1
+    return low, top + max(t - 1, 0).bit_length(), deg
+
+
+def _kernel_bounds(L: DiffOp, n0: int, init, length: int) -> list:
+    """kernel_extend(L, n0, ., length, w)'s values as bounds (low, top, deg),
+    from init's, step by step as the recurrence forms them; z psi(n) is
+    psi(n) one degree up."""
+    m = L.order
+    lower = [(j, _magnitudes(t, n0, n0 + length - 1 - m)) for j, t in L.terms.items() if j != m]
+    out = list(init)
+    for i in range(length - m):
+        low, top, deg = out[i]
+        out.append(_sum_bound(lower, out, i, (low, top, deg + 1)))
+    return out
+
+
+def _action_width(L_base: DiffOp, L_act: DiffOp, n0: int):
+    """(w, v, gaps): the width at which action_matrix packs, and the bounds
+    (low, top, deg) of L_act psi on the m + ACTION_PAD values from n0 and
+    of the gaps past the first m, from one bound pass over the action's
+    steps before the first.  The m unit kernels share one pass, their
+    initial coefficients 0 or 1 on exponent 0, so their exponents and
+    bounds coincide; the closure kernels share one, started from L_act
+    psi's.  A value bounded by (low, top, deg) has deg + 1 coefficients,
+    each an int below 2^(top - low); w is the largest such bit count, the
+    kernels' and the gaps' included, plus one bit for the sign of a
+    balanced digit and one of margin, so numcore.unpack reads each value."""
+    m = L_base.order
+    count = m + ACTION_PAD
+    psi = _kernel_bounds(L_base, n0, [(0, 1, 0)] * m, count + L_act.order)
+    cols = [(j, _magnitudes(t, n0, n0 + count - 1)) for j, t in L_act.terms.items()]
+    v = [_sum_bound(cols, psi, r) for r in range(count)]
+    closure = _kernel_bounds(L_base, n0, v[:m], count)
+    # a gap, v minus the closure kernel, on the lesser of their exponents
+    gaps = [(min(x[0], y[0]), max(x[1], y[1]) + 1, max(x[2], y[2]))
+            for x, y in zip(v[m:], closure[m:])]
+    return 2 + max(top - low for low, top, _d in [*psi, *v, *closure, *gaps]), v, gaps
 
 
 def _sup(polys):
@@ -99,16 +186,21 @@ def action_matrix(L_base: DiffOp, L_act: DiffOp, n0: int):
     rank2_curve_check guard it."""
     m = L_base.order
     count = m + ACTION_PAD
+    if L_act.min_degree < 0:
+        raise WindowError(f"L_act psi from base point n0={n0} needs kernel values below it")
+    w, v_bounds, gap_bounds = _action_width(L_base, L_act, n0)
     cols, gaps, vals = [], [], []
     for i in range(m):
-        unit = [([1], 0) if j == i else ([], 0) for j in range(m)]
-        psi = CoeffSeq._from_raw(n0, kernel_extend(L_base, n0, unit, count + L_act.order))
+        unit = [(pack([int(j == i)], w), 0) for j in range(m)]
+        psi = CoeffSeq._from_raw(n0, kernel_extend(L_base, n0, unit, count + L_act.order, w))
         v = L_act.apply(psi).values_on(n0, n0 + count - 1)
-        cols.append(v[:m])
+        cols.append([(unpack(x, w, d + 1), e) for (x, e), (*_, d) in zip(v[:m], v_bounds)])
         # closure defect: L_act psi must satisfy the same kernel recurrence
-        w = kernel_extend(L_base, n0, v[:m], count)
-        gaps += [zsum([(1, *v[r]), (-1, *w[r])]) for r in range(m, count)]
-        vals += v[m:]
+        closure = kernel_extend(L_base, n0, v[:m], count, w)
+        for (x, e), (y, f), (*_, d), (*_, h) in zip(v[m:], closure[m:], v_bounds[m:], gap_bounds):
+            low = min(e, f)
+            gaps.append((unpack((x << e - low) - (y << f - low), w, h + 1), low))
+            vals.append((unpack(x, w, d + 1), e))
     vscale = _sup(vals)
     return ([[cols[i][r] for i in range(m)] for r in range(m)],
             _ratio(_sup(gaps), vscale if vscale[0] else (1, 0)))

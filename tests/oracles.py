@@ -254,10 +254,11 @@ def factorization_check(state: DressingState, L2: DiffOp, P: CurvePoint, f: Coef
 
 def apply_scalars(L: DiffOp, f: CoeffSeq) -> CoeffSeq:
     """L f for a scalar sequence f through DiffOp.apply, each value of f a
-    constant exact z-polynomial, each value of L f rounded once at mp.prec."""
+    constant z-polynomial, packed as its one coefficient, each value of L f
+    rounded once at mp.prec."""
     (vals,), exp = raw_ints([f.raw])
-    out = L.apply(CoeffSeq._from_raw(f.n_min, [([v], exp) for v in vals]))
-    return CoeffSeq._from_raw(out.n_min, [rround(sum(c), e, mp.prec) for c, e in out.raw])
+    out = L.apply(CoeffSeq._from_raw(f.n_min, [(v, exp) for v in vals]))
+    return CoeffSeq._from_raw(out.n_min, [rround(x, e, mp.prec) for x, e in out.raw])
 
 
 def exact_z(p: ZPoly):

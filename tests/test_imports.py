@@ -151,6 +151,24 @@ def _count_at_every_binding(monkeypatch, module: str, path: str, calls: dict):
                         monkeypatch.setattr(value, cname, wrapper)
 
 
+def _silent_spans(monkeypatch, workloads, run):
+    """(needed, silent): the tracer's spans that dominate one of workloads
+    and have no stale target, and those of them that record no call while
+    run() runs, each counted at every binding the tracer would wrap; a span
+    records a call when any of its targets does."""
+    spans, dominates = _tracer_table("SPANS"), _tracer_table("DOMINATES")
+    needed = {name: targets for name, targets in spans.items()
+              if set(workloads) & set(dominates.get(name, ()))
+              and all(_resolves(module, path) for module, path in targets)}
+    calls = {}
+    for targets in needed.values():
+        for module, path in targets:
+            _count_at_every_binding(monkeypatch, module, path, calls)
+    run()
+    return needed, [name for name, targets in needed.items()
+                    if not any(calls[f"{module}.{path}"] for module, path in targets)]
+
+
 def test_every_span_the_cli_workloads_need_records_calls(monkeypatch, tmp_path):
     # the traced benchmark fails when a span that dominates verify or
     # odd-ext records no call there; a function called through a binding
@@ -161,23 +179,43 @@ def test_every_span_the_cli_workloads_need_records_calls(monkeypatch, tmp_path):
     # elliptic or geometric tabulation
     import commdiff.cli
 
-    spans, dominates = _tracer_table("SPANS"), _tracer_table("DOMINATES")
-    needed = {name: targets for name, targets in spans.items()
-              if {"verify", "odd-ext"} & set(dominates.get(name, ()))
-              and all(_resolves(module, path) for module, path in targets)}
-    assert "numcore.poly_mul" in needed and "dressing.state" in needed
-    calls = {}
-    for targets in needed.values():
-        for module, path in targets:
-            _count_at_every_binding(monkeypatch, module, path, calls)
     out = str(tmp_path / "reports")
-    for family in (["trig", "--g", "2", "--r1", "1.3"],
-                   ["poly", "--g", "2", "--a2", "1", "--a1", "0.5", "--a0", "0.25"]):
-        assert commdiff.cli.main(["verify", "--family", *family, "--window", "-4", "4",
-                                  "--out", out]) == 0
-    silent = [name for name, targets in needed.items()
-              if not any(calls[f"{module}.{path}"] for module, path in targets)]
-    assert silent == [], calls
+
+    def run():
+        for family in (["trig", "--g", "2", "--r1", "1.3"],
+                       ["poly", "--g", "2", "--a2", "1", "--a1", "0.5", "--a0", "0.25"]):
+            assert commdiff.cli.main(["verify", "--family", *family, "--window", "-4", "4",
+                                      "--out", out]) == 0
+
+    needed, silent = _silent_spans(monkeypatch, ("verify", "odd-ext"), run)
+    assert "numcore.poly_mul" in needed and "dressing.state" in needed
+    assert silent == []
+
+
+def test_every_span_the_library_workload_needs_records_calls(monkeypatch):
+    # the same for curve-lattice, on a small library pass: one pair's curve
+    # extraction, the rank-two check, the genus-1 continuum slope and the
+    # Lame step independence on two steps; every call goes through a module
+    # attribute, as the benchmark's calls do
+    from mpmath import mpf
+
+    import commdiff.families
+    import commdiff.lame
+    import commdiff.rank2
+    import commdiff.spectral
+
+    def run():
+        spec = commdiff.families.FamilySpec("poly", 1, {"a2": 1, "a0": 0})
+        L2, partner = commdiff.families.build_case(spec, (-8, 8))[:2]
+        assert commdiff.spectral.extract_curve(L2, partner).matched_curve is not None
+        assert commdiff.rank2.verify_rank2()["curve_pass"]
+        ctx = commdiff.lame.WeierstrassContext(mpf(4), mpf(0))
+        commdiff.lame.continuum_slope(ctx, 1, x=mpf("0.91"))
+        commdiff.lame.lame_curve_independence(ctx, [mpf("0.1"), mpf("0.05")], mpf("0.91"))
+
+    needed, silent = _silent_spans(monkeypatch, ("curve-lattice",), run)
+    assert {"spectral.kernel_extend", "opalg.apply", "rank2.build"} <= set(needed)
+    assert silent == []
 
 
 @pytest.mark.parametrize("module, owner, name", [

@@ -24,6 +24,7 @@ from commdiff.numcore import (
     maxpy,
     mdot,
     mpf_to_str,
+    pack,
     poly_mul,
     pow_int,
     raw_ints,
@@ -34,6 +35,7 @@ from commdiff.numcore import (
     scalar,
     set_precision,
     to_json,
+    unpack,
     worst_ratio,
     zsum,
 )
@@ -545,6 +547,37 @@ def test_ring_axioms_property():
         assert poly_mul(poly_mul(a, b), c) == poly_mul(a, poly_mul(b, c))
         b_plus_c = zsum([(1, b, 0), (1, c, 0)])[0]
         assert poly_mul(a, b_plus_c) == zsum([(1, poly_mul(a, b), 0), (1, poly_mul(a, c), 0)])[0]
+
+
+@pytest.mark.parametrize("w", (2, 3, 8, 64, 1100))
+def test_unpack_reads_back_what_pack_holds(w):
+    # balanced digits: every coefficient in [-2^(w-1), 2^(w-1)) comes back,
+    # whatever its sign and the signs around it; a zero top slot is a
+    # trailing zero, and nothing may be left above the top slot
+    top = (1 << w - 1) - 1
+    cases = [
+        [],                          # zero
+        [top], [-top], [1], [-1],    # a single slot
+        [top, -top, top],            # +-(2^(w-1) - 1) in every slot
+        [-top, top, -top],
+        [top, 0, -1],                # a negative top slot
+        [-1, 0, top, -top],
+        [-(1 << w - 1), 1],          # the lowest balanced digit
+        [3 % (top + 1), 0, 0],       # trailing zeros
+    ]
+    for ints in cases:
+        x = pack(ints, w)
+        assert x == sum(c << k * w for k, c in enumerate(ints))
+        assert unpack(x, w, len(ints)) == ints
+        assert unpack(x, w, len(ints) + 2) == ints + [0, 0]
+    assert pack([], w) == 0 and unpack(0, w, 0) == [] and unpack(0, w, 3) == [0, 0, 0]
+    # a slot missing, and a coefficient one bit too wide: 2^(w-1) reads as
+    # -2^(w-1) with a carry into the next slot
+    with pytest.raises(ValueError, match=f"does not fit in 2 slots of {w} bits"):
+        unpack(pack([1, 2, 3], w), w, 2)
+    with pytest.raises(ValueError, match="does not fit in 1 slots"):
+        unpack(pack([1 << w - 1], w), w, 1)
+    assert unpack(pack([1 << w - 1], w), w, 2) == [-(1 << w - 1), 1]
 
 
 def test_curve_validation():

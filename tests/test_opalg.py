@@ -343,6 +343,26 @@ def test_op_from_json_refuses_an_order_that_is_not_the_top_term():
         op_from_json(json.dumps(doc))
 
 
+def test_op_from_json_refuses_two_keys_for_one_degree():
+    doc = _seven_site_doc()
+    doc["terms"]["01"] = doc["terms"]["1"]
+    with pytest.raises(ValueError, match="terms 1 and 01 name one degree, 1"):
+        op_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("window", [-3, 1.7], r"window \[-3, 1.7\] is not two ints"),
+    ("window", [-3.0, 3], r"window \[-3.0, 3\] is not two ints"),
+    ("order", 1.7, "order 1.7 is not an int"),
+    ("order", True, "order True is not an int"),
+])
+def test_op_from_json_refuses_entries_that_are_not_ints(key, value, message):
+    doc = _seven_site_doc()
+    doc[key] = value
+    with pytest.raises(ValueError, match=message):
+        op_from_json(json.dumps(doc))
+
+
 NON_FINITE = (float("inf"), float("nan"), mpf("inf"), mpf("-inf"), mpf("nan"))
 
 

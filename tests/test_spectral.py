@@ -5,13 +5,15 @@ import pytest
 from mpmath import mp, mpf, cos, sin
 
 from commdiff.errors import CommutationError, WindowError
-from commdiff.numcore import ZPoly
+from commdiff.numcore import ZPoly, pack, unpack
 from commdiff.opalg import CoeffSeq, DiffOp, commutator_residual
 from commdiff.dressing import identity_residuals, l2_operator
 from commdiff.families import FamilySpec, build_case, poly_family
 from commdiff.rank2 import Rank2Params, build_l4, build_l6_special, expected_curve_poly
 from oracles import (
     CRITERION_1_PARAMS,
+    _fpsum,
+    _trimmed,
     baker_akhiezer,
     curve_point,
     exact_curve,
@@ -26,7 +28,10 @@ from oracles import (
     rounded_poly,
 )
 from commdiff.spectral import (
+    ACTION_PAD,
     CurveReport,
+    _action_width,
+    _kernel_bounds,
     action_matrix,
     char_poly_coeffs,
     extract_curve,
@@ -48,12 +53,53 @@ def make_pair(kind, g=1):
 ONE, ZERO = ([1], 0), ([], 0)
 
 
+def _packed(init, w):
+    """The exact z-polynomials init, each (ints, exp), packed at width w."""
+    return [(pack(c, w), e) for c, e in init]
+
+
+def _read(x, w, n):
+    """The packed value x read back as n coefficients, as Fractions trimmed."""
+    return fraction_z((unpack(x[0], w, n), x[1]))
+
+
+def _ints(x, want):
+    """The Fraction list want as ints on the exponent of the packed value x."""
+    ints = [c / Fraction(2) ** x[1] for c in want]
+    assert all(c.denominator == 1 for c in ints)
+    return [int(c) for c in ints]
+
+
+def _fitting_width(pairs):
+    """2 bits above the widest coefficient of the (packed value, Fraction
+    list) pairs, as an int on the packed value's exponent."""
+    return 2 + max((abs(c).bit_length() for x, want in pairs for c in _ints(x, want)), default=0)
+
+
+def _exact_kernel(L, n0, init, length, ops=()):
+    """(w, psi, want, applied): kernel_extend from the exact init packed at
+    the width that the Fraction kernel and each of ops applied to it need,
+    the Fraction kernel want and, per op, fraction_apply's (lo, values).
+    The exponents depend on the data's and on which coefficients vanish, not
+    on w, so a run at width 2 gives them."""
+    want = fraction_kernel(L, n0, [fraction_z(x) for x in init], length)
+    applied = [fraction_apply(op, want, n0) for op in ops]
+    trial = kernel_extend(L, n0, _packed(init, 2), length, 2)
+    pairs = list(zip(trial, want))
+    for op, (_lo, vals) in zip(ops, applied):
+        pairs += zip(op.apply(CoeffSeq._from_raw(n0, trial)).raw, vals)
+    w = _fitting_width(pairs)
+    psi = kernel_extend(L, n0, _packed(init, w), length, w)
+    assert [e for _x, e in psi] == [e for _x, e in trial]
+    return w, psi, want, applied
+
+
 def test_kernel_extend_pure_shift_square():
     # T^2 psi = z psi from psi(0) = 1, psi(1) = 0: psi(2k) = z^k, psi(2k+1) = 0
     L = DiffOp.build({2: 1, 1: 0, 0: 0}, WIN)
-    psi = kernel_extend(L, 0, (ONE, ZERO), 11)
-    assert [fraction_z(x) for x in psi] == [[0] * (n // 2) + [1] if n % 2 == 0 else []
-                                            for n in range(11)]
+    psi = kernel_extend(L, 0, _packed((ONE, ZERO), 3), 11, 3)
+    assert [_read(x, 3, 6) for x in psi] == [[0] * (n // 2) + [1] if n % 2 == 0 else []
+                                             for n in range(11)]
 
 
 def test_kernel_extend_satisfies_recurrence():
@@ -61,24 +107,24 @@ def test_kernel_extend_satisfies_recurrence():
     U, W = poly_family(1, 1, 0, 0, WIN)
     L2 = l2_operator(U, W)
     init = (exact_z(ZPoly([mpf("0.7"), mpf("-0.3")])), exact_z(ZPoly([mpf("-0.2")])))
-    psi = kernel_extend(L2, -3, init, 16)
-    assert len(fraction_z(psi[-1])) == 9  # psi(n0 + 15) has degree 8 in z
+    w, psi, _want, _applied = _exact_kernel(L2, -3, init, 16, (L2,))
+    assert len(_read(psi[-1], w, 9)) == 9  # psi(n0 + 15) has degree 8 in z
     out = L2.apply(CoeffSeq._from_raw(-3, psi))
     assert out.window == (-3, 10)
     for n, v in zip(range(-3, 11), out.raw):
-        assert fraction_z(v) == [0, *fraction_z(psi[n + 3])], n
+        assert _read(v, w, 10) == [0, *_read(psi[n + 3], w, 9)], n
 
 
 def test_kernel_extend_zero_init():
     U, W = poly_family(1, 1, 0, 0, WIN)
     L2 = l2_operator(U, W)
-    assert all(not any(c) for c, _e in kernel_extend(L2, 0, (ZERO, ZERO), 10))
+    assert all(not x for x, _e in kernel_extend(L2, 0, _packed((ZERO, ZERO), 8), 10, 8))
 
 
 def test_kernel_extend_window_guard():
     L = DiffOp.build({2: 1, 0: 0}, (0, 3))
     with pytest.raises(WindowError):
-        kernel_extend(L, 0, (ONE, ZERO), 12)
+        kernel_extend(L, 0, _packed((ONE, ZERO), 8), 12, 8)
 
 
 def test_extract_curve_window_guard_names_the_base_point():
@@ -338,15 +384,14 @@ def _exact_or_error(action, L_base, L_act, n0):
 
 
 def _assert_kernel_and_apply_exact(L, ops, n0, init, length):
-    """kernel_extend from init and each of ops applied to the kernel equal
-    the Fraction recurrence and sums, exactly."""
-    psi = kernel_extend(L, n0, init, length)
-    want = fraction_kernel(L, n0, [fraction_z(x) for x in init], length)
-    assert [fraction_z(x) for x in psi] == want
-    for op in ops:
+    """kernel_extend from the exact init, packed, and each of ops applied to
+    the kernel equal the Fraction recurrence and sums, exactly."""
+    w, psi, want, applied = _exact_kernel(L, n0, init, length, ops)
+    assert [_read(x, w, len(y)) for x, y in zip(psi, want)] == want
+    for op, (lo, vals) in zip(ops, applied):
         got = op.apply(CoeffSeq._from_raw(n0, psi))
-        lo, vals = fraction_apply(op, want, n0)
-        assert got.window[0] == lo and [fraction_z(x) for x in got.raw] == vals
+        assert got.window[0] == lo
+        assert [_read(x, w, len(y)) for x, y in zip(got.raw, vals)] == vals
 
 
 @pytest.mark.parametrize("bits", (53, 113, 160, 1100))
@@ -419,7 +464,8 @@ def test_kernel_and_apply_are_exact_on_zeros_negative_degrees_and_wide_data(bits
             for n0, init in ((-3, (ONE, ZERO)), (0, (ZERO, ZERO)), (0, wide), (-3, wide)):
                 _assert_kernel_and_apply_exact(base, (L, base), n0, init, 9)
         # no step at all: the initial data back
-        assert kernel_extend(S, 18, wide, 2) == list(wide)
+        packed = _packed(wide, 4 * bits)
+        assert kernel_extend(S, 18, packed, 2, 4 * bits) == packed
 
 
 @pytest.mark.parametrize("bits", (53, 113, 160, 1100))
@@ -452,18 +498,131 @@ def test_rank2_action_and_char_poly_are_exact(params, bits):
             assert rep.mismatch_rel == 0
 
 
+def _packed_action(L_base, L_act, n0, w):
+    """Each packed value that action_matrix forms at width w, beside its
+    Fraction oracle, by kind: per unit kernel, the kernel ("psi"), L_act psi
+    ("v"), the closure kernel ("closure") and the gaps ("gaps"), each gap
+    formed as action_matrix forms it."""
+    m = L_base.order
+    count, length = m + ACTION_PAD, m + ACTION_PAD + L_act.order
+    parts = {"psi": [], "v": [], "closure": [], "gaps": []}
+    for i in range(m):
+        want = fraction_kernel(L_base, n0, [[Fraction(1)] if j == i else [] for j in range(m)],
+                               length)
+        psi = kernel_extend(L_base, n0, [(int(j == i), 0) for j in range(m)], length, w)
+        lo, applied = fraction_apply(L_act, want, n0)
+        v_want = applied[n0 - lo:n0 - lo + count]
+        v = L_act.apply(CoeffSeq._from_raw(n0, psi)).values_on(n0, n0 + count - 1)
+        closure_want = fraction_kernel(L_base, n0, v_want[:m], count)
+        closure = kernel_extend(L_base, n0, v[:m], count, w)
+        gaps = [((x << e - min(e, f)) - (y << f - min(e, f)), min(e, f))
+                for (x, e), (y, f) in zip(v[m:], closure[m:])]
+        gaps_want = [_trimmed(_fpsum(a, [-c for c in b]))
+                     for a, b in zip(v_want[m:], closure_want[m:])]
+        for key, got, oracle in (("psi", psi, want), ("v", v, v_want),
+                                 ("closure", closure, closure_want), ("gaps", gaps, gaps_want)):
+            parts[key] += zip(got, oracle)
+    return parts
+
+
+def _all(parts):
+    """The (packed value, oracle) pairs of _packed_action, of every kind."""
+    return [pair for pairs in parts.values() for pair in pairs]
+
+
+def _exact_at(pairs, w):
+    """Each packed value of pairs, at width w, reads back as its oracle."""
+    try:
+        return all(_read(x, w, len(want)) == want for x, want in pairs)
+    except ValueError:  # something left above the top slot
+        return False
+
+
+def _wide_action(kind, bits):
+    """(L_base, L_act) of an action with wide packed values at bits."""
+    with mp.workprec(bits):
+        if kind == "spread":
+            # non-dyadic coefficients from 2^-200 to 2^200
+            def spread(n):
+                return mpf(n) / 7 * mpf(2) ** (200 * (n % 3 - 1))
+            return (DiffOp.build({2: 1, 1: lambda n: spread(n + 41), 0: spread}, (-20, 20)),
+                    DiffOp.build({3: 1, 2: lambda n: spread(n + 43), 0: lambda n: spread(n + 47)},
+                                 (-20, 20)))
+        if kind == "wide-data":
+            # coefficients of twice the bits, used as given: the kernels start
+            # from, and L_act psi and the closure kernel from, data wider than p
+            with mp.workprec(2 * bits):
+                return (DiffOp.build({2: 1, 1: lambda n: mp.sqrt(n + 30),
+                                      0: lambda n: mpf(1) / (n + 40)}, (-20, 20)),
+                        DiffOp.build({3: 1, 1: lambda n: mp.sqrt(n + 50) / 3,
+                                      0: lambda n: mp.cbrt(n + 60)}, (-20, 20)))
+        if kind == "geom-g3":
+            return build_case(FamilySpec("geom", 3, {"a": 2, "beta": 1}), (-8, 8))[:2]
+        return build_l4(Rank2Params(2, 0, 0), (-20, 20)), build_l6_special((-20, 20))
+
+
+@pytest.mark.parametrize("bits", (53, 1100))
+@pytest.mark.parametrize("kind", ["spread", "wide-data", "geom-g3", "rank2"])
+def test_the_action_width_holds_every_packed_value(kind, bits):
+    # every coefficient of every value action_matrix packs, read through the
+    # Fraction oracles on its exponent, has fewer than w - 1 bits, and reads
+    # back exactly; at the widest coefficient's own bit length that
+    # coefficient leaves the balanced digits, and the same reading fails
+    L_base, L_act = _wide_action(kind, bits)
+    with mp.workprec(bits):
+        for n0 in (-1, 0, 1):
+            w, v_bounds, gap_bounds = _action_width(L_base, L_act, n0)
+            parts = _packed_action(L_base, L_act, n0, w)
+            pairs = _all(parts)
+            widest = max(abs(c).bit_length() for x, want in pairs for c in _ints(x, want))
+            assert widest < w - 1 and _exact_at(pairs, w)
+            assert not _exact_at(_all(_packed_action(L_base, L_act, n0, widest)), widest)
+            # the bound pass's exponents are the values' own, its degrees
+            # bound theirs and its bit counts hold them, and w is 2 bits
+            # above the largest bit count, the kernels' and the gaps' included
+            m, count = L_base.order, L_base.order + ACTION_PAD
+            bounds = {"psi": _kernel_bounds(L_base, n0, [(0, 1, 0)] * m, count + L_act.order),
+                      "v": v_bounds, "closure": _kernel_bounds(L_base, n0, v_bounds[:m], count),
+                      "gaps": gap_bounds}
+            assert w == 2 + max(top - low for b in bounds.values() for low, top, _d in b)
+            for key, pairs in parts.items():
+                for k, (x, want) in enumerate(pairs):
+                    low, top, deg = bounds[key][k % len(bounds[key])]
+                    assert x[1] == low and len(want) <= deg + 1
+                    assert all(abs(c).bit_length() <= top - low for c in _ints(x, want))
+            assert _exact_or_error(action_matrix, L_base, L_act, n0) == \
+                _exact_or_error(fraction_action_matrix, L_base, L_act, n0)
+
+
+def test_the_bound_pass_holds_sums_near_their_bound():
+    # u_1 = u_0 = -(2^53 - 1) and initial coefficients 2^8 - 1: each step
+    # adds three terms of one sign, the two products each within a factor
+    # 2^-8 of the bound 2^61, so the first sum needs the ceil(log2 3) bits
+    # that the pass adds for its three terms
+    with mp.workprec(53):
+        u = -(mpf(2) ** 53 - 1)
+        L = DiffOp.build({2: 1, 1: u, 0: u}, (-10, 10))
+    bounds = _kernel_bounds(L, 0, [(0, 8, 1), (0, 8, 0)], 8)
+    w = 2 + max(top - low for low, top, _d in bounds)
+    psi = kernel_extend(L, 0, _packed([([255, 255], 0), ([255], 0)], w), 8, w)
+    assert max(abs(c).bit_length() for c in unpack(psi[2][0], w, 3)) == 62 == bounds[2][1] - 1
+    for (x, e), (low, top, deg) in zip(psi, bounds):
+        assert e == low and all(abs(c).bit_length() <= top - low for c in unpack(x, w, deg + 1))
+
+
 def _partner(order):
     """A monic positive operator of the given order on WIN."""
     return DiffOp.build({order: 1, 0: lambda n: mpf(n) / 5}, WIN)
 
 
 @pytest.mark.parametrize("make, fragment", [
-    (lambda: kernel_extend(DiffOp.build({2: 1, -1: 1}, WIN), 0, [ONE, ZERO], 6),
+    (lambda: kernel_extend(DiffOp.build({2: 1, -1: 1}, WIN), 0, _packed([ONE, ZERO], 8), 6, 8),
      "needs a positive operator"),
-    (lambda: kernel_extend(DiffOp.build({2: 2, 0: 1}, WIN), 0, [ONE, ZERO], 6),
+    (lambda: kernel_extend(DiffOp.build({2: 2, 0: 1}, WIN), 0, _packed([ONE, ZERO], 8), 6, 8),
      "needs a monic operator"),
-    (lambda: kernel_extend(_partner(2), 0, [ONE], 6), "order 2 needs 2 initial values"),
-    (lambda: kernel_extend(_partner(2), 0, [ONE, ZERO], 1), "length must cover"),
+    (lambda: kernel_extend(_partner(2), 0, _packed([ONE], 8), 6, 8),
+     "order 2 needs 2 initial values"),
+    (lambda: kernel_extend(_partner(2), 0, _packed([ONE, ZERO], 8), 1, 8), "length must cover"),
     (lambda: extract_curve(_partner(3), _partner(5)), "fixes the base operator at order 2"),
     (lambda: extract_curve(_partner(2), _partner(4)), "must have odd order"),
 ], ids=["non-positive", "non-monic", "init-count", "short-length", "base-order",

@@ -111,7 +111,9 @@ OTHERS = [
 
 # the curve-extraction and Weierstrass paths at a non-dyadic parameter, at
 # 1100 bits and at 160 bits; the non-dyadic geometric pair at g = 2 is left
-# out, because its verify exits 2
+# out, because its verify exits 2.  The last two pack the widest ints of the
+# action matrices: the longest kernels (g = 3) and the 4 x 4 rank-two action,
+# at 1100 bits
 EXTRACTION = [
     ["curve", "--family", "trig", "--g", "2", "--r1", "1.3"],
     ["curve", "--family", "poly", "--g", "2", "--a2", "0.886695", "--a1", "0.708451",
@@ -120,6 +122,8 @@ EXTRACTION = [
     ["lame", "--precision", "160", "--g-list", "1", "2", "--eps", "0.1", "0.05",
      "--x0", "0.91"],
     ["rank2", "--precision", "160"],
+    ["curve", "--family", "geom", "--g", "3", "--a", "2", "--beta", "1", "--precision", "1100"],
+    ["rank2", "--precision", "1100"],
 ]
 
 # below the default precision, where a changed rounding order shows in almost
