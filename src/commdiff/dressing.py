@@ -762,28 +762,26 @@ def build_partner_op(state: DressingState, L2: DiffOp | None = None) -> DiffOp:
 
         sum_k (q_{n,k} T - s_{n,k}) o L2^k,
 
-    with q_{n,k}, s_{n,k} the z^k coefficients of Q_n, S_n, L2^0 the
-    identity on L2's window and L2^k = L2 o L2^(k-1).  The powers, products
-    and sum are formed exactly on opalg's exact forms: L2's raw values, and
-    the z^k coefficients of the S and Q tables on [lo + 1, hi] read once
-    per k as ints (numcore.raw_ints), enter at whatever width they hold,
-    and each coefficient of the partner is rounded once, at the working
-    precision, by numcore's rround.  The windows are composition's: L2^1 =
-    L2 o I lies on the identity's window less L2's order, two sites short of
-    L2's, and the partner with it.  Starting from L2 itself would widen the
-    partner by those two sites, which carry the pair's largest commutator
-    residuals.  The powers are summed, not nested (Horner), which would give
-    other windows.
+    with q_{n,k}, s_{n,k} the z^k coefficients of Q_n, S_n, nested by
+    Horner's rule: acc = c_g, then acc o L2 + c_k for k = g - 1, ..., 0, with
+    c_k = q_{n,k} T - s_{n,k}.  Each composition and sum is exact, on opalg's
+    exact forms: L2's raw values and the tables' z^k coefficients, read once
+    per k as ints (numcore.raw_ints), enter at whatever width they hold, and
+    each coefficient is rounded once, at the working precision, by rround.
+    The tables are read, and the partner lies, on the window of the sum of
+    powers, each power built from the identity on L2's window:
+    [max(s_lo + 1, L2_lo), min(s_hi, L2_hi - 2g - 1)], [s_lo, s_hi] the
+    state's.  The nested sum on [s_lo + 1, s_hi] would reach two sites
+    further right, to L2_hi - 2g + 1, and those sites carry the pair's
+    largest commutator residuals.
     """
-    if L2 is None:
-        L2 = state.l2()
-    qs_window = lo, hi = state.window[0] + 1, state.window[1]
+    L2 = state.l2() if L2 is None else L2
+    g, l2, acc = state.curve.g, exact_form(L2), None
+    (slo, shi), (llo, lhi) = state.window, L2.window
+    window = lo, hi = max(slo + 1, llo), min(shi, lhi - 2 * g - 1)
     tables = [[t[n].raw for n in range(lo, hi + 1)] for t in (state.Q, state.S)]
-    l2, l2k, acc = exact_form(L2), exact_form(DiffOp.build({0: 1}, L2.window)), None
-    for k in range(state.curve.g + 1):
-        if k:
-            l2k = exact_compose(l2, l2k)
+    for k in range(g, -1, -1):
         (qk, sk), exp = raw_ints([[v[k] if k < len(v) else fzero for v in t] for t in tables])
-        term = exact_compose((qs_window, {1: qk, 0: [-v for v in sk]}, exp), l2k)
-        acc = term if acc is None else exact_sum(acc, term)
+        ck = (window, {1: qk, 0: [-v for v in sk]}, exp)
+        acc = ck if acc is None else exact_sum(exact_compose(acc, l2), ck)
     return exact_op(acc, mp.prec)

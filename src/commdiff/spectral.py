@@ -24,6 +24,7 @@ identity) turns the commutation hypothesis into a measured quantity.
 from __future__ import annotations
 
 from mpmath import mp, mpf
+from mpmath.libmp import fone
 
 from .errors import CommutationError, WindowError
 from .numcore import (
@@ -45,7 +46,8 @@ RANK2_COMMUTATION_TOL = mpf("1e-10")
 def kernel_extend(L: DiffOp, n0: int, init, length: int, w: int) -> list:
     """Solve (L - z) psi = 0 forward from initial data, with z symbolic, exactly.
 
-    L must be monic positive of order m; init supplies psi(n0..n0+m-1) as
+    L must be positive of order m and exactly monic (u_m = 1, which the
+    recurrence drops); init supplies psi(n0..n0+m-1) as
     exact z-polynomials packed at width w, (numcore.pack(ints, w), exp) for
     sum_k ints[k] 2^exp z^k.  The result is psi(n0), psi(n0 + 1), ... to
     the requested length, each such a pair: psi(n + m) = z psi(n) - sum_j
@@ -59,7 +61,7 @@ def kernel_extend(L: DiffOp, n0: int, init, length: int, w: int) -> list:
     if not L.is_positive:
         raise ValueError("kernel recurrence needs a positive operator")
     m = L.order
-    if not L.is_monic():
+    if set(L.terms[m].raw) != {fone}:
         raise ValueError("kernel recurrence needs a monic operator")
     n0 = int(n0)
     if len(init) != m:

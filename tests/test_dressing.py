@@ -1468,18 +1468,35 @@ def test_l2_operator_on_too_small_a_window_is_a_window_error():
     assert l2_operator(U, W).window == (0, 3)
 
 
-@pytest.mark.parametrize("bits", (113, 160))
+@pytest.mark.parametrize("bits", (53, 113, 160, 1100))
 @pytest.mark.parametrize("kind, g, params", [
     ("trig", 2, {"r1": "1.3"}), ("poly", 3, ODD5), ("geom", 2, {"a": "2.272327", "beta": "1.614327"}),
 ])
 def test_partner_of_a_wider_state_is_the_exact_assembly(kind, g, params, bits):
     # the state's tables at 2p, and an L2 at 2p, enter the exact assembly
-    # unrounded; each coefficient of the partner is rounded once
+    # unrounded; each coefficient of the partner is rounded once.  The
+    # partner lies on [max(s_lo + 1, L2_lo), min(s_hi, L2_hi - 2g - 1)]: the
+    # state cut to S on [-7, 6], and L2 cut to start one or two sites inside
+    # its left end and to end from 3 sites before its right end to 3 sites
+    # past the end at which L2_hi - 2g - 1 reaches it, or to leave the
+    # partner one site or none, a WindowError
     with mp.workprec(2 * bits):
         wide_l2, _, state, _ = build_case(FamilySpec(kind, g, params), (-6, 6))
+    slo, shi = -7, 6
+    cut = DressingState(state.U, state.W, state.curve,
+                        {n: state.S[n] for n in range(slo, shi + 1)},
+                        {n: state.Q[n] for n in range(slo + 1, shi + 1)})
+    windows = [(lo, hi) for lo in (slo + 1, slo + 2) for hi in range(shi - 3, shi + 2 * g + 5)]
     with mp.workprec(bits):
         for L2 in (l2_operator(_rounded(state.U), _rounded(state.W)), wide_l2):
             _assert_same_op(build_partner_op(state, L2), exact_partner(state, L2))
+        for lo, hi in windows + [(slo + 1, slo + 2 * g + 2)]:
+            L2 = DiffOp(wide_l2.terms, (lo, hi))
+            partner = build_partner_op(cut, L2)
+            assert partner.window == (max(slo + 1, lo), min(shi, hi - 2 * g - 1))
+            _assert_same_op(partner, exact_partner(cut, L2))
+        with pytest.raises(WindowError):
+            build_partner_op(cut, DiffOp(wide_l2.terms, (slo + 1, slo + 2 * g + 1)))
         assert _wide((c for table in (state.S, state.Q) for p in table.values()
                       for c in p.coeffs), bits)
         assert _wide((v for t in wide_l2.terms.values() for v in t.values), bits)

@@ -620,12 +620,15 @@ def _partner(order):
      "needs a positive operator"),
     (lambda: kernel_extend(DiffOp.build({2: 2, 0: 1}, WIN), 0, _packed([ONE, ZERO], 8), 6, 8),
      "needs a monic operator"),
+    # within MONIC_TOL of monic, at 113 bits: the recurrence would drop the 2^-60
+    (lambda: kernel_extend(DiffOp.build({2: 1 + mpf(2) ** -60, 0: 1}, WIN), 0,
+                           _packed([ONE, ZERO], 8), 6, 8), "needs a monic operator"),
     (lambda: kernel_extend(_partner(2), 0, _packed([ONE], 8), 6, 8),
      "order 2 needs 2 initial values"),
     (lambda: kernel_extend(_partner(2), 0, _packed([ONE, ZERO], 8), 1, 8), "length must cover"),
     (lambda: extract_curve(_partner(3), _partner(5)), "fixes the base operator at order 2"),
     (lambda: extract_curve(_partner(2), _partner(4)), "must have odd order"),
-], ids=["non-positive", "non-monic", "init-count", "short-length", "base-order",
+], ids=["non-positive", "non-monic", "nearly-monic", "init-count", "short-length", "base-order",
         "even-partner"])
 def test_kernel_and_extraction_refuse_operators_they_do_not_take(make, fragment):
     with pytest.raises(ValueError) as got:

@@ -77,9 +77,16 @@ CURVES = (
     + [["curve", "--family", "elliptic", "--g", "1"]]
 )
 
+# the last three are the widest partners, whose nested sums compose by L2
+# the most times and at the longest mantissas: a non-dyadic odd quintic and
+# a geometric partner at 1100 bits, and a non-dyadic trig partner of genus 4
 PARTNERS = [
     ["partner", "--family", "geom", "--g", "1", "--a", "2", "--beta", "1"],
     ["partner", "--family", "elliptic", "--g", "1"],
+    ["partner", "--family", "poly", "--g", "5", "--a2", "0.886695", "--a1", "0.708451",
+     "--a0", "0.234504", "--precision", "1100"],
+    ["partner", "--family", "trig", "--g", "4", "--r1", "1.3"],
+    ["partner", "--family", "geom", "--g", "3", "--a", "2", "--beta", "1", "--precision", "1100"],
 ]
 
 # genus 3 curve extraction (geometric, and quadratic with a linear term), a
